@@ -1,23 +1,16 @@
-"""Campaign driver benchmark -- stage profile, parallel driver, encode batching.
+"""Campaign driver benchmark -- stage profile and parallel driver.
 
-Three measurements, with record equivalence asserted before any timing claim:
+Two measurements, with record equivalence asserted before any timing claim:
 
 * **stage profile**: one serial campaign run with the built-in
   :class:`~repro.util.timing.StageTimer` enabled, recording where the
   wall-clock goes (``campaign.prepare`` / ``cluster.run_job`` /
-  ``collect.*`` / ``transport.*`` / ``store.write`` ...).  The profile is
-  the evidence behind the two optimisations this file then measures,
+  ``collect.*`` / ``transport.*`` / ``store.write`` ...),
 * **parallel driver**: the same campaign with ``campaign_workers`` driver
   processes; output pinned equivalent to serial, wall-clock and per-stage
   timings recorded, and the parallel>=serial floor enforced where it is
   winnable (>= 2 cores), skipped-with-reason (logged *and* recorded in the
-  JSON) on a single-core host,
-* **encode batching A/B**: the profile's residual serial hot spots --
-  per-chunk message encoding and dynamic-linker classification -- each have
-  a reference path kept alive behind a knob (``UDPSender.fast_encode``,
-  ``DynamicLinker.dynamic_cache_enabled``).  Both arms run the full
-  campaign; the recorded win is the before/after evidence that the batched
-  path pays for itself.
+  JSON) on a single-core host.
 
 Results are written as machine-readable JSON to ``BENCH_campaign.json`` in
 the repository root (override with ``REPRO_BENCH_JSON``).
@@ -82,17 +75,12 @@ def _record_set(records):
                   for r in records)
 
 
-def _run_campaign(workers: int = 1, *, fast_encode: bool = True,
-                  dynamic_cache: bool = True):
+def _run_campaign(workers: int = 1):
     """One timed campaign run; returns (result, wall seconds)."""
     config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=LOSS_RATE,
                             campaign_workers=workers)
     campaign = DeploymentCampaign(config=config)
     campaign.prepare()
-    # The A/B knobs are instance switches, not config: the reference paths
-    # exist only so this benchmark can measure what batching bought.
-    campaign.collector.sender.fast_encode = fast_encode
-    campaign.cluster.linker.dynamic_cache_enabled = dynamic_cache
     start = time.perf_counter()
     result = campaign.run()
     return result, time.perf_counter() - start
@@ -202,47 +190,3 @@ class TestParallelDriver:
             "feed": feed,
         }
 
-
-class TestEncodeBatchingAB:
-    def test_batched_paths_vs_reference(self, serial_run):
-        """The profile-guided batching, measured against its reference paths.
-
-        Profiling the seed driver put ``transport.encode`` (per-chunk
-        dataclass copy + double header serialisation) and dynamic-linker
-        ELF re-reads at the top of the job loop; the batched paths --
-        shared-prefix chunk encoding and the ``(path, mtime)`` link cache
-        -- are asserted byte-identical elsewhere, so this arm only measures
-        what they bought.
-        """
-        optimized_result, optimized_seconds = serial_run
-        reference_result, reference_seconds = _run_campaign(
-            1, fast_encode=False, dynamic_cache=False)
-        assert _record_set(reference_result.records) == \
-            _record_set(optimized_result.records)
-        win = reference_seconds / optimized_seconds
-        ref_stages = reference_result.stage_timings
-        opt_stages = optimized_result.stage_timings
-        table = TextTable(["arm", "wall s", "transport.encode s",
-                           "cluster.run_job s"],
-                          title=f"Encode/link batching A/B ({win:.2f}x)")
-        for name, seconds, stages in (
-            ("reference (unbatched)", reference_seconds, ref_stages),
-            ("batched (default)", optimized_seconds, opt_stages),
-        ):
-            table.add_row([name, f"{seconds:.2f}",
-                           f"{stages['transport.encode']['seconds']:.3f}",
-                           f"{stages['cluster.run_job']['seconds']:.3f}"])
-        print()
-        print(table.render())
-        RESULTS["encode_batching"] = {
-            "reference_seconds": reference_seconds,
-            "batched_seconds": optimized_seconds,
-            "win": win,
-            "reference_stages": ref_stages,
-            "batched_stages": opt_stages,
-        }
-        if not SMOKE:
-            # The batched default must never lose to its own reference path.
-            assert optimized_seconds <= reference_seconds * 1.05, (
-                f"batched encode ({optimized_seconds:.2f}s) lost to the "
-                f"reference path ({reference_seconds:.2f}s)")

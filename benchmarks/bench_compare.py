@@ -7,14 +7,14 @@ then an ``O(64*64)`` Python DP.  The engine of
 normalization cache and a word-parallel LCS kernel, batched one-vs-many via
 numpy.  This benchmark measures both levels on campaign-realistic digests:
 
-* **per-pair**: scalar ``compare()`` over sampled digest pairs, reference
-  backend vs bit-parallel backend (normalization cache warm, as in any real
-  sweep) -- microseconds per pair;
+* **per-pair**: scalar ``compare_reference()`` vs ``compare()`` over sampled
+  digest pairs (normalization cache warm, as in any real sweep) --
+  microseconds per pair;
 * **matrix-level**: ``SimilaritySearch.pairwise_average_matrix`` (the
   Fig 4/5-style all-pairs workload) over every hash column on the
   brute-force path, plus the full Table 7 ``identify_unknown`` sweep --
-  both asserted **byte-identical** across backends before any timing is
-  trusted.
+  both asserted **byte-identical** to a search scoring every pair through
+  ``compare_reference`` (a bench-local hasher) before any timing is trusted.
 
 Timings land in ``BENCH_compare.json`` in the repository root (override with
 ``REPRO_BENCH_JSON``).  ``REPRO_BENCH_SMOKE=1`` shrinks the campaign for CI;
@@ -76,11 +76,24 @@ def compare_records():
     return DeploymentCampaign(config=config).run().records
 
 
+class _ReferenceHasher(FuzzyHasher):
+    """Scores every pair through the scalar oracle, ``compare_reference``."""
+
+    def compare(self, first, second):
+        return self.compare_reference(first, second)
+
+    def compare_many(self, baseline, candidates):
+        return [self.compare_reference(baseline, candidate)
+                for candidate in candidates]
+
+
+HASHERS = {"reference": _ReferenceHasher, "bitparallel": FuzzyHasher}
+
+
 def _fresh_search(records, backend: str) -> SimilaritySearch:
-    """A cold search on the brute-force path with the given compare backend."""
+    """A cold search on the brute-force path with the given hasher."""
     normalize_cache_clear()
-    return SimilaritySearch(records, use_index=False,
-                            hasher=FuzzyHasher(compare_backend=backend))
+    return SimilaritySearch(records, use_index=False, hasher=HASHERS[backend]())
 
 
 class TestPerPairCompare:
@@ -98,7 +111,7 @@ class TestPerPairCompare:
         timings = {}
         scores = {}
         for backend in ("reference", "bitparallel"):
-            hasher = FuzzyHasher(compare_backend=backend)
+            hasher = HASHERS[backend]()
             normalize_cache_clear()
             start = time.perf_counter()
             scores[backend] = [hasher.compare(a, b) for a, b in pairs]

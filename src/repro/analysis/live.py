@@ -161,11 +161,7 @@ class LiveAnalysis:
 
     user_names: dict[int, str] = field(default_factory=dict)
     rules: tuple = LABEL_RULES
-    #: Comparison kernel of the default hasher (``"bitparallel"`` |
-    #: ``"reference"``, pattern of ``hash_engine``); ignored when an
-    #: explicit ``hasher`` is supplied.
-    compare_backend: str = "bitparallel"
-    hasher: FuzzyHasher | None = None
+    hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
     use_index: bool = True
     index_threshold: int = DEFAULT_INDEX_THRESHOLD
     cursor: int = 0            #: store rowid high-water mark (when bound)
@@ -181,8 +177,6 @@ class LiveAnalysis:
     _search: SimilaritySearch = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.hasher is None:
-            self.hasher = FuzzyHasher(compare_backend=self.compare_backend)
         self._search = SimilaritySearch(
             [], rules=self.rules, hasher=self.hasher,
             use_index=self.use_index, index_threshold=self.index_threshold)

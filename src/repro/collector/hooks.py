@@ -27,7 +27,6 @@ from repro.collector.fuzzy import ArtifactHasher
 from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.elf.reader import ELFFile, is_elf
-from repro.hashing.ssdeep import FuzzyHasher
 from repro.hashing.xxhash import xxh128_hex
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
@@ -44,13 +43,10 @@ class SirenCollector:
     sender: UDPSender
     library_path: str
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    #: Hashing knobs, forwarded to the :class:`ArtifactHasher` /
-    #: :class:`FuzzyHasher` pair: ``hash_engine`` selects the single-pass
-    #: streaming engine (digests are identical either way), ``hash_content_cache``
-    #: recognises byte-identical binaries across paths/mtimes, and
-    #: ``hash_concurrency > 1`` fans per-executable hashing out over a
-    #: process pool.
-    hash_engine: bool = True
+    #: Hashing knobs, forwarded to the :class:`ArtifactHasher`:
+    #: ``hash_content_cache`` recognises byte-identical binaries across
+    #: paths/mtimes, and ``hash_concurrency > 1`` fans per-executable
+    #: hashing out over a process pool.
     hash_content_cache: bool = True
     hash_concurrency: int = 1
     hasher: ArtifactHasher = field(init=False)
@@ -65,7 +61,6 @@ class SirenCollector:
     def __post_init__(self) -> None:
         self.hasher = ArtifactHasher(
             self.filesystem,
-            hasher=FuzzyHasher(use_engine=self.hash_engine),
             content_cache_enabled=self.hash_content_cache,
             hash_concurrency=self.hash_concurrency,
         )

@@ -1,4 +1,11 @@
-"""Configuration of a SIREN deployment."""
+"""Configuration of a SIREN deployment.
+
+:class:`SirenConfig` is the one place a deployment knob is declared and
+validated.  :class:`~repro.workload.campaign.CampaignConfig` subclasses it
+with what a job driver needs on top;
+:class:`~repro.core.deployment.Deployment` turns either into the wired
+pipeline.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
 from repro.faults.plan import FaultPlan
 from repro.transport.messages import MAX_DATAGRAM_SIZE
+from repro.util.errors import CollectionError
 
 
 @dataclass(frozen=True)
@@ -23,25 +31,14 @@ class SirenConfig:
         Datagram budget used when chunking long contents.
     store_path:
         SQLite path; ``":memory:"`` keeps everything in RAM.
-    rng_seed:
-        Seed for the lossy channel's drop decisions.
-    hash_engine:
-        Route collector hashing through the single-pass streaming engine
-        (:mod:`repro.hashing.engine`); digests are identical either way.
+    seed:
+        The one deployment seed: the lossy channel's drop decisions and (in
+        a campaign) every other RNG stream are forked from it.
     hash_content_cache:
         Content-addressed digest cache: byte-identical binaries reached via
         different paths/mtimes hash once per deployment.
     hash_concurrency:
         Process-pool width for per-executable hashing (1 = in-process).
-    compare_backend:
-        Signature-comparison kernel for every analysis built from this
-        deployment (:meth:`~repro.core.framework.SirenFramework.analysis_pipeline`,
-        :meth:`~repro.core.framework.SirenFramework.live_analysis`,
-        :meth:`~repro.core.framework.SirenFramework.identify_unknown`):
-        ``"bitparallel"`` scores through the batched bit-parallel engine of
-        :mod:`repro.hashing.compare_engine`; ``"reference"`` keeps the seed
-        scalar path.  Scores are byte-identical either way (pattern of
-        ``hash_engine``).
     ingest_mode:
         ``"batch"`` persists raw messages and consolidates in a post-pass
         (the paper's pipeline); ``"streaming"`` consolidates messages as they
@@ -65,9 +62,6 @@ class SirenConfig:
         alongside live consolidation; in batch mode (where the post-pass
         needs them) ``False`` clears the table when
         :meth:`~repro.core.framework.SirenFramework.finalize` consolidates.
-        Mirrors :attr:`~repro.workload.campaign.CampaignConfig.keep_raw_messages`,
-        so framework and campaign deployments persist raw traffic
-        identically.
     transport:
         ``"memory"`` (default) delivers datagrams through the in-memory
         channel -- lossy when ``loss_rate > 0``; ``"socket"`` sends genuine
@@ -75,8 +69,7 @@ class SirenConfig:
         -- losses, if any, come from the kernel).  Socket deployments are
         drained on every ``consolidate``/``snapshot``/``finalize`` and the
         sockets are released by
-        :meth:`~repro.core.framework.SirenFramework.close`.  Mirrors
-        :attr:`~repro.workload.campaign.CampaignConfig.transport`.
+        :meth:`~repro.core.framework.SirenFramework.close`.
     ingest_max_restarts:
         Supervised restarts allowed per shard worker before a crashed or
         stalled worker surfaces as
@@ -95,39 +88,27 @@ class SirenConfig:
         (``transport="memory"`` only), store faults hook the shared store's
         write paths, worker faults ride into the process-mode shard workers.
         ``None`` (default) injects nothing.
-    campaign_workers:
-        OS driver processes the job-generation loop fans out over when this
-        deployment is driven by a campaign (1 = the serial driver).  Mirrors
-        :attr:`~repro.workload.campaign.CampaignConfig.campaign_workers` and
-        carries the same merge contract: parallel output is pinned
-        equivalent to serial, and combining ``campaign_workers > 1`` with an
-        active channel fault plan is rejected (the fault pipeline is ordered
-        over the global datagram stream, which no single worker observes).
     store_backend:
         Storage substrate of the tiered record store (``rollups=True``):
         ``"sqlite"`` persists the silver/blob tables next to ``store_path``
         (in-memory alongside an in-memory store), ``"memory"`` keeps them in
-        plain dicts.  Mirrors
-        :attr:`~repro.workload.campaign.CampaignConfig.store_backend`.
+        plain dicts.
     rollups:
         Maintain the tiered record store (:mod:`repro.db.tiered`) alongside
         the ``processes`` table: silver hash-partitioned record shards with
         cross-campaign content-addressed payload dedup, plus gold rollups
         answering the Table 2/3/4/8 queries in O(answer).  Rollup answers
         are pinned byte-identical to the recompute-from-records reference;
-        ``False`` (default) skips the extra tier entirely.  Mirrors
-        :attr:`~repro.workload.campaign.CampaignConfig.rollups`.
+        ``False`` (default) skips the extra tier entirely.
     """
 
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     loss_rate: float = 0.0002
     max_datagram_size: int = MAX_DATAGRAM_SIZE
     store_path: str = ":memory:"
-    rng_seed: int = 7
-    hash_engine: bool = True
+    seed: int = 42
     hash_content_cache: bool = True
     hash_concurrency: int = 1
-    compare_backend: str = "bitparallel"
     ingest_mode: str = "batch"
     ingest_shards: int = 1
     ingest_workers: str = "thread"
@@ -137,6 +118,22 @@ class SirenConfig:
     store_retry_attempts: int = 4
     quarantine_capacity: int = 256
     fault_plan: FaultPlan | None = None
-    campaign_workers: int = 1
     store_backend: str = "sqlite"
     rollups: bool = False
+
+    def validate(self) -> None:
+        """Raise :class:`CollectionError` for a value no deployment can honour."""
+        for knob, allowed in (("ingest_mode", ("batch", "streaming")),
+                              ("transport", ("memory", "socket")),
+                              ("ingest_workers", ("thread", "process")),
+                              ("store_backend", ("sqlite", "memory"))):
+            value = getattr(self, knob)
+            if value not in allowed:
+                raise CollectionError(
+                    f"unknown {knob} {value!r} "
+                    f"(expected {allowed[0]!r} or {allowed[1]!r})")
+        if (self.fault_plan is not None and self.fault_plan.channel.active
+                and self.transport != "memory"):
+            raise CollectionError(
+                "channel fault injection requires transport='memory' "
+                "(a socket channel has its own, real faults)")

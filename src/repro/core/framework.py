@@ -1,27 +1,13 @@
 """The SIREN framework facade.
 
 One :class:`SirenFramework` instance corresponds to one deployment of SIREN on
-a system: it owns the message store, the transport channel, the ingest path
-(batch receiver or streaming consolidators) and the collector, can be deployed
-onto a simulated cluster (registering the ``LD_PRELOAD`` hook), and
-consolidates whatever has been collected so far into per-process records ready
-for analysis.
-
-Two ingest modes (``SirenConfig.ingest_mode``):
-
-* ``"batch"`` -- the paper's pipeline: the receiver persists raw messages and
-  :meth:`consolidate` runs the batch post-pass;
-* ``"streaming"`` -- messages are consolidated as they arrive by
-  :class:`~repro.ingest.sharded.ShardedIngest` (``ingest_shards`` shard
-  workers, in-interpreter or one OS process each per ``ingest_workers``),
-  :meth:`snapshot` / :meth:`consolidate` return the live record set
-  without waiting for the deployment to end, and :meth:`live_analysis`
-  serves incrementally maintained analysis views over the record delta
-  stream (:meth:`snapshot_delta`).
-
-Raw-message persistence (``keep_raw_messages``) and the datagram transport
-(``transport="memory"|"socket"``) follow the same semantics as
-:class:`~repro.workload.campaign.CampaignConfig`.
+a system you already have: a :class:`~repro.core.deployment.Deployment` wires
+store, channel, ingest path and sender from the
+:class:`~repro.core.config.SirenConfig` (batch or streaming, memory or
+socket -- see the config for what each knob means); the framework hooks it
+onto a simulated cluster (registering the ``LD_PRELOAD`` hook), consolidates
+whatever has been collected so far into per-process records, and serves the
+analyses over them.
 """
 
 from __future__ import annotations
@@ -32,32 +18,28 @@ from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilarityResult
 from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
+from repro.core.deployment import Deployment, DeploymentChannel
 from repro.core.pipeline import AnalysisPipeline
 from repro.db.store import MessageStore, ProcessRecord
-from repro.db.tiered import TieredStore, build_tiered_store
+from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
-from repro.postprocess.consolidate import Consolidator
-from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
-from repro.transport.receiver import DatagramQuarantine, MessageReceiver
+from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
-from repro.util.errors import CollectionError
-from repro.util.retry import RetryPolicy
-from repro.util.rng import SeededRNG
 
 
 @dataclass
 class SirenFramework:
-    """Collector + transport + ingest + database, wired together."""
+    """Collector + transport + ingest + database, wired by a :class:`Deployment`."""
 
     config: SirenConfig = field(default_factory=SirenConfig)
+    deployment: Deployment = field(init=False, repr=False)
     store: MessageStore = field(init=False)
-    channel: LossyChannel | InMemoryChannel | SocketChannel = field(init=False)
-    #: fault-injection decorator around :attr:`channel` when the config's
-    #: ``fault_plan`` has active channel faults (memory transport only)
-    faulty_channel: FaultyChannel | None = field(init=False, default=None)
+    #: what the sender sends through -- the fault-injection decorator itself
+    #: when the config's ``fault_plan`` has active channel faults
+    channel: DeploymentChannel = field(init=False)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     receiver: MessageReceiver | None = field(init=False, default=None)
     ingest: ShardedIngest | None = field(init=False, default=None)
@@ -69,79 +51,16 @@ class SirenFramework:
     cluster: Cluster | None = None
 
     def __post_init__(self) -> None:
-        if self.config.ingest_mode not in ("batch", "streaming"):
-            raise CollectionError(
-                f"unknown ingest_mode {self.config.ingest_mode!r} "
-                "(expected 'batch' or 'streaming')")
-        if self.config.transport not in ("memory", "socket"):
-            raise CollectionError(
-                f"unknown transport {self.config.transport!r} "
-                "(expected 'memory' or 'socket')")
-        if self.config.ingest_workers not in ("thread", "process"):
-            raise CollectionError(
-                f"unknown ingest_workers {self.config.ingest_workers!r} "
-                "(expected 'thread' or 'process')")
-        if self.config.compare_backend not in ("bitparallel", "reference"):
-            raise CollectionError(
-                f"unknown compare_backend {self.config.compare_backend!r} "
-                "(expected 'bitparallel' or 'reference')")
-        if self.config.campaign_workers < 1:
-            raise CollectionError(
-                f"campaign_workers must be >= 1, got {self.config.campaign_workers}")
-        if self.config.store_backend not in ("sqlite", "memory"):
-            raise CollectionError(
-                f"unknown store_backend {self.config.store_backend!r} "
-                "(expected 'sqlite' or 'memory')")
-        plan = self.config.fault_plan
-        if (self.config.campaign_workers > 1 and plan is not None
-                and plan.channel.active):
-            raise CollectionError(
-                "campaign_workers > 1 cannot merge with channel fault "
-                "injection: reorder/duplicate/holdback faults are ordered "
-                "over the global datagram stream, which no single driver "
-                "worker observes")
-        self.store = MessageStore(
-            self.config.store_path,
-            retry=RetryPolicy(attempts=self.config.store_retry_attempts))
-        if plan is not None and plan.store.active:
-            self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
-        if self.config.rollups:
-            # A framework deployment has no user registry at construction
-            # time, so gold user labels fall back to ``uid_<n>`` -- identical
-            # to recomputing the reference tables with ``user_names=None``.
-            self.tiered = build_tiered_store(
-                self.config.store_backend,
-                store_path=self.config.store_path,
-                campaign=f"deployment-seed{self.config.rng_seed}")
-            self.store.attach_tiered(self.tiered)
-        if self.config.transport == "socket":
-            self.channel = SocketChannel()
-        elif self.config.loss_rate > 0:
-            self.channel = LossyChannel(loss_rate=self.config.loss_rate,
-                                        rng=SeededRNG(self.config.rng_seed))
-        else:
-            self.channel = InMemoryChannel()
-        if plan is not None and plan.channel.active:
-            if self.config.transport != "memory":
-                raise CollectionError(
-                    "channel fault injection requires transport='memory' "
-                    "(a socket channel has its own, real faults)")
-            self.faulty_channel = FaultyChannel(plan=plan, inner=self.channel)
-        if self.config.ingest_mode == "streaming":
-            self.ingest = ShardedIngest(self.store, shards=self.config.ingest_shards,
-                                        persist_raw=self.config.keep_raw_messages,
-                                        workers=self.config.ingest_workers,
-                                        max_restarts=self.config.ingest_max_restarts,
-                                        quarantine_capacity=self.config.quarantine_capacity,
-                                        fault_plan=plan)
-            self.ingest.attach(self.channel)
-        else:
-            quarantine = (DatagramQuarantine(capacity=self.config.quarantine_capacity)
-                          if self.config.quarantine_capacity else None)
-            self.receiver = MessageReceiver(self.store, quarantine=quarantine)
-            self.receiver.attach(self.channel)
-        self.sender = UDPSender(self.faulty_channel or self.channel,
-                                max_datagram_size=self.config.max_datagram_size)
+        # A framework deployment has no user registry at construction time,
+        # so gold user labels fall back to ``uid_<n>``.
+        deployment = self.deployment = Deployment(self.config)
+        self.store = deployment.store
+        self.channel = deployment.channel
+        self.store_fault_injector = deployment.store_fault_injector
+        self.receiver = deployment.receiver
+        self.ingest = deployment.ingest
+        self.tiered = deployment.tiered
+        self.sender = deployment.sender
 
     # ------------------------------------------------------------------ #
     # deployment
@@ -153,44 +72,21 @@ class SirenFramework:
         cluster's filesystem (the corpus builder installs it and exposes the
         path through its manifest).
         """
-        if self.collector is not None:
-            raise CollectionError("this framework instance is already deployed")
-        self.collector = SirenCollector(
-            filesystem=cluster.filesystem,
-            sender=self.sender,
-            library_path=siren_library_path,
-            policy=self.config.policy,
-            hash_engine=self.config.hash_engine,
-            hash_content_cache=self.config.hash_content_cache,
-            hash_concurrency=self.config.hash_concurrency,
-        )
-        cluster.register_preload_hook(self.collector)
+        self.collector = self.deployment.deploy(cluster, siren_library_path)
         self.cluster = cluster
         return self.collector
 
     def close(self) -> None:
-        """Release deployment resources.
+        """Release deployment resources (see :meth:`Deployment.close`).
 
-        Closes the collector's hash worker pool (a later concurrent batch
-        simply respawns it) and, with ``transport="socket"``, drains and
-        closes the loopback sockets -- call it when the deployment's traffic
-        has ended.  Memory-channel collection and analysis keep working
-        afterwards.
+        Call it when the deployment's traffic has ended; memory-channel
+        collection and analysis keep working afterwards.
         """
-        if self.collector is not None:
-            self.collector.close()
-        if isinstance(self.channel, SocketChannel):
-            self.channel.drain()
-            self.channel.close()
+        self.deployment.close()
 
     # ------------------------------------------------------------------ #
     # data access
     # ------------------------------------------------------------------ #
-    def _drain_socket(self) -> None:
-        """Pull queued loopback datagrams into the ingest path (socket transport)."""
-        if isinstance(self.channel, SocketChannel):
-            self.channel.drain()
-
     def consolidate(self, *, clear_messages: bool = False) -> list[ProcessRecord]:
         """Flush the ingest path and consolidate everything collected so far.
 
@@ -199,81 +95,29 @@ class SirenFramework:
         (finalized records plus a non-destructive peek at still-open process
         groups) -- record-for-record the same result.
         """
-        self._drain_socket()
-        if self.ingest is not None:
-            records = self.ingest.snapshot()
-            if clear_messages:
-                self.store.clear_messages()
-            return records
-        assert self.receiver is not None
-        self.receiver.flush()
-        return Consolidator(self.store).run(clear_messages=clear_messages)
+        records = self.deployment.snapshot()
+        if clear_messages:
+            self.store.clear_messages()
+        return records
 
     def snapshot(self) -> list[ProcessRecord]:
-        """The records consolidated so far, mid-deployment.
-
-        Alias of :meth:`consolidate` without side effects on the raw
-        messages table; in streaming mode open process groups are peeked,
-        not closed, so collection continues undisturbed.
-        """
-        return self.consolidate()
+        """The records consolidated so far (see :meth:`Deployment.snapshot`)."""
+        return self.deployment.snapshot()
 
     def finalize(self) -> list[ProcessRecord]:
-        """End the ingest stream: persist every record, including open groups.
-
-        In streaming mode this closes all still-open process groups (e.g.
-        processes whose ``PROCEND`` datagram was lost) and flushes them to
-        the ``processes`` table, so an on-disk store holds the complete
-        record set batch mode would have produced; call it when the
-        deployment's traffic has ended.  In batch mode it runs the final
-        consolidation pass.  Either way, ``keep_raw_messages=False`` clears
-        the raw messages table now that nothing will re-read it (mid-run
-        :meth:`consolidate`/:meth:`snapshot` calls never clear, whatever
-        the knob says -- a batch post-pass may still need the messages).
-        """
-        if self.faulty_channel is not None:
-            # End of stream: the injected network finally delivers whatever
-            # reordering/jitter was still holding back.
-            self.faulty_channel.flush()
-        if self.ingest is not None:
-            self._drain_socket()
-            records = self.ingest.finalize()
-            if not self.config.keep_raw_messages:
-                self.store.clear_messages()  # raw persistence was off; stays empty
-            return records
-        return self.consolidate(clear_messages=not self.config.keep_raw_messages)
+        """End the ingest stream (see :meth:`Deployment.finalize`)."""
+        return self.deployment.finalize()
 
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
-        """Incremental live view: only the records that changed since ``cursor``.
-
-        Streaming mode only -- the delta contract rests on finalized records
-        being immutable, which batch re-consolidation does not provide.  The
-        feed behind :meth:`live_analysis`.
-        """
-        if self.ingest is None:
-            raise CollectionError(
-                "snapshot_delta requires ingest_mode='streaming' (batch "
-                "re-consolidation rewrites records, so there is no delta stream)")
-        self._drain_socket()
-        return self.ingest.snapshot_delta(cursor)
+        """Only the records that changed since ``cursor`` (streaming mode only;
+        see :meth:`Deployment.snapshot_delta`)."""
+        return self.deployment.snapshot_delta(cursor)
 
     def live_analysis(self, user_names: dict[int, str] | None = None,
                       ) -> LiveAnalysis:
-        """An incrementally updated analysis bound to this deployment's stream.
-
-        Streaming mode only.  The returned
-        :class:`~repro.analysis.live.LiveAnalysis` pulls record deltas from
-        this framework on every view call, so mid-deployment tables and
-        similarity queries cost O(new records) rather than O(campaign) --
-        and stay byte-identical to :meth:`analysis_pipeline` over
-        :meth:`snapshot` records.
-        """
-        if self.ingest is None:
-            raise CollectionError(
-                "live_analysis requires ingest_mode='streaming'; batch mode "
-                "can feed LiveAnalysis.observe() with consolidate() output instead")
-        return LiveAnalysis(user_names=user_names or {},
-                            compare_backend=self.config.compare_backend).bind(self)
+        """An incrementally updated analysis bound to this deployment's stream
+        (streaming mode only; see :meth:`Deployment.live_analysis`)."""
+        return self.deployment.live_analysis(user_names)
 
     def analysis_pipeline(self, user_names: dict[int, str] | None = None,
                           ) -> AnalysisPipeline:
@@ -283,8 +127,7 @@ class SirenFramework:
         call re-consolidates (or re-snapshots, in streaming mode), so it
         reflects all messages received up to now.
         """
-        return AnalysisPipeline(self.consolidate(), user_names or {},
-                                compare_backend=self.config.compare_backend)
+        return AnalysisPipeline(self.consolidate(), user_names or {})
 
     def identify_unknown(self, *, top: int = 10, indexed: bool = True,
                          ) -> dict[str, list[SimilarityResult]]:
@@ -297,32 +140,28 @@ class SirenFramework:
 
     def statistics(self) -> dict[str, float]:
         """Operational counters of the deployment."""
+        deployment = self.deployment
         stats: dict[str, float] = {
             "datagrams_sent": self.sender.datagrams_sent,
             "send_errors": self.sender.send_errors,
+            "messages_received": deployment.front.messages_received,
+            "decode_errors": deployment.decode_errors,
+            "quarantined": deployment.quarantined,
         }
         if self.ingest is not None:
             ingest_stats = self.ingest.statistics()
-            stats["messages_received"] = self.ingest.messages_received
-            stats["decode_errors"] = self.ingest.decode_errors
-            stats["quarantined"] = self.ingest.quarantined
             for name in ("records_built", "incomplete_records", "early_finalized",
                          "idle_closed", "late_messages", "open_processes",
                          "peak_open_processes", "worker_restarts",
                          "restart_lost_groups", "restart_lost_datagrams"):
                 stats[f"ingest_{name}"] = ingest_stats[name]
-        else:
-            assert self.receiver is not None
-            stats["messages_received"] = self.receiver.messages_received
-            stats["decode_errors"] = self.receiver.decode_errors
-            stats["quarantined"] = (len(self.receiver.quarantine)
-                                    if self.receiver.quarantine is not None else 0)
         stats["store_write_retries"] = self.store.write_retries
-        if isinstance(self.channel, LossyChannel):
-            stats["datagrams_dropped"] = self.channel.datagrams_dropped
-            stats["observed_loss_rate"] = self.channel.observed_loss_rate
-        if self.faulty_channel is not None:
-            for name, value in self.faulty_channel.fault_counters().items():
+        lossy = deployment.lossy_channel
+        if lossy is not None:
+            stats["datagrams_dropped"] = lossy.datagrams_dropped
+            stats["observed_loss_rate"] = lossy.observed_loss_rate
+        if isinstance(self.channel, FaultyChannel):
+            for name, value in self.channel.fault_counters().items():
                 stats[f"fault_{name}"] = value
         if self.collector is not None:
             stats["processes_collected"] = self.collector.processes_collected

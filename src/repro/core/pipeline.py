@@ -29,23 +29,15 @@ from repro.analysis.stats import (
     user_activity_table,
 )
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 
 
 @dataclass
 class AnalysisPipeline:
-    """All evaluation analyses over one set of consolidated records.
-
-    ``compare_backend`` selects the signature-comparison kernel of every
-    similarity analysis built here (``"bitparallel"`` -- the batched
-    bit-parallel engine, the default -- or ``"reference"``, the seed scalar
-    path); scores are byte-identical either way.
-    """
+    """All evaluation analyses over one set of consolidated records."""
 
     records: list[ProcessRecord]
     user_names: dict[int, str] = field(default_factory=dict)
-    compare_backend: str = "bitparallel"
 
     # ------------------------------------------------------------------ #
     # tables
@@ -116,9 +108,7 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------ #
     def similarity_search(self, *, indexed: bool = True) -> SimilaritySearch:
         """The underlying similarity search, for custom queries."""
-        return SimilaritySearch(
-            self.records, use_index=indexed,
-            hasher=FuzzyHasher(compare_backend=self.compare_backend))
+        return SimilaritySearch(self.records, use_index=indexed)
 
     # ------------------------------------------------------------------ #
     # rendering

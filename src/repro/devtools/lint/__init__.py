@@ -6,8 +6,8 @@ Five rule families, each born from a bug that actually shipped here:
   in the one-seed-deterministic packages (:mod:`.determinism`);
 * ``concurrency`` -- fork-safe module state, timeout-guarded queue gets,
   no bare or silently swallowed exception handlers (:mod:`.concurrency`);
-* ``knobs`` -- CampaignConfig / SirenConfig / consumption / docs knob-table
-  parity, checked by dataclass introspection (:mod:`.knobs`);
+* ``knobs`` -- config hierarchy / consumption / docs knob-table parity,
+  checked by dataclass introspection (:mod:`.knobs`);
 * ``counters`` -- every surfaced statistics key declared once in
   :mod:`repro.util.counters` (:mod:`.counters`);
 * ``rollups`` -- every ``counters``-mapping increment site (the tiered

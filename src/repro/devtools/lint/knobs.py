@@ -1,38 +1,28 @@
-"""Knob-parity rules: config knobs must agree across classes, code and docs.
+"""Knob rules: config fields must agree with the code that reads them and the docs.
 
-Every deployment knob is threaded in parallel through
-:class:`~repro.workload.campaign.CampaignConfig` (campaign runs) and
-:class:`~repro.core.config.SirenConfig` (framework deployments), consumed
-somewhere in ``src/repro``, and described in the knob table of
-``docs/architecture.md``.  PR 4 fixed two silent drifts by hand
-(``keep_raw_messages`` and ``transport`` existed on one class only); these
-rules make that class of bug mechanical.
+Every deployment knob is one field of
+:class:`~repro.core.config.SirenConfig`; a campaign's driver knobs are the
+fields :class:`~repro.workload.campaign.CampaignConfig` adds on top by
+subclassing it.  Each must be consumed somewhere in ``src/repro`` and
+described in the knob table of ``docs/architecture.md``.
 
-The checker *introspects* the dataclasses (``dataclasses.fields``), parses
-the docs knob table, and scans the ASTs for consumption -- no regexes over
-source text.  The docs table is the intent record: its ``scope`` column
-declares whether a knob exists on both classes or deliberately on one, and
-the checker verifies the declaration against reality:
+The checker *introspects* the dataclass hierarchy (``dataclasses.fields`` of
+the leaf class covers both), parses the docs knob table, and scans the ASTs
+for consumption -- no regexes over source text:
 
 ``knobs/undocumented``
     A dataclass field missing from the docs knob table.
 ``knobs/stale-doc``
-    A docs row naming a knob neither dataclass has.
-``knobs/missing-mirror``
-    Docs declare the knob ``both`` but one dataclass lacks it -- the PR 4
-    drift, caught at lint time.
-``knobs/scope-mismatch``
-    The docs scope disagrees with introspection in any other way (e.g. a
-    knob promoted to both classes while the table still says
-    ``campaign``).
+    A docs row naming a knob the config hierarchy does not have.
 ``knobs/unconsumed``
     No scanned module reads the field (``config.<name>`` /
-    ``*.config.<name>``, or ``self.<name>`` inside the config class's own
+    ``*.config.<name>``, or ``self.<name>`` inside a config class's own
     methods): a knob that nothing consumes is either dead or -- worse --
     silently ignored.
 
 The docs table rows have the shape ``| `name` | scope | description |``
-with scope one of ``campaign``, ``framework``, ``both``.
+with scope ``deployment`` (declared on ``SirenConfig``) or ``campaign``
+(added by ``CampaignConfig``).
 """
 
 from __future__ import annotations
@@ -47,7 +37,7 @@ from repro.devtools.lint.engine import (Checker, Finding, SourceModule,
                                         register_checker)
 
 _DOC_ROW = re.compile(r"^\|\s*`(?P<name>[A-Za-z_][A-Za-z0-9_]*)`\s*\|"
-                      r"\s*(?P<scope>campaign|framework|both)\s*\|")
+                      r"\s*(?P<scope>deployment|campaign)\s*\|")
 
 
 def parse_knob_table(text: str) -> dict[str, tuple[str, int]]:
@@ -94,43 +84,40 @@ class _ConsumptionScanner(ast.NodeVisitor):
 
 
 class KnobParityChecker(Checker):
-    """Cross-check CampaignConfig, SirenConfig, consumption and docs."""
+    """Cross-check the config hierarchy, consumption and docs."""
 
     family = "knobs"
 
-    def __init__(self, campaign_cls: type | None = None,
-                 siren_cls: type | None = None,
+    def __init__(self, config_cls: type | None = None,
                  docs_path: Path | None = None) -> None:
-        self._campaign_cls = campaign_cls
-        self._siren_cls = siren_cls
+        self._config_cls = config_cls
         self._docs_path = docs_path
 
     # Lazy resolution keeps checker *registration* import-light and lets
-    # unit tests inject toy dataclasses and a toy docs file.
-    def _resolve(self) -> tuple[type, type, Path]:
-        campaign_cls, siren_cls = self._campaign_cls, self._siren_cls
-        if campaign_cls is None or siren_cls is None:
-            from repro.core.config import SirenConfig
+    # unit tests inject a toy dataclass hierarchy and a toy docs file.
+    def _resolve(self) -> tuple[type, Path]:
+        config_cls = self._config_cls
+        if config_cls is None:
             from repro.workload.campaign import CampaignConfig
-            campaign_cls = campaign_cls or CampaignConfig
-            siren_cls = siren_cls or SirenConfig
+            config_cls = CampaignConfig
         docs_path = self._docs_path
         if docs_path is None:
             import repro
             docs_path = (Path(repro.__file__).resolve().parents[2]
                          / "docs" / "architecture.md")
-        return campaign_cls, siren_cls, docs_path
+        return config_cls, docs_path
 
     def check_tree(self, modules: list[SourceModule]) -> Iterable[Finding]:
-        campaign_cls, siren_cls, docs_path = self._resolve()
-        campaign_fields = {f.name for f in dataclasses.fields(campaign_cls)}
-        siren_fields = {f.name for f in dataclasses.fields(siren_cls)}
-        config_rel = self._definition_rel(modules, campaign_cls, siren_cls)
+        config_cls, docs_path = self._resolve()
+        fields = {f.name for f in dataclasses.fields(config_cls)}
+        config_classes = [cls for cls in config_cls.__mro__
+                          if dataclasses.is_dataclass(cls)]
+        config_rel = self._definition_rel(modules, config_classes)
         if config_rel is None:
-            if self._campaign_cls is None and self._siren_cls is None:
+            if self._config_cls is None:
                 # Partial scan that does not include the config definitions
-                # (e.g. linting one subpackage): parity is a whole-tree
-                # invariant, so stay silent rather than report the knobs as
+                # (e.g. linting one subpackage): the rules are whole-tree
+                # invariants, so stay silent rather than report the knobs as
                 # unconsumed by a tree that never could consume them.
                 return
             # Injected test doubles live outside the scanned tree; anchor
@@ -145,54 +132,21 @@ class KnobParityChecker(Checker):
             return
         documented = parse_knob_table(docs_path.read_text(encoding="utf-8"))
 
-        def actual_scope(name: str) -> str:
-            if name in campaign_fields and name in siren_fields:
-                return "both"
-            return "campaign" if name in campaign_fields else "framework"
-
-        for name in sorted(campaign_fields | siren_fields):
-            scope = actual_scope(name)
-            if name not in documented:
-                yield Finding(
-                    rule=f"{self.family}/undocumented",
-                    message=(f"knob '{name}' ({scope}) is missing from the "
-                             f"knob table in {docs_rel}; add a "
-                             f"'| `{name}` | {scope} | ...' row"),
-                    path=config_rel, line=1)
-                continue
-            declared, row_line = documented[name]
-            if declared == scope:
-                continue
-            if declared == "both":
-                missing = ("SirenConfig" if name not in siren_fields
-                           else "CampaignConfig")
-                yield Finding(
-                    rule=f"{self.family}/missing-mirror",
-                    message=(f"knob '{name}' is documented on both configs "
-                             f"but {missing} has no such field -- the PR 4 "
-                             "knob-drift bug; mirror the field or fix the "
-                             "docs scope"),
-                    path=config_rel, line=1)
-            else:
-                yield Finding(
-                    rule=f"{self.family}/scope-mismatch",
-                    message=(f"knob '{name}' is declared '{declared}' in "
-                             f"{docs_rel}:{row_line} but introspection says "
-                             f"'{scope}'"),
-                    path=config_rel, line=1)
-
-        for name, (declared, row_line) in sorted(documented.items()):
-            if name not in campaign_fields and name not in siren_fields:
-                yield Finding(
-                    rule=f"{self.family}/stale-doc",
-                    message=(f"{docs_rel}:{row_line} documents knob '{name}' "
-                             "but neither CampaignConfig nor SirenConfig has "
-                             "such a field"),
-                    path=config_rel, line=1)
+        for name in sorted(fields - set(documented)):
+            yield Finding(
+                rule=f"{self.family}/undocumented",
+                message=(f"knob '{name}' is missing from the knob table in "
+                         f"{docs_rel}; add a '| `{name}` | <scope> | ...' row"),
+                path=config_rel, line=1)
+        for name in sorted(set(documented) - fields):
+            yield Finding(
+                rule=f"{self.family}/stale-doc",
+                message=(f"{docs_rel}:{documented[name][1]} documents knob "
+                         f"'{name}' but {config_cls.__name__} has no such field"),
+                path=config_rel, line=1)
 
         yield from self._check_consumption(
-            modules, campaign_fields | siren_fields,
-            {campaign_cls.__name__, siren_cls.__name__}, config_rel)
+            modules, fields, {cls.__name__ for cls in config_classes}, config_rel)
 
     def _check_consumption(self, modules: list[SourceModule], names: set[str],
                            class_names: set[str], config_rel: str,
@@ -211,11 +165,11 @@ class KnobParityChecker(Checker):
                 path=config_rel, line=1)
 
     @staticmethod
-    def _definition_rel(modules: list[SourceModule], campaign_cls: type,
-                        siren_cls: type) -> str | None:
+    def _definition_rel(modules: list[SourceModule],
+                        config_classes: list[type]) -> str | None:
         """Path findings anchor to (a config-defining module), or ``None``
         when the scan does not include the config definitions at all."""
-        wanted = {campaign_cls.__module__, siren_cls.__module__}
+        wanted = {cls.__module__ for cls in config_classes}
         for module in modules:
             if module.module in wanted:
                 return module.rel

@@ -22,8 +22,7 @@ itself at the configured batch count -- and the supervisor heals it.
 
 Everything derives from the plan seed via stable stream tags, so a chaos
 failure reproduces from the plan alone.  Wire a plan end to end with the
-``fault_plan`` knob on :class:`~repro.workload.campaign.CampaignConfig` /
-:class:`~repro.core.config.SirenConfig`.
+``fault_plan`` knob on :class:`~repro.core.config.SirenConfig`.
 """
 
 from repro.faults.channel import FaultyChannel

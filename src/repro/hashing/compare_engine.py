@@ -65,8 +65,8 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 #: n-gram length of the common-substring gate -- must match the reference
-#: path's ``has_common_substring(s1, s2, ROLLING_WINDOW)`` or the backends'
-#: gates (and therefore their scores) diverge.
+#: path's ``has_common_substring(s1, s2, ROLLING_WINDOW)`` or the two gates
+#: (and therefore the scores) diverge.
 NGRAM = ROLLING_WINDOW
 
 #: Below this many texts the batch set-up costs more than it saves.
@@ -132,8 +132,8 @@ def normalize_parsed(block_size: int, sig1: str, sig2: str) -> NormalizedDigest:
 
     The component-level entry point matters for hand-constructed
     ``FuzzyHash`` objects whose fields would not survive a str()+re-parse
-    round trip; scalar ``compare`` uses it so both backends score the same
-    signature strings.  Uncached -- object callers are rare, and the hot
+    round trip; scalar ``compare`` uses it so the engine and
+    ``compare_reference`` score the same signature strings.  Uncached -- object callers are rare, and the hot
     paths all go through :func:`normalize_digest`.
     """
     # Imported lazily: ssdeep imports this module for the kernel, and the

@@ -107,26 +107,14 @@ class FuzzyHasher:
         signature_length: int = SPAMSUM_LENGTH,
         require_common_substring: bool = True,
         compare_cache_size: int = 65536,
-        use_engine: bool = True,
-        compare_backend: str = "bitparallel",
     ) -> None:
         if min_block_size < 1:
             raise ValueError("min_block_size must be >= 1")
         if signature_length < 8:
             raise ValueError("signature_length must be >= 8")
-        if compare_backend not in ("bitparallel", "reference"):
-            raise ValueError(
-                f"unknown compare_backend {compare_backend!r} "
-                "(expected 'bitparallel' or 'reference')")
         self.min_block_size = min_block_size
         self.signature_length = signature_length
         self._require_common_substring = require_common_substring
-        #: Route :meth:`hash` through the single-pass engine
-        #: (:mod:`repro.hashing.engine`).  ``False`` forces the reference
-        #: per-byte implementation; digests are byte-identical either way,
-        #: so this is purely a benchmarking/debugging valve.
-        self.use_engine = use_engine
-        self._compare_backend = compare_backend
         # Shared process pool for hash_many(concurrency > 1), created lazily.
         self._pool = None
         self._pool_width = 0
@@ -152,17 +140,14 @@ class FuzzyHasher:
         """Compute the fuzzy hash of ``data``.
 
         Runs on the single-pass streaming engine
-        (:class:`repro.hashing.engine.FuzzyState`) unless ``use_engine`` is
-        off; the engine's digests are byte-identical to
-        :meth:`hash_reference` (pinned by golden tests) but it scans the
-        payload once instead of once per block-size halving, with no
-        per-byte Python call overhead.
+        (:class:`repro.hashing.engine.FuzzyState`); its digests are
+        byte-identical to :meth:`hash_reference` (pinned by golden tests)
+        but it scans the payload once instead of once per block-size
+        halving, with no per-byte Python call overhead.
         """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("FuzzyHasher.hash expects bytes-like input")
         data = bytes(data)
-        if not self.use_engine:
-            return self.hash_reference(data)
         state = FuzzyState(min_block_size=self.min_block_size,
                            signature_length=self.signature_length)
         block_size, sig1, sig2 = state.update(data).digest_parts()
@@ -195,16 +180,14 @@ class FuzzyHasher:
         repeated small batches do not pay worker startup every time.  It only
         wins for sizable payloads on multi-core hosts (payloads are shipped
         to worker processes); ordering is preserved and every digest is
-        identical to what sequential :meth:`hash` produces.  The pool workers
-        run the engine, so with ``use_engine=False`` the batch falls back to
-        sequential reference hashing regardless of ``concurrency``.
+        identical to what sequential :meth:`hash` produces.
         """
         items = []
         for payload in payloads:
             if not isinstance(payload, (bytes, bytearray, memoryview)):
                 raise TypeError("FuzzyHasher.hash_many expects bytes-like payloads")
             items.append(bytes(payload))
-        if concurrency <= 1 or len(items) < 2 or not self.use_engine:
+        if concurrency <= 1 or len(items) < 2:
             return [self.hash(payload) for payload in items]
         from concurrent.futures.process import BrokenProcessPool
 
@@ -294,29 +277,6 @@ class FuzzyHasher:
     # comparison
     # ------------------------------------------------------------------ #
     @property
-    def compare_backend(self) -> str:
-        """The active comparison kernel: ``"bitparallel"`` or ``"reference"``.
-
-        ``"bitparallel"`` (default) scores through the engine of
-        :mod:`repro.hashing.compare_engine` -- normalization cached per
-        unique digest, distances via the word-parallel LCS kernel;
-        ``"reference"`` keeps the seed scalar path (re-parse + Python DP per
-        pair).  Scores are byte-identical either way; the knob exists for
-        verification and benchmarking.  Assigning it clears the compare LRU.
-        """
-        return self._compare_backend
-
-    @compare_backend.setter
-    def compare_backend(self, value: str) -> None:
-        if value not in ("bitparallel", "reference"):
-            raise ValueError(
-                f"unknown compare_backend {value!r} "
-                "(expected 'bitparallel' or 'reference')")
-        if value != self._compare_backend:
-            self._compare_backend = value
-            self.compare_cache_clear()
-
-    @property
     def require_common_substring(self) -> bool:
         """Whether scoring demands a shared 7-gram (ssdeep's gate).
 
@@ -333,8 +293,6 @@ class FuzzyHasher:
 
     def compare(self, first: FuzzyHash | str, second: FuzzyHash | str) -> int:
         """Return the 0-100 similarity score between two fuzzy hashes."""
-        if self._compare_backend == "reference":
-            return self.compare_reference(first, second)
         return self._compare_batch(self._normalize(first),
                                    [self._normalize(second)])[0]
 
@@ -417,13 +375,9 @@ class FuzzyHasher:
             else:
                 pending.append(key)
         if pending:
-            if self._compare_backend == "reference":
-                computed = [self.compare_reference(baseline, unique[key])
-                            for key in pending]
-            else:
-                computed = self._compare_batch(
-                    self._normalize(baseline),
-                    [self._normalize(unique[key]) for key in pending])
+            computed = self._compare_batch(
+                self._normalize(baseline),
+                [self._normalize(unique[key]) for key in pending])
             for key, score in zip(pending, computed):
                 self._compare_cache.put(self._pair_key(base, key), score)
                 scores[key] = score
@@ -456,9 +410,8 @@ class FuzzyHasher:
     def compare_cache_clear(self) -> None:
         """Drop every cached score (call after changing comparison knobs).
 
-        The knob setters (:attr:`compare_backend`,
-        :attr:`require_common_substring`) call this automatically; callers
-        mutating scoring-relevant state by other means must call it
+        The :attr:`require_common_substring` setter calls this automatically;
+        callers mutating scoring-relevant state by other means must call it
         themselves, or the LRU serves scores computed under the old knobs.
         """
         self._compare_cache.clear()
@@ -468,7 +421,7 @@ class FuzzyHasher:
         """Order-normalised LRU key (compare is symmetric)."""
         return (a, b) if a <= b else (b, a)
 
-    # -- bit-parallel backend ------------------------------------------- #
+    # -- bit-parallel kernel -------------------------------------------- #
     def _compare_batch(self, na: NormalizedDigest,
                        pending: list[NormalizedDigest]) -> list[int]:
         """Score one normalised baseline against many normalised candidates.
@@ -541,8 +494,9 @@ class FuzzyHasher:
     def _rescale(self, distance: int, len1: int, len2: int) -> int | None:
         """Edit distance -> raw 0-100 score; ``None`` when it rescales past 0.
 
-        Mirrors ssdeep's ``score_strings()`` rescaling.  Both backends share
-        this arithmetic, so their scores cannot drift: any distance at or
+        Mirrors ssdeep's ``score_strings()`` rescaling.  The kernel and
+        :meth:`compare_reference` share this arithmetic, so their scores
+        cannot drift: any distance at or
         above ``len1 + len2`` maps to ``None`` (score 0), which is also why
         the reference path's bounded DP -- whose early-exit value is only a
         lower bound once it exceeds ``len1 + len2 - 1`` -- yields the same

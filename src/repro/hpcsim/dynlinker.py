@@ -47,7 +47,6 @@ class DynamicLinker:
 
     filesystem: VirtualFilesystem
     default_paths: tuple[str, ...] = DEFAULT_SEARCH_PATH
-    dynamic_cache_enabled: bool = True
     _needed_cache: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
     _dynamic_cache: dict[tuple[str, int], bool] = field(default_factory=dict)
 
@@ -73,16 +72,15 @@ class DynamicLinker:
 
         Cached by ``(path, mtime)`` like the DT_NEEDED cache: re-parsing the
         ELF program headers for every process launch was one of the top
-        serial costs the campaign profile surfaced.  Set
-        ``dynamic_cache_enabled=False`` to force the uncached reference
-        behaviour (used for A/B measurement).
+        serial costs the campaign profile surfaced.  The answer is pinned to
+        the uncached ``ELFFile(...).is_dynamically_linked`` parse by
+        ``tests/hpcsim/test_dynlinker.py``.
         """
         vfile = self.filesystem.get(path)
-        if self.dynamic_cache_enabled:
-            key = (path, vfile.metadata.mtime)
-            cached = self._dynamic_cache.get(key)
-            if cached is not None:
-                return cached
+        key = (path, vfile.metadata.mtime)
+        cached = self._dynamic_cache.get(key)
+        if cached is not None:
+            return cached
         content = vfile.content
         if not is_elf(content):
             # Scripts (shebang files) execute through an interpreter which is
@@ -90,8 +88,7 @@ class DynamicLinker:
             dynamic = True
         else:
             dynamic = ELFFile(content).is_dynamically_linked
-        if self.dynamic_cache_enabled:
-            self._dynamic_cache[key] = dynamic
+        self._dynamic_cache[key] = dynamic
         return dynamic
 
     # ------------------------------------------------------------------ #

@@ -29,7 +29,6 @@ turns ingest into a live system:
 All paths are pinned record-for-record equivalent to the batch consolidator
 (see ``tests/ingest/``); ``ingest_mode="streaming"`` +
 ``ingest_workers="thread"|"process"`` on
-:class:`~repro.workload.campaign.CampaignConfig` /
 :class:`~repro.core.config.SirenConfig` select them end to end.
 """
 

@@ -6,17 +6,15 @@ swallowed (and counted) -- the one thing the sender must never do is disturb
 the hooked user process.
 
 Profiling the campaign driver showed encoding, not channel delivery, as the
-sender's dominant cost: the historical path serialised every message twice
-(once inside ``header_overhead`` and once per chunk) through a dataclass
-copy.  The default fast path now encodes the header prefix once per message
-and reuses it across chunks -- byte-identical datagrams, pinned by the
-transport tests.  ``fast_encode=False`` keeps the reference path alive for
-A/B measurement in ``benchmarks/bench_campaign_profile.py``.
+sender's dominant cost, so the header prefix is encoded once per message and
+reused across chunks (:meth:`UDPMessage.chunk_datagrams`).  The transport
+tests pin the datagrams byte-identical to the per-chunk
+``with_chunk(...).encode()`` oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.transport.channel import Channel
 from repro.transport.chunking import split_content
@@ -30,7 +28,6 @@ class UDPSender:
 
     channel: Channel
     max_datagram_size: int = MAX_DATAGRAM_SIZE
-    fast_encode: bool = True
     timer: StageTimer = field(default=NULL_TIMER, repr=False)
     messages_sent: int = 0
     datagrams_sent: int = 0
@@ -39,20 +36,10 @@ class UDPSender:
     def send(self, message: UDPMessage) -> int:
         """Send one logical message; returns the number of datagrams emitted."""
         with self.timer.section("transport.encode"):
-            if self.fast_encode:
-                overhead = message.header_overhead() + 16  # chunk-counter margin
-            else:
-                # Faithful reference: the seed probed the overhead by encoding
-                # a content-less copy of the message (a second full encode).
-                overhead = len(replace(message, content="").encode()) + 16
+            overhead = message.header_overhead() + 16  # chunk-counter margin
             budget = max(self.max_datagram_size - overhead, 64)
             chunks = split_content(message.content, budget)
-            if self.fast_encode:
-                datagrams = message.chunk_datagrams(chunks)
-            else:
-                total = len(chunks)
-                datagrams = [message.with_chunk(chunk, index, total).encode()
-                             for index, chunk in enumerate(chunks)]
+            datagrams = message.chunk_datagrams(chunks)
         emitted = 0
         with self.timer.section("transport.send"):
             for datagram in datagrams:

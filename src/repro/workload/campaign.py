@@ -4,7 +4,8 @@
 
 1. build a cluster and install the corpus (libraries, system tools, Python,
    ``siren.so``, per-user scientific packages),
-2. deploy SIREN (message store, channel, ingest path, sender, collector hook),
+2. deploy SIREN (a :class:`~repro.core.deployment.Deployment`: message
+   store, channel, ingest path, sender, collector hook),
 3. execute the scaled campaign: every user profile submits its jobs through
    the Slurm-like scheduler, each process is hooked and collected,
 4. consolidate the UDP messages into per-process records -- in a post-pass
@@ -28,22 +29,18 @@ from typing import Callable
 
 from repro.analysis.live import LiveAnalysis
 from repro.collector.hooks import SirenCollector
-from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
+from repro.core.config import SirenConfig
+from repro.core.deployment import Deployment, DeploymentChannel
 from repro.corpus.builder import CorpusBuilder, CorpusManifest
 from repro.corpus.packages import PACKAGES_BY_NAME
 from repro.db.store import MessageStore, ProcessRecord
-from repro.db.tiered import TieredStore, build_tiered_store
+from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
-from repro.faults.plan import FaultPlan
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
-from repro.postprocess.consolidate import Consolidator
-from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
-from repro.transport.receiver import DatagramQuarantine, MessageReceiver
-from repro.transport.sender import UDPSender
+from repro.transport.receiver import MessageReceiver
 from repro.util.errors import CollectionError
-from repro.util.retry import RetryPolicy
 from repro.util.rng import SeededRNG
 from repro.util.timing import StageTimer
 from repro.workload.profiles import (
@@ -53,12 +50,6 @@ from repro.workload.profiles import (
     packages_used_by,
 )
 from repro.workload.scenarios import ScenarioBuilder
-
-CampaignChannel = LossyChannel | InMemoryChannel | SocketChannel | FaultyChannel
-
-
-def _no_drain() -> None:
-    """Per-job drain bound for non-socket transports (nothing queues)."""
 
 
 def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
@@ -95,57 +86,16 @@ def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
-    """Knobs of a campaign run."""
+class CampaignConfig(SirenConfig):
+    """A deployment's knobs plus what the job driver needs on top."""
 
     scale: float = 0.01            #: fraction of the paper's job counts to run
-    seed: int = 42
-    loss_rate: float = 0.0002      #: UDP datagram loss probability
-    store_path: str = ":memory:"
-    keep_raw_messages: bool = True
-    policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     quirk_fraction: float = 0.15   #: fraction of a quirk user's jobs with the alt environment
     min_jobs_per_user: int = 1
-    hash_engine: bool = True       #: single-pass hashing engine (identical digests)
-    hash_content_cache: bool = True  #: content-addressed digest cache in the collector
-    hash_concurrency: int = 1      #: process-pool width for per-executable hashing
-    #: signature-comparison kernel of campaign-built analyses
-    #: (:meth:`DeploymentCampaign.live_analysis`): ``"bitparallel"`` = the
-    #: batched bit-parallel engine, ``"reference"`` = the seed scalar path;
-    #: scores are byte-identical either way (pattern of ``hash_engine``).
-    compare_backend: str = "bitparallel"
-    #: ``"batch"`` = persist raw messages, consolidate in a post-pass (the
-    #: paper's pipeline); ``"streaming"`` = consolidate live while jobs run
-    #: (record-for-record identical output).  With streaming,
-    #: ``keep_raw_messages`` decides whether raw messages are *also* persisted.
-    ingest_mode: str = "batch"
-    ingest_shards: int = 1         #: streaming receiver+consolidator workers
-    #: ``"thread"`` = all shards in this interpreter (GIL-bound);
-    #: ``"process"`` = one OS process per shard, raw datagrams routed by
-    #: header bytes and records merged back at snapshot/finalize -- output
-    #: records, ordering and delta cursors are identical either way.
-    ingest_workers: str = "thread"
-    #: ``"memory"`` = in-memory channel (lossy when ``loss_rate > 0``);
-    #: ``"socket"`` = real UDP datagrams over loopback, drained between jobs
-    #: (``loss_rate`` is ignored -- losses, if any, come from the kernel).
-    transport: str = "memory"
     #: guarantee every job template of every user runs at least once, so the
     #: rare-but-load-bearing cases (the UNKNOWN icon runs, the GROMACS sharing)
     #: are present even at very small scales.
     ensure_template_coverage: bool = True
-    #: supervised restarts per process-mode shard worker before a crash
-    #: surfaces as :class:`~repro.util.errors.WorkerCrashError` (0 = fail fast)
-    ingest_max_restarts: int = 2
-    #: store-write retries on transient SQLite errors (locked/busy), with
-    #: exponential jittered backoff
-    store_retry_attempts: int = 4
-    #: bounded forensic ring of the most recent undecodable datagrams
-    #: (raw bytes + reason); 0 disables the quarantine
-    quarantine_capacity: int = 256
-    #: deterministic fault injection (:class:`~repro.faults.plan.FaultPlan`):
-    #: channel faults wrap the memory channel, store faults hook the shared
-    #: store, worker faults ride into process-mode shard workers
-    fault_plan: FaultPlan | None = None
     #: OS processes driving the job loop: 1 = the serial driver; N > 1
     #: partitions user profiles across N workers, each owning a deterministic
     #: cluster slice (disjoint job-id/pid ranges, per-user RNG forks,
@@ -153,16 +103,20 @@ class CampaignConfig:
     #: campaign's ingest path -- merged records are equal to the serial
     #: driver's (see docs/architecture.md for the determinism contract).
     campaign_workers: int = 1
-    #: storage substrate of the tiered record store (``rollups=True``):
-    #: ``"sqlite"`` persists the silver/blob tables next to ``store_path``,
-    #: ``"memory"`` keeps them in plain dicts.
-    store_backend: str = "sqlite"
-    #: maintain the tiered record store (:mod:`repro.db.tiered`) alongside
-    #: the ``processes`` table: silver hash-partitioned record shards with
-    #: content-addressed payload dedup plus gold rollups answering the
-    #: Table 2/3/4/8 queries in O(answer), pinned byte-identical to the
-    #: recompute-from-records reference.
-    rollups: bool = False
+
+    def validate(self) -> None:
+        """The deployment checks plus the driver's."""
+        super().validate()
+        if self.campaign_workers < 1:
+            raise CollectionError(
+                f"campaign_workers must be >= 1, got {self.campaign_workers}")
+        if (self.campaign_workers > 1 and self.fault_plan is not None
+                and self.fault_plan.channel.active):
+            raise CollectionError(
+                "campaign_workers > 1 cannot merge deterministically with "
+                "channel fault injection: reorder/duplicate/holdback faults "
+                "are ordered over the global datagram stream, which parallel "
+                "workers do not have (store and ingest-worker faults are fine)")
 
     def jobs_for(self, profile: UserProfile) -> int:
         """Number of jobs this profile submits at the configured scale."""
@@ -183,7 +137,7 @@ class CampaignResult:
     manifest: CorpusManifest
     cluster: Cluster
     collector: SirenCollector
-    channel: CampaignChannel
+    channel: DeploymentChannel
     jobs_run: int
     processes_run: int
     ingest: ShardedIngest | None = None  #: streaming-mode ingest front (counters)
@@ -287,9 +241,10 @@ class DeploymentCampaign:
     datagram_sink: Callable[[bytes], None] | None = None
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
+    deployment: Deployment = field(init=False, repr=False)
     collector: SirenCollector = field(init=False)
     store: MessageStore = field(init=False)
-    channel: CampaignChannel = field(init=False)
+    channel: DeploymentChannel = field(init=False)
     receiver: MessageReceiver | None = field(init=False, default=None)
     ingest: ShardedIngest | None = field(init=False, default=None)
     tiered: TieredStore | None = field(init=False, default=None)
@@ -306,42 +261,12 @@ class DeploymentCampaign:
         """Build the cluster, corpus and SIREN deployment (idempotent)."""
         if self._prepared:
             return
-        if self.config.ingest_mode not in ("batch", "streaming"):
-            raise CollectionError(
-                f"unknown ingest_mode {self.config.ingest_mode!r} "
-                "(expected 'batch' or 'streaming')")
-        if self.config.transport not in ("memory", "socket"):
-            raise CollectionError(
-                f"unknown transport {self.config.transport!r} "
-                "(expected 'memory' or 'socket')")
-        if self.config.ingest_workers not in ("thread", "process"):
-            raise CollectionError(
-                f"unknown ingest_workers {self.config.ingest_workers!r} "
-                "(expected 'thread' or 'process')")
-        if self.config.compare_backend not in ("bitparallel", "reference"):
-            raise CollectionError(
-                f"unknown compare_backend {self.config.compare_backend!r} "
-                "(expected 'bitparallel' or 'reference')")
-        if self.config.campaign_workers < 1:
-            raise CollectionError(
-                f"campaign_workers must be >= 1, got {self.config.campaign_workers}")
-        if self.config.store_backend not in ("sqlite", "memory"):
-            raise CollectionError(
-                f"unknown store_backend {self.config.store_backend!r} "
-                "(expected 'sqlite' or 'memory')")
-        plan = self.config.fault_plan
-        if (self.config.campaign_workers > 1 and plan is not None
-                and plan.channel.active):
-            raise CollectionError(
-                "campaign_workers > 1 cannot merge deterministically with "
-                "channel fault injection: reorder/duplicate/holdback faults "
-                "are ordered over the global datagram stream, which parallel "
-                "workers do not have (store and ingest-worker faults are fine)")
+        self.config.validate()  # before the corpus is built, not after
         with self.timer.section("campaign.prepare"):
-            self._prepare_deployment(plan)
+            self._prepare_deployment()
         self._prepared = True
 
-    def _prepare_deployment(self, plan: FaultPlan | None) -> None:
+    def _prepare_deployment(self) -> None:
         self.rng = SeededRNG(self.config.seed)
         self.cluster = Cluster()
         self.cluster.timer = self.timer
@@ -354,81 +279,26 @@ class DeploymentCampaign:
             for package_name in packages_used_by(profile):
                 corpus.install_package(PACKAGES_BY_NAME[package_name], user)
 
-        # SIREN deployment: store <- ingest <- channel <- sender <- collector hook.
-        sink_only = self.datagram_sink is not None
-        if not sink_only:
-            self.store = MessageStore(
-                self.config.store_path,
-                retry=RetryPolicy(attempts=self.config.store_retry_attempts))
-            self.store.timer = self.timer
-            if plan is not None and plan.store.active:
-                self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
-            if self.config.rollups:
-                # Users are registered above, so the gold user dimension can
-                # bake in the anonymised labels; the store's auto-sync keeps
-                # the tiers current through every consolidation path.
-                self.tiered = build_tiered_store(
-                    self.config.store_backend,
-                    store_path=self.config.store_path,
-                    campaign=f"campaign-seed{self.config.seed}",
-                    user_names={user.uid: user.username
-                                for user in self.cluster.users.all()})
-                self.store.attach_tiered(self.tiered)
-        if self.config.transport == "socket" and not sink_only:
-            self.channel = SocketChannel()
-        elif self.config.loss_rate > 0:
-            self.channel = LossyChannel(loss_rate=self.config.loss_rate,
-                                        rng=self.rng.fork("udp-loss"))
-        else:
-            self.channel = InMemoryChannel()
-        if plan is not None and plan.channel.active and not sink_only:
-            if self.config.transport != "memory":
-                raise CollectionError(
-                    "channel fault injection requires transport='memory' "
-                    "(a socket channel has its own, real faults)")
-            # The decorator *becomes* the campaign channel: the sender sends
-            # through the fault pipeline, subscriptions delegate to the inner
-            # channel, and the loss counters keep their usual shape.
-            self.channel = FaultyChannel(plan=plan, inner=self.channel)
-        if sink_only:
-            # Collect-only worker: datagrams that survive the channel go to
-            # the sink; the parent campaign owns store and ingest.
-            self.channel.subscribe(self.datagram_sink)
-        elif self.config.ingest_mode == "streaming":
-            self.ingest = ShardedIngest(self.store, shards=self.config.ingest_shards,
-                                        persist_raw=self.config.keep_raw_messages,
-                                        workers=self.config.ingest_workers,
-                                        max_restarts=self.config.ingest_max_restarts,
-                                        quarantine_capacity=self.config.quarantine_capacity,
-                                        fault_plan=plan)
-            for consolidator in self.ingest.consolidators:
-                consolidator.timer = self.timer
-            self.ingest.attach(self.channel)
-        else:
-            quarantine = (DatagramQuarantine(capacity=self.config.quarantine_capacity)
-                          if self.config.quarantine_capacity else None)
-            self.receiver = MessageReceiver(self.store, quarantine=quarantine)
-            self.receiver.attach(self.channel)
-        sender = UDPSender(self.channel, timer=self.timer)
-        self.collector = SirenCollector(
-            filesystem=self.cluster.filesystem,
-            sender=sender,
-            library_path=self.manifest.siren_library,
-            policy=self.config.policy,
-            hash_engine=self.config.hash_engine,
-            hash_content_cache=self.config.hash_content_cache,
-            hash_concurrency=self.config.hash_concurrency,
-        )
-        self.collector.timer = self.timer
-        self.cluster.register_preload_hook(self.collector)
+        # Users are registered above, so the gold user dimension can bake in
+        # the anonymised labels.
+        deployment = self.deployment = Deployment(
+            self.config, timer=self.timer, user_names=self._user_names(),
+            datagram_sink=self.datagram_sink)
+        if self.datagram_sink is None:
+            self.store = deployment.store
+        self.channel = deployment.channel
+        self.store_fault_injector = deployment.store_fault_injector
+        self.receiver = deployment.receiver
+        self.ingest = deployment.ingest
+        self.tiered = deployment.tiered
+        self.collector = deployment.deploy(self.cluster, self.manifest.siren_library)
         self.scenario_builder = ScenarioBuilder(self.cluster, self.manifest,
                                                 rng=self.rng.fork("scenarios"))
-        # Bind the per-job drain once: the isinstance check used to run in
-        # the inner job loop for every transport (satellite fix).
-        if isinstance(self.channel, SocketChannel):
-            self._drain_socket = self.channel.drain
-        else:
-            self._drain_socket = _no_drain
+
+    def _user_names(self) -> dict[int, str]:
+        """Profiles already carry anonymised names (user_1 ... user_12), so
+        the UID mapping simply reflects the registered usernames."""
+        return {user.uid: user.username for user in self.cluster.users.all()}
 
     # ------------------------------------------------------------------ #
     # execution
@@ -440,58 +310,24 @@ class DeploymentCampaign:
                 "a collect-only campaign (datagram_sink set) has no ingest "
                 "path to run; drive its job loop directly")
         self.prepare()
+        deployment = self.deployment
         try:
-            try:
-                if self.config.campaign_workers > 1:
-                    from repro.workload.parallel import run_parallel_jobs
-                    jobs_run = run_parallel_jobs(self)
-                else:
-                    jobs_run = self._run_jobs()
-            finally:
-                self.collector.close()  # release hash workers; caches stay warm
-            self._drain_socket()
-            if isinstance(self.channel, FaultyChannel):
-                # End of stream: the injected network finally delivers what
-                # reordering/jitter was still holding back.
-                self.channel.flush()
+            if self.config.campaign_workers > 1:
+                from repro.workload.parallel import run_parallel_jobs
+                jobs_run = run_parallel_jobs(self)
+            else:
+                jobs_run = self._run_jobs()
             with self.timer.section("campaign.finalize"):
-                if self.ingest is not None:
-                    records = self.ingest.finalize()
-                    if not self.config.keep_raw_messages:
-                        self.store.clear_messages()  # raw persistence was off; stays empty
-                else:
-                    assert self.receiver is not None
-                    self.receiver.flush()
-                    consolidator = Consolidator(self.store)
-                    records = consolidator.run(
-                        clear_messages=not self.config.keep_raw_messages)
-        except BaseException:
-            if self.ingest is not None:
-                self.ingest.close()  # stop any process shard workers
-            raise
+                records = deployment.finalize()
         finally:
-            if isinstance(self.channel, SocketChannel):
-                self.channel.close()
-        # Profiles already carry anonymised names (user_1 ... user_12), so the
-        # UID mapping simply reflects the registered usernames.
-        user_names = {user.uid: user.username for user in self.cluster.users.all()}
-        if self.ingest is not None:
-            decode_errors = self.ingest.decode_errors
-            quarantined = self.ingest.quarantined
-            worker_restarts = self.ingest.worker_restarts
-        else:
-            assert self.receiver is not None
-            decode_errors = self.receiver.decode_errors
-            quarantined = (len(self.receiver.quarantine)
-                           if self.receiver.quarantine is not None else 0)
-            worker_restarts = 0
+            self.close()  # hash workers, sockets, shard workers; caches stay warm
         fault_counters = (self.channel.fault_counters()
                           if isinstance(self.channel, FaultyChannel) else None)
         return CampaignResult(
             config=self.config,
             records=records,
             store=self.store,
-            user_names=user_names,
+            user_names=self._user_names(),
             manifest=self.manifest,
             cluster=self.cluster,
             collector=self.collector,
@@ -499,9 +335,9 @@ class DeploymentCampaign:
             jobs_run=jobs_run,
             processes_run=self.cluster.processes_run,
             ingest=self.ingest,
-            decode_errors=decode_errors,
-            quarantined=quarantined,
-            worker_restarts=worker_restarts,
+            decode_errors=deployment.decode_errors,
+            quarantined=deployment.quarantined,
+            worker_restarts=deployment.worker_restarts,
             fault_counters=fault_counters,
             store_fault_injector=self.store_fault_injector,
             stage_timings=self.timer.as_dict(),
@@ -509,69 +345,36 @@ class DeploymentCampaign:
             feed_stats=self.feed_stats,
         )
 
-    def snapshot(self) -> list[ProcessRecord]:
-        """The records consolidated so far, mid-campaign.
+    def close(self) -> None:
+        """Release the prepared deployment (see :meth:`Deployment.close`).
 
-        In streaming mode this is the live view (finalized records plus a
-        non-destructive peek at still-open process groups); in batch mode it
-        flushes the receiver and runs a full consolidation pass.  Call it
-        from the :attr:`on_job` hook for live Table-2/Table-7 analyses.
+        :meth:`run` does this itself; call it for a campaign that was
+        prepared but never run.
         """
-        self._drain_socket()
-        if self.ingest is not None:
-            return self.ingest.snapshot()
-        assert self.receiver is not None
-        self.receiver.flush()
-        return Consolidator(self.store).run()
+        if self._prepared:
+            self.deployment.close()
+
+    def snapshot(self) -> list[ProcessRecord]:
+        """The records consolidated so far, mid-campaign (see
+        :meth:`Deployment.snapshot`).  Call it from the :attr:`on_job` hook
+        for live Table-2/Table-7 analyses."""
+        return self.deployment.snapshot()
 
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
-        """Incremental live view: only the records that changed since ``cursor``.
-
-        Streaming mode only (batch re-consolidation rewrites records, so
-        there is no delta stream).  The feed behind :meth:`live_analysis`.
-        """
-        if self.ingest is None:
-            raise CollectionError(
-                "snapshot_delta requires ingest_mode='streaming'")
-        self._drain_socket()
-        return self.ingest.snapshot_delta(cursor)
+        """Only the records that changed since ``cursor`` (streaming mode only;
+        see :meth:`Deployment.snapshot_delta`)."""
+        return self.deployment.snapshot_delta(cursor)
 
     def live_analysis(self) -> LiveAnalysis:
         """An incrementally updated analysis bound to this campaign's stream.
 
         Streaming mode only; prepares the campaign if needed so the user
         mapping exists.  Bind it before :meth:`run` and call its view
-        methods from the :attr:`on_job` hook: each call pulls only the
-        records finalized since the last one, so mid-run Table 2/3/8 and
-        similarity views cost O(new records), byte-identical to a fresh
-        :class:`~repro.core.pipeline.AnalysisPipeline` over
-        :meth:`snapshot` records.
+        methods from the :attr:`on_job` hook (see
+        :meth:`Deployment.live_analysis`).
         """
         self.prepare()
-        if self.ingest is None:
-            raise CollectionError(
-                "live_analysis requires ingest_mode='streaming'; batch mode "
-                "can feed LiveAnalysis.observe() with snapshot() output instead")
-        user_names = {user.uid: user.username for user in self.cluster.users.all()}
-        return LiveAnalysis(user_names=user_names,
-                            compare_backend=self.config.compare_backend).bind(self)
-
-    def _drain_socket(self) -> None:
-        """Pull queued loopback datagrams into the ingest path (socket transport).
-
-        :meth:`prepare` rebinds this per instance -- straight to
-        ``channel.drain`` for socket transport, to a no-op otherwise -- so
-        the per-job call never re-checks the transport.
-        """
-        if isinstance(self.channel, SocketChannel):
-            self.channel.drain()
-
-    def _lossy_channel(self) -> LossyChannel | None:
-        """The loss-decision channel, unwrapping a fault decorator if present."""
-        channel = self.channel
-        if isinstance(channel, FaultyChannel):
-            channel = channel.inner
-        return channel if isinstance(channel, LossyChannel) else None
+        return self.deployment.live_analysis(self._user_names())
 
     def _run_profile(self, profile: UserProfile, *, jobs_before: int = 0) -> int:
         """Run one profile's whole job slice; returns the number of jobs run.
@@ -582,7 +385,7 @@ class DeploymentCampaign:
         config and the cluster state at entry, never on other profiles.
         """
         user = self.cluster.users.get(profile.username)
-        lossy = self._lossy_channel()
+        lossy = self.deployment.lossy_channel
         if lossy is not None:
             # Per-user loss streams: drop decisions depend only on this
             # profile, so the serial and parallel drivers lose the *same*
@@ -590,6 +393,7 @@ class DeploymentCampaign:
             lossy.rng = self.rng.fork("udp-loss", profile.username)
         job_rng = self.rng.fork("jobs", profile.username)
         on_job = self.on_job
+        drain = self.deployment.drain
         jobs_run = 0
         for job_index, template, quirk in iter_profile_jobs(
                 self.config, profile, job_rng):
@@ -598,7 +402,7 @@ class DeploymentCampaign:
             )
             self.cluster.run_job(profile.username, script)
             jobs_run += 1
-            self._drain_socket()
+            drain()
             if on_job is not None:
                 on_job(jobs_before + jobs_run)
         # Each user's activity spreads over the campaign window.
@@ -613,9 +417,3 @@ class DeploymentCampaign:
                 jobs_run += self._run_profile(profile, jobs_before=jobs_run)
         return jobs_run
 
-
-def run_campaign(scale: float = 0.01, seed: int = 42, *,
-                 loss_rate: float = 0.0002) -> CampaignResult:
-    """Convenience wrapper used by examples and benchmarks."""
-    config = CampaignConfig(scale=scale, seed=seed, loss_rate=loss_rate)
-    return DeploymentCampaign(config=config).run()

@@ -66,7 +66,7 @@ import multiprocessing
 import traceback
 from dataclasses import dataclass, replace
 from queue import Empty
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.util.errors import CollectionError
 from repro.util.rng import SeededRNG
@@ -334,26 +334,6 @@ def _context():
         return multiprocessing.get_context("spawn")
 
 
-def _feeder(campaign: "DeploymentCampaign") -> Callable[[list[bytes]], None]:
-    """How worker datagrams enter the parent's ingest path.
-
-    Feeds the receiver/ingest front directly: the loss (and any socket hop)
-    already happened inside the worker's channel, so running the parent
-    channel again would apply it twice.
-    """
-    if campaign.ingest is not None:
-        handle = campaign.ingest.handle_datagram
-    else:
-        assert campaign.receiver is not None
-        handle = campaign.receiver.handle_datagram
-
-    def feed(datagrams: list[bytes]) -> None:
-        for datagram in datagrams:
-            handle(datagram)
-
-    return feed
-
-
 def _fold_summaries(campaign: "DeploymentCampaign",
                     summaries: dict[int, dict]) -> None:
     """Fold worker counters into the parent's objects so CampaignResult
@@ -420,7 +400,10 @@ def run_parallel_jobs(campaign: "DeploymentCampaign") -> int:
         base_inode = campaign.cluster.filesystem._next_inode
         context = _context()
         queue = context.Queue()
-        feed = _feeder(campaign)
+        # Worker datagrams enter the ingest front directly: the loss (and any
+        # socket hop) already happened inside the worker's channel, so running
+        # the parent channel again would apply it twice.
+        handle = campaign.deployment.front.handle_datagram
         processes = []
         for worker_id, assignment in enumerate(assignments):
             process = context.Process(
@@ -444,7 +427,8 @@ def run_parallel_jobs(campaign: "DeploymentCampaign") -> int:
             # transactions) is paid once per run instead of once per worker
             # batch.
             with timer.section("driver.feed"):
-                feed(batch)
+                for datagram in batch:
+                    handle(datagram)
             feed_stats["feed_calls"] += 1
             feed_stats["datagrams_fed"] += len(batch)
             batch.clear()

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import report
 from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
 from repro.util.errors import AnalysisError
 
 
@@ -150,23 +150,30 @@ class TestQueries:
         assert len(row) == 2 + len(HASH_COLUMNS)
 
 
-class TestCompareBackendEquivalence:
-    """The batched bit-parallel engine against the seed scalar path."""
+class _ReferenceHasher(FuzzyHasher):
+    """Scores every pair through the scalar oracle, ``compare_reference``."""
+
+    def compare(self, first, second):
+        return self.compare_reference(first, second)
+
+    def compare_many(self, baseline, candidates):
+        return [self.compare_reference(baseline, candidate)
+                for candidate in candidates]
+
+
+class TestCompareEngineAgainstReference:
+    """Whole searches on the bit-parallel engine against the seed scalar path."""
 
     def _searches(self, records, **kwargs):
-        from repro.hashing.ssdeep import FuzzyHasher
-
         return (SimilaritySearch(records, **kwargs),
-                SimilaritySearch(records,
-                                 hasher=FuzzyHasher(compare_backend="reference"),
-                                 **kwargs))
+                SimilaritySearch(records, hasher=_ReferenceHasher(), **kwargs))
 
-    def test_identify_unknown_identical_across_backends(self, records):
+    def test_identify_unknown_identical_to_reference(self, records):
         bit, ref = self._searches(records)
         assert bit.identify_unknown(top=10) == ref.identify_unknown(top=10)
         assert bit.comparisons == ref.comparisons
 
-    def test_pairwise_matrix_identical_across_backends(self, records):
+    def test_pairwise_matrix_identical_to_reference(self, records):
         for use_index in (True, False):
             bit, ref = self._searches(records, use_index=use_index)
             for column in HASH_COLUMNS:

@@ -30,13 +30,10 @@ class TestSirenFramework:
 
     def test_hashing_knobs_reach_collector(self, app_cluster):
         cluster, manifest = app_cluster
-        config = SirenConfig(hash_engine=False, hash_content_cache=False,
-                             hash_concurrency=2)
+        config = SirenConfig(hash_content_cache=False, hash_concurrency=2)
         framework = SirenFramework(config)
         collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
-            assert collector.hash_engine is False
-            assert collector.hasher.hasher.use_engine is False
             assert collector.hasher.content_cache_enabled is False
             assert collector.hasher.hash_concurrency == 2
             framework.close()  # releases hash workers even when none were spawned
@@ -55,7 +52,7 @@ class TestSirenFramework:
 
     def test_lossy_channel_statistics(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.5, rng_seed=1))
+        framework = SirenFramework(SirenConfig(loss_rate=0.5, seed=1))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             script = JobScript(name="t", modules=("siren",), steps=(StepSpec(processes=(

@@ -1,10 +1,8 @@
-"""Knob-parity rules against toy configs, a toy docs table and toy consumers."""
+"""Knob rules against a toy config hierarchy, a toy docs table and toy consumers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import pytest
 
 from repro.devtools.lint.knobs import KnobParityChecker, parse_knob_table
 
@@ -12,15 +10,14 @@ from lint_fixtures import make_module, rules_of
 
 
 @dataclass(frozen=True)
-class ToyCampaign:
-    shared: int = 1
-    only_campaign: int = 2
+class ToySiren:
+    wiring: int = 1
+    other_wiring: int = 3
 
 
 @dataclass(frozen=True)
-class ToySiren:
-    shared: int = 1
-    only_framework: int = 3
+class ToyCampaign(ToySiren):
+    driver: int = 2
 
 
 DOCS = """
@@ -28,35 +25,33 @@ DOCS = """
 
 | Knob | Scope | Description |
 | --- | --- | --- |
-| `shared` | both | mirrored everywhere |
-| `only_campaign` | campaign | campaign-only |
-| `only_framework` | framework | framework-only |
+| `wiring` | deployment | declared on the base |
+| `other_wiring` | deployment | declared on the base too |
+| `driver` | campaign | added by the subclass |
 """
 
 CONSUMER = """
 def wire(config):
-    return (config.shared, config.only_campaign, config.only_framework)
+    return (config.wiring, config.other_wiring, config.driver)
 """
 
 
-def check(tmp_path, docs: str = DOCS, consumer: str = CONSUMER,
-          campaign=ToyCampaign, siren=ToySiren):
+def check(tmp_path, docs: str = DOCS, consumer: str = CONSUMER):
     docs_path = tmp_path / "architecture.md"
     docs_path.write_text(docs.lstrip("\n"), encoding="utf-8")
-    checker = KnobParityChecker(campaign_cls=campaign, siren_cls=siren,
-                                docs_path=docs_path)
+    checker = KnobParityChecker(config_cls=ToyCampaign, docs_path=docs_path)
     return list(checker.check_tree([make_module(consumer)]))
 
 
 class TestParsing:
     def test_rows_scopes_and_lines(self):
         rows = parse_knob_table(DOCS.lstrip("\n"))
-        assert rows["shared"] == ("both", 5)
-        assert rows["only_campaign"] == ("campaign", 6)
-        assert set(rows) == {"shared", "only_campaign", "only_framework"}
+        assert rows["wiring"] == ("deployment", 5)
+        assert rows["driver"] == ("campaign", 7)
+        assert set(rows) == {"wiring", "other_wiring", "driver"}
 
     def test_non_table_backticks_are_ignored(self):
-        assert parse_knob_table("use `shared` with care\n") == {}
+        assert parse_knob_table("use `wiring` with care\n") == {}
 
 
 class TestParity:
@@ -65,45 +60,43 @@ class TestParity:
 
     def test_missing_row_is_undocumented(self, tmp_path):
         docs = "\n".join(line for line in DOCS.splitlines()
-                         if "`shared`" not in line)
+                         if "`wiring`" not in line)
         findings = check(tmp_path, docs=docs)
         assert rules_of(findings) == ["knobs/undocumented"]
-        assert "'shared'" in findings[0].message
+        assert "'wiring'" in findings[0].message
+
+    def test_inherited_and_added_fields_are_both_checked(self, tmp_path):
+        docs = "\n".join(line for line in DOCS.splitlines()
+                         if "`other_wiring`" not in line and "`driver`" not in line)
+        findings = check(tmp_path, docs=docs)
+        assert rules_of(findings) == ["knobs/undocumented"] * 2
 
     def test_extra_row_is_stale(self, tmp_path):
-        docs = DOCS + "| `ghost_knob` | both | removed long ago |\n"
+        docs = DOCS + "| `ghost_knob` | deployment | removed long ago |\n"
         findings = check(tmp_path, docs=docs)
         assert rules_of(findings) == ["knobs/stale-doc"]
         assert "'ghost_knob'" in findings[0].message
 
-    def test_wrong_scope_is_a_mismatch(self, tmp_path):
-        docs = DOCS.replace("| `only_campaign` | campaign |",
-                            "| `only_campaign` | framework |")
-        findings = check(tmp_path, docs=docs)
-        assert rules_of(findings) == ["knobs/scope-mismatch"]
-
-    def test_documented_both_without_mirror_is_the_pr4_bug(self, tmp_path):
-        docs = DOCS.replace("| `only_campaign` | campaign |",
-                            "| `only_campaign` | both |")
-        findings = check(tmp_path, docs=docs)
-        assert rules_of(findings) == ["knobs/missing-mirror"]
-        assert "SirenConfig" in findings[0].message
-
     def test_unread_field_is_unconsumed(self, tmp_path):
-        consumer = "def wire(config):\n    return (config.shared, config.only_campaign)\n"
+        consumer = "def wire(config):\n    return (config.wiring, config.driver)\n"
         findings = check(tmp_path, consumer=consumer)
         assert rules_of(findings) == ["knobs/unconsumed"]
-        assert "'only_framework'" in findings[0].message
+        assert "'other_wiring'" in findings[0].message
 
-    def test_self_read_inside_config_class_counts(self, tmp_path):
+    def test_self_read_inside_either_config_class_counts(self, tmp_path):
         consumer = """
-class ToyCampaign:
+class ToySiren:
+    def validate(self):
+        return self.wiring
+
+
+class ToyCampaign(ToySiren):
     def derived(self):
-        return self.shared + self.only_campaign
+        return self.driver
 
 
 def wire(config):
-    return config.only_framework
+    return config.other_wiring
 """
         assert check(tmp_path, consumer=consumer) == []
 
@@ -111,14 +104,14 @@ def wire(config):
         consumer = """
 class Unrelated:
     def derived(self):
-        return self.shared + self.only_campaign + self.only_framework
+        return self.wiring + self.other_wiring + self.driver
 """
         findings = check(tmp_path, consumer=consumer)
         assert {f.rule for f in findings} == {"knobs/unconsumed"}
         assert len(findings) == 3
 
     def test_missing_docs_file_reports_and_stops(self, tmp_path):
-        checker = KnobParityChecker(campaign_cls=ToyCampaign, siren_cls=ToySiren,
+        checker = KnobParityChecker(config_cls=ToyCampaign,
                                     docs_path=tmp_path / "nope.md")
         findings = list(checker.check_tree([make_module(CONSUMER)]))
         assert rules_of(findings) == ["knobs/undocumented"]
@@ -142,12 +135,9 @@ class TestRealRepoParity:
         import dataclasses
         from pathlib import Path
 
-        from repro.core.config import SirenConfig
         from repro.workload.campaign import CampaignConfig
 
         root = Path(__file__).resolve().parents[2]
         rows = parse_knob_table((root / "docs" / "architecture.md")
                                 .read_text(encoding="utf-8"))
-        fields = ({f.name for f in dataclasses.fields(CampaignConfig)}
-                  | {f.name for f in dataclasses.fields(SirenConfig)})
-        assert fields <= set(rows)
+        assert {f.name for f in dataclasses.fields(CampaignConfig)} == set(rows)

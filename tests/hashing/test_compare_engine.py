@@ -1,8 +1,8 @@
 """Property tests pinning the bit-parallel comparison engine to the oracle.
 
 The engine's claim is exactness, not approximation: every score produced
-through the ``"bitparallel"`` backend -- scalar ``compare``, batched
-``compare_many``, and the numpy one-vs-many kernel behind it -- must be
+by the engine -- scalar ``compare``, batched ``compare_many``, and the numpy
+one-vs-many kernel behind it -- must be
 byte-identical to the seed scalar path (``compare_reference``: re-parse,
 re-normalise, Python DP per pair).  These tests sweep random signatures,
 block-size bands, both ``require_common_substring`` settings and non-default
@@ -156,15 +156,13 @@ class TestNormalizeDigest:
 
 
 # --------------------------------------------------------------------------- #
-# backend equivalence: scores must be byte-identical
+# oracle pin: engine scores must be byte-identical to compare_reference
 # --------------------------------------------------------------------------- #
-class TestBackendEquivalence:
+class TestReferenceEquivalence:
     @pytest.mark.parametrize("require_common_substring", [True, False])
     def test_random_digests_across_blocksize_bands(self, require_common_substring):
         rng = random.Random(17)
         bit = FuzzyHasher(require_common_substring=require_common_substring)
-        ref = FuzzyHasher(require_common_substring=require_common_substring,
-                          compare_backend="reference")
         for _ in range(600):
             block = 3 * (2 ** rng.randint(0, 4))
             # Same band, double band, and incompatible bands all appear.
@@ -172,7 +170,7 @@ class TestBackendEquivalence:
                 else 3 * (2 ** rng.randint(0, 6))
             a = _random_digest(rng, block)
             b = _random_digest(rng, other)
-            assert bit.compare(a, b) == ref.compare(a, b), (a, b)
+            assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
 
     def test_related_payload_digests(self):
         # Digests of genuinely related payloads (non-zero scores, exact-100
@@ -180,7 +178,6 @@ class TestBackendEquivalence:
         from repro.util.rng import SeededRNG
 
         bit = FuzzyHasher()
-        ref = FuzzyHasher(compare_backend="reference")
         base = SeededRNG(5).bytes(30000)
         variants = [base]
         for step in (4096, 1024, 256, 64):
@@ -193,68 +190,52 @@ class TestBackendEquivalence:
         digests = [str(bit.hash(payload)) for payload in variants]
         for a in digests:
             for b in digests:
-                assert bit.compare(a, b) == ref.compare(a, b), (a, b)
+                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
 
     def test_non_default_hasher_geometry(self):
         rng = random.Random(18)
         for min_block, sig_len in ((1, 8), (5, 32), (3, 128)):
             bit = FuzzyHasher(min_block_size=min_block, signature_length=sig_len)
-            ref = FuzzyHasher(min_block_size=min_block, signature_length=sig_len,
-                              compare_backend="reference")
             for _ in range(150):
                 a = _random_digest(rng, min_block * (2 ** rng.randint(0, 3)),
                                    max_len=min(sig_len, 160))
                 b = _random_digest(rng, min_block * (2 ** rng.randint(0, 3)),
                                    max_len=min(sig_len, 160))
-                assert bit.compare(a, b) == ref.compare(a, b), (a, b)
+                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
 
     def test_empty_signatures_and_identity(self):
         bit = FuzzyHasher()
-        ref = FuzzyHasher(compare_backend="reference")
         cases = ["3::", "3:ABCDEFGH:", "3::ABCDEFGH", "6:ABCDEFGH:ABCD"]
         for a in cases:
             for b in cases:
-                assert bit.compare(a, b) == ref.compare(a, b), (a, b)
+                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
 
     def test_fuzzyhash_objects_score_from_components_not_reparse(self):
         # Hand-constructed FuzzyHash objects may not survive a str()+re-parse
-        # round trip (a ':' inside sig1 shifts the split); both backends must
-        # score the object's actual components.
+        # round trip (a ':' inside sig1 shifts the split); engine and oracle
+        # must both score the object's actual components.
         bit = FuzzyHasher()
-        ref = FuzzyHasher(compare_backend="reference")
         weird = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
         plain = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
-        assert bit.compare(weird, plain) == ref.compare(weird, plain) == 100
+        assert bit.compare(weird, plain) == bit.compare_reference(weird, plain) == 100
         # compare_many honours its scalar-equivalence contract for objects too.
         assert bit.compare_many(weird, [plain]) == [bit.compare(weird, plain)]
-        assert FuzzyHasher(compare_backend="reference").compare_many(
-            weird, [plain]) == [ref.compare(weird, plain)]
 
-    def test_invalid_digest_raises_value_error_on_both_backends(self):
-        for backend in ("bitparallel", "reference"):
-            with pytest.raises(ValueError):
-                FuzzyHasher(compare_backend=backend).compare("garbage", "3:AB:C")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FuzzyHasher(compare_backend="gpu")
+    def test_invalid_digest_raises_value_error_from_engine_and_oracle(self):
         hasher = FuzzyHasher()
-        with pytest.raises(ValueError):
-            hasher.compare_backend = "gpu"
+        for compare in (hasher.compare, hasher.compare_reference):
+            with pytest.raises(ValueError):
+                compare("garbage", "3:AB:C")
 
 
 # --------------------------------------------------------------------------- #
 # compare_many: batch vs scalar
 # --------------------------------------------------------------------------- #
 class TestCompareMany:
-    @pytest.mark.parametrize("backend", ["bitparallel", "reference"])
     @pytest.mark.parametrize("require_common_substring", [True, False])
-    def test_matches_scalar_loop(self, backend, require_common_substring):
+    def test_matches_scalar_reference_loop(self, require_common_substring):
         rng = random.Random(19)
-        hasher = FuzzyHasher(compare_backend=backend,
-                             require_common_substring=require_common_substring)
-        oracle = FuzzyHasher(compare_backend="reference",
-                             require_common_substring=require_common_substring)
+        hasher = FuzzyHasher(require_common_substring=require_common_substring)
         for _ in range(20):
             baseline = _random_digest(rng, 3 * (2 ** rng.randint(0, 3)))
             candidates = [_random_digest(rng, 3 * (2 ** rng.randint(0, 5)))
@@ -263,7 +244,7 @@ class TestCompareMany:
             candidates += candidates[:len(candidates) // 3]
             rng.shuffle(candidates)
             assert hasher.compare_many(baseline, candidates) == \
-                [oracle.compare(baseline, digest) for digest in candidates]
+                [hasher.compare_reference(baseline, digest) for digest in candidates]
 
     def test_accepts_fuzzyhash_objects(self):
         hasher = FuzzyHasher()
@@ -314,13 +295,6 @@ class TestCompareCacheLifecycle:
         hasher.compare_cache_clear()
         info = hasher.compare_cache_info()
         assert info.currsize == 0 and info.hits == 0 and info.misses == 0
-
-    def test_backend_change_clears_the_cache(self):
-        hasher = FuzzyHasher()
-        hasher.compare_cached("3:ABCDEFGH:IJKL", "3:ABCDEFGH:IJKL")
-        hasher.compare_backend = "reference"
-        assert hasher.compare_backend == "reference"
-        assert hasher.compare_cache_info().currsize == 0
 
     def test_gate_change_clears_the_cache(self):
         hasher = FuzzyHasher()

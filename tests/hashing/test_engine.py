@@ -96,10 +96,6 @@ class TestEngineEquivalence:
                 payload = SeededRNG(trial * 37 + size).bytes(size)
             assert hasher.hash(payload) == hasher.hash_reference(payload)
 
-    def test_use_engine_flag_selects_identical_paths(self):
-        payload = SeededRNG(5).bytes(20000)
-        assert FuzzyHasher(use_engine=False).hash(payload) == FuzzyHasher().hash(payload)
-
     def test_python_scan_kernel_matches(self, monkeypatch):
         """The no-numpy fallback kernel produces the same digests."""
         payloads = [b"", b"ab" * 700, SeededRNG(21).bytes(9001), b"\xff" * 500]
@@ -234,11 +230,12 @@ class TestHashMany:
         finally:
             hasher.close()
 
-    def test_reference_hasher_ignores_concurrency(self):
-        """use_engine=False must stay on the reference path even in batches
-        (the pool workers only implement the engine)."""
-        hasher = FuzzyHasher(use_engine=False)
+    def test_pooled_batch_matches_reference(self):
+        """The pool workers run the engine; their digests equal the oracle's."""
+        hasher = FuzzyHasher()
         payloads = self._payloads()
-        assert hasher.hash_many(payloads, concurrency=2) == \
-            [hasher.hash_reference(p) for p in payloads]
-        assert hasher._pool is None  # no pool was ever spun up
+        try:
+            assert hasher.hash_many(payloads, concurrency=2) == \
+                [hasher.hash_reference(p) for p in payloads]
+        finally:
+            hasher.close()

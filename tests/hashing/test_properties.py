@@ -65,27 +65,24 @@ class TestCompareEngineProperties:
     @given(signatures, signatures, signatures, signatures,
            block_sizes, block_sizes, st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_backends_score_byte_identical(self, s1a, s1b, s2a, s2b,
-                                           block1, block2, require_gram):
-        bit = FuzzyHasher(require_common_substring=require_gram)
-        ref = FuzzyHasher(require_common_substring=require_gram,
-                          compare_backend="reference")
+    def test_engine_scores_byte_identical_to_reference(self, s1a, s1b, s2a, s2b,
+                                                       block1, block2, require_gram):
+        hasher = FuzzyHasher(require_common_substring=require_gram)
         a = str(FuzzyHash(block_size=block1, sig1=s1a, sig2=s1b))
         b = str(FuzzyHash(block_size=block2, sig1=s2a, sig2=s2b))
-        assert bit.compare(a, b) == ref.compare(a, b)
+        assert hasher.compare(a, b) == hasher.compare_reference(a, b)
 
     @given(st.lists(st.tuples(signatures, signatures, block_sizes),
                     min_size=0, max_size=12),
            signatures, signatures, block_sizes)
     @settings(max_examples=60, deadline=None)
-    def test_compare_many_equals_scalar_loop(self, candidates, sig1, sig2, block):
-        bit = FuzzyHasher()
-        ref = FuzzyHasher(compare_backend="reference")
+    def test_compare_many_equals_scalar_reference_loop(self, candidates, sig1, sig2, block):
+        hasher = FuzzyHasher()
         baseline = str(FuzzyHash(block_size=block, sig1=sig1, sig2=sig2))
         digests = [str(FuzzyHash(block_size=b, sig1=a, sig2=c))
                    for a, c, b in candidates]
-        assert bit.compare_many(baseline, digests) == \
-            [ref.compare(baseline, digest) for digest in digests]
+        assert hasher.compare_many(baseline, digests) == \
+            [hasher.compare_reference(baseline, digest) for digest in digests]
 
 
 class TestRollingHashProperties:

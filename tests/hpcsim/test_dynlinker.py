@@ -4,6 +4,7 @@ import pytest
 
 from repro.elf.builder import ELFBuilder
 from repro.elf.constants import ET_DYN, ET_EXEC
+from repro.elf.reader import ELFFile
 from repro.hpcsim.dynlinker import DynamicLinker, ensure_library_present
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.util.errors import SimulationError
@@ -115,6 +116,20 @@ class TestLinking:
         _, linker = environment
         assert linker.is_dynamic("/usr/bin/bash")
         assert not linker.is_dynamic("/usr/bin/static-tool")
+
+    def test_is_dynamic_matches_the_uncached_elf_parse(self, environment):
+        """Cold and cached answers equal ``ELFFile(...).is_dynamically_linked``,
+        also after a file is replaced under the same path."""
+        fs, linker = environment
+        paths = ("/usr/bin/bash", "/usr/bin/static-tool", "/lib64/libc.so.6")
+        for _ in range(2):  # second pass is served from the cache
+            for path in paths:
+                assert linker.is_dynamic(path) == \
+                    ELFFile(fs.read(path)).is_dynamically_linked
+        fs.advance_clock(10)
+        fs.add_file("/usr/bin/bash", _executable([], dynamic=False), executable=True)
+        assert linker.is_dynamic("/usr/bin/bash") is False
+        assert not ELFFile(fs.read("/usr/bin/bash")).is_dynamically_linked
 
     def test_script_counts_as_dynamic(self, environment):
         fs, linker = environment

@@ -1,16 +1,20 @@
-"""The sender's fast encode path must be byte-identical to the reference.
+"""The sender's datagrams must be byte-identical to the per-chunk oracle.
 
-``UDPSender(fast_encode=True)`` encodes the header prefix once per message
-and reuses it across chunks; ``fast_encode=False`` keeps the historical
-per-chunk dataclass-copy path.  Every datagram on the wire must be
-indistinguishable between the two, or stored raw messages (and their
-consolidation) would depend on a performance knob.
+``UDPSender`` encodes the header prefix once per message and reuses it
+across chunks.  The oracle is the seed's path: probe the header overhead by
+encoding a content-less copy, then ``with_chunk(...).encode()`` every chunk
+through a dataclass copy.  Every datagram on the wire must be
+indistinguishable from it, or stored raw messages (and their consolidation)
+would depend on an optimisation.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.collector.records import InfoType, Layer
 from repro.transport.channel import InMemoryChannel
+from repro.transport.chunking import split_content
 from repro.transport.messages import UDPMessage
 from repro.transport.sender import UDPSender
 
@@ -22,14 +26,19 @@ def _message(content: str) -> UDPMessage:
                       info_type=InfoType.FILE_H, content=content)
 
 
-def _wire_bytes(message: UDPMessage, *, fast: bool,
-                max_datagram_size: int = 1400) -> list[bytes]:
+def _wire_bytes(message: UDPMessage, max_datagram_size: int = 1400) -> list[bytes]:
     channel = InMemoryChannel()
     captured: list[bytes] = []
     channel.subscribe(captured.append)
-    UDPSender(channel, max_datagram_size=max_datagram_size,
-              fast_encode=fast).send(message)
+    UDPSender(channel, max_datagram_size=max_datagram_size).send(message)
     return captured
+
+
+def _reference_bytes(message: UDPMessage, max_datagram_size: int = 1400) -> list[bytes]:
+    overhead = len(replace(message, content="").encode()) + 16
+    chunks = split_content(message.content, max(max_datagram_size - overhead, 64))
+    return [message.with_chunk(chunk, index, len(chunks)).encode()
+            for index, chunk in enumerate(chunks)]
 
 
 CASES = {
@@ -42,17 +51,16 @@ CASES = {
 
 
 @pytest.mark.parametrize("content", CASES.values(), ids=CASES.keys())
-def test_fast_path_datagrams_byte_identical(content):
+def test_sender_datagrams_byte_identical_to_per_chunk_encode(content):
     message = _message(content)
-    fast = _wire_bytes(message, fast=True)
-    reference = _wire_bytes(message, fast=False)
-    assert fast == reference
-    assert len(fast) >= 1
+    sent = _wire_bytes(message)
+    assert sent == _reference_bytes(message)
+    assert len(sent) >= 1
 
 
 def test_decode_roundtrip_of_fast_datagrams():
     message = _message("payload " * 3000)
-    datagrams = _wire_bytes(message, fast=True)
+    datagrams = _wire_bytes(message)
     assert len(datagrams) > 10  # chunk indices reach two digits
     decoded = [UDPMessage.decode(datagram) for datagram in datagrams]
     assert [d.chunk_index for d in decoded] == list(range(len(datagrams)))

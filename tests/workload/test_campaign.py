@@ -170,29 +170,13 @@ class TestStreamingIngest:
 
 class TestHashingKnobs:
     def test_knobs_reach_the_collector(self):
-        config = CampaignConfig(scale=0.0, hash_engine=False,
-                                hash_content_cache=False, hash_concurrency=3)
+        config = CampaignConfig(scale=0.0, hash_content_cache=False,
+                                hash_concurrency=3)
         campaign = DeploymentCampaign(config=config)
         campaign.prepare()
         collector = campaign.collector
-        assert collector.hash_engine is False
-        assert collector.hasher.hasher.use_engine is False
         assert collector.hasher.content_cache_enabled is False
         assert collector.hasher.hash_concurrency == 3
-
-    def test_engine_and_reference_campaigns_produce_identical_records(self):
-        """The single-pass engine is byte-identical, so entire campaign
-        outputs (every digest in every record) must match the seed path."""
-        results = {}
-        for engine in (True, False):
-            config = CampaignConfig(scale=0.0, seed=11, loss_rate=0.0,
-                                    hash_engine=engine)
-            result = DeploymentCampaign(config=config).run()
-            results[engine] = sorted(
-                (record.executable, record.file_h, record.strings_h,
-                 record.symbols_h, record.objects_h)
-                for record in result.records)
-        assert results[True] == results[False]
 
     def test_content_cache_leaves_records_unchanged(self):
         snapshots = {}

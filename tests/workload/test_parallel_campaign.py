@@ -8,7 +8,6 @@ streaming mode (arrival interleaving across users differs by design).
 
 import pytest
 
-from repro.core import SirenConfig, SirenFramework
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -54,15 +53,6 @@ class TestValidation:
         config = CampaignConfig(scale=0.0, campaign_workers=2, fault_plan=plan)
         campaign = DeploymentCampaign(config, profiles=PROFILES)
         campaign.prepare()  # parent-side faults merge fine
-
-    def test_siren_config_rejects_zero_workers(self):
-        with pytest.raises(CollectionError, match="campaign_workers"):
-            SirenFramework(SirenConfig(campaign_workers=0))
-
-    def test_siren_config_rejects_channel_faults_with_workers(self):
-        plan = FaultPlan(channel=ChannelFaultProfile(drop_rate=0.1))
-        with pytest.raises(CollectionError, match="channel fault"):
-            SirenFramework(SirenConfig(campaign_workers=2, fault_plan=plan))
 
     def test_sink_mode_campaign_cannot_run(self):
         campaign = DeploymentCampaign(CampaignConfig(scale=0.0),
