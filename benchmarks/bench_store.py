@@ -139,11 +139,6 @@ def _build_records(count: int, rng: random.Random) -> list[ProcessRecord]:
     return records
 
 
-def _key(record: ProcessRecord):
-    return (record.jobid, record.stepid, record.pid, record.hash,
-            record.host, record.time)
-
-
 def _time_gold(tiered: TieredStore, user_names: dict[int, str]) -> float:
     start = time.perf_counter()
     for _ in range(QUERY_ROUNDS):
@@ -187,7 +182,7 @@ class TestGoldQueryLatency:
 
             # The CI gate: every rollup answer byte-identical to the
             # recompute reference, before any timing is trusted.
-            reference = sorted(records, key=_key)
+            reference = sorted(records, key=lambda record: record.key)
             assert tiered.user_activity() == \
                 stats.user_activity_table(reference, user_names)
             assert tiered.system_executables() == \

@@ -40,8 +40,8 @@ def test_table7_similarity_search(benchmark, bench_pipeline):
 
 def test_table7_similarity_search_brute_force(benchmark, bench_pipeline):
     """Timing reference: the same search on the all-pairs brute-force path."""
-    searches = benchmark(lambda: bench_pipeline.table7_similarity_search(
-        top=10, indexed=False))
+    searches = benchmark(lambda: SimilaritySearch(
+        bench_pipeline.records, use_index=False).identify_unknown(top=10))
     assert searches
 
 

@@ -48,10 +48,9 @@ def main(scale: float = 0.01) -> None:
           f"from their file or path names.\n")
 
     # Step 2: similarity search against all known instances (Table 7).  The
-    # search runs on the inverted n-gram index when the dataset is large
-    # enough; `indexed=False` would force the brute-force all-pairs path with
-    # identical results.
-    search = pipeline.similarity_search(indexed=True)
+    # search runs on the inverted n-gram index once the dataset is large
+    # enough for it to pay off; results equal the brute-force all-pairs path.
+    search = pipeline.similarity_search()
     for unknown in search.unknown_instances():
         results = search.query(unknown, top=10)
         print(report.render_similarity(

@@ -18,11 +18,18 @@ Each module corresponds to one family of results in the paper's evaluation
 * :mod:`repro.analysis.simindex` -- inverted n-gram index over CTPH digests
   that prunes the similarity search's candidate pairs without changing its
   results,
-* :mod:`repro.analysis.live` -- incrementally maintained Table 2/3/8 stats
+* :mod:`repro.analysis.rollup` -- the streaming accumulator behind Tables
+  2/3/4/8 (``stats`` is its oracle),
+* :mod:`repro.analysis.live` -- incrementally maintained Table 2/3/4/8 stats
   and similarity search over streaming record deltas (mid-campaign views in
   O(new records), byte-identical to a rebuild),
 * :mod:`repro.analysis.report` -- text rendering of all of the above.
 """
+
+# Loaded first on purpose: collector -> transport -> db.tiered imports
+# analysis.rollup -> analysis.stats, so that chain must not be entered from
+# half-way through ``stats`` (every analysis module imports ``stats``).
+import repro.collector  # noqa: F401  (import order, see above)
 
 from repro.analysis.compilers import CompilerCombinationRow, compiler_combination_table
 from repro.analysis.labels import LabelRow, derive_label, user_application_table

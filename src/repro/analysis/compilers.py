@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.stats import user_label
 from repro.collector.classify import ExecutableCategory
 from repro.corpus.toolchains import compiler_labels
 from repro.db.store import ProcessRecord
@@ -53,8 +54,7 @@ def compiler_combination_table(
         combination = record_compiler_labels(record)
         if not combination:
             continue
-        user = user_names.get(record.uid, f"uid_{record.uid}") if user_names and record.uid \
-            else f"uid_{record.uid}"
+        user = user_label(record, user_names)
         users[combination].add(user)
         if record.jobid:
             jobs[combination].add(record.jobid)

@@ -14,6 +14,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.stats import user_label
 from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 
@@ -68,8 +69,7 @@ def user_application_table(
         if record.category != ExecutableCategory.USER.value:
             continue
         label = derive_label(record.executable, rules)
-        user = user_names.get(record.uid, f"uid_{record.uid}") if user_names and record.uid \
-            else f"uid_{record.uid}"
+        user = user_label(record, user_names)
         users[label].add(user)
         if record.jobid:
             jobs[label].add(record.jobid)

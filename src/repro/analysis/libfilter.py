@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.stats import user_label
 from repro.collector.classify import ExecutableCategory
 from repro.corpus.libraries import derive_library_tag
 from repro.db.store import ProcessRecord
@@ -51,8 +52,7 @@ def library_usage_table(
     for record in records:
         if record.category != category:
             continue
-        user = user_names.get(record.uid, f"uid_{record.uid}") if user_names and record.uid \
-            else f"uid_{record.uid}"
+        user = user_label(record, user_names)
         identity = record.file_h or record.executable
         for tag in record_library_tags(record):
             users[tag].add(user)

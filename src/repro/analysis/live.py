@@ -7,10 +7,11 @@ regrouped all records, ``SimilaritySearch`` rebuilt its instance list and
 n-gram index, and the compare LRU started cold, making each observation
 O(campaign).  :class:`LiveAnalysis` replaces that with a consumer of record
 *deltas*: each pull folds only the newly finalized records into streaming
-accumulators (Table 2/3/8 group stats, the similarity instance list, the
-inverted n-gram index) and overlays the handful of still-open process groups
-transiently, so a snapshot analysis costs O(new records + open groups +
-result size) instead of O(everything so far).
+accumulators (the Table 2/3/4/8 :class:`~repro.analysis.rollup.TableRollup`,
+the similarity instance list, the inverted n-gram index) and overlays the
+handful of still-open process groups transiently, so a snapshot analysis
+costs O(new records + open groups + result size) instead of O(everything so
+far).
 
 Equivalence argument
 --------------------
@@ -26,13 +27,10 @@ records (``tests/analysis/test_live.py``):
   view being rendered; the next delta re-peeks it.  Keys that are already
   finalized (a very late message resurrecting a closed group) are dropped,
   exactly as :meth:`~repro.ingest.sharded.ShardedIngest.snapshot` does.
-* **Row and tie order are reproduced, not approximated.**  A rebuild's
-  pre-sort row order is the group's first occurrence in the canonically
-  (process-key) ordered record list -- equivalently, the minimum process
-  key over the group's records.  Each accumulator tracks that minimum, the
-  view sorts groups by it before applying the table's own stable sort, and
-  similarity pools are ordered the same way -- so even ties break
-  identically to the batch recompute.
+* **Row and tie order are reproduced, not approximated.**  The tables are
+  :class:`~repro.analysis.rollup.TableRollup` views (its module docstring
+  has the min-key argument); similarity pools are ordered the same way, by
+  each instance's minimum process key.
 * **The index only accretes.**  :meth:`SimilarityIndex.add` assigns ids in
   append order and posting lists only grow, so an index extended one delta
   at a time equals one built over the full instance list; instances that
@@ -52,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL
+from repro.analysis.rollup import TableRollup
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -62,24 +61,15 @@ from repro.analysis.similarity import (
 from repro.analysis.simindex import DEFAULT_INDEX_THRESHOLD
 from repro.analysis.stats import (
     PythonInterpreterRow,
+    SharedObjectVariantRow,
     SystemExecutableRow,
     UserActivityRow,
-    _user_label,
     activity_totals,
 )
-from repro.collector.classify import ExecutableCategory
-from repro.db.store import ProcessRecord
+from repro.db.store import ProcessKey, ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.ingest.sharded import ProcessDelta
 from repro.util.errors import AnalysisError
-
-#: The canonical process key -- the batch consolidator's record order.
-ProcessKey = tuple[str, str, int, str, str, int]
-
-
-def _process_key(record: ProcessRecord) -> ProcessKey:
-    return (record.jobid, record.stepid, record.pid, record.hash,
-            record.host, record.time)
 
 
 class DeltaSource(Protocol):
@@ -91,53 +81,8 @@ class DeltaSource(Protocol):
 
 
 @dataclass
-class _UserStat:
-    """Streaming accumulator behind one Table 2 row."""
-
-    first_key: ProcessKey
-    jobs: set[str] = field(default_factory=set)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def absorb(self, record: ProcessRecord, key: ProcessKey) -> None:
-        if key < self.first_key:
-            self.first_key = key
-        if record.jobid:
-            self.jobs.add(record.jobid)
-        self.counts[record.category] = self.counts.get(record.category, 0) + 1
-
-
-@dataclass
-class _GroupStat:
-    """Streaming accumulator behind one Table 3/8 row (users/jobs/processes/hashes)."""
-
-    first_key: ProcessKey
-    users: set[str] = field(default_factory=set)
-    jobs: set[str] = field(default_factory=set)
-    processes: int = 0
-    hashes: set[str] = field(default_factory=set)
-
-    def absorb(self, key: ProcessKey, user: str, jobid: str, content_hash: str) -> None:
-        if key < self.first_key:
-            self.first_key = key
-        self.users.add(user)
-        if jobid:
-            self.jobs.add(jobid)
-        self.processes += 1
-        if content_hash:
-            self.hashes.add(content_hash)
-
-
-def _absorb_grouped(stats: dict[str, "_GroupStat"], group: str, key: ProcessKey,
-                    user: str, jobid: str, content_hash: str) -> None:
-    stat = stats.get(group)
-    if stat is None:
-        stat = stats[group] = _GroupStat(first_key=key)
-    stat.absorb(key, user, jobid, content_hash)
-
-
-@dataclass
 class LiveAnalysis:
-    """Incrementally maintained Table 2/3/8 stats and similarity search.
+    """Incrementally maintained Table 2/3/4/8 stats and similarity search.
 
     Feed it one of three ways:
 
@@ -162,24 +107,24 @@ class LiveAnalysis:
     user_names: dict[int, str] = field(default_factory=dict)
     rules: tuple = LABEL_RULES
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    use_index: bool = True
     index_threshold: int = DEFAULT_INDEX_THRESHOLD
     cursor: int = 0            #: store rowid high-water mark (when bound)
     syncs: int = 0             #: delta pulls performed
     _source: DeltaSource | None = field(init=False, default=None, repr=False)
     _keys: set[ProcessKey] = field(init=False, default_factory=set, repr=False)
     _open: list[ProcessRecord] = field(init=False, default_factory=list, repr=False)
-    _users: dict[str, _UserStat] = field(init=False, default_factory=dict, repr=False)
-    _system: dict[str, _GroupStat] = field(init=False, default_factory=dict, repr=False)
-    _python: dict[str, _GroupStat] = field(init=False, default_factory=dict, repr=False)
+    _tables: TableRollup = field(init=False, repr=False)
+    _open_tables: TableRollup = field(init=False, repr=False)
     _instance_first: dict[tuple[str, ...], ProcessKey] = field(
         init=False, default_factory=dict, repr=False)
     _search: SimilaritySearch = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._tables = TableRollup(self.user_names)
+        self._open_tables = TableRollup(self.user_names)
         self._search = SimilaritySearch(
             [], rules=self.rules, hasher=self.hasher,
-            use_index=self.use_index, index_threshold=self.index_threshold)
+            index_threshold=self.index_threshold)
 
     # ------------------------------------------------------------------ #
     # feeding
@@ -220,7 +165,7 @@ class LiveAnalysis:
         batch_keys = []
         seen: set[ProcessKey] = set()
         for record in fresh:
-            key = _process_key(record)
+            key = record.key
             if key in self._keys or key in seen:
                 raise AnalysisError(
                     f"process key {key!r} committed twice -- the delta stream"
@@ -229,7 +174,7 @@ class LiveAnalysis:
             batch_keys.append(key)
         for record, key in zip(fresh, batch_keys):
             self._keys.add(key)
-            self._commit_tables(record, key)
+            self._tables.fold(record)
             instance = instance_from_record(record, self.rules)
             if instance is not None:
                 first = self._instance_first.get(instance.key)
@@ -247,7 +192,10 @@ class LiveAnalysis:
         very late message) are dropped, matching ``ShardedIngest.snapshot``.
         """
         self._open = [record for record in open_records
-                      if _process_key(record) not in self._keys]
+                      if record.key not in self._keys]
+        self._open_tables = TableRollup(self.user_names)
+        for record in self._open:
+            self._open_tables.fold(record)
 
     def observe(self, records, open_records=()) -> int:
         """Feed a full snapshot record list, diffing by process key.
@@ -262,7 +210,7 @@ class LiveAnalysis:
         Returns how many records were committed.
         """
         fresh = [record for record in records
-                 if _process_key(record) not in self._keys]
+                 if record.key not in self._keys]
         if len(records) - len(fresh) != len(self._keys):
             raise AnalysisError(
                 "observe() requires an append-only record stream: a previously"
@@ -270,19 +218,6 @@ class LiveAnalysis:
         committed = self.commit(fresh)
         self.refresh_open(open_records)
         return committed
-
-    def _commit_tables(self, record: ProcessRecord, key: ProcessKey) -> None:
-        user = _user_label(record, self.user_names)
-        stat = self._users.get(user)
-        if stat is None:
-            stat = self._users[user] = _UserStat(first_key=key)
-        stat.absorb(record, key)
-        if record.category == ExecutableCategory.SYSTEM.value:
-            _absorb_grouped(self._system, record.executable, key, user,
-                            record.jobid, record.objects_h)
-        elif record.category == ExecutableCategory.PYTHON.value:
-            _absorb_grouped(self._python, record.executable_name, key, user,
-                            record.jobid, record.script_h)
 
     def _pull(self) -> None:
         if self._source is not None:
@@ -294,31 +229,7 @@ class LiveAnalysis:
     def table2_user_activity(self) -> list[UserActivityRow]:
         """Table 2, live: identical to ``user_activity_table`` over all records."""
         self._pull()
-        extra: dict[str, _UserStat] = {}
-        for record in self._open:
-            user = _user_label(record, self.user_names)
-            stat = extra.get(user)
-            if stat is None:
-                stat = extra[user] = _UserStat(first_key=_process_key(record))
-            stat.absorb(record, _process_key(record))
-        rows = []
-        for user in self._merged_order(self._users, extra):
-            committed = self._users.get(user)
-            overlay = extra.get(user)
-            count = self._merged_counter(committed, overlay)
-            rows.append(UserActivityRow(
-                user=user,
-                job_count=self._merged_unique(
-                    committed.jobs if committed else None,
-                    overlay.jobs if overlay else ()),
-                system_processes=count(ExecutableCategory.SYSTEM.value),
-                user_processes=count(ExecutableCategory.USER.value),
-                python_processes=count(ExecutableCategory.PYTHON.value),
-            ))
-        rows.sort(key=lambda row: (row.job_count, row.system_processes,
-                                   row.user_processes, row.python_processes),
-                  reverse=True)
-        return rows
+        return self._tables.user_activity(overlay=self._open_tables)
 
     def table2_totals(self) -> UserActivityRow:
         """The Total row of Table 2."""
@@ -327,97 +238,19 @@ class LiveAnalysis:
     def table3_system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
         """Table 3, live: identical to ``system_executable_table`` over all records."""
         self._pull()
-        extra = self._overlay_grouped(ExecutableCategory.SYSTEM.value,
-                                      lambda r: r.executable, lambda r: r.objects_h)
-        rows = []
-        for path in self._merged_order(self._system, extra):
-            committed = self._system.get(path)
-            overlay = extra.get(path)
-            rows.append(SystemExecutableRow(
-                executable=path,
-                unique_users=self._merged_unique(
-                    committed.users if committed else None,
-                    overlay.users if overlay else ()),
-                job_count=self._merged_unique(
-                    committed.jobs if committed else None,
-                    overlay.jobs if overlay else ()),
-                process_count=(committed.processes if committed else 0)
-                              + (overlay.processes if overlay else 0),
-                unique_objects_h=self._merged_unique(
-                    committed.hashes if committed else None,
-                    overlay.hashes if overlay else ()),
-            ))
-        rows.sort(key=lambda row: (row.unique_users, row.job_count, row.process_count,
-                                   row.unique_objects_h), reverse=True)
-        return rows[:top] if top is not None else rows
+        return self._tables.system_executables(top, overlay=self._open_tables)
+
+    def table4_shared_object_variants(self, executable_name: str = "bash",
+                                      ) -> list[SharedObjectVariantRow]:
+        """Table 4, live: identical to ``shared_object_variant_table`` over all records."""
+        self._pull()
+        return self._tables.shared_object_variants(executable_name,
+                                                   overlay=self._open_tables)
 
     def table8_python_interpreters(self) -> list[PythonInterpreterRow]:
         """Table 8, live: identical to ``python_interpreter_table`` over all records."""
         self._pull()
-        extra = self._overlay_grouped(ExecutableCategory.PYTHON.value,
-                                      lambda r: r.executable_name, lambda r: r.script_h)
-        rows = []
-        for name in self._merged_order(self._python, extra):
-            committed = self._python.get(name)
-            overlay = extra.get(name)
-            rows.append(PythonInterpreterRow(
-                interpreter=name,
-                unique_users=self._merged_unique(
-                    committed.users if committed else None,
-                    overlay.users if overlay else ()),
-                job_count=self._merged_unique(
-                    committed.jobs if committed else None,
-                    overlay.jobs if overlay else ()),
-                process_count=(committed.processes if committed else 0)
-                              + (overlay.processes if overlay else 0),
-                unique_script_h=self._merged_unique(
-                    committed.hashes if committed else None,
-                    overlay.hashes if overlay else ()),
-            ))
-        rows.sort(key=lambda row: (row.unique_users, row.job_count, row.process_count,
-                                   row.unique_script_h), reverse=True)
-        return rows
-
-    def _overlay_grouped(self, category: str, group_of, hash_of) -> dict[str, _GroupStat]:
-        extra: dict[str, _GroupStat] = {}
-        for record in self._open:
-            if record.category != category:
-                continue
-            _absorb_grouped(extra, group_of(record), _process_key(record),
-                            _user_label(record, self.user_names),
-                            record.jobid, hash_of(record))
-        return extra
-
-    @staticmethod
-    def _merged_order(committed: dict, extra: dict) -> list[str]:
-        """Group names ordered by first occurrence in the canonical record list.
-
-        A rebuild inserts each group into its dict at the group's first
-        record in process-key order, i.e. at the group's *minimum* key over
-        committed and overlay records alike -- so sorting by that minimum
-        reproduces the rebuild's pre-sort row order (and therefore its tie
-        order) exactly.
-        """
-        firsts: dict[str, tuple] = {group: stat.first_key
-                                    for group, stat in committed.items()}
-        for group, stat in extra.items():
-            if group not in firsts or stat.first_key < firsts[group]:
-                firsts[group] = stat.first_key
-        return sorted(firsts, key=firsts.get)
-
-    @staticmethod
-    def _merged_counter(committed: "_UserStat | None", overlay: "_UserStat | None"):
-        def count(category: str) -> int:
-            total = committed.counts.get(category, 0) if committed else 0
-            if overlay:
-                total += overlay.counts.get(category, 0)
-            return total
-        return count
-
-    @staticmethod
-    def _merged_unique(committed: set | None, overlay) -> int:
-        extra = sum(1 for item in overlay if committed is None or item not in committed)
-        return (len(committed) if committed else 0) + extra
+        return self._tables.python_interpreters(overlay=self._open_tables)
 
     # ------------------------------------------------------------------ #
     # similarity
@@ -471,7 +304,7 @@ class LiveAnalysis:
             instance = instance_from_record(record, self.rules)
             if instance is None:
                 continue
-            key = _process_key(record)
+            key = record.key
             existing = overlay.get(instance.key)
             if existing is None:
                 overlay[instance.key] = (instance, key)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.stats import user_label
 from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 
@@ -40,8 +41,7 @@ def python_package_table(
     for record in records:
         if record.category != ExecutableCategory.PYTHON.value or not record.python_packages:
             continue
-        user = user_names.get(record.uid, f"uid_{record.uid}") if user_names and record.uid \
-            else f"uid_{record.uid}"
+        user = user_label(record, user_names)
         for package in record.python_package_list:
             users[package].add(user)
             if record.jobid:
@@ -96,8 +96,7 @@ def audit_python_packages(
     for record in records:
         if record.category != ExecutableCategory.PYTHON.value:
             continue
-        user = user_names.get(record.uid, f"uid_{record.uid}") if user_names and record.uid \
-            else f"uid_{record.uid}"
+        user = user_label(record, user_names)
         for package in record.python_package_list:
             user_sets[package].add(user)
 

@@ -14,7 +14,8 @@ from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 
 
-def _user_label(record: ProcessRecord, user_names: dict[int, str] | None) -> str:
+def user_label(record: ProcessRecord, user_names: dict[int, str] | None) -> str:
+    """The user a record is reported under -- every analysis labels users with this."""
     if record.uid is None:
         return "unknown"
     if user_names and record.uid in user_names:
@@ -53,7 +54,7 @@ def user_activity_table(
     jobs: dict[str, set[str]] = defaultdict(set)
     counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
     for record in records:
-        user = _user_label(record, user_names)
+        user = user_label(record, user_names)
         if record.jobid:
             jobs[user].add(record.jobid)
         counts[user][record.category] += 1
@@ -112,7 +113,7 @@ def system_executable_table(
         if record.category != ExecutableCategory.SYSTEM.value:
             continue
         path = record.executable
-        users[path].add(_user_label(record, user_names))
+        users[path].add(user_label(record, user_names))
         if record.jobid:
             jobs[path].add(record.jobid)
         processes[path] += 1
@@ -215,7 +216,7 @@ def python_interpreter_table(
         if record.category != ExecutableCategory.PYTHON.value:
             continue
         name = record.executable_name
-        users[name].add(_user_label(record, user_names))
+        users[name].add(user_label(record, user_names))
         if record.jobid:
             jobs[name].add(record.jobid)
         processes[name] += 1

@@ -129,14 +129,9 @@ class SirenFramework:
         """
         return AnalysisPipeline(self.consolidate(), user_names or {})
 
-    def identify_unknown(self, *, top: int = 10, indexed: bool = True,
-                         ) -> dict[str, list[SimilarityResult]]:
-        """Run the Table 7 similarity search over everything collected so far.
-
-        ``indexed`` selects between the n-gram candidate index and the
-        brute-force all-pairs comparison; results are identical either way.
-        """
-        return self.analysis_pipeline().table7_similarity_search(top=top, indexed=indexed)
+    def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
+        """Run the Table 7 similarity search over everything collected so far."""
+        return self.analysis_pipeline().table7_similarity_search(top=top)
 
     def statistics(self) -> dict[str, float]:
         """Operational counters of the deployment."""

@@ -67,18 +67,9 @@ class AnalysisPipeline:
         """Table 6: compiler combinations of user applications."""
         return compiler_combination_table(self.records, self.user_names)
 
-    def table7_similarity_search(self, top: int = 10, *,
-                                 indexed: bool = True) -> dict[str, list[SimilarityResult]]:
-        """Table 7: similarity search identifying every UNKNOWN instance.
-
-        ``indexed=True`` (default) routes the search through the inverted
-        n-gram candidate index (:mod:`repro.analysis.simindex`);
-        ``indexed=False`` forces the brute-force all-pairs path.  Both return
-        identical results -- the knob only trades comparison count for index
-        construction, and exists so callers can verify or benchmark the
-        equivalence.
-        """
-        return self.similarity_search(indexed=indexed).identify_unknown(top=top)
+    def table7_similarity_search(self, top: int = 10) -> dict[str, list[SimilarityResult]]:
+        """Table 7: similarity search identifying every UNKNOWN instance."""
+        return self.similarity_search().identify_unknown(top=top)
 
     def table8_python_interpreters(self) -> list[PythonInterpreterRow]:
         """Table 8: Python interpreters."""
@@ -106,9 +97,9 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------ #
     # similarity helpers
     # ------------------------------------------------------------------ #
-    def similarity_search(self, *, indexed: bool = True) -> SimilaritySearch:
+    def similarity_search(self) -> SimilaritySearch:
         """The underlying similarity search, for custom queries."""
-        return SimilaritySearch(self.records, use_index=indexed)
+        return SimilaritySearch(self.records)
 
     # ------------------------------------------------------------------ #
     # rendering

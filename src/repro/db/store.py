@@ -44,6 +44,11 @@ def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
     return any(marker in message for marker in _TRANSIENT_MARKERS)
 
 
+#: The canonical process key: a record's identity, its shard routing input
+#: and -- sorted -- the batch consolidator's record order.
+ProcessKey = tuple[str, str, int, str, str, int]
+
+
 @dataclass
 class ProcessRecord:
     """One consolidated per-process record (the unit of all analyses)."""
@@ -76,6 +81,11 @@ class ProcessRecord:
     script_meta: str = ""
     python_packages: str = ""
     incomplete: int = 0
+
+    @property
+    def key(self) -> ProcessKey:
+        """The canonical process key of this record."""
+        return (self.jobid, self.stepid, self.pid, self.hash, self.host, self.time)
 
     @property
     def object_list(self) -> list[str]:

@@ -20,19 +20,13 @@ bronze/silver/gold tiering on top of the existing store:
   (cross-campaign dedup).  Every digest write is verified against the
   stored content; a 64-bit collision raises :class:`StoreError` instead of
   silently corrupting a record.
-* **gold** -- incrementally maintained rollup accumulators answering the
-  four paper tables (:func:`~repro.analysis.stats.user_activity_table`,
-  :func:`~repro.analysis.stats.system_executable_table`,
-  :func:`~repro.analysis.stats.shared_object_variant_table`,
-  :func:`~repro.analysis.stats.python_interpreter_table`) in O(answer):
-  query cost depends on the number of *groups* in the answer, never on the
-  record count.  The accumulators fold the same record deltas
-  :class:`~repro.analysis.live.LiveAnalysis` consumes (the store's
-  ``load_processes_since`` stream) and track per-group minimum/maximum
-  process keys, so row order -- including tie order -- is byte-identical
-  to the recompute-from-records reference over canonically key-sorted
-  records (the repo's standard equivalence pin; see
-  ``tests/db/test_tiered.py``).
+* **gold** -- one :class:`~repro.analysis.rollup.TableRollup` per campaign,
+  the accumulator :class:`~repro.analysis.live.LiveAnalysis` also folds
+  into, fed the same record deltas (the store's ``load_processes_since``
+  stream).  It answers the four paper tables (Tables 2, 3, 4 and 8) in
+  O(answer) -- query cost depends on the number of *groups* in the answer,
+  never on the record count -- with rows byte-identical to the
+  :mod:`repro.analysis.stats` recompute over key-sorted records.
 
 Idempotence mirrors the store's upsert semantics: re-delivering a record
 whose content digest is unchanged is a dedup no-op (the tiered analogue of
@@ -54,17 +48,16 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import Iterable, Iterator, Protocol
 
+from repro.analysis.rollup import TableRollup
 from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
     UserActivityRow,
-    _user_label,
 )
-from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 from repro.hashing.fnv import fnv1a_32, fnv1a_64
 from repro.util.errors import StoreError
@@ -79,7 +72,6 @@ DEDUP_FIELDS = ("file_metadata", "modules", "objects", "compilers", "maps",
 
 _ALL_FIELDS = tuple(f.name for f in fields(ProcessRecord))
 _INLINE_FIELDS = tuple(name for name in _ALL_FIELDS if name not in DEDUP_FIELDS)
-_KEY_FIELDS = ("jobid", "stepid", "pid", "hash", "host", "time")
 
 
 def record_key(record: ProcessRecord) -> str:
@@ -89,7 +81,7 @@ def record_key(record: ProcessRecord) -> str:
     hashes, so a record lands on the same shard index the streaming front
     would route its messages to.
     """
-    return "\x1f".join(str(getattr(record, name)) for name in _KEY_FIELDS)
+    return "\x1f".join(map(str, record.key))
 
 
 def record_digest(record: ProcessRecord) -> int:
@@ -322,133 +314,6 @@ def _signed(digest: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# gold accumulators
-# --------------------------------------------------------------------------- #
-#: The canonical process key tuple (the batch consolidator's record order).
-_Key = tuple[str, str, int, str, str, int]
-
-
-def _key_tuple(record: ProcessRecord) -> _Key:
-    return (record.jobid, record.stepid, record.pid, record.hash,
-            record.host, record.time)
-
-
-@dataclass
-class _UserRollup:
-    """Gold accumulator behind one Table 2 row (min-key tracked for order)."""
-
-    first_key: _Key
-    jobs: set[str] = field(default_factory=set)
-    counts: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _GroupRollup:
-    """Gold accumulator behind one Table 3/8 row."""
-
-    first_key: _Key
-    users: set[str] = field(default_factory=set)
-    jobs: set[str] = field(default_factory=set)
-    processes: int = 0
-    hashes: set[str] = field(default_factory=set)
-
-
-@dataclass
-class _VariantRollup:
-    """Gold accumulator behind one Table 4 row (one object set of one exe)."""
-
-    first_key: _Key
-    process_count: int = 0
-
-
-@dataclass
-class _ExeNameRollup:
-    """Per executable-*name* state Table 4 needs beyond its variants.
-
-    The reference implementation updates ``exe_path`` on every matching
-    record, so the reported path belongs to the *last* match in canonical
-    key order -- reproduced here by max-key tracking (the mirror image of
-    the min-key trick that pins row order).
-    """
-
-    last_key: _Key
-    executable: str
-    variants: dict[tuple[str, ...], _VariantRollup] = field(default_factory=dict)
-
-
-@dataclass
-class _CampaignRollups:
-    """All gold accumulators of one campaign."""
-
-    users: dict[str, _UserRollup] = field(default_factory=dict)
-    system: dict[str, _GroupRollup] = field(default_factory=dict)
-    python: dict[str, _GroupRollup] = field(default_factory=dict)
-    by_exe_name: dict[str, _ExeNameRollup] = field(default_factory=dict)
-
-    def fold(self, record: ProcessRecord, user_names: dict[int, str]) -> None:
-        """Fold one finalized record into every accumulator (commutative)."""
-        key = _key_tuple(record)
-        user = _user_label(record, user_names)
-        stat = self.users.get(user)
-        if stat is None:
-            stat = self.users[user] = _UserRollup(first_key=key)
-        elif key < stat.first_key:
-            stat.first_key = key
-        if record.jobid:
-            stat.jobs.add(record.jobid)
-        stat.counts[record.category] = stat.counts.get(record.category, 0) + 1
-
-        if record.category == ExecutableCategory.SYSTEM.value:
-            self._fold_group(self.system, record.executable, key, user,
-                             record.jobid, record.objects_h)
-        elif record.category == ExecutableCategory.PYTHON.value:
-            self._fold_group(self.python, record.executable_name, key, user,
-                             record.jobid, record.script_h)
-
-        name = record.executable_name
-        exe = self.by_exe_name.get(name)
-        if exe is None:
-            exe = self.by_exe_name[name] = _ExeNameRollup(
-                last_key=key, executable=record.executable)
-        elif key > exe.last_key:
-            exe.last_key = key
-            exe.executable = record.executable
-        objects = tuple(record.object_list)
-        variant = exe.variants.get(objects)
-        if variant is None:
-            variant = exe.variants[objects] = _VariantRollup(first_key=key)
-        elif key < variant.first_key:
-            variant.first_key = key
-        variant.process_count += 1
-
-    @staticmethod
-    def _fold_group(stats: dict[str, _GroupRollup], group: str, key: _Key,
-                    user: str, jobid: str, content_hash: str) -> None:
-        stat = stats.get(group)
-        if stat is None:
-            stat = stats[group] = _GroupRollup(first_key=key)
-        elif key < stat.first_key:
-            stat.first_key = key
-        stat.users.add(user)
-        if jobid:
-            stat.jobs.add(jobid)
-        stat.processes += 1
-        if content_hash:
-            stat.hashes.add(content_hash)
-
-
-def _in_first_key_order(stats: dict) -> list:
-    """Group names ordered by their minimum process key.
-
-    A recompute over canonically key-sorted records inserts each group at
-    its first record, i.e. at the group's minimum key -- so this order *is*
-    the reference's pre-sort row order, and the stable table sort on top
-    breaks ties identically.
-    """
-    return sorted(stats, key=lambda group: stats[group].first_key)
-
-
-# --------------------------------------------------------------------------- #
 # the tiered store
 # --------------------------------------------------------------------------- #
 class TieredStore:
@@ -512,7 +377,7 @@ class TieredStore:
         #: :meth:`campaigns` / :meth:`record_count` -- and therefore every
         #: default-campaign gold query -- stay O(campaigns), not O(records).
         self._campaign_counts: dict[str, int] = {}
-        self._gold: dict[str, _CampaignRollups] = {}
+        self._gold: dict[str, TableRollup] = {}
         self._dirty: set[str] = set()
         if any(self.backend.row_count(shard) for shard in range(self.shards)):
             self._rebuild()
@@ -557,7 +422,7 @@ class TieredStore:
                 if previous[1] != label:
                     self._dirty.add(previous[1])
             elif label not in self._dirty:
-                self._rollups(label).fold(record, self.user_names)
+                self._rollups(label).fold(record)
                 self.counters["rollup_records_applied"] += 1
         for shard, rows in sorted(pending.items()):
             self.backend.append_rows(shard, rows)
@@ -638,7 +503,7 @@ class TieredStore:
             if campaign is not None and label != campaign:
                 continue
             records.append(self._decode(payload)[0])
-        records.sort(key=_key_tuple)
+        records.sort(key=lambda record: record.key)
         return records
 
     def record_count(self, campaign: str | None = None) -> int:
@@ -655,10 +520,10 @@ class TieredStore:
     # ------------------------------------------------------------------ #
     # gold rollups
     # ------------------------------------------------------------------ #
-    def _rollups(self, campaign: str) -> _CampaignRollups:
+    def _rollups(self, campaign: str) -> TableRollup:
         rollups = self._gold.get(campaign)
         if rollups is None:
-            rollups = self._gold[campaign] = _CampaignRollups()
+            rollups = self._gold[campaign] = TableRollup(self.user_names)
         return rollups
 
     def _rebuild(self) -> None:
@@ -677,11 +542,11 @@ class TieredStore:
         self._gold = {}
         for _key, payload, label in self._iter_live():
             record, _campaign, _digest = self._decode(payload)
-            self._rollups(label).fold(record, self.user_names)
+            self._rollups(label).fold(record)
         self._dirty.clear()
         self.counters["rollup_rebuilds"] += 1
 
-    def _query_rollups(self, campaign: str | None) -> _CampaignRollups:
+    def _query_rollups(self, campaign: str | None) -> TableRollup:
         if campaign is None:
             labels = self.campaigns() or [self.campaign]
             if len(labels) > 1:
@@ -694,89 +559,29 @@ class TieredStore:
             self._rebuild()
         else:
             self.counters["rollup_query_hits"] += 1
-        return self._gold.get(campaign) or _CampaignRollups()
+        return self._gold.get(campaign) or TableRollup(self.user_names)
 
     def user_activity(self, campaign: str | None = None) -> list[UserActivityRow]:
         """Table 2 in O(answer), byte-identical to ``user_activity_table``."""
-        rollups = self._query_rollups(campaign)
-        rows = [
-            UserActivityRow(
-                user=user,
-                job_count=len(stat.jobs),
-                system_processes=stat.counts.get(ExecutableCategory.SYSTEM.value, 0),
-                user_processes=stat.counts.get(ExecutableCategory.USER.value, 0),
-                python_processes=stat.counts.get(ExecutableCategory.PYTHON.value, 0),
-            )
-            for user in _in_first_key_order(rollups.users)
-            for stat in (rollups.users[user],)
-        ]
-        rows.sort(key=lambda row: (row.job_count, row.system_processes,
-                                   row.user_processes, row.python_processes),
-                  reverse=True)
-        return rows
+        return self._query_rollups(campaign).user_activity()
 
     def system_executables(self, campaign: str | None = None,
                            top: int | None = 10) -> list[SystemExecutableRow]:
         """Table 3 in O(answer), byte-identical to ``system_executable_table``."""
-        rollups = self._query_rollups(campaign)
-        rows = [
-            SystemExecutableRow(
-                executable=path,
-                unique_users=len(stat.users),
-                job_count=len(stat.jobs),
-                process_count=stat.processes,
-                unique_objects_h=len(stat.hashes),
-            )
-            for path in _in_first_key_order(rollups.system)
-            for stat in (rollups.system[path],)
-        ]
-        rows.sort(key=lambda row: (row.unique_users, row.job_count,
-                                   row.process_count, row.unique_objects_h),
-                  reverse=True)
-        return rows[:top] if top is not None else rows
+        return self._query_rollups(campaign).system_executables(top)
 
     def shared_object_variants(
         self, executable_name: str, campaign: str | None = None,
         distinguish: tuple[str, ...] = ("libtinfo", "libm"),
     ) -> list[SharedObjectVariantRow]:
         """Table 4 in O(answer), byte-identical to ``shared_object_variant_table``."""
-        rollups = self._query_rollups(campaign)
-        exe = rollups.by_exe_name.get(executable_name)
-        if exe is None:
-            return []
-        rows = []
-        for objects in _in_first_key_order(exe.variants):
-            variant = exe.variants[objects]
-            distinguishing: dict[str, str] = {}
-            for name in distinguish:
-                match = next((path for path in objects
-                              if name in path.rsplit("/", 1)[-1]), "")
-                distinguishing[name] = match
-            rows.append(SharedObjectVariantRow(
-                executable=exe.executable, process_count=variant.process_count,
-                objects=objects, distinguishing=distinguishing))
-        rows.sort(key=lambda row: row.process_count, reverse=True)
-        return rows
+        return self._query_rollups(campaign).shared_object_variants(
+            executable_name, distinguish)
 
     def python_interpreters(self, campaign: str | None = None,
                             ) -> list[PythonInterpreterRow]:
         """Table 8 in O(answer), byte-identical to ``python_interpreter_table``."""
-        rollups = self._query_rollups(campaign)
-        rows = [
-            PythonInterpreterRow(
-                interpreter=name,
-                unique_users=len(stat.users),
-                job_count=len(stat.jobs),
-                process_count=stat.processes,
-                unique_script_h=len(stat.hashes),
-            )
-            for name in _in_first_key_order(rollups.python)
-            for stat in (rollups.python[name],)
-        ]
-        rows.sort(key=lambda row: (row.unique_users, row.job_count,
-                                   row.process_count, row.unique_script_h),
-                  reverse=True)
-        return rows
+        return self._query_rollups(campaign).python_interpreters()
 
     # ------------------------------------------------------------------ #
     # compaction and retention

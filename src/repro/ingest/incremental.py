@@ -43,11 +43,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.collector.records import InfoType, Layer, parse_keyvalues
-from repro.db.store import MessageStore, ProcessRecord
+from repro.db.store import MessageStore, ProcessKey, ProcessRecord
 from repro.postprocess.consolidate import (
     GroupKey,
     MessageGroup,
-    ProcessKey,
     build_process_record,
     expected_types_for,
 )
@@ -266,9 +265,8 @@ class IncrementalConsolidator:
         """
         self.flush()
         records = self.store.load_processes()
-        finalized = {(r.jobid, r.stepid, r.pid, r.hash, r.host, r.time) for r in records}
-        records.extend(r for r in self.peek_open()
-                       if (r.jobid, r.stepid, r.pid, r.hash, r.host, r.time) not in finalized)
+        finalized = {r.key for r in records}
+        records.extend(r for r in self.peek_open() if r.key not in finalized)
         return records
 
     def finalize(self) -> list[ProcessRecord]:

@@ -52,7 +52,7 @@ _RAW_SEPARATOR = b"\x1f"
 
 def _in_key_order(records: list[ProcessRecord]) -> list[ProcessRecord]:
     """Sort records by the process header key (the batch consolidator's order)."""
-    return sorted(records, key=lambda r: (r.jobid, r.stepid, r.pid, r.hash, r.host, r.time))
+    return sorted(records, key=lambda r: r.key)
 
 
 @dataclass(frozen=True)
@@ -291,10 +291,8 @@ class ShardedIngest:
             open_peeks = [record for consolidator in self.consolidators
                           for record in consolidator.peek_open()]
         records = self.store.load_processes()
-        finalized = {(r.jobid, r.stepid, r.pid, r.hash, r.host, r.time) for r in records}
-        records.extend(r for r in open_peeks
-                       if (r.jobid, r.stepid, r.pid, r.hash, r.host, r.time)
-                       not in finalized)
+        finalized = {r.key for r in records}
+        records.extend(r for r in open_peeks if r.key not in finalized)
         return _in_key_order(records)
 
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.collector.classify import ExecutableCategory
 from repro.collector.records import InfoType, Layer, parse_keyvalues
-from repro.db.store import MessageStore, ProcessRecord
+from repro.db.store import MessageStore, ProcessKey, ProcessRecord
 from repro.postprocess.python_merge import extract_python_packages
 from repro.transport.chunking import reassemble_chunks
 
@@ -69,7 +69,6 @@ class MessageGroup:
         return result.content, result.complete
 
 
-ProcessKey = tuple[str, str, int, str, str, int]
 GroupKey = tuple[str, str]
 
 

@@ -2,6 +2,7 @@
 packages (Figure 3) and the usage matrices (Figures 4-5)."""
 
 from repro.analysis.compilers import compiler_combination_table, record_compiler_labels
+from repro.analysis.labels import user_application_table
 from repro.analysis.libfilter import library_usage_table, record_library_tags
 from repro.analysis.matrices import compiler_label_matrix, library_label_matrix
 from repro.analysis.pythonpkgs import audit_python_packages, python_package_table
@@ -15,7 +16,8 @@ _CRAY = TOOLCHAINS["clang [Cray]"].comment
 _LLD = TOOLCHAINS["LLD [AMD]"].comment
 
 
-def _record(executable: str, *, category: str = "user", uid: int = 1000, jobid: str = "1",
+def _record(executable: str, *, category: str = "user", uid: int | None = 1000,
+            jobid: str = "1",
             compilers: str = "", objects: str = "", file_h: str = "3:f:x",
             python_packages: str = "", script_h: str = "") -> ProcessRecord:
     return ProcessRecord(jobid=jobid, stepid="0", pid=1, hash="h", host="n", time=0,
@@ -106,6 +108,36 @@ class TestPythonPackageAnalysis:
         assert "insecure-lib" in flagged        # known insecure
         assert "numpy" not in flagged
         assert flagged["reqeusts"].users == ("user_1",)
+
+
+class TestUserLabelling:
+    """Every per-user dimension labels users the way Tables 2/3/8 do.
+
+    A mapped uid 0 is that user (not ``uid_0``) and a record without a uid is
+    ``unknown`` (not ``uid_None``).  Two uids mapped to one label make the
+    difference visible in the distinct-user counts.
+    """
+
+    NAMES = {0: "user_root", 1000: "user_root", 1001: "unknown"}
+
+    def _records(self, **fields):
+        return [_record("/p/u/icon-model/icon", uid=uid, jobid=str(index), **fields)
+                for index, uid in enumerate((0, 1000, None, 1001))]
+
+    def test_user_tables_and_figures_count_two_users(self):
+        user = self._records(compilers=_SUSE, objects="/lib64/libpthread.so.0")
+        python = self._records(category="python", python_packages="numpy")
+        (table5,) = user_application_table(user, self.NAMES)
+        (table6,) = compiler_combination_table(user, self.NAMES)
+        (figure2,) = library_usage_table(user, self.NAMES)
+        (figure3,) = python_package_table(python, self.NAMES)
+        assert [row.unique_users for row in (table5, table6, figure2, figure3)] == [2] * 4
+
+    def test_audit_names_the_mapped_and_the_unknown_user(self):
+        python = self._records(category="python", python_packages="reqeusts")
+        (finding,) = audit_python_packages(python, known_packages=set(),
+                                           user_names=self.NAMES)
+        assert finding.users == ("unknown", "user_root")
 
 
 class TestMatrices:

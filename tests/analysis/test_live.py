@@ -45,6 +45,9 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
     assert live.table3_system_executables() == pipeline.table3_system_executables()
     assert live.table3_system_executables(top=None) == \
         pipeline.table3_system_executables(top=None)
+    for name in ("bash", "tool0", "a.out", "absent"):
+        assert live.table4_shared_object_variants(name) == \
+            pipeline.table4_shared_object_variants(name)
     assert live.table8_python_interpreters() == pipeline.table8_python_interpreters()
 
     kwargs = {} if index_threshold is None else {"index_threshold": index_threshold}
@@ -82,7 +85,8 @@ def _record(pid: int, *, category: str, executable: str, jobid: str,
             symbols_h=fuzzy_hash_text(content + " symbols"),
         )
     elif category == "system":
-        hashes = dict(objects_h=fuzzy_hash_text(environment + " objects " * 30))
+        hashes = dict(objects_h=fuzzy_hash_text(environment + " objects " * 30),
+                      objects=f"/lib64/libc.so.6\n/lib64/libtinfo.so.{5 + pid % 3}")
     elif category == "python":
         hashes = dict(script_h=fuzzy_hash_text(script) if script else "")
     return ProcessRecord(
@@ -262,6 +266,7 @@ class TestCampaignLiveEquivalence:
     def _check_against_snapshot(self, live, campaign, failures):
         live_t2 = live.table2_user_activity()
         live_t3 = live.table3_system_executables()
+        live_t4 = live.table4_shared_object_variants()
         live_t8 = live.table8_python_interpreters()
         live_instances = [(i.key, i.label, i.process_count) for i in live.instances]
         try:
@@ -279,6 +284,8 @@ class TestCampaignLiveEquivalence:
             failures.append("table2")
         if live_t3 != pipeline.table3_system_executables():
             failures.append("table3")
+        if live_t4 != pipeline.table4_shared_object_variants():
+            failures.append("table4")
         if live_t8 != pipeline.table8_python_interpreters():
             failures.append("table8")
         if live_instances != [(i.key, i.label, i.process_count)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.similarity import SimilaritySearch
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
@@ -276,13 +277,13 @@ class TestFrameworkAnalysisFacade:
         labels = {row.label for row in pipeline.table5_user_applications()}
         assert {"icon", "UNKNOWN"} <= labels
 
-    def test_identify_unknown_indexed_knob(self, deployed_framework):
+    def test_identify_unknown_equals_brute_force(self, deployed_framework):
         cluster, manifest, framework, _ = deployed_framework
         self._run_identification_job(cluster, manifest)
-        indexed = framework.identify_unknown(top=5, indexed=True)
-        brute = framework.identify_unknown(top=5, indexed=False)
-        assert indexed == brute
-        (results,) = indexed.values()
+        identified = framework.identify_unknown(top=5)
+        brute = SimilaritySearch(framework.consolidate(), use_index=False)
+        assert identified == brute.identify_unknown(top=5)
+        (results,) = identified.values()
         assert results[0].label == "icon"
         assert results[0].average == 100.0
 
@@ -349,5 +350,4 @@ class TestAnalysisPipeline:
     def test_similarity_search_accessor(self, pipeline):
         search = pipeline.similarity_search()
         assert search.unknown_instances()
-        indexed = pipeline.similarity_search(indexed=True)
-        assert indexed.index_stats() is None or indexed.indexed
+        assert search.index_stats() is None or search.indexed
