@@ -92,8 +92,7 @@ def _rebuild_artefacts(campaign, user_names):
 class TestLiveSnapshotCost:
     def test_live_vs_rebuild_at_checkpoints(self):
         config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0002,
-                                ingest_mode="streaming", ingest_shards=2,
-                                keep_raw_messages=False)
+                                ingest_mode="streaming", keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config)
         live = campaign.live_analysis()
         total_jobs = sum(config.jobs_for(profile) for profile in campaign.profiles)

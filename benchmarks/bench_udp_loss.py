@@ -180,15 +180,13 @@ class TestFaultDegradationCurve:
             WorkerFaultProfile(shard=0, kill_after_batches=2),
             WorkerFaultProfile(shard=1, kill_after_batches=4),
         ))
-        baseline, _ = _run_with_plan(None, ingest_workers="process",
-                                     ingest_shards=2)
+        baseline, _ = _run_with_plan(None, ingest_shards=2)
         config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0,
-                                ingest_mode="streaming",
-                                ingest_workers="process", ingest_shards=2,
+                                ingest_mode="streaming", ingest_shards=2,
                                 fault_plan=plan)
         campaign = DeploymentCampaign(config=config)
         campaign.prepare()
-        campaign.ingest._pool.drain_grace = 1.0  # keep the heal fast
+        campaign.ingest.backend.drain_grace = 1.0  # keep the heal fast
         started = time.perf_counter()
         result = campaign.run()
         seconds = time.perf_counter() - started

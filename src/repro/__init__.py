@@ -11,7 +11,7 @@ The package is organised as the paper's system plus every substrate it needs:
 * :mod:`repro.transport` -- chunked UDP-style messaging with loss simulation,
 * :mod:`repro.db`        -- SQLite storage,
 * :mod:`repro.postprocess` -- batch message consolidation and Python package extraction,
-* :mod:`repro.ingest`    -- streaming ingest (incremental consolidation, sharded receivers),
+* :mod:`repro.ingest`    -- streaming ingest (incremental consolidation, worker-process shards),
 * :mod:`repro.analysis`  -- all evaluation analyses (Tables 2-8, Figures 2-5),
 * :mod:`repro.workload`  -- the opt-in deployment-campaign generator,
 * :mod:`repro.core`      -- the ``SirenFramework`` facade and ``AnalysisPipeline``.

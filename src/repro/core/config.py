@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
 from repro.faults.plan import FaultPlan
-from repro.transport.messages import MAX_DATAGRAM_SIZE
+from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.util.errors import CollectionError
 
 
@@ -28,7 +28,8 @@ class SirenConfig:
     loss_rate:
         Probability of losing each UDP datagram (0 disables the lossy channel).
     max_datagram_size:
-        Datagram budget used when chunking long contents.
+        Datagram budget used when chunking long contents (at least
+        :data:`~repro.transport.messages.MIN_DATAGRAM_SIZE`).
     store_path:
         SQLite path; ``":memory:"`` keeps everything in RAM.
     seed:
@@ -46,16 +47,11 @@ class SirenConfig:
         :meth:`~repro.core.framework.SirenFramework.snapshot` serves live
         analysis views mid-deployment.  Output records are identical.
     ingest_shards:
-        Number of receiver+consolidator workers in streaming mode (each
-        process key lands deterministically on one shard).
-    ingest_workers:
-        Worker backend of the sharded streaming front: ``"thread"`` keeps
-        every shard in this interpreter (cheap, but GIL-bound);
-        ``"process"`` gives each shard its own OS process -- raw datagrams
-        are routed by their header bytes, decode + consolidation run on one
-        core per shard, and finalized records merge back into the shared
-        store at every snapshot/delta/finalize, so record output, ordering
-        and delta-cursor semantics are identical either way.
+        Number of receiver+consolidator shards in streaming mode.  One shard
+        runs in this interpreter; more than one run as that many supervised
+        OS processes (:class:`~repro.ingest.sharded.ShardedIngest`: each
+        process key lands deterministically on one shard, and record output,
+        ordering and delta-cursor semantics are identical).
     keep_raw_messages:
         Whether raw messages survive in the ``messages`` table.  In
         streaming mode it decides whether messages are *also* persisted
@@ -74,7 +70,7 @@ class SirenConfig:
         Supervised restarts allowed per shard worker before a crashed or
         stalled worker surfaces as
         :class:`~repro.util.errors.WorkerCrashError`
-        (``ingest_workers="process"`` only; 0 restores fail-fast).
+        (``ingest_shards > 1`` only; 0 restores fail-fast).
     store_retry_attempts:
         Retries of a store write transaction on *transient* SQLite errors
         (``database is locked`` / ``busy``), with exponential jittered
@@ -86,7 +82,7 @@ class SirenConfig:
         Optional :class:`~repro.faults.plan.FaultPlan` arming deterministic
         fault injection: channel faults wrap the in-memory channel
         (``transport="memory"`` only), store faults hook the shared store's
-        write paths, worker faults ride into the process-mode shard workers.
+        write paths, worker faults ride into the shard worker processes.
         ``None`` (default) injects nothing.
     store_backend:
         Storage substrate of the tiered record store (``rollups=True``):
@@ -111,7 +107,6 @@ class SirenConfig:
     hash_concurrency: int = 1
     ingest_mode: str = "batch"
     ingest_shards: int = 1
-    ingest_workers: str = "thread"
     keep_raw_messages: bool = True
     transport: str = "memory"
     ingest_max_restarts: int = 2
@@ -125,13 +120,23 @@ class SirenConfig:
         """Raise :class:`CollectionError` for a value no deployment can honour."""
         for knob, allowed in (("ingest_mode", ("batch", "streaming")),
                               ("transport", ("memory", "socket")),
-                              ("ingest_workers", ("thread", "process")),
                               ("store_backend", ("sqlite", "memory"))):
             value = getattr(self, knob)
             if value not in allowed:
                 raise CollectionError(
                     f"unknown {knob} {value!r} "
                     f"(expected {allowed[0]!r} or {allowed[1]!r})")
+        for knob, least in (("max_datagram_size", MIN_DATAGRAM_SIZE),
+                            ("hash_concurrency", 1), ("ingest_shards", 1),
+                            ("ingest_max_restarts", 0), ("store_retry_attempts", 0),
+                            ("quarantine_capacity", 0)):
+            value = getattr(self, knob)
+            if value < least:
+                raise CollectionError(
+                    f"{knob} must be at least {least}, got {value!r}")
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise CollectionError(
+                f"loss_rate must be in [0, 1], got {self.loss_rate!r}")
         if (self.fault_plan is not None and self.fault_plan.channel.active
                 and self.transport != "memory"):
             raise CollectionError(

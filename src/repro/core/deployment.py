@@ -124,12 +124,9 @@ class Deployment:
             self.front = self.ingest = ShardedIngest(
                 self.store, shards=config.ingest_shards,
                 persist_raw=config.keep_raw_messages,
-                workers=config.ingest_workers,
                 max_restarts=config.ingest_max_restarts,
                 quarantine_capacity=config.quarantine_capacity,
-                fault_plan=plan)
-            for consolidator in self.ingest.consolidators:
-                consolidator.timer = self.timer
+                fault_plan=plan, timer=self.timer)
             self.quarantine = self.ingest.quarantine
         else:
             if config.quarantine_capacity:
@@ -257,5 +254,5 @@ class Deployment:
 
     @property
     def worker_restarts(self) -> int:
-        """Supervised shard-worker restarts (process-mode streaming only)."""
+        """Supervised shard-worker restarts (streaming with ``ingest_shards > 1``)."""
         return self.ingest.worker_restarts if self.ingest is not None else 0

@@ -11,8 +11,8 @@ bronze/silver/gold tiering on top of the existing store:
   duplicate it.
 * **silver** -- consolidated :class:`~repro.db.store.ProcessRecord` rows in
   ``shards`` hash-partitioned shards (the same FNV-1a-32 key hash the
-  streaming front uses in :func:`~repro.ingest.sharded.shard_of`, so a
-  record's shard is stable across runs and processes).  Heavy payload
+  streaming front uses in :func:`~repro.ingest.shard.shard_of_datagram`, so
+  a record's shard is stable across runs and processes).  Heavy payload
   columns (shared-object lists, module lists, memory maps, ...) are
   replaced by FNV-1a-64 content digests referencing a shared blob table --
   the content-addressed scheme of the collector's digest cache -- so two
@@ -77,9 +77,9 @@ _INLINE_FIELDS = tuple(name for name in _ALL_FIELDS if name not in DEDUP_FIELDS)
 def record_key(record: ProcessRecord) -> str:
     """The canonical process-key string (the sharding + identity key).
 
-    Field-for-field the string :func:`~repro.ingest.sharded.shard_of`
-    hashes, so a record lands on the same shard index the streaming front
-    would route its messages to.
+    Byte-for-byte the header slice
+    :func:`~repro.ingest.shard.shard_of_datagram` hashes, so a record lands
+    on the same shard index the streaming front routed its datagrams to.
     """
     return "\x1f".join(map(str, record.key))
 

@@ -18,12 +18,12 @@ registry pointing at each other:
     or removed and the registry (and whatever docs cite it) kept the stale
     name.
 
-Scanned emitters are functions named ``statistics``, ``restart_statistics``
-or ``fault_counters``; inside them the checker collects string keys of dict
-literals (including ``.update({...})`` arguments) and of subscript
-assignments (``stats["key"] = ...``).  Key-wise folds over *other* emitters'
-dicts (``merged[name] = ...`` with a variable key) are deliberately ignored:
-their keys are checked at the emitter that spells them out.
+Scanned emitters are functions named ``statistics`` or ``fault_counters``;
+inside them the checker collects string keys of dict literals (including
+``.update({...})`` arguments) and of subscript assignments
+(``stats["key"] = ...``).  Key-wise folds over *other* emitters' dicts
+(``merged[name] = ...`` with a variable key) are deliberately ignored: their
+keys are checked at the emitter that spells them out.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.devtools.lint.engine import (Checker, Finding, SourceModule,
                                         register_checker)
 
 #: Function names treated as counter emitters.
-STATS_FUNCTIONS = ("statistics", "restart_statistics", "fault_counters")
+STATS_FUNCTIONS = ("statistics", "fault_counters")
 
 
 def _literal_prefix(node: ast.JoinedStr) -> str | None:

@@ -11,42 +11,36 @@ turns ingest into a live system:
   ``PROCEND`` confirms the expected content types are complete (with an
   epoch/idle close for lossy stragglers), and flushes finished records in
   batches through the store's first-close-wins insert;
+* :mod:`repro.ingest.shard` -- :class:`~repro.ingest.shard.IngestShard`,
+  the one shard there is (a receiver feeding that consolidator), and
+  :func:`~repro.ingest.shard.shard_of_datagram`, the stable FNV hash of the
+  raw header slice that assigns a process key to a shard;
 * :mod:`repro.ingest.sharded` --
-  :class:`~repro.ingest.sharded.ShardedIngest` partitions the datagram
-  stream across N receiver+consolidator shards by a stable FNV hash of the
-  process key and merges their counters; its
-  :meth:`~repro.ingest.sharded.ShardedIngest.snapshot_delta` serves the
-  exactly-once record delta stream (:class:`~repro.ingest.sharded.ProcessDelta`)
-  behind the live analysis layer (:mod:`repro.analysis.live`);
+  :class:`~repro.ingest.sharded.ShardedIngest`, the front: one shard in this
+  interpreter when ``shards == 1``, ``shards`` worker processes otherwise;
+  its :meth:`~repro.ingest.sharded.ShardedIngest.snapshot_delta` serves the
+  exactly-once record delta stream behind :mod:`repro.analysis.live`;
 * :mod:`repro.ingest.procworkers` --
-  :class:`~repro.ingest.procworkers.ProcessShardPool` runs each shard as a
-  real OS process with its own store and consolidator
-  (``ShardedIngest(workers="process")``), routing raw datagram bytes by
-  their header slice and merging finalized records back into the shared
-  store at every snapshot/delta/finalize sync -- true multi-core ingest
-  with unchanged snapshot semantics.
+  :class:`~repro.ingest.procworkers.ProcessShardPool`, the supervised worker
+  processes, merging finalized records back into the shared store at every
+  sync.
 
-All paths are pinned record-for-record equivalent to the batch consolidator
-(see ``tests/ingest/``); ``ingest_mode="streaming"`` +
-``ingest_workers="thread"|"process"`` on
-:class:`~repro.core.config.SirenConfig` select them end to end.
+Both placements are pinned record-for-record equivalent to the batch
+consolidator (``tests/ingest/``); ``ingest_mode="streaming"`` +
+``ingest_shards`` on :class:`~repro.core.config.SirenConfig` select them.
 """
 
 from repro.ingest.incremental import IncrementalConsolidator
 from repro.ingest.procworkers import ProcessShardPool, ShardReport
-from repro.ingest.sharded import (
-    ProcessDelta,
-    ShardedIngest,
-    shard_of,
-    shard_of_datagram,
-)
+from repro.ingest.shard import IngestShard, shard_of_datagram
+from repro.ingest.sharded import ProcessDelta, ShardedIngest
 
 __all__ = [
     "IncrementalConsolidator",
+    "IngestShard",
     "ProcessDelta",
     "ProcessShardPool",
     "ShardReport",
     "ShardedIngest",
-    "shard_of",
     "shard_of_datagram",
 ]

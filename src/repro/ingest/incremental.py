@@ -89,8 +89,8 @@ class IncrementalConsolidator:
     flush_batch_size: int = 64
     idle_epochs: int = 2
 
-    # Stage stopwatch (plain class attribute, not a field: the campaign
-    # assigns its shared StageTimer on thread-mode shard instances).
+    # Stage stopwatch (plain class attribute, not a field: the in-process
+    # IngestShard assigns the deployment's shared StageTimer).
     timer = NULL_TIMER
 
     # counters (mirroring the batch Consolidator where applicable)
@@ -251,29 +251,11 @@ class IncrementalConsolidator:
         self.flush()
         return len(stale)
 
-    def snapshot(self) -> list[ProcessRecord]:
-        """Everything consolidated *so far*, without disturbing open groups.
-
-        Flushes pending records, reads the finalized set back from the
-        store, and adds a peek at every open group -- the mid-campaign feed
-        for live analysis views.  Finalized records live *only* in the store
-        (memory stays bounded by the in-flight groups), so this assumes the
-        consolidator owns the store's ``processes`` table; sharded setups
-        must use :meth:`ShardedIngest.snapshot`, which reads the shared
-        table exactly once.  An open group resurrected by a very late
-        message never shadows its already-finalized row.
-        """
-        self.flush()
-        records = self.store.load_processes()
-        finalized = {r.key for r in records}
-        records.extend(r for r in self.peek_open() if r.key not in finalized)
-        return records
-
     def finalize(self) -> list[ProcessRecord]:
         """End of stream: close every open group, flush, return all records.
 
-        Like :meth:`snapshot`, the returned records are read back from the
-        store (the single-owner assumption applies).
+        The records are read back from the store, so this assumes the
+        consolidator owns the store's ``processes`` table.
         """
         self.close_all()
         return self.store.load_processes()

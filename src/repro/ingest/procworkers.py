@@ -1,17 +1,17 @@
 """Process-parallel shard workers for the sharded ingest front.
 
-The thread-mode :class:`~repro.ingest.sharded.ShardedIngest` runs all of its
-shard consolidators inside one interpreter, so N shards share one GIL and the
-"parallel" ingest loses to a single streaming consolidator (the
-``BENCH_ingest.json`` sharded-4 regression).  This module supplies the
-process-mode backend: each shard is a real OS process owning its *own*
-in-memory :class:`~repro.db.store.MessageStore` and
-:class:`~repro.ingest.incremental.IncrementalConsolidator`, fed
-pre-partitioned batches of **raw datagram bytes** over a bounded queue.  The
-front never decodes in this mode (routing reads the raw header slice, see
-:func:`~repro.ingest.sharded.shard_of_datagram`), so the per-datagram front
-cost is a header scan plus a queue append -- the decode, grouping and record
-assembly all run on the workers' cores.
+N shards in one interpreter would share its GIL and lose to a single one.
+:class:`ProcessShardPool` is the other place an
+:class:`~repro.ingest.shard.IngestShard` can run: each of N shards gets a
+real OS process owning a *private* in-memory
+:class:`~repro.db.store.MessageStore`, fed pre-partitioned batches of **raw
+datagram bytes** over a bounded queue.  The front never decodes (routing
+reads the raw header slice, see
+:func:`~repro.ingest.shard.shard_of_datagram`), so its per-datagram cost is
+a header scan plus a queue append -- decode, quarantine, grouping and record
+assembly run on the workers' cores, in the class the in-process front
+holds.  Equivalence with in-process ingest rests on "same class, same
+batches": one shipped batch is one receiver flush, one idle-clock tick.
 
 Merge-at-snapshot
 -----------------
@@ -23,7 +23,7 @@ FIFO, the worker's reply proves every previously shipped datagram has been
 consumed.  The front inserts the returned records into the shared store
 through the same first-close-wins insert streaming mode always used, so
 ``snapshot()`` / ``snapshot_delta()`` / ``finalize()`` keep their exact
-thread-mode semantics: finalized records live in the shared ``processes``
+in-process semantics: finalized records live in the shared ``processes``
 table, the rowid delta cursor stays monotonic and exactly-once, and open
 groups are non-destructive peeks (returned with each sync reply).
 
@@ -58,9 +58,11 @@ the deployment down.  The pool therefore *supervises* its workers:
   an uncrashed run -- the chaos suite pins exactly that.
 
 Counters survive restarts: acked counter totals are folded into a per-shard
-base before each respawn, so ``messages_received`` and the consolidator
-statistics stay exactly-once across incarnations (replayed datagrams are
-counted by exactly one incarnation's acked report).
+base before each respawn, so the shard statistics stay exactly-once across
+incarnations (replayed datagrams are counted by exactly one incarnation's
+acked report).  Quarantine captures ride the same reports -- each report
+drains the worker's ring, so a capture is merged into the front's ring by
+the one report that was acked, or re-made by the replay.
 
 Deterministic worker faults (:class:`~repro.faults.plan.WorkerFaultProfile`)
 ride into the worker at spawn: the worker hard-exits or stalls itself at a
@@ -90,10 +92,10 @@ from queue import Empty, Full
 
 from repro.db.store import MessageStore, ProcessRecord
 from repro.faults.plan import WorkerFaultProfile
-from repro.ingest.incremental import IncrementalConsolidator
-from repro.transport.messages import UDPMessage
-from repro.transport.receiver import DatagramQuarantine, QuarantinedDatagram
-from repro.util.errors import IngestError, TransportError, WorkerCrashError
+from repro.ingest.shard import IngestShard, shard_of_datagram
+from repro.transport.receiver import (DatagramQuarantine, MessageReceiver,
+                                      QuarantinedDatagram)
+from repro.util.errors import IngestError, WorkerCrashError
 from repro.util.retry import RetryPolicy
 
 #: Bounded feed-queue depth, in batches: a worker can fall at most this many
@@ -133,23 +135,24 @@ class ShardReport:
     sync_id: int
     new_records: tuple[ProcessRecord, ...]   #: finalized since the last sync
     open_records: tuple[ProcessRecord, ...]  #: current non-destructive peek
-    statistics: dict                         #: the consolidator's counters
-    messages_received: int                   #: decoded messages consumed so far
-    decode_errors: int                       #: undecodable datagrams so far
-    quarantined: tuple[QuarantinedDatagram, ...] = ()  #: captures since last report
+    statistics: dict                         #: the shard's counters so far
+    #: the worker quarantine's retained captures since the last report ...
+    quarantined: tuple[QuarantinedDatagram, ...] = ()
+    quarantine_evicted: int = 0              #: ... and how many it evicted
 
 
-def _shard_worker_main(feed, replies, flush_batch_size: int, idle_epochs: int,
-                       quarantine_capacity: int = 0,
-                       fault: WorkerFaultProfile | None = None) -> None:
-    """One shard worker: private store + consolidator over a raw-datagram feed.
+def _shard_worker_main(feed, replies, batch_size: int, flush_batch_size: int,
+                       idle_epochs: int, quarantine_capacity: int,
+                       fault: WorkerFaultProfile | None) -> None:
+    """One shard worker: an :class:`IngestShard` over a private store.
 
-    Commands (FIFO): ``("batch", [datagram, ...])`` decodes and consumes one
-    receiver batch (one epoch tick, like a receiver flush); ``("sync", id)``
-    flushes and reports; ``("close", id)`` closes every open group, reports,
-    and exits.  Decode errors are counted here (the front routes raw bytes)
-    and shipped back with every report; with ``quarantine_capacity > 0`` the
-    raw bytes and failure reason of each corrupt datagram ride back too.
+    Commands (FIFO): ``("batch", [datagram, ...])`` routes one shipped batch
+    through the shard and flushes it (a batch is at most ``batch_size``
+    datagrams, so that is one receiver flush and one epoch tick);
+    ``("sync", id)`` flushes and reports; ``("close", id)`` closes every
+    open group, reports, and exits.  With ``quarantine_capacity > 0`` the
+    shard captures corrupt datagrams in a ring of its own, drained into
+    every report.
 
     A :class:`WorkerFaultProfile` makes the worker sabotage itself
     deterministically: ``os._exit`` (indistinguishable from SIGKILL to the
@@ -157,15 +160,14 @@ def _shard_worker_main(feed, replies, flush_batch_size: int, idle_epochs: int,
     datagrams of that batch genuinely die with the worker and only the
     front's resend buffer can bring them back.
     """
-    store = MessageStore()
-    consolidator = IncrementalConsolidator(
-        store, flush_batch_size=flush_batch_size, idle_epochs=idle_epochs)
-    messages_received = 0
-    decode_errors = 0
+    quarantine = (DatagramQuarantine(capacity=quarantine_capacity)
+                  if quarantine_capacity else None)
+    shard = IngestShard(MessageStore(), batch_size=batch_size,
+                        flush_batch_size=flush_batch_size,
+                        idle_epochs=idle_epochs, quarantine=quarantine)
     cursor = 0
     batches_seen = 0
     stalled_once = False
-    pending_quarantine: list[QuarantinedDatagram] = []
     supervisor_pid = os.getppid()
     while True:
         try:
@@ -188,39 +190,24 @@ def _shard_worker_main(feed, replies, flush_batch_size: int, idle_epochs: int,
                         and batches_seen >= fault.stall_after_batches):
                     stalled_once = True
                     time.sleep(fault.stall_seconds)
-            decoded = []
             for datagram in payload:
-                try:
-                    decoded.append(UDPMessage.decode(datagram))
-                except TransportError as error:
-                    decode_errors += 1
-                    if quarantine_capacity and len(pending_quarantine) < quarantine_capacity:
-                        pending_quarantine.append(QuarantinedDatagram(
-                            datagram=bytes(datagram), reason=str(error)))
-            if decoded:
-                # One shipped batch == one receiver flush: feed, then tick
-                # the idle-close epoch clock, exactly like thread mode.
-                messages_received += len(decoded)
-                consolidator.feed_many(decoded)
-                consolidator.advance_epoch()
+                shard.route(datagram)
+            shard.flush()
         elif command in ("sync", "close"):
             if command == "close":
-                consolidator.close_all()
-                open_records: list[ProcessRecord] = []
-            else:
-                consolidator.flush()
-                open_records = consolidator.peek_open()
-            new_records, cursor = store.load_processes_since(cursor)
+                shard.finalize()
+            open_records = shard.sync()  # nothing, once finalized
+            new_records, cursor = shard.store.load_processes_since(cursor)
+            captures, evicted = (quarantine.drain() if quarantine is not None
+                                 else ([], 0))
             replies.put(ShardReport(
                 sync_id=payload,
                 new_records=tuple(new_records),
                 open_records=tuple(open_records),
-                statistics=consolidator.statistics(),
-                messages_received=messages_received,
-                decode_errors=decode_errors,
-                quarantined=tuple(pending_quarantine),
+                statistics=shard.statistics(),
+                quarantined=tuple(captures),
+                quarantine_evicted=evicted,
             ))
-            pending_quarantine.clear()
             if command == "close":
                 return
 
@@ -250,10 +237,8 @@ class _WorkerHandle:
     feed: object = None     #: bounded command queue, front -> worker
     replies: object = None  #: report queue, worker -> front
     buffer: list[bytes] = field(default_factory=list)  #: pending raw datagrams
-    report: ShardReport | None = None                  #: last acked sync/close report
 
     # --- supervision state -------------------------------------------- #
-    incarnation: int = 0     #: how many processes have served this shard (1-based)
     restarts: int = 0        #: supervised restarts consumed so far
     #: Batches shipped since the last acked sync, in ship order -- what a
     #: restarted worker replays.
@@ -267,24 +252,32 @@ class _WorkerHandle:
     lost_datagrams: int = 0     #: overflowed (unreplayable) datagrams lost to a crash
 
     # --- exactly-once counters across incarnations -------------------- #
-    #: Acked totals of *dead* incarnations (folded in before each respawn).
-    base_messages: int = 0
-    base_decode: int = 0
+    #: Acked shard statistics of *dead* incarnations (folded in before each
+    #: respawn).
     base_stats: dict = field(default_factory=dict)
     #: Merged totals as of the last ack (base + current incarnation).
-    total_messages: int = 0
-    total_decode: int = 0
     total_stats: dict = field(default_factory=dict)
 
 
+@dataclass(eq=False)
 class ProcessShardPool:
     """N supervised shard-worker processes behind partitioned bounded queues.
 
+    Offers the operations of one :class:`~repro.ingest.shard.IngestShard`
+    -- :meth:`route`, :meth:`flush`, :meth:`sync`, :meth:`finalize`,
+    :meth:`close`, :meth:`statistics` -- over ``shards`` of them, merging
+    what they finalize into the shared ``store`` at every sync.
+
     Parameters
     ----------
+    store:
+        The shared store finalized records are merged into (and, with
+        ``persist_raw``, raw messages are persisted to -- the front then has
+        to decode every datagram itself, giving up most of the routing
+        cheapness).
     shards, batch_size, flush_batch_size, idle_epochs, queue_depth:
-        As before: the shard count, the front's ship granularity and the
-        workers' consolidator knobs.
+        The shard count, the front's ship granularity (and the workers'
+        receiver batch) and the workers' consolidator knobs.
     max_restarts:
         Supervised restarts allowed *per shard* before a dead/stalled worker
         becomes :class:`WorkerCrashError` (0 restores fail-fast).
@@ -302,9 +295,9 @@ class ProcessShardPool:
         queue's feeder thread.  (A too-short grace is safe, just wasteful:
         the unacked replay recomputes whatever the lost report carried.)
     quarantine:
-        Optional shared :class:`DatagramQuarantine`: worker-side decode
-        failures ship their raw bytes + reason back with each sync report
-        and are merged here.
+        Optional :class:`DatagramQuarantine` of the front: datagrams no shard
+        can own are captured here directly, and each worker's own ring (same
+        capacity) is drained into it with every sync report.
     worker_faults:
         Deterministic sabotage per shard index
         (:class:`~repro.faults.plan.WorkerFaultProfile`); a profile with
@@ -312,42 +305,41 @@ class ProcessShardPool:
         demonstrably heals it.
     """
 
-    def __init__(self, shards: int, *, batch_size: int = 500,
-                 flush_batch_size: int = 64, idle_epochs: int = 2,
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 max_restarts: int = 2,
-                 restart_backoff: RetryPolicy = DEFAULT_RESTART_BACKOFF,
-                 resend_window: int = DEFAULT_RESEND_WINDOW,
-                 stall_timeout: float | None = 60.0,
-                 drain_grace: float = _DRAIN_GRACE,
-                 quarantine: DatagramQuarantine | None = None,
-                 worker_faults: dict[int, WorkerFaultProfile] | None = None) -> None:
-        if max_restarts < 0:
+    store: MessageStore
+    shards: int
+    batch_size: int = 500
+    flush_batch_size: int = 64
+    idle_epochs: int = 2
+    persist_raw: bool = False
+    queue_depth: int = DEFAULT_QUEUE_DEPTH
+    max_restarts: int = 2
+    restart_backoff: RetryPolicy = DEFAULT_RESTART_BACKOFF
+    resend_window: int = DEFAULT_RESEND_WINDOW
+    stall_timeout: float | None = 60.0
+    drain_grace: float = _DRAIN_GRACE
+    quarantine: DatagramQuarantine | None = None
+    worker_faults: dict[int, WorkerFaultProfile] = field(default_factory=dict)
+    closed: bool = field(init=False, default=False)
+    #: the terminal supervisor failure, kept so it resurfaces on every later
+    #: interaction -- the original raise travels up a channel delivery
+    #: callback, and fire-and-forget senders swallow it there.
+    failure: WorkerCrashError | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.max_restarts < 0:
             raise IngestError("max_restarts may not be negative")
-        if resend_window < 1:
+        if self.resend_window < 1:
             raise IngestError("resend_window must be at least 1 batch")
-        self.shards = shards
-        self.batch_size = batch_size
-        self.flush_batch_size = flush_batch_size
-        self.idle_epochs = idle_epochs
-        self.queue_depth = queue_depth
-        self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.resend_window = resend_window
-        self.stall_timeout = stall_timeout
-        self.drain_grace = drain_grace
-        self.quarantine = quarantine
-        self.worker_faults = dict(worker_faults or {})
-        self.closed = False
-        #: the terminal supervisor failure, kept so it resurfaces on every
-        #: later interaction -- the original raise travels up a channel
-        #: delivery callback, and fire-and-forget senders swallow it there.
-        self.failure: WorkerCrashError | None = None
+        #: the front's own receiver: persists raw messages when asked, and
+        #: counts and quarantines the datagrams no shard can own
+        self._front = MessageReceiver(
+            self.store, batch_size=self.batch_size,
+            persist_raw=self.persist_raw, quarantine=self.quarantine)
         self._sync_id = 0
         self._context = _context()
         self._backoff_rng = random.Random(0xBACC0FF)  # jitter only; not output-visible
         self._workers: list[_WorkerHandle] = []
-        for index in range(shards):
+        for index in range(self.shards):
             worker = _WorkerHandle(index=index)
             self._spawn(worker)
             self._workers.append(worker)
@@ -358,16 +350,15 @@ class ProcessShardPool:
     def _spawn(self, worker: _WorkerHandle) -> None:
         """Start a fresh process (and queues) for ``worker``'s shard."""
         fault = self.worker_faults.get(worker.index)
-        if fault is not None and worker.incarnation > 0 and not fault.repeat:
+        if fault is not None and worker.restarts > 0 and not fault.repeat:
             fault = None  # one-shot faults arm only the first incarnation
         worker.feed = self._context.Queue(maxsize=self.queue_depth)
         worker.replies = self._context.Queue()
         capacity = self.quarantine.capacity if self.quarantine is not None else 0
-        worker.incarnation += 1
         worker.process = self._context.Process(
             target=_shard_worker_main,
-            args=(worker.feed, worker.replies, self.flush_batch_size,
-                  self.idle_epochs, capacity, fault),
+            args=(worker.feed, worker.replies, self.batch_size,
+                  self.flush_batch_size, self.idle_epochs, capacity, fault),
             name=f"siren-shard-{worker.index}", daemon=True)
         worker.process.start()
 
@@ -407,8 +398,6 @@ class ProcessShardPool:
             worker.lost_datagrams += worker.overflow_datagrams_since_ack
             worker.open_at_ack = 0
             worker.overflow_datagrams_since_ack = 0
-            worker.base_messages = worker.total_messages
-            worker.base_decode = worker.total_decode
             worker.base_stats = dict(worker.total_stats)
             self._discard_queues(worker)
             delay = self.restart_backoff.delay(worker.restarts, self._backoff_rng)
@@ -442,10 +431,10 @@ class ProcessShardPool:
         The failure is remembered on the pool: the raise below may travel up
         a channel delivery callback into a fire-and-forget sender that
         swallows it, so every later interaction (another ``route``, the
-        final ``sync``/``close``) re-raises it instead of pretending the
+        final ``sync``/``finalize``) re-raises it instead of pretending the
         pool merely closed.
         """
-        self.terminate()
+        self.close()
         budget = (f"restart budget of {self.max_restarts} exhausted"
                   if self.max_restarts else "supervised restart is disabled"
                   " (max_restarts=0)")
@@ -458,10 +447,19 @@ class ProcessShardPool:
     # ------------------------------------------------------------------ #
     # feeding
     # ------------------------------------------------------------------ #
-    def route(self, shard: int, datagram: bytes) -> None:
-        """Buffer one raw datagram for ``shard``; ship on a full batch."""
+    def route(self, datagram: bytes) -> None:
+        """Buffer one raw datagram for the shard that owns its process key;
+        ship on a full batch."""
         if self.failure is not None:
             raise self.failure
+        shard = shard_of_datagram(datagram, self.shards)
+        if shard is None or self.persist_raw:
+            # A datagram without a routable header cannot decode either (that
+            # takes the tag and all twelve fields): the front's receiver
+            # counts and quarantines it, as it does one that fails the decode
+            # persisting needs.
+            if not self._front.handle_datagram(datagram) or shard is None:
+                return
         worker = self._workers[shard]
         worker.buffer.append(datagram)
         if len(worker.buffer) >= self.batch_size:
@@ -469,6 +467,7 @@ class ProcessShardPool:
 
     def flush(self) -> int:
         """Ship every partial batch; returns how many datagrams were shipped."""
+        self._front.flush()
         shipped = 0
         for worker in self._workers:
             shipped += len(worker.buffer)
@@ -516,46 +515,49 @@ class ProcessShardPool:
     # sync / close
     # ------------------------------------------------------------------ #
     def sync(self) -> list[ProcessRecord]:
-        """Flush partial batches, collect every worker's report.
+        """Ship pending batches and merge what the workers finalized since
+        the last sync into the shared store; returns their open peeks.
 
-        Returns the newly finalized records of all shards (each record
-        exactly once across the pool's lifetime), in shard order.  Open-group
-        peeks and counters are cached on the handles for the front to read.
+        Each record reaches the store exactly once across the pool's
+        lifetime, in shard order.
         """
-        return self._collect("sync")
+        return [record for report in self._collect("sync")
+                for record in report.open_records]
 
-    def close(self) -> list[ProcessRecord]:
+    def finalize(self) -> None:
         """Final sync: close all open groups, stop and join every worker."""
-        new_records = self._collect("close")
+        if not self._collect("close"):
+            return
         for worker in self._workers:
             worker.process.join(timeout=30)
             if worker.process.is_alive():  # pragma: no cover - defensive
-                self.terminate()
+                self.close()
                 raise IngestError(
                     f"ingest shard {worker.index} worker failed to exit on close")
             worker.feed.close()
             worker.replies.close()
         self.closed = True
-        return new_records
 
-    def _collect(self, command: str) -> list[ProcessRecord]:
+    def _collect(self, command: str) -> list[ShardReport]:
+        """One marker round trip per worker; no reports once the pool is
+        closed (after :meth:`finalize` or :meth:`close` nothing is open)."""
         if self.failure is not None:
             raise self.failure
         if self.closed:
-            raise IngestError("the process shard pool is already closed")
+            return []
+        self.flush()
         self._sync_id += 1
         for worker in self._workers:
-            self._ship(worker)
             self._put(worker, (command, self._sync_id))
             # Registered only after a successful put: if the put itself had
             # to revive the worker, the replay must not re-issue a marker
             # that was never delivered (the loop above still delivers it).
             worker.outstanding_sync = (command, self._sync_id)
-        new_records: list[ProcessRecord] = []
-        for worker in self._workers:
-            report = self._await_report(worker)
-            new_records.extend(report.new_records)
-        return new_records
+        reports = [self._await_report(worker) for worker in self._workers]
+        new_records = [record for report in reports for record in report.new_records]
+        if new_records:
+            self.store.insert_processes_if_absent(new_records)
+        return reports
 
     def _await_report(self, worker: _WorkerHandle) -> ShardReport:
         died_at: float | None = None
@@ -594,19 +596,22 @@ class ProcessShardPool:
 
     def _ack(self, worker: _WorkerHandle, report: ShardReport) -> None:
         """A sync reply arrived: release the resend buffer, fold counters."""
-        worker.report = report
         worker.outstanding_sync = None
         worker.unacked.clear()
         worker.overflow_datagrams_since_ack = 0
         worker.open_at_ack = len(report.open_records)
-        worker.total_messages = worker.base_messages + report.messages_received
-        worker.total_decode = worker.base_decode + report.decode_errors
         worker.total_stats = _merge_counters(worker.base_stats, report.statistics)
-        if self.quarantine is not None and report.quarantined:
-            self.quarantine.extend(list(report.quarantined))
+        if self.quarantine is not None:
+            self.quarantine.extend(report.quarantined, report.quarantine_evicted)
 
-    def terminate(self) -> None:
-        """Kill every worker and release the queues (error/abort path)."""
+    def close(self) -> None:
+        """Abort path: kill every worker and release the queues.
+
+        Records not yet merged into the shared store are discarded; a no-op
+        after :meth:`finalize`.
+        """
+        if self.closed:
+            return
         for worker in self._workers:
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -616,54 +621,29 @@ class ProcessShardPool:
         self.closed = True
 
     # ------------------------------------------------------------------ #
-    # merged views of the last sync
+    # merged counters, as of the last sync
     # ------------------------------------------------------------------ #
-    @property
-    def open_records(self) -> list[ProcessRecord]:
-        """Open-group peeks from the last sync, in shard order."""
-        return [record for worker in self._workers if worker.report is not None
-                for record in worker.report.open_records]
+    def statistics(self) -> dict[str, int]:
+        """The shards' counters summed, plus the front's and the supervisor's.
 
-    @property
-    def messages_received(self) -> int:
-        """Messages decoded across all workers, as of the last sync.
-
-        Exactly-once across restarts: dead incarnations contribute their
-        last *acked* totals, the live incarnation re-counts the replay.
+        The shard counters are as of the last sync (absent before the first
+        one) and exactly-once across restarts: dead incarnations contribute
+        their last *acked* totals, the live incarnation re-counts the replay.
         """
-        return sum(worker.total_messages for worker in self._workers)
-
-    @property
-    def decode_errors(self) -> int:
-        """Worker-side decode errors, as of the last sync."""
-        return sum(worker.total_decode for worker in self._workers)
-
-    @property
-    def worker_restarts(self) -> int:
-        """Supervised restarts performed across all shards."""
-        return sum(worker.restarts for worker in self._workers)
-
-    def merged_statistics(self) -> dict[str, int]:
-        """Summed consolidator counters of all workers, as of the last sync."""
         merged: dict[str, int] = {}
         for worker in self._workers:
             merged = _merge_counters(merged, worker.total_stats)
+        merged["decode_errors"] = (merged.get("decode_errors", 0)
+                                   + self._front.decode_errors)
+        workers = self._workers
+        merged.update({
+            "worker_restarts": sum(w.restarts for w in workers),
+            "restart_lost_groups": sum(w.lost_open_groups for w in workers),
+            "restart_lost_datagrams": sum(w.lost_datagrams for w in workers),
+            "resend_replayed_batches": sum(w.replayed_batches for w in workers),
+            "resend_overflow_batches": sum(w.resend_overflow_batches for w in workers),
+        })
         return merged
-
-    def stat_sum(self, name: str) -> int:
-        """One summed consolidator counter (0 before the first sync)."""
-        return sum(worker.total_stats.get(name, 0) for worker in self._workers)
-
-    def restart_statistics(self) -> dict[str, int]:
-        """The supervisor's counters, merged across shards."""
-        return {
-            "worker_restarts": self.worker_restarts,
-            "restart_lost_groups": sum(w.lost_open_groups for w in self._workers),
-            "restart_lost_datagrams": sum(w.lost_datagrams for w in self._workers),
-            "resend_replayed_batches": sum(w.replayed_batches for w in self._workers),
-            "resend_overflow_batches": sum(w.resend_overflow_batches
-                                           for w in self._workers),
-        }
 
     # ------------------------------------------------------------------ #
     # introspection (tests, diagnostics)

@@ -25,6 +25,13 @@ from repro.util.errors import TransportError
 #: Conservative safe UDP payload size (bytes) used when chunking content.
 MAX_DATAGRAM_SIZE = 1400
 
+#: Smallest datagram budget a deployment may configure.  The sender never
+#: cuts a chunk below 64 content bytes, and a header (tag, the six key
+#: fields with their 32-hex path hash, layer, type, chunk counters and
+#: margin) takes up to ~115 bytes on the simulated cluster, so under this
+#: budget datagrams overshoot the configured size.
+MIN_DATAGRAM_SIZE = 192
+
 _PROTOCOL_TAG = "SIREN1"
 _SEPARATOR = "\x1f"
 _FIELD_COUNT = 12

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from repro.db.store import MessageStore
 from repro.transport.channel import Channel
@@ -67,8 +67,26 @@ class DatagramQuarantine:
         self._entries.append(QuarantinedDatagram(datagram=bytes(datagram),
                                                  reason=reason))
 
-    def extend(self, entries: "list[QuarantinedDatagram]") -> None:
-        """Merge captures shipped back from a remote worker (process shards)."""
+    def drain(self) -> "tuple[list[QuarantinedDatagram], int]":
+        """Hand over the retained entries and start afresh (a worker's report).
+
+        Returns the ring's content, oldest first, and how many captures it
+        evicted since the last drain -- together, every capture made.
+        """
+        entries, evicted = list(self._entries), self.evicted
+        self._entries.clear()
+        self.quarantined = self.evicted = 0
+        return entries, evicted
+
+    def extend(self, entries: "Iterable[QuarantinedDatagram]", evicted: int) -> None:
+        """Merge what a remote worker's quarantine drained (process shards).
+
+        The ``evicted`` captures never left the worker -- its ring had
+        already dropped them -- but they were made, so they are counted here
+        as captured and evicted; the entries then go through the ring.
+        """
+        self.quarantined += evicted
+        self.evicted += evicted
         for entry in entries:
             self.capture(entry.datagram, entry.reason)
 
@@ -109,11 +127,15 @@ class MessageReceiver:
         """Subscribe to a channel so every delivered datagram reaches the sinks."""
         channel.subscribe(self.handle_datagram)
 
-    def handle_datagram(self, datagram: bytes) -> None:
-        """Decode one datagram and buffer it for delivery.
+    def handle_datagram(self, datagram: bytes) -> bool:
+        """Decode one datagram and buffer it for delivery; ``False`` if it
+        did not decode.
 
         Undecodable datagrams are counted (and, with a quarantine attached,
         captured with their raw bytes and the failure reason) -- never raised.
+        This is the only place in the pipeline a datagram is decoded for
+        ingest: every ingest shard, in this interpreter or in a worker
+        process, is a receiver.
         """
         try:
             message = UDPMessage.decode(datagram)
@@ -121,15 +143,12 @@ class MessageReceiver:
             self.decode_errors += 1
             if self.quarantine is not None:
                 self.quarantine.capture(datagram, str(error))
-            return
-        self.handle_message(message)
-
-    def handle_message(self, message: UDPMessage) -> None:
-        """Buffer one already-decoded message (the sharded front's fast path)."""
+            return False
         self._buffer.append(message)
         self.messages_received += 1
         if len(self._buffer) >= self.batch_size:
             self.flush()
+        return True
 
     def flush(self) -> int:
         """Deliver all buffered messages to the sinks; returns how many."""

@@ -3,7 +3,7 @@
 Counters are surfaced from half a dozen places --
 :meth:`~repro.ingest.incremental.IncrementalConsolidator.statistics`,
 :meth:`~repro.ingest.sharded.ShardedIngest.statistics`,
-:meth:`~repro.ingest.procworkers.ProcessShardPool.restart_statistics`,
+:meth:`~repro.ingest.procworkers.ProcessShardPool.statistics`,
 :meth:`~repro.workload.campaign.CampaignResult.statistics`,
 :meth:`~repro.core.framework.SirenFramework.statistics`,
 :meth:`~repro.analysis.live.LiveAnalysis.statistics` and
@@ -40,7 +40,7 @@ COUNTERS: dict[str, str] = {
     "messages_received": "messages accepted across all shards",
     "decode_errors": "undecodable datagrams dropped by the ingest path",
     "quarantined": "undecodable datagrams captured in the forensic ring",
-    # --- self-healing supervision (ProcessShardPool.restart_statistics) - #
+    # --- self-healing supervision (ProcessShardPool.statistics) --------- #
     "worker_restarts": "supervised shard-worker restarts",
     "restart_lost_groups": "open groups whose messages died with a worker",
     "restart_lost_datagrams": "resend-window overflow datagrams lost to a crash",

@@ -10,9 +10,8 @@
    the Slurm-like scheduler, each process is hooked and collected,
 4. consolidate the UDP messages into per-process records -- in a post-pass
    (``ingest_mode="batch"``) or live while the jobs run
-   (``ingest_mode="streaming"``, optionally sharded across
-   ``ingest_shards`` receiver+consolidator workers, each either an
-   in-interpreter shard or a real OS process per ``ingest_workers``).
+   (``ingest_mode="streaming"``: one receiver+consolidator shard in this
+   interpreter, or ``ingest_shards`` of them in worker processes).
 
 The result object carries everything the analysis layer and the benchmark
 harness need: the records, the store, the anonymised user mapping, the corpus
@@ -143,7 +142,7 @@ class CampaignResult:
     ingest: ShardedIngest | None = None  #: streaming-mode ingest front (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
     quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
-    worker_restarts: int = 0   #: supervised shard-worker restarts (process mode)
+    worker_restarts: int = 0   #: supervised shard-worker restarts (ingest_shards > 1)
     #: what the injected channel faults did (``fault_plan`` runs only)
     fault_counters: dict[str, int] | None = None
     #: the store-fault hook, when the plan armed one (its counters say how

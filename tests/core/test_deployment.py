@@ -9,7 +9,7 @@ import pytest
 from repro.core import SirenConfig, SirenFramework
 from repro.devtools.lint.knobs import parse_knob_table
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
-from repro.transport.messages import MAX_DATAGRAM_SIZE
+from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
@@ -20,7 +20,7 @@ PROFILES = DEFAULT_PROFILES[:1]
 DEPLOYMENT_FIELDS = {
     "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
     "hash_content_cache", "hash_concurrency", "ingest_mode", "ingest_shards",
-    "ingest_workers", "keep_raw_messages", "transport", "ingest_max_restarts",
+    "keep_raw_messages", "transport", "ingest_max_restarts",
     "store_retry_attempts", "quarantine_capacity", "fault_plan",
     "store_backend", "rollups",
 }
@@ -52,7 +52,7 @@ def _wiring(deployment) -> dict:
         "front": type(deployment.front).__name__,
         "receiver": deployment.receiver is not None,
         "ingest": ingest is not None and (
-            ingest.shards, ingest.persist_raw, ingest.workers,
+            ingest.shards, ingest.persist_raw, type(ingest.backend).__name__,
             ingest.max_restarts, ingest.quarantine_capacity,
             ingest.fault_plan),
         "quarantine_capacity": deployment.quarantine.capacity
@@ -72,11 +72,11 @@ class TestConfigHierarchy:
         """A new knob is a visible diff here (and in the docs table)."""
         siren = [f.name for f in dataclasses.fields(SirenConfig)]
         campaign = [f.name for f in dataclasses.fields(CampaignConfig)]
-        assert len(siren) == len(set(siren)) == 18
+        assert len(siren) == len(set(siren)) == 17
         assert set(siren) == DEPLOYMENT_FIELDS
         assert campaign[:len(siren)] == siren  # inherited, in order
         assert set(campaign[len(siren):]) == CAMPAIGN_FIELDS
-        assert len(campaign) == 23
+        assert len(campaign) == 22
 
     def test_no_field_is_declared_twice(self):
         assert issubclass(CampaignConfig, SirenConfig)
@@ -132,7 +132,6 @@ class TestSameWiringFromBothFacades:
     @pytest.mark.parametrize("knob, value", [
         ("ingest_mode", "sideways"),
         ("transport", "carrier-pigeon"),
-        ("ingest_workers", "fiber"),
         ("store_backend", "parquet"),
     ])
     def test_invalid_values_raise_the_same_error_from_both(self, knob, value):
@@ -142,6 +141,42 @@ class TestSameWiringFromBothFacades:
             DeploymentCampaign(CampaignConfig(**{knob: value})).prepare()
         assert str(from_campaign.value) == str(from_framework.value)
         assert repr(value) in str(from_framework.value)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("ingest_shards", 0),
+        ("loss_rate", -0.1),
+        ("loss_rate", 1.5),
+        ("hash_concurrency", 0),
+        ("max_datagram_size", 10),
+        ("max_datagram_size", MIN_DATAGRAM_SIZE - 1),
+        ("ingest_max_restarts", -1),
+        ("quarantine_capacity", -1),
+        ("store_retry_attempts", -1),
+    ])
+    @pytest.mark.parametrize("ingest_mode, ingest_shards", [
+        ("batch", 1), ("streaming", 1), ("streaming", 2)])
+    def test_out_of_range_numbers_raise_before_anything_is_built(
+            self, knob, value, ingest_mode, ingest_shards):
+        """Regression: these were accepted, or failed late with a
+        ``TransportError``/``IngestError``/``ReproError`` depending on the mode."""
+        knobs = {"ingest_mode": ingest_mode, "ingest_shards": ingest_shards,
+                 knob: value}
+        before = len(_shard_workers())
+        with pytest.raises(CollectionError, match=knob) as from_framework:
+            SirenFramework(SirenConfig(**knobs))
+        with pytest.raises(CollectionError, match=knob) as from_campaign:
+            DeploymentCampaign(CampaignConfig(**knobs)).prepare()
+        assert str(from_campaign.value) == str(from_framework.value)
+        assert repr(value) in str(from_framework.value)
+        assert len(_shard_workers()) == before
+
+    @pytest.mark.parametrize("knob, value", [
+        ("loss_rate", 0.0), ("loss_rate", 1.0), ("hash_concurrency", 1),
+        ("max_datagram_size", MIN_DATAGRAM_SIZE), ("ingest_max_restarts", 0),
+        ("quarantine_capacity", 0), ("store_retry_attempts", 0),
+    ])
+    def test_range_boundaries_are_accepted(self, knob, value):
+        SirenConfig(**{knob: value}).validate()
 
     def test_campaign_honours_max_datagram_size(self):
         """Regression: the campaign built its sender with the default budget
@@ -160,10 +195,10 @@ class TestSameWiringFromBothFacades:
 
 
 class TestCloseReleasesShardWorkers:
-    """Regression: ``close()`` left the process-mode shard workers running
+    """Regression: ``close()`` left the shard worker processes running
     (framework), or did not exist at all (campaign)."""
 
-    KNOBS = dict(ingest_mode="streaming", ingest_shards=2, ingest_workers="process")
+    KNOBS = dict(ingest_mode="streaming", ingest_shards=2)
 
     def _assert_released(self, before: int) -> None:
         for child in _shard_workers():

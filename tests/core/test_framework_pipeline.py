@@ -79,8 +79,7 @@ class TestStreamingFramework:
         cluster, manifest = app_cluster
         results = {}
         for mode in ("batch", "streaming"):
-            framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode=mode,
-                                                   ingest_shards=2))
+            framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode=mode))
             framework.deploy(cluster, siren_library_path=manifest.siren_library)
             try:
                 self._run_job(cluster, manifest)
@@ -182,7 +181,7 @@ class TestStreamingFramework:
         results = {}
         for transport in ("memory", "socket"):
             framework = SirenFramework(SirenConfig(
-                loss_rate=0.0, ingest_mode="streaming", ingest_shards=2,
+                loss_rate=0.0, ingest_mode="streaming",
                 transport=transport, keep_raw_messages=False))
             framework.deploy(cluster, siren_library_path=manifest.siren_library)
             try:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore, ProcessRecord
+from repro.ingest import ShardedIngest, shard_of_datagram
 from repro.transport.channel import InMemoryChannel, LossyChannel
 from repro.transport.messages import UDPMessage
 from repro.transport.receiver import MessageReceiver
@@ -34,6 +35,58 @@ def record_key(record: ProcessRecord) -> tuple:
 def record_set(records: list[ProcessRecord]) -> list[tuple]:
     """Order-insensitive canonical form of a record list."""
     return sorted(record_key(record) for record in records)
+
+
+@dataclass
+class ComposedShards:
+    """The reference for N worker processes: N in-process fronts in a row.
+
+    Each datagram goes to the ``ShardedIngest(shards=1)`` that
+    ``shard_of_datagram`` names (a datagram without a SIREN header is
+    screened and counted here, as the real front does), ``finalize()``
+    concatenates their records and ``statistics()`` sums their counters --
+    what a worker-process front must equal record for record and counter
+    for counter.
+    """
+
+    shards: int
+    knobs: dict = field(default_factory=dict)
+    fronts: list[ShardedIngest] = field(init=False)
+    screened: int = 0
+
+    def __post_init__(self) -> None:
+        self.fronts = [ShardedIngest(MessageStore(), shards=1, **self.knobs)
+                       for _ in range(self.shards)]
+
+    def attach(self, channel) -> None:
+        channel.subscribe(self.handle_datagram)
+
+    def handle_datagram(self, datagram: bytes) -> None:
+        shard = shard_of_datagram(datagram, self.shards)
+        if shard is None:
+            self.screened += 1
+        else:
+            self.fronts[shard].handle_datagram(datagram)
+
+    def finalize(self) -> list[ProcessRecord]:
+        return [record for front in self.fronts for record in front.finalize()]
+
+    def statistics(self) -> dict[str, int]:
+        merged: dict[str, int] = {}
+        for front in self.fronts:
+            for name, value in front.statistics().items():
+                merged[name] = merged.get(name, 0) + value
+        merged["shards"] = self.shards
+        merged["decode_errors"] += self.screened
+        return merged
+
+
+@pytest.fixture()
+def composed_shards():
+    """Factory for :class:`ComposedShards` (``knobs`` go to every front)."""
+    def build(shards: int, **knobs) -> ComposedShards:
+        return ComposedShards(shards=shards, knobs=knobs)
+    return build
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
-from repro.ingest import IncrementalConsolidator
+from repro.ingest import IncrementalConsolidator, ShardedIngest
 from repro.transport.messages import UDPMessage
 from repro.transport.receiver import MessageReceiver
 from repro.util.errors import TransportError
@@ -150,17 +150,18 @@ class TestFlushAndSnapshot:
         assert store.process_count() == 5
 
     def test_snapshot_peeks_open_groups_without_closing(self):
-        sink = IncrementalConsolidator(MessageStore())
+        front = ShardedIngest(MessageStore(), shards=1)
+        sink = front.backend.consolidator
         sink.feed_many(_system_burst(pid=1))
         sink.feed(_procend(pid=1))
         sink.feed_many(_system_burst(pid=2))  # still open: no PROCEND yet
-        snapshot = sink.snapshot()
+        snapshot = front.snapshot()
         assert len(snapshot) == 2
         assert sink.open_processes == 1  # peek did not close anything
         assert {record.pid for record in snapshot} == {1, 2}
         # The open process keeps accumulating after the snapshot.
         sink.feed(_procend(pid=2))
-        assert _record_set(sink.finalize()) == _record_set(snapshot)
+        assert _record_set(front.finalize()) == _record_set(snapshot)
 
     def test_finalize_is_stable(self):
         sink = IncrementalConsolidator(MessageStore())
@@ -175,14 +176,14 @@ class TestReceiverSinkIntegration:
         sink = IncrementalConsolidator(store, idle_epochs=2)
         receiver = MessageReceiver(store, sink=sink, persist_raw=False, batch_size=4)
         for message in _system_burst():
-            receiver.handle_message(message)
+            receiver.handle_datagram(message.encode())
         receiver.flush()
         assert sink.messages_consumed == 3
         assert store.message_count() == 0  # raw persistence off
         # Two further flush boundaries with unrelated traffic close the group.
         for pid in (20, 21):
             for message in _system_burst(pid=pid):
-                receiver.handle_message(message)
+                receiver.handle_datagram(message.encode())
             receiver.flush()
         assert sink.idle_closed >= 1
 

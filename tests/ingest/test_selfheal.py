@@ -5,8 +5,9 @@ Every test here runs under a *deterministic* fault plan (seeded via
 suite alone with ``pytest -m chaos``.  The pins, in rising order of ambition:
 
 * a SIGKILLed (or stalled) shard worker is healed by the supervisor, and the
-  record output is *identical* to thread mode because the resend buffer
-  replays everything unacknowledged -- with the recovery visible in
+  record output is *identical* to the same shards run in-process (the
+  ``composed_shards`` reference) because the resend buffer replays
+  everything unacknowledged -- with the recovery visible in
   ``statistics()`` (``worker_restarts``) and the loss counters at zero;
 * when the crash repeats past the restart budget, the failure is an honest
   :class:`~repro.util.errors.WorkerCrashError`, never a hang, and never an
@@ -64,32 +65,32 @@ def _shard_worker_children():
 
 def _trim(front: ShardedIngest) -> ShardedIngest:
     """Shorten supervision latencies so the chaos suite stays fast."""
-    front._pool.drain_grace = 1.0
-    front._pool.restart_backoff = RetryPolicy(attempts=front._pool.max_restarts,
-                                              base_delay=0.02, max_delay=0.1)
+    front.backend.drain_grace = 1.0
+    front.backend.restart_backoff = RetryPolicy(
+        attempts=front.backend.max_restarts, base_delay=0.02, max_delay=0.1)
     return front
 
 
 class TestSupervisedRestart:
-    def test_sigkill_every_shard_heals_identical_to_thread_mode(self, dual_ingest):
+    def test_sigkill_every_shard_heals_identical_to_unkilled_shards(
+            self, dual_ingest, composed_shards):
         harness = dual_ingest(seed=CHAOS_SEED)
         plan = FaultPlan(seed=CHAOS_SEED, workers=(
             WorkerFaultProfile(shard=0, kill_after_batches=3),
             WorkerFaultProfile(shard=1, kill_after_batches=5),
         ))
-        thread_front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
-                                     flush_batch_size=8)
+        reference = composed_shards(2, batch_size=16, flush_batch_size=8)
         process_front = _trim(ShardedIngest(MessageStore(), shards=2,
                                             batch_size=16, flush_batch_size=8,
-                                            workers="process", fault_plan=plan))
-        thread_front.attach(harness.channel)
+                                            fault_plan=plan))
+        reference.attach(harness.channel)
         process_front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=60)
 
-        threaded = thread_front.finalize()
+        composed = reference.finalize()
         processed = process_front.finalize()
-        assert _record_set(processed) == _record_set(threaded)
+        assert _record_set(processed) == _record_set(composed)
 
         stats = process_front.statistics()
         assert stats["worker_restarts"] == 2          # both kills healed
@@ -97,57 +98,53 @@ class TestSupervisedRestart:
         assert stats["restart_lost_datagrams"] == 0
         assert stats["resend_replayed_batches"] > 0
         # Beyond the records: every operational counter (messages consumed,
-        # early/idle closes, late messages...) must match thread mode exactly
-        # -- the replay re-ran the same epochs on the same batches.
-        thread_stats = thread_front.statistics()
-        for side in (stats, thread_stats):
+        # early/idle closes, late messages...) must match the unkilled shards
+        # exactly -- the replay re-ran the same epochs on the same batches.
+        reference_stats = reference.statistics()
+        for side in (stats, reference_stats):
             for key in _SUPERVISOR_KEYS:
                 side.pop(key)
-        assert stats == thread_stats
+        assert stats == reference_stats
         assert _shard_worker_children() == []
 
-    def test_external_sigkill_mid_stream_heals(self, dual_ingest):
+    def test_external_sigkill_mid_stream_heals(self, dual_ingest, composed_shards):
         harness = dual_ingest(seed=CHAOS_SEED + 1)
-        thread_front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
-                                     flush_batch_size=8)
+        reference = composed_shards(2, batch_size=16, flush_batch_size=8)
         process_front = _trim(ShardedIngest(MessageStore(), shards=2,
-                                            batch_size=16, flush_batch_size=8,
-                                            workers="process"))
-        thread_front.attach(harness.channel)
+                                            batch_size=16, flush_batch_size=8))
+        reference.attach(harness.channel)
         process_front.attach(harness.channel)
 
         for pid in range(30):
             harness.workload.emit_process(pid, time=100 + pid // 10)
-        process_front._pool.processes[0].kill()  # a genuine external SIGKILL
+        process_front.backend.processes[0].kill()  # a genuine external SIGKILL
         for pid in range(30, 60):
             harness.workload.emit_process(pid, time=103 + pid // 10)
         harness.workload.end_all()
 
-        threaded = thread_front.finalize()
+        composed = reference.finalize()
         processed = process_front.finalize()
-        assert _record_set(processed) == _record_set(threaded)
+        assert _record_set(processed) == _record_set(composed)
         assert process_front.worker_restarts == 1
         assert process_front.statistics()["restart_lost_groups"] == 0
         assert _shard_worker_children() == []
 
-    def test_stalled_worker_is_killed_and_healed(self, dual_ingest):
+    def test_stalled_worker_is_killed_and_healed(self, dual_ingest, composed_shards):
         harness = dual_ingest(seed=CHAOS_SEED + 2)
         plan = FaultPlan(seed=CHAOS_SEED, workers=(
             WorkerFaultProfile(shard=0, stall_after_batches=2, stall_seconds=60),))
-        thread_front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
-                                     flush_batch_size=8)
+        reference = composed_shards(2, batch_size=16, flush_batch_size=8)
         process_front = _trim(ShardedIngest(MessageStore(), shards=2,
                                             batch_size=16, flush_batch_size=8,
-                                            workers="process", fault_plan=plan,
-                                            stall_timeout=1.0))
-        thread_front.attach(harness.channel)
+                                            fault_plan=plan, stall_timeout=1.0))
+        reference.attach(harness.channel)
         process_front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=40)
 
-        threaded = thread_front.finalize()
+        composed = reference.finalize()
         processed = process_front.finalize()
-        assert _record_set(processed) == _record_set(threaded)
+        assert _record_set(processed) == _record_set(composed)
         assert process_front.worker_restarts >= 1   # the stall was broken
         assert process_front.statistics()["restart_lost_groups"] == 0
         assert _shard_worker_children() == []
@@ -157,20 +154,19 @@ class TestSupervisedRestart:
         plan = FaultPlan(seed=CHAOS_SEED, workers=(
             WorkerFaultProfile(shard=0, kill_after_batches=1, repeat=True),))
         front = _trim(ShardedIngest(MessageStore(), shards=2, batch_size=8,
-                                    workers="process", max_restarts=1,
-                                    fault_plan=plan))
+                                    max_restarts=1, fault_plan=plan))
         front.attach(harness.channel)
         with pytest.raises(WorkerCrashError, match="shard 0 worker died"):
             harness.workload.emit_campaign(processes=40)
             front.finalize()
-        assert front._pool.worker_restarts == 1     # the budget was spent
-        assert front._pool.alive_workers() == []
+        assert front.worker_restarts == 1             # the budget was spent
+        assert front.backend.alive_workers() == []
         assert _shard_worker_children() == []
         # The original raise travelled up the (fire-and-forget) sender and
         # was swallowed there; the pool must keep resurfacing the crash on
         # every further use -- never a silent no-op or a bland "closed".
         with pytest.raises(WorkerCrashError, match="restart budget of 1 exhausted"):
-            front._pool.sync()
+            front.backend.sync()
 
 
 class TestTransportFaultEquivalence:
@@ -186,7 +182,7 @@ class TestTransportFaultEquivalence:
         # channel: both ingest paths observe the *same* surviving datagrams.
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
+        front = ShardedIngest(MessageStore(), shards=1, batch_size=16,
                               flush_batch_size=8)
         front.attach(harness.channel)
 
@@ -206,7 +202,7 @@ class TestTransportFaultEquivalence:
         harness = dual_ingest(seed=CHAOS_SEED)
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
+        front = ShardedIngest(MessageStore(), shards=1, batch_size=16,
                               flush_batch_size=8)
         front.attach(harness.channel)
 
@@ -221,34 +217,34 @@ class TestTransportFaultEquivalence:
         assert _key_set(streamed) == _key_set(batch)
         assert front.statistics()["late_messages"] >= 0
 
-    def test_process_mode_equals_thread_mode_under_drop_and_dup(self, dual_ingest):
-        # drop+dup keeps every delivered datagram decodable, so thread and
-        # process mode see identical flush-epoch boundaries and the *full*
-        # statistics dicts must match.  (Corrupt/truncate faults shift epoch
-        # boundaries between the modes -- process batches count raw
-        # datagrams, thread flushes count decoded messages -- so there only
-        # the record output and decode counters are comparable, which the
-        # parametrized streaming==batch test above already pins.)
+    def test_workers_equal_composed_shards_under_drop_and_dup(
+            self, dual_ingest, composed_shards):
+        # drop+dup keeps every delivered datagram decodable, so the workers
+        # and the in-process shards see identical flush-epoch boundaries and
+        # the *full* statistics dicts must match.  (Corrupt/truncate faults
+        # shift epoch boundaries between the two -- shipped batches count
+        # raw datagrams, an in-process receiver flushes on decoded messages
+        # -- so there only the record output and decode counters are
+        # comparable, which the parametrized streaming==batch test above
+        # already pins.)
         plan = FaultPlan(seed=CHAOS_SEED, channel=ChannelFaultProfile(
             drop_rate=0.05, duplicate_rate=0.05))
         harness = dual_ingest(seed=CHAOS_SEED)
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        thread_front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
-                                     flush_batch_size=8)
+        reference = composed_shards(2, batch_size=16, flush_batch_size=8)
         process_front = _trim(ShardedIngest(MessageStore(), shards=2,
-                                            batch_size=16, flush_batch_size=8,
-                                            workers="process"))
-        thread_front.attach(harness.channel)
+                                            batch_size=16, flush_batch_size=8))
+        reference.attach(harness.channel)
         process_front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
         faulty.flush()
 
-        threaded = thread_front.finalize()
+        composed = reference.finalize()
         processed = process_front.finalize()
-        assert _record_set(processed) == _record_set(threaded)
-        assert process_front.statistics() == thread_front.statistics()
+        assert _record_set(processed) == _record_set(composed)
+        assert process_front.statistics() == reference.statistics()
         assert _shard_worker_children() == []
 
 
@@ -260,7 +256,7 @@ class TestStoreFaultResilience:
         store = MessageStore(retry=RetryPolicy(attempts=6, base_delay=0.0))
         store._sleep = lambda _: None
         injector = StoreFaultInjector(plan).install(store)
-        front = ShardedIngest(store, shards=2, batch_size=16, flush_batch_size=8)
+        front = ShardedIngest(store, shards=1, batch_size=16, flush_batch_size=8)
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
@@ -281,7 +277,7 @@ class TestCampaignUnderChaos:
         )
         config = CampaignConfig(scale=0.005, seed=CHAOS_SEED, loss_rate=0.0,
                                 ingest_mode="streaming", ingest_shards=2,
-                                ingest_workers="process", fault_plan=plan)
+                                fault_plan=plan)
         campaign = DeploymentCampaign(config=config)
         campaign.prepare()
         _trim(campaign.ingest)

@@ -1,4 +1,4 @@
-"""Tests for the sharded streaming-ingest front (thread and process workers)."""
+"""Tests for the streaming-ingest front (one in-process shard, or N worker processes)."""
 
 import multiprocessing
 import time
@@ -6,8 +6,9 @@ import time
 import pytest
 
 from repro.collector.records import InfoType, Layer
-from repro.db.store import MessageStore
-from repro.ingest import ShardedIngest, shard_of, shard_of_datagram
+from repro.db.store import MessageStore, ProcessRecord
+from repro.db.tiered import record_key, shard_of_key
+from repro.ingest import IngestShard, ProcessShardPool, ShardedIngest, shard_of_datagram
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -23,6 +24,12 @@ def _message(pid: int, info_type: InfoType = InfoType.PROCINFO) -> UDPMessage:
                       time=100, layer=Layer.SELF, info_type=info_type, content="x")
 
 
+def _corrupt_body(pid: int, tail: bytes) -> bytes:
+    """A datagram with ``pid``'s valid header and an undecodable chunk counter."""
+    header = _message(pid).encode().rsplit(b"\x1f", 3)[0]
+    return header + b"\x1fX\x1f1\x1f" + tail
+
+
 def _shard_worker_children():
     """Live shard-worker children (ignores unrelated pools, e.g. hashing)."""
     return [process for process in multiprocessing.active_children()
@@ -32,33 +39,49 @@ def _shard_worker_children():
 class TestShardRouting:
     def test_same_process_key_always_same_shard(self):
         for pid in range(50):
-            shards = {shard_of(_message(pid, info_type), 4)
+            shards = {shard_of_datagram(_message(pid, info_type).encode(), 4)
                       for info_type in (InfoType.PROCINFO, InfoType.OBJECTS,
                                         InfoType.PROCEND)}
             assert len(shards) == 1
 
     def test_routing_is_deterministic_and_spread(self):
-        assignments = [shard_of(_message(pid), 4) for pid in range(200)]
-        assert assignments == [shard_of(_message(pid), 4) for pid in range(200)]
+        assignments = [shard_of_datagram(_message(pid).encode(), 4)
+                       for pid in range(200)]
+        assert assignments == [shard_of_datagram(_message(pid).encode(), 4)
+                               for pid in range(200)]
         assert set(assignments) == {0, 1, 2, 3}
 
     def test_at_least_one_shard_required(self):
         with pytest.raises(TransportError):
             ShardedIngest(MessageStore(), shards=0)
 
-    def test_worker_backend_validated(self):
-        with pytest.raises(TransportError):
-            ShardedIngest(MessageStore(), shards=2, workers="fiber")
+    def test_backend_follows_from_the_shard_count(self):
+        assert "workers" not in ShardedIngest.__dataclass_fields__
+        front = ShardedIngest(MessageStore(), shards=1)
+        assert isinstance(front.backend, IngestShard)
+        assert _shard_worker_children() == []
+        # the front adds no call level: it hands out the receiver's own method
+        assert front.handle_datagram == front.backend.receiver.handle_datagram
+        front = ShardedIngest(MessageStore(), shards=2)
+        try:
+            assert isinstance(front.backend, ProcessShardPool)
+            assert len(_shard_worker_children()) == 2
+        finally:
+            front.close()
 
-    def test_raw_datagram_routing_matches_decoded_routing(self):
-        # The raw header slice is byte-identical to the key shard_of hashes,
-        # so process-mode routing agrees with thread-mode routing exactly.
+    def test_raw_datagram_routing_matches_the_record_key_partition(self):
+        # The raw header slice is byte-identical to the key string the
+        # tiered store partitions consolidated records by, so a record's
+        # silver shard is the ingest shard its datagrams were routed to.
         for pid in range(100):
             for info_type in (InfoType.PROCINFO, InfoType.PROCEND):
                 message = _message(pid, info_type)
+                record = ProcessRecord(
+                    jobid=message.jobid, stepid=message.stepid, pid=message.pid,
+                    hash=message.path_hash, host=message.host, time=message.time)
                 for shards in (1, 2, 4, 7):
                     assert shard_of_datagram(message.encode(), shards) == \
-                        shard_of(message, shards)
+                        shard_of_key(record_key(record), shards)
 
     def test_raw_routing_screens_malformed_headers(self):
         assert shard_of_datagram(b"garbage", 4) is None
@@ -96,17 +119,18 @@ class TestShardKeyDistribution:
 
 
 class TestShardedIngestFront:
-    def test_decode_errors_counted_at_front(self):
-        front = ShardedIngest(MessageStore(), shards=2)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_decode_errors_counted(self, shards):
+        front = ShardedIngest(MessageStore(), shards=shards)
         front.handle_datagram(b"garbage")
         front.handle_datagram(_message(1).encode())
-        front.flush()
+        front.finalize()
         assert front.decode_errors == 1
         assert front.messages_received == 1
 
-    @pytest.mark.parametrize("workers", ["thread", "process"])
-    def test_counters_merge_across_shards(self, workers):
-        front = ShardedIngest(MessageStore(), shards=3, batch_size=4, workers=workers)
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_counters_merge_across_shards(self, shards):
+        front = ShardedIngest(MessageStore(), shards=shards, batch_size=4)
         for pid in range(30):
             front.handle_datagram(_message(pid).encode())
             front.handle_datagram(_message(pid, InfoType.FILEMETA).encode())
@@ -114,32 +138,34 @@ class TestShardedIngestFront:
         records = front.finalize()
         assert len(records) == 30
         assert front.messages_received == 90
-        assert front.records_built == 30
         stats = front.statistics()
-        assert stats["shards"] == 3
+        assert stats["shards"] == shards
         assert stats["records_built"] == 30
         assert stats["messages_consumed"] == 90
 
-    def test_every_thread_shard_participates(self):
-        front = ShardedIngest(MessageStore(), shards=3, batch_size=4)
+    def test_every_worker_shard_participates(self, composed_shards):
+        reference = composed_shards(3, batch_size=4)
         for pid in range(30):
-            front.handle_datagram(_message(pid).encode())
-            front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
-        front.finalize()
-        assert all(c.records_built > 0 for c in front.consolidators)
+            reference.handle_datagram(_message(pid).encode())
+            reference.handle_datagram(_message(pid, InfoType.PROCEND).encode())
+        reference.finalize()
+        assert all(front.statistics()["records_built"] > 0
+                   for front in reference.fronts)
 
-    @pytest.mark.parametrize("workers", ["thread", "process"])
-    def test_results_in_canonical_key_order(self, workers):
-        front = ShardedIngest(MessageStore(), shards=4, workers=workers)
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_results_in_canonical_key_order(self, shards):
+        front = ShardedIngest(MessageStore(), shards=shards)
         for pid in (44, 7, 190, 23):
             front.handle_datagram(_message(pid).encode())
             front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
         records = front.finalize()
         assert [record.pid for record in records] == [7, 23, 44, 190]
 
-    @pytest.mark.parametrize("workers", ["thread", "process"])
-    def test_snapshot_delta_streams_each_record_once(self, workers):
-        front = ShardedIngest(MessageStore(), shards=2, workers=workers)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_snapshot_delta_streams_each_record_once(self, shards):
+        # Every pull is a receiver flush, i.e. an idle-clock tick of the
+        # in-process shard: four idle epochs keep pid 99 open through both.
+        front = ShardedIngest(MessageStore(), shards=shards, idle_epochs=4)
         for pid in range(4):
             front.handle_datagram(_message(pid).encode())
             front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
@@ -161,29 +187,56 @@ class TestShardedIngestFront:
         assert delta_pids | {99} == snapshot_pids
         front.finalize()
 
-    def test_process_mode_persists_raw_messages_when_asked(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_raw_messages_persisted_when_asked(self, shards):
         store = MessageStore()
-        front = ShardedIngest(store, shards=2, batch_size=8, workers="process",
-                              persist_raw=True)
+        front = ShardedIngest(store, shards=shards, batch_size=8, persist_raw=True)
         for pid in range(10):
             front.handle_datagram(_message(pid).encode())
             front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
+        front.handle_datagram(_corrupt_body(3, b"garbage"))
         front.finalize()
         assert store.message_count() == 20
         assert store.process_count() == 10
+        assert front.decode_errors == 1  # once, wherever it was decoded
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self, shards):
+        """Regression: a shard worker kept the *oldest* ``capacity`` captures
+        between two syncs and dropped the rest uncounted."""
+        front = ShardedIngest(MessageStore(), shards=shards, quarantine_capacity=2)
+        for index in range(6):  # header-valid, body-corrupt: all on one shard
+            front.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
+        front.finalize()
+        assert front.decode_errors == 6
+        assert front.quarantine.quarantined == 6
+        assert front.quarantine.evicted == 4
+        assert front.statistics()["quarantined"] == 2
+        assert [entry.datagram[-8:] for entry in front.quarantine.entries()] == \
+            [b"garbage4", b"garbage5"]
+
+    def test_quarantine_totals_survive_several_syncs(self):
+        front = ShardedIngest(MessageStore(), shards=2, quarantine_capacity=2)
+        for index in range(6):
+            front.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
+            if index % 3 == 2:
+                front.snapshot_delta()
+        front.finalize()
+        assert (front.quarantine.quarantined, front.quarantine.evicted) == (6, 4)
+        assert [entry.datagram[-8:] for entry in front.quarantine.entries()] == \
+            [b"garbage4", b"garbage5"]
 
 
 class TestProcessWorkerLifecycle:
     def test_finalize_joins_all_workers_and_leaves_no_children(self):
-        front = ShardedIngest(MessageStore(), shards=3, batch_size=8,
-                              workers="process")
+        front = ShardedIngest(MessageStore(), shards=3, batch_size=8)
         for pid in range(24):
             front.handle_datagram(_message(pid).encode())
             front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
         records = front.finalize()
         assert len(records) == 24
-        assert front._pool.alive_workers() == []
-        assert all(process.exitcode == 0 for process in front._pool.processes)
+        assert front.backend.alive_workers() == []
+        assert all(process.exitcode == 0 for process in front.backend.processes)
         assert _shard_worker_children() == []
         # finalize is idempotent once the workers are gone
         assert len(front.finalize()) == 24
@@ -192,10 +245,10 @@ class TestProcessWorkerLifecycle:
         # max_restarts=0 restores fail-fast; the default supervisor would
         # heal this kill instead (tests/ingest/test_selfheal.py).
         front = ShardedIngest(MessageStore(), shards=2, batch_size=8,
-                              workers="process", max_restarts=0)
+                              max_restarts=0)
         for pid in range(20):
             front.handle_datagram(_message(pid).encode())
-        front._pool.processes[0].kill()
+        front.backend.processes[0].kill()
         deadline = time.monotonic() + 30
         with pytest.raises(TransportError, match="shard 0 worker died"):
             while True:  # replay continues until the front notices the crash
@@ -205,14 +258,14 @@ class TestProcessWorkerLifecycle:
                     front.handle_datagram(_message(pid, InfoType.PROCEND).encode())
                 front.finalize()
         # the failure tore the whole pool down -- no orphaned children
-        assert front._pool.alive_workers() == []
+        assert front.backend.alive_workers() == []
         assert _shard_worker_children() == []
 
     def test_close_aborts_workers_without_final_merge(self):
-        front = ShardedIngest(MessageStore(), shards=2, workers="process")
+        front = ShardedIngest(MessageStore(), shards=2)
         front.handle_datagram(_message(1).encode())
         front.close()
-        assert front._pool.alive_workers() == []
+        assert front.backend.alive_workers() == []
         assert _shard_worker_children() == []
 
 
@@ -244,43 +297,43 @@ class TestShardedEqualsBatch:
         assert outputs[1] == outputs[2] == outputs[5]
 
 
-class TestProcessEqualsThreadEqualsBatch:
+class TestWorkersEqualComposedShardsEqualBatch:
     """The tentpole pin: all three ingest paths, one datagram stream.
 
-    Process-parallel ingest must be record-for-record *and*
-    counter-for-counter identical to thread-mode sharding and to the batch
-    post-pass, across seeds, loss rates up to 50% and shard counts -- the
-    same partition function routes both modes, the per-shard batch
-    boundaries (and therefore the idle-close epoch clocks) coincide, so
-    even the early-vs-idle close split must agree exactly.
+    Worker-process ingest must be record-for-record *and*
+    counter-for-counter identical to the same number of in-process fronts
+    fed the same partition, and to the batch post-pass, across seeds, loss
+    rates up to 50% and shard counts -- it is the same shard class fed the
+    same batches, so the per-shard idle-close epoch clocks coincide and even
+    the early-vs-idle close split must agree exactly.
     """
 
     @pytest.mark.parametrize("seed", [5, 11])
     @pytest.mark.parametrize("loss_rate", [0.0, 0.05, 0.5])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_dual_ingest_equivalence(self, dual_ingest, seed, loss_rate, shards):
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_dual_ingest_equivalence(self, dual_ingest, composed_shards, seed,
+                                     loss_rate, shards):
         harness = dual_ingest(loss_rate=loss_rate, seed=seed)
-        thread_front = ShardedIngest(MessageStore(), shards=shards, batch_size=16,
-                                     flush_batch_size=8)
+        reference = composed_shards(shards, batch_size=16, flush_batch_size=8)
         process_store = MessageStore()
         process_front = ShardedIngest(process_store, shards=shards, batch_size=16,
-                                      flush_batch_size=8, workers="process")
-        thread_front.attach(harness.channel)
+                                      flush_batch_size=8)
+        reference.attach(harness.channel)
         process_front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=60)
 
         batch = harness.batch_records()
-        threaded = thread_front.finalize()
+        composed = reference.finalize()
         processed = process_front.finalize()
-        assert _record_set(processed) == _record_set(threaded) == _record_set(batch)
+        assert _record_set(processed) == _record_set(composed) == _record_set(batch)
         assert _record_set(process_store.load_processes()) == _record_set(batch)
-        assert process_front.statistics() == thread_front.statistics()
+        assert process_front.statistics() == reference.statistics()
 
     def test_mid_stream_snapshots_do_not_disturb_equivalence(self, dual_ingest):
         harness = dual_ingest(loss_rate=0.02, seed=3)
         front = ShardedIngest(MessageStore(), shards=2, batch_size=16,
-                              flush_batch_size=8, workers="process")
+                              flush_batch_size=8)
         front.attach(harness.channel)
         cursor = 0
         seen_keys: set = set()

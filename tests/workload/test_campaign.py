@@ -104,7 +104,7 @@ class TestStreamingIngest:
                               keep_raw_messages=False)
         assert _record_list(streaming.records) == _record_list(batch.records)
         assert streaming.ingest is not None
-        assert streaming.ingest.records_built == len(batch.records)
+        assert streaming.ingest.statistics()["records_built"] == len(batch.records)
         # Pure streaming never materialised the raw messages table.
         assert streaming.store.message_count() == 0
         assert batch.store.message_count() > 0
@@ -128,8 +128,7 @@ class TestStreamingIngest:
 
     def test_mid_run_snapshot_is_analyzable(self):
         config = CampaignConfig(scale=0.0, seed=4, loss_rate=0.0002,
-                                ingest_mode="streaming", ingest_shards=2,
-                                keep_raw_messages=False)
+                                ingest_mode="streaming", keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         snapshots: list[list] = []
 
@@ -150,11 +149,10 @@ class TestStreamingIngest:
                 for r in snapshot} <= final_keys
 
     def test_socket_transport_end_to_end(self):
-        """Sender -> real loopback UDP -> sharded receivers == in-memory batch."""
+        """Sender -> real loopback UDP -> streaming receiver == in-memory batch."""
         batch = self._run(loss_rate=0.0, seed=9)
         socketed = self._run(loss_rate=0.0, seed=9, transport="socket",
-                             ingest_mode="streaming", ingest_shards=2,
-                             keep_raw_messages=False)
+                             ingest_mode="streaming", keep_raw_messages=False)
         assert _record_list(socketed.records) == _record_list(batch.records)
         assert socketed.ingest.decode_errors == 0
         assert socketed.incomplete_fraction == 0.0

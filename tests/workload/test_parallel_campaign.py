@@ -99,17 +99,16 @@ class TestEquivalence:
         parallel = _run(3, seed=seed, loss_rate=loss_rate)
         assert _batch_canon(parallel.records) == _batch_canon(serial.records)
 
-    def test_streaming_thread_shards_match_serial(self):
+    def test_streaming_matches_serial(self):
         kwargs = dict(seed=23, loss_rate=0.01, ingest_mode="streaming",
-                      ingest_shards=2, keep_raw_messages=False)
+                      keep_raw_messages=False)
         serial = _run(1, **kwargs)
         parallel = _run(3, **kwargs)
         assert _sorted_canon(parallel.records) == _sorted_canon(serial.records)
 
     def test_streaming_process_shards_match_serial(self):
         kwargs = dict(seed=23, loss_rate=0.0, ingest_mode="streaming",
-                      ingest_shards=2, ingest_workers="process",
-                      keep_raw_messages=False)
+                      ingest_shards=2, keep_raw_messages=False)
         serial = _run(1, **kwargs)
         parallel = _run(2, **kwargs)
         assert _sorted_canon(parallel.records) == _sorted_canon(serial.records)
