@@ -19,7 +19,13 @@ bronze/silver/gold tiering on top of the existing store:
   campaigns observing the same binaries store each payload once
   (cross-campaign dedup).  Every digest write is verified against the
   stored content; a 64-bit collision raises :class:`StoreError` instead of
-  silently corrupting a record.
+  silently corrupting a record.  The same few hundred binaries are
+  launched thousands of times, so the store hashes each distinct column
+  value once: a bounded ``content -> digest`` memo answers a blob this
+  store instance has already written and verified (a hit is content
+  *equality*, never digest equality), and a record's digest is composed
+  from its columns' digests (:func:`record_digest`) instead of re-reading
+  their bytes.
 * **gold** -- one :class:`~repro.analysis.rollup.TableRollup` per campaign,
   the accumulator :class:`~repro.analysis.live.LiveAnalysis` also folds
   into, fed the same record deltas (the store's ``load_processes_since``
@@ -49,6 +55,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Protocol
 
 from repro.analysis.rollup import TableRollup
@@ -59,7 +66,7 @@ from repro.analysis.stats import (
     UserActivityRow,
 )
 from repro.db.store import ProcessRecord
-from repro.hashing.fnv import fnv1a_32, fnv1a_64
+from repro.hashing.fnv import FNV64_OFFSET, FNV64_PRIME, fnv1a_32, fnv1a_64
 from repro.util.errors import StoreError
 
 #: Default silver shard count (matches the default sharded-ingest width).
@@ -72,6 +79,20 @@ DEDUP_FIELDS = ("file_metadata", "modules", "objects", "compilers", "maps",
 
 _ALL_FIELDS = tuple(f.name for f in fields(ProcessRecord))
 _INLINE_FIELDS = tuple(name for name in _ALL_FIELDS if name not in DEDUP_FIELDS)
+_all_values = attrgetter(*_ALL_FIELDS)
+
+#: Name of the record-digest composition, pinned in backend meta next to
+#: ``shards``: stored digests decide "unchanged, skip" vs "changed,
+#: supersede", so digests of another scheme must never be compared with
+#: these.
+DIGEST_SCHEME = "fnv1a64-column-words-v1"
+
+#: Entry cap of each per-store ``content -> digest`` memo (oldest out).  A
+#: machine runs a few hundred distinct binaries; every heavy column value
+#: past the cap just pays the hash and the backend read again.
+MEMO_ENTRIES = 4096
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def record_key(record: ProcessRecord) -> str:
@@ -84,15 +105,50 @@ def record_key(record: ProcessRecord) -> str:
     return "\x1f".join(map(str, record.key))
 
 
-def record_digest(record: ProcessRecord) -> int:
-    """FNV-1a-64 content digest over every field of ``record``.
+def _digest_of(content: str, memo: dict[str, int]) -> int:
+    """FNV-1a-64 of ``content``'s UTF-8 bytes, through the bounded ``memo``."""
+    digest = memo.get(content)
+    if digest is None:
+        digest = fnv1a_64(content.encode("utf-8"))
+        _remember(memo, content, digest)
+    return digest
 
+
+def _remember(memo: dict[str, int], content: str, digest: int) -> None:
+    """Add one memo entry, evicting the oldest at :data:`MEMO_ENTRIES`."""
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[content] = digest
+
+
+def _fold_columns(record: ProcessRecord, memo: dict[str, int]) -> int:
+    """:func:`record_digest` with string-column digests read through ``memo``."""
+    state = FNV64_OFFSET
+    for value in _all_values(record):
+        if isinstance(value, str):
+            word = _digest_of(value, memo)
+        elif value is None:
+            word = 0
+        else:
+            word = 2 * value + 1
+        state = ((state ^ word) * FNV64_PRIME) & _MASK64
+    return state
+
+
+def record_digest(record: ProcessRecord) -> int:
+    """Content digest over every field of ``record``, composed per column.
+
+    An FNV-1a-64 fold (xor, then multiply by the FNV prime) over one 64-bit
+    word per column, in dataclass field order: a string column contributes
+    the FNV-1a-64 digest of its UTF-8 bytes -- for the ``DEDUP_FIELDS``
+    that is the blob digest -- ``None`` contributes ``0`` and an integer
+    ``n`` contributes ``2n + 1``, so ``None``, ``0`` and ``""`` all differ.
     Two records with equal digests are treated as identical content; the
     blob layer's collision check makes the same assumption explicit and
-    loud for the payload columns.
+    loud for the payload columns.  This function is the definition; the
+    store computes the same value through its per-store digest memo.
     """
-    joined = "\x1f".join(str(getattr(record, name)) for name in _ALL_FIELDS)
-    return fnv1a_64(joined.encode("utf-8"))
+    return _fold_columns(record, {})
 
 
 def shard_of_key(key: str, shards: int) -> int:
@@ -329,7 +385,9 @@ class TieredStore:
     shards:
         Silver partition count.  Pinned in backend meta on first use; a
         mismatched reopen raises :class:`StoreError` (rows would land on
-        the wrong partitions).
+        the wrong partitions).  :data:`DIGEST_SCHEME` is pinned beside it:
+        a backend whose silver rows carry digests of another scheme is
+        refused, because every re-delivered record would read as changed.
     campaign:
         Default campaign label of :meth:`ingest_records`.  One backend can
         hold many campaigns; blobs are shared across all of them, silver
@@ -355,6 +413,18 @@ class TieredStore:
                 f"backend was partitioned into {pinned} silver shards; "
                 f"reopening it with shards={shards} would misroute records")
         self.shards = shards
+        has_rows = any(self.backend.row_count(shard) for shard in range(shards))
+        scheme = self.backend.get_meta("digest_scheme")
+        if scheme is None and not has_rows:
+            self.backend.set_meta("digest_scheme", DIGEST_SCHEME)
+        elif scheme != DIGEST_SCHEME:
+            raise StoreError(
+                f"backend's silver rows carry record digests of scheme "
+                f"{scheme or 'unmarked'!r}, this store writes "
+                f"{DIGEST_SCHEME!r}: every re-delivered record would append "
+                "a superseding version.  Re-attach instead: attach a fresh "
+                "tier backend to the MessageStore (attach_tiered replays "
+                "`processes`)")
         #: Operational counters (every key is declared in
         #: :data:`repro.util.counters.COUNTERS`; the ``rollups`` lint family
         #: checks each increment site below against the registry).
@@ -379,7 +449,14 @@ class TieredStore:
         self._campaign_counts: dict[str, int] = {}
         self._gold: dict[str, TableRollup] = {}
         self._dirty: set[str] = set()
-        if any(self.backend.row_count(shard) for shard in range(self.shards)):
+        #: string column value -> its FNV-1a-64 digest (a pure-function
+        #: memo: bounded, never stale).
+        self._digests: dict[str, int] = {}
+        #: blob content -> digest, only for content this instance has
+        #: written to (or found in) the backend and compared equal; cleared
+        #: whenever blobs are deleted.
+        self._stored_blobs: dict[str, int] = {}
+        if has_rows:
             self._rebuild()
 
     # ------------------------------------------------------------------ #
@@ -399,7 +476,7 @@ class TieredStore:
         applied = 0
         for record in records:
             key = record_key(record)
-            digest = record_digest(record)
+            digest = _fold_columns(record, self._digests)
             previous = self._versions.get(key)
             if previous is not None and previous[0] == digest and previous[1] == label:
                 self.counters["rollup_dedup_skips"] += 1
@@ -441,7 +518,12 @@ class TieredStore:
         return json.dumps(payload, sort_keys=True)
 
     def _put_blob(self, content: str) -> int:
-        digest = fnv1a_64(content.encode("utf-8"))
+        digest = self._stored_blobs.get(content)
+        if digest is not None:
+            # This exact content was written and verified by this instance.
+            self.counters["blob_dedup_hits"] += 1
+            return digest
+        digest = _digest_of(content, self._digests)
         existing = self.backend.get_blob(digest)
         if existing is None:
             self.backend.put_blob(digest, content)
@@ -452,6 +534,7 @@ class TieredStore:
                 "content-addressed dedup scheme cannot store both")
         else:
             self.counters["blob_dedup_hits"] += 1
+        _remember(self._stored_blobs, content, digest)
         return digest
 
     def _decode(self, payload: str) -> tuple[ProcessRecord, str, int]:
@@ -625,15 +708,17 @@ class TieredStore:
         referenced: set[int] = set()
         for shard in range(self.shards):
             kept: list[tuple[str, str]] = []
+            lost = 0
             for key, payload in self.backend.iter_rows(shard):
                 data = json.loads(payload)
                 if str(data["campaign"]) == campaign:
-                    dropped += 1
+                    lost += 1
                     continue
                 kept.append((key, payload))
                 referenced.update(int(d) for d in data["blobs"].values())
-            if dropped:
+            if lost:
                 self.backend.replace_rows(shard, kept)
+                dropped += lost
         self._versions = {key: (digest, label)
                           for key, (digest, label) in self._versions.items()
                           if label != campaign}
@@ -650,6 +735,7 @@ class TieredStore:
                  if digest not in referenced]
         if stale:
             self.backend.delete_blobs(stale)
+            self._stored_blobs.clear()
             self.counters["blobs_collected"] += len(stale)
 
     def _backend_blob_digests(self) -> set[int]:
@@ -693,6 +779,8 @@ class TieredStore:
 
     def close(self) -> None:
         """Release the backend."""
+        self._digests.clear()
+        self._stored_blobs.clear()
         self.backend.close()
 
 

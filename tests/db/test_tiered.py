@@ -7,15 +7,25 @@ superseding versions, compaction, retention, reopen, and full campaigns in
 every ingest mode.  The rollups are an optimisation, never a new answer.
 """
 
+import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.db.tiered as tiered_module
 from repro.analysis import stats
 from repro.db.store import MessageStore, ProcessRecord
-from repro.db.tiered import (DEFAULT_SHARDS, MemoryBackend, SqliteBackend,
-                             TieredStore, build_tiered_store, record_digest,
-                             record_key, shard_of_key)
+from repro.db.tiered import (DEDUP_FIELDS, DEFAULT_SHARDS, DIGEST_SCHEME,
+                             MemoryBackend, SqliteBackend, TieredStore,
+                             build_tiered_store, record_digest, record_key,
+                             shard_of_key)
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -85,12 +95,50 @@ class TestContentAddressing:
         assert shard_of_key(record_key(a), 8) == shard_of_key(record_key(b), 8)
         assert 0 <= shard_of_key(record_key(a), 8) < 8
 
-    def test_digest_sees_every_field(self):
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(ProcessRecord)])
+    def test_digest_sees_every_field(self, name):
+        """Every column moves the digest; ``None``, ``0`` and ``""`` differ."""
         base = _records(1, seed=2)[0]
-        changed = _records(1, seed=2)[0]
-        changed.modules = "PrgEnv-gnu"
-        assert record_key(base) == record_key(changed)  # identity unchanged
-        assert record_digest(base) != record_digest(changed)
+        if isinstance(getattr(base, name), str):
+            values = ["", "0", "None", "PrgEnv-gnu"]
+        elif name in ("uid", "gid", "ppid"):
+            values = [None, 0, 1]
+        else:
+            values = [0, 1]
+        digests = {record_digest(dataclasses.replace(base, **{name: value}))
+                   for value in values}
+        assert len(digests) == len(values)
+
+    def test_digest_sees_which_column_holds_a_value(self):
+        base = _records(1, seed=2)[0]
+        one = dataclasses.replace(base, modules="x", modules_h="")
+        other = dataclasses.replace(base, modules="", modules_h="x")
+        assert record_digest(one) != record_digest(other)
+
+    @pytest.mark.parametrize("memoised", [False, True],
+                             ids=["cold", "memoised"])
+    def test_blob_digest_collision_raises(self, monkeypatch, memoised):
+        """Two distinct payloads under one FNV-64 digest are refused -- also
+        when the first is answered from the store's content memo."""
+        monkeypatch.setattr(tiered_module, "fnv1a_64", lambda data: 42)
+        heavy_a = dict.fromkeys(DEDUP_FIELDS, "payload A")
+        heavy_b = dict.fromkeys(DEDUP_FIELDS, "payload B")
+        first, again, other = (dataclasses.replace(record, **heavy)
+                               for record, heavy in zip(
+                                   _records(3, seed=2),
+                                   (heavy_a, heavy_a, heavy_b)))
+        backend = MemoryBackend()
+        tiered = TieredStore(backend, campaign="c")
+        tiered.ingest_records([first])
+        if memoised:
+            tiered.ingest_records([again])  # same content: a memo hit
+            assert tiered.statistics()["blob_dedup_hits"] == \
+                2 * len(DEDUP_FIELDS) - 1
+        else:
+            tiered = TieredStore(backend, campaign="c")  # nothing memoised
+        with pytest.raises(StoreError, match="collision"):
+            tiered.ingest_records([other])
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
@@ -194,6 +242,104 @@ class TestRollupEquivalence:
         assert tiered.drop_campaign("a") == 0  # idempotent
         tiered.close()
 
+    def test_retention_rewrites_only_shards_that_lost_rows(self, backend_cls):
+        rewritten = []
+
+        class Spy(backend_cls):
+            def replace_rows(self, shard, rows):
+                rewritten.append(shard)
+                super().replace_rows(shard, rows)
+
+        def shard(record):
+            return shard_of_key(record_key(record), DEFAULT_SHARDS)
+
+        records = _records(60, seed=15)
+        doomed = [record for record in records if shard(record) in (0, 2)][:6]
+        assert {shard(record) for record in doomed} == {0, 2}
+        kept = [record for record in records if record not in doomed]
+        assert {shard(record) for record in kept} == set(range(DEFAULT_SHARDS))
+        tiered = TieredStore(Spy(), campaign="keep", user_names=_USERS)
+        tiered.ingest_records(kept)
+        tiered.ingest_records(doomed, campaign="doomed")
+        assert tiered.drop_campaign("doomed") == len(doomed)
+        assert rewritten == [0, 2]  # shards 1 and 3 held nothing of it
+        assert _sorted(tiered.records()) == _sorted(kept)
+        tiered.close()
+
+    def test_collected_blobs_are_rewritten_on_reingest(self, backend_cls):
+        """Blob deletion forgets the content memo: content the store had
+        verified, then garbage-collected, is written again when it returns."""
+        records = _records(40, seed=16)
+        tiered = TieredStore(backend_cls(), campaign="c", user_names=_USERS)
+        tiered.ingest_records(records)
+        assert tiered.drop_campaign("c") == len(records)
+        assert tiered.statistics()["blob_entries"] == 0
+        tiered.ingest_records(records)
+        assert tiered.records() == _sorted(records)
+        # The same through compaction: supersede one payload away, collect
+        # it, then bring the original version back.
+        changed = dataclasses.replace(records[3], maps="7f00-7fff r-xp /only/here")
+        tiered.ingest_records([changed])
+        original = dataclasses.replace(changed, maps=records[3].maps)
+        tiered.ingest_records([original])
+        tiered.compact()
+        assert tiered.statistics()["blobs_collected"] > 0
+        tiered.ingest_records([changed])
+        expected = _sorted([changed if record is records[3] else record
+                            for record in records])
+        assert tiered.records() == expected
+        _assert_tables_match(tiered, expected, _USERS)
+        tiered.close()
+
+    def test_memo_cap_changes_no_answer_and_no_counter(self, backend_cls,
+                                                       monkeypatch):
+        def run():
+            tiered = TieredStore(backend_cls(), campaign="c", user_names=_USERS)
+            records = _records(80, seed=18)
+            for start in range(0, len(records), 16):
+                tiered.ingest_records(records[start:start + 16])
+            tiered.ingest_records(records[:8])  # re-delivery
+            tables = (tiered.user_activity(), tiered.system_executables(),
+                      tiered.shared_object_variants("bash"),
+                      tiered.python_interpreters())
+            outcome = (tiered.records(), tables, tiered.statistics())
+            tiered.close()
+            return outcome
+
+        uncapped = run()
+        monkeypatch.setattr(tiered_module, "MEMO_ENTRIES", 2)
+        assert run() == uncapped
+
+    def test_rekeyed_batches_hash_no_column_twice(self, backend_cls,
+                                                  monkeypatch):
+        """The work bound behind the ingest rate, as a count: launching the
+        same binaries again hashes no byte the store has already hashed."""
+        hashed = []
+        fnv1a_64 = tiered_module.fnv1a_64
+
+        def counting(data):
+            hashed.append(len(data))
+            return fnv1a_64(data)
+
+        monkeypatch.setattr(tiered_module, "fnv1a_64", counting)
+        batch = _records(200, seed=19)
+
+        def ingest(times):
+            del hashed[:]
+            tiered = TieredStore(backend_cls(), campaign="c", user_names=_USERS)
+            for round_ in range(times):
+                tiered.ingest_records([
+                    dataclasses.replace(record, pid=record.pid + 1000 * round_)
+                    for record in batch])
+            assert tiered.record_count() == times * len(batch)
+            tiered.close()
+            return sum(hashed)
+
+        once = ingest(1)
+        assert 0 < once < sum(len(getattr(record, name)) for record in batch
+                              for name in DEDUP_FIELDS)
+        assert ingest(10) == once
+
     def test_multi_campaign_query_without_campaign_is_ambiguous(
             self, backend_cls):
         tiered = TieredStore(backend_cls(), campaign="a", user_names=_USERS)
@@ -237,6 +383,88 @@ class TestSqlitePersistence:
         tiered.close()
         with pytest.raises(StoreError, match="shard"):
             TieredStore(SqliteBackend(path), shards=8, campaign="c")
+
+    def test_digest_scheme_is_pinned_at_creation(self, tmp_path):
+        path = str(tmp_path / "tiers.db")
+        tiered = TieredStore(SqliteBackend(path), campaign="c")
+        assert tiered.backend.get_meta("digest_scheme") == DIGEST_SCHEME
+        tiered.ingest_records(_records(5, seed=21))
+        tiered.close()
+        # A backend written before the scheme was pinned: rows, no marker.
+        backend = SqliteBackend(path)
+        with backend.connection:
+            backend.connection.execute(
+                "DELETE FROM tier_meta WHERE name = 'digest_scheme'")
+        with pytest.raises(StoreError, match="attach a fresh tier backend"):
+            TieredStore(backend, campaign="c")
+        backend.set_meta("digest_scheme", "fnv1a64-joined-record")
+        with pytest.raises(StoreError, match="fnv1a64-joined-record"):
+            TieredStore(backend, campaign="c")
+        backend.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.builds(
+        ProcessRecord,
+        jobid=st.text(max_size=4), stepid=st.sampled_from(["0", "1"]),
+        pid=st.integers(0, 2 ** 40), hash=st.text(max_size=4),
+        host=st.sampled_from(["n1", "n2"]), time=st.integers(0, 2 ** 40),
+        uid=st.none() | st.integers(0, 70000),
+        gid=st.none() | st.integers(0, 70000),
+        ppid=st.none() | st.integers(0, 2 ** 40),
+        executable=st.text(max_size=12), modules=st.text(max_size=12),
+        objects=st.text(max_size=40), objects_h=st.text(max_size=8),
+        maps=st.text(max_size=40), script_meta=st.text(max_size=8),
+        incomplete=st.integers(0, 1),
+    ), unique_by=record_key, min_size=1, max_size=8))
+    def test_stored_digest_is_record_digest(self, records):
+        """``record_digest`` is the definition: the store's memoised route
+        writes it into silver, and a reopen reads the same value back."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "tiers.db")
+            tiered = TieredStore(SqliteBackend(path), campaign="c")
+            tiered.ingest_records(records)
+            expected = {record_key(record): record_digest(record)
+                        for record in records}
+            stored = {key: int(json.loads(payload)["digest"])
+                      for shard in range(tiered.shards)
+                      for key, payload in tiered.backend.iter_rows(shard)}
+            assert stored == expected
+            tiered.close()
+            reopened = TieredStore(SqliteBackend(path), campaign="c")
+            assert {key: digest for key, (digest, _label)
+                    in reopened._versions.items()} == expected
+            assert reopened.records() == _sorted(records)
+            assert reopened.ingest_records(records) == 0  # all dedup skips
+            reopened.close()
+
+    def test_silver_bytes_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        """The digests lean on dict memos; what reaches disk must not."""
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_tiered import _records\n"
+            "from repro.db.tiered import SqliteBackend, TieredStore\n"
+            "tiered = TieredStore(SqliteBackend(sys.argv[2]), campaign='c')\n"
+            "records = _records(60, seed=22)\n"
+            "tiered.ingest_records(records[:30])\n"
+            "tiered.ingest_records(records[20:])\n"
+            "for shard in range(tiered.shards):\n"
+            "    for row in tiered.backend.iter_rows(shard):\n"
+            "        print(shard, *row)\n"
+            "for row in tiered.backend.connection.execute(\n"
+            "        'SELECT digest, content FROM tier_blobs ORDER BY digest'):\n"
+            "    print(*row)\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(
+                [sys.executable, "-c", script, os.path.dirname(__file__),
+                 str(tmp_path / f"tiers-{hash_seed}.db")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") > 60
 
     def test_factory_builds_both_backends_and_rejects_unknown(self, tmp_path):
         memory = build_tiered_store("memory")
