@@ -27,7 +27,6 @@ from repro.collector.fuzzy import ArtifactHasher
 from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.elf.reader import ELFFile, is_elf
-from repro.hashing.xxhash import xxh128_hex
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.transport.messages import UDPMessage
@@ -43,11 +42,8 @@ class SirenCollector:
     sender: UDPSender
     library_path: str
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    #: Hashing knobs, forwarded to the :class:`ArtifactHasher`:
-    #: ``hash_content_cache`` recognises byte-identical binaries across
-    #: paths/mtimes, and ``hash_concurrency > 1`` fans per-executable
+    #: Forwarded to the :class:`ArtifactHasher`: ``> 1`` fans per-executable
     #: hashing out over a process pool.
-    hash_content_cache: bool = True
     hash_concurrency: int = 1
     hasher: ArtifactHasher = field(init=False)
     processes_collected: int = 0
@@ -59,11 +55,8 @@ class SirenCollector:
     timer = NULL_TIMER
 
     def __post_init__(self) -> None:
-        self.hasher = ArtifactHasher(
-            self.filesystem,
-            content_cache_enabled=self.hash_content_cache,
-            hash_concurrency=self.hash_concurrency,
-        )
+        self.hasher = ArtifactHasher(self.filesystem,
+                                     hash_concurrency=self.hash_concurrency)
 
     # ------------------------------------------------------------------ #
     # constructor
@@ -143,7 +136,7 @@ class SirenCollector:
     # ------------------------------------------------------------------ #
     def _header(self, context: ProcessContext, layer: Layer):
         """Return a message factory pre-filled with this process's header fields."""
-        path_hash = xxh128_hex(context.executable)
+        path_hash = self.hasher.path_hash(context.executable)
 
         def make(info_type: InfoType, content: str,
                  override_layer: Layer | None = None) -> UDPMessage:

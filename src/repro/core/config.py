@@ -35,9 +35,6 @@ class SirenConfig:
     seed:
         The one deployment seed: the lossy channel's drop decisions and (in
         a campaign) every other RNG stream are forked from it.
-    hash_content_cache:
-        Content-addressed digest cache: byte-identical binaries reached via
-        different paths/mtimes hash once per deployment.
     hash_concurrency:
         Process-pool width for per-executable hashing (1 = in-process).
     ingest_mode:
@@ -103,7 +100,6 @@ class SirenConfig:
     max_datagram_size: int = MAX_DATAGRAM_SIZE
     store_path: str = ":memory:"
     seed: int = 42
-    hash_content_cache: bool = True
     hash_concurrency: int = 1
     ingest_mode: str = "batch"
     ingest_shards: int = 1

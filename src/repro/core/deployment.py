@@ -145,7 +145,6 @@ class Deployment:
             sender=self.sender,
             library_path=library_path,
             policy=self.config.policy,
-            hash_content_cache=self.config.hash_content_cache,
             hash_concurrency=self.config.hash_concurrency,
         )
         self.collector.timer = self.timer

@@ -55,8 +55,8 @@ def fnv1a_32(data: bytes, offset: int = FNV32_OFFSET) -> int:
 def fnv1a_64(data: bytes, offset: int = FNV64_OFFSET) -> int:
     """FNV-1a 64-bit hash.
 
-    This is the content key of the collector's content-addressed digest
-    cache, so it runs over whole executables: the 64-bit mask is deferred
+    This is the tiered store's persisted blob and column digest, so it runs
+    over whole object lists and memory maps: the 64-bit mask is deferred
     across a 4-byte unroll (xor with a byte only touches the low 8 bits and
     multiplication commutes with reduction mod ``2**64``, so masking once per
     four bytes is exact) instead of being applied per byte.

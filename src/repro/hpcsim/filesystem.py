@@ -70,6 +70,12 @@ class VirtualFile:
     content: bytes
     metadata: FileMetadata
     executable: bool = False
+    #: Filesystem-wide write sequence number of the ``add_file`` that put this
+    #: content here: no two writes share one, so ``(path, version)`` names one
+    #: content even when a rewrite within a clock tick leaves ``mtime``, inode
+    #: and size alone.  Deliberately not part of :class:`FileMetadata`, whose
+    #: ``as_dict()`` is FILEMETA wire content.
+    version: int = 0
 
     @property
     def name(self) -> str:
@@ -94,6 +100,7 @@ class VirtualFilesystem:
     clock: int = 1_733_000_000  # ~Dec 2024, matching the deployment campaign
     _files: dict[str, VirtualFile] = field(default_factory=dict)
     _next_inode: int = 100_000
+    _writes: int = 0
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -126,8 +133,9 @@ class VirtualFilesystem:
             mtime=timestamp,
             ctime=self.clock,
         )
+        self._writes += 1
         vfile = VirtualFile(path=path, content=bytes(content), metadata=metadata,
-                            executable=executable)
+                            executable=executable, version=self._writes)
         self._files[path] = vfile
         return vfile
 

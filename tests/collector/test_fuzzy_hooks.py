@@ -9,10 +9,13 @@ from repro.collector.policy import CollectionPolicy, ScopePolicy
 from repro.collector.records import InfoType, Layer
 from repro.db.store import MessageStore
 from repro.hashing.ssdeep import compare
+from repro.hpcsim.process import ProcessContext
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.transport.channel import InMemoryChannel
+from repro.transport.messages import UDPMessage
 from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
+from repro.util.rng import SeededRNG
 
 
 class TestArtifactHasher:
@@ -45,6 +48,35 @@ class TestArtifactHasher:
                                     executable=True)
         second = hasher.executable_hashes(path)
         assert first.file_hash != second.file_hash
+
+    def test_same_second_recompile_is_rehashed(self, app_cluster):
+        """Regression: the path tier was keyed on ``(path, mtime)``, and a
+        rewrite within one clock tick keeps mtime, inode and here even the
+        size -- the edit-compile-run loop got the *previous* binary's hashes."""
+        cluster, _ = app_cluster
+        filesystem = cluster.filesystem
+        old, new = SeededRNG(61).bytes(6000), SeededRNG(62).bytes(6000)
+        filesystem.add_file("/scratch/a.out", old, executable=True)
+        hasher = ArtifactHasher(filesystem)
+        before = hasher.executable_hashes("/scratch/a.out")
+        stat = filesystem.stat("/scratch/a.out")
+        filesystem.add_file("/scratch/a.out", new, executable=True)
+        assert filesystem.stat("/scratch/a.out") == stat   # nothing to key on
+        after = hasher.executable_hashes("/scratch/a.out")
+        assert before.file_hash == str(hasher.hasher.hash(old))
+        assert after.file_hash == str(hasher.hasher.hash(new))
+        assert after != before
+
+    def test_same_second_script_rewrite_is_rehashed(self, app_cluster):
+        cluster, _ = app_cluster
+        filesystem = cluster.filesystem
+        filesystem.add_file("/users/alice/run.py", b"print('first draft')\n" * 40)
+        hasher = ArtifactHasher(filesystem)
+        before = hasher.script_hash("/users/alice/run.py")
+        filesystem.add_file("/users/alice/run.py", b"print('second draft')\n" * 40)
+        after = hasher.script_hash("/users/alice/run.py")
+        assert after == str(hasher.hasher.hash(filesystem.read("/users/alice/run.py")))
+        assert after != before
 
     def test_cache_can_be_disabled(self, app_cluster):
         cluster, manifest = app_cluster
@@ -139,12 +171,12 @@ class TestContentAddressedCache:
         assert hasher.hashes_computed == 1
         assert hasher.content_cache_hits == 1
 
-    def test_content_cache_can_be_disabled(self, app_cluster):
+    def test_cache_disabled_turns_the_content_tier_off_too(self, app_cluster):
         cluster, _ = app_cluster
         content = b"twice-hashed " * 300
         cluster.filesystem.add_file("/users/alice/one", content, executable=True)
         cluster.filesystem.add_file("/users/alice/two", content, executable=True)
-        hasher = ArtifactHasher(cluster.filesystem, content_cache_enabled=False)
+        hasher = ArtifactHasher(cluster.filesystem, cache_enabled=False)
         hasher.executable_hashes("/users/alice/one")
         hasher.executable_hashes("/users/alice/two")
         assert hasher.hashes_computed == 2
@@ -197,6 +229,82 @@ class TestListCacheLRU:
         for index in range(20):
             hasher.list_hash([f"/opt/item{index}"])
         assert len(hasher._list_cache) == 5
+
+
+class TestNoPerBytePythonAtProcessStart:
+    """Count guards (no timing): what a process start may not go back to."""
+
+    def test_cold_executable_hash_never_runs_python_fnv64(self, app_cluster, monkeypatch):
+        import repro.collector.fuzzy as fuzzy_module
+        import repro.hashing.fnv as fnv_module
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("fnv1a_64 called while hashing an executable")
+
+        monkeypatch.setattr(fnv_module, "fnv1a_64", forbidden)
+        assert not hasattr(fuzzy_module, "fnv1a_64")
+        cluster, _ = app_cluster
+        image = SeededRNG(63).bytes(40000)
+        cluster.filesystem.add_file("/scratch/never-seen", image, executable=True)
+        hasher = ArtifactHasher(cluster.filesystem)
+        hashes = hasher.executable_hashes("/scratch/never-seen")
+        assert hashes.file_hash == str(hasher.hasher.hash_reference(image))
+        assert (hasher.hashes_computed, hasher.content_cache_hits) == (1, 0)
+
+    def _fifty_starts_and_ends(self, app_cluster, *, memoised):
+        cluster, manifest = app_cluster
+        datagrams: list[bytes] = []
+        channel = InMemoryChannel()
+        channel.subscribe(datagrams.append)
+        collector = SirenCollector(cluster.filesystem, UDPSender(channel),
+                                   manifest.siren_library)
+        collector.hasher.cache_enabled = memoised
+        bash = manifest.tool("bash")
+        for pid in range(2000, 2050):
+            context = ProcessContext(
+                pid=pid, ppid=1, uid=1000, gid=1000, executable=bash, argv=(bash,),
+                environment={"SLURM_JOB_ID": "77", "SLURM_STEP_ID": "0"},
+                hostname="nid000001", start_time=1_733_000_100)
+            collector.on_process_start(context)
+            collector.on_process_end(context)
+        assert collector.processes_collected == 50 and collector.section_errors == 0
+        return collector, datagrams
+
+    def test_path_hash_is_computed_once_per_path(self, app_cluster, monkeypatch):
+        import repro.collector.fuzzy as fuzzy_module
+
+        calls: list[str] = []
+        real = fuzzy_module.xxh128_hex
+        monkeypatch.setattr(fuzzy_module, "xxh128_hex",
+                            lambda path: calls.append(path) or real(path))
+        bash = app_cluster[1].tool("bash")
+        _, memoised = self._fifty_starts_and_ends(app_cluster, memoised=True)
+        assert calls == [bash]
+        del calls[:]
+        _, plain = self._fifty_starts_and_ends(app_cluster, memoised=False)
+        assert calls == [bash] * 100
+        assert memoised == plain and len(memoised) >= 150
+        assert all(UDPMessage.decode(datagram).path_hash == real(bash)
+                   for datagram in memoised)
+
+    def test_clear_cache_empties_the_path_hash_memo(self, app_cluster):
+        cluster, manifest = app_cluster
+        hasher = ArtifactHasher(cluster.filesystem)
+        expected = hasher.path_hash(manifest.tool("bash"))
+        assert hasher._path_hashes == {manifest.tool("bash"): expected}
+        hasher.clear_cache()
+        assert hasher._path_hashes == {}
+        assert hasher.path_hash(manifest.tool("bash")) == expected
+
+    def test_path_hash_memo_is_bounded_oldest_out(self, app_cluster, monkeypatch):
+        import repro.collector.fuzzy as fuzzy_module
+
+        monkeypatch.setattr(fuzzy_module, "PATH_HASH_ENTRIES", 3)
+        hasher = ArtifactHasher(app_cluster[0].filesystem)
+        for index in range(5):
+            hasher.path_hash(f"/users/alice/bin/tool{index}")
+        assert list(hasher._path_hashes) == [f"/users/alice/bin/tool{index}"
+                                             for index in (2, 3, 4)]
 
 
 def _run_one(cluster, manifest, executable, *, ranks=1, modules=("siren",), argv=None,

@@ -19,7 +19,7 @@ PROFILES = DEFAULT_PROFILES[:1]
 
 DEPLOYMENT_FIELDS = {
     "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
-    "hash_content_cache", "hash_concurrency", "ingest_mode", "ingest_shards",
+    "hash_concurrency", "ingest_mode", "ingest_shards",
     "keep_raw_messages", "transport", "ingest_max_restarts",
     "store_retry_attempts", "quarantine_capacity", "fault_plan",
     "store_backend", "rollups",
@@ -72,11 +72,11 @@ class TestConfigHierarchy:
         """A new knob is a visible diff here (and in the docs table)."""
         siren = [f.name for f in dataclasses.fields(SirenConfig)]
         campaign = [f.name for f in dataclasses.fields(CampaignConfig)]
-        assert len(siren) == len(set(siren)) == 17
+        assert len(siren) == len(set(siren)) == 16
         assert set(siren) == DEPLOYMENT_FIELDS
         assert campaign[:len(siren)] == siren  # inherited, in order
         assert set(campaign[len(siren):]) == CAMPAIGN_FIELDS
-        assert len(campaign) == 22
+        assert len(campaign) == 21
 
     def test_no_field_is_declared_twice(self):
         assert issubclass(CampaignConfig, SirenConfig)

@@ -31,11 +31,10 @@ class TestSirenFramework:
 
     def test_hashing_knobs_reach_collector(self, app_cluster):
         cluster, manifest = app_cluster
-        config = SirenConfig(hash_content_cache=False, hash_concurrency=2)
+        config = SirenConfig(hash_concurrency=2)
         framework = SirenFramework(config)
         collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
-            assert collector.hasher.content_cache_enabled is False
             assert collector.hasher.hash_concurrency == 2
             framework.close()  # releases hash workers even when none were spawned
         finally:

@@ -7,11 +7,21 @@ computed from the seed implementation, so neither side can drift.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
-from repro.hashing.engine import FuzzyState, hash_many_parts, scan_backend
+from repro.hashing.engine import (
+    B64_ALPHABET,
+    FuzzyState,
+    _fnv_piece,
+    _signature,
+    hash_many_parts,
+    scan_backend,
+)
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
 from repro.util.rng import SeededRNG
 
@@ -115,6 +125,103 @@ class TestEngineEquivalence:
         assert [str(FuzzyHasher().hash(p)) for p in payloads] == expected
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 7)  # degenerate slices
         assert str(FuzzyHasher().hash(payloads[0])) == expected[0]
+
+
+def scalar_signature(data: bytes, ends: list[int], cap: int) -> str:
+    """The ``_fnv_piece`` loop, spelled out: the oracle of the numpy kernel."""
+    hashes, start = [], 0
+    for end in ends[:cap]:
+        hashes.append(_fnv_piece(data, start, end + 1))
+        start = end + 1
+    hashes.append(_fnv_piece(data, start, len(data)))
+    return "".join(B64_ALPHABET[h & 63] for h in hashes)
+
+
+@st.composite
+def payload_and_ends(draw):
+    payload = draw(st.binary(max_size=400))
+    ends = draw(st.sets(st.integers(0, max(len(payload) - 1, 0)),
+                        max_size=min(len(payload), 80)))
+    return payload, sorted(ends) if payload else []
+
+
+class TestPieceHashKernel:
+    """The vectorised 6-bit piece-hash kernel against the scalar loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload_and_ends(), st.sampled_from([3, 7, 31, 63]))
+    @example((b"\x00", []), 63)                       # one piece, one byte
+    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6]), 63)  # 1-byte pieces
+    @example((b"abcdefgh", [3, 7]), 63)                # empty final piece
+    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6, 7]), 3)  # more ends than cap
+    @example((bytes(range(256)) * 2, [63, 64, 127, 128, 511]), 7)  # word edges
+    def test_kernel_equals_scalar_loop(self, case, cap):
+        payload, ends = case
+        with mock.patch.object(engine_module, "_KERNEL_MIN_BYTES", 0):
+            assert _signature(payload, ends, cap) == scalar_signature(payload, ends, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=300))
+    def test_prefix_parity_equals_accumulate(self, values):
+        np = engine_module._np
+        flags = np.zeros(-(-len(values) // 64) * 64, dtype=np.uint8)
+        flags[:len(values)] = values
+        expected = np.bitwise_xor.accumulate((flags != 0).astype(np.uint8))
+        assert engine_module._prefix_parity(flags).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("min_block_size,signature_length",
+                             [(3, 64), (1, 64), (5, 64), (3, 32), (2, 16), (7, 8)])
+    def test_digests_equal_reference_around_the_crossover(self, min_block_size,
+                                                          signature_length):
+        hasher = FuzzyHasher(min_block_size=min_block_size,
+                             signature_length=signature_length)
+        crossover = engine_module._KERNEL_MIN_BYTES
+        for size in (crossover - 1, crossover, crossover + 1):
+            for payload in (SeededRNG(size + signature_length).bytes(size),
+                            bytes([7, 7, 7, 250]) * (size // 4) + b"\x07" * (size % 4)):
+                assert hasher.hash(payload) == hasher.hash_reference(payload)
+
+    def test_piece_state_is_carried_across_slices(self, monkeypatch):
+        """Pins the slice loop of the kernel (production ``_SCAN_SLICE`` is
+        4 MiB): pieces ending on, before and after a slice edge, a piece
+        spanning several slices, and the open state handed to the next slice."""
+        payload = SeededRNG(71).bytes(5000)
+        ends = [0, 510, 511, 512, 513, 1023, 1024, 3071, 3072, 3073, 4999]
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_BYTES", 0)
+        monkeypatch.setattr(engine_module, "_SCAN_SLICE", 512)
+        for cut in range(len(ends) + 1):
+            assert _signature(payload, ends[:cut], 63) == \
+                scalar_signature(payload, ends[:cut], 63)
+        monkeypatch.setattr(engine_module, "_SCAN_SLICE", 1)  # degenerate slices
+        assert _signature(payload[:300], [10, 11, 299], 63) == \
+            scalar_signature(payload[:300], [10, 11, 299], 63)
+
+    def test_large_payload_never_takes_the_scalar_loop(self, monkeypatch):
+        """Count guard: no per-byte Python in hashing a 32 KiB payload."""
+        calls = []
+        monkeypatch.setattr(engine_module, "_fnv_piece",
+                            lambda *args: calls.append(args) or 0)
+        payload = SeededRNG(72).bytes(32768)
+        digest = FuzzyHasher().hash(payload)
+        assert calls == []
+        monkeypatch.undo()
+        assert digest == FuzzyHasher().hash_reference(payload)
+
+    def test_short_payload_takes_the_scalar_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine_module, "_hash_slice_numpy",
+                            lambda *args: calls.append(args))
+        payload = SeededRNG(73).bytes(engine_module._KERNEL_MIN_BYTES - 1)
+        assert FuzzyHasher().hash(payload) == FuzzyHasher().hash_reference(payload)
+        assert calls == []
+
+    def test_streamed_chunks_equal_one_shot_and_reference(self):
+        payload = SeededRNG(74).bytes(3 * engine_module._KERNEL_MIN_BYTES)
+        state = FuzzyState()
+        for index in range(0, len(payload), 1000):
+            state.update(payload[index:index + 1000])
+        assert state.digest() == FuzzyState().update(payload).digest() \
+            == FuzzyHasher().hash_reference(payload)
 
 
 class TestFuzzyState:

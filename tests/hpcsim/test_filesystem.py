@@ -66,6 +66,21 @@ class TestVirtualFilesystem:
         assert second.metadata.ctime == first.metadata.ctime + 100
         assert second.metadata.size == len(b"longer content")
 
+    def test_every_write_gets_a_version_no_other_write_has(self):
+        """Same-tick rewrites, re-creations and other paths all differ in
+        ``version``; reads and ``touch_atime`` leave it alone, and it stays out
+        of the metadata dict (which is FILEMETA wire content)."""
+        fs = VirtualFilesystem()
+        versions = [fs.add_file("/a", b"x").version, fs.add_file("/a", b"y").version,
+                    fs.add_file("/b", b"x").version]
+        fs.remove("/a")
+        versions.append(fs.add_file("/a", b"x").version)
+        assert len(set(versions)) == 4
+        fs.touch_atime("/a")
+        assert fs.get("/a").version == versions[-1]
+        assert set(fs.stat("/a").as_dict()) == {"inode", "size", "mode", "uid", "gid",
+                                                "atime", "mtime", "ctime"}
+
     def test_missing_file_raises(self):
         with pytest.raises(SimulationError):
             VirtualFilesystem().read("/nope")

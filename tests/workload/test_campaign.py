@@ -168,20 +168,26 @@ class TestStreamingIngest:
 
 class TestHashingKnobs:
     def test_knobs_reach_the_collector(self):
-        config = CampaignConfig(scale=0.0, hash_content_cache=False,
-                                hash_concurrency=3)
+        config = CampaignConfig(scale=0.0, hash_concurrency=3)
         campaign = DeploymentCampaign(config=config)
         campaign.prepare()
-        collector = campaign.collector
-        assert collector.hasher.content_cache_enabled is False
-        assert collector.hasher.hash_concurrency == 3
+        assert campaign.collector.hasher.hash_concurrency == 3
 
-    def test_content_cache_leaves_records_unchanged(self):
-        snapshots = {}
-        for cache in (True, False):
-            config = CampaignConfig(scale=0.0, seed=13, loss_rate=0.0,
-                                    hash_content_cache=cache)
-            result = DeploymentCampaign(config=config).run()
-            snapshots[cache] = sorted(
-                (record.executable, record.file_h) for record in result.records)
-        assert snapshots[True] == snapshots[False]
+    def test_content_hits_are_counted_and_change_no_record(self):
+        """The campaign's byte-identical binaries under several paths are
+        content hits, and every FILE_H still equals a direct hash of the file."""
+        campaign = DeploymentCampaign(
+            config=CampaignConfig(scale=0.0, seed=13, loss_rate=0.0))
+        result = campaign.run()
+        hasher = result.collector.hasher
+        assert result.statistics()["hash_content_cache_hits"] == hasher.content_cache_hits
+        assert hasher.content_cache_hits >= 1
+        filesystem = result.cluster.filesystem
+        direct = {}
+        for record in result.records:
+            if record.file_h and record.executable not in direct:
+                direct[record.executable] = str(
+                    hasher.hasher.hash(filesystem.read(record.executable)))
+        assert direct
+        assert all(record.file_h == direct[record.executable]
+                   for record in result.records if record.file_h)
