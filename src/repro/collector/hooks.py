@@ -196,7 +196,9 @@ class SirenCollector:
 
     def _script_messages(self, context: ProcessContext) -> list[UDPMessage]:
         script = context.python_script or extract_script_path(context.argv)
-        if not script or not self.filesystem.exists(script):
+        # A relative argv word (``app -input run.in``) names no file this
+        # hook can open: no script, not a failed section.
+        if not script or not script.startswith("/") or not self.filesystem.exists(script):
             return []
         scope = self.policy.python_script
         header = self._header(context, Layer.SCRIPT)

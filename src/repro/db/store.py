@@ -21,6 +21,7 @@ import random
 import sqlite3
 import time
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
@@ -113,7 +114,12 @@ class ProcessRecord:
         return self.executable.rsplit("/", 1)[-1]
 
 
-_PROCESS_FIELDS = [f.name for f in fields(ProcessRecord)]
+#: Every record field, in dataclass order, and the record as that tuple.
+PROCESS_FIELDS = tuple(f.name for f in fields(ProcessRecord))
+process_row = attrgetter(*PROCESS_FIELDS)
+#: The ``processes`` column list in the same order, so an inserted row is
+#: ``process_row(record)`` and a selected one ``ProcessRecord(*row)``.
+_PROCESS_COLUMNS = ", ".join(PROCESS_FIELDS)
 
 
 class MessageStore:
@@ -298,11 +304,10 @@ class MessageStore:
         return self.connection.total_changes - before
 
     def _insert_processes(self, verb: str, records: Iterable[ProcessRecord]) -> int:
-        columns = ", ".join(_PROCESS_FIELDS)
-        placeholders = ", ".join("?" for _ in _PROCESS_FIELDS)
-        rows = [tuple(getattr(record, name) for name in _PROCESS_FIELDS) for record in records]
+        placeholders = ", ".join("?" for _ in PROCESS_FIELDS)
+        rows = [process_row(record) for record in records]
         self._write("insert_processes", lambda: self.connection.executemany(
-            f"{verb} INTO processes ({columns}) VALUES ({placeholders})", rows
+            f"{verb} INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})", rows
         ))
         if self.tiered is not None and rows:
             self.sync_tiered()
@@ -346,10 +351,9 @@ class MessageStore:
 
     def iter_processes(self) -> Iterator[ProcessRecord]:
         """Iterate over consolidated process records."""
-        columns = ", ".join(_PROCESS_FIELDS)
-        cursor = self.connection.execute(f"SELECT {columns} FROM processes")
+        cursor = self.connection.execute(f"SELECT {_PROCESS_COLUMNS} FROM processes")
         for row in cursor:
-            yield ProcessRecord(**dict(zip(_PROCESS_FIELDS, row)))
+            yield ProcessRecord(*row)
 
     def load_processes(self) -> list[ProcessRecord]:
         """All consolidated process records as a list."""
@@ -369,14 +373,13 @@ class MessageStore:
         batch-mode callers must diff by process key instead (see
         :meth:`repro.analysis.live.LiveAnalysis.observe`).
         """
-        columns = ", ".join(_PROCESS_FIELDS)
         cursor = self.connection.execute(
-            f"SELECT id, {columns} FROM processes WHERE id > ? ORDER BY id", (rowid,))
+            f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
+            (rowid,))
         records: list[ProcessRecord] = []
         high_water = rowid
-        for row in cursor:
-            high_water = row[0]
-            records.append(ProcessRecord(**dict(zip(_PROCESS_FIELDS, row[1:]))))
+        for *row, high_water in cursor:
+            records.append(ProcessRecord(*row))
         return records, high_water
 
     def close(self) -> None:

@@ -54,8 +54,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import fields
-from operator import attrgetter
 from typing import Iterable, Iterator, Protocol
 
 from repro.analysis.rollup import TableRollup
@@ -65,7 +63,7 @@ from repro.analysis.stats import (
     SystemExecutableRow,
     UserActivityRow,
 )
-from repro.db.store import ProcessRecord
+from repro.db.store import PROCESS_FIELDS, ProcessRecord, process_row
 from repro.hashing.fnv import FNV64_OFFSET, FNV64_PRIME, fnv1a_32, fnv1a_64
 from repro.util.errors import StoreError
 
@@ -77,9 +75,10 @@ DEFAULT_SHARDS = 4
 DEDUP_FIELDS = ("file_metadata", "modules", "objects", "compilers", "maps",
                 "script_meta", "python_packages")
 
-_ALL_FIELDS = tuple(f.name for f in fields(ProcessRecord))
-_INLINE_FIELDS = tuple(name for name in _ALL_FIELDS if name not in DEDUP_FIELDS)
-_all_values = attrgetter(*_ALL_FIELDS)
+_INLINE_FIELDS = tuple(name for name in PROCESS_FIELDS if name not in DEDUP_FIELDS)
+#: One encoder for every silver payload (``json.dumps(..., sort_keys=True)``
+#: builds a new one per call; the bytes are the same).
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 #: Name of the record-digest composition, pinned in backend meta next to
 #: ``shards``: stored digests decide "unchanged, skip" vs "changed,
@@ -124,7 +123,7 @@ def _remember(memo: dict[str, int], content: str, digest: int) -> None:
 def _fold_columns(record: ProcessRecord, memo: dict[str, int]) -> int:
     """:func:`record_digest` with string-column digests read through ``memo``."""
     state = FNV64_OFFSET
-    for value in _all_values(record):
+    for value in process_row(record):
         if isinstance(value, str):
             word = _digest_of(value, memo)
         elif value is None:
@@ -515,7 +514,7 @@ class TieredStore:
             "blobs": {name: str(self._put_blob(getattr(record, name)))
                       for name in DEDUP_FIELDS},
         }
-        return json.dumps(payload, sort_keys=True)
+        return _encode_sorted(payload)
 
     def _put_blob(self, content: str) -> int:
         digest = self._stored_blobs.get(content)

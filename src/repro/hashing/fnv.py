@@ -44,30 +44,27 @@ def fnv1_32(data: bytes, offset: int = FNV32_OFFSET) -> int:
     return state
 
 
-def fnv1a_32(data: bytes, offset: int = FNV32_OFFSET) -> int:
-    """FNV-1a 32-bit hash (xor then multiply)."""
-    state = offset & _MASK32
-    for byte in data:
-        state = ((state ^ byte) * FNV32_PRIME) & _MASK32
+def _fnv1a(data: bytes, state: int, prime: int, mask: int) -> int:
+    """FNV-1a (xor then multiply) with the mask deferred across a 4-byte unroll.
+
+    Xor with a byte only touches the low 8 bits and multiplication commutes
+    with reduction mod ``2**k``, so masking once per four bytes is exact.
+    """
+    stop = len(data) & ~3
+    for b0, b1, b2, b3 in zip(data[0:stop:4], data[1:stop:4],
+                              data[2:stop:4], data[3:stop:4]):
+        state = ((((state ^ b0) * prime ^ b1) * prime ^ b2) * prime ^ b3) * prime & mask
+    for byte in data[stop:]:
+        state = ((state ^ byte) * prime) & mask
     return state
+
+
+def fnv1a_32(data: bytes, offset: int = FNV32_OFFSET) -> int:
+    """FNV-1a 32-bit hash: the shard routing of datagrams and silver rows."""
+    return _fnv1a(data, offset & _MASK32, FNV32_PRIME, _MASK32)
 
 
 def fnv1a_64(data: bytes, offset: int = FNV64_OFFSET) -> int:
-    """FNV-1a 64-bit hash.
-
-    This is the tiered store's persisted blob and column digest, so it runs
-    over whole object lists and memory maps: the 64-bit mask is deferred
-    across a 4-byte unroll (xor with a byte only touches the low 8 bits and
-    multiplication commutes with reduction mod ``2**64``, so masking once per
-    four bytes is exact) instead of being applied per byte.
-    """
-    state = offset & _MASK64
-    prime = FNV64_PRIME
-    length = len(data)
-    stop = length & ~3
-    for b0, b1, b2, b3 in zip(data[0:stop:4], data[1:stop:4],
-                              data[2:stop:4], data[3:stop:4]):
-        state = ((((state ^ b0) * prime ^ b1) * prime ^ b2) * prime ^ b3) * prime & _MASK64
-    for byte in data[stop:length]:
-        state = ((state ^ byte) * prime) & _MASK64
-    return state
+    """FNV-1a 64-bit hash: the tiered store's persisted blob and column
+    digest, so it runs over whole object lists and memory maps."""
+    return _fnv1a(data, offset & _MASK64, FNV64_PRIME, _MASK64)

@@ -42,17 +42,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.collector.records import InfoType, Layer, parse_keyvalues
+from repro.collector.records import InfoType, parse_keyvalues
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord
 from repro.postprocess.consolidate import (
+    GROUP_KEYS,
+    PROCINFO_KEY,
     GroupKey,
     MessageGroup,
     build_process_record,
-    expected_types_for,
+    expected_keys_for,
 )
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
 from repro.util.timing import NULL_TIMER
+
+_PROCEND = InfoType.PROCEND
 
 
 @dataclass
@@ -137,13 +141,16 @@ class IncrementalConsolidator:
             self.peak_open_processes = max(self.peak_open_processes, len(self._open))
         open_process.last_epoch = self._epoch
 
-        group_key: GroupKey = (message.layer.value, message.info_type.value)
-        group = open_process.groups.setdefault(group_key, MessageGroup())
+        info_type = message.info_type
+        group_key = GROUP_KEYS[message.layer, info_type]
+        group = open_process.groups.get(group_key)
+        if group is None:
+            group = open_process.groups[group_key] = MessageGroup()
         group.add(message.chunk_index, message.chunk_total, message.content)
 
-        if message.layer is Layer.SELF and message.info_type is InfoType.PROCINFO:
+        if group_key is PROCINFO_KEY:
             open_process.category = parse_keyvalues(message.content).get("category", "")
-        elif message.info_type is InfoType.PROCEND:
+        elif info_type is _PROCEND:
             open_process.ended = True
             if self._expected_complete(open_process):
                 self._close(key, open_process, reason="procend")
@@ -182,11 +189,8 @@ class IncrementalConsolidator:
     def _expected_complete(self, open_process: _OpenProcess) -> bool:
         """True when every expected content type arrived with all its chunks."""
         groups = open_process.groups
-        procinfo = groups.get((Layer.SELF.value, InfoType.PROCINFO.value))
-        if procinfo is None:
-            return False
-        for expected in expected_types_for(open_process.category):
-            if (Layer.SELF.value, expected.value) not in groups:
+        for expected in expected_keys_for(open_process.category):
+            if expected not in groups:
                 return False
         return all(group.all_chunks_present for group in groups.values())
 

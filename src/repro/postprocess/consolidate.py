@@ -48,6 +48,28 @@ def expected_types_for(category: str) -> tuple[InfoType, ...]:
     return _ALWAYS_EXPECTED + _EXPECTED_BY_CATEGORY.get(category, ())
 
 
+GroupKey = tuple[str, str]
+
+#: The ``(LAYER, TYPE)`` wire values a message's group is filed under, by
+#: member pair.  Built once: ``.value`` is a Python-level property, too dear
+#: to evaluate per datagram.
+GROUP_KEYS: dict[tuple[Layer, InfoType], GroupKey] = {
+    (layer, info_type): (layer.value, info_type.value)
+    for layer in Layer for info_type in InfoType}
+PROCINFO_KEY = GROUP_KEYS[Layer.SELF, InfoType.PROCINFO]
+
+#: ``""`` stands for every category without an entry of its own.
+_EXPECTED_KEYS: dict[str, tuple[GroupKey, ...]] = {
+    category: tuple(GROUP_KEYS[Layer.SELF, info_type]
+                    for info_type in expected_types_for(category))
+    for category in ("", *_EXPECTED_BY_CATEGORY)}
+
+
+def expected_keys_for(category: str) -> tuple[GroupKey, ...]:
+    """:func:`expected_types_for` as the group keys those types are filed under."""
+    return _EXPECTED_KEYS.get(category, _EXPECTED_KEYS[""])
+
+
 @dataclass
 class MessageGroup:
     """All message chunks of one (process, layer, type)."""
@@ -57,7 +79,8 @@ class MessageGroup:
 
     def add(self, chunk_index: int, chunk_total: int, content: str) -> None:
         self.chunks[chunk_index] = content
-        self.chunk_total = max(self.chunk_total, chunk_total)
+        if chunk_total > self.chunk_total:
+            self.chunk_total = chunk_total
 
     @property
     def all_chunks_present(self) -> bool:
@@ -65,11 +88,37 @@ class MessageGroup:
         return len(self.chunks) >= self.chunk_total
 
     def reassemble(self) -> tuple[str, bool]:
+        """The content that arrived, in order, and whether all of it did."""
+        if self.chunk_total == 1 and 0 in self.chunks:
+            # An unchunked message: chunk 0 is the content, and any other
+            # index is out of range, which reassemble_chunks drops too.
+            return self.chunks[0], True
         result = reassemble_chunks(self.chunks, self.chunk_total)
         return result.content, result.complete
 
 
-GroupKey = tuple[str, str]
+_SCRIPT_PROCINFO = GROUP_KEYS[Layer.SCRIPT, InfoType.PROCINFO]
+_PYTHON = ExecutableCategory.PYTHON.value
+
+#: Record columns filled verbatim from one group's content ("" when absent).
+_CONTENT_COLUMNS: tuple[tuple[str, GroupKey], ...] = tuple(
+    (column, GROUP_KEYS[layer, info_type]) for column, layer, info_type in (
+        ("file_metadata", Layer.SELF, InfoType.FILEMETA),
+        ("modules", Layer.SELF, InfoType.MODULES),
+        ("modules_h", Layer.SELF, InfoType.MODULES_H),
+        ("objects", Layer.SELF, InfoType.OBJECTS),
+        ("objects_h", Layer.SELF, InfoType.OBJECTS_H),
+        ("compilers", Layer.SELF, InfoType.COMPILERS),
+        ("compilers_h", Layer.SELF, InfoType.COMPILERS_H),
+        ("maps", Layer.SELF, InfoType.MAPS),
+        ("maps_h", Layer.SELF, InfoType.MAPS_H),
+        ("file_h", Layer.SELF, InfoType.FILE_H),
+        ("strings_h", Layer.SELF, InfoType.STRINGS_H),
+        ("symbols_h", Layer.SELF, InfoType.SYMBOLS_H),
+        # the Python SCRIPT layer, folded into the interpreter's row
+        ("script_meta", Layer.SCRIPT, InfoType.FILEMETA),
+        ("script_h", Layer.SCRIPT, InfoType.FILE_H),
+    ))
 
 
 def build_process_record(key: ProcessKey,
@@ -80,65 +129,41 @@ def build_process_record(key: ProcessKey,
     build a record from still-open groups (live snapshots) and rebuild later.
     """
     jobid, stepid, pid, path_hash, host, time = key
-    record = ProcessRecord(jobid=jobid, stepid=stepid, pid=pid, hash=path_hash,
-                           host=host, time=time)
     missing_chunks = False
 
-    def content_of(layer: Layer, info_type: InfoType) -> str | None:
+    def content_of(group_key: GroupKey) -> str:
         nonlocal missing_chunks
-        group = groups.get((layer.value, info_type.value))
+        group = groups.get(group_key)
         if group is None:
-            return None
+            return ""
         content, complete = group.reassemble()
         if not complete:
             missing_chunks = True
         return content
 
-    procinfo = content_of(Layer.SELF, InfoType.PROCINFO)
-    if procinfo:
-        info = parse_keyvalues(procinfo)
-        record.executable = info.get("exe", "")
-        record.category = info.get("category", "")
-        record.uid = _to_int(info.get("uid"))
-        record.gid = _to_int(info.get("gid"))
-        record.ppid = _to_int(info.get("ppid"))
-
-    record.file_metadata = content_of(Layer.SELF, InfoType.FILEMETA) or ""
-    record.modules = content_of(Layer.SELF, InfoType.MODULES) or ""
-    record.modules_h = content_of(Layer.SELF, InfoType.MODULES_H) or ""
-    record.objects = content_of(Layer.SELF, InfoType.OBJECTS) or ""
-    record.objects_h = content_of(Layer.SELF, InfoType.OBJECTS_H) or ""
-    record.compilers = content_of(Layer.SELF, InfoType.COMPILERS) or ""
-    record.compilers_h = content_of(Layer.SELF, InfoType.COMPILERS_H) or ""
-    record.maps = content_of(Layer.SELF, InfoType.MAPS) or ""
-    record.maps_h = content_of(Layer.SELF, InfoType.MAPS_H) or ""
-    record.file_h = content_of(Layer.SELF, InfoType.FILE_H) or ""
-    record.strings_h = content_of(Layer.SELF, InfoType.STRINGS_H) or ""
-    record.symbols_h = content_of(Layer.SELF, InfoType.SYMBOLS_H) or ""
-
-    # Merge the Python SCRIPT layer into the interpreter row ------------ #
-    script_info = content_of(Layer.SCRIPT, InfoType.PROCINFO)
-    if script_info:
-        record.script_path = parse_keyvalues(script_info).get("script", "")
-    record.script_meta = content_of(Layer.SCRIPT, InfoType.FILEMETA) or ""
-    record.script_h = content_of(Layer.SCRIPT, InfoType.FILE_H) or ""
+    info = parse_keyvalues(content_of(PROCINFO_KEY))
+    category = info.get("category", "")
+    contents = {column: content_of(group_key) for column, group_key in _CONTENT_COLUMNS}
+    script_path = parse_keyvalues(content_of(_SCRIPT_PROCINFO)).get("script", "")
 
     # Imported Python packages from the memory map ---------------------- #
-    if record.maps and (record.category == ExecutableCategory.PYTHON.value
-                        or record.script_path):
-        record.python_packages = ",".join(extract_python_packages(record.maps))
+    maps = contents["maps"]
+    python_packages = ""
+    if maps and (category == _PYTHON or script_path):
+        python_packages = ",".join(extract_python_packages(maps))
 
-    record.incomplete = int(missing_chunks or _has_missing_types(record, groups))
-    return record
+    return ProcessRecord(
+        jobid=jobid, stepid=stepid, pid=pid, hash=path_hash, host=host, time=time,
+        uid=_to_int(info.get("uid")), gid=_to_int(info.get("gid")),
+        ppid=_to_int(info.get("ppid")),
+        executable=info.get("exe", ""), category=category,
+        script_path=script_path, python_packages=python_packages,
+        incomplete=int(missing_chunks or _has_missing_types(category, groups)),
+        **contents)
 
 
-def _has_missing_types(record: ProcessRecord,
-                       groups: dict[GroupKey, MessageGroup]) -> bool:
-    present = {key for key in groups if key[0] == Layer.SELF.value}
-    for expected in expected_types_for(record.category):
-        if (Layer.SELF.value, expected.value) not in present:
-            return True
-    return False
+def _has_missing_types(category: str, groups: dict[GroupKey, MessageGroup]) -> bool:
+    return any(key not in groups for key in expected_keys_for(category))
 
 
 @dataclass

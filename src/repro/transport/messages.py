@@ -36,10 +36,22 @@ _PROTOCOL_TAG = "SIREN1"
 _SEPARATOR = "\x1f"
 _FIELD_COUNT = 12
 
+#: Wire value -> member.  ``decode`` calls ``Layer(...)`` / ``InfoType(...)``
+#: only for a value missing here, so an unknown one still fails with the
+#: enum's own message (the quarantine reason).
+_LAYERS = {member.value: member for member in Layer}
+_INFO_TYPES = {member.value: member for member in InfoType}
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class UDPMessage:
-    """One SIREN datagram (or one chunk of a chunked message)."""
+    """One SIREN datagram (or one chunk of a chunked message).
+
+    A value: hashable, compared by field, never mutated once built
+    (:meth:`with_chunk` copies).  Not ``frozen=True``, because a frozen
+    ``__init__`` assigns through ``object.__setattr__`` and that was more
+    than half of :meth:`decode`, which the receiver runs per datagram.
+    """
 
     jobid: str
     stepid: str
@@ -94,8 +106,8 @@ class UDPMessage:
                 path_hash=fields[4],
                 host=fields[5],
                 time=int(fields[6]),
-                layer=Layer(fields[7]),
-                info_type=InfoType(fields[8]),
+                layer=_LAYERS.get(fields[7]) or Layer(fields[7]),
+                info_type=_INFO_TYPES.get(fields[8]) or InfoType(fields[8]),
                 chunk_index=int(fields[9]),
                 chunk_total=int(fields[10]),
                 content=fields[11],

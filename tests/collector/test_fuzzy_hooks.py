@@ -391,6 +391,24 @@ class TestSirenCollector:
         layers = {row[6] for row in store.iter_messages()}
         assert Layer.SCRIPT.value not in layers
 
+    def test_relative_script_argument_is_no_script_file(self, app_cluster):
+        """Regression: ``app -input run.in`` under an interpreter-named
+        executable took ``run.in`` for the script, the virtual filesystem
+        raised on the relative path and the SCRIPT section counted a failure
+        -- three per campaign.  A relative candidate is "no script file"."""
+        cluster, manifest = app_cluster
+        interpreter = manifest.interpreter("python3.10")
+        collector, store = _run_one(cluster, manifest, interpreter,
+                                    argv=(interpreter, "-input", "run.in"))
+        assert collector.section_errors == 0
+        assert collector.processes_collected == 1
+        _, absent = _run_one(cluster, manifest, interpreter,
+                             argv=(interpreter, "/users/alice/notthere.py"))
+        kinds = [(row[6], row[7], row[8], row[9]) for row in store.iter_messages()]
+        assert kinds == [(row[6], row[7], row[8], row[9])
+                         for row in absent.iter_messages()]
+        assert Layer.SCRIPT.value not in {kind[0] for kind in kinds}
+
     def test_custom_policy_restricts_collection(self, app_cluster):
         cluster, manifest = app_cluster
         policy = CollectionPolicy(user=ScopePolicy(file_metadata=True), rank_zero_only=True)

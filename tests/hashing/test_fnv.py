@@ -1,5 +1,8 @@
 """Tests for the FNV hashes and the ssdeep piece hash."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.hashing.fnv import (
     FNV32_PRIME,
     SSDEEP_HASH_INIT,
@@ -59,3 +62,18 @@ class TestFNV:
         for length in (0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1001, 4096):
             payload = SeededRNG(length).bytes(length)
             assert fnv1a_64(payload) == reference(payload)
+
+    @given(st.binary(max_size=200), st.integers(min_value=0, max_value=2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_fnv1a_is_the_per_byte_loop_at_any_length_and_offset(self, data, offset):
+        """Both widths share one unrolled loop; the byte loop is the definition
+        (and what routed every datagram and silver row stored so far)."""
+        def reference(prime: int, mask: int) -> int:
+            state = offset & mask
+            for byte in data:
+                state = ((state ^ byte) * prime) & mask
+            return state
+
+        assert fnv1a_32(data, offset) == reference(FNV32_PRIME, 0xFFFFFFFF)
+        assert fnv1a_64(data, offset) == reference(0x00000100000001B3,
+                                                   0xFFFFFFFFFFFFFFFF)

@@ -1,11 +1,24 @@
 """Tests for message consolidation and Python package extraction."""
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
-from repro.postprocess.consolidate import Consolidator, consolidate_store
+from repro.postprocess.consolidate import (
+    GROUP_KEYS,
+    Consolidator,
+    MessageGroup,
+    consolidate_store,
+    expected_keys_for,
+    expected_types_for,
+)
 from repro.postprocess.python_merge import extract_python_packages, package_from_mapped_path
+from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
+from repro.util.errors import TransportError
 
 
 def _msg(info_type: InfoType, content: str, *, layer: Layer = Layer.SELF, pid: int = 10,
@@ -21,6 +34,45 @@ def _procinfo(exe: str, category: str, pid: int = 10, path_hash: str = "a" * 32)
                 format_keyvalues({"pid": pid, "ppid": 1, "uid": 1000, "gid": 1000,
                                   "exe": exe, "category": category}),
                 pid=pid, path_hash=path_hash)
+
+
+class TestGroupConstants:
+    def test_group_keys_are_the_wire_values_of_every_member_pair(self):
+        assert GROUP_KEYS == {(layer, info_type): (layer.value, info_type.value)
+                              for layer in Layer for info_type in InfoType}
+
+    @pytest.mark.parametrize("category", ["system", "user", "python", "", "no-such"])
+    def test_expected_keys_are_the_expected_types_on_the_self_layer(self, category):
+        assert expected_keys_for(category) == tuple(
+            (Layer.SELF.value, info_type.value)
+            for info_type in expected_types_for(category))
+
+
+class TestReassembleShortcut:
+    """An unchunked group answers without ``reassemble_chunks``; whatever it
+    holds, the answer is ``reassemble_chunks``'s."""
+
+    @given(st.dictionaries(st.integers(min_value=-3, max_value=6),
+                           st.text(max_size=5), max_size=6),
+           st.integers(min_value=-1, max_value=6))
+    @example({}, 1)                      # nothing arrived
+    @example({1: "b"}, 1)                # index 0 missing
+    @example({0: "a", 1: "b"}, 1)        # an index >= total, two chunks present
+    @example({-1: "z", 0: "a"}, 1)       # a negative index
+    @example({0: ""}, 1)                 # the empty string
+    @example({0: "a"}, 2)                # a chunk lost
+    @example({0: "a"}, 0)                # an impossible total
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reassemble_chunks(self, chunks, chunk_total):
+        group = MessageGroup(chunks=dict(chunks), chunk_total=chunk_total)
+        try:
+            reference = reassemble_chunks(chunks, chunk_total)
+        except TransportError:
+            with pytest.raises(TransportError):
+                group.reassemble()
+            return
+        assert group.reassemble() == (reference.content, reference.complete)
+        assert group.chunks == chunks
 
 
 class TestPackageFromMappedPath:

@@ -77,6 +77,77 @@ class TestUDPMessage:
         assert UDPMessage.decode(message.encode()).content == "durée=42µs"
 
 
+def _with_field(index: int, value: bytes) -> bytes:
+    """A valid datagram with wire field ``index`` replaced."""
+    fields = _message().encode().split(b"\x1f")
+    fields[index] = value
+    return b"\x1f".join(fields)
+
+
+_INT_REASON = "malformed SIREN datagram: invalid literal for int() with base 10: "
+
+#: Every malformed class with the reason the receiver quarantines it under.
+#: The strings are the parent commit's: forensics tooling greps for them.
+MALFORMED = {
+    "bad UTF-8": (b"\xff\xfe" + _message().encode(), "datagram is not valid UTF-8"),
+    "wrong tag": (_with_field(0, b"SIREN2"), "datagram does not carry a SIREN message"),
+    "11 fields": (b"\x1f".join(_message().encode().split(b"\x1f")[:11]),
+                  "datagram does not carry a SIREN message"),
+    "non-int pid": (_with_field(3, b"x1"), _INT_REASON + "'x1'"),
+    "non-int time": (_with_field(6, b"1.5"), _INT_REASON + "'1.5'"),
+    "non-int chunk index": (_with_field(9, b""), _INT_REASON + "''"),
+    "non-int chunk total": (_with_field(10, b"two"), _INT_REASON + "'two'"),
+    "unknown LAYER": (_with_field(7, b"KERNEL"),
+                      "malformed SIREN datagram: 'KERNEL' is not a valid Layer"),
+    "empty LAYER": (_with_field(7, b""),
+                    "malformed SIREN datagram: '' is not a valid Layer"),
+    "unknown TYPE": (_with_field(8, b"MAPS_X"),
+                     "malformed SIREN datagram: 'MAPS_X' is not a valid InfoType"),
+    # fields fail in wire order: a bad pid is reported before a bad LAYER,
+    # a bad LAYER before a bad chunk counter
+    "bad pid and LAYER": (_with_field(3, b"x").replace(b"SELF", b"KERNEL"),
+                          _INT_REASON + "'x'"),
+    "bad LAYER and chunk index": (_with_field(9, b"x").replace(b"SELF", b"KERNEL"),
+                                  "malformed SIREN datagram: 'KERNEL' is not a valid Layer"),
+}
+
+
+class TestDecodePins:
+    """``decode`` looks LAYER and TYPE up in two dicts; what it returns and
+    what it says when it refuses are those of the enum-call decode."""
+
+    @pytest.mark.parametrize("layer", list(Layer))
+    @pytest.mark.parametrize("info_type", list(InfoType))
+    def test_round_trip_returns_the_members_themselves(self, layer, info_type):
+        message = UDPMessage(jobid="j", stepid="0", pid=7, path_hash="h", host="n",
+                             time=5, layer=layer, info_type=info_type, content="c",
+                             chunk_index=1, chunk_total=3)
+        decoded = UDPMessage.decode(message.encode())
+        assert decoded == message and hash(decoded) == hash(message)
+        # identity, not equality: the consolidator tests ``is Layer.SELF``,
+        # and a str-enum member equals its plain-string value
+        assert decoded.layer is layer and decoded.info_type is info_type
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_reason_strings_are_the_parent_commits(self, name):
+        datagram, reason = MALFORMED[name]
+        with pytest.raises(TransportError) as caught:
+            UDPMessage.decode(datagram)
+        assert str(caught.value) == reason
+
+    def test_quarantine_keeps_the_same_reasons(self):
+        from repro.db.store import MessageStore
+        from repro.transport.receiver import DatagramQuarantine, MessageReceiver
+
+        quarantine = DatagramQuarantine()
+        receiver = MessageReceiver(MessageStore(), quarantine=quarantine)
+        for datagram, _ in MALFORMED.values():
+            assert receiver.handle_datagram(datagram) is False
+        assert receiver.decode_errors == len(MALFORMED)
+        assert [(entry.datagram, entry.reason) for entry in quarantine.entries()] \
+            == list(MALFORMED.values())
+
+
 class TestChunking:
     def test_short_content_single_chunk(self):
         assert split_content("short", 100) == ["short"]
