@@ -194,13 +194,14 @@ class MessageStore:
     # ------------------------------------------------------------------ #
     # fault-tolerant write primitive
     # ------------------------------------------------------------------ #
-    def _write(self, operation: str, transaction: Callable[[], None]) -> None:
+    def _write(self, operation: str, transaction: Callable[[], object]) -> int:
         """Run one write transaction, retrying transient SQLite failures.
 
         ``transaction`` executes inside ``with self.connection`` so a failed
         attempt rolls back cleanly before the retry; the sleep between
         attempts grows exponentially with deterministic jitter (see
-        :class:`~repro.util.retry.RetryPolicy`).
+        :class:`~repro.util.retry.RetryPolicy`).  Returns how many rows the
+        attempt that committed inserted, updated or deleted.
         """
         attempt = 0
         while True:
@@ -209,8 +210,9 @@ class MessageStore:
                     self.fault_injector(operation)
                 with self.timer.section("store.write"):
                     with self.connection:
+                        before = self.connection.total_changes
                         transaction()
-                return
+                        return self.connection.total_changes - before
             except sqlite3.OperationalError as error:
                 if not is_transient_sqlite_error(error) or attempt >= self.retry.attempts:
                     raise
@@ -299,19 +301,29 @@ class MessageStore:
         already-present row must win.  Returns how many rows were actually
         inserted.
         """
-        before = self.connection.total_changes
-        self._insert_processes("INSERT OR IGNORE", records)
-        return self.connection.total_changes - before
+        return self._insert_processes("INSERT OR IGNORE", records)
 
     def _insert_processes(self, verb: str, records: Iterable[ProcessRecord]) -> int:
+        """Write ``records`` as rows; returns how many rows that wrote (a
+        replaced row counts once, an ignored one not at all)."""
         placeholders = ", ".join("?" for _ in PROCESS_FIELDS)
+        records = list(records)
         rows = [process_row(record) for record in records]
-        self._write("insert_processes", lambda: self.connection.executemany(
+        written = self._write("insert_processes", lambda: self.connection.executemany(
             f"{verb} INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})", rows
         ))
         if self.tiered is not None and rows:
-            self.sync_tiered()
-        return len(rows)
+            delta = None
+            if verb == "INSERT OR IGNORE" and written == len(rows):
+                # Every row was new and distinct.  If they also took exactly
+                # the rowids after the tier's cursor, the batch *is* what
+                # load_processes_since(cursor) would read back, in its order.
+                (last,) = self.connection.execute(
+                    "SELECT last_insert_rowid()").fetchone()
+                if last - len(rows) == self._tiered_cursor:
+                    delta = records, last
+            self.sync_tiered(delta)
+        return written
 
     def attach_tiered(self, tiered: "TieredStore") -> None:
         """Keep ``tiered`` in sync with every consolidated-record write.
@@ -327,21 +339,29 @@ class MessageStore:
         self._tiered_cursor = 0
         self.sync_tiered()
 
-    def sync_tiered(self) -> int:
+    def sync_tiered(
+            self, delta: tuple[list[ProcessRecord], int] | None = None) -> int:
         """Fold new ``processes`` rows into the attached tiered store.
 
-        Uses the same rowid delta stream :meth:`load_processes_since` gives
-        the live analysis layer.  ``INSERT OR REPLACE`` re-consolidation
-        assigns new rowids to existing keys, so re-delivered rows reach the
-        tiered store again -- its key-idempotent ingest dedups unchanged
-        content and supersedes changed content.  Returns how many records
-        the delta carried.
+        The delta is the rowid stream :meth:`load_processes_since` gives the
+        live analysis layer, read from the tier's cursor -- that read is the
+        definition.  ``delta`` is the same ``(records, high-water mark)``
+        pair when the writer already holds it: :meth:`_insert_processes`
+        passes the batch it just wrote when every row of it was new and the
+        tier was not behind, and nobody else should.  ``INSERT OR REPLACE``
+        re-consolidation assigns new rowids to existing keys, so re-delivered
+        rows reach the tiered store again -- its key-idempotent ingest
+        dedups unchanged content and supersedes changed content.  The cursor
+        moves only once the tier has stored the delta, so a sync that raises
+        is repeated by the next one.  Returns how many records the delta
+        carried.
         """
         if self.tiered is None:
             return 0
-        records, self._tiered_cursor = self.load_processes_since(self._tiered_cursor)
+        records, high_water = delta or self.load_processes_since(self._tiered_cursor)
         if records:
             self.tiered.ingest_records(records)
+        self._tiered_cursor = high_water
         return len(records)
 
     def process_count(self) -> int:

@@ -54,6 +54,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
 
 from repro.analysis.rollup import TableRollup
@@ -64,7 +67,8 @@ from repro.analysis.stats import (
     UserActivityRow,
 )
 from repro.db.store import PROCESS_FIELDS, ProcessRecord, process_row
-from repro.hashing.fnv import FNV64_OFFSET, FNV64_PRIME, fnv1a_32, fnv1a_64
+from repro.hashing.fnv import (FNV64_OFFSET, FNV64_PRIME, fnv1a_32,
+                               fnv1a_32_many, fnv1a_64)
 from repro.util.errors import StoreError
 
 #: Default silver shard count (matches the default sharded-ingest width).
@@ -75,10 +79,29 @@ DEFAULT_SHARDS = 4
 DEDUP_FIELDS = ("file_metadata", "modules", "objects", "compilers", "maps",
                 "script_meta", "python_packages")
 
-_INLINE_FIELDS = tuple(name for name in PROCESS_FIELDS if name not in DEDUP_FIELDS)
-#: One encoder for every silver payload (``json.dumps(..., sort_keys=True)``
-#: builds a new one per call; the bytes are the same).
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+#: Per column, in field order: is it a ``str`` column (the rest are ``int``
+#: or ``int | None``), and is it one of the blob columns; then where those are.
+_TEXT_COLUMNS = tuple(field.type in ("str", str) for field in fields(ProcessRecord))
+_BLOB_COLUMNS = tuple(name in DEDUP_FIELDS for name in PROCESS_FIELDS)
+_BLOB_INDICES = tuple(map(PROCESS_FIELDS.index, DEDUP_FIELDS))
+_ROW_KEY = itemgetter(*map(PROCESS_FIELDS.index,
+                           ("jobid", "stepid", "pid", "hash", "host", "time")))
+
+#: The silver payload is ``json.dumps(..., sort_keys=True)`` of ``{"blobs":
+#: {column: str(blob digest)}, "campaign": label, "digest": str(record
+#: digest), "fields": {column: value}}``.  Its key order is therefore fixed,
+#: so it is written as one ``%``-format over the record's row followed by
+#: the campaign and the digest (the two cells :data:`_PAYLOAD_CELLS` reads
+#: past the row's end).
+_BLOB_ORDER = sorted(DEDUP_FIELDS)
+_INLINE_ORDER = sorted(set(PROCESS_FIELDS) - set(DEDUP_FIELDS))
+_PAYLOAD_TEMPLATE = (
+    '{"blobs": {' + ", ".join(f'"{name}": "%s"' for name in _BLOB_ORDER)
+    + '}, "campaign": %s, "digest": "%s", "fields": {'
+    + ", ".join(f'"{name}": %s' for name in _INLINE_ORDER) + "}}")
+_PAYLOAD_CELLS = itemgetter(
+    *map(PROCESS_FIELDS.index, _BLOB_ORDER), len(PROCESS_FIELDS),
+    len(PROCESS_FIELDS) + 1, *map(PROCESS_FIELDS.index, _INLINE_ORDER))
 
 #: Name of the record-digest composition, pinned in backend meta next to
 #: ``shards``: stored digests decide "unchanged, skip" vs "changed,
@@ -104,34 +127,11 @@ def record_key(record: ProcessRecord) -> str:
     return "\x1f".join(map(str, record.key))
 
 
-def _digest_of(content: str, memo: dict[str, int]) -> int:
-    """FNV-1a-64 of ``content``'s UTF-8 bytes, through the bounded ``memo``."""
-    digest = memo.get(content)
-    if digest is None:
-        digest = fnv1a_64(content.encode("utf-8"))
-        _remember(memo, content, digest)
-    return digest
-
-
-def _remember(memo: dict[str, int], content: str, digest: int) -> None:
+def _remember(memo: dict, content: str, value: object) -> None:
     """Add one memo entry, evicting the oldest at :data:`MEMO_ENTRIES`."""
     if len(memo) >= MEMO_ENTRIES:
         del memo[next(iter(memo))]
-    memo[content] = digest
-
-
-def _fold_columns(record: ProcessRecord, memo: dict[str, int]) -> int:
-    """:func:`record_digest` with string-column digests read through ``memo``."""
-    state = FNV64_OFFSET
-    for value in process_row(record):
-        if isinstance(value, str):
-            word = _digest_of(value, memo)
-        elif value is None:
-            word = 0
-        else:
-            word = 2 * value + 1
-        state = ((state ^ word) * FNV64_PRIME) & _MASK64
-    return state
+    memo[content] = value
 
 
 def record_digest(record: ProcessRecord) -> int:
@@ -147,7 +147,16 @@ def record_digest(record: ProcessRecord) -> int:
     loud for the payload columns.  This function is the definition; the
     store computes the same value through its per-store digest memo.
     """
-    return _fold_columns(record, {})
+    state = FNV64_OFFSET
+    for value in process_row(record):
+        if isinstance(value, str):
+            word = fnv1a_64(value.encode("utf-8"))
+        elif value is None:
+            word = 0
+        else:
+            word = 2 * value + 1
+        state = ((state ^ word) * FNV64_PRIME) & _MASK64
+    return state
 
 
 def shard_of_key(key: str, shards: int) -> int:
@@ -170,8 +179,11 @@ class StoreBackend(Protocol):
     real database server) only implements this protocol.
     """
 
-    def append_rows(self, shard: int, rows: list[tuple[str, str]]) -> None:
-        """Append ``(key, payload)`` rows to ``shard`` in order."""
+    def append_rows(self, rows: dict[int, list[tuple[str, str]]],
+                    blobs: list[tuple[int, str]]) -> None:
+        """Append each shard's ``(key, payload)`` rows in order, and store
+        the ``(digest, content)`` blobs they reference (a present digest is
+        left as it is) -- all of it or, if it raises, none of it."""
         ...
 
     def iter_rows(self, shard: int) -> Iterator[tuple[str, str]]:
@@ -184,10 +196,6 @@ class StoreBackend(Protocol):
 
     def row_count(self, shard: int) -> int:
         """Number of rows currently in ``shard``."""
-        ...
-
-    def put_blob(self, digest: int, content: str) -> None:
-        """Store ``content`` under ``digest`` (no-op if present)."""
         ...
 
     def get_blob(self, digest: int) -> str | None:
@@ -223,8 +231,12 @@ class MemoryBackend:
         self._blobs: dict[int, str] = {}
         self._meta: dict[str, str] = {}
 
-    def append_rows(self, shard: int, rows: list[tuple[str, str]]) -> None:
-        self._shards.setdefault(shard, []).extend(rows)
+    def append_rows(self, rows: dict[int, list[tuple[str, str]]],
+                    blobs: list[tuple[int, str]]) -> None:
+        for digest, content in blobs:
+            self._blobs.setdefault(digest, content)
+        for shard, batch in rows.items():
+            self._shards.setdefault(shard, []).extend(batch)
 
     def iter_rows(self, shard: int) -> Iterator[tuple[str, str]]:
         yield from self._shards.get(shard, [])
@@ -234,9 +246,6 @@ class MemoryBackend:
 
     def row_count(self, shard: int) -> int:
         return len(self._shards.get(shard, []))
-
-    def put_blob(self, digest: int, content: str) -> None:
-        self._blobs.setdefault(digest, content)
 
     def get_blob(self, digest: int) -> str | None:
         return self._blobs.get(digest)
@@ -301,11 +310,18 @@ class SqliteBackend:
             self._known_shards.add(shard)
         return table
 
-    def append_rows(self, shard: int, rows: list[tuple[str, str]]) -> None:
-        table = self._ensure_shard(shard)
+    def append_rows(self, rows: dict[int, list[tuple[str, str]]],
+                    blobs: list[tuple[int, str]]) -> None:
+        batches = [(self._ensure_shard(shard), batch)
+                   for shard, batch in sorted(rows.items())]
         with self.connection:
             self.connection.executemany(
-                f"INSERT INTO {table} (key, payload) VALUES (?, ?)", rows)
+                "INSERT OR IGNORE INTO tier_blobs (digest, content)"
+                " VALUES (?, ?)",
+                [(_signed(digest), content) for digest, content in blobs])
+            for table, batch in batches:
+                self.connection.executemany(
+                    f"INSERT INTO {table} (key, payload) VALUES (?, ?)", batch)
 
     def iter_rows(self, shard: int) -> Iterator[tuple[str, str]]:
         table = self._ensure_shard(shard)
@@ -325,12 +341,6 @@ class SqliteBackend:
         table = self._ensure_shard(shard)
         return int(self.connection.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0])
-
-    def put_blob(self, digest: int, content: str) -> None:
-        with self.connection:
-            self.connection.execute(
-                "INSERT OR IGNORE INTO tier_blobs (digest, content)"
-                " VALUES (?, ?)", (_signed(digest), content))
 
     def get_blob(self, digest: int) -> str | None:
         row = self.connection.execute(
@@ -455,6 +465,8 @@ class TieredStore:
         #: written to (or found in) the backend and compared equal; cleared
         #: whenever blobs are deleted.
         self._stored_blobs: dict[str, int] = {}
+        #: inline string column value -> its JSON text (bounded likewise).
+        self._fragments: dict[str, str] = {}
         if has_rows:
             self._rebuild()
 
@@ -469,72 +481,134 @@ class TieredStore:
         are dedup no-ops; a changed record under a known key appends a
         superseding silver version and marks the owning campaign's gold
         dirty for a lazy rebuild.  Returns how many versions were appended.
+
+        Written before it is believed: the batch's rows and new blobs reach
+        the backend in one transaction, and only after it commits do the
+        version map, the gold rollups, the verified-blob memo and the
+        counters learn of them -- a batch whose write raises leaves this
+        store exactly as it was, so delivering it again stores it.
         """
         label = self.campaign if campaign is None else campaign
-        pending: dict[int, list[tuple[str, str]]] = {}
-        applied = 0
+        versions = self._versions
+        digest_of, fragment_of = self._digests.get, self._fragments.get
+        stored = self._stored_blobs
+        label_cell = fragment_of(label) or self._fragment(label)
+        #: per appended version, in batch order: key, payload, the version,
+        #: the version it follows, the record
+        staged: list[tuple[str, str, tuple[int, str], tuple[int, str] | None,
+                           ProcessRecord]] = []
+        #: key -> version staged earlier in this batch
+        overlay: dict[str, tuple[int, str]] = {}
+        #: content -> digest of the blobs this batch verified or will write
+        verified: dict[str, int] = {}
+        writes: dict[int, str] = {}
+        blob_hits = skips = 0
         for record in records:
-            key = record_key(record)
-            digest = _fold_columns(record, self._digests)
-            previous = self._versions.get(key)
-            if previous is not None and previous[0] == digest and previous[1] == label:
-                self.counters["rollup_dedup_skips"] += 1
+            row = process_row(record)
+            state = FNV64_OFFSET
+            cells: list[object] = []
+            for value, is_text, is_blob in zip(row, _TEXT_COLUMNS, _BLOB_COLUMNS):
+                if is_text:
+                    word = digest_of(value)
+                    if word is None:
+                        word = self._text_word(value)
+                    if is_blob:
+                        cells.append(word)
+                    else:
+                        cells.append(fragment_of(value) or self._fragment(value))
+                elif value is None:
+                    word = 0
+                    cells.append("null")
+                else:
+                    word = 2 * value + 1
+                    cells.append(value)
+                state = ((state ^ word) * FNV64_PRIME) & _MASK64
+            key = "\x1f".join(map(str, _ROW_KEY(row)))
+            previous = overlay.get(key) or versions.get(key)
+            if previous is not None and previous[0] == state and previous[1] == label:
+                skips += 1
                 continue
-            payload = self._encode(record, label, digest)
-            pending.setdefault(shard_of_key(key, self.shards), []).append(
-                (key, payload))
-            self._versions[key] = (digest, label)
-            applied += 1
+            for index in _BLOB_INDICES:
+                content = row[index]
+                if content in stored or content in verified:
+                    blob_hits += 1
+                else:
+                    blob_hits += self._stage_blob(content, cells[index],
+                                                  verified, writes)
+            cells.append(label_cell)
+            cells.append(state)
+            payload = _PAYLOAD_TEMPLATE % _PAYLOAD_CELLS(cells)
+            overlay[key] = version = (state, label)
+            staged.append((key, payload, version, previous, record))
+
+        if staged:
+            rows: dict[int, list[tuple[str, str]]] = {}
+            hashes = fnv1a_32_many([entry[0].encode("utf-8") for entry in staged])
+            for entry, hashed in zip(staged, hashes):
+                rows.setdefault(hashed % self.shards, []).append(entry[:2])
+            self.backend.append_rows(rows, list(writes.items()))
+
+        counts, dirty = self._campaign_counts, self._dirty
+        rollups: TableRollup | None = None
+        folded = 0
+        for key, _payload, version, previous, record in staged:
+            versions[key] = version
             if previous is None or previous[1] != label:
                 if previous is not None:
-                    self._campaign_counts[previous[1]] -= 1
-                self._campaign_counts[label] = \
-                    self._campaign_counts.get(label, 0) + 1
+                    counts[previous[1]] -= 1
+                counts[label] = counts.get(label, 0) + 1
             if previous is not None:
                 # A superseding version: the old content is already folded
                 # into gold, so the rollups must be rebuilt from the latest
                 # silver versions before the next query.
-                self._dirty.add(label)
-                if previous[1] != label:
-                    self._dirty.add(previous[1])
-            elif label not in self._dirty:
-                self._rollups(label).fold(record)
-                self.counters["rollup_records_applied"] += 1
-        for shard, rows in sorted(pending.items()):
-            self.backend.append_rows(shard, rows)
+                dirty.add(label)
+                dirty.add(previous[1])
+            elif label not in dirty:
+                if rollups is None:
+                    rollups = self._rollups(label)
+                rollups.fold(record)
+                folded += 1
+        for content, digest in verified.items():
+            _remember(stored, content, digest)
+        self.counters["blob_dedup_hits"] += blob_hits
+        self.counters["rollup_dedup_skips"] += skips
+        self.counters["rollup_records_applied"] += folded
         self.counters["rollup_syncs"] += 1
-        return applied
+        return len(staged)
 
-    def _encode(self, record: ProcessRecord, campaign: str, digest: int) -> str:
-        """Silver payload JSON for one record (heavy columns as blob refs)."""
-        payload: dict[str, object] = {
-            "campaign": campaign,
-            "digest": str(digest),
-            "fields": {name: getattr(record, name) for name in _INLINE_FIELDS},
-            "blobs": {name: str(self._put_blob(getattr(record, name)))
-                      for name in DEDUP_FIELDS},
-        }
-        return _encode_sorted(payload)
+    def _text_word(self, value: str | None) -> int:
+        """Digest word of a string column's value on a ``_digests`` miss."""
+        if value is None:  # a NULL read back from a nullable text column
+            return 0
+        word = fnv1a_64(value.encode("utf-8"))
+        _remember(self._digests, value, word)
+        return word
 
-    def _put_blob(self, content: str) -> int:
-        digest = self._stored_blobs.get(content)
-        if digest is not None:
-            # This exact content was written and verified by this instance.
-            self.counters["blob_dedup_hits"] += 1
-            return digest
-        digest = _digest_of(content, self._digests)
-        existing = self.backend.get_blob(digest)
+    def _fragment(self, value: str | None) -> str:
+        """JSON text of a string column's value on a ``_fragments`` miss."""
+        if value is None:
+            return "null"
+        fragment = encode_basestring_ascii(value)
+        _remember(self._fragments, value, fragment)
+        return fragment
+
+    def _stage_blob(self, content: str, digest: int, verified: dict[str, int],
+                    writes: dict[int, str]) -> bool:
+        """Check ``content`` against what ``digest`` already names -- in the
+        backend or staged by this batch -- and stage its write if nothing
+        does.  Returns whether it was already there (a dedup hit)."""
+        existing = writes.get(digest)
         if existing is None:
-            self.backend.put_blob(digest, content)
+            existing = self.backend.get_blob(digest)
+        if existing is None:
+            writes[digest] = content
         elif existing != content:
             raise StoreError(
                 f"FNV-64 content digest collision on blob {digest:#018x}: "
                 "two distinct payloads hash identically; the "
                 "content-addressed dedup scheme cannot store both")
-        else:
-            self.counters["blob_dedup_hits"] += 1
-        _remember(self._stored_blobs, content, digest)
-        return digest
+        verified[content] = digest
+        return existing is not None
 
     def _decode(self, payload: str) -> tuple[ProcessRecord, str, int]:
         """Rebuild ``(record, campaign, digest)`` from one silver payload."""
@@ -779,6 +853,7 @@ class TieredStore:
     def close(self) -> None:
         """Release the backend."""
         self._digests.clear()
+        self._fragments.clear()
         self._stored_blobs.clear()
         self.backend.close()
 

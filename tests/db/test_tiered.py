@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import random
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -21,11 +22,12 @@ from hypothesis import strategies as st
 
 import repro.db.tiered as tiered_module
 from repro.analysis import stats
-from repro.db.store import MessageStore, ProcessRecord
+from repro.db.store import PROCESS_FIELDS, MessageStore, ProcessRecord
 from repro.db.tiered import (DEDUP_FIELDS, DEFAULT_SHARDS, DIGEST_SCHEME,
                              MemoryBackend, SqliteBackend, TieredStore,
                              build_tiered_store, record_digest, record_key,
                              shard_of_key)
+from repro.hashing.fnv import fnv1a_64
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -116,6 +118,20 @@ class TestContentAddressing:
         other = dataclasses.replace(base, modules="", modules_h="x")
         assert record_digest(one) != record_digest(other)
 
+    def test_blob_digest_collision_inside_one_batch_raises(self, monkeypatch):
+        """The first payload is only staged when the second arrives: the
+        check sees it there, and nothing of the batch is stored."""
+        monkeypatch.setattr(tiered_module, "fnv1a_64", lambda data: 42)
+        first, other = (dataclasses.replace(record, **dict.fromkeys(DEDUP_FIELDS, heavy))
+                        for record, heavy in zip(_records(2, seed=2),
+                                                 ("payload A", "payload B")))
+        tiered = TieredStore(MemoryBackend(), campaign="c")
+        with pytest.raises(StoreError, match="collision"):
+            tiered.ingest_records([first, other])
+        assert tiered.record_count() == 0
+        assert tiered.statistics()["blob_entries"] == 0
+        assert tiered.statistics()["silver_rows"] == 0
+
     @pytest.mark.parametrize("memoised", [False, True],
                              ids=["cold", "memoised"])
     def test_blob_digest_collision_raises(self, monkeypatch, memoised):
@@ -139,6 +155,61 @@ class TestContentAddressing:
             tiered = TieredStore(backend, campaign="c")  # nothing memoised
         with pytest.raises(StoreError, match="collision"):
             tiered.ingest_records([other])
+
+
+_AWKWARD = ["", "plain", 'say "hi"', "back\\slash \\n", "tab\there\nnewline\x00nul\x1f",
+            "caf\u00e9 \u20ac", "astral \U0001f600\U00010348", "%d %s %(name)s 100%% %",
+            "\u2028\u2029\x7f"]
+_texts = st.sampled_from(_AWKWARD) | st.text(max_size=20)
+_ints = st.integers(-2 ** 40, 2 ** 40) | st.sampled_from([0, -1])
+_any_record = st.builds(
+    ProcessRecord, jobid=_texts, stepid=_texts, pid=_ints, hash=_texts,
+    host=_texts, time=_ints, uid=st.none() | _ints, gid=st.none() | _ints,
+    ppid=st.none() | _ints, incomplete=st.integers(0, 1),
+    **{name: _texts for name in PROCESS_FIELDS[9:-1]})
+
+
+class TestSilverPayload:
+    """The payload template writes the bytes ``json.dumps(sort_keys=True)`` would."""
+
+    @staticmethod
+    def _reference(record: ProcessRecord, campaign: str) -> str:
+        return json.dumps({
+            "campaign": campaign,
+            "digest": str(record_digest(record)),
+            "fields": {name: getattr(record, name) for name in PROCESS_FIELDS
+                       if name not in DEDUP_FIELDS},
+            "blobs": {name: str(fnv1a_64(getattr(record, name).encode("utf-8")))
+                      for name in DEDUP_FIELDS},
+        }, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_any_record, min_size=1, max_size=4, unique_by=record_key),
+           _texts)
+    def test_payload_is_the_sorted_json_dump(self, records, campaign):
+        tiered = TieredStore(MemoryBackend(), campaign=campaign)
+        tiered.ingest_records(records)
+        stored = {key: payload for shard in range(tiered.shards)
+                  for key, payload in tiered.backend.iter_rows(shard)}
+        assert stored == {record_key(record): self._reference(record, campaign)
+                          for record in records}
+        for record in records:
+            assert tiered._decode(stored[record_key(record)]) == \
+                (record, campaign, record_digest(record))
+        assert tiered.records() == _sorted(records)
+
+    def test_a_null_in_a_text_column_is_stored_as_null(self):
+        """``processes`` text columns are nullable; a row read back with a
+        NULL keeps it through silver (inline columns only)."""
+        record = dataclasses.replace(_records(1, seed=2)[0], symbols_h=None,
+                                     script_path=None)
+        tiered = TieredStore(MemoryBackend(), campaign="c")
+        tiered.ingest_records([record])
+        ((_key, payload),) = [row for shard in range(tiered.shards)
+                              for row in tiered.backend.iter_rows(shard)]
+        assert json.loads(payload)["fields"]["script_path"] is None
+        assert json.loads(payload)["digest"] == str(record_digest(record))
+        assert tiered.records() == [record]
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
@@ -483,6 +554,48 @@ class TestSqlitePersistence:
         tiered.close()
 
 
+class _FailingOnce:
+    """A connection whose first silver ``executemany`` finds the database
+    locked -- inside the transaction, after the statements before it ran."""
+
+    def __init__(self, connection: sqlite3.Connection) -> None:
+        self._connection, self._failures = connection, 1
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def __enter__(self):
+        return self._connection.__enter__()
+
+    def __exit__(self, *exc):
+        return self._connection.__exit__(*exc)
+
+    def executemany(self, sql, rows):
+        if "silver_" in sql and self._failures:
+            self._failures -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._connection.executemany(sql, rows)
+
+
+def _sqlite_failing_once() -> SqliteBackend:
+    backend = SqliteBackend()
+    backend.connection = _FailingOnce(backend.connection)
+    return backend
+
+
+def _memory_failing_once() -> MemoryBackend:
+    class FailingOnce(MemoryBackend):
+        failures = 1
+
+        def append_rows(self, *args):
+            if self.failures:
+                self.failures -= 1
+                raise sqlite3.OperationalError("database is locked")
+            super().append_rows(*args)
+
+    return FailingOnce()
+
+
 class TestMessageStoreSync:
     def _record(self, pid: int) -> ProcessRecord:
         return ProcessRecord(jobid="1", stepid="0", pid=pid, hash="a" * 32,
@@ -510,6 +623,74 @@ class TestMessageStoreSync:
         tiered = TieredStore(MemoryBackend(), campaign="c")
         store.attach_tiered(tiered)
         assert tiered.record_count() == 1
+
+    @pytest.mark.parametrize("make_backend", [_memory_failing_once,
+                                              _sqlite_failing_once],
+                             ids=["memory", "sqlite"])
+    def test_a_failed_sync_is_repeated_by_the_next(self, make_backend):
+        """One ``database is locked`` under the tier must not leave it behind
+        ``processes`` for good: nothing of the failed batch is believed, and
+        the next sync delivers it."""
+        rng = random.Random(31)
+        r1, r2, r3 = (dataclasses.replace(_record(index, rng), maps=f"maps {index}")
+                      for index in range(3))
+        store = MessageStore()
+        tiered = TieredStore(make_backend(), campaign="c", user_names=_USERS)
+        store.attach_tiered(tiered)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            store.insert_processes_if_absent([r1, r2])
+        assert store.process_count() == 2       # bronze committed first
+        assert tiered.record_count() == 0 and tiered._versions == {}
+        assert tiered._stored_blobs == {}       # no memo of rolled-back blobs
+        stats_after_failure = tiered.statistics()
+        assert stats_after_failure["silver_rows"] == 0
+        assert stats_after_failure["blob_entries"] == 0
+        assert stats_after_failure["rollup_records_applied"] == 0
+
+        store.insert_processes_if_absent([r3])
+        assert tiered.records() == _sorted(store.load_processes()) \
+            == _sorted([r1, r2, r3])
+        assert tiered.statistics()["silver_rows"] == 3
+        _assert_tables_match(tiered, [r1, r2, r3], _USERS)
+        for shard in range(tiered.shards):
+            for _key, payload in tiered.backend.iter_rows(shard):
+                for digest in json.loads(payload)["blobs"].values():
+                    assert tiered.backend.get_blob(int(digest)) is not None
+        assert store.sync_tiered() == 0         # and the cursor caught up
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["insert_processes_if_absent",
+                         "insert_or_replace_processes", "insert_processes"]),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["", "a", "b"])),
+                 max_size=5)), max_size=8))
+    def test_handed_over_batches_equal_the_reread(self, operations):
+        """Whatever the writes -- fresh keys, re-offered keys, a key twice in
+        one batch, a content-free resurrected key (``""``), an empty batch --
+        a store that may take the flushed batch as the delta ends exactly
+        where one forced through ``load_processes_since`` on every sync does."""
+        def run(force_reread: bool):
+            store = MessageStore()
+            tiered = TieredStore(MemoryBackend(), campaign="c", user_names=_USERS)
+            store.attach_tiered(tiered)
+            if force_reread:
+                store.sync_tiered = lambda delta=None: \
+                    MessageStore.sync_tiered(store, None)
+            for method, batch in operations:
+                getattr(store, method)([
+                    dataclasses.replace(self._record(pid), modules=content,
+                                        executable=f"/usr/bin/{content}")
+                    for pid, content in batch])
+            tables = (tiered.user_activity(), tiered.system_executables(),
+                      tiered.shared_object_variants("a"),
+                      tiered.python_interpreters())
+            outcome = (tiered.backend._shards, tiered.backend._blobs,
+                       tiered._versions, tiered.statistics(), tables,
+                       store._tiered_cursor, store.load_processes())
+            assert tiered.records() == _sorted(outcome[-1])
+            return outcome
+
+        assert run(force_reread=False) == run(force_reread=True)
 
 
 class TestCampaignProperty:

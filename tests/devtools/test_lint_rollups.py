@@ -52,6 +52,13 @@ class TestToyRegistry:
         findings = check(source)
         assert rules_of(findings) == ["rollups/unregistered-counter"]
 
+    def test_batch_increment_is_traffic_like_a_unit_one(self):
+        source = GOOD + '\n    def batch(self, skipped):\n' \
+                        '        self.counters["rollup_dedup_skips"] += skipped\n'
+        assert check(source) == []
+        typoed = source.replace('skips"] += skipped', 'skip"] += skipped')
+        assert rules_of(check(typoed)) == ["rollups/unregistered-counter"]
+
     def test_computed_key_fires_dynamic(self):
         mutated = GOOD.replace('self.counters["rollup_syncs"] += 1',
                                'self.counters[name] += 1')

@@ -3,11 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+import repro.hashing.fnv as fnv_module
 from repro.hashing.fnv import (
     FNV32_PRIME,
     SSDEEP_HASH_INIT,
     fnv1_32,
     fnv1a_32,
+    fnv1a_32_many,
     fnv1a_64,
     sum_hash,
     sum_hash_bytes,
@@ -77,3 +81,39 @@ class TestFNV:
         assert fnv1a_32(data, offset) == reference(FNV32_PRIME, 0xFFFFFFFF)
         assert fnv1a_64(data, offset) == reference(0x00000100000001B3,
                                                    0xFFFFFFFFFFFFFFFF)
+
+
+class TestFNVMany:
+    """``fnv1a_32_many`` is ``fnv1a_32`` per key, whichever route a batch takes."""
+
+    CROSSOVER = fnv_module._KERNEL_MIN_KEYS
+
+    @given(st.lists(st.binary(max_size=200), max_size=3 * CROSSOVER),
+           st.sampled_from([fnv_module.FNV32_OFFSET, 0, 2 ** 40 + 12345]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scalar_hash_per_key(self, keys, offset):
+        assert fnv1a_32_many(keys, offset) == [fnv1a_32(key, offset) for key in keys]
+
+    @pytest.mark.parametrize("keys", [
+        [], [b""], [b"one key"], [b""] * (CROSSOVER + 1),
+        [bytes([index]) * 68 for index in range(CROSSOVER - 1)],   # scalar side
+        [bytes([index]) * 68 for index in range(CROSSOVER)],       # kernel side
+        [bytes([index % 251]) * (index % 201) for index in range(4 * CROSSOVER)],
+    ], ids=["empty-list", "empty-key", "one-key", "all-empty", "below-crossover",
+            "at-crossover", "lengths-0-200"])
+    def test_edge_batches(self, keys):
+        assert fnv1a_32_many(keys) == list(map(fnv1a_32, keys))
+
+    def test_a_batch_longer_than_one_matrix_is_chunked(self, monkeypatch):
+        """The working set is bounded by cells, not by the batch: the same
+        answers through many small matrices, including one key per matrix."""
+        keys = [b"%d\x1f" % index * (index % 7) for index in range(300)]
+        expected = list(map(fnv1a_32, keys))
+        for cells in (1, 40, 41, 1000, fnv_module._KERNEL_CELLS):
+            monkeypatch.setattr(fnv_module, "_KERNEL_CELLS", cells)
+            assert fnv1a_32_many(keys) == expected
+
+    def test_without_numpy_every_batch_takes_the_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(fnv_module, "_np", None)
+        keys = [b"key-%d" % index for index in range(2 * self.CROSSOVER)]
+        assert fnv1a_32_many(keys) == list(map(fnv1a_32, keys))

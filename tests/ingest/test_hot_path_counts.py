@@ -5,8 +5,11 @@ chunks) is replayed twice through ``ShardedIngest(shards=1)`` over a store
 with a tiered store attached: once untouched, once under spies.  The spies
 fail the test if the hot path regrows what ISSUE 19 took out of it -- an
 enum call or a ``.value`` per datagram, a throw-away ``MessageGroup`` per
-message, a ``reassemble_chunks`` call per unchunked group -- and the spied
-run must still produce the very same records, counters and silver bytes.
+message, a ``reassemble_chunks`` call per unchunked group -- or what
+ISSUE 20 took out of the tier hand-off -- a re-read of the batch just
+written, a second ``process_row``, a backend transaction per shard -- and
+the spied run must still produce the very same records, counters and
+silver bytes.
 """
 
 import enum
@@ -14,6 +17,7 @@ from dataclasses import astuple
 
 import pytest
 
+import repro.db.tiered as tiered_module
 import repro.ingest.incremental as incremental
 import repro.postprocess.consolidate as consolidate
 import repro.transport.messages as messages
@@ -105,3 +109,75 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
     unchunked = sum(1 for group in groups_built
                     if group.chunk_total == 1 and 0 in group.chunks)
     assert unchunked > len(reassembled)
+
+
+def test_tier_hand_off_counts(stream, monkeypatch):
+    """What a flushed record pays to cross into the tier, as counts: no
+    re-read of a batch whose every row was new, one ``process_row`` inside
+    the tier, one backend transaction per sync, one hash per distinct
+    column value -- and the same silver as the untouched replay."""
+    expected = _replay(stream)
+
+    flushes, syncs, rereads, tier_rows, transactions, hashed = [], [], [], [], [], []
+    insert_if_absent = MessageStore.insert_processes_if_absent
+    sync_tiered = MessageStore.sync_tiered
+    load_since = MessageStore.load_processes_since
+    process_row, fnv1a_64 = tiered_module.process_row, tiered_module.fnv1a_64
+    append_rows = MemoryBackend.append_rows
+
+    def counting_insert(self, records):
+        records = list(records)
+        written = insert_if_absent(self, records)
+        flushes.append((len(records), written))
+        return written
+
+    def counting_sync(self, delta=None):
+        syncs.append(delta is not None)
+        return sync_tiered(self, delta)
+
+    def counting_load(self, rowid=0):
+        rereads.append(rowid)
+        return load_since(self, rowid)
+
+    def counting_row(record):
+        tier_rows.append(record)
+        return process_row(record)
+
+    def counting_append(self, rows, blobs):
+        transactions.append(sum(map(len, rows.values())))
+        return append_rows(self, rows, blobs)
+
+    def counting_hash(data):
+        hashed.append(data)
+        return fnv1a_64(data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
+        patch.setattr(MessageStore, "sync_tiered", counting_sync)
+        patch.setattr(MessageStore, "load_processes_since", counting_load)
+        patch.setattr(tiered_module, "process_row", counting_row)
+        patch.setattr(tiered_module, "fnv1a_64", counting_hash)
+        patch.setattr(MemoryBackend, "append_rows", counting_append)
+        spied = _replay(stream)
+
+    assert spied == expected
+    built = expected[1]["records_built"]
+    assert sum(offered for offered, _written in flushes) == built
+
+    # The attach-time sync reads the (empty) table; every row of every flush
+    # of this stream is new, so each flush hands its own batch over.
+    assert len(flushes) > 1
+    assert all(written == offered for offered, written in flushes)
+    assert syncs == [False] + [True] * len(flushes)
+    assert rereads == [0]
+
+    # One process_row per record inside the tier, and one backend
+    # transaction per sync.
+    assert len(tier_rows) == len(expected[2]) == built
+    assert transactions == [offered for offered, _written in flushes]
+
+    # Each distinct string column value of the stream is hashed exactly once.
+    distinct = {value for record in tier_rows for value in process_row(record)
+                if isinstance(value, str)}
+    assert len(distinct) < tiered_module.MEMO_ENTRIES
+    assert sorted(hashed) == sorted(value.encode("utf-8") for value in distinct)
