@@ -7,10 +7,12 @@ runtime calls :meth:`on_process_start` at process start -- the equivalent of
 the library constructor -- and :meth:`on_process_end` at termination.
 
 The constructor classifies the process, applies the Table 1 policy, gathers
-the requested information and emits one UDP message per information type
-(chunked where necessary) through the fire-and-forget sender.  Every optional
-section is individually guarded: a failure to parse the executable or hash the
-script only loses that section, never the rest, and never the user process.
+the requested information as ``(layer, type, content)`` sections and hands
+them with the process's wire header -- built once per hook call -- to the
+fire-and-forget sender: one message per information type, chunked where
+necessary.  Every optional section is individually guarded: a failure to
+parse the executable, hash the script or frame a content only loses that
+section, never the rest, and never the user process.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.elf.reader import ELFFile, is_elf
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
-from repro.transport.messages import UDPMessage
+from repro.transport.messages import Section, wire_header
 from repro.transport.sender import UDPSender
 from repro.util.timing import NULL_TIMER
 
@@ -72,42 +74,39 @@ class SirenCollector:
             return
         category = classify_process(context.executable, context.argv)
         scope = self.policy.for_category(category)
-        messages: list[UDPMessage] = []
-        header = self._header(context, Layer.SELF)
-
-        messages.append(header(InfoType.PROCINFO, format_keyvalues({
+        sections: list[Section] = [(Layer.SELF, InfoType.PROCINFO, format_keyvalues({
             "pid": context.pid, "ppid": context.ppid, "uid": context.uid,
             "gid": context.gid, "exe": context.executable, "category": category.value,
-        })))
+        }))]
 
         if scope.file_metadata:
-            self._guard(messages, lambda: header(
-                InfoType.FILEMETA, self._file_metadata(context.executable)))
+            self._guard(sections, lambda: (
+                Layer.SELF, InfoType.FILEMETA, self._file_metadata(context.executable)))
         if scope.libraries:
             objects = "\n".join(context.loaded_objects)
-            messages.append(header(InfoType.OBJECTS, objects))
-            self._guard(messages, lambda: header(
-                InfoType.OBJECTS_H, self.hasher.list_hash(objects)))
+            sections.append((Layer.SELF, InfoType.OBJECTS, objects))
+            self._guard(sections, lambda: (
+                Layer.SELF, InfoType.OBJECTS_H, self.hasher.list_hash(objects)))
         if scope.modules:
             modules = context.loaded_modules
-            messages.append(header(InfoType.MODULES, modules))
-            self._guard(messages, lambda: header(
-                InfoType.MODULES_H, self.hasher.list_hash(modules)))
+            sections.append((Layer.SELF, InfoType.MODULES, modules))
+            self._guard(sections, lambda: (
+                Layer.SELF, InfoType.MODULES_H, self.hasher.list_hash(modules)))
         if scope.compilers:
-            self._guard(messages, lambda: self._compiler_messages(header, context))
+            self._guard(sections, lambda: self._compiler_sections(context))
         if scope.memory_map:
             maps_text = context.maps_text()
-            messages.append(header(InfoType.MAPS, maps_text))
-            self._guard(messages, lambda: header(
-                InfoType.MAPS_H, self.hasher.list_hash(maps_text)))
+            sections.append((Layer.SELF, InfoType.MAPS, maps_text))
+            self._guard(sections, lambda: (
+                Layer.SELF, InfoType.MAPS_H, self.hasher.list_hash(maps_text)))
         if scope.file_hash or scope.strings_hash or scope.symbols_hash:
-            self._guard(messages, lambda: self._executable_hash_messages(header, context, scope))
+            self._guard(sections, lambda: self._executable_hash_sections(context, scope))
 
         # Python input script (the SCRIPT layer) --------------------------- #
         if is_python_interpreter(context.executable):
-            self._guard(messages, lambda: self._script_messages(context))
+            self._guard(sections, lambda: self._script_sections(context))
 
-        self.sender.send_all([message for message in messages if message is not None])
+        self.sender.send(self._wire_header(context), sections)
         self.processes_collected += 1
 
     def close(self) -> None:
@@ -126,92 +125,71 @@ class SirenCollector:
         with self.timer.section("collect.end"):
             if not self.policy.should_collect_rank(context.slurm_procid):
                 return
-            header = self._header(context, Layer.SELF)
-            self.sender.send(header(InfoType.PROCEND, format_keyvalues({
-                "end_time": context.end_time, "exit_code": context.exit_code,
-            })))
+            self.sender.send(self._wire_header(context), [
+                (Layer.SELF, InfoType.PROCEND, format_keyvalues({
+                    "end_time": context.end_time, "exit_code": context.exit_code,
+                }))])
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _header(self, context: ProcessContext, layer: Layer):
-        """Return a message factory pre-filled with this process's header fields."""
-        path_hash = self.hasher.path_hash(context.executable)
+    def _wire_header(self, context: ProcessContext) -> bytes:
+        """The header every datagram of this process carries, both layers."""
+        return wire_header(context.slurm_job_id, context.slurm_step_id, context.pid,
+                           self.hasher.path_hash(context.executable),
+                           context.hostname, context.start_time)
 
-        def make(info_type: InfoType, content: str,
-                 override_layer: Layer | None = None) -> UDPMessage:
-            return UDPMessage(
-                jobid=context.slurm_job_id,
-                stepid=context.slurm_step_id,
-                pid=context.pid,
-                path_hash=path_hash,
-                host=context.hostname,
-                time=context.start_time,
-                layer=override_layer or layer,
-                info_type=info_type,
-                content=content,
-            )
-
-        return make
-
-    def _guard(self, messages: list[UDPMessage], producer) -> None:
+    def _guard(self, sections: list[Section], producer) -> None:
         """Run one collection section; on failure count it and move on."""
         try:
             result = producer()
         except Exception:  # noqa: BLE001 - graceful degradation by design
             self.section_errors += 1
             return
-        if result is None:
-            return
         if isinstance(result, list):
-            messages.extend(result)
+            sections.extend(result)
         else:
-            messages.append(result)
+            sections.append(result)
 
     def _file_metadata(self, path: str) -> str:
         metadata = self.filesystem.stat(path)
         return format_keyvalues(metadata.as_dict())
 
-    def _compiler_messages(self, header, context: ProcessContext) -> list[UDPMessage]:
+    def _compiler_sections(self, context: ProcessContext) -> list[Section]:
         content = self.filesystem.read(context.executable)
         if not is_elf(content):
             return []
         comments = ";".join(ELFFile(content).comment_strings())
         return [
-            header(InfoType.COMPILERS, comments),
-            header(InfoType.COMPILERS_H, self.hasher.list_hash(comments)),
+            (Layer.SELF, InfoType.COMPILERS, comments),
+            (Layer.SELF, InfoType.COMPILERS_H, self.hasher.list_hash(comments)),
         ]
 
-    def _executable_hash_messages(self, header, context: ProcessContext, scope) -> list[UDPMessage]:
+    def _executable_hash_sections(self, context: ProcessContext, scope) -> list[Section]:
         with self.timer.section("collect.hash"):
             hashes = self.hasher.executable_hashes(context.executable)
-        messages: list[UDPMessage] = []
+        sections: list[Section] = []
         if scope.file_hash:
-            messages.append(header(InfoType.FILE_H, hashes.file_hash))
+            sections.append((Layer.SELF, InfoType.FILE_H, hashes.file_hash))
         if scope.strings_hash:
-            messages.append(header(InfoType.STRINGS_H, hashes.strings_hash))
+            sections.append((Layer.SELF, InfoType.STRINGS_H, hashes.strings_hash))
         if scope.symbols_hash:
-            messages.append(header(InfoType.SYMBOLS_H, hashes.symbols_hash))
-        return messages
+            sections.append((Layer.SELF, InfoType.SYMBOLS_H, hashes.symbols_hash))
+        return sections
 
-    def _script_messages(self, context: ProcessContext) -> list[UDPMessage]:
+    def _script_sections(self, context: ProcessContext) -> list[Section]:
         script = context.python_script or extract_script_path(context.argv)
         # A relative argv word (``app -input run.in``) names no file this
         # hook can open: no script, not a failed section.
         if not script or not script.startswith("/") or not self.filesystem.exists(script):
             return []
         scope = self.policy.python_script
-        header = self._header(context, Layer.SCRIPT)
-        messages: list[UDPMessage] = [
-            header(InfoType.PROCINFO, format_keyvalues({"script": script}),
-                   override_layer=Layer.SCRIPT),
-        ]
+        sections: list[Section] = [
+            (Layer.SCRIPT, InfoType.PROCINFO, format_keyvalues({"script": script}))]
         if scope.file_metadata:
-            messages.append(header(InfoType.FILEMETA, self._file_metadata(script),
-                                   override_layer=Layer.SCRIPT))
+            sections.append((Layer.SCRIPT, InfoType.FILEMETA, self._file_metadata(script)))
         if scope.file_hash:
             with self.timer.section("collect.hash"):
                 script_hash = self.hasher.script_hash(script)
-            messages.append(header(InfoType.FILE_H, script_hash,
-                                   override_layer=Layer.SCRIPT))
-        return messages
+            sections.append((Layer.SCRIPT, InfoType.FILE_H, script_hash))
+        return sections

@@ -13,6 +13,11 @@ extra fields, ``CHUNK`` and ``CHUNKS``, implement chunking of long contents.
 Datagrams are serialised as UTF-8 text with unit-separator (0x1F) delimited
 fields, preceded by a short protocol tag, and must fit in
 :data:`MAX_DATAGRAM_SIZE` bytes.
+
+:class:`UDPMessage` is the receive side and the format's definition
+(``encode`` is the oracle the sender's datagrams are pinned to).  The sender
+never builds one: it frames a process once (:func:`wire_header`) and looks
+each section's ``LAYER``/``TYPE`` bytes up in :data:`SECTION_KINDS`.
 """
 
 from __future__ import annotations
@@ -41,6 +46,24 @@ _FIELD_COUNT = 12
 #: enum's own message (the quarantine reason).
 _LAYERS = {member.value: member for member in Layer}
 _INFO_TYPES = {member.value: member for member in InfoType}
+
+#: One section of a process's burst, as the collector hands it to the sender.
+Section = tuple[Layer, InfoType, str]
+
+#: The same tables the other way, for the sender: ``(layer, type)`` -> the
+#: wire bytes between a process's header and a datagram's chunk counters.
+SECTION_KINDS: dict[tuple[Layer, InfoType], bytes] = {
+    (layer, info_type):
+        f"{_SEPARATOR}{layer.value}{_SEPARATOR}{info_type.value}{_SEPARATOR}".encode("utf-8")
+    for layer in Layer for info_type in InfoType
+}
+
+
+def wire_header(jobid: str, stepid: str, pid: int, path_hash: str,
+                host: str, time: int) -> bytes:
+    """The bytes every datagram of one process starts with (tag + key fields)."""
+    return _SEPARATOR.join((_PROTOCOL_TAG, jobid, stepid, str(pid), path_hash,
+                            host, str(time))).encode("utf-8")
 
 
 @dataclass(unsafe_hash=True)
@@ -130,46 +153,8 @@ class UDPMessage:
             return self
         return replace(self, content=content, chunk_index=index, chunk_total=total)
 
-    def header_prefix(self) -> str:
-        """The constant-per-message field prefix (everything before CHUNK)."""
-        return _SEPARATOR.join((
-            _PROTOCOL_TAG,
-            self.jobid,
-            self.stepid,
-            str(self.pid),
-            self.path_hash,
-            self.host,
-            str(self.time),
-            self.layer.value,
-            self.info_type.value,
-        ))
-
-    def header_overhead(self) -> int:
-        """Encoded size of the message with empty content (bytes).
-
-        Computed arithmetically from the header prefix -- no dataclass copy,
-        no second :meth:`encode` -- but pinned byte-equal to
-        ``len(replace(self, content="").encode())`` by the transport tests.
-        """
-        return (len(self.header_prefix().encode("utf-8"))
-                + len(str(self.chunk_index)) + len(str(self.chunk_total)) + 3)
-
-    def chunk_datagrams(self, chunks: list[str]) -> list[bytes]:
-        """Encode one datagram per chunk of this message's content.
-
-        Byte-identical to ``[self.with_chunk(c, i, len(chunks)).encode() for
-        i, c in enumerate(chunks)]`` but encodes the shared header prefix
-        once instead of re-serialising all twelve fields per chunk.  The
-        separator check runs once against the full content; chunks produced
-        by :func:`~repro.transport.chunking.split_content` cannot introduce
-        bytes that were not already present.
-        """
-        if _SEPARATOR in self.content:
-            raise TransportError("message content may not contain the field separator")
-        prefix = self.header_prefix()
-        total = len(chunks)
-        return [
-            f"{prefix}{_SEPARATOR}{index}{_SEPARATOR}{total}{_SEPARATOR}{chunk}"
-            .encode("utf-8")
-            for index, chunk in enumerate(chunks)
-        ]
+    def burst(self) -> tuple[bytes, list[Section]]:
+        """This message as ``UDPSender.send`` arguments: its header, its one section."""
+        return (wire_header(self.jobid, self.stepid, self.pid, self.path_hash,
+                            self.host, self.time),
+                [(self.layer, self.info_type, self.content)])

@@ -287,6 +287,51 @@ class TestNoPerBytePythonAtProcessStart:
         assert all(UDPMessage.decode(datagram).path_hash == real(bash)
                    for datagram in memoised)
 
+    def test_send_side_pays_per_process_not_per_datagram(self, app_cluster, monkeypatch):
+        """The mirror of ``tests/ingest/test_hot_path_counts.py``: a hook call
+        frames its process once and enters the transport once; no
+        ``UDPMessage`` and no ``.value`` of ``Layer``/``InfoType`` per datagram."""
+        import enum
+
+        import repro.collector.hooks as hooks_module
+
+        _, expected = self._fifty_starts_and_ends(app_cluster, memoised=True)
+
+        headers, bursts, value_reads = [], [], []
+        wire_header, send = hooks_module.wire_header, UDPSender.send
+        property_get = enum.property.__get__
+
+        def counting_header(*key):
+            headers.append(key)
+            return wire_header(*key)
+
+        def counting_send(self, header, sections):
+            bursts.append((header, list(sections)))
+            return send(self, header, sections)
+
+        def forbidden_init(self, *_args, **_kwargs):
+            raise AssertionError("UDPMessage built between the collector and the wire")
+
+        def counting_get(self, instance, ownerclass=None):
+            if isinstance(instance, (Layer, InfoType)):
+                value_reads.append((instance, self.name))
+            return property_get(self, instance, ownerclass)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hooks_module, "wire_header", counting_header)
+            patch.setattr(UDPSender, "send", counting_send)
+            patch.setattr(UDPMessage, "__init__", forbidden_init)
+            patch.setattr(enum.property, "__get__", counting_get)
+            collector, spied = self._fifty_starts_and_ends(app_cluster, memoised=True)
+
+        assert spied == expected and len(spied) >= 150
+        assert len(headers) == len(bursts) == 100            # one per hook call
+        assert [header for header, _ in bursts] == [wire_header(*key) for key in headers]
+        assert len(set(headers)) == 50                       # start and end share it
+        assert value_reads == []
+        sections = sum(len(sections) for _, sections in bursts)
+        assert sections == collector.sender.messages_sent > 100
+
     def test_clear_cache_empties_the_path_hash_memo(self, app_cluster):
         cluster, manifest = app_cluster
         hasher = ArtifactHasher(cluster.filesystem)
@@ -408,6 +453,34 @@ class TestSirenCollector:
         assert kinds == [(row[6], row[7], row[8], row[9])
                          for row in absent.iter_messages()]
         assert Layer.SCRIPT.value not in {kind[0] for kind in kinds}
+
+    def test_unframeable_section_does_not_blind_the_rest_of_the_burst(self, app_cluster):
+        """Regression: a mapped file named with a 0x1F made MAPS unframeable,
+        the sender raised out of the hook at that message and everything
+        queued behind it -- MAPS_H and the three fuzzy hashes identification
+        rests on -- was never sent.  A file name was enough to evade Table 7."""
+        from repro.postprocess.consolidate import Consolidator
+
+        cluster, manifest = app_cluster
+        icon = manifest.find_executable("icon", "cray-r1", "alice")
+        hook_failures = cluster.runtime.hook_failures
+        cluster.filesystem.add_file("/users/alice/data/in\x1fput.dat", b"input deck")
+        collector, store = _run_one(cluster, manifest, icon.path,
+                                    modules=("siren", *icon.required_modules),
+                                    mapped_files=("/users/alice/data/in\x1fput.dat",))
+        types = {row[7] for row in store.iter_messages()}
+        every = {InfoType.PROCINFO, InfoType.FILEMETA, InfoType.OBJECTS,
+                 InfoType.OBJECTS_H, InfoType.MODULES, InfoType.MODULES_H,
+                 InfoType.COMPILERS, InfoType.COMPILERS_H, InfoType.MAPS,
+                 InfoType.MAPS_H, InfoType.FILE_H, InfoType.STRINGS_H,
+                 InfoType.SYMBOLS_H, InfoType.PROCEND}
+        assert types == {info_type.value for info_type in every - {InfoType.MAPS}}
+        assert collector.processes_collected == 1 and collector.section_errors == 0
+        assert collector.sender.send_errors == 1          # counted once, no new counter
+        assert cluster.runtime.hook_failures == hook_failures
+        (record,) = Consolidator(store).run()
+        assert record.incomplete == 1 and record.maps == ""
+        assert record.maps_h and record.file_h and record.strings_h and record.symbols_h
 
     def test_custom_policy_restricts_collection(self, app_cluster):
         cluster, manifest = app_cluster

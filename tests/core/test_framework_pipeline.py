@@ -150,10 +150,10 @@ class TestStreamingFramework:
         from repro.transport.messages import UDPMessage
 
         framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
-        framework.sender.send(UDPMessage(
+        framework.sender.send(*UDPMessage(
             jobid="9", stepid="0", pid=1, path_hash="a" * 32, host="n1", time=5,
             layer=Layer.SELF, info_type=InfoType.PROCINFO,
-            content="pid=1|exe=/usr/bin/x|category="))
+            content="pid=1|exe=/usr/bin/x|category=").burst())
         # No PROCEND ever arrives: the group stays open, visible to
         # snapshots but not yet persisted.
         assert len(framework.snapshot()) == 1

@@ -21,7 +21,7 @@ from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore, ProcessRecord
 from repro.ingest import ShardedIngest, shard_of_datagram
 from repro.transport.channel import InMemoryChannel, LossyChannel
-from repro.transport.messages import UDPMessage
+from repro.transport.messages import Section, wire_header
 from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
@@ -96,7 +96,7 @@ class SyntheticWorkload:
     sender: UDPSender
     rng: SeededRNG
     processes_emitted: int = 0
-    _running: list[UDPMessage] = field(default_factory=list)  # pending PROCENDs
+    _running: list[tuple[bytes, list[Section]]] = field(default_factory=list)  # pending PROCENDs
 
     def emit_process(self, pid: int, *, time: int = 100) -> None:
         """One process: contiguous constructor burst now, PROCEND later."""
@@ -104,10 +104,8 @@ class SyntheticWorkload:
         exe = {"system": f"/usr/bin/tool{pid % 5}",
                "user": f"/project/p/u/app{pid % 3}",
                "python": "/usr/bin/python3.10"}[category]
-        base = dict(jobid=str(1 + pid // 50), stepid="0", pid=pid,
-                    path_hash=f"{pid:032x}", host=f"n{pid % 4}", time=time)
-        msg = lambda info_type, content, layer=Layer.SELF: UDPMessage(
-            **base, layer=layer, info_type=info_type, content=content)
+        header = wire_header(str(1 + pid // 50), "0", pid, f"{pid:032x}", f"n{pid % 4}", time)
+        msg = lambda info_type, content, layer=Layer.SELF: (layer, info_type, content)
 
         burst = [
             msg(InfoType.PROCINFO, format_keyvalues({
@@ -141,15 +139,15 @@ class SyntheticWorkload:
                 msg(InfoType.FILEMETA, "inode=9|size=40", layer=Layer.SCRIPT),
                 msg(InfoType.FILE_H, "3:scriptscript:pt", layer=Layer.SCRIPT),
             ])
-        self.sender.send_all(burst)
-        self._running.append(msg(InfoType.PROCEND,
-                                 format_keyvalues({"end_time": time + 5, "exit_code": 0})))
+        self.sender.send(header, burst)
+        self._running.append((header, [msg(InfoType.PROCEND, format_keyvalues(
+            {"end_time": time + 5, "exit_code": 0}))]))
         self.processes_emitted += 1
 
     def maybe_end_one(self) -> None:
         """End the oldest still-running process (if any)."""
         if self._running:
-            self.sender.send(self._running.pop(0))
+            self.sender.send(*self._running.pop(0))
 
     def end_all(self) -> None:
         """End every still-running process."""

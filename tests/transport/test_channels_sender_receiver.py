@@ -1,11 +1,13 @@
 """Tests for channels, the sender and the receiver (including real sockets)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.collector.records import InfoType, Layer
 from repro.db.store import MessageStore
 from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
-from repro.transport.messages import UDPMessage
+from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
@@ -70,7 +72,7 @@ class TestUDPSender:
     def test_single_datagram_for_short_message(self):
         channel = InMemoryChannel()
         sender = UDPSender(channel)
-        assert sender.send(_message("short")) == 1
+        assert sender.send(*_message("short").burst()) == 1
         assert sender.messages_sent == 1
 
     def test_long_message_chunked(self):
@@ -79,7 +81,7 @@ class TestUDPSender:
         channel.subscribe(received.append)
         sender = UDPSender(channel, max_datagram_size=256)
         long_content = "\n".join(f"/opt/cray/pe/lib64/library_number_{i}.so" for i in range(100))
-        emitted = sender.send(_message(long_content))
+        emitted = sender.send(*_message(long_content).burst())
         assert emitted == len(received) > 1
         decoded = [UDPMessage.decode(datagram) for datagram in received]
         assert all(message.chunk_total == len(received) for message in decoded)
@@ -95,12 +97,43 @@ class TestUDPSender:
                 pass
 
         sender = UDPSender(BrokenChannel())
-        assert sender.send(_message("x")) == 0
+        assert sender.send(*_message("x").burst()) == 0
         assert sender.send_errors == 1
 
-    def test_send_all(self):
+    def test_burst_of_sections_shares_one_header(self):
+        channel = InMemoryChannel()
+        received: list[bytes] = []
+        channel.subscribe(received.append)
+        sender = UDPSender(channel)
+        header = wire_header("1", "0", 99, "0" * 32, "n1", 100)
+        assert sender.send(header, [(Layer.SELF, InfoType.OBJECTS, "a"),
+                                    (Layer.SCRIPT, InfoType.FILE_H, "b")]) == 2
+        assert (sender.messages_sent, sender.datagrams_sent) == (2, 2)
+        assert received == [
+            _message("a").encode(),
+            replace(_message("b", InfoType.FILE_H), layer=Layer.SCRIPT).encode()]
+
+    @pytest.mark.parametrize("unframeable", ["in\x1fput", "caf\udce9"],
+                             ids=["separator", "lone-surrogate"])
+    def test_unframeable_section_is_dropped_alone(self, unframeable):
+        """A content that cannot go on the wire costs that section, counted once."""
+        channel = InMemoryChannel()
+        received: list[bytes] = []
+        channel.subscribe(received.append)
+        sender = UDPSender(channel)
+        header, _ = _message("").burst()
+        emitted = sender.send(header, [(Layer.SELF, InfoType.OBJECTS, "a"),
+                                       (Layer.SELF, InfoType.MAPS, unframeable),
+                                       (Layer.SELF, InfoType.FILE_H, "3:abc:de")])
+        assert emitted == 2 and sender.send_errors == 1
+        assert (sender.messages_sent, sender.datagrams_sent) == (2, 2)
+        assert [UDPMessage.decode(datagram).info_type for datagram in received] == [
+            InfoType.OBJECTS, InfoType.FILE_H]
+
+    def test_empty_burst_sends_nothing(self):
         sender = UDPSender(InMemoryChannel())
-        assert sender.send_all([_message("a"), _message("b")]) == 2
+        assert sender.send(_message("").burst()[0], []) == 0
+        assert (sender.messages_sent, sender.datagrams_sent) == (0, 0)
 
 
 class TestMessageReceiver:
@@ -110,7 +143,7 @@ class TestMessageReceiver:
         receiver = MessageReceiver(store)
         receiver.attach(channel)
         sender = UDPSender(channel)
-        sender.send(_message("payload"))
+        sender.send(*_message("payload").burst())
         receiver.flush()
         assert store.message_count() == 1
         assert receiver.messages_received == 1
@@ -212,7 +245,7 @@ class TestSocketChannel:
             receiver.attach(channel)
             sender = UDPSender(channel)
             for index in range(20):
-                sender.send(_message(f"socket message {index}"))
+                sender.send(*_message(f"socket message {index}").burst())
             delivered = channel.drain()
             receiver.flush()
         assert delivered == 20

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.collector.records import InfoType, Layer, format_keyvalues, parse_keyvalues
+from repro.transport.channel import InMemoryChannel
 from repro.transport.chunking import reassemble_chunks, split_content
 from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
+from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 
 
@@ -69,8 +71,14 @@ class TestUDPMessage:
         message = _message()
         assert message.process_key == ("9100001", "0", 1234, "ab" * 16, "nid000001")
 
-    def test_header_overhead_reasonable(self):
-        assert 0 < _message().header_overhead() < 200
+    def test_burst_header_overhead_reasonable(self):
+        """Header, kind, counters and margin leave > 1200 of 1400 bytes to content."""
+        channel = InMemoryChannel()
+        datagrams: list[bytes] = []
+        channel.subscribe(datagrams.append)
+        UDPSender(channel).send(*_message("c" * (MAX_DATAGRAM_SIZE - 200)).burst())
+        (datagram,) = datagrams
+        assert MAX_DATAGRAM_SIZE - 200 < len(datagram) <= MAX_DATAGRAM_SIZE
 
     def test_unicode_content(self):
         message = _message("durée=42µs")

@@ -1,5 +1,7 @@
 """Tests for the deployment-campaign runner."""
 
+import hashlib
+
 import pytest
 
 from repro.collector.classify import ExecutableCategory
@@ -7,6 +9,13 @@ from repro.core import AnalysisPipeline
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES, PROFILES_BY_NAME
+
+
+#: (seed, stream SHA-256, bytes on the wire) of the lossless scale-0.0 campaign.
+WIRE_PINS = [
+    (7, "92dc9a95a9ae086e794c7f440c7723938279d18b7b0f9495ea09cf33460b73d9", 4_557_315),
+    (11, "37b07f7fdf54f629a55d92988c8eaf21e9e430d93d0a2f6bb76cc8d324c59570", 4_557_440),
+]
 
 
 def _record_list(records):
@@ -68,6 +77,24 @@ class TestCampaignExecution:
         first_exes = sorted(record.executable for record in first.records)
         second_exes = sorted(record.executable for record in second.records)
         assert first_exes == second_exes
+
+    @pytest.mark.parametrize("seed, sha256, wire_bytes", WIRE_PINS)
+    def test_datagram_stream_is_pinned_byte_for_byte(self, seed, sha256, wire_bytes):
+        """The wire is an interface: what the scale-0.0 campaign puts on it
+        (SHA-256 over ``datagram + b"\\n"``) is the commit before the sender
+        framed bursts, regenerated under that commit."""
+        config = CampaignConfig(scale=0.0, seed=seed, loss_rate=0.0,
+                                ingest_mode="streaming", keep_raw_messages=False)
+        campaign = DeploymentCampaign(config=config)
+        campaign.prepare()
+        digest, sizes = hashlib.sha256(), []
+        campaign.channel.subscribe(lambda datagram: (digest.update(datagram + b"\n"),
+                                                     sizes.append(len(datagram))))
+        sender = campaign.run().collector.sender
+        assert (sender.messages_sent, sender.datagrams_sent, sender.send_errors) == (
+            24_712, 25_094, 0)
+        assert (len(sizes), sum(sizes)) == (25_094, wire_bytes)
+        assert digest.hexdigest() == sha256
 
     def test_prepare_is_idempotent(self):
         campaign = DeploymentCampaign(CampaignConfig(scale=0.0))
