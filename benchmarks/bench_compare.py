@@ -48,6 +48,7 @@ RESULTS: dict = {
     "smoke": SMOKE,
     "scale": SCALE,
     "kernel": compare_scan_backend(),
+    "cpus": len(os.sched_getaffinity(0)),
 }
 
 

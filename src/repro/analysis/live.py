@@ -46,7 +46,7 @@ edit-distance runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL
@@ -118,6 +118,9 @@ class LiveAnalysis:
     _instance_first: dict[tuple[str, ...], ProcessKey] = field(
         init=False, default_factory=dict, repr=False)
     _search: SimilaritySearch = field(init=False, repr=False)
+    #: The merged, ordered instance pool of the current state (``None``: stale).
+    _pool_cache: list[ExecutableInstance] | None = field(init=False, default=None,
+                                                         repr=False)
 
     def __post_init__(self) -> None:
         self._tables = TableRollup(self.user_names)
@@ -175,12 +178,13 @@ class LiveAnalysis:
         for record, key in zip(fresh, batch_keys):
             self._keys.add(key)
             self._tables.fold(record)
-            instance = instance_from_record(record, self.rules)
-            if instance is not None:
-                first = self._instance_first.get(instance.key)
+            instance_key = self._search.add_record(record)
+            if instance_key is not None:
+                first = self._instance_first.get(instance_key)
                 if first is None or key < first:
-                    self._instance_first[instance.key] = key
-        self._search.add_records(fresh)
+                    self._instance_first[instance_key] = key
+        if fresh:
+            self._pool_cache = None
         return len(fresh)
 
     def refresh_open(self, open_records) -> None:
@@ -191,8 +195,11 @@ class LiveAnalysis:
         folded in.  Keys already committed (a closed group resurrected by a
         very late message) are dropped, matching ``ShardedIngest.snapshot``.
         """
-        self._open = [record for record in open_records
-                      if record.key not in self._keys]
+        opened = [record for record in open_records
+                  if record.key not in self._keys]
+        if opened != self._open:
+            self._pool_cache = None
+        self._open = opened
         self._open_tables = TableRollup(self.user_names)
         for record in self._open:
             self._open_tables.fold(record)
@@ -259,7 +266,7 @@ class LiveAnalysis:
     def instances(self) -> list[ExecutableInstance]:
         """The current instance list, identical to a fresh ``SimilaritySearch``'s."""
         self._pull()
-        return self._pool()
+        return list(self._pool())
 
     def unknown_instances(self) -> list[ExecutableInstance]:
         """Instances whose derived label is UNKNOWN (the search baselines)."""
@@ -297,8 +304,12 @@ class LiveAnalysis:
         Committed instances come straight from the incrementally grown
         search; overlay records merge into them (bumping ``process_count``)
         or append as transient instances the query compares directly -- the
-        index is never polluted with provisional digests.
+        index is never polluted with provisional digests.  Built once per
+        pulled state: ``commit`` and ``refresh_open`` drop it when they
+        change what it is built from.
         """
+        if self._pool_cache is not None:
+            return self._pool_cache
         overlay: dict[tuple[str, ...], tuple[ExecutableInstance, ProcessKey]] = {}
         for record in self._open:
             instance = instance_from_record(record, self.rules)
@@ -309,26 +320,22 @@ class LiveAnalysis:
             if existing is None:
                 overlay[instance.key] = (instance, key)
             else:
-                merged = ExecutableInstance(
-                    executable=existing[0].executable, label=existing[0].label,
-                    hashes=existing[0].hashes,
-                    process_count=existing[0].process_count + 1)
+                merged = replace(existing[0], process_count=existing[0].process_count + 1)
                 overlay[instance.key] = (merged, min(existing[1], key))
         entries: list[tuple[ProcessKey, ExecutableInstance]] = []
         for instance in self._search.instances:
             first = self._instance_first[instance.key]
             overlaid = overlay.pop(instance.key, None)
             if overlaid is not None:
-                instance = ExecutableInstance(
-                    executable=instance.executable, label=instance.label,
-                    hashes=instance.hashes,
-                    process_count=instance.process_count + overlaid[0].process_count)
+                instance = replace(
+                    instance, process_count=instance.process_count + overlaid[0].process_count)
                 first = min(first, overlaid[1])
             entries.append((first, instance))
         for instance, first in overlay.values():
             entries.append((first, instance))
         entries.sort(key=lambda entry: entry[0])
-        return [instance for _, instance in entries]
+        self._pool_cache = [instance for _, instance in entries]
+        return self._pool_cache
 
     # ------------------------------------------------------------------ #
     # instrumentation

@@ -20,7 +20,8 @@ and benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL, derive_label
 from repro.analysis.simindex import DEFAULT_INDEX_THRESHOLD, IndexStats, SimilarityIndex
@@ -41,6 +42,8 @@ _FIELD_OF_COLUMN: dict[str, str] = {
     "SY_H": "symbols_h",
 }
 
+_USER_CATEGORY = ExecutableCategory.USER.value
+
 
 def instance_from_record(record: ProcessRecord,
                          rules: tuple = LABEL_RULES) -> "ExecutableInstance | None":
@@ -50,9 +53,7 @@ def instance_from_record(record: ProcessRecord,
     population); the returned instance carries ``process_count=1`` -- callers
     merge counts when several records share one key.
     """
-    if record.category != ExecutableCategory.USER.value:
-        return None
-    if not record.file_h:
+    if record.category != _USER_CATEGORY or not record.file_h:
         return None
     hashes = {column: getattr(record, _FIELD_OF_COLUMN[column]) or ""
               for column in HASH_COLUMNS}
@@ -72,9 +73,9 @@ class ExecutableInstance:
     hashes: dict[str, str]
     process_count: int = 1
 
-    @property
+    @cached_property
     def key(self) -> tuple[str, ...]:
-        """Identity key: the executable path plus the six hash values.
+        """Identity key: the executable path plus the six hash values, built once.
 
         The path is part of the identity because "multiple instances of
         (exactly) the same executable can exist in different paths"
@@ -82,7 +83,8 @@ class ExecutableInstance:
         remain a distinct instance so the similarity search can match it back
         to its known counterpart.
         """
-        return (self.executable, *(self.hashes.get(column, "") for column in HASH_COLUMNS))
+        get = self.hashes.get
+        return (self.executable, *[get(column, "") for column in HASH_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -122,36 +124,40 @@ class SimilaritySearch:
     #: pairs pruned by the index or short-circuited on empty digests do not).
     comparisons: int = field(init=False, default=0)
     _index: SimilarityIndex | None = field(init=False, default=None, repr=False)
-    _instance_ids: dict[tuple[str, ...], int] = field(init=False, default_factory=dict,
-                                                      repr=False)
     _positions: dict[tuple[str, ...], int] = field(init=False, default_factory=dict,
                                                    repr=False)
 
     def __post_init__(self) -> None:
         self.instances = []
-        for record in self.records:
-            self._absorb(record)
+        # The search owns its record list: growing it must not grow the
+        # caller's (a campaign result's ``records``) behind its back.
+        records, self.records = self.records, []
+        self.add_records(records)
 
     # ------------------------------------------------------------------ #
     # index construction
     # ------------------------------------------------------------------ #
-    def _absorb(self, record: ProcessRecord) -> None:
-        """Fold one record into the instance list (append or merge by key)."""
+    def add_record(self, record: ProcessRecord) -> tuple[str, ...] | None:
+        """Fold one record into the instance list (append or merge by key).
+
+        Returns the key of the instance the record joined, ``None`` when it
+        contributes to none -- the live layer tracks each instance's first
+        process key by it, so a record's instance is derived once.
+        """
+        self.records.append(record)
         instance = instance_from_record(record, self.rules)
         if instance is None:
-            return
-        position = self._positions.get(instance.key)
+            return None
+        key = instance.key
+        position = self._positions.get(key)
         if position is None:
-            self._positions[instance.key] = len(self.instances)
+            self._positions[key] = len(self.instances)
             self.instances.append(instance)
         else:
             existing = self.instances[position]
-            self.instances[position] = ExecutableInstance(
-                executable=existing.executable,
-                label=existing.label,
-                hashes=existing.hashes,
-                process_count=existing.process_count + 1,
-            )
+            self.instances[position] = replace(
+                existing, process_count=existing.process_count + 1)
+        return key
 
     def add_records(self, new_records: list[ProcessRecord]) -> int:
         """Append new records, updating instances and the index in place.
@@ -168,8 +174,7 @@ class SimilaritySearch:
         """
         before = len(self.instances)
         for record in new_records:
-            self.records.append(record)
-            self._absorb(record)
+            self.add_record(record)
         return len(self.instances) - before
 
     def unknown_instances(self) -> list[ExecutableInstance]:
@@ -199,18 +204,13 @@ class SimilaritySearch:
         if len(self.instances) < self.index_threshold:
             return None
         if self._index is None:
-            self._index = SimilarityIndex(
-                [instance.hashes for instance in self.instances], columns=HASH_COLUMNS)
-            self._instance_ids = {instance.key: position
-                                  for position, instance in enumerate(self.instances)}
-        elif len(self._index) < len(self.instances):
-            # Records added since the index was built: extend it in place.
-            # Ids are instance-list positions on both paths, and the posting
-            # lists only accrete, so the grown index equals a fresh build.
-            for position in range(len(self._index), len(self.instances)):
-                instance = self.instances[position]
-                self._index.add(instance.hashes)
-                self._instance_ids[instance.key] = position
+            self._index = SimilarityIndex([], columns=HASH_COLUMNS)
+        # Instances added since the index was last consulted extend it in
+        # place.  Ids are instance-list positions (what ``_positions`` maps a
+        # key to), and the posting lists only accrete, so the grown index
+        # equals a fresh build.
+        for position in range(len(self._index), len(self.instances)):
+            self._index.add(self.instances[position].hashes)
         return self._index
 
     @property
@@ -296,10 +296,12 @@ class SimilaritySearch:
         all other scores are 0 by the index's pruning guarantee.  Each
         column's surviving pairs are scored in one
         :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` sweep.
-        Results are built in pool order and stable-sorted, exactly as the
-        brute-force path does, so rankings (including ties) are identical.
+        Pool positions are ranked by a stable sort on the averages, on both
+        paths, so rankings (including ties, which keep pool order) are
+        identical; only the ``top`` rows returned are built.
         """
         pool = candidates if candidates is not None else self.labelled_instances()
+        columns = tuple(dict.fromkeys(columns))
         index = self._effective_index()
         # Columns the index does not cover (anything outside HASH_COLUMNS)
         # simply miss from per_column and are compared directly, exactly as
@@ -309,44 +311,37 @@ class SimilaritySearch:
             per_column = index.candidates_by_column(
                 baseline.hashes, tuple(column for column in columns
                                        if column in index.columns))
-        kept: list[ExecutableInstance] = []
-        kept_ids: list[int | None] = []
-        for candidate in pool:
-            if candidate.key == baseline.key:
-                continue
-            # Caller-supplied instances outside the built index (no id) are
-            # compared directly; indexed ones only where a shared n-gram
-            # makes a non-zero score possible.
-            kept.append(candidate)
-            kept_ids.append(self._instance_ids.get(candidate.key)
-                            if index is not None else None)
-        column_scores: dict[str, list[int]] = {}
+        # One pass for the ids.  Caller-supplied instances outside the built
+        # index (no id) are compared directly; indexed ones only where a
+        # shared n-gram makes a non-zero score possible.
+        baseline_key = baseline.key
+        kept = [candidate for candidate in pool if candidate.key != baseline_key]
+        kept_ids = [self._positions.get(candidate.key) for candidate in kept]
+        column_scores: list[list[int]] = []
         for column in columns:
             bucket = per_column.get(column)
+            if bucket is None:
+                targets = range(len(kept))
+            else:  # the rest is pruned: 0 by the index's no-false-negative guarantee
+                targets = [position for position, candidate_id in enumerate(kept_ids)
+                           if candidate_id is None or candidate_id in bucket]
             scores = [0] * len(kept)
-            targets: list[int] = []
-            digests: list[str] = []
-            for position, (candidate, candidate_id) in enumerate(zip(kept, kept_ids)):
-                if candidate_id is not None and bucket is not None \
-                        and candidate_id not in bucket:
-                    continue  # pruned: 0 by the index's no-false-negative guarantee
-                targets.append(position)
-                digests.append(candidate.hashes.get(column, ""))
-            batch = self._compare_digest_batch(baseline.hashes.get(column, ""),
-                                               digests)
+            batch = self._compare_digest_batch(
+                baseline.hashes.get(column, ""),
+                [kept[position].hashes.get(column, "") for position in targets])
             for position, score in zip(targets, batch):
                 scores[position] = score
-            column_scores[column] = scores
-        results: list[SimilarityResult] = []
-        for position, candidate in enumerate(kept):
-            selected = {column: column_scores[column][position] for column in columns}
-            average = sum(selected.values()) / len(selected) if selected else 0.0
-            results.append(SimilarityResult(
-                label=candidate.label, executable=candidate.executable,
-                scores=selected, average=average,
-            ))
-        results.sort(key=lambda result: result.average, reverse=True)
-        return results[:top] if top is not None else results
+            column_scores.append(scores)
+        # Rank positions, not results: a stable sort on the averages keeps
+        # pool order on ties, and only the rows returned are ever built.
+        averages = ([sum(row) / len(columns) for row in zip(*column_scores)]
+                    if columns else [0.0] * len(kept))
+        ranked = sorted(range(len(kept)), key=averages.__getitem__, reverse=True)[:top]
+        return [SimilarityResult(
+            label=kept[position].label, executable=kept[position].executable,
+            scores={column: scores[position]
+                    for column, scores in zip(columns, column_scores)},
+            average=averages[position]) for position in ranked]
 
     def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
         """Run the Table 7 search for every UNKNOWN instance.

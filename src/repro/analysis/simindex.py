@@ -42,12 +42,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hashing.compare_engine import (
+    NGRAM,
+    NormalizedDigest,
+    normalize_digest,
+    normalize_parsed,
+    signature_grams,
+)
 from repro.hashing.rolling import ROLLING_WINDOW
-from repro.hashing.ssdeep import FuzzyHash, eliminate_sequences
+from repro.hashing.ssdeep import FuzzyHash
 
-#: Below this many indexed digests a linear scan beats index construction;
-#: searches fall back to brute force (which is result-identical anyway).
-DEFAULT_INDEX_THRESHOLD = 16
+#: Below this many instances a linear scan beats building and probing the
+#: index for the Table 7 search, so searches fall back to brute force (which
+#: is result-identical anyway).  Host-measured on the edit-compile-run record
+#: set: ``identify_unknown(top=10)`` indexed / brute is x1.41 at 30 instances,
+#: x1.04 at 80, x1.00 at 95, x0.95 at 100, x0.86 at 120 (the curve is in
+#: docs/architecture.md, "Host-measured crossovers").
+DEFAULT_INDEX_THRESHOLD = 96
 
 
 @dataclass
@@ -79,16 +90,26 @@ class DigestIndex:
     positions in an instance list).  :meth:`candidates` returns the ids of
     every registered digest that could score non-zero against the query --
     never fewer (no false negatives), usually far fewer than all of them.
+
+    Block size, normalised signatures and gram sets come from
+    :func:`~repro.hashing.compare_engine.normalize_digest`, the cache the
+    comparer fills anyway, so index and comparer share one normalisation by
+    construction; posting lists hold *distinct* digests, each of which knows
+    the ids registered under it, so a column carrying two values across a
+    thousand instances inserts its grams twice.
     """
 
     def __init__(self, ngram: int = ROLLING_WINDOW) -> None:
         if ngram < 2:
             raise ValueError("ngram must be >= 2")
         self.ngram = ngram
-        # (band block size, gram) -> ids of digests carrying that gram.
-        self._grams: dict[tuple[int, str], set[int]] = {}
-        # (block size, sig1, sig2) -> ids, for the exact-100 path of digests
-        # whose signatures are too short to produce any gram.
+        # Distinct digest -> its number; number -> ids registered under it.
+        self._numbers: dict[FuzzyHash | str, int] = {}
+        self._members: list[set[int]] = []
+        # band block size -> gram -> numbers of the digests carrying that gram.
+        self._grams: dict[int, dict[str, list[int]]] = {}
+        # (block size, sig1, sig2) -> numbers, for the exact-100 path of
+        # digests whose signatures are too short to produce any gram.
         self._exact: dict[tuple[int, str, str], set[int]] = {}
         self._size = 0
         self.stats = IndexStats()
@@ -106,23 +127,32 @@ class DigestIndex:
         such digests always compare to 0, so leaving them out preserves the
         no-false-negative guarantee.
         """
-        parsed = self._parse(digest)
-        if parsed is None:
-            return False
-        sig1 = eliminate_sequences(parsed.sig1)
-        sig2 = eliminate_sequences(parsed.sig2)
-        for band, signature in ((parsed.block_size, sig1), (parsed.block_size * 2, sig2)):
-            for gram in self._iter_grams(signature):
-                self._grams.setdefault((band, gram), set()).add(digest_id)
-        if sig1:
-            # compare() returns 100 for equal-blocksize digests whose
-            # normalised signatures match exactly (sig1 non-empty), even when
-            # they are too short to share a 7-gram.
-            self._exact.setdefault((parsed.block_size, sig1, sig2), set()).add(digest_id)
+        number = self._numbers.get(digest)
+        if number is None:
+            parsed = self._normalized(digest)
+            if parsed is None:
+                return False
+            number = self._numbers[digest] = len(self._members)
+            self._members.append(set())
+            for band, grams in self._banded_grams(parsed):
+                postings = self._grams.setdefault(band, {})
+                for gram in grams:
+                    bucket = postings.get(gram)
+                    if bucket is None:
+                        postings[gram] = [number]
+                    else:
+                        bucket.append(number)
+            self.stats.grams = sum(map(len, self._grams.values()))
+            if parsed.s1:
+                # compare() returns 100 for equal-blocksize digests whose
+                # normalised signatures match exactly (sig1 non-empty), even
+                # when they are too short to share a 7-gram.
+                self._exact.setdefault(
+                    (parsed.block_size, parsed.s1, parsed.s2), set()).add(number)
+            self.stats.exact_keys = len(self._exact)
+        self._members[number].add(digest_id)
         self._size += 1
         self.stats.digests = self._size
-        self.stats.grams = len(self._grams)
-        self.stats.exact_keys = len(self._exact)
         return True
 
     # ------------------------------------------------------------------ #
@@ -131,22 +161,19 @@ class DigestIndex:
     def candidates(self, digest: FuzzyHash | str) -> set[int]:
         """Ids of indexed digests that could score non-zero against ``digest``."""
         self.stats.queries += 1
-        parsed = self._parse(digest)
+        parsed = self._normalized(digest)
         if parsed is None:
             self.stats.pairs_pruned += self._size
             return set()
-        sig1 = eliminate_sequences(parsed.sig1)
-        sig2 = eliminate_sequences(parsed.sig2)
-        found: set[int] = set()
-        for band, signature in ((parsed.block_size, sig1), (parsed.block_size * 2, sig2)):
-            for gram in self._iter_grams(signature):
-                bucket = self._grams.get((band, gram))
-                if bucket:
-                    found |= bucket
-        if sig1:
-            exact = self._exact.get((parsed.block_size, sig1, sig2))
+        numbers: set[int] = set()
+        for band, grams in self._banded_grams(parsed):
+            postings = self._grams.get(band, {})
+            numbers.update(*[postings[gram] for gram in grams & postings.keys()])
+        if parsed.s1:
+            exact = self._exact.get((parsed.block_size, parsed.s1, parsed.s2))
             if exact:
-                found |= exact
+                numbers |= exact
+        found: set[int] = set().union(*[self._members[number] for number in numbers])
         self.stats.candidates_returned += len(found)
         self.stats.pairs_pruned += self._size - len(found)
         return found
@@ -155,19 +182,24 @@ class DigestIndex:
     # helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _parse(digest: FuzzyHash | str) -> FuzzyHash | None:
-        if isinstance(digest, FuzzyHash):
-            return digest
+    def _normalized(digest: FuzzyHash | str) -> NormalizedDigest | None:
         if not digest:
             return None
         try:
-            return FuzzyHash.parse(digest)
+            if isinstance(digest, str):
+                return normalize_digest(digest)
+            return normalize_parsed(digest.block_size, digest.sig1, digest.sig2)
         except ValueError:
             return None
 
-    def _iter_grams(self, signature: str):
-        for start in range(len(signature) - self.ngram + 1):
-            yield signature[start:start + self.ngram]
+    def _banded_grams(self, parsed: NormalizedDigest,
+                      ) -> tuple[tuple[int, frozenset[str]], tuple[int, frozenset[str]]]:
+        """The chunk part's grams under band ``b``, the double-chunk part's under ``2b``."""
+        grams1, grams2 = parsed.grams1, parsed.grams2
+        if self.ngram != NGRAM:
+            grams1 = signature_grams(parsed.s1, self.ngram)
+            grams2 = signature_grams(parsed.s2, self.ngram)
+        return (parsed.block_size, grams1), (parsed.block_size * 2, grams2)
 
 
 @dataclass

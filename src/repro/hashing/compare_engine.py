@@ -69,8 +69,10 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: (and therefore the scores) diverge.
 NGRAM = ROLLING_WINDOW
 
-#: Below this many texts the batch set-up costs more than it saves.
-_MIN_BATCH = 4
+#: Below this many texts the scalar kernel (~11 us a 60-character text) is
+#: cheaper than the batch's column loop (~110 us however few the rows);
+#: host-measured, they cross at 10-11 texts for 32- and 60-character patterns.
+_MIN_BATCH = 10
 
 #: ``numpy.bitwise_count`` arrived in numpy 2.0; older installs fall back to
 #: the scalar kernel, which needs no popcount ufunc.
@@ -200,36 +202,35 @@ def lcs_length(masks: dict[str, int], m: int, text: str) -> int:
 def lcs_length_many(masks: dict[str, int], m: int, texts: list[str]) -> list[int]:
     """One-vs-many :func:`lcs_length`: the whole batch advances per column.
 
-    Candidates become rows of a code matrix (ragged lengths padded with a
-    sentinel whose match mask is 0 -- a pad step leaves ``V`` unchanged, so
-    padding is a no-op); each of the at-most-``max_len`` column steps is
+    Candidates become rows of a byte matrix -- one ``encode`` of the batch,
+    a character's code its latin-1 byte, ragged lengths padded with NUL, whose
+    match mask is 0: a pad step leaves ``V`` unchanged, so padding is a
+    no-op; each of the at-most-``max_len`` column steps is
     three ``uint64`` array operations over the entire batch.  Carries from
     ``V + U`` propagate upward only, so bits at and above ``m`` never feed
     back into the live low ``m`` bits and the mod-``2**64`` wrap is exact.
     Falls back to the scalar kernel for patterns wider than one word, tiny
-    batches, or numpy-free installs -- results are identical either way.
+    batches, numpy-free installs, a NUL in the pattern (pads would match it)
+    or a text outside latin-1 -- results are identical either way.
     """
-    if (_BITWISE_COUNT is None or m == 0 or m > 64 or len(texts) < _MIN_BATCH):
+    if (_BITWISE_COUNT is None or m == 0 or m > 64 or len(texts) < _MIN_BATCH
+            or "\0" in masks):
         return [lcs_length(masks, m, text) for text in texts]
-    max_len = max((len(text) for text in texts), default=0)
+    max_len = max(map(len, texts))
     if max_len == 0:
         return [0] * len(texts)
-    # Encode every distinct character once; code 0 is the pad sentinel.
-    codes: dict[str, int] = {}
-    pattern_masks = [0]
-    rows = _np.zeros((len(texts), max_len), dtype=_np.intp, order="F")
-    for row, text in enumerate(texts):
-        for column, char in enumerate(text):
-            code = codes.get(char)
-            if code is None:
-                code = codes[char] = len(pattern_masks)
-                pattern_masks.append(masks.get(char, 0))
-            rows[row, column] = code
-    table = _np.array(pattern_masks, dtype=_np.uint64)
+    try:
+        codes = "".join([text.ljust(max_len, "\0") for text in texts]).encode("latin-1")
+    except UnicodeEncodeError:
+        return [lcs_length(masks, m, text) for text in texts]
+    rows = _np.frombuffer(codes, dtype=_np.uint8).reshape(len(texts), max_len)
+    table = _np.zeros(256, dtype=_np.uint64)
+    for char, mask in masks.items():
+        if char < "\u0100":
+            table[ord(char)] = mask
     full = _np.uint64((1 << m) - 1)
     v = _np.full(len(texts), full, dtype=_np.uint64)
-    for column in range(max_len):
-        p = table[rows[:, column]]
+    for p in table[rows.T]:       # one gather: a row of match masks per column step
         u = v & p
         v = (v + u) | (v - u)
     return (m - _BITWISE_COUNT(v & full)).tolist()

@@ -162,6 +162,30 @@ class TestSyntheticStreamEquivalence:
         assert (live.table2_user_activity(), live.table3_system_executables()) == before
         _assert_views_equal(live, stream[:20], {})
 
+    def test_pool_is_built_once_per_pulled_state(self):
+        stream = _synthetic_stream(seed=11)
+        live = LiveAnalysis({})
+        live.commit(stream[:30])
+        live.refresh_open(stream[30:33])
+        pool = live._pool()
+        # One dashboard refresh reads the pool several times for one state...
+        assert live.unknown_instances() and live.identify_unknown(top=10)
+        live.commit([])
+        live.refresh_open(list(stream[30:33]))      # an equal re-peek
+        assert live._pool() is pool
+        # ... and every change of what it is built from drops it.
+        handed_out = live.instances
+        handed_out.clear()                          # a copy: the cache is not the caller's
+        assert live._pool() is pool and len(pool) == len(live.instances)
+        live.refresh_open(stream[30:34])
+        assert live._pool() is not pool
+        _assert_views_equal(live, stream[:34], {})
+        pool = live._pool()
+        live.commit(stream[30:34])
+        assert live._pool() is not pool
+        live.refresh_open([])
+        _assert_views_equal(live, stream[:34], {})
+
     def test_index_growth_across_threshold_stays_equivalent(self):
         """add() growth crossing index_threshold: live answers stay identical
         (brute force below the threshold, incrementally grown index above)."""

@@ -112,6 +112,27 @@ class TestLcsKernel:
         assert lcs_length_many(masks, 64, texts) == \
             [_lcs_reference(pattern, text) for text in texts]
 
+    def test_ragged_batches_with_nul_and_non_latin1_characters(self):
+        # The batch is one latin-1 encode padded with NUL: a NUL or a
+        # character outside latin-1, in pattern or text, must not change a
+        # single length -- whichever kernel ends up scoring the batch.
+        rng = random.Random(16)
+        alphabet = B64_ALPHABET + "\0\u00e9\u0142\u4e2d"
+        for m in (1, 7, 33, 63, 64):
+            for _ in range(25):
+                pattern = "".join(rng.choice(alphabet) for _ in range(m))
+                texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 64)))
+                         for _ in range(rng.randint(10, 30))]
+                masks = signature_masks(pattern)
+                assert lcs_length_many(masks, m, texts) == \
+                    [lcs_length(masks, m, text) for text in texts]
+        masks = signature_masks("ABCDEFGH")
+        plain = ["ABCDEFGH", "HGFEDCBA", "", "ABxxGH"] * 3
+        for odd in ("AB\0CD", "AB\u4e2dCD", "\u00e9ABCDEFGH"):
+            texts = plain + [odd]
+            assert lcs_length_many(masks, 8, texts) == \
+                [_lcs_reference("ABCDEFGH", text) for text in texts]
+
     def test_default_cost_distance_equals_weighted_dp(self):
         # The whole reduction: with costs 1/1/2/2 the weighted
         # Damerau-Levenshtein distance is len(a)+len(b) - 2*LCS(a,b).
