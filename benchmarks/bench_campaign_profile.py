@@ -1,22 +1,14 @@
-"""Campaign driver benchmark -- stage profile and parallel driver.
+"""Campaign driver benchmark -- the stage profile.
 
-Two measurements, with record equivalence asserted before any timing claim:
-
-* **stage profile**: one serial campaign run with the built-in
-  :class:`~repro.util.timing.StageTimer` enabled, recording where the
-  wall-clock goes (``campaign.prepare`` / ``cluster.run_job`` /
-  ``collect.*`` / ``transport.*`` / ``store.write`` ...),
-* **parallel driver**: the same campaign with ``campaign_workers`` driver
-  processes; output pinned equivalent to serial, wall-clock and per-stage
-  timings recorded, and the parallel>=serial floor enforced where it is
-  winnable (>= 2 cores), skipped-with-reason (logged *and* recorded in the
-  JSON) on a single-core host.
+One campaign run with the built-in :class:`~repro.util.timing.StageTimer`
+enabled, recording where the wall-clock goes (``campaign.prepare`` /
+``cluster.run_job`` / ``collect.*`` / ``transport.*`` / ``store.write`` ...)
+and the cache-effectiveness counters.
 
 Results are written as machine-readable JSON to ``BENCH_campaign.json`` in
-the repository root (override with ``REPRO_BENCH_JSON``).
-``REPRO_BENCH_SMOKE=1`` shrinks the campaign for CI smoke runs; floors stay
-off in smoke mode unless ``REPRO_BENCH_ENFORCE_DRIVER_FLOOR=1`` opts the
-parallel>=serial gate back in (CI does, on its multi-core runners).
+the repository root (override with ``REPRO_BENCH_JSON``), with the host's
+visible core count as ``cpus``.  ``REPRO_BENCH_SMOKE=1`` shrinks the
+campaign for CI smoke runs.
 """
 
 import json
@@ -30,15 +22,10 @@ from repro.util.tables import TextTable
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-ENFORCE_DRIVER_FLOOR = os.environ.get(
-    "REPRO_BENCH_ENFORCE_DRIVER_FLOOR", "") not in ("", "0")
 SCALE = 0.0025 if SMOKE else 0.01
 SEED = 2025
 LOSS_RATE = 0.0002
 CPUS = len(os.sched_getaffinity(0))
-#: Driver width for the parallel arm: one per core, floor 2 so the arm
-#: exercises real cross-process merging even on a single-core host.
-WORKERS = max(2, min(4, CPUS))
 
 RESULTS: dict = {
     "bench": "campaign_profile",
@@ -46,7 +33,6 @@ RESULTS: dict = {
     "scale": SCALE,
     "seed": SEED,
     "cpus": CPUS,
-    "campaign_workers": WORKERS,
 }
 
 
@@ -70,15 +56,9 @@ def _dump_results():
     print(f"\nwrote {path}")
 
 
-def _record_set(records):
-    return sorted(tuple(getattr(r, name) for name in r.__dataclass_fields__)
-                  for r in records)
-
-
-def _run_campaign(workers: int = 1):
+def _run_campaign():
     """One timed campaign run; returns (result, wall seconds)."""
-    config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=LOSS_RATE,
-                            campaign_workers=workers)
+    config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=LOSS_RATE)
     campaign = DeploymentCampaign(config=config)
     campaign.prepare()
     start = time.perf_counter()
@@ -95,8 +75,8 @@ def _stage_table(title: str, stages: dict) -> str:
 
 @pytest.fixture(scope="module")
 def serial_run():
-    """The serial reference: result + wall seconds, shared by every arm."""
-    return _run_campaign(1)
+    """The profiled run: result + wall seconds, shared by both tests."""
+    return _run_campaign()
 
 
 class TestStageProfile:
@@ -115,8 +95,7 @@ class TestStageProfile:
         covered = sum(stages[name]["seconds"] for name in
                       ("campaign.prepare", "campaign.jobs", "campaign.finalize"))
         assert covered > 0.5 * seconds
-        # Job execution dominates: that is the stage the parallel driver
-        # attacks, and collection dominates inside it.
+        # Job execution dominates, and collection dominates inside it.
         assert stages["campaign.jobs"]["seconds"] >= \
             stages["campaign.prepare"]["seconds"]
         RESULTS["serial"] = {"seconds": seconds, "stages": stages,
@@ -134,59 +113,3 @@ class TestStageProfile:
             key: stats[key] for key in
             ("hashes_computed", "hash_cache_hits", "hash_content_cache_hits",
              "hash_cache_hit_rate", "compare_cache_hits", "compare_cache_misses")}
-
-
-class TestParallelDriver:
-    def test_parallel_equivalent_and_profiled(self, serial_run):
-        serial_result, serial_seconds = serial_run
-        parallel_result, parallel_seconds = _run_campaign(WORKERS)
-        assert _record_set(parallel_result.records) == \
-            _record_set(serial_result.records)
-        assert parallel_result.jobs_run == serial_result.jobs_run
-        speedup = serial_seconds / parallel_seconds
-        print()
-        print(_stage_table(
-            f"Parallel campaign stage profile ({WORKERS} workers, "
-            f"{parallel_seconds:.2f}s wall, {speedup:.2f}x vs serial)",
-            parallel_result.stage_timings))
-
-        floor: dict = {"workers": WORKERS, "cpus": CPUS}
-        if CPUS < 2:
-            floor["enforced"] = False
-            floor["skip_reason"] = (
-                f"only {CPUS} CPU core(s) visible to this run -- driver "
-                "workers add IPC and duplicate prepare() on top of the same "
-                "serialized compute, so the parallel>=serial floor is "
-                "unwinnable here; rerun on >=2 cores to enforce it")
-        elif SMOKE and not ENFORCE_DRIVER_FLOOR:
-            floor["enforced"] = False
-            floor["skip_reason"] = ("smoke run without "
-                                    "REPRO_BENCH_ENFORCE_DRIVER_FLOOR=1")
-        else:
-            floor["enforced"] = True
-        if floor["enforced"]:
-            assert parallel_seconds <= serial_seconds, (
-                f"parallel driver ({parallel_seconds:.2f}s with {WORKERS} "
-                f"workers) fell behind serial ({serial_seconds:.2f}s) on "
-                f"{CPUS} cores")
-        else:
-            print(f"parallel>=serial floor SKIPPED: {floor['skip_reason']}")
-        feed = dict(parallel_result.feed_stats or {})
-        if feed.get("feed_calls"):
-            # The coalescing win: worker batches merged per parent ingest
-            # call (1.0 = no queue backlog to merge, higher = fewer
-            # driver.feed/store.write round-trips than batches arrived).
-            feed["batches_per_call"] = (feed["batches_received"]
-                                        / feed["feed_calls"])
-            print(f"feed coalescing: {feed['batches_received']} worker "
-                  f"batches -> {feed['feed_calls']} ingest calls "
-                  f"({feed['batches_per_call']:.2f} batches/call, "
-                  f"{feed['datagrams_fed']:,} datagrams)")
-        RESULTS["parallel"] = {
-            "seconds": parallel_seconds,
-            "speedup_vs_serial": speedup,
-            "stages": parallel_result.stage_timings,
-            "driver_floor": floor,
-            "feed": feed,
-        }
-

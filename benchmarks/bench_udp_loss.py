@@ -7,14 +7,13 @@ keeps partially lost records analysable.  This bench sweeps two axes:
 * the plain datagram loss rate (the original ablation), and
 * the full deterministic fault-plan presets from :mod:`repro.faults`
   (loss / duplication / reordering / corruption / truncation / jitter and a
-  mixed-hostile combination), plus a supervised worker-crash arm -- the
-  degradation curves behind the self-healing ingest claims.
+  mixed-hostile combination) -- the degradation curves behind the
+  fault-injection claims.
 
 For every preset the curve records the *recovered-record fraction* (records
 consolidated under the fault plan relative to the fault-free baseline), the
 incomplete fraction, decode/quarantine counters and the channel's own fault
-counters; the crash arm additionally records supervised restart counts and
-replay losses.  Results are written as machine-readable JSON to
+counters.  Results are written as machine-readable JSON to
 ``BENCH_faults.json`` in the repository root (override with
 ``REPRO_BENCH_JSON``).  Setting ``REPRO_BENCH_SMOKE=1`` shrinks the campaigns
 for CI smoke runs: curve shape is still asserted, absolute values are
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultPlan, WorkerFaultProfile, preset_plans
+from repro.faults import FaultPlan, preset_plans
 from repro.util.tables import TextTable
 from repro.workload import CampaignConfig, DeploymentCampaign
 
@@ -42,6 +41,7 @@ RESULTS: dict = {
     "smoke": SMOKE,
     "scale": SCALE,
     "seed": SEED,
+    "cpus": len(os.sched_getaffinity(0)),
 }
 
 
@@ -110,10 +110,9 @@ def test_list_hashes_survive_partial_loss():
 # --------------------------------------------------------------------- #
 # degradation curves over the fault-plan presets
 # --------------------------------------------------------------------- #
-def _run_with_plan(plan: FaultPlan | None, **overrides):
+def _run_with_plan(plan: FaultPlan | None):
     config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0,
-                            ingest_mode="streaming", fault_plan=plan,
-                            **overrides)
+                            ingest_mode="streaming", fault_plan=plan)
     campaign = DeploymentCampaign(config=config)
     started = time.perf_counter()
     result = campaign.run()
@@ -137,7 +136,6 @@ class TestFaultDegradationCurve:
                 "incomplete_fraction": result.incomplete_fraction,
                 "decode_errors": result.decode_errors,
                 "quarantined": result.quarantined,
-                "worker_restarts": result.worker_restarts,
                 "seconds": seconds,
             }
             if result.fault_counters is not None:
@@ -174,37 +172,3 @@ class TestFaultDegradationCurve:
             assert curve[name]["decode_errors"] > 0
             assert 0 < curve[name]["quarantined"] <= max(
                 curve[name]["decode_errors"], 1)
-
-    def test_worker_crash_arm(self):
-        plan = FaultPlan(seed=SEED, workers=(
-            WorkerFaultProfile(shard=0, kill_after_batches=2),
-            WorkerFaultProfile(shard=1, kill_after_batches=4),
-        ))
-        baseline, _ = _run_with_plan(None, ingest_shards=2)
-        config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0,
-                                ingest_mode="streaming", ingest_shards=2,
-                                fault_plan=plan)
-        campaign = DeploymentCampaign(config=config)
-        campaign.prepare()
-        campaign.ingest.backend.drain_grace = 1.0  # keep the heal fast
-        started = time.perf_counter()
-        result = campaign.run()
-        seconds = time.perf_counter() - started
-        stats = result.ingest.statistics()
-        recovered = len(result.records) / len(baseline.records)
-        RESULTS["worker_crash"] = {
-            "recovered_record_fraction": recovered,
-            "worker_restarts": result.worker_restarts,
-            "restart_lost_groups": stats["restart_lost_groups"],
-            "restart_lost_datagrams": stats["restart_lost_datagrams"],
-            "resend_replayed_batches": stats["resend_replayed_batches"],
-            "seconds": seconds,
-        }
-        print(f"\nworker-crash arm: {recovered:.3f} recovered after "
-              f"{result.worker_restarts} restart(s) in {seconds:.2f}s")
-        # The whole point of the resend buffer: both kills heal with zero
-        # record loss -- the degradation curve for crashes is flat.
-        assert result.worker_restarts == 2
-        assert stats["restart_lost_groups"] == 0
-        assert stats["restart_lost_datagrams"] == 0
-        assert recovered == 1.0

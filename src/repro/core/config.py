@@ -43,12 +43,6 @@ class SirenConfig:
         arrive through :mod:`repro.ingest`, so
         :meth:`~repro.core.framework.SirenFramework.snapshot` serves live
         analysis views mid-deployment.  Output records are identical.
-    ingest_shards:
-        Number of receiver+consolidator shards in streaming mode.  One shard
-        runs in this interpreter; more than one run as that many supervised
-        OS processes (:class:`~repro.ingest.sharded.ShardedIngest`: each
-        process key lands deterministically on one shard, and record output,
-        ordering and delta-cursor semantics are identical).
     keep_raw_messages:
         Whether raw messages survive in the ``messages`` table.  In
         streaming mode it decides whether messages are *also* persisted
@@ -63,11 +57,6 @@ class SirenConfig:
         drained on every ``consolidate``/``snapshot``/``finalize`` and the
         sockets are released by
         :meth:`~repro.core.framework.SirenFramework.close`.
-    ingest_max_restarts:
-        Supervised restarts allowed per shard worker before a crashed or
-        stalled worker surfaces as
-        :class:`~repro.util.errors.WorkerCrashError`
-        (``ingest_shards > 1`` only; 0 restores fail-fast).
     store_retry_attempts:
         Retries of a store write transaction on *transient* SQLite errors
         (``database is locked`` / ``busy``), with exponential jittered
@@ -78,8 +67,8 @@ class SirenConfig:
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` arming deterministic
         fault injection: channel faults wrap the in-memory channel
-        (``transport="memory"`` only), store faults hook the shared store's
-        write paths, worker faults ride into the shard worker processes.
+        (``transport="memory"`` only), store faults hook the store's write
+        paths.
         ``None`` (default) injects nothing.
     store_backend:
         Storage substrate of the tiered record store (``rollups=True``):
@@ -102,10 +91,8 @@ class SirenConfig:
     seed: int = 42
     hash_concurrency: int = 1
     ingest_mode: str = "batch"
-    ingest_shards: int = 1
     keep_raw_messages: bool = True
     transport: str = "memory"
-    ingest_max_restarts: int = 2
     store_retry_attempts: int = 4
     quarantine_capacity: int = 256
     fault_plan: FaultPlan | None = None
@@ -123,8 +110,7 @@ class SirenConfig:
                     f"unknown {knob} {value!r} "
                     f"(expected {allowed[0]!r} or {allowed[1]!r})")
         for knob, least in (("max_datagram_size", MIN_DATAGRAM_SIZE),
-                            ("hash_concurrency", 1), ("ingest_shards", 1),
-                            ("ingest_max_restarts", 0), ("store_retry_attempts", 0),
+                            ("hash_concurrency", 1), ("store_retry_attempts", 0),
                             ("quarantine_capacity", 0)):
             value = getattr(self, knob)
             if value < least:

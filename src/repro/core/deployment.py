@@ -50,16 +50,11 @@ class Deployment:
     ``timer`` is threaded through every stage it builds; ``user_names`` bakes
     the anonymised labels into the gold user dimension (``None`` falls back
     to ``uid_<n>``, identical to recomputing the tables without names).
-    With a ``datagram_sink`` the deployment is collect-only (the parallel
-    driver's worker side): no store, receiver or ingest is built, every
-    datagram that survives the channel goes to the sink, and only
-    :meth:`deploy`, :attr:`drain` and :meth:`close` are meaningful.
     """
 
     config: SirenConfig
     timer: StageTimer = field(default=NULL_TIMER, repr=False)
     user_names: dict[int, str] | None = None
-    datagram_sink: Callable[[bytes], None] | None = None
     store: MessageStore = field(init=False)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     tiered: TieredStore | None = field(init=False, default=None)
@@ -95,17 +90,6 @@ class Deployment:
                 self.channel = InMemoryChannel()
         if plan is not None and plan.channel.active:
             self.channel = FaultyChannel(plan=plan, inner=self.channel)
-        if self.datagram_sink is not None:
-            self.channel.subscribe(self.datagram_sink)
-        else:
-            self._build_receiving_side()
-        self.sender = UDPSender(self.channel,
-                                max_datagram_size=config.max_datagram_size,
-                                timer=self.timer)
-
-    def _build_receiving_side(self) -> None:
-        config = self.config
-        plan = config.fault_plan
         self.store = MessageStore(
             config.store_path,
             retry=RetryPolicy(attempts=config.store_retry_attempts))
@@ -122,11 +106,9 @@ class Deployment:
             self.store.attach_tiered(self.tiered)
         if config.ingest_mode == "streaming":
             self.front = self.ingest = ShardedIngest(
-                self.store, shards=config.ingest_shards,
-                persist_raw=config.keep_raw_messages,
-                max_restarts=config.ingest_max_restarts,
+                self.store, persist_raw=config.keep_raw_messages,
                 quarantine_capacity=config.quarantine_capacity,
-                fault_plan=plan, timer=self.timer)
+                timer=self.timer)
             self.quarantine = self.ingest.quarantine
         else:
             if config.quarantine_capacity:
@@ -135,6 +117,9 @@ class Deployment:
             self.front = self.receiver = MessageReceiver(
                 self.store, quarantine=self.quarantine)
         self.front.attach(self.channel)
+        self.sender = UDPSender(self.channel,
+                                max_datagram_size=config.max_datagram_size,
+                                timer=self.timer)
 
     def deploy(self, cluster: Cluster, library_path: str) -> SirenCollector:
         """Hook ``library_path`` (the installed ``siren.so``) onto ``cluster``."""
@@ -223,20 +208,14 @@ class Deployment:
         """Release what the deployment holds outside this interpreter's heap.
 
         The collector's hash worker pool (a later concurrent batch simply
-        respawns it), the loopback sockets (drained first) and any process
-        shard workers -- whose unsynced records are discarded, so call
-        :meth:`finalize` first for a clean end of stream.  Idempotent;
+        respawns it) and the loopback sockets (drained first).  Idempotent;
         snapshots and analyses keep working on what was already ingested.
         """
-        try:
-            if self.collector is not None:
-                self.collector.close()
-            if isinstance(self.channel, SocketChannel):
-                self.channel.drain()
-                self.channel.close()
-        finally:
-            if self.ingest is not None:
-                self.ingest.close()
+        if self.collector is not None:
+            self.collector.close()
+        if isinstance(self.channel, SocketChannel):
+            self.channel.drain()
+            self.channel.close()
 
     # ------------------------------------------------------------------ #
     # counters
@@ -250,8 +229,3 @@ class Deployment:
     def quarantined(self) -> int:
         """Of those, raw bytes captured in the forensic ring (0 when off)."""
         return len(self.quarantine) if self.quarantine is not None else 0
-
-    @property
-    def worker_restarts(self) -> int:
-        """Supervised shard-worker restarts (streaming with ``ingest_shards > 1``)."""
-        return self.ingest.worker_restarts if self.ingest is not None else 0

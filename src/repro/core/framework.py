@@ -147,8 +147,7 @@ class SirenFramework:
             ingest_stats = self.ingest.statistics()
             for name in ("records_built", "incomplete_records", "early_finalized",
                          "idle_closed", "late_messages", "open_processes",
-                         "peak_open_processes", "worker_restarts",
-                         "restart_lost_groups", "restart_lost_datagrams"):
+                         "peak_open_processes"):
                 stats[f"ingest_{name}"] = ingest_stats[name]
         stats["store_write_retries"] = self.store.write_retries
         lossy = deployment.lossy_channel

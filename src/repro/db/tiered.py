@@ -10,9 +10,9 @@ bronze/silver/gold tiering on top of the existing store:
   (kept or cleared per ``keep_raw_messages``); the tiered store does not
   duplicate it.
 * **silver** -- consolidated :class:`~repro.db.store.ProcessRecord` rows in
-  ``shards`` hash-partitioned shards (the same FNV-1a-32 key hash the
-  streaming front uses in :func:`~repro.ingest.shard.shard_of_datagram`, so
-  a record's shard is stable across runs and processes).  Heavy payload
+  ``shards`` hash-partitioned shards (FNV-1a-32 of the record's key
+  string, :func:`record_key`, so a record's shard is stable across runs and
+  processes).  Heavy payload
   columns (shared-object lists, module lists, memory maps, ...) are
   replaced by FNV-1a-64 content digests referencing a shared blob table --
   the content-addressed scheme of the collector's digest cache -- so two
@@ -71,7 +71,7 @@ from repro.hashing.fnv import (FNV64_OFFSET, FNV64_PRIME, fnv1a_32,
                                fnv1a_32_many, fnv1a_64)
 from repro.util.errors import StoreError
 
-#: Default silver shard count (matches the default sharded-ingest width).
+#: Default silver shard count.
 DEFAULT_SHARDS = 4
 
 #: Heavy payload columns replaced by blob digests in silver rows.  The short
@@ -118,12 +118,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def record_key(record: ProcessRecord) -> str:
-    """The canonical process-key string (the sharding + identity key).
-
-    Byte-for-byte the header slice
-    :func:`~repro.ingest.shard.shard_of_datagram` hashes, so a record lands
-    on the same shard index the streaming front routed its datagrams to.
-    """
+    """The canonical process-key string (the sharding + identity key): the
+    six process-key fields, ``\\x1f``-joined."""
     return "\x1f".join(map(str, record.key))
 
 

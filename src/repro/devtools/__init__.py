@@ -2,8 +2,8 @@
 
 The reproduction's correctness rests on rules no runtime test states
 explicitly: one-seed determinism, byte-identical A/B reference paths,
-config knobs threaded in parallel through campaign and framework configs,
-fork-safe module state across the process pools, and a counter vocabulary
-that parallel-mode folding and the docs both agree on.  :mod:`repro.devtools.lint`
+config knobs declared once and documented, fork-safe module state under the
+collector's hashing pool, and a counter vocabulary that the result views and
+the docs both agree on.  :mod:`repro.devtools.lint`
 turns those tribal rules into AST-level checks that gate CI.
 """

@@ -1,8 +1,9 @@
-"""Concurrency hygiene rules: the process pools must stay fork-safe and live.
+"""Concurrency hygiene rules: module state stays fork-safe, faults stay visible.
 
-Two subsystems fan work across OS processes (:mod:`repro.ingest.procworkers`,
-:mod:`repro.workload.parallel`), and both have already produced the classic
-bug classes these rules encode:
+The collector's ``hash_concurrency`` pool forks worker processes that
+inherit this interpreter's module state, and the receiving side must never
+lose a fault silently.  These rules encode the bug classes both have
+already produced:
 
 ``concurrency/module-mutable-cache``
     A module-level mutable cache (a dict/list/set/deque the module mutates
@@ -14,13 +15,6 @@ bug classes these rules encode:
     compare-LRU lesson).  Constants built at import and only read afterwards
     are fine -- the rule fires only when the module *mutates* the object
     after definition.
-``concurrency/queue-get-timeout``
-    ``.get()`` on a queue without a ``timeout``: a blocking get on a queue
-    whose producer died is a permanent hang.  Every queue interaction in the
-    pools polls with a timeout and re-checks liveness (the supervision
-    contract); the rule fires on argument-less ``.get()`` (and
-    ``.get(block=True)`` / ``.get(True)`` without a timeout) in any module
-    that imports ``queue`` or ``multiprocessing``.
 ``concurrency/bare-except``
     ``except:`` catches ``SystemExit``/``KeyboardInterrupt`` and turns
     shutdown into a hang; always name the exception.
@@ -52,20 +46,6 @@ _MUTATING_METHODS = frozenset({"append", "add", "update", "setdefault", "pop",
 _CACHE_DECORATORS = frozenset({"lru_cache", "cache"})
 
 _FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _imports_queueing(module: SourceModule) -> bool:
-    """Whether the module imports ``queue`` or ``multiprocessing``."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name.split(".")[0] in ("queue", "multiprocessing")
-                   for alias in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in ("queue",
-                                                             "multiprocessing"):
-                return True
-    return False
 
 
 def _terminal_name(node: ast.expr) -> str:
@@ -151,7 +131,7 @@ def _catches_everything(handler: ast.ExceptHandler) -> bool:
 
 
 class ConcurrencyChecker(Checker):
-    """Fork-safety, queue-liveness and exception-hygiene rules."""
+    """Fork-safety and exception-hygiene rules."""
 
     family = "concurrency"
 
@@ -160,7 +140,6 @@ class ConcurrencyChecker(Checker):
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         yield from self._check_excepts(module)
-        yield from self._check_queue_gets(module)
         yield from self._check_module_caches(module)
 
     # ------------------------------------------------------------------ #
@@ -185,34 +164,6 @@ class ConcurrencyChecker(Checker):
                              "increments a counter: faults vanish from the "
                              "statistics the equivalence suites pin; count it "
                              "or narrow the type"),
-                    path=module.rel, line=node.lineno, col=node.col_offset)
-
-    # ------------------------------------------------------------------ #
-    def _check_queue_gets(self, module: SourceModule) -> Iterable[Finding]:
-        if not _imports_queueing(module):
-            return
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"):
-                continue
-            keywords = {kw.arg for kw in node.keywords}
-            if "timeout" in keywords:
-                continue
-            # ``d.get(key)``-style lookups pass a positional key; a blocking
-            # queue get has no positional args (or only ``block=True``).
-            blocking_shapes = (
-                (not node.args and keywords <= {"block"}),
-                (len(node.args) == 1 and not keywords
-                 and isinstance(node.args[0], ast.Constant)
-                 and node.args[0].value is True),
-            )
-            if any(blocking_shapes):
-                yield Finding(
-                    rule=f"{self.family}/queue-get-timeout",
-                    message=("queue get() without a timeout hangs forever if "
-                             "the producer dies; poll with a timeout and "
-                             "re-check liveness"),
                     path=module.rel, line=node.lineno, col=node.col_offset)
 
     # ------------------------------------------------------------------ #

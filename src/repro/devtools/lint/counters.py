@@ -1,8 +1,8 @@
 """Counter-registry rules: every surfaced statistics key is declared once.
 
-The parallel drivers fold counters key-wise across workers, incarnations
-and ingest modes, and the cross-mode equivalence suites pin the folds
-"counter-for-counter".  That only holds while every emitter uses the same
+The result views nest one emitter's counters inside another's
+(``ingest_<key>``, ``fault_<key>``), and tests, benchmarks and docs read
+them by name.  That only holds while every emitter uses the same
 vocabulary -- so the vocabulary lives in one place,
 :mod:`repro.util.counters`, and these rules keep the emitters and the
 registry pointing at each other:
@@ -121,8 +121,8 @@ class CounterRegistryChecker(Checker):
                             message=(f"{function.name}() emits counter key "
                                      f"'{key}' which is not declared in "
                                      "repro.util.counters.COUNTERS; register "
-                                     "it (parallel-mode folds and docs key "
-                                     "off the registry)"),
+                                     "it (result views and docs key off the "
+                                     "registry)"),
                             path=module.rel, line=lineno)
                 for prefix, lineno in collector.fstring_keys:
                     if prefix is None or prefix not in prefixes:

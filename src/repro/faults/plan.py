@@ -2,20 +2,17 @@
 
 Every fault the injection layer can produce -- datagram drop / duplication /
 reordering / corruption / truncation / jitter at the channel, transient
-``OperationalError`` and disk-full at the store, SIGKILL / stall at a shard
-worker -- is configured here as plain frozen dataclasses plus one master
-seed.  Injection sites derive their RNG streams from that seed with stable
-tags (:func:`repro.util.rng.derive_seed`), so two runs of the same plan over
-the same traffic inject *exactly* the same faults at the same points: a
-chaos failure reproduces with nothing more than the plan and the campaign
-seed.
+``OperationalError`` and disk-full at the store -- is configured here as
+plain frozen dataclasses plus one master seed.  Injection sites derive
+their RNG streams from that seed with stable tags
+(:func:`repro.util.rng.derive_seed`), so two runs of the same plan over the
+same traffic inject *exactly* the same faults at the same points: a chaos
+failure reproduces with nothing more than the plan and the campaign seed.
 
 The plan is pure data.  The active machinery lives next door:
 :class:`~repro.faults.channel.FaultyChannel` applies the channel profile,
 :class:`~repro.faults.store.StoreFaultInjector` plugs into
-:attr:`~repro.db.store.MessageStore.fault_injector`, and the worker profiles
-ride into :mod:`repro.ingest.procworkers` shard processes, which kill or
-stall themselves at the configured batch counts.
+:attr:`~repro.db.store.MessageStore.fault_injector`.
 """
 
 from __future__ import annotations
@@ -109,47 +106,17 @@ class StoreFaultProfile:
 
 
 @dataclass(frozen=True)
-class WorkerFaultProfile:
-    """A deterministic mishap for one shard worker process.
-
-    ``kill_after_batches`` makes the worker hard-exit (as if SIGKILLed)
-    after consuming that many batch commands; ``stall_after_batches`` makes
-    it sleep ``stall_seconds`` once instead.  By default the fault fires
-    only in the worker's *first* incarnation, so a supervised restart heals
-    the run; ``repeat=True`` re-arms it in every incarnation to exhaust the
-    restart budget on purpose.
-    """
-
-    shard: int = 0
-    kill_after_batches: int | None = None
-    stall_after_batches: int | None = None
-    stall_seconds: float = 5.0
-    repeat: bool = False
-
-    def __post_init__(self) -> None:
-        if self.shard < 0:
-            raise ReproError("worker fault shard index may not be negative")
-        for name in ("kill_after_batches", "stall_after_batches"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ReproError(f"{name} must be at least 1 when set")
-        if self.stall_seconds < 0:
-            raise ReproError("stall_seconds may not be negative")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Everything a chaos run injects, reproducible from one seed."""
 
     seed: int = 7
     channel: ChannelFaultProfile = field(default_factory=ChannelFaultProfile)
     store: StoreFaultProfile = field(default_factory=StoreFaultProfile)
-    workers: tuple[WorkerFaultProfile, ...] = ()
 
     @property
     def active(self) -> bool:
         """Whether the plan injects anything at all."""
-        return self.channel.active or self.store.active or bool(self.workers)
+        return self.channel.active or self.store.active
 
     def channel_rng(self) -> SeededRNG:
         """The channel injection stream (stable across runs and processes)."""
@@ -158,13 +125,6 @@ class FaultPlan:
     def store_rng(self) -> SeededRNG:
         """The store injection stream."""
         return SeededRNG(derive_seed(self.seed, "faults", "store"))
-
-    def worker_fault_for(self, shard: int) -> WorkerFaultProfile | None:
-        """The fault profile aimed at ``shard``, if any."""
-        for profile in self.workers:
-            if profile.shard == shard:
-                return profile
-        return None
 
 
 def preset_plans(seed: int = 7) -> dict[str, FaultPlan]:

@@ -93,8 +93,8 @@ class IncrementalConsolidator:
     flush_batch_size: int = 64
     idle_epochs: int = 2
 
-    # Stage stopwatch (plain class attribute, not a field: the in-process
-    # IngestShard assigns the deployment's shared StageTimer).
+    # Stage stopwatch (plain class attribute, not a field: ShardedIngest
+    # assigns the deployment's shared StageTimer).
     timer = NULL_TIMER
 
     # counters (mirroring the batch Consolidator where applicable)
@@ -245,9 +245,8 @@ class IncrementalConsolidator:
     def close_all(self) -> int:
         """Close every open group and flush; returns how many were closed.
 
-        The sharded front's end-of-stream primitive (it reads the merged
-        record set back from the shared store once, after closing all
-        shards).
+        The ingest front's end-of-stream primitive (it reads the record set
+        back from the store itself, in canonical key order).
         """
         stale = sorted(self._open)
         for key in stale:

@@ -1,23 +1,15 @@
-"""The streaming ingest front: one kind of shard, two places to run it.
+"""The streaming ingest front: one receiver feeding one consolidator.
 
 The paper's receiver is a single UDP server feeding a consolidation step.
-:class:`ShardedIngest` is that, live: datagrams go to an
-:class:`~repro.ingest.shard.IngestShard`, finalized records land in the
-shared store, and ``snapshot()`` / ``snapshot_delta()`` / ``finalize()``
-read them back.  Where the shards run follows from their count -- there is
-no backend option:
+:class:`ShardedIngest` is that, live: datagrams go to a
+:class:`~repro.transport.receiver.MessageReceiver` whose sink is an
+:class:`~repro.ingest.incremental.IncrementalConsolidator`, finalized records
+land in the store, and ``snapshot()`` / ``snapshot_delta()`` / ``finalize()``
+read them back.  It runs in this interpreter, over the caller's store.
 
-* ``shards == 1`` -- in this interpreter, over the shared store;
-  ``handle_datagram`` *is* the shard's receiver method.
-* ``shards > 1`` -- one supervised OS process each
-  (:class:`~repro.ingest.procworkers.ProcessShardPool`), fed raw datagram
-  bytes routed by :func:`~repro.ingest.shard.shard_of_datagram`; finalized
-  records are merged into the shared store at every sync, so the three read
-  calls keep their exact in-process semantics.
-
-Several shards inside one interpreter are not offered: they share one GIL,
-and measured slower than a single shard on every workload (the table in
-``docs/architecture.md``).
+More than one shard is refused: several shards in one interpreter share one
+GIL, and shards in worker processes lost to this one on every measurement
+(``docs/architecture.md``, "Parallelism: measured and removed").
 """
 
 from __future__ import annotations
@@ -26,11 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.db.store import MessageStore, ProcessRecord
-from repro.faults.plan import FaultPlan
-from repro.ingest.procworkers import ProcessShardPool
-from repro.ingest.shard import IngestShard
+from repro.ingest.incremental import IncrementalConsolidator
 from repro.transport.channel import Channel
-from repro.transport.receiver import DatagramQuarantine
+from repro.transport.receiver import DatagramQuarantine, MessageReceiver
 from repro.util.errors import TransportError
 from repro.util.timing import NULL_TIMER, StageTimer
 
@@ -63,29 +53,13 @@ class ProcessDelta:
 
 @dataclass
 class ShardedIngest:
-    """Streaming ingest over ``shards`` receiver+consolidator shards.
+    """Streaming ingest: a receiver feeding a consolidator over ``store``.
 
-    ``shards=1`` is the campaign's plain ``ingest_mode="streaming"`` wiring;
-    more run as worker processes (module docstring) with identical table
-    contents and delta-cursor semantics.
-
-    Worker-process caveats: operational counters (``messages_received``,
-    ``statistics()``...) reflect the *last sync*, not the instant they are
-    read; with ``persist_raw=True`` the front must decode datagrams itself
-    to persist them, giving up most of the routing cheapness; and a dead or
-    stalled worker is healed up to ``max_restarts`` times (0 = fail-fast)
-    before it surfaces as :class:`~repro.util.errors.WorkerCrashError` --
-    never a hang.  :mod:`repro.ingest.procworkers` has the supervision
-    contract and what the ``restart_*`` / ``resend_*`` counters mean.
-
-    ``quarantine_capacity`` keeps the raw bytes and decode-failure reason of
-    the most recent undecodable datagrams in a bounded ring
-    (:class:`~repro.transport.receiver.DatagramQuarantine`), wherever the
-    shard that failed to decode them runs.  A
-    :class:`~repro.faults.plan.FaultPlan` arms deterministic kill/stall
-    faults of worker processes; its channel and store profiles are applied
-    by the deployment, not here.  ``timer`` times the in-process shard's
-    consolidation (a worker process cannot share it).
+    ``shards`` accepts exactly 1 (module docstring).  ``quarantine_capacity``
+    keeps the raw bytes and decode-failure reason of the most recent
+    undecodable datagrams in a bounded ring
+    (:class:`~repro.transport.receiver.DatagramQuarantine`); 0 disables it.
+    ``timer`` times the consolidation.
     """
 
     store: MessageStore
@@ -94,38 +68,31 @@ class ShardedIngest:
     flush_batch_size: int = 64
     idle_epochs: int = 2
     persist_raw: bool = False
-    max_restarts: int = 2
-    stall_timeout: float | None = 60.0
     quarantine_capacity: int = 256
-    fault_plan: FaultPlan | None = None
     timer: StageTimer = field(default=NULL_TIMER, repr=False)
     quarantine: DatagramQuarantine | None = field(init=False, default=None)
-    #: where the shards run; both kinds offer route / flush / sync /
-    #: finalize / close / statistics, so nothing below asks which it is
-    backend: IngestShard | ProcessShardPool = field(init=False)
-    #: route one datagram to the owning shard: the backend's ``route``
-    #: itself, bound once, so the front adds no call level per datagram
-    handle_datagram: Callable[[bytes], object] = field(init=False, repr=False)
+    receiver: MessageReceiver = field(init=False)
+    consolidator: IncrementalConsolidator = field(init=False)
+    #: take one datagram: the receiver's bound method itself, so the front
+    #: adds no call level to the per-datagram path
+    handle_datagram: Callable[[bytes], bool] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise TransportError("ingest needs at least one shard")
+        if self.shards != 1:
+            raise TransportError(
+                f"ingest runs as exactly one in-process shard, got shards="
+                f"{self.shards!r} (docs/architecture.md, \"Parallelism: "
+                "measured and removed\")")
         if self.quarantine_capacity:
             self.quarantine = DatagramQuarantine(capacity=self.quarantine_capacity)
-        shard_knobs = dict(
-            batch_size=self.batch_size, flush_batch_size=self.flush_batch_size,
-            idle_epochs=self.idle_epochs, persist_raw=self.persist_raw,
-            quarantine=self.quarantine)
-        if self.shards == 1:
-            self.backend = IngestShard(self.store, timer=self.timer, **shard_knobs)
-        else:
-            faults = self.fault_plan.workers if self.fault_plan is not None else ()
-            self.backend = ProcessShardPool(
-                self.store, self.shards, max_restarts=self.max_restarts,
-                stall_timeout=self.stall_timeout,
-                worker_faults={profile.shard: profile for profile in faults},
-                **shard_knobs)
-        self.handle_datagram = self.backend.route
+        self.consolidator = IncrementalConsolidator(
+            self.store, flush_batch_size=self.flush_batch_size,
+            idle_epochs=self.idle_epochs)
+        self.consolidator.timer = self.timer
+        self.receiver = MessageReceiver(
+            self.store, batch_size=self.batch_size, sink=self.consolidator,
+            persist_raw=self.persist_raw, quarantine=self.quarantine)
+        self.handle_datagram = self.receiver.handle_datagram
 
     def attach(self, channel: Channel) -> None:
         """Subscribe the front to a channel."""
@@ -134,16 +101,21 @@ class ShardedIngest:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
+    def _sync(self) -> list[ProcessRecord]:
+        """Write every finalized record to the store; returns the open peeks."""
+        self.receiver.flush()
+        self.consolidator.flush()
+        return self.consolidator.peek_open()
+
     def snapshot(self) -> list[ProcessRecord]:
-        """Live view: sync every shard, then read the shared store once.
+        """Live view: write what is finalized, then read the store once.
 
         Finalized records come back from the ``processes`` table (memory
         holds only in-flight groups); still-open groups are peeked
         non-destructively.  Returned in canonical process-key order -- the
-        order the batch consolidator emits -- so downstream analyses see the
-        same sequence regardless of shard count.
+        order the batch consolidator emits.
         """
-        open_peeks = self.backend.sync()
+        open_peeks = self._sync()
         records = self.store.load_processes()
         finalized = {r.key for r in records}
         records.extend(r for r in open_peeks if r.key not in finalized)
@@ -152,89 +124,57 @@ class ShardedIngest:
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
         """Incremental live view: only what changed since ``cursor``.
 
-        Syncs every shard exactly like :meth:`snapshot`, but instead of
-        reading the whole ``processes`` table back, reads only rows past the
-        rowid high-water mark -- so the cost of a mid-campaign pull is
+        Writes what is finalized exactly like :meth:`snapshot`, but instead
+        of reading the whole ``processes`` table back, reads only rows past
+        the rowid high-water mark -- so the cost of a mid-campaign pull is
         proportional to the records finalized since the last pull (plus the
         handful of still-open groups), not to the campaign so far.  Records
         finalized through the first-close-wins insert are immutable, which
         is what makes the rowid cursor a correct delta stream (see
-        :meth:`MessageStore.load_processes_since`); worker processes' records
-        are merged into the shared store during this call's sync, *before*
-        the cursor read, so the exactly-once contract is the same.
+        :meth:`MessageStore.load_processes_since`).
         """
-        open_records = self.backend.sync()
+        open_records = self._sync()
         new_records, cursor = self.store.load_processes_since(cursor)
         return ProcessDelta(new_records=tuple(new_records),
                             open_records=tuple(open_records), cursor=cursor)
 
     def finalize(self) -> list[ProcessRecord]:
-        """End of stream: flush, close every shard, return all records.
+        """End of stream: close every open group, return all records.
 
-        Like :meth:`snapshot`, read back from the shared store and returned
-        in canonical process-key order.  Worker processes are joined (one
-        that died instead surfaces as :class:`TransportError`); calling it
-        again is harmless and simply re-reads the store.
+        Like :meth:`snapshot`, read back from the store and returned in
+        canonical process-key order; calling it again simply re-reads the
+        store.
         """
-        self.backend.finalize()
+        self.receiver.flush()
+        self.consolidator.close_all()
         return _in_key_order(self.store.load_processes())
 
-    def close(self) -> None:
-        """Abort path: stop worker processes without a final merge.
-
-        Records not yet synced to the shared store are discarded -- use
-        :meth:`finalize` for a clean end of stream.  A no-op for the
-        in-process shard and after :meth:`finalize`.
-        """
-        self.backend.close()
-
     # ------------------------------------------------------------------ #
-    # merged counters
+    # counters
     # ------------------------------------------------------------------ #
-    def _counter(self, name: str) -> int:
-        # worker processes report their shard counters from the first sync on
-        return self.backend.statistics().get(name, 0)
-
     @property
     def decode_errors(self) -> int:
-        """Undecodable datagrams (front screening plus every shard's decode
-        failures -- as of the last sync where the shards are processes)."""
-        return self._counter("decode_errors")
+        """Undecodable datagrams."""
+        return self.receiver.decode_errors
 
     @property
     def messages_received(self) -> int:
-        """Messages accepted across all shards."""
-        return self._counter("messages_received")
+        """Messages accepted."""
+        return self.receiver.messages_received
 
     @property
     def peak_open_processes(self) -> int:
-        """Sum of per-shard peaks (an upper bound on the true joint peak)."""
-        return self._counter("peak_open_processes")
+        """High-water mark of simultaneously open process groups."""
+        return self.consolidator.peak_open_processes
 
     @property
     def quarantined(self) -> int:
         """Undecodable datagrams captured in the quarantine ring (0 when off)."""
         return len(self.quarantine) if self.quarantine is not None else 0
 
-    @property
-    def worker_restarts(self) -> int:
-        """Supervised worker restarts so far (always 0 in-process)."""
-        return self._counter("worker_restarts")
-
     def statistics(self) -> dict[str, int]:
-        """Merged operational counters of all shards plus the front.
-
-        The same key set wherever the shards run, and counter-for-counter
-        what ``shards`` in-process fronts fed the same partition would sum
-        to; as of the last sync where the shards are processes.  The
-        resilience counters (``worker_restarts``, ``restart_lost_groups``,
-        ``restart_lost_datagrams``, ``resend_replayed_batches``,
-        ``resend_overflow_batches``) are structurally zero in-process.
-        """
-        merged: dict[str, int] = {
-            "shards": self.shards, "quarantined": self.quarantined,
-            "worker_restarts": 0, "restart_lost_groups": 0,
-            "restart_lost_datagrams": 0, "resend_replayed_batches": 0,
-            "resend_overflow_batches": 0}
-        merged.update(self.backend.statistics())
-        return merged
+        """The receiver's and the consolidator's counters, plus the ring's."""
+        return {"quarantined": self.quarantined,
+                "decode_errors": self.receiver.decode_errors,
+                "messages_received": self.receiver.messages_received,
+                **self.consolidator.statistics()}

@@ -12,7 +12,6 @@ from repro.util.errors import (
     ReproError,
     SimulationError,
     TransportError,
-    WorkerCrashError,
 )
 from repro.util.rng import SeededRNG
 from repro.util.tables import TextTable, format_count
@@ -24,7 +23,6 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "TransportError",
-    "WorkerCrashError",
     "SeededRNG",
     "TextTable",
     "format_count",

@@ -3,18 +3,16 @@
 Counters are surfaced from half a dozen places --
 :meth:`~repro.ingest.incremental.IncrementalConsolidator.statistics`,
 :meth:`~repro.ingest.sharded.ShardedIngest.statistics`,
-:meth:`~repro.ingest.procworkers.ProcessShardPool.statistics`,
 :meth:`~repro.workload.campaign.CampaignResult.statistics`,
 :meth:`~repro.core.framework.SirenFramework.statistics`,
 :meth:`~repro.analysis.live.LiveAnalysis.statistics` and
-:meth:`~repro.faults.channel.FaultyChannel.fault_counters` -- and the
-parallel drivers *fold* them key-wise across workers and incarnations.  A
-key that exists in one emitter but not another silently drops out of the
-fold, and a renamed key quietly breaks every cross-mode "counter-for-counter
-identical" pin.  Declaring every key here, once, turns that drift into a
-lint failure: the ``counters`` rule family of :mod:`repro.devtools.lint`
-cross-checks each emitter's literal keys against this registry in both
-directions.
+:meth:`~repro.faults.channel.FaultyChannel.fault_counters` -- and the result
+views *nest* one emitter's keys inside another's (``ingest_<key>``,
+``fault_<key>``).  A renamed key silently drops out of every view that
+copies it and quietly breaks every test or report that reads it.
+Declaring every key here, once, turns that drift into a lint failure: the
+``counters`` rule family of :mod:`repro.devtools.lint` cross-checks each
+emitter's literal keys against this registry in both directions.
 
 Keys produced dynamically with a namespace prefix (``ingest_<key>``,
 ``fault_<key>``) are covered by :data:`COUNTER_PREFIXES`: the base key under
@@ -36,18 +34,10 @@ COUNTERS: dict[str, str] = {
     "open_processes": "process groups currently open",
     "peak_open_processes": "high-water mark of simultaneously open groups",
     # --- ingest front (ShardedIngest.statistics) ------------------------ #
-    "shards": "receiver+consolidator workers in the ingest front",
-    "messages_received": "messages accepted across all shards",
+    "messages_received": "messages accepted by the receiver",
     "decode_errors": "undecodable datagrams dropped by the ingest path",
     "quarantined": "undecodable datagrams captured in the forensic ring",
-    # --- self-healing supervision (ProcessShardPool.statistics) --------- #
-    "worker_restarts": "supervised shard-worker restarts",
-    "restart_lost_groups": "open groups whose messages died with a worker",
-    "restart_lost_datagrams": "resend-window overflow datagrams lost to a crash",
-    "resend_replayed_batches": "batches replayed into restarted workers",
-    "resend_overflow_batches": "batches evicted from the bounded resend window",
     # --- campaign results (CampaignResult.statistics) ------------------- #
-    "campaign_workers": "OS driver processes that ran the job loop",
     "jobs_run": "jobs submitted through the scheduler",
     "processes_run": "processes launched by those jobs",
     "records": "consolidated records in the campaign result",

@@ -35,12 +35,11 @@ class CollectionError(ReproError):
 class TransportError(ReproError):
     """Raised by the UDP-style transport and ingest layers.
 
-    Covers both configuration mistakes (bad loss rates, unknown worker
-    backends) and undecodable datagrams.  Runtime ingest failures -- a shard
-    worker crashing, a retry budget exhausting -- raise the more specific
-    :class:`IngestError` / :class:`WorkerCrashError` subclasses below, so
+    Covers both configuration mistakes (bad loss rates, a shard count
+    other than one) and undecodable datagrams.  Runtime ingest failures
+    raise the more specific :class:`IngestError` subclass below, so
     ``except TransportError`` keeps catching everything while callers that
-    care can tell a garbled datagram from a dead worker.
+    care can tell a garbled datagram from a failing pipeline.
     """
 
 
@@ -50,16 +49,7 @@ class IngestError(TransportError):
     Subclasses :class:`TransportError` so existing ``except TransportError``
     clauses keep working; raised when the ingest pipeline itself (not a
     single datagram) fails at runtime -- e.g. a store retry budget
-    exhausting or the shard pool being used after close.
-    """
-
-
-class WorkerCrashError(IngestError):
-    """A shard worker process died (or stalled) beyond the restart budget.
-
-    Raised by the :class:`~repro.ingest.procworkers.ProcessShardPool`
-    supervisor once a crashed or stalled worker has exhausted its bounded
-    restart retries; carries the shard index and exit code in the message.
+    exhausting.
     """
 
 

@@ -5,9 +5,7 @@ spine all want to answer one question -- *where does the wall-clock go?* --
 without dragging in a real profiler (10-50x slowdown) or littering call
 sites with ``time.perf_counter()`` bookkeeping.  :class:`StageTimer` is the
 shared stopwatch: named stages, monotonic clock, re-entrant nesting, and a
-mergeable plain-dict snapshot that survives a trip through a
-``multiprocessing`` queue so parallel campaign workers can ship their
-timings home.
+plain-dict snapshot.
 
 Semantics
 ---------
@@ -29,7 +27,7 @@ Semantics
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Tuple
 
 
 class _NullSection:
@@ -104,26 +102,11 @@ class StageTimer:
         return _Section(self, name)
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold externally measured time into a stage (merge primitive)."""
+        """Fold externally measured time into a stage."""
         if not self.enabled:
             return
         total, count = self._stages.get(name, (0.0, 0))
         self._stages[name] = (total + seconds, count + calls)
-
-    def merge(self, other: "StageTimer | Mapping[str, Mapping[str, float]]") -> None:
-        """Fold another timer (or an :meth:`as_dict` snapshot) into this one.
-
-        Used by the parallel campaign driver to sum per-worker timings:
-        merged values are therefore aggregate CPU-seconds across workers
-        and may exceed the parent's wall-clock.
-        """
-        if isinstance(other, StageTimer):
-            items: Iterable[Tuple[str, Tuple[float, int]]] = other._stages.items()
-            for name, (seconds, calls) in items:
-                self.add(name, seconds, calls)
-            return
-        for name, stat in other.items():
-            self.add(name, float(stat["seconds"]), int(stat["calls"]))
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Plain-dict snapshot: ``{stage: {"seconds": s, "calls": n}}``.

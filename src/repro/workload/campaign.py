@@ -10,8 +10,8 @@
    the Slurm-like scheduler, each process is hooked and collected,
 4. consolidate the UDP messages into per-process records -- in a post-pass
    (``ingest_mode="batch"``) or live while the jobs run
-   (``ingest_mode="streaming"``: one receiver+consolidator shard in this
-   interpreter, or ``ingest_shards`` of them in worker processes).
+   (``ingest_mode="streaming"``: a receiver feeding a consolidator in this
+   interpreter).
 
 The result object carries everything the analysis layer and the benchmark
 harness need: the records, the store, the anonymised user mapping, the corpus
@@ -39,7 +39,6 @@ from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
 from repro.transport.receiver import MessageReceiver
-from repro.util.errors import CollectionError
 from repro.util.rng import SeededRNG
 from repro.util.timing import StageTimer
 from repro.workload.profiles import (
@@ -55,11 +54,10 @@ def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
                       job_rng: SeededRNG):
     """Yield ``(job_index, template, quirk_module)`` for one profile's jobs.
 
-    This generator *is* the job plan: the serial driver, every parallel
-    worker and the parallel planner (which must pre-compute how many job ids,
-    pids and clock ticks a profile consumes without running it) all iterate
-    it, so the template/quirk selection -- and therefore the RNG draw
-    sequence -- cannot drift between them.  ``job_rng`` must be the profile's
+    This generator *is* the job plan: :meth:`DeploymentCampaign._run_jobs`
+    iterates it, and so can a caller that needs to know the plan without
+    running it (how many jobs, which templates), drawing exactly the same
+    RNG sequence.  ``job_rng`` must be the profile's
     ``rng.fork("jobs", username)`` stream.
     """
     job_count = config.jobs_for(profile)
@@ -95,27 +93,6 @@ class CampaignConfig(SirenConfig):
     #: rare-but-load-bearing cases (the UNKNOWN icon runs, the GROMACS sharing)
     #: are present even at very small scales.
     ensure_template_coverage: bool = True
-    #: OS processes driving the job loop: 1 = the serial driver; N > 1
-    #: partitions user profiles across N workers, each owning a deterministic
-    #: cluster slice (disjoint job-id/pid ranges, per-user RNG forks,
-    #: per-worker clock offsets) and shipping its datagrams back into this
-    #: campaign's ingest path -- merged records are equal to the serial
-    #: driver's (see docs/architecture.md for the determinism contract).
-    campaign_workers: int = 1
-
-    def validate(self) -> None:
-        """The deployment checks plus the driver's."""
-        super().validate()
-        if self.campaign_workers < 1:
-            raise CollectionError(
-                f"campaign_workers must be >= 1, got {self.campaign_workers}")
-        if (self.campaign_workers > 1 and self.fault_plan is not None
-                and self.fault_plan.channel.active):
-            raise CollectionError(
-                "campaign_workers > 1 cannot merge deterministically with "
-                "channel fault injection: reorder/duplicate/holdback faults "
-                "are ordered over the global datagram stream, which parallel "
-                "workers do not have (store and ingest-worker faults are fine)")
 
     def jobs_for(self, profile: UserProfile) -> int:
         """Number of jobs this profile submits at the configured scale."""
@@ -142,25 +119,17 @@ class CampaignResult:
     ingest: ShardedIngest | None = None  #: streaming-mode ingest front (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
     quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
-    worker_restarts: int = 0   #: supervised shard-worker restarts (ingest_shards > 1)
     #: what the injected channel faults did (``fault_plan`` runs only)
     fault_counters: dict[str, int] | None = None
     #: the store-fault hook, when the plan armed one (its counters say how
     #: many transient/disk-full errors the retry layer had to absorb)
     store_fault_injector: StoreFaultInjector | None = None
     #: inclusive wall seconds per pipeline stage (``{stage: {"seconds", "calls"}}``,
-    #: sorted top-cost-first).  With ``campaign_workers > 1`` the worker
-    #: timers are summed in, so totals are aggregate CPU-seconds and can
-    #: exceed the parent's wall-clock.
+    #: sorted top-cost-first)
     stage_timings: dict[str, dict[str, float]] = field(default_factory=dict)
     #: the tiered record store (``rollups=True`` runs only): silver record
     #: shards + gold rollups, kept in sync with the ``processes`` table
     tiered: TieredStore | None = None
-    #: parent-side feed coalescing counters of the parallel driver
-    #: (``campaign_workers > 1`` only): ``batches_received`` worker batches
-    #: arrived, merged into ``feed_calls`` ingest calls covering
-    #: ``datagrams_fed`` datagrams
-    feed_stats: dict[str, int] | None = None
 
     @property
     def incomplete_fraction(self) -> float:
@@ -175,15 +144,12 @@ class CampaignResult:
         Includes the cache-effectiveness counters of the collection-side
         hashing path (:class:`~repro.collector.fuzzy.ArtifactHasher` path and
         content caches, the signature compare LRU) so a profiling run can
-        tell "cache working" from "cache bypassed".  With
-        ``campaign_workers > 1`` the collector counters are the fold of all
-        worker collectors.
+        tell "cache working" from "cache bypassed".
         """
         hasher = self.collector.hasher
         compare_info = hasher.hasher.compare_cache_info()
         sender = self.collector.sender
         stats: dict[str, int | float] = {
-            "campaign_workers": self.config.campaign_workers,
             "jobs_run": self.jobs_run,
             "processes_run": self.processes_run,
             "records": len(self.records),
@@ -201,7 +167,6 @@ class CampaignResult:
             "send_errors": sender.send_errors,
             "decode_errors": self.decode_errors,
             "quarantined": self.quarantined,
-            "worker_restarts": self.worker_restarts,
         }
         hash_lookups = (hasher.hashes_computed + hasher.cache_hits
                         + hasher.content_cache_hits)
@@ -233,11 +198,6 @@ class DeploymentCampaign:
     #: :attr:`CampaignResult.stage_timings`; pass a shared timer to aggregate
     #: across campaigns.
     timer: StageTimer = field(default_factory=StageTimer, repr=False)
-    #: collect-only mode (the parallel driver's worker side): when set,
-    #: :meth:`prepare` builds no store/ingest/receiver and instead delivers
-    #: every channel-surviving datagram to this callable; :meth:`run` is
-    #: unavailable -- the owner drives :meth:`_run_profile` directly.
-    datagram_sink: Callable[[bytes], None] | None = None
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
     deployment: Deployment = field(init=False, repr=False)
@@ -247,7 +207,6 @@ class DeploymentCampaign:
     receiver: MessageReceiver | None = field(init=False, default=None)
     ingest: ShardedIngest | None = field(init=False, default=None)
     tiered: TieredStore | None = field(init=False, default=None)
-    feed_stats: dict[str, int] | None = field(init=False, default=None)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     scenario_builder: ScenarioBuilder = field(init=False)
     rng: SeededRNG = field(init=False)
@@ -281,10 +240,8 @@ class DeploymentCampaign:
         # Users are registered above, so the gold user dimension can bake in
         # the anonymised labels.
         deployment = self.deployment = Deployment(
-            self.config, timer=self.timer, user_names=self._user_names(),
-            datagram_sink=self.datagram_sink)
-        if self.datagram_sink is None:
-            self.store = deployment.store
+            self.config, timer=self.timer, user_names=self._user_names())
+        self.store = deployment.store
         self.channel = deployment.channel
         self.store_fault_injector = deployment.store_fault_injector
         self.receiver = deployment.receiver
@@ -304,22 +261,14 @@ class DeploymentCampaign:
     # ------------------------------------------------------------------ #
     def run(self) -> CampaignResult:
         """Execute the campaign and return the consolidated result."""
-        if self.datagram_sink is not None:
-            raise CollectionError(
-                "a collect-only campaign (datagram_sink set) has no ingest "
-                "path to run; drive its job loop directly")
         self.prepare()
         deployment = self.deployment
         try:
-            if self.config.campaign_workers > 1:
-                from repro.workload.parallel import run_parallel_jobs
-                jobs_run = run_parallel_jobs(self)
-            else:
-                jobs_run = self._run_jobs()
+            jobs_run = self._run_jobs()
             with self.timer.section("campaign.finalize"):
                 records = deployment.finalize()
         finally:
-            self.close()  # hash workers, sockets, shard workers; caches stay warm
+            self.close()  # hash workers and sockets; caches stay warm
         fault_counters = (self.channel.fault_counters()
                           if isinstance(self.channel, FaultyChannel) else None)
         return CampaignResult(
@@ -336,12 +285,10 @@ class DeploymentCampaign:
             ingest=self.ingest,
             decode_errors=deployment.decode_errors,
             quarantined=deployment.quarantined,
-            worker_restarts=deployment.worker_restarts,
             fault_counters=fault_counters,
             store_fault_injector=self.store_fault_injector,
             stage_timings=self.timer.as_dict(),
             tiered=self.tiered,
-            feed_stats=self.feed_stats,
         )
 
     def close(self) -> None:
@@ -375,44 +322,31 @@ class DeploymentCampaign:
         self.prepare()
         return self.deployment.live_analysis(self._user_names())
 
-    def _run_profile(self, profile: UserProfile, *, jobs_before: int = 0) -> int:
-        """Run one profile's whole job slice; returns the number of jobs run.
-
-        This is the unit of work the parallel driver assigns to a worker:
-        everything inside -- the job RNG, the per-user loss RNG, script
-        construction, clock advance -- depends only on the profile, the
-        config and the cluster state at entry, never on other profiles.
-        """
-        user = self.cluster.users.get(profile.username)
+    def _run_jobs(self) -> int:
+        """Submit every profile's jobs through the scheduler; returns the count."""
+        cluster = self.cluster
         lossy = self.deployment.lossy_channel
-        if lossy is not None:
-            # Per-user loss streams: drop decisions depend only on this
-            # profile, so the serial and parallel drivers lose the *same*
-            # datagrams (the determinism contract's loss clause).
-            lossy.rng = self.rng.fork("udp-loss", profile.username)
-        job_rng = self.rng.fork("jobs", profile.username)
         on_job = self.on_job
         drain = self.deployment.drain
         jobs_run = 0
-        for job_index, template, quirk in iter_profile_jobs(
-                self.config, profile, job_rng):
-            script = self.scenario_builder.build_job_script(
-                profile, template, user, job_index=job_index, quirk_module=quirk,
-            )
-            self.cluster.run_job(profile.username, script)
-            jobs_run += 1
-            drain()
-            if on_job is not None:
-                on_job(jobs_before + jobs_run)
-        # Each user's activity spreads over the campaign window.
-        self.cluster.filesystem.advance_clock(3600)
-        return jobs_run
-
-    def _run_jobs(self) -> int:
-        """Submit every profile's jobs through the scheduler; returns the count."""
-        jobs_run = 0
         with self.timer.section("campaign.jobs"):
             for profile in self.profiles:
-                jobs_run += self._run_profile(profile, jobs_before=jobs_run)
+                user = cluster.users.get(profile.username)
+                if lossy is not None:
+                    # Per-user loss streams: a profile's drop decisions
+                    # depend only on that profile, not on who ran before it.
+                    lossy.rng = self.rng.fork("udp-loss", profile.username)
+                job_rng = self.rng.fork("jobs", profile.username)
+                for job_index, template, quirk in iter_profile_jobs(
+                        self.config, profile, job_rng):
+                    script = self.scenario_builder.build_job_script(
+                        profile, template, user, job_index=job_index,
+                        quirk_module=quirk)
+                    cluster.run_job(profile.username, script)
+                    jobs_run += 1
+                    drain()
+                    if on_job is not None:
+                        on_job(jobs_run)
+                # Each user's activity spreads over the campaign window.
+                cluster.filesystem.advance_clock(3600)
         return jobs_run
-

@@ -318,18 +318,15 @@ class TestCampaignLiveEquivalence:
         if live_t7 != fresh_t7:
             failures.append("table7")
 
-    @pytest.mark.parametrize("seed,loss_rate,shards", [
-        (17, 0.0, 1),
-        (23, 0.0002, 1),
-        # worker-process shards: live views pull the same delta stream, now
-        # fed by merge-at-snapshot from OS worker processes
-        (17, 0.01, 2),
+    @pytest.mark.parametrize("seed,loss_rate", [
+        (17, 0.0),
+        (23, 0.0002),
+        (17, 0.01),
     ])
     def test_streaming_campaign_live_matches_rebuild_at_every_job(
-            self, seed, loss_rate, shards):
+            self, seed, loss_rate):
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                                ingest_mode="streaming", ingest_shards=shards,
-                                keep_raw_messages=False)
+                                ingest_mode="streaming", keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         live = campaign.live_analysis()
         failures: list[str] = []

@@ -1,7 +1,6 @@
 """One config hierarchy, one builder: both façades get the same deployment."""
 
 import dataclasses
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -19,24 +18,18 @@ PROFILES = DEFAULT_PROFILES[:1]
 
 DEPLOYMENT_FIELDS = {
     "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
-    "hash_concurrency", "ingest_mode", "ingest_shards",
-    "keep_raw_messages", "transport", "ingest_max_restarts",
+    "hash_concurrency", "ingest_mode", "keep_raw_messages", "transport",
     "store_retry_attempts", "quarantine_capacity", "fault_plan",
     "store_backend", "rollups",
 }
 CAMPAIGN_FIELDS = {"scale", "quirk_fraction", "min_jobs_per_user",
-                   "ensure_template_coverage", "campaign_workers"}
+                   "ensure_template_coverage"}
 
 FAULT_PLANS = {
     "no-faults": None,
     "channel-faults": FaultPlan(seed=3, channel=ChannelFaultProfile(drop_rate=0.1)),
     "store-faults": FaultPlan(seed=3, store=StoreFaultProfile(error_rate=0.01)),
 }
-
-
-def _shard_workers() -> list:
-    return [child for child in multiprocessing.active_children()
-            if child.name.startswith("siren-shard-")]
 
 
 def _wiring(deployment) -> dict:
@@ -52,9 +45,7 @@ def _wiring(deployment) -> dict:
         "front": type(deployment.front).__name__,
         "receiver": deployment.receiver is not None,
         "ingest": ingest is not None and (
-            ingest.shards, ingest.persist_raw, type(ingest.backend).__name__,
-            ingest.max_restarts, ingest.quarantine_capacity,
-            ingest.fault_plan),
+            ingest.persist_raw, ingest.quarantine_capacity),
         "quarantine_capacity": deployment.quarantine.capacity
                                if deployment.quarantine is not None else 0,
         "store_path": deployment.store.path,
@@ -72,11 +63,21 @@ class TestConfigHierarchy:
         """A new knob is a visible diff here (and in the docs table)."""
         siren = [f.name for f in dataclasses.fields(SirenConfig)]
         campaign = [f.name for f in dataclasses.fields(CampaignConfig)]
-        assert len(siren) == len(set(siren)) == 16
+        assert len(siren) == len(set(siren)) == 14
         assert set(siren) == DEPLOYMENT_FIELDS
         assert campaign[:len(siren)] == siren  # inherited, in order
         assert set(campaign[len(siren):]) == CAMPAIGN_FIELDS
-        assert len(campaign) == 21
+        assert len(campaign) == 18
+
+    @pytest.mark.parametrize("config_cls, knob", [
+        (CampaignConfig, "ingest_shards"), (CampaignConfig, "ingest_max_restarts"),
+        (CampaignConfig, "campaign_workers"), (SirenConfig, "ingest_shards"),
+        (SirenConfig, "ingest_max_restarts")])
+    def test_removed_parallel_knobs_are_rejected(self, config_cls, knob):
+        """Worker processes for ingest and for the job driver were measured
+        slower than the serial path and removed with their knobs."""
+        with pytest.raises(TypeError, match=knob):
+            config_cls(**{knob: 2})
 
     def test_no_field_is_declared_twice(self):
         assert issubclass(CampaignConfig, SirenConfig)
@@ -97,8 +98,8 @@ class TestSameWiringFromBothFacades:
     @pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
     def test_equal_configs_build_equal_deployments(self, ingest_mode, transport, plan):
         knobs = dict(ingest_mode=ingest_mode, transport=transport, fault_plan=plan,
-                     loss_rate=0.01, seed=5, ingest_shards=2, keep_raw_messages=False,
-                     ingest_max_restarts=1, store_retry_attempts=7,
+                     loss_rate=0.01, seed=5, keep_raw_messages=False,
+                     store_retry_attempts=7,
                      quarantine_capacity=9, max_datagram_size=900,
                      rollups=True, store_backend="memory")
         campaign = DeploymentCampaign(CampaignConfig(scale=0.0, **knobs),
@@ -143,37 +144,32 @@ class TestSameWiringFromBothFacades:
         assert repr(value) in str(from_framework.value)
 
     @pytest.mark.parametrize("knob, value", [
-        ("ingest_shards", 0),
         ("loss_rate", -0.1),
         ("loss_rate", 1.5),
         ("hash_concurrency", 0),
         ("max_datagram_size", 10),
         ("max_datagram_size", MIN_DATAGRAM_SIZE - 1),
-        ("ingest_max_restarts", -1),
         ("quarantine_capacity", -1),
         ("store_retry_attempts", -1),
     ])
-    @pytest.mark.parametrize("ingest_mode, ingest_shards", [
-        ("batch", 1), ("streaming", 1), ("streaming", 2)])
+    @pytest.mark.parametrize("transport", ["memory", "socket"])
+    @pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
     def test_out_of_range_numbers_raise_before_anything_is_built(
-            self, knob, value, ingest_mode, ingest_shards):
+            self, knob, value, ingest_mode, transport):
         """Regression: these were accepted, or failed late with a
         ``TransportError``/``IngestError``/``ReproError`` depending on the mode."""
-        knobs = {"ingest_mode": ingest_mode, "ingest_shards": ingest_shards,
-                 knob: value}
-        before = len(_shard_workers())
+        knobs = {"ingest_mode": ingest_mode, "transport": transport, knob: value}
         with pytest.raises(CollectionError, match=knob) as from_framework:
             SirenFramework(SirenConfig(**knobs))
         with pytest.raises(CollectionError, match=knob) as from_campaign:
             DeploymentCampaign(CampaignConfig(**knobs)).prepare()
         assert str(from_campaign.value) == str(from_framework.value)
         assert repr(value) in str(from_framework.value)
-        assert len(_shard_workers()) == before
 
     @pytest.mark.parametrize("knob, value", [
         ("loss_rate", 0.0), ("loss_rate", 1.0), ("hash_concurrency", 1),
-        ("max_datagram_size", MIN_DATAGRAM_SIZE), ("ingest_max_restarts", 0),
-        ("quarantine_capacity", 0), ("store_retry_attempts", 0),
+        ("max_datagram_size", MIN_DATAGRAM_SIZE), ("quarantine_capacity", 0),
+        ("store_retry_attempts", 0),
     ])
     def test_range_boundaries_are_accepted(self, knob, value):
         SirenConfig(**{knob: value}).validate()
@@ -194,36 +190,23 @@ class TestSameWiringFromBothFacades:
         assert small.incomplete_fraction == 0.0
 
 
-class TestCloseReleasesShardWorkers:
-    """Regression: ``close()`` left the shard worker processes running
-    (framework), or did not exist at all (campaign)."""
+class TestClose:
+    """``close()`` is idempotent and leaves ingested data readable; a
+    campaign that was never prepared has nothing to close."""
 
-    KNOBS = dict(ingest_mode="streaming", ingest_shards=2)
-
-    def _assert_released(self, before: int) -> None:
-        for child in _shard_workers():
-            child.join(timeout=10)
-        assert len(_shard_workers()) == before
+    KNOBS = dict(ingest_mode="streaming")
 
     def test_framework_close(self):
-        before = len(_shard_workers())
         framework = SirenFramework(SirenConfig(**self.KNOBS))
-        try:
-            assert len(_shard_workers()) == before + 2
-        finally:
-            framework.close()
-        self._assert_released(before)
+        framework.close()
         framework.close()  # idempotent
         assert framework.snapshot() == []
 
     def test_prepared_but_never_run_campaign_close(self):
-        before = len(_shard_workers())
         campaign = DeploymentCampaign(CampaignConfig(scale=0.0, **self.KNOBS),
                                       profiles=PROFILES)
         campaign.close()  # nothing prepared yet: a no-op
         campaign.prepare()
-        try:
-            assert len(_shard_workers()) == before + 2
-        finally:
-            campaign.close()
-        self._assert_released(before)
+        campaign.close()
+        campaign.close()  # idempotent
+        assert campaign.snapshot() == []

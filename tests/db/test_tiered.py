@@ -118,6 +118,37 @@ class TestContentAddressing:
         other = dataclasses.replace(base, modules="", modules_h="x")
         assert record_digest(one) != record_digest(other)
 
+
+class TestShardPlacement:
+    """The batch FNV-32 kernel routes each silver row to ``shard_of_key``'s
+    shard, and a real campaign's keys spread over every shard."""
+
+    @staticmethod
+    def _ingest(records, shards: int) -> TieredStore:
+        tiered = TieredStore(MemoryBackend(), shards=shards)
+        tiered.ingest_records(records)
+        return tiered
+
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    def test_each_row_lands_in_its_key_shard(self, campaign_records, shards):
+        tiered = self._ingest(campaign_records, shards)
+        placed = {key: shard for shard in range(shards)
+                  for key, _payload in tiered.backend.iter_rows(shard)}
+        assert placed == {record_key(record): shard_of_key(record_key(record), shards)
+                          for record in campaign_records}
+
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_no_shard_receives_more_than_twice_the_mean(self, campaign_records,
+                                                        shards):
+        """Guard against a degenerate FNV partition piling one shard up."""
+        tiered = self._ingest(campaign_records, shards)
+        counts = [tiered.backend.row_count(shard) for shard in range(shards)]
+        mean = len(campaign_records) / shards
+        assert sum(counts) == len(campaign_records)
+        assert min(counts) > 0, f"empty shard in {counts}"
+        assert max(counts) <= 2 * mean, (
+            f"degenerate FNV partition: shard loads {counts} vs mean {mean:.0f}")
+
     def test_blob_digest_collision_inside_one_batch_raises(self, monkeypatch):
         """The first payload is only staged when the second arrives: the
         check sees it there, and nothing of the batch is stored."""
@@ -721,15 +752,15 @@ class TestCampaignProperty:
         self._assert_result_matches(
             self._run(ingest_mode="streaming", keep_raw_messages=False))
 
-    def test_sharded_streaming_campaign_rollups_match(self):
+    def test_streaming_campaign_memory_backend_rollups_match(self):
         self._assert_result_matches(
-            self._run(ingest_mode="streaming", ingest_shards=2,
-                      keep_raw_messages=False, store_backend="memory"))
+            self._run(ingest_mode="streaming", keep_raw_messages=False,
+                      store_backend="memory"))
 
     def test_mid_run_rollups_match_snapshot(self):
         """Gold answers are right mid-campaign, at a live snapshot point."""
         config = CampaignConfig(scale=0.0, seed=4, loss_rate=0.0002,
-                                ingest_mode="streaming", ingest_shards=2,
+                                ingest_mode="streaming",
                                 keep_raw_messages=False, rollups=True)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         checked = []

@@ -15,7 +15,6 @@ from repro.faults import (
     FaultyChannel,
     StoreFaultInjector,
     StoreFaultProfile,
-    WorkerFaultProfile,
     preset_plans,
 )
 from repro.transport.channel import InMemoryChannel
@@ -47,20 +46,13 @@ class TestFaultPlan:
             ChannelFaultProfile(drop_rate=1.5)
         with pytest.raises(ReproError):
             StoreFaultProfile(error_rate=-0.1)
-        with pytest.raises(ReproError):
-            WorkerFaultProfile(kill_after_batches=0)
 
     def test_active_and_order_preserving(self):
         assert not FaultPlan().active
         assert FaultPlan(channel=ChannelFaultProfile(drop_rate=0.1)).active
-        assert FaultPlan(workers=(WorkerFaultProfile(kill_after_batches=1),)).active
+        assert FaultPlan(store=StoreFaultProfile(disk_full_after=3)).active
         assert ChannelFaultProfile(drop_rate=0.5, jitter_rate=0.5).order_preserving
         assert not ChannelFaultProfile(reorder_rate=0.01).order_preserving
-
-    def test_worker_fault_lookup(self):
-        plan = FaultPlan(workers=(WorkerFaultProfile(shard=2, kill_after_batches=3),))
-        assert plan.worker_fault_for(2).kill_after_batches == 3
-        assert plan.worker_fault_for(0) is None
 
     def test_presets_cover_the_degradation_axes(self):
         plans = preset_plans(seed=11)

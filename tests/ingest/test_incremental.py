@@ -151,7 +151,7 @@ class TestFlushAndSnapshot:
 
     def test_snapshot_peeks_open_groups_without_closing(self):
         front = ShardedIngest(MessageStore(), shards=1)
-        sink = front.backend.consolidator
+        sink = front.consolidator
         sink.feed_many(_system_burst(pid=1))
         sink.feed(_procend(pid=1))
         sink.feed_many(_system_burst(pid=2))  # still open: no PROCEND yet

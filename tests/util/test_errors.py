@@ -3,11 +3,9 @@
 import pytest
 
 from repro.util.errors import (
-    CollectionError,
     IngestError,
     ReproError,
     TransportError,
-    WorkerCrashError,
 )
 
 
@@ -16,18 +14,14 @@ class TestHierarchy:
         # Split out of TransportError without breaking existing handlers:
         # every `except TransportError` keeps catching ingest failures.
         assert issubclass(IngestError, TransportError)
-        assert issubclass(WorkerCrashError, IngestError)
         assert issubclass(TransportError, ReproError)
-
-    def test_worker_crash_is_not_a_collection_error(self):
-        assert not issubclass(WorkerCrashError, CollectionError)
 
     def test_existing_excepts_keep_working(self):
         with pytest.raises(TransportError):
-            raise WorkerCrashError("shard 0 worker died")
+            raise IngestError("store retry budget exhausted")
         with pytest.raises(ReproError):
             raise IngestError("pool closed")
 
     def test_messages_round_trip(self):
-        error = WorkerCrashError("shard 3 worker died (exit code -9)")
-        assert "shard 3" in str(error)
+        error = IngestError("store retry budget of 4 exhausted")
+        assert "budget of 4" in str(error)

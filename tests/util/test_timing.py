@@ -84,23 +84,6 @@ class TestMergeAndSnapshot:
         assert timer.seconds("stage") == 2.0
         assert timer.calls("stage") == 4
 
-    def test_merge_from_timer(self):
-        left, right = StageTimer(), StageTimer()
-        left.add("a", 1.0)
-        right.add("a", 2.0, calls=2)
-        right.add("b", 3.0)
-        left.merge(right)
-        assert left.seconds("a") == 3.0
-        assert left.calls("a") == 3
-        assert left.seconds("b") == 3.0
-
-    def test_merge_from_snapshot_mapping(self):
-        source, target = StageTimer(), StageTimer()
-        source.add("a", 1.25, calls=5)
-        target.merge(source.as_dict())
-        assert target.seconds("a") == 1.25
-        assert target.calls("a") == 5
-
     def test_as_dict_sorted_top_cost_first_and_picklable(self):
         timer = StageTimer()
         timer.add("cheap", 0.1)

@@ -108,6 +108,14 @@ class TestCampaignExecution:
         result = DeploymentCampaign(config=config).run()
         assert result.incomplete_fraction == 0.0
 
+    def test_on_job_fires_for_every_job(self):
+        config = CampaignConfig(scale=0.0, seed=7, loss_rate=0.0)
+        campaign = DeploymentCampaign(config, profiles=DEFAULT_PROFILES[:4])
+        seen = []
+        campaign.on_job = seen.append
+        result = campaign.run()
+        assert seen == list(range(1, result.jobs_run + 1))
+
 
 class TestStreamingIngest:
     """The streaming ingest spine: equivalence, snapshots, real sockets."""
@@ -117,11 +125,10 @@ class TestStreamingIngest:
     PROFILES = DEFAULT_PROFILES[:4]
 
     def _run(self, *, loss_rate: float, ingest_mode: str = "batch",
-             ingest_shards: int = 1, transport: str = "memory", seed: int = 17,
-             **overrides):
+             transport: str = "memory", seed: int = 17, **overrides):
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                                ingest_mode=ingest_mode, ingest_shards=ingest_shards,
-                                transport=transport, **overrides)
+                                ingest_mode=ingest_mode, transport=transport,
+                                **overrides)
         return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
 
     @pytest.mark.parametrize("loss_rate", [0.0, 0.0002, 0.01])
@@ -132,20 +139,11 @@ class TestStreamingIngest:
         assert _record_list(streaming.records) == _record_list(batch.records)
         assert streaming.ingest is not None
         assert streaming.ingest.statistics()["records_built"] == len(batch.records)
+        # Streaming held far fewer groups open than the total process count.
+        assert 0 < streaming.ingest.peak_open_processes < len(batch.records)
         # Pure streaming never materialised the raw messages table.
         assert streaming.store.message_count() == 0
         assert batch.store.message_count() > 0
-
-    def test_sharded_streaming_identical_to_batch(self):
-        batch = self._run(loss_rate=0.01)
-        sharded = self._run(loss_rate=0.01, ingest_mode="streaming", ingest_shards=4,
-                            keep_raw_messages=False)
-        assert _record_list(sharded.records) == _record_list(batch.records)
-        stats = sharded.ingest.statistics()
-        assert stats["shards"] == 4
-        assert stats["records_built"] == len(batch.records)
-        # Streaming held far fewer groups open than the total process count.
-        assert 0 < sharded.ingest.peak_open_processes < len(batch.records)
 
     def test_streaming_keeps_raw_messages_when_asked(self):
         streaming = self._run(loss_rate=0.0, ingest_mode="streaming",
@@ -218,3 +216,31 @@ class TestHashingKnobs:
         assert direct
         assert all(record.file_h == direct[record.executable]
                    for record in result.records if record.file_h)
+
+
+class TestProfiling:
+    """A campaign's stage profile and cache counters reach its result."""
+
+    PROFILES = DEFAULT_PROFILES[:4]
+
+    def _run(self):
+        config = CampaignConfig(scale=0.0, seed=11, loss_rate=0.0)
+        return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
+
+    def test_stage_timings_surface_in_result(self):
+        timings = self._run().stage_timings
+        for stage in ("campaign.prepare", "campaign.jobs", "campaign.finalize",
+                      "cluster.run_job", "collect.start", "collect.end",
+                      "transport.encode", "transport.send"):
+            assert stage in timings, stage
+            assert timings[stage]["calls"] >= 1
+            assert timings[stage]["seconds"] >= 0.0
+
+    def test_statistics_expose_cache_effectiveness(self):
+        stats = self._run().statistics()
+        for key in ("hashes_computed", "hash_cache_hits",
+                    "hash_content_cache_hits", "hash_cache_hit_rate",
+                    "compare_cache_hits", "compare_cache_misses"):
+            assert key in stats, key
+        assert stats["hash_cache_hits"] > 0
+        assert 0.0 <= stats["hash_cache_hit_rate"] <= 1.0

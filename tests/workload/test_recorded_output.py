@@ -1,0 +1,167 @@
+"""Campaign output is pinned to digests recorded before the parallel modes went.
+
+Ingest used to run optionally in worker processes and the job driver in
+several; both were removed (``docs/architecture.md``, "Parallelism: measured
+and removed").  The serial driver and the one in-process ingest front must
+still produce, byte for byte, what the code produced before: the record list,
+the rendered analysis, the silver rows and blobs, the gold tables, and --
+under every degradation preset -- the same surviving records and fault
+counters.  Every digest below was recorded with the parallel modes still in
+the tree.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+
+import pytest
+
+from repro.core import AnalysisPipeline
+from repro.db.store import MessageStore
+from repro.faults import FaultyChannel, preset_plans
+from repro.ingest import ShardedIngest
+from repro.transport.channel import InMemoryChannel
+from repro.workload import CampaignConfig, DeploymentCampaign
+from repro.workload.profiles import DEFAULT_PROFILES
+
+PROFILES = DEFAULT_PROFILES[:4]
+
+#: (loss_rate, seed) -> SHA-256 of (record list, ``render_all()``, sorted
+#: silver rows + blobs, gold tables); batch and streaming ingest share them.
+CAMPAIGN_PINS = {
+    (0.0, 17): ("aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2",
+                "d3cf18f10b4921fada1bbbfbb96d063c38cc744974f82d727a8d98c6c5a22942",
+                "1ff6bcd39f8f64086d1e5c0c719e16d3efcc0ee7ee7e73c5166aa9d6980dc6d2",
+                "57a3f2348742fa02397f5e0e225ecb016c19014931fc899ffd438d676bdbb726"),
+    (0.0, 99): ("aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2",
+                "d3cf18f10b4921fada1bbbfbb96d063c38cc744974f82d727a8d98c6c5a22942",
+                "f3b5c80c80b7b4757243f529cbc7f2d61ca2a865657b04ac5134e0850b582d47",
+                "57a3f2348742fa02397f5e0e225ecb016c19014931fc899ffd438d676bdbb726"),
+    (0.01, 17): ("b2705c22283bfee7384e65dfa8660a5eb977a15e81989a3048c720c1a0bf8bcc",
+                 "83c57b8a1c3a5130f27c6aeeaf1350a143b15af78834507fb42769a064b23072",
+                 "39a2c16fcffa5ed9777508734d39ce55c363b8d7311ec356117d709d95fc7537",
+                 "b1e4901c35480854dc11ed20f163d14a22eccfa72cf20b2bb64ef9f4b8545568"),
+    (0.01, 99): ("b6d5b0bdbbdf2567856e3a4bea2a7323676402c3f33f6dae5fbd89a935092c22",
+                 "2967f331e685f370d4909fe579f8db577d25a8b45cee91aac844b52f488e219b",
+                 "9540eaae47e63a0656aa47a493832649914a8593ebe11fb6ae92396e0fc05543",
+                 "49a16b59fcd7c484828a12f859b96b95376faebfbd9865ff1c51e187712a71aa"),
+}
+
+#: every preset replays the same 2,635-datagram stream
+_SENT = 2_635
+
+
+def _counters(**nonzero: int) -> dict[str, int]:
+    counters = dict.fromkeys(("corrupted", "dropped", "duplicated", "jitter_bursts",
+                              "reordered", "truncated"), 0)
+    return {**counters, "datagrams_sent": _SENT, **nonzero}
+
+
+_LOSSLESS = "aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2"
+
+#: preset -> (SHA-256 of the record list, fault_counters(), decode errors, records)
+PRESET_PINS = {
+    "baseline": (_LOSSLESS, _counters(), 0, 485),
+    "loss-1pct": ("057df57facf0c6e7187748e53ec3bcbb177b4295f2d8fb518fb73c1141d849b2",
+                  _counters(dropped=27), 0, 485),
+    "loss-5pct": ("95a2b1e94a4b2b6e24b5218799142fe98fc2c3462b3acb25cfa50d9fc8601833",
+                  _counters(dropped=123), 0, 485),
+    "loss-20pct": ("e4974d5dd853f97dba06bffdbac80a64361d9b963f90080e53b935d4390ed2b9",
+                   _counters(dropped=512), 0, 485),
+    "dup-10pct": (_LOSSLESS, _counters(duplicated=268), 0, 485),
+    "reorder-5pct": ("fbc47420e743fbfc301ab0d2e414b04a6cf81dd408de0d6ace852472ca686153",
+                     _counters(reordered=126), 0, 485),
+    "corrupt-5pct": ("c31aaf55d2d9b500cfe07e4fef294446779cafdf813046feb39e7e01b5dbd104",
+                     _counters(corrupted=122), 65, 520),
+    "truncate-5pct": ("56164092e790cd61fd798e2671605ae6b75cda802d972ae243cecd58f7e49d88",
+                      _counters(truncated=125), 73, 485),
+    "jitter-10pct": (_LOSSLESS, _counters(jitter_bursts=156), 0, 485),
+    "mixed-hostile": ("6848beca2df47c8b53ac88a04af8514661748203c5af480b8fb313e96613b6a4",
+                      _counters(dropped=127, duplicated=135, corrupted=47,
+                                truncated=42), 51, 502),
+}
+
+
+def _sha(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _record_list(records) -> list[tuple]:
+    return [tuple(getattr(r, name) for name in r.__dataclass_fields__)
+            for r in records]
+
+
+@functools.cache
+def _campaign_digests(ingest_mode: str, loss_rate: float, seed: int) -> tuple[str, ...]:
+    """The four pinned digests of one scale-0.0 campaign (run once per config)."""
+    config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
+                            ingest_mode=ingest_mode, keep_raw_messages=False,
+                            rollups=True)
+    result = DeploymentCampaign(config=config, profiles=PROFILES).run()
+    tiered = result.tiered
+    silver = sorted(row for shard in range(tiered.shards)
+                    for row in tiered.backend.iter_rows(shard))
+    blobs = sorted((digest, tiered.backend.get_blob(digest))
+                   for digest in tiered._backend_blob_digests())
+    gold = [tiered.user_activity(), tiered.system_executables(),
+            tiered.shared_object_variants("bash"), tiered.python_interpreters()]
+    return (_sha(_record_list(result.records)),
+            _sha(AnalysisPipeline(result.records, result.user_names).render_all()),
+            _sha((silver, blobs)),
+            _sha(gold))
+
+
+_CONFIGS = pytest.mark.parametrize("loss_rate, seed", list(CAMPAIGN_PINS))
+_MODES = pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
+
+
+@_MODES
+@_CONFIGS
+class TestRecordedCampaignOutput:
+    def test_record_list(self, ingest_mode, loss_rate, seed):
+        assert _campaign_digests(ingest_mode, loss_rate, seed)[0] == \
+            CAMPAIGN_PINS[loss_rate, seed][0]
+
+    def test_rendered_analysis(self, ingest_mode, loss_rate, seed):
+        assert _campaign_digests(ingest_mode, loss_rate, seed)[1] == \
+            CAMPAIGN_PINS[loss_rate, seed][1]
+
+    def test_silver_rows_and_blobs(self, ingest_mode, loss_rate, seed):
+        assert _campaign_digests(ingest_mode, loss_rate, seed)[2] == \
+            CAMPAIGN_PINS[loss_rate, seed][2]
+
+    def test_gold_tables(self, ingest_mode, loss_rate, seed):
+        assert _campaign_digests(ingest_mode, loss_rate, seed)[3] == \
+            CAMPAIGN_PINS[loss_rate, seed][3]
+
+
+@pytest.fixture(scope="module")
+def lossless_stream() -> list[bytes]:
+    """The datagrams of the lossless seed-7 scale-0.0 campaign, in send order."""
+    config = CampaignConfig(scale=0.0, seed=7, loss_rate=0.0, ingest_mode="streaming",
+                            keep_raw_messages=False)
+    campaign = DeploymentCampaign(config=config, profiles=PROFILES)
+    campaign.prepare()
+    stream: list[bytes] = []
+    campaign.channel.subscribe(stream.append)
+    campaign.run()
+    return stream
+
+
+class TestRecordedPresetOutput:
+    def test_every_preset_is_pinned(self):
+        assert set(preset_plans()) == set(PRESET_PINS)
+
+    @pytest.mark.parametrize("preset", list(PRESET_PINS))
+    def test_preset_output_is_the_recorded_one(self, lossless_stream, preset):
+        inner = InMemoryChannel()
+        faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
+        front = ShardedIngest(MessageStore(), batch_size=16, flush_batch_size=8)
+        front.attach(inner)
+        for datagram in lossless_stream:
+            faulty.send(datagram)
+        faulty.flush()
+        records = front.finalize()
+        assert (_sha(_record_list(records)), faulty.fault_counters(),
+                front.decode_errors, len(records)) == PRESET_PINS[preset]
