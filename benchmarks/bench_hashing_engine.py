@@ -3,8 +3,7 @@
 Measures, on the same payloads and with identical digests verified first:
 
 * single-thread CTPH throughput (MB/s) of the reference per-byte
-  implementation vs :mod:`repro.hashing.engine` across payload regimes,
-* batch hashing via ``FuzzyHasher.hash_many``, and
+  implementation vs :mod:`repro.hashing.engine` across payload regimes, and
 * end-to-end campaign wall-clock with the collector on the old vs new path.
 
 Results are written as machine-readable JSON to ``BENCH_hashing.json`` in the
@@ -125,17 +124,6 @@ class TestSingleThreadThroughput:
             floor = 3.0 if scan_backend() == "numpy" else 1.05
             assert speedup >= floor, (
                 f"engine speedup {speedup:.2f}x below the {floor}x floor")
-
-    def test_hash_many_batch(self):
-        hasher = FuzzyHasher()
-        payloads = [payload for _, payload in _payloads()] * (1 if SMOKE else 2)
-        sequential = [hasher.hash(p) for p in payloads]
-        batch_s = _time(hasher.hash_many, payloads)
-        assert hasher.hash_many(payloads) == sequential
-        RESULTS["hash_many"] = {
-            "payload_count": len(payloads),
-            "batch_seconds": batch_s,
-        }
 
 
 class TestCampaignWallClock:

@@ -38,7 +38,6 @@ REQUIRED_BENCH_REPORTS = (
     "BENCH_compare.json",
     "BENCH_faults.json",
     "BENCH_hashing.json",
-    "BENCH_ingest.json",
     "BENCH_live.json",
     "BENCH_store.json",
 )

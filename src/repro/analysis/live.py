@@ -84,19 +84,15 @@ class DeltaSource(Protocol):
 class LiveAnalysis:
     """Incrementally maintained Table 2/3/4/8 stats and similarity search.
 
-    Feed it one of three ways:
+    Feed it one of two ways:
 
     * **bound** -- :meth:`bind` it to a delta source (a
-      :class:`~repro.ingest.sharded.ShardedIngest`, a streaming
-      :class:`~repro.core.framework.SirenFramework`, or a streaming
+      :class:`~repro.ingest.sharded.ShardedIngest`, a
+      :class:`~repro.core.framework.SirenFramework`, or a
       :class:`~repro.workload.campaign.DeploymentCampaign`); every view
       method then pulls the latest delta first, so reads are always current;
     * **manual deltas** -- :meth:`commit` append-only finalized records and
-      :meth:`refresh_open` the open-group overlay yourself;
-    * **full snapshots** -- :meth:`observe` a complete record list and let
-      the analysis diff it by process key (the adapter for batch-mode
-      consolidation, whose re-consolidating upsert invalidates rowid
-      cursors).
+      :meth:`refresh_open` the open-group overlay yourself.
 
     Views mirror their :class:`~repro.core.pipeline.AnalysisPipeline` /
     :class:`~repro.analysis.similarity.SimilaritySearch` counterparts and
@@ -203,28 +199,6 @@ class LiveAnalysis:
         self._open_tables = TableRollup(self.user_names)
         for record in self._open:
             self._open_tables.fold(record)
-
-    def observe(self, records, open_records=()) -> int:
-        """Feed a full snapshot record list, diffing by process key.
-
-        The adapter for sources without a rowid cursor (batch-mode
-        consolidation rewrites rows, so only keys are stable): records with
-        unseen keys are committed, the rest must all be present -- a
-        previously committed key missing from ``records`` means the stream
-        was not append-only and raises :class:`AnalysisError`.  Records of
-        already-seen keys are assumed unchanged, which holds at job-boundary
-        snapshots (every burst is fully delivered before the hook fires).
-        Returns how many records were committed.
-        """
-        fresh = [record for record in records
-                 if record.key not in self._keys]
-        if len(records) - len(fresh) != len(self._keys):
-            raise AnalysisError(
-                "observe() requires an append-only record stream: a previously"
-                " committed record is missing from this snapshot")
-        committed = self.commit(fresh)
-        self.refresh_open(open_records)
-        return committed
 
     def _pull(self) -> None:
         if self._source is not None:

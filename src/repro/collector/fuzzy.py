@@ -73,9 +73,6 @@ class ArtifactHasher:
     filesystem: VirtualFilesystem
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
     cache_enabled: bool = True
-    #: Fanned out to :meth:`FuzzyHasher.hash_many` for the three per-executable
-    #: payloads; > 1 engages a process pool (multi-core hosts only).
-    hash_concurrency: int = 1
     list_cache_limit: int = 100_000
     hashes_computed: int = 0
     cache_hits: int = 0
@@ -109,15 +106,12 @@ class ArtifactHasher:
                 self._exe_cache[key] = cached
                 return cached
 
-        payloads = [content, strings_blob(content).encode("utf-8")]
-        if is_elf(content):
-            payloads.append(nm_listing(ELFFile(content)).encode("utf-8"))
-        else:
-            payloads.append(b"")
-        digests = self.hasher.hash_many(payloads, concurrency=self.hash_concurrency)
-        result = ExecutableHashes(file_hash=str(digests[0]),
-                                  strings_hash=str(digests[1]),
-                                  symbols_hash=str(digests[2]))
+        strings = strings_blob(content).encode("utf-8")
+        symbols = (nm_listing(ELFFile(content)).encode("utf-8")
+                   if is_elf(content) else b"")
+        result = ExecutableHashes(file_hash=str(self.hasher.hash(content)),
+                                  strings_hash=str(self.hasher.hash(strings)),
+                                  symbols_hash=str(self.hasher.hash(symbols)))
         self.hashes_computed += 1
         if ckey is not None:
             self._exe_cache[key] = result
@@ -207,11 +201,3 @@ class ArtifactHasher:
         self._script_content_cache.clear()
         self._list_cache.clear()
         self._path_hashes.clear()
-
-    def close(self) -> None:
-        """Release hashing resources (the ``hash_many`` process pool).
-
-        Caches survive; hashing keeps working afterwards (a later concurrent
-        batch simply respawns the pool).
-        """
-        self.hasher.close()

@@ -44,9 +44,6 @@ class SirenCollector:
     sender: UDPSender
     library_path: str
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    #: Forwarded to the :class:`ArtifactHasher`: ``> 1`` fans per-executable
-    #: hashing out over a process pool.
-    hash_concurrency: int = 1
     hasher: ArtifactHasher = field(init=False)
     processes_collected: int = 0
     processes_skipped: int = 0
@@ -57,8 +54,7 @@ class SirenCollector:
     timer = NULL_TIMER
 
     def __post_init__(self) -> None:
-        self.hasher = ArtifactHasher(self.filesystem,
-                                     hash_concurrency=self.hash_concurrency)
+        self.hasher = ArtifactHasher(self.filesystem)
 
     # ------------------------------------------------------------------ #
     # constructor
@@ -108,14 +104,6 @@ class SirenCollector:
 
         self.sender.send(self._wire_header(context), sections)
         self.processes_collected += 1
-
-    def close(self) -> None:
-        """Release hashing resources (worker pool when ``hash_concurrency > 1``).
-
-        Collection keeps working after a close; campaigns call this once the
-        job stream ends so concurrent deployments never leak worker processes.
-        """
-        self.hasher.close()
 
     # ------------------------------------------------------------------ #
     # destructor

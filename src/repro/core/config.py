@@ -3,7 +3,7 @@
 :class:`SirenConfig` is the one place a deployment knob is declared and
 validated.  :class:`~repro.workload.campaign.CampaignConfig` subclasses it
 with what a job driver needs on top;
-:class:`~repro.core.deployment.Deployment` turns either into the wired
+:class:`~repro.core.framework.SirenFramework` turns either into the wired
 pipeline.
 """
 
@@ -35,20 +35,15 @@ class SirenConfig:
     seed:
         The one deployment seed: the lossy channel's drop decisions and (in
         a campaign) every other RNG stream are forked from it.
-    hash_concurrency:
-        Process-pool width for per-executable hashing (1 = in-process).
     ingest_mode:
-        ``"batch"`` persists raw messages and consolidates in a post-pass
-        (the paper's pipeline); ``"streaming"`` consolidates messages as they
+        ``"streaming"``, the only value: messages are consolidated as they
         arrive through :mod:`repro.ingest`, so
         :meth:`~repro.core.framework.SirenFramework.snapshot` serves live
-        analysis views mid-deployment.  Output records are identical.
+        analysis views mid-deployment.  The batch post-pass is gone
+        (``docs/architecture.md``, "One ingest path").
     keep_raw_messages:
-        Whether raw messages survive in the ``messages`` table.  In
-        streaming mode it decides whether messages are *also* persisted
-        alongside live consolidation; in batch mode (where the post-pass
-        needs them) ``False`` clears the table when
-        :meth:`~repro.core.framework.SirenFramework.finalize` consolidates.
+        Whether raw messages are *also* persisted in the ``messages`` table,
+        alongside live consolidation (the paper's store keeps them).
     transport:
         ``"memory"`` (default) delivers datagrams through the in-memory
         channel -- lossy when ``loss_rate > 0``; ``"socket"`` sends genuine
@@ -89,8 +84,7 @@ class SirenConfig:
     max_datagram_size: int = MAX_DATAGRAM_SIZE
     store_path: str = ":memory:"
     seed: int = 42
-    hash_concurrency: int = 1
-    ingest_mode: str = "batch"
+    ingest_mode: str = "streaming"
     keep_raw_messages: bool = True
     transport: str = "memory"
     store_retry_attempts: int = 4
@@ -101,8 +95,11 @@ class SirenConfig:
 
     def validate(self) -> None:
         """Raise :class:`CollectionError` for a value no deployment can honour."""
-        for knob, allowed in (("ingest_mode", ("batch", "streaming")),
-                              ("transport", ("memory", "socket")),
+        if self.ingest_mode != "streaming":
+            raise CollectionError(
+                f"unknown ingest_mode {self.ingest_mode!r}: ingest is streaming "
+                'only (docs/architecture.md, "One ingest path")')
+        for knob, allowed in (("transport", ("memory", "socket")),
                               ("store_backend", ("sqlite", "memory"))):
             value = getattr(self, knob)
             if value not in allowed:
@@ -110,8 +107,7 @@ class SirenConfig:
                     f"unknown {knob} {value!r} "
                     f"(expected {allowed[0]!r} or {allowed[1]!r})")
         for knob, least in (("max_datagram_size", MIN_DATAGRAM_SIZE),
-                            ("hash_concurrency", 1), ("store_retry_attempts", 0),
-                            ("quarantine_capacity", 0)):
+                            ("store_retry_attempts", 0), ("quarantine_capacity", 0)):
             value = getattr(self, knob)
             if value < least:
                 raise CollectionError(

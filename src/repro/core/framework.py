@@ -1,66 +1,116 @@
-"""The SIREN framework facade.
+"""The SIREN framework: the one place a deployment is wired and run.
 
-One :class:`SirenFramework` instance corresponds to one deployment of SIREN on
-a system you already have: a :class:`~repro.core.deployment.Deployment` wires
-store, channel, ingest path and sender from the
-:class:`~repro.core.config.SirenConfig` (batch or streaming, memory or
-socket -- see the config for what each knob means); the framework hooks it
-onto a simulated cluster (registering the ``LD_PRELOAD`` hook), consolidates
-whatever has been collected so far into per-process records, and serves the
-analyses over them.
+SIREN is one fixed chain -- collector -> UDP sender -> channel -> receiver ->
+consolidation -> store -> analysis.  :class:`SirenFramework` builds that chain
+from a :class:`~repro.core.config.SirenConfig` (memory or socket transport,
+optional faults and tiered store -- see the config for what each knob
+means), hooks it onto a simulated cluster (registering the ``LD_PRELOAD``
+hook), and owns its lifecycle: drain, snapshot, delta, finalize, close.
+Messages are consolidated into per-process records while they arrive, so
+every snapshot and analysis works mid-deployment.
+:class:`~repro.workload.campaign.DeploymentCampaign` builds the cluster,
+runs the jobs and holds one of these; the per-datagram and per-process
+paths never pass through this class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilarityResult
 from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
-from repro.core.deployment import Deployment, DeploymentChannel
 from repro.core.pipeline import AnalysisPipeline
 from repro.db.store import MessageStore, ProcessRecord
-from repro.db.tiered import TieredStore
+from repro.db.tiered import TieredStore, build_tiered_store
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
-from repro.transport.receiver import MessageReceiver
+from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.sender import UDPSender
+from repro.util.errors import CollectionError
+from repro.util.retry import RetryPolicy
+from repro.util.rng import SeededRNG
+from repro.util.timing import NULL_TIMER, StageTimer
+
+DeploymentChannel = LossyChannel | InMemoryChannel | SocketChannel | FaultyChannel
+
+
+def _no_drain() -> int:
+    """:attr:`SirenFramework.drain` of a memory transport (nothing queues)."""
+    return 0
 
 
 @dataclass
 class SirenFramework:
-    """Collector + transport + ingest + database, wired by a :class:`Deployment`."""
+    """Store <- ingest <- channel <- sender (<- collector), built from a config.
+
+    ``timer`` is threaded through every stage it builds; ``user_names`` bakes
+    the anonymised labels into the gold user dimension (``None`` falls back
+    to ``uid_<n>``, identical to recomputing the tables without names).
+    """
 
     config: SirenConfig = field(default_factory=SirenConfig)
-    deployment: Deployment = field(init=False, repr=False)
+    timer: StageTimer = field(default=NULL_TIMER, repr=False)
+    user_names: dict[int, str] | None = None
     store: MessageStore = field(init=False)
-    #: what the sender sends through -- the fault-injection decorator itself
-    #: when the config's ``fault_plan`` has active channel faults
-    channel: DeploymentChannel = field(init=False)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
-    receiver: MessageReceiver | None = field(init=False, default=None)
-    ingest: ShardedIngest | None = field(init=False, default=None)
     #: the tiered record store (``rollups=True``): silver record shards +
     #: gold rollups, auto-synced with every consolidated-record write
     tiered: TieredStore | None = field(init=False, default=None)
+    #: what the sender sends through; a fault plan's decorator *is* the
+    #: channel (subscriptions delegate to the channel it wraps)
+    channel: DeploymentChannel = field(init=False)
+    #: the loss-decision channel underneath, when ``loss_rate > 0``
+    lossy_channel: LossyChannel | None = field(init=False, default=None)
+    ingest: ShardedIngest = field(init=False)
     sender: UDPSender = field(init=False)
-    collector: SirenCollector | None = None
-    cluster: Cluster | None = None
+    collector: SirenCollector | None = field(init=False, default=None)
+    cluster: Cluster | None = field(init=False, default=None)
+    #: pull queued loopback datagrams into the ingest path; bound once so a
+    #: per-job call never re-checks the transport
+    drain: Callable[[], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # A framework deployment has no user registry at construction time,
-        # so gold user labels fall back to ``uid_<n>``.
-        deployment = self.deployment = Deployment(self.config)
-        self.store = deployment.store
-        self.channel = deployment.channel
-        self.store_fault_injector = deployment.store_fault_injector
-        self.receiver = deployment.receiver
-        self.ingest = deployment.ingest
-        self.tiered = deployment.tiered
-        self.sender = deployment.sender
+        config = self.config
+        config.validate()
+        plan = config.fault_plan
+        if config.transport == "socket":
+            socket_channel = SocketChannel()
+            self.channel, self.drain = socket_channel, socket_channel.drain
+        else:
+            self.drain = _no_drain
+            if config.loss_rate > 0:
+                self.channel = self.lossy_channel = LossyChannel(
+                    loss_rate=config.loss_rate, rng=SeededRNG(config.seed))
+            else:
+                self.channel = InMemoryChannel()
+        if plan is not None and plan.channel.active:
+            self.channel = FaultyChannel(plan=plan, inner=self.channel)
+        self.store = MessageStore(
+            config.store_path,
+            retry=RetryPolicy(attempts=config.store_retry_attempts))
+        self.store.timer = self.timer
+        if plan is not None and plan.store.active:
+            self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
+        if config.rollups:
+            # The store's auto-sync keeps the tiers current on every
+            # consolidated-record write.
+            self.tiered = build_tiered_store(
+                config.store_backend, store_path=config.store_path,
+                campaign=f"campaign-seed{config.seed}",
+                user_names=self.user_names)
+            self.store.attach_tiered(self.tiered)
+        self.ingest = ShardedIngest(
+            self.store, persist_raw=config.keep_raw_messages,
+            quarantine_capacity=config.quarantine_capacity, timer=self.timer)
+        self.ingest.attach(self.channel)
+        self.sender = UDPSender(self.channel,
+                                max_datagram_size=config.max_datagram_size,
+                                timer=self.timer)
 
     # ------------------------------------------------------------------ #
     # deployment
@@ -72,60 +122,81 @@ class SirenFramework:
         cluster's filesystem (the corpus builder installs it and exposes the
         path through its manifest).
         """
-        self.collector = self.deployment.deploy(cluster, siren_library_path)
+        if self.collector is not None:
+            raise CollectionError("this deployment is already hooked onto a cluster")
+        self.collector = SirenCollector(
+            filesystem=cluster.filesystem,
+            sender=self.sender,
+            library_path=siren_library_path,
+            policy=self.config.policy,
+        )
+        self.collector.timer = self.timer
+        cluster.register_preload_hook(self.collector)
         self.cluster = cluster
         return self.collector
 
     def close(self) -> None:
-        """Release deployment resources (see :meth:`Deployment.close`).
+        """Drain and release the loopback sockets, if any.
 
-        Call it when the deployment's traffic has ended; memory-channel
-        collection and analysis keep working afterwards.
+        Idempotent; call it when the deployment's traffic has ended.
+        Snapshots and analyses keep working on what was already ingested.
         """
-        self.deployment.close()
+        if isinstance(self.channel, SocketChannel):
+            self.channel.drain()
+            self.channel.close()
 
     # ------------------------------------------------------------------ #
     # data access
     # ------------------------------------------------------------------ #
-    def consolidate(self, *, clear_messages: bool = False) -> list[ProcessRecord]:
-        """Flush the ingest path and consolidate everything collected so far.
+    def snapshot(self) -> list[ProcessRecord]:
+        """The records consolidated so far, mid-deployment.
 
-        In batch mode this runs the post-pass consolidator over the raw
-        messages table; in streaming mode it returns the live snapshot
-        (finalized records plus a non-destructive peek at still-open process
-        groups) -- record-for-record the same result.
+        Finalized records plus a non-destructive peek at still-open process
+        groups, so collection continues undisturbed.
         """
-        records = self.deployment.snapshot()
+        self.drain()
+        return self.ingest.snapshot()
+
+    def consolidate(self, *, clear_messages: bool = False) -> list[ProcessRecord]:
+        """Flush the ingest path and return everything collected so far
+        (:meth:`snapshot`); ``clear_messages=True`` then empties the raw
+        messages table."""
+        records = self.snapshot()
         if clear_messages:
             self.store.clear_messages()
         return records
 
-    def snapshot(self) -> list[ProcessRecord]:
-        """The records consolidated so far (see :meth:`Deployment.snapshot`)."""
-        return self.deployment.snapshot()
-
-    def finalize(self) -> list[ProcessRecord]:
-        """End the ingest stream (see :meth:`Deployment.finalize`)."""
-        return self.deployment.finalize()
-
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
-        """Only the records that changed since ``cursor`` (streaming mode only;
-        see :meth:`Deployment.snapshot_delta`)."""
-        return self.deployment.snapshot_delta(cursor)
+        """Incremental live view: only the records that changed since ``cursor``."""
+        self.drain()
+        return self.ingest.snapshot_delta(cursor)
 
     def live_analysis(self, user_names: dict[int, str] | None = None,
                       ) -> LiveAnalysis:
-        """An incrementally updated analysis bound to this deployment's stream
-        (streaming mode only; see :meth:`Deployment.live_analysis`)."""
-        return self.deployment.live_analysis(user_names)
+        """An incrementally updated analysis bound to this deployment's stream.
+
+        Every view call pulls the record delta first, so mid-deployment
+        tables and similarity queries cost O(new records) and stay
+        byte-identical to an :class:`AnalysisPipeline` over :meth:`snapshot`.
+        """
+        return LiveAnalysis(user_names=user_names or {}).bind(self)
+
+    def finalize(self) -> list[ProcessRecord]:
+        """End of stream: persist every record, including still-open groups
+        (e.g. processes whose ``PROCEND`` datagram was lost)."""
+        self.drain()
+        if isinstance(self.channel, FaultyChannel):
+            # The injected network finally delivers whatever reordering or
+            # jitter was still holding back.
+            self.channel.flush()
+        return self.ingest.finalize()
 
     def analysis_pipeline(self, user_names: dict[int, str] | None = None,
                           ) -> AnalysisPipeline:
-        """Consolidate everything collected so far into an analysis pipeline.
+        """An analysis pipeline over everything collected so far.
 
         Convenience for the common deploy -> run jobs -> analyse loop; each
-        call re-consolidates (or re-snapshots, in streaming mode), so it
-        reflects all messages received up to now.
+        call re-snapshots, so it reflects all messages received up to now.
         """
         return AnalysisPipeline(self.consolidate(), user_names or {})
 
@@ -135,22 +206,20 @@ class SirenFramework:
 
     def statistics(self) -> dict[str, float]:
         """Operational counters of the deployment."""
-        deployment = self.deployment
+        ingest_stats = self.ingest.statistics()
         stats: dict[str, float] = {
             "datagrams_sent": self.sender.datagrams_sent,
             "send_errors": self.sender.send_errors,
-            "messages_received": deployment.front.messages_received,
-            "decode_errors": deployment.decode_errors,
-            "quarantined": deployment.quarantined,
+            "messages_received": ingest_stats["messages_received"],
+            "decode_errors": ingest_stats["decode_errors"],
+            "quarantined": ingest_stats["quarantined"],
         }
-        if self.ingest is not None:
-            ingest_stats = self.ingest.statistics()
-            for name in ("records_built", "incomplete_records", "early_finalized",
-                         "idle_closed", "late_messages", "open_processes",
-                         "peak_open_processes"):
-                stats[f"ingest_{name}"] = ingest_stats[name]
+        for name in ("records_built", "incomplete_records", "early_finalized",
+                     "idle_closed", "late_messages", "open_processes",
+                     "peak_open_processes"):
+            stats[f"ingest_{name}"] = ingest_stats[name]
         stats["store_write_retries"] = self.store.write_retries
-        lossy = deployment.lossy_channel
+        lossy = self.lossy_channel
         if lossy is not None:
             stats["datagrams_dropped"] = lossy.datagrams_dropped
             stats["observed_loss_rate"] = lossy.observed_loss_rate

@@ -46,7 +46,7 @@ def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
 
 
 #: The canonical process key: a record's identity, its shard routing input
-#: and -- sorted -- the batch consolidator's record order.
+#: and -- sorted -- the order ingest returns records in.
 ProcessKey = tuple[str, str, int, str, str, int]
 
 
@@ -331,9 +331,8 @@ class MessageStore:
         Records already in the ``processes`` table are folded in immediately;
         afterwards each write through :meth:`insert_or_replace_processes` /
         :meth:`insert_processes_if_absent` triggers a :meth:`sync_tiered`
-        delta pull.  Both record paths -- the batch consolidator and the
-        streaming-ingest flush -- go through that chokepoint, so the silver
-        and gold tiers never lag the ``processes`` table.
+        delta pull.  Every record write goes through that chokepoint, so
+        the silver and gold tiers never lag the ``processes`` table.
         """
         self.tiered = tiered
         self._tiered_cursor = 0
@@ -388,10 +387,9 @@ class MessageStore:
         record in this batch.  The contract -- each record is returned by
         exactly one call -- holds for rows written through the streaming
         first-close-wins insert (:meth:`insert_processes_if_absent`), which
-        never rewrites an existing row; ``INSERT OR REPLACE``
-        re-consolidation assigns *new* rowids to existing process keys, so
-        batch-mode callers must diff by process key instead (see
-        :meth:`repro.analysis.live.LiveAnalysis.observe`).
+        never rewrites an existing row; ``INSERT OR REPLACE`` assigns *new*
+        rowids to existing process keys, so rows written that way are not a
+        delta stream.
         """
         cursor = self.connection.execute(
             f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",

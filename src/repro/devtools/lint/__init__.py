@@ -4,8 +4,8 @@ Five rule families, each born from a bug that actually shipped here:
 
 * ``determinism`` -- no unseeded randomness, OS entropy or wall-clock reads
   in the one-seed-deterministic packages (:mod:`.determinism`);
-* ``concurrency`` -- fork-safe module state, timeout-guarded queue gets,
-  no bare or silently swallowed exception handlers (:mod:`.concurrency`);
+* ``concurrency`` -- resettable module caches, no bare or silently
+  swallowed exception handlers (:mod:`.concurrency`);
 * ``knobs`` -- config hierarchy / consumption / docs knob-table parity,
   checked by dataclass introspection (:mod:`.knobs`);
 * ``counters`` -- every surfaced statistics key declared once in

@@ -1,20 +1,20 @@
-"""Concurrency hygiene rules: module state stays fork-safe, faults stay visible.
+"""State and fault hygiene rules: module caches stay resettable, faults stay visible.
 
-The collector's ``hash_concurrency`` pool forks worker processes that
-inherit this interpreter's module state, and the receiving side must never
-lose a fault silently.  These rules encode the bug classes both have
-already produced:
+Everything runs in one interpreter, so module state outlives the campaign
+that filled it, and the receiving side must never lose a fault silently.
+These rules encode the bug classes both have already produced:
 
 ``concurrency/module-mutable-cache``
     A module-level mutable cache (a dict/list/set/deque the module mutates
     after import, or a ``functools.lru_cache``/``cache``-decorated function)
     without a ``*_clear()`` hook in the same module that references it.
-    Forked workers inherit such state; without a registered clear hook there
-    is no way to reset it between campaigns or before a fork, and
-    cross-campaign contamination is invisible until counters drift (the PR 5
-    compare-LRU lesson).  Constants built at import and only read afterwards
-    are fine -- the rule fires only when the module *mutates* the object
-    after definition.
+    Every campaign, deployment and test in the interpreter shares such
+    state; without a registered clear hook there is no way to reset it
+    between campaigns or between tests, and cross-campaign contamination is
+    invisible until counters drift (a compare LRU shared across campaigns
+    once did exactly that).  Constants built at import and only read
+    afterwards are fine -- the rule fires only when the module *mutates* the
+    object after definition.
 ``concurrency/bare-except``
     ``except:`` catches ``SystemExit``/``KeyboardInterrupt`` and turns
     shutdown into a hang; always name the exception.
@@ -131,7 +131,7 @@ def _catches_everything(handler: ast.ExceptHandler) -> bool:
 
 
 class ConcurrencyChecker(Checker):
-    """Fork-safety and exception-hygiene rules."""
+    """Module-cache and exception-hygiene rules."""
 
     family = "concurrency"
 
@@ -185,9 +185,9 @@ class ConcurrencyChecker(Checker):
                     yield Finding(
                         rule=f"{self.family}/module-mutable-cache",
                         message=(f"module-level cache '{node.name}' (lru_cache)"
-                                 " has no *_clear() hook in this module; forked"
-                                 " workers and multi-campaign runs cannot reset"
-                                 " it"),
+                                 " has no *_clear() hook in this module; a later"
+                                 " campaign or test in the same interpreter"
+                                 " cannot reset it"),
                         path=module.rel, line=node.lineno, col=node.col_offset)
 
         # Module-level mutable containers the module mutates after import.
@@ -218,8 +218,8 @@ class ConcurrencyChecker(Checker):
                 rule=f"{self.family}/module-mutable-cache",
                 message=(f"module-level container '{name}' is mutated at "
                          f"runtime (line {lineno}) but no *_clear() hook in "
-                         "this module references it; forked workers inherit "
-                         "it and cannot reset it"),
+                         "this module references it; every later campaign or "
+                         "test in the interpreter inherits it"),
                 path=module.rel, line=candidates[name], col=0)
 
 

@@ -68,7 +68,7 @@ class ChannelFaultProfile:
         """True when the profile can never displace a datagram.
 
         Order-preserving profiles keep streaming ingest record-for-record
-        identical to the batch post-pass over the surviving message set;
+        identical to a post-pass over the surviving message set;
         reordering can push a straggler past the consolidator's idle grace,
         which the honest ``late_messages`` counter then surfaces.
         """

@@ -54,18 +54,13 @@ scalar :func:`_fnv_piece` loop instead, which is also the oracle the kernel
 is tested against; it defers the 32-bit mask across a 4-byte unroll
 (multiplication and xor-with-a-byte both commute with reduction mod
 ``2**32``, so masking once per four bytes is exact).
-
-``hash_many`` adds a batch layer with an optional ``ProcessPoolExecutor``
-backend for multi-core hosts; results are identical to sequential hashing in
-payload order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.hashing.fnv import FNV32_PRIME, SSDEEP_HASH_INIT
 from repro.hashing.rolling import ROLLING_WINDOW
@@ -457,43 +452,3 @@ def _prefix_parity(flags):
     carry ^= odd                           # ... of all the words before it
     words ^= carry * 0xFFFFFFFFFFFFFFFF
     return _np.unpackbits(words.view(_np.uint8), bitorder="little")
-
-
-# ---------------------------------------------------------------------- #
-# batch layer
-# ---------------------------------------------------------------------- #
-def hash_parts(data: bytes, min_block_size: int = 3,
-               signature_length: int = 64) -> tuple[int, str, str]:
-    """One-shot engine hash returning ``(block_size, sig1, sig2)``."""
-    state = FuzzyState(min_block_size=min_block_size, signature_length=signature_length)
-    state.update(data)
-    return state.digest_parts()
-
-
-def _hash_worker(args: tuple[bytes, int, int]) -> tuple[int, str, str]:
-    """Process-pool entry point (must be picklable at module level)."""
-    data, min_block_size, signature_length = args
-    return hash_parts(data, min_block_size, signature_length)
-
-
-def hash_many_parts(payloads: Iterable[bytes], min_block_size: int = 3,
-                    signature_length: int = 64, *,
-                    concurrency: int = 1,
-                    pool: ProcessPoolExecutor | None = None) -> list[tuple[int, str, str]]:
-    """Hash a batch of payloads, optionally across a process pool.
-
-    Results are in payload order and identical to sequential hashing.  Pass a
-    long-lived ``pool`` (as :meth:`FuzzyHasher.hash_many` does) to amortise
-    worker startup across batches; a pool only pays off for sizable payloads
-    on multi-core hosts, since every payload is shipped to a worker process.
-    """
-    items = [bytes(p) for p in payloads]
-    if concurrency <= 1 or len(items) < 2:
-        return [hash_parts(p, min_block_size, signature_length) for p in items]
-    args = [(p, min_block_size, signature_length) for p in items]
-    workers = min(concurrency, len(items))
-    chunksize = max(1, len(items) // (workers * 4))
-    if pool is not None:
-        return list(pool.map(_hash_worker, args, chunksize=chunksize))
-    with ProcessPoolExecutor(max_workers=workers) as owned:
-        return list(owned.map(_hash_worker, args, chunksize=chunksize))

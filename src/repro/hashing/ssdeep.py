@@ -55,7 +55,7 @@ from repro.hashing.compare_engine import (
     normalize_parsed,
 )
 from repro.hashing.edit_distance import has_common_substring, weighted_edit_distance
-from repro.hashing.engine import B64_ALPHABET, FuzzyState, hash_many_parts
+from repro.hashing.engine import B64_ALPHABET, FuzzyState
 from repro.hashing.fnv import SSDEEP_HASH_INIT, sum_hash
 from repro.hashing.rolling import ROLLING_WINDOW, RollingHash
 
@@ -115,9 +115,6 @@ class FuzzyHasher:
         self.min_block_size = min_block_size
         self.signature_length = signature_length
         self._require_common_substring = require_common_substring
-        # Shared process pool for hash_many(concurrency > 1), created lazily.
-        self._pool = None
-        self._pool_width = 0
         # Per-instance LRU over *digest string* pairs.  ``compare`` is
         # symmetric, so keys are normalised to the sorted pair, doubling the
         # hit rate when the same instances meet in either order.  The cache
@@ -171,69 +168,6 @@ class FuzzyHasher:
                 block_size //= 2
             else:
                 return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
-
-    def hash_many(self, payloads: list[bytes], *, concurrency: int = 1) -> list[FuzzyHash]:
-        """Hash a batch of payloads; results match ``[self.hash(p) ...]``.
-
-        ``concurrency > 1`` fans the batch out over a process pool that is
-        created lazily and *reused across calls* on this hasher instance, so
-        repeated small batches do not pay worker startup every time.  It only
-        wins for sizable payloads on multi-core hosts (payloads are shipped
-        to worker processes); ordering is preserved and every digest is
-        identical to what sequential :meth:`hash` produces.
-        """
-        items = []
-        for payload in payloads:
-            if not isinstance(payload, (bytes, bytearray, memoryview)):
-                raise TypeError("FuzzyHasher.hash_many expects bytes-like payloads")
-            items.append(bytes(payload))
-        if concurrency <= 1 or len(items) < 2:
-            return [self.hash(payload) for payload in items]
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            parts = hash_many_parts(items, self.min_block_size, self.signature_length,
-                                    concurrency=concurrency,
-                                    pool=self._shared_pool(concurrency))
-        except BrokenProcessPool:
-            # A killed worker poisons the whole executor; drop it so the next
-            # batch respawns, and finish this one sequentially rather than
-            # losing the caller's campaign.
-            self._pool = None
-            return [self.hash(payload) for payload in items]
-        return [FuzzyHash(block_size=block, sig1=sig1, sig2=sig2)
-                for block, sig1, sig2 in parts]
-
-    def _shared_pool(self, concurrency: int):
-        """Lazily-created process pool, reused while the width matches.
-
-        A :func:`weakref.finalize` guard shuts the workers down when this
-        hasher is garbage collected, so dropping the hasher never leaks
-        worker processes; long-lived owners can also call :meth:`close`
-        explicitly (the collector layer does).
-        """
-        import weakref
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self._pool is not None and self._pool_width != concurrency:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        if self._pool is None:
-            pool = ProcessPoolExecutor(max_workers=concurrency)
-            weakref.finalize(self, ProcessPoolExecutor.shutdown, pool, wait=False)
-            self._pool = pool
-            self._pool_width = concurrency
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the shared :meth:`hash_many` process pool, if any.
-
-        Safe to call at any time; a later ``hash_many(concurrency > 1)``
-        simply creates a fresh pool.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def hash_text(self, text: str) -> FuzzyHash:
         """Fuzzy-hash a text payload (UTF-8 encoded)."""

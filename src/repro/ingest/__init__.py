@@ -1,9 +1,7 @@
 """Streaming ingest: consolidate SIREN messages as they arrive.
 
-The batch pipeline (receiver persists raw messages, a post-pass
-:class:`~repro.postprocess.consolidate.Consolidator` re-reads and re-groups
-everything) cannot serve a continuously running collector.  This subpackage
-turns ingest into a live system:
+The one ingest path of a deployment -- nothing waits for a post-pass over
+a raw message table:
 
 * :mod:`repro.ingest.incremental` --
   :class:`~repro.ingest.incremental.IncrementalConsolidator` keeps open
@@ -17,9 +15,8 @@ turns ingest into a live system:
   :meth:`~repro.ingest.sharded.ShardedIngest.snapshot_delta` serves the
   exactly-once record delta stream behind :mod:`repro.analysis.live`.
 
-The front is pinned record-for-record equivalent to the batch consolidator
-(``tests/ingest/``); ``ingest_mode="streaming"`` on
-:class:`~repro.core.config.SirenConfig` selects it.
+The front is pinned record-for-record equal to a post-pass over the same
+datagrams (``tests/oracles/consolidate.py``, exercised by ``tests/ingest/``).
 """
 
 from repro.ingest.incremental import IncrementalConsolidator

@@ -1,8 +1,8 @@
 """Incremental (streaming) consolidation of SIREN messages.
 
-The batch :class:`~repro.postprocess.consolidate.Consolidator` re-reads and
-re-groups the *entire* messages table after a campaign ends.  The
-:class:`IncrementalConsolidator` instead consumes messages **as they arrive**:
+A post-pass would re-read and re-group the *entire* messages table after a
+campaign ends.  The :class:`IncrementalConsolidator` instead consumes
+messages **as they arrive**:
 it keeps one open group per process key, finalizes a record the moment the
 process's ``PROCEND`` destructor message confirms that every expected content
 type made it through, closes lossy stragglers by an epoch/idle rule, and
@@ -11,8 +11,8 @@ first-close-wins insert (:meth:`MessageStore.insert_processes_if_absent`)
 -- so a long-running deployment can answer analysis queries mid-campaign
 without ever materialising the raw message table.
 
-Equivalence with the batch consolidator
----------------------------------------
+Equivalence with a post-pass
+----------------------------
 Records are assembled by the *same* function
 (:func:`repro.postprocess.consolidate.build_process_record`) over the same
 message groups, so the only way streaming output could diverge is by closing
@@ -26,7 +26,7 @@ on the transports this repository ships:
   epochs, and an epoch boundary (one receiver flush) can never fall twice
   inside a single contiguous burst;
 * :meth:`finalize` closes every still-open group at end of stream -- exactly
-  the data the batch pass would have grouped.
+  the data a post-pass would have grouped.
 
 ``PROCEND`` never contributes content to a record, so a late destructor
 arriving after an idle close is dropped harmlessly (counted in
@@ -97,7 +97,7 @@ class IncrementalConsolidator:
     # assigns the deployment's shared StageTimer).
     timer = NULL_TIMER
 
-    # counters (mirroring the batch Consolidator where applicable)
+    # counters
     messages_consumed: int = 0
     records_built: int = 0
     incomplete_records: int = 0

@@ -26,7 +26,7 @@ from repro.util.timing import NULL_TIMER, StageTimer
 
 
 def _in_key_order(records: list[ProcessRecord]) -> list[ProcessRecord]:
-    """Sort records by the process header key (the batch consolidator's order)."""
+    """Sort records by the process header key (the canonical record order)."""
     return sorted(records, key=lambda r: r.key)
 
 
@@ -112,8 +112,7 @@ class ShardedIngest:
 
         Finalized records come back from the ``processes`` table (memory
         holds only in-flight groups); still-open groups are peeked
-        non-destructively.  Returned in canonical process-key order -- the
-        order the batch consolidator emits.
+        non-destructively.  Returned in canonical process-key order.
         """
         open_peeks = self._sync()
         records = self.store.load_processes()

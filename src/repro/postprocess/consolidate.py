@@ -11,21 +11,21 @@ Python packages are extracted from the memory map, and the result is one
 when any expected piece is missing.
 
 The record-assembly logic lives in the module-level
-:func:`build_process_record` so the batch :class:`Consolidator` and the
-streaming :class:`~repro.ingest.incremental.IncrementalConsolidator` produce
-records through literally the same code path -- the equivalence of the two
-ingest modes reduces to "both hand the same message groups to the same
-function".
+:func:`build_process_record`, which the streaming
+:class:`~repro.ingest.incremental.IncrementalConsolidator` calls for every
+closed (or peeked) message group.  The tests' post-pass oracle
+(``tests/oracles/consolidate.py``) regroups a raw ``messages`` table and
+calls the same function, so the two agree exactly when they hand it the
+same message groups.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.collector.classify import ExecutableCategory
 from repro.collector.records import InfoType, Layer, parse_keyvalues
-from repro.db.store import MessageStore, ProcessKey, ProcessRecord
+from repro.db.store import ProcessKey, ProcessRecord
 from repro.postprocess.python_merge import extract_python_packages
 from repro.transport.chunking import reassemble_chunks
 
@@ -166,50 +166,9 @@ def _has_missing_types(category: str, groups: dict[GroupKey, MessageGroup]) -> b
     return any(key not in groups for key in expected_keys_for(category))
 
 
-@dataclass
-class Consolidator:
-    """Turns the raw ``messages`` table into consolidated ``processes`` rows."""
-
-    store: MessageStore
-    records_built: int = 0
-    incomplete_records: int = 0
-
-    def run(self, *, clear_messages: bool = False) -> list[ProcessRecord]:
-        """Consolidate everything currently in the store.
-
-        The resulting records are inserted into the ``processes`` table and
-        returned.  ``clear_messages=True`` drops the raw messages afterwards.
-        """
-        grouped: dict[ProcessKey, dict[GroupKey, MessageGroup]] = defaultdict(dict)
-        for row in self.store.iter_messages():
-            jobid, stepid, pid, path_hash, host, time, layer, info_type, idx, total, content = row
-            key: ProcessKey = (jobid, stepid, pid, path_hash, host, time)
-            group_key = (layer, info_type)
-            group = grouped[key].setdefault(group_key, MessageGroup())
-            group.add(idx, total, content)
-
-        records = [self._build_record(key, groups) for key, groups in sorted(grouped.items())]
-        self.store.insert_processes(records)
-        self.records_built += len(records)
-        if clear_messages:
-            self.store.clear_messages()
-        return records
-
-    def _build_record(self, key: ProcessKey,
-                      groups: dict[GroupKey, MessageGroup]) -> ProcessRecord:
-        record = build_process_record(key, groups)
-        if record.incomplete:
-            self.incomplete_records += 1
-        return record
-
-
 def _to_int(value: str | None) -> int | None:
     try:
         return int(value) if value is not None else None
     except ValueError:
         return None
 
-
-def consolidate_store(store: MessageStore, *, clear_messages: bool = False) -> list[ProcessRecord]:
-    """Convenience wrapper: consolidate ``store`` and return the records."""
-    return Consolidator(store).run(clear_messages=clear_messages)

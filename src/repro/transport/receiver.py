@@ -9,9 +9,8 @@ leaves a forensic trail instead of only a counter.
 
 Two sinks are supported, independently switchable:
 
-* **raw persistence** (``persist_raw=True``, the classic batch-ingest path):
-  decoded messages are batch-inserted into the SQLite ``messages`` table, to
-  be consolidated by a post-pass;
+* **raw persistence** (``persist_raw=True``): decoded messages are
+  batch-inserted into the SQLite ``messages`` table, the paper's raw store;
 * **a streaming sink** (``sink=...``): every flushed batch is fed to an
   incremental consolidator, which builds process records *while the campaign
   runs*.  Each flush also advances the sink's idle epoch, so the sink's
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from repro.db.store import MessageStore
 from repro.transport.channel import Channel
@@ -45,8 +44,7 @@ class DatagramQuarantine:
     ``quarantined`` counts every capture ever made; the ring itself holds at
     most ``capacity`` entries (oldest evicted first, counted in ``evicted``),
     so a sustained corruption storm cannot grow memory without bound while
-    the most recent evidence is always available.  One quarantine instance
-    may be shared by several receivers/shards -- captures are merely appends.
+    the most recent evidence is always available.
     """
 
     capacity: int = 256
@@ -66,29 +64,6 @@ class DatagramQuarantine:
             self.evicted += 1
         self._entries.append(QuarantinedDatagram(datagram=bytes(datagram),
                                                  reason=reason))
-
-    def drain(self) -> "tuple[list[QuarantinedDatagram], int]":
-        """Hand over the retained entries and start afresh (a worker's report).
-
-        Returns the ring's content, oldest first, and how many captures it
-        evicted since the last drain -- together, every capture made.
-        """
-        entries, evicted = list(self._entries), self.evicted
-        self._entries.clear()
-        self.quarantined = self.evicted = 0
-        return entries, evicted
-
-    def extend(self, entries: "Iterable[QuarantinedDatagram]", evicted: int) -> None:
-        """Merge what a remote worker's quarantine drained (process shards).
-
-        The ``evicted`` captures never left the worker -- its ring had
-        already dropped them -- but they were made, so they are counted here
-        as captured and evicted; the entries then go through the ring.
-        """
-        self.quarantined += evicted
-        self.evicted += evicted
-        for entry in entries:
-            self.capture(entry.datagram, entry.reason)
 
     def entries(self) -> "list[QuarantinedDatagram]":
         """The retained datagrams, oldest first."""
@@ -134,8 +109,7 @@ class MessageReceiver:
         Undecodable datagrams are counted (and, with a quarantine attached,
         captured with their raw bytes and the failure reason) -- never raised.
         This is the only place in the pipeline a datagram is decoded for
-        ingest: every ingest shard, in this interpreter or in a worker
-        process, is a receiver.
+        ingest: the ingest front is a receiver.
         """
         try:
             message = UDPMessage.decode(datagram)

@@ -1,12 +1,11 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-The long-lived parts of the pipeline (the store's write paths, the shard
-supervisor's worker restarts) must survive *transient* faults -- a WAL lock
-held by a concurrent reader, a worker that died and is being respawned --
-without either hammering the contended resource in a tight loop or sleeping
-a fleet of shards in lockstep.  :class:`RetryPolicy` captures the standard
-answer: exponentially growing delays, capped, with a jitter fraction drawn
-from a seeded RNG so chaos runs stay reproducible.
+The store's write paths must survive *transient* faults -- a WAL lock held
+by a concurrent reader -- without either hammering the contended resource in
+a tight loop or retrying in lockstep with every other writer.
+:class:`RetryPolicy` captures the standard answer: exponentially growing
+delays, capped, with a jitter fraction drawn from a seeded RNG so chaos runs
+stay reproducible.
 
 The policy is pure configuration plus delay arithmetic; callers own the
 actual loop (what counts as retryable differs per subsystem) and the sleep

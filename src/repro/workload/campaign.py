@@ -4,21 +4,19 @@
 
 1. build a cluster and install the corpus (libraries, system tools, Python,
    ``siren.so``, per-user scientific packages),
-2. deploy SIREN (a :class:`~repro.core.deployment.Deployment`: message
-   store, channel, ingest path, sender, collector hook),
+2. deploy SIREN (a :class:`~repro.core.framework.SirenFramework`: message
+   store, channel, ingest front, sender, collector hook),
 3. execute the scaled campaign: every user profile submits its jobs through
-   the Slurm-like scheduler, each process is hooked and collected,
-4. consolidate the UDP messages into per-process records -- in a post-pass
-   (``ingest_mode="batch"``) or live while the jobs run
-   (``ingest_mode="streaming"``: a receiver feeding a consolidator in this
-   interpreter).
+   the Slurm-like scheduler on one serial driver, each process is hooked and
+   collected, and its UDP messages are consolidated into a per-process
+   record while the jobs run.
 
 The result object carries everything the analysis layer and the benchmark
 harness need: the records, the store, the anonymised user mapping, the corpus
-manifest, and the transport/collection counters.  Streaming campaigns can
-additionally be observed mid-run through :meth:`DeploymentCampaign.snapshot`
-(e.g. from the ``on_job`` callback), which feeds the live record set straight
-into :class:`~repro.core.pipeline.AnalysisPipeline`.
+manifest, and the transport/collection counters.  Campaigns can also be
+observed mid-run through :meth:`DeploymentCampaign.snapshot` (e.g. from the
+``on_job`` callback), which feeds the live record set straight into
+:class:`~repro.core.pipeline.AnalysisPipeline`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Callable
 from repro.analysis.live import LiveAnalysis
 from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
-from repro.core.deployment import Deployment, DeploymentChannel
+from repro.core.framework import DeploymentChannel, SirenFramework
 from repro.corpus.builder import CorpusBuilder, CorpusManifest
 from repro.corpus.packages import PACKAGES_BY_NAME
 from repro.db.store import MessageStore, ProcessRecord
@@ -38,7 +36,6 @@ from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
-from repro.transport.receiver import MessageReceiver
 from repro.util.rng import SeededRNG
 from repro.util.timing import StageTimer
 from repro.workload.profiles import (
@@ -116,7 +113,7 @@ class CampaignResult:
     channel: DeploymentChannel
     jobs_run: int
     processes_run: int
-    ingest: ShardedIngest | None = None  #: streaming-mode ingest front (counters)
+    ingest: ShardedIngest | None = None  #: the ingest front (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
     quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
     #: what the injected channel faults did (``fault_plan`` runs only)
@@ -200,12 +197,11 @@ class DeploymentCampaign:
     timer: StageTimer = field(default_factory=StageTimer, repr=False)
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
-    deployment: Deployment = field(init=False, repr=False)
+    deployment: SirenFramework = field(init=False, repr=False)
     collector: SirenCollector = field(init=False)
     store: MessageStore = field(init=False)
     channel: DeploymentChannel = field(init=False)
-    receiver: MessageReceiver | None = field(init=False, default=None)
-    ingest: ShardedIngest | None = field(init=False, default=None)
+    ingest: ShardedIngest = field(init=False)
     tiered: TieredStore | None = field(init=False, default=None)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     scenario_builder: ScenarioBuilder = field(init=False)
@@ -239,15 +235,15 @@ class DeploymentCampaign:
 
         # Users are registered above, so the gold user dimension can bake in
         # the anonymised labels.
-        deployment = self.deployment = Deployment(
+        deployment = self.deployment = SirenFramework(
             self.config, timer=self.timer, user_names=self._user_names())
         self.store = deployment.store
         self.channel = deployment.channel
         self.store_fault_injector = deployment.store_fault_injector
-        self.receiver = deployment.receiver
         self.ingest = deployment.ingest
         self.tiered = deployment.tiered
-        self.collector = deployment.deploy(self.cluster, self.manifest.siren_library)
+        self.collector = deployment.deploy(
+            self.cluster, siren_library_path=self.manifest.siren_library)
         self.scenario_builder = ScenarioBuilder(self.cluster, self.manifest,
                                                 rng=self.rng.fork("scenarios"))
 
@@ -268,7 +264,7 @@ class DeploymentCampaign:
             with self.timer.section("campaign.finalize"):
                 records = deployment.finalize()
         finally:
-            self.close()  # hash workers and sockets; caches stay warm
+            self.close()  # loopback sockets; caches stay warm
         fault_counters = (self.channel.fault_counters()
                           if isinstance(self.channel, FaultyChannel) else None)
         return CampaignResult(
@@ -283,8 +279,8 @@ class DeploymentCampaign:
             jobs_run=jobs_run,
             processes_run=self.cluster.processes_run,
             ingest=self.ingest,
-            decode_errors=deployment.decode_errors,
-            quarantined=deployment.quarantined,
+            decode_errors=self.ingest.decode_errors,
+            quarantined=self.ingest.quarantined,
             fault_counters=fault_counters,
             store_fault_injector=self.store_fault_injector,
             stage_timings=self.timer.as_dict(),
@@ -292,7 +288,7 @@ class DeploymentCampaign:
         )
 
     def close(self) -> None:
-        """Release the prepared deployment (see :meth:`Deployment.close`).
+        """Release the prepared deployment (see :meth:`SirenFramework.close`).
 
         :meth:`run` does this itself; call it for a campaign that was
         prepared but never run.
@@ -302,22 +298,21 @@ class DeploymentCampaign:
 
     def snapshot(self) -> list[ProcessRecord]:
         """The records consolidated so far, mid-campaign (see
-        :meth:`Deployment.snapshot`).  Call it from the :attr:`on_job` hook
-        for live Table-2/Table-7 analyses."""
+        :meth:`SirenFramework.snapshot`).  Call it from the :attr:`on_job`
+        hook for live Table-2/Table-7 analyses."""
         return self.deployment.snapshot()
 
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
-        """Only the records that changed since ``cursor`` (streaming mode only;
-        see :meth:`Deployment.snapshot_delta`)."""
+        """Only the records that changed since ``cursor`` (see
+        :meth:`SirenFramework.snapshot_delta`)."""
         return self.deployment.snapshot_delta(cursor)
 
     def live_analysis(self) -> LiveAnalysis:
         """An incrementally updated analysis bound to this campaign's stream.
 
-        Streaming mode only; prepares the campaign if needed so the user
-        mapping exists.  Bind it before :meth:`run` and call its view
-        methods from the :attr:`on_job` hook (see
-        :meth:`Deployment.live_analysis`).
+        Prepares the campaign if needed so the user mapping exists.  Bind it
+        before :meth:`run` and call its view methods from the :attr:`on_job`
+        hook (see :meth:`SirenFramework.live_analysis`).
         """
         self.prepare()
         return self.deployment.live_analysis(self._user_names())

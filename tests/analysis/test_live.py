@@ -22,7 +22,7 @@ from repro.analysis.simindex import SimilarityIndex
 from repro.core import AnalysisPipeline
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
-from repro.util.errors import AnalysisError, CollectionError
+from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
@@ -222,15 +222,6 @@ class TestSyntheticStreamEquivalence:
         live.commit(stream[5:8])
         _assert_views_equal(live, stream[:8], {})
 
-    def test_observe_diffs_by_key_and_rejects_shrinking_streams(self):
-        stream = _synthetic_stream()
-        live = LiveAnalysis({})
-        assert live.observe(stream[:10]) == 10
-        assert live.observe(stream[:16]) == 6  # only the new keys commit
-        _assert_views_equal(live, stream[:16], {})
-        with pytest.raises(AnalysisError):
-            live.observe(stream[2:10])  # previously committed records missing
-
     def test_warm_hasher_is_shared_across_snapshots(self):
         stream = [record for record in _synthetic_stream() if record.category == "user"]
         hasher = FuzzyHasher()
@@ -326,7 +317,7 @@ class TestCampaignLiveEquivalence:
     def test_streaming_campaign_live_matches_rebuild_at_every_job(
             self, seed, loss_rate):
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                                ingest_mode="streaming", keep_raw_messages=False)
+                                keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         live = campaign.live_analysis()
         failures: list[str] = []
@@ -343,35 +334,34 @@ class TestCampaignLiveEquivalence:
         assert live.statistics()["records_committed"] > 0
 
     @pytest.mark.parametrize("seed,loss_rate", [(17, 0.01), (5, 0.0)])
-    def test_batch_campaign_observe_matches_rebuild_at_every_job(
+    def test_raw_keeping_campaign_live_matches_rebuild_at_every_job(
             self, seed, loss_rate):
+        """The paper's store keeps raw messages (the default); persisting
+        them beside live consolidation leaves every live view unchanged."""
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate)
+        assert config.keep_raw_messages
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
-        campaign.prepare()
-        user_names = {user.uid: user.username
-                      for user in campaign.cluster.users.all()}
-        live = LiveAnalysis(user_names)
+        live = campaign.live_analysis()
         failures: list[str] = []
         checks = [0]
 
         def on_job(jobs_run: int) -> None:
-            records = campaign.snapshot()
-            live.observe(records)
-            try:
-                _assert_views_equal(live, records, user_names)
-            except AssertionError as error:
-                failures.append(str(error)[:200])
+            self._check_against_snapshot(live, campaign, failures)
             checks[0] += 1
 
         campaign.on_job = on_job
         result = campaign.run()
         assert checks[0] == result.jobs_run > 0
         assert failures == []
+        assert result.store.message_count() > 0
 
-    def test_live_analysis_requires_streaming_campaign(self):
+    def test_default_campaign_serves_live_views_and_deltas(self):
+        """Regression guard: a default campaign used to refuse live analysis
+        and record deltas; its only ingest path now serves both."""
         campaign = DeploymentCampaign(
             CampaignConfig(scale=0.0), profiles=self.PROFILES)
-        with pytest.raises(CollectionError):
-            campaign.live_analysis()
-        with pytest.raises(CollectionError):
-            campaign.snapshot_delta()
+        live = campaign.live_analysis()
+        result = campaign.run()
+        delta = campaign.snapshot_delta()
+        assert len(delta.new_records) + len(delta.open_records) == len(result.records)
+        assert live.table2_totals().total_processes == len(result.records) > 0

@@ -17,6 +17,8 @@ from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
 
+from oracles.consolidate import Consolidator
+
 
 class TestArtifactHasher:
     def test_executable_hashes_all_present(self, app_cluster):
@@ -27,6 +29,23 @@ class TestArtifactHasher:
         assert hashes.file_hash.count(":") == 2
         assert hashes.strings_hash.count(":") == 2
         assert hashes.symbols_hash.count(":") == 2
+
+    def test_executable_hashes_call_the_instance_hash_once_per_payload(self, app_cluster):
+        """FILE_H, STRINGS_H and SYMBOLS_H are three ``hasher.hash`` calls,
+        looked up on the instance at call time, so a wrapper installed there
+        sees every byte hashed."""
+        cluster, manifest = app_cluster
+        hasher = ArtifactHasher(cluster.filesystem)
+        path = manifest.find_executable("icon", "cray-r1", "alice").path
+        seen: list[int] = []
+        plain = hasher.hasher.hash
+        hasher.hasher.hash = lambda data: seen.append(len(data)) or plain(data)
+        hashes = hasher.executable_hashes(path)
+        assert len(seen) == 3
+        assert seen[0] == len(cluster.filesystem.read(path))
+        assert hashes.file_hash == str(plain(cluster.filesystem.read(path)))
+        hasher.executable_hashes(path)  # a cache hit hashes nothing
+        assert len(seen) == 3
 
     def test_cache_hit_on_second_call(self, app_cluster):
         cluster, manifest = app_cluster
@@ -459,8 +478,6 @@ class TestSirenCollector:
         the sender raised out of the hook at that message and everything
         queued behind it -- MAPS_H and the three fuzzy hashes identification
         rests on -- was never sent.  A file name was enough to evade Table 7."""
-        from repro.postprocess.consolidate import Consolidator
-
         cluster, manifest = app_cluster
         icon = manifest.find_executable("icon", "cray-r1", "alice")
         hook_failures = cluster.runtime.hook_failures

@@ -6,11 +6,11 @@ tests can all share one run.  Component tests build their own tiny clusters.
 
 The ingest and fault-injection tests share a *dual-ingest harness*: one
 channel carrying one datagram stream (optionally lossy) delivered
-simultaneously to a classic batch receiver persisting raw messages and to
-the ingest path under test.  Because both paths observe the exact same
-surviving datagrams, comparing the batch consolidator's output with the
-streaming output pins record-for-record equivalence without coordinating two
-RNGs.
+simultaneously to a receiver persisting raw messages and to the ingest path
+under test.  Because both paths observe the exact same surviving datagrams,
+comparing the post-pass oracle's output (``oracles/consolidate.py``) with
+the streaming output pins record-for-record equivalence without
+coordinating two RNGs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
+
+from oracles.consolidate import Consolidator
 
 
 @pytest.fixture(scope="session")
@@ -166,7 +168,7 @@ class SyntheticWorkload:
 
 @dataclass
 class DualIngest:
-    """One datagram stream, two ingest paths (batch reference + under-test)."""
+    """One datagram stream, two ingest paths (post-pass oracle + under test)."""
 
     channel: LossyChannel | InMemoryChannel
     workload: SyntheticWorkload
@@ -174,7 +176,6 @@ class DualIngest:
     batch_receiver: MessageReceiver
 
     def batch_records(self) -> list[ProcessRecord]:
-        from repro.postprocess.consolidate import Consolidator
         self.batch_receiver.flush()
         return Consolidator(self.batch_store).run()
 

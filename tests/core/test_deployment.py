@@ -1,13 +1,18 @@
-"""One config hierarchy, one builder: both façades get the same deployment."""
+"""One config hierarchy, one builder: a campaign deploys a ``SirenFramework``."""
 
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.live import LiveAnalysis
+from repro.collector.fuzzy import ArtifactHasher
+from repro.collector.hooks import SirenCollector
 from repro.core import SirenConfig, SirenFramework
 from repro.devtools.lint.knobs import parse_knob_table
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -18,7 +23,7 @@ PROFILES = DEFAULT_PROFILES[:1]
 
 DEPLOYMENT_FIELDS = {
     "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
-    "hash_concurrency", "ingest_mode", "keep_raw_messages", "transport",
+    "ingest_mode", "keep_raw_messages", "transport",
     "store_retry_attempts", "quarantine_capacity", "fault_plan",
     "store_backend", "rollups",
 }
@@ -42,12 +47,9 @@ def _wiring(deployment) -> dict:
         "inner_channel": type(inner).__name__ if inner is not None else None,
         "lossy": deployment.lossy_channel is not None
                  and deployment.lossy_channel.loss_rate,
-        "front": type(deployment.front).__name__,
-        "receiver": deployment.receiver is not None,
-        "ingest": ingest is not None and (
-            ingest.persist_raw, ingest.quarantine_capacity),
-        "quarantine_capacity": deployment.quarantine.capacity
-                               if deployment.quarantine is not None else 0,
+        "ingest": (ingest.persist_raw, ingest.quarantine_capacity),
+        "quarantine_capacity": ingest.quarantine.capacity
+                               if ingest.quarantine is not None else 0,
         "store_path": deployment.store.path,
         "store_retry": deployment.store.retry.attempts,
         "store_faults": deployment.store_fault_injector is not None,
@@ -63,21 +65,33 @@ class TestConfigHierarchy:
         """A new knob is a visible diff here (and in the docs table)."""
         siren = [f.name for f in dataclasses.fields(SirenConfig)]
         campaign = [f.name for f in dataclasses.fields(CampaignConfig)]
-        assert len(siren) == len(set(siren)) == 14
+        assert len(siren) == len(set(siren)) == 13
         assert set(siren) == DEPLOYMENT_FIELDS
         assert campaign[:len(siren)] == siren  # inherited, in order
         assert set(campaign[len(siren):]) == CAMPAIGN_FIELDS
-        assert len(campaign) == 18
+        assert len(campaign) == 17
 
     @pytest.mark.parametrize("config_cls, knob", [
         (CampaignConfig, "ingest_shards"), (CampaignConfig, "ingest_max_restarts"),
         (CampaignConfig, "campaign_workers"), (SirenConfig, "ingest_shards"),
-        (SirenConfig, "ingest_max_restarts")])
+        (SirenConfig, "ingest_max_restarts"), (CampaignConfig, "hash_concurrency"),
+        (SirenConfig, "hash_concurrency")])
     def test_removed_parallel_knobs_are_rejected(self, config_cls, knob):
-        """Worker processes for ingest and for the job driver were measured
-        slower than the serial path and removed with their knobs."""
+        """Worker processes for ingest, for the job driver and for hashing
+        were measured no faster than the serial path and removed with their
+        knobs."""
         with pytest.raises(TypeError, match=knob):
             config_cls(**{knob: 2})
+
+    def test_batch_ingest_is_refused_with_the_docs_section(self):
+        """The batch post-pass is gone; the field keeps one accepted value."""
+        assert SirenConfig().ingest_mode == "streaming"
+        with pytest.raises(CollectionError, match="ingest_mode") as refused:
+            SirenConfig(ingest_mode="batch").validate()
+        assert "'batch'" in str(refused.value)
+        assert '"One ingest path"' in str(refused.value)
+        with pytest.raises(CollectionError, match="One ingest path"):
+            SirenFramework(SirenConfig(ingest_mode="batch"))
 
     def test_no_field_is_declared_twice(self):
         assert issubclass(CampaignConfig, SirenConfig)
@@ -92,13 +106,30 @@ class TestConfigHierarchy:
                           **dict.fromkeys(CAMPAIGN_FIELDS, "campaign")}
 
 
+class TestOnePathEach:
+    """One deployment class, one ingest path, one hash path."""
+
+    def test_the_second_deployment_class_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.deployment")
+
+    @pytest.mark.parametrize("owner, name", [
+        (FuzzyHasher, "hash_many"), (FuzzyHasher, "close"),
+        (ArtifactHasher, "close"), (SirenCollector, "close"),
+        (LiveAnalysis, "observe")], ids=lambda value: getattr(value, "__name__", value))
+    def test_removed_methods_are_gone(self, owner, name):
+        """The hash pool's batch entry point and its shutdown hooks, and the
+        batch-mode adapter of the live analysis."""
+        assert not hasattr(owner, name)
+
+
 class TestSameWiringFromBothFacades:
     @pytest.mark.parametrize("plan", FAULT_PLANS.values(), ids=FAULT_PLANS.keys())
     @pytest.mark.parametrize("transport", ["memory", "socket"])
-    @pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
-    def test_equal_configs_build_equal_deployments(self, ingest_mode, transport, plan):
-        knobs = dict(ingest_mode=ingest_mode, transport=transport, fault_plan=plan,
-                     loss_rate=0.01, seed=5, keep_raw_messages=False,
+    @pytest.mark.parametrize("keep_raw", [False, True], ids=["records-only", "raw-kept"])
+    def test_equal_configs_build_equal_deployments(self, keep_raw, transport, plan):
+        knobs = dict(transport=transport, fault_plan=plan,
+                     loss_rate=0.01, seed=5, keep_raw_messages=keep_raw,
                      store_retry_attempts=7,
                      quarantine_capacity=9, max_datagram_size=900,
                      rollups=True, store_backend="memory")
@@ -114,24 +145,23 @@ class TestSameWiringFromBothFacades:
         framework = SirenFramework(SirenConfig(**knobs))
         try:
             campaign.prepare()
-            assert _wiring(campaign.deployment) == _wiring(framework.deployment)
-            # The façades hold the built objects themselves, not copies.
-            for facade in (framework, campaign):
-                deployment = facade.deployment
-                assert facade.store is deployment.store
-                assert facade.channel is deployment.channel
-                assert facade.ingest is deployment.ingest
-                assert facade.receiver is deployment.receiver
-                assert facade.tiered is deployment.tiered
-                assert facade.collector is deployment.collector
-            assert framework.sender is framework.deployment.sender
-            assert campaign.collector.sender is campaign.deployment.sender
+            deployment = campaign.deployment
+            assert type(deployment) is SirenFramework
+            assert _wiring(deployment) == _wiring(framework)
+            # The campaign holds the built objects themselves, not copies.
+            assert campaign.store is deployment.store
+            assert campaign.channel is deployment.channel
+            assert campaign.ingest is deployment.ingest
+            assert campaign.tiered is deployment.tiered
+            assert campaign.collector is deployment.collector
+            assert campaign.collector.sender is deployment.sender
         finally:
             framework.close()
             campaign.close()
 
     @pytest.mark.parametrize("knob, value", [
         ("ingest_mode", "sideways"),
+        ("ingest_mode", "batch"),
         ("transport", "carrier-pigeon"),
         ("store_backend", "parquet"),
     ])
@@ -146,19 +176,18 @@ class TestSameWiringFromBothFacades:
     @pytest.mark.parametrize("knob, value", [
         ("loss_rate", -0.1),
         ("loss_rate", 1.5),
-        ("hash_concurrency", 0),
+        ("loss_rate", float("nan")),
         ("max_datagram_size", 10),
         ("max_datagram_size", MIN_DATAGRAM_SIZE - 1),
         ("quarantine_capacity", -1),
         ("store_retry_attempts", -1),
     ])
     @pytest.mark.parametrize("transport", ["memory", "socket"])
-    @pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
     def test_out_of_range_numbers_raise_before_anything_is_built(
-            self, knob, value, ingest_mode, transport):
+            self, knob, value, transport):
         """Regression: these were accepted, or failed late with a
         ``TransportError``/``IngestError``/``ReproError`` depending on the mode."""
-        knobs = {"ingest_mode": ingest_mode, "transport": transport, knob: value}
+        knobs = {"transport": transport, knob: value}
         with pytest.raises(CollectionError, match=knob) as from_framework:
             SirenFramework(SirenConfig(**knobs))
         with pytest.raises(CollectionError, match=knob) as from_campaign:
@@ -167,9 +196,10 @@ class TestSameWiringFromBothFacades:
         assert repr(value) in str(from_framework.value)
 
     @pytest.mark.parametrize("knob, value", [
-        ("loss_rate", 0.0), ("loss_rate", 1.0), ("hash_concurrency", 1),
-        ("max_datagram_size", MIN_DATAGRAM_SIZE), ("quarantine_capacity", 0),
-        ("store_retry_attempts", 0),
+        ("loss_rate", 0.0), ("loss_rate", 1.0),
+        ("max_datagram_size", MIN_DATAGRAM_SIZE),
+        ("max_datagram_size", MAX_DATAGRAM_SIZE), ("quarantine_capacity", 0),
+        ("store_retry_attempts", 0), ("ingest_mode", "streaming"),
     ])
     def test_range_boundaries_are_accepted(self, knob, value):
         SirenConfig(**{knob: value}).validate()
@@ -194,17 +224,14 @@ class TestClose:
     """``close()`` is idempotent and leaves ingested data readable; a
     campaign that was never prepared has nothing to close."""
 
-    KNOBS = dict(ingest_mode="streaming")
-
     def test_framework_close(self):
-        framework = SirenFramework(SirenConfig(**self.KNOBS))
+        framework = SirenFramework()
         framework.close()
         framework.close()  # idempotent
         assert framework.snapshot() == []
 
     def test_prepared_but_never_run_campaign_close(self):
-        campaign = DeploymentCampaign(CampaignConfig(scale=0.0, **self.KNOBS),
-                                      profiles=PROFILES)
+        campaign = DeploymentCampaign(CampaignConfig(scale=0.0), profiles=PROFILES)
         campaign.close()  # nothing prepared yet: a no-op
         campaign.prepare()
         campaign.close()

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.analysis.similarity import SimilaritySearch
+from repro.analysis.stats import user_activity_table
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
+from repro.util.timing import StageTimer
+
+from oracles.consolidate import records_from_messages
 
 
 class TestSirenFramework:
@@ -29,17 +33,6 @@ class TestSirenFramework:
         assert stats["messages_received"] > 0
         assert collector.section_errors == 0
 
-    def test_hashing_knobs_reach_collector(self, app_cluster):
-        cluster, manifest = app_cluster
-        config = SirenConfig(hash_concurrency=2)
-        framework = SirenFramework(config)
-        collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
-            assert collector.hasher.hash_concurrency == 2
-            framework.close()  # releases hash workers even when none were spawned
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
-
     def test_double_deploy_rejected(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig(loss_rate=0.0))
@@ -49,6 +42,46 @@ class TestSirenFramework:
                 framework.deploy(cluster, siren_library_path=manifest.siren_library)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
+
+    def _run_job(self, cluster, manifest) -> None:
+        icon = manifest.find_executable("icon", "cray-r1", "alice")
+        cluster.run_job("alice", JobScript(
+            name="t", modules=("siren", *icon.required_modules),
+            steps=(StepSpec(processes=(ProcessSpec(executable=icon.path),)),)))
+
+    def test_timer_is_threaded_through_every_stage(self, app_cluster):
+        cluster, manifest = app_cluster
+        timer = StageTimer()
+        framework = SirenFramework(SirenConfig(loss_rate=0.0), timer=timer)
+        collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        try:
+            self._run_job(cluster, manifest)
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        framework.finalize()
+        for stage in (framework.store, framework.ingest, framework.sender, collector):
+            assert stage.timer is timer, type(stage).__name__
+        timings = timer.as_dict()
+        for name in ("collect.start", "collect.end", "transport.encode", "transport.send"):
+            assert timings[name]["calls"] >= 1, name
+
+    def test_user_names_label_the_gold_user_dimension(self, app_cluster):
+        cluster, manifest = app_cluster
+        names = {user.uid: f"label-{user.username}" for user in cluster.users.all()}
+        rows = {}
+        for given in (names, None):
+            framework = SirenFramework(SirenConfig(loss_rate=0.0, rollups=True),
+                                       user_names=given)
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
+            try:
+                self._run_job(cluster, manifest)
+            finally:
+                cluster.runtime.unregister_hook(manifest.siren_library)
+            records = framework.finalize()
+            rows[given is None] = framework.tiered.user_activity()
+            assert rows[given is None] == user_activity_table(records, given)
+        assert [row.user for row in rows[False]] == ["label-alice"]
+        assert [row.user for row in rows[True]] == [f"uid_{records[0].uid}"]
 
     def test_lossy_channel_statistics(self, app_cluster):
         cluster, manifest = app_cluster
@@ -74,24 +107,23 @@ class TestStreamingFramework:
                                ProcessSpec(executable=manifest.tool("bash")),)),))
         cluster.run_job("alice", script)
 
-    def test_streaming_consolidate_matches_batch(self, app_cluster):
+    def test_consolidate_matches_post_pass_oracle(self, app_cluster):
+        """The records consolidated while messages arrive equal the ones the
+        post-pass oracle regroups from the kept raw messages."""
         cluster, manifest = app_cluster
-        results = {}
-        for mode in ("batch", "streaming"):
-            framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode=mode))
-            framework.deploy(cluster, siren_library_path=manifest.siren_library)
-            try:
-                self._run_job(cluster, manifest)
-            finally:
-                cluster.runtime.unregister_hook(manifest.siren_library)
-            results[mode] = sorted(
-                (r.executable, r.category, r.file_h, r.objects, r.incomplete)
-                for r in framework.consolidate())
-        assert results["streaming"] == results["batch"]
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        try:
+            self._run_job(cluster, manifest)
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        live = sorted(framework.consolidate(), key=lambda record: record.key)
+        assert live == records_from_messages(framework.store)
+        assert len(live) == 2
 
     def test_streaming_snapshot_and_statistics(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             self._run_job(cluster, manifest)
@@ -112,7 +144,7 @@ class TestStreamingFramework:
         """consolidate() must flush pending records to the processes table
         even when fewer than flush_batch_size have been finalized."""
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             self._run_job(cluster, manifest)
@@ -122,34 +154,29 @@ class TestStreamingFramework:
         assert framework.store.process_count() == len(records) == 2
 
     @pytest.mark.parametrize("keep_raw", [True, False])
-    def test_raw_message_persistence_parity_with_batch(self, app_cluster, keep_raw):
-        """Streaming and batch deployments honour ``keep_raw_messages``
-        identically: the same traffic leaves the same raw-message table.
+    def test_keep_raw_messages_decides_the_raw_table(self, app_cluster, keep_raw):
+        """``keep_raw_messages`` decides whether raw messages are persisted
+        beside live consolidation, and finalize() leaves them in place.
 
-        Regression test: streaming mode used to construct its ingest front
-        without ``persist_raw``, silently never persisting raw messages no
-        matter what the configuration asked for.
+        Regression test: the ingest front was once constructed without
+        ``persist_raw``, silently never persisting raw messages no matter
+        what the configuration asked for.
         """
         cluster, manifest = app_cluster
-        message_counts = {}
-        for mode in ("batch", "streaming"):
-            framework = SirenFramework(SirenConfig(
-                loss_rate=0.0, ingest_mode=mode, keep_raw_messages=keep_raw))
-            framework.deploy(cluster, siren_library_path=manifest.siren_library)
-            try:
-                self._run_job(cluster, manifest)
-            finally:
-                cluster.runtime.unregister_hook(manifest.siren_library)
-            assert len(framework.finalize()) == 2
-            message_counts[mode] = framework.store.message_count()
-        assert message_counts["streaming"] == message_counts["batch"]
-        assert (message_counts["streaming"] > 0) is keep_raw
+        framework = SirenFramework(SirenConfig(loss_rate=0.0, keep_raw_messages=keep_raw))
+        framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        try:
+            self._run_job(cluster, manifest)
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        assert len(framework.finalize()) == 2
+        assert (framework.store.message_count() > 0) is keep_raw
 
     def test_finalize_persists_groups_whose_procend_was_lost(self):
         from repro.collector.records import InfoType, Layer
         from repro.transport.messages import UDPMessage
 
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
         framework.sender.send(*UDPMessage(
             jobid="9", stepid="0", pid=1, path_hash="a" * 32, host="n1", time=5,
             layer=Layer.SELF, info_type=InfoType.PROCINFO,
@@ -180,8 +207,7 @@ class TestStreamingFramework:
         results = {}
         for transport in ("memory", "socket"):
             framework = SirenFramework(SirenConfig(
-                loss_rate=0.0, ingest_mode="streaming",
-                transport=transport, keep_raw_messages=False))
+                loss_rate=0.0, transport=transport, keep_raw_messages=False))
             framework.deploy(cluster, siren_library_path=manifest.siren_library)
             try:
                 self._run_job(cluster, manifest)
@@ -205,16 +231,32 @@ class TestStreamingFramework:
 
 
 class TestFrameworkLiveAnalysis:
-    def test_live_analysis_requires_streaming(self):
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))  # batch
-        with pytest.raises(CollectionError):
-            framework.live_analysis()
-        with pytest.raises(CollectionError):
-            framework.snapshot_delta()
+    def test_default_framework_is_live_and_its_mid_run_keys_are_final(self, app_cluster):
+        """A default ``SirenFramework()`` serves live views mid-run, and what
+        ``consolidate()`` returns mid-run is the key set ``finalize()`` keeps."""
+        cluster, manifest = app_cluster
+        framework = SirenFramework()
+        framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        try:
+            icon = manifest.find_executable("icon", "cray-r1", "alice")
+            cluster.run_job("alice", JobScript(
+                name="t", modules=("siren", *icon.required_modules),
+                steps=(StepSpec(processes=(
+                    ProcessSpec(executable=icon.path),
+                    ProcessSpec(executable=manifest.tool("bash"), count=3),)),)))
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        keys = lambda records: {record.key for record in records}
+        mid_run = framework.consolidate()
+        delta = framework.snapshot_delta()
+        assert keys(delta.new_records) | keys(delta.open_records) == keys(mid_run)
+        assert framework.live_analysis().table2_totals().total_processes == len(mid_run)
+        assert keys(framework.finalize()) == keys(mid_run)
+        assert len(mid_run) == 4
 
     def test_live_analysis_tracks_the_stream(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         live = framework.live_analysis()
         try:
@@ -236,7 +278,7 @@ class TestFrameworkLiveAnalysis:
 
     def test_snapshot_delta_is_disjoint_and_complete(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, ingest_mode="streaming"))
+        framework = SirenFramework(SirenConfig(loss_rate=0.0))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             icon = manifest.find_executable("icon", "cray-r1", "alice")

@@ -725,7 +725,7 @@ class TestMessageStoreSync:
 
 
 class TestCampaignProperty:
-    """Full campaigns: rollups match recompute in every ingest mode."""
+    """Full campaigns: rollups match recompute on both backends."""
 
     PROFILES = DEFAULT_PROFILES[:3]
 
@@ -742,25 +742,25 @@ class TestCampaignProperty:
         assert_registered_counters(result.statistics(),
                                    context="CampaignResult.statistics()")
 
-    @pytest.mark.parametrize("seed,loss_rate", [(17, 0.0), (23, 0.01)])
-    def test_batch_campaign_rollups_match(self, seed, loss_rate):
-        self._assert_result_matches(
-            self._run(seed=seed, loss_rate=loss_rate,
-                      store_backend="memory"))
-
     def test_streaming_campaign_rollups_match(self):
         self._assert_result_matches(
-            self._run(ingest_mode="streaming", keep_raw_messages=False))
+            self._run(keep_raw_messages=False))
 
     def test_streaming_campaign_memory_backend_rollups_match(self):
         self._assert_result_matches(
-            self._run(ingest_mode="streaming", keep_raw_messages=False,
-                      store_backend="memory"))
+            self._run(keep_raw_messages=False, store_backend="memory"))
+
+    @pytest.mark.parametrize("seed,loss_rate", [(17, 0.0), (23, 0.01)])
+    def test_raw_keeping_campaign_rollups_match(self, seed, loss_rate):
+        """Raw messages persisted beside the records (the default) feed no
+        tier: the rollups still match a recompute from the records."""
+        result = self._run(seed=seed, loss_rate=loss_rate, store_backend="memory")
+        assert result.store.message_count() > 0
+        self._assert_result_matches(result)
 
     def test_mid_run_rollups_match_snapshot(self):
         """Gold answers are right mid-campaign, at a live snapshot point."""
         config = CampaignConfig(scale=0.0, seed=4, loss_rate=0.0002,
-                                ingest_mode="streaming",
                                 keep_raw_messages=False, rollups=True)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         checked = []

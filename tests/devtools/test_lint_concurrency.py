@@ -1,4 +1,4 @@
-"""Concurrency rules: fork-safe caches and exception hygiene."""
+"""Concurrency rules: resettable module caches and exception hygiene."""
 
 from __future__ import annotations
 
@@ -159,9 +159,8 @@ def normalize_cache_clear():
 
 class TestShippedTree:
     def test_no_module_imports_multiprocessing_or_queue(self):
-        """Ingest and the job driver run in one interpreter; the collector's
-        hashing pool goes through ``concurrent.futures``, nothing else forks
-        or queues."""
+        """Ingest, the job driver and hashing run in one interpreter: nothing
+        under ``src/repro`` forks, pools or queues."""
         package = Path(__file__).resolve().parents[2] / "src" / "repro"
         offenders = []
         for path in sorted(package.rglob("*.py")):
@@ -174,5 +173,6 @@ class TestShippedTree:
                     continue
                 offenders.extend(
                     f"{path.relative_to(package)}:{node.lineno}" for name in names
-                    if name.split(".")[0] in ("multiprocessing", "queue"))
+                    if name.split(".")[0] in ("multiprocessing", "queue")
+                    or name.startswith("concurrent.futures"))
         assert offenders == []

@@ -5,7 +5,7 @@ Every test here runs under a *deterministic* fault plan (seeded via
 suite alone with ``pytest -m chaos``.  The pins:
 
 * under channel faults (loss, duplication, corruption, truncation, jitter)
-  streaming ingest equals the batch post-pass over the surviving messages,
+  streaming ingest equals the post-pass oracle over the surviving messages,
   record for record; reordering -- the one fault that can legitimately cross
   the idle-close grace -- still preserves the process-key sets;
 * store-level transient faults are absorbed by the write-retry layer without
@@ -120,7 +120,7 @@ class TestCampaignUnderChaos:
             store=StoreFaultProfile(error_rate=0.01, error_burst=2),
         )
         config = CampaignConfig(scale=0.005, seed=CHAOS_SEED, loss_rate=0.0,
-                                ingest_mode="streaming", fault_plan=plan)
+                                fault_plan=plan)
         result = DeploymentCampaign(config=config).run()
 
         assert result.records                      # the campaign produced output
@@ -135,7 +135,6 @@ class TestCampaignUnderChaos:
             plan = FaultPlan(seed=CHAOS_SEED,
                              channel=ChannelFaultProfile(drop_rate=0.05))
             config = CampaignConfig(scale=0.005, seed=CHAOS_SEED, loss_rate=0.0,
-                                    ingest_mode="streaming",
                                     fault_plan=plan)
             result = DeploymentCampaign(config=config).run()
             return _record_set(result.records), result.fault_counters

@@ -19,7 +19,6 @@ from repro.hashing.engine import (
     FuzzyState,
     _fnv_piece,
     _signature,
-    hash_many_parts,
     scan_backend,
 )
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
@@ -278,71 +277,22 @@ class TestFuzzyState:
         assert via_views.digest() == FuzzyState().update(payload).digest()
 
 
-class TestHashMany:
-    def _payloads(self):
-        rng = SeededRNG(41)
-        return [rng.bytes(size) for size in (0, 17, 1000, 20000, 333)]
+class TestOneHashPath:
+    """Every payload goes through ``FuzzyHasher.hash``, one call each."""
 
-    def test_sequential_matches_hash(self):
+    @pytest.mark.parametrize("size", [0, 17, 333, 1000, 20000])
+    def test_hash_matches_reference(self, size):
+        payload = SeededRNG(41).bytes(size)
         hasher = FuzzyHasher()
-        payloads = self._payloads()
-        assert hasher.hash_many(payloads) == [hasher.hash(p) for p in payloads]
-
-    def test_process_pool_matches_sequential_in_order(self):
-        hasher = FuzzyHasher()
-        payloads = self._payloads()
-        assert hasher.hash_many(payloads, concurrency=2) == \
-            [hasher.hash(p) for p in payloads]
-
-    def test_hash_many_parts_respects_knobs(self):
-        payloads = [SeededRNG(42).bytes(4000)]
-        hasher = FuzzyHasher(min_block_size=5, signature_length=32)
-        (block, sig1, sig2), = hash_many_parts(payloads, 5, 32)
-        assert FuzzyHash(block, sig1, sig2) == hasher.hash(payloads[0])
+        assert hasher.hash(payload) == hasher.hash_reference(payload)
 
     def test_rejects_non_bytes_payloads(self):
         with pytest.raises(TypeError):
-            FuzzyHasher().hash_many([b"ok", "not bytes"])  # type: ignore[list-item]
+            FuzzyHasher().hash("not bytes")  # type: ignore[arg-type]
 
-    def test_process_pool_is_reused_across_batches(self):
-        hasher = FuzzyHasher()
-        try:
-            hasher.hash_many([b"a" * 100, b"b" * 100], concurrency=2)
-            pool = hasher._pool
-            assert pool is not None
-            hasher.hash_many([b"c" * 100, b"d" * 100], concurrency=2)
-            assert hasher._pool is pool
-        finally:
-            hasher.close()
-        assert hasher._pool is None
-
-    def test_broken_pool_recovers_and_respawns(self):
-        """A killed worker must not poison later batches: the broken pool is
-        dropped, the current batch finishes sequentially, the next respawns."""
-        import os
-        import signal
-        import time
-
-        hasher = FuzzyHasher()
-        payloads = [b"x" * 5000, b"y" * 5000, b"z" * 5000]
-        expected = hasher.hash_many(payloads)
-        try:
-            hasher.hash_many(payloads, concurrency=2)
-            pool = hasher._pool
-            os.kill(next(iter(pool._processes)), signal.SIGKILL)
-            time.sleep(0.2)
-            assert hasher.hash_many(payloads, concurrency=2) == expected
-            assert hasher.hash_many(payloads, concurrency=2) == expected
-            assert hasher._pool is not pool
-        finally:
-            hasher.close()
-
-    def test_pooled_batch_matches_reference(self):
-        """The pool workers run the engine; their digests equal the oracle's."""
-        hasher = FuzzyHasher()
-        payloads = self._payloads()
-        try:
-            assert hasher.hash_many(payloads, concurrency=2) == \
-                [hasher.hash_reference(p) for p in payloads]
-        finally:
-            hasher.close()
+    def test_knobs_reach_the_engine(self):
+        payload = SeededRNG(42).bytes(4000)
+        hasher = FuzzyHasher(min_block_size=5, signature_length=32)
+        state = FuzzyState(min_block_size=5, signature_length=32).update(payload)
+        assert hasher.hash(payload) == state.digest()
+        assert hasher.hash(payload) != FuzzyHasher().hash(payload)

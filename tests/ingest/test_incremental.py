@@ -2,8 +2,8 @@
 
 The load-bearing assertion of the whole subsystem is at the bottom:
 streaming consolidation produces record-for-record identical output to the
-batch :class:`~repro.postprocess.consolidate.Consolidator` across seeds and
-loss rates, both paths fed by the *same* surviving datagrams.
+post-pass oracle (``tests/oracles/consolidate.py``) across seeds and loss
+rates, both paths fed by the *same* surviving datagrams.
 """
 
 import pytest

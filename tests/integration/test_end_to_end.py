@@ -11,7 +11,8 @@ from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.collector.hooks import SirenCollector
 from repro.db.store import MessageStore
-from repro.postprocess.consolidate import consolidate_store
+
+from oracles.consolidate import consolidate_store
 
 
 def _standard_setup():

@@ -1,4 +1,9 @@
-"""Tests for message consolidation and Python package extraction."""
+"""Tests for message consolidation and Python package extraction.
+
+Records are built by ``build_process_record``; the post-pass oracle in
+``tests/oracles/consolidate.py`` groups raw messages for it, so these cases
+pin the record builder through the oracle.
+"""
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +14,7 @@ from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
 from repro.postprocess.consolidate import (
     GROUP_KEYS,
-    Consolidator,
     MessageGroup,
-    consolidate_store,
     expected_keys_for,
     expected_types_for,
 )
@@ -19,6 +22,8 @@ from repro.postprocess.python_merge import extract_python_packages, package_from
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
+
+from oracles.consolidate import Consolidator, consolidate_store
 
 
 def _msg(info_type: InfoType, content: str, *, layer: Layer = Layer.SELF, pid: int = 10,

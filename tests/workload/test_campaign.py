@@ -10,6 +10,8 @@ from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES, PROFILES_BY_NAME
 
+from oracles.consolidate import records_from_messages
+
 
 #: (seed, stream SHA-256, bytes on the wire) of the lossless scale-0.0 campaign.
 WIRE_PINS = [
@@ -19,7 +21,7 @@ WIRE_PINS = [
 
 
 def _record_list(records):
-    """Order-sensitive canonical form (streaming must match batch exactly)."""
+    """Order-sensitive canonical form (one transport must match another exactly)."""
     return [tuple(getattr(r, name) for name in r.__dataclass_fields__)
             for r in records]
 
@@ -84,7 +86,7 @@ class TestCampaignExecution:
         (SHA-256 over ``datagram + b"\\n"``) is the commit before the sender
         framed bursts, regenerated under that commit."""
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=0.0,
-                                ingest_mode="streaming", keep_raw_messages=False)
+                                keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config)
         campaign.prepare()
         digest, sizes = hashlib.sha256(), []
@@ -118,42 +120,43 @@ class TestCampaignExecution:
 
 
 class TestStreamingIngest:
-    """The streaming ingest spine: equivalence, snapshots, real sockets."""
+    """The streaming ingest spine: oracle equivalence, snapshots, raw
+    persistence, real sockets."""
 
     #: A small subset keeps each extra campaign run fast; the shared
-    #: campaign fixture already exercises the full 12-user batch path.
+    #: campaign fixture already exercises all 12 users.
     PROFILES = DEFAULT_PROFILES[:4]
 
-    def _run(self, *, loss_rate: float, ingest_mode: str = "batch",
-             transport: str = "memory", seed: int = 17, **overrides):
+    def _run(self, *, loss_rate: float, transport: str = "memory", seed: int = 17,
+             **overrides):
         config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                                ingest_mode=ingest_mode, transport=transport,
-                                **overrides)
+                                transport=transport, **overrides)
         return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
 
     @pytest.mark.parametrize("loss_rate", [0.0, 0.0002, 0.01])
-    def test_streaming_identical_to_batch(self, loss_rate):
-        batch = self._run(loss_rate=loss_rate)
-        streaming = self._run(loss_rate=loss_rate, ingest_mode="streaming",
-                              keep_raw_messages=False)
-        assert _record_list(streaming.records) == _record_list(batch.records)
-        assert streaming.ingest is not None
-        assert streaming.ingest.statistics()["records_built"] == len(batch.records)
+    def test_streaming_identical_to_post_pass_oracle(self, loss_rate):
+        """Live consolidation equals regrouping the kept raw messages after
+        the fact, and not keeping them changes no record."""
+        kept = self._run(loss_rate=loss_rate, keep_raw_messages=True)
+        streaming = self._run(loss_rate=loss_rate, keep_raw_messages=False)
+        oracle = records_from_messages(kept.store)
+        assert _record_list(kept.records) == _record_list(oracle)
+        assert _record_list(streaming.records) == _record_list(oracle)
+        assert streaming.ingest.statistics()["records_built"] == len(oracle)
         # Streaming held far fewer groups open than the total process count.
-        assert 0 < streaming.ingest.peak_open_processes < len(batch.records)
+        assert 0 < streaming.ingest.peak_open_processes < len(oracle)
         # Pure streaming never materialised the raw messages table.
         assert streaming.store.message_count() == 0
-        assert batch.store.message_count() > 0
+        assert kept.store.message_count() > 0
 
     def test_streaming_keeps_raw_messages_when_asked(self):
-        streaming = self._run(loss_rate=0.0, ingest_mode="streaming",
-                              keep_raw_messages=True)
+        streaming = self._run(loss_rate=0.0, keep_raw_messages=True)
         assert streaming.store.message_count() > 0
         assert streaming.store.process_count() == len(streaming.records)
 
     def test_mid_run_snapshot_is_analyzable(self):
         config = CampaignConfig(scale=0.0, seed=4, loss_rate=0.0002,
-                                ingest_mode="streaming", keep_raw_messages=False)
+                                keep_raw_messages=False)
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
         snapshots: list[list] = []
 
@@ -174,11 +177,11 @@ class TestStreamingIngest:
                 for r in snapshot} <= final_keys
 
     def test_socket_transport_end_to_end(self):
-        """Sender -> real loopback UDP -> streaming receiver == in-memory batch."""
-        batch = self._run(loss_rate=0.0, seed=9)
+        """Sender -> real loopback UDP -> receiver == the in-memory channel."""
+        memory = self._run(loss_rate=0.0, seed=9)
         socketed = self._run(loss_rate=0.0, seed=9, transport="socket",
-                             ingest_mode="streaming", keep_raw_messages=False)
-        assert _record_list(socketed.records) == _record_list(batch.records)
+                             keep_raw_messages=False)
+        assert _record_list(socketed.records) == _record_list(memory.records)
         assert socketed.ingest.decode_errors == 0
         assert socketed.incomplete_fraction == 0.0
 
@@ -192,12 +195,6 @@ class TestStreamingIngest:
 
 
 class TestHashingKnobs:
-    def test_knobs_reach_the_collector(self):
-        config = CampaignConfig(scale=0.0, hash_concurrency=3)
-        campaign = DeploymentCampaign(config=config)
-        campaign.prepare()
-        assert campaign.collector.hasher.hash_concurrency == 3
-
     def test_content_hits_are_counted_and_change_no_record(self):
         """The campaign's byte-identical binaries under several paths are
         content hits, and every FILE_H still equals a direct hash of the file."""

@@ -2,12 +2,13 @@
 
 Ingest used to run optionally in worker processes and the job driver in
 several; both were removed (``docs/architecture.md``, "Parallelism: measured
-and removed").  The serial driver and the one in-process ingest front must
-still produce, byte for byte, what the code produced before: the record list,
-the rendered analysis, the silver rows and blobs, the gold tables, and --
-under every degradation preset -- the same surviving records and fault
-counters.  Every digest below was recorded with the parallel modes still in
-the tree.
+and removed"), and so was the batch post-pass ingest mode, which produced
+the same digests.  The serial driver and the one in-process ingest front
+must still produce, byte for byte, what the code produced before: the record
+list, the rendered analysis, the silver rows and blobs, the gold tables, and
+-- under every degradation preset -- the same surviving records and fault
+counters.  Every digest below was recorded with the parallel modes and the
+batch mode still in the tree.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from repro.transport.channel import InMemoryChannel
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
+from oracles.consolidate import records_from_messages
+
 PROFILES = DEFAULT_PROFILES[:4]
 
 #: (loss_rate, seed) -> SHA-256 of (record list, ``render_all()``, sorted
-#: silver rows + blobs, gold tables); batch and streaming ingest share them.
+#: silver rows + blobs, gold tables).
 CAMPAIGN_PINS = {
     (0.0, 17): ("aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2",
                 "d3cf18f10b4921fada1bbbfbb96d063c38cc744974f82d727a8d98c6c5a22942",
@@ -93,11 +96,13 @@ def _record_list(records) -> list[tuple]:
 
 
 @functools.cache
-def _campaign_digests(ingest_mode: str, loss_rate: float, seed: int) -> tuple[str, ...]:
-    """The four pinned digests of one scale-0.0 campaign (run once per config)."""
+def _campaign_digests(loss_rate: float, seed: int,
+                      keep_raw_messages: bool) -> tuple[str | None, ...]:
+    """The four pinned digests of one scale-0.0 campaign (run once per config),
+    then the record-list digest of the post-pass oracle over the raw
+    ``messages`` table (``None`` when raw messages were not kept)."""
     config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                            ingest_mode=ingest_mode, keep_raw_messages=False,
-                            rollups=True)
+                            keep_raw_messages=keep_raw_messages, rollups=True)
     result = DeploymentCampaign(config=config, profiles=PROFILES).run()
     tiered = result.tiered
     silver = sorted(row for shard in range(tiered.shards)
@@ -109,38 +114,49 @@ def _campaign_digests(ingest_mode: str, loss_rate: float, seed: int) -> tuple[st
     return (_sha(_record_list(result.records)),
             _sha(AnalysisPipeline(result.records, result.user_names).render_all()),
             _sha((silver, blobs)),
-            _sha(gold))
+            _sha(gold),
+            _sha(_record_list(records_from_messages(result.store)))
+            if keep_raw_messages else None)
 
 
-_CONFIGS = pytest.mark.parametrize("loss_rate, seed", list(CAMPAIGN_PINS))
-_MODES = pytest.mark.parametrize("ingest_mode", ["batch", "streaming"])
-
-
-@_MODES
-@_CONFIGS
+@pytest.mark.parametrize("loss_rate, seed", list(CAMPAIGN_PINS))
 class TestRecordedCampaignOutput:
-    def test_record_list(self, ingest_mode, loss_rate, seed):
-        assert _campaign_digests(ingest_mode, loss_rate, seed)[0] == \
+    """Persisting raw messages beside live consolidation changes no output."""
+
+    _KEEP_RAW = pytest.mark.parametrize("keep_raw", [False, True],
+                                        ids=["records-only", "raw-kept"])
+
+    @_KEEP_RAW
+    def test_record_list(self, loss_rate, seed, keep_raw):
+        assert _campaign_digests(loss_rate, seed, keep_raw)[0] == \
             CAMPAIGN_PINS[loss_rate, seed][0]
 
-    def test_rendered_analysis(self, ingest_mode, loss_rate, seed):
-        assert _campaign_digests(ingest_mode, loss_rate, seed)[1] == \
+    @_KEEP_RAW
+    def test_rendered_analysis(self, loss_rate, seed, keep_raw):
+        assert _campaign_digests(loss_rate, seed, keep_raw)[1] == \
             CAMPAIGN_PINS[loss_rate, seed][1]
 
-    def test_silver_rows_and_blobs(self, ingest_mode, loss_rate, seed):
-        assert _campaign_digests(ingest_mode, loss_rate, seed)[2] == \
+    @_KEEP_RAW
+    def test_silver_rows_and_blobs(self, loss_rate, seed, keep_raw):
+        assert _campaign_digests(loss_rate, seed, keep_raw)[2] == \
             CAMPAIGN_PINS[loss_rate, seed][2]
 
-    def test_gold_tables(self, ingest_mode, loss_rate, seed):
-        assert _campaign_digests(ingest_mode, loss_rate, seed)[3] == \
+    @_KEEP_RAW
+    def test_gold_tables(self, loss_rate, seed, keep_raw):
+        assert _campaign_digests(loss_rate, seed, keep_raw)[3] == \
             CAMPAIGN_PINS[loss_rate, seed][3]
+
+    def test_post_pass_over_raw_messages(self, loss_rate, seed):
+        """The retired batch mode's record list: the raw ``messages`` table,
+        regrouped by the post-pass oracle, gives the pinned records."""
+        assert _campaign_digests(loss_rate, seed, True)[4] == \
+            CAMPAIGN_PINS[loss_rate, seed][0]
 
 
 @pytest.fixture(scope="module")
 def lossless_stream() -> list[bytes]:
     """The datagrams of the lossless seed-7 scale-0.0 campaign, in send order."""
-    config = CampaignConfig(scale=0.0, seed=7, loss_rate=0.0, ingest_mode="streaming",
-                            keep_raw_messages=False)
+    config = CampaignConfig(scale=0.0, seed=7, loss_rate=0.0, keep_raw_messages=False)
     campaign = DeploymentCampaign(config=config, profiles=PROFILES)
     campaign.prepare()
     stream: list[bytes] = []
