@@ -1,27 +1,29 @@
-"""Tiered store benchmark -- gold query latency vs silver record scale.
+"""Gold rollup benchmark -- gold query latency vs record scale.
 
-The claim under test is the tier design's whole point: the gold rollups
-answer the paper tables in O(answer), so query latency stays flat while the
-silver record count grows 100x -- where the recompute-from-records
-reference (the seed path every query used before the tiered store) grows
-linearly.  Three arms at 1x / 10x / 100x record scale, answer size held
-constant (same users, executables and object-set variants -- only the
-record count grows, which is exactly the fleet-scale shape):
+The claim under test is the rollups' whole point: they answer the paper
+tables in O(answer), so query latency stays flat while the ``processes``
+table grows 100x -- where the recompute-from-records reference (the path
+every query took before the rollups) grows linearly.  Three arms at 1x /
+10x / 100x record scale, answer size held constant (same users, executables
+and object-set variants -- only the record count grows, which is exactly
+the fleet-scale shape):
 
 * **gold**: the four table queries (:meth:`TieredStore.user_activity`,
   :meth:`~repro.db.tiered.TieredStore.system_executables`,
   :meth:`~repro.db.tiered.TieredStore.shared_object_variants`,
   :meth:`~repro.db.tiered.TieredStore.python_interpreters`) served from the
-  incrementally maintained rollups,
+  rollups a :class:`~repro.db.store.MessageStore` keeps in step with its
+  ``processes`` table,
 * **recompute**: the same four answers recomputed from the full record
   list through :mod:`repro.analysis.stats` -- the O(records) reference,
 * **equivalence**: at every scale, every rollup answer is asserted
   byte-identical to the recompute reference before any timing is recorded
   (this assertion *is* the CI smoke gate).
 
-Ingest wall-clock and the blob-dedup effect (distinct payloads stored vs
-records ingested) are recorded alongside.  The flatness floor -- 100x gold
-latency <= 2x of the 1x gold latency -- is enforced in full runs and
+Records go in the way a deployment writes them: one
+``insert_processes_if_absent`` into a store with the rollups attached, whose
+wall-clock is recorded as ``ingest_seconds``.  The flatness floor -- 100x
+gold latency <= 2x of the 1x gold latency -- is enforced in full runs and
 recorded skipped-with-reason in smoke mode, where sub-millisecond timings
 on shared CI runners are dominated by scheduler noise.
 
@@ -39,8 +41,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import stats
-from repro.db.store import ProcessRecord
-from repro.db.tiered import SqliteBackend, TieredStore
+from repro.db.store import MessageStore, ProcessRecord
+from repro.db.tiered import TieredStore
 from repro.util.tables import TextTable
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -55,6 +57,7 @@ FLATNESS_CEILING = 2.0
 
 RESULTS: dict = {
     "bench": "store",
+    "cpus": len(os.sched_getaffinity(0)),
     "smoke": SMOKE,
     "seed": SEED,
     "base_records": BASE_RECORDS,
@@ -168,17 +171,19 @@ class TestGoldQueryLatency:
         arms: dict[str, dict] = {}
         table = TextTable(
             ["scale", "records", "ingest s", "gold query s", "recompute s",
-             "recompute/gold", "blobs"],
+             "recompute/gold"],
             title=f"Gold query latency vs record scale (base={BASE_RECORDS})")
 
         for factor in SCALE_FACTORS:
             label = f"{factor}x"
             records = _build_records(BASE_RECORDS * factor, rng)
-            tiered = TieredStore(SqliteBackend(), shards=4,
-                                 campaign="bench", user_names=user_names)
+            store = MessageStore()
+            tiered = TieredStore(user_names)
+            store.attach_tiered(tiered)
             start = time.perf_counter()
-            tiered.ingest_records(records)
+            store.insert_processes_if_absent(records)
             ingest_seconds = time.perf_counter() - start
+            assert tiered.statistics()["rollup_rebuilds"] == 0  # folded, not refolded
 
             # The CI gate: every rollup answer byte-identical to the
             # recompute reference, before any timing is trusted.
@@ -194,23 +199,19 @@ class TestGoldQueryLatency:
 
             gold_seconds = _time_gold(tiered, user_names)
             recompute_seconds = _time_recompute(reference, user_names)
-            store_stats = tiered.statistics()
             arms[label] = {
                 "records": len(records),
                 "ingest_seconds": ingest_seconds,
                 "gold_query_seconds": gold_seconds,
                 "recompute_seconds": recompute_seconds,
                 "recompute_over_gold": recompute_seconds / gold_seconds,
-                "blob_entries": store_stats["blob_entries"],
-                "blob_dedup_hits": store_stats["blob_dedup_hits"],
                 "equivalent": True,
             }
             table.add_row([label, f"{len(records):,}", f"{ingest_seconds:.2f}",
                            f"{gold_seconds * 1e3:.3f}ms",
                            f"{recompute_seconds * 1e3:.1f}ms",
-                           f"{recompute_seconds / gold_seconds:.1f}x",
-                           f"{store_stats['blob_entries']}"])
-            tiered.close()
+                           f"{recompute_seconds / gold_seconds:.1f}x"])
+            store.close()
         print()
         print(table.render())
 
@@ -233,24 +234,3 @@ class TestGoldQueryLatency:
         RESULTS["arms"] = arms
         RESULTS["flatness_floor"] = floor
 
-    def test_blob_dedup_shares_payloads_across_campaigns(self):
-        """Two campaigns over the same binaries store each payload once."""
-        user_names = dict(_USERS)
-        rng = random.Random(SEED + 1)
-        tiered = TieredStore(SqliteBackend(), shards=4,
-                             campaign="a", user_names=user_names)
-        first = _build_records(BASE_RECORDS, rng)
-        tiered.ingest_records(first, campaign="a")
-        blobs_after_one = tiered.statistics()["blob_entries"]
-        second = _build_records(BASE_RECORDS, rng)
-        tiered.ingest_records(second, campaign="b")
-        blobs_after_two = tiered.statistics()["blob_entries"]
-        # Payload pools are shared, so the second campaign adds (nearly) no
-        # new blobs -- the cross-campaign dedup the silver tier promises.
-        assert blobs_after_two <= blobs_after_one + len(_OBJECT_SETS)
-        RESULTS["cross_campaign_dedup"] = {
-            "blobs_after_first_campaign": blobs_after_one,
-            "blobs_after_second_campaign": blobs_after_two,
-            "records_per_campaign": BASE_RECORDS,
-        }
-        tiered.close()

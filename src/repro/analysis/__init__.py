@@ -26,11 +26,6 @@ Each module corresponds to one family of results in the paper's evaluation
 * :mod:`repro.analysis.report` -- text rendering of all of the above.
 """
 
-# Loaded first on purpose: collector -> transport -> db.tiered imports
-# analysis.rollup -> analysis.stats, so that chain must not be entered from
-# half-way through ``stats`` (every analysis module imports ``stats``).
-import repro.collector  # noqa: F401  (import order, see above)
-
 from repro.analysis.compilers import CompilerCombinationRow, compiler_combination_table
 from repro.analysis.labels import LabelRow, derive_label, user_application_table
 from repro.analysis.libfilter import LibraryUsageRow, library_usage_table

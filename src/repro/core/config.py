@@ -65,18 +65,11 @@ class SirenConfig:
         (``transport="memory"`` only), store faults hook the store's write
         paths.
         ``None`` (default) injects nothing.
-    store_backend:
-        Storage substrate of the tiered record store (``rollups=True``):
-        ``"sqlite"`` persists the silver/blob tables next to ``store_path``
-        (in-memory alongside an in-memory store), ``"memory"`` keeps them in
-        plain dicts.
     rollups:
-        Maintain the tiered record store (:mod:`repro.db.tiered`) alongside
-        the ``processes`` table: silver hash-partitioned record shards with
-        cross-campaign content-addressed payload dedup, plus gold rollups
-        answering the Table 2/3/4/8 queries in O(answer).  Rollup answers
-        are pinned byte-identical to the recompute-from-records reference;
-        ``False`` (default) skips the extra tier entirely.
+        Keep gold rollups (:mod:`repro.db.tiered`) in step with the
+        ``processes`` table, answering the Table 2/3/4/8 queries in
+        O(answer), byte-identical to the recompute from records.  Each
+        flushed record then also pays one fold; ``False`` (default) skips it.
     """
 
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
@@ -90,7 +83,6 @@ class SirenConfig:
     store_retry_attempts: int = 4
     quarantine_capacity: int = 256
     fault_plan: FaultPlan | None = None
-    store_backend: str = "sqlite"
     rollups: bool = False
 
     def validate(self) -> None:
@@ -99,13 +91,10 @@ class SirenConfig:
             raise CollectionError(
                 f"unknown ingest_mode {self.ingest_mode!r}: ingest is streaming "
                 'only (docs/architecture.md, "One ingest path")')
-        for knob, allowed in (("transport", ("memory", "socket")),
-                              ("store_backend", ("sqlite", "memory"))):
-            value = getattr(self, knob)
-            if value not in allowed:
-                raise CollectionError(
-                    f"unknown {knob} {value!r} "
-                    f"(expected {allowed[0]!r} or {allowed[1]!r})")
+        if self.transport not in ("memory", "socket"):
+            raise CollectionError(
+                f"unknown transport {self.transport!r} "
+                "(expected 'memory' or 'socket')")
         for knob, least in (("max_datagram_size", MIN_DATAGRAM_SIZE),
                             ("store_retry_attempts", 0), ("quarantine_capacity", 0)):
             value = getattr(self, knob)

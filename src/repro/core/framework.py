@@ -3,7 +3,7 @@
 SIREN is one fixed chain -- collector -> UDP sender -> channel -> receiver ->
 consolidation -> store -> analysis.  :class:`SirenFramework` builds that chain
 from a :class:`~repro.core.config.SirenConfig` (memory or socket transport,
-optional faults and tiered store -- see the config for what each knob
+optional faults and gold rollups -- see the config for what each knob
 means), hooks it onto a simulated cluster (registering the ``LD_PRELOAD``
 hook), and owns its lifecycle: drain, snapshot, delta, finalize, close.
 Messages are consolidated into per-process records while they arrive, so
@@ -24,7 +24,7 @@ from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
 from repro.core.pipeline import AnalysisPipeline
 from repro.db.store import MessageStore, ProcessRecord
-from repro.db.tiered import TieredStore, build_tiered_store
+from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
@@ -58,8 +58,8 @@ class SirenFramework:
     user_names: dict[int, str] | None = None
     store: MessageStore = field(init=False)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
-    #: the tiered record store (``rollups=True``): silver record shards +
-    #: gold rollups, auto-synced with every consolidated-record write
+    #: the gold rollups (``rollups=True``), kept in step with every
+    #: consolidated-record write to ``store``
     tiered: TieredStore | None = field(init=False, default=None)
     #: what the sender sends through; a fault plan's decorator *is* the
     #: channel (subscriptions delegate to the channel it wraps)
@@ -97,12 +97,7 @@ class SirenFramework:
         if plan is not None and plan.store.active:
             self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
         if config.rollups:
-            # The store's auto-sync keeps the tiers current on every
-            # consolidated-record write.
-            self.tiered = build_tiered_store(
-                config.store_backend, store_path=config.store_path,
-                campaign=f"campaign-seed{config.seed}",
-                user_names=self.user_names)
+            self.tiered = TieredStore(self.user_names)
             self.store.attach_tiered(self.tiered)
         self.ingest = ShardedIngest(
             self.store, persist_raw=config.keep_raw_messages,

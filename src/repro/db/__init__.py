@@ -1,22 +1,14 @@
-"""SQLite storage for SIREN messages and consolidated process records."""
+"""SQLite storage for SIREN messages and consolidated process records.
+
+The gold rollups (:mod:`repro.db.tiered`) are imported from their module:
+they build on :mod:`repro.analysis`, which itself reads records from here.
+"""
 
 from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
 from repro.db.store import MessageStore
-from repro.db.tiered import (
-    MemoryBackend,
-    SqliteBackend,
-    StoreBackend,
-    TieredStore,
-    build_tiered_store,
-)
 
 __all__ = [
     "MessageStore",
     "MESSAGES_SCHEMA",
     "PROCESSES_SCHEMA",
-    "StoreBackend",
-    "SqliteBackend",
-    "MemoryBackend",
-    "TieredStore",
-    "build_tiered_store",
 ]

@@ -45,8 +45,8 @@ def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
     return any(marker in message for marker in _TRANSIENT_MARKERS)
 
 
-#: The canonical process key: a record's identity, its shard routing input
-#: and -- sorted -- the order ingest returns records in.
+#: The canonical process key: a record's identity and -- sorted -- the order
+#: ingest returns records in.
 ProcessKey = tuple[str, str, int, str, str, int]
 
 
@@ -152,10 +152,9 @@ class MessageStore:
         #: Stage stopwatch for write transactions ("store.write"); campaigns
         #: replace it with their shared timer.
         self.timer = NULL_TIMER
-        #: Attached tiered store (silver shards + gold rollups), kept in sync
-        #: with every consolidated-record write; see :meth:`attach_tiered`.
+        #: Attached gold rollups, kept in step with every consolidated-record
+        #: write; see :meth:`attach_tiered`.
         self.tiered: TieredStore | None = None
-        self._tiered_cursor = 0
         self.connection = sqlite3.connect(path)
         if path == ":memory:":
             # Nothing to make crash-safe: trade all durability for speed.
@@ -313,55 +312,37 @@ class MessageStore:
             f"{verb} INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})", rows
         ))
         if self.tiered is not None and rows:
-            delta = None
-            if verb == "INSERT OR IGNORE" and written == len(rows):
-                # Every row was new and distinct.  If they also took exactly
-                # the rowids after the tier's cursor, the batch *is* what
-                # load_processes_since(cursor) would read back, in its order.
-                (last,) = self.connection.execute(
-                    "SELECT last_insert_rowid()").fetchone()
-                if last - len(rows) == self._tiered_cursor:
-                    delta = records, last
-            self.sync_tiered(delta)
+            # The change count equals the batch length only if every row was
+            # new and distinct: then the batch is exactly what the table
+            # gained.  An ignored row or a replaced one needs the refold.
+            handed = verb == "INSERT OR IGNORE" and written == len(rows)
+            self.sync_tiered(records if handed else None)
         return written
 
     def attach_tiered(self, tiered: "TieredStore") -> None:
-        """Keep ``tiered`` in sync with every consolidated-record write.
+        """Keep ``tiered``'s gold in step with every consolidated-record write.
 
-        Records already in the ``processes`` table are folded in immediately;
-        afterwards each write through :meth:`insert_or_replace_processes` /
-        :meth:`insert_processes_if_absent` triggers a :meth:`sync_tiered`
-        delta pull.  Every record write goes through that chokepoint, so
-        the silver and gold tiers never lag the ``processes`` table.
+        Gold is refolded from the ``processes`` table now; afterwards every
+        write through the three ``insert_*processes`` methods ends in
+        :meth:`sync_tiered`.  A write that raises folds nothing, so gold
+        never runs ahead of the table.
         """
         self.tiered = tiered
-        self._tiered_cursor = 0
         self.sync_tiered()
 
-    def sync_tiered(
-            self, delta: tuple[list[ProcessRecord], int] | None = None) -> int:
-        """Fold new ``processes`` rows into the attached tiered store.
+    def sync_tiered(self, records: list[ProcessRecord] | None = None) -> None:
+        """Bring the attached gold up to date with ``processes``.
 
-        The delta is the rowid stream :meth:`load_processes_since` gives the
-        live analysis layer, read from the tier's cursor -- that read is the
-        definition.  ``delta`` is the same ``(records, high-water mark)``
-        pair when the writer already holds it: :meth:`_insert_processes`
-        passes the batch it just wrote when every row of it was new and the
-        tier was not behind, and nobody else should.  ``INSERT OR REPLACE``
-        re-consolidation assigns new rowids to existing keys, so re-delivered
-        rows reach the tiered store again -- its key-idempotent ingest
-        dedups unchanged content and supersedes changed content.  The cursor
-        moves only once the tier has stored the delta, so a sync that raises
-        is repeated by the next one.  Returns how many records the delta
-        carried.
+        ``records`` is a batch :meth:`insert_processes_if_absent` has just
+        written in full, and is folded in as it is; ``None`` refolds gold
+        from :meth:`load_processes` (counted in ``rollup_rebuilds``).
         """
         if self.tiered is None:
-            return 0
-        records, high_water = delta or self.load_processes_since(self._tiered_cursor)
-        if records:
-            self.tiered.ingest_records(records)
-        self._tiered_cursor = high_water
-        return len(records)
+            return
+        if records is None:
+            self.tiered.rebuild(self.load_processes())
+        else:
+            self.tiered.fold(records)
 
     def process_count(self) -> int:
         """Total number of consolidated process records."""

@@ -10,8 +10,8 @@ Five rule families, each born from a bug that actually shipped here:
   checked by dataclass introspection (:mod:`.knobs`);
 * ``counters`` -- every surfaced statistics key declared once in
   :mod:`repro.util.counters` (:mod:`.counters`);
-* ``rollups`` -- every ``counters``-mapping increment site (the tiered
-  store's hot-path bumps, invisible to the statistics-function scan) uses
+* ``rollups`` -- every ``counters``-mapping increment site (the gold
+  rollups' hot-path bumps, invisible to the statistics-function scan) uses
   a registered literal key (:mod:`.rollups`).
 
 Run ``python -m repro.devtools.lint src/repro`` (or

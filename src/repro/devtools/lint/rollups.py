@@ -2,10 +2,10 @@
 
 The ``counters`` family cross-checks *statistics functions* -- dict
 literals and ``stats["key"] = ...`` assignments inside ``statistics()`` and
-friends -- against :mod:`repro.util.counters`.  The tiered record store
-(:mod:`repro.db.tiered`) counts differently: a ``counters`` mapping is
+friends -- against :mod:`repro.util.counters`.  The gold rollups
+(:mod:`repro.db.tiered`) count differently: a ``counters`` mapping is
 initialised once and incremented at the hot sites
-(``self.counters["rollup_dedup_skips"] += 1``), and ``AugAssign`` targets
+(``self.counters["rollup_syncs"] += 1``), and ``AugAssign`` targets
 are exactly what the statistics-function collector never visits.  A typo'd
 increment key would surface a counter the registry (and the cross-mode
 fold pins built on it) has never heard of -- but only at runtime, in

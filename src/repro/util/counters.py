@@ -65,23 +65,11 @@ COUNTERS: dict[str, str] = {
     "syncs": "delta pulls performed",
     "cursor": "current delta-stream high-water mark",
     "comparisons": "digest alignments performed",
-    # --- tiered record store (TieredStore.statistics) -------------------- #
-    "silver_records": "live (latest-version) records in the silver tier",
-    "silver_rows": "physical silver row versions across all shards",
-    "silver_shards": "hash partitions the silver tier is split into",
-    "blob_entries": "distinct content-addressed blobs stored",
-    "blob_dedup_hits": "payload writes satisfied by an existing blob",
-    "rollup_campaigns": "campaign labels present in the silver tier",
-    "rollup_syncs": "record-delta batches folded into the tiers",
-    "rollup_records_applied": "record versions folded incrementally into gold",
-    "rollup_dedup_skips": "re-delivered unchanged records skipped by dedup",
-    "rollup_rebuilds": "full gold rebuilds from the silver tier",
-    "rollup_query_hits": "gold queries answered from clean rollups",
-    "rollup_query_misses": "gold queries that first rebuilt dirty rollups",
-    "compactions": "compaction passes over the silver shards",
-    "compaction_dropped": "superseded row versions dropped by compaction",
-    "blobs_collected": "unreferenced blobs garbage-collected",
-    "retention_dropped": "record versions dropped by campaign retention",
+    # --- gold rollups (TieredStore.statistics) --------------------------- #
+    "silver_rows": "processes rows the gold rollups reflect",
+    "rollup_syncs": "flushed batches folded into gold as they were written",
+    "rollup_records_applied": "records folded into gold from flushed batches",
+    "rollup_rebuilds": "gold refolds from a non-empty processes table",
     # --- injected channel faults (FaultyChannel.fault_counters) --------- #
     "dropped": "datagrams the fault pipeline dropped",
     "duplicated": "datagrams the fault pipeline duplicated",

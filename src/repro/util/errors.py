@@ -54,13 +54,8 @@ class IngestError(TransportError):
 
 
 class StoreError(ReproError):
-    """Raised by the tiered record store (:mod:`repro.db.tiered`).
-
-    Covers backend misconfiguration (unknown ``store_backend`` name, a
-    shard-count mismatch on reopen), content-digest collisions in the
-    blob dedup tier, and querying an ambiguous multi-campaign store
-    without naming a campaign.
-    """
+    """Raised by the gold rollups module (:mod:`repro.db.tiered`) when
+    asked for a storage backend it does not know."""
 
 
 class AnalysisError(ReproError):

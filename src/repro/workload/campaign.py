@@ -124,8 +124,8 @@ class CampaignResult:
     #: inclusive wall seconds per pipeline stage (``{stage: {"seconds", "calls"}}``,
     #: sorted top-cost-first)
     stage_timings: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: the tiered record store (``rollups=True`` runs only): silver record
-    #: shards + gold rollups, kept in sync with the ``processes`` table
+    #: the gold rollups (``rollups=True`` runs only), kept in step with the
+    #: ``processes`` table
     tiered: TieredStore | None = None
 
     @property

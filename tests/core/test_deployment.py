@@ -24,8 +24,7 @@ PROFILES = DEFAULT_PROFILES[:1]
 DEPLOYMENT_FIELDS = {
     "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
     "ingest_mode", "keep_raw_messages", "transport",
-    "store_retry_attempts", "quarantine_capacity", "fault_plan",
-    "store_backend", "rollups",
+    "store_retry_attempts", "quarantine_capacity", "fault_plan", "rollups",
 }
 CAMPAIGN_FIELDS = {"scale", "quirk_fraction", "min_jobs_per_user",
                    "ensure_template_coverage"}
@@ -53,8 +52,7 @@ def _wiring(deployment) -> dict:
         "store_path": deployment.store.path,
         "store_retry": deployment.store.retry.attempts,
         "store_faults": deployment.store_fault_injector is not None,
-        "tiered": deployment.tiered is not None
-                  and type(deployment.tiered.backend).__name__,
+        "tiered": deployment.tiered is not None,
         "max_datagram_size": deployment.sender.max_datagram_size,
         "drain": deployment.drain.__name__,
     }
@@ -65,21 +63,23 @@ class TestConfigHierarchy:
         """A new knob is a visible diff here (and in the docs table)."""
         siren = [f.name for f in dataclasses.fields(SirenConfig)]
         campaign = [f.name for f in dataclasses.fields(CampaignConfig)]
-        assert len(siren) == len(set(siren)) == 13
+        assert len(siren) == len(set(siren)) == 12
         assert set(siren) == DEPLOYMENT_FIELDS
         assert campaign[:len(siren)] == siren  # inherited, in order
         assert set(campaign[len(siren):]) == CAMPAIGN_FIELDS
-        assert len(campaign) == 17
+        assert len(campaign) == 16
 
     @pytest.mark.parametrize("config_cls, knob", [
         (CampaignConfig, "ingest_shards"), (CampaignConfig, "ingest_max_restarts"),
         (CampaignConfig, "campaign_workers"), (SirenConfig, "ingest_shards"),
         (SirenConfig, "ingest_max_restarts"), (CampaignConfig, "hash_concurrency"),
-        (SirenConfig, "hash_concurrency")])
-    def test_removed_parallel_knobs_are_rejected(self, config_cls, knob):
+        (SirenConfig, "hash_concurrency"), (CampaignConfig, "store_backend"),
+        (SirenConfig, "store_backend")])
+    def test_removed_knobs_are_rejected(self, config_cls, knob):
         """Worker processes for ingest, for the job driver and for hashing
         were measured no faster than the serial path and removed with their
-        knobs."""
+        knobs; the tiered store's backend went with the silver tier, leaving
+        ``store_backend`` nothing to select."""
         with pytest.raises(TypeError, match=knob):
             config_cls(**{knob: 2})
 
@@ -132,7 +132,7 @@ class TestSameWiringFromBothFacades:
                      loss_rate=0.01, seed=5, keep_raw_messages=keep_raw,
                      store_retry_attempts=7,
                      quarantine_capacity=9, max_datagram_size=900,
-                     rollups=True, store_backend="memory")
+                     rollups=True)
         campaign = DeploymentCampaign(CampaignConfig(scale=0.0, **knobs),
                                       profiles=PROFILES)
         if transport == "socket" and plan is not None and plan.channel.active:
@@ -163,7 +163,6 @@ class TestSameWiringFromBothFacades:
         ("ingest_mode", "sideways"),
         ("ingest_mode", "batch"),
         ("transport", "carrier-pigeon"),
-        ("store_backend", "parquet"),
     ])
     def test_invalid_values_raise_the_same_error_from_both(self, knob, value):
         with pytest.raises(CollectionError, match=knob) as from_framework:

@@ -2,14 +2,13 @@
 
 A 200-process stream (chunked contents, a lossy wire, so some groups miss
 chunks) is replayed twice through ``ShardedIngest(shards=1)`` over a store
-with a tiered store attached: once untouched, once under spies.  The spies
-fail the test if the hot path regrows what ISSUE 19 took out of it -- an
-enum call or a ``.value`` per datagram, a throw-away ``MessageGroup`` per
-message, a ``reassemble_chunks`` call per unchunked group -- or what
-ISSUE 20 took out of the tier hand-off -- a re-read of the batch just
-written, a second ``process_row``, a backend transaction per shard -- and
-the spied run must still produce the very same records, counters and
-silver bytes.
+with gold rollups attached: once untouched, once under spies.  The spies
+fail the test if the hot path regrows an enum call or a ``.value`` per
+datagram, a throw-away ``MessageGroup`` per message, a
+``reassemble_chunks`` call per unchunked group -- or, in the hand-off to
+gold, a re-read of the batch just written or a second fold of a record --
+and the spied run must still produce the very same records, counters and
+gold tables.
 """
 
 import enum
@@ -17,27 +16,27 @@ from dataclasses import astuple
 
 import pytest
 
-import repro.db.tiered as tiered_module
 import repro.ingest.incremental as incremental
 import repro.postprocess.consolidate as consolidate
 import repro.transport.messages as messages
+from repro.analysis.rollup import TableRollup
 from repro.db.store import MessageStore
-from repro.db.tiered import MemoryBackend, TieredStore
+from repro.db.tiered import TieredStore
 from repro.ingest import ShardedIngest
 from repro.transport.messages import UDPMessage
 
 
 def _replay(stream):
     store = MessageStore()
-    tiered = TieredStore(MemoryBackend(), user_names={})
+    tiered = TieredStore(user_names={})
     store.attach_tiered(tiered)
     ingest = ShardedIngest(store, shards=1, persist_raw=False)
     for datagram in stream:
         ingest.handle_datagram(datagram)
     records = ingest.finalize()
-    silver = [row for shard in range(tiered.shards)
-              for row in tiered.backend.iter_rows(shard)]
-    return sorted(map(astuple, records)), ingest.statistics(), silver
+    gold = (tiered.user_activity(), tiered.system_executables(top=None),
+            tiered.shared_object_variants("bash"), tiered.python_interpreters())
+    return sorted(map(astuple, records)), ingest.statistics(), tiered.statistics(), gold
 
 
 @pytest.fixture()
@@ -90,7 +89,7 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
     assert spied == expected
 
     # No `.name` / `.value` of any enum member, anywhere from the datagram to
-    # the silver row.
+    # the gold fold.
     assert value_reads == []
 
     # One MessageGroup per distinct (process, layer, type) that was filed:
@@ -112,18 +111,16 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
 
 
 def test_tier_hand_off_counts(stream, monkeypatch):
-    """What a flushed record pays to cross into the tier, as counts: no
-    re-read of a batch whose every row was new, one ``process_row`` inside
-    the tier, one backend transaction per sync, one hash per distinct
-    column value -- and the same silver as the untouched replay."""
+    """What a flushed record pays to cross into gold, as counts: nothing is
+    read back after the attach, each record is folded exactly once, and no
+    flush of this stream -- every row of it new -- needs a refold."""
     expected = _replay(stream)
 
-    flushes, syncs, rereads, tier_rows, transactions, hashed = [], [], [], [], [], []
+    flushes, loads, folds = [], [], []
     insert_if_absent = MessageStore.insert_processes_if_absent
-    sync_tiered = MessageStore.sync_tiered
+    load_processes = MessageStore.load_processes
     load_since = MessageStore.load_processes_since
-    process_row, fnv1a_64 = tiered_module.process_row, tiered_module.fnv1a_64
-    append_rows = MemoryBackend.append_rows
+    fold = TableRollup.fold
 
     def counting_insert(self, records):
         records = list(records)
@@ -131,53 +128,35 @@ def test_tier_hand_off_counts(stream, monkeypatch):
         flushes.append((len(records), written))
         return written
 
-    def counting_sync(self, delta=None):
-        syncs.append(delta is not None)
-        return sync_tiered(self, delta)
+    def counting_load(self):
+        loads.append(("load_processes", len(flushes)))
+        return load_processes(self)
 
-    def counting_load(self, rowid=0):
-        rereads.append(rowid)
+    def counting_load_since(self, rowid=0):
+        loads.append(("load_processes_since", len(flushes)))
         return load_since(self, rowid)
 
-    def counting_row(record):
-        tier_rows.append(record)
-        return process_row(record)
-
-    def counting_append(self, rows, blobs):
-        transactions.append(sum(map(len, rows.values())))
-        return append_rows(self, rows, blobs)
-
-    def counting_hash(data):
-        hashed.append(data)
-        return fnv1a_64(data)
+    def counting_fold(self, record):
+        folds.append(record.key)
+        return fold(self, record)
 
     with monkeypatch.context() as patch:
         patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
-        patch.setattr(MessageStore, "sync_tiered", counting_sync)
-        patch.setattr(MessageStore, "load_processes_since", counting_load)
-        patch.setattr(tiered_module, "process_row", counting_row)
-        patch.setattr(tiered_module, "fnv1a_64", counting_hash)
-        patch.setattr(MemoryBackend, "append_rows", counting_append)
+        patch.setattr(MessageStore, "load_processes", counting_load)
+        patch.setattr(MessageStore, "load_processes_since", counting_load_since)
+        patch.setattr(TableRollup, "fold", counting_fold)
         spied = _replay(stream)
 
     assert spied == expected
     built = expected[1]["records_built"]
     assert sum(offered for offered, _written in flushes) == built
-
-    # The attach-time sync reads the (empty) table; every row of every flush
-    # of this stream is new, so each flush hands its own batch over.
     assert len(flushes) > 1
     assert all(written == offered for offered, written in flushes)
-    assert syncs == [False] + [True] * len(flushes)
-    assert rereads == [0]
 
-    # One process_row per record inside the tier, and one backend
-    # transaction per sync.
-    assert len(tier_rows) == len(expected[2]) == built
-    assert transactions == [offered for offered, _written in flushes]
-
-    # Each distinct string column value of the stream is hashed exactly once.
-    distinct = {value for record in tier_rows for value in process_row(record)
-                if isinstance(value, str)}
-    assert len(distinct) < tiered_module.MEMO_ENTRIES
-    assert sorted(hashed) == sorted(value.encode("utf-8") for value in distinct)
+    # The table is read twice: by the attach's refold before the first
+    # flush, and by ``finalize`` for its return value after the last one.
+    assert loads == [("load_processes", 0), ("load_processes", len(flushes))]
+    assert sorted(folds) == sorted(record[:6] for record in expected[0])
+    assert expected[2] == {"silver_rows": built, "rollup_rebuilds": 0,
+                           "rollup_records_applied": built,
+                           "rollup_syncs": len(flushes)}

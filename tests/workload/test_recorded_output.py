@@ -5,10 +5,11 @@ several; both were removed (``docs/architecture.md``, "Parallelism: measured
 and removed"), and so was the batch post-pass ingest mode, which produced
 the same digests.  The serial driver and the one in-process ingest front
 must still produce, byte for byte, what the code produced before: the record
-list, the rendered analysis, the silver rows and blobs, the gold tables, and
--- under every degradation preset -- the same surviving records and fault
-counters.  Every digest below was recorded with the parallel modes and the
-batch mode still in the tree.
+list, the rendered analysis, the gold tables, and -- under every degradation
+preset -- the same surviving records and fault counters.  Every digest below
+was recorded with the parallel modes and the batch mode still in the tree,
+and with the silver record shards that the gold tables were once folded
+beside.
 """
 
 from __future__ import annotations
@@ -30,24 +31,20 @@ from oracles.consolidate import records_from_messages
 
 PROFILES = DEFAULT_PROFILES[:4]
 
-#: (loss_rate, seed) -> SHA-256 of (record list, ``render_all()``, sorted
-#: silver rows + blobs, gold tables).
+#: (loss_rate, seed) -> SHA-256 of (record list, ``render_all()``, gold
+#: tables).
 CAMPAIGN_PINS = {
     (0.0, 17): ("aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2",
                 "d3cf18f10b4921fada1bbbfbb96d063c38cc744974f82d727a8d98c6c5a22942",
-                "1ff6bcd39f8f64086d1e5c0c719e16d3efcc0ee7ee7e73c5166aa9d6980dc6d2",
                 "57a3f2348742fa02397f5e0e225ecb016c19014931fc899ffd438d676bdbb726"),
     (0.0, 99): ("aa4761e10dbb97ff85972d7671ada0f63b0aee87e9fcaae7111b1ec5e771fda2",
                 "d3cf18f10b4921fada1bbbfbb96d063c38cc744974f82d727a8d98c6c5a22942",
-                "f3b5c80c80b7b4757243f529cbc7f2d61ca2a865657b04ac5134e0850b582d47",
                 "57a3f2348742fa02397f5e0e225ecb016c19014931fc899ffd438d676bdbb726"),
     (0.01, 17): ("b2705c22283bfee7384e65dfa8660a5eb977a15e81989a3048c720c1a0bf8bcc",
                  "83c57b8a1c3a5130f27c6aeeaf1350a143b15af78834507fb42769a064b23072",
-                 "39a2c16fcffa5ed9777508734d39ce55c363b8d7311ec356117d709d95fc7537",
                  "b1e4901c35480854dc11ed20f163d14a22eccfa72cf20b2bb64ef9f4b8545568"),
     (0.01, 99): ("b6d5b0bdbbdf2567856e3a4bea2a7323676402c3f33f6dae5fbd89a935092c22",
                  "2967f331e685f370d4909fe579f8db577d25a8b45cee91aac844b52f488e219b",
-                 "9540eaae47e63a0656aa47a493832649914a8593ebe11fb6ae92396e0fc05543",
                  "49a16b59fcd7c484828a12f859b96b95376faebfbd9865ff1c51e187712a71aa"),
 }
 
@@ -98,22 +95,17 @@ def _record_list(records) -> list[tuple]:
 @functools.cache
 def _campaign_digests(loss_rate: float, seed: int,
                       keep_raw_messages: bool) -> tuple[str | None, ...]:
-    """The four pinned digests of one scale-0.0 campaign (run once per config),
-    then the record-list digest of the post-pass oracle over the raw
+    """The three pinned digests of one scale-0.0 campaign (run once per
+    config), then the record-list digest of the post-pass oracle over the raw
     ``messages`` table (``None`` when raw messages were not kept)."""
     config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
                             keep_raw_messages=keep_raw_messages, rollups=True)
     result = DeploymentCampaign(config=config, profiles=PROFILES).run()
     tiered = result.tiered
-    silver = sorted(row for shard in range(tiered.shards)
-                    for row in tiered.backend.iter_rows(shard))
-    blobs = sorted((digest, tiered.backend.get_blob(digest))
-                   for digest in tiered._backend_blob_digests())
     gold = [tiered.user_activity(), tiered.system_executables(),
             tiered.shared_object_variants("bash"), tiered.python_interpreters()]
     return (_sha(_record_list(result.records)),
             _sha(AnalysisPipeline(result.records, result.user_names).render_all()),
-            _sha((silver, blobs)),
             _sha(gold),
             _sha(_record_list(records_from_messages(result.store)))
             if keep_raw_messages else None)
@@ -137,19 +129,14 @@ class TestRecordedCampaignOutput:
             CAMPAIGN_PINS[loss_rate, seed][1]
 
     @_KEEP_RAW
-    def test_silver_rows_and_blobs(self, loss_rate, seed, keep_raw):
+    def test_gold_tables(self, loss_rate, seed, keep_raw):
         assert _campaign_digests(loss_rate, seed, keep_raw)[2] == \
             CAMPAIGN_PINS[loss_rate, seed][2]
-
-    @_KEEP_RAW
-    def test_gold_tables(self, loss_rate, seed, keep_raw):
-        assert _campaign_digests(loss_rate, seed, keep_raw)[3] == \
-            CAMPAIGN_PINS[loss_rate, seed][3]
 
     def test_post_pass_over_raw_messages(self, loss_rate, seed):
         """The retired batch mode's record list: the raw ``messages`` table,
         regrouped by the post-pass oracle, gives the pinned records."""
-        assert _campaign_digests(loss_rate, seed, True)[4] == \
+        assert _campaign_digests(loss_rate, seed, True)[3] == \
             CAMPAIGN_PINS[loss_rate, seed][0]
 
 
