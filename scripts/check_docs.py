@@ -34,11 +34,9 @@ DOC_FILES = ("README.md", "docs/architecture.md", "docs/devtools.md")
 #: a doc currently cites them (the docs-mention check alone would go quiet
 #: if a report's README table row were deleted along with the report).
 REQUIRED_BENCH_REPORTS = (
-    "BENCH_campaign.json",
     "BENCH_compare.json",
     "BENCH_faults.json",
     "BENCH_hashing.json",
-    "BENCH_live.json",
     "BENCH_store.json",
 )
 

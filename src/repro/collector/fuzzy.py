@@ -13,11 +13,12 @@ SIREN computes SSDeep fuzzy hashes of
 Hashing an executable is by far the most expensive part of collection, so
 :class:`ArtifactHasher` memoises aggressively, in two tiers:
 
-* per ``(path, write version)`` -- re-executing the same unchanged binary
-  thousands of times (the common case on an HPC system) costs one hash, not
-  thousands, while every rewrite of the path misses, even one that keeps the
-  ``mtime`` (a recompile within the same second); executables and scripts
-  use *separate* caches so a binary first seen as a script never
+* per path, remembering the write version it hashed -- re-executing the
+  same unchanged binary thousands of times (the common case on an HPC
+  system) costs one hash, not thousands, while every rewrite of the path
+  misses, even one that keeps the ``mtime`` (a recompile within the same
+  second), and replaces the path's entry; executables and scripts use
+  *separate* caches so a binary first seen as a script never
   short-circuits the executable hashes (or vice versa);
 * per *content* -- a BLAKE2b content key recognises byte-identical binaries
   reached through different paths or writes (the classic renamed ``a.out``),
@@ -77,8 +78,9 @@ class ArtifactHasher:
     hashes_computed: int = 0
     cache_hits: int = 0
     content_cache_hits: int = 0
-    _exe_cache: dict[tuple[str, int], ExecutableHashes] = field(default_factory=dict)
-    _script_cache: dict[tuple[str, int], str] = field(default_factory=dict)
+    #: path -> (write version, result): the path tier
+    _exe_cache: dict[str, tuple[int, ExecutableHashes]] = field(default_factory=dict)
+    _script_cache: dict[str, tuple[int, str]] = field(default_factory=dict)
     _exe_content_cache: dict[tuple[int, bytes], ExecutableHashes] = field(default_factory=dict)
     _script_content_cache: dict[tuple[int, bytes], str] = field(default_factory=dict)
     _list_cache: OrderedDict[str, str] = field(default_factory=OrderedDict)
@@ -90,12 +92,12 @@ class ArtifactHasher:
     def executable_hashes(self, path: str) -> ExecutableHashes:
         """FILE_H / STRINGS_H / SYMBOLS_H for the executable at ``path``."""
         vfile = self.filesystem.get(path)
-        key = (path, vfile.version)
+        version = vfile.version
         if self.cache_enabled:
-            cached = self._exe_cache.get(key)
-            if cached is not None:
+            entry = self._exe_cache.get(path)
+            if entry is not None and entry[0] == version:
                 self.cache_hits += 1
-                return cached
+                return entry[1]
 
         content = vfile.content
         ckey = _content_key(content) if self.cache_enabled else None
@@ -103,7 +105,7 @@ class ArtifactHasher:
             cached = self._exe_content_cache.get(ckey)
             if cached is not None:
                 self.content_cache_hits += 1
-                self._exe_cache[key] = cached
+                self._exe_cache[path] = (version, cached)
                 return cached
 
         strings = strings_blob(content).encode("utf-8")
@@ -114,19 +116,19 @@ class ArtifactHasher:
                                   symbols_hash=str(self.hasher.hash(symbols)))
         self.hashes_computed += 1
         if ckey is not None:
-            self._exe_cache[key] = result
+            self._exe_cache[path] = (version, result)
             self._exe_content_cache[ckey] = result
         return result
 
     def script_hash(self, path: str) -> str:
         """Fuzzy hash of a (Python) script file."""
         vfile = self.filesystem.get(path)
-        key = (path, vfile.version)
+        version = vfile.version
         if self.cache_enabled:
-            cached = self._script_cache.get(key)
-            if cached is not None:
+            entry = self._script_cache.get(path)
+            if entry is not None and entry[0] == version:
                 self.cache_hits += 1
-                return cached
+                return entry[1]
 
         content = vfile.content
         ckey = _content_key(content) if self.cache_enabled else None
@@ -139,13 +141,13 @@ class ArtifactHasher:
                 cached = executable.file_hash if executable is not None else None
             if cached is not None:
                 self.content_cache_hits += 1
-                self._script_cache[key] = cached
+                self._script_cache[path] = (version, cached)
                 return cached
 
         digest = str(self.hasher.hash(content))
         self.hashes_computed += 1
         if ckey is not None:
-            self._script_cache[key] = digest
+            self._script_cache[path] = (version, digest)
             self._script_content_cache[ckey] = digest
         return digest
 

@@ -33,7 +33,6 @@ from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.transport.messages import Section, wire_header
 from repro.transport.sender import UDPSender
-from repro.util.timing import NULL_TIMER
 
 
 @dataclass
@@ -49,10 +48,6 @@ class SirenCollector:
     processes_skipped: int = 0
     section_errors: int = 0
 
-    # Stage stopwatch (plain class attribute, not a field: assign an enabled
-    # StageTimer on an instance to profile constructor/destructor cost).
-    timer = NULL_TIMER
-
     def __post_init__(self) -> None:
         self.hasher = ArtifactHasher(self.filesystem)
 
@@ -61,10 +56,6 @@ class SirenCollector:
     # ------------------------------------------------------------------ #
     def on_process_start(self, context: ProcessContext) -> None:
         """Collect and send all policy-selected information for this process."""
-        with self.timer.section("collect.start"):
-            self._collect_start(context)
-
-    def _collect_start(self, context: ProcessContext) -> None:
         if not self.policy.should_collect_rank(context.slurm_procid):
             self.processes_skipped += 1
             return
@@ -110,13 +101,12 @@ class SirenCollector:
     # ------------------------------------------------------------------ #
     def on_process_end(self, context: ProcessContext) -> None:
         """Send the destructor record (end timestamp, exit code)."""
-        with self.timer.section("collect.end"):
-            if not self.policy.should_collect_rank(context.slurm_procid):
-                return
-            self.sender.send(self._wire_header(context), [
-                (Layer.SELF, InfoType.PROCEND, format_keyvalues({
-                    "end_time": context.end_time, "exit_code": context.exit_code,
-                }))])
+        if not self.policy.should_collect_rank(context.slurm_procid):
+            return
+        self.sender.send(self._wire_header(context), [
+            (Layer.SELF, InfoType.PROCEND, format_keyvalues({
+                "end_time": context.end_time, "exit_code": context.exit_code,
+            }))])
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -154,8 +144,7 @@ class SirenCollector:
         ]
 
     def _executable_hash_sections(self, context: ProcessContext, scope) -> list[Section]:
-        with self.timer.section("collect.hash"):
-            hashes = self.hasher.executable_hashes(context.executable)
+        hashes = self.hasher.executable_hashes(context.executable)
         sections: list[Section] = []
         if scope.file_hash:
             sections.append((Layer.SELF, InfoType.FILE_H, hashes.file_hash))
@@ -177,7 +166,6 @@ class SirenCollector:
         if scope.file_metadata:
             sections.append((Layer.SCRIPT, InfoType.FILEMETA, self._file_metadata(script)))
         if scope.file_hash:
-            with self.timer.section("collect.hash"):
-                script_hash = self.hasher.script_hash(script)
-            sections.append((Layer.SCRIPT, InfoType.FILE_H, script_hash))
+            sections.append((Layer.SCRIPT, InfoType.FILE_H,
+                             self.hasher.script_hash(script)))
         return sections

@@ -34,7 +34,6 @@ from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
 from repro.util.retry import RetryPolicy
 from repro.util.rng import SeededRNG
-from repro.util.timing import NULL_TIMER, StageTimer
 
 DeploymentChannel = LossyChannel | InMemoryChannel | SocketChannel | FaultyChannel
 
@@ -48,13 +47,12 @@ def _no_drain() -> int:
 class SirenFramework:
     """Store <- ingest <- channel <- sender (<- collector), built from a config.
 
-    ``timer`` is threaded through every stage it builds; ``user_names`` bakes
-    the anonymised labels into the gold user dimension (``None`` falls back
-    to ``uid_<n>``, identical to recomputing the tables without names).
+    ``user_names`` bakes the anonymised labels into the gold user dimension
+    (``None`` falls back to ``uid_<n>``, identical to recomputing the tables
+    without names).
     """
 
     config: SirenConfig = field(default_factory=SirenConfig)
-    timer: StageTimer = field(default=NULL_TIMER, repr=False)
     user_names: dict[int, str] | None = None
     store: MessageStore = field(init=False)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
@@ -93,7 +91,6 @@ class SirenFramework:
         self.store = MessageStore(
             config.store_path,
             retry=RetryPolicy(attempts=config.store_retry_attempts))
-        self.store.timer = self.timer
         if plan is not None and plan.store.active:
             self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
         if config.rollups:
@@ -101,11 +98,10 @@ class SirenFramework:
             self.store.attach_tiered(self.tiered)
         self.ingest = ShardedIngest(
             self.store, persist_raw=config.keep_raw_messages,
-            quarantine_capacity=config.quarantine_capacity, timer=self.timer)
+            quarantine_capacity=config.quarantine_capacity)
         self.ingest.attach(self.channel)
         self.sender = UDPSender(self.channel,
-                                max_datagram_size=config.max_datagram_size,
-                                timer=self.timer)
+                                max_datagram_size=config.max_datagram_size)
 
     # ------------------------------------------------------------------ #
     # deployment
@@ -125,7 +121,6 @@ class SirenFramework:
             library_path=siren_library_path,
             policy=self.config.policy,
         )
-        self.collector.timer = self.timer
         cluster.register_preload_hook(self.collector)
         self.cluster = cluster
         return self.collector

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # imported lazily: repro.db.tiered imports this module
     from repro.db.tiered import TieredStore
 from repro.transport.messages import UDPMessage
 from repro.util.retry import RetryPolicy
-from repro.util.timing import NULL_TIMER
 
 #: Substrings marking an :class:`sqlite3.OperationalError` as transient --
 #: lock/busy contention clears on its own, so a bounded retry is the right
@@ -149,9 +148,6 @@ class MessageStore:
         self.fault_injector: Callable[[str], None] | None = None
         self._sleep = time.sleep          # injectable for tests
         self._retry_rng = random.Random(0xC0FFEE)  # jitter only; not output-visible
-        #: Stage stopwatch for write transactions ("store.write"); campaigns
-        #: replace it with their shared timer.
-        self.timer = NULL_TIMER
         #: Attached gold rollups, kept in step with every consolidated-record
         #: write; see :meth:`attach_tiered`.
         self.tiered: TieredStore | None = None
@@ -207,11 +203,10 @@ class MessageStore:
             try:
                 if self.fault_injector is not None:
                     self.fault_injector(operation)
-                with self.timer.section("store.write"):
-                    with self.connection:
-                        before = self.connection.total_changes
-                        transaction()
-                        return self.connection.total_changes - before
+                with self.connection:
+                    before = self.connection.total_changes
+                    transaction()
+                    return self.connection.total_changes - before
             except sqlite3.OperationalError as error:
                 if not is_transient_sqlite_error(error) or attempt >= self.retry.attempts:
                     raise

@@ -1,6 +1,6 @@
 """AST-based static analysis enforcing the repository's invariants.
 
-Five rule families, each born from a bug that actually shipped here:
+Four rule families, each born from a bug that actually shipped here:
 
 * ``determinism`` -- no unseeded randomness, OS entropy or wall-clock reads
   in the one-seed-deterministic packages (:mod:`.determinism`);
@@ -9,10 +9,7 @@ Five rule families, each born from a bug that actually shipped here:
 * ``knobs`` -- config hierarchy / consumption / docs knob-table parity,
   checked by dataclass introspection (:mod:`.knobs`);
 * ``counters`` -- every surfaced statistics key declared once in
-  :mod:`repro.util.counters` (:mod:`.counters`);
-* ``rollups`` -- every ``counters``-mapping increment site (the gold
-  rollups' hot-path bumps, invisible to the statistics-function scan) uses
-  a registered literal key (:mod:`.rollups`).
+  :mod:`repro.util.counters` (:mod:`.counters`).
 
 Run ``python -m repro.devtools.lint src/repro`` (or
 ``scripts/lint_repro.py``); silence a deliberate violation with

@@ -24,8 +24,9 @@ the deterministic packages:
 ``determinism/wall-clock``
     ``time.time``/``time.time_ns``, ``datetime.now``/``utcnow``,
     ``date.today``: wall-clock reads.  The simulation has its own clock
-    (:class:`repro.hpcsim.filesystem`'s), and profiling belongs in
-    :mod:`repro.util.timing`, which is exempt by scope.
+    (:class:`repro.hpcsim.filesystem`'s), and profiling belongs in the
+    pipeline benchmark (``benchmarks/pipeline``), which times the package
+    from outside.
 
 Scope: packages listed in :data:`DEFAULT_SCOPE`.  Monotonic reads
 (``time.monotonic``, ``time.perf_counter``) are *not* flagged -- they time
@@ -128,7 +129,7 @@ class DeterminismChecker(Checker):
                 "time.time", "time.time_ns"):
             return ("wall-clock",
                     f"{dotted}() reads the wall clock; simulated time comes "
-                    "from the cluster clock, profiling from repro.util.timing")
+                    "from the cluster clock, profiling belongs in benchmarks/pipeline")
         return None
 
 

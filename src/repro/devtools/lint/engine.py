@@ -216,13 +216,11 @@ def _load_builtin_checkers() -> None:
     Import side effects register them the first time; the explicit loop
     makes the registry self-repairing after :func:`registry_clear`.
     """
-    from repro.devtools.lint import (concurrency, counters, determinism, knobs,
-                                     rollups)
+    from repro.devtools.lint import concurrency, counters, determinism, knobs
     for factory in (concurrency.ConcurrencyChecker,
                     counters.CounterRegistryChecker,
                     determinism.DeterminismChecker,
-                    knobs.KnobParityChecker,
-                    rollups.RollupCounterChecker):
+                    knobs.KnobParityChecker):
         if factory().family not in _REGISTRY:
             register_checker(factory)
 

@@ -26,7 +26,6 @@ from repro.hpcsim.process import PreloadHook, ProcessContext, ProcessRuntime
 from repro.hpcsim.slurm import JobScript, SlurmJob, SlurmScheduler
 from repro.hpcsim.users import User, UserRegistry
 from repro.util.errors import SimulationError
-from repro.util.timing import NULL_TIMER
 
 
 @dataclass
@@ -41,10 +40,6 @@ class Cluster:
     linker: DynamicLinker = field(init=False)
     runtime: ProcessRuntime = field(init=False)
     processes_run: int = 0
-
-    # Stage stopwatch (plain class attribute, not a field: assign an enabled
-    # StageTimer on an instance to profile its job execution).
-    timer = NULL_TIMER
 
     def __post_init__(self) -> None:
         self.linker = DynamicLinker(self.filesystem)
@@ -90,16 +85,6 @@ class Cluster:
         true, the full list of process contexts (useful in tests; disabled by
         default to keep large campaigns cheap).
         """
-        with self.timer.section("cluster.run_job"):
-            return self._run_job(username, script, keep_contexts=keep_contexts)
-
-    def _run_job(
-        self,
-        username: str,
-        script: JobScript,
-        *,
-        keep_contexts: bool,
-    ) -> tuple[SlurmJob, list[ProcessContext]]:
         user = self.users.get(username)
         job = self.scheduler.allocate_job(user.username, script.name, self.filesystem.clock)
 

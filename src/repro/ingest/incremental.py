@@ -54,7 +54,6 @@ from repro.postprocess.consolidate import (
 )
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
-from repro.util.timing import NULL_TIMER
 
 _PROCEND = InfoType.PROCEND
 
@@ -92,10 +91,6 @@ class IncrementalConsolidator:
     store: MessageStore
     flush_batch_size: int = 64
     idle_epochs: int = 2
-
-    # Stage stopwatch (plain class attribute, not a field: ShardedIngest
-    # assigns the deployment's shared StageTimer).
-    timer = NULL_TIMER
 
     # counters
     messages_consumed: int = 0
@@ -157,9 +152,8 @@ class IncrementalConsolidator:
 
     def feed_many(self, messages: list[UDPMessage]) -> None:
         """Consume a batch of decoded messages (the receiver's flush path)."""
-        with self.timer.section("ingest.consolidate"):
-            for message in messages:
-                self.feed(message)
+        for message in messages:
+            self.feed(message)
 
     # ------------------------------------------------------------------ #
     # epoch / close logic

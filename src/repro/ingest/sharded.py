@@ -22,7 +22,6 @@ from repro.ingest.incremental import IncrementalConsolidator
 from repro.transport.channel import Channel
 from repro.transport.receiver import DatagramQuarantine, MessageReceiver
 from repro.util.errors import TransportError
-from repro.util.timing import NULL_TIMER, StageTimer
 
 
 def _in_key_order(records: list[ProcessRecord]) -> list[ProcessRecord]:
@@ -59,7 +58,6 @@ class ShardedIngest:
     keeps the raw bytes and decode-failure reason of the most recent
     undecodable datagrams in a bounded ring
     (:class:`~repro.transport.receiver.DatagramQuarantine`); 0 disables it.
-    ``timer`` times the consolidation.
     """
 
     store: MessageStore
@@ -69,7 +67,6 @@ class ShardedIngest:
     idle_epochs: int = 2
     persist_raw: bool = False
     quarantine_capacity: int = 256
-    timer: StageTimer = field(default=NULL_TIMER, repr=False)
     quarantine: DatagramQuarantine | None = field(init=False, default=None)
     receiver: MessageReceiver = field(init=False)
     consolidator: IncrementalConsolidator = field(init=False)
@@ -88,7 +85,6 @@ class ShardedIngest:
         self.consolidator = IncrementalConsolidator(
             self.store, flush_batch_size=self.flush_batch_size,
             idle_epochs=self.idle_epochs)
-        self.consolidator.timer = self.timer
         self.receiver = MessageReceiver(
             self.store, batch_size=self.batch_size, sink=self.consolidator,
             persist_raw=self.persist_raw, quarantine=self.quarantine)

@@ -17,12 +17,11 @@ oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.transport.channel import Channel
 from repro.transport.chunking import split_content
 from repro.transport.messages import MAX_DATAGRAM_SIZE, SECTION_KINDS, Section
-from repro.util.timing import NULL_TIMER, StageTimer
 
 _SEPARATOR = b"\x1f"
 #: The CHUNK and CHUNKS fields a datagram's tail opens with ...
@@ -40,7 +39,6 @@ class UDPSender:
 
     channel: Channel
     max_datagram_size: int = MAX_DATAGRAM_SIZE
-    timer: StageTimer = field(default=NULL_TIMER, repr=False)
     messages_sent: int = 0
     datagrams_sent: int = 0
     send_errors: int = 0
@@ -55,35 +53,33 @@ class UDPSender:
         """
         datagrams: list[bytes] = []
         messages = 0
-        with self.timer.section("transport.encode"):
-            for layer, info_type, content in sections:
-                try:
-                    data = content.encode("utf-8")
-                except UnicodeEncodeError:  # a lone surrogate
-                    data = None
-                if data is None or _SEPARATOR in data:
-                    self.send_errors += 1
-                    continue
-                messages += 1
-                head = header + SECTION_KINDS[layer, info_type]
-                budget = max(self.max_datagram_size - len(head) - _TAIL_RESERVE, 64)
-                if len(data) <= budget:
-                    datagrams.append(head + _UNCHUNKED + data)
-                else:
-                    chunks = split_content(content, budget)
-                    datagrams.extend(
-                        head + _COUNTERS % (index, len(chunks)) + chunk.encode("utf-8")
-                        for index, chunk in enumerate(chunks))
+        for layer, info_type, content in sections:
+            try:
+                data = content.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                data = None
+            if data is None or _SEPARATOR in data:
+                self.send_errors += 1
+                continue
+            messages += 1
+            head = header + SECTION_KINDS[layer, info_type]
+            budget = max(self.max_datagram_size - len(head) - _TAIL_RESERVE, 64)
+            if len(data) <= budget:
+                datagrams.append(head + _UNCHUNKED + data)
+            else:
+                chunks = split_content(content, budget)
+                datagrams.extend(
+                    head + _COUNTERS % (index, len(chunks)) + chunk.encode("utf-8")
+                    for index, chunk in enumerate(chunks))
         emitted = 0
-        with self.timer.section("transport.send"):
-            deliver = self.channel.send
-            for datagram in datagrams:
-                try:
-                    deliver(datagram)
-                except Exception:  # noqa: BLE001 - fire and forget, never propagate
-                    self.send_errors += 1
-                else:
-                    emitted += 1
+        deliver = self.channel.send
+        for datagram in datagrams:
+            try:
+                deliver(datagram)
+            except Exception:  # noqa: BLE001 - fire and forget, never propagate
+                self.send_errors += 1
+            else:
+                emitted += 1
         self.messages_sent += messages
         self.datagrams_sent += emitted
         return emitted

@@ -37,7 +37,6 @@ from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.sharded import ProcessDelta, ShardedIngest
 from repro.util.rng import SeededRNG
-from repro.util.timing import StageTimer
 from repro.workload.profiles import (
     BASH_ENVIRONMENT_QUIRKS,
     DEFAULT_PROFILES,
@@ -113,6 +112,8 @@ class CampaignResult:
     channel: DeploymentChannel
     jobs_run: int
     processes_run: int
+    #: the deployment the campaign ran (its counters underlie :meth:`statistics`)
+    deployment: SirenFramework
     ingest: ShardedIngest | None = None  #: the ingest front (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
     quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
@@ -121,9 +122,6 @@ class CampaignResult:
     #: the store-fault hook, when the plan armed one (its counters say how
     #: many transient/disk-full errors the retry layer had to absorb)
     store_fault_injector: StoreFaultInjector | None = None
-    #: inclusive wall seconds per pipeline stage (``{stage: {"seconds", "calls"}}``,
-    #: sorted top-cost-first)
-    stage_timings: dict[str, dict[str, float]] = field(default_factory=dict)
     #: the gold rollups (``rollups=True`` runs only), kept in step with the
     #: ``processes`` table
     tiered: TieredStore | None = None
@@ -136,50 +134,31 @@ class CampaignResult:
         return sum(record.incomplete for record in self.records) / len(self.records)
 
     def statistics(self) -> dict[str, int | float]:
-        """Flat counter view of the run, for profiling and benchmarks.
-
-        Includes the cache-effectiveness counters of the collection-side
-        hashing path (:class:`~repro.collector.fuzzy.ArtifactHasher` path and
-        content caches, the signature compare LRU) so a profiling run can
-        tell "cache working" from "cache bypassed".
+        """The deployment's counters (:meth:`SirenFramework.statistics`) plus
+        the campaign's own: its size, and the cache-effectiveness counters of
+        the collection-side hashing (the
+        :class:`~repro.collector.fuzzy.ArtifactHasher` path and content
+        caches, the signature compare LRU), which tell "cache working" from
+        "cache bypassed".
         """
         hasher = self.collector.hasher
         compare_info = hasher.hasher.compare_cache_info()
-        sender = self.collector.sender
-        stats: dict[str, int | float] = {
+        hits = hasher.cache_hits + hasher.content_cache_hits
+        lookups = hits + hasher.hashes_computed
+        return {
+            **self.deployment.statistics(),
             "jobs_run": self.jobs_run,
             "processes_run": self.processes_run,
             "records": len(self.records),
             "incomplete_fraction": self.incomplete_fraction,
-            "processes_collected": self.collector.processes_collected,
-            "processes_skipped": self.collector.processes_skipped,
-            "section_errors": self.collector.section_errors,
             "hashes_computed": hasher.hashes_computed,
             "hash_cache_hits": hasher.cache_hits,
             "hash_content_cache_hits": hasher.content_cache_hits,
+            "hash_cache_hit_rate": hits / lookups if lookups else 0.0,
             "compare_cache_hits": compare_info.hits,
             "compare_cache_misses": compare_info.misses,
-            "messages_sent": sender.messages_sent,
-            "datagrams_sent": sender.datagrams_sent,
-            "send_errors": sender.send_errors,
-            "decode_errors": self.decode_errors,
-            "quarantined": self.quarantined,
+            "messages_sent": self.collector.sender.messages_sent,
         }
-        hash_lookups = (hasher.hashes_computed + hasher.cache_hits
-                        + hasher.content_cache_hits)
-        stats["hash_cache_hit_rate"] = (
-            (hasher.cache_hits + hasher.content_cache_hits) / hash_lookups
-            if hash_lookups else 0.0)
-        dropped = getattr(self.channel, "datagrams_dropped", None)
-        if dropped is not None:
-            stats["datagrams_dropped"] = dropped
-        if self.ingest is not None:
-            for key, value in self.ingest.statistics().items():
-                stats[f"ingest_{key}"] = value
-        if self.tiered is not None:
-            for key, value in self.tiered.statistics().items():
-                stats[key] = value
-        return stats
 
 
 @dataclass
@@ -191,10 +170,6 @@ class DeploymentCampaign:
     #: called after every submitted job with the running job count -- the
     #: hook point for mid-run :meth:`snapshot` calls and progress reporting.
     on_job: Callable[[int], None] | None = None
-    #: stage stopwatch; always on (sub-microsecond per section).  Surfaced as
-    #: :attr:`CampaignResult.stage_timings`; pass a shared timer to aggregate
-    #: across campaigns.
-    timer: StageTimer = field(default_factory=StageTimer, repr=False)
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
     deployment: SirenFramework = field(init=False, repr=False)
@@ -216,14 +191,12 @@ class DeploymentCampaign:
         if self._prepared:
             return
         self.config.validate()  # before the corpus is built, not after
-        with self.timer.section("campaign.prepare"):
-            self._prepare_deployment()
+        self._prepare_deployment()
         self._prepared = True
 
     def _prepare_deployment(self) -> None:
         self.rng = SeededRNG(self.config.seed)
         self.cluster = Cluster()
-        self.cluster.timer = self.timer
         corpus = CorpusBuilder(self.cluster, rng=self.rng.fork("corpus"))
         self.manifest = corpus.install_base_system()
 
@@ -236,7 +209,7 @@ class DeploymentCampaign:
         # Users are registered above, so the gold user dimension can bake in
         # the anonymised labels.
         deployment = self.deployment = SirenFramework(
-            self.config, timer=self.timer, user_names=self._user_names())
+            self.config, user_names=self._user_names())
         self.store = deployment.store
         self.channel = deployment.channel
         self.store_fault_injector = deployment.store_fault_injector
@@ -261,8 +234,7 @@ class DeploymentCampaign:
         deployment = self.deployment
         try:
             jobs_run = self._run_jobs()
-            with self.timer.section("campaign.finalize"):
-                records = deployment.finalize()
+            records = deployment.finalize()
         finally:
             self.close()  # loopback sockets; caches stay warm
         fault_counters = (self.channel.fault_counters()
@@ -278,12 +250,12 @@ class DeploymentCampaign:
             channel=self.channel,
             jobs_run=jobs_run,
             processes_run=self.cluster.processes_run,
+            deployment=deployment,
             ingest=self.ingest,
             decode_errors=self.ingest.decode_errors,
             quarantined=self.ingest.quarantined,
             fault_counters=fault_counters,
             store_fault_injector=self.store_fault_injector,
-            stage_timings=self.timer.as_dict(),
             tiered=self.tiered,
         )
 
@@ -324,24 +296,23 @@ class DeploymentCampaign:
         on_job = self.on_job
         drain = self.deployment.drain
         jobs_run = 0
-        with self.timer.section("campaign.jobs"):
-            for profile in self.profiles:
-                user = cluster.users.get(profile.username)
-                if lossy is not None:
-                    # Per-user loss streams: a profile's drop decisions
-                    # depend only on that profile, not on who ran before it.
-                    lossy.rng = self.rng.fork("udp-loss", profile.username)
-                job_rng = self.rng.fork("jobs", profile.username)
-                for job_index, template, quirk in iter_profile_jobs(
-                        self.config, profile, job_rng):
-                    script = self.scenario_builder.build_job_script(
-                        profile, template, user, job_index=job_index,
-                        quirk_module=quirk)
-                    cluster.run_job(profile.username, script)
-                    jobs_run += 1
-                    drain()
-                    if on_job is not None:
-                        on_job(jobs_run)
-                # Each user's activity spreads over the campaign window.
-                cluster.filesystem.advance_clock(3600)
+        for profile in self.profiles:
+            user = cluster.users.get(profile.username)
+            if lossy is not None:
+                # Per-user loss streams: a profile's drop decisions depend
+                # only on that profile, not on who ran before it.
+                lossy.rng = self.rng.fork("udp-loss", profile.username)
+            job_rng = self.rng.fork("jobs", profile.username)
+            for job_index, template, quirk in iter_profile_jobs(
+                    self.config, profile, job_rng):
+                script = self.scenario_builder.build_job_script(
+                    profile, template, user, job_index=job_index,
+                    quirk_module=quirk)
+                cluster.run_job(profile.username, script)
+                jobs_run += 1
+                drain()
+                if on_job is not None:
+                    on_job(jobs_run)
+            # Each user's activity spreads over the campaign window.
+            cluster.filesystem.advance_clock(3600)
         return jobs_run

@@ -13,7 +13,9 @@ from repro.core import SirenConfig, SirenFramework
 from repro.devtools.lint.knobs import parse_knob_table
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.hashing.ssdeep import FuzzyHasher
+from repro.ingest.sharded import ShardedIngest
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
+from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
@@ -121,6 +123,13 @@ class TestOnePathEach:
         """The hash pool's batch entry point and its shutdown hooks, and the
         batch-mode adapter of the live analysis."""
         assert not hasattr(owner, name)
+
+    @pytest.mark.parametrize("owner", [SirenFramework, ShardedIngest, UDPSender,
+                                       DeploymentCampaign], ids=lambda owner: owner.__name__)
+    def test_the_stage_timer_is_gone(self, owner):
+        """The pipeline benchmark's tracer is the one profiler: the stage
+        timer these took is gone."""
+        assert "timer" not in {field.name for field in dataclasses.fields(owner)}
 
 
 class TestSameWiringFromBothFacades:

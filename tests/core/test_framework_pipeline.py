@@ -7,7 +7,6 @@ from repro.analysis.stats import user_activity_table
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
-from repro.util.timing import StageTimer
 
 from oracles.consolidate import records_from_messages
 
@@ -48,22 +47,6 @@ class TestSirenFramework:
         cluster.run_job("alice", JobScript(
             name="t", modules=("siren", *icon.required_modules),
             steps=(StepSpec(processes=(ProcessSpec(executable=icon.path),)),)))
-
-    def test_timer_is_threaded_through_every_stage(self, app_cluster):
-        cluster, manifest = app_cluster
-        timer = StageTimer()
-        framework = SirenFramework(SirenConfig(loss_rate=0.0), timer=timer)
-        collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
-            self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
-        framework.finalize()
-        for stage in (framework.store, framework.ingest, framework.sender, collector):
-            assert stage.timer is timer, type(stage).__name__
-        timings = timer.as_dict()
-        for name in ("collect.start", "collect.end", "transport.encode", "transport.send"):
-            assert timings[name]["calls"] >= 1, name
 
     def test_user_names_label_the_gold_user_dimension(self, app_cluster):
         cluster, manifest = app_cluster

@@ -137,6 +137,7 @@ class TestGold:
         assert tiered.statistics() == {
             "silver_rows": 25, "rollup_rebuilds": 1,
             "rollup_records_applied": 40, "rollup_syncs": 1}
+        assert not hasattr(tiered, "counters")  # plain attributes, no mapping
 
     def test_refolding_an_empty_table_is_not_a_rebuild(self):
         tiered = TieredStore(_USERS)

@@ -107,14 +107,14 @@ class TestRunLint:
 class TestRegistry:
     def test_builtin_families_registered(self):
         assert set(registered_families()) == {"determinism", "concurrency",
-                                              "knobs", "counters", "rollups"}
+                                              "knobs", "counters"}
 
     def test_registry_clear_is_self_repairing(self):
         registry_clear()
         assert lint_engine._REGISTRY == {}
         # the loader re-registers the builtins even though their modules
         # were already imported (import side effects only fire once)
-        assert len(registered_families()) == 5
+        assert len(registered_families()) == 4
 
     def test_register_checker_uses_family_name(self):
         before = dict(lint_engine._REGISTRY)

@@ -33,9 +33,9 @@ class TestShippedTree:
         assert shipped_result.meta_findings == []
         assert shipped_result.ok
 
-    def test_all_five_families_ran(self, shipped_result):
+    def test_all_four_families_ran(self, shipped_result):
         assert set(shipped_result.families) == {"determinism", "concurrency",
-                                                "knobs", "counters", "rollups"}
+                                                "knobs", "counters"}
         assert set(registered_families()) == set(shipped_result.families)
 
     def test_whole_package_was_scanned(self, shipped_result):
@@ -104,7 +104,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         listed = capsys.readouterr().out.split()
         assert set(listed) == {"determinism", "concurrency", "knobs",
-                               "counters", "rollups"}
+                               "counters"}
 
     def test_allow_comment_round_trip(self, tmp_path, capsys):
         root = self._seeded_violation(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.collector.classify import ExecutableCategory
 from repro.core import AnalysisPipeline
+from repro.faults.plan import preset_plans
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES, PROFILES_BY_NAME
@@ -216,7 +217,7 @@ class TestHashingKnobs:
 
 
 class TestProfiling:
-    """A campaign's stage profile and cache counters reach its result."""
+    """A campaign's counters reach its result."""
 
     PROFILES = DEFAULT_PROFILES[:4]
 
@@ -224,14 +225,19 @@ class TestProfiling:
         config = CampaignConfig(scale=0.0, seed=11, loss_rate=0.0)
         return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
 
-    def test_stage_timings_surface_in_result(self):
-        timings = self._run().stage_timings
-        for stage in ("campaign.prepare", "campaign.jobs", "campaign.finalize",
-                      "cluster.run_job", "collect.start", "collect.end",
-                      "transport.encode", "transport.send"):
-            assert stage in timings, stage
-            assert timings[stage]["calls"] >= 1
-            assert timings[stage]["seconds"] >= 0.0
+    def test_statistics_extend_the_deployment_statistics(self):
+        """Regression: ``datagrams_dropped`` was read off the top channel,
+        which under a fault plan is the ``FaultyChannel``: the result reported
+        the fault layer's 127 drops as the lossy channel's 44."""
+        config = CampaignConfig(scale=0.0, seed=5, loss_rate=0.02,
+                                fault_plan=preset_plans()["mixed-hostile"])
+        campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
+        stats = campaign.run().statistics()
+        deployment = campaign.deployment.statistics()
+        lossy = campaign.deployment.lossy_channel
+        assert stats["datagrams_dropped"] == lossy.datagrams_dropped > 0
+        assert stats["fault_dropped"] != lossy.datagrams_dropped
+        assert {key: stats[key] for key in deployment} == deployment
 
     def test_statistics_expose_cache_effectiveness(self):
         stats = self._run().statistics()
