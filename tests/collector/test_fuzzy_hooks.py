@@ -9,6 +9,7 @@ from repro.collector.policy import CollectionPolicy, ScopePolicy
 from repro.collector.records import InfoType, Layer
 from repro.db.store import MessageStore
 from repro.hashing.ssdeep import compare
+from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.transport.channel import InMemoryChannel
@@ -210,6 +211,103 @@ class TestContentAddressedCache:
         assert hasher.script_hash("/users/alice/a.py") == \
             hasher.script_hash("/users/bob/copy.py")
         assert hasher.hashes_computed == 1
+
+
+class TestPathTierOneEntryPerPath:
+    """Regression: the path tier was keyed by ``(path, write version)``, so
+    every rewrite of a path stranded the old entry for good.  It is keyed by
+    path and remembers the write version it hashed."""
+
+    PATH = "/scratch/a.out"
+
+    @staticmethod
+    def _payloads(count: int) -> list[bytes]:
+        return [SeededRNG(70 + index).bytes(3000) for index in range(count)]
+
+    def test_rewrites_replace_the_executable_entry(self):
+        filesystem = VirtualFilesystem()
+        hasher = ArtifactHasher(filesystem)
+        for payload in self._payloads(5):
+            filesystem.advance_clock(1)
+            filesystem.add_file(self.PATH, payload, executable=True)
+            hashes = hasher.executable_hashes(self.PATH)
+        assert list(hasher._exe_cache) == [self.PATH]
+        assert hasher._exe_cache[self.PATH] == (filesystem.get(self.PATH).version, hashes)
+        assert hasher.hashes_computed == 5
+
+    def test_rewrites_replace_the_script_entry(self):
+        filesystem = VirtualFilesystem()
+        hasher = ArtifactHasher(filesystem)
+        for payload in self._payloads(5):
+            filesystem.add_file("/users/alice/run.py", payload)  # same clock tick
+            digest = hasher.script_hash("/users/alice/run.py")
+        assert hasher._script_cache == {
+            "/users/alice/run.py": (filesystem.get("/users/alice/run.py").version, digest)}
+        assert digest == str(hasher.hasher.hash(self._payloads(5)[-1]))
+
+    def test_an_unchanged_path_is_a_path_hit(self):
+        filesystem = VirtualFilesystem()
+        filesystem.add_file(self.PATH, self._payloads(1)[0], executable=True)
+        hasher = ArtifactHasher(filesystem)
+        first = hasher.executable_hashes(self.PATH)
+        assert hasher.executable_hashes(self.PATH) == first
+        assert (hasher.hashes_computed, hasher.cache_hits,
+                hasher.content_cache_hits) == (1, 1, 0)
+
+    def test_writing_earlier_bytes_back_is_a_content_hit(self):
+        """The content tier serves the old bytes, and the path entry moves to
+        the new write, so the next lookup is a path hit."""
+        filesystem = VirtualFilesystem()
+        hasher = ArtifactHasher(filesystem)
+        old, new = self._payloads(2)
+        for payload in (old, new, old):
+            filesystem.advance_clock(1)
+            filesystem.add_file(self.PATH, payload, executable=True)
+            hashes = hasher.executable_hashes(self.PATH)
+        assert hashes.file_hash == str(hasher.hasher.hash(old))
+        assert (hasher.hashes_computed, hasher.cache_hits,
+                hasher.content_cache_hits) == (2, 0, 1)
+        assert hasher._exe_cache[self.PATH][0] == filesystem.get(self.PATH).version
+        hasher.executable_hashes(self.PATH)
+        assert hasher.cache_hits == 1
+
+    def test_a_rewrite_leaves_other_paths_cached(self):
+        filesystem = VirtualFilesystem()
+        first, second, third = self._payloads(3)
+        filesystem.add_file(self.PATH, first, executable=True)
+        filesystem.add_file("/users/bob/tool", second, executable=True)
+        hasher = ArtifactHasher(filesystem)
+        hasher.executable_hashes(self.PATH)
+        hasher.executable_hashes("/users/bob/tool")
+        filesystem.add_file(self.PATH, third, executable=True)
+        hasher.executable_hashes("/users/bob/tool")
+        assert hasher.cache_hits == 1
+        assert set(hasher._exe_cache) == {self.PATH, "/users/bob/tool"}
+
+    def test_remove_and_add_back_is_rehashed(self):
+        filesystem = VirtualFilesystem()
+        old, new = self._payloads(2)
+        filesystem.add_file(self.PATH, old, executable=True)
+        hasher = ArtifactHasher(filesystem)
+        hasher.executable_hashes(self.PATH)
+        filesystem.remove(self.PATH)
+        filesystem.add_file(self.PATH, new, executable=True)  # same clock tick
+        assert hasher.executable_hashes(self.PATH).file_hash == \
+            str(hasher.hasher.hash(new))
+        assert len(hasher._exe_cache) == 1
+
+    def test_clear_cache_empties_every_tier(self):
+        filesystem = VirtualFilesystem()
+        filesystem.add_file(self.PATH, self._payloads(1)[0], executable=True)
+        hasher = ArtifactHasher(filesystem)
+        hasher.executable_hashes(self.PATH)
+        hasher.script_hash(self.PATH)
+        hasher.list_hash(["/lib64/libc.so.6"])
+        hasher.path_hash(self.PATH)
+        hasher.clear_cache()
+        assert not (hasher._exe_cache or hasher._script_cache
+                    or hasher._exe_content_cache or hasher._script_content_cache
+                    or hasher._list_cache or hasher._path_hashes)
 
 
 class TestListCacheLRU:

@@ -17,7 +17,7 @@ from repro.ingest.sharded import ShardedIngest
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
-from repro.workload import CampaignConfig, DeploymentCampaign
+from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 #: One profile keeps ``prepare()`` (cluster + corpus) at ~0.1 s per case.
@@ -130,6 +130,18 @@ class TestOnePathEach:
         """The pipeline benchmark's tracer is the one profiler: the stage
         timer these took is gone."""
         assert "timer" not in {field.name for field in dataclasses.fields(owner)}
+
+    @pytest.mark.parametrize("module", ["repro.util.timing", "repro.devtools.lint.rollups"])
+    def test_the_stage_timer_and_the_rollups_lint_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_no_stage_timing_seam_is_left(self):
+        """The result carries no timings, and the collector's start hook is
+        not split to sit inside a timed section."""
+        assert "stage_timings" not in {field.name
+                                       for field in dataclasses.fields(CampaignResult)}
+        assert not hasattr(SirenCollector, "_collect_start")
 
 
 class TestSameWiringFromBothFacades:

@@ -139,6 +139,23 @@ class TestGold:
             "rollup_records_applied": 40, "rollup_syncs": 1}
         assert not hasattr(tiered, "counters")  # plain attributes, no mapping
 
+    def test_each_fold_is_one_sync_of_its_records(self):
+        tiered = TieredStore(_USERS)
+        records = _records(15, seed=6)
+        for batch in (records[:5], records[5:12], records[12:]):
+            tiered.fold(batch)
+        assert tiered.statistics() == {
+            "silver_rows": 15, "rollup_rebuilds": 0,
+            "rollup_records_applied": 15, "rollup_syncs": 3}
+
+    def test_every_nonempty_refold_is_a_rebuild(self):
+        tiered = TieredStore(_USERS)
+        for count, seed in ((12, 7), (8, 8), (0, 9)):
+            tiered.rebuild(_records(count, seed=seed))
+        assert tiered.statistics() == {
+            "silver_rows": 0, "rollup_rebuilds": 2,
+            "rollup_records_applied": 0, "rollup_syncs": 0}
+
     def test_refolding_an_empty_table_is_not_a_rebuild(self):
         tiered = TieredStore(_USERS)
         tiered.rebuild([])

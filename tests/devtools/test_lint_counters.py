@@ -93,15 +93,38 @@ class TestRuntimeRegistry:
                                    context="CampaignResult.statistics()")
 
 
-class TestRealTreeGate:
-    def test_real_emitters_match_real_registry(self):
-        from repro.devtools.lint.engine import iter_python_files, load_module
+@pytest.fixture(scope="module")
+def real_modules():
+    from repro.devtools.lint.engine import iter_python_files, load_module
 
-        root = Path(__file__).resolve().parents[2]
-        modules = [load_module(path, root)
-                   for path in iter_python_files([root / "src" / "repro"])]
-        findings = list(CounterRegistryChecker().check_tree(modules))
+    root = Path(__file__).resolve().parents[2]
+    return [load_module(path, root)
+            for path in iter_python_files([root / "src" / "repro"])]
+
+
+class TestRealTreeGate:
+    def test_real_emitters_match_real_registry(self, real_modules):
+        findings = list(CounterRegistryChecker().check_tree(real_modules))
         assert findings == []
+
+    @pytest.mark.parametrize("key", ["silver_rows", "rollup_rebuilds",
+                                     "rollup_records_applied", "rollup_syncs"])
+    def test_renaming_a_tiered_store_key_fires_both_ways(self, real_modules, key):
+        """``TieredStore`` keeps its counters as plain attributes that its
+        ``statistics()`` reports, so this family alone keeps those names and
+        the registry in step: a renamed key is unregistered, and the old
+        registration is left unused."""
+        tiered = next(m for m in real_modules if m.module == "repro.db.tiered")
+        assert tiered.text.count(f'"{key}":') == 1
+        mutated = make_module(tiered.text.replace(f'"{key}":', f'"{key}_renamed":'),
+                              module=tiered.module, rel=tiered.rel)
+        findings = list(CounterRegistryChecker().check_tree(
+            [mutated if module is tiered else module for module in real_modules]))
+        assert sorted(rules_of(findings)) == ["counters/unregistered",
+                                              "counters/unused-registration"]
+        assert any(f"'{key}_renamed'" in f.message and f.path == tiered.rel
+                   for f in findings)
+        assert any(f"'{key}'" in f.message for f in findings)
 
     def test_registry_docs_exist_for_every_key(self):
         assert all(isinstance(doc, str) and doc for doc in COUNTERS.values())

@@ -79,6 +79,10 @@ class TestMutationsFire:
     def test_seeded_random_constructor_stays_clean(self):
         assert check("import random\nrng = random.Random(7)\n") == []
 
+    def test_wall_clock_message_points_at_the_pipeline_benchmark(self):
+        (finding,) = check(GOOD + "\nleak = time.time()\n")
+        assert "benchmarks/pipeline" in finding.message
+
     def test_finding_carries_location(self):
         findings = check(GOOD + "\nleak = time.time()\n")
         assert findings[0].line == len(GOOD.lstrip("\n").splitlines()) + 2

@@ -221,8 +221,9 @@ class TestProfiling:
 
     PROFILES = DEFAULT_PROFILES[:4]
 
-    def _run(self):
-        config = CampaignConfig(scale=0.0, seed=11, loss_rate=0.0)
+    @pytest.fixture(scope="class")
+    def result(self):
+        config = CampaignConfig(scale=0.0, seed=11, loss_rate=0.0, rollups=True)
         return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
 
     def test_statistics_extend_the_deployment_statistics(self):
@@ -239,11 +240,40 @@ class TestProfiling:
         assert stats["fault_dropped"] != lossy.datagrams_dropped
         assert {key: stats[key] for key in deployment} == deployment
 
-    def test_statistics_expose_cache_effectiveness(self):
-        stats = self._run().statistics()
+    def test_statistics_expose_cache_effectiveness(self, result):
+        stats = result.statistics()
         for key in ("hashes_computed", "hash_cache_hits",
                     "hash_content_cache_hits", "hash_cache_hit_rate",
                     "compare_cache_hits", "compare_cache_misses"):
             assert key in stats, key
         assert stats["hash_cache_hits"] > 0
         assert 0.0 <= stats["hash_cache_hit_rate"] <= 1.0
+
+    def test_hash_cache_hit_rate_is_hits_over_lookups(self, result):
+        stats = result.statistics()
+        hits = stats["hash_cache_hits"] + stats["hash_content_cache_hits"]
+        assert stats["hash_cache_hit_rate"] == hits / (hits + stats["hashes_computed"])
+
+    def test_campaign_keys_count_the_run(self, result):
+        stats = result.statistics()
+        assert (stats["jobs_run"], stats["processes_run"], stats["records"]) == (
+            result.jobs_run, result.processes_run, len(result.records))
+        assert stats["incomplete_fraction"] == result.incomplete_fraction
+        assert stats["messages_sent"] == result.collector.sender.messages_sent > 0
+
+    def test_ingest_keys_are_spelled_once(self, result):
+        """The campaign view no longer re-exports the whole ingest front under
+        ``ingest_``; the keys it shares with the deployment are top-level."""
+        stats = result.statistics()
+        for name in ("messages_consumed", "final_closed", "decode_errors",
+                     "quarantined", "messages_received"):
+            assert f"ingest_{name}" not in stats, name
+        assert (stats["decode_errors"], stats["quarantined"]) == (
+            result.decode_errors, result.quarantined)
+        assert stats["messages_received"] == result.ingest.statistics()["messages_received"]
+
+    def test_rollup_counters_reach_the_view(self, result):
+        stats = result.statistics()
+        rollups = result.tiered.statistics()
+        assert {key: stats[key] for key in rollups} == rollups
+        assert rollups["silver_rows"] == len(result.records)
