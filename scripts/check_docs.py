@@ -36,7 +36,6 @@ DOC_FILES = ("README.md", "docs/architecture.md", "docs/devtools.md")
 REQUIRED_BENCH_REPORTS = (
     "BENCH_compare.json",
     "BENCH_faults.json",
-    "BENCH_hashing.json",
     "BENCH_store.json",
 )
 

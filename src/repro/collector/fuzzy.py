@@ -41,6 +41,7 @@ from repro.elf.symbols import nm_listing
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.hashing.xxhash import xxh128_hex
 from repro.hpcsim.filesystem import VirtualFilesystem
+from repro.util.errors import ELFError
 
 #: Distinct executable paths whose header hash is kept (oldest out).
 PATH_HASH_ENTRIES = 4096
@@ -48,11 +49,16 @@ PATH_HASH_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class ExecutableHashes:
-    """The three per-executable fuzzy hashes."""
+    """The three per-executable fuzzy hashes.
+
+    ``symbols_hash`` is ``None`` when the image carries the ELF magic but its
+    symbol table cannot be parsed (a truncated or corrupt file): the other
+    two hashes need no ELF parse and are still valid.
+    """
 
     file_hash: str
     strings_hash: str
-    symbols_hash: str
+    symbols_hash: str | None
 
 
 def _content_key(content: bytes) -> tuple[int, bytes]:
@@ -109,11 +115,15 @@ class ArtifactHasher:
                 return cached
 
         strings = strings_blob(content).encode("utf-8")
-        symbols = (nm_listing(ELFFile(content)).encode("utf-8")
-                   if is_elf(content) else b"")
-        result = ExecutableHashes(file_hash=str(self.hasher.hash(content)),
-                                  strings_hash=str(self.hasher.hash(strings)),
-                                  symbols_hash=str(self.hasher.hash(symbols)))
+        try:
+            symbols: bytes | None = (nm_listing(ELFFile(content)).encode("utf-8")
+                                     if is_elf(content) else b"")
+        except ELFError:
+            symbols = None
+        result = ExecutableHashes(
+            file_hash=str(self.hasher.hash(content)),
+            strings_hash=str(self.hasher.hash(strings)),
+            symbols_hash=None if symbols is None else str(self.hasher.hash(symbols)))
         self.hashes_computed += 1
         if ckey is not None:
             self._exe_cache[path] = (version, result)

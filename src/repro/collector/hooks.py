@@ -151,7 +151,11 @@ class SirenCollector:
         if scope.strings_hash:
             sections.append((Layer.SELF, InfoType.STRINGS_H, hashes.strings_hash))
         if scope.symbols_hash:
-            sections.append((Layer.SELF, InfoType.SYMBOLS_H, hashes.symbols_hash))
+            if hashes.symbols_hash is None:
+                # An unparseable symbol table loses SYMBOLS_H alone.
+                self.section_errors += 1
+            else:
+                sections.append((Layer.SELF, InfoType.SYMBOLS_H, hashes.symbols_hash))
         return sections
 
     def _script_sections(self, context: ProcessContext) -> list[Section]:

@@ -31,11 +31,11 @@ look and behave like real ssdeep digests (although they are not bit-for-bit
 identical to libfuzzy's output, which is irrelevant here because SIREN only
 ever compares SIREN-produced hashes with each other).
 
-Production hashing runs on the single-pass streaming engine in
-:mod:`repro.hashing.engine` (one trigger scan serves all candidate block
-sizes, so nothing is ever rescanned); the naive loop described above survives
-as :meth:`FuzzyHasher.hash_reference`, the golden oracle the engine is pinned
-against.  Production *comparison* likewise runs on the batched bit-parallel
+Hashing runs on the one-shot engine in :mod:`repro.hashing.engine` (one
+trigger scan serves all candidate block sizes, so nothing is ever rescanned);
+the naive loop described above is the test oracle in ``tests/oracles/ctph.py``,
+which the engine's digests are pinned against.  Production *comparison*
+likewise runs on the batched bit-parallel
 engine of :mod:`repro.hashing.compare_engine` (per-digest normalization
 cache + word-parallel LCS kernel, batched via :meth:`FuzzyHasher.compare_many`);
 the scalar path described above survives as
@@ -55,9 +55,8 @@ from repro.hashing.compare_engine import (
     normalize_parsed,
 )
 from repro.hashing.edit_distance import has_common_substring, weighted_edit_distance
-from repro.hashing.engine import B64_ALPHABET, FuzzyState
-from repro.hashing.fnv import SSDEEP_HASH_INIT, sum_hash
-from repro.hashing.rolling import ROLLING_WINDOW, RollingHash
+from repro.hashing.engine import fuzzy_digest
+from repro.hashing.rolling import ROLLING_WINDOW
 
 #: Minimum block size -- signatures at smaller block sizes carry no structure.
 MIN_BLOCKSIZE = 3
@@ -126,48 +125,19 @@ class FuzzyHasher:
     # ------------------------------------------------------------------ #
     # hashing
     # ------------------------------------------------------------------ #
-    def initial_block_size(self, length: int) -> int:
-        """Smallest block size whose expected signature fits in the budget."""
-        block_size = self.min_block_size
-        while block_size * self.signature_length < length:
-            block_size *= 2
-        return block_size
-
     def hash(self, data: bytes) -> FuzzyHash:
         """Compute the fuzzy hash of ``data``.
 
-        Runs on the single-pass streaming engine
-        (:class:`repro.hashing.engine.FuzzyState`); its digests are
-        byte-identical to :meth:`hash_reference` (pinned by golden tests)
-        but it scans the payload once instead of once per block-size
-        halving, with no per-byte Python call overhead.
+        Runs on the one-shot engine (:func:`repro.hashing.engine.fuzzy_digest`):
+        one scan of the payload however often the block size halves, no
+        per-byte Python call above the kernel crossover, and digests
+        byte-identical to the per-byte reference (pinned by golden tests).
         """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("FuzzyHasher.hash expects bytes-like input")
-        data = bytes(data)
-        state = FuzzyState(min_block_size=self.min_block_size,
-                           signature_length=self.signature_length)
-        block_size, sig1, sig2 = state.update(data).digest_parts()
+        block_size, sig1, sig2 = fuzzy_digest(bytes(data), self.min_block_size,
+                                              self.signature_length)
         return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
-
-    def hash_reference(self, data: bytes) -> FuzzyHash:
-        """The reference (seed) implementation: per-byte, rescan-on-halve.
-
-        Kept as the oracle for the engine's golden equivalence tests and as
-        the baseline of ``benchmarks/bench_hashing_engine.py``.
-        """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("FuzzyHasher.hash expects bytes-like input")
-        data = bytes(data)
-        block_size = self.initial_block_size(len(data))
-        while True:
-            sig1, sig2 = self._hash_at(data, block_size)
-            # If the primary signature is too short the block size was too
-            # coarse (e.g. highly repetitive input); retry at half the size.
-            if block_size > self.min_block_size and len(sig1) < self.signature_length // 2:
-                block_size //= 2
-            else:
-                return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
 
     def hash_text(self, text: str) -> FuzzyHash:
         """Fuzzy-hash a text payload (UTF-8 encoded)."""
@@ -176,36 +146,6 @@ class FuzzyHasher:
     def digest(self, data: bytes) -> str:
         """Convenience: return the digest string directly."""
         return str(self.hash(data))
-
-    def _hash_at(self, data: bytes, block_size: int) -> tuple[str, str]:
-        """Single pass producing the signatures at ``block_size`` and double it."""
-        roller = RollingHash()
-        piece1 = SSDEEP_HASH_INIT
-        piece2 = SSDEEP_HASH_INIT
-        sig1: list[str] = []
-        sig2: list[str] = []
-        double_block = block_size * 2
-        sig_len = self.signature_length
-
-        for byte in data:
-            piece1 = sum_hash(byte, piece1)
-            piece2 = sum_hash(byte, piece2)
-            rolling = roller.update(byte)
-            if rolling % block_size == block_size - 1:
-                if len(sig1) < sig_len - 1:
-                    sig1.append(B64_ALPHABET[piece1 % 64])
-                    piece1 = SSDEEP_HASH_INIT
-            if rolling % double_block == double_block - 1:
-                if len(sig2) < sig_len // 2 - 1:
-                    sig2.append(B64_ALPHABET[piece2 % 64])
-                    piece2 = SSDEEP_HASH_INIT
-        if roller.value != 0 or data:
-            # Capture the trailing partial piece (always, even if empty data
-            # produced no trigger at all but bytes were consumed).
-            if data:
-                sig1.append(B64_ALPHABET[piece1 % 64])
-                sig2.append(B64_ALPHABET[piece2 % 64])
-        return "".join(sig1), "".join(sig2)
 
     # ------------------------------------------------------------------ #
     # comparison

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.collector.classify import ExecutableCategory
-from repro.collector.fuzzy import ArtifactHasher
+from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes
 from repro.collector.hooks import SirenCollector
 from repro.collector.policy import CollectionPolicy, ScopePolicy
 from repro.collector.records import InfoType, Layer
 from repro.db.store import MessageStore
-from repro.hashing.ssdeep import compare
+from repro.elf.reader import ELFFile
+from repro.elf.strings import strings_blob
+from repro.elf.symbols import nm_listing
+from repro.hashing.ssdeep import FuzzyHasher, compare
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
@@ -16,9 +19,11 @@ from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage
 from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
+from repro.util.errors import ELFError
 from repro.util.rng import SeededRNG
 
 from oracles.consolidate import Consolidator
+from oracles.ctph import hash_reference
 
 
 class TestArtifactHasher:
@@ -365,7 +370,7 @@ class TestNoPerBytePythonAtProcessStart:
         cluster.filesystem.add_file("/scratch/never-seen", image, executable=True)
         hasher = ArtifactHasher(cluster.filesystem)
         hashes = hasher.executable_hashes("/scratch/never-seen")
-        assert hashes.file_hash == str(hasher.hasher.hash_reference(image))
+        assert hashes.file_hash == str(hash_reference(hasher.hasher, image))
         assert (hasher.hashes_computed, hasher.content_cache_hits) == (1, 0)
 
     def _fifty_starts_and_ends(self, app_cluster, *, memoised):
@@ -467,6 +472,65 @@ class TestNoPerBytePythonAtProcessStart:
             hasher.path_hash(f"/users/alice/bin/tool{index}")
         assert list(hasher._path_hashes) == [f"/users/alice/bin/tool{index}"
                                              for index in (2, 3, 4)]
+
+
+class TestCorruptExecutable:
+    """An image with the ELF magic but a truncated section header table:
+    FILE_H and STRINGS_H need no ELF parse, so only SYMBOLS_H may be lost."""
+
+    @staticmethod
+    def _icon_image(app_cluster) -> bytes:
+        cluster, manifest = app_cluster
+        return cluster.filesystem.read(manifest.find_executable("icon", "cray-r1", "alice").path)
+
+    def test_only_the_symbols_hash_is_lost_and_the_rest_is_cached(self, app_cluster):
+        cluster, _ = app_cluster
+        image = self._icon_image(app_cluster)
+        plain = FuzzyHasher()
+        for cut in (64, 1024, len(image) // 2, len(image) - 100):
+            content = image[:cut]
+            with pytest.raises(ELFError, match="truncated section header"):
+                nm_listing(ELFFile(content))
+            path = f"/users/alice/bin/cut-{cut}"
+            cluster.filesystem.add_file(path, content, executable=True)
+            hasher = ArtifactHasher(cluster.filesystem)
+            hashes = hasher.executable_hashes(path)
+            assert hashes == ExecutableHashes(
+                file_hash=str(plain.hash(content)),
+                strings_hash=str(plain.hash(strings_blob(content).encode())),
+                symbols_hash=None), cut
+            assert hasher.executable_hashes(path) is hashes
+            assert (hasher.hashes_computed, hasher.cache_hits) == (1, 1)
+
+    def test_the_hook_sends_both_hashes_and_counts_the_loss_once(self, app_cluster):
+        cluster, manifest = app_cluster
+        image = self._icon_image(app_cluster)
+        path = "/users/alice/bin/half-written"
+        cluster.filesystem.add_file(path, image[:len(image) // 2], executable=True)
+        datagrams: list[bytes] = []
+        channel = InMemoryChannel()
+        channel.subscribe(datagrams.append)
+        collector = SirenCollector(cluster.filesystem, UDPSender(channel),
+                                   manifest.siren_library)
+        computed = []
+        for pid in (3000, 3001):
+            collector.on_process_start(ProcessContext(
+                pid=pid, ppid=1, uid=1000, gid=1000, executable=path, argv=(path,),
+                environment={"SLURM_JOB_ID": "78", "SLURM_STEP_ID": "0"},
+                hostname="nid000001", start_time=1_733_000_200))
+            computed.append(collector.hasher.hashes_computed)
+        sent = [UDPMessage.decode(datagram) for datagram in datagrams]
+        hashes = [message.info_type for message in sent if message.pid == 3000
+                  and message.info_type in (InfoType.FILE_H, InfoType.STRINGS_H,
+                                            InfoType.SYMBOLS_H)]
+        assert hashes == [InfoType.FILE_H, InfoType.STRINGS_H]
+        assert {message.content for message in sent
+                if message.info_type == InfoType.FILE_H} == {
+                    str(FuzzyHasher().hash(image[:len(image) // 2]))}
+        # Per process: SYMBOLS_H once, and COMPILERS, which parses .comment.
+        assert collector.section_errors == 2 * 2
+        assert computed[1] == computed[0]          # the second start is all cache hits
+        assert not any(message.info_type == InfoType.COMPILERS for message in sent)
 
 
 def _run_one(cluster, manifest, executable, *, ranks=1, modules=("siren",), argv=None,

