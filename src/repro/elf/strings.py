@@ -5,62 +5,29 @@ output of the strings command)".  :func:`strings_blob` reproduces the
 classic behaviour: runs of at least ``min_length`` printable ASCII characters,
 terminated by any non-printable byte, one per line.
 
-With :mod:`numpy` the scan is whole-array: a printable lookup table, run
-edges from a ``diff``, the short runs dropped, and every kept run gathered
-together with the byte after it, which is overwritten by the ``\\n`` that
-separates it from the next.  Without numpy a compiled regular expression
-finds the runs (one C-level pass; a greedy character-class repetition
-matches exactly the maximal printable runs).  String extraction feeds every
-``STRINGS_H`` digest, so it sits on the collector's hot path next to the
-hashing engine.
+The scan is whole-array: a printable lookup table, run edges from a
+``diff``, the short runs dropped, and every kept run gathered together with
+the byte after it, which is overwritten by the ``\\n`` that separates it
+from the next.  String extraction feeds every ``STRINGS_H`` digest, so it
+sits on the collector's hot path next to the hashing engine.
 """
 
 from __future__ import annotations
 
-import re
-
-try:  # optional accelerator -- the output is identical either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 #: Bytes considered printable by ``strings``: ASCII 0x20-0x7E plus tab.
-_PRINTABLE = frozenset(range(0x20, 0x7F)) | {0x09}
-
-#: The printable set as a regex character class (derived, so the two can
-#: never drift apart).
-_PRINTABLE_CLASS = re.escape(bytes(sorted(_PRINTABLE)))
-
-#: Compiled run patterns, one per ``min_length`` seen (4 in practice).
-_RUN_PATTERNS: dict[int, re.Pattern[bytes]] = {}
-
-if _np is not None:
-    #: ``_PRINTABLE`` as a lookup table over byte values.
-    _PRINTABLE_LUT = _np.zeros(256, dtype=bool)
-    _PRINTABLE_LUT[sorted(_PRINTABLE)] = True
-
-
-def _run_pattern(min_length: int) -> re.Pattern[bytes]:
-    pattern = _RUN_PATTERNS.get(min_length)
-    if pattern is None:
-        pattern = re.compile(b"[" + _PRINTABLE_CLASS + b"]{%d,}" % min_length)
-        _RUN_PATTERNS[min_length] = pattern
-    return pattern
-
-
-def run_pattern_cache_clear() -> None:
-    """Drop the compiled-pattern cache (fork hygiene / test isolation)."""
-    _RUN_PATTERNS.clear()
+_PRINTABLE_LUT = np.zeros(256, dtype=bool)
+_PRINTABLE_LUT[0x20:0x7F] = True
+_PRINTABLE_LUT[0x09] = True
 
 
 def strings_blob(data: bytes, min_length: int = 4) -> str:
     """The printable runs of ``data``, one per line (the payload SIREN hashes)."""
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
-    if _np is None:
-        return b"\n".join(_run_pattern(min_length).findall(data)).decode("ascii")
-    raw = _np.frombuffer(data, dtype=_np.uint8)
-    edges = _np.flatnonzero(_np.diff(_PRINTABLE_LUT[raw], prepend=False, append=False))
+    raw = np.frombuffer(data, dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(_PRINTABLE_LUT[raw], prepend=False, append=False))
     starts, stops = edges[0::2], edges[1::2]
     long_enough = stops - starts >= min_length
     starts, stops = starts[long_enough], stops[long_enough]
@@ -69,8 +36,8 @@ def strings_blob(data: bytes, min_length: int = 4) -> str:
     # Each run is gathered with the byte after it (non-printable, so free to
     # overwrite with the separator); the last run's separator is left out.
     lengths = stops - starts + 1
-    index = _np.repeat(starts - (_np.cumsum(lengths) - lengths), lengths)[:-1]
-    index += _np.arange(len(index))
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)[:-1]
+    index += np.arange(len(index))
     out = raw.copy()
     out[stops[:-1]] = ord("\n")
     return out[index].tobytes().decode("ascii")

@@ -32,7 +32,6 @@ from repro.hashing.edit_distance import (
     levenshtein,
     weighted_edit_distance,
 )
-from repro.hashing.engine import FuzzyState, scan_backend
 from repro.hashing.fnv import fnv1_32, fnv1a_32, fnv1a_64, sum_hash
 from repro.hashing.rolling import RollingHash
 from repro.hashing.ssdeep import (
@@ -48,8 +47,6 @@ __all__ = [
     "RollingHash",
     "FuzzyHash",
     "FuzzyHasher",
-    "FuzzyState",
-    "scan_backend",
     "CompareCache",
     "NormalizedDigest",
     "compare_scan_backend",

@@ -19,21 +19,19 @@ steps).  Three consequences drive the design:
    ``q = rolling + 1``.  Candidate block sizes are ``min_bs * 2**k``, so one
    pass that records, per position, how far up that ladder ``q`` is
    divisible yields the trigger stream of *all* candidate block sizes.
-2. *The block size is decided once, at digest time.*  :class:`FuzzyState`
-   only collects chunks; the digest scans the whole payload, reads the
-   trigger count of a level only when the reference decision loop asks for
-   it (halve while the primary signature would come out shorter than
-   ``signature_length // 2``), and takes positions for the two levels it
-   chose, never for the others.
+2. *The block size is decided once, at digest time.*  The digest scans the
+   whole payload, reads the trigger count of a level only when the
+   reference decision loop asks for it (halve while the primary signature
+   would come out shorter than ``signature_length // 2``), and takes
+   positions for the two levels it chose, never for the others.
 3. *The scan is chunk-parallel.*  A slice of the payload can be scanned
    given just the 6 bytes before it, so long payloads are walked in
    ``_SCAN_SLICE`` slices and temporaries stay bounded.
 
-With :mod:`numpy` the scan builds ``h3`` by doubling (three shift-xors), adds
-``h1 + h2`` in place, and tests divisibility by the odd part of ``min_bs``
-by multiplying with its inverse mod ``2**32``, which also yields the exact
-quotient whose trailing zero bits are the trigger level.  Without numpy a
-fused pure-Python loop runs with the rolling hash inlined into locals.
+The scan builds ``h3`` by doubling (three shift-xors), adds ``h1 + h2`` in
+place, and tests divisibility by the odd part of ``min_bs`` by multiplying
+with its inverse mod ``2**32``, which also yields the exact quotient whose
+trailing zero bits are the trigger level.
 
 *The piece hash is a 6-bit state machine.*  A signature character is the
 piece hash mod 64, and ``(h * P) ^ byte`` mod 64 needs only ``h`` mod 64.
@@ -42,9 +40,8 @@ bit *i* of the byte, xor a function of the state bits *below* i: the six bits
 are solved lowest first, each as a prefix parity over the whole payload that
 restarts at the piece boundaries (:func:`_hash_slice_numpy`).  Both
 signatures go through one kernel call, as two stacked rows.  Short payloads
-(under ``_KERNEL_MIN_BYTES``) and numpy-free installs take the scalar
-:func:`_piece_hashes` loop instead, one lookup in a 64 x 256 transition
-table per byte.
+(under ``_KERNEL_MIN_BYTES``) take the scalar :func:`_piece_hashes` loop
+instead, one lookup in a 64 x 256 transition table per byte.
 """
 
 from __future__ import annotations
@@ -53,13 +50,10 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.hashing.fnv import FNV32_PRIME, SSDEEP_HASH_INIT
 from repro.hashing.rolling import ROLLING_WINDOW
-
-try:  # optional accelerator -- the engine is exact either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Base64 alphabet used for signature characters (standard alphabet, as ssdeep).
 B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -68,67 +62,6 @@ B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/
 _SCAN_SLICE = 1 << 22
 
 _MASK32 = 0xFFFFFFFF
-
-
-def scan_backend() -> str:
-    """Name of the active trigger-scan kernel (``"numpy"`` or ``"python"``)."""
-    return "numpy" if _np is not None else "python"
-
-
-class FuzzyState:
-    """Streaming CTPH state: feed chunks with :meth:`update`, read the digest.
-
-    Chunks are kept (by reference where possible) and the digest of
-    everything consumed so far is computed on demand by :func:`fuzzy_digest`,
-    which scans the joined payload once.
-    """
-
-    __slots__ = ("min_block_size", "signature_length", "_chunks", "_length", "_result")
-
-    def __init__(self, min_block_size: int = 3, signature_length: int = 64) -> None:
-        if min_block_size < 1:
-            raise ValueError("min_block_size must be >= 1")
-        if signature_length < 8:
-            raise ValueError("signature_length must be >= 8")
-        self.min_block_size = min_block_size
-        self.signature_length = signature_length
-        self._chunks: list[bytes] = []
-        self._length = 0
-        self._result: tuple[int, str, str] | None = None
-
-    def update(self, data: bytes | bytearray | memoryview) -> "FuzzyState":
-        """Consume the next chunk of the stream; returns ``self`` for chaining."""
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("FuzzyState.update expects bytes-like input")
-        data = bytes(data)
-        if data:
-            self._chunks.append(data)
-            self._length += len(data)
-            self._result = None
-        return self
-
-    @property
-    def length(self) -> int:
-        """Number of bytes consumed so far."""
-        return self._length
-
-    def digest_parts(self) -> tuple[int, str, str]:
-        """``(block_size, sig1, sig2)`` of everything consumed so far."""
-        if self._result is None:
-            payload = b"".join(self._chunks)
-            # The joined copy supersedes the chunk list (retained memory stays
-            # at one payload, not two, after a streamed digest).
-            self._chunks = [payload]
-            self._result = fuzzy_digest(payload, self.min_block_size,
-                                        self.signature_length)
-        return self._result
-
-    def digest(self):
-        """The digest as a :class:`~repro.hashing.ssdeep.FuzzyHash`."""
-        from repro.hashing.ssdeep import FuzzyHash  # deferred: avoids a cycle
-
-        block_size, sig1, sig2 = self.digest_parts()
-        return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
 
 
 def fuzzy_digest(data: bytes, min_block_size: int,
@@ -146,12 +79,12 @@ def fuzzy_digest(data: bytes, min_block_size: int,
         block_size *= 2
         level += 1
     cap1 = signature_length - 1
-    count, positions = _triggers(data, min_block_size, cap1)
+    count, positions = _triggers(data, min_block_size)
     while level > 0 and min(count(level), cap1) + 1 < signature_length // 2:
         level -= 1
         block_size //= 2
     rows = (positions(level, cap1), positions(level + 1, signature_length // 2 - 1))
-    if _np is not None and length >= _KERNEL_MIN_BYTES:
+    if length >= _KERNEL_MIN_BYTES:
         hashes = _piece_hashes_numpy(data, rows)
     else:
         hashes = [_piece_hashes(data, ends) for ends in rows]
@@ -162,57 +95,14 @@ def fuzzy_digest(data: bytes, min_block_size: int,
 # ---------------------------------------------------------------------- #
 # trigger scan
 # ---------------------------------------------------------------------- #
-Count = Callable[[int], int]
-Positions = Callable[[int, int], list[int]]
-
-
-def _triggers(data: bytes, min_bs: int, cap: int) -> tuple[Count, Positions]:
+def _triggers(data: bytes, min_bs: int) -> tuple[Callable[[int], int],
+                                                 Callable[[int, int], list[int]]]:
     """``count(level)`` and ``positions(level, cap)`` of the trigger stream.
 
     A trigger at level ``k`` is a piece boundary at block size
     ``min_bs * 2**k``; positions are stream offsets of the boundary's last
-    byte, ascending.  ``cap`` bounds how many positions the numpy-free scan
-    keeps per level (no signature consumes more).
-    """
-    if _np is not None:
-        return _triggers_numpy(data, min_bs)
-    counts, kept = _scan_python(data, min_bs, cap)
-    return (lambda level: counts[level] if level < len(counts) else 0,
-            lambda level, most: kept[level][:most] if level < len(kept) else [])
-
-
-def _scan_python(data: bytes, min_bs: int, cap: int) -> tuple[list[int], list[list[int]]]:
-    """Fused rolling-hash scan: per level, the trigger count and the first
-    ``cap`` positions.  All state in locals, no per-byte calls."""
-    counts: list[int] = []
-    kept: list[list[int]] = []
-    h1 = h2 = h3 = 0
-    # The outgoing window byte of position t is data[t - 7]: chain seven
-    # zero bytes (the empty window) in front of the payload.
-    for pos, (byte, out) in enumerate(zip(data, chain(bytes(ROLLING_WINDOW), data))):
-        h2 = h2 - h1 + 7 * byte
-        h1 = h1 + byte - out
-        h3 = (h3 << 5 & _MASK32) ^ byte
-        q = (h1 + h2 + h3 & _MASK32) + 1
-        if not q % min_bs:
-            v = q // min_bs
-            level = 0
-            while True:
-                if level == len(counts):
-                    counts.append(0)
-                    kept.append([])
-                counts[level] += 1
-                if len(kept[level]) < cap:
-                    kept[level].append(pos)
-                if v & 1:
-                    break
-                v >>= 1
-                level += 1
-    return counts, kept
-
-
-def _triggers_numpy(data: bytes, min_bs: int) -> tuple[Count, Positions]:
-    """Scan every slice once; answer level queries from the kept key arrays.
+    byte, ascending, at most ``cap`` of them.  Every slice is scanned once
+    and the level queries are answered from the kept key arrays.
 
     ``min_bs = odd * 2**s``.  A slice's key array holds, per position, a
     value that is at least ``2**(base + k) - 1`` iff the position triggers at
@@ -235,22 +125,22 @@ def _triggers_numpy(data: bytes, min_bs: int) -> tuple[Count, Positions]:
                         view[start:start + stride]))
         key = _scan_slice_numpy(buf, odd)
         if length > stride:
-            key = _POPCOUNT8[key.view(_np.uint8)].reshape(-1, 4).sum(axis=1, dtype=_np.uint8)
+            key = _POPCOUNT8[key.view(np.uint8)].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
         keys.append(key)
 
     def at_level(key, level: int):
         exponent = base + level
-        return key >= (exponent if key.dtype == _np.uint8 else (1 << exponent) - 1)
+        return key >= (exponent if key.dtype == np.uint8 else (1 << exponent) - 1)
 
     def count(level: int) -> int:
-        return sum(int(_np.count_nonzero(at_level(key, level))) for key in keys)
+        return sum(int(np.count_nonzero(at_level(key, level))) for key in keys)
 
     def positions(level: int, cap: int) -> list[int]:
         found: list[int] = []
         for index, key in enumerate(keys):
             if len(found) >= cap:
                 break
-            hits = _np.flatnonzero(at_level(key, level))[:cap - len(found)]
+            hits = np.flatnonzero(at_level(key, level))[:cap - len(found)]
             found.extend((hits + index * stride).tolist())
         return found
 
@@ -270,42 +160,41 @@ def _scan_slice_numpy(buf: bytes, odd: int):
       The key is ``m ^ (m - 1) == 2**(v + 1) - 1`` for those positions and
       0 for all others.
     """
-    c8 = _np.frombuffer(buf, dtype=_np.uint8)
+    c8 = np.frombuffer(buf, dtype=np.uint8)
     size = len(c8) - (ROLLING_WINDOW - 1)
     # h3 by doubling: b[t] ^ b[t-1] << 5 ^ ... ^ b[t-6] << 30 (b[t-7] << 35
     # leaves 32 bits), in three shift-xors over the whole buffer.
-    h3 = c8.astype(_np.uint32)
-    scratch = _np.empty_like(h3)
+    h3 = c8.astype(np.uint32)
+    scratch = np.empty_like(h3)
     for step, shift in ((1, 5), (2, 10), (4, 20)):
         shifted = scratch[:len(h3) - step]
-        _np.left_shift(h3[:len(h3) - step], shift, out=shifted)
+        np.left_shift(h3[:len(h3) - step], shift, out=shifted)
         h3[step:] ^= shifted
     # h1 + h2: byte b[t-k] carries weight 1 + (7 - k); at most 35 * 255.
-    h12 = _np.multiply(c8[6:], 8, dtype=_np.uint16)
-    term = _np.empty(size, dtype=_np.uint16)
+    h12 = np.multiply(c8[6:], 8, dtype=np.uint16)
+    term = np.empty(size, dtype=np.uint16)
     for k in range(1, ROLLING_WINDOW):
-        _np.multiply(c8[6 - k:len(c8) - k], 8 - k, out=term, dtype=_np.uint16)
+        np.multiply(c8[6 - k:len(c8) - k], 8 - k, out=term, dtype=np.uint16)
         h12 += term
     rolling = h3[6:]
     rolling += h12                         # uint32 wrap-around == mod 2**32
     key = scratch[:size]
     if odd == 1:
-        _np.add(rolling, 1, out=key)
-        _np.invert(key, out=key)
+        np.add(rolling, 1, out=key)
+        np.invert(key, out=key)
         key &= rolling
         return key
     rolling += 1                           # q
     rolling *= pow(odd, -1, 1 << 32)       # m
-    _np.subtract(rolling, 1, out=key)
+    np.subtract(rolling, 1, out=key)
     divisible = key < _MASK32 // odd
     key ^= rolling
     key *= divisible
     return key
 
 
-if _np is not None:
-    #: Bits set per byte value (the multi-slice key reduction).
-    _POPCOUNT8 = _np.array([bin(value).count("1") for value in range(256)], dtype=_np.uint8)
+#: Bits set per byte value (the multi-slice key reduction).
+_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------- #
@@ -397,8 +286,8 @@ def _hash_slice_numpy(buf, rows: list[list[int]],
     # Whole 64-bit words for _prefix_parity: the zero padding lengthens each
     # row's open piece past the end of the slice and is never read back.
     size = -(-length // 64) * 64
-    data = _np.zeros(len(rows) * size, dtype=_np.uint8)
-    payload = _np.frombuffer(buf, dtype=_np.uint8)
+    data = np.zeros(len(rows) * size, dtype=np.uint8)
+    payload = np.frombuffer(buf, dtype=np.uint8)
     bounds: list[int] = []
     inits: list[int] = []
     for index, (ends, state) in enumerate(zip(rows, states)):
@@ -410,30 +299,30 @@ def _hash_slice_numpy(buf, rows: list[list[int]],
         bounds.extend(starts)
         inits.extend([_INIT6] * len(starts))
     bounds.append(len(data))
-    edges = _np.array(bounds, dtype=_np.intp)
+    edges = np.array(bounds, dtype=np.intp)
     starts = edges[:-1]
     spans = edges[1:] - starts
     last = starts[1:] - 1                      # last byte of the piece before
-    initial = _np.array(inits, dtype=_np.uint8)
+    initial = np.array(inits, dtype=np.uint8)
     # The state bits solved so far, as of before / after each byte.
-    before = _np.zeros(len(data), dtype=_np.uint8)
-    after = _np.zeros(len(data), dtype=_np.uint8)
-    toggles = _np.empty(len(data), dtype=_np.uint8)
+    before = np.zeros(len(data), dtype=np.uint8)
+    after = np.zeros(len(data), dtype=np.uint8)
+    toggles = np.empty(len(data), dtype=np.uint8)
     for level in range(_STATE_BITS):
-        _np.multiply(before, _PRIME6, out=toggles)  # uint8: wraps mod 256
+        np.multiply(before, _PRIME6, out=toggles)  # uint8: wraps mod 256
         toggles ^= data
         toggles &= 1 << level
         bit = _prefix_parity(toggles)
         offset = initial >> level & 1
         offset[1:] ^= bit[last]
-        bit ^= _np.repeat(offset, spans)
+        bit ^= np.repeat(offset, spans)
         # A uint8 left shift is ~10x slower than this multiply (numpy 2.x).
         bit *= 1 << level
         after |= bit
         before[1:] |= bit[:-1]
         before[starts] = initial & ((2 << level) - 1)
     picks = [index * size + end for index, ends in enumerate(rows) for end in ends]
-    picked = after[_np.array(picks, dtype=_np.intp)].tolist()
+    picked = after[np.array(picks, dtype=np.intp)].tolist()
     closed: list[list[int]] = []
     opens: list[int] = []
     for index, ends in enumerate(rows):
@@ -454,11 +343,11 @@ def _prefix_parity(flags):
     carry between words is an accumulate over 1/64 of the elements.  The
     length must be a multiple of 64.
     """
-    words = _np.packbits(flags, bitorder="little").view("<u8")
+    words = np.packbits(flags, bitorder="little").view("<u8")
     for shift in (1, 2, 4, 8, 16, 32):
         words ^= words << shift
     odd = words >> 63                      # parity of each whole word
-    carry = _np.bitwise_xor.accumulate(odd)
+    carry = np.bitwise_xor.accumulate(odd)
     carry ^= odd                           # ... of all the words before it
     words ^= carry * 0xFFFFFFFFFFFFFFFF
-    return _np.unpackbits(words.view(_np.uint8), bitorder="little")
+    return np.unpackbits(words.view(np.uint8), bitorder="little")

@@ -1,12 +1,9 @@
 """Tests for printable-string extraction and nm-style symbol listings."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.elf.strings as strings_module
 from repro.elf.builder import ELFBuilder
 from repro.elf.reader import ELFFile
 from repro.elf.strings import extract_strings, strings_blob
@@ -44,7 +41,7 @@ class TestExtractStrings:
 
 
 def _extract_strings_reference(data: bytes, min_length: int = 4) -> list[str]:
-    """The seed per-byte loop, kept verbatim as the oracle for the regex scan."""
+    """The seed per-byte loop, kept verbatim as the oracle for the scan."""
     printable = frozenset(range(0x20, 0x7F)) | {0x09}
     results: list[str] = []
     current: list[int] = []
@@ -65,8 +62,8 @@ def _extract_strings_reference(data: bytes, min_length: int = 4) -> list[str]:
 EDGE_BYTES = st.sampled_from(b"\x00\x08\t\n\x1f \x20a~\x7e\x7f\x80\xff")
 
 
-class TestNumpyScanEquivalence:
-    """The vectorised scan and the regex branch against the per-byte loop."""
+class TestScanEqualsTheLoop:
+    """The vectorised scan must match the per-byte reference exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.binary(max_size=600),
@@ -77,22 +74,10 @@ class TestNumpyScanEquivalence:
     @example(b"head run\x00\x01tail run", 4)             # runs touch both ends
     @example(b"abc\x00abcd\x00", 4)                       # one short of min_length
     @example(b"\x7f" * 9, 1)
-    def test_numpy_and_regex_equal_the_loop(self, data, min_length):
+    def test_scan_equals_the_loop(self, data, min_length):
         expected = _extract_strings_reference(data, min_length)
         assert extract_strings(data, min_length) == expected
         assert strings_blob(data, min_length) == "\n".join(expected)
-        with mock.patch.object(strings_module, "_np", None):
-            assert extract_strings(data, min_length) == expected
-            assert strings_blob(data, min_length) == "\n".join(expected)
-
-    def test_blob_takes_the_numpy_scan(self, monkeypatch):
-        """Count guard: with numpy the regex is never compiled."""
-        monkeypatch.setattr(strings_module, "_run_pattern", None)
-        assert strings_blob(b"\x00first string\x00") == "first string"
-
-
-class TestRegexScanEquivalence:
-    """The compiled-regex scan must match the per-byte reference exactly."""
 
     @pytest.mark.parametrize("min_length", [1, 2, 4, 10])
     def test_random_blobs(self, min_length):

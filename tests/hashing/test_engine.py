@@ -7,21 +7,18 @@ the seed implementation, so neither side can drift.
 """
 
 import random
+import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
-from repro.hashing.engine import (
-    FuzzyState,
-    _piece_hashes,
-    _piece_hashes_numpy,
-    scan_backend,
-)
+from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digest
 from repro.hashing.fnv import sum_hash_bytes
-from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.rng import SeededRNG
 
 from oracles.ctph import ReferenceHasher, hash_reference
@@ -64,20 +61,21 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.fixture(params=["native", "python"])
-def scan_kernel(request, monkeypatch):
-    """Run the test on the default scan kernel AND the pure-Python fallback."""
-    if request.param == "python":
-        monkeypatch.setattr(engine_module, "_np", None)
-    return request.param
+#: Piece-hash paths a digest can take: the size-based default, the scalar
+#: table loop at every size, and the stacked-row kernel at every size.
+PIECE_PATHS = {
+    "default": {"_KERNEL_MIN_BYTES": engine_module._KERNEL_MIN_BYTES},
+    "table-loop": {"_KERNEL_MIN_BYTES": sys.maxsize},
+    "kernel": {"_KERNEL_MIN_BYTES": 1},
+}
 
 
 class TestGoldenDigests:
+    @pytest.mark.parametrize("path", PIECE_PATHS)
     @pytest.mark.parametrize("name,payload", golden_corpus())
-    def test_engine_matches_pinned_digest(self, name, payload, scan_kernel):
-        if scan_kernel == "python" and len(payload) > 262144:
-            pytest.skip("pure-Python kernel golden check capped at 256 KiB")
-        assert str(FuzzyHasher().hash(payload)) == GOLDEN_DIGESTS[name]
+    def test_engine_matches_pinned_digest(self, name, payload, path):
+        with mock.patch.multiple(engine_module, **PIECE_PATHS[path]):
+            assert str(FuzzyHasher().hash(payload)) == GOLDEN_DIGESTS[name]
 
     @pytest.mark.parametrize("name,payload",
                              [case for case in golden_corpus()
@@ -107,19 +105,9 @@ class TestEngineEquivalence:
                 payload = SeededRNG(trial * 37 + size).bytes(size)
             assert hasher.hash(payload) == hash_reference(hasher, payload)
 
-    def test_python_scan_kernel_matches(self, monkeypatch):
-        """The no-numpy fallback kernel produces the same digests."""
-        payloads = [b"", b"ab" * 700, SeededRNG(21).bytes(9001), b"\xff" * 500]
-        expected = [str(FuzzyHasher().hash(p)) for p in payloads]
-        monkeypatch.setattr(engine_module, "_np", None)
-        assert scan_backend() == "python"
-        assert [str(FuzzyHasher().hash(p)) for p in payloads] == expected
-
     def test_vectorised_scan_slicing_is_seamless(self, monkeypatch):
         """Pins the multi-slice window/rebase arithmetic of the numpy scan
         (production _SCAN_SLICE is 4 MiB, far above test payload sizes)."""
-        if engine_module._np is None:
-            pytest.skip("numpy kernel not available")
         payloads = [SeededRNG(51).bytes(size) for size in (4095, 4096, 4097, 20000)]
         expected = [str(FuzzyHasher().hash(p)) for p in payloads]
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 4096)
@@ -128,14 +116,9 @@ class TestEngineEquivalence:
         assert str(FuzzyHasher().hash(payloads[0])) == expected[0]
 
 
-#: Engine modes the equivalence property runs under: the vectorised scan and
-#: kernel, the numpy-free scan and table loop, and both with slices so short
-#: that every payload spans many of them.
-ENGINE_MODES = {
-    "numpy": {"_np": engine_module._np},
-    "python": {"_np": None},
-    "numpy-sliced": {"_SCAN_SLICE": 512},
-}
+#: Engine modes the equivalence property runs under: each piece-hash path,
+#: and the default one with slices so short that every payload spans many.
+ENGINE_MODES = {**PIECE_PATHS, "sliced": {"_SCAN_SLICE": 512}}
 
 
 class TestEngineEqualsOracle:
@@ -204,7 +187,6 @@ class TestPieceHashKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 255), max_size=300))
     def test_prefix_parity_equals_accumulate(self, values):
-        np = engine_module._np
         flags = np.zeros(-(-len(values) // 64) * 64, dtype=np.uint8)
         flags[:len(values)] = values
         expected = np.bitwise_xor.accumulate((flags != 0).astype(np.uint8))
@@ -262,14 +244,6 @@ class TestPieceHashKernel:
         assert FuzzyHasher().hash(payload) == ReferenceHasher().hash(payload)
         assert calls == []
 
-    def test_streamed_chunks_equal_one_shot_and_reference(self):
-        payload = SeededRNG(74).bytes(3 * engine_module._KERNEL_MIN_BYTES)
-        state = FuzzyState()
-        for index in range(0, len(payload), 1000):
-            state.update(payload[index:index + 1000])
-        assert state.digest() == FuzzyState().update(payload).digest() \
-            == ReferenceHasher().hash(payload)
-
 
 class TestTriggerLevels:
     """The scan's level queries against the rolling hash, position by position."""
@@ -278,13 +252,13 @@ class TestTriggerLevels:
     @given(st.binary(max_size=3000), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
     @example(b"", 3)
     @example(b"ab" * 400, 2)
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_counts_and_positions_equal_the_rolling_hash(self, mode, payload, min_bs):
+    @pytest.mark.parametrize("slice_bytes", [engine_module._SCAN_SLICE, 512])
+    def test_counts_and_positions_equal_the_rolling_hash(self, slice_bytes, payload, min_bs):
         from repro.hashing.rolling import roll_sequence
 
         rolling = roll_sequence(payload)
-        with mock.patch.multiple(engine_module, **ENGINE_MODES[mode]):
-            count, positions = engine_module._triggers(payload, min_bs, 63)
+        with mock.patch.object(engine_module, "_SCAN_SLICE", slice_bytes):
+            count, positions = engine_module._triggers(payload, min_bs)
             for level in range(6):
                 block = min_bs << level
                 expected = [index for index, value in enumerate(rolling)
@@ -292,60 +266,6 @@ class TestTriggerLevels:
                 assert count(level) == len(expected)
                 assert positions(level, 63) == expected[:63]
                 assert positions(level, 5) == expected[:5]
-
-
-class TestFuzzyState:
-    def test_streaming_chunks_equal_one_shot(self):
-        payload = SeededRNG(31).bytes(40000)
-        one_shot = FuzzyState().update(payload).digest()
-        rng = random.Random(7)
-        for _ in range(5):
-            state = FuzzyState()
-            index = 0
-            while index < len(payload):
-                step = rng.choice([1, 3, 6, 7, 8, 100, 4096])
-                state.update(payload[index:index + step])
-                index += step
-            assert state.digest() == one_shot
-
-    def test_streaming_never_rescans(self):
-        """Consumed bytes stay consumed: updates only grow the length."""
-        state = FuzzyState()
-        state.update(b"abc").update(b"").update(bytes(10))
-        assert state.length == 13
-
-    def test_digest_is_a_fuzzy_hash(self):
-        digest = FuzzyState().update(b"hello world" * 100).digest()
-        assert isinstance(digest, FuzzyHash)
-        assert FuzzyHash.parse(str(digest)) == digest
-
-    def test_digest_then_update_then_digest(self):
-        payload = SeededRNG(33).bytes(5000)
-        state = FuzzyState()
-        state.update(payload[:2000])
-        intermediate = state.digest()
-        assert intermediate == FuzzyState().update(payload[:2000]).digest()
-        state.update(payload[2000:])
-        assert state.digest() == FuzzyState().update(payload).digest()
-
-    def test_empty_stream(self):
-        assert str(FuzzyState().digest()) == "3::"
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            FuzzyState().update("text")  # type: ignore[arg-type]
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            FuzzyState(min_block_size=0)
-        with pytest.raises(ValueError):
-            FuzzyState(signature_length=4)
-
-    def test_accepts_memoryview_and_bytearray(self):
-        payload = SeededRNG(34).bytes(3000)
-        via_views = FuzzyState().update(memoryview(payload[:1500]))
-        via_views.update(bytearray(payload[1500:]))
-        assert via_views.digest() == FuzzyState().update(payload).digest()
 
 
 class TestOneHashPath:
@@ -364,6 +284,12 @@ class TestOneHashPath:
     def test_knobs_reach_the_engine(self):
         payload = SeededRNG(42).bytes(4000)
         hasher = FuzzyHasher(min_block_size=5, signature_length=32)
-        state = FuzzyState(min_block_size=5, signature_length=32).update(payload)
-        assert hasher.hash(payload) == state.digest()
-        assert hasher.hash(payload) != FuzzyHasher().hash(payload)
+        digest = hasher.hash(payload)
+        assert (digest.block_size, digest.sig1, digest.sig2) == fuzzy_digest(payload, 5, 32)
+        assert digest != FuzzyHasher().hash(payload)
+
+    def test_accepts_memoryview_and_bytearray(self):
+        payload = SeededRNG(34).bytes(3000)
+        hasher = FuzzyHasher()
+        assert hasher.hash(memoryview(payload)) == hasher.hash(bytearray(payload)) \
+            == hasher.hash(payload)
