@@ -12,7 +12,10 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   claims to committed benchmark reports) must exist at the repo root, and
 * every fenced Python code block must at least compile, and its
   ``import``/``from`` lines against the local ``repro`` package must resolve
-  (so the README quickstart cannot silently rot).
+  (so the README quickstart cannot silently rot), and
+* every backtick-quoted dotted name under ``repro`` (a module such as
+  ``repro.db.tiered`` or an attribute such as
+  ``repro.core.framework.SirenFramework``) must resolve in the import tree.
 
 Run from anywhere; exits non-zero listing every stale reference:
 
@@ -21,6 +24,7 @@ Run from anywhere; exits non-zero listing every stale reference:
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -28,7 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Documentation files under check.
-DOC_FILES = ("README.md", "docs/architecture.md", "docs/devtools.md")
+DOC_FILES = ("README.md", "docs/architecture.md")
 
 #: Benchmark reports that must be committed at the repo root whether or not
 #: a doc currently cites them (the docs-mention check alone would go quiet
@@ -45,6 +49,7 @@ _BACKTICK_PATH = re.compile(
     r"`((?:src|docs|examples|benchmarks|tests|scripts)/[\w./-]*)`")
 _PYTHON_CMD = re.compile(r"python\s+((?:examples|scripts|benchmarks)/[\w./-]+\.py)")
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 _IMPORT_LINE = re.compile(r"^(?:from\s+(repro[\w.]*)\s+import\s+([\w, ]+)|import\s+(repro[\w.]*))",
                           re.MULTILINE)
 
@@ -79,39 +84,53 @@ def check_file(doc_path: Path) -> list[str]:
         if not _exists(name):
             errors.append(f"{rel}: benchmark report not committed -> {name}")
 
-    for language, body in _FENCE.findall(text):
-        if language != "python":
-            continue
-        try:
-            compile(body, f"{rel}:<python block>", "exec")
-        except SyntaxError as exc:
-            errors.append(f"{rel}: python block does not compile -> {exc}")
-            continue
-        errors.extend(_check_imports(body, rel))
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        for language, body in _FENCE.findall(text):
+            if language != "python":
+                continue
+            try:
+                compile(body, f"{rel}:<python block>", "exec")
+            except SyntaxError as exc:
+                errors.append(f"{rel}: python block does not compile -> {exc}")
+                continue
+            errors.extend(_check_imports(body, rel))
+        errors.extend(f"{rel}: unresolved name -> {name}"
+                      for name in sorted(set(_DOTTED_NAME.findall(text)))
+                      if not _resolves(name))
+    finally:
+        sys.path.remove(str(REPO_ROOT / "src"))
     return errors
 
 
 def _check_imports(body: str, rel: Path) -> list[str]:
     """Resolve ``repro`` imports of a doc code block against the real package."""
-    import importlib
-
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     errors: list[str] = []
-    try:
-        for from_module, names, plain_module in _IMPORT_LINE.findall(body):
-            module_name = from_module or plain_module
-            try:
-                module = importlib.import_module(module_name)
-            except ImportError as exc:
-                errors.append(f"{rel}: quickstart imports fail -> {exc}")
-                continue
-            for name in filter(None, (part.strip() for part in names.split(","))):
-                if not hasattr(module, name):
-                    errors.append(
-                        f"{rel}: quickstart name missing -> {module_name}.{name}")
-    finally:
-        sys.path.remove(str(REPO_ROOT / "src"))
+    for from_module, names, plain_module in _IMPORT_LINE.findall(body):
+        module_name = from_module or plain_module
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError as exc:
+            errors.append(f"{rel}: quickstart imports fail -> {exc}")
+            continue
+        for name in filter(None, (part.strip() for part in names.split(","))):
+            if not hasattr(module, name):
+                errors.append(
+                    f"{rel}: quickstart name missing -> {module_name}.{name}")
     return errors
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or an attribute reachable from one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        try:
+            obj = (getattr(obj, part) if hasattr(obj, part)
+                   else importlib.import_module(".".join(parts[:depth])))
+        except ImportError:
+            return False
+    return True
 
 
 def main() -> int:

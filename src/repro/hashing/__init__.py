@@ -33,7 +33,6 @@ from repro.hashing.edit_distance import (
     weighted_edit_distance,
 )
 from repro.hashing.fnv import fnv1_32, fnv1a_32, fnv1a_64, sum_hash
-from repro.hashing.rolling import RollingHash
 from repro.hashing.ssdeep import (
     FuzzyHash,
     FuzzyHasher,
@@ -44,7 +43,6 @@ from repro.hashing.ssdeep import (
 from repro.hashing.xxhash import xxh32, xxh64, xxh128_hex
 
 __all__ = [
-    "RollingHash",
     "FuzzyHash",
     "FuzzyHasher",
     "CompareCache",

@@ -57,12 +57,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from repro.hashing.rolling import ROLLING_WINDOW
+import numpy as _np
 
-try:  # optional accelerator -- the kernel is exact either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.hashing.rolling import ROLLING_WINDOW
 
 #: n-gram length of the common-substring gate -- must match the reference
 #: path's ``has_common_substring(s1, s2, ROLLING_WINDOW)`` or the two gates
@@ -76,7 +73,7 @@ _MIN_BATCH = 10
 
 #: ``numpy.bitwise_count`` arrived in numpy 2.0; older installs fall back to
 #: the scalar kernel, which needs no popcount ufunc.
-_BITWISE_COUNT = getattr(_np, "bitwise_count", None) if _np is not None else None
+_BITWISE_COUNT = getattr(_np, "bitwise_count", None)
 
 
 def compare_scan_backend() -> str:

@@ -1,4 +1,4 @@
-"""Rolling hash used by the CTPH (ssdeep/spamsum) trigger.
+"""Window of the rolling hash used by the CTPH (ssdeep/spamsum) trigger.
 
 The rolling hash is the "context trigger" in context-triggered piecewise
 hashing: it is recomputed for every input byte over a sliding 7-byte window,
@@ -8,62 +8,10 @@ size, a piece boundary is emitted.  Because the value depends only on the last
 boundaries locally -- which is exactly the property that makes the final
 signature robust to small edits.
 
-This implementation mirrors the reference ``roll_hash`` from spamsum/ssdeep:
-three components ``h1`` (sum of window bytes), ``h2`` (position-weighted sum)
-and ``h3`` (shift/xor mixer), combined by addition, all in 32-bit arithmetic.
+:mod:`repro.hashing.engine` evaluates it for a whole payload at once; the
+per-byte ``roll_hash`` of spamsum/ssdeep it must equal is the test oracle's
+(``tests/oracles/ctph.py``).  The window length is also the n-gram length of
+the comparison's common-substring gate.
 """
 
-from __future__ import annotations
-
 ROLLING_WINDOW = 7
-_MASK32 = 0xFFFFFFFF
-
-
-class RollingHash:
-    """Stateful 7-byte rolling hash (spamsum ``roll_hash``)."""
-
-    __slots__ = ("_window", "_h1", "_h2", "_h3", "_count")
-
-    def __init__(self) -> None:
-        self._window = [0] * ROLLING_WINDOW
-        self._h1 = 0
-        self._h2 = 0
-        self._h3 = 0
-        self._count = 0
-
-    def reset(self) -> None:
-        """Clear all state, as if freshly constructed."""
-        for index in range(ROLLING_WINDOW):
-            self._window[index] = 0
-        self._h1 = self._h2 = self._h3 = 0
-        self._count = 0
-
-    def update(self, byte: int) -> int:
-        """Feed one byte (0-255) and return the new rolling hash value."""
-        slot = self._count % ROLLING_WINDOW
-        self._h2 = (self._h2 - self._h1 + ROLLING_WINDOW * byte) & _MASK32
-        self._h1 = (self._h1 + byte - self._window[slot]) & _MASK32
-        self._window[slot] = byte
-        self._count += 1
-        self._h3 = ((self._h3 << 5) & _MASK32) ^ byte
-        return (self._h1 + self._h2 + self._h3) & _MASK32
-
-    @property
-    def value(self) -> int:
-        """Current hash value without feeding a new byte."""
-        return (self._h1 + self._h2 + self._h3) & _MASK32
-
-    @property
-    def count(self) -> int:
-        """Number of bytes consumed since the last reset."""
-        return self._count
-
-
-def roll_sequence(data: bytes) -> list[int]:
-    """Return the rolling-hash value after each byte of ``data``.
-
-    Mostly useful for tests and for demonstrating the locality property: the
-    value after position ``i`` depends only on ``data[max(0, i-6):i+1]``.
-    """
-    roller = RollingHash()
-    return [roller.update(byte) for byte in data]

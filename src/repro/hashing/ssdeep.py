@@ -7,7 +7,7 @@ implementation of the same algorithm (Kornblum, "Identifying almost identical
 files using context triggered piecewise hashing", 2006):
 
 Hashing
-    A 7-byte rolling hash (:class:`~repro.hashing.rolling.RollingHash`) is
+    A 7-byte rolling hash (:data:`~repro.hashing.rolling.ROLLING_WINDOW`) is
     updated for every input byte.  Whenever its value is congruent to
     ``blocksize - 1`` (mod blocksize) the current *piece* ends: the piece's
     FNV hash contributes one base64 character to the signature and the piece

@@ -10,9 +10,9 @@ Counters are surfaced from half a dozen places --
 views *nest* one emitter's keys inside another's (``ingest_<key>``,
 ``fault_<key>``).  A renamed key silently drops out of every view that
 copies it and quietly breaks every test or report that reads it.
-Declaring every key here, once, turns that drift into a lint failure: the
-``counters`` rule family of :mod:`repro.devtools.lint` cross-checks each
-emitter's literal keys against this registry in both directions.
+Declaring every key here, once, turns that drift into a test failure:
+``tests/test_repo_invariants.py`` cross-checks each emitter's literal keys
+against this registry in both directions.
 
 Keys produced dynamically with a namespace prefix (``ingest_<key>``,
 ``fault_<key>``) are covered by :data:`COUNTER_PREFIXES`: the base key under
@@ -99,8 +99,8 @@ def is_registered_counter(key: str) -> bool:
 def assert_registered_counters(stats: dict[str, object], *, context: str) -> None:
     """Raise ``AssertionError`` naming every unregistered key in ``stats``.
 
-    A runtime companion to the static ``counters`` lint rules, for tests
-    that exercise real emitters end to end.
+    A runtime companion to the static counters check, for tests that
+    exercise real emitters end to end.
     """
     unknown = sorted(key for key in stats if not is_registered_counter(key))
     if unknown:

@@ -10,7 +10,6 @@ from repro.analysis.live import LiveAnalysis
 from repro.collector.fuzzy import ArtifactHasher
 from repro.collector.hooks import SirenCollector
 from repro.core import SirenConfig, SirenFramework
-from repro.devtools.lint.knobs import parse_knob_table
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.ingest.sharded import ShardedIngest
@@ -19,6 +18,8 @@ from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
+
+from test_repo_invariants import parse_knob_table
 
 #: One profile keeps ``prepare()`` (cluster + corpus) at ~0.1 s per case.
 PROFILES = DEFAULT_PROFILES[:1]
@@ -102,8 +103,7 @@ class TestConfigHierarchy:
 
     def test_docs_scope_column_says_where_each_field_is_declared(self):
         docs = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
-        rows = parse_knob_table(docs.read_text(encoding="utf-8"))
-        scopes = {name: scope for name, (scope, _line) in rows.items()}
+        scopes = parse_knob_table(docs.read_text(encoding="utf-8"))
         assert scopes == {**dict.fromkeys(DEPLOYMENT_FIELDS, "deployment"),
                           **dict.fromkeys(CAMPAIGN_FIELDS, "campaign")}
 
@@ -133,8 +133,11 @@ class TestOnePathEach:
         timer these took is gone."""
         assert "timer" not in {field.name for field in dataclasses.fields(owner)}
 
-    @pytest.mark.parametrize("module", ["repro.util.timing", "repro.devtools.lint.rollups"])
+    @pytest.mark.parametrize("module", ["repro.util.timing", "repro.devtools.lint.rollups",
+                                        "repro.devtools"])
     def test_the_stage_timer_and_the_rollups_lint_modules_are_gone(self, module):
+        """The whole lint package is gone too: its guarantees are
+        ``tests/test_repo_invariants.py``."""
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
 

@@ -21,7 +21,7 @@ from repro.hashing.fnv import sum_hash_bytes
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.rng import SeededRNG
 
-from oracles.ctph import ReferenceHasher, hash_reference
+from oracles.ctph import ReferenceHasher, hash_reference, roll_sequence
 
 
 def golden_corpus() -> list[tuple[str, bytes]]:
@@ -254,8 +254,6 @@ class TestTriggerLevels:
     @example(b"ab" * 400, 2)
     @pytest.mark.parametrize("slice_bytes", [engine_module._SCAN_SLICE, 512])
     def test_counts_and_positions_equal_the_rolling_hash(self, slice_bytes, payload, min_bs):
-        from repro.hashing.rolling import roll_sequence
-
         rolling = roll_sequence(payload)
         with mock.patch.object(engine_module, "_SCAN_SLICE", slice_bytes):
             count, positions = engine_module._triggers(payload, min_bs)

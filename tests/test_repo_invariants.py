@@ -1,0 +1,294 @@
+"""Invariants of the shipped package, checked over its parsed source.
+
+Each guarantee is one function over ``(tree, module_name)``, shown to fire on
+one deliberate violation per rule.  ``determinism``: the one-seed packages
+read no global RNG, OS entropy or wall clock.  ``knobs``: the knob table of
+``docs/architecture.md`` is ``CampaignConfig``'s fields, all read.
+``concurrency``: a module cache has a ``*_clear`` hook naming it (a compare
+LRU shared across campaigns once skewed their counters), the receiving side
+counts what it catches, and nothing forks, pools or queues.  ``counters``:
+the statistics keys emitted are those :mod:`repro.util.counters` declares.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.util.counters import COUNTER_PREFIXES, COUNTERS, assert_registered_counters
+from repro.workload.campaign import CampaignConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
+KNOB_DOCS = REPO_ROOT / "docs" / "architecture.md"
+
+
+@pytest.fixture(scope="module")
+def trees() -> dict[str, ast.Module]:
+    """``{module name: parsed tree}`` of every file under ``src/repro``."""
+    return {".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"):
+            ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "repro").rglob("*.py"))}
+
+
+def _mutated(trees: dict[str, ast.Module], module: str, old: str, new: str,
+             ) -> dict[str, ast.Module]:
+    """``trees`` with the one occurrence of ``old`` in ``module`` replaced."""
+    source = (SRC / (module.replace(".", "/") + ".py")).read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    return {**trees, module: ast.parse(source.replace(old, new))}
+
+
+def _in(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == package or module.startswith(package + ".")
+               for package in packages)
+
+
+def _last(node: ast.expr) -> str:
+    """The terminal name of ``node`` (``functools.lru_cache()`` -> ``lru_cache``)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else "")
+
+
+# --------------------------------------------------------------- determinism #
+DETERMINISTIC = ("repro.hpcsim", "repro.workload", "repro.faults", "repro.transport")
+ENTROPY_OR_WALL_CLOCK = frozenset({
+    "uuid.uuid1", "uuid.uuid4", "os.urandom", "time.time", "time.time_ns",
+    "datetime.now", "datetime.utcnow", "date.today"})
+
+
+def determinism(tree: ast.Module, module: str) -> list[str]:
+    """Any ``random.*`` call but a seeded ``random.Random(seed)``, ``secrets.*``,
+    and entropy or wall-clock reads, in the one-seed packages.  Monotonic
+    clocks time stalls and never feed records, so they pass."""
+    if not _in(module, DETERMINISTIC):
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        head = name.rpartition(".")[0]
+        seeded = name == "random.Random" and (node.args or node.keywords)
+        if ((head in ("random", "secrets") and not seeded)
+                or ".".join(name.split(".")[-2:]) in ENTROPY_OR_WALL_CLOCK):
+            found.append(f"{module}:{node.lineno} calls {name}()")
+    return found
+
+
+# --------------------------------------------------------------- concurrency #
+SWALLOW_SCOPE = ("repro.transport", "repro.ingest")
+NO_WORKERS = ("multiprocessing", "queue", "concurrent.futures")
+MUTATORS = frozenset({"append", "add", "update", "setdefault", "pop", "popitem",
+                      "extend", "insert", "appendleft", "discard", "remove"})
+CONTAINER_CALLS = frozenset({"dict", "list", "set", "deque", "defaultdict",
+                             "OrderedDict", "Counter"})
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _root(node: ast.expr) -> str | None:
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _runtime_mutations(tree: ast.Module) -> set[str | None]:
+    """Root names mutated inside functions and classes (not at import)."""
+    names: set[str | None] = set()
+    for node in (sub for top in tree.body if isinstance(top, (*FUNCTIONS, ast.ClassDef))
+                 for sub in ast.walk(top)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            names.add(_root(node.func.value))
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, ast.AugAssign) else [])
+        names.update(_root(t) for t in targets if isinstance(t, ast.Subscript))
+    return names
+
+
+def concurrency(tree: ast.Module, module: str) -> list[str]:
+    """Bare ``except:``, an ``except Exception`` on the receiving side that
+    neither re-raises nor counts (``+=``), worker/queue imports, and module
+    caches no ``*_clear`` hook names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is None:
+            found.append(f"{module}:{node.lineno} bare except")
+        elif isinstance(node, ast.ExceptHandler) and _in(module, SWALLOW_SCOPE):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if (any(_last(t) in ("Exception", "BaseException") for t in types) and not any(
+                    isinstance(sub, ast.Raise) or (isinstance(sub, ast.AugAssign)
+                                                   and isinstance(sub.op, ast.Add))
+                    for sub in ast.walk(node))):
+                found.append(f"{module}:{node.lineno} except Exception is not counted")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if node.level == 0 else [])
+            found += [f"{module}:{node.lineno} imports {name}" for name in names
+                      if _in(name, NO_WORKERS)]
+    functions = [node for node in tree.body if isinstance(node, FUNCTIONS)]
+    cleared = {sub.id for function in functions
+               if "_clear" in function.name or function.name.startswith("clear_")
+               for sub in ast.walk(function) if isinstance(sub, ast.Name)}
+    cached = {function.name for function in functions
+              if any(_last(dec) in ("lru_cache", "cache") for dec in function.decorator_list)}
+    containers = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and (isinstance(node.value, CONTAINER_NODES)
+                       or (isinstance(node.value, ast.Call)
+                           and _last(node.value) in CONTAINER_CALLS))
+                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                  if isinstance(target, ast.Name)}
+    caches = cached | (containers & _runtime_mutations(tree))
+    return found + [f"{module}: module cache {name} has no *_clear hook naming it"
+                    for name in sorted(caches - cleared)]
+
+
+# --------------------------------------------------------------------- knobs #
+_KNOB_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(deployment|campaign)\s*\|")
+CONFIG_CLASSES = frozenset(cls.__name__ for cls in CampaignConfig.__mro__
+                           if dataclasses.is_dataclass(cls))
+
+
+def parse_knob_table(text: str) -> dict[str, str]:
+    """``{knob: scope}`` of every ``| `name` | deployment/campaign |`` row."""
+    return {match[1]: match[2] for line in text.splitlines()
+            if (match := _KNOB_ROW.match(line.strip()))}
+
+
+def knob_reads(tree: ast.Module, module: str) -> set[str]:
+    """Names read as ``config.<name>`` (``self.config.<name>``, ...) or as
+    ``self.<name>`` inside a config class."""
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and _last(node.value) == "config"}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name in CONFIG_CLASSES:
+            reads |= {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and _last(node.value) == "self"}
+    return reads
+
+
+def unread_knobs(trees: dict[str, ast.Module], config_cls: type) -> set[str]:
+    read = set().union(*(knob_reads(tree, module) for module, tree in trees.items()))
+    return {field.name for field in dataclasses.fields(config_cls)} - read
+
+
+# ------------------------------------------------------------------ counters #
+def counter_keys(tree: ast.Module, module: str) -> set[str]:
+    """Dict-literal keys and ``stats[key] = ...`` targets of the
+    ``statistics()``/``fault_counters()`` emitters in ``module``; an f-string
+    key is its literal prefix plus ``*``, and a variable key is checked where
+    it is spelled out."""
+    keys: set[str] = set()
+    for function in ast.walk(tree):
+        if not (isinstance(function, ast.FunctionDef)
+                and function.name in ("statistics", "fault_counters")):
+            continue
+        for node in ast.walk(function):
+            candidates = (
+                [key for key in node.keys if key is not None] if isinstance(node, ast.Dict)
+                else [t.slice for t in node.targets if isinstance(t, ast.Subscript)]
+                if isinstance(node, ast.Assign) else [])
+            for key in candidates:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    keys.add(key.value)
+                elif isinstance(key, ast.JoinedStr):
+                    head = key.values[0] if key.values else None
+                    keys.add((head.value if isinstance(head, ast.Constant) else "") + "*")
+    return keys
+
+
+def counter_drift(trees: dict[str, ast.Module]) -> list[str]:
+    declared = set(COUNTERS) | {prefix + "*" for prefix in COUNTER_PREFIXES}
+    emitted = set().union(*(counter_keys(tree, module) for module, tree in trees.items()))
+    return ([f"undeclared {key!r}" for key in sorted(emitted - declared)]
+            + [f"unemitted {key!r}" for key in sorted(declared - emitted)])
+
+
+# --------------------------------------------------------------------- tests #
+@pytest.mark.parametrize("check", [determinism, concurrency])
+def test_shipped_tree_is_clean(trees, check):
+    assert len(trees) >= 80
+    assert [line for module, tree in trees.items() for line in check(tree, module)] == []
+
+
+COUNTED = ("def send(self, channel, payload):\n    try:\n        channel.push(payload)\n"
+           "    except Exception:\n        self.send_errors += 1\n")
+UNCOUNTED = COUNTED.replace("self.send_errors += 1", "pass")
+CACHE = "_CACHE = {}\n\ndef put(key):\n    _CACHE[key] = 1\n"
+VIOLATIONS = {
+    "random.random()": (determinism, "import random\nx = random.random()\n"),
+    "random.Random()": (determinism, "import random\nrng = random.Random()\n"),
+    "random.seed": (determinism, "import random\nrandom.seed(42)\n"),
+    "uuid.uuid4": (determinism, "import uuid\nx = uuid.uuid4()\n"),
+    "secrets.*": (determinism, "import secrets\nx = secrets.token_bytes(4)\n"),
+    "time.time": (determinism, "import time\nx = time.time()\n"),
+    "bare except": (concurrency, "try:\n    pass\nexcept:\n    pass\n"),
+    "uncounted except Exception": (concurrency, UNCOUNTED),
+    "mutated module dict": (concurrency, CACHE),
+    "lru_cache": (concurrency,
+                  "import functools\n\n@functools.lru_cache(maxsize=8)\ndef f(x):\n    return x\n"),
+    "hook exempts only what it names": (
+        concurrency, CACHE + "_OTHER = []\n\ndef put_other(x):\n    _OTHER.append(x)\n\n"
+        "def cache_clear():\n    _CACHE.clear()\n"),
+    "worker import": (concurrency, "from concurrent.futures import ProcessPoolExecutor\n"),
+}
+
+
+@pytest.mark.parametrize("check, source", VIOLATIONS.values(), ids=VIOLATIONS.keys())
+def test_each_rule_fires_on_one_violation(check, source):
+    assert len(check(ast.parse(source), "repro.transport.fixture")) == 1
+
+
+@pytest.mark.parametrize("check, source, module", [
+    (determinism, "import random, time\nrng = random.Random(7)\nt = time.monotonic()\n",
+     "repro.workload.fixture"),
+    (determinism, "import random\nx = random.random()\n", "repro.analysis.fixture"),
+    (concurrency, COUNTED, "repro.transport.fixture"),
+    (concurrency, UNCOUNTED, "repro.analysis.fixture"),
+    (concurrency, CACHE + "\ndef cache_clear():\n    _CACHE.clear()\n", "repro.fixture"),
+    (concurrency, "_TABLE = {1: 'a'}\n\ndef get(key):\n    return _TABLE[key]\n",
+     "repro.fixture"),
+], ids=["seeded-and-monotonic", "out-of-scope-random", "counted-except",
+        "out-of-scope-except", "cleared-cache", "read-only-table"])
+def test_allowed_forms_pass(check, source, module):
+    assert check(ast.parse(source), module) == []
+
+
+def test_knob_table_rows_are_the_config_fields():
+    text = KNOB_DOCS.read_text(encoding="utf-8")
+    fields = {field.name for field in dataclasses.fields(CampaignConfig)}
+    assert set(parse_knob_table(text)) == fields
+    dropped = "\n".join(line for line in text.splitlines() if "| `rollups` |" not in line)
+    assert fields - set(parse_knob_table(dropped)) == {"rollups"}
+
+
+def test_every_knob_is_read(trees):
+    @dataclasses.dataclass(frozen=True)
+    class ToyConfig(CampaignConfig):
+        never_read: int = 0
+
+    assert unread_knobs(trees, CampaignConfig) == set()
+    assert unread_knobs(trees, ToyConfig) == {"never_read"}
+
+
+@pytest.mark.parametrize("module, old, new, drift", [
+    (None, "", "", []),
+    ("repro.db.tiered", '"rollup_syncs":', '"rollup_sync":',
+     ["undeclared 'rollup_sync'", "unemitted 'rollup_syncs'"]),
+    ("repro.core.framework", 'f"fault_{name}"', 'f"faults_{name}"',
+     ["undeclared 'faults_*'", "unemitted 'fault_*'"]),
+], ids=["shipped", "renamed-tiered-store-key", "undeclared-fstring-prefix"])
+def test_emitted_counters_are_the_declared_ones(trees, module, old, new, drift):
+    assert counter_drift(_mutated(trees, module, old, new) if module else trees) == drift
+
+
+def test_a_live_dict_with_an_undeclared_key_is_refused():
+    assert_registered_counters({"ingest_records_built": 1, "fault_dropped": 1}, context="ok")
+    with pytest.raises(AssertionError, match="ingest_made_up"):
+        assert_registered_counters({"ingest_made_up": 1}, context="fixture")

@@ -38,5 +38,12 @@ def test_checker_detects_stale_references(check_docs, tmp_path):
     assert len(errors) == 3
 
 
+def test_checker_resolves_backticked_dotted_names(check_docs, tmp_path):
+    doc = tmp_path / "names.md"
+    doc.write_text("`repro.db.tiered`, `repro.core.framework.SirenFramework` and "
+                   "`repro.devtools.lint`\n", encoding="utf-8")
+    assert check_docs.check_file(doc) == [f"{doc}: unresolved name -> repro.devtools.lint"]
+
+
 def test_main_exit_status(check_docs):
     assert check_docs.main() == 0
