@@ -7,6 +7,7 @@ modified executables.  These benches measure both on the synthetic corpus.
 """
 
 import hashlib
+import sys
 import time
 
 import pytest
@@ -170,8 +171,8 @@ class TestIndexedSimilarityScaling:
 
             brute_ms = indexed_ms = float("inf")
             for _ in range(3):  # best of three, each from a fresh search (cold index, cold LRU)
-                brute = SimilaritySearch(records, use_index=False)
-                indexed = SimilaritySearch(records, use_index=True, index_threshold=0)
+                brute = SimilaritySearch(records, index_threshold=sys.maxsize)
+                indexed = SimilaritySearch(records, index_threshold=0)
                 brute_out, elapsed = self._run_search(brute)
                 brute_ms = min(brute_ms, elapsed)
                 indexed_out, elapsed = self._run_search(indexed)

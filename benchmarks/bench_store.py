@@ -15,7 +15,8 @@ the fleet-scale shape):
   rollups a :class:`~repro.db.store.MessageStore` keeps in step with its
   ``processes`` table,
 * **recompute**: the same four answers recomputed from the full record
-  list through :mod:`repro.analysis.stats` -- the O(records) reference,
+  list by a fresh :class:`~repro.core.pipeline.AnalysisPipeline` -- the
+  O(records) reference,
 * **equivalence**: at every scale, every rollup answer is asserted
   byte-identical to the recompute reference before any timing is recorded
   (this assertion *is* the CI smoke gate).
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import stats
+from repro.core import AnalysisPipeline
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
 from repro.util.tables import TextTable
@@ -157,10 +158,11 @@ def _time_recompute(records: list[ProcessRecord],
     rounds = max(1, QUERY_ROUNDS // 10)  # O(records): 10x fewer rounds suffice
     start = time.perf_counter()
     for _ in range(rounds):
-        stats.user_activity_table(records, user_names)
-        stats.system_executable_table(records, user_names)
-        stats.shared_object_variant_table(records, "bash")
-        stats.python_interpreter_table(records, user_names)
+        pipeline = AnalysisPipeline(records, user_names)
+        pipeline.table2_user_activity()
+        pipeline.table3_system_executables()
+        pipeline.table4_shared_object_variants("bash")
+        pipeline.table8_python_interpreters()
     return (time.perf_counter() - start) / rounds
 
 
@@ -188,14 +190,12 @@ class TestGoldQueryLatency:
             # The CI gate: every rollup answer byte-identical to the
             # recompute reference, before any timing is trusted.
             reference = sorted(records, key=lambda record: record.key)
-            assert tiered.user_activity() == \
-                stats.user_activity_table(reference, user_names)
-            assert tiered.system_executables() == \
-                stats.system_executable_table(reference, user_names)
+            pipeline = AnalysisPipeline(reference, user_names)
+            assert tiered.user_activity() == pipeline.table2_user_activity()
+            assert tiered.system_executables() == pipeline.table3_system_executables()
             assert tiered.shared_object_variants("bash") == \
-                stats.shared_object_variant_table(reference, "bash")
-            assert tiered.python_interpreters() == \
-                stats.python_interpreter_table(reference, user_names)
+                pipeline.table4_shared_object_variants("bash")
+            assert tiered.python_interpreters() == pipeline.table8_python_interpreters()
 
             gold_seconds = _time_gold(tiered, user_names)
             recompute_seconds = _time_recompute(reference, user_names)

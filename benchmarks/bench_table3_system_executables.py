@@ -1,14 +1,13 @@
 """Table 3 -- top-10 most used executables from system directories."""
 
 from repro.analysis.report import render_system_executables
-from repro.analysis.stats import system_executable_count
 
 
-def test_table3_system_executables(benchmark, bench_pipeline, bench_campaign):
+def test_table3_system_executables(benchmark, bench_pipeline):
     rows = benchmark(lambda: bench_pipeline.table3_system_executables(top=10))
     print()
     print(render_system_executables(rows, title="Table 3 (reproduced)"))
-    total = system_executable_count(bench_campaign.records)
+    total = len(bench_pipeline.table3_system_executables(top=None))
     print(f"Total distinct system-directory executables: {total}")
 
     names = [row.executable.rsplit("/", 1)[-1] for row in rows]

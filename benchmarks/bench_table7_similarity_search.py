@@ -7,6 +7,8 @@ one perfect 100-score match and progressively lower scores for more distant
 variants.
 """
 
+import sys
+
 from repro.analysis.report import render_similarity
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.util.tables import TextTable
@@ -41,7 +43,7 @@ def test_table7_similarity_search(benchmark, bench_pipeline):
 def test_table7_similarity_search_brute_force(benchmark, bench_pipeline):
     """Timing reference: the same search on the all-pairs brute-force path."""
     searches = benchmark(lambda: SimilaritySearch(
-        bench_pipeline.records, use_index=False).identify_unknown(top=10))
+        bench_pipeline.records, index_threshold=sys.maxsize).identify_unknown(top=10))
     assert searches
 
 
@@ -53,8 +55,8 @@ def test_indexed_table7_is_byte_identical_with_fewer_comparisons(bench_campaign)
     sets, and checks the renderings are byte-identical while the indexed run
     performed no more digest comparisons (strictly fewer at default scale).
     """
-    brute = SimilaritySearch(bench_campaign.records, use_index=False)
-    indexed = SimilaritySearch(bench_campaign.records, use_index=True, index_threshold=0)
+    brute = SimilaritySearch(bench_campaign.records, index_threshold=sys.maxsize)
+    indexed = SimilaritySearch(bench_campaign.records, index_threshold=0)
 
     brute_out = brute.identify_unknown(top=10)
     indexed_out = indexed.identify_unknown(top=10)

@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 
 from repro.analysis import report
-from repro.analysis.stats import shared_object_variant_table
+from repro.analysis.stats import TableRollup
 from repro.collector.classify import ExecutableCategory
 from repro.core import AnalysisPipeline
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -69,8 +69,10 @@ def main(scale: float = 0.01) -> None:
                 print(f"    - {path}")
 
     # The same grouping works for any executable; show srun for contrast.
-    srun_rows = shared_object_variant_table(result.records, "srun",
-                                            distinguish=("libslurm", "libmunge"))
+    rollup = TableRollup(result.user_names)
+    for record in result.records:
+        rollup.fold(record)
+    srun_rows = rollup.shared_object_variants("srun", distinguish=("libslurm", "libmunge"))
     print()
     print(report.render_shared_object_variants(srun_rows, title="srun library variants"))
 

@@ -38,7 +38,6 @@ DOC_FILES = ("README.md", "docs/architecture.md")
 #: a doc currently cites them (the docs-mention check alone would go quiet
 #: if a report's README table row were deleted along with the report).
 REQUIRED_BENCH_REPORTS = (
-    "BENCH_compare.json",
     "BENCH_faults.json",
     "BENCH_store.json",
 )

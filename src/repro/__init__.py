@@ -10,8 +10,8 @@ The package is organised as the paper's system plus every substrate it needs:
 * :mod:`repro.collector` -- the SIREN ``LD_PRELOAD`` collector (the core contribution),
 * :mod:`repro.transport` -- chunked UDP-style messaging with loss simulation,
 * :mod:`repro.db`        -- SQLite storage,
-* :mod:`repro.postprocess` -- the per-process record builder and Python package extraction,
-* :mod:`repro.ingest`    -- streaming ingest (one receiver feeding an incremental consolidator),
+* :mod:`repro.ingest`    -- streaming ingest (one receiver feeding an incremental consolidator)
+  and the per-process record builder,
 * :mod:`repro.analysis`  -- all evaluation analyses (Tables 2-8, Figures 2-5),
 * :mod:`repro.workload`  -- the opt-in deployment-campaign generator,
 * :mod:`repro.core`      -- the ``SirenFramework`` deployment and ``AnalysisPipeline``.

@@ -5,7 +5,8 @@ Each module corresponds to one family of results in the paper's evaluation
 
 * :mod:`repro.analysis.stats` -- usage statistics: users/jobs/processes
   (Table 2), system executables (Table 3), shared-object variants (Table 4),
-  Python interpreters (Table 8),
+  Python interpreters (Table 8), all views of one streaming accumulator,
+  ``TableRollup``,
 * :mod:`repro.analysis.labels` -- regex-derived software labels for user
   executables (Table 5),
 * :mod:`repro.analysis.compilers` -- compiler identification analysis (Table 6),
@@ -18,8 +19,6 @@ Each module corresponds to one family of results in the paper's evaluation
 * :mod:`repro.analysis.simindex` -- inverted n-gram index over CTPH digests
   that prunes the similarity search's candidate pairs without changing its
   results,
-* :mod:`repro.analysis.rollup` -- the streaming accumulator behind Tables
-  2/3/4/8 (``stats`` is its oracle),
 * :mod:`repro.analysis.live` -- incrementally maintained Table 2/3/4/8 stats
   and similarity search over streaming record deltas (mid-campaign views in
   O(new records), byte-identical to a rebuild),
@@ -38,11 +37,8 @@ from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
+    TableRollup,
     UserActivityRow,
-    python_interpreter_table,
-    shared_object_variant_table,
-    system_executable_table,
-    user_activity_table,
 )
 
 __all__ = [
@@ -67,8 +63,5 @@ __all__ = [
     "SystemExecutableRow",
     "SharedObjectVariantRow",
     "PythonInterpreterRow",
-    "user_activity_table",
-    "system_executable_table",
-    "shared_object_variant_table",
-    "python_interpreter_table",
+    "TableRollup",
 ]

@@ -7,7 +7,7 @@ regrouped all records, ``SimilaritySearch`` rebuilt its instance list and
 n-gram index, and the compare LRU started cold, making each observation
 O(campaign).  :class:`LiveAnalysis` replaces that with a consumer of record
 *deltas*: each pull folds only the newly finalized records into streaming
-accumulators (the Table 2/3/4/8 :class:`~repro.analysis.rollup.TableRollup`,
+accumulators (the Table 2/3/4/8 :class:`~repro.analysis.stats.TableRollup`,
 the similarity instance list, the inverted n-gram index) and overlays the
 handful of still-open process groups transiently, so a snapshot analysis
 costs O(new records + open groups + result size) instead of O(everything so
@@ -28,7 +28,7 @@ records (``tests/analysis/test_live.py``):
   finalized (a very late message resurrecting a closed group) are dropped,
   exactly as :meth:`~repro.ingest.sharded.ShardedIngest.snapshot` does.
 * **Row and tie order are reproduced, not approximated.**  The tables are
-  :class:`~repro.analysis.rollup.TableRollup` views (its module docstring
+  :class:`~repro.analysis.stats.TableRollup` views (its module docstring
   has the min-key argument); similarity pools are ordered the same way, by
   each instance's minimum process key.
 * **The index only accretes.**  :meth:`SimilarityIndex.add` assigns ids in
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL
-from repro.analysis.rollup import TableRollup
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -63,6 +62,7 @@ from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
+    TableRollup,
     UserActivityRow,
     activity_totals,
 )
@@ -208,7 +208,7 @@ class LiveAnalysis:
     # tables
     # ------------------------------------------------------------------ #
     def table2_user_activity(self) -> list[UserActivityRow]:
-        """Table 2, live: identical to ``user_activity_table`` over all records."""
+        """Table 2, live: identical to a fold of all records."""
         self._pull()
         return self._tables.user_activity(overlay=self._open_tables)
 
@@ -217,19 +217,19 @@ class LiveAnalysis:
         return activity_totals(self.table2_user_activity())
 
     def table3_system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
-        """Table 3, live: identical to ``system_executable_table`` over all records."""
+        """Table 3, live: identical to a fold of all records."""
         self._pull()
         return self._tables.system_executables(top, overlay=self._open_tables)
 
     def table4_shared_object_variants(self, executable_name: str = "bash",
                                       ) -> list[SharedObjectVariantRow]:
-        """Table 4, live: identical to ``shared_object_variant_table`` over all records."""
+        """Table 4, live: identical to a fold of all records."""
         self._pull()
         return self._tables.shared_object_variants(executable_name,
                                                    overlay=self._open_tables)
 
     def table8_python_interpreters(self) -> list[PythonInterpreterRow]:
-        """Table 8, live: identical to ``python_interpreter_table`` over all records."""
+        """Table 8, live: identical to a fold of all records."""
         self._pull()
         return self._tables.python_interpreters(overlay=self._open_tables)
 

@@ -14,8 +14,8 @@ signature 7-gram with the baseline (per column, per block-size band) are ever
 handed to the expensive signature alignment; every other pair is assigned its
 provably-correct score of 0 without a comparison.  The results -- scores,
 ranking, and tie order -- are identical to brute force by construction, and
-``use_index=False`` keeps the plain quadratic path available for verification
-and benchmarking.
+``index_threshold=sys.maxsize`` keeps the plain quadratic path available for
+verification and benchmarking.
 """
 
 from __future__ import annotations
@@ -106,18 +106,17 @@ class SimilarityResult:
 class SimilaritySearch:
     """Index user-directory records into instances and run similarity queries.
 
-    ``use_index=True`` (the default) prunes candidate pairs through the
-    inverted n-gram index once the instance count reaches
-    ``index_threshold``; below the threshold -- or when the hasher's
-    common-substring requirement is disabled, which voids the index's pruning
-    guarantee -- queries transparently fall back to brute force.  Either way
-    the results are identical; only ``comparisons`` differs.
+    Candidate pairs are pruned through the inverted n-gram index once the
+    instance count reaches ``index_threshold``; below the threshold -- or
+    when the hasher's common-substring requirement is disabled, which voids
+    the index's pruning guarantee -- queries transparently fall back to brute
+    force.  Either way the results are identical; only ``comparisons``
+    differs.
     """
 
     records: list[ProcessRecord]
     rules: tuple = LABEL_RULES
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    use_index: bool = True
     index_threshold: int = DEFAULT_INDEX_THRESHOLD
     instances: list[ExecutableInstance] = field(init=False)
     #: Number of digest comparisons actually performed (cache lookups count;
@@ -197,8 +196,6 @@ class SimilaritySearch:
         smaller than ``index_threshold``, where building the index costs more
         than the scan it saves.
         """
-        if not self.use_index:
-            return None
         if not getattr(self.hasher, "require_common_substring", True):
             return None
         if len(self.instances) < self.index_threshold:

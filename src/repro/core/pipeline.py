@@ -4,11 +4,17 @@
 the anonymised user mapping) and exposes the paper's evaluation artefacts --
 Tables 2-8 and Figures 2-5 -- as data-returning methods, plus ``render_*``
 helpers producing the text tables the benchmark harness prints.
+
+Every analysis sees the records in process-key order, whatever order they
+are passed in -- the order gold and :class:`~repro.analysis.live.LiveAnalysis`
+answer in.  Tables 2, 3, 4 and 8 are views of one
+:class:`~repro.analysis.stats.TableRollup`, folded on the first table call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.analysis import report
 from repro.analysis.compilers import CompilerCombinationRow, compiler_combination_table
@@ -21,12 +27,9 @@ from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
+    TableRollup,
     UserActivityRow,
     activity_totals,
-    python_interpreter_table,
-    shared_object_variant_table,
-    system_executable_table,
-    user_activity_table,
 )
 from repro.db.store import ProcessRecord
 from repro.util.errors import AnalysisError
@@ -34,17 +37,35 @@ from repro.util.errors import AnalysisError
 
 @dataclass
 class AnalysisPipeline:
-    """All evaluation analyses over one set of consolidated records."""
+    """All evaluation analyses over one set of consolidated records.
+
+    ``records`` becomes a key-sorted copy of the list passed in; the tables
+    are folded from it once, so they do not see records appended later.
+    """
 
     records: list[ProcessRecord]
     user_names: dict[int, str] = field(default_factory=dict)
+    _rollup: TableRollup | None = field(init=False, default=None, repr=False,
+                                        compare=False)
+
+    def __post_init__(self) -> None:
+        self.records = sorted(self.records, key=attrgetter("key"))
+
+    def _tables(self) -> TableRollup:
+        """The fold of ``records`` behind Tables 2, 3, 4 and 8, built once."""
+        if self._rollup is None:
+            rollup = TableRollup(self.user_names)
+            for record in self.records:
+                rollup.fold(record)
+            self._rollup = rollup
+        return self._rollup
 
     # ------------------------------------------------------------------ #
     # tables
     # ------------------------------------------------------------------ #
     def table2_user_activity(self) -> list[UserActivityRow]:
         """Table 2: users, jobs and processes per category."""
-        return user_activity_table(self.records, self.user_names)
+        return self._tables().user_activity()
 
     def table2_totals(self) -> UserActivityRow:
         """The Total row of Table 2."""
@@ -52,12 +73,12 @@ class AnalysisPipeline:
 
     def table3_system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
         """Table 3: most used system-directory executables."""
-        return system_executable_table(self.records, self.user_names, top=top)
+        return self._tables().system_executables(top)
 
     def table4_shared_object_variants(self, executable_name: str = "bash",
                                       ) -> list[SharedObjectVariantRow]:
         """Table 4: distinct shared-object sets of one executable."""
-        return shared_object_variant_table(self.records, executable_name)
+        return self._tables().shared_object_variants(executable_name)
 
     def table5_user_applications(self) -> list[LabelRow]:
         """Table 5: derived labels for user applications."""
@@ -73,7 +94,7 @@ class AnalysisPipeline:
 
     def table8_python_interpreters(self) -> list[PythonInterpreterRow]:
         """Table 8: Python interpreters."""
-        return python_interpreter_table(self.records, self.user_names)
+        return self._tables().python_interpreters()
 
     # ------------------------------------------------------------------ #
     # figures

@@ -2,22 +2,21 @@
 
 ``processes`` (:class:`~repro.db.store.MessageStore`) is the one record
 table.  :class:`TieredStore` keeps one
-:class:`~repro.analysis.rollup.TableRollup` -- the accumulator
+:class:`~repro.analysis.stats.TableRollup` -- the accumulator
 :class:`~repro.analysis.live.LiveAnalysis` also folds into -- in step with
 it: the store hands over each batch its first-close-wins insert wrote in
 full, and refolds gold from the whole table after any other write.  The four
 paper tables (Tables 2, 3, 4 and 8) are then answered in O(answer), never
-O(records), with rows byte-identical to the :mod:`repro.analysis.stats`
-recompute over the key-sorted records.
+O(records), with rows byte-identical to a fresh fold of the whole table.
 """
 
 from __future__ import annotations
 
-from repro.analysis.rollup import TableRollup
 from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
+    TableRollup,
     UserActivityRow,
 )
 from repro.db.store import ProcessRecord
@@ -60,21 +59,21 @@ class TieredStore:
             self.rollup_rebuilds += 1
 
     def user_activity(self) -> list[UserActivityRow]:
-        """Table 2, ``==`` ``user_activity_table``."""
+        """Table 2 of the records in ``processes``."""
         return self._gold.user_activity()
 
     def system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
-        """Table 3, ``==`` ``system_executable_table``."""
+        """Table 3 of the records in ``processes``."""
         return self._gold.system_executables(top)
 
     def shared_object_variants(
         self, executable_name: str, distinguish: tuple[str, ...] = ("libtinfo", "libm"),
     ) -> list[SharedObjectVariantRow]:
-        """Table 4, ``==`` ``shared_object_variant_table``."""
+        """Table 4 of the records in ``processes``."""
         return self._gold.shared_object_variants(executable_name, distinguish)
 
     def python_interpreters(self) -> list[PythonInterpreterRow]:
-        """Table 8, ``==`` ``python_interpreter_table``."""
+        """Table 8 of the records in ``processes``."""
         return self._gold.python_interpreters()
 
     def statistics(self) -> dict[str, int]:

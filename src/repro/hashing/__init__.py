@@ -22,15 +22,9 @@ Damerau-Levenshtein distance into a 0-100 match score.
 from repro.hashing.compare_engine import (
     CompareCache,
     NormalizedDigest,
-    compare_scan_backend,
     lcs_length,
     lcs_length_many,
     normalize_digest,
-)
-from repro.hashing.edit_distance import (
-    damerau_levenshtein,
-    levenshtein,
-    weighted_edit_distance,
 )
 from repro.hashing.fnv import fnv1_32, fnv1a_32, fnv1a_64, sum_hash
 from repro.hashing.ssdeep import (
@@ -47,16 +41,12 @@ __all__ = [
     "FuzzyHasher",
     "CompareCache",
     "NormalizedDigest",
-    "compare_scan_backend",
     "lcs_length",
     "lcs_length_many",
     "normalize_digest",
     "fuzzy_hash",
     "fuzzy_hash_text",
     "compare",
-    "levenshtein",
-    "damerau_levenshtein",
-    "weighted_edit_distance",
     "fnv1_32",
     "fnv1a_32",
     "fnv1a_64",

@@ -43,11 +43,9 @@ Compare LRU
     hit pairs a ``compare_many`` sweep already scored.
 
 The kernel is exact, not approximate: scores produced through this module
-are byte-identical to the reference scalar path (pinned by the property
-tests in ``tests/hashing/test_compare_engine.py``).  Non-default costs
-(``levenshtein``, ``damerau_levenshtein``, custom-cost callers of
-``weighted_edit_distance``) keep the existing DP -- the reduction above
-only holds for the scorer's 1/1/2/2 costs.
+are byte-identical to the scalar DP oracle in ``tests/oracles/compare.py``
+(pinned by the property tests in ``tests/hashing/test_compare_engine.py``).
+The reduction above only holds for the scorer's 1/1/2/2 costs.
 """
 
 from __future__ import annotations
@@ -61,9 +59,8 @@ import numpy as _np
 
 from repro.hashing.rolling import ROLLING_WINDOW
 
-#: n-gram length of the common-substring gate -- must match the reference
-#: path's ``has_common_substring(s1, s2, ROLLING_WINDOW)`` or the two gates
-#: (and therefore the scores) diverge.
+#: n-gram length of the common-substring gate -- ssdeep's 7-gram, the
+#: rolling window; the scalar oracle gates on the same length.
 NGRAM = ROLLING_WINDOW
 
 #: Below this many texts the scalar kernel (~11 us a 60-character text) is
@@ -74,11 +71,6 @@ _MIN_BATCH = 10
 #: ``numpy.bitwise_count`` arrived in numpy 2.0; older installs fall back to
 #: the scalar kernel, which needs no popcount ufunc.
 _BITWISE_COUNT = getattr(_np, "bitwise_count", None)
-
-
-def compare_scan_backend() -> str:
-    """Name of the active one-vs-many kernel (``"numpy"`` or ``"python"``)."""
-    return "numpy" if _BITWISE_COUNT is not None else "python"
 
 
 # --------------------------------------------------------------------------- #
@@ -131,9 +123,9 @@ def normalize_parsed(block_size: int, sig1: str, sig2: str) -> NormalizedDigest:
 
     The component-level entry point matters for hand-constructed
     ``FuzzyHash`` objects whose fields would not survive a str()+re-parse
-    round trip; scalar ``compare`` uses it so the engine and
-    ``compare_reference`` score the same signature strings.  Uncached -- object callers are rare, and the hot
-    paths all go through :func:`normalize_digest`.
+    round trip; scalar ``compare`` uses it so the engine and the scalar
+    oracle score the same signature strings.  Uncached -- object callers are
+    rare, and the hot paths all go through :func:`normalize_digest`.
     """
     # Imported lazily: ssdeep imports this module for the kernel, and the
     # normalise primitive lives there.
@@ -236,7 +228,7 @@ def lcs_length_many(masks: dict[str, int], m: int, texts: list[str]) -> list[int
 def default_cost_distance(s1: str, s2: str, masks1: dict[str, int] | None = None) -> int:
     """The scorer's weighted edit distance at default costs, via the kernel.
 
-    Equals ``weighted_edit_distance(s1, s2)`` with the default 1/1/2/2
+    Equals the weighted Damerau-Levenshtein distance at the default 1/1/2/2
     costs: substitutions and transpositions cost exactly a delete+insert
     pair, so only the indel-distance ``len(s1) + len(s2) - 2*LCS`` remains.
     """

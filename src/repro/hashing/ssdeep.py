@@ -38,9 +38,8 @@ which the engine's digests are pinned against.  Production *comparison*
 likewise runs on the batched bit-parallel
 engine of :mod:`repro.hashing.compare_engine` (per-digest normalization
 cache + word-parallel LCS kernel, batched via :meth:`FuzzyHasher.compare_many`);
-the scalar path described above survives as
-:meth:`FuzzyHasher.compare_reference`, the oracle the engine's byte-identical
-scores are pinned against.
+the scalar path described above is the test oracle in
+``tests/oracles/compare.py``, which the engine's scores are pinned against.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.hashing.compare_engine import (
     normalize_digest,
     normalize_parsed,
 )
-from repro.hashing.edit_distance import has_common_substring, weighted_edit_distance
 from repro.hashing.engine import fuzzy_digest
 from repro.hashing.rolling import ROLLING_WINDOW
 
@@ -176,40 +174,11 @@ class FuzzyHasher:
 
         Objects go through the component-level path so hand-constructed
         ``FuzzyHash`` values that would not survive a str()+re-parse round
-        trip still score identically to :meth:`compare_reference`.
+        trip still score identically to the scalar oracle.
         """
         if isinstance(digest, str):
             return normalize_digest(digest)
         return normalize_parsed(digest.block_size, digest.sig1, digest.sig2)
-
-    def compare_reference(self, first: FuzzyHash | str, second: FuzzyHash | str) -> int:
-        """The seed scalar comparison: parse, normalise and align per pair.
-
-        Kept as the oracle the bit-parallel engine is pinned against and as
-        the baseline of ``benchmarks/bench_compare.py``.
-        """
-        h1 = first if isinstance(first, FuzzyHash) else FuzzyHash.parse(first)
-        h2 = second if isinstance(second, FuzzyHash) else FuzzyHash.parse(second)
-
-        b1, b2 = h1.block_size, h2.block_size
-        if b1 != b2 and b1 != b2 * 2 and b2 != b1 * 2:
-            return 0
-
-        s1a = eliminate_sequences(h1.sig1)
-        s1b = eliminate_sequences(h1.sig2)
-        s2a = eliminate_sequences(h2.sig1)
-        s2b = eliminate_sequences(h2.sig2)
-
-        if b1 == b2 and s1a == s2a and s1b == s2b and s1a:
-            return 100
-
-        if b1 == b2:
-            score1 = self._score_strings(s1a, s2a, b1)
-            score2 = self._score_strings(s1b, s2b, b1 * 2)
-            return max(score1, score2)
-        if b1 == b2 * 2:
-            return self._score_strings(s1a, s2b, b1)
-        return self._score_strings(s1b, s2a, b2)
 
     def compare_many(self, baseline: FuzzyHash | str,
                      candidates: list) -> list[int]:
@@ -306,8 +275,8 @@ class FuzzyHasher:
         since that signature is the kernel's pattern whichever candidate
         signature it aligns against.  Each sweep also has one fixed scoring
         band: the baseline's block size for its chunk signature, double it
-        for the double-chunk signature (exactly the bands
-        :meth:`compare_reference` passes for the corresponding alignments).
+        for the double-chunk signature (exactly the bands the scalar oracle
+        passes for the corresponding alignments).
         """
         results = [0] * len(pending)
         # Alignments needing a distance, grouped by baseline signature:
@@ -368,13 +337,13 @@ class FuzzyHasher:
     def _rescale(self, distance: int, len1: int, len2: int) -> int | None:
         """Edit distance -> raw 0-100 score; ``None`` when it rescales past 0.
 
-        Mirrors ssdeep's ``score_strings()`` rescaling.  The kernel and
-        :meth:`compare_reference` share this arithmetic, so their scores
-        cannot drift: any distance at or
-        above ``len1 + len2`` maps to ``None`` (score 0), which is also why
-        the reference path's bounded DP -- whose early-exit value is only a
-        lower bound once it exceeds ``len1 + len2 - 1`` -- yields the same
-        score as the kernel's exact distance.
+        Mirrors ssdeep's ``score_strings()`` rescaling.  The kernel and the
+        scalar oracle (``tests/oracles/compare.py``) share this arithmetic,
+        so their scores cannot drift: any distance at or above
+        ``len1 + len2`` maps to ``None`` (score 0), which is also why the
+        oracle's bounded DP -- whose early-exit value is only a lower bound
+        once it exceeds ``len1 + len2 - 1`` -- yields the same score as the
+        kernel's exact distance.
         """
         scaled = (distance * self.signature_length) // (len1 + len2)
         scaled = (100 * scaled) // self.signature_length
@@ -389,27 +358,6 @@ class FuzzyHasher:
             cap = block_size // self.min_block_size * min(len1, len2)
             score = min(score, cap)
         return max(0, min(100, score))
-
-    def _score_strings(self, s1: str, s2: str, block_size: int) -> int:
-        """Convert an edit distance between two signatures into a 0-100 score."""
-        if not s1 or not s2:
-            return 0
-        if self._require_common_substring and not has_common_substring(
-                s1, s2, ROLLING_WINDOW):
-            return 0
-        if s1 == s2:
-            score = 100
-        else:
-            # Any distance >= len(s1) + len(s2) rescales to a score of 0, so
-            # the alignment may stop early once that is certain; scores are
-            # unchanged (tests pin new-vs-unbounded equality).
-            distance = weighted_edit_distance(s1, s2, bound=len(s1) + len(s2) - 1)
-            score = self._rescale(distance, len(s1), len(s2))
-            if score is None:
-                return 0
-        # For small block sizes, cap the score so short inputs cannot claim
-        # near-perfect similarity on the strength of a handful of pieces.
-        return self._apply_cap(score, len(s1), len(s2), block_size)
 
 
 def eliminate_sequences(signature: str) -> str:
@@ -432,10 +380,6 @@ def eliminate_sequences(signature: str) -> str:
         ):
             out.append(char)
     return "".join(out)
-
-
-#: Backwards-compatible alias (the helper predates its public use).
-_eliminate_sequences = eliminate_sequences
 
 
 # Module-level singleton mirroring libfuzzy's stateless API ------------------

@@ -3,6 +3,9 @@
 The one ingest path of a deployment -- nothing waits for a post-pass over
 a raw message table:
 
+* :mod:`repro.ingest.records` -- the record builder: one
+  :class:`~repro.db.store.ProcessRecord` from the message groups of one
+  process key, with the Python packages parsed from its memory map;
 * :mod:`repro.ingest.incremental` --
   :class:`~repro.ingest.incremental.IncrementalConsolidator` keeps open
   per-process message groups, finalizes each record the moment its

@@ -14,7 +14,7 @@ without ever materialising the raw message table.
 Equivalence with a post-pass
 ----------------------------
 Records are assembled by the *same* function
-(:func:`repro.postprocess.consolidate.build_process_record`) over the same
+(:func:`repro.ingest.records.build_process_record`) over the same
 message groups, so the only way streaming output could diverge is by closing
 a group before all of its messages arrived.  Three properties rule that out
 on the transports this repository ships:
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.collector.records import InfoType, parse_keyvalues
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord
-from repro.postprocess.consolidate import (
+from repro.ingest.records import (
     GROUP_KEYS,
     PROCINFO_KEY,
     GroupKey,

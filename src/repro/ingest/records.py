@@ -17,16 +17,26 @@ closed (or peeked) message group.  The tests' post-pass oracle
 (``tests/oracles/consolidate.py``) regroups a raw ``messages`` table and
 calls the same function, so the two agree exactly when they hand it the
 same message groups.
+
+Python packages from memory maps
+--------------------------------
+A Python process maps the native extension modules of every imported package
+(``_heapq.cpython-311-x86_64-linux-gnu.so`` from the stdlib's ``lib-dynload``
+directory, ``numpy/core/_multiarray_umath...so`` from ``site-packages``, ...).
+SIREN collects the memory map of interpreter processes, and
+:func:`extract_python_packages` turns the mapped paths into package names --
+the data behind Figure 3.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.collector.classify import ExecutableCategory
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import ProcessKey, ProcessRecord
-from repro.postprocess.python_merge import extract_python_packages
+from repro.hpcsim.memmap import parse_mapped_paths
 from repro.transport.chunking import reassemble_chunks
 
 #: Message types expected for every collected process (used for the incomplete flag).
@@ -172,3 +182,43 @@ def _to_int(value: str | None) -> int | None:
     except ValueError:
         return None
 
+
+# --------------------------------------------------------------------------- #
+# Python packages from memory maps
+# --------------------------------------------------------------------------- #
+_CPYTHON_SUFFIX = re.compile(r"\.cpython-[^.]+\.so$|\.so$")
+
+
+def _stem(filename: str) -> str:
+    """File stem with the ``.cpython-XY-...so`` suffix removed."""
+    return _CPYTHON_SUFFIX.sub("", filename)
+
+
+def package_from_mapped_path(path: str) -> str | None:
+    """Map one memory-mapped file path to a Python package name (or ``None``).
+
+    * ``.../lib-dynload/_heapq.cpython-311-x86_64-linux-gnu.so`` -> ``heapq``
+    * ``.../site-packages/numpy/core/_multiarray_umath...so``    -> ``numpy``
+    * anything else (the interpreter itself, libc, ...)           -> ``None``
+    """
+    if "/site-packages/" in path:
+        tail = path.split("/site-packages/", 1)[1]
+        first = tail.split("/", 1)[0]
+        if first.endswith(".so"):
+            return _stem(first).lstrip("_") or None
+        return first or None
+    if "/lib-dynload/" in path:
+        filename = path.rsplit("/", 1)[-1]
+        name = _stem(filename).lstrip("_")
+        return name or None
+    return None
+
+
+def extract_python_packages(maps_text: str) -> list[str]:
+    """Distinct imported packages from a maps listing, sorted alphabetically."""
+    packages: set[str] = set()
+    for path in parse_mapped_paths(maps_text):
+        name = package_from_mapped_path(path)
+        if name:
+            packages.add(name)
+    return sorted(packages)

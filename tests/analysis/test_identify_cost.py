@@ -12,6 +12,7 @@ most ``top`` result rows per query), and the ownership of the record list.
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -105,7 +106,7 @@ class TestRecordedOutput:
         records = churn_like_records()
         assert similarity_digest(records, index_threshold=0) == \
             "6fbc99fd1c44864dffedbeb3535d0d787cc120de5eb44e973eff735891152d4f"
-        assert similarity_digest(records, use_index=False) == \
+        assert similarity_digest(records, index_threshold=sys.maxsize) == \
             "779c7df3f32d9adb57b20829184e1f5cd9c7cc89ec3bff4c377d2d4fa6ca5a55"
 
 
@@ -136,7 +137,7 @@ class TestRepeatedDigests:
         records = [_record(f"/p/u/d{directory}/{name}", digests, pid=pid)
                    for pid, (directory, name, digests) in enumerate(rows)
                    if digests[3]]          # no FI_H, no instance
-        brute = SimilaritySearch(records, use_index=False)
+        brute = SimilaritySearch(records, index_threshold=sys.maxsize)
         indexed = SimilaritySearch(records, index_threshold=0)
         grown = SimilaritySearch([], index_threshold=0)
         for record in records:
@@ -186,7 +187,7 @@ class TestRepeatedDigests:
         built = []
         monkeypatch.setattr(similarity, "SimilarityResult",
                             lambda **fields: built.append(1) or SimilarityResult(**fields))
-        for kwargs in ({"index_threshold": 0}, {"use_index": False}):
+        for kwargs in ({"index_threshold": 0}, {"index_threshold": sys.maxsize}):
             search = SimilaritySearch(records + clones, **kwargs)
             baseline = search.unknown_instances()[0]
             pool = search.labelled_instances()

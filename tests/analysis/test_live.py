@@ -3,9 +3,9 @@
 The contract of :mod:`repro.analysis.live` is byte-identical equality with a
 fresh rebuild: at *every* snapshot, every table row (including tie order) and
 every similarity ranking produced by the incrementally maintained
-:class:`LiveAnalysis` must equal what a fresh
-:class:`~repro.core.pipeline.AnalysisPipeline` /
-:class:`~repro.analysis.similarity.SimilaritySearch` computes over the same
+:class:`LiveAnalysis` must equal what the batch tables
+(``tests/oracles/tables.py``) and a fresh
+:class:`~repro.analysis.similarity.SimilaritySearch` compute over the same
 record set.  These tests stream synthetic record sequences (delivered out of
 canonical order, with open-group overlays, across the index threshold) and
 full campaigns (seeds x loss rates, batch and streaming ingest) and compare
@@ -14,18 +14,22 @@ at each step.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import SimilarityIndex
-from repro.core import AnalysisPipeline
+from repro.analysis.stats import activity_totals
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
+
+from oracles import tables
 
 
 def _canonical(records: list[ProcessRecord]) -> list[ProcessRecord]:
@@ -39,22 +43,24 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
                         index_threshold: int | None = None) -> None:
     """Every live view equals a fresh rebuild over ``records`` -- byte for byte."""
     reference = _canonical(records)
-    pipeline = AnalysisPipeline(reference, user_names)
-    assert live.table2_user_activity() == pipeline.table2_user_activity()
-    assert live.table2_totals() == pipeline.table2_totals()
-    assert live.table3_system_executables() == pipeline.table3_system_executables()
+    table2 = tables.user_activity_table(reference, user_names)
+    assert live.table2_user_activity() == table2
+    assert live.table2_totals() == activity_totals(table2)
+    assert live.table3_system_executables() == \
+        tables.system_executable_table(reference, user_names)
     assert live.table3_system_executables(top=None) == \
-        pipeline.table3_system_executables(top=None)
+        tables.system_executable_table(reference, user_names, top=None)
     for name in ("bash", "tool0", "a.out", "absent"):
         assert live.table4_shared_object_variants(name) == \
-            pipeline.table4_shared_object_variants(name)
-    assert live.table8_python_interpreters() == pipeline.table8_python_interpreters()
+            tables.shared_object_variant_table(reference, name)
+    assert live.table8_python_interpreters() == \
+        tables.python_interpreter_table(reference, user_names)
 
     kwargs = {} if index_threshold is None else {"index_threshold": index_threshold}
     fresh = SimilaritySearch(reference, **kwargs)
     assert [(i.key, i.label, i.process_count) for i in live.instances] == \
         [(i.key, i.label, i.process_count) for i in fresh.instances]
-    brute = SimilaritySearch(reference, use_index=False)
+    brute = SimilaritySearch(reference, index_threshold=sys.maxsize)
     try:
         expected = fresh.identify_unknown(top=10)
     except AnalysisError:
@@ -269,7 +275,7 @@ class TestIncrementalIndexAndSearchGrowth:
         assert search.query(baseline) == fresh.query(baseline)
         assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10)
         assert search.identify_unknown(top=10) == \
-            SimilaritySearch(stream, use_index=False).identify_unknown(top=10)
+            SimilaritySearch(stream, index_threshold=sys.maxsize).identify_unknown(top=10)
 
 
 # --------------------------------------------------------------------------- #
@@ -289,19 +295,18 @@ class TestCampaignLiveEquivalence:
         except AnalysisError:
             live_t7 = None
         records = campaign.snapshot()
-        pipeline = AnalysisPipeline(records, live.user_names)
         fresh = SimilaritySearch(records)
         try:
             fresh_t7 = fresh.identify_unknown(top=10)
         except AnalysisError:
             fresh_t7 = None
-        if live_t2 != pipeline.table2_user_activity():
+        if live_t2 != tables.user_activity_table(records, live.user_names):
             failures.append("table2")
-        if live_t3 != pipeline.table3_system_executables():
+        if live_t3 != tables.system_executable_table(records, live.user_names):
             failures.append("table3")
-        if live_t4 != pipeline.table4_shared_object_variants():
+        if live_t4 != tables.shared_object_variant_table(records, "bash"):
             failures.append("table4")
-        if live_t8 != pipeline.table8_python_interpreters():
+        if live_t8 != tables.python_interpreter_table(records, live.user_names):
             failures.append("table8")
         if live_instances != [(i.key, i.label, i.process_count)
                               for i in fresh.instances]:

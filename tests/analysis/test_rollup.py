@@ -1,7 +1,7 @@
 """Property suite for the one accumulator behind Tables 2/3/4/8.
 
-:mod:`repro.analysis.stats` defines the tables as a pass over a record list;
-:class:`~repro.analysis.rollup.TableRollup` must render exactly those rows
+``tests/oracles/tables.py`` defines the tables as a pass over a record list;
+:class:`~repro.analysis.stats.TableRollup` must render exactly those rows
 (``==``, so row and tie order too) from records folded one at a time in any
 order, alone or with a second accumulator overlaid.  Everything the live
 views and the gold tier promise about the tables follows from the three
@@ -18,9 +18,10 @@ split to the same object list.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import stats
-from repro.analysis.rollup import TableRollup
+from repro.analysis.stats import TableRollup
 from repro.db.store import ProcessRecord
+
+from oracles import tables
 
 NAMES = {0: "user_0", 1000: "user_1", 1001: "user_1"}
 EXECUTABLE_NAMES = ("bash", "python3", "absent")
@@ -71,13 +72,13 @@ def _views(rollup: TableRollup, overlay: TableRollup | None = None) -> list:
 def _recompute(records) -> list:
     ordered = sorted(records, key=lambda record: record.key)
     return [
-        stats.user_activity_table(ordered, NAMES),
-        stats.system_executable_table(ordered, NAMES),
-        stats.system_executable_table(ordered, NAMES, top=None),
-        stats.python_interpreter_table(ordered, NAMES),
-        *[stats.shared_object_variant_table(ordered, name)
+        tables.user_activity_table(ordered, NAMES),
+        tables.system_executable_table(ordered, NAMES),
+        tables.system_executable_table(ordered, NAMES, top=None),
+        tables.python_interpreter_table(ordered, NAMES),
+        *[tables.shared_object_variant_table(ordered, name)
           for name in EXECUTABLE_NAMES],
-        stats.shared_object_variant_table(ordered, "bash", ("libc", "nothing")),
+        tables.shared_object_variant_table(ordered, "bash", ("libc", "nothing")),
     ]
 
 

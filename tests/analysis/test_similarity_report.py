@@ -1,5 +1,7 @@
 """Tests for the similarity search (Table 7) and report rendering."""
 
+import sys
+
 import pytest
 
 from repro.analysis import report
@@ -7,6 +9,8 @@ from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, Similari
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
 from repro.util.errors import AnalysisError
+
+from oracles.compare import compare_reference
 
 
 def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
@@ -128,7 +132,7 @@ class TestQueries:
             ProcessRecord(**{**records[2].__dict__, "modules_h": ""}),
             ProcessRecord(**{**records[3].__dict__, "modules_h": ""}),
         ]
-        search = SimilaritySearch(sparse, use_index=False)
+        search = SimilaritySearch(sparse, index_threshold=sys.maxsize)
         assert search.comparisons == 0
         matrix = search.pairwise_average_matrix("MO_H")
         # Only the single pair with both digests present was compared ...
@@ -154,10 +158,10 @@ class _ReferenceHasher(FuzzyHasher):
     """Scores every pair through the scalar oracle, ``compare_reference``."""
 
     def compare(self, first, second):
-        return self.compare_reference(first, second)
+        return compare_reference(self, first, second)
 
     def compare_many(self, baseline, candidates):
-        return [self.compare_reference(baseline, candidate)
+        return [compare_reference(self, baseline, candidate)
                 for candidate in candidates]
 
 
@@ -174,8 +178,8 @@ class TestCompareEngineAgainstReference:
         assert bit.comparisons == ref.comparisons
 
     def test_pairwise_matrix_identical_to_reference(self, records):
-        for use_index in (True, False):
-            bit, ref = self._searches(records, use_index=use_index)
+        for kwargs in ({}, {"index_threshold": sys.maxsize}):
+            bit, ref = self._searches(records, **kwargs)
             for column in HASH_COLUMNS:
                 assert bit.pairwise_average_matrix(column) == \
                     ref.pairwise_average_matrix(column)
@@ -193,7 +197,7 @@ class TestCompareEngineAgainstReference:
         assert bit.comparisons == ref.comparisons
 
     def test_query_counter_matches_scalar_path(self, records):
-        bit, ref = self._searches(records, use_index=False)
+        bit, ref = self._searches(records, index_threshold=sys.maxsize)
         unknown = bit.unknown_instances()[0]
         assert bit.query(unknown) == ref.query(unknown)
         assert bit.comparisons == ref.comparisons

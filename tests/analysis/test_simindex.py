@@ -10,6 +10,8 @@ on real campaign data.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
@@ -167,37 +169,37 @@ class TestIndexedSearchEquivalence:
     """Property-style: indexed and brute-force searches are result-identical."""
 
     def test_synthetic_query_rankings_identical_for_every_baseline(self, synthetic_records):
-        brute = SimilaritySearch(synthetic_records, use_index=False)
-        indexed = SimilaritySearch(synthetic_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
+        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
         assert indexed.indexed and not brute.indexed
         for brute_instance, indexed_instance in zip(brute.instances, indexed.instances):
             assert brute.query(brute_instance, candidates=brute.instances) == \
                 indexed.query(indexed_instance, candidates=indexed.instances)
 
     def test_synthetic_identify_unknown_identical(self, synthetic_records):
-        brute = SimilaritySearch(synthetic_records, use_index=False)
-        indexed = SimilaritySearch(synthetic_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
+        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
         assert brute.identify_unknown(top=10) == indexed.identify_unknown(top=10)
         assert indexed.comparisons <= brute.comparisons
 
     def test_campaign_identify_unknown_identical(self, campaign_records):
-        brute = SimilaritySearch(campaign_records, use_index=False)
-        indexed = SimilaritySearch(campaign_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
+        indexed = SimilaritySearch(campaign_records, index_threshold=0)
         assert brute.identify_unknown(top=10) == indexed.identify_unknown(top=10)
         assert indexed.comparisons < brute.comparisons
 
     def test_campaign_pairwise_matrix_identical(self, campaign_records):
         for column in ("FI_H", "MO_H"):
-            brute = SimilaritySearch(campaign_records, use_index=False)
-            indexed = SimilaritySearch(campaign_records, use_index=True, index_threshold=0)
+            brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
+            indexed = SimilaritySearch(campaign_records, index_threshold=0)
             assert brute.pairwise_average_matrix(column) == \
                 indexed.pairwise_average_matrix(column)
             assert indexed.comparisons <= brute.comparisons
 
     def test_unindexed_column_matches_brute_force(self, synthetic_records):
         """Columns the index does not cover score 0 on both paths, not crash."""
-        brute = SimilaritySearch(synthetic_records, use_index=False)
-        indexed = SimilaritySearch(synthetic_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
+        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
         columns = ("FI_H", "NOT_A_COLUMN")
         unknown_b = brute.unknown_instances()[0]
         unknown_i = indexed.unknown_instances()[0]
@@ -207,15 +209,15 @@ class TestIndexedSearchEquivalence:
             indexed.pairwise_average_matrix("NOT_A_COLUMN")
 
     def test_campaign_query_with_column_subset_identical(self, campaign_records):
-        brute = SimilaritySearch(campaign_records, use_index=False)
-        indexed = SimilaritySearch(campaign_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
+        indexed = SimilaritySearch(campaign_records, index_threshold=0)
         for unknown_b, unknown_i in zip(brute.unknown_instances(),
                                         indexed.unknown_instances()):
             assert brute.query(unknown_b, columns=("FI_H", "SY_H")) == \
                 indexed.query(unknown_i, columns=("FI_H", "SY_H"))
 
     def test_index_stats_exposed(self, campaign_records):
-        indexed = SimilaritySearch(campaign_records, use_index=True, index_threshold=0)
+        indexed = SimilaritySearch(campaign_records, index_threshold=0)
         indexed.identify_unknown(top=5)
         stats = indexed.index_stats()
         assert stats is not None
@@ -241,32 +243,32 @@ class TestFallbacks:
         assert search.identify_unknown(top=2)
 
     def test_forced_index_on_small_dataset_identical(self, tiny_records):
-        brute = SimilaritySearch(tiny_records, use_index=False)
-        forced = SimilaritySearch(tiny_records, use_index=True, index_threshold=0)
+        brute = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
+        forced = SimilaritySearch(tiny_records, index_threshold=0)
         assert forced.indexed
         assert brute.identify_unknown() == forced.identify_unknown()
 
     def test_non_default_hasher_disables_index(self, tiny_records):
         loose = FuzzyHasher(require_common_substring=False)
         search = SimilaritySearch(tiny_records, hasher=loose,
-                                  use_index=True, index_threshold=0)
+                                  index_threshold=0)
         assert not search.indexed  # pruning guarantee void without the 7-gram gate
 
-    def test_use_index_false_disables_index(self, tiny_records):
-        search = SimilaritySearch(tiny_records, use_index=False, index_threshold=0)
+    def test_maxsize_threshold_disables_index(self, tiny_records):
+        search = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
         assert not search.indexed
 
     def test_external_baseline_and_candidates_supported(self, tiny_records):
         """Instances outside the built index are compared directly."""
         from repro.analysis.similarity import ExecutableInstance
 
-        search = SimilaritySearch(tiny_records, use_index=True, index_threshold=0)
+        search = SimilaritySearch(tiny_records, index_threshold=0)
         external = ExecutableInstance(
             executable="/elsewhere/app", label="icon",
             hashes={column: fuzzy_hash_text("first payload " * 40 + " file")
                     for column in HASH_COLUMNS})
         unknown = search.unknown_instances()[0]
         indexed_scores = search.query(unknown, candidates=[external])
-        brute = SimilaritySearch(tiny_records, use_index=False)
+        brute = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
         brute_scores = brute.query(brute.unknown_instances()[0], candidates=[external])
         assert indexed_scores == brute_scores

@@ -1,4 +1,9 @@
-"""Tests for usage statistics (Tables 2-4, 8) and label derivation (Table 5)."""
+"""Tests for usage statistics (Tables 2-4, 8) and label derivation (Table 5).
+
+The table cases read their rows through :class:`AnalysisPipeline`, the
+production path; the count of distinct system executables is checked
+against the batch oracle too.
+"""
 
 from repro.analysis.labels import (
     UNKNOWN_LABEL,
@@ -7,15 +12,10 @@ from repro.analysis.labels import (
     records_for_label,
     user_application_table,
 )
-from repro.analysis.stats import (
-    activity_totals,
-    python_interpreter_table,
-    shared_object_variant_table,
-    system_executable_count,
-    system_executable_table,
-    user_activity_table,
-)
+from repro.core import AnalysisPipeline
 from repro.db.store import ProcessRecord
+
+from oracles.tables import system_executable_count
 
 
 def _record(executable: str, category: str, *, uid: int = 1000, jobid: str = "1",
@@ -62,7 +62,7 @@ class TestUserActivityTable:
             _record("/project/p/u/lmp", "user", uid=1001, jobid="3"),
             _record("/usr/bin/python3.10", "python", uid=1001, jobid="3"),
         ]
-        rows = user_activity_table(records, USERS)
+        rows = AnalysisPipeline(records, USERS).table2_user_activity()
         assert rows[0].user == "user_1"
         assert rows[0].job_count == 2 and rows[0].system_processes == 2
         assert rows[1].user == "user_2"
@@ -73,13 +73,14 @@ class TestUserActivityTable:
             _record("/usr/bin/bash", "system", uid=1000, jobid="1"),
             _record("/project/p/u/lmp", "user", uid=1001, jobid="2"),
         ]
-        total = activity_totals(user_activity_table(records, USERS))
+        total = AnalysisPipeline(records, USERS).table2_totals()
         assert total.user == "Total"
         assert total.job_count == 2
         assert total.total_processes == 2
 
     def test_unmapped_uid_fallback(self):
-        rows = user_activity_table([_record("/usr/bin/ls", "system", uid=4242)], {})
+        rows = AnalysisPipeline([_record("/usr/bin/ls", "system", uid=4242)],
+                                {}).table2_user_activity()
         assert rows[0].user == "uid_4242"
 
 
@@ -91,16 +92,19 @@ class TestSystemExecutableTable:
             _record("/usr/bin/rm", "system", uid=1000, jobid="1", objects_h="3:a:b"),
             _record("/project/p/u/lmp", "user", uid=1000, jobid="1"),
         ]
-        rows = system_executable_table(records, USERS, top=1)
+        pipeline = AnalysisPipeline(records, USERS)
+        rows = pipeline.table3_system_executables(top=1)
         assert len(rows) == 1
         assert rows[0].executable == "/usr/bin/bash"
         assert rows[0].unique_users == 2
         assert rows[0].process_count == 2
         assert rows[0].unique_objects_h == 2
-        assert system_executable_count(records) == 2
+        assert len(pipeline.table3_system_executables(top=None)) == \
+            system_executable_count(records) == 2
 
     def test_user_records_excluded(self):
-        rows = system_executable_table([_record("/project/p/u/lmp", "user")], USERS)
+        rows = AnalysisPipeline([_record("/project/p/u/lmp", "user")],
+                                USERS).table3_system_executables()
         assert rows == []
 
 
@@ -114,7 +118,7 @@ class TestSharedObjectVariants:
             _record("/usr/bin/bash", "system", objects=alt_set),
             _record("/usr/bin/ls", "system", objects="/lib64/libc.so.6"),
         ]
-        rows = shared_object_variant_table(records, "bash")
+        rows = AnalysisPipeline(records).table4_shared_object_variants("bash")
         assert len(rows) == 2
         assert rows[0].process_count == 2
         assert rows[0].distinguishing["libtinfo"] == "/lib64/libtinfo.so.6"
@@ -122,7 +126,7 @@ class TestSharedObjectVariants:
         assert rows[1].distinguishing["libm"] == "/lib64/libm.so.6"
 
     def test_unknown_executable_empty(self):
-        assert shared_object_variant_table([], "bash") == []
+        assert AnalysisPipeline([]).table4_shared_object_variants("bash") == []
 
 
 class TestPythonInterpreterTable:
@@ -133,7 +137,7 @@ class TestPythonInterpreterTable:
             _record("/usr/bin/python3.6", "python", uid=1000, jobid="3", script_h="3:s3:x"),
             _record("/project/p/u/miniconda3/bin/python3.10", "user", uid=1000, jobid="4"),
         ]
-        rows = python_interpreter_table(records, USERS)
+        rows = AnalysisPipeline(records, USERS).table8_python_interpreters()
         assert rows[0].interpreter == "python3.10"
         assert rows[0].unique_users == 2
         assert rows[0].unique_script_h == 2

@@ -1,14 +1,19 @@
 """Tests for the SirenFramework facade and the AnalysisPipeline."""
 
+import random
+import sys
+from operator import attrgetter
+
 import pytest
 
 from repro.analysis.similarity import SimilaritySearch
-from repro.analysis.stats import user_activity_table
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
+from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.consolidate import records_from_messages
+from oracles.tables import user_activity_table
 
 
 class TestSirenFramework:
@@ -304,7 +309,7 @@ class TestFrameworkAnalysisFacade:
         cluster, manifest, framework, _ = deployed_framework
         self._run_identification_job(cluster, manifest)
         identified = framework.identify_unknown(top=5)
-        brute = SimilaritySearch(framework.consolidate(), use_index=False)
+        brute = SimilaritySearch(framework.consolidate(), index_threshold=sys.maxsize)
         assert identified == brute.identify_unknown(top=5)
         (results,) = identified.values()
         assert results[0].label == "icon"
@@ -374,3 +379,28 @@ class TestAnalysisPipeline:
         search = pipeline.similarity_search()
         assert search.unknown_instances()
         assert search.index_stats() is None or search.indexed
+
+    def test_answers_do_not_depend_on_record_order(self):
+        """Regression test: the batch tables followed the order the records
+        were passed in, so a shuffled list gave another bash Table 4 and
+        another report than the key-sorted one -- and than gold, which (like
+        ``LiveAnalysis``) answers in process-key order."""
+        result = DeploymentCampaign(CampaignConfig(
+            scale=0.0, seed=7, loss_rate=0.0, keep_raw_messages=False,
+            rollups=True)).run()
+        ordered = sorted(result.records, key=attrgetter("key"))
+        shuffled = list(ordered)
+        random.Random(1).shuffle(shuffled)
+        pipelines = [AnalysisPipeline(records, result.user_names)
+                     for records in (shuffled, ordered)]
+        gold = result.tiered
+        expected = [gold.user_activity(), gold.system_executables(),
+                    gold.python_interpreters(), gold.shared_object_variants("bash"),
+                    gold.shared_object_variants("srun")]
+        for pipeline in pipelines:
+            assert [pipeline.table2_user_activity(),
+                    pipeline.table3_system_executables(),
+                    pipeline.table8_python_interpreters(),
+                    pipeline.table4_shared_object_variants("bash"),
+                    pipeline.table4_shared_object_variants("srun")] == expected
+        assert pipelines[0].render_all() == pipelines[1].render_all()

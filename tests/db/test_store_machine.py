@@ -11,7 +11,7 @@ the retry budget) or ``database or disk is full`` (fails at once).
 
 After every step the ``processes`` table equals a plain-dict model of the
 writes that did not raise, gold reflects exactly its rows, and all four
-gold tables equal the :mod:`repro.analysis.stats` recompute over the
+gold tables equal the batch recompute (``tests/oracles/tables.py``) over the
 key-sorted table: gold never runs ahead of ``processes`` and never lags it.
 """
 
@@ -25,9 +25,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.analysis import stats
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import build_tiered_store
+
+from oracles import tables
 
 _USERS = {1000: "user_1", 1001: "user_2"}
 _DISK_FULL = "database or disk is full"
@@ -149,13 +150,13 @@ class StoreMachine(RuleBasedStateMachine):
         assert {record.key: record for record in records} == self.model
         tiered = self.store.tiered
         assert tiered.statistics()["silver_rows"] == len(records)
-        assert tiered.user_activity() == stats.user_activity_table(records, _USERS)
+        assert tiered.user_activity() == tables.user_activity_table(records, _USERS)
         assert tiered.system_executables() == \
-            stats.system_executable_table(records, _USERS)
+            tables.system_executable_table(records, _USERS)
         assert tiered.shared_object_variants("bash") == \
-            stats.shared_object_variant_table(records, "bash")
+            tables.shared_object_variant_table(records, "bash")
         assert tiered.python_interpreters() == \
-            stats.python_interpreter_table(records, _USERS)
+            tables.python_interpreter_table(records, _USERS)
 
     def teardown(self) -> None:
         self.store.close()

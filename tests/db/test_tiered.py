@@ -1,7 +1,7 @@
 """Tests for the gold rollups (``TieredStore``) over the ``processes`` table.
 
 The load-bearing property is *byte identity*: every gold answer must equal
-the corresponding :mod:`repro.analysis.stats` table recomputed from the
+the corresponding batch table (``tests/oracles/tables.py``) recomputed from the
 key-sorted ``processes`` rows -- under any batching and order, after a
 refold, after reopening an on-disk store, for full campaigns, under every
 degradation preset and under store faults.  The rollups are an
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import stats
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore, build_tiered_store
 from repro.faults import FaultyChannel, StoreFaultInjector, preset_plans
@@ -30,6 +29,8 @@ from repro.util.errors import StoreError
 from repro.util.retry import RetryPolicy
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
+
+from oracles import tables
 
 _USERS = {1000 + i: f"user_{i}" for i in range(6)}
 _OBJECT_SETS = (
@@ -73,15 +74,15 @@ def _assert_tables_match(tiered: TieredStore, records, user_names) -> None:
     """Every gold answer byte-identical to the recompute reference."""
     reference = _sorted(records)
     assert tiered.user_activity() == \
-        stats.user_activity_table(reference, user_names)
+        tables.user_activity_table(reference, user_names)
     assert tiered.system_executables() == \
-        stats.system_executable_table(reference, user_names)
+        tables.system_executable_table(reference, user_names)
     assert tiered.system_executables(top=None) == \
-        stats.system_executable_table(reference, user_names, top=None)
+        tables.system_executable_table(reference, user_names, top=None)
     assert tiered.shared_object_variants("bash") == \
-        stats.shared_object_variant_table(reference, "bash")
+        tables.shared_object_variant_table(reference, "bash")
     assert tiered.python_interpreters() == \
-        stats.python_interpreter_table(reference, user_names)
+        tables.python_interpreter_table(reference, user_names)
 
 
 def _assert_gold_is_processes(store: MessageStore, user_names) -> None:

@@ -3,8 +3,8 @@
 The engine's claim is exactness, not approximation: every score produced
 by the engine -- scalar ``compare``, batched ``compare_many``, and the numpy
 one-vs-many kernel behind it -- must be
-byte-identical to the seed scalar path (``compare_reference``: re-parse,
-re-normalise, Python DP per pair).  These tests sweep random signatures,
+byte-identical to the scalar oracle (``tests/oracles/compare.py``:
+re-parse, re-normalise, Python DP per pair).  These tests sweep random signatures,
 block-size bands, both ``require_common_substring`` settings and non-default
 hasher geometries, and also pin the kernel itself against a textbook LCS DP.
 """
@@ -12,6 +12,7 @@ hasher geometries, and also pin the kernel itself against a textbook LCS DP.
 import gc
 import random
 import weakref
+from functools import partial
 
 import pytest
 
@@ -24,9 +25,10 @@ from repro.hashing.compare_engine import (
     signature_grams,
     signature_masks,
 )
-from repro.hashing.edit_distance import weighted_edit_distance
 from repro.hashing.engine import B64_ALPHABET
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
+
+from oracles.compare import compare_reference, has_common_substring, weighted_edit_distance
 
 # --------------------------------------------------------------------------- #
 # generators
@@ -166,8 +168,6 @@ class TestNormalizeDigest:
             normalize_digest("0:abc:def")
 
     def test_gram_sets_mirror_common_substring_gate(self):
-        from repro.hashing.edit_distance import has_common_substring
-
         rng = random.Random(16)
         for _ in range(300):
             a = _random_signature(rng)
@@ -191,7 +191,7 @@ class TestReferenceEquivalence:
                 else 3 * (2 ** rng.randint(0, 6))
             a = _random_digest(rng, block)
             b = _random_digest(rng, other)
-            assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
+            assert bit.compare(a, b) == compare_reference(bit, a, b), (a, b)
 
     def test_related_payload_digests(self):
         # Digests of genuinely related payloads (non-zero scores, exact-100
@@ -211,7 +211,7 @@ class TestReferenceEquivalence:
         digests = [str(bit.hash(payload)) for payload in variants]
         for a in digests:
             for b in digests:
-                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
+                assert bit.compare(a, b) == compare_reference(bit, a, b), (a, b)
 
     def test_non_default_hasher_geometry(self):
         rng = random.Random(18)
@@ -222,14 +222,14 @@ class TestReferenceEquivalence:
                                    max_len=min(sig_len, 160))
                 b = _random_digest(rng, min_block * (2 ** rng.randint(0, 3)),
                                    max_len=min(sig_len, 160))
-                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
+                assert bit.compare(a, b) == compare_reference(bit, a, b), (a, b)
 
     def test_empty_signatures_and_identity(self):
         bit = FuzzyHasher()
         cases = ["3::", "3:ABCDEFGH:", "3::ABCDEFGH", "6:ABCDEFGH:ABCD"]
         for a in cases:
             for b in cases:
-                assert bit.compare(a, b) == bit.compare_reference(a, b), (a, b)
+                assert bit.compare(a, b) == compare_reference(bit, a, b), (a, b)
 
     def test_fuzzyhash_objects_score_from_components_not_reparse(self):
         # Hand-constructed FuzzyHash objects may not survive a str()+re-parse
@@ -238,13 +238,13 @@ class TestReferenceEquivalence:
         bit = FuzzyHasher()
         weird = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
         plain = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
-        assert bit.compare(weird, plain) == bit.compare_reference(weird, plain) == 100
+        assert bit.compare(weird, plain) == compare_reference(bit, weird, plain) == 100
         # compare_many honours its scalar-equivalence contract for objects too.
         assert bit.compare_many(weird, [plain]) == [bit.compare(weird, plain)]
 
     def test_invalid_digest_raises_value_error_from_engine_and_oracle(self):
         hasher = FuzzyHasher()
-        for compare in (hasher.compare, hasher.compare_reference):
+        for compare in (hasher.compare, partial(compare_reference, hasher)):
             with pytest.raises(ValueError):
                 compare("garbage", "3:AB:C")
 
@@ -265,7 +265,7 @@ class TestCompareMany:
             candidates += candidates[:len(candidates) // 3]
             rng.shuffle(candidates)
             assert hasher.compare_many(baseline, candidates) == \
-                [hasher.compare_reference(baseline, digest) for digest in candidates]
+                [compare_reference(hasher, baseline, digest) for digest in candidates]
 
     def test_accepts_fuzzyhash_objects(self):
         hasher = FuzzyHasher()

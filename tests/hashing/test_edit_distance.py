@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hashing.edit_distance import (
+from oracles.compare import (
     damerau_levenshtein,
     has_common_substring,
     levenshtein,

@@ -7,8 +7,8 @@ from repro.hashing.ssdeep import (
     SPAMSUM_LENGTH,
     FuzzyHash,
     FuzzyHasher,
-    _eliminate_sequences,
     compare,
+    eliminate_sequences,
     fuzzy_hash,
     fuzzy_hash_text,
 )
@@ -180,13 +180,13 @@ class TestCachedCompare:
 
 class TestEliminateSequences:
     def test_collapses_long_runs(self):
-        assert _eliminate_sequences("aaaaaabc") == "aaabc"
+        assert eliminate_sequences("aaaaaabc") == "aaabc"
 
     def test_short_runs_untouched(self):
-        assert _eliminate_sequences("aaabbbccc") == "aaabbbccc"
+        assert eliminate_sequences("aaabbbccc") == "aaabbbccc"
 
     def test_short_string_untouched(self):
-        assert _eliminate_sequences("ab") == "ab"
+        assert eliminate_sequences("ab") == "ab"
 
 
 class TestTextSimilarityUseCases:

@@ -6,21 +6,21 @@ with gold rollups attached: once untouched, once under spies.  The spies
 fail the test if the hot path regrows an enum call or a ``.value`` per
 datagram, a throw-away ``MessageGroup`` per message, a
 ``reassemble_chunks`` call per unchunked group -- or, in the hand-off to
-gold, a re-read of the batch just written or a second fold of a record --
-and the spied run must still produce the very same records, counters and
-gold tables.
+gold, a re-read of the batch just written, a second fold of a record or a
+second split of one ``objects`` string -- and the spied run must still
+produce the very same records, counters and gold tables.
 """
 
 import enum
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 
 import repro.ingest.incremental as incremental
-import repro.postprocess.consolidate as consolidate
+import repro.ingest.records as record_builder
 import repro.transport.messages as messages
-from repro.analysis.rollup import TableRollup
-from repro.db.store import MessageStore
+from repro.analysis.stats import TableRollup
+from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
 from repro.ingest import ShardedIngest
 from repro.transport.messages import UDPMessage
@@ -65,13 +65,13 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
 
     groups_built = []
 
-    class CountedGroup(consolidate.MessageGroup):
+    class CountedGroup(record_builder.MessageGroup):
         def __init__(self, *args, **kwargs):
             groups_built.append(self)
             super().__init__(*args, **kwargs)
 
     reassembled = []
-    reassemble_chunks = consolidate.reassemble_chunks
+    reassemble_chunks = record_builder.reassemble_chunks
 
     def counting_reassemble(chunks, expected_total):
         reassembled.append((dict(chunks), expected_total))
@@ -83,7 +83,7 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         patch.setattr(messages, "InfoType", forbidden)
         patch.setattr(enum.property, "__get__", counting_get)
         patch.setattr(incremental, "MessageGroup", CountedGroup)
-        patch.setattr(consolidate, "reassemble_chunks", counting_reassemble)
+        patch.setattr(record_builder, "reassemble_chunks", counting_reassemble)
         spied = _replay(stream)
 
     assert spied == expected
@@ -160,3 +160,26 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     assert expected[2] == {"silver_rows": built, "rollup_rebuilds": 0,
                            "rollup_records_applied": built,
                            "rollup_syncs": len(flushes)}
+
+
+def test_gold_splits_each_objects_string_once(stream, monkeypatch):
+    """Table 4 groups by object list, but a stream repeats a few library sets
+    over many records: gold splits each distinct ``objects`` string once."""
+    expected = _replay(stream)
+    splits = []
+    object_list = ProcessRecord.object_list
+
+    def counting_object_list(self):
+        splits.append(self.objects)
+        return object_list.fget(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProcessRecord, "object_list", property(counting_object_list))
+        spied = _replay(stream)
+
+    assert spied == expected
+    column = [field.name for field in fields(ProcessRecord)].index("objects")
+    objects = [record[column] for record in expected[0]]
+    assert len(set(objects)) < len(objects) // 2         # the memo has work to do
+    assert sorted(splits) == sorted(set(splits))          # once per string ...
+    assert set(splits) == set(objects)                    # ... for every one folded

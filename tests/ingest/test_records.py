@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
-from repro.postprocess.consolidate import (
+from repro.ingest.records import (
     GROUP_KEYS,
     MessageGroup,
     expected_keys_for,
     expected_types_for,
+    extract_python_packages,
+    package_from_mapped_path,
 )
-from repro.postprocess.python_merge import extract_python_packages, package_from_mapped_path
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError

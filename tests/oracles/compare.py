@@ -1,9 +1,17 @@
-"""Edit distances used to compare fuzzy-hash signatures.
+"""The scalar fuzzy-hash comparison: the oracle the compare engine is pinned to.
+
+:meth:`repro.hashing.ssdeep.FuzzyHasher.compare` scores through the batched
+bit-parallel engine of :mod:`repro.hashing.compare_engine`.  This is the
+comparison as ssdeep states it, one pair at a time: parse both digests,
+collapse long runs, demand a common 7-gram, align the signatures with a
+weighted Damerau-Levenshtein DP and rescale the distance into 0-100.  The
+rescaling and the small-block-size cap are the hasher's own ``_rescale`` and
+``_apply_cap``, so the scoring arithmetic is written once.
 
 The paper (Section 2.1) describes ssdeep's comparison as a
 Damerau-Levenshtein distance over the two signature strings -- insertions,
-deletions, substitutions, and transpositions of adjacent characters -- which
-is then rescaled into a 0-100 similarity score.  This module implements:
+deletions, substitutions, and transpositions of adjacent characters.  The
+distances here:
 
 * :func:`levenshtein` -- the classic unit-cost Levenshtein distance,
 * :func:`damerau_levenshtein` -- the restricted (optimal string alignment)
@@ -13,11 +21,64 @@ is then rescaled into a 0-100 similarity score.  This module implements:
   insert/delete and 2 for substitution; transpositions cost 2 here so that a
   swap is never more expensive than the delete+insert it replaces).
 
-All functions operate on plain ``str`` objects and run in ``O(len(a)*len(b))``
-time and ``O(min(len(a), len(b)))`` memory for the two-row variants.
+All of them run in ``O(len(a)*len(b))`` time and ``O(min(len(a), len(b)))``
+memory.
 """
 
 from __future__ import annotations
+
+from repro.hashing.rolling import ROLLING_WINDOW
+from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
+
+
+def compare_reference(hasher: FuzzyHasher, first: FuzzyHash | str,
+                      second: FuzzyHash | str) -> int:
+    """``hasher.compare(first, second)``, one pair at a time: parse,
+    normalise and align."""
+    h1 = first if isinstance(first, FuzzyHash) else FuzzyHash.parse(first)
+    h2 = second if isinstance(second, FuzzyHash) else FuzzyHash.parse(second)
+
+    b1, b2 = h1.block_size, h2.block_size
+    if b1 != b2 and b1 != b2 * 2 and b2 != b1 * 2:
+        return 0
+
+    s1a = eliminate_sequences(h1.sig1)
+    s1b = eliminate_sequences(h1.sig2)
+    s2a = eliminate_sequences(h2.sig1)
+    s2b = eliminate_sequences(h2.sig2)
+
+    if b1 == b2 and s1a == s2a and s1b == s2b and s1a:
+        return 100
+
+    if b1 == b2:
+        score1 = _score_strings(hasher, s1a, s2a, b1)
+        score2 = _score_strings(hasher, s1b, s2b, b1 * 2)
+        return max(score1, score2)
+    if b1 == b2 * 2:
+        return _score_strings(hasher, s1a, s2b, b1)
+    return _score_strings(hasher, s1b, s2a, b2)
+
+
+def _score_strings(hasher: FuzzyHasher, s1: str, s2: str, block_size: int) -> int:
+    """Convert an edit distance between two signatures into a 0-100 score."""
+    if not s1 or not s2:
+        return 0
+    if hasher.require_common_substring and not has_common_substring(
+            s1, s2, ROLLING_WINDOW):
+        return 0
+    if s1 == s2:
+        score = 100
+    else:
+        # Any distance >= len(s1) + len(s2) rescales to a score of 0, so
+        # the alignment may stop early once that is certain; scores are
+        # unchanged (tests pin new-vs-unbounded equality).
+        distance = weighted_edit_distance(s1, s2, bound=len(s1) + len(s2) - 1)
+        score = hasher._rescale(distance, len(s1), len(s2))
+        if score is None:
+            return 0
+    # For small block sizes, cap the score so short inputs cannot claim
+    # near-perfect similarity on the strength of a handful of pieces.
+    return hasher._apply_cap(score, len(s1), len(s2), block_size)
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -7,7 +7,7 @@ guards against: ``repro.db`` re-exports only the store, because the gold
 rollups (``repro.db.tiered``) build on ``repro.analysis``, which reads its
 records from ``repro.db`` -- re-exporting them closes the cycle
 ``analysis.stats -> collector -> transport -> db -> db.tiered ->
-analysis.rollup -> analysis.stats``.
+analysis.stats``.
 """
 
 import os
