@@ -38,10 +38,19 @@ records (``tests/analysis/test_live.py``):
   path ``SimilaritySearch.query`` takes for caller-supplied candidates),
   which can only *add* comparisons, never change scores.
 
-One :class:`~repro.hashing.ssdeep.FuzzyHasher` lives for the whole
-analysis, so the compare LRU stays warm across snapshots -- repeat
-baseline-vs-candidate alignments are cache hits instead of fresh
-edit-distance runs.
+Table 7 per refresh
+-------------------
+A Table 7 answer is identified by three inputs: the pool's instance keys in
+pool order (path plus six digests: labels, scores and tie order follow from
+them), ``top``, and the hasher's ``require_common_substring`` gate.  A
+refresh whose three inputs equal the last answer's costs O(instances) -- one
+key tuple compared -- and returns that answer again; ``process_count`` is
+not an input, so a commit that only bumps counts is served from memory too.
+Any other refresh re-runs the search: UNKNOWN x labelled x six columns of
+index probes and compare-LRU lookups.  One
+:class:`~repro.hashing.ssdeep.FuzzyHasher` lives for the whole analysis, so
+the LRU stays warm across snapshots and only pairs with a new instance are
+aligned afresh.
 """
 
 from __future__ import annotations
@@ -117,6 +126,11 @@ class LiveAnalysis:
     #: The merged, ordered instance pool of the current state (``None``: stale).
     _pool_cache: list[ExecutableInstance] | None = field(init=False, default=None,
                                                          repr=False)
+    #: Table 7's last answer beside the inputs that determine it.
+    _identified: tuple[tuple, dict[str, list[SimilarityResult]]] | None = field(
+        init=False, default=None, repr=False)
+    #: Table 7 answers served from memory, without a comparison.
+    identify_reused: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self._tables = TableRollup(self.user_names)
@@ -261,16 +275,31 @@ class LiveAnalysis:
         return self._search.query(baseline, candidates=pool, top=top, columns=columns)
 
     def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
-        """The Table 7 search for every UNKNOWN instance, live."""
+        """The Table 7 search for every UNKNOWN instance, live.
+
+        While the pool's instance keys in pool order, ``top`` and the
+        hasher's ``require_common_substring`` gate are what the last search
+        saw, its answer is returned again as fresh dict and list copies of
+        the frozen rows, without an index probe or a compare-LRU lookup (the
+        module docstring says why those three inputs suffice).
+        """
         self._pull()
         pool = self._pool()
-        unknowns = [instance for instance in pool if instance.label == UNKNOWN_LABEL]
-        if not unknowns:
-            raise AnalysisError("no UNKNOWN instances to identify")
-        labelled = [instance for instance in pool if instance.label != UNKNOWN_LABEL]
-        return {unknown.executable: self._search.query(unknown, candidates=labelled,
-                                                       top=top)
-                for unknown in unknowns}
+        inputs = (tuple(instance.key for instance in pool), top,
+                  self.hasher.require_common_substring)
+        if self._identified is not None and self._identified[0] == inputs:
+            self.identify_reused += 1
+            answer = self._identified[1]
+        else:
+            unknowns = [instance for instance in pool if instance.label == UNKNOWN_LABEL]
+            if not unknowns:
+                raise AnalysisError("no UNKNOWN instances to identify")
+            labelled = [instance for instance in pool if instance.label != UNKNOWN_LABEL]
+            answer = {unknown.executable: self._search.query(unknown, candidates=labelled,
+                                                             top=top)
+                      for unknown in unknowns}
+            self._identified = (inputs, answer)
+        return {executable: list(rows) for executable, rows in answer.items()}
 
     def _pool(self) -> list[ExecutableInstance]:
         """Committed + overlay instances, in the rebuild's instance order.
@@ -316,7 +345,7 @@ class LiveAnalysis:
     # ------------------------------------------------------------------ #
     @property
     def comparisons(self) -> int:
-        """Digest alignments performed across the analysis's lifetime."""
+        """Digest comparisons across the analysis's lifetime, compare-LRU hits included."""
         return self._search.comparisons
 
     def index_stats(self):
@@ -332,4 +361,5 @@ class LiveAnalysis:
             "syncs": self.syncs,
             "cursor": self.cursor,
             "comparisons": self._search.comparisons,
+            "identify_reused": self.identify_reused,
         }

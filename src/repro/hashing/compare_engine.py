@@ -225,21 +225,14 @@ def lcs_length_many(masks: dict[str, int], m: int, texts: list[str]) -> list[int
     return (m - _BITWISE_COUNT(v & full)).tolist()
 
 
-def default_cost_distance(s1: str, s2: str, masks1: dict[str, int] | None = None) -> int:
-    """The scorer's weighted edit distance at default costs, via the kernel.
+def default_cost_distance_many(s1: str, texts: list[str],
+                               masks1: dict[str, int] | None = None) -> list[int]:
+    """The scorer's weighted edit distance from ``s1`` to each text, via the kernel.
 
     Equals the weighted Damerau-Levenshtein distance at the default 1/1/2/2
     costs: substitutions and transpositions cost exactly a delete+insert
-    pair, so only the indel-distance ``len(s1) + len(s2) - 2*LCS`` remains.
+    pair, so only the indel distance ``len(s1) + len(text) - 2*LCS`` remains.
     """
-    if masks1 is None:
-        masks1 = signature_masks(s1)
-    return len(s1) + len(s2) - 2 * lcs_length(masks1, len(s1), s2)
-
-
-def default_cost_distance_many(s1: str, texts: list[str],
-                               masks1: dict[str, int] | None = None) -> list[int]:
-    """Batched :func:`default_cost_distance` of one pattern against many texts."""
     if masks1 is None:
         masks1 = signature_masks(s1)
     m = len(s1)

@@ -64,7 +64,8 @@ COUNTERS: dict[str, str] = {
     "instances": "similarity instances grown so far",
     "syncs": "delta pulls performed",
     "cursor": "current delta-stream high-water mark",
-    "comparisons": "digest alignments performed",
+    "comparisons": "digest comparisons made, compare-LRU hits included",
+    "identify_reused": "Table 7 answers served from memory, without a comparison",
     # --- gold rollups (TieredStore.statistics) --------------------------- #
     "silver_rows": "processes rows the gold rollups reflect",
     "rollup_syncs": "flushed batches folded into gold as they were written",

@@ -9,18 +9,25 @@ every similarity ranking produced by the incrementally maintained
 record set.  These tests stream synthetic record sequences (delivered out of
 canonical order, with open-group overlays, across the index threshold) and
 full campaigns (seeds x loss rates, batch and streaming ingest) and compare
-at each step.
+at each step.  Table 7 is answered from memory while its inputs hold, so a
+work-count test pins that an unchanged pool costs no comparison, and a
+hypothesis state machine checks the memoised answer after every step of
+random commits, peeks, gate flips and ``top`` changes.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
-from repro.analysis.simindex import SimilarityIndex
+from repro.analysis.simindex import DigestIndex, SimilarityIndex
 from repro.analysis.stats import activity_totals
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
@@ -77,19 +84,24 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
 # --------------------------------------------------------------------------- #
 # synthetic record streams (unit-level, fine-grained control)
 # --------------------------------------------------------------------------- #
+def _user_hashes(content: str, environment: str) -> dict[str, str]:
+    """The six Table 7 digests of a user executable's content in an environment."""
+    return dict(
+        modules_h=fuzzy_hash_text(environment + " modules " * 30),
+        compilers_h=fuzzy_hash_text(environment + " compilers " * 30),
+        objects_h=fuzzy_hash_text(environment + " objects " * 30),
+        file_h=fuzzy_hash_text(content + " file"),
+        strings_h=fuzzy_hash_text(content + " strings"),
+        symbols_h=fuzzy_hash_text(content + " symbols"),
+    )
+
+
 def _record(pid: int, *, category: str, executable: str, jobid: str,
             uid: int = 1000, content: str = "", environment: str = "env",
             script: str = "") -> ProcessRecord:
     hashes = {}
     if category == "user":
-        hashes = dict(
-            modules_h=fuzzy_hash_text(environment + " modules " * 30),
-            compilers_h=fuzzy_hash_text(environment + " compilers " * 30),
-            objects_h=fuzzy_hash_text(environment + " objects " * 30),
-            file_h=fuzzy_hash_text(content + " file"),
-            strings_h=fuzzy_hash_text(content + " strings"),
-            symbols_h=fuzzy_hash_text(content + " symbols"),
-        )
+        hashes = _user_hashes(content, environment)
     elif category == "system":
         hashes = dict(objects_h=fuzzy_hash_text(environment + " objects " * 30),
                       objects=f"/lib64/libc.so.6\n/lib64/libtinfo.so.{5 + pid % 3}")
@@ -228,18 +240,65 @@ class TestSyntheticStreamEquivalence:
         live.commit(stream[5:8])
         _assert_views_equal(live, stream[:8], {})
 
-    def test_warm_hasher_is_shared_across_snapshots(self):
-        stream = [record for record in _synthetic_stream() if record.category == "user"]
+    def test_an_unchanged_pool_is_answered_without_a_comparison(self, monkeypatch):
+        stream = _synthetic_stream(seed=11)
         hasher = FuzzyHasher()
-        live = LiveAnalysis({}, hasher=hasher)
-        live.commit(stream)
-        live.identify_unknown(top=10)
-        after_first = hasher.compare_cache_info()
-        live.identify_unknown(top=10)
-        after_second = hasher.compare_cache_info()
-        # the second snapshot's alignments are all compare-LRU hits
-        assert after_second.misses == after_first.misses
-        assert after_second.hits > after_first.hits
+        live = LiveAnalysis({}, hasher=hasher, index_threshold=0)
+        live.commit(stream[:30])
+        live.refresh_open(stream[30:33])
+        probes = [0]
+        candidates = DigestIndex.candidates
+
+        def counted(index, digest):
+            probes[0] += 1
+            return candidates(index, digest)
+
+        monkeypatch.setattr(DigestIndex, "candidates", counted)
+
+        def work():
+            info = hasher.compare_cache_info()
+            return info.hits, info.misses, probes[0]
+
+        first = live.identify_unknown(top=10)
+        assert probes[0] > 0, "the index is not on the path"
+        before = work()
+        # An unchanged pool, an equal re-peek and a commit that only bumps a
+        # process_count are all answered without an index probe or LRU lookup.
+        assert live.identify_unknown(top=10) == first and work() == before
+        live.refresh_open(list(stream[30:33]))
+        assert live.identify_unknown(top=10) == first and work() == before
+        counts = [instance.process_count for instance in live.instances]
+        user = next(record for record in stream[:30] if record.category == "user")
+        bump = replace(user, pid=10_000, hash=f"{10_000:032x}")
+        live.commit([bump])
+        assert [instance.process_count for instance in live.instances] != counts
+        assert live.identify_unknown(top=10) == first and work() == before
+        assert live.statistics()["identify_reused"] == 3
+        # A new instance recomputes, and equals a fresh search.
+        novel = _record(10_001, category="user", executable="/proj/u/f1/icon",
+                        jobid="9", content="novel " * 40, environment="env-1")
+        live.commit([novel])
+        assert live.identify_unknown(top=10) == \
+            SimilaritySearch(_canonical(stream[:33] + [bump, novel])).identify_unknown(top=10)
+        assert work() != before
+        assert live.statistics()["identify_reused"] == 3
+
+    def test_a_returned_answer_is_the_callers_to_change(self):
+        stream = _synthetic_stream(seed=11)
+        live = LiveAnalysis({})
+        live.commit(stream[:33])
+        answer = live.identify_unknown(top=10)
+        kept = {executable: list(rows) for executable, rows in answer.items()}
+        executable, rows = next(iter(answer.items()))
+        assert rows, "the first UNKNOWN has no candidate"
+        rows.append(rows[0])
+        answer["/elsewhere"] = []
+        assert live.identify_unknown(top=10) == kept
+        live.identify_unknown(top=10)[executable].clear()
+        assert live.identify_unknown(top=10) == kept
+        live.identify_unknown(top=10).clear()
+        assert live.identify_unknown(top=10) == kept
+        assert live.statistics()["identify_reused"] == 5
 
 
 class TestIncrementalIndexAndSearchGrowth:
@@ -276,6 +335,126 @@ class TestIncrementalIndexAndSearchGrowth:
         assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10)
         assert search.identify_unknown(top=10) == \
             SimilaritySearch(stream, index_threshold=sys.maxsize).identify_unknown(top=10)
+
+
+# --------------------------------------------------------------------------- #
+# Table 7 from memory, over random interleavings (hypothesis)
+# --------------------------------------------------------------------------- #
+#: Three UNKNOWN paths and three labelled ones.  Moving a first key reorders
+#: the UNKNOWN baselines, and a digest set under two labelled paths ties
+#: exactly, so it reorders the tied rows too.
+_PATHS = ("/proj/a/a.out", "/proj/b/run", "/proj/c/tool", "/proj/a/icon",
+          "/proj/b/icon_copy", "/proj/c/lmp")
+
+
+def _digest_sets() -> tuple[dict[str, str], ...]:
+    """Six digest sets: three contents (two of them near copies) x two environments."""
+    rng = SeededRNG(21)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    near = [rng.choice(words) for _ in range(120)]
+    contents = (near, near[:100] + [rng.choice(words) for _ in range(20)],
+                [rng.choice(words) for _ in range(120)])
+    return tuple(_user_hashes(" ".join(content), environment)
+                 for content in contents for environment in ("env-0", "env-1"))
+
+
+_DIGESTS = _digest_sets()
+_variants = st.tuples(st.sampled_from(_PATHS), st.sampled_from(range(len(_DIGESTS))))
+_peeks = st.lists(st.tuples(st.sampled_from(("new", "merge", "resurrect", "below")),
+                            _variants, st.integers(0, 7)), max_size=4)
+
+
+def _table7(search, top: int):
+    """The Table 7 answer as an ordered item list (``AnalysisError`` if none)."""
+    try:
+        return list(search.identify_unknown(top=top).items())
+    except AnalysisError:
+        return AnalysisError
+
+
+class Table7Machine(RuleBasedStateMachine):
+    """Commits, open-group peeks, gate flips and ``top`` changes in any order.
+
+    After every step the live Table 7 equals a fresh search and brute force
+    over the same records under the same gate, or all three raise.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hasher = FuzzyHasher()
+        self.live = LiveAnalysis({}, hasher=self.hasher, index_threshold=4)
+        self.committed: list[ProcessRecord] = []
+        self.overlay: list[ProcessRecord] = []   # the peek minus resurrected keys
+        self.top = 10
+        self.high = 1000    # fresh keys count up ...
+        self.low = 999      # ... and keys below every earlier one count down
+
+    def _record(self, variant, pid: int) -> ProcessRecord:
+        path, digests = variant
+        return ProcessRecord(jobid="1", stepid="0", pid=pid, hash=f"{pid:08x}", host="n0",
+                             time=pid, uid=1000, executable=path, category="user",
+                             **_DIGESTS[digests])
+
+    def _fresh_pid(self) -> int:
+        self.high += 1
+        return self.high
+
+    @rule(variants=st.lists(_variants, max_size=3), close=st.booleans())
+    def commit(self, variants, close):
+        batch = [self._record(variant, self._fresh_pid()) for variant in variants]
+        if close:     # the open groups finalize with this delta
+            batch += self.overlay
+        self.live.commit(batch)
+        self.committed += batch
+        if close:
+            self.overlay = []
+            self.live.refresh_open([])
+
+    @rule(peeks=_peeks)
+    def refresh_open(self, peeks):
+        records = []
+        for kind, variant, pick in peeks:
+            if kind == "new" or not self.committed:
+                records.append(self._record(variant, self._fresh_pid()))
+                continue
+            # counted from the newest: the instances most likely to move
+            target = self.committed[-1 - pick % len(self.committed)]
+            if kind == "resurrect":
+                records.append(target)
+                continue
+            if kind == "below":
+                self.low -= 1
+                pid = self.low
+            else:
+                pid = self._fresh_pid()
+            records.append(replace(target, pid=pid, hash=f"{pid:08x}", time=pid))
+        self.live.refresh_open(records)
+        committed = {record.key for record in self.committed}
+        self.overlay = [record for record in records if record.key not in committed]
+
+    @rule()
+    def flip_gate(self):
+        self.hasher.require_common_substring = not self.hasher.require_common_substring
+
+    @rule(top=st.sampled_from((0, 1, 3, 10)))
+    def identify(self, top):
+        self.top = top
+
+    @invariant()
+    def table7_equals_a_fresh_search_and_brute_force(self):
+        records = _canonical(self.committed + self.overlay)
+        gate = self.hasher.require_common_substring
+        fresh, brute = (
+            _table7(SimilaritySearch(records, index_threshold=threshold,
+                                     hasher=FuzzyHasher(require_common_substring=gate)),
+                    self.top)
+            for threshold in (4, sys.maxsize))
+        assert _table7(self.live, self.top) == fresh == brute
+
+
+Table7Machine.TestCase.settings = settings(max_examples=100, stateful_step_count=20,
+                                           deadline=None)
+TestTable7Machine = Table7Machine.TestCase
 
 
 # --------------------------------------------------------------------------- #

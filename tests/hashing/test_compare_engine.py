@@ -18,7 +18,6 @@ import pytest
 
 from repro.hashing.compare_engine import (
     CompareCache,
-    default_cost_distance,
     lcs_length,
     lcs_length_many,
     normalize_digest,
@@ -28,7 +27,12 @@ from repro.hashing.compare_engine import (
 from repro.hashing.engine import B64_ALPHABET
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
 
-from oracles.compare import compare_reference, has_common_substring, weighted_edit_distance
+from oracles.compare import (
+    compare_reference,
+    default_cost_distance,
+    has_common_substring,
+    weighted_edit_distance,
+)
 
 # --------------------------------------------------------------------------- #
 # generators

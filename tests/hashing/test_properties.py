@@ -10,6 +10,7 @@ from repro.hashing.xxhash import xxh32, xxh64
 from oracles.compare import (
     compare_reference,
     damerau_levenshtein,
+    default_cost_distance,
     levenshtein,
     weighted_edit_distance,
 )
@@ -65,8 +66,6 @@ class TestCompareEngineProperties:
     @given(short_text, short_text)
     @settings(max_examples=150, deadline=None)
     def test_lcs_reduction_equals_weighted_dp(self, a, b):
-        from repro.hashing.compare_engine import default_cost_distance
-
         assert default_cost_distance(a, b) == weighted_edit_distance(a, b)
 
     @given(signatures, signatures, signatures, signatures,

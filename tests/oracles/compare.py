@@ -22,11 +22,13 @@ distances here:
   swap is never more expensive than the delete+insert it replaces).
 
 All of them run in ``O(len(a)*len(b))`` time and ``O(min(len(a), len(b)))``
-memory.
+memory.  :func:`default_cost_distance` is the one-pair form of the engine's
+kernel reduction, which the tests pin to :func:`weighted_edit_distance`.
 """
 
 from __future__ import annotations
 
+from repro.hashing.compare_engine import lcs_length, signature_masks
 from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
 
@@ -172,6 +174,16 @@ def weighted_edit_distance(
         prev2, prev, current = prev, current, prev2
 
     return prev[len_b]
+
+
+def default_cost_distance(s1: str, s2: str) -> int:
+    """The scorer's weighted edit distance at default costs, via the kernel.
+
+    Equals the weighted Damerau-Levenshtein distance at the default 1/1/2/2
+    costs: substitutions and transpositions cost exactly a delete+insert
+    pair, so only the indel-distance ``len(s1) + len(s2) - 2*LCS`` remains.
+    """
+    return len(s1) + len(s2) - 2 * lcs_length(signature_masks(s1), len(s1), s2)
 
 
 def has_common_substring(a: str, b: str, length: int = 7) -> bool:
