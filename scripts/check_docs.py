@@ -15,7 +15,11 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   (so the README quickstart cannot silently rot), and
 * every backtick-quoted dotted name under ``repro`` (a module such as
   ``repro.db.tiered`` or an attribute such as
-  ``repro.core.framework.SirenFramework``) must resolve in the import tree.
+  ``repro.core.framework.SirenFramework``) must resolve in the import tree,
+  and so must every bare ``Class.attr`` name (``MessageStore.load_processes_since``,
+  ``ShardedIngest.snapshot_delta(cursor)``) whose class is defined in a
+  ``repro`` module: a renamed method or a dropped field is caught.  A class
+  ``repro`` does not define (``Path.exists``) is not checked.
 
 Run from anywhere; exits non-zero listing every stale reference:
 
@@ -25,8 +29,11 @@ Run from anywhere; exits non-zero listing every stale reference:
 from __future__ import annotations
 
 import importlib
+import inspect
+import pkgutil
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +56,8 @@ _BACKTICK_PATH = re.compile(
 _PYTHON_CMD = re.compile(r"python\s+((?:examples|scripts|benchmarks)/[\w./-]+\.py)")
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
 _DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+_CLASS_ATTR = re.compile(r"`([A-Z]\w*(?:\.\w+)+)(?:\([^`]*\))?`")
+_SELF_ASSIGNMENT = re.compile(r"\bself\.(\w+)\s*(?::[^=\n]+)?=[^=]")
 _IMPORT_LINE = re.compile(r"^(?:from\s+(repro[\w.]*)\s+import\s+([\w, ]+)|import\s+(repro[\w.]*))",
                           re.MULTILINE)
 
@@ -97,6 +106,9 @@ def check_file(doc_path: Path) -> list[str]:
         errors.extend(f"{rel}: unresolved name -> {name}"
                       for name in sorted(set(_DOTTED_NAME.findall(text)))
                       if not _resolves(name))
+        errors.extend(f"{rel}: unresolved attribute -> {name}"
+                      for name in sorted(set(_CLASS_ATTR.findall(text)))
+                      if not _resolves_on_class(name))
     finally:
         sys.path.remove(str(REPO_ROOT / "src"))
     return errors
@@ -130,6 +142,50 @@ def _resolves(dotted: str) -> bool:
         except ImportError:
             return False
     return True
+
+
+@cache
+def _repro_classes() -> dict[str, list[type]]:
+    """Every class defined in a ``repro`` module, by name."""
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(module_info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _resolves_on_class(dotted: str) -> bool:
+    """Whether ``Class.attr[.attr...]`` names an attribute of a ``repro`` class
+    of that name; ``True`` when no ``repro`` module defines the class."""
+    class_name, *attributes = dotted.split(".")
+    candidates = _repro_classes().get(class_name)
+    return not candidates or any(_has_path(cls, attributes) for cls in candidates)
+
+
+def _has_path(obj: object, attributes: list[str]) -> bool:
+    for name in attributes:
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+            continue
+        # An instance attribute (a dataclass field without a default, one
+        # ``__init__`` assigns): nothing below it can be looked up.
+        return name in _instance_attributes(obj)
+    return True
+
+
+def _instance_attributes(obj: object) -> set[str]:
+    names: set[str] = set()
+    for klass in getattr(obj, "__mro__", ()):
+        names.update(getattr(klass, "__annotations__", {}))
+        try:
+            names.update(_SELF_ASSIGNMENT.findall(inspect.getsource(klass)))
+        except (OSError, TypeError):     # a builtin base such as ``object``
+            pass
+    return names
 
 
 def main() -> int:

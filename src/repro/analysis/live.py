@@ -204,11 +204,14 @@ class LiveAnalysis:
         close -- so they are overlaid on the committed state per view, never
         folded in.  Keys already committed (a closed group resurrected by a
         very late message) are dropped, matching ``ShardedIngest.snapshot``.
+        An overlay equal to the current one (a pull with nothing new hands
+        back the very same peek) changes nothing and is not refolded.
         """
         opened = [record for record in open_records
                   if record.key not in self._keys]
-        if opened != self._open:
-            self._pool_cache = None
+        if opened == self._open:
+            return      # the overlay the views already reflect
+        self._pool_cache = None
         self._open = opened
         self._open_tables = TableRollup(self.user_names)
         for record in self._open:

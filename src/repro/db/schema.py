@@ -4,6 +4,13 @@ The raw ``messages`` table mirrors the UDP header columns listed in the paper
 (JOBID, STEPID, PID, HASH, HOST, TIME, LAYER, TYPE, CONTENT) plus the chunk
 counters.  The ``processes`` table holds the post-processed, consolidated
 one-row-per-process records the analysis layer works on.
+
+Each table keeps only the indexes something reads through.  ``processes``
+has one: ``ux_processes_key``, the unique process key the first-close-wins
+insert and the upsert resolve against.  Its rows are read back whole
+(``SELECT ... FROM processes``) or past a rowid (the delta cursor), which the
+rowid itself serves; an index nothing queries would only be written on every
+insert.  Indexes an older store created are dropped when it is reopened.
 """
 
 MESSAGES_SCHEMA = """
@@ -62,9 +69,11 @@ CREATE TABLE IF NOT EXISTS processes (
     python_packages TEXT,
     incomplete    INTEGER NOT NULL DEFAULT 0
 );
-CREATE INDEX IF NOT EXISTS idx_processes_job ON processes (jobid);
-CREATE INDEX IF NOT EXISTS idx_processes_exe ON processes (executable);
-CREATE INDEX IF NOT EXISTS idx_processes_category ON processes (category);
 CREATE UNIQUE INDEX IF NOT EXISTS ux_processes_key
     ON processes (jobid, stepid, pid, hash, host, time);
+-- Legacy indexes on job, executable and category: queried nowhere, so they
+-- only amplified every insert.  Dropped so old on-disk stores shed them too.
+DROP INDEX IF EXISTS idx_processes_job;
+DROP INDEX IF EXISTS idx_processes_exe;
+DROP INDEX IF EXISTS idx_processes_category;
 """

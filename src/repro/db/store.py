@@ -151,6 +151,12 @@ class MessageStore:
         #: Attached gold rollups, kept in step with every consolidated-record
         #: write; see :meth:`attach_tiered`.
         self.tiered: TieredStore | None = None
+        #: The delta tail (:meth:`load_processes_since`): the records written
+        #: in full since the mark ``_tail_from`` the last pull returned, whose
+        #: last rowid is ``_tail_mark``; ``None`` while no reader is served
+        #: from memory.
+        self._tail: list[ProcessRecord] | None = None
+        self._tail_from = self._tail_mark = 0
         self.connection = sqlite3.connect(path)
         if path == ":memory:":
             # Nothing to make crash-safe: trade all durability for speed.
@@ -306,11 +312,19 @@ class MessageStore:
         written = self._write("insert_processes", lambda: self.connection.executemany(
             f"{verb} INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})", rows
         ))
+        # The change count equals the batch length only if every row was new
+        # and distinct: then the batch is exactly what the table gained, in
+        # rowid order.  An ignored row or a replaced one needs a re-read.
+        handed = verb == "INSERT OR IGNORE" and written == len(rows)
+        tail = self._tail
+        if tail is not None:
+            if not handed or len(tail) + len(records) > self._tail_from:
+                self._tail = None
+            elif records:
+                tail.extend(records)
+                self._tail_mark = self.connection.execute(
+                    "SELECT last_insert_rowid()").fetchone()[0]
         if self.tiered is not None and rows:
-            # The change count equals the batch length only if every row was
-            # new and distinct: then the batch is exactly what the table
-            # gained.  An ignored row or a replaced one needs the refold.
-            handed = verb == "INSERT OR IGNORE" and written == len(rows)
             self.sync_tiered(records if handed else None)
         return written
 
@@ -366,14 +380,34 @@ class MessageStore:
         never rewrites an existing row; ``INSERT OR REPLACE`` assigns *new*
         rowids to existing process keys, so rows written that way are not a
         delta stream.
+
+        A pull whose ``rowid`` is the mark the previous pull returned is
+        served from memory: the store keeps the records of every batch
+        :meth:`insert_processes_if_absent` wrote in full since that pull (the
+        *tail*) and returns those very objects, without selecting a row.
+        Any other ``rowid`` -- 0, a second consumer's mark, a stale one a
+        consumer re-pulls after failing to apply a delta -- reads the table,
+        and so does every pull after a write that was not written in full
+        (an ignored or replaced row) or not by this connection (the table's
+        last rowid is not the tail's).  The tail lives only between pulls:
+        none is kept before the first, and it is dropped -- the next pull
+        reads the table -- once it would hold more records than the mark it
+        trails, so a reader that stops pulling leaves at most as many
+        records in memory as the table held when it last pulled.
         """
-        cursor = self.connection.execute(
-            f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
-            (rowid,))
-        records: list[ProcessRecord] = []
-        high_water = rowid
-        for *row, high_water in cursor:
-            records.append(ProcessRecord(*row))
+        if (self._tail is not None and rowid == self._tail_from
+                and self.connection.execute("SELECT MAX(id) FROM processes"
+                                            ).fetchone()[0] == self._tail_mark):
+            records, high_water = self._tail, self._tail_mark
+        else:
+            cursor = self.connection.execute(
+                f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
+                (rowid,))
+            records = []
+            high_water = rowid
+            for *row, high_water in cursor:
+                records.append(ProcessRecord(*row))
+        self._tail, self._tail_from, self._tail_mark = [], high_water, high_water
         return records, high_water
 
     def close(self) -> None:

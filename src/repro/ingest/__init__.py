@@ -16,7 +16,8 @@ a raw message table:
   :class:`~repro.ingest.sharded.ShardedIngest`, the front: a receiver
   feeding that consolidator in this interpreter; its
   :meth:`~repro.ingest.sharded.ShardedIngest.snapshot_delta` serves the
-  exactly-once record delta stream behind :mod:`repro.analysis.live`.
+  exactly-once record delta stream behind :mod:`repro.analysis.live`,
+  handing over the records it just wrote without reading them back.
 
 The front is pinned record-for-record equal to a post-pass over the same
 datagrams (``tests/oracles/consolidate.py``, exercised by ``tests/ingest/``).

@@ -11,13 +11,20 @@ first-close-wins insert (:meth:`MessageStore.insert_processes_if_absent`)
 -- so a long-running deployment can answer analysis queries mid-campaign
 without ever materialising the raw message table.
 
+What a process is expected to send depends on its category, which is
+read from its whole PROCINFO group when the ``PROCEND`` arrives -- never from
+one chunk of it, since a chunk boundary can fall inside ``category=...``.
+A process whose expected types are not all complete by then keeps its group
+open for one more epoch (the grace a reordering transport needs) instead of
+closing on ``PROCEND``.
+
 Equivalence with a post-pass
 ----------------------------
-Records are assembled by the *same* function
-(:func:`repro.ingest.records.build_process_record`) over the same
-message groups, so the only way streaming output could diverge is by closing
-a group before all of its messages arrived.  Three properties rule that out
-on the transports this repository ships:
+Records are assembled by :func:`repro.ingest.records.build_process_record`,
+pinned equal to the post-pass oracle's own builder over any message groups,
+so the only way streaming output could diverge is by closing a group
+before all of its messages arrived.  Three properties rule that out on the
+transports this repository ships:
 
 * every channel delivers the constructor burst of one process contiguously
   and in order, and ``PROCEND`` is by construction the last message of a key,
@@ -64,7 +71,6 @@ class _OpenProcess:
 
     groups: dict[GroupKey, MessageGroup] = field(default_factory=dict)
     last_epoch: int = 0
-    category: str = ""      #: parsed from PROCINFO when it arrives
     ended: bool = False     #: PROCEND seen -- nothing more is coming (ordered transport)
 
 
@@ -112,6 +118,9 @@ class IncrementalConsolidator:
     _closed: set[ProcessKey] = field(default_factory=set)
     _closed_fifo: deque = field(default_factory=deque)  # (close_epoch, key)
     _pending: list[ProcessRecord] = field(default_factory=list)
+    #: :meth:`peek_open`'s last answer, beside the two counters that change
+    #: whenever an open group does (a message consumed, a record built).
+    _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.idle_epochs < 2:
@@ -127,11 +136,13 @@ class IncrementalConsolidator:
         self.messages_consumed += 1
         key: ProcessKey = (message.jobid, message.stepid, message.pid,
                            message.path_hash, message.host, message.time)
-        if key in self._closed:
-            self.late_messages += 1
-            return
+        # A key is open or recently closed, never both: only a message that
+        # opens a group pays for the dedup lookup.
         open_process = self._open.get(key)
         if open_process is None:
+            if key in self._closed:
+                self.late_messages += 1
+                return
             open_process = self._open[key] = _OpenProcess(last_epoch=self._epoch)
             self.peak_open_processes = max(self.peak_open_processes, len(self._open))
         open_process.last_epoch = self._epoch
@@ -143,9 +154,7 @@ class IncrementalConsolidator:
             group = open_process.groups[group_key] = MessageGroup()
         group.add(message.chunk_index, message.chunk_total, message.content)
 
-        if group_key is PROCINFO_KEY:
-            open_process.category = parse_keyvalues(message.content).get("category", "")
-        elif info_type is _PROCEND:
+        if info_type is _PROCEND:
             open_process.ended = True
             if self._expected_complete(open_process):
                 self._close(key, open_process, reason="procend")
@@ -181,12 +190,20 @@ class IncrementalConsolidator:
         return len(stale)
 
     def _expected_complete(self, open_process: _OpenProcess) -> bool:
-        """True when every expected content type arrived with all its chunks."""
+        """True when every expected content type arrived with all its chunks.
+
+        The category that decides what is expected is read from the whole
+        PROCINFO group, never from one chunk of it: ``category=...`` may
+        straddle a chunk boundary, and a process read as uncategorised
+        would close on PROCEND without its grace epoch.
+        """
         groups = open_process.groups
-        for expected in expected_keys_for(open_process.category):
-            if expected not in groups:
-                return False
-        return all(group.all_chunks_present for group in groups.values())
+        if not all(group.all_chunks_present for group in groups.values()):
+            return False
+        procinfo = groups.get(PROCINFO_KEY)
+        category = ("" if procinfo is None
+                    else parse_keyvalues(procinfo.reassemble()[0]).get("category", ""))
+        return all(expected in groups for expected in expected_keys_for(category))
 
     def _close(self, key: ProcessKey, open_process: _OpenProcess, *, reason: str) -> None:
         record = build_process_record(key, open_process.groups)
@@ -227,14 +244,21 @@ class IncrementalConsolidator:
         self._pending.clear()
         return written
 
-    def peek_open(self) -> list[ProcessRecord]:
-        """Non-destructive records for every still-open group.
+    def peek_open(self) -> tuple[ProcessRecord, ...]:
+        """Non-destructive records for every still-open group, in key order.
 
         Built through the same assembly function as finalized records, but
-        neither closed nor written -- the groups keep accumulating.
+        neither closed nor written -- the groups keep accumulating.  While no
+        message has been consumed and no record built since the last peek,
+        the open groups are what that peek saw, and its answer is returned
+        again without building a record.
         """
-        return [build_process_record(key, open_process.groups)
-                for key, open_process in sorted(self._open.items())]
+        state = (self.messages_consumed, self.records_built)
+        if self._peeked is None or self._peeked[0] != state:
+            self._peeked = (state, tuple(
+                build_process_record(key, open_process.groups)
+                for key, open_process in sorted(self._open.items())))
+        return self._peeked[1]
 
     def close_all(self) -> int:
         """Close every open group and flush; returns how many were closed.

@@ -12,11 +12,12 @@ when any expected piece is missing.
 
 The record-assembly logic lives in the module-level
 :func:`build_process_record`, which the streaming
-:class:`~repro.ingest.incremental.IncrementalConsolidator` calls for every
-closed (or peeked) message group.  The tests' post-pass oracle
+:class:`~repro.ingest.incremental.IncrementalConsolidator` calls once for
+every closed (or peeked) message group: it walks the groups that are present
+once and builds the record positionally.  The tests' post-pass oracle
 (``tests/oracles/consolidate.py``) regroups a raw ``messages`` table and
-calls the same function, so the two agree exactly when they hand it the
-same message groups.
+hands it to the builder as first written (``tests/oracles/records.py``),
+which shares no assembly code with this one.
 
 Python packages from memory maps
 --------------------------------
@@ -31,11 +32,11 @@ the data behind Figure 3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from repro.collector.classify import ExecutableCategory
 from repro.collector.records import InfoType, Layer, parse_keyvalues
-from repro.db.store import ProcessKey, ProcessRecord
+from repro.db.store import PROCESS_FIELDS, ProcessKey, ProcessRecord
 from repro.hpcsim.memmap import parse_mapped_paths
 from repro.transport.chunking import reassemble_chunks
 
@@ -107,73 +108,87 @@ class MessageGroup:
         return result.content, result.complete
 
 
-_SCRIPT_PROCINFO = GROUP_KEYS[Layer.SCRIPT, InfoType.PROCINFO]
 _PYTHON = ExecutableCategory.PYTHON.value
 
-#: Record columns filled verbatim from one group's content ("" when absent).
-_CONTENT_COLUMNS: tuple[tuple[str, GroupKey], ...] = tuple(
-    (column, GROUP_KEYS[layer, info_type]) for column, layer, info_type in (
-        ("file_metadata", Layer.SELF, InfoType.FILEMETA),
-        ("modules", Layer.SELF, InfoType.MODULES),
-        ("modules_h", Layer.SELF, InfoType.MODULES_H),
-        ("objects", Layer.SELF, InfoType.OBJECTS),
-        ("objects_h", Layer.SELF, InfoType.OBJECTS_H),
-        ("compilers", Layer.SELF, InfoType.COMPILERS),
-        ("compilers_h", Layer.SELF, InfoType.COMPILERS_H),
-        ("maps", Layer.SELF, InfoType.MAPS),
-        ("maps_h", Layer.SELF, InfoType.MAPS_H),
-        ("file_h", Layer.SELF, InfoType.FILE_H),
-        ("strings_h", Layer.SELF, InfoType.STRINGS_H),
-        ("symbols_h", Layer.SELF, InfoType.SYMBOLS_H),
-        # the Python SCRIPT layer, folded into the interpreter's row
-        ("script_meta", Layer.SCRIPT, InfoType.FILEMETA),
-        ("script_h", Layer.SCRIPT, InfoType.FILE_H),
-    ))
+#: Where each group's content lands in the record, as a position in
+#: ``PROCESS_FIELDS``; the two PROCINFO groups are parsed instead, and any
+#: other group (``PROCEND``, unmapped SCRIPT-layer types) is not read at all.
+_PROCINFO, _SCRIPT_PROCINFO = -1, -2
+_SLOTS: dict[GroupKey, int] = {
+    PROCINFO_KEY: _PROCINFO,
+    GROUP_KEYS[Layer.SCRIPT, InfoType.PROCINFO]: _SCRIPT_PROCINFO,
+    **{GROUP_KEYS[layer, info_type]: PROCESS_FIELDS.index(column)
+       for column, layer, info_type in (
+           ("file_metadata", Layer.SELF, InfoType.FILEMETA),
+           ("modules", Layer.SELF, InfoType.MODULES),
+           ("modules_h", Layer.SELF, InfoType.MODULES_H),
+           ("objects", Layer.SELF, InfoType.OBJECTS),
+           ("objects_h", Layer.SELF, InfoType.OBJECTS_H),
+           ("compilers", Layer.SELF, InfoType.COMPILERS),
+           ("compilers_h", Layer.SELF, InfoType.COMPILERS_H),
+           ("maps", Layer.SELF, InfoType.MAPS),
+           ("maps_h", Layer.SELF, InfoType.MAPS_H),
+           ("file_h", Layer.SELF, InfoType.FILE_H),
+           ("strings_h", Layer.SELF, InfoType.STRINGS_H),
+           ("symbols_h", Layer.SELF, InfoType.SYMBOLS_H),
+           # the Python SCRIPT layer, folded into the interpreter's row
+           ("script_meta", Layer.SCRIPT, InfoType.FILEMETA),
+           ("script_h", Layer.SCRIPT, InfoType.FILE_H),
+       )},
+}
+#: A record with no group present: every field at its default (the key's
+#: six fields, which have none, are set per record).
+_EMPTY_ROW = [None if f.default is MISSING else f.default for f in fields(ProcessRecord)]
+_UID, _GID, _PPID, _EXECUTABLE, _CATEGORY, _MAPS, _SCRIPT_PATH, _PACKAGES, _INCOMPLETE = (
+    PROCESS_FIELDS.index(name) for name in (
+        "uid", "gid", "ppid", "executable", "category", "maps", "script_path",
+        "python_packages", "incomplete"))
 
 
 def build_process_record(key: ProcessKey,
                          groups: dict[GroupKey, MessageGroup]) -> ProcessRecord:
     """Assemble one :class:`ProcessRecord` from the message groups of one key.
 
-    Pure function of its inputs: ``groups`` is not mutated, so callers may
-    build a record from still-open groups (live snapshots) and rebuild later.
+    One pass over the groups that are present: each is reassembled once and
+    its content put in place, PROCINFO is parsed once, and the record is
+    constructed positionally.  Pure function of its inputs: ``groups`` is
+    not mutated, so callers may build a record from still-open groups (live
+    snapshots) and rebuild later.
     """
-    jobid, stepid, pid, path_hash, host, time = key
-    missing_chunks = False
+    row = _EMPTY_ROW.copy()
+    row[:6] = key
+    info = script = ""
+    complete = True
+    slots = _SLOTS
+    for group_key, group in groups.items():
+        slot = slots.get(group_key)
+        if slot is None:
+            continue
+        content, whole = group.reassemble()
+        complete = complete and whole
+        if slot >= 0:
+            row[slot] = content
+        elif slot == _PROCINFO:
+            info = content
+        else:
+            script = content
 
-    def content_of(group_key: GroupKey) -> str:
-        nonlocal missing_chunks
-        group = groups.get(group_key)
-        if group is None:
-            return ""
-        content, complete = group.reassemble()
-        if not complete:
-            missing_chunks = True
-        return content
-
-    info = parse_keyvalues(content_of(PROCINFO_KEY))
-    category = info.get("category", "")
-    contents = {column: content_of(group_key) for column, group_key in _CONTENT_COLUMNS}
-    script_path = parse_keyvalues(content_of(_SCRIPT_PROCINFO)).get("script", "")
-
-    # Imported Python packages from the memory map ---------------------- #
-    maps = contents["maps"]
-    python_packages = ""
+    procinfo = parse_keyvalues(info) if info else {}
+    category = procinfo.get("category", "")
+    row[_UID] = _to_int(procinfo.get("uid"))
+    row[_GID] = _to_int(procinfo.get("gid"))
+    row[_PPID] = _to_int(procinfo.get("ppid"))
+    row[_EXECUTABLE] = procinfo.get("exe", "")
+    row[_CATEGORY] = category
+    script_path = parse_keyvalues(script).get("script", "") if script else ""
+    row[_SCRIPT_PATH] = script_path
+    # Imported Python packages from the memory map
+    maps = row[_MAPS]
     if maps and (category == _PYTHON or script_path):
-        python_packages = ",".join(extract_python_packages(maps))
-
-    return ProcessRecord(
-        jobid=jobid, stepid=stepid, pid=pid, hash=path_hash, host=host, time=time,
-        uid=_to_int(info.get("uid")), gid=_to_int(info.get("gid")),
-        ppid=_to_int(info.get("ppid")),
-        executable=info.get("exe", ""), category=category,
-        script_path=script_path, python_packages=python_packages,
-        incomplete=int(missing_chunks or _has_missing_types(category, groups)),
-        **contents)
-
-
-def _has_missing_types(category: str, groups: dict[GroupKey, MessageGroup]) -> bool:
-    return any(key not in groups for key in expected_keys_for(category))
+        row[_PACKAGES] = ",".join(extract_python_packages(maps))
+    if not (complete and all(map(groups.__contains__, expected_keys_for(category)))):
+        row[_INCOMPLETE] = 1
+    return ProcessRecord(*row)
 
 
 def _to_int(value: str | None) -> int | None:

@@ -4,8 +4,10 @@ The paper's receiver is a single UDP server feeding a consolidation step.
 :class:`ShardedIngest` is that, live: datagrams go to a
 :class:`~repro.transport.receiver.MessageReceiver` whose sink is an
 :class:`~repro.ingest.incremental.IncrementalConsolidator`, finalized records
-land in the store, and ``snapshot()`` / ``snapshot_delta()`` / ``finalize()``
-read them back.  It runs in this interpreter, over the caller's store.
+land in the store, ``snapshot()`` and ``finalize()`` read them back, and
+``snapshot_delta()`` hands a reader that keeps pulling the records just
+written without reading them back.  It runs in this interpreter, over the
+caller's store.
 
 More than one shard is refused: several shards in one interpreter share one
 GIL, and shards in worker processes lost to this one on every measurement
@@ -36,13 +38,18 @@ class ProcessDelta:
     ``new_records`` are the records finalized since the previous cursor, in
     store rowid (finalization) order -- each record appears in exactly one
     delta, so consumers can fold them into accumulators without rescanning.
+    When the cursor is the one the previous pull returned, they are the very
+    objects the consolidator built and wrote, not copies read back from the
+    table (:meth:`~repro.db.store.MessageStore.load_processes_since`); like
+    every record, they are values nobody mutates.
     ``open_records`` is the *current* non-destructive peek at still-open
-    process groups; it is transient (re-peeked on every pull, superseded by
-    the next delta) and may include a key that is already finalized when a
-    very late message resurrected it -- consumers overlay it on top of their
-    committed state, dropping keys they have already seen, exactly as
-    :meth:`ShardedIngest.snapshot` does.  ``cursor`` is the new high-water
-    mark to pass to the next :meth:`ShardedIngest.snapshot_delta` call.
+    process groups; it is transient (superseded by the next delta; the same
+    tuple again while no message has arrived) and may include a key that is
+    already finalized when a very late message resurrected it -- consumers
+    overlay it on top of their committed state, dropping keys they have
+    already seen, exactly as :meth:`ShardedIngest.snapshot` does.
+    ``cursor`` is the new high-water mark to pass to the next
+    :meth:`ShardedIngest.snapshot_delta` call.
     """
 
     new_records: tuple[ProcessRecord, ...]
@@ -97,7 +104,7 @@ class ShardedIngest:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _sync(self) -> list[ProcessRecord]:
+    def _sync(self) -> tuple[ProcessRecord, ...]:
         """Write every finalized record to the store; returns the open peeks."""
         self.receiver.flush()
         self.consolidator.flush()
@@ -119,19 +126,21 @@ class ShardedIngest:
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
         """Incremental live view: only what changed since ``cursor``.
 
-        Writes what is finalized exactly like :meth:`snapshot`, but instead
-        of reading the whole ``processes`` table back, reads only rows past
-        the rowid high-water mark -- so the cost of a mid-campaign pull is
-        proportional to the records finalized since the last pull (plus the
-        handful of still-open groups), not to the campaign so far.  Records
-        finalized through the first-close-wins insert are immutable, which
-        is what makes the rowid cursor a correct delta stream (see
+        Writes what is finalized exactly like :meth:`snapshot`, but reads
+        nothing back for a reader that keeps pulling: the records written
+        since its last pull are handed over as built (any other cursor reads
+        the rows past it) -- so a mid-campaign pull costs O(records
+        finalized since the last pull), each built and written once, plus
+        the peek at the handful of still-open groups, which is not rebuilt
+        while no datagram has arrived.  Records finalized through the
+        first-close-wins insert are immutable, which is what makes the rowid
+        cursor a correct delta stream (see
         :meth:`MessageStore.load_processes_since`).
         """
         open_records = self._sync()
         new_records, cursor = self.store.load_processes_since(cursor)
         return ProcessDelta(new_records=tuple(new_records),
-                            open_records=tuple(open_records), cursor=cursor)
+                            open_records=open_records, cursor=cursor)
 
     def finalize(self) -> list[ProcessRecord]:
         """End of stream: close every open group, return all records.

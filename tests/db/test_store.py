@@ -199,3 +199,36 @@ class TestProcessRecords:
         reopened = MessageStore(path)  # must not raise IntegrityError
         assert reopened.process_count() == 1
         reopened.close()
+
+    def test_store_with_the_old_indexes_sheds_them(self, tmp_path):
+        """A store created when ``processes`` carried job, executable and
+        category indexes loses them on reopen; its records and its delta
+        stream are what they were."""
+        path = str(tmp_path / "old.db")
+        store = MessageStore(path)
+        with store.connection:
+            for name, column in (("idx_processes_job", "jobid"),
+                                 ("idx_processes_exe", "executable"),
+                                 ("idx_processes_category", "category")):
+                store.connection.execute(
+                    f"CREATE INDEX IF NOT EXISTS {name} ON processes ({column})")
+        store.insert_processes_if_absent([
+            ProcessRecord(jobid=str(pid % 3), stepid="0", pid=pid, hash="a" * 32,
+                          host="n1", time=100, executable=f"/bin/x{pid % 4}",
+                          category=("user", "system")[pid % 2])
+            for pid in range(12)])
+        records = store.load_processes()
+        first, mark = store.load_processes_since(0)
+        rest = store.load_processes_since(5)
+        store.close()
+
+        def indexes(store: MessageStore) -> set[str]:
+            return {name for (name,) in store.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type='index'"
+                " AND tbl_name='processes' AND sql IS NOT NULL")}
+
+        with MessageStore(path) as reopened:
+            assert indexes(reopened) == {"ux_processes_key"}
+            assert reopened.load_processes() == records
+            assert reopened.load_processes_since(0) == (first, mark) and mark == 12
+            assert reopened.load_processes_since(5) == rest

@@ -11,8 +11,10 @@ import pytest
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.ingest import IncrementalConsolidator, ShardedIngest
-from repro.transport.messages import UDPMessage
+from repro.transport.channel import InMemoryChannel
+from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.receiver import MessageReceiver
+from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 
 
@@ -127,6 +129,34 @@ class TestFinalizationRules:
         with pytest.raises(TransportError):
             IncrementalConsolidator(MessageStore(), idle_epochs=1)
 
+    def test_chunked_procinfo_keeps_the_category(self):
+        """A PROCINFO chunked through ``category=...`` still names the
+        category, so a user process missing its content gets the grace epoch
+        instead of closing on PROCEND."""
+        header = wire_header("123456", "0", 4242, "a" * 32, "nid001234", 1700000000)
+        split_category = 0
+        for length in range(10, 120):
+            datagrams: list[bytes] = []
+            channel = InMemoryChannel()
+            channel.subscribe(datagrams.append)
+            procinfo = format_keyvalues({"pid": 4242, "ppid": 1, "uid": 1000, "gid": 1000,
+                                         "exe": "/scratch/" + "x" * length,
+                                         "category": "user"})
+            UDPSender(channel, max_datagram_size=192).send(header, [
+                (Layer.SELF, InfoType.PROCINFO, procinfo),
+                (Layer.SELF, InfoType.FILEMETA, "inode=1"),
+                (Layer.SELF, InfoType.PROCEND, "end_time=1")])
+            messages = [UDPMessage.decode(datagram) for datagram in datagrams]
+            chunks = [m.content for m in messages if m.info_type is InfoType.PROCINFO]
+            split_category += not any("category=user" in chunk for chunk in chunks)
+            sink = IncrementalConsolidator(MessageStore())
+            sink.feed_many(messages)
+            assert (sink.early_finalized, sink.open_processes) == (0, 1), length
+            sink.advance_epoch()
+            record = sink.finalize()[0]
+            assert (record.category, record.incomplete) == ("user", 1)
+        assert split_category >= 20      # the split is exercised
+
     def test_peak_open_processes_tracked(self):
         sink = IncrementalConsolidator(MessageStore())
         for pid in range(5):
@@ -162,6 +192,19 @@ class TestFlushAndSnapshot:
         # The open process keeps accumulating after the snapshot.
         sink.feed(_procend(pid=2))
         assert _record_set(front.finalize()) == _record_set(snapshot)
+
+    def test_peek_is_rebuilt_only_when_an_open_group_changed(self):
+        sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
+        sink.feed_many(_system_burst(pid=1))
+        first = sink.peek_open()
+        sink.advance_epoch()                       # nothing closes
+        assert sink.peek_open() is first           # the same answer, not rebuilt
+        sink.feed(_msg(InfoType.MODULES, "siren/0.1", pid=1))
+        second = sink.peek_open()
+        assert [record.modules for record in second] == ["siren/0.1"]
+        sink.advance_epoch()
+        sink.advance_epoch()                       # an idle close, no message
+        assert sink.idle_closed == 1 and sink.peek_open() == ()
 
     def test_finalize_is_stable(self):
         sink = IncrementalConsolidator(MessageStore())

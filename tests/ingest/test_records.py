@@ -1,9 +1,13 @@
 """Tests for message consolidation and Python package extraction.
 
-Records are built by ``build_process_record``; the post-pass oracle in
-``tests/oracles/consolidate.py`` groups raw messages for it, so these cases
-pin the record builder through the oracle.
+The post-pass oracle in ``tests/oracles/consolidate.py`` groups raw
+messages for the record builder as first written
+(``tests/oracles/records.py``), so the ``TestConsolidation`` cases pin that
+builder; ``TestFastBuilder`` pins ``build_process_record`` to it over random
+group dicts.
 """
+
+from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +19,7 @@ from repro.hpcsim.memmap import build_memory_map, render_memory_map
 from repro.ingest.records import (
     GROUP_KEYS,
     MessageGroup,
+    build_process_record,
     expected_keys_for,
     expected_types_for,
     extract_python_packages,
@@ -24,6 +29,7 @@ from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
 
+from oracles import records as oracle
 from oracles.consolidate import Consolidator, consolidate_store
 
 
@@ -220,3 +226,100 @@ class TestConsolidation:
             ])
         records = consolidate_store(store)
         assert [record.pid for record in records] == [20, 30]
+
+
+# --------------------------------------------------------------------------- #
+# the fast builder against the oracle
+# --------------------------------------------------------------------------- #
+_PYTHON_MAPS = render_memory_map(build_memory_map(
+    "/usr/bin/python3.10", 4096, 1, [("/lib64/libc.so.6", 100, 2)],
+    [("/usr/lib64/python3.10/lib-dynload/_heapq.cpython-310.so", 10, 3),
+     ("/usr/lib64/python3.10/site-packages/numpy/core/_umath.cpython-310.so", 10, 4)]))
+_procinfo_fields = st.fixed_dictionaries({}, optional={
+    "pid": st.sampled_from(["10", "x"]),
+    "ppid": st.sampled_from(["1", "", "-3"]),
+    "uid": st.sampled_from(["1000", "1e3", " 7"]),
+    "gid": st.sampled_from(["1000", "g"]),
+    "exe": st.sampled_from(["/usr/bin/python3", "/project/p/u/lmp", ""]),
+})
+_CATEGORIES = ["user", "system", "python", "", "other"]
+#: Every wire key, plus two no layer/type pair is filed under.
+_ALL_KEYS = (*GROUP_KEYS.values(), ("SELF", "NOPE"), ("OTHER", "PROCINFO"))
+_SELF_PROCINFO = GROUP_KEYS[Layer.SELF, InfoType.PROCINFO]
+_SCRIPT_PROCINFO = GROUP_KEYS[Layer.SCRIPT, InfoType.PROCINFO]
+
+
+def _contents(group_key, category: str):
+    if group_key == _SELF_PROCINFO:
+        return _procinfo_fields.map(
+            lambda fields: format_keyvalues({**fields, "category": category}))
+    if group_key == _SCRIPT_PROCINFO:
+        return st.sampled_from(["script=/users/a/run.py", "", "other=1", "script="])
+    if group_key[1] == InfoType.MAPS.value:
+        return st.sampled_from([_PYTHON_MAPS, "", "not a map"])
+    return st.text(max_size=6)
+
+
+@st.composite
+def _group(draw, content: str) -> MessageGroup:
+    """``content`` cut into chunks, all of them arrived -- or some lost,
+    maybe one announced but never sent, maybe one stray index outside
+    ``[0, total)``."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(content)), max_size=2)))
+    bounds = [0, *cuts, len(content)]
+    pieces = [content[low:high] for low, high in zip(bounds, bounds[1:])]
+    chunks = dict(enumerate(pieces))
+    if draw(st.booleans()):
+        return MessageGroup(chunks=chunks, chunk_total=len(pieces))
+    for index in draw(st.sets(st.integers(0, len(pieces) - 1), max_size=len(pieces))):
+        del chunks[index]
+    total = len(pieces) + draw(st.integers(0, 1))
+    stray = draw(st.sampled_from([None, -1, total, total + 2]))
+    if stray is not None:
+        chunks[stray] = "stray"
+    return MessageGroup(chunks=chunks, chunk_total=total)
+
+
+@st.composite
+def _groups(draw) -> dict:
+    """A category's expected groups (usually) plus any others, PROCEND,
+    SCRIPT-layer and unmapped keys among them."""
+    category = draw(st.sampled_from(_CATEGORIES))
+    keys = list(expected_keys_for(category)) if draw(st.booleans()) else []
+    keys += draw(st.lists(st.sampled_from(_ALL_KEYS), max_size=8))
+    return {key: draw(_group(draw(_contents(key, category))))
+            for key in dict.fromkeys(keys)}
+
+
+_keys = st.tuples(st.sampled_from(["7", "8"]), st.just("0"), st.integers(0, 99),
+                  st.just("a" * 32), st.just("n1"), st.integers(0, 2))
+
+
+class TestFastBuilder:
+    """``build_process_record`` equals the builder as first written."""
+
+    @given(_keys, _groups())
+    @example(("7", "0", 1, "h", "n1", 0), {})
+    @example(("7", "0", 1, "h", "n1", 0), {     # a script under a non-Python exe
+        _SELF_PROCINFO: MessageGroup({0: "exe=/project/p/u/lmp|category=user"}),
+        GROUP_KEYS[Layer.SELF, InfoType.MAPS]: MessageGroup({0: _PYTHON_MAPS}),
+        _SCRIPT_PROCINFO: MessageGroup({0: "script=/users/a/run.py"})})
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_oracle(self, key, groups):
+        before = {group_key: (dict(group.chunks), group.chunk_total)
+                  for group_key, group in groups.items()}
+        record = build_process_record(key, groups)
+        expected = oracle.build_process_record(key, groups)
+        assert astuple(record) == astuple(expected)
+        assert list(map(type, astuple(record))) == list(map(type, astuple(expected)))
+        assert {group_key: (group.chunks, group.chunk_total)
+                for group_key, group in groups.items()} == before     # not mutated
+
+    def test_a_python_record_through_both(self):
+        groups = {_SELF_PROCINFO: MessageGroup({0: "exe=/usr/bin/python3|category=python"}),
+                  GROUP_KEYS[Layer.SELF, InfoType.MAPS]: MessageGroup({0: _PYTHON_MAPS}),
+                  GROUP_KEYS[Layer.SCRIPT, InfoType.FILE_H]: MessageGroup({0: "3:s:h"})}
+        record = build_process_record(("7", "0", 1, "h", "n1", 0), groups)
+        assert record == oracle.build_process_record(("7", "0", 1, "h", "n1", 0), groups)
+        assert (record.python_packages, record.script_h, record.incomplete) == (
+            "heapq,numpy", "3:s:h", 1)

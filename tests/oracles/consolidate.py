@@ -3,11 +3,11 @@
 Ingest consolidates messages as they arrive
 (:class:`~repro.ingest.incremental.IncrementalConsolidator`).  This is the
 other way to get the same records: persist every raw message, then regroup
-the whole ``messages`` table by process key and hand each group to the same
-:func:`~repro.ingest.records.build_process_record`.  It shares no
-grouping, closing or flushing code with the streaming path, which is what
-makes it an oracle; the dual-ingest harness in ``tests/conftest.py`` feeds
-both from one datagram stream.
+the whole ``messages`` table by process key and hand each group to the
+record builder as first written (``tests/oracles/records.py``).  It shares
+no grouping, closing, flushing or assembly code with the streaming path,
+which is what makes it an oracle; the dual-ingest harness in
+``tests/conftest.py`` feeds both from one datagram stream.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord
-from repro.ingest.records import GroupKey, MessageGroup, build_process_record
+from repro.ingest.records import GroupKey, MessageGroup
+
+from oracles.records import build_process_record
 
 
 def records_from_messages(store: MessageStore) -> list[ProcessRecord]:

@@ -45,5 +45,19 @@ def test_checker_resolves_backticked_dotted_names(check_docs, tmp_path):
     assert check_docs.check_file(doc) == [f"{doc}: unresolved name -> repro.devtools.lint"]
 
 
+def test_checker_resolves_bare_class_attributes(check_docs, tmp_path):
+    """``Class.attr`` names resolve on the ``repro`` class of that name: a
+    renamed method fires; fields, ``__init__`` attributes, call spellings
+    and classes ``repro`` does not define pass."""
+    doc = tmp_path / "attrs.md"
+    doc.write_text(
+        "`MessageStore.load_processes_since`, `ShardedIngest.snapshot_delta(cursor)`,"
+        " `ShardedIngest.store`, `MessageStore.tiered`, `ExecutableCategory.PYTHON`,"
+        " `Path.exists`, `CHANGES.md` and `MessageStore.load_processes_after(rowid)`\n",
+        encoding="utf-8")
+    assert check_docs.check_file(doc) == [
+        f"{doc}: unresolved attribute -> MessageStore.load_processes_after"]
+
+
 def test_main_exit_status(check_docs):
     assert check_docs.main() == 0
