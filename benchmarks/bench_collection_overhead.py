@@ -15,8 +15,8 @@ from repro.corpus.packages import ICON
 from repro.db.store import MessageStore
 from repro.hpcsim.cluster import Cluster
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.tables import TextTable
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -43,8 +43,8 @@ def _system_heavy_job(manifest) -> JobScript:
 def _run_policy(cluster, manifest, policy) -> int:
     store = MessageStore()
     channel = InMemoryChannel()
-    receiver = MessageReceiver(store)
-    receiver.attach(channel)
+    ingest = IncrementalConsolidator(store, persist_raw=True)
+    ingest.attach(channel)
     collector = SirenCollector(cluster.filesystem, UDPSender(channel),
                                manifest.siren_library, policy=policy)
     cluster.register_preload_hook(collector)
@@ -52,7 +52,7 @@ def _run_policy(cluster, manifest, policy) -> int:
         cluster.run_job("bench", _system_heavy_job(manifest))
     finally:
         cluster.runtime.unregister_hook(manifest.siren_library)
-    receiver.flush()
+    ingest.finalize()
     return store.message_count()
 
 

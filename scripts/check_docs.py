@@ -17,7 +17,7 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   ``repro.db.tiered`` or an attribute such as
   ``repro.core.framework.SirenFramework``) must resolve in the import tree,
   and so must every bare ``Class.attr`` name (``MessageStore.load_processes_since``,
-  ``ShardedIngest.snapshot_delta(cursor)``) whose class is defined in a
+  ``IncrementalConsolidator.snapshot_delta(cursor)``) whose class is defined in a
   ``repro`` module: a renamed method or a dropped field is caught.  A class
   ``repro`` does not define (``Path.exists``) is not checked.
 

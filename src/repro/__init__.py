@@ -10,7 +10,7 @@ The package is organised as the paper's system plus every substrate it needs:
 * :mod:`repro.collector` -- the SIREN ``LD_PRELOAD`` collector (the core contribution),
 * :mod:`repro.transport` -- chunked UDP-style messaging with loss simulation,
 * :mod:`repro.db`        -- SQLite storage,
-* :mod:`repro.ingest`    -- streaming ingest (one receiver feeding an incremental consolidator)
+* :mod:`repro.ingest`    -- streaming ingest (one object decodes and consolidates datagrams)
   and the per-process record builder,
 * :mod:`repro.analysis`  -- all evaluation analyses (Tables 2-8, Figures 2-5),
 * :mod:`repro.workload`  -- the opt-in deployment-campaign generator,

@@ -26,7 +26,7 @@ records (``tests/analysis/test_live.py``):
   group's peek record can change as messages arrive, so it only adjusts the
   view being rendered; the next delta re-peeks it.  Keys that are already
   finalized (a very late message resurrecting a closed group) are dropped,
-  exactly as :meth:`~repro.ingest.sharded.ShardedIngest.snapshot` does.
+  exactly as :meth:`~repro.ingest.incremental.IncrementalConsolidator.snapshot` does.
 * **Row and tie order are reproduced, not approximated.**  The tables are
   :class:`~repro.analysis.stats.TableRollup` views (its module docstring
   has the min-key argument); similarity pools are ordered the same way, by
@@ -77,7 +77,7 @@ from repro.analysis.stats import (
 )
 from repro.db.store import ProcessKey, ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
-from repro.ingest.sharded import ProcessDelta
+from repro.ingest.incremental import ProcessDelta
 from repro.util.errors import AnalysisError
 
 
@@ -96,7 +96,7 @@ class LiveAnalysis:
     Feed it one of two ways:
 
     * **bound** -- :meth:`bind` it to a delta source (a
-      :class:`~repro.ingest.sharded.ShardedIngest`, a
+      :class:`~repro.ingest.incremental.IncrementalConsolidator`, a
       :class:`~repro.core.framework.SirenFramework`, or a
       :class:`~repro.workload.campaign.DeploymentCampaign`); every view
       method then pulls the latest delta first, so reads are always current;
@@ -203,7 +203,7 @@ class LiveAnalysis:
         Open groups are provisional -- they accumulate messages until they
         close -- so they are overlaid on the committed state per view, never
         folded in.  Keys already committed (a closed group resurrected by a
-        very late message) are dropped, matching ``ShardedIngest.snapshot``.
+        very late message) are dropped, matching ``IncrementalConsolidator.snapshot``.
         An overlay equal to the current one (a pull with nothing new hands
         back the very same peek) changes nothing and is not refolded.
         """

@@ -1,7 +1,7 @@
 """The SIREN framework: the one place a deployment is wired and run.
 
-SIREN is one fixed chain -- collector -> UDP sender -> channel -> receiver ->
-consolidation -> store -> analysis.  :class:`SirenFramework` builds that chain
+SIREN is one fixed chain -- collector -> UDP sender -> channel -> ingest
+(decode + consolidation) -> store -> analysis.  :class:`SirenFramework` builds that chain
 from a :class:`~repro.core.config.SirenConfig` (memory or socket transport,
 optional faults and gold rollups -- see the config for what each knob
 means), hooks it onto a simulated cluster (registering the ``LD_PRELOAD``
@@ -28,7 +28,7 @@ from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
-from repro.ingest.sharded import ProcessDelta, ShardedIngest
+from repro.ingest.incremental import IncrementalConsolidator, ProcessDelta
 from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
@@ -64,7 +64,7 @@ class SirenFramework:
     channel: DeploymentChannel = field(init=False)
     #: the loss-decision channel underneath, when ``loss_rate > 0``
     lossy_channel: LossyChannel | None = field(init=False, default=None)
-    ingest: ShardedIngest = field(init=False)
+    ingest: IncrementalConsolidator = field(init=False)
     sender: UDPSender = field(init=False)
     collector: SirenCollector | None = field(init=False, default=None)
     cluster: Cluster | None = field(init=False, default=None)
@@ -96,7 +96,7 @@ class SirenFramework:
         if config.rollups:
             self.tiered = TieredStore(self.user_names)
             self.store.attach_tiered(self.tiered)
-        self.ingest = ShardedIngest(
+        self.ingest = IncrementalConsolidator(
             self.store, persist_raw=config.keep_raw_messages,
             quarantine_capacity=config.quarantine_capacity)
         self.ingest.attach(self.channel)

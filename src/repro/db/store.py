@@ -272,23 +272,12 @@ class MessageStore:
     # ------------------------------------------------------------------ #
     # consolidated processes
     # ------------------------------------------------------------------ #
-    def insert_processes(self, records: Iterable[ProcessRecord]) -> int:
-        """Insert consolidated per-process records (idempotent per process key).
-
-        Delegates to :meth:`insert_or_replace_processes`: the ``processes``
-        table is unique per ``(jobid, stepid, pid, hash, host, time)``, so
-        re-consolidating the same store updates rows in place instead of
-        accumulating duplicates.
-        """
-        return self.insert_or_replace_processes(records)
-
     def insert_or_replace_processes(self, records: Iterable[ProcessRecord]) -> int:
         """Upsert consolidated records, keyed by the unique process header.
 
-        Re-consolidating the same store (e.g. repeated
-        :meth:`~repro.core.framework.SirenFramework.consolidate` calls while
-        messages keep arriving) rebuilds records from *more* data each time,
-        so the newest build replaces the previous row.
+        The post-pass verb: re-consolidating the same raw messages while
+        more keep arriving rebuilds records from *more* data each time, so
+        the newest build replaces the previous row.
         """
         return self._insert_processes("INSERT OR REPLACE", records)
 

@@ -25,7 +25,7 @@ from repro.util.rng import SeededRNG, derive_seed
 
 @dataclass(frozen=True)
 class ChannelFaultProfile:
-    """Datagram-level faults applied between the sender and the ingest front.
+    """Datagram-level faults applied between the sender and the ingest object.
 
     All rates are independent per-datagram probabilities.  Faults compose in
     a fixed order -- drop, duplicate, then per-copy corrupt/truncate, then

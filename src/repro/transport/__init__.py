@@ -1,4 +1,4 @@
-"""UDP-style transport: messages, chunking, channels, sender and receiver.
+"""UDP-style transport: messages, chunking, channels and the sender.
 
 SIREN deliberately uses connectionless, fire-and-forget UDP messaging so that
 data collection can never block or crash a user process: every collected item
@@ -14,16 +14,14 @@ The transport here mirrors that design with three interchangeable channels:
   Section 3.1 and for the loss-sweep ablation bench),
 * :class:`~repro.transport.channel.SocketChannel` -- real UDP datagrams over
   the loopback interface, for end-to-end realism.
+
+The receiving end -- decode, count, quarantine -- is the ingest object's
+:meth:`~repro.ingest.incremental.IncrementalConsolidator.handle_datagram`.
 """
 
 from repro.transport.channel import Channel, InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.chunking import reassemble_chunks, split_content
 from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
-from repro.transport.receiver import (
-    DatagramQuarantine,
-    MessageReceiver,
-    QuarantinedDatagram,
-)
 from repro.transport.sender import UDPSender
 
 __all__ = [
@@ -31,9 +29,6 @@ __all__ = [
     "InMemoryChannel",
     "LossyChannel",
     "SocketChannel",
-    "DatagramQuarantine",
-    "MessageReceiver",
-    "QuarantinedDatagram",
     "UDPSender",
     "UDPMessage",
     "MAX_DATAGRAM_SIZE",

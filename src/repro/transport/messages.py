@@ -73,7 +73,7 @@ class UDPMessage:
     A value: hashable, compared by field, never mutated once built
     (:meth:`with_chunk` copies).  Not ``frozen=True``, because a frozen
     ``__init__`` assigns through ``object.__setattr__`` and that was more
-    than half of :meth:`decode`, which the receiver runs per datagram.
+    than half of :meth:`decode`, which ingest runs per datagram.
     """
 
     jobid: str

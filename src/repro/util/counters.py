@@ -1,8 +1,7 @@
 """The central registry of operational counter/statistics keys.
 
-Counters are surfaced from half a dozen places --
+Counters are surfaced from several places --
 :meth:`~repro.ingest.incremental.IncrementalConsolidator.statistics`,
-:meth:`~repro.ingest.sharded.ShardedIngest.statistics`,
 :meth:`~repro.workload.campaign.CampaignResult.statistics`,
 :meth:`~repro.core.framework.SirenFramework.statistics`,
 :meth:`~repro.analysis.live.LiveAnalysis.statistics` and
@@ -23,8 +22,8 @@ from __future__ import annotations
 
 #: Every statistics/counter key any emitter may surface, with its meaning.
 COUNTERS: dict[str, str] = {
-    # --- consolidation (IncrementalConsolidator.statistics) ------------ #
-    "messages_consumed": "decoded messages fed into a consolidator",
+    # --- ingest (IncrementalConsolidator.statistics) ------------------- #
+    "messages_consumed": "decoded messages fed into the open groups",
     "records_built": "process records finalized",
     "incomplete_records": "records flagged incomplete (datagram loss)",
     "early_finalized": "groups closed by PROCEND with all sections present",
@@ -33,8 +32,7 @@ COUNTERS: dict[str, str] = {
     "late_messages": "messages that arrived after their group closed",
     "open_processes": "process groups currently open",
     "peak_open_processes": "high-water mark of simultaneously open groups",
-    # --- ingest front (ShardedIngest.statistics) ------------------------ #
-    "messages_received": "messages accepted by the receiver",
+    "messages_received": "datagrams that decoded into messages",
     "decode_errors": "undecodable datagrams dropped by the ingest path",
     "quarantined": "undecodable datagrams captured in the forensic ring",
     # --- campaign results (CampaignResult.statistics) ------------------- #
@@ -84,7 +82,7 @@ COUNTERS: dict[str, str] = {
 #: itself registered above (the campaign/framework results nest the ingest
 #: and fault counter sets under these prefixes).
 COUNTER_PREFIXES: dict[str, str] = {
-    "ingest_": "ShardedIngest.statistics() folded into a result view",
+    "ingest_": "IncrementalConsolidator.statistics() folded into a result view",
     "fault_": "FaultyChannel.fault_counters() folded into framework statistics",
 }
 

@@ -5,7 +5,7 @@
 1. build a cluster and install the corpus (libraries, system tools, Python,
    ``siren.so``, per-user scientific packages),
 2. deploy SIREN (a :class:`~repro.core.framework.SirenFramework`: message
-   store, channel, ingest front, sender, collector hook),
+   store, channel, ingest object, sender, collector hook),
 3. execute the scaled campaign: every user profile submits its jobs through
    the Slurm-like scheduler on one serial driver, each process is hooked and
    collected, and its UDP messages are consolidated into a per-process
@@ -35,7 +35,7 @@ from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
-from repro.ingest.sharded import ProcessDelta, ShardedIngest
+from repro.ingest.incremental import IncrementalConsolidator, ProcessDelta
 from repro.util.rng import SeededRNG
 from repro.workload.profiles import (
     BASH_ENVIRONMENT_QUIRKS,
@@ -114,7 +114,7 @@ class CampaignResult:
     processes_run: int
     #: the deployment the campaign ran (its counters underlie :meth:`statistics`)
     deployment: SirenFramework
-    ingest: ShardedIngest | None = None  #: the ingest front (counters)
+    ingest: IncrementalConsolidator | None = None  #: the ingest object (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
     quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
     #: what the injected channel faults did (``fault_plan`` runs only)
@@ -176,7 +176,7 @@ class DeploymentCampaign:
     collector: SirenCollector = field(init=False)
     store: MessageStore = field(init=False)
     channel: DeploymentChannel = field(init=False)
-    ingest: ShardedIngest = field(init=False)
+    ingest: IncrementalConsolidator = field(init=False)
     tiered: TieredStore | None = field(init=False, default=None)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     scenario_builder: ScenarioBuilder = field(init=False)

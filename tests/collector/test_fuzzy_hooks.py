@@ -15,9 +15,9 @@ from repro.hashing.ssdeep import FuzzyHasher, compare
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.errors import ELFError
 from repro.util.rng import SeededRNG
@@ -538,8 +538,8 @@ def _run_one(cluster, manifest, executable, *, ranks=1, modules=("siren",), argv
     """Helper: run one process through a fresh collector and return its messages."""
     store = MessageStore()
     channel = InMemoryChannel()
-    receiver = MessageReceiver(store)
-    receiver.attach(channel)
+    ingest = IncrementalConsolidator(store, persist_raw=True)
+    ingest.attach(channel)
     collector = SirenCollector(cluster.filesystem, UDPSender(channel), manifest.siren_library)
     cluster.register_preload_hook(collector)
     try:
@@ -552,7 +552,7 @@ def _run_one(cluster, manifest, executable, *, ranks=1, modules=("siren",), argv
         cluster.run_job("alice", script)
     finally:
         cluster.runtime.unregister_hook(manifest.siren_library)
-    receiver.flush()
+    ingest.snapshot()  # persists the last raw batch
     return collector, store
 
 
@@ -666,9 +666,8 @@ class TestSirenCollector:
         policy = CollectionPolicy(user=ScopePolicy(file_metadata=True), rank_zero_only=True)
         store = MessageStore()
         channel = InMemoryChannel()
-        MessageReceiver(store).attach(channel)
-        receiver = MessageReceiver(store)
-        receiver.attach(channel)
+        ingest = IncrementalConsolidator(store, persist_raw=True)
+        ingest.attach(channel)
         collector = SirenCollector(cluster.filesystem, UDPSender(channel),
                                    manifest.siren_library, policy=policy)
         cluster.register_preload_hook(collector)
@@ -679,7 +678,7 @@ class TestSirenCollector:
             cluster.run_job("alice", script)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
-        receiver.flush()
+        ingest.snapshot()
         types = {row[7] for row in store.iter_messages()}
         assert InfoType.FILE_H.value not in types
         assert InfoType.FILEMETA.value in types

@@ -6,8 +6,8 @@ tests can all share one run.  Component tests build their own tiny clusters.
 
 The ingest and fault-injection tests share a *dual-ingest harness*: one
 channel carrying one datagram stream (optionally lossy) delivered
-simultaneously to a receiver persisting raw messages and to the ingest path
-under test.  Because both paths observe the exact same surviving datagrams,
+simultaneously to an ingest object persisting raw messages and to the ingest
+path under test.  Because both paths observe the exact same surviving datagrams,
 comparing the post-pass oracle's output (``oracles/consolidate.py``) with
 the streaming output pins record-for-record equivalence without
 coordinating two RNGs.
@@ -26,9 +26,9 @@ from repro.corpus.builder import CorpusBuilder, CorpusManifest
 from repro.corpus.packages import ICON, LAMMPS
 from repro.db.store import MessageStore, ProcessRecord
 from repro.hpcsim.cluster import Cluster
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel, LossyChannel
 from repro.transport.messages import Section, wire_header
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
@@ -173,10 +173,10 @@ class DualIngest:
     channel: LossyChannel | InMemoryChannel
     workload: SyntheticWorkload
     batch_store: MessageStore
-    batch_receiver: MessageReceiver
+    batch_ingest: IncrementalConsolidator
 
     def batch_records(self) -> list[ProcessRecord]:
-        self.batch_receiver.flush()
+        self.batch_ingest.finalize()  # persists the last raw batch
         return Consolidator(self.batch_store).run()
 
 
@@ -194,12 +194,13 @@ def dual_ingest():
         else:
             channel = InMemoryChannel()
         batch_store = MessageStore()
-        batch_receiver = MessageReceiver(batch_store, batch_size=32)
-        batch_receiver.attach(channel)
+        batch_ingest = IncrementalConsolidator(batch_store, batch_size=32,
+                                               persist_raw=True)
+        batch_ingest.attach(channel)
         # Small datagram budget so OBJECTS/MAPS/COMPILERS genuinely chunk.
         sender = UDPSender(channel, max_datagram_size=max_datagram_size)
         workload = SyntheticWorkload(sender=sender, rng=SeededRNG(seed * 31 + 7))
         return DualIngest(channel=channel, workload=workload,
-                          batch_store=batch_store, batch_receiver=batch_receiver)
+                          batch_store=batch_store, batch_ingest=batch_ingest)
 
     return build

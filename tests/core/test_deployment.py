@@ -12,7 +12,7 @@ from repro.collector.hooks import SirenCollector
 from repro.core import SirenConfig, SirenFramework
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.hashing.ssdeep import FuzzyHasher
-from repro.ingest.sharded import ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
@@ -119,14 +119,17 @@ class TestOnePathEach:
         (FuzzyHasher, "hash_many"), (FuzzyHasher, "close"),
         (FuzzyHasher, "hash_reference"), (FuzzyHasher, "_hash_at"),
         (ArtifactHasher, "close"), (SirenCollector, "close"),
-        (LiveAnalysis, "observe")], ids=lambda value: getattr(value, "__name__", value))
+        (LiveAnalysis, "observe"), (IncrementalConsolidator, "feed_many"),
+        (IncrementalConsolidator, "close_all")],
+        ids=lambda value: getattr(value, "__name__", value))
     def test_removed_methods_are_gone(self, owner, name):
         """The hash pool's batch entry point and its shutdown hooks, the
         per-byte reference hash (now the oracle in ``tests/oracles/ctph.py``),
-        and the batch-mode adapter of the live analysis."""
+        the batch-mode adapter of the live analysis, and the ingest object's
+        old sink entry point and second end-of-stream call."""
         assert not hasattr(owner, name)
 
-    @pytest.mark.parametrize("owner", [SirenFramework, ShardedIngest, UDPSender,
+    @pytest.mark.parametrize("owner", [SirenFramework, IncrementalConsolidator, UDPSender,
                                        DeploymentCampaign], ids=lambda owner: owner.__name__)
     def test_the_stage_timer_is_gone(self, owner):
         """The pipeline benchmark's tracer is the one profiler: the stage
@@ -140,6 +143,19 @@ class TestOnePathEach:
         ``tests/test_repo_invariants.py``."""
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    def test_decode_and_consolidation_are_one_object(self):
+        """No receiver module and no sink protocol: the ingest object
+        decodes its own datagrams."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.transport.receiver")
+        assert callable(IncrementalConsolidator.handle_datagram)
+
+    def test_the_ingest_object_takes_five_knobs(self):
+        """Counters and private state cannot be set through the constructor."""
+        assert [f.name for f in dataclasses.fields(IncrementalConsolidator) if f.init] == [
+            "store", "batch_size", "flush_batch_size", "idle_epochs", "persist_raw",
+            "quarantine_capacity"]
 
     def test_no_stage_timing_seam_is_left(self):
         """The result carries no timings, and the collector's start hook is

@@ -89,7 +89,7 @@ class TestProcessRecords:
 
     def test_insert_and_load(self):
         store = MessageStore()
-        store.insert_processes([self._record()])
+        store.insert_or_replace_processes([self._record()])
         assert store.process_count() == 1
         loaded = store.load_processes()[0]
         assert loaded.executable_name == "icon"
@@ -135,7 +135,7 @@ class TestProcessRecords:
     def test_roundtrip_preserves_all_fields(self):
         store = MessageStore()
         record = self._record()
-        store.insert_processes([record])
+        store.insert_or_replace_processes([record])
         loaded = store.load_processes()[0]
         assert loaded.objects == record.objects
         assert loaded.compilers == record.compilers
@@ -178,8 +178,8 @@ class TestProcessRecords:
     def test_reconsolidation_is_idempotent(self):
         store = MessageStore()
         record = self._record()
-        store.insert_processes([record])
-        store.insert_processes([record])
+        store.insert_or_replace_processes([record])
+        store.insert_or_replace_processes([record])
         assert store.process_count() == 1
 
     def test_legacy_store_with_duplicate_rows_migrates(self, tmp_path):
@@ -189,7 +189,7 @@ class TestProcessRecords:
         path = str(tmp_path / "legacy.db")
         store = MessageStore(path)
         store.connection.execute("DROP INDEX ux_processes_key")
-        store.insert_processes([self._record()])
+        store.insert_or_replace_processes([self._record()])
         columns = ", ".join(name for name in self._record().__dataclass_fields__)
         with store.connection:
             store.connection.execute(

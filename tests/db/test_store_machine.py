@@ -129,10 +129,6 @@ class StoreMachine(RuleBasedStateMachine):
     def insert_or_replace_processes(self, batch, fault):
         self._write("insert_or_replace_processes", batch, fault, first_wins=False)
 
-    @rule(batch=_batches, fault=_faults)
-    def insert_processes(self, batch, fault):
-        self._write("insert_processes", batch, fault, first_wins=False)
-
     @rule(fresh=st.booleans())
     def attach_tiered(self, fresh):
         tiered = (build_tiered_store("memory", user_names=_USERS) if fresh

@@ -22,7 +22,7 @@ from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore, build_tiered_store
 from repro.faults import FaultyChannel, StoreFaultInjector, preset_plans
 from repro.faults.plan import FaultPlan, StoreFaultProfile
-from repro.ingest import ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
@@ -192,8 +192,8 @@ class TestHandOff:
         ("insert_processes_if_absent", [2, 3], False),     # 2 is already there
         ("insert_processes_if_absent", [3, 3], False),     # a key twice
         ("insert_or_replace_processes", [3, 4], False),
-        ("insert_processes", [3, 4], False),
         ("insert_processes_if_absent", [], None),          # nothing written
+        ("insert_or_replace_processes", [], None),
     ])
     def test_which_writes_are_folded_and_which_refold(self, method, pids, handed):
         store = MessageStore()
@@ -224,7 +224,7 @@ class TestHandOff:
 
 @functools.cache
 def _stream(seed: int, loss_rate: float) -> tuple[tuple[bytes, ...], dict[int, str]]:
-    """The datagrams a scale-0.0 campaign's receiver got, in arrival order."""
+    """The datagrams a scale-0.0 campaign's ingest got, in arrival order."""
     config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
                             keep_raw_messages=False)
     campaign = DeploymentCampaign(config=config, profiles=PROFILES)
@@ -240,7 +240,7 @@ def _replay(stream, user_names, store: MessageStore,
     """``stream`` into ``store`` with gold attached, through ``plan``'s
     channel faults when given."""
     store.attach_tiered(TieredStore(user_names))
-    front = ShardedIngest(store, batch_size=16, flush_batch_size=8)
+    front = IncrementalConsolidator(store, batch_size=16, flush_batch_size=8)
     inner = InMemoryChannel()
     front.attach(inner)
     sender = inner if plan is None else FaultyChannel(plan=plan, inner=inner)

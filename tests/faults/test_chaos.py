@@ -26,7 +26,7 @@ from repro.faults import (
     StoreFaultProfile,
     preset_plans,
 )
-from repro.ingest import ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.util.retry import RetryPolicy
 from repro.workload import CampaignConfig, DeploymentCampaign
 
@@ -57,15 +57,15 @@ class TestTransportFaultEquivalence:
         # channel: both ingest paths observe the *same* surviving datagrams.
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = ShardedIngest(MessageStore(), shards=1, batch_size=16,
-                              flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore(), batch_size=16,
+                                        flush_batch_size=8)
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
         faulty.flush()  # end of stream: deliver any held-back datagrams
 
         assert _record_set(front.finalize()) == _record_set(harness.batch_records())
-        assert front.decode_errors == harness.batch_receiver.decode_errors
+        assert front.decode_errors == harness.batch_ingest.decode_errors
         if plan.channel.corrupt_rate or plan.channel.truncate_rate:
             assert faulty.corrupted + faulty.truncated > 0
         assert front.quarantined == min(front.decode_errors,
@@ -77,8 +77,8 @@ class TestTransportFaultEquivalence:
         harness = dual_ingest(seed=CHAOS_SEED)
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = ShardedIngest(MessageStore(), shards=1, batch_size=16,
-                              flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore(), batch_size=16,
+                                        flush_batch_size=8)
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
@@ -101,7 +101,7 @@ class TestStoreFaultResilience:
         store = MessageStore(retry=RetryPolicy(attempts=6, base_delay=0.0))
         store._sleep = lambda _: None
         injector = StoreFaultInjector(plan).install(store)
-        front = ShardedIngest(store, shards=1, batch_size=16, flush_batch_size=8)
+        front = IncrementalConsolidator(store, batch_size=16, flush_batch_size=8)
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)

@@ -1,7 +1,8 @@
 """Count guards: the receive path pays per datagram only for what differs.
 
 A 200-process stream (chunked contents, a lossy wire, so some groups miss
-chunks) is replayed twice through ``ShardedIngest(shards=1)`` over a store
+chunks) is replayed twice through the ingest object
+(``IncrementalConsolidator``) over a store
 with gold rollups attached: once untouched, once under spies.  The spies
 fail the test if the hot path regrows an enum call or a ``.value`` per
 datagram, a throw-away ``MessageGroup`` per message, a
@@ -26,7 +27,7 @@ from repro.analysis.live import LiveAnalysis
 from repro.analysis.stats import TableRollup
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
-from repro.ingest import ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.transport.messages import UDPMessage
 
 
@@ -34,7 +35,7 @@ def _replay(stream):
     store = MessageStore()
     tiered = TieredStore(user_names={})
     store.attach_tiered(tiered)
-    ingest = ShardedIngest(store, shards=1, persist_raw=False)
+    ingest = IncrementalConsolidator(store)
     for datagram in stream:
         ingest.handle_datagram(datagram)
     records = ingest.finalize()
@@ -196,7 +197,7 @@ def _refresh_loop(stream, *, slices: int = 25):
     store = MessageStore()
     tiered = TieredStore(user_names={})
     store.attach_tiered(tiered)
-    ingest = ShardedIngest(store, shards=1, persist_raw=False)
+    ingest = IncrementalConsolidator(store)
     live = LiveAnalysis().bind(ingest)
     tables = []
     step = -(-len(stream) // slices)
@@ -235,7 +236,7 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     builds, inserted, statements, overlays, pulls = [], [], [], [], []
     peeking = []
     build = incremental.build_process_record
-    peek_open = incremental.IncrementalConsolidator.peek_open
+    peek_open = incremental.IncrementalConsolidator._peek_open
     insert_if_absent = MessageStore.insert_processes_if_absent
     load_since = MessageStore.load_processes_since
     sync, commit = LiveAnalysis.sync, LiveAnalysis.commit
@@ -280,7 +281,7 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(incremental, "build_process_record", counting_build)
-        patch.setattr(incremental.IncrementalConsolidator, "peek_open", counting_peek)
+        patch.setattr(incremental.IncrementalConsolidator, "_peek_open", counting_peek)
         patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
         patch.setattr(MessageStore, "load_processes_since", counting_load_since)
         patch.setattr(LiveAnalysis, "sync", counting_sync)

@@ -1,4 +1,4 @@
-"""Tests for the incremental (streaming) consolidator.
+"""Tests for the ingest object (decode, batch, group, close, flush).
 
 The load-bearing assertion of the whole subsystem is at the bottom:
 streaming consolidation produces record-for-record identical output to the
@@ -6,16 +6,19 @@ post-pass oracle (``tests/oracles/consolidate.py``) across seeds and loss
 rates, both paths fed by the *same* surviving datagrams.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
-from repro.ingest import IncrementalConsolidator, ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage, wire_header
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
+from repro.workload import CampaignConfig, DeploymentCampaign
+from repro.workload.profiles import DEFAULT_PROFILES
 
 
 def _record_set(records):
@@ -44,10 +47,40 @@ def _procend(pid: int = 10) -> UDPMessage:
     return _msg(InfoType.PROCEND, "end_time=105|exit_code=0", pid=pid)
 
 
+def _feed(sink: IncrementalConsolidator, messages: list[UDPMessage]) -> None:
+    """Hand decoded messages straight to the grouping rules (no batch, no tick)."""
+    for message in messages:
+        sink.feed(message)
+
+
+def _datagram(pid: int, info_type: InfoType = InfoType.PROCINFO) -> bytes:
+    return _msg(info_type, "x", pid=pid).encode()
+
+
+def _corrupt_body(pid: int, tail: bytes) -> bytes:
+    """A datagram with ``pid``'s valid header and an undecodable chunk counter."""
+    header = _datagram(pid).rsplit(b"\x1f", 3)[0]
+    return header + b"\x1fX\x1f1\x1f" + tail
+
+
+def _malformed_datagrams() -> dict[str, bytes]:
+    """Datagrams the ingest object must count, quarantine and otherwise ignore."""
+    valid = _datagram(1)
+    return {
+        "garbage": b"garbage",
+        "empty": b"",
+        "short-header": b"SIREN1\x1fonly\x1fthree\x1ffields",
+        "wrong-magic": b"SIREN2\x1f" + valid[7:],
+        "bad-chunk-counter": _corrupt_body(1, b"garbage"),
+        "truncated": valid[:len(valid) // 2],
+        "not-utf8": valid[:-1] + b"\xff",
+    }
+
+
 class TestFinalizationRules:
     def test_early_finalize_on_procend(self):
         sink = IncrementalConsolidator(MessageStore())
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         assert sink.open_processes == 1
         assert sink.records_built == 0
         sink.feed(_procend())
@@ -61,7 +94,7 @@ class TestFinalizationRules:
         """A PROCEND over an incomplete group closes one epoch later, not at once."""
         sink = IncrementalConsolidator(MessageStore())
         burst = _system_burst()
-        sink.feed_many([burst[0], burst[1]])  # OBJECTS lost on the wire
+        _feed(sink, [burst[0], burst[1]])  # OBJECTS lost on the wire
         sink.feed(_procend())
         assert sink.open_processes == 1  # grace for reordering transports
         sink.advance_epoch()
@@ -71,7 +104,7 @@ class TestFinalizationRules:
 
     def test_idle_close_when_procend_lost(self):
         sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         assert sink.advance_epoch() == 0  # one epoch idle: still open
         assert sink.advance_epoch() == 1  # two epochs idle: closed
         assert sink.idle_closed == 1
@@ -79,7 +112,7 @@ class TestFinalizationRules:
 
     def test_late_procend_after_close_is_dropped_and_counted(self):
         sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         sink.advance_epoch()
         sink.advance_epoch()
         assert sink.open_processes == 0
@@ -89,7 +122,7 @@ class TestFinalizationRules:
 
     def test_chunked_content_held_open_until_all_chunks(self):
         sink = IncrementalConsolidator(MessageStore())
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         sink.feed(_msg(InfoType.MODULES, "part-one|", chunk_index=0, chunk_total=2))
         sink.feed(_procend())
         # PROCEND saw an incomplete chunked group: held for the grace epoch.
@@ -103,7 +136,7 @@ class TestFinalizationRules:
         group; its flush must lose to the already-persisted record."""
         store = MessageStore()
         sink = IncrementalConsolidator(store, flush_batch_size=1, idle_epochs=2)
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         for _ in range(2):
             sink.advance_epoch()  # idle close + flush
         for _ in range(2):
@@ -117,7 +150,7 @@ class TestFinalizationRules:
 
     def test_closed_key_dedup_set_is_evicted(self):
         sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         sink.feed(_procend())
         assert len(sink._closed) == 1
         for _ in range(2):
@@ -150,7 +183,7 @@ class TestFinalizationRules:
             chunks = [m.content for m in messages if m.info_type is InfoType.PROCINFO]
             split_category += not any("category=user" in chunk for chunk in chunks)
             sink = IncrementalConsolidator(MessageStore())
-            sink.feed_many(messages)
+            _feed(sink, messages)
             assert (sink.early_finalized, sink.open_processes) == (0, 1), length
             sink.advance_epoch()
             record = sink.finalize()[0]
@@ -160,11 +193,12 @@ class TestFinalizationRules:
     def test_peak_open_processes_tracked(self):
         sink = IncrementalConsolidator(MessageStore())
         for pid in range(5):
-            sink.feed_many(_system_burst(pid=pid))
+            _feed(sink, _system_burst(pid=pid))
         for pid in range(5):
             sink.feed(_procend(pid=pid))
         assert sink.peak_open_processes == 5
         assert sink.open_processes == 0
+
 
 
 class TestFlushAndSnapshot:
@@ -172,7 +206,7 @@ class TestFlushAndSnapshot:
         store = MessageStore()
         sink = IncrementalConsolidator(store, flush_batch_size=2)
         for pid in range(5):
-            sink.feed_many(_system_burst(pid=pid))
+            _feed(sink, _system_burst(pid=pid))
             sink.feed(_procend(pid=pid))
         # Two full batches of 2 auto-flushed; the fifth record still pending.
         assert store.process_count() == 4
@@ -180,86 +214,306 @@ class TestFlushAndSnapshot:
         assert store.process_count() == 5
 
     def test_snapshot_peeks_open_groups_without_closing(self):
-        front = ShardedIngest(MessageStore(), shards=1)
-        sink = front.consolidator
-        sink.feed_many(_system_burst(pid=1))
+        sink = IncrementalConsolidator(MessageStore())
+        _feed(sink, _system_burst(pid=1))
         sink.feed(_procend(pid=1))
-        sink.feed_many(_system_burst(pid=2))  # still open: no PROCEND yet
-        snapshot = front.snapshot()
+        _feed(sink, _system_burst(pid=2))  # still open: no PROCEND yet
+        snapshot = sink.snapshot()
         assert len(snapshot) == 2
         assert sink.open_processes == 1  # peek did not close anything
         assert {record.pid for record in snapshot} == {1, 2}
         # The open process keeps accumulating after the snapshot.
         sink.feed(_procend(pid=2))
-        assert _record_set(front.finalize()) == _record_set(snapshot)
+        assert _record_set(sink.finalize()) == _record_set(snapshot)
 
     def test_peek_is_rebuilt_only_when_an_open_group_changed(self):
         sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
-        sink.feed_many(_system_burst(pid=1))
-        first = sink.peek_open()
+        _feed(sink, _system_burst(pid=1))
+        first = sink.snapshot_delta().open_records
         sink.advance_epoch()                       # nothing closes
-        assert sink.peek_open() is first           # the same answer, not rebuilt
+        assert sink.snapshot_delta().open_records is first   # not rebuilt
         sink.feed(_msg(InfoType.MODULES, "siren/0.1", pid=1))
-        second = sink.peek_open()
+        second = sink.snapshot_delta().open_records
         assert [record.modules for record in second] == ["siren/0.1"]
         sink.advance_epoch()
         sink.advance_epoch()                       # an idle close, no message
-        assert sink.idle_closed == 1 and sink.peek_open() == ()
+        assert sink.idle_closed == 1 and sink.snapshot_delta().open_records == ()
 
     def test_finalize_is_stable(self):
         sink = IncrementalConsolidator(MessageStore())
-        sink.feed_many(_system_burst())
+        _feed(sink, _system_burst())
         first = sink.finalize()
         assert sink.finalize() == first
 
+    def test_results_in_canonical_key_order(self):
+        ingest = IncrementalConsolidator(MessageStore())
+        for pid in (44, 7, 190, 23):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        records = ingest.finalize()
+        assert [record.pid for record in records] == [7, 23, 44, 190]
 
-class TestReceiverSinkIntegration:
-    def test_receiver_advances_sink_epoch_per_flush(self):
-        store = MessageStore()
-        sink = IncrementalConsolidator(store, idle_epochs=2)
-        receiver = MessageReceiver(store, sink=sink, persist_raw=False, batch_size=4)
-        for message in _system_burst():
-            receiver.handle_datagram(message.encode())
-        receiver.flush()
-        assert sink.messages_consumed == 3
-        assert store.message_count() == 0  # raw persistence off
-        # Two further flush boundaries with unrelated traffic close the group.
-        for pid in (20, 21):
+    def test_snapshot_delta_streams_each_record_once(self):
+        # Every pull delivers the batch, i.e. ticks the idle clock: four
+        # idle epochs keep pid 99 open through both.
+        ingest = IncrementalConsolidator(MessageStore(), idle_epochs=4)
+        for pid in range(4):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        ingest.handle_datagram(_datagram(99))  # stays open (no PROCEND)
+        first = ingest.snapshot_delta()
+        assert sorted(r.pid for r in first.new_records) == [0, 1, 2, 3]
+        assert [r.pid for r in first.open_records] == [99]
+        for pid in range(4, 6):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        second = ingest.snapshot_delta(first.cursor)
+        # only the newly finalized records; the open peek is re-served
+        assert sorted(r.pid for r in second.new_records) == [4, 5]
+        assert [r.pid for r in second.open_records] == [99]
+        assert second.cursor > first.cursor
+        # delta stream and full snapshot agree on the complete key set
+        snapshot_pids = {r.pid for r in ingest.snapshot()}
+        delta_pids = {r.pid for r in first.new_records + second.new_records}
+        assert delta_pids | {99} == snapshot_pids
+        ingest.finalize()
+
+
+class TestDatagramPath:
+    """Decode, count, batch, raw-persist, feed and tick."""
+
+    def test_each_full_batch_is_fed_and_ticks_the_epoch(self):
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=10)
+        for pid in range(25):
+            ingest.handle_datagram(_datagram(pid))
+        assert (ingest.messages_received, ingest.messages_consumed) == (25, 20)
+        assert ingest._epoch == 2
+
+    def test_a_lifecycle_call_ticks_only_after_an_accepted_message(self):
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=10)
+        for pid in range(3):
+            ingest.handle_datagram(_datagram(pid))
+        ingest.snapshot_delta()               # delivers the partial batch
+        assert (ingest.messages_consumed, ingest._epoch) == (3, 1)
+        ingest.snapshot()
+        ingest.handle_datagram(b"garbage")    # counted, not accepted
+        ingest.snapshot_delta()
+        ingest.finalize()
+        assert ingest._epoch == 1
+
+    def test_the_batch_clock_closes_idle_groups(self):
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=3, idle_epochs=2)
+        for pid in (10, 20, 21):              # one burst per batch, no PROCEND
             for message in _system_burst(pid=pid):
-                receiver.handle_datagram(message.encode())
-            receiver.flush()
-        assert sink.idle_closed >= 1
+                ingest.handle_datagram(message.encode())
+        # pid 10 and 20 sat out two whole batches; 21 was fed in the last one
+        assert (ingest.idle_closed, ingest.open_processes) == (2, 1)
+        assert ingest.messages_consumed == 9
+
+    def test_decode_errors_are_counted_never_fed_nor_stored(self):
+        store = MessageStore()
+        ingest = IncrementalConsolidator(store, persist_raw=True)
+        ingest.handle_datagram(b"garbage")
+        ingest.handle_datagram(_datagram(1))
+        ingest.handle_datagram(b"\xff\xfe not utf-8 \x80")
+        ingest.finalize()
+        assert (ingest.decode_errors, ingest.messages_received,
+                ingest.messages_consumed) == (2, 1, 1)
+        assert store.message_count() == 1
+
+    @pytest.mark.parametrize("persist_raw", [False, True])
+    def test_raw_messages_are_persisted_per_batch_only_when_asked(self, persist_raw):
+        store = MessageStore()
+        ingest = IncrementalConsolidator(store, batch_size=4, persist_raw=persist_raw)
+        for pid in range(3):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        # one full batch delivered, two messages still buffered
+        assert store.message_count() == (4 if persist_raw else 0)
+        assert ingest.messages_consumed == 4
+        ingest.finalize()
+        assert store.message_count() == (6 if persist_raw else 0)
+        assert (ingest.messages_consumed, store.process_count()) == (6, 3)
+
+    def test_an_attached_channel_reaches_the_raw_table(self):
+        store = MessageStore()
+        channel = InMemoryChannel()
+        ingest = IncrementalConsolidator(store, persist_raw=True)
+        ingest.attach(channel)
+        UDPSender(channel).send(*_msg(InfoType.OBJECTS, "payload").burst())
+        ingest.snapshot()
+        assert store.message_count() == ingest.messages_received == 1
+
+    def test_statistics_cover_decode_and_consolidation(self):
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=4)
+        ingest.handle_datagram(b"garbage")
+        for pid in range(30):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.FILEMETA))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        assert len(ingest.finalize()) == 30
+        stats = ingest.statistics()
+        assert (stats["decode_errors"], stats["quarantined"]) == (1, 1)
+        assert stats["messages_received"] == stats["messages_consumed"] == 90
+        assert (stats["records_built"], stats["open_processes"]) == (30, 0)
+
+
+class TestQuarantine:
+    @pytest.mark.parametrize("shape", list(_malformed_datagrams()))
+    def test_malformed_datagram_is_counted_quarantined_and_dropped(self, shape):
+        datagram = _malformed_datagrams()[shape]
+        store = MessageStore()
+        ingest = IncrementalConsolidator(store, persist_raw=True)
+        ingest.handle_datagram(datagram)
+        assert ingest.finalize() == []
+        assert (ingest.decode_errors, ingest.messages_received) == (1, 0)
+        assert [entry.datagram for entry in ingest.quarantine.entries()] == [datagram]
+        assert store.message_count() == 0
+
+    def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self):
+        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=2)
+        for index in range(6):  # header-valid, body-corrupt
+            ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
+        ingest.finalize()
+        assert ingest.decode_errors == 6
+        assert ingest.quarantine.quarantined == 6
+        assert ingest.quarantine.evicted == 4
+        assert ingest.statistics()["quarantined"] == 2
+        assert [entry.datagram[-8:] for entry in ingest.quarantine.entries()] == \
+            [b"garbage4", b"garbage5"]
+
+    def test_quarantine_totals_survive_several_syncs(self):
+        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=2)
+        for index in range(6):
+            ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
+            if index % 3 == 2:
+                ingest.snapshot_delta()
+        ingest.finalize()
+        assert (ingest.quarantine.quarantined, ingest.quarantine.evicted) == (6, 4)
+        assert [entry.datagram[-8:] for entry in ingest.quarantine.entries()] == \
+            [b"garbage4", b"garbage5"]
+
+    def test_capacity_zero_counts_without_a_ring(self):
+        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=0)
+        ingest.handle_datagram(b"garbage")
+        assert ingest.quarantine is None
+        assert (ingest.decode_errors, ingest.quarantined) == (1, 0)
+
+
+def _campaign_stream() -> list[bytes]:
+    """The datagrams of a lossless seed-3 scale-0.0 campaign of three profiles."""
+    config = CampaignConfig(scale=0.0, seed=3, loss_rate=0.0, keep_raw_messages=False)
+    campaign = DeploymentCampaign(config=config, profiles=DEFAULT_PROFILES[:3])
+    campaign.prepare()
+    stream: list[bytes] = []
+    campaign.channel.subscribe(stream.append)
+    campaign.run()
+    return stream
+
+
+class _FailOnce:
+    """A store fault hook: the ``nth`` write transaction of ``operation`` raises."""
+
+    def __init__(self, operation: str, nth: int):
+        self.operation, self.left = operation, nth
+
+    def __call__(self, operation: str) -> None:
+        if operation == self.operation:
+            self.left -= 1
+            if self.left == 0:
+                raise sqlite3.OperationalError("database or disk is full")
+
+
+class TestStoreWriteFailures:
+    @pytest.mark.parametrize("operation, nth", [("insert_processes", 3),
+                                                ("insert_messages", 2)])
+    def test_a_write_that_raises_redelivers_nothing(self, operation, nth):
+        """A store write raising inside a batch delivery feeds no message
+        twice and persists none twice; the failed write's records stay
+        pending, so the record set is the fault-free one."""
+        stream = _campaign_stream()
+        knobs = dict(batch_size=50, flush_batch_size=4, persist_raw=True)
+        fault_free = IncrementalConsolidator(MessageStore(), **knobs)
+        for datagram in stream:
+            fault_free.handle_datagram(datagram)
+        store = MessageStore()
+        store.fault_injector = _FailOnce(operation, nth)
+        ingest = IncrementalConsolidator(store, **knobs)
+        failures = 0
+        for datagram in stream:
+            try:
+                ingest.handle_datagram(datagram)
+            except sqlite3.OperationalError:
+                failures += 1
+        records = ingest.finalize()
+        assert failures == 1
+        assert store.message_count() == ingest.messages_received == len(stream)
+        assert ingest.messages_consumed == ingest.messages_received
+        assert ingest.late_messages == 0
+        assert _record_set(records) == _record_set(fault_free.finalize())
+
+
+#: (seed, loss rate) points of the equivalence contract
+_EQUIVALENCE_POINTS = ([(seed, loss) for seed in (1, 2, 3)
+                        for loss in (0.0, 0.0002, 0.01, 0.2)]
+                       + [(seed, loss) for seed in (5, 11)
+                          for loss in (0.0, 0.01, 0.05, 0.5)])
 
 
 class TestStreamingEqualsBatch:
     """The equivalence contract, across seeds x loss rates."""
 
-    @pytest.mark.parametrize("loss_rate", [0.0, 0.0002, 0.01, 0.2])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed, loss_rate", _EQUIVALENCE_POINTS)
     def test_record_for_record_equivalence(self, dual_ingest, seed, loss_rate):
         harness = dual_ingest(loss_rate=loss_rate, seed=seed)
         stream_store = MessageStore()
-        sink = IncrementalConsolidator(stream_store, flush_batch_size=8, idle_epochs=2)
-        stream_receiver = MessageReceiver(stream_store, sink=sink, persist_raw=False,
-                                          batch_size=16)
-        stream_receiver.attach(harness.channel)
+        ingest = IncrementalConsolidator(stream_store, batch_size=16, flush_batch_size=8)
+        ingest.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=80)
-        stream_receiver.flush()
 
         batch = harness.batch_records()
-        streamed = sink.finalize()
+        streamed = ingest.finalize()
         assert len(streamed) == len(batch) > 0
         assert _record_set(streamed) == _record_set(batch)
-        # The upserted table holds exactly the same rows.
+        # The first-close-wins table holds exactly the same rows.
         assert _record_set(stream_store.load_processes()) == _record_set(batch)
 
     def test_heavy_loss_still_equivalent(self, dual_ingest):
         harness = dual_ingest(loss_rate=0.5, seed=11)
-        stream_store = MessageStore()
-        sink = IncrementalConsolidator(stream_store, flush_batch_size=4, idle_epochs=2)
-        receiver = MessageReceiver(stream_store, sink=sink, persist_raw=False, batch_size=8)
-        receiver.attach(harness.channel)
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=8, flush_batch_size=4)
+        ingest.attach(harness.channel)
         harness.workload.emit_campaign(processes=60)
-        receiver.flush()
-        assert _record_set(sink.finalize()) == _record_set(harness.batch_records())
+        assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
+
+    @pytest.mark.parametrize("batch_size, flush_batch_size",
+                             [(1, 1), (4, 2), (64, 8), (500, 64)])
+    def test_batch_sizes_do_not_change_output(self, dual_ingest, batch_size,
+                                              flush_batch_size):
+        harness = dual_ingest(loss_rate=0.01, seed=9)
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=batch_size,
+                                         flush_batch_size=flush_batch_size)
+        ingest.attach(harness.channel)
+        harness.workload.emit_campaign(processes=60)
+        assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
+
+    def test_mid_stream_snapshots_do_not_disturb_equivalence(self, dual_ingest):
+        harness = dual_ingest(loss_rate=0.02, seed=3)
+        ingest = IncrementalConsolidator(MessageStore(), batch_size=16, flush_batch_size=8)
+        ingest.attach(harness.channel)
+        cursor = 0
+        seen_keys: set = set()
+        for pid in range(50):
+            harness.workload.emit_process(pid, time=100 + pid // 10)
+            if pid % 10 == 9:
+                delta = ingest.snapshot_delta(cursor)
+                cursor = delta.cursor
+                fresh = {r.key for r in delta.new_records}
+                assert not (fresh & seen_keys), "delta re-delivered a record"
+                seen_keys |= fresh
+                ingest.snapshot()  # full snapshot interleaves harmlessly
+        harness.workload.end_all()
+        final = ingest.finalize()
+        assert _record_set(final) == _record_set(harness.batch_records())
+        # every record was announced by exactly one delta or the final close
+        assert seen_keys <= {r.key for r in final}

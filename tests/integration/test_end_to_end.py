@@ -6,8 +6,8 @@ from repro.corpus.packages import ICON, LAMMPS
 from repro.corpus.python_env import extension_paths
 from repro.hpcsim.cluster import Cluster
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import SocketChannel
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.collector.hooks import SirenCollector
 from repro.db.store import MessageStore
@@ -87,8 +87,8 @@ class TestRealSocketDeployment:
         cluster, manifest, user = _standard_setup()
         store = MessageStore()
         with SocketChannel() as channel:
-            receiver = MessageReceiver(store)
-            receiver.attach(channel)
+            ingest = IncrementalConsolidator(store, persist_raw=True)
+            ingest.attach(channel)
             collector = SirenCollector(cluster.filesystem, UDPSender(channel),
                                        manifest.siren_library)
             cluster.register_preload_hook(collector)
@@ -99,7 +99,7 @@ class TestRealSocketDeployment:
                                    ProcessSpec(executable=manifest.tool("bash"), count=2),)),))
             cluster.run_job("erin", script)
             channel.drain()
-            receiver.flush()
+            ingest.snapshot()
         records = consolidate_store(store)
         assert len(records) == 3
         icon_record = next(r for r in records if r.executable.endswith("/icon"))

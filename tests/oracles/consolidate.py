@@ -51,7 +51,7 @@ class Consolidator:
         messages afterwards.
         """
         records = records_from_messages(self.store)
-        self.store.insert_processes(records)
+        self.store.insert_or_replace_processes(records)
         self.records_built += len(records)
         self.incomplete_records += sum(record.incomplete for record in records)
         if clear_messages:

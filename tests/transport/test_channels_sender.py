@@ -1,14 +1,12 @@
-"""Tests for channels, the sender and the receiver (including real sockets)."""
+"""Tests for channels and the sender (including real sockets)."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.collector.records import InfoType, Layer
-from repro.db.store import MessageStore
 from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.messages import UDPMessage, wire_header
-from repro.transport.receiver import MessageReceiver
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 from repro.util.rng import SeededRNG
@@ -136,120 +134,18 @@ class TestUDPSender:
         assert (sender.messages_sent, sender.datagrams_sent) == (0, 0)
 
 
-class TestMessageReceiver:
-    def test_end_to_end_into_store(self):
-        store = MessageStore()
-        channel = InMemoryChannel()
-        receiver = MessageReceiver(store)
-        receiver.attach(channel)
-        sender = UDPSender(channel)
-        sender.send(*_message("payload").burst())
-        receiver.flush()
-        assert store.message_count() == 1
-        assert receiver.messages_received == 1
-
-    def test_malformed_datagrams_counted_not_stored(self):
-        store = MessageStore()
-        receiver = MessageReceiver(store)
-        receiver.handle_datagram(b"garbage")
-        receiver.flush()
-        assert receiver.decode_errors == 1
-        assert store.message_count() == 0
-
-    def test_batched_insertion(self):
-        store = MessageStore()
-        receiver = MessageReceiver(store, batch_size=10)
-        for index in range(25):
-            receiver.handle_datagram(_message(f"m{index}").encode())
-        # Two full batches auto-flushed, 5 still buffered.
-        assert store.message_count() == 20
-        receiver.flush()
-        assert store.message_count() == 25
-
-
-class _RecordingSink:
-    """Minimal MessageSink: records batches and epoch ticks."""
-
-    def __init__(self):
-        self.batches: list[list] = []
-        self.epochs = 0
-
-    def feed_many(self, messages):
-        self.batches.append(list(messages))
-
-    def advance_epoch(self):
-        self.epochs += 1
-        return 0
-
-
-class TestReceiverSink:
-    def test_sink_receives_batches_and_epochs(self):
-        store = MessageStore()
-        sink = _RecordingSink()
-        receiver = MessageReceiver(store, sink=sink, batch_size=10)
-        for index in range(25):
-            receiver.handle_datagram(_message(f"m{index}").encode())
-        assert [len(batch) for batch in sink.batches] == [10, 10]
-        assert sink.epochs == 2
-
-    def test_partial_batch_flushed_to_sink(self):
-        store = MessageStore()
-        sink = _RecordingSink()
-        receiver = MessageReceiver(store, sink=sink, batch_size=10)
-        for index in range(3):
-            receiver.handle_datagram(_message(f"m{index}").encode())
-        assert receiver.flush() == 3
-        assert [len(batch) for batch in sink.batches] == [3]
-        assert sink.epochs == 1
-        # An empty flush delivers nothing and does not tick the epoch clock.
-        assert receiver.flush() == 0
-        assert sink.epochs == 1
-
-    def test_decode_errors_counted_not_fed_to_sink(self):
-        store = MessageStore()
-        sink = _RecordingSink()
-        receiver = MessageReceiver(store, sink=sink, persist_raw=False, batch_size=10)
-        receiver.handle_datagram(b"garbage")
-        receiver.handle_datagram(_message("good").encode())
-        receiver.handle_datagram(b"\xff\xfe not utf-8 \x80")
-        receiver.flush()
-        assert receiver.decode_errors == 2
-        assert receiver.messages_received == 1
-        assert sum(len(batch) for batch in sink.batches) == 1
-
-    def test_persist_raw_off_keeps_messages_table_empty(self):
-        store = MessageStore()
-        sink = _RecordingSink()
-        receiver = MessageReceiver(store, sink=sink, persist_raw=False, batch_size=2)
-        for index in range(6):
-            receiver.handle_datagram(_message(f"m{index}").encode())
-        receiver.flush()
-        assert store.message_count() == 0
-        assert sum(len(batch) for batch in sink.batches) == 6
-
-    def test_persist_raw_and_sink_together(self):
-        store = MessageStore()
-        sink = _RecordingSink()
-        receiver = MessageReceiver(store, sink=sink, persist_raw=True, batch_size=4)
-        for index in range(4):
-            receiver.handle_datagram(_message(f"m{index}").encode())
-        assert store.message_count() == 4
-        assert sum(len(batch) for batch in sink.batches) == 4
-
-
 class TestSocketChannel:
     def test_real_udp_loopback_roundtrip(self):
-        store = MessageStore()
+        received: list[bytes] = []
         with SocketChannel() as channel:
-            receiver = MessageReceiver(store)
-            receiver.attach(channel)
+            channel.subscribe(received.append)
             sender = UDPSender(channel)
             for index in range(20):
                 sender.send(*_message(f"socket message {index}").burst())
             delivered = channel.drain()
-            receiver.flush()
         assert delivered == 20
-        assert store.message_count() == 20
+        assert sorted(UDPMessage.decode(datagram).content for datagram in received) \
+            == sorted(f"socket message {index}" for index in range(20))
 
     def test_address_is_loopback(self):
         with SocketChannel() as channel:

@@ -94,7 +94,7 @@ def _with_field(index: int, value: bytes) -> bytes:
 
 _INT_REASON = "malformed SIREN datagram: invalid literal for int() with base 10: "
 
-#: Every malformed class with the reason the receiver quarantines it under.
+#: Every malformed class with the reason the ingest object quarantines it under.
 #: The strings are the parent commit's: forensics tooling greps for them.
 MALFORMED = {
     "bad UTF-8": (b"\xff\xfe" + _message().encode(), "datagram is not valid UTF-8"),
@@ -145,14 +145,13 @@ class TestDecodePins:
 
     def test_quarantine_keeps_the_same_reasons(self):
         from repro.db.store import MessageStore
-        from repro.transport.receiver import DatagramQuarantine, MessageReceiver
+        from repro.ingest import IncrementalConsolidator
 
-        quarantine = DatagramQuarantine()
-        receiver = MessageReceiver(MessageStore(), quarantine=quarantine)
+        ingest = IncrementalConsolidator(MessageStore())
         for datagram, _ in MALFORMED.values():
-            assert receiver.handle_datagram(datagram) is False
-        assert receiver.decode_errors == len(MALFORMED)
-        assert [(entry.datagram, entry.reason) for entry in quarantine.entries()] \
+            assert ingest.handle_datagram(datagram) is False
+        assert ingest.decode_errors == len(MALFORMED)
+        assert [(entry.datagram, entry.reason) for entry in ingest.quarantine.entries()] \
             == list(MALFORMED.values())
 
 

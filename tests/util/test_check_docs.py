@@ -51,8 +51,8 @@ def test_checker_resolves_bare_class_attributes(check_docs, tmp_path):
     and classes ``repro`` does not define pass."""
     doc = tmp_path / "attrs.md"
     doc.write_text(
-        "`MessageStore.load_processes_since`, `ShardedIngest.snapshot_delta(cursor)`,"
-        " `ShardedIngest.store`, `MessageStore.tiered`, `ExecutableCategory.PYTHON`,"
+        "`MessageStore.load_processes_since`, `IncrementalConsolidator.snapshot_delta(cursor)`,"
+        " `IncrementalConsolidator.store`, `MessageStore.tiered`, `ExecutableCategory.PYTHON`,"
         " `Path.exists`, `CHANGES.md` and `MessageStore.load_processes_after(rowid)`\n",
         encoding="utf-8")
     assert check_docs.check_file(doc) == [

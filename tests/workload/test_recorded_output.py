@@ -22,7 +22,7 @@ import pytest
 from repro.core import AnalysisPipeline
 from repro.db.store import MessageStore
 from repro.faults import FaultyChannel, preset_plans
-from repro.ingest import ShardedIngest
+from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
@@ -160,7 +160,7 @@ class TestRecordedPresetOutput:
     def test_preset_output_is_the_recorded_one(self, lossless_stream, preset):
         inner = InMemoryChannel()
         faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
-        front = ShardedIngest(MessageStore(), batch_size=16, flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore(), batch_size=16, flush_batch_size=8)
         front.attach(inner)
         for datagram in lossless_stream:
             faulty.send(datagram)
