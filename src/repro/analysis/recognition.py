@@ -5,9 +5,9 @@ SIREN with the *recognition of repeated executions of known applications* and
 with future plans to analyse software usage at scale.  This module provides
 that layer:
 
-* :func:`similarity_graph` builds a graph whose nodes are executable instances
-  and whose edges connect instances with average fuzzy-hash similarity above a
-  threshold,
+* :func:`similarity_graph` builds a graph -- an adjacency dict -- whose nodes
+  are executable instances and whose edges connect instances with average
+  fuzzy-hash similarity above a threshold,
 * :class:`SoftwareFamily` / :func:`cluster_instances` extract connected
   components ("software families") from that graph, label each family from its
   known members, and therefore propagate labels to unknown instances in bulk,
@@ -21,11 +21,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.analysis.labels import UNKNOWN_LABEL
 from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
 from repro.db.store import ProcessRecord
+
+
+InstanceKey = tuple[str, ...]
+#: An undirected weighted graph: node -> {neighbour: edge weight}, each
+#: edge stored under both of its ends.
+Graph = dict[InstanceKey, dict[InstanceKey, float]]
 
 
 def similarity_graph(
@@ -33,29 +37,50 @@ def similarity_graph(
     *,
     threshold: int = 60,
     columns: tuple[str, ...] = HASH_COLUMNS,
-) -> nx.Graph:
+) -> Graph:
     """Build the instance-similarity graph.
 
-    Nodes are instance keys (carrying the instance as a node attribute); an
-    edge is added between two instances when the average similarity over
-    ``columns`` is at least ``threshold``.  The edge weight is that average.
-    Each instance's scores against every later instance run as one batched
+    Nodes are instance keys, in ``search.instances`` order; an edge joins two
+    instances when the average similarity over ``columns`` is at least
+    ``threshold``, weighted by that average.  Each instance's scores against
+    every later instance run as one batched
     :meth:`~repro.analysis.similarity.SimilaritySearch.compare_instances_many`
     sweep -- scores, counters and edges are identical to the scalar loop.
     """
     if not 0 <= threshold <= 100:
         raise ValueError("threshold must be between 0 and 100")
-    graph = nx.Graph()
     instances = search.instances
-    for instance in instances:
-        graph.add_node(instance.key, instance=instance)
+    graph: Graph = {instance.key: {} for instance in instances}
     for i, first in enumerate(instances):
         rest = instances[i + 1:]
         for second, scores in zip(rest, search.compare_instances_many(first, rest)):
             average = sum(scores[column] for column in columns) / len(columns)
             if average >= threshold:
-                graph.add_edge(first.key, second.key, weight=average)
+                graph[first.key][second.key] = graph[second.key][first.key] = average
     return graph
+
+
+def _components(graph: Graph) -> list[list[InstanceKey]]:
+    """The graph's connected components, by union-find over its edges.
+
+    Components come in the order of their first node, and each lists its
+    nodes in graph order.
+    """
+    parent = {node: node for node in graph}
+
+    def root(node: InstanceKey) -> InstanceKey:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]      # path halving
+            node = parent[node]
+        return node
+
+    for node, neighbours in graph.items():
+        for neighbour in neighbours:
+            parent[root(neighbour)] = root(node)
+    components: dict[InstanceKey, list[InstanceKey]] = {}
+    for node in graph:
+        components.setdefault(root(node), []).append(node)
+    return list(components.values())
 
 
 @dataclass(frozen=True)
@@ -94,9 +119,10 @@ def cluster_instances(
     Families are returned largest first.
     """
     graph = similarity_graph(search, threshold=threshold, columns=columns)
+    instance_of = {instance.key: instance for instance in search.instances}
     families: list[SoftwareFamily] = []
-    for family_id, component in enumerate(nx.connected_components(graph)):
-        members = tuple(graph.nodes[node]["instance"] for node in sorted(component))
+    for family_id, component in enumerate(_components(graph)):
+        members = tuple(instance_of[node] for node in sorted(component))
         label_counts = Counter(instance.label for instance in members
                                if instance.label != UNKNOWN_LABEL)
         label = label_counts.most_common(1)[0][0] if label_counts else UNKNOWN_LABEL

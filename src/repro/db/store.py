@@ -28,7 +28,7 @@ from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
 
 if TYPE_CHECKING:  # imported lazily: repro.db.tiered imports this module
     from repro.db.tiered import TieredStore
-from repro.transport.messages import UDPMessage
+from repro.transport.messages import MessageRow, UDPMessage
 from repro.util.retry import RetryPolicy
 
 #: Substrings marking an :class:`sqlite3.OperationalError` as transient --
@@ -116,6 +116,9 @@ class ProcessRecord:
 #: Every record field, in dataclass order, and the record as that tuple.
 PROCESS_FIELDS = tuple(f.name for f in fields(ProcessRecord))
 process_row = attrgetter(*PROCESS_FIELDS)
+#: A record's process key, as :attr:`ProcessRecord.key` but without the
+#: property call: the sort key of every ordered record list.
+process_key = attrgetter(*PROCESS_FIELDS[:6])
 #: The ``processes`` column list in the same order, so an inserted row is
 #: ``process_row(record)`` and a selected one ``ProcessRecord(*row)``.
 _PROCESS_COLUMNS = ", ".join(PROCESS_FIELDS)
@@ -157,6 +160,10 @@ class MessageStore:
         #: from memory.
         self._tail: list[ProcessRecord] | None = None
         self._tail_from = self._tail_mark = 0
+        #: The rowid of the last row of the last consolidated-record batch
+        #: written in full (``None`` before the first); see
+        #: :meth:`process_extent`.
+        self.written_mark: int | None = None
         self.connection = sqlite3.connect(path)
         if path == ":memory:":
             # Nothing to make crash-safe: trade all durability for speed.
@@ -229,14 +236,10 @@ class MessageStore:
 
     def insert_many(self, messages: Iterable[UDPMessage]) -> int:
         """Insert a batch of raw messages; returns how many were inserted."""
-        rows = [
-            (
-                message.jobid, message.stepid, message.pid, message.path_hash,
-                message.host, message.time, message.layer.value, message.info_type.value,
-                message.chunk_index, message.chunk_total, message.content,
-            )
-            for message in messages
-        ]
+        return self.insert_rows([message.row() for message in messages])
+
+    def insert_rows(self, rows: list[MessageRow]) -> int:
+        """Insert raw message rows as they are; returns how many were inserted."""
         self._write("insert_messages", lambda: self.connection.executemany(
             "INSERT INTO messages (jobid, stepid, pid, hash, host, time, layer, type,"
             " chunk_index, chunk_total, content) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
@@ -305,14 +308,16 @@ class MessageStore:
         # and distinct: then the batch is exactly what the table gained, in
         # rowid order.  An ignored row or a replaced one needs a re-read.
         handed = verb == "INSERT OR IGNORE" and written == len(rows)
+        if handed and records:
+            self.written_mark = self.connection.execute(
+                "SELECT last_insert_rowid()").fetchone()[0]
         tail = self._tail
         if tail is not None:
             if not handed or len(tail) + len(records) > self._tail_from:
                 self._tail = None
             elif records:
                 tail.extend(records)
-                self._tail_mark = self.connection.execute(
-                    "SELECT last_insert_rowid()").fetchone()[0]
+                self._tail_mark = self.written_mark
         if self.tiered is not None and rows:
             self.sync_tiered(records if handed else None)
         return written
@@ -346,6 +351,15 @@ class MessageStore:
         """Total number of consolidated process records."""
         cursor = self.connection.execute("SELECT COUNT(*) FROM processes")
         return int(cursor.fetchone()[0])
+
+    def process_extent(self) -> tuple[int, int | None]:
+        """``(row count, highest rowid)`` of ``processes``, in one query.
+
+        Rowids are never reused (``AUTOINCREMENT``).  A writer compares this
+        with how many rows it wrote and the :attr:`written_mark` of its last
+        batch: any other answer means someone else has written to the table.
+        """
+        return self.connection.execute("SELECT COUNT(*), MAX(id) FROM processes").fetchone()
 
     def iter_processes(self) -> Iterator[ProcessRecord]:
         """Iterate over consolidated process records."""

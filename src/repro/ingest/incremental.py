@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.collector.records import InfoType, parse_keyvalues
-from repro.db.store import MessageStore, ProcessKey, ProcessRecord
+from repro.db.store import MessageStore, ProcessKey, ProcessRecord, process_key
 from repro.ingest.records import (
     GROUP_KEYS,
     PROCINFO_KEY,
@@ -66,10 +66,15 @@ from repro.ingest.records import (
     expected_keys_for,
 )
 from repro.transport.channel import Channel
-from repro.transport.messages import UDPMessage
+from repro.transport.messages import PROTOCOL_TAG, SEPARATOR, MessageRow, UDPMessage
 from repro.util.errors import TransportError
 
-_PROCEND = InfoType.PROCEND
+_PROCEND = InfoType.PROCEND.value
+#: Every ``(LAYER, TYPE)`` wire pair that decodes, to itself as
+#: ``GROUP_KEYS`` holds it.  One lookup validates a datagram's pair and swaps
+#: its two fresh strings for these, whose hashes are computed once; a row's
+#: pair is the group key its message is filed under.
+_WIRE_KINDS = {key: key for key in GROUP_KEYS.values()}
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class _OpenProcess:
 
 def _in_key_order(records: list[ProcessRecord]) -> list[ProcessRecord]:
     """Sort records by the process header key (the canonical record order)."""
-    return sorted(records, key=lambda r: r.key)
+    return sorted(records, key=process_key)
 
 
 @dataclass
@@ -208,9 +213,10 @@ class IncrementalConsolidator:
     late_messages: int = field(init=False, default=0)
     peak_open_processes: int = field(init=False, default=0)
 
-    #: accepted messages not yet fed; the first ``_persisted`` of them are
-    #: already in the raw table (a record write raised while feeding them)
-    _batch: list[UDPMessage] = field(init=False, default_factory=list)
+    #: accepted messages, as raw rows, not yet fed; the first ``_persisted``
+    #: of them are already in the raw table (a record write raised while
+    #: feeding them)
+    _batch: list[MessageRow] = field(init=False, default_factory=list)
     _persisted: int = field(init=False, default=0)
     _epoch: int = field(init=False, default=0)
     _open: dict[ProcessKey, _OpenProcess] = field(init=False, default_factory=dict)
@@ -222,6 +228,12 @@ class IncrementalConsolidator:
     _closed: set[ProcessKey] = field(init=False, default_factory=set)
     _closed_fifo: deque = field(init=False, default_factory=deque)  # (close_epoch, key)
     _pending: list[ProcessRecord] = field(init=False, default_factory=list)
+    #: Every record a flush wrote in full, kept for :meth:`finalize` to hand
+    #: back; ``None`` once a flush was partial (or ``finalize`` handed them
+    #: back), after which it reads the table.  ``_written_mark`` is the
+    #: rowid of the last of them.
+    _written: list[ProcessRecord] | None = field(init=False, default_factory=list)
+    _written_mark: int | None = field(init=False, default=None)
     #: :meth:`_peek_open`'s last answer, beside the two counters that change
     #: whenever an open group does (a message consumed, a record built).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
@@ -243,25 +255,46 @@ class IncrementalConsolidator:
     # datagrams
     # ------------------------------------------------------------------ #
     def handle_datagram(self, datagram: bytes) -> bool:
-        """Decode one datagram and buffer it for delivery; ``False`` if it
-        did not decode.
+        """Decode one datagram into a raw row and buffer it for delivery;
+        ``False`` if it did not decode.
 
+        Accepts exactly what :meth:`UDPMessage.decode` accepts, decoding
+        straight into the ``messages`` row shape: one ``split``, the same four
+        ``int()`` fields, one lookup of the ``(LAYER, TYPE)`` wire pair.
         Undecodable datagrams are counted (and, with a quarantine, captured
-        with their raw bytes and the failure reason) -- never raised.
+        with their raw bytes and :meth:`UDPMessage.decode`'s own failure
+        reason) -- never raised.
         """
         try:
-            message = UDPMessage.decode(datagram)
-        except TransportError as error:
-            self.decode_errors += 1
-            if self.quarantine is not None:
-                self.quarantine.capture(datagram, str(error))
-            return False
+            (tag, jobid, stepid, pid, path_hash, host, time, layer, info_type,
+             chunk_index, chunk_total, content) = datagram.decode("utf-8").split(SEPARATOR, 11)
+            layer, info_type = _WIRE_KINDS[layer, info_type]
+            row = (jobid, stepid, int(pid), path_hash, host, int(time), layer, info_type,
+                   int(chunk_index), int(chunk_total), content)
+        except (ValueError, KeyError):  # bad UTF-8, a field short, an unknown kind, not an int
+            return self._reject(datagram)
+        if tag != PROTOCOL_TAG:
+            return self._reject(datagram)
         self.messages_received += 1
         batch = self._batch
-        batch.append(message)
+        batch.append(row)
         if len(batch) >= self.batch_size:
             self._deliver()
         return True
+
+    def _reject(self, datagram: bytes) -> bool:
+        """Count (and quarantine) a datagram that did not decode.
+
+        The reason kept is :meth:`UDPMessage.decode`'s error text: the format
+        words it, so the quarantine reads the same whichever decoder refused.
+        """
+        self.decode_errors += 1
+        if self.quarantine is not None:
+            try:
+                UDPMessage.decode(datagram)
+            except TransportError as error:
+                self.quarantine.capture(datagram, str(error))
+        return False
 
     def _deliver(self) -> None:
         """Raw-persist (``persist_raw``), then feed, the buffered messages,
@@ -270,18 +303,19 @@ class IncrementalConsolidator:
         Each accepted message is fed once and raw-persisted at most once,
         even when a store write raises on the way: a raw insert that raises
         leaves the batch buffered as it was, and a record flush that raises
-        inside :meth:`feed` leaves buffered only the messages not yet fed,
+        while feeding leaves buffered only the messages not yet fed,
         marked as already persisted.
         """
         batch = self._batch
         if not batch:
             return
         if self.persist_raw and len(batch) > self._persisted:
-            self.store.insert_many(batch[self._persisted:])
+            self.store.insert_rows(batch[self._persisted:])
         unfed = iter(batch)
+        consume = self._consume
         try:
-            for message in unfed:
-                self.feed(message)
+            for row in unfed:
+                consume(row)
         finally:
             self._batch = list(unfed)
             self._persisted = len(self._batch)
@@ -291,10 +325,13 @@ class IncrementalConsolidator:
     # grouping and closing
     # ------------------------------------------------------------------ #
     def feed(self, message: UDPMessage) -> None:
-        """Consume one decoded message."""
+        """Consume one decoded message (the grouping rules without a batch)."""
+        self._consume(message.row())
+
+    def _consume(self, row: MessageRow) -> None:
+        """File one raw row under its process and ``(LAYER, TYPE)`` group."""
         self.messages_consumed += 1
-        key: ProcessKey = (message.jobid, message.stepid, message.pid,
-                           message.path_hash, message.host, message.time)
+        key: ProcessKey = row[:6]
         # A key is open or recently closed, never both: only a message that
         # opens a group pays for the dedup lookup.
         open_process = self._open.get(key)
@@ -306,17 +343,17 @@ class IncrementalConsolidator:
             self.peak_open_processes = max(self.peak_open_processes, len(self._open))
         open_process.last_epoch = self._epoch
 
-        info_type = message.info_type
-        group_key = GROUP_KEYS[message.layer, info_type]
+        group_key = row[6:8]
         group = open_process.groups.get(group_key)
         if group is None:
             group = open_process.groups[group_key] = MessageGroup()
-        group.add(message.chunk_index, message.chunk_total, message.content)
+        group.add(row[8], row[9], row[10])
 
-        if info_type is _PROCEND:
+        if row[7] == _PROCEND:
             open_process.ended = True
-            if self._expected_complete(open_process):
-                self._close(key, open_process, reason="procend")
+            procinfo = self._expected_complete(open_process)
+            if procinfo is not None:
+                self._close(key, open_process, reason="procend", procinfo=procinfo)
 
     def advance_epoch(self) -> int:
         """Advance the idle clock and close stale groups; returns how many closed.
@@ -340,24 +377,28 @@ class IncrementalConsolidator:
             self._close(key, open_process, reason="idle")
         return len(stale)
 
-    def _expected_complete(self, open_process: _OpenProcess) -> bool:
-        """True when every expected content type arrived with all its chunks.
+    def _expected_complete(self, open_process: _OpenProcess) -> dict[str, str] | None:
+        """The parsed PROCINFO when every expected content type arrived with
+        all its chunks, else ``None``.
 
         The category that decides what is expected is read from the whole
         PROCINFO group, never from one chunk of it: ``category=...`` may
         straddle a chunk boundary, and a process read as uncategorised
-        would close on PROCEND without its grace epoch.
+        would close on PROCEND without its grace epoch.  The record built on
+        that close takes the parse as it is instead of parsing again.
         """
         groups = open_process.groups
         if not all(group.all_chunks_present for group in groups.values()):
-            return False
-        procinfo = groups.get(PROCINFO_KEY)
-        category = ("" if procinfo is None
-                    else parse_keyvalues(procinfo.reassemble()[0]).get("category", ""))
-        return all(expected in groups for expected in expected_keys_for(category))
+            return None
+        group = groups.get(PROCINFO_KEY)
+        procinfo = {} if group is None else parse_keyvalues(group.reassemble()[0])
+        if all(expected in groups for expected in expected_keys_for(procinfo.get("category", ""))):
+            return procinfo
+        return None
 
-    def _close(self, key: ProcessKey, open_process: _OpenProcess, *, reason: str) -> None:
-        record = build_process_record(key, open_process.groups)
+    def _close(self, key: ProcessKey, open_process: _OpenProcess, *, reason: str,
+               procinfo: dict[str, str] | None = None) -> None:
+        record = build_process_record(key, open_process.groups, procinfo)
         self.records_built += 1
         if record.incomplete:
             self.incomplete_records += 1
@@ -381,10 +422,19 @@ class IncrementalConsolidator:
         its dedup entry was evicted) produces a content-free record whose
         insert the store ignores, so the real row is never overwritten.  A
         write that raises leaves the records pending for the next flush.
+        A batch written in full is kept for :meth:`finalize`; one that was not
+        makes it read the table.
         """
-        if self._pending:
-            self.store.insert_processes_if_absent(self._pending)
-            self._pending.clear()
+        pending = self._pending
+        if pending:
+            written = self.store.insert_processes_if_absent(pending)
+            if self._written is not None:
+                if written == len(pending):
+                    self._written.extend(pending)
+                    self._written_mark = self.store.written_mark
+                else:
+                    self._written = None
+            pending.clear()
 
     def _peek_open(self) -> tuple[ProcessRecord, ...]:
         """Non-destructive records for every still-open group, in key order.
@@ -442,17 +492,26 @@ class IncrementalConsolidator:
                             open_records=open_records, cursor=cursor)
 
     def finalize(self) -> list[ProcessRecord]:
-        """End of stream: close every open group, return all records.
+        """End of stream: close every open group, return all records, in
+        canonical process-key order.
 
-        Like :meth:`snapshot`, read back from the store and returned in
-        canonical process-key order; calling it again simply re-reads the
-        store.
+        The records are the very objects this consolidator built and wrote,
+        handed back instead of read back -- unless one query
+        (:meth:`MessageStore.process_extent`) shows the table holds rows it
+        did not write in full: a pre-populated store, another writer, or a
+        flush whose insert ignored a row.  Then the table is read, as
+        :meth:`snapshot` reads it.  The consolidator lets go of the records
+        here, so calling it again reads the table.
         """
         self._deliver()
         for key in sorted(self._open):
             self._close(key, self._open[key], reason="final")
         self._flush()
-        return _in_key_order(self.store.load_processes())
+        records, self._written = self._written, None
+        if (records is None
+                or self.store.process_extent() != (len(records), self._written_mark)):
+            records = self.store.load_processes()
+        return _in_key_order(records)
 
     @property
     def open_processes(self) -> int:

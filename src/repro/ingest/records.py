@@ -145,15 +145,18 @@ _UID, _GID, _PPID, _EXECUTABLE, _CATEGORY, _MAPS, _SCRIPT_PATH, _PACKAGES, _INCO
         "python_packages", "incomplete"))
 
 
-def build_process_record(key: ProcessKey,
-                         groups: dict[GroupKey, MessageGroup]) -> ProcessRecord:
+def build_process_record(key: ProcessKey, groups: dict[GroupKey, MessageGroup],
+                         procinfo: dict[str, str] | None = None) -> ProcessRecord:
     """Assemble one :class:`ProcessRecord` from the message groups of one key.
 
     One pass over the groups that are present: each is reassembled once and
     its content put in place, PROCINFO is parsed once, and the record is
-    constructed positionally.  Pure function of its inputs: ``groups`` is
-    not mutated, so callers may build a record from still-open groups (live
-    snapshots) and rebuild later.
+    constructed positionally.  ``procinfo`` is that parse when the caller
+    already has it (the PROCEND close, which read the category from it); it
+    must be ``parse_keyvalues`` of the PROCINFO group's reassembled content,
+    or ``{}`` without one.  Pure function of its inputs: neither ``groups``
+    nor ``procinfo`` is mutated, so callers may build a record from
+    still-open groups (live snapshots) and rebuild later.
     """
     row = _EMPTY_ROW.copy()
     row[:6] = key
@@ -173,7 +176,8 @@ def build_process_record(key: ProcessKey,
         else:
             script = content
 
-    procinfo = parse_keyvalues(info) if info else {}
+    if procinfo is None:
+        procinfo = parse_keyvalues(info) if info else {}
     category = procinfo.get("category", "")
     row[_UID] = _to_int(procinfo.get("uid"))
     row[_GID] = _to_int(procinfo.get("gid"))

@@ -14,15 +14,19 @@ Datagrams are serialised as UTF-8 text with unit-separator (0x1F) delimited
 fields, preceded by a short protocol tag, and must fit in
 :data:`MAX_DATAGRAM_SIZE` bytes.
 
-:class:`UDPMessage` is the receive side and the format's definition
-(``encode`` is the oracle the sender's datagrams are pinned to).  The sender
-never builds one: it frames a process once (:func:`wire_header`) and looks
-each section's ``LAYER``/``TYPE`` bytes up in :data:`SECTION_KINDS`.
+:class:`UDPMessage` is the format's definition and its error path: its
+:meth:`~UDPMessage.decode` accepts exactly the datagrams ingest accepts and
+words the reason a datagram is refused.  Neither end of the hot path builds
+one.  The sender frames a process once (:func:`wire_header`) and looks each
+section's ``LAYER``/``TYPE`` bytes up in :data:`SECTION_KINDS`; the receiver
+(:meth:`repro.ingest.incremental.IncrementalConsolidator.handle_datagram`)
+splits a datagram straight into a :data:`MessageRow`, and asks ``decode`` only
+why one it refused is malformed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.collector.records import InfoType, Layer
 from repro.util.errors import TransportError
@@ -37,9 +41,14 @@ MAX_DATAGRAM_SIZE = 1400
 #: budget datagrams overshoot the configured size.
 MIN_DATAGRAM_SIZE = 192
 
-_PROTOCOL_TAG = "SIREN1"
-_SEPARATOR = "\x1f"
+#: The first field of every datagram, and the separator between fields.
+PROTOCOL_TAG = "SIREN1"
+SEPARATOR = "\x1f"
 _FIELD_COUNT = 12
+
+#: One datagram as a raw ``messages`` table row: the six header fields,
+#: ``LAYER`` and ``TYPE`` as their wire values, the chunk counters, the content.
+MessageRow = tuple[str, str, int, str, str, int, str, str, int, int, str]
 
 #: Wire value -> member.  ``decode`` calls ``Layer(...)`` / ``InfoType(...)``
 #: only for a value missing here, so an unknown one still fails with the
@@ -54,7 +63,7 @@ Section = tuple[Layer, InfoType, str]
 #: wire bytes between a process's header and a datagram's chunk counters.
 SECTION_KINDS: dict[tuple[Layer, InfoType], bytes] = {
     (layer, info_type):
-        f"{_SEPARATOR}{layer.value}{_SEPARATOR}{info_type.value}{_SEPARATOR}".encode("utf-8")
+        f"{SEPARATOR}{layer.value}{SEPARATOR}{info_type.value}{SEPARATOR}".encode("utf-8")
     for layer in Layer for info_type in InfoType
 }
 
@@ -62,18 +71,18 @@ SECTION_KINDS: dict[tuple[Layer, InfoType], bytes] = {
 def wire_header(jobid: str, stepid: str, pid: int, path_hash: str,
                 host: str, time: int) -> bytes:
     """The bytes every datagram of one process starts with (tag + key fields)."""
-    return _SEPARATOR.join((_PROTOCOL_TAG, jobid, stepid, str(pid), path_hash,
-                            host, str(time))).encode("utf-8")
+    return SEPARATOR.join((PROTOCOL_TAG, jobid, stepid, str(pid), path_hash,
+                           host, str(time))).encode("utf-8")
 
 
 @dataclass(unsafe_hash=True)
 class UDPMessage:
     """One SIREN datagram (or one chunk of a chunked message).
 
-    A value: hashable, compared by field, never mutated once built
-    (:meth:`with_chunk` copies).  Not ``frozen=True``, because a frozen
-    ``__init__`` assigns through ``object.__setattr__`` and that was more
-    than half of :meth:`decode`, which ingest runs per datagram.
+    A value: hashable, compared by field, never mutated once built.  Not
+    ``frozen=True``, because a frozen ``__init__`` assigns through
+    ``object.__setattr__`` and that was more than half of :meth:`decode`
+    (timed per datagram as ``transport.decode_us_per_msg``).
     """
 
     jobid: str
@@ -88,29 +97,6 @@ class UDPMessage:
     chunk_index: int = 0
     chunk_total: int = 1
 
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def encode(self) -> bytes:
-        """Serialise to datagram bytes."""
-        if _SEPARATOR in self.content:
-            raise TransportError("message content may not contain the field separator")
-        fields = [
-            _PROTOCOL_TAG,
-            self.jobid,
-            self.stepid,
-            str(self.pid),
-            self.path_hash,
-            self.host,
-            str(self.time),
-            self.layer.value,
-            self.info_type.value,
-            str(self.chunk_index),
-            str(self.chunk_total),
-            self.content,
-        ]
-        return _SEPARATOR.join(fields).encode("utf-8")
-
     @classmethod
     def decode(cls, datagram: bytes) -> "UDPMessage":
         """Parse datagram bytes back into a message."""
@@ -118,8 +104,8 @@ class UDPMessage:
             text = datagram.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TransportError("datagram is not valid UTF-8") from exc
-        fields = text.split(_SEPARATOR, _FIELD_COUNT - 1)
-        if len(fields) != _FIELD_COUNT or fields[0] != _PROTOCOL_TAG:
+        fields = text.split(SEPARATOR, _FIELD_COUNT - 1)
+        if len(fields) != _FIELD_COUNT or fields[0] != PROTOCOL_TAG:
             raise TransportError("datagram does not carry a SIREN message")
         try:
             return cls(
@@ -146,12 +132,11 @@ class UDPMessage:
         """Key identifying the originating process (job, step, pid, path hash, host)."""
         return (self.jobid, self.stepid, self.pid, self.path_hash, self.host)
 
-    def with_chunk(self, content: str, index: int, total: int) -> "UDPMessage":
-        """Copy of this message carrying one chunk of a longer content."""
-        if (content == self.content and index == self.chunk_index
-                and total == self.chunk_total):
-            return self
-        return replace(self, content=content, chunk_index=index, chunk_total=total)
+    def row(self) -> MessageRow:
+        """This message as a raw ``messages`` row (what ingest buffers)."""
+        return (self.jobid, self.stepid, self.pid, self.path_hash, self.host, self.time,
+                self.layer.value, self.info_type.value, self.chunk_index,
+                self.chunk_total, self.content)
 
     def burst(self) -> tuple[bytes, list[Section]]:
         """This message as ``UDPSender.send`` arguments: its header, its one section."""

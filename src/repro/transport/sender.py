@@ -10,8 +10,8 @@ sender's dominant cost, so a burst pays once for what its datagrams share:
 the collector builds the process's wire header once per hook call
 (:func:`~repro.transport.messages.wire_header`) and a datagram is that header
 plus a constant ``(layer, type)`` kind plus its tail.  The transport tests pin
-the datagrams byte-identical to the per-chunk ``with_chunk(...).encode()``
-oracle.
+the datagrams byte-identical to the field-by-field encoder that defines the
+format for them (``tests/oracles/wire.py``), applied chunk by chunk.
 """
 
 from __future__ import annotations

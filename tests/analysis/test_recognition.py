@@ -29,6 +29,11 @@ def _record(executable: str, *, content_tag: str = "", content: str | None = Non
     )
 
 
+def _edge_count(graph) -> int:
+    """Each edge is stored under both of its ends."""
+    return sum(map(len, graph.values())) // 2
+
+
 @pytest.fixture()
 def records() -> list[ProcessRecord]:
     icon_sections = [f"icon payload alpha section {index} routine nh_{index % 9}"
@@ -51,11 +56,11 @@ class TestSimilarityGraph:
     def test_nodes_and_edges(self, records):
         search = SimilaritySearch(records)
         graph = similarity_graph(search, threshold=60)
-        assert graph.number_of_nodes() == 4
+        assert len(graph) == 4
         # icon variants and the a.out copy are linked; lammps is isolated.
-        assert graph.number_of_edges() >= 2
+        assert _edge_count(graph) >= 2
         lammps_key = next(i.key for i in search.instances if "lmp" in i.executable)
-        assert graph.degree[lammps_key] == 0
+        assert len(graph[lammps_key]) == 0
 
     def test_threshold_validation(self, records):
         with pytest.raises(ValueError):
@@ -65,7 +70,7 @@ class TestSimilarityGraph:
         search = SimilaritySearch(records)
         loose = similarity_graph(search, threshold=40)
         strict = similarity_graph(search, threshold=100)
-        assert strict.number_of_edges() <= loose.number_of_edges()
+        assert _edge_count(strict) <= _edge_count(loose)
 
 
 class TestClustering:
@@ -82,6 +87,35 @@ class TestClustering:
         lonely = [_record("/scratch/p/u/x/a.out", content_tag="mystery payload")]
         families = cluster_instances(SimilaritySearch(lonely), threshold=60)
         assert families[0].label == UNKNOWN_LABEL
+
+    def test_family_ids_follow_the_first_instance_of_each_family(self, records):
+        """``family_id`` numbers components in the order of their earliest
+        instance in ``search.instances``; the size sort keeps that order
+        among equal sizes."""
+        reordered = [records[3], records[2], records[0], _record(
+            "/p/u/other/bin/tool", content_tag="another unrelated payload", jobid="5"),
+            records[1]]
+        search = SimilaritySearch(reordered)
+        families = cluster_instances(search, threshold=60)
+        assert [(family.family_id, family.size) for family in families] == [
+            (1, 3), (0, 1), (2, 1)]
+        position = {instance.key: index for index, instance in enumerate(search.instances)}
+        firsts = [min(position[instance.key] for instance in family.instances)
+                  for family in sorted(families, key=lambda family: family.family_id)]
+        assert firsts == sorted(firsts)
+
+    def test_family_ids_on_campaign_data(self, campaign_records):
+        search = SimilaritySearch(campaign_records)
+        families = cluster_instances(search, threshold=55)
+        position = {instance.key: index for index, instance in enumerate(search.instances)}
+        by_id = sorted(families, key=lambda family: family.family_id)
+        assert [family.family_id for family in by_id] == list(range(len(families)))
+        firsts = [min(position[instance.key] for instance in family.instances)
+                  for family in by_id]
+        assert firsts == sorted(firsts) and len(families) > 3
+        sizes = [family.size for family in families]
+        assert all(families[i].family_id < families[i + 1].family_id
+                   for i in range(len(families) - 1) if sizes[i] == sizes[i + 1])
 
     def test_families_sorted_by_size(self, records):
         families = cluster_instances(SimilaritySearch(records), threshold=60)

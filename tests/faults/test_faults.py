@@ -22,11 +22,13 @@ from repro.transport.messages import InfoType, Layer, UDPMessage
 from repro.util.errors import ReproError
 from repro.util.retry import RetryPolicy
 
+from oracles.wire import encode
+
 
 def _datagrams(count: int) -> list[bytes]:
-    return [UDPMessage(jobid="1", stepid="0", pid=pid, path_hash=f"{pid:032x}",
-                       host="n1", time=100, layer=Layer.SELF,
-                       info_type=InfoType.PROCINFO, content=f"c{pid}").encode()
+    return [encode(UDPMessage(jobid="1", stepid="0", pid=pid, path_hash=f"{pid:032x}",
+                              host="n1", time=100, layer=Layer.SELF,
+                              info_type=InfoType.PROCINFO, content=f"c{pid}"))
             for pid in range(count)]
 
 

@@ -4,11 +4,12 @@ A 200-process stream (chunked contents, a lossy wire, so some groups miss
 chunks) is replayed twice through the ingest object
 (``IncrementalConsolidator``) over a store
 with gold rollups attached: once untouched, once under spies.  The spies
-fail the test if the hot path regrows an enum call or a ``.value`` per
-datagram, a throw-away ``MessageGroup`` per message, a
-``reassemble_chunks`` call per unchunked group -- or, in the hand-off to
-gold, a re-read of the batch just written, a second fold of a record or a
-second split of one ``objects`` string; or if a live refresh loop reads a
+fail the test if the hot path regrows a ``UDPMessage``, an enum call or a
+``.value`` per datagram, a throw-away ``MessageGroup`` per message, a
+``reassemble_chunks`` call per unchunked group, a second PROCINFO parse per
+record -- or, in the hand-off to gold, a re-read of the batch just written,
+a second fold of a record or a second split of one ``objects`` string; or
+if ``finalize`` reads back what it wrote, or a live refresh loop reads a
 ``processes`` row back, builds a record twice or re-peeks an unchanged
 stream -- and the spied run must still produce the very same records,
 counters and tables.
@@ -25,6 +26,7 @@ import repro.ingest.records as record_builder
 import repro.transport.messages as messages
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.stats import TableRollup
+from repro.collector.records import InfoType
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
 from repro.ingest import IncrementalConsolidator
@@ -61,6 +63,13 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
     def forbidden(value):
         raise AssertionError(f"enum call on the decode path: {value!r}")
 
+    messages_built = []
+    message_init = UDPMessage.__init__
+
+    def counting_init(self, *args, **kwargs):
+        messages_built.append(self)
+        message_init(self, *args, **kwargs)
+
     value_reads = []
     property_get = enum.property.__get__
 
@@ -83,7 +92,8 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         return reassemble_chunks(chunks, expected_total)
 
     with monkeypatch.context() as patch:
-        # decode's miss path: valid datagrams must never reach it
+        # the format's error path: valid datagrams must never reach it
+        patch.setattr(UDPMessage, "__init__", counting_init)
         patch.setattr(messages, "Layer", forbidden)
         patch.setattr(messages, "InfoType", forbidden)
         patch.setattr(enum.property, "__get__", counting_get)
@@ -93,8 +103,10 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
 
     assert spied == expected
 
-    # No `.name` / `.value` of any enum member, anywhere from the datagram to
+    # A datagram is split straight into a raw row: no message object, and no
+    # `.name` / `.value` of any enum member, anywhere from the datagram to
     # the gold fold.
+    assert messages_built == []
     assert value_reads == []
 
     # One MessageGroup per distinct (process, layer, type) that was filed:
@@ -121,11 +133,12 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     flush of this stream -- every row of it new -- needs a refold."""
     expected = _replay(stream)
 
-    flushes, loads, folds = [], [], []
+    flushes, loads, folds, finalized = [], [], [], []
     insert_if_absent = MessageStore.insert_processes_if_absent
     load_processes = MessageStore.load_processes
     load_since = MessageStore.load_processes_since
     fold = TableRollup.fold
+    finalize = IncrementalConsolidator.finalize
 
     def counting_insert(self, records):
         records = list(records)
@@ -142,14 +155,19 @@ def test_tier_hand_off_counts(stream, monkeypatch):
         return load_since(self, rowid)
 
     def counting_fold(self, record):
-        folds.append(record.key)
+        folds.append(record)
         return fold(self, record)
+
+    def counting_finalize(self):
+        finalized.extend(finalize(self))
+        return finalized
 
     with monkeypatch.context() as patch:
         patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
         patch.setattr(MessageStore, "load_processes", counting_load)
         patch.setattr(MessageStore, "load_processes_since", counting_load_since)
         patch.setattr(TableRollup, "fold", counting_fold)
+        patch.setattr(IncrementalConsolidator, "finalize", counting_finalize)
         spied = _replay(stream)
 
     assert spied == expected
@@ -158,10 +176,14 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     assert len(flushes) > 1
     assert all(written == offered for offered, written in flushes)
 
-    # The table is read twice: by the attach's refold before the first
-    # flush, and by ``finalize`` for its return value after the last one.
-    assert loads == [("load_processes", 0), ("load_processes", len(flushes))]
-    assert sorted(folds) == sorted(record[:6] for record in expected[0])
+    # The table is read once, by the attach's refold before the first flush.
+    # ``finalize`` hands back the records it wrote -- the very objects gold
+    # folded -- instead of reading them back.
+    assert loads == [("load_processes", 0)]
+    assert sorted(record.key for record in folds) == sorted(
+        record[:6] for record in expected[0])
+    folded = {id(record) for record in folds}
+    assert len(finalized) == built and all(id(record) in folded for record in finalized)
     assert expected[2] == {"silver_rows": built, "rollup_rebuilds": 0,
                            "rollup_records_applied": built,
                            "rollup_syncs": len(flushes)}
@@ -242,9 +264,9 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     sync, commit = LiveAnalysis.sync, LiveAnalysis.commit
     table_init = TableRollup.__init__
 
-    def counting_build(key, groups):
+    def counting_build(key, groups, procinfo=None):
         builds.append((key, bool(peeking)))
-        return build(key, groups)
+        return build(key, groups, procinfo)
 
     def counting_peek(self):
         peeking.append(True)
@@ -300,14 +322,42 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     assert len(records) == len(inserted) == 200 and first
     assert records[:first] == inserted[:first]
     assert all(mine is theirs for mine, theirs in zip(records[first:], inserted[first:]))
-    # Nothing but the tail check reads ``processes`` after the first pull;
-    # the table is read whole once more, by ``finalize``.
+    # Nothing but the tail check reads ``processes`` after the first pull,
+    # and ``finalize`` only asks for the table's extent: no row is selected.
     reads = [sql for sql in statements if "FROM processes" in sql]
     rows = [sql for sql in reads if sql != "SELECT MAX(id) FROM processes"]
-    assert len(reads) == len(pulls) and len(rows) == 1
-    assert rows[0].startswith("SELECT jobid") and "WHERE" not in rows[0]
+    assert len(reads) == len(pulls)
+    assert rows == ["SELECT COUNT(*), MAX(id) FROM processes"]
     # The second and third pulls of a slice find nothing new: they build no
     # record and refold no overlay.
     empty = pulls[1:-1:3] + pulls[2:-1:3]
     assert len(empty) == 50
     assert all(not batch and before == after for before, after, batch in empty)
+
+
+def test_one_procinfo_parse_per_record(ordered_stream, monkeypatch):
+    """Every process of the ordered stream closes on its ``PROCEND``, whose
+    check reads the category from the parsed PROCINFO: the record is built
+    from that parse, so each PROCINFO group (the SCRIPT layer's too) is
+    parsed exactly once."""
+    expected = _replay(ordered_stream)
+    assert expected[1]["early_finalized"] == expected[1]["records_built"] == 200
+    decoded = [UDPMessage.decode(datagram) for datagram in ordered_stream]
+    procinfo_groups = {(m.jobid, m.stepid, m.pid, m.path_hash, m.host, m.time, m.layer)
+                       for m in decoded if m.info_type is InfoType.PROCINFO}
+
+    parsed = []
+    parse_keyvalues = record_builder.parse_keyvalues
+
+    def counting_parse(content):
+        parsed.append(content)
+        return parse_keyvalues(content)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(record_builder, "parse_keyvalues", counting_parse)
+        patch.setattr(incremental, "parse_keyvalues", counting_parse)
+        spied = _replay(ordered_stream)
+
+    assert spied == expected
+    assert len(procinfo_groups) > 200                  # SCRIPT layers are exercised
+    assert len(parsed) == len(procinfo_groups)

@@ -20,6 +20,8 @@ from repro.util.errors import TransportError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
+from oracles.wire import encode
+
 
 def _record_set(records):
     return sorted(tuple(getattr(r, name) for name in r.__dataclass_fields__)
@@ -54,7 +56,7 @@ def _feed(sink: IncrementalConsolidator, messages: list[UDPMessage]) -> None:
 
 
 def _datagram(pid: int, info_type: InfoType = InfoType.PROCINFO) -> bytes:
-    return _msg(info_type, "x", pid=pid).encode()
+    return encode(_msg(info_type, "x", pid=pid))
 
 
 def _corrupt_body(pid: int, tail: bytes) -> bytes:
@@ -279,6 +281,87 @@ class TestFlushAndSnapshot:
         ingest.finalize()
 
 
+def _close(sink: IncrementalConsolidator, pid: int) -> None:
+    """One whole system process, closed on its PROCEND."""
+    _feed(sink, [*_system_burst(pid=pid), _procend(pid=pid)])
+
+
+def _finalize_counting_reads(sink: IncrementalConsolidator, monkeypatch):
+    """``sink.finalize()`` and how many times it read ``processes`` whole."""
+    reads = []
+    load_processes = MessageStore.load_processes
+
+    def counting_load(self):
+        reads.append(self)
+        return load_processes(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MessageStore, "load_processes", counting_load)
+        records = sink.finalize()
+    return records, len(reads)
+
+
+def _read_back(store: MessageStore):
+    return sorted(store.load_processes(), key=lambda record: record.key)
+
+
+class TestFinalizeHandBack:
+    """``finalize`` returns the records it wrote without reading them back,
+    and reads the table whenever the table holds rows it did not write in
+    full -- then returning exactly a plain read-back in key order."""
+
+    def test_a_sole_writer_hands_back_what_it_wrote(self, monkeypatch):
+        store = MessageStore()
+        sink = IncrementalConsolidator(store, flush_batch_size=2)
+        for pid in (3, 1, 2):
+            _close(sink, pid)
+        records, reads = _finalize_counting_reads(sink, monkeypatch)
+        assert reads == 0
+        assert records == _read_back(store) and [r.pid for r in records] == [1, 2, 3]
+        # Handed back once: asked again, it reads the table.
+        again, reads = _finalize_counting_reads(sink, monkeypatch)
+        assert (again, reads) == (records, 1)
+
+    def test_a_prepopulated_on_disk_store_is_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "siren.db")
+        with MessageStore(path) as earlier:
+            first = IncrementalConsolidator(earlier)
+            _close(first, 1)
+            first.finalize()
+        with MessageStore(path) as store:
+            sink = IncrementalConsolidator(store)
+            _close(sink, 2)
+            records, reads = _finalize_counting_reads(sink, monkeypatch)
+            assert reads == 1
+            assert records == _read_back(store) and [r.pid for r in records] == [1, 2]
+
+    def test_a_second_connection_writing_mid_stream_is_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "siren.db")
+        with MessageStore(path) as store:
+            sink = IncrementalConsolidator(store, flush_batch_size=1)
+            _close(sink, 1)
+            with MessageStore(path) as other:
+                writer = IncrementalConsolidator(other)
+                _close(writer, 2)
+                writer.finalize()
+            _close(sink, 3)
+            records, reads = _finalize_counting_reads(sink, monkeypatch)
+            assert reads == 1
+            assert records == _read_back(store) and [r.pid for r in records] == [1, 2, 3]
+
+    def test_a_resurrected_key_whose_flush_is_ignored_is_read(self, monkeypatch):
+        store = MessageStore()
+        sink = IncrementalConsolidator(store, flush_batch_size=1, idle_epochs=2)
+        _feed(sink, _system_burst())
+        for _ in range(4):
+            sink.advance_epoch()  # idle close + flush, then the dedup entry evicted
+        sink.feed(_procend())     # a content-free group the insert will ignore
+        records, reads = _finalize_counting_reads(sink, monkeypatch)
+        assert reads == 1
+        assert records == _read_back(store) and len(records) == 1
+        assert records[0].executable == "/usr/bin/bash"
+
+
 class TestDatagramPath:
     """Decode, count, batch, raw-persist, feed and tick."""
 
@@ -305,7 +388,7 @@ class TestDatagramPath:
         ingest = IncrementalConsolidator(MessageStore(), batch_size=3, idle_epochs=2)
         for pid in (10, 20, 21):              # one burst per batch, no PROCEND
             for message in _system_burst(pid=pid):
-                ingest.handle_datagram(message.encode())
+                ingest.handle_datagram(encode(message))
         # pid 10 and 20 sat out two whole batches; 21 was fed in the last one
         assert (ingest.idle_closed, ingest.open_processes) == (2, 1)
         assert ingest.messages_consumed == 9

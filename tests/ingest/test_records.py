@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.collector.records import InfoType, Layer, format_keyvalues
+from repro.collector.records import InfoType, Layer, format_keyvalues, parse_keyvalues
 from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
 from repro.ingest.records import (
@@ -312,6 +312,11 @@ class TestFastBuilder:
         expected = oracle.build_process_record(key, groups)
         assert astuple(record) == astuple(expected)
         assert list(map(type, astuple(record))) == list(map(type, astuple(expected)))
+        # The PROCEND close hands over the PROCINFO parse it read the
+        # category from: the same record, without a second parse.
+        procinfo = groups.get(_SELF_PROCINFO)
+        parsed = {} if procinfo is None else parse_keyvalues(procinfo.reassemble()[0])
+        assert astuple(build_process_record(key, groups, parsed)) == astuple(expected)
         assert {group_key: (group.chunks, group.chunk_total)
                 for group_key, group in groups.items()} == before     # not mutated
 

@@ -8,6 +8,9 @@ read no global RNG, OS entropy or wall clock.  ``knobs``: the knob table of
 LRU shared across campaigns once skewed their counters), the receiving side
 counts what it catches, and nothing forks, pools or queues.  ``counters``:
 the statistics keys emitted are those :mod:`repro.util.counters` declares.
+``dependencies``: the package imports no third-party code but ``numpy``, and
+tests and benchmarks none but what ``requirements-test.txt`` (CI's install
+list) names -- an undeclared ``networkx`` import once stopped CI's tier-1.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +153,38 @@ def concurrency(tree: ast.Module, module: str) -> list[str]:
                     for name in sorted(caches - cleared)]
 
 
+# -------------------------------------------------------------- dependencies #
+def _declared(requirements: Path) -> frozenset[str]:
+    """The import names of the distributions a requirements file lists."""
+    return frozenset(name.replace("-", "_").lower() for line in
+                     requirements.read_text(encoding="utf-8").splitlines()
+                     if (name := line.partition("#")[0].strip()))
+
+
+RUNTIME_DEPENDENCIES = frozenset({"numpy"})
+TEST_DEPENDENCIES = _declared(REPO_ROOT / "requirements-test.txt")
+#: The repository's own top-level names: the package, the benchmarks, and
+#: what ``tests/`` puts on the path (``oracles``, ``conftest``, ...).
+FIRST_PARTY = frozenset({"repro", "benchmarks"}
+                        | {path.stem for path in (REPO_ROOT / "tests").iterdir()})
+
+
+def dependencies(tree: ast.Module, module: str) -> list[str]:
+    """Imports, anywhere in the module, of a top-level name that is neither
+    the standard library, the repository's own nor declared: ``numpy`` for
+    the package, ``requirements-test.txt`` for everything else."""
+    allowed = RUNTIME_DEPENDENCIES if _in(module, ("repro",)) else TEST_DEPENDENCIES
+    found = []
+    for node in ast.walk(tree):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                 and node.level == 0 else [])
+        found += [f"{module}:{node.lineno} imports {top}" for top in
+                  (name.partition(".")[0] for name in names)
+                  if top not in sys.stdlib_module_names | FIRST_PARTY | allowed]
+    return found
+
+
 # --------------------------------------------------------------------- knobs #
 _KNOB_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(deployment|campaign)\s*\|")
 CONFIG_CLASSES = frozenset(cls.__name__ for cls in CampaignConfig.__mro__
@@ -211,10 +247,20 @@ def counter_drift(trees: dict[str, ast.Module]) -> list[str]:
 
 
 # --------------------------------------------------------------------- tests #
-@pytest.mark.parametrize("check", [determinism, concurrency])
+@pytest.mark.parametrize("check", [determinism, concurrency, dependencies])
 def test_shipped_tree_is_clean(trees, check):
     assert len(trees) >= 80
     assert [line for module, tree in trees.items() for line in check(tree, module)] == []
+
+
+@pytest.mark.parametrize("root", ["tests", "benchmarks"])
+def test_tests_and_benchmarks_import_only_declared_dependencies(root):
+    assert RUNTIME_DEPENDENCIES <= TEST_DEPENDENCIES
+    paths = sorted((REPO_ROOT / root).rglob("*.py"))
+    assert len(paths) >= 10
+    assert [line for path in paths for line in dependencies(
+        ast.parse(path.read_text(encoding="utf-8")),
+        ".".join(path.relative_to(REPO_ROOT).with_suffix("").parts))] == []
 
 
 COUNTED = ("def send(self, channel, payload):\n    try:\n        channel.push(payload)\n"
@@ -237,6 +283,8 @@ VIOLATIONS = {
         concurrency, CACHE + "_OTHER = []\n\ndef put_other(x):\n    _OTHER.append(x)\n\n"
         "def cache_clear():\n    _CACHE.clear()\n"),
     "worker import": (concurrency, "from concurrent.futures import ProcessPoolExecutor\n"),
+    "undeclared dependency": (dependencies, "import os\nimport networkx as nx\n"),
+    "test-only dependency": (dependencies, "def f():\n    from hypothesis import given\n"),
 }
 
 
@@ -254,8 +302,13 @@ def test_each_rule_fires_on_one_violation(check, source):
     (concurrency, CACHE + "\ndef cache_clear():\n    _CACHE.clear()\n", "repro.fixture"),
     (concurrency, "_TABLE = {1: 'a'}\n\ndef get(key):\n    return _TABLE[key]\n",
      "repro.fixture"),
+    (dependencies, "import numpy as np\nfrom collections import deque\nfrom repro.db import store\n",
+     "repro.fixture"),
+    (dependencies, "import pytest\nfrom hypothesis import given\nfrom oracles.wire import encode\n",
+     "tests.transport.fixture"),
 ], ids=["seeded-and-monotonic", "out-of-scope-random", "counted-except",
-        "out-of-scope-except", "cleared-cache", "read-only-table"])
+        "out-of-scope-except", "cleared-cache", "read-only-table", "runtime-dependency",
+        "test-dependency"])
 def test_allowed_forms_pass(check, source, module):
     assert check(ast.parse(source), module) == []
 

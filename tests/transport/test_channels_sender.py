@@ -11,6 +11,8 @@ from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 from repro.util.rng import SeededRNG
 
+from oracles.wire import encode
+
 
 def _message(content: str, info_type: InfoType = InfoType.OBJECTS) -> UDPMessage:
     return UDPMessage(jobid="1", stepid="0", pid=99, path_hash="0" * 32, host="n1",
@@ -108,8 +110,8 @@ class TestUDPSender:
                                     (Layer.SCRIPT, InfoType.FILE_H, "b")]) == 2
         assert (sender.messages_sent, sender.datagrams_sent) == (2, 2)
         assert received == [
-            _message("a").encode(),
-            replace(_message("b", InfoType.FILE_H), layer=Layer.SCRIPT).encode()]
+            encode(_message("a")),
+            encode(replace(_message("b", InfoType.FILE_H), layer=Layer.SCRIPT))]
 
     @pytest.mark.parametrize("unframeable", ["in\x1fput", "caf\udce9"],
                              ids=["separator", "lone-surrogate"])

@@ -3,8 +3,8 @@
 ``UDPSender.send`` frames a burst: the process's wire header is built once,
 a datagram is that header plus a constant ``(layer, type)`` kind plus its
 tail.  The oracle is the seed's path, one ``UDPMessage`` per section: probe
-the header overhead by encoding a content-less copy, then
-``with_chunk(...).encode()`` every chunk through a dataclass copy.  Every
+the header overhead by encoding a content-less copy, then ``encode`` a
+``with_chunk`` dataclass copy per chunk (``tests/oracles/wire.py``).  Every
 datagram on the wire must be indistinguishable from it, or stored raw
 messages (and their consolidation) would depend on an optimisation.
 """
@@ -26,6 +26,8 @@ from repro.transport.messages import (
     wire_header,
 )
 from repro.transport.sender import UDPSender
+
+from oracles.wire import encode, with_chunk
 
 
 def _message(content: str) -> UDPMessage:
@@ -51,14 +53,14 @@ def _wire_bytes(message: UDPMessage, max_datagram_size: int = MAX_DATAGRAM_SIZE)
 
 
 def _reference_budget(message: UDPMessage, max_datagram_size: int) -> int:
-    overhead = len(replace(message, content="").encode()) + 16
+    overhead = len(encode(replace(message, content=""))) + 16
     return max(max_datagram_size - overhead, 64)
 
 
 def _reference_bytes(message: UDPMessage,
                      max_datagram_size: int = MAX_DATAGRAM_SIZE) -> list[bytes]:
     chunks = split_content(message.content, _reference_budget(message, max_datagram_size))
-    return [message.with_chunk(chunk, index, len(chunks)).encode()
+    return [encode(with_chunk(message, chunk, index, len(chunks)))
             for index, chunk in enumerate(chunks)]
 
 
@@ -149,5 +151,5 @@ def test_any_burst_is_byte_identical_to_the_per_message_oracle(
         chunks = [next(decoded) for _ in datagrams]
         assert [(c.chunk_index, c.chunk_total) for c in chunks] == [
             (index, len(chunks)) for index in range(len(chunks))]
-        assert all(c.with_chunk(message.content, 0, 1) == message for c in chunks)
+        assert all(with_chunk(c, message.content, 0, 1) == message for c in chunks)
         assert "".join(c.content for c in chunks) == message.content

@@ -9,6 +9,8 @@ from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 
+from oracles.wire import encode, with_chunk
+
 
 def _message(content: str = "hello", info_type: InfoType = InfoType.PROCINFO) -> UDPMessage:
     return UDPMessage(jobid="9100001", stepid="0", pid=1234, path_hash="ab" * 16,
@@ -33,11 +35,11 @@ class TestKeyValueFormat:
 class TestUDPMessage:
     def test_encode_decode_roundtrip(self):
         message = _message("the content")
-        assert UDPMessage.decode(message.encode()) == message
+        assert UDPMessage.decode(encode(message)) == message
 
     def test_all_header_fields_preserved(self):
         message = _message()
-        decoded = UDPMessage.decode(message.encode())
+        decoded = UDPMessage.decode(encode(message))
         assert decoded.jobid == "9100001"
         assert decoded.stepid == "0"
         assert decoded.pid == 1234
@@ -48,14 +50,14 @@ class TestUDPMessage:
         assert decoded.info_type is InfoType.PROCINFO
 
     def test_chunk_fields(self):
-        chunked = _message().with_chunk("part", 2, 5)
-        decoded = UDPMessage.decode(chunked.encode())
+        chunked = with_chunk(_message(), "part", 2, 5)
+        decoded = UDPMessage.decode(encode(chunked))
         assert decoded.chunk_index == 2 and decoded.chunk_total == 5
         assert decoded.content == "part"
 
     def test_rejects_separator_in_content(self):
         with pytest.raises(TransportError):
-            _message("bad\x1fcontent").encode()
+            encode(_message("bad\x1fcontent"))
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(TransportError):
@@ -82,12 +84,12 @@ class TestUDPMessage:
 
     def test_unicode_content(self):
         message = _message("durée=42µs")
-        assert UDPMessage.decode(message.encode()).content == "durée=42µs"
+        assert UDPMessage.decode(encode(message)).content == "durée=42µs"
 
 
 def _with_field(index: int, value: bytes) -> bytes:
     """A valid datagram with wire field ``index`` replaced."""
-    fields = _message().encode().split(b"\x1f")
+    fields = encode(_message()).split(b"\x1f")
     fields[index] = value
     return b"\x1f".join(fields)
 
@@ -97,9 +99,9 @@ _INT_REASON = "malformed SIREN datagram: invalid literal for int() with base 10:
 #: Every malformed class with the reason the ingest object quarantines it under.
 #: The strings are the parent commit's: forensics tooling greps for them.
 MALFORMED = {
-    "bad UTF-8": (b"\xff\xfe" + _message().encode(), "datagram is not valid UTF-8"),
+    "bad UTF-8": (b"\xff\xfe" + encode(_message()), "datagram is not valid UTF-8"),
     "wrong tag": (_with_field(0, b"SIREN2"), "datagram does not carry a SIREN message"),
-    "11 fields": (b"\x1f".join(_message().encode().split(b"\x1f")[:11]),
+    "11 fields": (b"\x1f".join(encode(_message()).split(b"\x1f")[:11]),
                   "datagram does not carry a SIREN message"),
     "non-int pid": (_with_field(3, b"x1"), _INT_REASON + "'x1'"),
     "non-int time": (_with_field(6, b"1.5"), _INT_REASON + "'1.5'"),
@@ -130,7 +132,7 @@ class TestDecodePins:
         message = UDPMessage(jobid="j", stepid="0", pid=7, path_hash="h", host="n",
                              time=5, layer=layer, info_type=info_type, content="c",
                              chunk_index=1, chunk_total=3)
-        decoded = UDPMessage.decode(message.encode())
+        decoded = UDPMessage.decode(encode(message))
         assert decoded == message and hash(decoded) == hash(message)
         # identity, not equality: the consolidator tests ``is Layer.SELF``,
         # and a str-enum member equals its plain-string value
