@@ -88,7 +88,7 @@ def main() -> None:
 
     run_jobs(cluster, manifest)
 
-    records = framework.consolidate()
+    records = framework.snapshot()
     pipeline = AnalysisPipeline(records, cluster.users.anonymize())
 
     print(f"Collected {len(records)} process records "

@@ -92,19 +92,6 @@ def user_application_table(
     return rows
 
 
-def records_for_label(
-    records: list[ProcessRecord],
-    label: str,
-    rules: tuple[tuple[str, re.Pattern[str]], ...] = LABEL_RULES,
-) -> list[ProcessRecord]:
-    """All user-directory records whose executable derives to ``label``."""
-    return [
-        record for record in records
-        if record.category == ExecutableCategory.USER.value
-        and derive_label(record.executable, rules) == label
-    ]
-
-
 def label_by_executable(
     records: list[ProcessRecord],
     rules: tuple[tuple[str, re.Pattern[str]], ...] = LABEL_RULES,

@@ -27,13 +27,6 @@ class UsageMatrix:
         values = self.cells[self.row_labels.index(row)]
         return dict(zip(self.column_labels, values))
 
-    def column_totals(self) -> dict[str, int]:
-        """Number of labels using each column."""
-        return {
-            column: sum(self.cells[i][j] for i in range(len(self.row_labels)))
-            for j, column in enumerate(self.column_labels)
-        }
-
 
 def _build_matrix(mapping: dict[str, set[str]],
                   column_order: tuple[str, ...] | None) -> UsageMatrix:

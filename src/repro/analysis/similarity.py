@@ -220,21 +220,13 @@ class SimilaritySearch:
         index = self._effective_index()
         return index.stats() if index is not None else None
 
-    def _compare_digests(self, hash_a: str, hash_b: str) -> int:
-        """One counted, cached digest comparison (empty digests score 0 free)."""
-        if not hash_a or not hash_b:
-            return 0
-        self.comparisons += 1
-        return self.hasher.compare_cached(hash_a, hash_b)
-
     def _compare_digest_batch(self, baseline: str, digests: list[str]) -> list[int]:
-        """Counted batch of :meth:`_compare_digests` against one baseline.
+        """Counted digest comparisons of one baseline against many.
 
         The batched hot path: non-empty pairs go through
         :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` in one sweep
         (deduplicated, LRU-fed); empty digests score their 0 without a
-        counted comparison and without touching the cache, exactly as the
-        scalar helper does.  Counter semantics match pair-for-pair.
+        counted comparison and without touching the cache.
         """
         scores = [0] * len(digests)
         if not baseline:
@@ -252,22 +244,14 @@ class SimilaritySearch:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def compare_instances(self, first: ExecutableInstance,
-                          second: ExecutableInstance) -> dict[str, int]:
-        """Per-column similarity scores between two instances."""
-        return {column: self._compare_digests(first.hashes.get(column, ""),
-                                              second.hashes.get(column, ""))
-                for column in HASH_COLUMNS}
-
     def compare_instances_many(self, first: ExecutableInstance,
                                others: list[ExecutableInstance],
                                columns: tuple[str, ...] = HASH_COLUMNS,
                                ) -> list[dict[str, int]]:
-        """Batched :meth:`compare_instances` of one instance against many.
+        """Per-column similarity scores of one instance against many.
 
-        One :meth:`_compare_digest_batch` sweep per column; scores, the
-        comparison counter and the compare LRU behave exactly as the scalar
-        loop would.  The recognition layer's similarity graph runs on this.
+        One :meth:`_compare_digest_batch` sweep per column.  The recognition
+        layer's similarity graph runs on this.
         """
         scores: list[dict[str, int]] = [{} for _ in others]
         for column in columns:
@@ -357,11 +341,6 @@ class SimilaritySearch:
             unknown.executable: self.query(unknown, candidates=labelled, top=top)
             for unknown in unknowns
         }
-
-    def best_match(self, baseline: ExecutableInstance) -> SimilarityResult | None:
-        """The single best candidate for a baseline (or ``None`` if no candidates)."""
-        ranked = self.query(baseline, top=1)
-        return ranked[0] if ranked else None
 
     # ------------------------------------------------------------------ #
     # pairwise matrix (used by the scaling ablation bench)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.collector.classify import (
-    ExecutableCategory,
     classify_process,
     extract_script_path,
     is_python_interpreter,

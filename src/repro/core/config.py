@@ -49,16 +49,9 @@ class SirenConfig:
         channel -- lossy when ``loss_rate > 0``; ``"socket"`` sends genuine
         UDP datagrams over the loopback interface (``loss_rate`` is ignored
         -- losses, if any, come from the kernel).  Socket deployments are
-        drained on every ``consolidate``/``snapshot``/``finalize`` and the
+        drained on every ``snapshot``/``snapshot_delta``/``finalize`` and the
         sockets are released by
         :meth:`~repro.core.framework.SirenFramework.close`.
-    store_retry_attempts:
-        Retries of a store write transaction on *transient* SQLite errors
-        (``database is locked`` / ``busy``), with exponential jittered
-        backoff; non-transient errors always propagate immediately.
-    quarantine_capacity:
-        Bounded ring of the most recent undecodable datagrams (raw bytes +
-        failure reason) kept for forensics; 0 disables the quarantine.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` arming deterministic
         fault injection: channel faults wrap the in-memory channel
@@ -80,8 +73,6 @@ class SirenConfig:
     ingest_mode: str = "streaming"
     keep_raw_messages: bool = True
     transport: str = "memory"
-    store_retry_attempts: int = 4
-    quarantine_capacity: int = 256
     fault_plan: FaultPlan | None = None
     rollups: bool = False
 
@@ -95,12 +86,10 @@ class SirenConfig:
             raise CollectionError(
                 f"unknown transport {self.transport!r} "
                 "(expected 'memory' or 'socket')")
-        for knob, least in (("max_datagram_size", MIN_DATAGRAM_SIZE),
-                            ("store_retry_attempts", 0), ("quarantine_capacity", 0)):
-            value = getattr(self, knob)
-            if value < least:
-                raise CollectionError(
-                    f"{knob} must be at least {least}, got {value!r}")
+        if self.max_datagram_size < MIN_DATAGRAM_SIZE:
+            raise CollectionError(
+                f"max_datagram_size must be at least {MIN_DATAGRAM_SIZE}, "
+                f"got {self.max_datagram_size!r}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise CollectionError(
                 f"loss_rate must be in [0, 1], got {self.loss_rate!r}")

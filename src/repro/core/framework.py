@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.live import LiveAnalysis
-from repro.analysis.similarity import SimilarityResult
 from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
-from repro.core.pipeline import AnalysisPipeline
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
@@ -32,7 +30,6 @@ from repro.ingest.incremental import IncrementalConsolidator, ProcessDelta
 from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
-from repro.util.retry import RetryPolicy
 from repro.util.rng import SeededRNG
 
 DeploymentChannel = LossyChannel | InMemoryChannel | SocketChannel | FaultyChannel
@@ -88,17 +85,14 @@ class SirenFramework:
                 self.channel = InMemoryChannel()
         if plan is not None and plan.channel.active:
             self.channel = FaultyChannel(plan=plan, inner=self.channel)
-        self.store = MessageStore(
-            config.store_path,
-            retry=RetryPolicy(attempts=config.store_retry_attempts))
+        self.store = MessageStore(config.store_path)
         if plan is not None and plan.store.active:
             self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
         if config.rollups:
             self.tiered = TieredStore(self.user_names)
             self.store.attach_tiered(self.tiered)
         self.ingest = IncrementalConsolidator(
-            self.store, persist_raw=config.keep_raw_messages,
-            quarantine_capacity=config.quarantine_capacity)
+            self.store, persist_raw=config.keep_raw_messages)
         self.ingest.attach(self.channel)
         self.sender = UDPSender(self.channel,
                                 max_datagram_size=config.max_datagram_size)
@@ -147,15 +141,6 @@ class SirenFramework:
         self.drain()
         return self.ingest.snapshot()
 
-    def consolidate(self, *, clear_messages: bool = False) -> list[ProcessRecord]:
-        """Flush the ingest path and return everything collected so far
-        (:meth:`snapshot`); ``clear_messages=True`` then empties the raw
-        messages table."""
-        records = self.snapshot()
-        if clear_messages:
-            self.store.clear_messages()
-        return records
-
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
         """Incremental live view: only the records that changed since ``cursor``."""
         self.drain()
@@ -167,7 +152,8 @@ class SirenFramework:
 
         Every view call pulls the record delta first, so mid-deployment
         tables and similarity queries cost O(new records) and stay
-        byte-identical to an :class:`AnalysisPipeline` over :meth:`snapshot`.
+        byte-identical to an
+        :class:`~repro.core.pipeline.AnalysisPipeline` over :meth:`snapshot`.
         """
         return LiveAnalysis(user_names=user_names or {}).bind(self)
 
@@ -180,19 +166,6 @@ class SirenFramework:
             # jitter was still holding back.
             self.channel.flush()
         return self.ingest.finalize()
-
-    def analysis_pipeline(self, user_names: dict[int, str] | None = None,
-                          ) -> AnalysisPipeline:
-        """An analysis pipeline over everything collected so far.
-
-        Convenience for the common deploy -> run jobs -> analyse loop; each
-        call re-snapshots, so it reflects all messages received up to now.
-        """
-        return AnalysisPipeline(self.consolidate(), user_names or {})
-
-    def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
-        """Run the Table 7 similarity search over everything collected so far."""
-        return self.analysis_pipeline().table7_similarity_search(top=top)
 
     def statistics(self) -> dict[str, float]:
         """Operational counters of the deployment."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.corpus.libraries import LIBRARY_BY_KEY, LIBRARY_CATALOG, LibrarySpec
-from repro.corpus.packages import PACKAGES, PackageSpec, VariantSpec
+from repro.corpus.packages import PackageSpec, VariantSpec
 from repro.corpus.python_env import PYTHON_INTERPRETERS, PYTHON_PACKAGES, PythonInterpreterSpec
 from repro.corpus.system_tools import SYSTEM_TOOLS, SystemToolSpec
 from repro.corpus.toolchains import comments_for

@@ -205,6 +205,3 @@ def library_path(key: str) -> str:
     return LIBRARY_BY_KEY[key].path
 
 
-def sonames_for_keys(keys: list[str]) -> list[str]:
-    """Sonames (DT_NEEDED entries) for a list of catalog keys, preserving order."""
-    return [LIBRARY_BY_KEY[key].soname for key in keys]

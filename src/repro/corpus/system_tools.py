@@ -108,7 +108,3 @@ SYSTEM_TOOLS: tuple[SystemToolSpec, ...] = (
 SYSTEM_TOOLS_BY_NAME: dict[str, SystemToolSpec] = {tool.name: tool for tool in SYSTEM_TOOLS}
 
 
-def tool_path(name: str) -> str:
-    """Full installation path of a system tool."""
-    spec = SYSTEM_TOOLS_BY_NAME[name]
-    return f"{spec.directory}/{spec.name}"

@@ -5,12 +5,12 @@ The raw ``messages`` table mirrors the UDP header columns listed in the paper
 counters.  The ``processes`` table holds the post-processed, consolidated
 one-row-per-process records the analysis layer works on.
 
-Each table keeps only the indexes something reads through.  ``processes``
-has one: ``ux_processes_key``, the unique process key the first-close-wins
-insert and the upsert resolve against.  Its rows are read back whole
-(``SELECT ... FROM processes``) or past a rowid (the delta cursor), which the
-rowid itself serves; an index nothing queries would only be written on every
-insert.  Indexes an older store created are dropped when it is reopened.
+Each table keeps only the indexes something reads through.  ``messages``
+has none: ingest only appends to it.  ``processes`` has one:
+``ux_processes_key``, the unique process key the first-close-wins insert
+resolves against.  Its rows are read back whole (``SELECT ... FROM
+processes``) or past a rowid (the delta cursor), which the rowid itself
+serves; an index nothing queries would only be written on every insert.
 """
 
 MESSAGES_SCHEMA = """
@@ -28,13 +28,6 @@ CREATE TABLE IF NOT EXISTS messages (
     chunk_total INTEGER NOT NULL DEFAULT 1,
     content     TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_messages_consolidation_order
-    ON messages (jobid, stepid, pid, hash, time, type, chunk_index);
--- Legacy indexes: a near-prefix of the consolidation-order index and an
--- unqueried type index; both only amplified ingest writes.  Dropped so old
--- on-disk stores shed them too.
-DROP INDEX IF EXISTS idx_messages_process;
-DROP INDEX IF EXISTS idx_messages_type;
 """
 
 PROCESSES_SCHEMA = """
@@ -71,9 +64,4 @@ CREATE TABLE IF NOT EXISTS processes (
 );
 CREATE UNIQUE INDEX IF NOT EXISTS ux_processes_key
     ON processes (jobid, stepid, pid, hash, host, time);
--- Legacy indexes on job, executable and category: queried nowhere, so they
--- only amplified every insert.  Dropped so old on-disk stores shed them too.
-DROP INDEX IF EXISTS idx_processes_job;
-DROP INDEX IF EXISTS idx_processes_exe;
-DROP INDEX IF EXISTS idx_processes_category;
 """

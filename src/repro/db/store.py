@@ -28,7 +28,7 @@ from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
 
 if TYPE_CHECKING:  # imported lazily: repro.db.tiered imports this module
     from repro.db.tiered import TieredStore
-from repro.transport.messages import MessageRow, UDPMessage
+from repro.transport.messages import MessageRow
 from repro.util.retry import RetryPolicy
 
 #: Substrings marking an :class:`sqlite3.OperationalError` as transient --
@@ -96,11 +96,6 @@ class ProcessRecord:
     def compiler_list(self) -> list[str]:
         """Compiler identification strings as a list."""
         return [item for item in self.compilers.split(";") if item]
-
-    @property
-    def module_list(self) -> list[str]:
-        """Loaded modules as a list."""
-        return [item for item in self.modules.split(":") if item]
 
     @property
     def python_package_list(self) -> list[str]:
@@ -174,30 +169,8 @@ class MessageStore:
             # the ingest writer concurrent, NORMAL syncs at checkpoints.
             self.connection.execute("PRAGMA journal_mode=WAL")
             self.connection.execute("PRAGMA synchronous=NORMAL")
-        self._migrate_duplicate_processes()
         self.connection.executescript(MESSAGES_SCHEMA)
         self.connection.executescript(PROCESSES_SCHEMA)
-
-    def _migrate_duplicate_processes(self) -> None:
-        """Drop duplicate process rows left by pre-upsert versions of the store.
-
-        Older versions used plain ``INSERT`` with no unique key, so repeated
-        consolidation of an on-disk store produced duplicate rows; creating
-        ``ux_processes_key`` over them would fail.  Keep the newest row per
-        process key (the most recent consolidation) before the index exists.
-        """
-        has_table = self.connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type='table' AND name='processes'"
-        ).fetchone()
-        has_index = self.connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type='index' AND name='ux_processes_key'"
-        ).fetchone()
-        if has_table and not has_index:
-            with self.connection:
-                self.connection.execute(
-                    "DELETE FROM processes WHERE id NOT IN (SELECT MAX(id)"
-                    " FROM processes GROUP BY jobid, stepid, pid, hash, host, time)"
-                )
 
     # ------------------------------------------------------------------ #
     # fault-tolerant write primitive
@@ -230,14 +203,6 @@ class MessageStore:
     # ------------------------------------------------------------------ #
     # raw messages
     # ------------------------------------------------------------------ #
-    def insert(self, message: UDPMessage) -> None:
-        """Insert one raw message."""
-        self.insert_many([message])
-
-    def insert_many(self, messages: Iterable[UDPMessage]) -> int:
-        """Insert a batch of raw messages; returns how many were inserted."""
-        return self.insert_rows([message.row() for message in messages])
-
     def insert_rows(self, rows: list[MessageRow]) -> int:
         """Insert raw message rows as they are; returns how many were inserted."""
         self._write("insert_messages", lambda: self.connection.executemany(
@@ -252,38 +217,9 @@ class MessageStore:
         cursor = self.connection.execute("SELECT COUNT(*) FROM messages")
         return int(cursor.fetchone()[0])
 
-    def iter_messages(self, *, batch_rows: int = 1024) -> Iterator[tuple]:
-        """Iterate over raw message rows in process order.
-
-        The ``ORDER BY`` is satisfied by ``idx_messages_consolidation_order``,
-        so consolidation streams straight off the index instead of sorting the
-        whole table; rows are fetched ``batch_rows`` at a time.
-        """
-        cursor = self.connection.execute(
-            "SELECT jobid, stepid, pid, hash, host, time, layer, type, chunk_index,"
-            " chunk_total, content FROM messages"
-            " ORDER BY jobid, stepid, pid, hash, time, type, chunk_index"
-        )
-        while rows := cursor.fetchmany(batch_rows):
-            yield from rows
-
-    def clear_messages(self) -> None:
-        """Delete all raw messages (used after consolidation to save memory)."""
-        self._write("clear_messages",
-                    lambda: self.connection.execute("DELETE FROM messages"))
-
     # ------------------------------------------------------------------ #
     # consolidated processes
     # ------------------------------------------------------------------ #
-    def insert_or_replace_processes(self, records: Iterable[ProcessRecord]) -> int:
-        """Upsert consolidated records, keyed by the unique process header.
-
-        The post-pass verb: re-consolidating the same raw messages while
-        more keep arriving rebuilds records from *more* data each time, so
-        the newest build replaces the previous row.
-        """
-        return self._insert_processes("INSERT OR REPLACE", records)
-
     def insert_processes_if_absent(self, records: Iterable[ProcessRecord]) -> int:
         """Insert consolidated records, keeping any existing row per key.
 
@@ -293,21 +229,16 @@ class MessageStore:
         already-present row must win.  Returns how many rows were actually
         inserted.
         """
-        return self._insert_processes("INSERT OR IGNORE", records)
-
-    def _insert_processes(self, verb: str, records: Iterable[ProcessRecord]) -> int:
-        """Write ``records`` as rows; returns how many rows that wrote (a
-        replaced row counts once, an ignored one not at all)."""
         placeholders = ", ".join("?" for _ in PROCESS_FIELDS)
         records = list(records)
         rows = [process_row(record) for record in records]
         written = self._write("insert_processes", lambda: self.connection.executemany(
-            f"{verb} INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})", rows
-        ))
+            f"INSERT OR IGNORE INTO processes ({_PROCESS_COLUMNS}) VALUES ({placeholders})",
+            rows))
         # The change count equals the batch length only if every row was new
         # and distinct: then the batch is exactly what the table gained, in
-        # rowid order.  An ignored row or a replaced one needs a re-read.
-        handed = verb == "INSERT OR IGNORE" and written == len(rows)
+        # rowid order.  An ignored row needs a re-read.
+        handed = written == len(rows)
         if handed and records:
             self.written_mark = self.connection.execute(
                 "SELECT last_insert_rowid()").fetchone()[0]
@@ -326,7 +257,7 @@ class MessageStore:
         """Keep ``tiered``'s gold in step with every consolidated-record write.
 
         Gold is refolded from the ``processes`` table now; afterwards every
-        write through the three ``insert_*processes`` methods ends in
+        :meth:`insert_processes_if_absent` write ends in
         :meth:`sync_tiered`.  A write that raises folds nothing, so gold
         never runs ahead of the table.
         """
@@ -378,11 +309,9 @@ class MessageStore:
         the ``processes`` rowid high-water mark returned by the previous call
         (0 for "from the beginning"), and the returned mark covers every
         record in this batch.  The contract -- each record is returned by
-        exactly one call -- holds for rows written through the streaming
-        first-close-wins insert (:meth:`insert_processes_if_absent`), which
-        never rewrites an existing row; ``INSERT OR REPLACE`` assigns *new*
-        rowids to existing process keys, so rows written that way are not a
-        delta stream.
+        exactly one call -- holds because the one record write, the
+        first-close-wins insert (:meth:`insert_processes_if_absent`), never
+        rewrites an existing row.
 
         A pull whose ``rowid`` is the mark the previous pull returned is
         served from memory: the store keeps the records of every batch
@@ -391,7 +320,7 @@ class MessageStore:
         Any other ``rowid`` -- 0, a second consumer's mark, a stale one a
         consumer re-pulls after failing to apply a delta -- reads the table,
         and so does every pull after a write that was not written in full
-        (an ignored or replaced row) or not by this connection (the table's
+        (an ignored row) or not by this connection (the table's
         last rowid is not the tail's).  The tail lives only between pulls:
         none is kept before the first, and it is dropped -- the next pull
         reads the table -- once it would hold more records than the mark it

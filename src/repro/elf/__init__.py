@@ -35,7 +35,6 @@ from repro.elf.constants import (
     STT_OBJECT,
 )
 from repro.elf.reader import ELFFile, is_elf
-from repro.elf.strings import extract_strings
 from repro.elf.structures import ELFHeader, SectionHeader, Symbol
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "ELFHeader",
     "SectionHeader",
     "Symbol",
-    "extract_strings",
     "is_elf",
     "ET_EXEC",
     "ET_DYN",

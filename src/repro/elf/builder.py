@@ -101,7 +101,6 @@ class ELFBuilder:
     _comments: list[str] = field(default_factory=list)
     _needed: list[str] = field(default_factory=list)
     _symbols: list[tuple[str, int, int, int]] = field(default_factory=list)
-    _extra_sections: list[tuple[str, bytes]] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # content population
@@ -134,11 +133,6 @@ class ELFBuilder:
         self._text = b"".join(blocks)[:size]
         return self
 
-    def add_string(self, text: str) -> "ELFBuilder":
-        """Add one printable string to ``.rodata``."""
-        self._rodata_strings.append(text)
-        return self
-
     def add_strings(self, texts: list[str]) -> "ELFBuilder":
         """Add many printable strings to ``.rodata``."""
         self._rodata_strings.extend(texts)
@@ -151,11 +145,6 @@ class ELFBuilder:
         ``clang version 17.0.1 (Cray PE)``; pass the full producer string.
         """
         self._comments.append(producer)
-        return self
-
-    def add_needed(self, library: str) -> "ELFBuilder":
-        """Declare a ``DT_NEEDED`` dependency on ``library`` (an soname)."""
-        self._needed.append(library)
         return self
 
     def add_needed_many(self, libraries: list[str]) -> "ELFBuilder":
@@ -193,11 +182,6 @@ class ELFBuilder:
             self.add_symbol(name, binding=STB_LOCAL, symbol_type=STT_FUNC)
         return self
 
-    def add_section(self, name: str, data: bytes) -> "ELFBuilder":
-        """Add an arbitrary extra PROGBITS section (e.g. ``.note.gnu.build-id``)."""
-        self._extra_sections.append((name, bytes(data)))
-        return self
-
     # ------------------------------------------------------------------ #
     # serialisation
     # ------------------------------------------------------------------ #
@@ -228,10 +212,6 @@ class ELFBuilder:
         if comment:
             add(_PendingSection(".comment", SHT_PROGBITS, comment,
                                 flags=SHF_STRINGS, addralign=1))
-
-        # extra sections --------------------------------------------------- #
-        for name, data in self._extra_sections:
-            add(_PendingSection(name, SHT_PROGBITS, data, addralign=1))
 
         # .dynstr / .dynamic ----------------------------------------------- #
         dynstr = StringTable()

@@ -24,7 +24,6 @@ from repro.elf.constants import (
     ELF_MAGIC,
     SHT_DYNAMIC,
     SHT_DYNSYM,
-    SHT_STRTAB,
     SHT_SYMTAB,
     STB_GLOBAL,
     STB_WEAK,
@@ -83,10 +82,6 @@ class ELFFile:
         if end > len(self.data):
             raise ELFError(f"section {section.name or section.sh_name} extends past end of file")
         return self.data[section.sh_offset:end]
-
-    def section_names(self) -> list[str]:
-        """Names of all sections (excluding the initial NULL section)."""
-        return [s.name for s in self.sections if s.sh_type != 0 or s.name]
 
     def get_section(self, name: str) -> SectionHeader | None:
         """Find a section header by name, or ``None``."""
@@ -202,6 +197,3 @@ class ELFFile:
             if symbol.name and symbol.binding in (STB_GLOBAL, STB_WEAK)
         ]
 
-    def global_symbol_names(self) -> list[str]:
-        """Sorted names of the global symbols (the ``nm``-style listing)."""
-        return sorted({symbol.name for symbol in self.global_symbols()})

@@ -43,8 +43,3 @@ def strings_blob(data: bytes, min_length: int = 4) -> str:
     return out[index].tobytes().decode("ascii")
 
 
-def extract_strings(data: bytes, min_length: int = 4) -> list[str]:
-    """Return all printable ASCII runs of at least ``min_length`` characters."""
-    blob = strings_blob(data, min_length)
-    # "\n" is not printable, so it only ever separates runs.
-    return blob.split("\n") if blob else []

@@ -1,15 +1,14 @@
 """Symbol-listing helpers (the ``nm(1)`` equivalent).
 
-The collector hashes the *global-scope* symbol names of an executable; these
-helpers render and normalise those listings so that the fuzzy hash of the
-symbol table is stable regardless of symbol ordering inside the file.
+The collector hashes the *global-scope* symbol names of an executable;
+:func:`nm_listing` renders them sorted, so that the fuzzy hash of the symbol
+table is stable regardless of symbol ordering inside the file.
 """
 
 from __future__ import annotations
 
 from repro.elf.constants import STT_FUNC, STT_OBJECT
 from repro.elf.reader import ELFFile
-from repro.elf.structures import Symbol
 
 _NM_CODES = {STT_FUNC: "T", STT_OBJECT: "D"}
 
@@ -29,6 +28,3 @@ def nm_listing(elf: ELFFile) -> str:
     return "\n".join(sorted(lines))
 
 
-def symbol_names(symbols: list[Symbol]) -> list[str]:
-    """Sorted unique names from a symbol list."""
-    return sorted({symbol.name for symbol in symbols if symbol.name})

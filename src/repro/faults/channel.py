@@ -147,11 +147,6 @@ class FaultyChannel:
         return released
 
     @property
-    def in_flight(self) -> int:
-        """Datagrams currently held by reordering or a jitter burst."""
-        return len(self._held) + len(self._burst_buffer)
-
-    @property
     def observed_loss_rate(self) -> float:
         """Fraction of datagrams dropped by the fault pipeline so far."""
         if self.datagrams_sent == 0:

@@ -63,17 +63,6 @@ class ChannelFaultProfile:
         return any((self.drop_rate, self.duplicate_rate, self.corrupt_rate,
                     self.truncate_rate, self.reorder_rate, self.jitter_rate))
 
-    @property
-    def order_preserving(self) -> bool:
-        """True when the profile can never displace a datagram.
-
-        Order-preserving profiles keep streaming ingest record-for-record
-        identical to a post-pass over the surviving message set;
-        reordering can push a straggler past the consolidator's idle grace,
-        which the honest ``late_messages`` counter then surfaces.
-        """
-        return self.reorder_rate == 0.0
-
 
 @dataclass(frozen=True)
 class StoreFaultProfile:

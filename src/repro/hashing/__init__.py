@@ -13,10 +13,11 @@ The paper relies on two hash families:
 Both are implemented here from scratch in pure Python (the target environment
 has neither ``libfuzzy`` nor ``xxHash`` bindings).  The CTPH implementation
 follows the published spamsum/ssdeep algorithm (Kornblum 2006): a 7-byte
-rolling hash triggers piece boundaries, each piece is hashed with FNV, and the
-signature is a base64 string at two block sizes; comparison removes long
-character runs, requires a common 7-gram, and converts a weighted
-Damerau-Levenshtein distance into a 0-100 match score.
+rolling hash triggers piece boundaries, each piece is hashed with an FNV-style
+hash (constants in :mod:`repro.hashing.fnv`), and the signature is a base64
+string at two block sizes; comparison removes long character runs, requires a
+common 7-gram, and converts a weighted Damerau-Levenshtein distance into a
+0-100 match score.
 """
 
 from repro.hashing.compare_engine import (
@@ -26,7 +27,6 @@ from repro.hashing.compare_engine import (
     lcs_length_many,
     normalize_digest,
 )
-from repro.hashing.fnv import fnv1_32, fnv1a_32, fnv1a_64, sum_hash
 from repro.hashing.ssdeep import (
     FuzzyHash,
     FuzzyHasher,
@@ -34,7 +34,7 @@ from repro.hashing.ssdeep import (
     fuzzy_hash,
     fuzzy_hash_text,
 )
-from repro.hashing.xxhash import xxh32, xxh64, xxh128_hex
+from repro.hashing.xxhash import xxh64, xxh128_hex
 
 __all__ = [
     "FuzzyHash",
@@ -47,11 +47,6 @@ __all__ = [
     "fuzzy_hash",
     "fuzzy_hash_text",
     "compare",
-    "fnv1_32",
-    "fnv1a_32",
-    "fnv1a_64",
-    "sum_hash",
-    "xxh32",
     "xxh64",
     "xxh128_hex",
 ]

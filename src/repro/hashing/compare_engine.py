@@ -34,13 +34,11 @@ Bit-parallel LCS kernel
 
 Compare LRU
     :class:`CompareCache` is the explicit LRU behind
-    ``FuzzyHasher.compare_cached`` *and* ``FuzzyHasher.compare_many``.  The
-    seed implementation wrapped a bound method in ``functools.lru_cache``,
-    which pinned the hasher inside a reference cycle (hasher -> cache ->
-    bound method -> hasher) until a GC pass; this cache stores only digest
-    strings and scores, so dropping the hasher frees it immediately, and
-    batch scoring can feed it directly -- scalar ``compare_cached`` callers
-    hit pairs a ``compare_many`` sweep already scored.
+    ``FuzzyHasher.compare_many``.  The seed implementation wrapped a bound
+    method in ``functools.lru_cache``, which pinned the hasher inside a
+    reference cycle (hasher -> cache -> bound method -> hasher) until a GC
+    pass; this cache stores only digest strings and scores, so dropping the
+    hasher frees it immediately, and batch scoring can feed it directly.
 
 The kernel is exact, not approximate: scores produced through this module
 are byte-identical to the scalar DP oracle in ``tests/oracles/compare.py``

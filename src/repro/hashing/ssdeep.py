@@ -62,6 +62,8 @@ MIN_BLOCKSIZE = 3
 SPAMSUM_LENGTH = 64
 #: Maximum length of a run of identical characters kept during comparison.
 MAX_SEQUENCE = 3
+#: Digest pairs one hasher's compare LRU holds.
+COMPARE_CACHE_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,11 @@ class FuzzyHash:
 
 
 class FuzzyHasher:
-    """Configurable CTPH hasher.
+    """CTPH hasher with a compare LRU of :data:`COMPARE_CACHE_SIZE` digest pairs.
 
-    The defaults reproduce ssdeep's behaviour; the knobs exist mainly for the
-    ablation benchmarks (e.g. disabling the double-block-size signature or the
-    common-substring requirement to show why they matter).
+    The defaults reproduce ssdeep's behaviour; the collector and similarity
+    search use them as they are, and the ablation benchmarks and tests vary
+    the block size, signature length and common-substring gate.
     """
 
     def __init__(
@@ -103,7 +105,6 @@ class FuzzyHasher:
         min_block_size: int = MIN_BLOCKSIZE,
         signature_length: int = SPAMSUM_LENGTH,
         require_common_substring: bool = True,
-        compare_cache_size: int = 65536,
     ) -> None:
         if min_block_size < 1:
             raise ValueError("min_block_size must be >= 1")
@@ -118,7 +119,7 @@ class FuzzyHasher:
         # holds only strings and scores -- never ``self`` -- so the hasher
         # is not pinned in a reference cycle (the seed's ``lru_cache`` over
         # the bound method was).
-        self._compare_cache = CompareCache(maxsize=compare_cache_size)
+        self._compare_cache = CompareCache(maxsize=COMPARE_CACHE_SIZE)
 
     # ------------------------------------------------------------------ #
     # hashing
@@ -187,21 +188,20 @@ class FuzzyHasher:
         The batched hot path of similarity search, the pairwise matrices and
         live analysis: the baseline is normalised once, repeated candidate
         digests are deduplicated and every unique pair is scored exactly once
-        -- through the compare LRU first (a pair a previous sweep or a scalar
-        :meth:`compare_cached` call already scored is a hit), then through
-        the one-vs-many bit-parallel kernel, which advances the whole
-        remaining batch one signature column per word operation.  Every
-        scored pair is inserted into the LRU, so later scalar callers
-        benefit too.  Returns one 0-100 score per candidate, in order,
-        byte-identical to ``[self.compare(baseline, c) for c in candidates]``.
+        -- through the compare LRU first (a pair a previous sweep already
+        scored is a hit), then through the one-vs-many bit-parallel kernel,
+        which advances the whole remaining batch one signature column per
+        word operation.  Every scored pair is inserted into the LRU.  Returns
+        one 0-100 score per candidate, in order, byte-identical to
+        ``[self.compare(baseline, c) for c in candidates]``.
         """
         base = baseline if isinstance(baseline, str) else str(baseline)
         # Dedup and cache-key by digest string, but score from the *source*
         # value (component path for FuzzyHash objects, exactly like scalar
         # compare), so object candidates whose signatures would not survive
         # a str()+re-parse round trip still match the scalar loop.  String
-        # keying leaves the same (pre-existing) ambiguity compare_cached
-        # has: distinct objects sharing one digest string share one score.
+        # keying leaves one ambiguity: distinct objects sharing one digest
+        # string share one score.
         keys: list[str] = []
         unique: dict[str, FuzzyHash | str] = {}
         for candidate in candidates:
@@ -225,26 +225,6 @@ class FuzzyHasher:
                 self._compare_cache.put(self._pair_key(base, key), score)
                 scores[key] = score
         return [scores[key] for key in keys]
-
-    def compare_cached(self, first: FuzzyHash | str, second: FuzzyHash | str) -> int:
-        """:meth:`compare` memoised on the (order-normalised) digest pair.
-
-        Similarity search compares the same small set of digests against each
-        other over and over (every UNKNOWN baseline meets every candidate, and
-        the pairwise matrix meets every pair twice through symmetry); the
-        signature alignment is by far the most expensive step, so an LRU keyed
-        on the digest pair removes all repeat work.  :meth:`compare_many`
-        feeds the same cache, so batch sweeps and scalar lookups share hits.
-        """
-        a = str(first)
-        b = str(second)
-        if b < a:
-            a, b = b, a
-        cached = self._compare_cache.get((a, b))
-        if cached is None:
-            cached = self.compare(a, b)
-            self._compare_cache.put((a, b), cached)
-        return cached
 
     def compare_cache_info(self):
         """Hit/miss statistics of the shared compare LRU."""

@@ -1,11 +1,11 @@
-"""Pure-Python xxHash (XXH32 / XXH64) plus a 128-bit composite.
+"""Pure-Python xxHash (XXH64) plus a 128-bit composite.
 
 SIREN hashes the path to the executable with ``XXH3_128bits`` from the xxHash
 library; the result is *not* analysed for similarity -- it only disambiguates
 rows when a process image is replaced via ``exec()`` while keeping the same
 PID and timestamp.  Any deterministic, fast, well-distributed hash fills that
-role, so this module provides spec-faithful XXH32 and XXH64 implementations
-and :func:`xxh128_hex`, a 128-bit value built from two independently seeded
+role, so this module provides a spec-faithful XXH64 implementation and
+:func:`xxh128_hex`, a 128-bit value built from two independently seeded
 XXH64 lanes.  The substitution (XXH3 -> dual XXH64) is documented in
 DESIGN.md.
 
@@ -16,15 +16,7 @@ from __future__ import annotations
 
 import struct
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# --- XXH32 constants -------------------------------------------------------
-_P32_1 = 2654435761
-_P32_2 = 2246822519
-_P32_3 = 3266489917
-_P32_4 = 668265263
-_P32_5 = 374761393
 
 # --- XXH64 constants -------------------------------------------------------
 _P64_1 = 11400714785074694791
@@ -34,65 +26,8 @@ _P64_4 = 9650029242287828579
 _P64_5 = 2870177450012600261
 
 
-def _rotl32(value: int, count: int) -> int:
-    return ((value << count) | (value >> (32 - count))) & _MASK32
-
-
 def _rotl64(value: int, count: int) -> int:
     return ((value << count) | (value >> (64 - count))) & _MASK64
-
-
-# ---------------------------------------------------------------------------
-# XXH32
-# ---------------------------------------------------------------------------
-def _xxh32_round(acc: int, lane: int) -> int:
-    acc = (acc + lane * _P32_2) & _MASK32
-    acc = _rotl32(acc, 13)
-    return (acc * _P32_1) & _MASK32
-
-
-def xxh32(data: bytes, seed: int = 0) -> int:
-    """32-bit xxHash of ``data`` with the given seed."""
-    data = bytes(data)
-    length = len(data)
-    seed &= _MASK32
-    index = 0
-
-    if length >= 16:
-        v1 = (seed + _P32_1 + _P32_2) & _MASK32
-        v2 = (seed + _P32_2) & _MASK32
-        v3 = seed
-        v4 = (seed - _P32_1) & _MASK32
-        limit = length - 16
-        while index <= limit:
-            lanes = struct.unpack_from("<4I", data, index)
-            v1 = _xxh32_round(v1, lanes[0])
-            v2 = _xxh32_round(v2, lanes[1])
-            v3 = _xxh32_round(v3, lanes[2])
-            v4 = _xxh32_round(v4, lanes[3])
-            index += 16
-        acc = (_rotl32(v1, 1) + _rotl32(v2, 7) + _rotl32(v3, 12) + _rotl32(v4, 18)) & _MASK32
-    else:
-        acc = (seed + _P32_5) & _MASK32
-
-    acc = (acc + length) & _MASK32
-
-    while index + 4 <= length:
-        (lane,) = struct.unpack_from("<I", data, index)
-        acc = (acc + lane * _P32_3) & _MASK32
-        acc = (_rotl32(acc, 17) * _P32_4) & _MASK32
-        index += 4
-    while index < length:
-        acc = (acc + data[index] * _P32_5) & _MASK32
-        acc = (_rotl32(acc, 11) * _P32_1) & _MASK32
-        index += 1
-
-    acc ^= acc >> 15
-    acc = (acc * _P32_2) & _MASK32
-    acc ^= acc >> 13
-    acc = (acc * _P32_3) & _MASK32
-    acc ^= acc >> 16
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +96,6 @@ def xxh64(data: bytes, seed: int = 0) -> int:
     acc = (acc * _P64_3) & _MASK64
     acc ^= acc >> 32
     return acc
-
-
-def xxh64_hex(data: bytes, seed: int = 0) -> str:
-    """Hex digest of :func:`xxh64`."""
-    return f"{xxh64(data, seed):016x}"
 
 
 def xxh128_hex(data: bytes | str, seed: int = 0) -> str:

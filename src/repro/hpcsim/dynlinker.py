@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.elf.reader import ELFFile, is_elf
 from repro.hpcsim.filesystem import VirtualFilesystem
-from repro.util.errors import SimulationError
 
 #: Default trusted directories searched after ``LD_LIBRARY_PATH``.
 DEFAULT_SEARCH_PATH: tuple[str, ...] = ("/lib64", "/usr/lib64", "/usr/lib")
@@ -34,11 +33,6 @@ class LinkResult:
     preloaded: tuple[str, ...]
     missing: tuple[str, ...]
     static: bool = False
-
-    @property
-    def siren_loaded(self) -> bool:
-        """True if the SIREN collection library ended up in the process image."""
-        return any(path.endswith("siren.so") for path in self.preloaded)
 
 
 @dataclass
@@ -185,7 +179,3 @@ class DynamicLinker:
         self._dynamic_cache.clear()
 
 
-def ensure_library_present(filesystem: VirtualFilesystem, path: str) -> None:
-    """Sanity helper for corpus builders: fail fast if a library file is missing."""
-    if not filesystem.exists(path):
-        raise SimulationError(f"expected shared library missing from filesystem: {path}")

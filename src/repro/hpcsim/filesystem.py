@@ -186,23 +186,6 @@ class VirtualFilesystem:
         """Return the metadata of the file at ``path``."""
         return self.get(path).metadata
 
-    def listdir(self, directory: str) -> list[str]:
-        """Paths of files directly inside ``directory`` (sorted)."""
-        directory = normalize_path(directory)
-        prefix = directory.rstrip("/") + "/"
-        return sorted(
-            path for path in self._files
-            if path.startswith(prefix) and "/" not in path[len(prefix):]
-        )
-
-    def glob_prefix(self, prefix: str) -> list[str]:
-        """All paths starting with ``prefix`` (sorted)."""
-        return sorted(path for path in self._files if path.startswith(prefix))
-
-    def all_paths(self) -> list[str]:
-        """Every path in the filesystem (sorted)."""
-        return sorted(self._files)
-
     def executables(self) -> list[VirtualFile]:
         """All files flagged executable."""
         return [f for f in self._files.values() if f.executable]

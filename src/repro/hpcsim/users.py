@@ -26,16 +26,6 @@ class User:
         """Home directory path."""
         return f"/users/{self.username}"
 
-    @property
-    def project_dir(self) -> str:
-        """Project (work) directory path, where user software usually lives."""
-        return f"/project/{self.project}/{self.username}"
-
-    @property
-    def scratch_dir(self) -> str:
-        """Scratch directory path."""
-        return f"/scratch/{self.project}/{self.username}"
-
 
 @dataclass
 class UserRegistry:
@@ -64,13 +54,6 @@ class UserRegistry:
             return self._users[username]
         except KeyError as exc:
             raise SimulationError(f"unknown user: {username}") from exc
-
-    def by_uid(self, uid: int) -> User:
-        """Look up a user by UID."""
-        for user in self._users.values():
-            if user.uid == uid:
-                return user
-        raise SimulationError(f"unknown uid: {uid}")
 
     def all(self) -> list[User]:
         """All users in registration order."""

@@ -75,6 +75,8 @@ _PROCEND = InfoType.PROCEND.value
 #: its two fresh strings for these, whose hashes are computed once; a row's
 #: pair is the group key its message is filed under.
 _WIRE_KINDS = {key: key for key in GROUP_KEYS.values()}
+#: Undecodable datagrams the ingest object keeps for forensics.
+QUARANTINE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class DatagramQuarantine:
     the most recent evidence is always available.
     """
 
-    capacity: int = 256
+    capacity: int = QUARANTINE_CAPACITY
     quarantined: int = 0
     evicted: int = 0
     _entries: deque = field(init=False, repr=False)
@@ -184,9 +186,9 @@ class IncrementalConsolidator:
         mid-burst -- only two whole untouched epochs prove the burst is over.
     persist_raw:
         Also write every accepted message to the raw ``messages`` table.
-    quarantine_capacity:
-        Size of the ring keeping the most recent undecodable datagrams
-        (:class:`DatagramQuarantine`); 0 disables it.
+
+    Undecodable datagrams are kept in a :class:`DatagramQuarantine` of
+    :data:`QUARANTINE_CAPACITY` entries.
     """
 
     store: MessageStore
@@ -194,9 +196,8 @@ class IncrementalConsolidator:
     flush_batch_size: int = 64
     idle_epochs: int = 2
     persist_raw: bool = False
-    quarantine_capacity: int = 256
 
-    quarantine: DatagramQuarantine | None = field(init=False, default=None)
+    quarantine: DatagramQuarantine = field(init=False, default_factory=DatagramQuarantine)
     # counters
     messages_received: int = field(init=False, default=0)  #: datagrams that decoded
     decode_errors: int = field(init=False, default=0)
@@ -244,8 +245,6 @@ class IncrementalConsolidator:
             raise TransportError(
                 "idle_epochs must be >= 2: one epoch of silence cannot be told"
                 " apart from a burst straddling a batch boundary")
-        if self.quarantine_capacity:
-            self.quarantine = DatagramQuarantine(capacity=self.quarantine_capacity)
 
     def attach(self, channel: Channel) -> None:
         """Subscribe to a channel so every delivered datagram is ingested."""
@@ -261,9 +260,9 @@ class IncrementalConsolidator:
         Accepts exactly what :meth:`UDPMessage.decode` accepts, decoding
         straight into the ``messages`` row shape: one ``split``, the same four
         ``int()`` fields, one lookup of the ``(LAYER, TYPE)`` wire pair.
-        Undecodable datagrams are counted (and, with a quarantine, captured
-        with their raw bytes and :meth:`UDPMessage.decode`'s own failure
-        reason) -- never raised.
+        Undecodable datagrams are counted and quarantined, with their raw
+        bytes and :meth:`UDPMessage.decode`'s own failure reason -- never
+        raised.
         """
         try:
             (tag, jobid, stepid, pid, path_hash, host, time, layer, info_type,
@@ -283,17 +282,16 @@ class IncrementalConsolidator:
         return True
 
     def _reject(self, datagram: bytes) -> bool:
-        """Count (and quarantine) a datagram that did not decode.
+        """Count and quarantine a datagram that did not decode.
 
         The reason kept is :meth:`UDPMessage.decode`'s error text: the format
         words it, so the quarantine reads the same whichever decoder refused.
         """
         self.decode_errors += 1
-        if self.quarantine is not None:
-            try:
-                UDPMessage.decode(datagram)
-            except TransportError as error:
-                self.quarantine.capture(datagram, str(error))
+        try:
+            UDPMessage.decode(datagram)
+        except TransportError as error:
+            self.quarantine.capture(datagram, str(error))
         return False
 
     def _deliver(self) -> None:
@@ -324,10 +322,6 @@ class IncrementalConsolidator:
     # ------------------------------------------------------------------ #
     # grouping and closing
     # ------------------------------------------------------------------ #
-    def feed(self, message: UDPMessage) -> None:
-        """Consume one decoded message (the grouping rules without a batch)."""
-        self._consume(message.row())
-
     def _consume(self, row: MessageRow) -> None:
         """File one raw row under its process and ``(LAYER, TYPE)`` group."""
         self.messages_consumed += 1
@@ -520,8 +514,8 @@ class IncrementalConsolidator:
 
     @property
     def quarantined(self) -> int:
-        """Undecodable datagrams captured in the quarantine ring (0 when off)."""
-        return len(self.quarantine) if self.quarantine is not None else 0
+        """Undecodable datagrams held in the quarantine ring."""
+        return len(self.quarantine)
 
     def statistics(self) -> dict[str, int]:
         """Operational counters, for merging and reporting."""

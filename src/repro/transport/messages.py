@@ -123,23 +123,3 @@ class UDPMessage:
             )
         except ValueError as exc:
             raise TransportError(f"malformed SIREN datagram: {exc}") from exc
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def process_key(self) -> tuple[str, str, int, str, str]:
-        """Key identifying the originating process (job, step, pid, path hash, host)."""
-        return (self.jobid, self.stepid, self.pid, self.path_hash, self.host)
-
-    def row(self) -> MessageRow:
-        """This message as a raw ``messages`` row (what ingest buffers)."""
-        return (self.jobid, self.stepid, self.pid, self.path_hash, self.host, self.time,
-                self.layer.value, self.info_type.value, self.chunk_index,
-                self.chunk_total, self.content)
-
-    def burst(self) -> tuple[bytes, list[Section]]:
-        """This message as ``UDPSender.send`` arguments: its header, its one section."""
-        return (wire_header(self.jobid, self.stepid, self.pid, self.path_hash,
-                            self.host, self.time),
-                [(self.layer, self.info_type, self.content)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class SeededRNG:
         """Uniform float in ``[0, 1)``."""
         return self._py.random()
 
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform float in ``[low, high)``."""
-        return self._py.uniform(low, high)
-
     def choice(self, items: Sequence[T]) -> T:
         """Pick one element uniformly."""
         if not items:
@@ -107,23 +103,9 @@ class SeededRNG:
         """Sample ``k`` distinct elements (k may not exceed ``len(items)``)."""
         return self._py.sample(list(items), k)
 
-    def shuffle(self, items: list[T]) -> list[T]:
-        """Return a shuffled copy of ``items``."""
-        out = list(items)
-        self._py.shuffle(out)
-        return out
-
     def bytes(self, n: int) -> bytes:
         """Return ``n`` pseudo-random bytes."""
         return self._np.integers(0, 256, size=n, dtype=np.uint8).tobytes()
-
-    def poisson(self, lam: float) -> int:
-        """Poisson draw (used for per-job process counts)."""
-        return int(self._np.poisson(lam))
-
-    def lognormal_int(self, mean: float, sigma: float, minimum: int = 1) -> int:
-        """Integer draw from a lognormal distribution, clipped below."""
-        return max(minimum, int(round(float(self._np.lognormal(mean, sigma)))))
 
     def numpy(self) -> np.random.Generator:
         """Expose the underlying numpy generator for vectorised draws."""
@@ -136,6 +118,3 @@ class SeededRNG:
         """Generate a readable pseudo-random identifier like ``job_48210``."""
         return f"{prefix}_{self.randint(0, 10 ** width - 1):0{width}d}"
 
-    def pick_subset(self, items: Iterable[T], probability: float) -> list[T]:
-        """Independently keep each item with the given probability."""
-        return [item for item in items if self.random() < probability]

@@ -52,11 +52,6 @@ class TextTable:
             )
         self.rows.append(formatted)
 
-    def add_rows(self, rows: Iterable[Iterable[object]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.add_row(row)
-
     def render(self) -> str:
         """Render the table as a string with a header rule and aligned columns."""
         widths = [len(h) for h in self.headers]

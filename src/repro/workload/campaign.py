@@ -14,13 +14,15 @@
 The result object carries everything the analysis layer and the benchmark
 harness need: the records, the store, the anonymised user mapping, the corpus
 manifest, and the transport/collection counters.  Campaigns can also be
-observed mid-run through :meth:`DeploymentCampaign.snapshot` (e.g. from the
-``on_job`` callback), which feeds the live record set straight into
-:class:`~repro.core.pipeline.AnalysisPipeline`.
+observed mid-run, from the ``on_job`` callback, through the deployment the
+campaign holds (``campaign.deployment.snapshot()``, whose records feed
+:class:`~repro.core.pipeline.AnalysisPipeline`) or through
+:meth:`DeploymentCampaign.live_analysis`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +37,8 @@ from repro.db.tiered import TieredStore
 from repro.faults.channel import FaultyChannel
 from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
-from repro.ingest.incremental import IncrementalConsolidator, ProcessDelta
+from repro.ingest.incremental import IncrementalConsolidator
+from repro.util.errors import CollectionError
 from repro.util.rng import SeededRNG
 from repro.workload.profiles import (
     BASH_ENVIRONMENT_QUIRKS,
@@ -44,6 +47,10 @@ from repro.workload.profiles import (
     packages_used_by,
 )
 from repro.workload.scenarios import ScenarioBuilder
+
+#: Fraction of a quirk user's jobs, after the first, run with the altered
+#: environment (the first always is).
+QUIRK_FRACTION = 0.15
 
 
 def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
@@ -60,17 +67,15 @@ def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
     templates = list(profile.templates)
     weights = profile.template_weights()
     quirk_key = BASH_ENVIRONMENT_QUIRKS.get(profile.username)
-    coverage = config.ensure_template_coverage
-    quirk_fraction = config.quirk_fraction
     for job_index in range(job_count):
-        if coverage and job_index < len(templates):
+        if job_index < len(templates):
             # First pass: round-robin so every template runs at least once.
             template = templates[job_index]
         else:
             template = job_rng.weighted_choice(templates, weights)
         quirk = None
         if quirk_key and (job_index == 0
-                          or job_rng.random() < quirk_fraction):
+                          or job_rng.random() < QUIRK_FRACTION):
             # The first job of a "quirk" user always carries the altered
             # environment so the rare bash variants of Table 4 are
             # present even at very small campaign scales.
@@ -80,21 +85,30 @@ def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
 
 @dataclass(frozen=True)
 class CampaignConfig(SirenConfig):
-    """A deployment's knobs plus what the job driver needs on top."""
+    """A deployment's knobs plus what the job driver needs on top.
+
+    Every job template of every user runs at least once, whatever the
+    ``scale``, so the rare-but-load-bearing cases (the UNKNOWN icon runs,
+    the GROMACS sharing) are present even at very small scales.
+    """
 
     scale: float = 0.01            #: fraction of the paper's job counts to run
-    quirk_fraction: float = 0.15   #: fraction of a quirk user's jobs with the alt environment
     min_jobs_per_user: int = 1
-    #: guarantee every job template of every user runs at least once, so the
-    #: rare-but-load-bearing cases (the UNKNOWN icon runs, the GROMACS sharing)
-    #: are present even at very small scales.
-    ensure_template_coverage: bool = True
+
+    def validate(self) -> None:
+        """:meth:`SirenConfig.validate`, plus a finite, non-negative ``scale``
+        and a non-negative ``min_jobs_per_user``."""
+        super().validate()
+        if not 0.0 <= self.scale < math.inf:  # also refuses nan
+            raise CollectionError(
+                f"scale must be a finite number >= 0, got {self.scale!r}")
+        if self.min_jobs_per_user < 0:
+            raise CollectionError(
+                f"min_jobs_per_user must be at least 0, got {self.min_jobs_per_user!r}")
 
     def jobs_for(self, profile: UserProfile) -> int:
         """Number of jobs this profile submits at the configured scale."""
-        minimum = self.min_jobs_per_user
-        if self.ensure_template_coverage:
-            minimum = max(minimum, len(profile.templates))
+        minimum = max(self.min_jobs_per_user, len(profile.templates))
         return max(minimum, round(profile.job_count * self.scale))
 
 
@@ -168,7 +182,8 @@ class DeploymentCampaign:
     config: CampaignConfig = field(default_factory=CampaignConfig)
     profiles: tuple[UserProfile, ...] = DEFAULT_PROFILES
     #: called after every submitted job with the running job count -- the
-    #: hook point for mid-run :meth:`snapshot` calls and progress reporting.
+    #: hook point for mid-run ``deployment.snapshot()`` calls and progress
+    #: reporting.
     on_job: Callable[[int], None] | None = None
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
@@ -267,17 +282,6 @@ class DeploymentCampaign:
         """
         if self._prepared:
             self.deployment.close()
-
-    def snapshot(self) -> list[ProcessRecord]:
-        """The records consolidated so far, mid-campaign (see
-        :meth:`SirenFramework.snapshot`).  Call it from the :attr:`on_job`
-        hook for live Table-2/Table-7 analyses."""
-        return self.deployment.snapshot()
-
-    def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
-        """Only the records that changed since ``cursor`` (see
-        :meth:`SirenFramework.snapshot_delta`)."""
-        return self.deployment.snapshot_delta(cursor)
 
     def live_analysis(self) -> LiveAnalysis:
         """An incrementally updated analysis bound to this campaign's stream.

@@ -23,7 +23,7 @@ The calibration targets the *relative* structure of Tables 2, 3, 5 and 8:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

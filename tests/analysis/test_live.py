@@ -141,7 +141,7 @@ def _synthetic_stream(seed: int = 5, count: int = 48) -> list[ProcessRecord]:
                                    content=" ".join(base),
                                    environment=f"env-{family}"))
     # deliver out of canonical key order to stress first-occurrence tracking
-    return rng.shuffle(records)
+    return rng.sample(records, len(records))
 
 
 class TestSyntheticStreamEquivalence:
@@ -473,7 +473,7 @@ class TestCampaignLiveEquivalence:
             live_t7 = live.identify_unknown(top=10)
         except AnalysisError:
             live_t7 = None
-        records = campaign.snapshot()
+        records = campaign.deployment.snapshot()
         fresh = SimilaritySearch(records)
         try:
             fresh_t7 = fresh.identify_unknown(top=10)
@@ -546,6 +546,6 @@ class TestCampaignLiveEquivalence:
             CampaignConfig(scale=0.0), profiles=self.PROFILES)
         live = campaign.live_analysis()
         result = campaign.run()
-        delta = campaign.snapshot_delta()
+        delta = campaign.deployment.snapshot_delta()
         assert len(delta.new_records) + len(delta.open_records) == len(result.records)
         assert live.table2_totals().total_processes == len(result.records) > 0

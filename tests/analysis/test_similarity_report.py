@@ -73,8 +73,7 @@ class TestQueries:
     def test_identical_content_and_env_scores_100(self, records):
         search = SimilaritySearch(records)
         unknown = search.unknown_instances()[0]
-        best = search.best_match(unknown)
-        assert best is not None
+        (best,) = search.query(unknown, top=1)
         assert best.label == "icon"
         assert best.average == 100.0
         assert all(best.scores[column] == 100 for column in HASH_COLUMNS)
@@ -105,7 +104,7 @@ class TestQueries:
         search = SimilaritySearch(records)
         empty = ExecutableInstance(executable="/p/x", label="icon",
                                    hashes={column: "" for column in HASH_COLUMNS})
-        scores = search.compare_instances(search.instances[0], empty)
+        (scores,) = search.compare_instances_many(search.instances[0], [empty])
         assert all(score == 0 for score in scores.values())
 
     def test_pairwise_matrix_shape_and_diagonal(self, records):
@@ -148,7 +147,7 @@ class TestQueries:
 
     def test_result_row_format(self, records):
         search = SimilaritySearch(records)
-        result = search.best_match(search.unknown_instances()[0])
+        (result,) = search.query(search.unknown_instances()[0], top=1)
         row = result.as_row()
         assert row[0] == "icon"
         assert len(row) == 2 + len(HASH_COLUMNS)
@@ -192,7 +191,7 @@ class TestCompareEngineAgainstReference:
             executable="/p/empty", label="empty",
             hashes={column: "" for column in HASH_COLUMNS})]
         batched = bit.compare_instances_many(first, others)
-        scalar = [ref.compare_instances(first, other) for other in others]
+        scalar = ref.compare_instances_many(first, others)
         assert batched == scalar
         assert bit.comparisons == ref.comparisons
 

@@ -9,7 +9,6 @@ from repro.analysis.labels import (
     UNKNOWN_LABEL,
     derive_label,
     label_by_executable,
-    records_for_label,
     user_application_table,
 )
 from repro.core import AnalysisPipeline
@@ -158,13 +157,6 @@ class TestUserApplicationTable:
         assert rows[0].label == "LAMMPS"
         assert rows[0].unique_users == 2 and rows[0].unique_file_h == 2
         assert any(row.label == UNKNOWN_LABEL for row in rows)
-
-    def test_records_for_label(self):
-        records = [
-            _record("/project/p/a/lammps/lmp", "user"),
-            _record("/project/p/a/icon-model/icon", "user"),
-        ]
-        assert len(records_for_label(records, "LAMMPS")) == 1
 
     def test_label_by_executable(self):
         records = [_record("/project/p/a/lammps/lmp", "user"),

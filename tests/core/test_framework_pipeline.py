@@ -14,6 +14,7 @@ from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.consolidate import records_from_messages
 from oracles.tables import user_activity_table
+from oracles.wire import burst
 
 
 class TestSirenFramework:
@@ -30,7 +31,7 @@ class TestSirenFramework:
             cluster.run_job("alice", script)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
-        records = framework.consolidate()
+        records = framework.snapshot()
         assert len(records) == 2
         stats = framework.statistics()
         assert stats["processes_collected"] == 2
@@ -105,7 +106,7 @@ class TestStreamingFramework:
             self._run_job(cluster, manifest)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
-        live = sorted(framework.consolidate(), key=lambda record: record.key)
+        live = sorted(framework.snapshot(), key=lambda record: record.key)
         assert live == records_from_messages(framework.store)
         assert len(live) == 2
 
@@ -121,7 +122,7 @@ class TestStreamingFramework:
             self._run_job(cluster, manifest)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
-        assert len(framework.consolidate()) == 4
+        assert len(framework.snapshot()) == 4
         stats = framework.statistics()
         assert stats["messages_received"] > 0
         assert stats["decode_errors"] == 0
@@ -138,7 +139,7 @@ class TestStreamingFramework:
             self._run_job(cluster, manifest)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
-        records = framework.consolidate()
+        records = framework.snapshot()
         assert framework.store.process_count() == len(records) == 2
 
     @pytest.mark.parametrize("keep_raw", [True, False])
@@ -165,10 +166,10 @@ class TestStreamingFramework:
         from repro.transport.messages import UDPMessage
 
         framework = SirenFramework(SirenConfig(loss_rate=0.0))
-        framework.sender.send(*UDPMessage(
+        framework.sender.send(*burst(UDPMessage(
             jobid="9", stepid="0", pid=1, path_hash="a" * 32, host="n1", time=5,
             layer=Layer.SELF, info_type=InfoType.PROCINFO,
-            content="pid=1|exe=/usr/bin/x|category=").burst())
+            content="pid=1|exe=/usr/bin/x|category=")))
         # No PROCEND ever arrives: the group stays open, visible to
         # snapshots but not yet persisted.
         assert len(framework.snapshot()) == 1
@@ -235,7 +236,7 @@ class TestFrameworkLiveAnalysis:
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
         keys = lambda records: {record.key for record in records}
-        mid_run = framework.consolidate()
+        mid_run = framework.snapshot()
         delta = framework.snapshot_delta()
         assert keys(delta.new_records) | keys(delta.open_records) == keys(mid_run)
         assert framework.live_analysis().table2_totals().total_processes == len(mid_run)
@@ -301,15 +302,16 @@ class TestFrameworkAnalysisFacade:
     def test_analysis_pipeline_over_collected_records(self, deployed_framework):
         cluster, manifest, framework, _ = deployed_framework
         self._run_identification_job(cluster, manifest)
-        pipeline = framework.analysis_pipeline()
+        pipeline = AnalysisPipeline(framework.snapshot(), {})
         labels = {row.label for row in pipeline.table5_user_applications()}
         assert {"icon", "UNKNOWN"} <= labels
 
     def test_identify_unknown_equals_brute_force(self, deployed_framework):
         cluster, manifest, framework, _ = deployed_framework
         self._run_identification_job(cluster, manifest)
-        identified = framework.identify_unknown(top=5)
-        brute = SimilaritySearch(framework.consolidate(), index_threshold=sys.maxsize)
+        records = framework.snapshot()
+        identified = AnalysisPipeline(records, {}).table7_similarity_search(top=5)
+        brute = SimilaritySearch(records, index_threshold=sys.maxsize)
         assert identified == brute.identify_unknown(top=5)
         (results,) = identified.values()
         assert results[0].label == "icon"

@@ -103,7 +103,7 @@ class TestPackageInstall:
         comments = elf.comment_strings()
         assert any("SUSE" in comment for comment in comments)
         assert any("Cray" in comment for comment in comments)
-        assert "icon_run_timeloop" in elf.global_symbol_names()
+        assert "icon_run_timeloop" in {symbol.name for symbol in elf.global_symbols()}
         assert "libclimatedt.so.2" in elf.needed_libraries()
 
     def test_unknown_copy_is_byte_identical(self, app_cluster):

@@ -12,7 +12,7 @@ from repro.corpus.python_env import (
     PYTHON_PACKAGES_BY_NAME,
     extension_paths,
 )
-from repro.corpus.system_tools import SYSTEM_TOOLS, SYSTEM_TOOLS_BY_NAME, tool_path
+from repro.corpus.system_tools import SYSTEM_TOOLS, SYSTEM_TOOLS_BY_NAME
 from repro.corpus.toolchains import TOOLCHAINS
 from repro.hpcsim.filesystem import is_system_path
 
@@ -85,9 +85,6 @@ class TestSystemTools:
 
     def test_bash_links_tinfo(self):
         assert "libtinfo-default" in SYSTEM_TOOLS_BY_NAME["bash"].library_keys
-
-    def test_tool_path_helper(self):
-        assert tool_path("bash") == "/usr/bin/bash"
 
     def test_static_tool_flagged(self):
         assert SYSTEM_TOOLS_BY_NAME["busybox"].static

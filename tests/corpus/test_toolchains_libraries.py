@@ -9,7 +9,6 @@ from repro.corpus.libraries import (
     derive_library_tag,
     derive_tags,
     library_path,
-    sonames_for_keys,
 )
 from repro.corpus.toolchains import (
     TOOLCHAIN_ORDER,
@@ -141,7 +140,6 @@ class TestLibraryCatalog:
 
     def test_lookup_helpers(self):
         assert library_path("pthread") == "/lib64/libpthread.so.0"
-        assert sonames_for_keys(["libc", "pthread"]) == ["libc.so.6", "libpthread.so.0"]
         assert LIBRARY_BY_KEY["siren"].soname == "siren.so"
 
     def test_bash_variant_instances_exist(self):

@@ -4,8 +4,8 @@
 mark the previous pull returned and every write since was a batch the
 first-close-wins insert wrote in full; any other pull reads the table.  The
 rules are the writes that keep or end that tail -- if-absent batches that
-are all new, ones that carry an already-present or a repeated key,
-``insert_or_replace_processes``, and a write that fails -- and pulls by two
+are all new, ones that carry an already-present or a repeated key, and a
+write that fails -- and pulls by two
 interleaved consumers, each with its last mark, a stale mark (a consumer
 that failed to apply its delta pulls again) or 0.
 
@@ -95,16 +95,6 @@ class DeltaTailMachine(RuleBasedStateMachine):
         else:                                                   # already present
             batch.append(self._record(data.draw(st.sampled_from(self.present)), version))
         assert self.store.insert_processes_if_absent(batch) < len(batch)
-        self.present += [record.pid for record in batch if record.pid not in self.present]
-        self._written(batch, in_full=False)
-
-    @rule(new=st.integers(0, 2), version=st.integers(1, 3), data=st.data())
-    def insert_or_replace(self, new, version, data):
-        pids = data.draw(st.lists(st.sampled_from(self.present), max_size=2)
-                         ) if self.present else []
-        batch = [self._record(pid, version) for pid in pids]
-        batch += [self._record(next(self.pids)) for _ in range(new)]
-        self.store.insert_or_replace_processes(batch)
         self.present += [record.pid for record in batch if record.pid not in self.present]
         self._written(batch, in_full=False)
 

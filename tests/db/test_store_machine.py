@@ -1,8 +1,8 @@
 """A state machine over ``MessageStore`` with an attached ``TieredStore``.
 
-Every public verb that changes what gold must reflect is a rule: the three
-insert flavours (over a key pool of eight, so keys collide within and
-across batches, and one pool entry is the content-free record a late
+Every public verb that changes what gold must reflect is a rule: the
+first-close-wins insert (over a key pool of eight, so keys collide within
+and across batches, and one pool entry is the content-free record a late
 ``PROCEND`` resurrects), ``attach_tiered`` on a non-empty table, and closing
 and reopening the on-disk store.  Any write may carry a fault: a connection
 proxy whose next ``executemany`` calls raise inside the transaction, either
@@ -98,14 +98,14 @@ class StoreMachine(RuleBasedStateMachine):
         self.store._sleep = lambda _seconds: None
         self.store.attach_tiered(build_tiered_store("memory", user_names=_USERS))
 
-    def _write(self, method: str, batch: list[ProcessRecord], fault,
-               first_wins: bool) -> None:
+    @rule(batch=_batches, fault=_faults)
+    def insert_processes_if_absent(self, batch, fault):
         store = self.store
         connection = store.connection
         if fault is not None:
             store.connection = _RaisingConnection(connection, *fault)
         try:
-            getattr(store, method)(batch)
+            store.insert_processes_if_absent(batch)
         except sqlite3.OperationalError as error:
             message, failures = fault
             assert str(error) == message
@@ -116,18 +116,7 @@ class StoreMachine(RuleBasedStateMachine):
         assert fault is None or (fault[0] == _LOCKED
                                  and fault[1] <= store.retry.attempts)
         for record in batch:
-            if first_wins:
-                self.model.setdefault(record.key, record)
-            else:
-                self.model[record.key] = record
-
-    @rule(batch=_batches, fault=_faults)
-    def insert_processes_if_absent(self, batch, fault):
-        self._write("insert_processes_if_absent", batch, fault, first_wins=True)
-
-    @rule(batch=_batches, fault=_faults)
-    def insert_or_replace_processes(self, batch, fault):
-        self._write("insert_or_replace_processes", batch, fault, first_wins=False)
+            self.model.setdefault(record.key, record)
 
     @rule(fresh=st.booleans())
     def attach_tiered(self, fresh):

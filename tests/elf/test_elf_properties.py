@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.elf.builder import ELFBuilder
 from repro.elf.reader import ELFFile
-from repro.elf.strings import extract_strings
+from repro.elf.strings import strings_blob
 
 identifier = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=20)
 soname = st.builds(lambda stem, major: f"lib{stem}.so.{major}", identifier,
@@ -26,7 +26,8 @@ class TestBuilderReaderProperties:
     def test_global_symbols_roundtrip(self, names):
         builder = ELFBuilder().set_text_from_source("t", size=256)
         builder.add_global_functions(names)
-        assert ELFFile(builder.build()).global_symbol_names() == sorted(set(names))
+        assert sorted({symbol.name for symbol in ELFFile(builder.build()).global_symbols()}) \
+            == sorted(set(names))
 
     @given(st.lists(st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
                             min_size=4, max_size=30), max_size=6))
@@ -35,7 +36,7 @@ class TestBuilderReaderProperties:
         builder = ELFBuilder().set_text_from_source("t", size=256)
         builder.add_strings(strings)
         rodata = ELFFile(builder.build()).section_data(".rodata")
-        extracted = extract_strings(rodata, min_length=4)
+        extracted = strings_blob(rodata, min_length=4).split("\n")
         for text in strings:
             assert text in extracted
 

@@ -6,34 +6,32 @@ from hypothesis import strategies as st
 
 from repro.elf.builder import ELFBuilder
 from repro.elf.reader import ELFFile
-from repro.elf.strings import extract_strings, strings_blob
-from repro.elf.symbols import nm_listing, symbol_names
-from repro.elf.structures import Symbol
-from repro.elf.constants import STB_GLOBAL, STT_FUNC
+from repro.elf.strings import strings_blob
+from repro.elf.symbols import nm_listing
 
 
-class TestExtractStrings:
+class TestStringsBlob:
     def test_finds_ascii_runs(self):
         data = b"\x00\x01LAMMPS version 2024\x00\xffgmx_mdrun\x02"
-        assert extract_strings(data) == ["LAMMPS version 2024", "gmx_mdrun"]
+        assert strings_blob(data) == "LAMMPS version 2024\ngmx_mdrun"
 
     def test_min_length_filter(self):
         data = b"ab\x00abcd\x00abcdef"
-        assert extract_strings(data, min_length=4) == ["abcd", "abcdef"]
-        assert extract_strings(data, min_length=2) == ["ab", "abcd", "abcdef"]
+        assert strings_blob(data, min_length=4) == "abcd\nabcdef"
+        assert strings_blob(data, min_length=2) == "ab\nabcd\nabcdef"
 
     def test_trailing_run_included(self):
-        assert extract_strings(b"\x00ends with text") == ["ends with text"]
+        assert strings_blob(b"\x00ends with text") == "ends with text"
 
     def test_tabs_count_as_printable(self):
-        assert extract_strings(b"col1\tcol2\x00") == ["col1\tcol2"]
+        assert strings_blob(b"col1\tcol2\x00") == "col1\tcol2"
 
     def test_invalid_min_length(self):
         with pytest.raises(ValueError):
-            extract_strings(b"abc", min_length=0)
+            strings_blob(b"abc", min_length=0)
 
     def test_empty_input(self):
-        assert extract_strings(b"") == []
+        assert strings_blob(b"") == ""
 
     def test_blob_joins_with_newlines(self):
         data = b"first string\x00\x01second string\x00"
@@ -76,7 +74,6 @@ class TestScanEqualsTheLoop:
     @example(b"\x7f" * 9, 1)
     def test_scan_equals_the_loop(self, data, min_length):
         expected = _extract_strings_reference(data, min_length)
-        assert extract_strings(data, min_length) == expected
         assert strings_blob(data, min_length) == "\n".join(expected)
 
     @pytest.mark.parametrize("min_length", [1, 2, 4, 10])
@@ -85,20 +82,20 @@ class TestScanEqualsTheLoop:
 
         for seed in range(8):
             blob = SeededRNG(seed).bytes(2048)
-            assert extract_strings(blob, min_length) == \
-                _extract_strings_reference(blob, min_length)
+            assert strings_blob(blob, min_length) == \
+                "\n".join(_extract_strings_reference(blob, min_length))
 
     def test_boundary_bytes(self):
         # 0x1F / 0x7F sit just outside the printable range, 0x20 / 0x7E inside.
         blob = b"\x1f" + b" ~" * 3 + b"\x7f" + b"\t\t\t\t" + b"\x00" + b"abcd"
-        assert extract_strings(blob) == _extract_strings_reference(blob)
-        assert extract_strings(blob, 2) == _extract_strings_reference(blob, 2)
+        assert strings_blob(blob) == "\n".join(_extract_strings_reference(blob))
+        assert strings_blob(blob, 2) == "\n".join(_extract_strings_reference(blob, 2))
 
     def test_all_printable_and_all_binary(self):
         printable = bytes(range(0x20, 0x7F)) * 4
         binary = bytes(range(0x00, 0x09)) * 50
-        assert extract_strings(printable) == _extract_strings_reference(printable)
-        assert extract_strings(binary) == []
+        assert strings_blob(printable) == "\n".join(_extract_strings_reference(printable))
+        assert strings_blob(binary) == ""
 
 
 class TestNmListing:
@@ -125,9 +122,3 @@ class TestNmListing:
         builder = ELFBuilder().set_text_from_source("x", size=128)
         assert nm_listing(ELFFile(builder.build())) == ""
 
-
-class TestSymbolNames:
-    def test_unique_sorted(self):
-        symbols = [Symbol.create(0, STB_GLOBAL, STT_FUNC, 0, 0, 1, name=n)
-                   for n in ("b", "a", "b", "")]
-        assert symbol_names(symbols) == ["a", "b"]

@@ -51,7 +51,7 @@ class TestTransportFaultEquivalence:
     def test_streaming_equals_batch_under_order_preserving_faults(
             self, dual_ingest, preset):
         plan = preset_plans(seed=CHAOS_SEED)[preset]
-        assert plan.channel.order_preserving
+        assert plan.channel.reorder_rate == 0.0
         harness = dual_ingest(seed=CHAOS_SEED)
         # Interpose the fault pipeline between the sender and the shared
         # channel: both ingest paths observe the *same* surviving datagrams.
@@ -69,11 +69,11 @@ class TestTransportFaultEquivalence:
         if plan.channel.corrupt_rate or plan.channel.truncate_rate:
             assert faulty.corrupted + faulty.truncated > 0
         assert front.quarantined == min(front.decode_errors,
-                                        front.quarantine_capacity)
+                                        front.quarantine.capacity)
 
     def test_reordering_preserves_process_key_sets(self, dual_ingest):
         plan = preset_plans(seed=CHAOS_SEED)["reorder-5pct"]
-        assert not plan.channel.order_preserving
+        assert plan.channel.reorder_rate > 0.0
         harness = dual_ingest(seed=CHAOS_SEED)
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty

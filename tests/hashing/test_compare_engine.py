@@ -289,24 +289,12 @@ class TestCompareMany:
         hasher.compare_many(baseline, candidates)
         info = hasher.compare_cache_info()
         assert info.currsize == len(set(candidates))
-        # Scalar lookups of the same pairs are now all hits.
-        for candidate in candidates:
-            hasher.compare_cached(baseline, candidate)
+        # A second sweep of the same pairs, candidates doubled, is all hits:
+        # one lookup per unique pair, nothing recomputed.
+        hasher.compare_many(baseline, candidates + candidates)
         after = hasher.compare_cache_info()
         assert after.misses == info.misses
-        assert after.hits == info.hits + len(candidates)
-
-    def test_consumes_lru_entries_from_scalar_calls(self):
-        rng = random.Random(21)
-        hasher = FuzzyHasher()
-        baseline = _random_digest(rng, 3)
-        candidate = _random_digest(rng, 3)
-        hasher.compare_cached(baseline, candidate)
-        info = hasher.compare_cache_info()
-        hasher.compare_many(baseline, [candidate, candidate])
-        after = hasher.compare_cache_info()
-        assert after.misses == info.misses  # the batch never recomputed it
-        assert after.hits == info.hits + 1  # one lookup per unique pair
+        assert after.hits == info.hits + len(set(candidates))
 
 
 # --------------------------------------------------------------------------- #
@@ -315,7 +303,7 @@ class TestCompareMany:
 class TestCompareCacheLifecycle:
     def test_cache_clear_empties_and_resets(self):
         hasher = FuzzyHasher()
-        hasher.compare_cached("3:ABCDEFGH:IJKL", "3:ABCDEFGH:IJKL")
+        hasher.compare_many("3:ABCDEFGH:IJKL", ["3:ABCDEFGH:IJKL"])
         assert hasher.compare_cache_info().currsize == 1
         hasher.compare_cache_clear()
         info = hasher.compare_cache_info()
@@ -323,11 +311,11 @@ class TestCompareCacheLifecycle:
 
     def test_gate_change_clears_the_cache(self):
         hasher = FuzzyHasher()
-        hasher.compare_cached("3:ABCDEFGH:IJKL", "3:ABCDEFGH:IJKL")
+        hasher.compare_many("3:ABCDEFGH:IJKL", ["3:ABCDEFGH:IJKL"])
         hasher.require_common_substring = False
         assert hasher.compare_cache_info().currsize == 0
         # Re-assigning the same value keeps the (new) cache intact.
-        hasher.compare_cached("3:ABCDEFGH:IJKL", "3:ABCDEFGH:IJKL")
+        hasher.compare_many("3:ABCDEFGH:IJKL", ["3:ABCDEFGH:IJKL"])
         hasher.require_common_substring = False
         assert hasher.compare_cache_info().currsize == 1
 
@@ -353,7 +341,7 @@ class TestCompareCacheLifecycle:
         gc.disable()
         try:
             hasher = FuzzyHasher()
-            hasher.compare_cached("3:ABCDEFGH:IJKL", "3:ABCDEFGH:IJKL")
+            hasher.compare_many("3:ABCDEFGH:IJKL", ["3:ABCDEFGH:IJKL"])
             ref = weakref.ref(hasher)
             del hasher
             assert ref() is None

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
 from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digest
-from repro.hashing.fnv import sum_hash_bytes
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.rng import SeededRNG
 
-from oracles.ctph import ReferenceHasher, hash_reference, roll_sequence
+from oracles.ctph import ReferenceHasher, hash_reference, roll_sequence, sum_hash_bytes
 
 
 def golden_corpus() -> list[tuple[str, bytes]]:

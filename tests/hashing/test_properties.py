@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
-from repro.hashing.xxhash import xxh32, xxh64
+from repro.hashing.xxhash import xxh64
 
 from oracles.compare import (
     compare_reference,
@@ -141,7 +141,6 @@ class TestXXHashProperties:
     @given(payloads)
     @settings(max_examples=100, deadline=None)
     def test_ranges(self, data):
-        assert 0 <= xxh32(data) < 2 ** 32
         assert 0 <= xxh64(data) < 2 ** 64
 
     @given(payloads)

@@ -154,18 +154,18 @@ class TestCachedCompare:
         hasher = FuzzyHasher()
         a = hasher.hash(_random_bytes(4096, seed=1))
         b = hasher.hash(_random_bytes(4096, seed=2))
-        assert hasher.compare_cached(a, b) == hasher.compare(a, b)
-        assert hasher.compare_cached(str(a), str(b)) == hasher.compare(a, b)
+        assert hasher.compare_many(a, [b]) == [hasher.compare(a, b)]
+        assert hasher.compare_many(str(a), [str(b)]) == [hasher.compare(a, b)]
 
     def test_cache_hits_on_repeat_and_swapped_pairs(self):
         hasher = FuzzyHasher()
         a = str(hasher.hash(_random_bytes(4096, seed=3)))
         b = str(hasher.hash(_random_bytes(4096, seed=4)))
-        first = hasher.compare_cached(a, b)
+        first = hasher.compare_many(a, [b])
         info_after_first = hasher.compare_cache_info()
         # The pair key is order-normalised, so the swapped call hits too.
-        assert hasher.compare_cached(b, a) == first
-        assert hasher.compare_cached(a, b) == first
+        assert hasher.compare_many(b, [a]) == first
+        assert hasher.compare_many(a, [b]) == first
         info = hasher.compare_cache_info()
         assert info.hits == info_after_first.hits + 2
         assert info.misses == info_after_first.misses
@@ -174,7 +174,7 @@ class TestCachedCompare:
         first = FuzzyHasher()
         second = FuzzyHasher()
         a = str(first.hash(_random_bytes(2048, seed=5)))
-        first.compare_cached(a, a)
+        first.compare_many(a, [a])
         assert second.compare_cache_info().currsize == 0
 
 

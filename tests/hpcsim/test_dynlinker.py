@@ -5,7 +5,7 @@ import pytest
 from repro.elf.builder import ELFBuilder
 from repro.elf.constants import ET_DYN, ET_EXEC
 from repro.elf.reader import ELFFile
-from repro.hpcsim.dynlinker import DynamicLinker, ensure_library_present
+from repro.hpcsim.dynlinker import DynamicLinker
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.util.errors import SimulationError
 
@@ -91,13 +91,12 @@ class TestLinking:
         result = linker.link("/usr/bin/bash", env)
         assert result.loaded_objects[0] == "/appl/local/siren/lib/siren.so"
         assert result.preloaded == ("/appl/local/siren/lib/siren.so",)
-        assert result.siren_loaded
 
     def test_missing_preload_reported(self, environment):
         _, linker = environment
         result = linker.link("/usr/bin/bash", {"LD_PRELOAD": "/nowhere/siren.so"})
         assert "/nowhere/siren.so" in result.missing
-        assert not result.siren_loaded
+        assert result.preloaded == ()
 
     def test_missing_needed_reported(self, environment):
         fs, linker = environment
@@ -110,7 +109,6 @@ class TestLinking:
         result = linker.link("/usr/bin/static-tool", {"LD_PRELOAD": "/appl/local/siren/lib/siren.so"})
         assert result.static
         assert result.loaded_objects == ()
-        assert not result.siren_loaded
 
     def test_is_dynamic(self, environment):
         _, linker = environment
@@ -151,13 +149,3 @@ class TestLinking:
         assert "/lib64/libtinfo.so.6" in first.loaded_objects
         assert "/lib64/libm.so.6" in second.loaded_objects
 
-
-class TestEnsureLibraryPresent:
-    def test_present_passes(self, environment):
-        fs, _ = environment
-        ensure_library_present(fs, "/lib64/libc.so.6")
-
-    def test_missing_raises(self, environment):
-        fs, _ = environment
-        with pytest.raises(SimulationError):
-            ensure_library_present(fs, "/lib64/libzzz.so")

@@ -104,19 +104,6 @@ class TestVirtualFilesystem:
         fs.touch_atime("/a")
         assert fs.stat("/a").atime == fs.clock
 
-    def test_listdir_direct_children_only(self):
-        fs = VirtualFilesystem()
-        fs.add_file("/usr/bin/a", b"x")
-        fs.add_file("/usr/bin/b", b"x")
-        fs.add_file("/usr/bin/sub/c", b"x")
-        assert fs.listdir("/usr/bin") == ["/usr/bin/a", "/usr/bin/b"]
-
-    def test_glob_prefix(self):
-        fs = VirtualFilesystem()
-        fs.add_file("/opt/rocm/lib/librocblas.so", b"x")
-        fs.add_file("/opt/cray/lib/libsci.so", b"x")
-        assert fs.glob_prefix("/opt/rocm") == ["/opt/rocm/lib/librocblas.so"]
-
     def test_executables_listing(self):
         fs = VirtualFilesystem()
         fs.add_file("/usr/bin/tool", b"x", executable=True)

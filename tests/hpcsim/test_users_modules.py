@@ -29,18 +29,9 @@ class TestUserRegistry:
         with pytest.raises(SimulationError):
             UserRegistry().get("nobody")
 
-    def test_by_uid(self):
-        registry = UserRegistry()
-        user = registry.add("alice")
-        assert registry.by_uid(user.uid) == user
-        with pytest.raises(SimulationError):
-            registry.by_uid(99999)
-
     def test_directories(self):
         user = UserRegistry().add("alice", project="project_123")
         assert user.home == "/users/alice"
-        assert user.project_dir == "/project/project_123/alice"
-        assert user.scratch_dir == "/scratch/project_123/alice"
 
     def test_anonymize_order(self):
         registry = UserRegistry()

@@ -13,6 +13,7 @@ import pytest
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.ingest import IncrementalConsolidator
+from repro.ingest.incremental import DatagramQuarantine
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.sender import UDPSender
@@ -20,7 +21,7 @@ from repro.util.errors import TransportError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
-from oracles.wire import encode
+from oracles.wire import burst, encode, row
 
 
 def _record_set(records):
@@ -50,9 +51,9 @@ def _procend(pid: int = 10) -> UDPMessage:
 
 
 def _feed(sink: IncrementalConsolidator, messages: list[UDPMessage]) -> None:
-    """Hand decoded messages straight to the grouping rules (no batch, no tick)."""
+    """Hand messages straight to the grouping rules (no batch, no tick)."""
     for message in messages:
-        sink.feed(message)
+        sink._consume(row(message))
 
 
 def _datagram(pid: int, info_type: InfoType = InfoType.PROCINFO) -> bytes:
@@ -85,7 +86,7 @@ class TestFinalizationRules:
         _feed(sink, _system_burst())
         assert sink.open_processes == 1
         assert sink.records_built == 0
-        sink.feed(_procend())
+        _feed(sink, [_procend()])
         assert sink.open_processes == 0
         assert sink.early_finalized == 1
         record = sink.finalize()[0]
@@ -97,7 +98,7 @@ class TestFinalizationRules:
         sink = IncrementalConsolidator(MessageStore())
         burst = _system_burst()
         _feed(sink, [burst[0], burst[1]])  # OBJECTS lost on the wire
-        sink.feed(_procend())
+        _feed(sink, [_procend()])
         assert sink.open_processes == 1  # grace for reordering transports
         sink.advance_epoch()
         assert sink.open_processes == 0
@@ -118,18 +119,18 @@ class TestFinalizationRules:
         sink.advance_epoch()
         sink.advance_epoch()
         assert sink.open_processes == 0
-        sink.feed(_procend())
+        _feed(sink, [_procend()])
         assert sink.late_messages == 1
         assert sink.records_built == 1  # no second record for the key
 
     def test_chunked_content_held_open_until_all_chunks(self):
         sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst())
-        sink.feed(_msg(InfoType.MODULES, "part-one|", chunk_index=0, chunk_total=2))
-        sink.feed(_procend())
+        _feed(sink, [_msg(InfoType.MODULES, "part-one|", chunk_index=0, chunk_total=2)])
+        _feed(sink, [_procend()])
         # PROCEND saw an incomplete chunked group: held for the grace epoch.
         assert sink.open_processes == 1
-        sink.feed(_msg(InfoType.MODULES, "part-two", chunk_index=1, chunk_total=2))
+        _feed(sink, [_msg(InfoType.MODULES, "part-two", chunk_index=1, chunk_total=2)])
         record = sink.finalize()[0]
         assert record.modules == "part-one|part-two"
 
@@ -143,7 +144,7 @@ class TestFinalizationRules:
             sink.advance_epoch()  # idle close + flush
         for _ in range(2):
             sink.advance_epoch()  # dedup entry evicted
-        sink.feed(_procend())     # resurrects the key as a PROCEND-only group
+        _feed(sink, [_procend()])     # resurrects the key as a PROCEND-only group
         assert sink.open_processes == 1
         records = sink.finalize()
         assert len(records) == 1  # snapshot/finalize never show a duplicate
@@ -153,7 +154,7 @@ class TestFinalizationRules:
     def test_closed_key_dedup_set_is_evicted(self):
         sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
         _feed(sink, _system_burst())
-        sink.feed(_procend())
+        _feed(sink, [_procend()])
         assert len(sink._closed) == 1
         for _ in range(2):
             sink.advance_epoch()
@@ -197,7 +198,7 @@ class TestFinalizationRules:
         for pid in range(5):
             _feed(sink, _system_burst(pid=pid))
         for pid in range(5):
-            sink.feed(_procend(pid=pid))
+            _feed(sink, [_procend(pid=pid)])
         assert sink.peak_open_processes == 5
         assert sink.open_processes == 0
 
@@ -209,7 +210,7 @@ class TestFlushAndSnapshot:
         sink = IncrementalConsolidator(store, flush_batch_size=2)
         for pid in range(5):
             _feed(sink, _system_burst(pid=pid))
-            sink.feed(_procend(pid=pid))
+            _feed(sink, [_procend(pid=pid)])
         # Two full batches of 2 auto-flushed; the fifth record still pending.
         assert store.process_count() == 4
         sink.finalize()
@@ -218,14 +219,14 @@ class TestFlushAndSnapshot:
     def test_snapshot_peeks_open_groups_without_closing(self):
         sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst(pid=1))
-        sink.feed(_procend(pid=1))
+        _feed(sink, [_procend(pid=1)])
         _feed(sink, _system_burst(pid=2))  # still open: no PROCEND yet
         snapshot = sink.snapshot()
         assert len(snapshot) == 2
         assert sink.open_processes == 1  # peek did not close anything
         assert {record.pid for record in snapshot} == {1, 2}
         # The open process keeps accumulating after the snapshot.
-        sink.feed(_procend(pid=2))
+        _feed(sink, [_procend(pid=2)])
         assert _record_set(sink.finalize()) == _record_set(snapshot)
 
     def test_peek_is_rebuilt_only_when_an_open_group_changed(self):
@@ -234,7 +235,7 @@ class TestFlushAndSnapshot:
         first = sink.snapshot_delta().open_records
         sink.advance_epoch()                       # nothing closes
         assert sink.snapshot_delta().open_records is first   # not rebuilt
-        sink.feed(_msg(InfoType.MODULES, "siren/0.1", pid=1))
+        _feed(sink, [_msg(InfoType.MODULES, "siren/0.1", pid=1)])
         second = sink.snapshot_delta().open_records
         assert [record.modules for record in second] == ["siren/0.1"]
         sink.advance_epoch()
@@ -355,7 +356,7 @@ class TestFinalizeHandBack:
         _feed(sink, _system_burst())
         for _ in range(4):
             sink.advance_epoch()  # idle close + flush, then the dedup entry evicted
-        sink.feed(_procend())     # a content-free group the insert will ignore
+        _feed(sink, [_procend()])     # a content-free group the insert will ignore
         records, reads = _finalize_counting_reads(sink, monkeypatch)
         assert reads == 1
         assert records == _read_back(store) and len(records) == 1
@@ -423,7 +424,7 @@ class TestDatagramPath:
         channel = InMemoryChannel()
         ingest = IncrementalConsolidator(store, persist_raw=True)
         ingest.attach(channel)
-        UDPSender(channel).send(*_msg(InfoType.OBJECTS, "payload").burst())
+        UDPSender(channel).send(*burst(_msg(InfoType.OBJECTS, "payload")))
         ingest.snapshot()
         assert store.message_count() == ingest.messages_received == 1
 
@@ -454,7 +455,8 @@ class TestQuarantine:
         assert store.message_count() == 0
 
     def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self):
-        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=2)
+        ingest = IncrementalConsolidator(MessageStore())
+        ingest.quarantine = DatagramQuarantine(capacity=2)
         for index in range(6):  # header-valid, body-corrupt
             ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
         ingest.finalize()
@@ -465,8 +467,14 @@ class TestQuarantine:
         assert [entry.datagram[-8:] for entry in ingest.quarantine.entries()] == \
             [b"garbage4", b"garbage5"]
 
+    def test_capacity_zero_is_refused(self):
+        """The quarantine is always on: a ring of no entries is an error."""
+        with pytest.raises(TransportError, match="at least 1"):
+            DatagramQuarantine(capacity=0)
+
     def test_quarantine_totals_survive_several_syncs(self):
-        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=2)
+        ingest = IncrementalConsolidator(MessageStore())
+        ingest.quarantine = DatagramQuarantine(capacity=2)
         for index in range(6):
             ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
             if index % 3 == 2:
@@ -475,12 +483,6 @@ class TestQuarantine:
         assert (ingest.quarantine.quarantined, ingest.quarantine.evicted) == (6, 4)
         assert [entry.datagram[-8:] for entry in ingest.quarantine.entries()] == \
             [b"garbage4", b"garbage5"]
-
-    def test_capacity_zero_counts_without_a_ring(self):
-        ingest = IncrementalConsolidator(MessageStore(), quarantine_capacity=0)
-        ingest.handle_datagram(b"garbage")
-        assert ingest.quarantine is None
-        assert (ingest.decode_errors, ingest.quarantined) == (1, 0)
 
 
 def _campaign_stream() -> list[bytes]:

@@ -30,7 +30,8 @@ from repro.transport.messages import UDPMessage
 from repro.util.errors import TransportError
 
 from oracles import records as oracle
-from oracles.consolidate import Consolidator, consolidate_store
+from oracles.consolidate import records_from_messages
+from oracles.wire import rows
 
 
 def _msg(info_type: InfoType, content: str, *, layer: Layer = Layer.SELF, pid: int = 10,
@@ -119,14 +120,14 @@ class TestPackageFromMappedPath:
 class TestConsolidation:
     def test_basic_record_fields(self):
         store = MessageStore()
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/project/p/u/lmp", "user"),
             _msg(InfoType.FILEMETA, format_keyvalues({"inode": 5, "size": 100})),
             _msg(InfoType.OBJECTS, "/lib64/libc.so.6\n/lib64/libm.so.6"),
             _msg(InfoType.OBJECTS_H, "3:abc:de"),
             _msg(InfoType.FILE_H, "96:xyz:uv"),
-        ])
-        records = consolidate_store(store)
+        ]))
+        records = records_from_messages(store)
         assert len(records) == 1
         record = records[0]
         assert record.executable == "/project/p/u/lmp"
@@ -134,54 +135,50 @@ class TestConsolidation:
         assert record.uid == 1000
         assert record.object_list == ["/lib64/libc.so.6", "/lib64/libm.so.6"]
         assert record.file_h == "96:xyz:uv"
-        assert store.process_count() == 1
 
     def test_chunked_content_reassembled(self):
         store = MessageStore()
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/usr/bin/bash", "system"),
             _msg(InfoType.FILEMETA, "inode=1"),
             _msg(InfoType.OBJECTS, "part-one|", chunk_index=0, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-two|", chunk_index=1, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-three", chunk_index=2, chunk_total=3),
-        ])
-        record = consolidate_store(store)[0]
+        ]))
+        record = records_from_messages(store)[0]
         assert record.objects == "part-one|part-two|part-three"
         assert record.incomplete == 0
 
     def test_missing_chunk_marks_incomplete(self):
         store = MessageStore()
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/usr/bin/bash", "system"),
             _msg(InfoType.FILEMETA, "inode=1"),
             _msg(InfoType.OBJECTS, "part-one|", chunk_index=0, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-three", chunk_index=2, chunk_total=3),
-        ])
-        consolidator = Consolidator(store)
-        record = consolidator.run()[0]
-        assert record.incomplete == 1
-        assert consolidator.incomplete_records == 1
+        ]))
+        assert records_from_messages(store)[0].incomplete == 1
 
     def test_missing_expected_type_marks_incomplete(self):
         store = MessageStore()
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/usr/bin/bash", "system"),
             _msg(InfoType.FILEMETA, "inode=1"),
             # OBJECTS expected for system executables but entirely lost.
-        ])
-        assert consolidate_store(store)[0].incomplete == 1
+        ]))
+        assert records_from_messages(store)[0].incomplete == 1
 
     def test_exec_chain_distinguished_by_path_hash(self):
         """Same PID + timestamp but different executables stay separate records."""
         store = MessageStore()
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/usr/bin/bash", "system", pid=42, path_hash="b" * 32),
             _msg(InfoType.FILEMETA, "inode=1", pid=42, path_hash="b" * 32),
             _msg(InfoType.OBJECTS, "libc", pid=42, path_hash="b" * 32),
             _procinfo("/project/p/u/lmp", "user", pid=42, path_hash="c" * 32),
             _msg(InfoType.FILEMETA, "inode=2", pid=42, path_hash="c" * 32),
-        ])
-        records = consolidate_store(store)
+        ]))
+        records = records_from_messages(store)
         assert len(records) == 2
         assert {record.executable for record in records} == {"/usr/bin/bash", "/project/p/u/lmp"}
 
@@ -190,7 +187,7 @@ class TestConsolidation:
         maps_text = render_memory_map(build_memory_map(
             "/usr/bin/python3.10", 4096, 1, [],
             [("/usr/lib64/python3.10/lib-dynload/_heapq.cpython-310.so", 10, 3)]))
-        store.insert_many([
+        store.insert_rows(rows([
             _procinfo("/usr/bin/python3.10", "python"),
             _msg(InfoType.FILEMETA, "inode=1"),
             _msg(InfoType.OBJECTS, "/lib64/libc.so.6"),
@@ -199,32 +196,23 @@ class TestConsolidation:
                  layer=Layer.SCRIPT),
             _msg(InfoType.FILEMETA, "inode=9|size=40", layer=Layer.SCRIPT),
             _msg(InfoType.FILE_H, "3:script:hash", layer=Layer.SCRIPT),
-        ])
-        records = consolidate_store(store)
+        ]))
+        records = records_from_messages(store)
         assert len(records) == 1
         record = records[0]
         assert record.script_path == "/users/a/run.py"
         assert record.script_h == "3:script:hash"
         assert record.python_packages == "heapq"
 
-    def test_clear_messages_after_consolidation(self):
-        store = MessageStore()
-        store.insert_many([_procinfo("/usr/bin/ls", "system"),
-                           _msg(InfoType.FILEMETA, "inode=1"),
-                           _msg(InfoType.OBJECTS, "libc")])
-        consolidate_store(store, clear_messages=True)
-        assert store.message_count() == 0
-        assert store.process_count() == 1
-
     def test_multiple_processes_sorted(self):
         store = MessageStore()
         for pid in (30, 20):
-            store.insert_many([
+            store.insert_rows(rows([
                 _procinfo("/usr/bin/ls", "system", pid=pid),
                 _msg(InfoType.FILEMETA, "inode=1", pid=pid),
                 _msg(InfoType.OBJECTS, "libc", pid=pid),
-            ])
-        records = consolidate_store(store)
+            ]))
+        records = records_from_messages(store)
         assert [record.pid for record in records] == [20, 30]
 
 

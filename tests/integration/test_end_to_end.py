@@ -12,7 +12,7 @@ from repro.transport.sender import UDPSender
 from repro.collector.hooks import SirenCollector
 from repro.db.store import MessageStore
 
-from oracles.consolidate import consolidate_store
+from oracles.consolidate import records_from_messages
 
 
 def _standard_setup():
@@ -46,7 +46,7 @@ class TestQuickstartFlow:
             )),),
         )
         cluster.run_job("erin", script)
-        records = framework.consolidate()
+        records = framework.snapshot()
         pipeline = AnalysisPipeline(records, cluster.users.anonymize())
 
         labels = {row.label for row in pipeline.table5_user_applications()}
@@ -71,7 +71,7 @@ class TestQuickstartFlow:
                         mapped_files=tuple(extension_paths("python3.11", packages))),)),))
         cluster.run_job("erin", job)
 
-        records = framework.consolidate()
+        records = framework.snapshot()
         pipeline = AnalysisPipeline(records, cluster.users.anonymize())
         table8 = pipeline.table8_python_interpreters()
         assert table8[0].interpreter == "python3.11"
@@ -100,7 +100,7 @@ class TestRealSocketDeployment:
             cluster.run_job("erin", script)
             channel.drain()
             ingest.snapshot()
-        records = consolidate_store(store)
+        records = records_from_messages(store)
         assert len(records) == 3
         icon_record = next(r for r in records if r.executable.endswith("/icon"))
         assert icon_record.file_h
@@ -116,7 +116,7 @@ class TestOptInBehaviour:
         script = JobScript(name="no-opt-in", modules=tuple(icon.required_modules),
                            steps=(StepSpec(processes=(ProcessSpec(executable=icon.path),)),))
         cluster.run_job("erin", script)
-        assert framework.consolidate() == []
+        assert framework.snapshot() == []
 
     def test_statically_linked_tools_are_invisible(self):
         cluster, manifest, user = _standard_setup()
@@ -127,6 +127,6 @@ class TestOptInBehaviour:
                                ProcessSpec(executable=manifest.tool("busybox")),
                                ProcessSpec(executable=manifest.tool("bash")),)),))
         cluster.run_job("erin", script)
-        records = framework.consolidate()
+        records = framework.snapshot()
         assert len(records) == 1
         assert records[0].executable.endswith("/bash")

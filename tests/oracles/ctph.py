@@ -4,7 +4,7 @@
 block size from trigger counts and hashes both signatures' pieces in one
 vectorised pass.  This is the algorithm as spamsum states it: one
 :class:`RollingHash` and one
-:func:`~repro.hashing.fnv.sum_hash` per signature per byte, and a full rescan
+:func:`sum_hash` per signature per byte, and a full rescan
 at half the block size whenever the primary signature comes out shorter
 than half the budget.  It shares no scan, decision or piece-hash code with
 the engine, which is what makes it an oracle.
@@ -13,11 +13,23 @@ the engine, which is what makes it an oracle.
 from __future__ import annotations
 
 from repro.hashing.engine import B64_ALPHABET
-from repro.hashing.fnv import SSDEEP_HASH_INIT, sum_hash
+from repro.hashing.fnv import FNV32_PRIME, SSDEEP_HASH_INIT
 from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
 
 _MASK32 = 0xFFFFFFFF
+
+
+def sum_hash(byte: int, state: int) -> int:
+    """One step of ssdeep's piece hash: ``(state * prime) ^ byte`` in 32 bits."""
+    return ((state * FNV32_PRIME) & _MASK32) ^ byte
+
+
+def sum_hash_bytes(data: bytes, state: int = SSDEEP_HASH_INIT) -> int:
+    """:func:`sum_hash` over every byte of ``data``."""
+    for byte in data:
+        state = sum_hash(byte, state)
+    return state
 
 
 class RollingHash:

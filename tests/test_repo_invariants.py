@@ -11,14 +11,19 @@ the statistics keys emitted are those :mod:`repro.util.counters` declares.
 ``dependencies``: the package imports no third-party code but ``numpy``, and
 tests and benchmarks none but what ``requirements-test.txt`` (CI's install
 list) names -- an undeclared ``networkx`` import once stopped CI's tier-1.
+``reachable``: every public function, class and method of the package is
+named somewhere the system runs from -- the package, the examples, the
+benchmarks or the scripts -- not only in ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -185,6 +190,74 @@ def dependencies(tree: ast.Module, module: str) -> list[str]:
     return found
 
 
+# ----------------------------------------------------------------- reachable #
+#: Where a name counts as reached: the non-``__init__`` files under these
+#: roots.  An ``__init__`` only re-exports, and ``tests/`` is not the system.
+REACHING_ROOTS = ("src/repro", "examples", "benchmarks", "scripts")
+#: The public definitions nothing reaches, each kept for its reason.
+UNREACHED_ON_PURPOSE = {
+    "normalize_cache_clear": "the concurrency rule wants a clear hook naming each cache",
+    "assert_registered_counters": "the live counter check; the telemetry spine retires it",
+}
+_WORD = re.compile(r"\w+")
+
+
+def _words(tree: ast.Module) -> dict[str, list[int]]:
+    """``{word: lines}`` of every name, attribute, imported or defined name
+    and every word of a string, docstrings included, in ``tree``."""
+    words: dict[str, list[int]] = defaultdict(list)
+    for node in ast.walk(tree):
+        found = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else node.name.split(".") if isinstance(node, ast.alias)
+                 else [node.name] if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+                 else _WORD.findall(node.value) if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) else [])
+        for word in found:
+            words[word].append(node.lineno)
+    return words
+
+
+@functools.cache
+def _reaching_words() -> dict[str, dict[str, list[int]]]:
+    """``{module: _words(tree)}`` of every file a name counts as reached from."""
+    return {".".join(path.relative_to(REPO_ROOT).with_suffix("").parts).removeprefix("src."):
+            _words(ast.parse(path.read_text(encoding="utf-8")))
+            for root in REACHING_ROOTS for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _public_definitions(body: list[ast.stmt], prefix: str = ""):
+    """``(qualified name, node)`` of the public functions, classes and methods."""
+    for node in body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _public_definitions(node.body, f"{prefix}{node.name}.")
+
+
+def reachable(tree: ast.Module, module: str) -> list[str]:
+    """Public definitions of the package whose name is a word nowhere outside
+    their own lines: not in ``tree`` (which stands in for ``module``), and not
+    in any other file under :data:`REACHING_ROOTS`.  Comments are not in the
+    tree, so they do not count.  The check is by word, so a dead definition
+    that shares its name with a live one passes."""
+    if not _in(module, ("repro",)):
+        return []
+    others = [words for name, words in _reaching_words().items() if name != module]
+    own = _words(tree)
+    found = []
+    for qualname, node in _public_definitions(tree.body):
+        first = min([node.lineno] + [dec.lineno for dec in node.decorator_list])
+        if not (node.name in UNREACHED_ON_PURPOSE
+                or any(node.name in words for words in others)
+                or any(not first <= line <= node.end_lineno
+                       for line in own.get(node.name, ()))):
+            found.append(f"{module}:{first} {qualname} is named only by tests")
+    return found
+
+
 # --------------------------------------------------------------------- knobs #
 _KNOB_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(deployment|campaign)\s*\|")
 CONFIG_CLASSES = frozenset(cls.__name__ for cls in CampaignConfig.__mro__
@@ -247,7 +320,7 @@ def counter_drift(trees: dict[str, ast.Module]) -> list[str]:
 
 
 # --------------------------------------------------------------------- tests #
-@pytest.mark.parametrize("check", [determinism, concurrency, dependencies])
+@pytest.mark.parametrize("check", [determinism, concurrency, dependencies, reachable])
 def test_shipped_tree_is_clean(trees, check):
     assert len(trees) >= 80
     assert [line for module, tree in trees.items() for line in check(tree, module)] == []
@@ -285,12 +358,27 @@ VIOLATIONS = {
     "worker import": (concurrency, "from concurrent.futures import ProcessPoolExecutor\n"),
     "undeclared dependency": (dependencies, "import os\nimport networkx as nx\n"),
     "test-only dependency": (dependencies, "def f():\n    from hypothesis import given\n"),
+    "unreached method": (reachable, ("repro.util.tables", "    def add_row(",
+                                     "    def never_called(self):\n        pass\n\n"
+                                     "    def add_row(")),
+    "unreached function": (reachable, ("repro.util.tables", "class TextTable",
+                                       "def orphan_helper():\n    pass\n\n\nclass TextTable")),
+    "unreached class": (reachable, "class NeverBuilt:\n    pass\n"),
+    "named only in its own body": (
+        reachable, "def recurse_forever(n):\n    return recurse_forever(n - 1)\n"),
+    "named only in a comment": (reachable, "def orphan_helper():\n    pass\n# orphan_helper\n"),
 }
 
 
 @pytest.mark.parametrize("check, source", VIOLATIONS.values(), ids=VIOLATIONS.keys())
-def test_each_rule_fires_on_one_violation(check, source):
-    assert len(check(ast.parse(source), "repro.transport.fixture")) == 1
+def test_each_rule_fires_on_one_violation(trees, check, source):
+    """``source`` is a fixture module, or ``(module, old, new)``: one edit of
+    a shipped module."""
+    if isinstance(source, tuple):
+        module, tree = source[0], _mutated(trees, *source)[source[0]]
+    else:
+        module, tree = "repro.transport.fixture", ast.parse(source)
+    assert len(check(tree, module)) == 1
 
 
 @pytest.mark.parametrize("check, source, module", [
@@ -306,9 +394,22 @@ def test_each_rule_fires_on_one_violation(check, source):
      "repro.fixture"),
     (dependencies, "import pytest\nfrom hypothesis import given\nfrom oracles.wire import encode\n",
      "tests.transport.fixture"),
+    (reachable, "def build_tiered_store(kind):\n    return kind\n", "repro.db.tiered"),
+    (reachable, "def audit_python_packages(records):\n    return records\n",
+     "repro.analysis.pythonpkgs"),
+    (reachable, "def normalize_cache_clear():\n    pass\n", "repro.hashing.compare_engine"),
+    (reachable, "def layer_self_times(trace):\n    return trace\n", "repro.fixture"),
+    (reachable, "def strings_blob(data):\n    return data\n", "repro.elf.strings"),
+    (reachable, "def only_here():\n    pass\n\nVALUE = only_here()\n", "repro.fixture"),
+    (reachable, "def _hidden():\n    pass\n", "repro.fixture"),
+    (reachable, "class TextTable:\n    def __len__(self):\n        return 0\n",
+     "repro.util.tables"),
+    (reachable, "def orphan_helper():\n    pass\n", "tests.fixture"),
 ], ids=["seeded-and-monotonic", "out-of-scope-random", "counted-except",
         "out-of-scope-except", "cleared-cache", "read-only-table", "runtime-dependency",
-        "test-dependency"])
+        "test-dependency", "reached-from-the-benchmark", "reached-from-an-example",
+        "unreached-on-purpose", "reached-from-a-script", "reached-from-another-module",
+        "reached-in-its-own-module", "private-name", "dunder-method", "outside-the-package"])
 def test_allowed_forms_pass(check, source, module):
     assert check(ast.parse(source), module) == []
 

@@ -11,7 +11,7 @@ from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 from repro.util.rng import SeededRNG
 
-from oracles.wire import encode
+from oracles.wire import burst, encode
 
 
 def _message(content: str, info_type: InfoType = InfoType.OBJECTS) -> UDPMessage:
@@ -72,7 +72,7 @@ class TestUDPSender:
     def test_single_datagram_for_short_message(self):
         channel = InMemoryChannel()
         sender = UDPSender(channel)
-        assert sender.send(*_message("short").burst()) == 1
+        assert sender.send(*burst(_message("short"))) == 1
         assert sender.messages_sent == 1
 
     def test_long_message_chunked(self):
@@ -81,7 +81,7 @@ class TestUDPSender:
         channel.subscribe(received.append)
         sender = UDPSender(channel, max_datagram_size=256)
         long_content = "\n".join(f"/opt/cray/pe/lib64/library_number_{i}.so" for i in range(100))
-        emitted = sender.send(*_message(long_content).burst())
+        emitted = sender.send(*burst(_message(long_content)))
         assert emitted == len(received) > 1
         decoded = [UDPMessage.decode(datagram) for datagram in received]
         assert all(message.chunk_total == len(received) for message in decoded)
@@ -97,7 +97,7 @@ class TestUDPSender:
                 pass
 
         sender = UDPSender(BrokenChannel())
-        assert sender.send(*_message("x").burst()) == 0
+        assert sender.send(*burst(_message("x"))) == 0
         assert sender.send_errors == 1
 
     def test_burst_of_sections_shares_one_header(self):
@@ -121,7 +121,7 @@ class TestUDPSender:
         received: list[bytes] = []
         channel.subscribe(received.append)
         sender = UDPSender(channel)
-        header, _ = _message("").burst()
+        header, _ = burst(_message(""))
         emitted = sender.send(header, [(Layer.SELF, InfoType.OBJECTS, "a"),
                                        (Layer.SELF, InfoType.MAPS, unframeable),
                                        (Layer.SELF, InfoType.FILE_H, "3:abc:de")])
@@ -132,7 +132,7 @@ class TestUDPSender:
 
     def test_empty_burst_sends_nothing(self):
         sender = UDPSender(InMemoryChannel())
-        assert sender.send(_message("").burst()[0], []) == 0
+        assert sender.send(burst(_message(""))[0], []) == 0
         assert (sender.messages_sent, sender.datagrams_sent) == (0, 0)
 
 
@@ -143,7 +143,7 @@ class TestSocketChannel:
             channel.subscribe(received.append)
             sender = UDPSender(channel)
             for index in range(20):
-                sender.send(*_message(f"socket message {index}").burst())
+                sender.send(*burst(_message(f"socket message {index}")))
             delivered = channel.drain()
         assert delivered == 20
         assert sorted(UDPMessage.decode(datagram).content for datagram in received) \

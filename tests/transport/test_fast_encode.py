@@ -27,7 +27,7 @@ from repro.transport.messages import (
 )
 from repro.transport.sender import UDPSender
 
-from oracles.wire import encode, with_chunk
+from oracles.wire import burst, encode, with_chunk
 
 
 def _message(content: str) -> UDPMessage:
@@ -49,7 +49,7 @@ def _burst_bytes(header: bytes, sections: list[Section],
 
 
 def _wire_bytes(message: UDPMessage, max_datagram_size: int = MAX_DATAGRAM_SIZE) -> list[bytes]:
-    return _burst_bytes(*message.burst(), max_datagram_size)
+    return _burst_bytes(*burst(message), max_datagram_size)
 
 
 def _reference_budget(message: UDPMessage, max_datagram_size: int) -> int:

@@ -9,7 +9,7 @@ from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 
-from oracles.wire import encode, with_chunk
+from oracles.wire import burst, encode, with_chunk
 
 
 def _message(content: str = "hello", info_type: InfoType = InfoType.PROCINFO) -> UDPMessage:
@@ -69,16 +69,12 @@ class TestUDPMessage:
         with pytest.raises(TransportError):
             UDPMessage.decode("SIREN1\x1fonly\x1fthree".encode())
 
-    def test_process_key(self):
-        message = _message()
-        assert message.process_key == ("9100001", "0", 1234, "ab" * 16, "nid000001")
-
     def test_burst_header_overhead_reasonable(self):
         """Header, kind, counters and margin leave > 1200 of 1400 bytes to content."""
         channel = InMemoryChannel()
         datagrams: list[bytes] = []
         channel.subscribe(datagrams.append)
-        UDPSender(channel).send(*_message("c" * (MAX_DATAGRAM_SIZE - 200)).burst())
+        UDPSender(channel).send(*burst(_message("c" * (MAX_DATAGRAM_SIZE - 200))))
         (datagram,) = datagrams
         assert MAX_DATAGRAM_SIZE - 200 < len(datagram) <= MAX_DATAGRAM_SIZE
 

@@ -4,6 +4,8 @@ import random
 
 from repro.util.retry import NO_RETRY, RetryPolicy
 
+from oracles.wire import rows
+
 
 class TestDelaySchedule:
     def test_exponential_growth_capped(self):
@@ -117,7 +119,7 @@ class TestStorePassThrough:
 
         store.fault_injector = injector
         with pytest.raises(sqlite3.OperationalError, match="full"):
-            store.insert_many([self._message()])
+            store.insert_rows(rows([self._message()]))
         assert store.write_retries == 0     # not a single retry was burned
         assert len(calls) == 1              # and the write ran exactly once
 
@@ -137,7 +139,7 @@ class TestStorePassThrough:
 
         store.fault_injector = injector
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            store.insert_many([self._message()])
+            store.insert_rows(rows([self._message()]))
         assert store.write_retries == 0
         assert len(calls) == 1
 
@@ -157,7 +159,7 @@ class TestStorePassThrough:
 
         store.fault_injector = injector
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            store.insert_many([self._message()])
+            store.insert_rows(rows([self._message()]))
         assert store.write_retries == 1
         assert len(calls) == 2
 
@@ -174,6 +176,6 @@ class TestStorePassThrough:
                 raise sqlite3.OperationalError("database is locked")
 
         store.fault_injector = injector
-        assert store.insert_many([self._message()]) == 1
+        assert store.insert_rows(rows([self._message()])) == 1
         assert store.write_retries == 2
         assert store.message_count() == 1

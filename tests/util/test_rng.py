@@ -60,34 +60,31 @@ class TestSeededRNG:
         assert len(SeededRNG(9).bytes(64)) == 64
         assert SeededRNG(9).bytes(64) == SeededRNG(9).bytes(64)
 
+    def test_randint_bounds_are_inclusive(self):
+        rng = SeededRNG(4)
+        assert {rng.randint(1, 3) for _ in range(100)} == {1, 2, 3}
+
+    def test_random_in_unit_interval(self):
+        rng = SeededRNG(4)
+        assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
+
+    def test_choice_returns_a_member(self):
+        rng = SeededRNG(4)
+        assert all(rng.choice("abc") in "abc" for _ in range(20))
+
+    def test_numpy_generator_is_seeded(self):
+        assert SeededRNG(8).numpy().integers(0, 10 ** 6, size=5).tolist() == \
+            SeededRNG(8).numpy().integers(0, 10 ** 6, size=5).tolist()
+
+    def test_sample_larger_than_population_raises(self):
+        with pytest.raises(ValueError):
+            SeededRNG(2).sample([1, 2], 3)
+
     def test_sample_distinct(self):
         sample = SeededRNG(2).sample(list(range(100)), 10)
         assert len(set(sample)) == 10
-
-    def test_shuffle_is_permutation(self):
-        items = list(range(30))
-        shuffled = SeededRNG(2).shuffle(items)
-        assert sorted(shuffled) == items
-        assert items == list(range(30))  # original untouched
-
-    def test_lognormal_int_minimum(self):
-        rng = SeededRNG(4)
-        assert all(rng.lognormal_int(0.0, 0.1, minimum=3) >= 3 for _ in range(50))
-
-    def test_uniform_in_range(self):
-        rng = SeededRNG(4)
-        assert all(1.0 <= rng.uniform(1.0, 2.0) < 2.0 for _ in range(100))
 
     def test_identifier_format(self):
         ident = SeededRNG(4).identifier("job", width=6)
         prefix, digits = ident.split("_")
         assert prefix == "job" and len(digits) == 6 and digits.isdigit()
-
-    def test_pick_subset_probability_extremes(self):
-        rng = SeededRNG(4)
-        assert rng.pick_subset(range(10), 0.0) == []
-        assert rng.pick_subset(range(10), 1.0) == list(range(10))
-
-    def test_poisson_nonnegative(self):
-        rng = SeededRNG(4)
-        assert all(rng.poisson(3.0) >= 0 for _ in range(50))

@@ -37,7 +37,8 @@ class TestTextTable:
 
     def test_bool_rendering(self):
         table = TextTable(["flag"])
-        table.add_rows([[True], [False]])
+        table.add_row([True])
+        table.add_row([False])
         lines = table.render().splitlines()
         assert lines[-2].strip() == "yes"
         assert lines[-1].strip() == "no"

@@ -29,12 +29,12 @@ def _record_list(records):
 
 class TestCampaignConfig:
     def test_jobs_scale(self):
-        config = CampaignConfig(scale=0.01, ensure_template_coverage=False)
+        config = CampaignConfig(scale=0.01)
         assert config.jobs_for(PROFILES_BY_NAME["user_1"]) == round(11_782 * 0.01)
         assert config.jobs_for(PROFILES_BY_NAME["user_12"]) == 1
 
     def test_template_coverage_lifts_minimum(self):
-        config = CampaignConfig(scale=0.0001, ensure_template_coverage=True)
+        config = CampaignConfig(scale=0.0001)
         profile = PROFILES_BY_NAME["user_8"]
         assert config.jobs_for(profile) >= len(profile.templates)
 
@@ -163,7 +163,7 @@ class TestStreamingIngest:
 
         def on_job(jobs_run: int) -> None:
             if jobs_run == 5:
-                snapshots.append(campaign.snapshot())
+                snapshots.append(campaign.deployment.snapshot())
 
         campaign.on_job = on_job
         result = campaign.run()
