@@ -4,15 +4,15 @@ The one ingest path of a deployment -- nothing waits for a post-pass over
 a raw message table:
 
 * :mod:`repro.ingest.records` -- the record builder: one
-  :class:`~repro.db.store.ProcessRecord` from the message groups of one
-  process key, with the Python packages parsed from its memory map;
+  :class:`~repro.db.store.ProcessRecord` from the raw rows of one process
+  key, with the Python packages parsed from its memory map;
 * :mod:`repro.ingest.incremental` --
   :class:`~repro.ingest.incremental.IncrementalConsolidator`, the one
   ingest object: it decodes, counts and quarantines datagrams, batches
-  them (raw-persisting each batch when asked), keeps open per-process
-  message groups, finalizes each record the moment its ``PROCEND``
-  confirms the expected content types are complete (with an epoch/idle
-  close for lossy stragglers), and flushes finished records in batches
+  them (raw-persisting each batch when asked), keeps each open process's
+  raw rows, finalizes each record the moment the record built at its
+  ``PROCEND`` shows it complete (with an epoch/idle close for lossy
+  stragglers), and flushes finished records in batches
   through the store's first-close-wins insert; its
   :meth:`~repro.ingest.incremental.IncrementalConsolidator.snapshot_delta`
   serves the exactly-once record delta stream behind

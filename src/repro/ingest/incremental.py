@@ -8,45 +8,49 @@ of what does not decode in a bounded ring (:class:`DatagramQuarantine`) so
 corruption on a production link leaves a forensic trail instead of only a
 counter, and buffers the rest in batches.  Each batch is written to the raw
 ``messages`` table first when ``persist_raw`` is set (the paper's raw
-store), then consumed **as it arrives**: one open group per process key, a
-record finalized the moment the process's ``PROCEND`` destructor message
-confirms that every expected content type made it through, lossy
-stragglers closed by an epoch/idle rule, and finished records flushed to
-the store in batches through the first-close-wins insert
-(:meth:`MessageStore.insert_processes_if_absent`) -- so a long-running
-deployment answers analysis queries mid-campaign without ever
-materialising the raw message table.  The idle clock ticks once per batch.
+store), then consumed **as it arrives**: an open process per key holds its
+raw rows in a list (filing a datagram is one lookup and one append), a
+record is finalized the moment the process's ``PROCEND`` destructor message
+shows it complete, lossy stragglers are closed by an epoch/idle rule, and
+finished records are flushed to the store in batches through the
+first-close-wins insert (:meth:`MessageStore.insert_processes_if_absent`)
+-- so a long-running deployment answers analysis queries mid-campaign
+without ever materialising the raw message table.  The idle clock ticks
+once per batch.
 
-What a process is expected to send depends on its category, which is
-read from its whole PROCINFO group when the ``PROCEND`` arrives -- never from
-one chunk of it, since a chunk boundary can fall inside ``category=...``.
-A process whose expected types are not all complete by then keeps its group
-open for one more epoch (the grace a reordering transport needs) instead of
-closing on ``PROCEND``.
+A process is walked once, when it closes.  At ``PROCEND`` its record is
+built from the rows (:func:`~repro.ingest.records.build_process_record`),
+and that build is the close check: the process closes iff the record is
+not incomplete -- every content type its category expects arrived whole,
+the category read from the whole PROCINFO, never from one chunk of it --
+and every other pair filed (``PROCEND`` itself) has all of its announced
+chunks too.  The record just built is the one written.  A process that
+fails the check stays open for one more epoch (the grace a reordering
+transport needs) and is built again when that closes it.
 
 Equivalence with a post-pass
 ----------------------------
 Records are assembled by :func:`repro.ingest.records.build_process_record`,
-pinned equal to the post-pass oracle's own builder over any message groups,
-so the only way streaming output could diverge is by closing a group
+pinned equal to the post-pass oracle's own builder over any rows,
+so the only way streaming output could diverge is by closing a process
 before all of its messages arrived.  Three properties rule that out on the
 transports this repository ships:
 
 * every channel delivers the constructor burst of one process contiguously
   and in order, and ``PROCEND`` is by construction the last message of a key,
   so finalizing on ``PROCEND`` can never cut a burst short;
-* the idle rule only closes groups untouched for ``idle_epochs`` whole
+* the idle rule only closes processes untouched for ``idle_epochs`` whole
   epochs, and an epoch boundary (one batch) can never fall twice inside a
   single contiguous burst;
-* :meth:`~IncrementalConsolidator.finalize` closes every still-open group at
-  end of stream -- exactly the data a post-pass would have grouped.
+* :meth:`~IncrementalConsolidator.finalize` closes every still-open process
+  at end of stream -- exactly the data a post-pass would have grouped.
 
 ``PROCEND`` never contributes content to a record, so a late destructor
 arriving after an idle close is dropped harmlessly (counted in
 ``late_messages``); any other late message would mean a reordering transport
 and is counted rather than silently merged.  The closed-key dedup set is
 itself evicted on the same epoch clock -- a message so late that its key was
-evicted resurrects a content-free group whose flush the first-close-wins
+evicted resurrects a content-free process whose flush the first-close-wins
 insert ignores, so the real record survives either way.
 """
 
@@ -55,16 +59,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.collector.records import InfoType, parse_keyvalues
+from repro.collector.records import InfoType
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord, process_key
-from repro.ingest.records import (
-    GROUP_KEYS,
-    PROCINFO_KEY,
-    GroupKey,
-    MessageGroup,
-    build_process_record,
-    expected_keys_for,
-)
+from repro.ingest.records import GROUP_KEYS, build_process_record
 from repro.transport.channel import Channel
 from repro.transport.messages import PROTOCOL_TAG, SEPARATOR, MessageRow, UDPMessage
 from repro.util.errors import TransportError
@@ -72,8 +69,7 @@ from repro.util.errors import TransportError
 _PROCEND = InfoType.PROCEND.value
 #: Every ``(LAYER, TYPE)`` wire pair that decodes, to itself as
 #: ``GROUP_KEYS`` holds it.  One lookup validates a datagram's pair and swaps
-#: its two fresh strings for these, whose hashes are computed once; a row's
-#: pair is the group key its message is filed under.
+#: its two fresh strings for these, whose hashes are computed once.
 _WIRE_KINDS = {key: key for key in GROUP_KEYS.values()}
 #: Undecodable datagrams the ingest object keeps for forensics.
 QUARANTINE_CAPACITY = 256
@@ -135,7 +131,7 @@ class ProcessDelta:
     table (:meth:`~repro.db.store.MessageStore.load_processes_since`); like
     every record, they are values nobody mutates.
     ``open_records`` is the *current* non-destructive peek at still-open
-    process groups; it is transient (superseded by the next delta; the same
+    processes; it is transient (superseded by the next delta; the same
     tuple again while no message has arrived) and may include a key that is
     already finalized when a very late message resurrected it -- consumers
     overlay it on top of their committed state, dropping keys they have
@@ -149,11 +145,11 @@ class ProcessDelta:
     cursor: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenProcess:
-    """The still-accumulating message groups of one process key."""
+    """The raw rows of one still-open process key, in arrival order."""
 
-    groups: dict[GroupKey, MessageGroup] = field(default_factory=dict)
+    rows: list[MessageRow] = field(default_factory=list)
     last_epoch: int = 0
     ended: bool = False     #: PROCEND seen -- nothing more is coming (ordered transport)
 
@@ -174,15 +170,15 @@ class IncrementalConsolidator:
         ``persist_raw``).
     batch_size:
         Accepted messages are buffered and delivered -- raw-persisted, then
-        fed to the open groups -- in batches of this size; every delivered
-        batch is one epoch of the idle clock.
+        filed under their open processes -- in batches of this size; every
+        delivered batch is one epoch of the idle clock.
     flush_batch_size:
         Finalized records are buffered and inserted in batches of this size.
     idle_epochs:
-        An open group untouched for this many whole epochs is closed even
+        An open process untouched for this many whole epochs is closed even
         without a ``PROCEND`` (the destructor datagram was lost).  Must be at
         least 2: an epoch boundary can fall *inside* a contiguous burst, so a
-        group touched in the immediately preceding epoch may still be
+        process touched in the immediately preceding epoch may still be
         mid-burst -- only two whole untouched epochs prove the burst is over.
     persist_raw:
         Also write every accepted message to the raw ``messages`` table.
@@ -224,7 +220,7 @@ class IncrementalConsolidator:
     #: Recently closed keys, for fast late-message detection.  Entries are
     #: evicted ``idle_epochs`` epochs after the close, so memory stays
     #: bounded by recent traffic, not campaign size; a message arriving
-    #: even later resurrects a (content-free) group whose flush the store's
+    #: even later resurrects a (content-free) process whose flush the store's
     #: first-close-wins insert ignores.
     _closed: set[ProcessKey] = field(init=False, default_factory=set)
     _closed_fifo: deque = field(init=False, default_factory=deque)  # (close_epoch, key)
@@ -236,7 +232,7 @@ class IncrementalConsolidator:
     _written: list[ProcessRecord] | None = field(init=False, default_factory=list)
     _written_mark: int | None = field(init=False, default=None)
     #: :meth:`_peek_open`'s last answer, beside the two counters that change
-    #: whenever an open group does (a message consumed, a record built).
+    #: whenever an open process does (a message consumed, a record closed).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
         init=False, default=None)
 
@@ -295,64 +291,58 @@ class IncrementalConsolidator:
         return False
 
     def _deliver(self) -> None:
-        """Raw-persist (``persist_raw``), then feed, the buffered messages,
+        """Raw-persist (``persist_raw``), then file, the buffered messages,
         and tick the idle clock.
 
-        Each accepted message is fed once and raw-persisted at most once,
-        even when a store write raises on the way: a raw insert that raises
-        leaves the batch buffered as it was, and a record flush that raises
-        while feeding leaves buffered only the messages not yet fed,
-        marked as already persisted.
+        Filing a row is one lookup of its process key and one append to
+        that process's rows; a ``PROCEND`` builds the record, which closes
+        the process when it shows it complete.  A key is open or recently
+        closed, never both, so only a row that opens a process pays for the
+        dedup lookup.  Each accepted message is filed once and raw-persisted
+        at most once, even when a store write raises on the way: a raw
+        insert that raises leaves the batch buffered as it was, and a record
+        flush that raises while filing leaves buffered only the messages not
+        yet filed, marked as already persisted.
         """
         batch = self._batch
         if not batch:
             return
         if self.persist_raw and len(batch) > self._persisted:
             self.store.insert_rows(batch[self._persisted:])
+        open_processes, closed, epoch = self._open, self._closed, self._epoch
         unfed = iter(batch)
-        consume = self._consume
         try:
             for row in unfed:
-                consume(row)
+                key: ProcessKey = row[:6]
+                process = open_processes.get(key)
+                if process is None:
+                    if key in closed:
+                        self.late_messages += 1
+                        continue
+                    process = open_processes[key] = _OpenProcess()
+                    if len(open_processes) > self.peak_open_processes:
+                        self.peak_open_processes = len(open_processes)
+                process.rows.append(row)
+                process.last_epoch = epoch
+                if row[7] == _PROCEND:
+                    process.ended = True
+                    record, whole = build_process_record(key, process.rows)
+                    if whole and not record.incomplete:
+                        self._close(key, record, reason="procend")
         finally:
             self._batch = list(unfed)
             self._persisted = len(self._batch)
+            self.messages_consumed += len(batch) - len(self._batch)
         self.advance_epoch()
 
     # ------------------------------------------------------------------ #
-    # grouping and closing
+    # closing
     # ------------------------------------------------------------------ #
-    def _consume(self, row: MessageRow) -> None:
-        """File one raw row under its process and ``(LAYER, TYPE)`` group."""
-        self.messages_consumed += 1
-        key: ProcessKey = row[:6]
-        # A key is open or recently closed, never both: only a message that
-        # opens a group pays for the dedup lookup.
-        open_process = self._open.get(key)
-        if open_process is None:
-            if key in self._closed:
-                self.late_messages += 1
-                return
-            open_process = self._open[key] = _OpenProcess(last_epoch=self._epoch)
-            self.peak_open_processes = max(self.peak_open_processes, len(self._open))
-        open_process.last_epoch = self._epoch
-
-        group_key = row[6:8]
-        group = open_process.groups.get(group_key)
-        if group is None:
-            group = open_process.groups[group_key] = MessageGroup()
-        group.add(row[8], row[9], row[10])
-
-        if row[7] == _PROCEND:
-            open_process.ended = True
-            procinfo = self._expected_complete(open_process)
-            if procinfo is not None:
-                self._close(key, open_process, reason="procend", procinfo=procinfo)
-
     def advance_epoch(self) -> int:
-        """Advance the idle clock and close stale groups; returns how many closed.
+        """Advance the idle clock and close stale processes; returns how many
+        closed.
 
-        Ticked after every delivered batch.  Closes groups that either saw
+        Ticked after every delivered batch.  Closes processes that either saw
         their ``PROCEND`` but are missing content (lost datagrams -- one
         epoch of grace covers reordering transports) or have been idle for
         ``idle_epochs`` whole epochs (the ``PROCEND`` itself was lost).
@@ -368,31 +358,10 @@ class IncrementalConsolidator:
             or self._epoch - open_process.last_epoch >= self.idle_epochs
         ]
         for key, open_process in stale:
-            self._close(key, open_process, reason="idle")
+            self._close(key, build_process_record(key, open_process.rows)[0], reason="idle")
         return len(stale)
 
-    def _expected_complete(self, open_process: _OpenProcess) -> dict[str, str] | None:
-        """The parsed PROCINFO when every expected content type arrived with
-        all its chunks, else ``None``.
-
-        The category that decides what is expected is read from the whole
-        PROCINFO group, never from one chunk of it: ``category=...`` may
-        straddle a chunk boundary, and a process read as uncategorised
-        would close on PROCEND without its grace epoch.  The record built on
-        that close takes the parse as it is instead of parsing again.
-        """
-        groups = open_process.groups
-        if not all(group.all_chunks_present for group in groups.values()):
-            return None
-        group = groups.get(PROCINFO_KEY)
-        procinfo = {} if group is None else parse_keyvalues(group.reassemble()[0])
-        if all(expected in groups for expected in expected_keys_for(procinfo.get("category", ""))):
-            return procinfo
-        return None
-
-    def _close(self, key: ProcessKey, open_process: _OpenProcess, *, reason: str,
-               procinfo: dict[str, str] | None = None) -> None:
-        record = build_process_record(key, open_process.groups, procinfo)
+    def _close(self, key: ProcessKey, record: ProcessRecord, *, reason: str) -> None:
         self.records_built += 1
         if record.incomplete:
             self.incomplete_records += 1
@@ -431,18 +400,18 @@ class IncrementalConsolidator:
             pending.clear()
 
     def _peek_open(self) -> tuple[ProcessRecord, ...]:
-        """Non-destructive records for every still-open group, in key order.
+        """Non-destructive records for every still-open process, in key order.
 
         Built through the same assembly function as finalized records, but
-        neither closed nor written -- the groups keep accumulating.  While no
-        message has been consumed and no record built since the last peek,
-        the open groups are what that peek saw, and its answer is returned
-        again without building a record.
+        neither closed nor written -- the processes keep accumulating.  While
+        no message has been consumed and no record closed since the last
+        peek, the open processes are what that peek saw, and its answer is
+        returned again without building a record.
         """
         state = (self.messages_consumed, self.records_built)
         if self._peeked is None or self._peeked[0] != state:
             self._peeked = (state, tuple(
-                build_process_record(key, open_process.groups)
+                build_process_record(key, open_process.rows)[0]
                 for key, open_process in sorted(self._open.items())))
         return self._peeked[1]
 
@@ -453,7 +422,7 @@ class IncrementalConsolidator:
         """Live view: write what is finalized, then read the store once.
 
         Finalized records come back from the ``processes`` table (memory
-        holds only in-flight groups); still-open groups are peeked
+        holds only in-flight processes); still-open processes are peeked
         non-destructively.  Returned in canonical process-key order.
         """
         self._deliver()
@@ -472,7 +441,7 @@ class IncrementalConsolidator:
         since its last pull are handed over as built (any other cursor reads
         the rows past it) -- so a mid-campaign pull costs O(records
         finalized since the last pull), each built and written once, plus
-        the peek at the handful of still-open groups, which is not rebuilt
+        the peek at the handful of still-open processes, which is not rebuilt
         while no datagram has arrived.  Records finalized through the
         first-close-wins insert are immutable, which is what makes the rowid
         cursor a correct delta stream (see
@@ -486,7 +455,7 @@ class IncrementalConsolidator:
                             open_records=open_records, cursor=cursor)
 
     def finalize(self) -> list[ProcessRecord]:
-        """End of stream: close every open group, return all records, in
+        """End of stream: close every open process, return all records, in
         canonical process-key order.
 
         The records are the very objects this consolidator built and wrote,
@@ -499,7 +468,8 @@ class IncrementalConsolidator:
         """
         self._deliver()
         for key in sorted(self._open):
-            self._close(key, self._open[key], reason="final")
+            self._close(key, build_process_record(key, self._open[key].rows)[0],
+                        reason="final")
         self._flush()
         records, self._written = self._written, None
         if (records is None
@@ -509,7 +479,7 @@ class IncrementalConsolidator:
 
     @property
     def open_processes(self) -> int:
-        """Process groups currently held open."""
+        """Processes currently held open."""
         return len(self._open)
 
     @property

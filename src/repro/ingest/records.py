@@ -12,11 +12,14 @@ when any expected piece is missing.
 
 The record-assembly logic lives in the module-level
 :func:`build_process_record`, which the streaming
-:class:`~repro.ingest.incremental.IncrementalConsolidator` calls once for
-every closed (or peeked) message group: it walks the groups that are present
-once and builds the record positionally.  The tests' post-pass oracle
-(``tests/oracles/consolidate.py``) regroups a raw ``messages`` table and
-hands it to the builder as first written (``tests/oracles/records.py``),
+:class:`~repro.ingest.incremental.IncrementalConsolidator` calls on the raw
+rows an open process holds -- at its ``PROCEND``, where the record built is
+the close check and the record written, at an idle or final close, and for
+a live peek.  It walks the rows once: an unchunked message goes straight
+into its slot, only a chunked or repeated ``(LAYER, TYPE)`` pair is
+reassembled, and the record is built positionally.  The tests' post-pass
+oracle (``tests/oracles/consolidate.py``) regroups a raw ``messages`` table
+and hands it to the builder as first written (``tests/oracles/records.py``),
 which shares no assembly code with this one.
 
 Python packages from memory maps
@@ -32,13 +35,15 @@ the data behind Figure 3.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from collections.abc import Iterable
+from dataclasses import MISSING, fields
 
 from repro.collector.classify import ExecutableCategory
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import PROCESS_FIELDS, ProcessKey, ProcessRecord
 from repro.hpcsim.memmap import parse_mapped_paths
 from repro.transport.chunking import reassemble_chunks
+from repro.transport.messages import MessageRow
 
 #: Message types expected for every collected process (used for the incomplete flag).
 _ALWAYS_EXPECTED = (InfoType.PROCINFO, InfoType.FILEMETA)
@@ -81,39 +86,14 @@ def expected_keys_for(category: str) -> tuple[GroupKey, ...]:
     return _EXPECTED_KEYS.get(category, _EXPECTED_KEYS[""])
 
 
-@dataclass
-class MessageGroup:
-    """All message chunks of one (process, layer, type)."""
-
-    chunks: dict[int, str] = field(default_factory=dict)
-    chunk_total: int = 1
-
-    def add(self, chunk_index: int, chunk_total: int, content: str) -> None:
-        self.chunks[chunk_index] = content
-        if chunk_total > self.chunk_total:
-            self.chunk_total = chunk_total
-
-    @property
-    def all_chunks_present(self) -> bool:
-        """True once every announced chunk has arrived."""
-        return len(self.chunks) >= self.chunk_total
-
-    def reassemble(self) -> tuple[str, bool]:
-        """The content that arrived, in order, and whether all of it did."""
-        if self.chunk_total == 1 and 0 in self.chunks:
-            # An unchunked message: chunk 0 is the content, and any other
-            # index is out of range, which reassemble_chunks drops too.
-            return self.chunks[0], True
-        result = reassemble_chunks(self.chunks, self.chunk_total)
-        return result.content, result.complete
-
-
 _PYTHON = ExecutableCategory.PYTHON.value
 
-#: Where each group's content lands in the record, as a position in
-#: ``PROCESS_FIELDS``; the two PROCINFO groups are parsed instead, and any
-#: other group (``PROCEND``, unmapped SCRIPT-layer types) is not read at all.
-_PROCINFO, _SCRIPT_PROCINFO = -1, -2
+#: Where each ``(LAYER, TYPE)`` pair's content lands in the record under
+#: assembly, as a position in ``PROCESS_FIELDS``.  Three scratch positions past
+#: the record's end take the two PROCINFO pairs, which are parsed instead, and
+#: every pair the record does not read (``PROCEND``, unmapped SCRIPT-layer
+#: types); they are cut off before the record is constructed.
+_PROCINFO, _SCRIPT_PROCINFO, _UNREAD = range(len(PROCESS_FIELDS), len(PROCESS_FIELDS) + 3)
 _SLOTS: dict[GroupKey, int] = {
     PROCINFO_KEY: _PROCINFO,
     GROUP_KEYS[Layer.SCRIPT, InfoType.PROCINFO]: _SCRIPT_PROCINFO,
@@ -136,63 +116,86 @@ _SLOTS: dict[GroupKey, int] = {
            ("script_h", Layer.SCRIPT, InfoType.FILE_H),
        )},
 }
-#: A record with no group present: every field at its default (the key's
-#: six fields, which have none, are set per record).
-_EMPTY_ROW = [None if f.default is MISSING else f.default for f in fields(ProcessRecord)]
+#: A record with no pair filed: every field at its default (the key's six
+#: fields, which have none, are set per record), then the scratch positions.
+_EMPTY_ROW = [None if f.default is MISSING else f.default
+              for f in fields(ProcessRecord)] + ["", "", ""]
 _UID, _GID, _PPID, _EXECUTABLE, _CATEGORY, _MAPS, _SCRIPT_PATH, _PACKAGES, _INCOMPLETE = (
     PROCESS_FIELDS.index(name) for name in (
         "uid", "gid", "ppid", "executable", "category", "maps", "script_path",
         "python_packages", "incomplete"))
 
 
-def build_process_record(key: ProcessKey, groups: dict[GroupKey, MessageGroup],
-                         procinfo: dict[str, str] | None = None) -> ProcessRecord:
-    """Assemble one :class:`ProcessRecord` from the message groups of one key.
+def build_process_record(key: ProcessKey,
+                         rows: Iterable[MessageRow]) -> tuple[ProcessRecord, bool]:
+    """Assemble one :class:`ProcessRecord` from the raw rows filed under one
+    key, and say whether every ``(LAYER, TYPE)`` pair among them is whole.
 
-    One pass over the groups that are present: each is reassembled once and
-    its content put in place, PROCINFO is parsed once, and the record is
-    constructed positionally.  ``procinfo`` is that parse when the caller
-    already has it (the PROCEND close, which read the category from it); it
-    must be ``parse_keyvalues`` of the PROCINFO group's reassembled content,
-    or ``{}`` without one.  Pure function of its inputs: neither ``groups``
-    nor ``procinfo`` is mutated, so callers may build a record from
-    still-open groups (live snapshots) and rebuild later.
+    One walk over the rows, in any order.  A pair's first message, when it
+    is unchunked (chunk 0 of at most 1), goes straight into its slot.  Only a
+    pair that is really chunked or repeated gets a ``{index: content}``
+    accumulator -- the last copy of a chunk wins, the total is the largest
+    announced, never below 1 -- and is reassembled once at the end by
+    :func:`~repro.transport.chunking.reassemble_chunks`.  PROCINFO is parsed
+    once and the record constructed positionally.
+
+    A pair is whole when every chunk in ``[0, total)`` arrived; an index
+    outside that range is not one of them.  The flag covers every pair
+    filed, read into the record or not (``PROCEND``), so a process may close
+    on ``PROCEND`` iff the flag is set and the record is not incomplete.
+    Pure: ``rows`` is not mutated, so a live snapshot may build from an open
+    process's rows and the close build again later.
     """
-    row = _EMPTY_ROW.copy()
-    row[:6] = key
-    info = script = ""
-    complete = True
+    record = _EMPTY_ROW.copy()
+    record[:6] = key
     slots = _SLOTS
-    for group_key, group in groups.items():
-        slot = slots.get(group_key)
-        if slot is None:
-            continue
-        content, whole = group.reassemble()
-        complete = complete and whole
-        if slot >= 0:
-            row[slot] = content
-        elif slot == _PROCINFO:
-            info = content
+    filed: dict[GroupKey, int] = {}     # every pair seen, to its slot
+    parts: dict[GroupKey, list] = {}    # the chunked or repeated: [total, {index: content}]
+    for _, _, _, _, _, _, layer, info_type, index, total, content in rows:
+        pair = layer, info_type
+        if index or total > 1 or pair in filed:
+            part = parts.get(pair)
+            if part is None:
+                slot = filed.get(pair)
+                if slot is None:
+                    filed[pair] = slots.get(pair, _UNREAD)
+                    part = parts[pair] = [1, {}]
+                else:   # its first message went straight into the slot
+                    part = parts[pair] = [1, {0: record[slot]}]
+            part[1][index] = content
+            if total > part[0]:
+                part[0] = total
         else:
-            script = content
+            slot = filed[pair] = slots.get(pair, _UNREAD)
+            record[slot] = content
+    complete = whole = True
+    for pair, (total, chunks) in parts.items():
+        reassembled = reassemble_chunks(chunks, total)
+        slot = filed[pair]
+        record[slot] = reassembled.content
+        if not reassembled.complete:
+            whole = False
+            if slot != _UNREAD:
+                complete = False
 
-    if procinfo is None:
-        procinfo = parse_keyvalues(info) if info else {}
+    info, script = record[_PROCINFO], record[_SCRIPT_PROCINFO]
+    del record[_PROCINFO:]
+    procinfo = parse_keyvalues(info) if info else {}
     category = procinfo.get("category", "")
-    row[_UID] = _to_int(procinfo.get("uid"))
-    row[_GID] = _to_int(procinfo.get("gid"))
-    row[_PPID] = _to_int(procinfo.get("ppid"))
-    row[_EXECUTABLE] = procinfo.get("exe", "")
-    row[_CATEGORY] = category
+    record[_UID] = _to_int(procinfo.get("uid"))
+    record[_GID] = _to_int(procinfo.get("gid"))
+    record[_PPID] = _to_int(procinfo.get("ppid"))
+    record[_EXECUTABLE] = procinfo.get("exe", "")
+    record[_CATEGORY] = category
     script_path = parse_keyvalues(script).get("script", "") if script else ""
-    row[_SCRIPT_PATH] = script_path
+    record[_SCRIPT_PATH] = script_path
     # Imported Python packages from the memory map
-    maps = row[_MAPS]
+    maps = record[_MAPS]
     if maps and (category == _PYTHON or script_path):
-        row[_PACKAGES] = ",".join(extract_python_packages(maps))
-    if not (complete and all(map(groups.__contains__, expected_keys_for(category)))):
-        row[_INCOMPLETE] = 1
-    return ProcessRecord(*row)
+        record[_PACKAGES] = ",".join(extract_python_packages(maps))
+    if not (complete and all(map(filed.__contains__, expected_keys_for(category)))):
+        record[_INCOMPLETE] = 1
+    return ProcessRecord(*record), whole
 
 
 def _to_int(value: str | None) -> int | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 #: Every statistics/counter key any emitter may surface, with its meaning.
 COUNTERS: dict[str, str] = {
     # --- ingest (IncrementalConsolidator.statistics) ------------------- #
-    "messages_consumed": "decoded messages fed into the open groups",
+    "messages_consumed": "decoded messages filed under the open processes",
     "records_built": "process records finalized",
     "incomplete_records": "records flagged incomplete (datagram loss)",
     "early_finalized": "groups closed by PROCEND with all sections present",
@@ -31,7 +31,7 @@ COUNTERS: dict[str, str] = {
     "final_closed": "groups force-closed at end of stream",
     "late_messages": "messages that arrived after their group closed",
     "open_processes": "process groups currently open",
-    "peak_open_processes": "high-water mark of simultaneously open groups",
+    "peak_open_processes": "high-water mark of simultaneously open processes",
     "messages_received": "datagrams that decoded into messages",
     "decode_errors": "undecodable datagrams dropped by the ingest path",
     "quarantined": "undecodable datagrams captured in the forensic ring",

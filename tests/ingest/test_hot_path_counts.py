@@ -1,13 +1,14 @@
 """Count guards: the receive path pays per datagram only for what differs.
 
-A 200-process stream (chunked contents, a lossy wire, so some groups miss
-chunks) is replayed twice through the ingest object
+A 200-process stream (chunked contents, a lossy wire, so some processes
+miss chunks) is replayed twice through the ingest object
 (``IncrementalConsolidator``) over a store
 with gold rollups attached: once untouched, once under spies.  The spies
 fail the test if the hot path regrows a ``UDPMessage``, an enum call or a
-``.value`` per datagram, a throw-away ``MessageGroup`` per message, a
-``reassemble_chunks`` call per unchunked group, a second PROCINFO parse per
-record -- or, in the hand-off to gold, a re-read of the batch just written,
+``.value`` per datagram, a chunk accumulator (a ``reassemble_chunks`` call)
+for an unchunked message, a record build per process beyond its close and
+each ``PROCEND`` check that found content missing, a second PROCINFO parse
+per record -- or, in the hand-off to gold, a re-read of the batch just written,
 a second fold of a record or a second split of one ``objects`` string; or
 if ``finalize`` reads back what it wrote, or a live refresh loop reads a
 ``processes`` row back, builds a record twice or re-peeks an unchanged
@@ -16,8 +17,8 @@ counters and tables.
 """
 
 import enum
+from collections import Counter
 from dataclasses import astuple, fields
-from itertools import count
 
 import pytest
 
@@ -77,12 +78,12 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         value_reads.append(self.name)
         return property_get(self, instance, ownerclass)
 
-    groups_built = []
+    builds = []
+    build = incremental.build_process_record
 
-    class CountedGroup(record_builder.MessageGroup):
-        def __init__(self, *args, **kwargs):
-            groups_built.append(self)
-            super().__init__(*args, **kwargs)
+    def counting_build(key, rows):
+        builds.append(list(rows))
+        return build(key, rows)
 
     reassembled = []
     reassemble_chunks = record_builder.reassemble_chunks
@@ -97,7 +98,7 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         patch.setattr(messages, "Layer", forbidden)
         patch.setattr(messages, "InfoType", forbidden)
         patch.setattr(enum.property, "__get__", counting_get)
-        patch.setattr(incremental, "MessageGroup", CountedGroup)
+        patch.setattr(incremental, "build_process_record", counting_build)
         patch.setattr(record_builder, "reassemble_chunks", counting_reassemble)
         spied = _replay(stream)
 
@@ -109,22 +110,32 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
     assert messages_built == []
     assert value_reads == []
 
-    # One MessageGroup per distinct (process, layer, type) that was filed:
-    # a message for an already-closed key (a late PROCEND) files nothing.
-    decoded = [UDPMessage.decode(datagram) for datagram in stream]
-    distinct = {(m.jobid, m.stepid, m.pid, m.path_hash, m.host, m.time,
-                 m.layer, m.info_type) for m in decoded}
-    assert len(decoded) > len(distinct) + 1000          # chunking is exercised
-    assert len(groups_built) == len(distinct) - expected[1]["late_messages"]
+    # A build accumulates chunks -- and reassembles them, once -- only for a
+    # pair that is really chunked or repeated in the rows it walks; the
+    # unchunked majority goes straight into its slot.
+    def accumulated(rows):
+        pairs = Counter(row[6:8] for row in rows)
+        return {row[6:8] for row in rows
+                if row[8] != 0 or row[9] > 1 or pairs[row[6:8]] > 1}
 
-    # reassemble_chunks only where there is something to reassemble or to
-    # find missing; the unchunked majority never reaches it.
-    assert reassembled
-    assert all(total > 1 or 0 not in chunks for chunks, total in reassembled)
+    walked = [pair for rows in builds for pair in {row[6:8] for row in rows}]
+    parts = sum(len(accumulated(rows)) for rows in builds)
+    assert len(stream) > len(walked) + 1000         # chunking is exercised
+    assert len(reassembled) == parts
     assert any(len(chunks) < total for chunks, total in reassembled)   # loss seen
-    unchunked = sum(1 for group in groups_built
-                    if group.chunk_total == 1 and 0 in group.chunks)
-    assert unchunked > len(reassembled)
+    assert len(walked) > 2 * parts
+
+    # A process is built when it closes, plus once for each PROCEND check
+    # that found content missing (the idle close then builds it again).
+    # Every late message of this stream is the PROCEND of a process the idle
+    # rule closed first, so the other PROCENDs are the checks.
+    stats = expected[1]
+    procend_keys = {(m.jobid, m.stepid, m.pid, m.path_hash, m.host, m.time)
+                    for m in map(UDPMessage.decode, stream) if m.info_type is InfoType.PROCEND}
+    checks = len(procend_keys) - stats["late_messages"]
+    missing = checks - stats["early_finalized"]
+    assert (checks, missing) == (106, 34)
+    assert len(builds) == stats["records_built"] + missing
 
 
 def test_tier_hand_off_counts(stream, monkeypatch):
@@ -264,9 +275,9 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     sync, commit = LiveAnalysis.sync, LiveAnalysis.commit
     table_init = TableRollup.__init__
 
-    def counting_build(key, groups, procinfo=None):
+    def counting_build(key, rows):
         builds.append((key, bool(peeking)))
-        return build(key, groups, procinfo)
+        return build(key, rows)
 
     def counting_peek(self):
         peeking.append(True)
@@ -335,29 +346,35 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     assert all(not batch and before == after for before, after, batch in empty)
 
 
-def test_one_procinfo_parse_per_record(ordered_stream, monkeypatch):
+def test_one_build_and_one_procinfo_parse_per_record(ordered_stream, monkeypatch):
     """Every process of the ordered stream closes on its ``PROCEND``, whose
-    check reads the category from the parsed PROCINFO: the record is built
-    from that parse, so each PROCINFO group (the SCRIPT layer's too) is
-    parsed exactly once."""
+    check is the record build: each key is built exactly once, and each
+    PROCINFO group (the SCRIPT layer's too) is parsed exactly once."""
     expected = _replay(ordered_stream)
     assert expected[1]["early_finalized"] == expected[1]["records_built"] == 200
     decoded = [UDPMessage.decode(datagram) for datagram in ordered_stream]
     procinfo_groups = {(m.jobid, m.stepid, m.pid, m.path_hash, m.host, m.time, m.layer)
                        for m in decoded if m.info_type is InfoType.PROCINFO}
 
-    parsed = []
+    builds, parsed = [], []
+    build = incremental.build_process_record
     parse_keyvalues = record_builder.parse_keyvalues
+
+    def counting_build(key, rows):
+        builds.append(key)
+        return build(key, rows)
 
     def counting_parse(content):
         parsed.append(content)
         return parse_keyvalues(content)
 
     with monkeypatch.context() as patch:
+        patch.setattr(incremental, "build_process_record", counting_build)
         patch.setattr(record_builder, "parse_keyvalues", counting_parse)
-        patch.setattr(incremental, "parse_keyvalues", counting_parse)
         spied = _replay(ordered_stream)
 
     assert spied == expected
+    assert sorted(builds) == sorted(record[:6] for record in expected[0])
+    assert len(builds) == len(set(builds)) == 200
     assert len(procinfo_groups) > 200                  # SCRIPT layers are exercised
     assert len(parsed) == len(procinfo_groups)

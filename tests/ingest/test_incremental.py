@@ -51,9 +51,14 @@ def _procend(pid: int = 10) -> UDPMessage:
 
 
 def _feed(sink: IncrementalConsolidator, messages: list[UDPMessage]) -> None:
-    """Hand messages straight to the grouping rules (no batch, no tick)."""
-    for message in messages:
-        sink._consume(row(message))
+    """Hand messages straight to the filing and closing rules: delivered as
+    one batch, without the epoch tick that ends a delivery."""
+    sink._batch.extend(map(row, messages))
+    sink.advance_epoch = lambda: 0      # an instance attribute shadows the method
+    try:
+        sink._deliver()
+    finally:
+        del sink.advance_epoch
 
 
 def _datagram(pid: int, info_type: InfoType = InfoType.PROCINFO) -> bytes:
@@ -133,6 +138,38 @@ class TestFinalizationRules:
         _feed(sink, [_msg(InfoType.MODULES, "part-two", chunk_index=1, chunk_total=2)])
         record = sink.finalize()[0]
         assert record.modules == "part-one|part-two"
+
+    def test_an_out_of_range_chunk_is_not_counted_as_arrived(self):
+        """Chunks ``{0, 5}`` of an announced 2 are one chunk, not two: the
+        PROCEND check holds the group for its grace epoch, and the real
+        chunk 1 arriving inside it completes the record instead of being
+        dropped as late."""
+        sink = IncrementalConsolidator(MessageStore())
+        _feed(sink, _system_burst()[:2])
+        _feed(sink, [_msg(InfoType.OBJECTS, "/lib64/libc.so.6|", chunk_index=0, chunk_total=2),
+                     _msg(InfoType.OBJECTS, "stray", chunk_index=5, chunk_total=2),
+                     _procend()])
+        assert (sink.early_finalized, sink.open_processes) == (0, 1)
+        _feed(sink, [_msg(InfoType.OBJECTS, "/lib64/libm.so.6", chunk_index=1, chunk_total=2)])
+        assert sink.late_messages == 0
+        record = sink.finalize()[0]
+        assert (record.objects, record.incomplete) == ("/lib64/libc.so.6|/lib64/libm.so.6", 0)
+
+    def test_procend_waits_for_a_pair_the_record_does_not_read(self):
+        """The close rule covers every pair filed, not only those the record
+        reads: a SCRIPT-layer OBJECTS message missing a chunk holds a
+        complete record open for the grace epoch, so its last chunk is
+        filed, not counted late."""
+        sink = IncrementalConsolidator(MessageStore())
+        _feed(sink, [*_system_burst(),
+                     _msg(InfoType.OBJECTS, "a|", layer=Layer.SCRIPT, chunk_index=0,
+                          chunk_total=2),
+                     _procend()])
+        assert (sink.early_finalized, sink.open_processes) == (0, 1)
+        _feed(sink, [_msg(InfoType.OBJECTS, "b", layer=Layer.SCRIPT, chunk_index=1,
+                          chunk_total=2)])
+        assert sink.late_messages == 0
+        assert sink.finalize()[0].incomplete == 0
 
     def test_evicted_key_never_clobbers_the_finalized_record(self):
         """A message later than the dedup horizon resurrects a content-free

@@ -4,7 +4,7 @@ The post-pass oracle in ``tests/oracles/consolidate.py`` groups raw
 messages for the record builder as first written
 (``tests/oracles/records.py``), so the ``TestConsolidation`` cases pin that
 builder; ``TestFastBuilder`` pins ``build_process_record`` to it over random
-group dicts.
+row lists, regrouped for the oracle.
 """
 
 from dataclasses import astuple
@@ -13,12 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.collector.records import InfoType, Layer, format_keyvalues, parse_keyvalues
+from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
 from repro.ingest.records import (
     GROUP_KEYS,
-    MessageGroup,
     build_process_record,
     expected_keys_for,
     expected_types_for,
@@ -27,7 +26,6 @@ from repro.ingest.records import (
 )
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
-from repro.util.errors import TransportError
 
 from oracles import records as oracle
 from oracles.consolidate import records_from_messages
@@ -62,13 +60,14 @@ class TestGroupConstants:
 
 
 class TestReassembleShortcut:
-    """An unchunked group answers without ``reassemble_chunks``; whatever it
-    holds, the answer is ``reassemble_chunks``'s."""
+    """An unchunked pair goes straight into its slot without
+    ``reassemble_chunks``; whatever rows a pair has, its content and
+    wholeness are ``reassemble_chunks``'s over the chunks that arrived and
+    the largest total announced (never below 1)."""
 
     @given(st.dictionaries(st.integers(min_value=-3, max_value=6),
-                           st.text(max_size=5), max_size=6),
+                           st.text(max_size=5), min_size=1, max_size=6),
            st.integers(min_value=-1, max_value=6))
-    @example({}, 1)                      # nothing arrived
     @example({1: "b"}, 1)                # index 0 missing
     @example({0: "a", 1: "b"}, 1)        # an index >= total, two chunks present
     @example({-1: "z", 0: "a"}, 1)       # a negative index
@@ -77,15 +76,11 @@ class TestReassembleShortcut:
     @example({0: "a"}, 0)                # an impossible total
     @settings(max_examples=300, deadline=None)
     def test_equals_reassemble_chunks(self, chunks, chunk_total):
-        group = MessageGroup(chunks=dict(chunks), chunk_total=chunk_total)
-        try:
-            reference = reassemble_chunks(chunks, chunk_total)
-        except TransportError:
-            with pytest.raises(TransportError):
-                group.reassemble()
-            return
-        assert group.reassemble() == (reference.content, reference.complete)
-        assert group.chunks == chunks
+        pair = GROUP_KEYS[Layer.SELF, InfoType.MODULES]
+        record, whole = build_process_record(_KEY, [
+            (*_KEY, *pair, index, chunk_total, content) for index, content in chunks.items()])
+        reference = reassemble_chunks(chunks, max(chunk_total, 1))
+        assert (record.modules, whole) == (reference.content, reference.complete)
 
 
 class TestPackageFromMappedPath:
@@ -248,71 +243,105 @@ def _contents(group_key, category: str):
     return st.text(max_size=6)
 
 
-@st.composite
-def _group(draw, content: str) -> MessageGroup:
-    """``content`` cut into chunks, all of them arrived -- or some lost,
-    maybe one announced but never sent, maybe one stray index outside
-    ``[0, total)``."""
-    cuts = sorted(draw(st.lists(st.integers(0, len(content)), max_size=2)))
-    bounds = [0, *cuts, len(content)]
-    pieces = [content[low:high] for low, high in zip(bounds, bounds[1:])]
-    chunks = dict(enumerate(pieces))
-    if draw(st.booleans()):
-        return MessageGroup(chunks=chunks, chunk_total=len(pieces))
-    for index in draw(st.sets(st.integers(0, len(pieces) - 1), max_size=len(pieces))):
-        del chunks[index]
-    total = len(pieces) + draw(st.integers(0, 1))
-    stray = draw(st.sampled_from([None, -1, total, total + 2]))
-    if stray is not None:
-        chunks[stray] = "stray"
-    return MessageGroup(chunks=chunks, chunk_total=total)
+def _rows(key, pair, content: str):
+    """Rows carrying ``content`` under ``pair``: cut into chunks, all of them
+    sent once -- or some lost, some sent twice (the copy maybe announcing
+    another total), one announced but never sent, one stray index outside
+    ``[0, total)``, and an unchunked message's total maybe below 1."""
+
+    @st.composite
+    def rows(draw):
+        cuts = sorted(draw(st.lists(st.integers(0, len(content)), max_size=2)))
+        bounds = [0, *cuts, len(content)]
+        pieces = [content[low:high] for low, high in zip(bounds, bounds[1:])]
+        total = len(pieces)
+        if total == 1:
+            total = draw(st.sampled_from([1, 1, 0, -1]))
+        if draw(st.booleans()):
+            return [(*key, *pair, index, total, piece) for index, piece in enumerate(pieces)]
+        total = max(total, 1) + draw(st.integers(0, 1))
+        lost = draw(st.sets(st.integers(0, len(pieces) - 1), max_size=len(pieces)))
+        sent = [(*key, *pair, index, total, piece)
+                for index, piece in enumerate(pieces) if index not in lost]
+        for index in draw(st.lists(st.integers(0, len(pieces) - 1), max_size=2)):
+            copy_total = draw(st.sampled_from([total, 1, total + 1]))
+            sent.append((*key, *pair, index, copy_total,
+                         draw(st.sampled_from([pieces[index], "copy"]))))
+        stray = draw(st.sampled_from([None, -1, total, total + 2]))
+        if stray is not None:
+            sent.append((*key, *pair, stray, total, "stray"))
+        return sent
+
+    return rows()
 
 
 @st.composite
-def _groups(draw) -> dict:
-    """A category's expected groups (usually) plus any others, PROCEND,
-    SCRIPT-layer and unmapped keys among them."""
+def _process_rows(draw, key) -> list:
+    """One process's rows in any order: a category's expected pairs
+    (usually) plus any others, PROCEND, SCRIPT-layer and unmapped pairs among
+    them."""
     category = draw(st.sampled_from(_CATEGORIES))
-    keys = list(expected_keys_for(category)) if draw(st.booleans()) else []
-    keys += draw(st.lists(st.sampled_from(_ALL_KEYS), max_size=8))
-    return {key: draw(_group(draw(_contents(key, category))))
-            for key in dict.fromkeys(keys)}
+    pairs = list(expected_keys_for(category)) if draw(st.booleans()) else []
+    pairs += draw(st.lists(st.sampled_from(_ALL_KEYS), max_size=8))
+    rows = [row for pair in dict.fromkeys(pairs)
+            for row in draw(_rows(key, pair, draw(_contents(pair, category))))]
+    return draw(st.permutations(rows))
 
 
 _keys = st.tuples(st.sampled_from(["7", "8"]), st.just("0"), st.integers(0, 99),
                   st.just("a" * 32), st.just("n1"), st.integers(0, 2))
+_KEY = ("7", "0", 1, "h", "n1", 0)
+
+
+def _unchunked(pair, content: str) -> tuple:
+    return (*_KEY, *pair, 0, 1, content)
 
 
 class TestFastBuilder:
-    """``build_process_record`` equals the builder as first written."""
+    """``build_process_record`` over a process's rows equals the builder as
+    first written over the same rows regrouped, and its flag says whether
+    every pair filed has all of its announced in-range chunks."""
 
-    @given(_keys, _groups())
-    @example(("7", "0", 1, "h", "n1", 0), {})
-    @example(("7", "0", 1, "h", "n1", 0), {     # a script under a non-Python exe
-        _SELF_PROCINFO: MessageGroup({0: "exe=/project/p/u/lmp|category=user"}),
-        GROUP_KEYS[Layer.SELF, InfoType.MAPS]: MessageGroup({0: _PYTHON_MAPS}),
-        _SCRIPT_PROCINFO: MessageGroup({0: "script=/users/a/run.py"})})
+    @given(_keys.flatmap(lambda key: st.tuples(st.just(key), _process_rows(key))))
+    @example((_KEY, []))
+    @example((_KEY, [                           # a script under a non-Python exe
+        _unchunked(_SELF_PROCINFO, "exe=/project/p/u/lmp|category=user"),
+        _unchunked(GROUP_KEYS[Layer.SELF, InfoType.MAPS], _PYTHON_MAPS),
+        _unchunked(_SCRIPT_PROCINFO, "script=/users/a/run.py")]))
+    @example((_KEY, [                           # chunks {0, 5} of 2: one arrived
+        _unchunked(_SELF_PROCINFO, "exe=/usr/bin/bash|category=system"),
+        _unchunked(GROUP_KEYS[Layer.SELF, InfoType.FILEMETA], "inode=1"),
+        (*_KEY, *GROUP_KEYS[Layer.SELF, InfoType.OBJECTS], 0, 2, "libc|"),
+        (*_KEY, *GROUP_KEYS[Layer.SELF, InfoType.OBJECTS], 5, 2, "stray"),
+        _unchunked(GROUP_KEYS[Layer.SELF, InfoType.PROCEND], "end_time=1")]))
+    @example((_KEY, [                           # an unmapped pair missing a chunk
+        _unchunked(_SELF_PROCINFO, "exe=/usr/bin/bash|category=system"),
+        _unchunked(GROUP_KEYS[Layer.SELF, InfoType.FILEMETA], "inode=1"),
+        _unchunked(GROUP_KEYS[Layer.SELF, InfoType.OBJECTS], "libc"),
+        (*_KEY, *GROUP_KEYS[Layer.SELF, InfoType.PROCEND], 1, 2, "exit_code=0")]))
     @settings(max_examples=400, deadline=None)
-    def test_equals_the_oracle(self, key, groups):
-        before = {group_key: (dict(group.chunks), group.chunk_total)
-                  for group_key, group in groups.items()}
-        record = build_process_record(key, groups)
+    def test_equals_the_oracle(self, drawn):
+        key, rows = drawn
+        before = list(rows)
+        record, whole = build_process_record(key, rows)
+        groups = oracle.regroup(rows)
         expected = oracle.build_process_record(key, groups)
         assert astuple(record) == astuple(expected)
         assert list(map(type, astuple(record))) == list(map(type, astuple(expected)))
-        # The PROCEND close hands over the PROCINFO parse it read the
-        # category from: the same record, without a second parse.
-        procinfo = groups.get(_SELF_PROCINFO)
-        parsed = {} if procinfo is None else parse_keyvalues(procinfo.reassemble()[0])
-        assert astuple(build_process_record(key, groups, parsed)) == astuple(expected)
-        assert {group_key: (group.chunks, group.chunk_total)
-                for group_key, group in groups.items()} == before     # not mutated
+        assert rows == before                                        # not mutated
+        # The PROCEND close rule: the record is not incomplete and every
+        # pair filed, read into the record or not, has all of its chunks.
+        every_pair_whole = all(reassemble_chunks(group.chunks, group.chunk_total).complete
+                               for group in groups.values())
+        assert whole == every_pair_whole
+        assert (whole and not record.incomplete) == (
+            not expected.incomplete and every_pair_whole)
 
     def test_a_python_record_through_both(self):
-        groups = {_SELF_PROCINFO: MessageGroup({0: "exe=/usr/bin/python3|category=python"}),
-                  GROUP_KEYS[Layer.SELF, InfoType.MAPS]: MessageGroup({0: _PYTHON_MAPS}),
-                  GROUP_KEYS[Layer.SCRIPT, InfoType.FILE_H]: MessageGroup({0: "3:s:h"})}
-        record = build_process_record(("7", "0", 1, "h", "n1", 0), groups)
-        assert record == oracle.build_process_record(("7", "0", 1, "h", "n1", 0), groups)
-        assert (record.python_packages, record.script_h, record.incomplete) == (
-            "heapq,numpy", "3:s:h", 1)
+        rows = [_unchunked(_SELF_PROCINFO, "exe=/usr/bin/python3|category=python"),
+                _unchunked(GROUP_KEYS[Layer.SELF, InfoType.MAPS], _PYTHON_MAPS),
+                _unchunked(GROUP_KEYS[Layer.SCRIPT, InfoType.FILE_H], "3:s:h")]
+        record, whole = build_process_record(_KEY, rows)
+        assert record == oracle.build_process_record(_KEY, oracle.regroup(rows))
+        assert (record.python_packages, record.script_h, record.incomplete, whole) == (
+            "heapq,numpy", "3:s:h", 1, True)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord
-from repro.ingest.records import GroupKey, MessageGroup
 from repro.transport.messages import MessageRow
 
-from oracles.records import build_process_record
+from oracles.records import build_process_record, regroup
 
 
 def raw_messages(store: MessageStore) -> list[MessageRow]:
@@ -32,10 +31,7 @@ def raw_messages(store: MessageStore) -> list[MessageRow]:
 
 def records_from_messages(store: MessageStore) -> list[ProcessRecord]:
     """Regroup the raw ``messages`` table into records, in process-key order."""
-    grouped: dict[ProcessKey, dict[GroupKey, MessageGroup]] = defaultdict(dict)
+    by_key: dict[ProcessKey, list[MessageRow]] = defaultdict(list)
     for row in raw_messages(store):
-        jobid, stepid, pid, path_hash, host, time, layer, info_type, idx, total, content = row
-        key: ProcessKey = (jobid, stepid, pid, path_hash, host, time)
-        group = grouped[key].setdefault((layer, info_type), MessageGroup())
-        group.add(idx, total, content)
-    return [build_process_record(key, groups) for key, groups in sorted(grouped.items())]
+        by_key[row[:6]].append(row)
+    return [build_process_record(key, regroup(rows)) for key, rows in sorted(by_key.items())]

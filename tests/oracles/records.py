@@ -1,24 +1,53 @@
 """The record builder as first written: the oracle the fast builder is pinned to.
 
-:func:`~repro.ingest.records.build_process_record` walks the groups that are
-present once and fills the record positionally.  This is the same contract
-written the plain way -- one lookup per record column, a keyword
-constructor, ``reassemble_chunks`` for every group -- and it shares no
-assembly code with the streaming path: only the wire spelling of the group
-keys, the category's expected types and the memory-map package parser.
-The post-pass oracle (``tests/oracles/consolidate.py``) builds its records
-here, and ``tests/ingest/test_records.py`` pins the two builders equal over
-random group dicts.
+:func:`~repro.ingest.records.build_process_record` walks a process's raw rows
+once and fills the record positionally.  This is the same contract written
+the plain way -- the rows regrouped into one :class:`MessageGroup` per
+``(LAYER, TYPE)`` pair, one lookup per record column, a keyword constructor,
+``reassemble_chunks`` for every group -- and it shares no assembly code with
+the streaming path: only the wire spelling of the group keys, the category's
+expected types and the memory-map package parser.  The post-pass oracle
+(``tests/oracles/consolidate.py``) builds its records here, and
+``tests/ingest/test_records.py`` pins the two builders equal over random row
+lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import ProcessKey, ProcessRecord
-from repro.ingest.records import MessageGroup, expected_types_for, extract_python_packages
+from repro.ingest.records import expected_types_for, extract_python_packages
 from repro.transport.chunking import reassemble_chunks
+from repro.transport.messages import MessageRow
 
 GroupKey = tuple[str, str]
+
+
+@dataclass
+class MessageGroup:
+    """All message chunks of one (process, layer, type): the last copy of a
+    chunk wins, and the total is the largest announced, never below 1."""
+
+    chunks: dict[int, str] = field(default_factory=dict)
+    chunk_total: int = 1
+
+    def add(self, chunk_index: int, chunk_total: int, content: str) -> None:
+        self.chunks[chunk_index] = content
+        if chunk_total > self.chunk_total:
+            self.chunk_total = chunk_total
+
+
+def regroup(rows: Iterable[MessageRow]) -> dict[GroupKey, MessageGroup]:
+    """One process's raw rows as one :class:`MessageGroup` per ``(LAYER, TYPE)``."""
+    groups: dict[GroupKey, MessageGroup] = {}
+    for *_key, layer, info_type, chunk_index, chunk_total, content in rows:
+        groups.setdefault((layer, info_type), MessageGroup()).add(
+            chunk_index, chunk_total, content)
+    return groups
+
 
 #: Record columns filled verbatim from one group's content ("" when absent).
 CONTENT_COLUMNS: tuple[tuple[str, GroupKey], ...] = tuple(
