@@ -12,6 +12,13 @@ this says where the seconds went.  A report, never a verdict.
 ``trace.probe`` -- the benchmark's own probes, timed so that a traced budget
 still sums to the wall-clock -- is left out: every share is of the budget
 net of the probe, the figure the perf gate in ``ROADMAP.md`` reads.
+
+After the budget comes each workload's per-refresh split, read from the
+document's ``per_layer`` p50s: the three sub-spans of a dashboard refresh
+(:data:`REFRESH_PARTS`) with their shares of the sum -- the figure the
+per-refresh arm of the perf gate reads -- and :data:`REFRESH_PULLS`, the
+delta pulls timed inside them, on a line of its own.  A figure a document
+lacks (an untraced run, a workload with no refresh) is left out.
 """
 
 from __future__ import annotations
@@ -23,6 +30,11 @@ from pathlib import Path
 
 #: The benchmark's own probe span: time spent measuring, not in a layer.
 PROBE = "trace.probe"
+#: The ``per_layer`` p50s of a dashboard refresh's sub-spans, which sum to it.
+REFRESH_PARTS = ("analysis.live_sync_ms_p50", "analysis.live_views_ms_p50",
+                 "db.gold_query_ms_p50")
+#: The delta pulls per refresh: timed inside the parts, so never added to them.
+REFRESH_PULLS = "ingest.snapshot_delta_ms_p50"
 
 
 def layer_self_times(document: dict) -> dict[str, dict[str, float]]:
@@ -76,14 +88,79 @@ def report_two(first: dict[str, dict[str, float]],
     return lines
 
 
+def refresh_split(document: dict) -> dict[str, dict[str, float]]:
+    """``{workload: {figure: ms}}`` of :data:`REFRESH_PARTS` and
+    :data:`REFRESH_PULLS`, each where the document has a value for it."""
+    splits = {}
+    for name, workload in document["workloads"].items():
+        per_layer = workload.get("per_layer", {})
+        figures = {key: per_layer[key]["value"] for key in (*REFRESH_PARTS, REFRESH_PULLS)
+                   if per_layer.get(key, {}).get("value") is not None}
+        if figures:
+            splits[name] = figures
+    return splits
+
+
+def _parts(figures: dict[str, float]) -> dict[str, float]:
+    return {key: figures[key] for key in REFRESH_PARTS if key in figures}
+
+
+def refresh_one(splits: dict[str, dict[str, float]]) -> list[str]:
+    """The per-refresh lines printed for one run."""
+    lines = []
+    for workload, figures in splits.items():
+        parts = _parts(figures)
+        share = shares(parts)
+        lines.append(f"== {workload}  (per refresh, p50 ms; share of the parts' "
+                     f"sum: {sum(parts.values()):.3f} ms)")
+        for key in sorted(parts, key=lambda name: (-parts[name], name)):
+            lines.append(f"   {key:<30}{parts[key]:>9.3f}{share[key]:>8.1%}")
+        if REFRESH_PULLS in figures:
+            lines.append(f"   {REFRESH_PULLS:<30}{figures[REFRESH_PULLS]:>9.3f}"
+                         "  (pulls, inside the parts)")
+    return lines
+
+
+def refresh_two(first: dict[str, dict[str, float]],
+                second: dict[str, dict[str, float]]) -> list[str]:
+    """The per-refresh lines printed for two runs, per workload both have."""
+    def move(label: str, x: float, y: float) -> str:
+        return f"   {label:<30}{x:>9.3f}{y:>9.3f}{y - x:>+10.3f}"
+
+    lines = []
+    for workload in first:
+        if workload not in second:
+            continue
+        a, b = first[workload], second[workload]
+        parts_a, parts_b = _parts(a), _parts(b)
+        share_a, share_b = shares(parts_a), shares(parts_b)
+        lines.append(f"== {workload}  (per refresh, p50 ms; share of the parts' sum)")
+        lines.append(f"   {'figure':<30}{'A':>9}{'B':>9}{'B - A':>10}"
+                     f"{'A share':>9}{'B share':>9}")
+        for key in REFRESH_PARTS:
+            if key in a or key in b:
+                lines.append(move(key, a.get(key, 0.0), b.get(key, 0.0))
+                             + f"{share_a.get(key, 0.0):>9.1%}{share_b.get(key, 0.0):>9.1%}")
+        lines.append(move("sum", sum(parts_a.values()), sum(parts_b.values())))
+        if REFRESH_PULLS in a or REFRESH_PULLS in b:
+            lines.append(move(REFRESH_PULLS, a.get(REFRESH_PULLS, 0.0),
+                              b.get(REFRESH_PULLS, 0.0)))
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print("usage: layer_budget.py RUN.json | layer_budget.py A.json B.json",
               file=sys.stderr)
         return 2
-    runs = [layer_self_times(json.loads(Path(path).read_text(encoding="utf-8")))
-            for path in argv]
-    print("\n".join(report_one(*runs) if len(runs) == 1 else report_two(*runs)))
+    documents = [json.loads(Path(path).read_text(encoding="utf-8")) for path in argv]
+    runs = [layer_self_times(document) for document in documents]
+    splits = [refresh_split(document) for document in documents]
+    if len(documents) == 1:
+        lines = report_one(*runs) + refresh_one(*splits)
+    else:
+        lines = report_two(*runs) + refresh_two(*splits)
+    print("\n".join(lines))
     return 0
 
 

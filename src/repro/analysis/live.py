@@ -38,6 +38,14 @@ records (``tests/analysis/test_live.py``):
   path ``SimilaritySearch.query`` takes for caller-supplied candidates),
   which can only *add* comparisons, never change scores.
 
+Tables 2/3/4/8 per refresh
+--------------------------
+A pull that commits nothing and hands back the same peek folds into neither
+accumulator (``refresh_open`` keeps an equal overlay), so each table view
+is answered from the rollup's memory: no row is built until a record
+commits or the peek changes (:mod:`repro.analysis.stats`, "Views from
+memory").  What is left of such a refresh is its pulls, one per view.
+
 Table 7 per refresh
 -------------------
 A Table 7 answer is identified by three inputs: the pool's instance keys in
@@ -284,7 +292,8 @@ class LiveAnalysis:
         hasher's ``require_common_substring`` gate are what the last search
         saw, its answer is returned again as fresh dict and list copies of
         the frozen rows, without an index probe or a compare-LRU lookup (the
-        module docstring says why those three inputs suffice).
+        module docstring says why those three inputs suffice).  The rows are
+        shared with every earlier caller; their ``scores`` are read-only.
         """
         self._pull()
         pool = self._pool()

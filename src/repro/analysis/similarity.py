@@ -29,6 +29,7 @@ from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
+from repro.util.readonly import ReadOnlyDict
 
 #: Column order of Table 7.
 HASH_COLUMNS: tuple[str, ...] = ("MO_H", "CO_H", "OB_H", "FI_H", "ST_H", "SY_H")
@@ -93,7 +94,7 @@ class SimilarityResult:
 
     label: str
     executable: str
-    scores: dict[str, int]
+    scores: ReadOnlyDict  #: column -> score; shared by every caller of a reused answer
     average: float
 
     def as_row(self) -> list[object]:
@@ -320,8 +321,8 @@ class SimilaritySearch:
         ranked = sorted(range(len(kept)), key=averages.__getitem__, reverse=True)[:top]
         return [SimilarityResult(
             label=kept[position].label, executable=kept[position].executable,
-            scores={column: scores[position]
-                    for column, scores in zip(columns, column_scores)},
+            scores=ReadOnlyDict({column: scores[position]
+                                 for column, scores in zip(columns, column_scores)}),
             average=averages[position]) for position in ranked]
 
     def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:

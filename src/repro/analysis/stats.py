@@ -36,6 +36,20 @@ touching either: minima and maxima combine, counts add, and a distinct count
 is ``len(base) + (overlay members not in base)`` -- never a copy or union of
 a base set, so an overlaid view costs O(overlay + answer) however large the
 base is.  The overlay view is the accumulator's merge law.
+
+Views from memory
+-----------------
+A view's rows are a function of what both accumulators have folded, and
+each accumulator counts its folds.  So a view is built at most once per
+state -- (this accumulator's fold count, the overlay object, the overlay's
+fold count) -- and per arguments: while that state holds, a repeated call
+returns the rows it built, in a fresh list, without constructing a row.
+The first call after a fold into either side, or with another overlay,
+drops every remembered answer and builds again, so the memo holds one
+answer per (view, arguments) of the current state and never accumulates
+stale ones.  Rows are shared between the calls that get them: they are
+frozen, and ``SharedObjectVariantRow.distinguishing``, their one mapping, is
+a :class:`~repro.util.readonly.ReadOnlyDict`.
 """
 
 from __future__ import annotations
@@ -45,6 +59,7 @@ from operator import itemgetter
 
 from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessKey, ProcessRecord
+from repro.util.readonly import ReadOnlyDict
 
 _SYSTEM = ExecutableCategory.SYSTEM.value
 _USER = ExecutableCategory.USER.value
@@ -108,7 +123,7 @@ class SharedObjectVariantRow:
     executable: str
     process_count: int
     objects: tuple[str, ...]
-    distinguishing: dict[str, str]
+    distinguishing: ReadOnlyDict  #: library-name substring -> its resolved path, or ""
 
 
 @dataclass(frozen=True)
@@ -203,9 +218,16 @@ class TableRollup:
         #: ``objects`` string -> its object list: a campaign repeats a few
         #: hundred library sets over thousands of records, so each is split once.
         self._object_lists: dict[str, tuple[str, ...]] = {}
+        #: records folded: the state every view's rows are a function of
+        self._folds = 0
+        #: rows built at ``_answered`` (folds, overlay, overlay's folds), by
+        #: (view, arguments); cleared when that state moves
+        self._answers: dict[tuple, list] = {}
+        self._answered: tuple = (0, None, 0)
 
     def fold(self, record: ProcessRecord) -> None:
         """Absorb one record.  Commutative; a process key is folded at most once."""
+        self._folds += 1
         key = record.key
         name = record.executable_name
         user = user_label(record, self.user_names)
@@ -251,6 +273,20 @@ class TableRollup:
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
+    def _answer(self, overlay: TableRollup | None, build, *args) -> list:
+        """``build(*args, overlay)``'s rows, built at most once per state; a
+        fresh list every call."""
+        # the overlay compares by identity: TableRollup defines no ``__eq__``
+        state = (self._folds, overlay, overlay._folds if overlay else 0)
+        if state != self._answered:
+            self._answers.clear()
+            self._answered = state
+        view = (build.__name__, *args)
+        rows = self._answers.get(view)
+        if rows is None:
+            rows = self._answers[view] = build(*args, overlay)
+        return list(rows)
+
     def user_activity(
             self, *, overlay: TableRollup | None = None) -> list[UserActivityRow]:
         """Table 2: per-user job and process counts, split by executable category.
@@ -258,6 +294,9 @@ class TableRollup:
         Sorted by job count, then system-, user- and Python-process counts,
         all descending.
         """
+        return self._answer(overlay, self._user_activity)
+
+    def _user_activity(self, overlay: TableRollup | None) -> list[UserActivityRow]:
         rows = [
             UserActivityRow(
                 user=user,
@@ -277,6 +316,10 @@ class TableRollup:
                            overlay: TableRollup | None = None) -> list[SystemExecutableRow]:
         """Table 3: per system executable, users, jobs, processes and distinct
         library sets; the ``top`` rows, or all of them for ``None``."""
+        return self._answer(overlay, self._system_executables, top)
+
+    def _system_executables(self, top: int | None,
+                            overlay: TableRollup | None) -> list[SystemExecutableRow]:
         rows = [
             SystemExecutableRow(
                 executable=path,
@@ -302,6 +345,12 @@ class TableRollup:
         ``distinguish`` lists library-name substrings whose resolved paths are
         reported per variant (the paper shows ``libtinfo`` and ``libm`` for bash).
         """
+        return self._answer(overlay, self._shared_object_variants, executable_name,
+                            tuple(distinguish))
+
+    def _shared_object_variants(
+            self, executable_name: str, distinguish: tuple[str, ...],
+            overlay: TableRollup | None) -> list[SharedObjectVariantRow]:
         base = self._executables.get(executable_name, _NO_EXECUTABLE)
         extra = overlay._executables.get(executable_name, _NO_EXECUTABLE) \
             if overlay else _NO_EXECUTABLE
@@ -311,10 +360,10 @@ class TableRollup:
                 executable=path,
                 process_count=ours.processes + theirs.processes,
                 objects=objects,
-                distinguishing={
+                distinguishing=ReadOnlyDict({
                     name: next((obj for obj in objects
                                 if name in obj.rsplit("/", 1)[-1]), "")
-                    for name in distinguish},
+                    for name in distinguish}),
             )
             for objects, ours, theirs in _by_first_key(
                 base.variants, extra.variants, _NO_VARIANT)
@@ -326,6 +375,10 @@ class TableRollup:
             self, *, overlay: TableRollup | None = None) -> list[PythonInterpreterRow]:
         """Table 8: per Python interpreter, users, jobs, processes and
         distinct input scripts."""
+        return self._answer(overlay, self._python_interpreters)
+
+    def _python_interpreters(
+            self, overlay: TableRollup | None) -> list[PythonInterpreterRow]:
         rows = [
             PythonInterpreterRow(
                 interpreter=name,

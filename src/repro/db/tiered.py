@@ -7,7 +7,10 @@ table.  :class:`TieredStore` keeps one
 it: the store hands over each batch its first-close-wins insert wrote in
 full, and refolds gold from the whole table after any other write.  The four
 paper tables (Tables 2, 3, 4 and 8) are then answered in O(answer), never
-O(records), with rows byte-identical to a fresh fold of the whole table.
+O(records), with rows byte-identical to a fresh fold of the whole table; a
+query repeated while gold folds nothing is answered from the rollup's memory
+without building a row (a dashboard polls far more often than processes
+finish).
 """
 
 from __future__ import annotations

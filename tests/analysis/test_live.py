@@ -17,6 +17,7 @@ random commits, peeks, gate flips and ``top`` changes.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -299,6 +300,25 @@ class TestSyntheticStreamEquivalence:
         live.identify_unknown(top=10).clear()
         assert live.identify_unknown(top=10) == kept
         assert live.statistics()["identify_reused"] == 5
+
+    def test_a_returned_rows_scores_cannot_change_the_next_answer(self):
+        stream = _synthetic_stream(seed=11)
+        live = LiveAnalysis({})
+        live.commit(stream[:33])
+        first = live.identify_unknown(top=10)
+        pinned = repr(first)
+        executable, rows = next(iter(first.items()))
+        assert rows, "the first UNKNOWN has no candidate"
+        scores = rows[0].scores
+        with contextlib.suppress(TypeError):
+            scores["FI_H"] = -1
+        assert repr(live.identify_unknown(top=10)) == pinned
+        for mutate in (lambda: scores.update(FI_H=-1), lambda: scores.pop("FI_H"),
+                       scores.clear, lambda: scores.setdefault("X", 0)):
+            with pytest.raises(TypeError):
+                mutate()
+        assert repr(live.identify_unknown(top=10)) == pinned
+        assert live.statistics()["identify_reused"] == 2
 
 
 class TestIncrementalIndexAndSearchGrowth:

@@ -2,7 +2,8 @@
 
 ``scripts/layer_budget.py`` is what CI appends to the job summary and what
 the perf gate's shares are read from, so its arithmetic is tier-1: a layer
-summed over its callers, ``trace.probe`` left out, shares net of it.
+summed over its callers, ``trace.probe`` left out, shares net of it, and a
+refresh split into its ``per_layer`` parts, whatever figures are missing.
 """
 
 import importlib.util
@@ -27,17 +28,30 @@ def _row(layer, parent, self_s):
     return {"layer": layer, "parent": parent, "self_s": self_s, "calls": 1}
 
 
-def _document(ingest_s: float) -> dict:
+def _per_layer(ms: dict[str, float | None]) -> dict:
+    """``per_layer`` entries of the given millisecond figures."""
+    return {key: {"value": value, "unit": "ms"} for key, value in ms.items()}
+
+
+def _document(ingest_s: float, views_ms: float = 0.5) -> dict:
     """Two workloads; ``ingest`` has two callers, ``trace.probe`` is a
-    quarter of ``replay`` and a half of ``live-query``."""
+    quarter of ``replay`` and a half of ``live-query``.  ``replay`` has every
+    refresh figure; ``live-query`` lacks the gold one and has no value for
+    the views."""
     return {"fingerprint": {}, "workloads": {
-        "replay": {"budget": [
+        "replay": {"per_layer": _per_layer({
+            "analysis.live_sync_ms_p50": 0.1, "analysis.live_views_ms_p50": views_ms,
+            "db.gold_query_ms_p50": 0.4, "ingest.snapshot_delta_ms_p50": 0.05}),
+                   "budget": [
             _row("ingest", "transport", ingest_s - 1.0),
             _row("ingest", "workload.driver", 1.0),
             _row("trace.probe", "workload.driver", 2.0),
             _row("db.store", "ingest", 2.0),
             _row("workload.prepare", None, 6.0 - ingest_s)]},
-        "live-query": {"budget": [
+        "live-query": {"per_layer": _per_layer({
+            "analysis.live_sync_ms_p50": 1.5, "analysis.live_views_ms_p50": None,
+            "ingest.snapshot_delta_ms_p50": 1.25}),
+                       "budget": [
             _row("ingest.snapshot", "analysis.live_sync", 1.5),
             _row("trace.probe", "workload.driver", 2.0),
             _row("db.store", "ingest", 0.5)]},
@@ -89,3 +103,46 @@ def test_three_documents_are_a_usage_error(layer_budget, tmp_path, capsys):
     run = _write(tmp_path / "run.json", _document(3.0))
     assert layer_budget.main([run, run, run]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_the_refresh_split_keeps_the_figures_a_document_has(layer_budget):
+    assert layer_budget.refresh_split(_document(3.0)) == {
+        "replay": {"analysis.live_sync_ms_p50": 0.1, "analysis.live_views_ms_p50": 0.5,
+                   "db.gold_query_ms_p50": 0.4, "ingest.snapshot_delta_ms_p50": 0.05},
+        "live-query": {"analysis.live_sync_ms_p50": 1.5,
+                       "ingest.snapshot_delta_ms_p50": 1.25}}
+    untraced = {"workloads": {"replay": {"budget": []}, "campaign": {"per_layer": {}}}}
+    assert layer_budget.refresh_split(untraced) == {}
+
+
+def test_one_document_prints_the_refresh_split(layer_budget, tmp_path, capsys):
+    assert layer_budget.main([_write(tmp_path / "run.json", _document(3.0))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("== replay  (per refresh, p50 ms; share of the parts' sum: 1.000 ms)")
+    assert [line.split() for line in lines[start + 1:start + 5]] == [
+        ["analysis.live_views_ms_p50", "0.500", "50.0%"],
+        ["db.gold_query_ms_p50", "0.400", "40.0%"],
+        ["analysis.live_sync_ms_p50", "0.100", "10.0%"],
+        ["ingest.snapshot_delta_ms_p50", "0.050", "(pulls,", "inside", "the", "parts)"]]
+    start = lines.index("== live-query  (per refresh, p50 ms; share of the parts' sum: "
+                        "1.500 ms)")
+    assert [line.split()[:3] for line in lines[start + 1:]] == [
+        ["analysis.live_sync_ms_p50", "1.500", "100.0%"],
+        ["ingest.snapshot_delta_ms_p50", "1.250", "(pulls,"]]
+
+
+def test_two_documents_print_both_refresh_splits(layer_budget, tmp_path, capsys):
+    first = _write(tmp_path / "a.json", _document(3.0))
+    second = _write(tmp_path / "b.json", _document(3.0, views_ms=0.1))
+    assert layer_budget.main([first, second]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("== replay  (per refresh, p50 ms; share of the parts' sum)")
+    assert [line.split() for line in lines[start + 2:start + 7]] == [
+        ["analysis.live_sync_ms_p50", "0.100", "0.100", "+0.000", "10.0%", "16.7%"],
+        ["analysis.live_views_ms_p50", "0.500", "0.100", "-0.400", "50.0%", "16.7%"],
+        ["db.gold_query_ms_p50", "0.400", "0.400", "+0.000", "40.0%", "66.7%"],
+        ["sum", "1.000", "0.600", "-0.400"],
+        ["ingest.snapshot_delta_ms_p50", "0.050", "0.050", "+0.000"]]
+    start = lines.index("== live-query  (per refresh, p50 ms; share of the parts' sum)")
+    assert [line.split()[0] for line in lines[start + 2:]] == [
+        "analysis.live_sync_ms_p50", "sum", "ingest.snapshot_delta_ms_p50"]
