@@ -9,14 +9,16 @@ modified executables.  These benches measure both on the synthetic corpus.
 import hashlib
 import sys
 import time
+from unittest import mock
 
 import pytest
 
+from repro.analysis import simindex
 from repro.analysis.similarity import SimilaritySearch
 from repro.corpus.builder import CorpusBuilder
 from repro.corpus.packages import ICON
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import FuzzyHasher, compare, fuzzy_hash, fuzzy_hash_text
+from repro.hashing.ssdeep import compare, fuzzy_hash, fuzzy_hash_text
 from repro.hpcsim.cluster import Cluster
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
@@ -171,11 +173,11 @@ class TestIndexedSimilarityScaling:
 
             brute_ms = indexed_ms = float("inf")
             for _ in range(3):  # best of three, each from a fresh search (cold index, cold LRU)
-                brute = SimilaritySearch(records, index_threshold=sys.maxsize)
-                indexed = SimilaritySearch(records, index_threshold=0)
-                brute_out, elapsed = self._run_search(brute)
+                brute = SimilaritySearch(records)
+                indexed = SimilaritySearch(records)
+                brute_out, elapsed = self._run_search(brute, sys.maxsize)
                 brute_ms = min(brute_ms, elapsed)
-                indexed_out, elapsed = self._run_search(indexed)
+                indexed_out, elapsed = self._run_search(indexed, 0)
                 indexed_ms = min(indexed_ms, elapsed)
                 assert brute_out == indexed_out  # identical tables + matrix, every scale
 
@@ -226,24 +228,15 @@ class TestIndexedSimilarityScaling:
         return records
 
     @staticmethod
-    def _run_search(search: SimilaritySearch) -> tuple[tuple, float]:
-        """Run Table 7 + the pairwise matrix; return (results, elapsed ms)."""
-        start = time.perf_counter()
-        try:
-            searches = search.identify_unknown(top=10)
-        except AnalysisError:  # no UNKNOWN instance at tiny scales
-            searches = {}
-        matrix = search.pairwise_average_matrix()
-        elapsed_ms = (time.perf_counter() - start) * 1000
+    def _run_search(search: SimilaritySearch, threshold: int) -> tuple[tuple, float]:
+        """Run Table 7 + the pairwise matrix with the index from ``threshold``
+        instances (0: always, ``sys.maxsize``: never); return (results, elapsed ms)."""
+        with mock.patch.object(simindex, "DEFAULT_INDEX_THRESHOLD", threshold):
+            start = time.perf_counter()
+            try:
+                searches = search.identify_unknown(top=10)
+            except AnalysisError:  # no UNKNOWN instance at tiny scales
+                searches = {}
+            matrix = search.pairwise_average_matrix()
+            elapsed_ms = (time.perf_counter() - start) * 1000
         return (searches, matrix), elapsed_ms
-
-
-class TestHasherConfiguration:
-    def test_disabling_double_signature_requirement(self, icon_variants):
-        """Ablation of the common-substring guard: scores can only grow without it."""
-        strict = FuzzyHasher(require_common_substring=True)
-        loose = FuzzyHasher(require_common_substring=False)
-        a, b = icon_variants[0], icon_variants[1]
-        strict_score = strict.compare(strict.hash(a), strict.hash(b))
-        loose_score = loose.compare(loose.hash(a), loose.hash(b))
-        assert loose_score >= strict_score

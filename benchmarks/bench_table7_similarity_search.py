@@ -9,6 +9,7 @@ variants.
 
 import sys
 
+from repro.analysis import simindex
 from repro.analysis.report import render_similarity
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.util.tables import TextTable
@@ -40,25 +41,31 @@ def test_table7_similarity_search(benchmark, bench_pipeline):
     assert all(result.scores["SY_H"] >= 80 for result in tail)
 
 
-def test_table7_similarity_search_brute_force(benchmark, bench_pipeline):
+def test_table7_similarity_search_brute_force(benchmark, bench_pipeline, monkeypatch):
     """Timing reference: the same search on the all-pairs brute-force path."""
+    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", sys.maxsize)
     searches = benchmark(lambda: SimilaritySearch(
-        bench_pipeline.records, index_threshold=sys.maxsize).identify_unknown(top=10))
+        bench_pipeline.records).identify_unknown(top=10))
     assert searches
 
 
-def test_indexed_table7_is_byte_identical_with_fewer_comparisons(bench_campaign):
+def test_indexed_table7_is_byte_identical_with_fewer_comparisons(bench_campaign,
+                                                                 monkeypatch):
     """The n-gram index must not change a single byte of Table 7's output.
 
-    Runs the search twice -- brute force and indexed (threshold forced to 0 so
-    the index engages regardless of campaign scale) -- renders both result
-    sets, and checks the renderings are byte-identical while the indexed run
-    performed no more digest comparisons (strictly fewer at default scale).
+    Runs the search twice -- brute force and indexed (the search reads
+    ``DEFAULT_INDEX_THRESHOLD`` at query time; it is patched to
+    ``sys.maxsize`` for the first run and to 0 for the second, so the index
+    engages regardless of campaign scale) -- renders both result sets, and
+    checks the renderings are byte-identical while the indexed run performed
+    no more digest comparisons (strictly fewer at default scale).
     """
-    brute = SimilaritySearch(bench_campaign.records, index_threshold=sys.maxsize)
-    indexed = SimilaritySearch(bench_campaign.records, index_threshold=0)
+    brute = SimilaritySearch(bench_campaign.records)
+    indexed = SimilaritySearch(bench_campaign.records)
 
+    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", sys.maxsize)
     brute_out = brute.identify_unknown(top=10)
+    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
     indexed_out = indexed.identify_unknown(top=10)
 
     def rendered(searches) -> str:

@@ -111,8 +111,7 @@ def test_list_hashes_survive_partial_loss():
 # degradation curves over the fault-plan presets
 # --------------------------------------------------------------------- #
 def _run_with_plan(plan: FaultPlan | None):
-    config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0,
-                            ingest_mode="streaming", fault_plan=plan)
+    config = CampaignConfig(scale=SCALE, seed=SEED, loss_rate=0.0, fault_plan=plan)
     campaign = DeploymentCampaign(config=config)
     started = time.perf_counter()
     result = campaign.run()

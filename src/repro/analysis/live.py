@@ -48,12 +48,12 @@ memory").  What is left of such a refresh is its pulls, one per view.
 
 Table 7 per refresh
 -------------------
-A Table 7 answer is identified by three inputs: the pool's instance keys in
+A Table 7 answer is identified by two inputs: the pool's instance keys in
 pool order (path plus six digests: labels, scores and tie order follow from
-them), ``top``, and the hasher's ``require_common_substring`` gate.  A
-refresh whose three inputs equal the last answer's costs O(instances) -- one
-key tuple compared -- and returns that answer again; ``process_count`` is
-not an input, so a commit that only bumps counts is served from memory too.
+them) and ``top``; the scoring rules are ssdeep's and fixed.  A refresh
+whose two inputs equal the last answer's costs O(instances) -- one key tuple
+compared -- and returns that answer again; ``process_count`` is not an
+input, so a commit that only bumps counts is served from memory too.
 Any other refresh re-runs the search: UNKNOWN x labelled x six columns of
 index probes and compare-LRU lookups.  One
 :class:`~repro.hashing.ssdeep.FuzzyHasher` lives for the whole analysis, so
@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL
+from repro.analysis.labels import UNKNOWN_LABEL
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -74,7 +74,6 @@ from repro.analysis.similarity import (
     SimilaritySearch,
     instance_from_record,
 )
-from repro.analysis.simindex import DEFAULT_INDEX_THRESHOLD
 from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
@@ -118,11 +117,10 @@ class LiveAnalysis:
     """
 
     user_names: dict[int, str] = field(default_factory=dict)
-    rules: tuple = LABEL_RULES
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    index_threshold: int = DEFAULT_INDEX_THRESHOLD
     cursor: int = 0            #: store rowid high-water mark (when bound)
-    syncs: int = 0             #: delta pulls performed
+    #: delta pulls performed
+    syncs: int = field(init=False, default=0)
     _source: DeltaSource | None = field(init=False, default=None, repr=False)
     _keys: set[ProcessKey] = field(init=False, default_factory=set, repr=False)
     _open: list[ProcessRecord] = field(init=False, default_factory=list, repr=False)
@@ -143,9 +141,7 @@ class LiveAnalysis:
     def __post_init__(self) -> None:
         self._tables = TableRollup(self.user_names)
         self._open_tables = TableRollup(self.user_names)
-        self._search = SimilaritySearch(
-            [], rules=self.rules, hasher=self.hasher,
-            index_threshold=self.index_threshold)
+        self._search = SimilaritySearch([], hasher=self.hasher)
 
     # ------------------------------------------------------------------ #
     # feeding
@@ -288,17 +284,16 @@ class LiveAnalysis:
     def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
         """The Table 7 search for every UNKNOWN instance, live.
 
-        While the pool's instance keys in pool order, ``top`` and the
-        hasher's ``require_common_substring`` gate are what the last search
-        saw, its answer is returned again as fresh dict and list copies of
-        the frozen rows, without an index probe or a compare-LRU lookup (the
-        module docstring says why those three inputs suffice).  The rows are
-        shared with every earlier caller; their ``scores`` are read-only.
+        While the pool's instance keys in pool order and ``top`` are what
+        the last search saw, its answer is returned again as fresh dict and
+        list copies of the frozen rows, without an index probe or a
+        compare-LRU lookup (the module docstring says why those two inputs
+        suffice).  The rows are shared with every earlier caller; their
+        ``scores`` are read-only.
         """
         self._pull()
         pool = self._pool()
-        inputs = (tuple(instance.key for instance in pool), top,
-                  self.hasher.require_common_substring)
+        inputs = (tuple(instance.key for instance in pool), top)
         if self._identified is not None and self._identified[0] == inputs:
             self.identify_reused += 1
             answer = self._identified[1]
@@ -327,7 +322,7 @@ class LiveAnalysis:
             return self._pool_cache
         overlay: dict[tuple[str, ...], tuple[ExecutableInstance, ProcessKey]] = {}
         for record in self._open:
-            instance = instance_from_record(record, self.rules)
+            instance = instance_from_record(record)
             if instance is None:
                 continue
             key = record.key

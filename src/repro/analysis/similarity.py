@@ -8,14 +8,15 @@ every other known instance and ranks candidates by the average similarity.
 A perfect 100 across all columns means "effectively the same executable in the
 same environment"; decreasing scores trace version/compilation distance.
 
-Above a small size threshold the search runs on top of the inverted n-gram
-index of :mod:`repro.analysis.simindex`: only instances sharing at least one
+From :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances up
+the search runs on top of the inverted n-gram index of
+:mod:`repro.analysis.simindex`: only instances sharing at least one
 signature 7-gram with the baseline (per column, per block-size band) are ever
 handed to the expensive signature alignment; every other pair is assigned its
-provably-correct score of 0 without a comparison.  The results -- scores,
-ranking, and tie order -- are identical to brute force by construction, and
-``index_threshold=sys.maxsize`` keeps the plain quadratic path available for
-verification and benchmarking.
+provably-correct score of 0 without a comparison.  Below it the search
+compares every pair.  The results -- scores, ranking, and tie order -- are
+identical either way by construction; the choice is made from the instance
+count alone, reading the threshold at query time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.analysis.labels import LABEL_RULES, UNKNOWN_LABEL, derive_label
-from repro.analysis.simindex import DEFAULT_INDEX_THRESHOLD, IndexStats, SimilarityIndex
+from repro.analysis import simindex
+from repro.analysis.labels import UNKNOWN_LABEL, derive_label
+from repro.analysis.simindex import IndexStats, SimilarityIndex
 from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
@@ -46,21 +48,22 @@ _FIELD_OF_COLUMN: dict[str, str] = {
 _USER_CATEGORY = ExecutableCategory.USER.value
 
 
-def instance_from_record(record: ProcessRecord,
-                         rules: tuple = LABEL_RULES) -> "ExecutableInstance | None":
+def instance_from_record(record: ProcessRecord) -> "ExecutableInstance | None":
     """The instance a record contributes to, or ``None`` if it contributes none.
 
     Only user-directory records with a file hash form instances (the Table 7
     population); the returned instance carries ``process_count=1`` -- callers
-    merge counts when several records share one key.
+    merge counts when several records share one key.  Its ``hashes`` are
+    read-only: the search hands its instances out, and a digest written
+    through one would change the pool its index was built over.
     """
     if record.category != _USER_CATEGORY or not record.file_h:
         return None
-    hashes = {column: getattr(record, _FIELD_OF_COLUMN[column]) or ""
-              for column in HASH_COLUMNS}
+    hashes = ReadOnlyDict({column: getattr(record, _FIELD_OF_COLUMN[column]) or ""
+                           for column in HASH_COLUMNS})
     return ExecutableInstance(
         executable=record.executable,
-        label=derive_label(record.executable, rules),
+        label=derive_label(record.executable),
         hashes=hashes,
     )
 
@@ -108,17 +111,14 @@ class SimilaritySearch:
     """Index user-directory records into instances and run similarity queries.
 
     Candidate pairs are pruned through the inverted n-gram index once the
-    instance count reaches ``index_threshold``; below the threshold -- or
-    when the hasher's common-substring requirement is disabled, which voids
-    the index's pruning guarantee -- queries transparently fall back to brute
-    force.  Either way the results are identical; only ``comparisons``
-    differs.
+    instance count reaches
+    :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD`; below it
+    queries compare every pair.  Either way the results are identical; only
+    ``comparisons`` differs.
     """
 
     records: list[ProcessRecord]
-    rules: tuple = LABEL_RULES
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    index_threshold: int = DEFAULT_INDEX_THRESHOLD
     instances: list[ExecutableInstance] = field(init=False)
     #: Number of digest comparisons actually performed (cache lookups count;
     #: pairs pruned by the index or short-circuited on empty digests do not).
@@ -145,7 +145,7 @@ class SimilaritySearch:
         process key by it, so a record's instance is derived once.
         """
         self.records.append(record)
-        instance = instance_from_record(record, self.rules)
+        instance = instance_from_record(record)
         if instance is None:
             return None
         key = instance.key
@@ -191,15 +191,12 @@ class SimilaritySearch:
     def _effective_index(self) -> SimilarityIndex | None:
         """The candidate-pruning index, or ``None`` when brute force applies.
 
-        The index's no-false-negative guarantee rests on ``compare`` refusing
-        to score signature pairs without a common 7-gram, so a hasher with
-        ``require_common_substring=False`` disables it; so does a dataset
-        smaller than ``index_threshold``, where building the index costs more
-        than the scan it saves.
+        Brute force applies below
+        :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances,
+        where building the index costs more than the scan it saves.  The
+        threshold is read here, on every query, not stored.
         """
-        if not getattr(self.hasher, "require_common_substring", True):
-            return None
-        if len(self.instances) < self.index_threshold:
+        if len(self.instances) < simindex.DEFAULT_INDEX_THRESHOLD:
             return None
         if self._index is None:
             self._index = SimilarityIndex([], columns=HASH_COLUMNS)

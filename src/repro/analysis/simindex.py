@@ -42,14 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hashing.compare_engine import (
-    NGRAM,
-    NormalizedDigest,
-    normalize_digest,
-    normalize_parsed,
-    signature_grams,
-)
-from repro.hashing.rolling import ROLLING_WINDOW
+from repro.hashing.compare_engine import NormalizedDigest, normalize_digest, normalize_parsed
 from repro.hashing.ssdeep import FuzzyHash
 
 #: Below this many instances a linear scan beats building and probing the
@@ -99,10 +92,7 @@ class DigestIndex:
     thousand instances inserts its grams twice.
     """
 
-    def __init__(self, ngram: int = ROLLING_WINDOW) -> None:
-        if ngram < 2:
-            raise ValueError("ngram must be >= 2")
-        self.ngram = ngram
+    def __init__(self) -> None:
         # Distinct digest -> its number; number -> ids registered under it.
         self._numbers: dict[FuzzyHash | str, int] = {}
         self._members: list[set[int]] = []
@@ -192,14 +182,11 @@ class DigestIndex:
         except ValueError:
             return None
 
-    def _banded_grams(self, parsed: NormalizedDigest,
+    @staticmethod
+    def _banded_grams(parsed: NormalizedDigest,
                       ) -> tuple[tuple[int, frozenset[str]], tuple[int, frozenset[str]]]:
         """The chunk part's grams under band ``b``, the double-chunk part's under ``2b``."""
-        grams1, grams2 = parsed.grams1, parsed.grams2
-        if self.ngram != NGRAM:
-            grams1 = signature_grams(parsed.s1, self.ngram)
-            grams2 = signature_grams(parsed.s2, self.ngram)
-        return (parsed.block_size, grams1), (parsed.block_size * 2, grams2)
+        return (parsed.block_size, parsed.grams1), (parsed.block_size * 2, parsed.grams2)
 
 
 @dataclass
@@ -213,11 +200,10 @@ class SimilarityIndex:
 
     hash_rows: list[dict[str, str]]
     columns: tuple[str, ...]
-    ngram: int = ROLLING_WINDOW
     _indexes: dict[str, DigestIndex] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._indexes = {column: DigestIndex(ngram=self.ngram) for column in self.columns}
+        self._indexes = {column: DigestIndex() for column in self.columns}
         rows, self.hash_rows = self.hash_rows, []
         for hashes in rows:
             self.add(hashes)

@@ -24,9 +24,10 @@ Hashing an executable is by far the most expensive part of collection, so
   reached through different paths or writes (the classic renamed ``a.out``),
   so they hash exactly once per campaign.
 
-List hashes are memoised by content in a bounded LRU (the same module and
-library lists recur for thousands of processes), and so is the xxHash of the
-executable path that every datagram header carries.
+List hashes are memoised by content in an LRU of :data:`LIST_CACHE_ENTRIES`
+(the same module and library lists recur for thousands of processes), and
+the xxHash of the executable path that every datagram header carries in a
+memo of :data:`PATH_HASH_ENTRIES`.  Every tier is always on.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from repro.util.errors import ELFError
 
 #: Distinct executable paths whose header hash is kept (oldest out).
 PATH_HASH_ENTRIES = 4096
+#: Distinct collected lists whose fuzzy hash is kept (least recently used out).
+LIST_CACHE_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,19 @@ class ArtifactHasher:
 
     filesystem: VirtualFilesystem
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    cache_enabled: bool = True
-    list_cache_limit: int = 100_000
-    hashes_computed: int = 0
-    cache_hits: int = 0
-    content_cache_hits: int = 0
+    hashes_computed: int = field(init=False, default=0)
+    cache_hits: int = field(init=False, default=0)
+    content_cache_hits: int = field(init=False, default=0)
     #: path -> (write version, result): the path tier
-    _exe_cache: dict[str, tuple[int, ExecutableHashes]] = field(default_factory=dict)
-    _script_cache: dict[str, tuple[int, str]] = field(default_factory=dict)
-    _exe_content_cache: dict[tuple[int, bytes], ExecutableHashes] = field(default_factory=dict)
-    _script_content_cache: dict[tuple[int, bytes], str] = field(default_factory=dict)
-    _list_cache: OrderedDict[str, str] = field(default_factory=OrderedDict)
-    _path_hashes: dict[str, str] = field(default_factory=dict)
+    _exe_cache: dict[str, tuple[int, ExecutableHashes]] = field(
+        init=False, default_factory=dict)
+    _script_cache: dict[str, tuple[int, str]] = field(init=False, default_factory=dict)
+    _exe_content_cache: dict[tuple[int, bytes], ExecutableHashes] = field(
+        init=False, default_factory=dict)
+    _script_content_cache: dict[tuple[int, bytes], str] = field(
+        init=False, default_factory=dict)
+    _list_cache: OrderedDict[str, str] = field(init=False, default_factory=OrderedDict)
+    _path_hashes: dict[str, str] = field(init=False, default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # executables
@@ -99,20 +103,18 @@ class ArtifactHasher:
         """FILE_H / STRINGS_H / SYMBOLS_H for the executable at ``path``."""
         vfile = self.filesystem.get(path)
         version = vfile.version
-        if self.cache_enabled:
-            entry = self._exe_cache.get(path)
-            if entry is not None and entry[0] == version:
-                self.cache_hits += 1
-                return entry[1]
+        entry = self._exe_cache.get(path)
+        if entry is not None and entry[0] == version:
+            self.cache_hits += 1
+            return entry[1]
 
         content = vfile.content
-        ckey = _content_key(content) if self.cache_enabled else None
-        if ckey is not None:
-            cached = self._exe_content_cache.get(ckey)
-            if cached is not None:
-                self.content_cache_hits += 1
-                self._exe_cache[path] = (version, cached)
-                return cached
+        ckey = _content_key(content)
+        cached = self._exe_content_cache.get(ckey)
+        if cached is not None:
+            self.content_cache_hits += 1
+            self._exe_cache[path] = (version, cached)
+            return cached
 
         strings = strings_blob(content).encode("utf-8")
         try:
@@ -125,40 +127,36 @@ class ArtifactHasher:
             strings_hash=str(self.hasher.hash(strings)),
             symbols_hash=None if symbols is None else str(self.hasher.hash(symbols)))
         self.hashes_computed += 1
-        if ckey is not None:
-            self._exe_cache[path] = (version, result)
-            self._exe_content_cache[ckey] = result
+        self._exe_cache[path] = (version, result)
+        self._exe_content_cache[ckey] = result
         return result
 
     def script_hash(self, path: str) -> str:
         """Fuzzy hash of a (Python) script file."""
         vfile = self.filesystem.get(path)
         version = vfile.version
-        if self.cache_enabled:
-            entry = self._script_cache.get(path)
-            if entry is not None and entry[0] == version:
-                self.cache_hits += 1
-                return entry[1]
+        entry = self._script_cache.get(path)
+        if entry is not None and entry[0] == version:
+            self.cache_hits += 1
+            return entry[1]
 
         content = vfile.content
-        ckey = _content_key(content) if self.cache_enabled else None
-        if ckey is not None:
-            cached = self._script_content_cache.get(ckey)
-            if cached is None:
-                # A script byte-identical to an already-hashed executable can
-                # reuse its FILE_H (the script digest is the raw-file hash).
-                executable = self._exe_content_cache.get(ckey)
-                cached = executable.file_hash if executable is not None else None
-            if cached is not None:
-                self.content_cache_hits += 1
-                self._script_cache[path] = (version, cached)
-                return cached
+        ckey = _content_key(content)
+        cached = self._script_content_cache.get(ckey)
+        if cached is None:
+            # A script byte-identical to an already-hashed executable can
+            # reuse its FILE_H (the script digest is the raw-file hash).
+            executable = self._exe_content_cache.get(ckey)
+            cached = executable.file_hash if executable is not None else None
+        if cached is not None:
+            self.content_cache_hits += 1
+            self._script_cache[path] = (version, cached)
+            return cached
 
         digest = str(self.hasher.hash(content))
         self.hashes_computed += 1
-        if ckey is not None:
-            self._script_cache[path] = (version, digest)
-            self._script_content_cache[ckey] = digest
+        self._script_cache[path] = (version, digest)
+        self._script_content_cache[ckey] = digest
         return digest
 
     # ------------------------------------------------------------------ #
@@ -169,22 +167,20 @@ class ArtifactHasher:
 
         The same list contents recur for thousands of processes (every ``bash``
         in the same environment loads the same objects), so results are
-        memoised by content in an LRU bounded at :attr:`list_cache_limit`
+        memoised by content in an LRU bounded at :data:`LIST_CACHE_ENTRIES`
         entries -- once full, the least recently used entry is evicted.
         """
         text = items if isinstance(items, str) else "\n".join(items)
-        if self.cache_enabled:
-            cached = self._list_cache.get(text)
-            if cached is not None:
-                self.cache_hits += 1
-                self._list_cache.move_to_end(text)
-                return cached
+        cached = self._list_cache.get(text)
+        if cached is not None:
+            self.cache_hits += 1
+            self._list_cache.move_to_end(text)
+            return cached
         digest = str(self.hasher.hash_text(text))
         self.hashes_computed += 1
-        if self.cache_enabled:
-            self._list_cache[text] = digest
-            if len(self._list_cache) > self.list_cache_limit:
-                self._list_cache.popitem(last=False)
+        self._list_cache[text] = digest
+        if len(self._list_cache) > LIST_CACHE_ENTRIES:
+            self._list_cache.popitem(last=False)
         return digest
 
     # ------------------------------------------------------------------ #
@@ -199,10 +195,9 @@ class ArtifactHasher:
         cached = self._path_hashes.get(path)
         if cached is None:
             cached = xxh128_hex(path)
-            if self.cache_enabled:
-                if len(self._path_hashes) >= PATH_HASH_ENTRIES:
-                    del self._path_hashes[next(iter(self._path_hashes))]
-                self._path_hashes[path] = cached
+            if len(self._path_hashes) >= PATH_HASH_ENTRIES:
+                del self._path_hashes[next(iter(self._path_hashes))]
+            self._path_hashes[path] = cached
         return cached
 
     def clear_cache(self) -> None:

@@ -24,10 +24,9 @@ Bit-parallel LCS kernel
     and LCS length admits the Hyyro/Allison-Dix word-parallel recurrence:
     one machine word per DP *column*, ``O(ceil(m/64) * n)`` word operations
     instead of ``O(m*n)`` Python-level cell updates.  Signatures are at most
-    64 characters after normalisation in the default configuration, i.e.
-    exactly one word.  :func:`lcs_length` runs the recurrence on Python
-    integers (any pattern length -- longer-than-64 signatures from custom
-    ``signature_length`` configurations just widen the int), and
+    64 characters after normalisation, i.e. exactly one word.
+    :func:`lcs_length` runs the recurrence on Python integers (any pattern
+    length: a longer pattern just widens the int), and
     :func:`lcs_length_many` vectorises the one-vs-many case with numpy:
     a whole candidate batch advances one text column per ``uint64`` array
     operation.
@@ -102,11 +101,11 @@ def signature_masks(signature: str) -> dict[str, int]:
     return masks
 
 
-def signature_grams(signature: str, length: int = NGRAM) -> frozenset[str]:
-    """The ``length``-gram set of ``signature`` (empty for short signatures)."""
-    if len(signature) < length:
+def signature_grams(signature: str) -> frozenset[str]:
+    """The :data:`NGRAM`-gram set of ``signature`` (empty for short signatures)."""
+    if len(signature) < NGRAM:
         return frozenset()
-    return frozenset(signature[i:i + length] for i in range(len(signature) - length + 1))
+    return frozenset(signature[i:i + NGRAM] for i in range(len(signature) - NGRAM + 1))
 
 
 #: Entries carry gram sets and mask dicts (kilobytes, not the compare LRU's
@@ -287,12 +286,6 @@ class CompareCache:
         self._data.move_to_end(key)
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters (as ``cache_clear``)."""
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
 
     def info(self) -> CacheInfo:
         """``lru_cache``-compatible statistics tuple."""

@@ -66,7 +66,13 @@ _MASK32 = 0xFFFFFFFF
 
 def fuzzy_digest(data: bytes, min_block_size: int,
                  signature_length: int) -> tuple[int, str, str]:
-    """``(block_size, sig1, sig2)`` of ``data``: one scan, one decision."""
+    """``(block_size, sig1, sig2)`` of ``data``: one scan, one decision.
+
+    :class:`~repro.hashing.ssdeep.FuzzyHasher` passes ssdeep's geometry
+    (:data:`~repro.hashing.ssdeep.MIN_BLOCKSIZE`,
+    :data:`~repro.hashing.ssdeep.SPAMSUM_LENGTH`); the parameters stay so the
+    tests can sweep other geometries against the per-byte oracle.
+    """
     length = len(data)
     if not length:
         return min_block_size, "", ""

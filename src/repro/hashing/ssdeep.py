@@ -26,6 +26,9 @@ Comparison
     0-100 match score, capped for very small block sizes to avoid spurious
     high scores on tiny inputs.
 
+These rules are fixed, as in libfuzzy: :class:`FuzzyHasher` takes no
+parameters, so every digest and score in the system is made under them.
+
 The output format is the familiar ``blocksize:sig1:sig2`` string, so values
 look and behave like real ssdeep digests (although they are not bit-for-bit
 identical to libfuzzy's output, which is irrelevant here because SIREN only
@@ -93,26 +96,15 @@ class FuzzyHash:
 
 
 class FuzzyHasher:
-    """CTPH hasher with a compare LRU of :data:`COMPARE_CACHE_SIZE` digest pairs.
+    """ssdeep's CTPH hasher, with a compare LRU of :data:`COMPARE_CACHE_SIZE` digest pairs.
 
-    The defaults reproduce ssdeep's behaviour; the collector and similarity
-    search use them as they are, and the ablation benchmarks and tests vary
-    the block size, signature length and common-substring gate.
+    It hashes as libfuzzy does -- block sizes from :data:`MIN_BLOCKSIZE` up,
+    :data:`SPAMSUM_LENGTH`-character signatures -- and scores a signature
+    pair only when the two share a 7-gram, the rule the n-gram index of
+    :mod:`repro.analysis.simindex` prunes by.
     """
 
-    def __init__(
-        self,
-        min_block_size: int = MIN_BLOCKSIZE,
-        signature_length: int = SPAMSUM_LENGTH,
-        require_common_substring: bool = True,
-    ) -> None:
-        if min_block_size < 1:
-            raise ValueError("min_block_size must be >= 1")
-        if signature_length < 8:
-            raise ValueError("signature_length must be >= 8")
-        self.min_block_size = min_block_size
-        self.signature_length = signature_length
-        self._require_common_substring = require_common_substring
+    def __init__(self) -> None:
         # Per-instance LRU over *digest string* pairs.  ``compare`` is
         # symmetric, so keys are normalised to the sorted pair, doubling the
         # hit rate when the same instances meet in either order.  The cache
@@ -134,8 +126,7 @@ class FuzzyHasher:
         """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("FuzzyHasher.hash expects bytes-like input")
-        block_size, sig1, sig2 = fuzzy_digest(bytes(data), self.min_block_size,
-                                              self.signature_length)
+        block_size, sig1, sig2 = fuzzy_digest(bytes(data), MIN_BLOCKSIZE, SPAMSUM_LENGTH)
         return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
 
     def hash_text(self, text: str) -> FuzzyHash:
@@ -149,21 +140,6 @@ class FuzzyHasher:
     # ------------------------------------------------------------------ #
     # comparison
     # ------------------------------------------------------------------ #
-    @property
-    def require_common_substring(self) -> bool:
-        """Whether scoring demands a shared 7-gram (ssdeep's gate).
-
-        Assigning a different value clears the compare LRU -- cached scores
-        were computed under the old gate and would otherwise go stale.
-        """
-        return self._require_common_substring
-
-    @require_common_substring.setter
-    def require_common_substring(self, value: bool) -> None:
-        if bool(value) != self._require_common_substring:
-            self._require_common_substring = bool(value)
-            self.compare_cache_clear()
-
     def compare(self, first: FuzzyHash | str, second: FuzzyHash | str) -> int:
         """Return the 0-100 similarity score between two fuzzy hashes."""
         return self._compare_batch(self._normalize(first),
@@ -230,15 +206,6 @@ class FuzzyHasher:
         """Hit/miss statistics of the shared compare LRU."""
         return self._compare_cache.info()
 
-    def compare_cache_clear(self) -> None:
-        """Drop every cached score (call after changing comparison knobs).
-
-        The :attr:`require_common_substring` setter calls this automatically;
-        callers mutating scoring-relevant state by other means must call it
-        themselves, or the LRU serves scores computed under the old knobs.
-        """
-        self._compare_cache.clear()
-
     @staticmethod
     def _pair_key(a: str, b: str) -> tuple[str, str]:
         """Order-normalised LRU key (compare is symmetric)."""
@@ -304,7 +271,7 @@ class FuzzyHasher:
         """Resolve one alignment inline or queue it for the batched kernel."""
         if not s1 or not s2:
             return
-        if self._require_common_substring and not (grams1 & grams2):
+        if not (grams1 & grams2):
             return
         if s1 == s2:
             score = self._apply_cap(100, len(s1), len(s2), band)
@@ -314,7 +281,8 @@ class FuzzyHasher:
         queue.append((position, s2))
 
     # -- shared scoring arithmetic -------------------------------------- #
-    def _rescale(self, distance: int, len1: int, len2: int) -> int | None:
+    @staticmethod
+    def _rescale(distance: int, len1: int, len2: int) -> int | None:
         """Edit distance -> raw 0-100 score; ``None`` when it rescales past 0.
 
         Mirrors ssdeep's ``score_strings()`` rescaling.  The kernel and the
@@ -325,17 +293,18 @@ class FuzzyHasher:
         once it exceeds ``len1 + len2 - 1`` -- yields the same score as the
         kernel's exact distance.
         """
-        scaled = (distance * self.signature_length) // (len1 + len2)
-        scaled = (100 * scaled) // self.signature_length
+        scaled = (distance * SPAMSUM_LENGTH) // (len1 + len2)
+        scaled = (100 * scaled) // SPAMSUM_LENGTH
         if scaled >= 100:
             return None
         return 100 - scaled
 
-    def _apply_cap(self, score: int, len1: int, len2: int, block_size: int) -> int:
+    @staticmethod
+    def _apply_cap(score: int, len1: int, len2: int, block_size: int) -> int:
         """Small-block-size cap: short inputs cannot claim near-perfect scores."""
-        threshold = (99 + ROLLING_WINDOW) // ROLLING_WINDOW * self.min_block_size
+        threshold = (99 + ROLLING_WINDOW) // ROLLING_WINDOW * MIN_BLOCKSIZE
         if block_size < threshold:
-            cap = block_size // self.min_block_size * min(len1, len2)
+            cap = block_size // MIN_BLOCKSIZE * min(len1, len2)
             score = min(score, cap)
         return max(0, min(100, score))
 

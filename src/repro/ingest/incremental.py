@@ -88,25 +88,22 @@ class DatagramQuarantine:
     """A bounded ring of corrupt datagrams and why each failed to decode.
 
     ``quarantined`` counts every capture ever made; the ring itself holds at
-    most ``capacity`` entries (oldest evicted first, counted in ``evicted``),
-    so a sustained corruption storm cannot grow memory without bound while
-    the most recent evidence is always available.
+    most :data:`QUARANTINE_CAPACITY` entries (oldest evicted first, counted
+    in ``evicted``), so a sustained corruption storm cannot grow memory
+    without bound while the most recent evidence is always available.
     """
 
-    capacity: int = QUARANTINE_CAPACITY
-    quarantined: int = 0
-    evicted: int = 0
+    quarantined: int = field(init=False, default=0)
+    evicted: int = field(init=False, default=0)
     _entries: deque = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise TransportError("quarantine capacity must be at least 1")
-        self._entries = deque(maxlen=self.capacity)
+        self._entries = deque(maxlen=QUARANTINE_CAPACITY)
 
     def capture(self, datagram: bytes, reason: str) -> None:
         """Keep one corrupt datagram (evicting the oldest beyond capacity)."""
         self.quarantined += 1
-        if len(self._entries) == self.capacity:
+        if len(self._entries) == self._entries.maxlen:
             self.evicted += 1
         self._entries.append(QuarantinedDatagram(datagram=bytes(datagram),
                                                  reason=reason))

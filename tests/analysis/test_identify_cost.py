@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import similarity
+from repro.analysis import similarity, simindex
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -33,6 +33,8 @@ from repro.hashing.compare_engine import normalize_cache_clear
 from repro.hashing.ssdeep import FuzzyHash, fuzzy_hash_text
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
+
+from oracles.search import index_threshold, on_brute_force, on_index
 
 _FIELDS = ("modules_h", "compilers_h", "objects_h", "file_h", "strings_h", "symbols_h")
 
@@ -76,9 +78,9 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
     return records
 
 
-def similarity_digest(records: list[ProcessRecord], **kwargs) -> str:
+def similarity_digest(records: list[ProcessRecord]) -> str:
     """One digest over everything a search over ``records`` can answer."""
-    search = SimilaritySearch(list(records), **kwargs)
+    search = SimilaritySearch(list(records))
     parts = [repr(search.identify_unknown(top=10))]
     parts += [repr(search.query(unknown)) for unknown in search.unknown_instances()]
     parts += [repr(search.pairwise_average_matrix(column)) for column in HASH_COLUMNS]
@@ -104,9 +106,9 @@ def test_growing_a_search_leaves_the_callers_list_alone():
 class TestRecordedOutput:
     def test_indexed_and_brute_force_output_is_the_recorded_one(self):
         records = churn_like_records()
-        assert similarity_digest(records, index_threshold=0) == \
+        assert on_index(similarity_digest, records) == \
             "6fbc99fd1c44864dffedbeb3535d0d787cc120de5eb44e973eff735891152d4f"
-        assert similarity_digest(records, index_threshold=sys.maxsize) == \
+        assert on_brute_force(similarity_digest, records) == \
             "779c7df3f32d9adb57b20829184e1f5cd9c7cc89ec3bff4c377d2d4fa6ca5a55"
 
 
@@ -137,33 +139,35 @@ class TestRepeatedDigests:
         records = [_record(f"/p/u/d{directory}/{name}", digests, pid=pid)
                    for pid, (directory, name, digests) in enumerate(rows)
                    if digests[3]]          # no FI_H, no instance
-        brute = SimilaritySearch(records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(records, index_threshold=0)
-        grown = SimilaritySearch([], index_threshold=0)
-        for record in records:
-            grown.add_records([record])
-            assert grown.indexed        # extends the index by this one instance
-        searches = (brute, indexed, grown)
+        brute = SimilaritySearch(records)
+        indexed = SimilaritySearch(records)
+        grown = SimilaritySearch([])
+        with index_threshold(0):
+            for record in records:
+                grown.add_records([record])
+                assert grown.indexed        # extends the index by this one instance
+        searches = ((brute, on_brute_force), (indexed, on_index), (grown, on_index))
         assert [i.key for i in indexed.instances] == [i.key for i in grown.instances]
         try:
-            expected = brute.identify_unknown(top=10)
+            expected = on_brute_force(brute.identify_unknown, top=10)
         except AnalysisError:
             for search in (indexed, grown):
                 with pytest.raises(AnalysisError):
-                    search.identify_unknown(top=10)
+                    on_index(search.identify_unknown, top=10)
         else:
-            assert indexed.identify_unknown(top=10) == expected
-            assert grown.identify_unknown(top=10) == expected
+            assert on_index(indexed.identify_unknown, top=10) == expected
+            assert on_index(grown.identify_unknown, top=10) == expected
         for position in range(len(brute.instances)):
-            answers = [search.query(search.instances[position],
-                                    candidates=search.instances)
-                       for search in searches]
+            answers = [on_path(search.query, search.instances[position],
+                               candidates=search.instances)
+                       for search, on_path in searches]
             assert answers[0] == answers[1] == answers[2]
         for column in HASH_COLUMNS:
-            matrices = [search.pairwise_average_matrix(column) for search in searches]
+            matrices = [on_path(search.pairwise_average_matrix, column)
+                        for search, on_path in searches]
             assert matrices[0] == matrices[1] == matrices[2]
         assert indexed.comparisons == grown.comparisons <= brute.comparisons
-        assert indexed.index_stats() == grown.index_stats()
+        assert on_index(indexed.index_stats) == on_index(grown.index_stats)
 
     def test_every_id_registered_under_a_shared_digest_is_a_candidate(self):
         index = DigestIndex()
@@ -187,8 +191,9 @@ class TestRepeatedDigests:
         built = []
         monkeypatch.setattr(similarity, "SimilarityResult",
                             lambda **fields: built.append(1) or SimilarityResult(**fields))
-        for kwargs in ({"index_threshold": 0}, {"index_threshold": sys.maxsize}):
-            search = SimilaritySearch(records + clones, **kwargs)
+        for threshold in (0, sys.maxsize):
+            monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
+            search = SimilaritySearch(records + clones)
             baseline = search.unknown_instances()[0]
             pool = search.labelled_instances()
             ranked = search.query(baseline, candidates=pool)
@@ -232,11 +237,12 @@ class TestWorkCounts:
                             lambda **fields: rows.append(1) or SimilarityResult(**fields))
         normalize_cache_clear()
 
-        search = SimilaritySearch(records, index_threshold=0)
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
+        search = SimilaritySearch(records)
         found = search.identify_unknown(top=10)
         assert len(found) == 12 and len(rows) == 12 * 10
         # A second search in the same process normalises nothing again.
-        SimilaritySearch(records, index_threshold=0).identify_unknown(top=10)
+        SimilaritySearch(records).identify_unknown(top=10)
         assert set(parsed) == distinct and set(parsed.values()) == {1}
         assert len(eliminated) == 2 * len(distinct)
         # One key per instance object: each record's instance, twice over.

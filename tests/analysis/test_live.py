@@ -12,7 +12,9 @@ full campaigns (seeds x loss rates, batch and streaming ingest) and compare
 at each step.  Table 7 is answered from memory while its inputs hold, so a
 work-count test pins that an unchanged pool costs no comparison, and a
 hypothesis state machine checks the memoised answer after every step of
-random commits, peeks, gate flips and ``top`` changes.
+random commits, peeks and ``top`` changes.  Brute force and the n-gram index
+are forced by patching the one threshold constant the search reads at query
+time (``oracles/search.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.analysis import simindex
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex, SimilarityIndex
@@ -38,6 +41,7 @@ from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles import tables
+from oracles.search import index_threshold, on_brute_force
 
 
 def _canonical(records: list[ProcessRecord]) -> list[ProcessRecord]:
@@ -47,9 +51,12 @@ def _canonical(records: list[ProcessRecord]) -> list[ProcessRecord]:
 
 
 def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
-                        user_names: dict[int, str], *,
-                        index_threshold: int | None = None) -> None:
-    """Every live view equals a fresh rebuild over ``records`` -- byte for byte."""
+                        user_names: dict[int, str]) -> None:
+    """Every live view equals a fresh rebuild over ``records`` -- byte for byte.
+
+    The live and fresh searches run under the threshold in force; the brute
+    force one compares every pair whatever it is.
+    """
     reference = _canonical(records)
     table2 = tables.user_activity_table(reference, user_names)
     assert live.table2_user_activity() == table2
@@ -64,11 +71,10 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
     assert live.table8_python_interpreters() == \
         tables.python_interpreter_table(reference, user_names)
 
-    kwargs = {} if index_threshold is None else {"index_threshold": index_threshold}
-    fresh = SimilaritySearch(reference, **kwargs)
+    fresh = SimilaritySearch(reference)
     assert [(i.key, i.label, i.process_count) for i in live.instances] == \
         [(i.key, i.label, i.process_count) for i in fresh.instances]
-    brute = SimilaritySearch(reference, index_threshold=sys.maxsize)
+    brute = SimilaritySearch(reference)
     try:
         expected = fresh.identify_unknown(top=10)
     except AnalysisError:
@@ -77,7 +83,8 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
             live.identify_unknown(top=10)
     if expected is not None:
         assert live.identify_unknown(top=10) == expected
-        assert brute.identify_unknown(top=10) == expected  # and both == brute force
+        # and both == brute force
+        assert on_brute_force(brute.identify_unknown, top=10) == expected
     for baseline in fresh.instances[:3]:
         assert live.query(baseline) == fresh.query(baseline)
 
@@ -205,19 +212,19 @@ class TestSyntheticStreamEquivalence:
         live.refresh_open([])
         _assert_views_equal(live, stream[:34], {})
 
-    def test_index_growth_across_threshold_stays_equivalent(self):
-        """add() growth crossing index_threshold: live answers stay identical
+    def test_index_growth_across_threshold_stays_equivalent(self, monkeypatch):
+        """add() growth crossing the index threshold: live answers stay identical
         (brute force below the threshold, incrementally grown index above)."""
         stream = _synthetic_stream(seed=11, count=60)
-        threshold = 6
-        live = LiveAnalysis({}, index_threshold=threshold)
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 6)
+        live = LiveAnalysis({})
         committed: list[ProcessRecord] = []
         crossed = False
         for start in range(0, len(stream), 4):
             chunk = stream[start:start + 4]
             live.commit(chunk)
             committed.extend(chunk)
-            _assert_views_equal(live, committed, {}, index_threshold=threshold)
+            _assert_views_equal(live, committed, {})
             if live.index_stats() is not None:
                 crossed = True
         assert crossed, "the stream never crossed the index threshold"
@@ -243,8 +250,9 @@ class TestSyntheticStreamEquivalence:
 
     def test_an_unchanged_pool_is_answered_without_a_comparison(self, monkeypatch):
         stream = _synthetic_stream(seed=11)
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
         hasher = FuzzyHasher()
-        live = LiveAnalysis({}, hasher=hasher, index_threshold=0)
+        live = LiveAnalysis({}, hasher=hasher)
         live.commit(stream[:30])
         live.refresh_open(stream[30:33])
         probes = [0]
@@ -320,6 +328,31 @@ class TestSyntheticStreamEquivalence:
         assert repr(live.identify_unknown(top=10)) == pinned
         assert live.statistics()["identify_reused"] == 2
 
+    @pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["index", "brute-force"])
+    def test_an_instances_hashes_cannot_change_the_pool(self, monkeypatch, threshold):
+        """An instance handed out by ``instances`` is the search's own: a
+        digest written through it would change the pool the index and the
+        Table 7 memo were built over.  Its ``hashes`` refuse every change."""
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
+        stream = _synthetic_stream(seed=11)
+        live = LiveAnalysis({})
+        live.commit(stream[:33])
+        live.identify_unknown(top=10)
+        instances = live.instances
+        for instance in instances:
+            with contextlib.suppress(TypeError):
+                instance.hashes["FI_H"] = instances[0].hashes["FI_H"]
+        hashes = instances[0].hashes
+        for mutate in (lambda: hashes.__setitem__("FI_H", ""), lambda: hashes.pop("FI_H"),
+                       lambda: hashes.update(FI_H=""), hashes.clear):
+            with pytest.raises(TypeError):
+                mutate()
+        novel = _record(10_001, category="user", executable="/proj/u/f1/icon",
+                        jobid="9", content="novel " * 40, environment="env-1")
+        live.commit([novel])      # a new instance: the search runs again
+        assert live.identify_unknown(top=10) == \
+            SimilaritySearch(_canonical(stream[:33] + [novel])).identify_unknown(top=10)
+
 
 class TestIncrementalIndexAndSearchGrowth:
     def test_similarity_index_add_equals_batch_build(self):
@@ -336,25 +369,26 @@ class TestIncrementalIndexAndSearchGrowth:
                 assert grown.candidates(digest, column) == \
                     batch.candidates(digest, column)
 
-    def test_add_records_refreshes_a_built_index(self):
+    def test_add_records_refreshes_a_built_index(self, monkeypatch):
         """Regression test for the staleness bug: the n-gram index used to be
         cached forever, so records added after the first indexed query were
         invisible to every later query."""
         stream = [r for r in _synthetic_stream(seed=13, count=60)
                   if r.category == "user"]
         half = len(stream) // 2
-        search = SimilaritySearch(stream[:half], index_threshold=4)
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 4)
+        search = SimilaritySearch(stream[:half])
         baseline = search.unknown_instances()[0]
         assert search.indexed
         search.query(baseline)  # builds and uses the index
         search.add_records(stream[half:])
-        fresh = SimilaritySearch(stream, index_threshold=4)
+        fresh = SimilaritySearch(stream)
         assert [(i.key, i.process_count) for i in search.instances] == \
             [(i.key, i.process_count) for i in fresh.instances]
         assert search.query(baseline) == fresh.query(baseline)
         assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10)
         assert search.identify_unknown(top=10) == \
-            SimilaritySearch(stream, index_threshold=sys.maxsize).identify_unknown(top=10)
+            on_brute_force(SimilaritySearch(stream).identify_unknown, top=10)
 
 
 # --------------------------------------------------------------------------- #
@@ -393,16 +427,16 @@ def _table7(search, top: int):
 
 
 class Table7Machine(RuleBasedStateMachine):
-    """Commits, open-group peeks, gate flips and ``top`` changes in any order.
+    """Commits, open-group peeks and ``top`` changes in any order.
 
     After every step the live Table 7 equals a fresh search and brute force
-    over the same records under the same gate, or all three raise.
+    over the same records, or all three raise.  The live and fresh searches
+    use the index from four instances.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.hasher = FuzzyHasher()
-        self.live = LiveAnalysis({}, hasher=self.hasher, index_threshold=4)
+        self.live = LiveAnalysis({})
         self.committed: list[ProcessRecord] = []
         self.overlay: list[ProcessRecord] = []   # the peek minus resurrected keys
         self.top = 10
@@ -452,10 +486,6 @@ class Table7Machine(RuleBasedStateMachine):
         committed = {record.key for record in self.committed}
         self.overlay = [record for record in records if record.key not in committed]
 
-    @rule()
-    def flip_gate(self):
-        self.hasher.require_common_substring = not self.hasher.require_common_substring
-
     @rule(top=st.sampled_from((0, 1, 3, 10)))
     def identify(self, top):
         self.top = top
@@ -463,13 +493,11 @@ class Table7Machine(RuleBasedStateMachine):
     @invariant()
     def table7_equals_a_fresh_search_and_brute_force(self):
         records = _canonical(self.committed + self.overlay)
-        gate = self.hasher.require_common_substring
-        fresh, brute = (
-            _table7(SimilaritySearch(records, index_threshold=threshold,
-                                     hasher=FuzzyHasher(require_common_substring=gate)),
-                    self.top)
-            for threshold in (4, sys.maxsize))
-        assert _table7(self.live, self.top) == fresh == brute
+        with index_threshold(4):
+            live = _table7(self.live, self.top)
+            fresh = _table7(SimilaritySearch(records), self.top)
+        brute = on_brute_force(_table7, SimilaritySearch(records), self.top)
+        assert live == fresh == brute
 
 
 Table7Machine.TestCase.settings = settings(max_examples=100, stateful_step_count=20,

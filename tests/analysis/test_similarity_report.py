@@ -1,7 +1,5 @@
 """Tests for the similarity search (Table 7) and report rendering."""
 
-import sys
-
 import pytest
 
 from repro.analysis import report
@@ -11,6 +9,7 @@ from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
 from repro.util.errors import AnalysisError
 
 from oracles.compare import compare_reference
+from oracles.search import on_brute_force, on_index
 
 
 def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
@@ -131,9 +130,9 @@ class TestQueries:
             ProcessRecord(**{**records[2].__dict__, "modules_h": ""}),
             ProcessRecord(**{**records[3].__dict__, "modules_h": ""}),
         ]
-        search = SimilaritySearch(sparse, index_threshold=sys.maxsize)
+        search = SimilaritySearch(sparse)
         assert search.comparisons == 0
-        matrix = search.pairwise_average_matrix("MO_H")
+        matrix = on_brute_force(search.pairwise_average_matrix, "MO_H")
         # Only the single pair with both digests present was compared ...
         assert search.comparisons == 1
         # ... it missed the (cold) cache exactly once, and no placeholder
@@ -157,19 +156,19 @@ class _ReferenceHasher(FuzzyHasher):
     """Scores every pair through the scalar oracle, ``compare_reference``."""
 
     def compare(self, first, second):
-        return compare_reference(self, first, second)
+        return compare_reference(first, second)
 
     def compare_many(self, baseline, candidates):
-        return [compare_reference(self, baseline, candidate)
+        return [compare_reference(baseline, candidate)
                 for candidate in candidates]
 
 
 class TestCompareEngineAgainstReference:
     """Whole searches on the bit-parallel engine against the seed scalar path."""
 
-    def _searches(self, records, **kwargs):
-        return (SimilaritySearch(records, **kwargs),
-                SimilaritySearch(records, hasher=_ReferenceHasher(), **kwargs))
+    def _searches(self, records):
+        return (SimilaritySearch(records),
+                SimilaritySearch(records, hasher=_ReferenceHasher()))
 
     def test_identify_unknown_identical_to_reference(self, records):
         bit, ref = self._searches(records)
@@ -177,11 +176,11 @@ class TestCompareEngineAgainstReference:
         assert bit.comparisons == ref.comparisons
 
     def test_pairwise_matrix_identical_to_reference(self, records):
-        for kwargs in ({}, {"index_threshold": sys.maxsize}):
-            bit, ref = self._searches(records, **kwargs)
+        for on_path in (on_index, on_brute_force):
+            bit, ref = self._searches(records)
             for column in HASH_COLUMNS:
-                assert bit.pairwise_average_matrix(column) == \
-                    ref.pairwise_average_matrix(column)
+                assert on_path(bit.pairwise_average_matrix, column) == \
+                    on_path(ref.pairwise_average_matrix, column)
             assert bit.comparisons == ref.comparisons
 
     def test_compare_instances_many_matches_scalar(self, records):
@@ -196,9 +195,9 @@ class TestCompareEngineAgainstReference:
         assert bit.comparisons == ref.comparisons
 
     def test_query_counter_matches_scalar_path(self, records):
-        bit, ref = self._searches(records, index_threshold=sys.maxsize)
+        bit, ref = self._searches(records)
         unknown = bit.unknown_instances()[0]
-        assert bit.query(unknown) == ref.query(unknown)
+        assert on_brute_force(bit.query, unknown) == on_brute_force(ref.query, unknown)
         assert bit.comparisons == ref.comparisons
         info = bit.hasher.compare_cache_info()
         # Every unique non-empty pair was scored once and cached.

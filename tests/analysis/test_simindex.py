@@ -10,15 +10,16 @@ on real campaign data.
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
+from repro.analysis import simindex
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
-from repro.analysis.simindex import DigestIndex, SimilarityIndex
+from repro.analysis.simindex import DigestIndex
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import FuzzyHasher, compare, fuzzy_hash_text
+from repro.hashing.ssdeep import compare, fuzzy_hash_text
 from repro.util.rng import SeededRNG
+
+from oracles.search import on_brute_force, on_index
 
 SIG = "ABCDEFGHIJKLMNOP"  # 16 chars -> plenty of 7-grams
 OTHER = "qrstuvwxyz012345"
@@ -101,10 +102,6 @@ class TestDigestIndexInput:
         assert index.candidates("") == set()
         assert index.candidates("garbage") == set()
 
-    def test_ngram_validation(self):
-        with pytest.raises(ValueError):
-            DigestIndex(ngram=1)
-
     def test_stats_track_pruning(self):
         index = _index(f"24:{SIG}:{OTHER}", f"24:{OTHER}:{SIG}")
         index.candidates(f"24:{SIG}:zzzzzzzz")
@@ -169,57 +166,60 @@ class TestIndexedSearchEquivalence:
     """Property-style: indexed and brute-force searches are result-identical."""
 
     def test_synthetic_query_rankings_identical_for_every_baseline(self, synthetic_records):
-        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
-        assert indexed.indexed and not brute.indexed
-        for brute_instance, indexed_instance in zip(brute.instances, indexed.instances):
-            assert brute.query(brute_instance, candidates=brute.instances) == \
-                indexed.query(indexed_instance, candidates=indexed.instances)
+        search = SimilaritySearch(synthetic_records)
+        assert on_index(lambda: search.indexed) and not on_brute_force(lambda: search.indexed)
+
+        def rankings():
+            return [search.query(instance, candidates=search.instances)
+                    for instance in search.instances]
+
+        assert on_brute_force(rankings) == on_index(rankings)
 
     def test_synthetic_identify_unknown_identical(self, synthetic_records):
-        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
-        assert brute.identify_unknown(top=10) == indexed.identify_unknown(top=10)
+        brute = SimilaritySearch(synthetic_records)
+        indexed = SimilaritySearch(synthetic_records)
+        assert on_brute_force(brute.identify_unknown, top=10) == \
+            on_index(indexed.identify_unknown, top=10)
         assert indexed.comparisons <= brute.comparisons
 
     def test_campaign_identify_unknown_identical(self, campaign_records):
-        brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(campaign_records, index_threshold=0)
-        assert brute.identify_unknown(top=10) == indexed.identify_unknown(top=10)
+        brute = SimilaritySearch(campaign_records)
+        indexed = SimilaritySearch(campaign_records)
+        assert on_brute_force(brute.identify_unknown, top=10) == \
+            on_index(indexed.identify_unknown, top=10)
         assert indexed.comparisons < brute.comparisons
 
     def test_campaign_pairwise_matrix_identical(self, campaign_records):
         for column in ("FI_H", "MO_H"):
-            brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
-            indexed = SimilaritySearch(campaign_records, index_threshold=0)
-            assert brute.pairwise_average_matrix(column) == \
-                indexed.pairwise_average_matrix(column)
+            brute = SimilaritySearch(campaign_records)
+            indexed = SimilaritySearch(campaign_records)
+            assert on_brute_force(brute.pairwise_average_matrix, column) == \
+                on_index(indexed.pairwise_average_matrix, column)
             assert indexed.comparisons <= brute.comparisons
 
     def test_unindexed_column_matches_brute_force(self, synthetic_records):
         """Columns the index does not cover score 0 on both paths, not crash."""
-        brute = SimilaritySearch(synthetic_records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(synthetic_records, index_threshold=0)
+        search = SimilaritySearch(synthetic_records)
         columns = ("FI_H", "NOT_A_COLUMN")
-        unknown_b = brute.unknown_instances()[0]
-        unknown_i = indexed.unknown_instances()[0]
-        assert brute.query(unknown_b, columns=columns) == \
-            indexed.query(unknown_i, columns=columns)
-        assert brute.pairwise_average_matrix("NOT_A_COLUMN") == \
-            indexed.pairwise_average_matrix("NOT_A_COLUMN")
+        unknown = search.unknown_instances()[0]
+        assert on_brute_force(search.query, unknown, columns=columns) == \
+            on_index(search.query, unknown, columns=columns)
+        assert on_brute_force(search.pairwise_average_matrix, "NOT_A_COLUMN") == \
+            on_index(search.pairwise_average_matrix, "NOT_A_COLUMN")
 
     def test_campaign_query_with_column_subset_identical(self, campaign_records):
-        brute = SimilaritySearch(campaign_records, index_threshold=sys.maxsize)
-        indexed = SimilaritySearch(campaign_records, index_threshold=0)
-        for unknown_b, unknown_i in zip(brute.unknown_instances(),
-                                        indexed.unknown_instances()):
-            assert brute.query(unknown_b, columns=("FI_H", "SY_H")) == \
-                indexed.query(unknown_i, columns=("FI_H", "SY_H"))
+        search = SimilaritySearch(campaign_records)
+
+        def answers():
+            return [search.query(unknown, columns=("FI_H", "SY_H"))
+                    for unknown in search.unknown_instances()]
+
+        assert on_brute_force(answers) == on_index(answers)
 
     def test_index_stats_exposed(self, campaign_records):
-        indexed = SimilaritySearch(campaign_records, index_threshold=0)
-        indexed.identify_unknown(top=5)
-        stats = indexed.index_stats()
+        indexed = SimilaritySearch(campaign_records)
+        on_index(indexed.identify_unknown, top=5)
+        stats = on_index(indexed.index_stats)
         assert stats is not None
         assert stats.digests > 0 and stats.grams > 0
         assert stats.pairs_pruned > 0
@@ -235,40 +235,31 @@ class TestFallbacks:
         ]
 
     def test_small_dataset_falls_back_to_brute_force(self, tiny_records):
-        search = SimilaritySearch(tiny_records)  # default threshold
-        assert len(search.instances) < search.index_threshold
+        search = SimilaritySearch(tiny_records)  # the shipped threshold
+        assert len(search.instances) < simindex.DEFAULT_INDEX_THRESHOLD
         assert not search.indexed
         assert search.index_stats() is None
         # ... and still answers queries (via the brute-force path).
         assert search.identify_unknown(top=2)
 
     def test_forced_index_on_small_dataset_identical(self, tiny_records):
-        brute = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
-        forced = SimilaritySearch(tiny_records, index_threshold=0)
-        assert forced.indexed
-        assert brute.identify_unknown() == forced.identify_unknown()
-
-    def test_non_default_hasher_disables_index(self, tiny_records):
-        loose = FuzzyHasher(require_common_substring=False)
-        search = SimilaritySearch(tiny_records, hasher=loose,
-                                  index_threshold=0)
-        assert not search.indexed  # pruning guarantee void without the 7-gram gate
+        search = SimilaritySearch(tiny_records)
+        assert on_index(lambda: search.indexed)
+        assert on_brute_force(search.identify_unknown) == on_index(search.identify_unknown)
 
     def test_maxsize_threshold_disables_index(self, tiny_records):
-        search = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
-        assert not search.indexed
+        search = SimilaritySearch(tiny_records)
+        assert not on_brute_force(lambda: search.indexed)
 
     def test_external_baseline_and_candidates_supported(self, tiny_records):
         """Instances outside the built index are compared directly."""
         from repro.analysis.similarity import ExecutableInstance
 
-        search = SimilaritySearch(tiny_records, index_threshold=0)
+        search = SimilaritySearch(tiny_records)
         external = ExecutableInstance(
             executable="/elsewhere/app", label="icon",
             hashes={column: fuzzy_hash_text("first payload " * 40 + " file")
                     for column in HASH_COLUMNS})
         unknown = search.unknown_instances()[0]
-        indexed_scores = search.query(unknown, candidates=[external])
-        brute = SimilaritySearch(tiny_records, index_threshold=sys.maxsize)
-        brute_scores = brute.query(brute.unknown_instances()[0], candidates=[external])
-        assert indexed_scores == brute_scores
+        assert on_index(search.query, unknown, candidates=[external]) == \
+            on_brute_force(search.query, unknown, candidates=[external])

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.collector.fuzzy as fuzzy_module
 from repro.collector.classify import ExecutableCategory
 from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes
 from repro.collector.hooks import SirenCollector
@@ -23,7 +24,7 @@ from repro.util.errors import ELFError
 from repro.util.rng import SeededRNG
 
 from oracles.consolidate import raw_messages, records_from_messages
-from oracles.ctph import hash_reference
+from oracles.ctph import ReferenceHasher
 
 
 class TestArtifactHasher:
@@ -102,14 +103,6 @@ class TestArtifactHasher:
         after = hasher.script_hash("/users/alice/run.py")
         assert after == str(hasher.hasher.hash(filesystem.read("/users/alice/run.py")))
         assert after != before
-
-    def test_cache_can_be_disabled(self, app_cluster):
-        cluster, manifest = app_cluster
-        hasher = ArtifactHasher(cluster.filesystem, cache_enabled=False)
-        path = manifest.tool("bash")
-        hasher.executable_hashes(path)
-        hasher.executable_hashes(path)
-        assert hasher.hashes_computed == 2
 
     def test_list_hash_memoised(self, app_cluster):
         cluster, _ = app_cluster
@@ -195,17 +188,6 @@ class TestContentAddressedCache:
         hasher.executable_hashes("/users/alice/stable")
         assert hasher.hashes_computed == 1
         assert hasher.content_cache_hits == 1
-
-    def test_cache_disabled_turns_the_content_tier_off_too(self, app_cluster):
-        cluster, _ = app_cluster
-        content = b"twice-hashed " * 300
-        cluster.filesystem.add_file("/users/alice/one", content, executable=True)
-        cluster.filesystem.add_file("/users/alice/two", content, executable=True)
-        hasher = ArtifactHasher(cluster.filesystem, cache_enabled=False)
-        hasher.executable_hashes("/users/alice/one")
-        hasher.executable_hashes("/users/alice/two")
-        assert hasher.hashes_computed == 2
-        assert hasher.content_cache_hits == 0
 
     def test_script_content_shared_across_paths(self, app_cluster):
         cluster, _ = app_cluster
@@ -316,9 +298,10 @@ class TestPathTierOneEntryPerPath:
 
 
 class TestListCacheLRU:
-    def test_oldest_entry_evicted_once_full(self, app_cluster):
+    def test_oldest_entry_evicted_once_full(self, app_cluster, monkeypatch):
+        monkeypatch.setattr(fuzzy_module, "LIST_CACHE_ENTRIES", 3)
         cluster, _ = app_cluster
-        hasher = ArtifactHasher(cluster.filesystem, list_cache_limit=3)
+        hasher = ArtifactHasher(cluster.filesystem)
         lists = [[f"/lib64/lib{index}.so"] for index in range(4)]
         for items in lists:
             hasher.list_hash(items)
@@ -332,9 +315,10 @@ class TestListCacheLRU:
         assert hasher.hashes_computed == 5
         assert hasher.cache_hits >= 1
 
-    def test_recently_used_entry_survives_eviction(self, app_cluster):
+    def test_recently_used_entry_survives_eviction(self, app_cluster, monkeypatch):
+        monkeypatch.setattr(fuzzy_module, "LIST_CACHE_ENTRIES", 2)
         cluster, _ = app_cluster
-        hasher = ArtifactHasher(cluster.filesystem, list_cache_limit=2)
+        hasher = ArtifactHasher(cluster.filesystem)
         hasher.list_hash(["a"])
         hasher.list_hash(["b"])
         hasher.list_hash(["a"])         # refresh "a": now "b" is the LRU entry
@@ -345,9 +329,10 @@ class TestListCacheLRU:
         hasher.list_hash(["b"])
         assert hasher.hashes_computed == computed + 1
 
-    def test_cache_never_exceeds_limit(self, app_cluster):
+    def test_cache_never_exceeds_limit(self, app_cluster, monkeypatch):
+        monkeypatch.setattr(fuzzy_module, "LIST_CACHE_ENTRIES", 5)
         cluster, _ = app_cluster
-        hasher = ArtifactHasher(cluster.filesystem, list_cache_limit=5)
+        hasher = ArtifactHasher(cluster.filesystem)
         for index in range(20):
             hasher.list_hash([f"/opt/item{index}"])
         assert len(hasher._list_cache) == 5
@@ -362,17 +347,16 @@ class TestNoPerBytePythonAtProcessStart:
         cluster.filesystem.add_file("/scratch/never-seen", image, executable=True)
         hasher = ArtifactHasher(cluster.filesystem)
         hashes = hasher.executable_hashes("/scratch/never-seen")
-        assert hashes.file_hash == str(hash_reference(hasher.hasher, image))
+        assert hashes.file_hash == str(ReferenceHasher().hash(image))
         assert (hasher.hashes_computed, hasher.content_cache_hits) == (1, 0)
 
-    def _fifty_starts_and_ends(self, app_cluster, *, memoised):
+    def _fifty_starts_and_ends(self, app_cluster):
         cluster, manifest = app_cluster
         datagrams: list[bytes] = []
         channel = InMemoryChannel()
         channel.subscribe(datagrams.append)
         collector = SirenCollector(cluster.filesystem, UDPSender(channel),
                                    manifest.siren_library)
-        collector.hasher.cache_enabled = memoised
         bash = manifest.tool("bash")
         for pid in range(2000, 2050):
             context = ProcessContext(
@@ -385,21 +369,16 @@ class TestNoPerBytePythonAtProcessStart:
         return collector, datagrams
 
     def test_path_hash_is_computed_once_per_path(self, app_cluster, monkeypatch):
-        import repro.collector.fuzzy as fuzzy_module
-
         calls: list[str] = []
         real = fuzzy_module.xxh128_hex
         monkeypatch.setattr(fuzzy_module, "xxh128_hex",
                             lambda path: calls.append(path) or real(path))
         bash = app_cluster[1].tool("bash")
-        _, memoised = self._fifty_starts_and_ends(app_cluster, memoised=True)
+        _, datagrams = self._fifty_starts_and_ends(app_cluster)
         assert calls == [bash]
-        del calls[:]
-        _, plain = self._fifty_starts_and_ends(app_cluster, memoised=False)
-        assert calls == [bash] * 100
-        assert memoised == plain and len(memoised) >= 150
+        assert len(datagrams) >= 150
         assert all(UDPMessage.decode(datagram).path_hash == real(bash)
-                   for datagram in memoised)
+                   for datagram in datagrams)
 
     def test_send_side_pays_per_process_not_per_datagram(self, app_cluster, monkeypatch):
         """The mirror of ``tests/ingest/test_hot_path_counts.py``: a hook call
@@ -409,7 +388,7 @@ class TestNoPerBytePythonAtProcessStart:
 
         import repro.collector.hooks as hooks_module
 
-        _, expected = self._fifty_starts_and_ends(app_cluster, memoised=True)
+        _, expected = self._fifty_starts_and_ends(app_cluster)
 
         headers, bursts, value_reads = [], [], []
         wire_header, send = hooks_module.wire_header, UDPSender.send
@@ -436,7 +415,7 @@ class TestNoPerBytePythonAtProcessStart:
             patch.setattr(UDPSender, "send", counting_send)
             patch.setattr(UDPMessage, "__init__", forbidden_init)
             patch.setattr(enum.property, "__get__", counting_get)
-            collector, spied = self._fifty_starts_and_ends(app_cluster, memoised=True)
+            collector, spied = self._fifty_starts_and_ends(app_cluster)
 
         assert spied == expected and len(spied) >= 150
         assert len(headers) == len(bursts) == 100            # one per hook call
@@ -456,8 +435,6 @@ class TestNoPerBytePythonAtProcessStart:
         assert hasher.path_hash(manifest.tool("bash")) == expected
 
     def test_path_hash_memo_is_bounded_oldest_out(self, app_cluster, monkeypatch):
-        import repro.collector.fuzzy as fuzzy_module
-
         monkeypatch.setattr(fuzzy_module, "PATH_HASH_ENTRIES", 3)
         hasher = ArtifactHasher(app_cluster[0].filesystem)
         for index in range(5):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.live import LiveAnalysis
+from repro.analysis.similarity import SimilaritySearch
+from repro.analysis.simindex import DigestIndex, SimilarityIndex
 from repro.collector.fuzzy import ArtifactHasher
 from repro.collector.hooks import SirenCollector
 from repro.core import SirenConfig, SirenFramework
@@ -15,6 +17,7 @@ from repro.db.store import MessageStore
 from repro.faults.plan import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.ingest import IncrementalConsolidator
+from repro.ingest.incremental import DatagramQuarantine
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE, UDPMessage
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
@@ -49,7 +52,7 @@ def _wiring(deployment) -> dict:
         "inner_channel": type(inner).__name__ if inner is not None else None,
         "lossy": deployment.lossy_channel is not None
                  and deployment.lossy_channel.loss_rate,
-        "ingest": (ingest.persist_raw, ingest.quarantine.capacity),
+        "ingest": ingest.persist_raw,
         "store_path": deployment.store.path,
         "store_retry": deployment.store.retry.attempts,
         "store_faults": deployment.store_fault_injector is not None,
@@ -127,6 +130,7 @@ class TestOnePathEach:
         (MessageStore, "insert_or_replace_processes"), (MessageStore, "iter_messages"),
         (MessageStore, "clear_messages"), (UDPMessage, "row"), (UDPMessage, "process_key"),
         (UDPMessage, "burst"), (FuzzyHasher, "compare_cached"),
+        (FuzzyHasher, "compare_cache_clear"),
         (SirenFramework, "consolidate"), (SirenFramework, "analysis_pipeline"),
         (SirenFramework, "identify_unknown"), (DeploymentCampaign, "snapshot"),
         (DeploymentCampaign, "snapshot_delta")],
@@ -142,10 +146,26 @@ class TestOnePathEach:
         assert not hasattr(owner, name)
 
     @pytest.mark.parametrize("owner, knob", [
-        (FuzzyHasher, "compare_cache_size"), (IncrementalConsolidator, "quarantine_capacity")],
+        (FuzzyHasher, "compare_cache_size"), (IncrementalConsolidator, "quarantine_capacity"),
+        (FuzzyHasher, "min_block_size"), (FuzzyHasher, "signature_length"),
+        (FuzzyHasher, "require_common_substring"), (SimilaritySearch, "index_threshold"),
+        (SimilaritySearch, "rules"), (LiveAnalysis, "index_threshold"), (LiveAnalysis, "rules"),
+        (DigestIndex, "ngram"), (SimilarityIndex, "ngram"), (ArtifactHasher, "cache_enabled"),
+        (ArtifactHasher, "list_cache_limit"), (DatagramQuarantine, "capacity")],
         ids=lambda value: getattr(value, "__name__", value))
     def test_removed_parameters_are_constants(self, owner, knob):
         assert knob not in inspect.signature(owner).parameters
+
+    @pytest.mark.parametrize("owner, state", [
+        (LiveAnalysis, "syncs"), (ArtifactHasher, "hashes_computed"),
+        (ArtifactHasher, "cache_hits"), (ArtifactHasher, "content_cache_hits"),
+        (ArtifactHasher, "_exe_cache"), (ArtifactHasher, "_list_cache"),
+        (DatagramQuarantine, "quarantined"), (DatagramQuarantine, "evicted")],
+        ids=lambda value: getattr(value, "__name__", value))
+    def test_state_is_not_an_init_parameter(self, owner, state):
+        """Counters and caches are what an object did, not how it is set up."""
+        assert state in {field.name for field in dataclasses.fields(owner)}
+        assert state not in inspect.signature(owner).parameters
 
     @pytest.mark.parametrize("owner", [SirenFramework, IncrementalConsolidator, UDPSender,
                                        DeploymentCampaign], ids=lambda owner: owner.__name__)

@@ -1,7 +1,6 @@
 """Tests for the SirenFramework facade and the AnalysisPipeline."""
 
 import random
-import sys
 from operator import attrgetter
 
 import pytest
@@ -13,6 +12,7 @@ from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.consolidate import records_from_messages
+from oracles.search import on_brute_force
 from oracles.tables import user_activity_table
 from oracles.wire import burst
 
@@ -311,8 +311,8 @@ class TestFrameworkAnalysisFacade:
         self._run_identification_job(cluster, manifest)
         records = framework.snapshot()
         identified = AnalysisPipeline(records, {}).table7_similarity_search(top=5)
-        brute = SimilaritySearch(records, index_threshold=sys.maxsize)
-        assert identified == brute.identify_unknown(top=5)
+        brute = SimilaritySearch(records)
+        assert identified == on_brute_force(brute.identify_unknown, top=5)
         (results,) = identified.values()
         assert results[0].label == "icon"
         assert results[0].average == 100.0

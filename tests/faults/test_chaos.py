@@ -27,6 +27,7 @@ from repro.faults import (
     preset_plans,
 )
 from repro.ingest import IncrementalConsolidator
+from repro.ingest.incremental import QUARANTINE_CAPACITY
 from repro.util.retry import RetryPolicy
 from repro.workload import CampaignConfig, DeploymentCampaign
 
@@ -68,8 +69,7 @@ class TestTransportFaultEquivalence:
         assert front.decode_errors == harness.batch_ingest.decode_errors
         if plan.channel.corrupt_rate or plan.channel.truncate_rate:
             assert faulty.corrupted + faulty.truncated > 0
-        assert front.quarantined == min(front.decode_errors,
-                                        front.quarantine.capacity)
+        assert front.quarantined == min(front.decode_errors, QUARANTINE_CAPACITY)
 
     def test_reordering_preserves_process_key_sets(self, dual_ingest):
         plan = preset_plans(seed=CHAOS_SEED)["reorder-5pct"]

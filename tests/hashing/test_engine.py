@@ -2,7 +2,7 @@
 
 The engine (:mod:`repro.hashing.engine`) must be *byte-identical* to the
 reference per-byte implementation (``tests/oracles/ctph.py``) for every input
-and knob combination -- the digests below are pinned literals computed from
+and CTPH geometry -- the digests below are pinned literals computed from
 the seed implementation, so neither side can drift.
 """
 
@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
 from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digest
-from repro.hashing.ssdeep import FuzzyHasher
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
 from repro.util.rng import SeededRNG
 
-from oracles.ctph import ReferenceHasher, hash_reference, roll_sequence, sum_hash_bytes
+from oracles.ctph import ReferenceHasher, roll_sequence, sum_hash_bytes
 
 
 def golden_corpus() -> list[tuple[str, bytes]]:
@@ -87,14 +87,22 @@ class TestGoldenDigests:
         assert {name for name, _ in golden_corpus()} == set(GOLDEN_DIGESTS)
 
 
+def digest_of(payload: bytes, min_block_size: int, signature_length: int) -> FuzzyHash:
+    """The engine's digest of ``payload`` in one CTPH geometry."""
+    return FuzzyHash(*fuzzy_digest(payload, min_block_size, signature_length))
+
+
 class TestEngineEquivalence:
-    """Randomised engine-vs-reference equality, across the hasher knobs."""
+    """Randomised engine-vs-reference equality, across CTPH geometries.
+
+    :class:`FuzzyHasher` runs ssdeep's geometry only; the engine takes the
+    geometry as arguments, so the sweep runs through :func:`fuzzy_digest`.
+    """
 
     @pytest.mark.parametrize("min_block_size,signature_length",
                              [(3, 64), (1, 64), (5, 64), (3, 32), (2, 16), (7, 8)])
     def test_engine_equals_reference(self, min_block_size, signature_length):
-        hasher = FuzzyHasher(min_block_size=min_block_size,
-                             signature_length=signature_length)
+        reference = ReferenceHasher(min_block_size, signature_length)
         rng = random.Random(min_block_size * 1000 + signature_length)
         for trial in range(10):
             size = rng.choice([0, 1, 6, 7, 8, 100, 1000, 5000, 30000])
@@ -102,7 +110,8 @@ class TestEngineEquivalence:
                 payload = bytes([trial % 5] * size)
             else:
                 payload = SeededRNG(trial * 37 + size).bytes(size)
-            assert hasher.hash(payload) == hash_reference(hasher, payload)
+            assert digest_of(payload, min_block_size, signature_length) == \
+                reference.hash(payload)
 
     def test_vectorised_scan_slicing_is_seamless(self, monkeypatch):
         """Pins the multi-slice window/rebase arithmetic of the numpy scan
@@ -133,11 +142,9 @@ class TestEngineEqualsOracle:
     @example(payload=SeededRNG(82).bytes(20_000), min_block_size=3, signature_length=64)
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_engine_equals_oracle(self, mode, payload, min_block_size, signature_length):
-        hasher = FuzzyHasher(min_block_size=min_block_size,
-                             signature_length=signature_length)
         with mock.patch.multiple(engine_module, **ENGINE_MODES[mode]):
-            digest = hasher.hash(payload)
-        assert digest == hash_reference(hasher, payload)
+            digest = digest_of(payload, min_block_size, signature_length)
+        assert digest == ReferenceHasher(min_block_size, signature_length).hash(payload)
 
 
 def fnv_pieces(data: bytes, ends: list[int]) -> list[int]:
@@ -195,13 +202,13 @@ class TestPieceHashKernel:
                              [(3, 64), (1, 64), (5, 64), (3, 32), (2, 16), (7, 8)])
     def test_digests_equal_reference_around_the_crossover(self, min_block_size,
                                                           signature_length):
-        hasher = FuzzyHasher(min_block_size=min_block_size,
-                             signature_length=signature_length)
+        reference = ReferenceHasher(min_block_size, signature_length)
         crossover = engine_module._KERNEL_MIN_BYTES
         for size in (crossover - 1, crossover, crossover + 1):
             for payload in (SeededRNG(size + signature_length).bytes(size),
                             bytes([7, 7, 7, 250]) * (size // 4) + b"\x07" * (size % 4)):
-                assert hasher.hash(payload) == hash_reference(hasher, payload)
+                assert digest_of(payload, min_block_size, signature_length) == \
+                    reference.hash(payload)
 
     def test_piece_state_is_carried_across_slices(self, monkeypatch):
         """Pins the slice loop of the kernel (production ``_SCAN_SLICE`` is
@@ -271,19 +278,17 @@ class TestOneHashPath:
     @pytest.mark.parametrize("size", [0, 17, 333, 1000, 20000])
     def test_hash_matches_reference(self, size):
         payload = SeededRNG(41).bytes(size)
-        hasher = FuzzyHasher()
-        assert hasher.hash(payload) == hash_reference(hasher, payload)
+        assert FuzzyHasher().hash(payload) == ReferenceHasher().hash(payload)
 
     def test_rejects_non_bytes_payloads(self):
         with pytest.raises(TypeError):
             FuzzyHasher().hash("not bytes")  # type: ignore[arg-type]
 
-    def test_knobs_reach_the_engine(self):
+    def test_the_hasher_is_the_engine_in_ssdeep_geometry(self):
         payload = SeededRNG(42).bytes(4000)
-        hasher = FuzzyHasher(min_block_size=5, signature_length=32)
-        digest = hasher.hash(payload)
-        assert (digest.block_size, digest.sig1, digest.sig2) == fuzzy_digest(payload, 5, 32)
-        assert digest != FuzzyHasher().hash(payload)
+        assert FuzzyHasher().hash(payload) == \
+            digest_of(payload, MIN_BLOCKSIZE, SPAMSUM_LENGTH)
+        assert FuzzyHasher().hash(payload) != digest_of(payload, 5, 32)
 
     def test_accepts_memoryview_and_bytearray(self):
         payload = SeededRNG(34).bytes(3000)

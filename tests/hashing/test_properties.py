@@ -68,15 +68,14 @@ class TestCompareEngineProperties:
     def test_lcs_reduction_equals_weighted_dp(self, a, b):
         assert default_cost_distance(a, b) == weighted_edit_distance(a, b)
 
-    @given(signatures, signatures, signatures, signatures,
-           block_sizes, block_sizes, st.booleans())
+    @given(signatures, signatures, signatures, signatures, block_sizes, block_sizes)
     @settings(max_examples=150, deadline=None)
     def test_engine_scores_byte_identical_to_reference(self, s1a, s1b, s2a, s2b,
-                                                       block1, block2, require_gram):
-        hasher = FuzzyHasher(require_common_substring=require_gram)
+                                                       block1, block2):
+        hasher = FuzzyHasher()
         a = str(FuzzyHash(block_size=block1, sig1=s1a, sig2=s1b))
         b = str(FuzzyHash(block_size=block2, sig1=s2a, sig2=s2b))
-        assert hasher.compare(a, b) == compare_reference(hasher, a, b)
+        assert hasher.compare(a, b) == compare_reference(a, b)
 
     @given(st.lists(st.tuples(signatures, signatures, block_sizes),
                     min_size=0, max_size=12),
@@ -88,7 +87,7 @@ class TestCompareEngineProperties:
         digests = [str(FuzzyHash(block_size=b, sig1=a, sig2=c))
                    for a, c, b in candidates]
         assert hasher.compare_many(baseline, digests) == \
-            [compare_reference(hasher, baseline, digest) for digest in digests]
+            [compare_reference(baseline, digest) for digest in digests]
 
 
 class TestRollingHashProperties:

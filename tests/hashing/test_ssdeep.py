@@ -76,12 +76,6 @@ class TestHashing:
         with pytest.raises(TypeError):
             FuzzyHasher().hash("a string")  # type: ignore[arg-type]
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            FuzzyHasher(min_block_size=0)
-        with pytest.raises(ValueError):
-            FuzzyHasher(signature_length=4)
-
 
 class TestComparison:
     def test_identical_inputs_score_100(self):

@@ -13,7 +13,7 @@ import pytest
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.ingest import IncrementalConsolidator
-from repro.ingest.incremental import DatagramQuarantine
+from repro.ingest import incremental
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.sender import UDPSender
@@ -491,9 +491,9 @@ class TestQuarantine:
         assert [entry.datagram for entry in ingest.quarantine.entries()] == [datagram]
         assert store.message_count() == 0
 
-    def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self):
+    def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self, monkeypatch):
+        monkeypatch.setattr(incremental, "QUARANTINE_CAPACITY", 2)
         ingest = IncrementalConsolidator(MessageStore())
-        ingest.quarantine = DatagramQuarantine(capacity=2)
         for index in range(6):  # header-valid, body-corrupt
             ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
         ingest.finalize()
@@ -504,14 +504,9 @@ class TestQuarantine:
         assert [entry.datagram[-8:] for entry in ingest.quarantine.entries()] == \
             [b"garbage4", b"garbage5"]
 
-    def test_capacity_zero_is_refused(self):
-        """The quarantine is always on: a ring of no entries is an error."""
-        with pytest.raises(TransportError, match="at least 1"):
-            DatagramQuarantine(capacity=0)
-
-    def test_quarantine_totals_survive_several_syncs(self):
+    def test_quarantine_totals_survive_several_syncs(self, monkeypatch):
+        monkeypatch.setattr(incremental, "QUARANTINE_CAPACITY", 2)
         ingest = IncrementalConsolidator(MessageStore())
-        ingest.quarantine = DatagramQuarantine(capacity=2)
         for index in range(6):
             ingest.handle_datagram(_corrupt_body(3, b"garbage%d" % index))
             if index % 3 == 2:

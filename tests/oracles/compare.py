@@ -6,7 +6,9 @@ comparison as ssdeep states it, one pair at a time: parse both digests,
 collapse long runs, demand a common 7-gram, align the signatures with a
 weighted Damerau-Levenshtein DP and rescale the distance into 0-100.  The
 rescaling and the small-block-size cap are the hasher's own ``_rescale`` and
-``_apply_cap``, so the scoring arithmetic is written once.
+``_apply_cap``, so the scoring arithmetic is written once.  The 7-gram gate is
+a parameter here, and only here: the engine always applies it, and a test
+switches it off to show that it does.
 
 The paper (Section 2.1) describes ssdeep's comparison as a
 Damerau-Levenshtein distance over the two signature strings -- insertions,
@@ -33,10 +35,11 @@ from repro.hashing.rolling import ROLLING_WINDOW
 from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
 
 
-def compare_reference(hasher: FuzzyHasher, first: FuzzyHash | str,
-                      second: FuzzyHash | str) -> int:
-    """``hasher.compare(first, second)``, one pair at a time: parse,
-    normalise and align."""
+def compare_reference(first: FuzzyHash | str, second: FuzzyHash | str, *,
+                      require_common_substring: bool = True) -> int:
+    """``FuzzyHasher().compare(first, second)``, one pair at a time: parse,
+    normalise and align (without the 7-gram gate when
+    ``require_common_substring`` is false)."""
     h1 = first if isinstance(first, FuzzyHash) else FuzzyHash.parse(first)
     h2 = second if isinstance(second, FuzzyHash) else FuzzyHash.parse(second)
 
@@ -52,21 +55,21 @@ def compare_reference(hasher: FuzzyHasher, first: FuzzyHash | str,
     if b1 == b2 and s1a == s2a and s1b == s2b and s1a:
         return 100
 
+    gate = require_common_substring
     if b1 == b2:
-        score1 = _score_strings(hasher, s1a, s2a, b1)
-        score2 = _score_strings(hasher, s1b, s2b, b1 * 2)
+        score1 = _score_strings(s1a, s2a, b1, gate)
+        score2 = _score_strings(s1b, s2b, b1 * 2, gate)
         return max(score1, score2)
     if b1 == b2 * 2:
-        return _score_strings(hasher, s1a, s2b, b1)
-    return _score_strings(hasher, s1b, s2a, b2)
+        return _score_strings(s1a, s2b, b1, gate)
+    return _score_strings(s1b, s2a, b2, gate)
 
 
-def _score_strings(hasher: FuzzyHasher, s1: str, s2: str, block_size: int) -> int:
+def _score_strings(s1: str, s2: str, block_size: int, gate: bool) -> int:
     """Convert an edit distance between two signatures into a 0-100 score."""
     if not s1 or not s2:
         return 0
-    if hasher.require_common_substring and not has_common_substring(
-            s1, s2, ROLLING_WINDOW):
+    if gate and not has_common_substring(s1, s2, ROLLING_WINDOW):
         return 0
     if s1 == s2:
         score = 100
@@ -75,12 +78,12 @@ def _score_strings(hasher: FuzzyHasher, s1: str, s2: str, block_size: int) -> in
         # the alignment may stop early once that is certain; scores are
         # unchanged (tests pin new-vs-unbounded equality).
         distance = weighted_edit_distance(s1, s2, bound=len(s1) + len(s2) - 1)
-        score = hasher._rescale(distance, len(s1), len(s2))
+        score = FuzzyHasher._rescale(distance, len(s1), len(s2))
         if score is None:
             return 0
     # For small block sizes, cap the score so short inputs cannot claim
     # near-perfect similarity on the strength of a handful of pieces.
-    return hasher._apply_cap(score, len(s1), len(s2), block_size)
+    return FuzzyHasher._apply_cap(score, len(s1), len(s2), block_size)
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.hashing.engine import B64_ALPHABET
 from repro.hashing.fnv import FNV32_PRIME, SSDEEP_HASH_INIT
 from repro.hashing.rolling import ROLLING_WINDOW
-from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash
 
 _MASK32 = 0xFFFFFFFF
 
@@ -139,8 +139,3 @@ class ReferenceHasher:
                 sig1.append(B64_ALPHABET[piece1 % 64])
                 sig2.append(B64_ALPHABET[piece2 % 64])
         return "".join(sig1), "".join(sig2)
-
-
-def hash_reference(hasher: FuzzyHasher, data: bytes) -> FuzzyHash:
-    """The reference digest of ``data`` under ``hasher``'s knobs."""
-    return ReferenceHasher(hasher.min_block_size, hasher.signature_length).hash(data)

@@ -418,8 +418,8 @@ def test_knob_table_rows_are_the_config_fields():
     text = KNOB_DOCS.read_text(encoding="utf-8")
     fields = {field.name for field in dataclasses.fields(CampaignConfig)}
     assert set(parse_knob_table(text)) == fields
-    dropped = "\n".join(line for line in text.splitlines() if "| `rollups` |" not in line)
-    assert fields - set(parse_knob_table(dropped)) == {"rollups"}
+    dropped = "\n".join(line for line in text.splitlines() if "| `loss_rate` |" not in line)
+    assert fields - set(parse_knob_table(dropped)) == {"loss_rate"}
 
 
 def test_every_knob_is_read(trees):
