@@ -34,10 +34,9 @@ LABEL_RULES: tuple[tuple[str, re.Pattern[str]], ...] = (
 )
 
 
-def derive_label(executable_path: str,
-                 rules: tuple[tuple[str, re.Pattern[str]], ...] = LABEL_RULES) -> str:
+def derive_label(executable_path: str) -> str:
     """Derive a software label from an executable path (``UNKNOWN`` if no rule matches)."""
-    for label, pattern in rules:
+    for label, pattern in LABEL_RULES:
         if pattern.search(executable_path):
             return label
     return UNKNOWN_LABEL
@@ -57,7 +56,6 @@ class LabelRow:
 def user_application_table(
     records: list[ProcessRecord],
     user_names: dict[int, str] | None = None,
-    rules: tuple[tuple[str, re.Pattern[str]], ...] = LABEL_RULES,
 ) -> list[LabelRow]:
     """Derived labels over user-directory processes, with per-label statistics."""
     users: dict[str, set[str]] = defaultdict(set)
@@ -68,7 +66,7 @@ def user_application_table(
     for record in records:
         if record.category != ExecutableCategory.USER.value:
             continue
-        label = derive_label(record.executable, rules)
+        label = derive_label(record.executable)
         user = user_label(record, user_names)
         users[label].add(user)
         if record.jobid:
@@ -92,13 +90,10 @@ def user_application_table(
     return rows
 
 
-def label_by_executable(
-    records: list[ProcessRecord],
-    rules: tuple[tuple[str, re.Pattern[str]], ...] = LABEL_RULES,
-) -> dict[str, str]:
+def label_by_executable(records: list[ProcessRecord]) -> dict[str, str]:
     """Map of executable path -> derived label over user-directory records."""
     return {
-        record.executable: derive_label(record.executable, rules)
+        record.executable: derive_label(record.executable)
         for record in records
         if record.category == ExecutableCategory.USER.value
     }

@@ -80,7 +80,6 @@ from repro.analysis.stats import (
     SystemExecutableRow,
     TableRollup,
     UserActivityRow,
-    activity_totals,
 )
 from repro.db.store import ProcessKey, ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
@@ -118,7 +117,8 @@ class LiveAnalysis:
 
     user_names: dict[int, str] = field(default_factory=dict)
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
-    cursor: int = 0            #: store rowid high-water mark (when bound)
+    #: store rowid high-water mark (when bound)
+    cursor: int = field(init=False, default=0)
     #: delta pulls performed
     syncs: int = field(init=False, default=0)
     _source: DeltaSource | None = field(init=False, default=None, repr=False)
@@ -232,10 +232,6 @@ class LiveAnalysis:
         """Table 2, live: identical to a fold of all records."""
         self._pull()
         return self._tables.user_activity(overlay=self._open_tables)
-
-    def table2_totals(self) -> UserActivityRow:
-        """The Total row of Table 2."""
-        return activity_totals(self.table2_user_activity())
 
     def table3_system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
         """Table 3, live: identical to a fold of all records."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.compilers import compilers_by_label
-from repro.analysis.labels import LABEL_RULES, label_by_executable
+from repro.analysis.labels import label_by_executable
 from repro.analysis.libfilter import library_tags_by_label
 from repro.db.store import ProcessRecord
 
@@ -28,38 +28,25 @@ class UsageMatrix:
         return dict(zip(self.column_labels, values))
 
 
-def _build_matrix(mapping: dict[str, set[str]],
-                  column_order: tuple[str, ...] | None) -> UsageMatrix:
+def _build_matrix(mapping: dict[str, set[str]]) -> UsageMatrix:
     rows = tuple(sorted(mapping))
-    if column_order is None:
-        columns: list[str] = []
-        for values in mapping.values():
-            for value in sorted(values):
-                if value not in columns:
-                    columns.append(value)
-        column_order = tuple(columns)
+    columns: list[str] = []
+    for values in mapping.values():
+        for value in sorted(values):
+            if value not in columns:
+                columns.append(value)
     cells = tuple(
-        tuple(1 if column in mapping[row] else 0 for column in column_order)
+        tuple(1 if column in mapping[row] else 0 for column in columns)
         for row in rows
     )
-    return UsageMatrix(row_labels=rows, column_labels=column_order, cells=cells)
+    return UsageMatrix(row_labels=rows, column_labels=tuple(columns), cells=cells)
 
 
-def compiler_label_matrix(
-    records: list[ProcessRecord],
-    column_order: tuple[str, ...] | None = None,
-    rules=LABEL_RULES,
-) -> UsageMatrix:
+def compiler_label_matrix(records: list[ProcessRecord]) -> UsageMatrix:
     """Figure 4: which compiler toolchains each software label was built with."""
-    label_of = label_by_executable(records, rules)
-    return _build_matrix(compilers_by_label(records, label_of), column_order)
+    return _build_matrix(compilers_by_label(records, label_by_executable(records)))
 
 
-def library_label_matrix(
-    records: list[ProcessRecord],
-    column_order: tuple[str, ...] | None = None,
-    rules=LABEL_RULES,
-) -> UsageMatrix:
+def library_label_matrix(records: list[ProcessRecord]) -> UsageMatrix:
     """Figure 5: which derived library tags each software label loads."""
-    label_of = label_by_executable(records, rules)
-    return _build_matrix(library_tags_by_label(records, label_of), column_order)
+    return _build_matrix(library_tags_by_label(records, label_by_executable(records)))

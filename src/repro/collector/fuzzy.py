@@ -199,12 +199,3 @@ class ArtifactHasher:
                 del self._path_hashes[next(iter(self._path_hashes))]
             self._path_hashes[path] = cached
         return cached
-
-    def clear_cache(self) -> None:
-        """Drop all memoisation tiers."""
-        self._exe_cache.clear()
-        self._script_cache.clear()
-        self._exe_content_cache.clear()
-        self._script_content_cache.clear()
-        self._list_cache.clear()
-        self._path_hashes.clear()

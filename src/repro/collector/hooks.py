@@ -43,9 +43,9 @@ class SirenCollector:
     library_path: str
     policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     hasher: ArtifactHasher = field(init=False)
-    processes_collected: int = 0
-    processes_skipped: int = 0
-    section_errors: int = 0
+    processes_collected: int = field(init=False, default=0)
+    processes_skipped: int = field(init=False, default=0)
+    section_errors: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.hasher = ArtifactHasher(self.filesystem)

@@ -29,7 +29,6 @@ from repro.analysis.stats import (
     SystemExecutableRow,
     TableRollup,
     UserActivityRow,
-    activity_totals,
 )
 from repro.db.store import ProcessRecord
 from repro.util.errors import AnalysisError
@@ -66,10 +65,6 @@ class AnalysisPipeline:
     def table2_user_activity(self) -> list[UserActivityRow]:
         """Table 2: users, jobs and processes per category."""
         return self._tables().user_activity()
-
-    def table2_totals(self) -> UserActivityRow:
-        """The Total row of Table 2."""
-        return activity_totals(self.table2_user_activity())
 
     def table3_system_executables(self, top: int | None = 10) -> list[SystemExecutableRow]:
         """Table 3: most used system-directory executables."""

@@ -108,7 +108,7 @@ class CorpusBuilder:
     cluster: Cluster
     rng: SeededRNG = field(default_factory=lambda: SeededRNG(2024))
     manifest: CorpusManifest = field(default_factory=CorpusManifest)
-    _variant_images: dict[tuple[str, str], bytes] = field(default_factory=dict)
+    _variant_images: dict[tuple[str, str], bytes] = field(init=False, default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # top-level orchestration

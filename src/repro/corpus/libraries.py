@@ -11,7 +11,7 @@ uninformative.
 This module defines
 
 * :data:`LIBRARY_SUBSTRINGS` -- the exact substring list from Section 4.3,
-* :func:`derive_library_tag` / :func:`derive_tags` -- the tag derivation,
+* :func:`derive_library_tag` -- the tag derivation,
 * :data:`LIBRARY_CATALOG` -- every shared-library *instance* installed on the
   simulated system (soname, directory, dependencies), with install paths
   chosen so that the derived tags reproduce the paper's tag vocabulary.
@@ -42,16 +42,6 @@ def derive_library_tag(path: str) -> str | None:
     if not matched:
         return None
     return "-".join(matched)
-
-
-def derive_tags(paths: list[str]) -> list[str]:
-    """Distinct derived tags for a list of library paths, in first-seen order."""
-    seen: dict[str, None] = {}
-    for path in paths:
-        tag = derive_library_tag(path)
-        if tag is not None:
-            seen.setdefault(tag, None)
-    return list(seen)
 
 
 @dataclass(frozen=True)

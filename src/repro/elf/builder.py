@@ -96,11 +96,11 @@ class ELFBuilder:
     file_type: int = ET_EXEC
     machine: int = EM_X86_64
     soname: str = ""
-    _text: bytes = b""
-    _rodata_strings: list[str] = field(default_factory=list)
-    _comments: list[str] = field(default_factory=list)
-    _needed: list[str] = field(default_factory=list)
-    _symbols: list[tuple[str, int, int, int]] = field(default_factory=list)
+    _text: bytes = field(init=False, default=b"")
+    _rodata_strings: list[str] = field(init=False, default_factory=list)
+    _comments: list[str] = field(init=False, default_factory=list)
+    _needed: list[str] = field(init=False, default_factory=list)
+    _symbols: list[tuple[str, int, int, int]] = field(init=False, default_factory=list)
 
     # ------------------------------------------------------------------ #
     # content population

@@ -30,22 +30,22 @@ class FaultyChannel:
     inner: Channel = field(default_factory=InMemoryChannel)
 
     # channel-compatible counters
-    datagrams_sent: int = 0
-    bytes_sent: int = 0
-    datagrams_dropped: int = 0
+    datagrams_sent: int = field(init=False, default=0)
+    bytes_sent: int = field(init=False, default=0)
+    datagrams_dropped: int = field(init=False, default=0)
     # fault counters
-    duplicated: int = 0
-    corrupted: int = 0
-    truncated: int = 0
-    reordered: int = 0
-    jitter_bursts: int = 0
+    duplicated: int = field(init=False, default=0)
+    corrupted: int = field(init=False, default=0)
+    truncated: int = field(init=False, default=0)
+    reordered: int = field(init=False, default=0)
+    jitter_bursts: int = field(init=False, default=0)
 
     _rng: SeededRNG = field(init=False, repr=False)
     _profile: ChannelFaultProfile = field(init=False, repr=False)
     #: Reordered datagrams in flight: [sends-remaining, datagram] pairs.
     _held: list = field(init=False, default_factory=list, repr=False)
     _burst_buffer: list = field(init=False, default_factory=list, repr=False)
-    _burst_remaining: int = 0
+    _burst_remaining: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self._rng = self.plan.channel_rng()

@@ -27,13 +27,13 @@ class StoreFaultInjector:
 
     plan: FaultPlan = field(default_factory=FaultPlan)
 
-    writes_seen: int = 0
-    transient_raised: int = 0
-    disk_full_raised: int = 0
+    writes_seen: int = field(init=False, default=0)
+    transient_raised: int = field(init=False, default=0)
+    disk_full_raised: int = field(init=False, default=0)
 
     _rng: SeededRNG = field(init=False, repr=False)
     _profile: StoreFaultProfile = field(init=False, repr=False)
-    _burst_left: int = 0
+    _burst_left: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self._rng = self.plan.store_rng()

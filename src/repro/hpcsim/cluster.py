@@ -39,7 +39,7 @@ class Cluster:
     scheduler: SlurmScheduler = field(default_factory=SlurmScheduler)
     linker: DynamicLinker = field(init=False)
     runtime: ProcessRuntime = field(init=False)
-    processes_run: int = 0
+    processes_run: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.linker = DynamicLinker(self.filesystem)
@@ -126,16 +126,3 @@ class Cluster:
         job.end_time = self.filesystem.clock
         self.processes_run += total_processes
         return job, contexts
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def summary(self) -> dict[str, int]:
-        """Aggregate counters for quick sanity checks."""
-        return {
-            "users": len(self.users),
-            "jobs": self.scheduler.job_count,
-            "processes": self.processes_run,
-            "files": len(self.filesystem),
-            "hook_failures": self.runtime.hook_failures,
-        }

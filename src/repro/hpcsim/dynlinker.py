@@ -41,8 +41,8 @@ class DynamicLinker:
 
     filesystem: VirtualFilesystem
     default_paths: tuple[str, ...] = DEFAULT_SEARCH_PATH
-    _needed_cache: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
-    _dynamic_cache: dict[tuple[str, int], bool] = field(default_factory=dict)
+    _needed_cache: dict[tuple[str, int], tuple[str, ...]] = field(init=False, default_factory=dict)
+    _dynamic_cache: dict[tuple[str, int], bool] = field(init=False, default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # parsing helpers

@@ -98,9 +98,9 @@ class VirtualFilesystem:
     """
 
     clock: int = 1_733_000_000  # ~Dec 2024, matching the deployment campaign
-    _files: dict[str, VirtualFile] = field(default_factory=dict)
-    _next_inode: int = 100_000
-    _writes: int = 0
+    _files: dict[str, VirtualFile] = field(init=False, default_factory=dict)
+    _next_inode: int = field(init=False, default=100_000)
+    _writes: int = field(init=False, default=0)
 
     # ------------------------------------------------------------------ #
     # mutation

@@ -41,7 +41,7 @@ class Module:
 class ModuleSystem:
     """Registry plus loader for environment modules."""
 
-    _modules: dict[str, Module] = field(default_factory=dict)
+    _modules: dict[str, Module] = field(init=False, default_factory=dict)
 
     def register(self, module: Module) -> Module:
         """Register a module under its bare name (last registration wins)."""
@@ -55,10 +55,6 @@ class ModuleSystem:
             return self._modules[bare]
         except KeyError as exc:
             raise SimulationError(f"unknown module: {name}") from exc
-
-    def available(self) -> list[str]:
-        """Full names of all registered modules."""
-        return sorted(module.full_name for module in self._modules.values())
 
     # ------------------------------------------------------------------ #
     # loading

@@ -95,10 +95,10 @@ class ProcessRuntime:
 
     filesystem: VirtualFilesystem
     linker: DynamicLinker
-    _hooks: list[PreloadHook] = field(default_factory=list)
-    _next_pid: int = 1000
-    processes_launched: int = 0
-    hook_failures: int = 0
+    _hooks: list[PreloadHook] = field(init=False, default_factory=list)
+    _next_pid: int = field(init=False, default=1000)
+    processes_launched: int = field(init=False, default=0)
+    hook_failures: int = field(init=False, default=0)
 
     def register_hook(self, hook: PreloadHook) -> None:
         """Register a pre-load hook (at most once per library path)."""

@@ -32,7 +32,7 @@ class UserRegistry:
     """Registry of cluster users with deterministic UID/GID allocation."""
 
     first_uid: int = 10_000
-    _users: dict[str, User] = field(default_factory=dict)
+    _users: dict[str, User] = field(init=False, default_factory=dict)
 
     def add(self, username: str, *, project: str | None = None) -> User:
         """Register a new user (idempotent: re-adding returns the same user)."""

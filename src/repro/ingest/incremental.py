@@ -39,7 +39,7 @@ transports this repository ships:
 * every channel delivers the constructor burst of one process contiguously
   and in order, and ``PROCEND`` is by construction the last message of a key,
   so finalizing on ``PROCEND`` can never cut a burst short;
-* the idle rule only closes processes untouched for ``idle_epochs`` whole
+* the idle rule only closes processes untouched for :data:`IDLE_EPOCHS` whole
   epochs, and an epoch boundary (one batch) can never fall twice inside a
   single contiguous burst;
 * :meth:`~IncrementalConsolidator.finalize` closes every still-open process
@@ -73,6 +73,18 @@ _PROCEND = InfoType.PROCEND.value
 _WIRE_KINDS = {key: key for key in GROUP_KEYS.values()}
 #: Undecodable datagrams the ingest object keeps for forensics.
 QUARANTINE_CAPACITY = 256
+#: Accepted messages are buffered and delivered -- raw-persisted, then filed
+#: under their open processes -- in batches of this size; every delivered
+#: batch is one epoch of the idle clock.
+BATCH_SIZE = 500
+#: Finalized records are buffered and inserted in batches of this size.
+FLUSH_BATCH_SIZE = 64
+#: An open process untouched for this many whole epochs is closed even
+#: without a ``PROCEND`` (the destructor datagram was lost).  At least 2: an
+#: epoch boundary can fall *inside* a contiguous burst, so a process touched
+#: in the immediately preceding epoch may still be mid-burst -- only two
+#: whole untouched epochs prove the burst is over.
+IDLE_EPOCHS = 2
 
 
 @dataclass(frozen=True)
@@ -165,29 +177,17 @@ class IncrementalConsolidator:
     store:
         Destination for finalized records (and raw messages with
         ``persist_raw``).
-    batch_size:
-        Accepted messages are buffered and delivered -- raw-persisted, then
-        filed under their open processes -- in batches of this size; every
-        delivered batch is one epoch of the idle clock.
-    flush_batch_size:
-        Finalized records are buffered and inserted in batches of this size.
-    idle_epochs:
-        An open process untouched for this many whole epochs is closed even
-        without a ``PROCEND`` (the destructor datagram was lost).  Must be at
-        least 2: an epoch boundary can fall *inside* a contiguous burst, so a
-        process touched in the immediately preceding epoch may still be
-        mid-burst -- only two whole untouched epochs prove the burst is over.
     persist_raw:
         Also write every accepted message to the raw ``messages`` table.
 
+    Messages are delivered in batches of :data:`BATCH_SIZE`, records are
+    written in batches of :data:`FLUSH_BATCH_SIZE`, and a process idle for
+    :data:`IDLE_EPOCHS` whole epochs is closed; each is read when it is used.
     Undecodable datagrams are kept in a :class:`DatagramQuarantine` of
     :data:`QUARANTINE_CAPACITY` entries.
     """
 
     store: MessageStore
-    batch_size: int = 500
-    flush_batch_size: int = 64
-    idle_epochs: int = 2
     persist_raw: bool = False
 
     quarantine: DatagramQuarantine = field(init=False, default_factory=DatagramQuarantine)
@@ -215,7 +215,7 @@ class IncrementalConsolidator:
     _epoch: int = field(init=False, default=0)
     _open: dict[ProcessKey, _OpenProcess] = field(init=False, default_factory=dict)
     #: Recently closed keys, for fast late-message detection.  Entries are
-    #: evicted ``idle_epochs`` epochs after the close, so memory stays
+    #: evicted :data:`IDLE_EPOCHS` epochs after the close, so memory stays
     #: bounded by recent traffic, not campaign size; a message arriving
     #: even later resurrects a (content-free) process whose flush the store's
     #: first-close-wins insert ignores.
@@ -232,12 +232,6 @@ class IncrementalConsolidator:
     #: whenever an open process does (a message consumed, a record closed).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
         init=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.idle_epochs < 2:
-            raise TransportError(
-                "idle_epochs must be >= 2: one epoch of silence cannot be told"
-                " apart from a burst straddling a batch boundary")
 
     def attach(self, channel: Channel) -> None:
         """Subscribe to a channel so every delivered datagram is ingested."""
@@ -270,7 +264,7 @@ class IncrementalConsolidator:
         self.messages_received += 1
         batch = self._batch
         batch.append(row)
-        if len(batch) >= self.batch_size:
+        if len(batch) >= BATCH_SIZE:
             self._deliver()
         return True
 
@@ -342,17 +336,17 @@ class IncrementalConsolidator:
         Ticked after every delivered batch.  Closes processes that either saw
         their ``PROCEND`` but are missing content (lost datagrams -- one
         epoch of grace covers reordering transports) or have been idle for
-        ``idle_epochs`` whole epochs (the ``PROCEND`` itself was lost).
+        :data:`IDLE_EPOCHS` whole epochs (the ``PROCEND`` itself was lost).
         """
         self._epoch += 1
-        while self._closed_fifo and self._epoch - self._closed_fifo[0][0] >= self.idle_epochs:
+        while self._closed_fifo and self._epoch - self._closed_fifo[0][0] >= IDLE_EPOCHS:
             _, evicted = self._closed_fifo.popleft()
             self._closed.discard(evicted)
         stale = [
             (key, open_process)
             for key, open_process in self._open.items()
             if (open_process.ended and self._epoch - open_process.last_epoch >= 1)
-            or self._epoch - open_process.last_epoch >= self.idle_epochs
+            or self._epoch - open_process.last_epoch >= IDLE_EPOCHS
         ]
         for key, open_process in stale:
             self._close(key, build_process_record(key, open_process.rows)[0], reason="idle")
@@ -372,7 +366,7 @@ class IncrementalConsolidator:
         self._closed.add(key)
         self._closed_fifo.append((self._epoch, key))
         del self._open[key]
-        if len(self._pending) >= self.flush_batch_size:
+        if len(self._pending) >= FLUSH_BATCH_SIZE:
             self._flush()
 
     def _flush(self) -> None:

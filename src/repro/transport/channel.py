@@ -38,9 +38,9 @@ class Channel(Protocol):
 class InMemoryChannel:
     """Perfect, synchronous delivery to all subscribers."""
 
-    datagrams_sent: int = 0
-    bytes_sent: int = 0
-    _subscribers: list[DatagramCallback] = field(default_factory=list)
+    datagrams_sent: int = field(init=False, default=0)
+    bytes_sent: int = field(init=False, default=0)
+    _subscribers: list[DatagramCallback] = field(init=False, default_factory=list)
 
     def subscribe(self, callback: DatagramCallback) -> None:
         """Register a delivery callback."""
@@ -61,10 +61,10 @@ class LossyChannel:
 
     loss_rate: float = 0.0002
     rng: SeededRNG = field(default_factory=lambda: SeededRNG(7))
-    datagrams_sent: int = 0
-    datagrams_dropped: int = 0
-    bytes_sent: int = 0
-    _subscribers: list[DatagramCallback] = field(default_factory=list)
+    datagrams_sent: int = field(init=False, default=0)
+    datagrams_dropped: int = field(init=False, default=0)
+    bytes_sent: int = field(init=False, default=0)
+    _subscribers: list[DatagramCallback] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:

@@ -17,7 +17,7 @@ format for them (``tests/oracles/wire.py``), applied chunk by chunk.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.transport.channel import Channel
 from repro.transport.chunking import split_content
@@ -39,9 +39,9 @@ class UDPSender:
 
     channel: Channel
     max_datagram_size: int = MAX_DATAGRAM_SIZE
-    messages_sent: int = 0
-    datagrams_sent: int = 0
-    send_errors: int = 0
+    messages_sent: int = field(init=False, default=0)
+    datagrams_sent: int = field(init=False, default=0)
+    send_errors: int = field(init=False, default=0)
 
     def send(self, header: bytes, sections: Iterable[Section]) -> int:
         """Send one process's burst; returns the number of datagrams emitted.

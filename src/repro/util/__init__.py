@@ -8,7 +8,6 @@ introducing import cycles.
 from repro.util.errors import (
     CollectionError,
     CorpusError,
-    IngestError,
     ReproError,
     SimulationError,
     TransportError,
@@ -19,7 +18,6 @@ from repro.util.tables import TextTable, format_count
 __all__ = [
     "CollectionError",
     "CorpusError",
-    "IngestError",
     "ReproError",
     "SimulationError",
     "TransportError",

@@ -35,21 +35,11 @@ class CollectionError(ReproError):
 class TransportError(ReproError):
     """Raised by the UDP-style transport and ingest layers.
 
-    Covers both configuration mistakes (bad loss rates, a shard count
-    other than one) and undecodable datagrams.  Runtime ingest failures
-    raise the more specific :class:`IngestError` subclass below, so
-    ``except TransportError`` keeps catching everything while callers that
-    care can tell a garbled datagram from a failing pipeline.
-    """
-
-
-class IngestError(TransportError):
-    """A runtime failure of the streaming-ingest machinery.
-
-    Subclasses :class:`TransportError` so existing ``except TransportError``
-    clauses keep working; raised when the ingest pipeline itself (not a
-    single datagram) fails at runtime -- e.g. a store retry budget
-    exhausting.
+    Covers configuration mistakes (bad loss rates, a shard count other
+    than one) and undecodable datagrams, which the ingest object counts and
+    quarantines rather than raises.  A store write that fails at runtime
+    raises the store's own error (``sqlite3.OperationalError``) once its
+    retries are spent.
     """
 
 

@@ -111,10 +111,3 @@ class SeededRNG:
         """Expose the underlying numpy generator for vectorised draws."""
         return self._np
 
-    # ------------------------------------------------------------------ #
-    # convenience generators
-    # ------------------------------------------------------------------ #
-    def identifier(self, prefix: str, width: int = 6) -> str:
-        """Generate a readable pseudo-random identifier like ``job_48210``."""
-        return f"{prefix}_{self.randint(0, 10 ** width - 1):0{width}d}"
-

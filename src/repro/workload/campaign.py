@@ -196,7 +196,7 @@ class DeploymentCampaign:
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     scenario_builder: ScenarioBuilder = field(init=False)
     rng: SeededRNG = field(init=False)
-    _prepared: bool = False
+    _prepared: bool = field(init=False, default=False)
 
     # ------------------------------------------------------------------ #
     # setup

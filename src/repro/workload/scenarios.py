@@ -37,7 +37,7 @@ class ScenarioBuilder:
     cluster: Cluster
     manifest: CorpusManifest
     rng: SeededRNG = field(default_factory=lambda: SeededRNG(99))
-    _script_cache: dict[tuple[str, str, int], str] = field(default_factory=dict)
+    _script_cache: dict[tuple[str, str, int], str] = field(init=False, default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # job scripts

@@ -166,7 +166,9 @@ class TestMatrices:
         row = matrix.row("icon")
         assert row["clang [Cray]"] == 1
 
-    def test_explicit_column_order(self):
-        matrix = compiler_label_matrix(self._records(),
-                                       column_order=("LLD [AMD]", "GCC [SUSE]"))
-        assert matrix.column_labels == ("LLD [AMD]", "GCC [SUSE]")
+    def test_a_caller_reorders_columns_by_name(self):
+        matrix = compiler_label_matrix(self._records())
+        order = ("LLD [AMD]", "GCC [SUSE]")
+        rows = {label: [matrix.row(label)[column] for column in order]
+                for label in matrix.row_labels}
+        assert rows["GROMACS"][0] == 1 and rows["icon"][0] == 0

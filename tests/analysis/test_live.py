@@ -60,7 +60,6 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
     reference = _canonical(records)
     table2 = tables.user_activity_table(reference, user_names)
     assert live.table2_user_activity() == table2
-    assert live.table2_totals() == activity_totals(table2)
     assert live.table3_system_executables() == \
         tables.system_executable_table(reference, user_names)
     assert live.table3_system_executables(top=None) == \
@@ -596,4 +595,5 @@ class TestCampaignLiveEquivalence:
         result = campaign.run()
         delta = campaign.deployment.snapshot_delta()
         assert len(delta.new_records) + len(delta.open_records) == len(result.records)
-        assert live.table2_totals().total_processes == len(result.records) > 0
+        assert activity_totals(live.table2_user_activity()).total_processes \
+            == len(result.records) > 0

@@ -11,6 +11,7 @@ from repro.analysis.labels import (
     label_by_executable,
     user_application_table,
 )
+from repro.analysis.stats import activity_totals
 from repro.core import AnalysisPipeline
 from repro.db.store import ProcessRecord
 
@@ -72,7 +73,7 @@ class TestUserActivityTable:
             _record("/usr/bin/bash", "system", uid=1000, jobid="1"),
             _record("/project/p/u/lmp", "user", uid=1001, jobid="2"),
         ]
-        total = AnalysisPipeline(records, USERS).table2_totals()
+        total = activity_totals(AnalysisPipeline(records, USERS).table2_user_activity())
         assert total.user == "Total"
         assert total.job_count == 2
         assert total.total_processes == 2

@@ -129,13 +129,14 @@ class TestArtifactHasher:
         hasher.script_hash("/users/alice/s.py")
         assert hasher.cache_hits >= 1
 
-    def test_clear_cache(self, app_cluster):
+    def test_a_fresh_hasher_hashes_again(self, app_cluster):
         cluster, manifest = app_cluster
-        hasher = ArtifactHasher(cluster.filesystem)
-        hasher.executable_hashes(manifest.tool("bash"))
-        hasher.clear_cache()
-        hasher.executable_hashes(manifest.tool("bash"))
-        assert hasher.hashes_computed == 2
+        warm = ArtifactHasher(cluster.filesystem)
+        first = warm.executable_hashes(manifest.tool("bash"))
+        assert warm.executable_hashes(manifest.tool("bash")) == first
+        fresh = ArtifactHasher(cluster.filesystem)
+        assert fresh.executable_hashes(manifest.tool("bash")) == first
+        assert (warm.hashes_computed, fresh.hashes_computed) == (1, 1)
 
 
 class TestScriptExecutableCacheSeparation:
@@ -283,19 +284,6 @@ class TestPathTierOneEntryPerPath:
             str(hasher.hasher.hash(new))
         assert len(hasher._exe_cache) == 1
 
-    def test_clear_cache_empties_every_tier(self):
-        filesystem = VirtualFilesystem()
-        filesystem.add_file(self.PATH, self._payloads(1)[0], executable=True)
-        hasher = ArtifactHasher(filesystem)
-        hasher.executable_hashes(self.PATH)
-        hasher.script_hash(self.PATH)
-        hasher.list_hash(["/lib64/libc.so.6"])
-        hasher.path_hash(self.PATH)
-        hasher.clear_cache()
-        assert not (hasher._exe_cache or hasher._script_cache
-                    or hasher._exe_content_cache or hasher._script_content_cache
-                    or hasher._list_cache or hasher._path_hashes)
-
 
 class TestListCacheLRU:
     def test_oldest_entry_evicted_once_full(self, app_cluster, monkeypatch):
@@ -425,14 +413,12 @@ class TestNoPerBytePythonAtProcessStart:
         sections = sum(len(sections) for _, sections in bursts)
         assert sections == collector.sender.messages_sent > 100
 
-    def test_clear_cache_empties_the_path_hash_memo(self, app_cluster):
+    def test_the_path_hash_memo_holds_what_a_fresh_hasher_computes(self, app_cluster):
         cluster, manifest = app_cluster
         hasher = ArtifactHasher(cluster.filesystem)
         expected = hasher.path_hash(manifest.tool("bash"))
         assert hasher._path_hashes == {manifest.tool("bash"): expected}
-        hasher.clear_cache()
-        assert hasher._path_hashes == {}
-        assert hasher.path_hash(manifest.tool("bash")) == expected
+        assert ArtifactHasher(cluster.filesystem).path_hash(manifest.tool("bash")) == expected
 
     def test_path_hash_memo_is_bounded_oldest_out(self, app_cluster, monkeypatch):
         monkeypatch.setattr(fuzzy_module, "PATH_HASH_ENTRIES", 3)

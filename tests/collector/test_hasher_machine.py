@@ -4,9 +4,10 @@ The path tier remembers each path's last hashed write; the content tier
 remembers every payload by its BLAKE2b key.  The rules are the filesystem
 events that can make either tier lie: a write after the clock moved, a
 rewrite within the same clock tick (``mtime``, inode and size can all stay
-put), removing a path and adding it back, and ``clear_cache``.  Paths share
-a small content pool, so byte-identical files under several paths, and a
-script byte-identical to an executable, are the common case.
+put), removing a path and adding it back, and starting over with a fresh
+hasher.  Paths share a small content pool, so byte-identical files under
+several paths, and a script byte-identical to an executable, are the common
+case.
 
 After every step each path's executable hashes and script digest equal those
 a fresh hasher computes from the same filesystem (cold caches, so computed
@@ -56,8 +57,8 @@ class HasherMachine(RuleBasedStateMachine):
             self.filesystem.add_file(path, _CONTENTS[content], executable=True)
 
     @rule()
-    def clear_cache(self):
-        self.hasher.clear_cache()
+    def fresh_hasher(self):
+        self.hasher = ArtifactHasher(self.filesystem)
 
     @rule(path=_paths, script_first=st.booleans())
     def hash_path(self, path, script_first):

@@ -194,8 +194,7 @@ def dual_ingest():
         else:
             channel = InMemoryChannel()
         batch_store = MessageStore()
-        batch_ingest = IncrementalConsolidator(batch_store, batch_size=32,
-                                               persist_raw=True)
+        batch_ingest = IncrementalConsolidator(batch_store, persist_raw=True)
         batch_ingest.attach(channel)
         # Small datagram budget so OBJECTS/MAPS/COMPILERS genuinely chunk.
         sender = UDPSender(channel, max_datagram_size=max_datagram_size)

@@ -6,6 +6,7 @@ from operator import attrgetter
 import pytest
 
 from repro.analysis.similarity import SimilaritySearch
+from repro.analysis.stats import activity_totals
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
@@ -239,7 +240,8 @@ class TestFrameworkLiveAnalysis:
         mid_run = framework.snapshot()
         delta = framework.snapshot_delta()
         assert keys(delta.new_records) | keys(delta.open_records) == keys(mid_run)
-        assert framework.live_analysis().table2_totals().total_processes == len(mid_run)
+        live = framework.live_analysis()
+        assert activity_totals(live.table2_user_activity()).total_processes == len(mid_run)
         assert keys(framework.finalize()) == keys(mid_run)
         assert len(mid_run) == 4
 
@@ -255,10 +257,10 @@ class TestFrameworkLiveAnalysis:
                                    ProcessSpec(executable=icon.path),
                                    ProcessSpec(executable=manifest.tool("bash")),)),))
             cluster.run_job("alice", script)
-            first = live.table2_totals()
+            first = activity_totals(live.table2_user_activity())
             assert first.total_processes == 2
             cluster.run_job("alice", script)
-            second = live.table2_totals()
+            second = activity_totals(live.table2_user_activity())
             assert second.total_processes == 4
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
@@ -322,7 +324,7 @@ class TestAnalysisPipeline:
     def test_tables_present_and_consistent(self, pipeline, campaign_result):
         table2 = pipeline.table2_user_activity()
         assert {row.user for row in table2} >= {"user_1", "user_4", "user_8"}
-        totals = pipeline.table2_totals()
+        totals = activity_totals(pipeline.table2_user_activity())
         assert totals.job_count == sum(row.job_count for row in table2)
 
         table3 = pipeline.table3_system_executables(top=10)

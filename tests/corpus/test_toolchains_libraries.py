@@ -7,7 +7,6 @@ from repro.corpus.libraries import (
     LIBRARY_CATALOG,
     LIBRARY_SUBSTRINGS,
     derive_library_tag,
-    derive_tags,
     library_path,
 )
 from repro.corpus.toolchains import (
@@ -77,15 +76,6 @@ class TestLibraryTagDerivation:
         parts = tag.split("-")
         indices = [LIBRARY_SUBSTRINGS.index(part) for part in parts]
         assert indices == sorted(indices)
-
-    def test_derive_tags_unique_in_order(self):
-        tags = derive_tags([
-            "/lib64/libpthread.so.0",
-            "/lib64/libpthread.so.0",
-            "/opt/rocm-6.0.3/lib/libamdhip64.so.6",
-            "/lib64/libc.so.6",
-        ])
-        assert tags == ["pthread", "rocm"]
 
     def test_substring_list_matches_paper(self):
         assert LIBRARY_SUBSTRINGS[0] == "libsci"

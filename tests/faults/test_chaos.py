@@ -14,6 +14,7 @@ suite alone with ``pytest -m chaos``.  The pins:
 """
 
 import os
+from unittest import mock
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.faults import (
     StoreFaultProfile,
     preset_plans,
 )
-from repro.ingest import IncrementalConsolidator
+from repro.ingest import IncrementalConsolidator, incremental
 from repro.ingest.incremental import QUARANTINE_CAPACITY
 from repro.util.retry import RetryPolicy
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -49,6 +50,7 @@ class TestTransportFaultEquivalence:
     @pytest.mark.parametrize("preset", ["loss-5pct", "dup-10pct", "corrupt-5pct",
                                         "truncate-5pct", "jitter-10pct",
                                         "mixed-hostile"])
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_streaming_equals_batch_under_order_preserving_faults(
             self, dual_ingest, preset):
         plan = preset_plans(seed=CHAOS_SEED)[preset]
@@ -58,8 +60,7 @@ class TestTransportFaultEquivalence:
         # channel: both ingest paths observe the *same* surviving datagrams.
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = IncrementalConsolidator(MessageStore(), batch_size=16,
-                                        flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore())
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
@@ -71,14 +72,14 @@ class TestTransportFaultEquivalence:
             assert faulty.corrupted + faulty.truncated > 0
         assert front.quarantined == min(front.decode_errors, QUARANTINE_CAPACITY)
 
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_reordering_preserves_process_key_sets(self, dual_ingest):
         plan = preset_plans(seed=CHAOS_SEED)["reorder-5pct"]
         assert plan.channel.reorder_rate > 0.0
         harness = dual_ingest(seed=CHAOS_SEED)
         faulty = FaultyChannel(plan=plan, inner=harness.channel)
         harness.workload.sender.channel = faulty
-        front = IncrementalConsolidator(MessageStore(), batch_size=16,
-                                        flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore())
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)
@@ -94,6 +95,7 @@ class TestTransportFaultEquivalence:
 
 
 class TestStoreFaultResilience:
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_write_retries_absorb_transient_store_faults(self, dual_ingest):
         plan = FaultPlan(seed=CHAOS_SEED,
                          store=StoreFaultProfile(error_rate=0.05, error_burst=2))
@@ -101,7 +103,7 @@ class TestStoreFaultResilience:
         store = MessageStore(retry=RetryPolicy(attempts=6, base_delay=0.0))
         store._sleep = lambda _: None
         injector = StoreFaultInjector(plan).install(store)
-        front = IncrementalConsolidator(store, batch_size=16, flush_batch_size=8)
+        front = IncrementalConsolidator(store)
         front.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=50)

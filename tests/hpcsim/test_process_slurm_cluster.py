@@ -207,9 +207,3 @@ class TestCluster:
                                ProcessSpec(executable="/usr/bin/tool", ranks=3),)),))
         _, contexts = cluster.run_job("alice", script, keep_contexts=True)
         assert sorted(c.slurm_procid for c in contexts) == ["0", "1", "2"]
-
-    def test_summary(self):
-        cluster = self._cluster()
-        summary = cluster.summary()
-        assert summary["users"] == 1
-        assert summary["jobs"] == 0

@@ -96,11 +96,6 @@ class TestModuleSystem:
         with pytest.raises(SimulationError):
             system.load(["a"])
 
-    def test_available_sorted(self):
-        names = self._system().available()
-        assert names == sorted(names)
-        assert "siren/0.1" in names
-
     def test_original_environment_not_mutated(self):
         base = {"LOADEDMODULES": ""}
         self._system().load(["cce"], base)

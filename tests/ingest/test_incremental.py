@@ -7,6 +7,7 @@ rates, both paths fed by the *same* surviving datagrams.
 """
 
 import sqlite3
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.ingest import incremental
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.sender import UDPSender
-from repro.util.errors import TransportError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
@@ -111,7 +111,7 @@ class TestFinalizationRules:
         assert sink.finalize()[0].incomplete == 1
 
     def test_idle_close_when_procend_lost(self):
-        sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
+        sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst())
         assert sink.advance_epoch() == 0  # one epoch idle: still open
         assert sink.advance_epoch() == 1  # two epochs idle: closed
@@ -119,7 +119,7 @@ class TestFinalizationRules:
         assert sink.finalize()[0].incomplete == 0
 
     def test_late_procend_after_close_is_dropped_and_counted(self):
-        sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
+        sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst())
         sink.advance_epoch()
         sink.advance_epoch()
@@ -171,11 +171,12 @@ class TestFinalizationRules:
         assert sink.late_messages == 0
         assert sink.finalize()[0].incomplete == 0
 
+    @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 1)
     def test_evicted_key_never_clobbers_the_finalized_record(self):
         """A message later than the dedup horizon resurrects a content-free
         group; its flush must lose to the already-persisted record."""
         store = MessageStore()
-        sink = IncrementalConsolidator(store, flush_batch_size=1, idle_epochs=2)
+        sink = IncrementalConsolidator(store)
         _feed(sink, _system_burst())
         for _ in range(2):
             sink.advance_epoch()  # idle close + flush
@@ -189,18 +190,13 @@ class TestFinalizationRules:
         assert records[0].incomplete == 0
 
     def test_closed_key_dedup_set_is_evicted(self):
-        sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
+        sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst())
         _feed(sink, [_procend()])
         assert len(sink._closed) == 1
         for _ in range(2):
             sink.advance_epoch()
         assert len(sink._closed) == 0
-
-    def test_unsafe_idle_epochs_rejected(self):
-        """One epoch of silence can be a burst straddling a batch boundary."""
-        with pytest.raises(TransportError):
-            IncrementalConsolidator(MessageStore(), idle_epochs=1)
 
     def test_chunked_procinfo_keeps_the_category(self):
         """A PROCINFO chunked through ``category=...`` still names the
@@ -242,9 +238,10 @@ class TestFinalizationRules:
 
 
 class TestFlushAndSnapshot:
+    @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 2)
     def test_flush_batches_reach_store_incrementally(self):
         store = MessageStore()
-        sink = IncrementalConsolidator(store, flush_batch_size=2)
+        sink = IncrementalConsolidator(store)
         for pid in range(5):
             _feed(sink, _system_burst(pid=pid))
             _feed(sink, [_procend(pid=pid)])
@@ -267,7 +264,7 @@ class TestFlushAndSnapshot:
         assert _record_set(sink.finalize()) == _record_set(snapshot)
 
     def test_peek_is_rebuilt_only_when_an_open_group_changed(self):
-        sink = IncrementalConsolidator(MessageStore(), idle_epochs=2)
+        sink = IncrementalConsolidator(MessageStore())
         _feed(sink, _system_burst(pid=1))
         first = sink.snapshot_delta().open_records
         sink.advance_epoch()                       # nothing closes
@@ -293,10 +290,11 @@ class TestFlushAndSnapshot:
         records = ingest.finalize()
         assert [record.pid for record in records] == [7, 23, 44, 190]
 
+    @mock.patch.object(incremental, "IDLE_EPOCHS", 4)
     def test_snapshot_delta_streams_each_record_once(self):
         # Every pull delivers the batch, i.e. ticks the idle clock: four
         # idle epochs keep pid 99 open through both.
-        ingest = IncrementalConsolidator(MessageStore(), idle_epochs=4)
+        ingest = IncrementalConsolidator(MessageStore())
         for pid in range(4):
             ingest.handle_datagram(_datagram(pid))
             ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
@@ -348,9 +346,10 @@ class TestFinalizeHandBack:
     and reads the table whenever the table holds rows it did not write in
     full -- then returning exactly a plain read-back in key order."""
 
+    @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 2)
     def test_a_sole_writer_hands_back_what_it_wrote(self, monkeypatch):
         store = MessageStore()
-        sink = IncrementalConsolidator(store, flush_batch_size=2)
+        sink = IncrementalConsolidator(store)
         for pid in (3, 1, 2):
             _close(sink, pid)
         records, reads = _finalize_counting_reads(sink, monkeypatch)
@@ -373,10 +372,11 @@ class TestFinalizeHandBack:
             assert reads == 1
             assert records == _read_back(store) and [r.pid for r in records] == [1, 2]
 
+    @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 1)
     def test_a_second_connection_writing_mid_stream_is_read(self, tmp_path, monkeypatch):
         path = str(tmp_path / "siren.db")
         with MessageStore(path) as store:
-            sink = IncrementalConsolidator(store, flush_batch_size=1)
+            sink = IncrementalConsolidator(store)
             _close(sink, 1)
             with MessageStore(path) as other:
                 writer = IncrementalConsolidator(other)
@@ -387,9 +387,10 @@ class TestFinalizeHandBack:
             assert reads == 1
             assert records == _read_back(store) and [r.pid for r in records] == [1, 2, 3]
 
+    @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 1)
     def test_a_resurrected_key_whose_flush_is_ignored_is_read(self, monkeypatch):
         store = MessageStore()
-        sink = IncrementalConsolidator(store, flush_batch_size=1, idle_epochs=2)
+        sink = IncrementalConsolidator(store)
         _feed(sink, _system_burst())
         for _ in range(4):
             sink.advance_epoch()  # idle close + flush, then the dedup entry evicted
@@ -403,15 +404,17 @@ class TestFinalizeHandBack:
 class TestDatagramPath:
     """Decode, count, batch, raw-persist, feed and tick."""
 
+    @mock.patch.object(incremental, "BATCH_SIZE", 10)
     def test_each_full_batch_is_fed_and_ticks_the_epoch(self):
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=10)
+        ingest = IncrementalConsolidator(MessageStore())
         for pid in range(25):
             ingest.handle_datagram(_datagram(pid))
         assert (ingest.messages_received, ingest.messages_consumed) == (25, 20)
         assert ingest._epoch == 2
 
+    @mock.patch.object(incremental, "BATCH_SIZE", 10)
     def test_a_lifecycle_call_ticks_only_after_an_accepted_message(self):
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=10)
+        ingest = IncrementalConsolidator(MessageStore())
         for pid in range(3):
             ingest.handle_datagram(_datagram(pid))
         ingest.snapshot_delta()               # delivers the partial batch
@@ -422,8 +425,9 @@ class TestDatagramPath:
         ingest.finalize()
         assert ingest._epoch == 1
 
+    @mock.patch.object(incremental, "BATCH_SIZE", 3)
     def test_the_batch_clock_closes_idle_groups(self):
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=3, idle_epochs=2)
+        ingest = IncrementalConsolidator(MessageStore())
         for pid in (10, 20, 21):              # one burst per batch, no PROCEND
             for message in _system_burst(pid=pid):
                 ingest.handle_datagram(encode(message))
@@ -443,9 +447,10 @@ class TestDatagramPath:
         assert store.message_count() == 1
 
     @pytest.mark.parametrize("persist_raw", [False, True])
+    @mock.patch.object(incremental, "BATCH_SIZE", 4)
     def test_raw_messages_are_persisted_per_batch_only_when_asked(self, persist_raw):
         store = MessageStore()
-        ingest = IncrementalConsolidator(store, batch_size=4, persist_raw=persist_raw)
+        ingest = IncrementalConsolidator(store, persist_raw=persist_raw)
         for pid in range(3):
             ingest.handle_datagram(_datagram(pid))
             ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
@@ -465,8 +470,9 @@ class TestDatagramPath:
         ingest.snapshot()
         assert store.message_count() == ingest.messages_received == 1
 
+    @mock.patch.object(incremental, "BATCH_SIZE", 4)
     def test_statistics_cover_decode_and_consolidation(self):
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=4)
+        ingest = IncrementalConsolidator(MessageStore())
         ingest.handle_datagram(b"garbage")
         for pid in range(30):
             ingest.handle_datagram(_datagram(pid))
@@ -544,18 +550,18 @@ class _FailOnce:
 class TestStoreWriteFailures:
     @pytest.mark.parametrize("operation, nth", [("insert_processes", 3),
                                                 ("insert_messages", 2)])
+    @mock.patch.multiple(incremental, BATCH_SIZE=50, FLUSH_BATCH_SIZE=4)
     def test_a_write_that_raises_redelivers_nothing(self, operation, nth):
         """A store write raising inside a batch delivery feeds no message
         twice and persists none twice; the failed write's records stay
         pending, so the record set is the fault-free one."""
         stream = _campaign_stream()
-        knobs = dict(batch_size=50, flush_batch_size=4, persist_raw=True)
-        fault_free = IncrementalConsolidator(MessageStore(), **knobs)
+        fault_free = IncrementalConsolidator(MessageStore(), persist_raw=True)
         for datagram in stream:
             fault_free.handle_datagram(datagram)
         store = MessageStore()
         store.fault_injector = _FailOnce(operation, nth)
-        ingest = IncrementalConsolidator(store, **knobs)
+        ingest = IncrementalConsolidator(store, persist_raw=True)
         failures = 0
         for datagram in stream:
             try:
@@ -581,10 +587,11 @@ class TestStreamingEqualsBatch:
     """The equivalence contract, across seeds x loss rates."""
 
     @pytest.mark.parametrize("seed, loss_rate", _EQUIVALENCE_POINTS)
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_record_for_record_equivalence(self, dual_ingest, seed, loss_rate):
         harness = dual_ingest(loss_rate=loss_rate, seed=seed)
         stream_store = MessageStore()
-        ingest = IncrementalConsolidator(stream_store, batch_size=16, flush_batch_size=8)
+        ingest = IncrementalConsolidator(stream_store)
         ingest.attach(harness.channel)
 
         harness.workload.emit_campaign(processes=80)
@@ -596,9 +603,10 @@ class TestStreamingEqualsBatch:
         # The first-close-wins table holds exactly the same rows.
         assert _record_set(stream_store.load_processes()) == _record_set(batch)
 
+    @mock.patch.multiple(incremental, BATCH_SIZE=8, FLUSH_BATCH_SIZE=4)
     def test_heavy_loss_still_equivalent(self, dual_ingest):
         harness = dual_ingest(loss_rate=0.5, seed=11)
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=8, flush_batch_size=4)
+        ingest = IncrementalConsolidator(MessageStore())
         ingest.attach(harness.channel)
         harness.workload.emit_campaign(processes=60)
         assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
@@ -608,15 +616,17 @@ class TestStreamingEqualsBatch:
     def test_batch_sizes_do_not_change_output(self, dual_ingest, batch_size,
                                               flush_batch_size):
         harness = dual_ingest(loss_rate=0.01, seed=9)
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=batch_size,
-                                         flush_batch_size=flush_batch_size)
+        ingest = IncrementalConsolidator(MessageStore())
         ingest.attach(harness.channel)
-        harness.workload.emit_campaign(processes=60)
-        assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
+        with mock.patch.multiple(incremental, BATCH_SIZE=batch_size,
+                                 FLUSH_BATCH_SIZE=flush_batch_size):
+            harness.workload.emit_campaign(processes=60)
+            assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
 
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_mid_stream_snapshots_do_not_disturb_equivalence(self, dual_ingest):
         harness = dual_ingest(loss_rate=0.02, seed=3)
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=16, flush_batch_size=8)
+        ingest = IncrementalConsolidator(MessageStore())
         ingest.attach(harness.channel)
         cursor = 0
         seen_keys: set = set()

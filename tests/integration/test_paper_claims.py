@@ -7,6 +7,7 @@ the shared fixture runs the campaign at a small scale.
 
 from repro.analysis.labels import UNKNOWN_LABEL
 from repro.analysis.similarity import HASH_COLUMNS
+from repro.analysis.stats import activity_totals
 from repro.collector.classify import ExecutableCategory
 
 
@@ -30,7 +31,7 @@ class TestTable2Claims:
         assert by_user["user_4"].user_processes > 0
 
     def test_system_processes_dominate_overall(self, pipeline):
-        totals = pipeline.table2_totals()
+        totals = activity_totals(pipeline.table2_user_activity())
         assert totals.system_processes > totals.user_processes
         assert totals.system_processes > totals.python_processes
 

@@ -198,21 +198,25 @@ REACHING_ROOTS = ("src/repro", "examples", "benchmarks", "scripts")
 UNREACHED_ON_PURPOSE = {
     "normalize_cache_clear": "the concurrency rule wants a clear hook naming each cache",
     "assert_registered_counters": "the live counter check; the telemetry spine retires it",
+    "live_analysis": "the campaign's documented live view; one accumulator reworks it",
 }
 _WORD = re.compile(r"\w+")
 
 
 def _words(tree: ast.Module) -> dict[str, list[int]]:
-    """``{word: lines}`` of every name, attribute, imported or defined name
-    and every word of a string, docstrings included, in ``tree``."""
+    """``{word: lines}`` of every name, attribute and imported name and every
+    word of a string in ``tree``.  A docstring is prose about code, and a
+    definition's own name is not a use of it, so neither counts."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *FUNCTIONS, ast.ClassDef))
+                  and ast.get_docstring(node, clean=False) is not None}
     words: dict[str, list[int]] = defaultdict(list)
     for node in ast.walk(tree):
         found = ([node.id] if isinstance(node, ast.Name)
                  else [node.attr] if isinstance(node, ast.Attribute)
                  else node.name.split(".") if isinstance(node, ast.alias)
-                 else [node.name] if isinstance(node, (*FUNCTIONS, ast.ClassDef))
                  else _WORD.findall(node.value) if isinstance(node, ast.Constant)
-                 and isinstance(node.value, str) else [])
+                 and isinstance(node.value, str) and id(node) not in docstrings else [])
         for word in found:
             words[word].append(node.lineno)
     return words
@@ -241,8 +245,9 @@ def reachable(tree: ast.Module, module: str) -> list[str]:
     """Public definitions of the package whose name is a word nowhere outside
     their own lines: not in ``tree`` (which stands in for ``module``), and not
     in any other file under :data:`REACHING_ROOTS`.  Comments are not in the
-    tree, so they do not count.  The check is by word, so a dead definition
-    that shares its name with a live one passes."""
+    tree and docstrings are not read (see :func:`_words`), so neither counts.
+    The check is by word, so a dead definition that shares its name with a
+    live one's use passes."""
     if not _in(module, ("repro",)):
         return []
     others = [words for name, words in _reaching_words().items() if name != module]
@@ -367,6 +372,13 @@ VIOLATIONS = {
     "named only in its own body": (
         reachable, "def recurse_forever(n):\n    return recurse_forever(n - 1)\n"),
     "named only in a comment": (reachable, "def orphan_helper():\n    pass\n# orphan_helper\n"),
+    "named only in a docstring": (
+        reachable, ("repro.util.tables", "class TextTable:\n    \"\"\"A small",
+                    "def orphan_helper():\n    pass\n\n\n"
+                    "class TextTable:\n    \"\"\"See :func:`orphan_helper`.  A small")),
+    "twins that name only each other": (
+        reachable, "def twin_totals():\n    pass\n\n\ndef _report():\n"
+                   "    def twin_totals():\n        pass\n"),
 }
 
 

@@ -158,7 +158,7 @@ class TestIngestDecodesTheFormat:
     @given(hostile_datagrams)
     @settings(max_examples=600, deadline=None)
     def test_handle_datagram_is_decode(self, datagram):
-        ingest = IncrementalConsolidator(MessageStore(), batch_size=2)
+        ingest = IncrementalConsolidator(MessageStore())
         accepted = ingest.handle_datagram(datagram)
         rows = list(ingest._batch)                  # one datagram: never delivered
         reasons = [entry.reason for entry in ingest.quarantine.entries()]

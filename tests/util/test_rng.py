@@ -83,8 +83,3 @@ class TestSeededRNG:
     def test_sample_distinct(self):
         sample = SeededRNG(2).sample(list(range(100)), 10)
         assert len(set(sample)) == 10
-
-    def test_identifier_format(self):
-        ident = SeededRNG(4).identifier("job", width=6)
-        prefix, digits = ident.split("_")
-        assert prefix == "job" and len(digits) == 6 and digits.isdigit()

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from unittest import mock
 
 import pytest
 
 from repro.core import AnalysisPipeline
 from repro.db.store import MessageStore
 from repro.faults import FaultyChannel, preset_plans
-from repro.ingest import IncrementalConsolidator
+from repro.ingest import IncrementalConsolidator, incremental
 from repro.transport.channel import InMemoryChannel
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
@@ -157,10 +158,11 @@ class TestRecordedPresetOutput:
         assert set(preset_plans()) == set(PRESET_PINS)
 
     @pytest.mark.parametrize("preset", list(PRESET_PINS))
+    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_preset_output_is_the_recorded_one(self, lossless_stream, preset):
         inner = InMemoryChannel()
         faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
-        front = IncrementalConsolidator(MessageStore(), batch_size=16, flush_batch_size=8)
+        front = IncrementalConsolidator(MessageStore())
         front.attach(inner)
         for datagram in lossless_stream:
             faulty.send(datagram)
