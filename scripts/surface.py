@@ -47,11 +47,16 @@ LINE_COUNTED = ("src/repro", "tests", "benchmarks")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def module_paths(src: Path = SRC) -> dict[str, Path]:
+    """``{module name: file}`` of every file under ``src/repro``."""
+    return {".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__"): path
+            for path in sorted((src / "repro").rglob("*.py"))}
+
+
 def parse_package(src: Path = SRC) -> dict[str, ast.Module]:
     """``{module name: parsed tree}`` of every file under ``src/repro``."""
-    return {".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__"):
-            ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted((src / "repro").rglob("*.py"))}
+    return {module: ast.parse(path.read_text(encoding="utf-8"))
+            for module, path in module_paths(src).items()}
 
 
 def _public(name: str) -> bool:
@@ -125,8 +130,9 @@ def _init_parameters(node: ast.ClassDef, classes: dict[str, ast.ClassDef]
     for statement in node.body:
         if isinstance(statement, FUNCTIONS) and statement.name == "__init__":
             args = statement.args
-            names = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            names = [arg.arg for arg in (*args.posonlyargs, *args.args)]
             names += [f"*{args.vararg.arg}"] if args.vararg else []
+            names += [arg.arg for arg in args.kwonlyargs]
             names += [f"**{args.kwarg.arg}"] if args.kwarg else []
             return names[1:]
     if _is_record(node):
@@ -168,6 +174,20 @@ def render(trees: dict[str, ast.Module]) -> str:
     for module, tree in trees.items():
         lines.extend(_definition_lines(tree.body, module + ".", classes))
     return "".join(f"{line}\n" for line in sorted(lines))
+
+
+def sections(manifest: str) -> dict[str, str]:
+    """``{module: its lines}`` of a manifest.  A line belongs to the longest
+    module of the manifest that its qualified name starts with."""
+    lines = manifest.splitlines(keepends=True)
+    modules = {line.removesuffix(" module\n") for line in lines if line.endswith(" module\n")}
+    found: dict[str, str] = {}
+    for line in lines:
+        parts = line.split(" ", 1)[0].split(".")
+        owner = next((".".join(parts[:end]) for end in range(len(parts), 0, -1)
+                      if ".".join(parts[:end]) in modules), "")
+        found[owner] = found.get(owner, "") + line
+    return found
 
 
 def diff(committed: str, rendered: str) -> str:
