@@ -146,16 +146,16 @@ class SirenFramework:
         self.drain()
         return self.ingest.snapshot_delta(cursor)
 
-    def live_analysis(self, user_names: dict[int, str] | None = None,
-                      ) -> LiveAnalysis:
+    def live_analysis(self) -> LiveAnalysis:
         """An incrementally updated analysis bound to this deployment's stream.
 
-        Every view call pulls the record delta first, so mid-deployment
-        tables and similarity queries cost O(new records) and stay
-        byte-identical to an
+        Users carry the deployment's own :attr:`user_names` labels, the
+        ones gold bakes in.  Every view call pulls the record delta first,
+        so mid-deployment tables and similarity queries cost O(new records)
+        and stay byte-identical to an
         :class:`~repro.core.pipeline.AnalysisPipeline` over :meth:`snapshot`.
         """
-        return LiveAnalysis(user_names=user_names or {}).bind(self)
+        return LiveAnalysis(user_names=self.user_names or {}).bind(self)
 
     def finalize(self) -> list[ProcessRecord]:
         """End of stream: persist every record, including still-open groups

@@ -9,8 +9,8 @@ Write paths retry transient SQLite failures (``database is locked`` /
 ``database table is locked`` / busy-style :class:`sqlite3.OperationalError`)
 with jittered exponential backoff, so a WAL store shared with concurrent
 readers survives lock contention instead of aborting consolidation; the
-budget is configurable through :class:`~repro.util.retry.RetryPolicy` and
-non-transient errors (disk full, corrupt database) still fail fast.  The
+budget is the constant :data:`WRITE_RETRY` and non-transient errors (disk
+full, corrupt database) still fail fast.  The
 ``fault_injector`` hook lets the chaos layer (:mod:`repro.faults`) inject
 deterministic store faults without patching SQLite itself.
 """
@@ -36,6 +36,10 @@ from repro.util.retry import RetryPolicy
 #: response; anything else ("disk is full", "database disk image is
 #: malformed", ...) will not heal by waiting and fails fast.
 _TRANSIENT_MARKERS = ("locked", "busy")
+
+
+#: The backoff budget of every write path against a *transient* error.
+WRITE_RETRY = RetryPolicy()
 
 
 def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
@@ -126,18 +130,16 @@ class MessageStore:
     ----------
     path:
         SQLite path; ``":memory:"`` keeps everything in RAM.
-    retry:
-        Backoff budget applied to every write path when a *transient*
-        :class:`sqlite3.OperationalError` (lock/busy contention) strikes.
-        Retries count into :attr:`write_retries`; exhausting the budget (or
-        hitting a non-transient error such as disk-full) re-raises the
-        original SQLite error.
+
+    Every write path retries a *transient* :class:`sqlite3.OperationalError`
+    (lock/busy contention) within :data:`WRITE_RETRY`, read at each write.
+    Retries count into :attr:`write_retries`; exhausting the budget (or
+    hitting a non-transient error such as disk-full) re-raises the original
+    SQLite error.
     """
 
-    def __init__(self, path: str = ":memory:", *,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         self.path = path
-        self.retry = RetryPolicy() if retry is None else retry
         #: Transient write failures retried so far (visible in statistics).
         self.write_retries = 0
         #: Chaos hook (:mod:`repro.faults`): called with the operation name
@@ -180,8 +182,8 @@ class MessageStore:
 
         ``transaction`` executes inside ``with self.connection`` so a failed
         attempt rolls back cleanly before the retry; the sleep between
-        attempts grows exponentially with deterministic jitter (see
-        :class:`~repro.util.retry.RetryPolicy`).  Returns how many rows the
+        attempts grows exponentially with deterministic jitter, within
+        :data:`WRITE_RETRY`, read here on every call.  Returns how many rows the
         attempt that committed inserted, updated or deleted.
         """
         attempt = 0
@@ -194,10 +196,10 @@ class MessageStore:
                     transaction()
                     return self.connection.total_changes - before
             except sqlite3.OperationalError as error:
-                if not is_transient_sqlite_error(error) or attempt >= self.retry.attempts:
+                if not is_transient_sqlite_error(error) or attempt >= WRITE_RETRY.attempts:
                     raise
                 self.write_retries += 1
-                self._sleep(self.retry.delay(attempt, self._retry_rng))
+                self._sleep(WRITE_RETRY.delay(attempt, self._retry_rng))
                 attempt += 1
 
     # ------------------------------------------------------------------ #

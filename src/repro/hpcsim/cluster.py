@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.hpcsim.dynlinker import DynamicLinker
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.modules import ModuleSystem
-from repro.hpcsim.process import PreloadHook, ProcessContext, ProcessRuntime
+from repro.hpcsim.process import PreloadHook, ProcessRuntime
 from repro.hpcsim.slurm import JobScript, SlurmJob, SlurmScheduler
 from repro.hpcsim.users import User, UserRegistry
 from repro.util.errors import SimulationError
@@ -72,19 +72,9 @@ class Cluster:
     # ------------------------------------------------------------------ #
     # job execution
     # ------------------------------------------------------------------ #
-    def run_job(
-        self,
-        username: str,
-        script: JobScript,
-        *,
-        keep_contexts: bool = False,
-    ) -> tuple[SlurmJob, list[ProcessContext]]:
-        """Execute a job script for ``username``.
-
-        Returns the Slurm accounting record and, when ``keep_contexts`` is
-        true, the full list of process contexts (useful in tests; disabled by
-        default to keep large campaigns cheap).
-        """
+    def run_job(self, username: str, script: JobScript) -> SlurmJob:
+        """Execute a job script for ``username``; returns its Slurm
+        accounting record."""
         user = self.users.get(username)
         job = self.scheduler.allocate_job(user.username, script.name, self.filesystem.clock)
 
@@ -94,7 +84,6 @@ class Cluster:
         if script.modules:
             environment = self.modules.load(list(script.modules), environment)
 
-        contexts: list[ProcessContext] = []
         total_processes = 0
         for step_id, step in enumerate(script.steps):
             for spec in step.processes:
@@ -102,7 +91,7 @@ class Cluster:
                     parent_pid = self.runtime.allocate_pid()
                     for rank in range(spec.ranks):
                         env = self.scheduler.process_environment(job, step_id, rank, environment)
-                        context = self.runtime.run_process(
+                        self.runtime.run_process(
                             executable=spec.executable,
                             argv=spec.argv or (spec.executable,),
                             environment=env,
@@ -116,8 +105,6 @@ class Cluster:
                             mapped_files=spec.mapped_files,
                         )
                         total_processes += 1
-                        if keep_contexts:
-                            contexts.append(context)
             # Each step advances the clock a little so timestamps differ.
             self.filesystem.advance_clock(1)
 
@@ -125,4 +112,4 @@ class Cluster:
         job.process_count = total_processes
         job.end_time = self.filesystem.clock
         self.processes_run += total_processes
-        return job, contexts
+        return job

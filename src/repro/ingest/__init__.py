@@ -21,9 +21,9 @@ a raw message table:
 * :mod:`repro.ingest.sharded` -- ``ShardedIngest``, the same object under
   the name the pipeline benchmark builds it by.
 
-The ingest object is pinned record-for-record equal to a post-pass over the
-same datagrams (``tests/oracles/consolidate.py``, exercised by
-``tests/ingest/``).
+The ingest object's output is checked against the records every simulated
+process owes, written down by a launch ledger as the simulator runs
+(``tests/integration/test_record_contract.py``).
 """
 
 from repro.ingest.incremental import (

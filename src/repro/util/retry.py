@@ -62,7 +62,3 @@ class RetryPolicy:
         if rng is not None and self.jitter > 0:
             nominal *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return min(self.max_delay, nominal)
-
-
-#: Retrying is off: the first failure propagates immediately.
-NO_RETRY = RetryPolicy(attempts=0)

@@ -291,7 +291,7 @@ class DeploymentCampaign:
         hook (see :meth:`SirenFramework.live_analysis`).
         """
         self.prepare()
-        return self.deployment.live_analysis(self._user_names())
+        return self.deployment.live_analysis()
 
     def _run_jobs(self) -> int:
         """Submit every profile's jobs through the scheduler; returns the count."""

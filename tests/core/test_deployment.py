@@ -41,7 +41,6 @@ def _wiring(deployment) -> dict:
                  and deployment.lossy_channel.loss_rate,
         "ingest": ingest.persist_raw,
         "store_path": deployment.store.path,
-        "store_retry": deployment.store.retry.attempts,
         "store_faults": deployment.store_fault_injector is not None,
         "tiered": deployment.tiered is not None,
         "max_datagram_size": deployment.sender.max_datagram_size,

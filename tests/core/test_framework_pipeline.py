@@ -12,7 +12,6 @@ from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 
-from oracles.consolidate import records_from_messages
 from oracles.search import on_brute_force
 from oracles.tables import user_activity_table
 from oracles.wire import burst
@@ -73,6 +72,20 @@ class TestSirenFramework:
         assert [row.user for row in rows[False]] == ["label-alice"]
         assert [row.user for row in rows[True]] == [f"uid_{records[0].uid}"]
 
+    def test_live_analysis_labels_users_as_gold_does(self, app_cluster):
+        cluster, manifest = app_cluster
+        names = {user.uid: f"label-{user.username}" for user in cluster.users.all()}
+        framework = SirenFramework(SirenConfig(loss_rate=0.0, rollups=True),
+                                   user_names=names)
+        framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        try:
+            self._run_job(cluster, manifest)
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        live = framework.live_analysis().table2_user_activity()
+        assert live == framework.tiered.user_activity()
+        assert [row.user for row in live] == ["label-alice"]
+
     def test_lossy_channel_statistics(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig(loss_rate=0.5, seed=1))
@@ -96,20 +109,6 @@ class TestStreamingFramework:
                                ProcessSpec(executable=icon.path),
                                ProcessSpec(executable=manifest.tool("bash")),)),))
         cluster.run_job("alice", script)
-
-    def test_consolidate_matches_post_pass_oracle(self, app_cluster):
-        """The records consolidated while messages arrive equal the ones the
-        post-pass oracle regroups from the kept raw messages."""
-        cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
-            self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
-        live = sorted(framework.snapshot(), key=lambda record: record.key)
-        assert live == records_from_messages(framework.store)
-        assert len(live) == 2
 
     def test_streaming_snapshot_and_statistics(self, app_cluster):
         cluster, manifest = app_cluster

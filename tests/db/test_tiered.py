@@ -271,10 +271,11 @@ class TestGoldUnderDegradation:
 
     @pytest.mark.parametrize("error_rate, burst", [(0.1, 1), (0.1, 2),
                                                    (0.2, 1), (0.2, 2)])
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=8, base_delay=0.0))
     def test_retried_store_faults_keep_gold_equal_to_the_recompute(
             self, error_rate, burst):
         stream, user_names = _stream(7, 0.0)
-        store = MessageStore(retry=RetryPolicy(attempts=8, base_delay=0.0))
+        store = MessageStore()
         store._sleep = lambda _seconds: None
         plan = FaultPlan(seed=3, store=StoreFaultProfile(error_rate=error_rate,
                                                          error_burst=burst))

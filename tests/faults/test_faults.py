@@ -5,6 +5,7 @@ the property that turns chaos testing into regression testing.
 """
 
 import sqlite3
+from unittest import mock
 
 import pytest
 
@@ -124,6 +125,11 @@ class TestFaultyChannel:
         assert len(delivered) == 10
 
 
+def _message(pid: int = 1) -> UDPMessage:
+    return UDPMessage(jobid="1", stepid="0", pid=pid, path_hash="h", host="n1", time=1,
+                      layer=Layer.SELF, info_type=InfoType.PROCINFO, content="x")
+
+
 class TestStoreFaults:
     def test_transient_classification(self):
         assert is_transient_sqlite_error(sqlite3.OperationalError("database is locked"))
@@ -131,60 +137,51 @@ class TestStoreFaults:
         assert not is_transient_sqlite_error(
             sqlite3.OperationalError("database or disk is full"))
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=6, base_delay=0.0))
     def test_retry_absorbs_bursts_shorter_than_the_budget(self):
         # Kept gentle on purpose: each retry re-draws the error gate, so a
         # high rate can chain fresh bursts past any finite budget.
         plan = FaultPlan(seed=21, store=StoreFaultProfile(error_rate=0.1,
                                                           error_burst=2))
-        store = MessageStore(retry=RetryPolicy(attempts=6, base_delay=0.0))
+        store = MessageStore()
         store._sleep = lambda _: None  # keep the test instant
         injector = StoreFaultInjector(plan).install(store)
-        messages = [UDPMessage(jobid="1", stepid="0", pid=pid, path_hash="h",
-                               host="n1", time=1, layer=Layer.SELF,
-                               info_type=InfoType.PROCINFO, content="x")
-                    for pid in range(50)]
-        for message in messages:
-            store.insert_rows(rows([message]))
+        for pid in range(50):
+            store.insert_rows(rows([_message(pid)]))
         assert store.message_count() == 50       # every write eventually landed
         assert injector.transient_raised > 0     # and faults genuinely fired
         assert store.write_retries == injector.transient_raised
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=2, base_delay=0.0))
     def test_burst_longer_than_budget_propagates(self):
         plan = FaultPlan(seed=21, store=StoreFaultProfile(error_rate=1.0,
                                                           error_burst=10))
-        store = MessageStore(retry=RetryPolicy(attempts=2, base_delay=0.0))
+        store = MessageStore()
         store._sleep = lambda _: None
         StoreFaultInjector(plan).install(store)
-        message = UDPMessage(jobid="1", stepid="0", pid=1, path_hash="h",
-                             host="n1", time=1, layer=Layer.SELF,
-                             info_type=InfoType.PROCINFO, content="x")
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            store.insert_rows(rows([message]))
+            store.insert_rows(rows([_message()]))
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=8, base_delay=0.0))
     def test_disk_full_is_never_retried(self):
         plan = FaultPlan(seed=21, store=StoreFaultProfile(disk_full_after=0))
-        store = MessageStore(retry=RetryPolicy(attempts=8, base_delay=0.0))
+        store = MessageStore()
         store._sleep = lambda _: None
         injector = StoreFaultInjector(plan).install(store)
-        message = UDPMessage(jobid="1", stepid="0", pid=1, path_hash="h",
-                             host="n1", time=1, layer=Layer.SELF,
-                             info_type=InfoType.PROCINFO, content="x")
         with pytest.raises(sqlite3.OperationalError, match="full"):
-            store.insert_rows(rows([message]))
+            store.insert_rows(rows([_message()]))
         assert injector.disk_full_raised == 1
         assert store.write_retries == 0  # non-transient: not a single retry
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=4, base_delay=0.0))
     def test_injection_is_deterministic(self):
         def run() -> int:
             plan = FaultPlan(seed=33, store=StoreFaultProfile(error_rate=0.2))
-            store = MessageStore(retry=RetryPolicy(attempts=4, base_delay=0.0))
+            store = MessageStore()
             store._sleep = lambda _: None
             injector = StoreFaultInjector(plan).install(store)
             for pid in range(40):
-                store.insert_rows(rows([UDPMessage(
-                    jobid="1", stepid="0", pid=pid, path_hash="h", host="n1",
-                    time=1, layer=Layer.SELF, info_type=InfoType.PROCINFO,
-                    content="x")]))
+                store.insert_rows(rows([_message(pid)]))
             return injector.transient_raised
 
         assert run() == run()

@@ -8,7 +8,7 @@ from repro.hpcsim.cluster import Cluster
 from repro.hpcsim.dynlinker import DynamicLinker
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessRuntime
-from repro.hpcsim.slurm import JobScript, ProcessSpec, SlurmScheduler, StepSpec
+from repro.hpcsim.slurm import JobScript, ProcessSpec, SlurmJob, SlurmScheduler, StepSpec
 from repro.util.errors import SimulationError
 
 
@@ -176,7 +176,9 @@ class TestCluster:
             StepSpec(processes=(ProcessSpec(executable="/usr/bin/tool", count=3),)),
             StepSpec(processes=(ProcessSpec(executable="/usr/bin/tool", ranks=2),)),
         ))
-        job, contexts = cluster.run_job("alice", script, keep_contexts=True)
+        contexts, run_process = [], cluster.runtime.run_process   # run_job reads no context
+        cluster.runtime.run_process = lambda **launch: contexts.append(run_process(**launch))
+        job = cluster.run_job("alice", script)
         assert job.process_count == 5
         assert len(contexts) == 5
         assert cluster.processes_run == 5
@@ -186,8 +188,7 @@ class TestCluster:
         cluster = self._cluster()
         script = JobScript(name="t", steps=(StepSpec(processes=(
             ProcessSpec(executable="/usr/bin/tool"),)),))
-        _, contexts = cluster.run_job("alice", script)
-        assert contexts == []
+        assert isinstance(cluster.run_job("alice", script), SlurmJob)
 
     def test_unknown_user_raises(self):
         cluster = self._cluster()
@@ -205,5 +206,7 @@ class TestCluster:
         script = JobScript(name="mpi", environment=(("LD_PRELOAD", "/appl/siren/siren.so"),),
                            steps=(StepSpec(processes=(
                                ProcessSpec(executable="/usr/bin/tool", ranks=3),)),))
-        _, contexts = cluster.run_job("alice", script, keep_contexts=True)
+        contexts, run_process = [], cluster.runtime.run_process
+        cluster.runtime.run_process = lambda **launch: contexts.append(run_process(**launch))
+        cluster.run_job("alice", script)
         assert sorted(c.slurm_procid for c in contexts) == ["0", "1", "2"]

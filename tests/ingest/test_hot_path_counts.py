@@ -48,12 +48,10 @@ def _replay(stream):
 
 
 @pytest.fixture()
-def stream(dual_ingest):
+def stream(synthetic_stream):
     """The datagrams of 200 processes that survived a 3 % lossy wire."""
-    harness = dual_ingest(loss_rate=0.03, seed=19)
-    datagrams: list[bytes] = []
-    harness.channel.subscribe(datagrams.append)
-    harness.workload.emit_campaign(200)
+    workload, datagrams = synthetic_stream(loss_rate=0.03, seed=19)
+    workload.emit_campaign(200)
     return datagrams
 
 
@@ -245,15 +243,13 @@ def _refresh_loop(stream, *, slices: int = 25):
 
 
 @pytest.fixture()
-def ordered_stream(dual_ingest):
+def ordered_stream(synthetic_stream):
     """200 processes, each ended right after its burst, on a clean wire:
     no late message resurrects a closed key, so every flush is new rows."""
-    harness = dual_ingest(seed=19)
-    datagrams: list[bytes] = []
-    harness.channel.subscribe(datagrams.append)
+    workload, datagrams = synthetic_stream(seed=19)
     for pid in range(200):
-        harness.workload.emit_process(pid, time=100 + pid // 10)
-        harness.workload.maybe_end_one()
+        workload.emit_process(pid, time=100 + pid // 10)
+        workload.maybe_end_one()
     return datagrams
 
 

@@ -1,9 +1,8 @@
 """Tests for the ingest object (decode, batch, group, close, flush).
 
-The load-bearing assertion of the whole subsystem is at the bottom:
-streaming consolidation produces record-for-record identical output to the
-post-pass oracle (``tests/oracles/consolidate.py``) across seeds and loss
-rates, both paths fed by the *same* surviving datagrams.
+What ingest outputs for a real campaign's stream, under every fault preset,
+batch size and snapshot cadence, is checked against the launch ledger by the
+record contract (``tests/integration/test_record_contract.py``).
 """
 
 import sqlite3
@@ -18,15 +17,8 @@ from repro.ingest import incremental
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.sender import UDPSender
-from repro.workload import CampaignConfig, DeploymentCampaign
-from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles.wire import burst, encode, row
-
-
-def _record_set(records):
-    return sorted(tuple(getattr(r, name) for name in r.__dataclass_fields__)
-                  for r in records)
 
 
 def _msg(info_type: InfoType, content: str, *, pid: int = 10, layer: Layer = Layer.SELF,
@@ -261,7 +253,7 @@ class TestFlushAndSnapshot:
         assert {record.pid for record in snapshot} == {1, 2}
         # The open process keeps accumulating after the snapshot.
         _feed(sink, [_procend(pid=2)])
-        assert _record_set(sink.finalize()) == _record_set(snapshot)
+        assert sink.finalize() == snapshot
 
     def test_peek_is_rebuilt_only_when_an_open_group_changed(self):
         sink = IncrementalConsolidator(MessageStore())
@@ -523,17 +515,6 @@ class TestQuarantine:
             [b"garbage4", b"garbage5"]
 
 
-def _campaign_stream() -> list[bytes]:
-    """The datagrams of a lossless seed-3 scale-0.0 campaign of three profiles."""
-    config = CampaignConfig(scale=0.0, seed=3, loss_rate=0.0, keep_raw_messages=False)
-    campaign = DeploymentCampaign(config=config, profiles=DEFAULT_PROFILES[:3])
-    campaign.prepare()
-    stream: list[bytes] = []
-    campaign.channel.subscribe(stream.append)
-    campaign.run()
-    return stream
-
-
 class _FailOnce:
     """A store fault hook: the ``nth`` write transaction of ``operation`` raises."""
 
@@ -551,14 +532,11 @@ class TestStoreWriteFailures:
     @pytest.mark.parametrize("operation, nth", [("insert_processes", 3),
                                                 ("insert_messages", 2)])
     @mock.patch.multiple(incremental, BATCH_SIZE=50, FLUSH_BATCH_SIZE=4)
-    def test_a_write_that_raises_redelivers_nothing(self, operation, nth):
+    def test_a_write_that_raises_redelivers_nothing(self, recorded_campaign, operation, nth):
         """A store write raising inside a batch delivery feeds no message
         twice and persists none twice; the failed write's records stay
-        pending, so the record set is the fault-free one."""
-        stream = _campaign_stream()
-        fault_free = IncrementalConsolidator(MessageStore(), persist_raw=True)
-        for datagram in stream:
-            fault_free.handle_datagram(datagram)
+        pending, so the records are the ones the campaign owes."""
+        stream = recorded_campaign.stream
         store = MessageStore()
         store.fault_injector = _FailOnce(operation, nth)
         ingest = IncrementalConsolidator(store, persist_raw=True)
@@ -573,74 +551,5 @@ class TestStoreWriteFailures:
         assert store.message_count() == ingest.messages_received == len(stream)
         assert ingest.messages_consumed == ingest.messages_received
         assert ingest.late_messages == 0
-        assert _record_set(records) == _record_set(fault_free.finalize())
+        assert records == recorded_campaign.ledger.records()
 
-
-#: (seed, loss rate) points of the equivalence contract
-_EQUIVALENCE_POINTS = ([(seed, loss) for seed in (1, 2, 3)
-                        for loss in (0.0, 0.0002, 0.01, 0.2)]
-                       + [(seed, loss) for seed in (5, 11)
-                          for loss in (0.0, 0.01, 0.05, 0.5)])
-
-
-class TestStreamingEqualsBatch:
-    """The equivalence contract, across seeds x loss rates."""
-
-    @pytest.mark.parametrize("seed, loss_rate", _EQUIVALENCE_POINTS)
-    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
-    def test_record_for_record_equivalence(self, dual_ingest, seed, loss_rate):
-        harness = dual_ingest(loss_rate=loss_rate, seed=seed)
-        stream_store = MessageStore()
-        ingest = IncrementalConsolidator(stream_store)
-        ingest.attach(harness.channel)
-
-        harness.workload.emit_campaign(processes=80)
-
-        batch = harness.batch_records()
-        streamed = ingest.finalize()
-        assert len(streamed) == len(batch) > 0
-        assert _record_set(streamed) == _record_set(batch)
-        # The first-close-wins table holds exactly the same rows.
-        assert _record_set(stream_store.load_processes()) == _record_set(batch)
-
-    @mock.patch.multiple(incremental, BATCH_SIZE=8, FLUSH_BATCH_SIZE=4)
-    def test_heavy_loss_still_equivalent(self, dual_ingest):
-        harness = dual_ingest(loss_rate=0.5, seed=11)
-        ingest = IncrementalConsolidator(MessageStore())
-        ingest.attach(harness.channel)
-        harness.workload.emit_campaign(processes=60)
-        assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
-
-    @pytest.mark.parametrize("batch_size, flush_batch_size",
-                             [(1, 1), (4, 2), (64, 8), (500, 64)])
-    def test_batch_sizes_do_not_change_output(self, dual_ingest, batch_size,
-                                              flush_batch_size):
-        harness = dual_ingest(loss_rate=0.01, seed=9)
-        ingest = IncrementalConsolidator(MessageStore())
-        ingest.attach(harness.channel)
-        with mock.patch.multiple(incremental, BATCH_SIZE=batch_size,
-                                 FLUSH_BATCH_SIZE=flush_batch_size):
-            harness.workload.emit_campaign(processes=60)
-            assert _record_set(ingest.finalize()) == _record_set(harness.batch_records())
-
-    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
-    def test_mid_stream_snapshots_do_not_disturb_equivalence(self, dual_ingest):
-        harness = dual_ingest(loss_rate=0.02, seed=3)
-        ingest = IncrementalConsolidator(MessageStore())
-        ingest.attach(harness.channel)
-        cursor = 0
-        seen_keys: set = set()
-        for pid in range(50):
-            harness.workload.emit_process(pid, time=100 + pid // 10)
-            if pid % 10 == 9:
-                delta = ingest.snapshot_delta(cursor)
-                cursor = delta.cursor
-                fresh = {r.key for r in delta.new_records}
-                assert not (fresh & seen_keys), "delta re-delivered a record"
-                seen_keys |= fresh
-                ingest.snapshot()  # full snapshot interleaves harmlessly
-        harness.workload.end_all()
-        final = ingest.finalize()
-        assert _record_set(final) == _record_set(harness.batch_records())
-        # every record was announced by exactly one delta or the final close
-        assert seen_keys <= {r.key for r in final}

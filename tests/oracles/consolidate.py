@@ -1,13 +1,11 @@
-"""Post-pass consolidation: the oracle the streaming consolidator is pinned to.
+"""Post-pass consolidation: records regrouped from a raw ``messages`` table.
 
 Ingest consolidates messages as they arrive
 (:class:`~repro.ingest.incremental.IncrementalConsolidator`).  This is the
-other way to get the same records: persist every raw message, then regroup
-the whole ``messages`` table by process key and hand each group to the
-record builder as first written (``tests/oracles/records.py``).  It shares
-no grouping, closing, flushing or assembly code with the streaming path,
-which is what makes it an oracle; the dual-ingest harness in
-``tests/conftest.py`` feeds both from one datagram stream.  It only reads
+other way to get records from what a store kept: regroup the whole
+``messages`` table by process key and hand each group to the record builder
+as first written (``tests/oracles/records.py``), sharing no grouping,
+closing, flushing or assembly code with the streaming path.  It only reads
 the store.
 """
 

@@ -1,10 +1,35 @@
 """RetryPolicy: the backoff schedule behind store writes and worker restarts."""
 
 import random
+import sqlite3
+from unittest import mock
 
-from repro.util.retry import NO_RETRY, RetryPolicy
+import pytest
+
+from repro.db.store import MessageStore
+from repro.transport.messages import InfoType, Layer, UDPMessage
+from repro.util.errors import ReproError
+from repro.util.retry import RetryPolicy
 
 from oracles.wire import rows
+
+_MESSAGE = UDPMessage(jobid="1", stepid="0", pid=1, path_hash="h", host="n1", time=1,
+                      layer=Layer.SELF, info_type=InfoType.PROCINFO, content="x")
+
+
+def _failing_store(error: str, failures: int) -> tuple[MessageStore, list[str]]:
+    """A store whose first ``failures`` write attempts raise ``error``, and
+    the operations it attempted."""
+    store, calls = MessageStore(), []
+    store._sleep = lambda _: None
+
+    def injector(operation):
+        calls.append(operation)
+        if len(calls) <= failures:
+            raise sqlite3.OperationalError(error)
+
+    store.fault_injector = injector
+    return store, calls
 
 
 class TestDelaySchedule:
@@ -31,7 +56,9 @@ class TestDelaySchedule:
         assert policy.delay(0) == 0.02
 
     def test_no_retry_sentinel(self):
-        assert NO_RETRY.attempts == 0
+        """No named sentinel: a zero budget is how retrying is switched off,
+        and the store's default budget is not zero."""
+        assert RetryPolicy(attempts=0).attempts == 0 < RetryPolicy().attempts
 
 
 class TestEdgeCases:
@@ -47,25 +74,16 @@ class TestEdgeCases:
         assert policy.delay(0) == 0.03
 
     def test_negative_attempts_rejected(self):
-        import pytest
-
-        from repro.util.errors import ReproError
         with pytest.raises(ReproError, match="negative"):
             RetryPolicy(attempts=-1)
 
     def test_negative_delays_rejected(self):
-        import pytest
-
-        from repro.util.errors import ReproError
         with pytest.raises(ReproError, match="negative"):
             RetryPolicy(base_delay=-0.1)
         with pytest.raises(ReproError, match="negative"):
             RetryPolicy(max_delay=-0.1)
 
     def test_jitter_outside_unit_interval_rejected(self):
-        import pytest
-
-        from repro.util.errors import ReproError
         with pytest.raises(ReproError, match="jitter"):
             RetryPolicy(jitter=1.5)
         with pytest.raises(ReproError, match="jitter"):
@@ -97,85 +115,33 @@ class TestEdgeCases:
 class TestStorePassThrough:
     """The store's retry loop honours the policy's edges."""
 
-    def _message(self):
-        from repro.transport.messages import InfoType, Layer, UDPMessage
-        return UDPMessage(jobid="1", stepid="0", pid=1, path_hash="h",
-                          host="n1", time=1, layer=Layer.SELF,
-                          info_type=InfoType.PROCINFO, content="x")
-
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=8, base_delay=0.0))
     def test_non_retryable_error_passes_through_untouched(self):
-        import sqlite3
-
-        import pytest
-
-        from repro.db.store import MessageStore
-        store = MessageStore(retry=RetryPolicy(attempts=8, base_delay=0.0))
-        store._sleep = lambda _: None
-        calls = []
-
-        def injector(operation):
-            calls.append(operation)
-            raise sqlite3.OperationalError("database or disk is full")
-
-        store.fault_injector = injector
+        store, calls = _failing_store("database or disk is full", failures=99)
         with pytest.raises(sqlite3.OperationalError, match="full"):
-            store.insert_rows(rows([self._message()]))
+            store.insert_rows(rows([_MESSAGE]))
         assert store.write_retries == 0     # not a single retry was burned
         assert len(calls) == 1              # and the write ran exactly once
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=0))
     def test_zero_attempt_budget_propagates_first_transient(self):
-        import sqlite3
-
-        import pytest
-
-        from repro.db.store import MessageStore
-        store = MessageStore(retry=NO_RETRY)
-        store._sleep = lambda _: None
-        calls = []
-
-        def injector(operation):
-            calls.append(operation)
-            raise sqlite3.OperationalError("database is locked")
-
-        store.fault_injector = injector
+        store, calls = _failing_store("database is locked", failures=99)
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            store.insert_rows(rows([self._message()]))
+            store.insert_rows(rows([_MESSAGE]))
         assert store.write_retries == 0
         assert len(calls) == 1
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=1, base_delay=0.0))
     def test_one_attempt_budget_retries_exactly_once(self):
-        import sqlite3
-
-        import pytest
-
-        from repro.db.store import MessageStore
-        store = MessageStore(retry=RetryPolicy(attempts=1, base_delay=0.0))
-        store._sleep = lambda _: None
-        calls = []
-
-        def injector(operation):
-            calls.append(operation)
-            raise sqlite3.OperationalError("database is locked")
-
-        store.fault_injector = injector
+        store, calls = _failing_store("database is locked", failures=99)
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            store.insert_rows(rows([self._message()]))
+            store.insert_rows(rows([_MESSAGE]))
         assert store.write_retries == 1
         assert len(calls) == 2
 
+    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=3, base_delay=0.0))
     def test_transient_clears_within_budget_and_write_lands(self):
-        import sqlite3
-
-        from repro.db.store import MessageStore
-        store = MessageStore(retry=RetryPolicy(attempts=3, base_delay=0.0))
-        store._sleep = lambda _: None
-        failures = iter([True, True])
-
-        def injector(operation):
-            if next(failures, False):
-                raise sqlite3.OperationalError("database is locked")
-
-        store.fault_injector = injector
-        assert store.insert_rows(rows([self._message()])) == 1
+        store, _ = _failing_store("database is locked", failures=2)
+        assert store.insert_rows(rows([_MESSAGE])) == 1
         assert store.write_retries == 2
         assert store.message_count() == 1

@@ -49,7 +49,8 @@ CAMPAIGN_PINS = {
                  "49a16b59fcd7c484828a12f859b96b95376faebfbd9865ff1c51e187712a71aa"),
 }
 
-#: every preset replays the same 2,635-datagram stream
+#: every preset replays the same 2,635-datagram stream: the recorded
+#: campaign's (``tests/conftest.py``)
 _SENT = 2_635
 
 
@@ -141,30 +142,18 @@ class TestRecordedCampaignOutput:
             CAMPAIGN_PINS[loss_rate, seed][0]
 
 
-@pytest.fixture(scope="module")
-def lossless_stream() -> list[bytes]:
-    """The datagrams of the lossless seed-7 scale-0.0 campaign, in send order."""
-    config = CampaignConfig(scale=0.0, seed=7, loss_rate=0.0, keep_raw_messages=False)
-    campaign = DeploymentCampaign(config=config, profiles=PROFILES)
-    campaign.prepare()
-    stream: list[bytes] = []
-    campaign.channel.subscribe(stream.append)
-    campaign.run()
-    return stream
-
-
 class TestRecordedPresetOutput:
     def test_every_preset_is_pinned(self):
         assert set(preset_plans()) == set(PRESET_PINS)
 
     @pytest.mark.parametrize("preset", list(PRESET_PINS))
     @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
-    def test_preset_output_is_the_recorded_one(self, lossless_stream, preset):
+    def test_preset_output_is_the_recorded_one(self, recorded_campaign, preset):
         inner = InMemoryChannel()
         faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
         front = IncrementalConsolidator(MessageStore())
         front.attach(inner)
-        for datagram in lossless_stream:
+        for datagram in recorded_campaign.stream:
             faulty.send(datagram)
         faulty.flush()
         records = front.finalize()
