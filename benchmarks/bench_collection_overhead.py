@@ -2,14 +2,18 @@
 
 SIREN's design goal is lightweight collection: hashing is skipped for system
 executables and for non-zero MPI ranks.  These benches measure per-process
-collection cost under the default policy vs a collect-everything policy, and
-the cost of the whole campaign machinery.
+collection cost under Table 1 vs a table patched to collect, for every
+process category, everything a user executable gets, and the cost of the
+whole campaign machinery.
 """
+
+from unittest import mock
 
 import pytest
 
+from repro.collector.classify import ExecutableCategory
 from repro.collector.hooks import SirenCollector
-from repro.collector.policy import DEFAULT_POLICY, FULL_POLICY
+from repro.collector.policy import TABLE_1
 from repro.corpus.builder import CorpusBuilder
 from repro.corpus.packages import ICON
 from repro.db.store import MessageStore
@@ -40,16 +44,22 @@ def _system_heavy_job(manifest) -> JobScript:
     )),))
 
 
-def _run_policy(cluster, manifest, policy) -> int:
+#: Table 1 with every process category collected like a user executable.
+COLLECT_EVERYTHING = {category: TABLE_1[ExecutableCategory.USER]
+                      for category in ExecutableCategory}
+
+
+def _run_policy(cluster, manifest, table) -> int:
     store = MessageStore()
     channel = InMemoryChannel()
     ingest = IncrementalConsolidator(store, persist_raw=True)
     ingest.attach(channel)
     collector = SirenCollector(cluster.filesystem, UDPSender(channel),
-                               manifest.siren_library, policy=policy)
+                               manifest.siren_library)
     cluster.register_preload_hook(collector)
     try:
-        cluster.run_job("bench", _system_heavy_job(manifest))
+        with mock.patch.dict(TABLE_1, table):
+            cluster.run_job("bench", _system_heavy_job(manifest))
     finally:
         cluster.runtime.unregister_hook(manifest.siren_library)
     ingest.finalize()
@@ -63,20 +73,20 @@ class TestSelectivePolicyAblation:
 
     def test_default_policy_system_heavy_job(self, benchmark, environment):
         cluster, manifest = environment
-        messages = benchmark.pedantic(_run_policy, args=(cluster, manifest, DEFAULT_POLICY),
+        messages = benchmark.pedantic(_run_policy, args=(cluster, manifest, {}),
                                       rounds=3, iterations=1)
         assert messages > 0
 
     def test_full_policy_system_heavy_job(self, benchmark, environment):
         cluster, manifest = environment
-        messages = benchmark.pedantic(_run_policy, args=(cluster, manifest, FULL_POLICY),
+        messages = benchmark.pedantic(_run_policy, args=(cluster, manifest, COLLECT_EVERYTHING),
                                       rounds=3, iterations=1)
         assert messages > 0
 
     def test_selective_policy_reduces_message_volume(self, environment):
         cluster, manifest = environment
-        default_messages = _run_policy(cluster, manifest, DEFAULT_POLICY)
-        full_messages = _run_policy(cluster, manifest, FULL_POLICY)
+        default_messages = _run_policy(cluster, manifest, {})
+        full_messages = _run_policy(cluster, manifest, COLLECT_EVERYTHING)
         table = TextTable(["policy", "UDP messages for one system-heavy job"],
                           title="Selective collection ablation (Table 1 policy)")
         table.add_row(["Table 1 (default)", default_messages])

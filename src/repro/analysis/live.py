@@ -116,7 +116,7 @@ class LiveAnalysis:
     """
 
     user_names: dict[int, str] = field(default_factory=dict)
-    hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
+    hasher: FuzzyHasher = field(init=False, default_factory=FuzzyHasher)
     #: store rowid high-water mark (when bound)
     cursor: int = field(init=False, default=0)
     #: delta pulls performed

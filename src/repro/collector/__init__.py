@@ -23,17 +23,16 @@ process.
 from repro.collector.classify import ExecutableCategory, classify_process
 from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes
 from repro.collector.hooks import SirenCollector
-from repro.collector.policy import CollectionPolicy, DEFAULT_POLICY
+from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer
 
 __all__ = [
     "ArtifactHasher",
-    "CollectionPolicy",
-    "DEFAULT_POLICY",
     "ExecutableCategory",
     "ExecutableHashes",
     "InfoType",
     "Layer",
     "SirenCollector",
+    "TABLE_1",
     "classify_process",
 ]

@@ -1,9 +1,9 @@
-"""Selective-collection policy (Table 1 of the paper).
+"""Selective collection: Table 1 of the paper, and the rank rule.
 
 Different executable categories warrant different amounts of collection: it
 is pointless to fuzzy-hash ``/usr/bin/bash`` on every invocation, while a user
-executable gets the full treatment.  The policy is expressed as a small
-matrix, constructed by default exactly as printed in Table 1:
+executable gets the full treatment.  Table 1 of the paper is one fixed
+policy:
 
 ==============  =======  =====  ===========  ======
 Information     System   User   Interpreter  Script
@@ -17,76 +17,41 @@ File_H           no       yes    no           yes
 Strings_H        no       yes    no           no
 Symbols_H        no       yes    no           no
 ==============  =======  =====  ===========  ======
+
+:data:`TABLE_1` declares it once, as the wire sections each scope sends; the
+collector, ingest's incomplete flag and the tests' launch ledger all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.collector.classify import ExecutableCategory
+from repro.collector.records import InfoType, Layer
+
+#: Table 1 as the wire sections a collected process sends, per scope, in the
+#: order the collector sends them, after the scope's ``PROCINFO``.  The three
+#: process categories send on the ``SELF`` layer; a Python interpreter's
+#: input script is the ``SCRIPT`` layer's scope.  A collected list (libraries,
+#: modules, compilers, memory map) travels with its fuzzy hash, the ``_H``
+#: section; compiler strings are sent only for an ELF executable.
+TABLE_1: dict[ExecutableCategory | Layer, tuple[InfoType, ...]] = {
+    ExecutableCategory.SYSTEM: (InfoType.FILEMETA, InfoType.OBJECTS, InfoType.OBJECTS_H),
+    ExecutableCategory.USER: (
+        InfoType.FILEMETA, InfoType.OBJECTS, InfoType.OBJECTS_H,
+        InfoType.MODULES, InfoType.MODULES_H, InfoType.COMPILERS, InfoType.COMPILERS_H,
+        InfoType.MAPS, InfoType.MAPS_H,
+        InfoType.FILE_H, InfoType.STRINGS_H, InfoType.SYMBOLS_H),
+    ExecutableCategory.PYTHON: (
+        InfoType.FILEMETA, InfoType.OBJECTS, InfoType.OBJECTS_H,
+        InfoType.MAPS, InfoType.MAPS_H),
+    Layer.SCRIPT: (InfoType.FILEMETA, InfoType.FILE_H),
+}
 
 
-@dataclass(frozen=True)
-class ScopePolicy:
-    """What to collect for one executable scope."""
-
-    file_metadata: bool = True
-    libraries: bool = False
-    modules: bool = False
-    compilers: bool = False
-    memory_map: bool = False
-    file_hash: bool = False
-    strings_hash: bool = False
-    symbols_hash: bool = False
-
-
-@dataclass(frozen=True)
-class CollectionPolicy:
-    """The full per-scope policy plus global switches."""
-
-    system: ScopePolicy = field(default_factory=lambda: ScopePolicy(
-        file_metadata=True, libraries=True,
-    ))
-    user: ScopePolicy = field(default_factory=lambda: ScopePolicy(
-        file_metadata=True, libraries=True, modules=True, compilers=True,
-        memory_map=True, file_hash=True, strings_hash=True, symbols_hash=True,
-    ))
-    python_interpreter: ScopePolicy = field(default_factory=lambda: ScopePolicy(
-        file_metadata=True, libraries=True, memory_map=True,
-    ))
-    python_script: ScopePolicy = field(default_factory=lambda: ScopePolicy(
-        file_metadata=True, file_hash=True,
-    ))
-    #: Collect only for SLURM_PROCID == 0 (avoid duplicating data per MPI rank).
-    rank_zero_only: bool = True
-
-    def for_category(self, category: ExecutableCategory) -> ScopePolicy:
-        """The scope policy applying to a process of the given category."""
-        if category is ExecutableCategory.SYSTEM:
-            return self.system
-        if category is ExecutableCategory.PYTHON:
-            return self.python_interpreter
-        return self.user
-
-    def should_collect_rank(self, procid: str | int) -> bool:
-        """True if a process with this ``SLURM_PROCID`` should be collected."""
-        if not self.rank_zero_only:
-            return True
-        try:
-            return int(procid) == 0
-        except (TypeError, ValueError):
-            # Outside a Slurm step (no SLURM_PROCID) everything is collected.
-            return True
-
-
-#: The paper's policy.
-DEFAULT_POLICY = CollectionPolicy()
-
-#: An "always collect everything" policy, used by the overhead ablation bench.
-FULL_POLICY = CollectionPolicy(
-    system=ScopePolicy(True, True, True, True, True, True, True, True),
-    user=ScopePolicy(True, True, True, True, True, True, True, True),
-    python_interpreter=ScopePolicy(True, True, True, True, True, True, True, True),
-    python_script=ScopePolicy(True, False, False, False, False, True, False, False),
-    rank_zero_only=False,
-)
+def should_collect_rank(procid: str | int) -> bool:
+    """True if a process with this ``SLURM_PROCID`` is collected: rank 0
+    only, so an MPI job's data is not duplicated per rank."""
+    try:
+        return int(procid) == 0
+    except (TypeError, ValueError):
+        # Outside a Slurm step (no SLURM_PROCID) everything is collected.
+        return True

@@ -9,9 +9,8 @@ pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.collector.policy import DEFAULT_POLICY, CollectionPolicy
 from repro.faults.plan import FaultPlan
 from repro.transport.messages import MAX_DATAGRAM_SIZE, MIN_DATAGRAM_SIZE
 from repro.util.errors import CollectionError
@@ -23,8 +22,6 @@ class SirenConfig:
 
     Parameters
     ----------
-    policy:
-        The selective-collection policy (defaults to the paper's Table 1).
     loss_rate:
         Probability of losing each UDP datagram (0 disables the lossy channel).
     max_datagram_size:
@@ -65,7 +62,6 @@ class SirenConfig:
         flushed record then also pays one fold; ``False`` (default) skips it.
     """
 
-    policy: CollectionPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     loss_rate: float = 0.0002
     max_datagram_size: int = MAX_DATAGRAM_SIZE
     store_path: str = ":memory:"

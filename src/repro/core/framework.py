@@ -113,7 +113,6 @@ class SirenFramework:
             filesystem=cluster.filesystem,
             sender=self.sender,
             library_path=siren_library_path,
-            policy=self.config.policy,
         )
         cluster.register_preload_hook(self.collector)
         self.cluster = cluster

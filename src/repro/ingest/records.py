@@ -8,7 +8,8 @@ Chunked contents are reassembled from whichever chunks survived the trip, the
 Python ``SCRIPT`` layer is folded into its parent interpreter row, imported
 Python packages are extracted from the memory map, and the result is one
 :class:`~repro.db.store.ProcessRecord` per process, flagged ``incomplete``
-when any expected piece is missing.
+when a chunk, or a section :data:`~repro.collector.policy.TABLE_1` lists for
+its category, is missing.
 
 The record-assembly logic lives in the module-level
 :func:`build_process_record`, which the streaming
@@ -39,29 +40,30 @@ from collections.abc import Iterable
 from dataclasses import MISSING, fields
 
 from repro.collector.classify import ExecutableCategory
+from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import PROCESS_FIELDS, ProcessKey, ProcessRecord
 from repro.hpcsim.memmap import parse_mapped_paths
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import MessageRow
 
-#: Message types expected for every collected process (used for the incomplete flag).
-_ALWAYS_EXPECTED = (InfoType.PROCINFO, InfoType.FILEMETA)
+#: What every Table 1 scope sends: all that a record whose category the table
+#: does not list is owed besides its PROCINFO.
+_EVERY_SCOPE = tuple(info_type for info_type in InfoType
+                     if all(info_type in sent for sent in TABLE_1.values()))
 
-#: Content types per category whose absence marks a record incomplete.
-_EXPECTED_BY_CATEGORY: dict[str, tuple[InfoType, ...]] = {
-    ExecutableCategory.SYSTEM.value: (InfoType.OBJECTS,),
-    ExecutableCategory.USER.value: (
-        InfoType.OBJECTS, InfoType.MODULES, InfoType.COMPILERS, InfoType.MAPS,
-        InfoType.FILE_H, InfoType.STRINGS_H, InfoType.SYMBOLS_H,
-    ),
-    ExecutableCategory.PYTHON.value: (InfoType.OBJECTS, InfoType.MAPS),
-}
+#: ``""`` stands for every category without an entry of its own.
+_EXPECTED_TYPES: dict[str, tuple[InfoType, ...]] = {
+    "": (InfoType.PROCINFO, *_EVERY_SCOPE),
+    **{category.value: (InfoType.PROCINFO, *TABLE_1[category])
+       for category in ExecutableCategory}}
 
 
 def expected_types_for(category: str) -> tuple[InfoType, ...]:
-    """All ``SELF``-layer types whose absence marks a record of ``category`` incomplete."""
-    return _ALWAYS_EXPECTED + _EXPECTED_BY_CATEGORY.get(category, ())
+    """All ``SELF``-layer types whose absence marks a record of ``category``
+    incomplete: its PROCINFO and every section
+    :data:`~repro.collector.policy.TABLE_1` lists for the category."""
+    return _EXPECTED_TYPES.get(category, _EXPECTED_TYPES[""])
 
 
 GroupKey = tuple[str, str]
@@ -74,11 +76,10 @@ GROUP_KEYS: dict[tuple[Layer, InfoType], GroupKey] = {
     for layer in Layer for info_type in InfoType}
 PROCINFO_KEY = GROUP_KEYS[Layer.SELF, InfoType.PROCINFO]
 
-#: ``""`` stands for every category without an entry of its own.
 _EXPECTED_KEYS: dict[str, tuple[GroupKey, ...]] = {
     category: tuple(GROUP_KEYS[Layer.SELF, info_type]
                     for info_type in expected_types_for(category))
-    for category in ("", *_EXPECTED_BY_CATEGORY)}
+    for category in _EXPECTED_TYPES}
 
 
 def expected_keys_for(category: str) -> tuple[GroupKey, ...]:

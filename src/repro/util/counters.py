@@ -41,7 +41,7 @@ COUNTERS: dict[str, str] = {
     "records": "consolidated records in the campaign result",
     "incomplete_fraction": "fraction of records flagged incomplete",
     "processes_collected": "processes the SIREN hook collected",
-    "processes_skipped": "processes the collection policy skipped",
+    "processes_skipped": "processes the rank rule skipped",
     "section_errors": "collection sections that failed and were skipped",
     "hashes_computed": "CTPH digests computed by the collector",
     "hash_cache_hits": "path-cache hits in the artifact hasher",

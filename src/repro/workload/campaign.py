@@ -93,7 +93,7 @@ class CampaignConfig(SirenConfig):
     """
 
     scale: float = 0.01            #: fraction of the paper's job counts to run
-    min_jobs_per_user: int = 1
+    min_jobs_per_user: int = 1     #: floor on the jobs each user submits
 
     def validate(self) -> None:
         """:meth:`SirenConfig.validate`, plus a finite, non-negative ``scale``

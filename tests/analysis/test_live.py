@@ -34,7 +34,7 @@ from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex, SimilarityIndex
 from repro.analysis.stats import activity_totals
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
+from repro.hashing.ssdeep import fuzzy_hash_text
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -250,8 +250,7 @@ class TestSyntheticStreamEquivalence:
     def test_an_unchanged_pool_is_answered_without_a_comparison(self, monkeypatch):
         stream = _synthetic_stream(seed=11)
         monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
-        hasher = FuzzyHasher()
-        live = LiveAnalysis({}, hasher=hasher)
+        live = LiveAnalysis({})
         live.commit(stream[:30])
         live.refresh_open(stream[30:33])
         probes = [0]
@@ -264,7 +263,7 @@ class TestSyntheticStreamEquivalence:
         monkeypatch.setattr(DigestIndex, "candidates", counted)
 
         def work():
-            info = hasher.compare_cache_info()
+            info = live.hasher.compare_cache_info()
             return info.hits, info.misses, probes[0]
 
         first = live.identify_unknown(top=10)

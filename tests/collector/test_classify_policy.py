@@ -9,7 +9,8 @@ from repro.collector.classify import (
     extract_script_path,
     is_python_interpreter,
 )
-from repro.collector.policy import DEFAULT_POLICY, FULL_POLICY, CollectionPolicy, ScopePolicy
+from repro.collector.policy import TABLE_1, should_collect_rank
+from repro.collector.records import InfoType, Layer
 
 
 class TestClassification:
@@ -62,51 +63,37 @@ class TestExtractScriptPath:
         assert extract_script_path(("/usr/bin/python3",)) is None
 
 
-class TestDefaultPolicy:
-    """The default policy must match Table 1 of the paper exactly."""
+#: Table 1 of the paper: which scopes collect each row's information, and
+#: the wire sections the row is sent as.
+PAPER_TABLE_1 = [
+    # (system, user, interpreter, script), sections
+    ((1, 1, 1, 1), (InfoType.FILEMETA,)),
+    ((1, 1, 1, 0), (InfoType.OBJECTS, InfoType.OBJECTS_H)),        # libraries
+    ((0, 1, 0, 0), (InfoType.MODULES, InfoType.MODULES_H)),
+    ((0, 1, 0, 0), (InfoType.COMPILERS, InfoType.COMPILERS_H)),
+    ((0, 1, 1, 0), (InfoType.MAPS, InfoType.MAPS_H)),              # memory map
+    ((0, 1, 0, 1), (InfoType.FILE_H,)),
+    ((0, 1, 0, 0), (InfoType.STRINGS_H,)),
+    ((0, 1, 0, 0), (InfoType.SYMBOLS_H,)),
+]
+SCOPES = (ExecutableCategory.SYSTEM, ExecutableCategory.USER, ExecutableCategory.PYTHON,
+          Layer.SCRIPT)
 
-    def test_system_scope(self):
-        scope = DEFAULT_POLICY.system
-        assert scope.file_metadata and scope.libraries
-        assert not (scope.modules or scope.compilers or scope.memory_map or scope.file_hash
-                    or scope.strings_hash or scope.symbols_hash)
 
-    def test_user_scope_collects_everything(self):
-        scope = DEFAULT_POLICY.user
-        assert all([scope.file_metadata, scope.libraries, scope.modules, scope.compilers,
-                    scope.memory_map, scope.file_hash, scope.strings_hash, scope.symbols_hash])
+class TestTable1:
+    """``TABLE_1`` is Table 1 of the paper, row by row, in wire order."""
 
-    def test_python_interpreter_scope(self):
-        scope = DEFAULT_POLICY.python_interpreter
-        assert scope.file_metadata and scope.libraries and scope.memory_map
-        assert not (scope.modules or scope.compilers or scope.file_hash
-                    or scope.strings_hash or scope.symbols_hash)
+    @pytest.mark.parametrize("column, scope", enumerate(SCOPES), ids=str)
+    def test_scope_sends_the_rows_it_collects(self, column, scope):
+        assert TABLE_1[scope] == tuple(section for collected, sections in PAPER_TABLE_1
+                                       if collected[column] for section in sections)
 
-    def test_python_script_scope(self):
-        scope = DEFAULT_POLICY.python_script
-        assert scope.file_metadata and scope.file_hash
-        assert not (scope.libraries or scope.modules or scope.compilers or scope.memory_map
-                    or scope.strings_hash or scope.symbols_hash)
-
-    def test_for_category_dispatch(self):
-        assert DEFAULT_POLICY.for_category(ExecutableCategory.SYSTEM) is DEFAULT_POLICY.system
-        assert DEFAULT_POLICY.for_category(ExecutableCategory.USER) is DEFAULT_POLICY.user
-        assert DEFAULT_POLICY.for_category(ExecutableCategory.PYTHON) \
-            is DEFAULT_POLICY.python_interpreter
+    def test_the_table_has_the_four_scopes(self):
+        assert set(TABLE_1) == set(SCOPES)
 
     def test_rank_zero_only(self):
-        assert DEFAULT_POLICY.should_collect_rank("0")
-        assert DEFAULT_POLICY.should_collect_rank(0)
-        assert not DEFAULT_POLICY.should_collect_rank("3")
-        assert DEFAULT_POLICY.should_collect_rank("")      # outside a Slurm step
-        assert DEFAULT_POLICY.should_collect_rank(None)
-
-    def test_full_policy_collects_all_ranks(self):
-        assert FULL_POLICY.should_collect_rank("7")
-        assert FULL_POLICY.system.file_hash
-
-    def test_custom_policy(self):
-        policy = CollectionPolicy(rank_zero_only=False,
-                                  system=ScopePolicy(file_metadata=False))
-        assert policy.should_collect_rank("9")
-        assert not policy.for_category(ExecutableCategory.SYSTEM).file_metadata
+        assert should_collect_rank("0")
+        assert should_collect_rank(0)
+        assert not should_collect_rank("3")
+        assert should_collect_rank("")      # outside a Slurm step
+        assert should_collect_rank(None)

@@ -1,12 +1,14 @@
 """Tests for the artifact hasher and the SIREN collector hook."""
 
+from unittest import mock
+
 import pytest
 
 import repro.collector.fuzzy as fuzzy_module
 from repro.collector.classify import ExecutableCategory
 from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes
 from repro.collector.hooks import SirenCollector
-from repro.collector.policy import CollectionPolicy, ScopePolicy
+from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer
 from repro.db.store import MessageStore
 from repro.elf.reader import ELFFile
@@ -616,27 +618,17 @@ class TestSirenCollector:
         assert record.incomplete == 1 and record.maps == ""
         assert record.maps_h and record.file_h and record.strings_h and record.symbols_h
 
-    def test_custom_policy_restricts_collection(self, app_cluster):
+    @mock.patch.dict(TABLE_1, {ExecutableCategory.USER: (InfoType.FILEMETA, InfoType.MAPS_H)})
+    def test_the_collector_sends_what_table_1_lists(self, app_cluster):
+        """The collector reads the table at call time, entry by entry: a
+        list's hash is sent without the list."""
         cluster, manifest = app_cluster
-        policy = CollectionPolicy(user=ScopePolicy(file_metadata=True), rank_zero_only=True)
-        store = MessageStore()
-        channel = InMemoryChannel()
-        ingest = IncrementalConsolidator(store, persist_raw=True)
-        ingest.attach(channel)
-        collector = SirenCollector(cluster.filesystem, UDPSender(channel),
-                                   manifest.siren_library, policy=policy)
-        cluster.register_preload_hook(collector)
-        try:
-            icon = manifest.find_executable("icon", "cray-r1", "alice")
-            script = JobScript(name="t", modules=("siren", *icon.required_modules),
-                               steps=(StepSpec(processes=(ProcessSpec(executable=icon.path),)),))
-            cluster.run_job("alice", script)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
-        ingest.snapshot()
+        icon = manifest.find_executable("icon", "cray-r1", "alice")
+        collector, store = _run_one(cluster, manifest, icon.path,
+                                    modules=("siren", *icon.required_modules))
         types = {row[7] for row in raw_messages(store)}
-        assert InfoType.FILE_H.value not in types
-        assert InfoType.FILEMETA.value in types
+        assert types == {"PROCINFO", "FILEMETA", "MAPS_H", "PROCEND"}
+        assert collector.section_errors == 0
 
     def test_header_fields_populated(self, app_cluster):
         cluster, manifest = app_cluster

@@ -1,7 +1,5 @@
 """One config hierarchy, one builder: a campaign deploys a ``SirenFramework``."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.core import SirenConfig, SirenFramework
@@ -11,15 +9,9 @@ from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
-from test_repo_invariants import parse_knob_table
-
 #: One profile keeps ``prepare()`` (cluster + corpus) at ~0.1 s per case.
 PROFILES = DEFAULT_PROFILES[:1]
 
-DEPLOYMENT_FIELDS = {
-    "policy", "loss_rate", "max_datagram_size", "store_path", "seed",
-    "ingest_mode", "keep_raw_messages", "transport", "fault_plan", "rollups",
-}
 CAMPAIGN_FIELDS = {"scale", "min_jobs_per_user"}
 
 FAULT_PLANS = {
@@ -58,12 +50,6 @@ class TestConfigHierarchy:
         assert '"One ingest path"' in str(refused.value)
         with pytest.raises(CollectionError, match="One ingest path"):
             SirenFramework(SirenConfig(ingest_mode="batch"))
-
-    def test_docs_scope_column_says_where_each_field_is_declared(self):
-        docs = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
-        scopes = parse_knob_table(docs.read_text(encoding="utf-8"))
-        assert scopes == {**dict.fromkeys(DEPLOYMENT_FIELDS, "deployment"),
-                          **dict.fromkeys(CAMPAIGN_FIELDS, "campaign")}
 
 
 class TestSameWiringFromBothFacades:

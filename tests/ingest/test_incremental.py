@@ -10,6 +10,8 @@ from unittest import mock
 
 import pytest
 
+from repro.collector.classify import ExecutableCategory
+from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.ingest import IncrementalConsolidator
@@ -28,13 +30,15 @@ def _msg(info_type: InfoType, content: str, *, pid: int = 10, layer: Layer = Lay
                       chunk_index=chunk_index, chunk_total=chunk_total)
 
 
-def _system_burst(pid: int = 10) -> list[UDPMessage]:
+def _system_burst(pid: int = 10, *, but: InfoType | None = None) -> list[UDPMessage]:
+    """A system process as the collector sends it: its PROCINFO, then one
+    message per section Table 1 lists for the category -- ``but`` that one."""
     return [
         _msg(InfoType.PROCINFO, format_keyvalues({
             "pid": pid, "ppid": 1, "uid": 1000, "gid": 1000,
             "exe": "/usr/bin/bash", "category": "system"}), pid=pid),
-        _msg(InfoType.FILEMETA, "inode=1", pid=pid),
-        _msg(InfoType.OBJECTS, "/lib64/libc.so.6", pid=pid),
+        *(_msg(info_type, f"{info_type.value.lower()}-content", pid=pid)
+          for info_type in TABLE_1[ExecutableCategory.SYSTEM] if info_type is not but),
     ]
 
 
@@ -94,7 +98,7 @@ class TestFinalizationRules:
         """A PROCEND over an incomplete group closes one epoch later, not at once."""
         sink = IncrementalConsolidator(MessageStore())
         burst = _system_burst()
-        _feed(sink, [burst[0], burst[1]])  # OBJECTS lost on the wire
+        _feed(sink, burst[:-1])  # its last section lost on the wire
         _feed(sink, [_procend()])
         assert sink.open_processes == 1  # grace for reordering transports
         sink.advance_epoch()
@@ -137,7 +141,7 @@ class TestFinalizationRules:
         chunk 1 arriving inside it completes the record instead of being
         dropped as late."""
         sink = IncrementalConsolidator(MessageStore())
-        _feed(sink, _system_burst()[:2])
+        _feed(sink, _system_burst(but=InfoType.OBJECTS))
         _feed(sink, [_msg(InfoType.OBJECTS, "/lib64/libc.so.6|", chunk_index=0, chunk_total=2),
                      _msg(InfoType.OBJECTS, "stray", chunk_index=5, chunk_total=2),
                      _procend()])
@@ -417,7 +421,7 @@ class TestDatagramPath:
         ingest.finalize()
         assert ingest._epoch == 1
 
-    @mock.patch.object(incremental, "BATCH_SIZE", 3)
+    @mock.patch.object(incremental, "BATCH_SIZE", len(_system_burst()))
     def test_the_batch_clock_closes_idle_groups(self):
         ingest = IncrementalConsolidator(MessageStore())
         for pid in (10, 20, 21):              # one burst per batch, no PROCEND
@@ -425,7 +429,7 @@ class TestDatagramPath:
                 ingest.handle_datagram(encode(message))
         # pid 10 and 20 sat out two whole batches; 21 was fed in the last one
         assert (ingest.idle_closed, ingest.open_processes) == (2, 1)
-        assert ingest.messages_consumed == 9
+        assert ingest.messages_consumed == 3 * len(_system_burst())
 
     def test_decode_errors_are_counted_never_fed_nor_stored(self):
         store = MessageStore()

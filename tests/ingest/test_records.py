@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.collector.classify import ExecutableCategory
+from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.db.store import MessageStore
 from repro.hpcsim.memmap import build_memory_map, render_memory_map
@@ -47,6 +49,19 @@ def _procinfo(exe: str, category: str, pid: int = 10, path_hash: str = "a" * 32)
                 pid=pid, path_hash=path_hash)
 
 
+_EXECUTABLES = {ExecutableCategory.SYSTEM: "/usr/bin/bash",
+                ExecutableCategory.USER: "/project/p/u/lmp",
+                ExecutableCategory.PYTHON: "/usr/bin/python3.10"}
+
+
+def _complete(category: ExecutableCategory, *, but: InfoType | None = None) -> list[UDPMessage]:
+    """A process as the collector sends it: its PROCINFO, then one message
+    per section Table 1 lists for its category -- ``but`` that one."""
+    return [_procinfo(_EXECUTABLES[category], category.value),
+            *(_msg(info_type, f"{info_type.value.lower()}-content")
+              for info_type in TABLE_1[category] if info_type is not but)]
+
+
 class TestGroupConstants:
     def test_group_keys_are_the_wire_values_of_every_member_pair(self):
         assert GROUP_KEYS == {(layer, info_type): (layer.value, info_type.value)
@@ -57,6 +72,10 @@ class TestGroupConstants:
         assert expected_keys_for(category) == tuple(
             (Layer.SELF.value, info_type.value)
             for info_type in expected_types_for(category))
+
+    @pytest.mark.parametrize("category", ["", "no-such"])
+    def test_an_unlisted_category_is_owed_what_every_scope_sends(self, category):
+        assert expected_types_for(category) == (InfoType.PROCINFO, InfoType.FILEMETA)
 
 
 class TestReassembleShortcut:
@@ -134,8 +153,7 @@ class TestConsolidation:
     def test_chunked_content_reassembled(self):
         store = MessageStore()
         store.insert_rows(rows([
-            _procinfo("/usr/bin/bash", "system"),
-            _msg(InfoType.FILEMETA, "inode=1"),
+            *_complete(ExecutableCategory.SYSTEM, but=InfoType.OBJECTS),
             _msg(InfoType.OBJECTS, "part-one|", chunk_index=0, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-two|", chunk_index=1, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-three", chunk_index=2, chunk_total=3),
@@ -147,21 +165,24 @@ class TestConsolidation:
     def test_missing_chunk_marks_incomplete(self):
         store = MessageStore()
         store.insert_rows(rows([
-            _procinfo("/usr/bin/bash", "system"),
-            _msg(InfoType.FILEMETA, "inode=1"),
+            *_complete(ExecutableCategory.SYSTEM, but=InfoType.OBJECTS),
             _msg(InfoType.OBJECTS, "part-one|", chunk_index=0, chunk_total=3),
             _msg(InfoType.OBJECTS, "part-three", chunk_index=2, chunk_total=3),
         ]))
         assert records_from_messages(store)[0].incomplete == 1
 
-    def test_missing_expected_type_marks_incomplete(self):
-        store = MessageStore()
-        store.insert_rows(rows([
-            _procinfo("/usr/bin/bash", "system"),
-            _msg(InfoType.FILEMETA, "inode=1"),
-            # OBJECTS expected for system executables but entirely lost.
-        ]))
-        assert records_from_messages(store)[0].incomplete == 1
+    @pytest.mark.parametrize("category", _EXECUTABLES, ids=str)
+    def test_a_complete_burst_is_not_flagged(self, category):
+        record, whole = build_process_record(_KEY, rows(_complete(category)))
+        assert (record.category, record.incomplete, whole) == (category.value, 0, True)
+
+    @pytest.mark.parametrize("category, lost", [
+        (category, info_type) for category in _EXECUTABLES for info_type in TABLE_1[category]],
+        ids=str)
+    def test_missing_expected_type_marks_incomplete(self, category, lost):
+        """Every section Table 1 lists for a category, lost alone, flags the record."""
+        record, _ = build_process_record(_KEY, rows(_complete(category, but=lost)))
+        assert record.incomplete == 1
 
     def test_exec_chain_distinguished_by_path_hash(self):
         """Same PID + timestamp but different executables stay separate records."""

@@ -3,8 +3,9 @@
 Faults are applied by replaying the recorded campaign's stream through a
 :class:`FaultyChannel` into a fresh consolidator (the campaign seed is not
 drawn: at loss 0 the output does not depend on it).  The clauses a preset
-breaks at every plan seed 0-19 (:data:`BROKEN`) are strict xfails at plan
-seed 7 naming their cause; a property covers every pair that holds.
+breaks at plan seed 7 (:data:`BROKEN`) are strict xfails naming their cause;
+a property covers every pair that holds.  Each breaks at every plan seed
+0-19 but corrupt-5pct's losses flagged, which holds at seed 4.
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ from oracles.ledger import FLAGGED, KEYS, VALUES
 
 pytestmark = pytest.mark.chaos
 
-#: Presets that lose, alter and invent nothing; presets that only lose or reorder.
+#: Presets that lose, alter and invent nothing.
 LOSSLESS = ("baseline", "dup-10pct", "jitter-10pct")
-LOSSY = ("loss-1pct", "loss-5pct", "loss-20pct", "reorder-5pct")
 _DAMAGE = "SIREN1 has no checksum: a damaged datagram that still decodes {} (ROADMAP item 4)"
 _DAMAGED = {KEYS: _DAMAGE.format("lands under a phantom key"),
             VALUES: _DAMAGE.format("lands a wrong value"),
-            FLAGGED: "_EXPECTED_BY_CATEGORY (repro/ingest/records.py) omits OBJECTS_H, MODULES_H,"
-                     " COMPILERS_H and MAPS_H: their loss goes unflagged (ROADMAP item 4)"}
-#: preset -> the clauses it breaks at every plan seed 0-19 -> why
-BROKEN = {**{preset: {FLAGGED: _DAMAGED[FLAGGED]} for preset in LOSSY},
-          "truncate-5pct": {VALUES: _DAMAGED[VALUES], FLAGGED: _DAMAGED[FLAGGED]},
+            FLAGGED: _DAMAGE.format("cuts a field to nothing: a PROCINFO field (uid, gid,"
+                                    " ppid, executable, category) or a section's content")}
+#: preset -> the clauses it breaks at plan seed 7 -> why
+BROKEN = {"truncate-5pct": {VALUES: _DAMAGED[VALUES], FLAGGED: _DAMAGED[FLAGGED]},
           "corrupt-5pct": _DAMAGED, "mixed-hostile": _DAMAGED}
 #: ``(BATCH_SIZE, FLUSH_BATCH_SIZE)`` pairs every replay mode is run at
 BATCH_SIZES = [(1, 1), (4, 2), (16, 8), (64, 8), (500, 64)]
@@ -107,9 +106,8 @@ def test_every_clause_that_holds_holds(recorded_campaign, preset, seed, extra_dr
     records, delivered = _replay(recorded_campaign.stream, plan, sizes=sizes,
                                  delta_every=delta_every)
     lossless = preset in LOSSLESS and not extra_drop
-    broken = set(BROKEN.get(preset, ())) | (set() if lossless else {FLAGGED})
     found = recorded_campaign.ledger.violations(records, lossless=lossless)
-    assert not _clauses(found) - broken, found
+    assert not _clauses(found) - set(BROKEN.get(preset, ())), found
     assert sorted(delivered) == [record.key for record in records]
 
 

@@ -2,12 +2,13 @@
 
 :class:`GroundTruthLedger` wraps a cluster's live ``runtime.run_process`` and,
 at each launch, notes whether SIREN's hook ran (not static, ``siren.so``
-preloaded: the runtime's rule, restated), whether it collects (the Table 1
-rank rule) and the record ingest owes: the wire's path hash in the key, every
-other field from the process context and the executable's and script's bytes
-and ``stat`` at launch, every digest from :class:`~oracles.ctph.ReferenceHasher`.
-Table 1 and the ELF extractors are all it shares with the collector; nothing
-of the collector, artifact hasher, sender, channel, ingest or store.
+preloaded: the runtime's rule, restated), whether it collects (the rank
+rule) and the record ingest owes for the sections ``TABLE_1`` lists: the
+wire's path hash in the key, every other field from the process context and
+the executable's and script's bytes and ``stat`` at launch, every digest
+from :class:`~oracles.ctph.ReferenceHasher`.  Table 1, the rank rule and the
+ELF extractors are all it shares with the collector; nothing of the
+collector, artifact hasher, sender, channel, ingest or store.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from contextlib import suppress
 from dataclasses import fields
 
 from repro.collector.classify import ExecutableCategory, classify_process, is_python_interpreter
-from repro.collector.policy import DEFAULT_POLICY
+from repro.collector.policy import TABLE_1, should_collect_rank
+from repro.collector.records import InfoType, Layer
 from repro.db.store import ProcessKey, ProcessRecord
 from repro.elf.reader import ELFFile, is_elf
 from repro.elf.strings import strings_blob
@@ -63,39 +65,47 @@ class GroundTruthLedger:
         if link.static or self.library_path not in link.preloaded:
             return
         self.hooked += 1
-        if not DEFAULT_POLICY.should_collect_rank(context.slurm_procid):
+        if not should_collect_rank(context.slurm_procid):
             return
         executable = context.executable
         category = classify_process(executable, context.argv)
-        scope = DEFAULT_POLICY.for_category(category)
+        sends = TABLE_1[category]
         content = self.filesystem.read(executable)
         elf = ELFFile(content) if is_elf(content) else None
         owed: dict[str, object] = dict(
             uid=context.uid, gid=context.gid, ppid=context.ppid,
             executable=executable, category=category.value)
-        if scope.file_metadata:
+        if InfoType.FILEMETA in sends:
             owed["file_metadata"] = self._metadata(executable)
-        for wanted, name, text in (
-                (scope.libraries, "objects", "\n".join(context.loaded_objects)),
-                (scope.modules, "modules", context.loaded_modules),
-                (scope.compilers and elf is not None, "compilers",
-                 elf is not None and ";".join(elf.comment_strings())),
-                (scope.memory_map, "maps", context.maps_text())):
-            if wanted:
-                owed[name], owed[f"{name}_h"] = text, self._digest(text.encode())
-        if scope.file_hash:
+        compilers = None if elf is None else ";".join(elf.comment_strings())
+        for info_type, hash_type, text in (
+                (InfoType.OBJECTS, InfoType.OBJECTS_H, "\n".join(context.loaded_objects)),
+                (InfoType.MODULES, InfoType.MODULES_H, context.loaded_modules),
+                (InfoType.COMPILERS, InfoType.COMPILERS_H, compilers),
+                (InfoType.MAPS, InfoType.MAPS_H, context.maps_text())):
+            if text is None:        # compiler strings: an ELF executable's only
+                continue
+            if info_type in sends:
+                owed[info_type.value.lower()] = text
+            if hash_type in sends:
+                owed[hash_type.value.lower()] = self._digest(text.encode())
+        if InfoType.FILE_H in sends:
             owed["file_h"] = self._digest(content)
-        if scope.strings_hash:
+        if InfoType.STRINGS_H in sends:
             owed["strings_h"] = self._digest(strings_blob(content).encode())
-        if scope.symbols_hash:
+        if InfoType.SYMBOLS_H in sends:
             with suppress(ELFError):    # an unparseable symbol table loses SYMBOLS_H alone
                 owed["symbols_h"] = self._digest(b"" if elf is None else nm_listing(elf).encode())
         script = context.python_script
         if (is_python_interpreter(executable) and script and script.startswith("/")
                 and self.filesystem.exists(script)):
-            owed.update(script_path=script, script_meta=self._metadata(script),
-                        script_h=self._digest(self.filesystem.read(script)))
-        if scope.memory_map and (category is ExecutableCategory.PYTHON or "script_path" in owed):
+            owed["script_path"] = script
+            if InfoType.FILEMETA in TABLE_1[Layer.SCRIPT]:
+                owed["script_meta"] = self._metadata(script)
+            if InfoType.FILE_H in TABLE_1[Layer.SCRIPT]:
+                owed["script_h"] = self._digest(self.filesystem.read(script))
+        if InfoType.MAPS in sends and (category is ExecutableCategory.PYTHON
+                                       or "script_path" in owed):
             owed["python_packages"] = ",".join(sorted(set(context.imported_packages)))
         key = (context.slurm_job_id, context.slurm_step_id, context.pid,
                xxh128_hex(executable), context.hostname, context.start_time)

@@ -12,9 +12,8 @@ import ast
 
 import pytest
 
-from test_repo_invariants import (KNOB_DOCS, _mutated, concurrency, counter_drift,
-                                  counter_keys, determinism, knob_reads,
-                                  parse_knob_table)
+from test_repo_invariants import (_mutated, concurrency, counter_drift, counter_keys,
+                                  determinism, knob_reads)
 from test_repo_invariants import trees  # noqa: F401  (the shipped-tree fixture)
 
 
@@ -128,27 +127,6 @@ def test_concurrency_neighbours_pass(source, module):
 
 
 # --------------------------------------------------------------------- knobs #
-TOY_TABLE = ("| Knob | Scope | Description |\n| --- | --- | --- |\n"
-             "| `wiring` | deployment | declared on the base |\n"
-             "| `driver` | campaign | added by the subclass |\n")
-
-
-def test_knob_table_rows_and_scopes():
-    assert parse_knob_table(TOY_TABLE) == {"wiring": "deployment", "driver": "campaign"}
-
-
-@pytest.mark.parametrize("text", ["use `wiring` with care\n",
-                                  "| `wiring` | global | not a knob scope |\n"],
-                         ids=["prose-backticks", "unknown-scope"])
-def test_non_knob_rows_are_ignored(text):
-    assert parse_knob_table(text) == {}
-
-
-def test_an_extra_docs_row_is_not_a_field():
-    text = KNOB_DOCS.read_text(encoding="utf-8") + "| `ghost_knob` | campaign | gone |\n"
-    assert "ghost_knob" in parse_knob_table(text)
-
-
 @pytest.mark.parametrize("source, reads", [
     ("def f(config):\n    return config.seed\n", {"seed"}),
     ("def f(self):\n    return self.config.scale\n", {"scale"}),

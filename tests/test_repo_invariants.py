@@ -2,8 +2,8 @@
 
 Each guarantee is one function over ``(tree, module_name)``, shown to fire on
 one deliberate violation per rule.  ``determinism``: the one-seed packages
-read no global RNG, OS entropy or wall clock.  ``knobs``: the knob table of
-``docs/architecture.md`` is ``CampaignConfig``'s fields, all read.
+read no global RNG, OS entropy or wall clock.  ``knobs``: every field of
+``CampaignConfig`` is read.
 ``concurrency``: a module cache has a ``*_clear`` hook naming it (a compare
 LRU shared across campaigns once skewed their counters), the receiving side
 counts what it catches, and nothing forks, pools or queues.  ``counters``:
@@ -33,7 +33,6 @@ from repro.workload.campaign import CampaignConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-KNOB_DOCS = REPO_ROOT / "docs" / "architecture.md"
 
 
 @pytest.fixture(scope="module")
@@ -264,15 +263,8 @@ def reachable(tree: ast.Module, module: str) -> list[str]:
 
 
 # --------------------------------------------------------------------- knobs #
-_KNOB_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(deployment|campaign)\s*\|")
 CONFIG_CLASSES = frozenset(cls.__name__ for cls in CampaignConfig.__mro__
                            if dataclasses.is_dataclass(cls))
-
-
-def parse_knob_table(text: str) -> dict[str, str]:
-    """``{knob: scope}`` of every ``| `name` | deployment/campaign |`` row."""
-    return {match[1]: match[2] for line in text.splitlines()
-            if (match := _KNOB_ROW.match(line.strip()))}
 
 
 def knob_reads(tree: ast.Module, module: str) -> set[str]:
@@ -424,14 +416,6 @@ def test_each_rule_fires_on_one_violation(trees, check, source):
         "reached-in-its-own-module", "private-name", "dunder-method", "outside-the-package"])
 def test_allowed_forms_pass(check, source, module):
     assert check(ast.parse(source), module) == []
-
-
-def test_knob_table_rows_are_the_config_fields():
-    text = KNOB_DOCS.read_text(encoding="utf-8")
-    fields = {field.name for field in dataclasses.fields(CampaignConfig)}
-    assert set(parse_knob_table(text)) == fields
-    dropped = "\n".join(line for line in text.splitlines() if "| `loss_rate` |" not in line)
-    assert fields - set(parse_knob_table(dropped)) == {"loss_rate"}
 
 
 def test_every_knob_is_read(trees):
