@@ -22,7 +22,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.labels import UNKNOWN_LABEL
-from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
+from repro.analysis.similarity import (
+    HASH_COLUMNS,
+    ExecutableInstance,
+    SimilaritySearch,
+    instance_from_record,
+)
 from repro.db.store import ProcessRecord
 
 
@@ -41,22 +46,26 @@ def similarity_graph(
     """Build the instance-similarity graph.
 
     Nodes are instance keys, in ``search.instances`` order; an edge joins two
-    instances when the average similarity over ``columns`` is at least
-    ``threshold``, weighted by that average.  Each instance's scores against
-    every later instance run as one batched
-    :meth:`~repro.analysis.similarity.SimilaritySearch.compare_instances_many`
-    sweep -- scores, counters and edges are identical to the scalar loop.
+    instances when the average similarity over the distinct ``columns`` is
+    at least ``threshold``, weighted by that average.  The scores are one
+    :meth:`~repro.analysis.similarity.SimilaritySearch.pairwise_average_matrix`
+    per column, so from
+    :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances up
+    only the pairs sharing an n-gram are compared.
     """
     if not 0 <= threshold <= 100:
         raise ValueError("threshold must be between 0 and 100")
-    instances = search.instances
-    graph: Graph = {instance.key: {} for instance in instances}
-    for i, first in enumerate(instances):
-        rest = instances[i + 1:]
-        for second, scores in zip(rest, search.compare_instances_many(first, rest)):
-            average = sum(scores[column] for column in columns) / len(columns)
+    columns = tuple(dict.fromkeys(columns))
+    if not columns:
+        raise ValueError("columns must name at least one hash column")
+    matrices = [search.pairwise_average_matrix(column) for column in columns]
+    keys = [instance.key for instance in search.instances]
+    graph: Graph = {key: {} for key in keys}
+    for i, first in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            average = sum(matrix[i][j] for matrix in matrices) / len(columns)
             if average >= threshold:
-                graph[first.key][second.key] = graph[second.key][first.key] = average
+                graph[first][keys[j]] = graph[keys[j]][first] = average
     return graph
 
 
@@ -138,13 +147,14 @@ def cluster_instances(
     return families
 
 
-def propagate_labels(families: list[SoftwareFamily]) -> dict[str, str]:
-    """Executable path -> family label, including previously UNKNOWN paths."""
-    mapping: dict[str, str] = {}
-    for family in families:
-        for instance in family.instances:
-            mapping[instance.executable] = family.label
-    return mapping
+def propagate_labels(families: list[SoftwareFamily]) -> dict[InstanceKey, str]:
+    """Instance key -> family label, including previously UNKNOWN instances.
+
+    Keyed by instance, not by path: one path can hold different software
+    over a campaign (a rebuilt ``a.out``), each in its own family.
+    """
+    return {instance.key: family.label
+            for family in families for instance in family.instances}
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ def recognize_repeated_executions(
     """Recognise repeated executions of the same software across jobs.
 
     Instances are clustered into families; every user-directory process record
-    is then attributed to its family (via its executable path) and per-family
+    is then attributed to its family (via its instance key) and per-family
     job/process counts and first/last execution times are reported.
     """
     search = SimilaritySearch(records)
@@ -197,9 +207,10 @@ def recognize_repeated_executions(
     first_seen: dict[str, int] = {}
     last_seen: dict[str, int] = {}
     for record in records:
-        label = label_of.get(record.executable)
-        if label is None:
+        instance = instance_from_record(record)
+        if instance is None:
             continue
+        label = label_of[instance.key]
         jobs.setdefault(label, set())
         if record.jobid:
             jobs[label].add(record.jobid)

@@ -242,24 +242,6 @@ class SimilaritySearch:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def compare_instances_many(self, first: ExecutableInstance,
-                               others: list[ExecutableInstance],
-                               columns: tuple[str, ...] = HASH_COLUMNS,
-                               ) -> list[dict[str, int]]:
-        """Per-column similarity scores of one instance against many.
-
-        One :meth:`_compare_digest_batch` sweep per column.  The recognition
-        layer's similarity graph runs on this.
-        """
-        scores: list[dict[str, int]] = [{} for _ in others]
-        for column in columns:
-            batch = self._compare_digest_batch(
-                first.hashes.get(column, ""),
-                [other.hashes.get(column, "") for other in others])
-            for row, score in zip(scores, batch):
-                row[column] = score
-        return scores
-
     def query(
         self,
         baseline: ExecutableInstance,
@@ -341,7 +323,7 @@ class SimilaritySearch:
         }
 
     # ------------------------------------------------------------------ #
-    # pairwise matrix (used by the scaling ablation bench)
+    # pairwise matrix (the recognition graph and the scaling ablation bench)
     # ------------------------------------------------------------------ #
     def pairwise_average_matrix(self, column: str = "FI_H") -> list[list[int]]:
         """Full pairwise similarity matrix over instances for one hash column.

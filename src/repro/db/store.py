@@ -9,10 +9,10 @@ Write paths retry transient SQLite failures (``database is locked`` /
 ``database table is locked`` / busy-style :class:`sqlite3.OperationalError`)
 with jittered exponential backoff, so a WAL store shared with concurrent
 readers survives lock contention instead of aborting consolidation; the
-budget is the constant :data:`WRITE_RETRY` and non-transient errors (disk
-full, corrupt database) still fail fast.  The
-``fault_injector`` hook lets the chaos layer (:mod:`repro.faults`) inject
-deterministic store faults without patching SQLite itself.
+budget is :data:`RETRY_ATTEMPTS` retries on the :func:`retry_delay`
+schedule, and non-transient errors (disk full, corrupt database) still fail
+fast.  The ``fault_injector`` hook lets the chaos layer (:mod:`repro.faults`)
+inject deterministic store faults without patching SQLite itself.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ import sqlite3
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
 
 if TYPE_CHECKING:  # imported lazily: repro.db.tiered imports this module
     from repro.db.tiered import TieredStore
 from repro.transport.messages import MessageRow
-from repro.util.retry import RetryPolicy
 
 #: Substrings marking an :class:`sqlite3.OperationalError` as transient --
 #: lock/busy contention clears on its own, so a bounded retry is the right
@@ -37,9 +36,26 @@ from repro.util.retry import RetryPolicy
 #: malformed", ...) will not heal by waiting and fails fast.
 _TRANSIENT_MARKERS = ("locked", "busy")
 
+#: Retries of a write after its first try against a *transient* error (0:
+#: the first failure propagates); read at every write.
+RETRY_ATTEMPTS = 4
+#: The backoff schedule: seconds before the first retry, the factor each
+#: retry multiplies it by, the cap on any one sleep (jitter included), and the
+#: fraction of the nominal delay the seeded jitter adds or subtracts, so
+#: writers contending for one lock do not retry in lockstep.
+RETRY_BASE_DELAY = 0.005
+RETRY_GROWTH = 2.0
+RETRY_MAX_DELAY = 0.25
+RETRY_JITTER = 0.5
 
-#: The backoff budget of every write path against a *transient* error.
-WRITE_RETRY = RetryPolicy()
+
+def retry_delay(attempt: int, rng: random.Random | None = None) -> float:
+    """Seconds to sleep before retry number ``attempt`` (0-based); without an
+    ``rng``, the nominal delay."""
+    nominal = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * RETRY_GROWTH ** attempt)
+    if rng is not None:
+        nominal *= 1.0 + RETRY_JITTER * (2.0 * rng.random() - 1.0)
+    return min(RETRY_MAX_DELAY, nominal)
 
 
 def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
@@ -132,10 +148,11 @@ class MessageStore:
         SQLite path; ``":memory:"`` keeps everything in RAM.
 
     Every write path retries a *transient* :class:`sqlite3.OperationalError`
-    (lock/busy contention) within :data:`WRITE_RETRY`, read at each write.
-    Retries count into :attr:`write_retries`; exhausting the budget (or
-    hitting a non-transient error such as disk-full) re-raises the original
-    SQLite error.
+    (lock/busy contention) up to :data:`RETRY_ATTEMPTS` times, read at each
+    write.  Retries count into :attr:`write_retries`; exhausting the budget
+    (or hitting a non-transient error such as disk-full) re-raises the
+    original SQLite error.  Reads hand back the records this connection
+    wrote while they are the whole table (:meth:`load_processes_since`).
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -151,16 +168,10 @@ class MessageStore:
         #: Attached gold rollups, kept in step with every consolidated-record
         #: write; see :meth:`attach_tiered`.
         self.tiered: TieredStore | None = None
-        #: The delta tail (:meth:`load_processes_since`): the records written
-        #: in full since the mark ``_tail_from`` the last pull returned, whose
-        #: last rowid is ``_tail_mark``; ``None`` while no reader is served
-        #: from memory.
-        self._tail: list[ProcessRecord] | None = None
-        self._tail_from = self._tail_mark = 0
-        #: The rowid of the last row of the last consolidated-record batch
-        #: written in full (``None`` before the first); see
-        #: :meth:`process_extent`.
-        self.written_mark: int | None = None
+        #: Every record this connection inserted, in rowid order, while each
+        #: if-absent batch was written in full; ``None`` after the first that
+        #: was not.
+        self._written: list[ProcessRecord] | None = []
         self.connection = sqlite3.connect(path)
         if path == ":memory:":
             # Nothing to make crash-safe: trade all durability for speed.
@@ -182,9 +193,9 @@ class MessageStore:
 
         ``transaction`` executes inside ``with self.connection`` so a failed
         attempt rolls back cleanly before the retry; the sleep between
-        attempts grows exponentially with deterministic jitter, within
-        :data:`WRITE_RETRY`, read here on every call.  Returns how many rows the
-        attempt that committed inserted, updated or deleted.
+        attempts follows :func:`retry_delay`, for at most
+        :data:`RETRY_ATTEMPTS` retries, read here on every call.  Returns how
+        many rows the attempt that committed inserted, updated or deleted.
         """
         attempt = 0
         while True:
@@ -196,10 +207,10 @@ class MessageStore:
                     transaction()
                     return self.connection.total_changes - before
             except sqlite3.OperationalError as error:
-                if not is_transient_sqlite_error(error) or attempt >= WRITE_RETRY.attempts:
+                if not is_transient_sqlite_error(error) or attempt >= RETRY_ATTEMPTS:
                     raise
                 self.write_retries += 1
-                self._sleep(WRITE_RETRY.delay(attempt, self._retry_rng))
+                self._sleep(retry_delay(attempt, self._retry_rng))
                 attempt += 1
 
     # ------------------------------------------------------------------ #
@@ -239,18 +250,13 @@ class MessageStore:
             rows))
         # The change count equals the batch length only if every row was new
         # and distinct: then the batch is exactly what the table gained, in
-        # rowid order.  An ignored row needs a re-read.
+        # rowid order.  An ignored row still takes a rowid, so it ends the
+        # list of written records: every read after it goes to the table.
         handed = written == len(rows)
-        if handed and records:
-            self.written_mark = self.connection.execute(
-                "SELECT last_insert_rowid()").fetchone()[0]
-        tail = self._tail
-        if tail is not None:
-            if not handed or len(tail) + len(records) > self._tail_from:
-                self._tail = None
-            elif records:
-                tail.extend(records)
-                self._tail_mark = self.written_mark
+        if not handed:
+            self._written = None
+        elif self._written is not None:
+            self._written.extend(records)
         if self.tiered is not None and rows:
             self.sync_tiered(records if handed else None)
         return written
@@ -285,24 +291,9 @@ class MessageStore:
         cursor = self.connection.execute("SELECT COUNT(*) FROM processes")
         return int(cursor.fetchone()[0])
 
-    def process_extent(self) -> tuple[int, int | None]:
-        """``(row count, highest rowid)`` of ``processes``, in one query.
-
-        Rowids are never reused (``AUTOINCREMENT``).  A writer compares this
-        with how many rows it wrote and the :attr:`written_mark` of its last
-        batch: any other answer means someone else has written to the table.
-        """
-        return self.connection.execute("SELECT COUNT(*), MAX(id) FROM processes").fetchone()
-
-    def iter_processes(self) -> Iterator[ProcessRecord]:
-        """Iterate over consolidated process records."""
-        cursor = self.connection.execute(f"SELECT {_PROCESS_COLUMNS} FROM processes")
-        for row in cursor:
-            yield ProcessRecord(*row)
-
     def load_processes(self) -> list[ProcessRecord]:
-        """All consolidated process records as a list."""
-        return list(self.iter_processes())
+        """All consolidated process records as a list, in rowid order."""
+        return self.load_processes_since()[0]
 
     def load_processes_since(self, rowid: int = 0) -> tuple[list[ProcessRecord], int]:
         """Records inserted after ``rowid``, plus the new high-water mark.
@@ -315,34 +306,25 @@ class MessageStore:
         first-close-wins insert (:meth:`insert_processes_if_absent`), never
         rewrites an existing row.
 
-        A pull whose ``rowid`` is the mark the previous pull returned is
-        served from memory: the store keeps the records of every batch
-        :meth:`insert_processes_if_absent` wrote in full since that pull (the
-        *tail*) and returns those very objects, without selecting a row.
-        Any other ``rowid`` -- 0, a second consumer's mark, a stale one a
-        consumer re-pulls after failing to apply a delta -- reads the table,
-        and so does every pull after a write that was not written in full
-        (an ignored row) or not by this connection (the table's
-        last rowid is not the tail's).  The tail lives only between pulls:
-        none is kept before the first, and it is dropped -- the next pull
-        reads the table -- once it would hold more records than the mark it
-        trails, so a reader that stops pulling leaves at most as many
-        records in memory as the table held when it last pulled.
+        Rowids count up from 1 (``AUTOINCREMENT``) and nothing deletes a row,
+        so while the highest rowid is the length of the written list, the
+        table is that list: rowid ``n`` is its ``n``-th record.  Then any
+        ``rowid`` from 0 to that length -- a consumer's last mark, a second
+        consumer's, a stale one re-pulled after failing to apply a delta --
+        is answered with the very objects written past it, for one
+        ``SELECT MAX(id)``.  A row another connection wrote, or one already
+        there when this store opened, pushes the highest rowid past the
+        list, and every pull reads the rows past ``rowid``.
         """
-        if (self._tail is not None and rowid == self._tail_from
-                and self.connection.execute("SELECT MAX(id) FROM processes"
-                                            ).fetchone()[0] == self._tail_mark):
-            records, high_water = self._tail, self._tail_mark
-        else:
-            cursor = self.connection.execute(
-                f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
-                (rowid,))
-            records = []
-            high_water = rowid
-            for *row, high_water in cursor:
-                records.append(ProcessRecord(*row))
-        self._tail, self._tail_from, self._tail_mark = [], high_water, high_water
-        return records, high_water
+        written = self._written
+        if written is not None and 0 <= rowid <= len(written):
+            highest = self.connection.execute("SELECT MAX(id) FROM processes").fetchone()[0]
+            if (highest or 0) == len(written):
+                return written[rowid:], len(written)
+        rows = self.connection.execute(
+            f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
+            (rowid,)).fetchall()
+        return [ProcessRecord(*row[:-1]) for row in rows], (rows[-1][-1] if rows else rowid)
 
     def close(self) -> None:
         """Close the underlying connection."""

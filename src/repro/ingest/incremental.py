@@ -135,10 +135,10 @@ class ProcessDelta:
     ``new_records`` are the records finalized since the previous cursor, in
     store rowid (finalization) order -- each record appears in exactly one
     delta, so consumers can fold them into accumulators without rescanning.
-    When the cursor is the one the previous pull returned, they are the very
-    objects the consolidator built and wrote, not copies read back from the
-    table (:meth:`~repro.db.store.MessageStore.load_processes_since`); like
-    every record, they are values nobody mutates.
+    While the store holds only what this consolidator wrote, they are the
+    very objects it built and wrote, not copies read back from the table
+    (:meth:`~repro.db.store.MessageStore.load_processes_since`); like every
+    record, they are values nobody mutates.
     ``open_records`` is the *current* non-destructive peek at still-open
     processes; it is transient (superseded by the next delta; the same
     tuple again while no message has arrived) and may include a key that is
@@ -222,12 +222,6 @@ class IncrementalConsolidator:
     _closed: set[ProcessKey] = field(init=False, default_factory=set)
     _closed_fifo: deque = field(init=False, default_factory=deque)  # (close_epoch, key)
     _pending: list[ProcessRecord] = field(init=False, default_factory=list)
-    #: Every record a flush wrote in full, kept for :meth:`finalize` to hand
-    #: back; ``None`` once a flush was partial (or ``finalize`` handed them
-    #: back), after which it reads the table.  ``_written_mark`` is the
-    #: rowid of the last of them.
-    _written: list[ProcessRecord] | None = field(init=False, default_factory=list)
-    _written_mark: int | None = field(init=False, default=None)
     #: :meth:`_peek_open`'s last answer, beside the two counters that change
     #: whenever an open process does (a message consumed, a record closed).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
@@ -376,18 +370,10 @@ class IncrementalConsolidator:
         its dedup entry was evicted) produces a content-free record whose
         insert the store ignores, so the real row is never overwritten.  A
         write that raises leaves the records pending for the next flush.
-        A batch written in full is kept for :meth:`finalize`; one that was not
-        makes it read the table.
         """
         pending = self._pending
         if pending:
-            written = self.store.insert_processes_if_absent(pending)
-            if self._written is not None:
-                if written == len(pending):
-                    self._written.extend(pending)
-                    self._written_mark = self.store.written_mark
-                else:
-                    self._written = None
+            self.store.insert_processes_if_absent(pending)
             pending.clear()
 
     def _peek_open(self) -> tuple[ProcessRecord, ...]:
@@ -412,8 +398,9 @@ class IncrementalConsolidator:
     def snapshot(self) -> list[ProcessRecord]:
         """Live view: write what is finalized, then read the store once.
 
-        Finalized records come back from the ``processes`` table (memory
-        holds only in-flight processes); still-open processes are peeked
+        Finalized records come back from the store
+        (:meth:`MessageStore.load_processes`: the very objects written, or
+        the table's rows); still-open processes are peeked
         non-destructively.  Returned in canonical process-key order.
         """
         self._deliver()
@@ -427,15 +414,13 @@ class IncrementalConsolidator:
     def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
         """Incremental live view: only what changed since ``cursor``.
 
-        Writes what is finalized exactly like :meth:`snapshot`, but reads
-        nothing back for a reader that keeps pulling: the records written
-        since its last pull are handed over as built (any other cursor reads
-        the rows past it) -- so a mid-campaign pull costs O(records
-        finalized since the last pull), each built and written once, plus
-        the peek at the handful of still-open processes, which is not rebuilt
-        while no datagram has arrived.  Records finalized through the
-        first-close-wins insert are immutable, which is what makes the rowid
-        cursor a correct delta stream (see
+        Writes what is finalized exactly like :meth:`snapshot`, but hands
+        over only the records written past ``cursor``, as built -- so a
+        mid-campaign pull costs O(records finalized since that cursor), each
+        built and written once, plus the peek at the handful of still-open
+        processes, which is not rebuilt while no datagram has arrived.
+        Records finalized through the first-close-wins insert are immutable,
+        which is what makes the rowid cursor a correct delta stream (see
         :meth:`MessageStore.load_processes_since`).
         """
         self._deliver()
@@ -449,24 +434,16 @@ class IncrementalConsolidator:
         """End of stream: close every open process, return all records, in
         canonical process-key order.
 
-        The records are the very objects this consolidator built and wrote,
-        handed back instead of read back -- unless one query
-        (:meth:`MessageStore.process_extent`) shows the table holds rows it
-        did not write in full: a pre-populated store, another writer, or a
-        flush whose insert ignored a row.  Then the table is read, as
-        :meth:`snapshot` reads it.  The consolidator lets go of the records
-        here, so calling it again reads the table.
+        The records come from :meth:`MessageStore.load_processes`: the very
+        objects this consolidator built and wrote, while the store holds
+        nothing else, else the table's rows.
         """
         self._deliver()
         for key in sorted(self._open):
             self._close(key, build_process_record(key, self._open[key].rows)[0],
                         reason="final")
         self._flush()
-        records, self._written = self._written, None
-        if (records is None
-                or self.store.process_extent() != (len(records), self._written_mark)):
-            records = self.store.load_processes()
-        return _in_key_order(records)
+        return _in_key_order(self.store.load_processes())
 
     @property
     def open_processes(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for similarity clustering and repeated-execution recognition."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.labels import UNKNOWN_LABEL
@@ -9,9 +11,11 @@ from repro.analysis.recognition import (
     recognize_repeated_executions,
     similarity_graph,
 )
-from repro.analysis.similarity import SimilaritySearch
+from repro.analysis.similarity import SimilaritySearch, instance_from_record
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import fuzzy_hash_text
+
+from oracles.search import on_brute_force, on_index
 
 
 def _record(executable: str, *, content_tag: str = "", content: str | None = None,
@@ -34,16 +38,25 @@ def _edge_count(graph) -> int:
     return sum(map(len, graph.values())) // 2
 
 
+def _key(path: str, records: list[ProcessRecord]) -> tuple[str, ...]:
+    """The instance key of the first record at ``path``."""
+    return next(instance_from_record(record).key
+                for record in records if record.executable == path)
+
+
+def _payloads(name: str) -> tuple[str, str]:
+    """A payload of 120 sections and a variant with three of them rewritten."""
+    sections = [f"{name} payload alpha section {index} routine nh_{index % 9}"
+                for index in range(120)]
+    patched = list(sections)
+    for index in (10, 40, 80):
+        patched[index] = f"{name} payload alpha section {index} PATCHED r2"
+    return "\n".join(sections), "\n".join(patched)
+
+
 @pytest.fixture()
 def records() -> list[ProcessRecord]:
-    icon_sections = [f"icon payload alpha section {index} routine nh_{index % 9}"
-                     for index in range(120)]
-    icon_base = "\n".join(icon_sections)
-    # A lightly patched variant: a handful of sections rewritten.
-    patched_sections = list(icon_sections)
-    for index in (10, 40, 80):
-        patched_sections[index] = f"icon payload alpha section {index} PATCHED r2"
-    icon_variant = "\n".join(patched_sections)
+    icon_base, icon_variant = _payloads("icon")
     return [
         _record("/p/u/icon-model/bin-a/icon", content=icon_base, jobid="1"),
         _record("/p/u/icon-model/bin-b/icon", content=icon_variant, jobid="2", time=200),
@@ -80,8 +93,8 @@ class TestClustering:
         assert families[0].label == "icon"
         assert families[0].unknown_members == 1
         labels = propagate_labels(families)
-        assert labels["/scratch/p/u/exp/a.out"] == "icon"
-        assert labels["/p/u/lammps/bin/lmp"] == "LAMMPS"
+        assert labels[_key("/scratch/p/u/exp/a.out", records)] == "icon"
+        assert labels[_key("/p/u/lammps/bin/lmp", records)] == "LAMMPS"
 
     def test_unknown_only_family_stays_unknown(self):
         lonely = [_record("/scratch/p/u/x/a.out", content_tag="mystery payload")]
@@ -144,5 +157,73 @@ class TestRepeatedExecutionRecognition:
         search = SimilaritySearch(campaign_records)
         families = cluster_instances(search, threshold=55)
         labels = propagate_labels(families)
-        aout = next(path for path in labels if path.endswith("a.out"))
+        aout = next(key for key in labels if key[0].endswith("a.out"))
         assert labels[aout] == "icon"
+
+    def test_a_path_rebuilt_as_other_software_counts_in_each_family(self):
+        """One ``a.out`` path holds an ICON variant in job 2 and a LAMMPS
+        variant in jobs 4-5: each run counts in its own family, not in the
+        family the path happened to be labelled with last."""
+        icon, icon_variant = _payloads("icon")
+        lammps, lammps_variant = _payloads("lammps")
+        records = [
+            _record("/p/u/icon-model/bin/icon", content=icon, jobid="1", time=100),
+            _record("/scratch/p/u/exp/a.out", content=icon_variant, jobid="2", time=200),
+            _record("/p/u/lammps/bin/lmp", content=lammps, jobid="3", time=300),
+            _record("/scratch/p/u/exp/a.out", content=lammps_variant, jobid="4", time=400),
+            _record("/scratch/p/u/exp/a.out", content=lammps_variant, jobid="5", time=500),
+        ]
+        by_label = {row.label: row for row in
+                    recognize_repeated_executions(records, threshold=60).rows}
+        assert {label: (row.job_count, row.process_count, row.first_seen, row.last_seen)
+                for label, row in by_label.items()} == {
+            "icon": (2, 2, 100, 200), "LAMMPS": (3, 3, 300, 500)}
+        assert by_label["icon"].distinct_executables == 2
+        assert by_label["LAMMPS"].distinct_executables == 2
+
+
+#: threshold -> (edge count, SHA-256 of the sorted ``(node, neighbour,
+#: weight)`` list) of the recorded campaign's similarity graph, recorded when
+#: the graph compared every pair of instances one at a time.
+_RECORDED_EDGES = {
+    40: (68, "e6d8534dbc5464a80a8d96db2ee7cb3ccf324ec06b1940b4fd1e3f756556080b"),
+    55: (59, "65da3389d8c9060b79afd8ffab4b90504b07e4792a23386406a3b477fa8ac28b"),
+    60: (49, "e398b68b8cbd41be3863853cd2a9ec2170b9df751912120b3dcdba7a1125c6df"),
+    100: (1, "cd571e61f91938b715ad14caee5dfd5175e4cfc4b9e8cc20a8f0598ae1e7999f"),
+}
+
+
+class TestGraphOnBothSidesOfTheIndexThreshold:
+    """The graph is the per-column matrices averaged: the same edges whether
+    the matrices compare every pair or prune through the n-gram index."""
+
+    @pytest.mark.parametrize("threshold", sorted(_RECORDED_EDGES))
+    @pytest.mark.parametrize("on_path", [on_brute_force, on_index])
+    def test_recorded_campaign_edges(self, recorded_campaign, threshold, on_path):
+        search = SimilaritySearch(recorded_campaign.result.records)
+        graph = on_path(similarity_graph, search, threshold=threshold)
+        assert list(graph) == [instance.key for instance in search.instances]
+        edges = sorted((node, neighbour, weight) for node, neighbours in graph.items()
+                       for neighbour, weight in neighbours.items())
+        assert (len(edges) // 2, hashlib.sha256(repr(edges).encode()).hexdigest()) == \
+            _RECORDED_EDGES[threshold]
+
+    def test_the_index_prunes_comparisons(self, recorded_campaign):
+        records = recorded_campaign.result.records
+        brute, indexed = SimilaritySearch(records), SimilaritySearch(records)
+        on_brute_force(similarity_graph, brute, threshold=55)
+        on_index(similarity_graph, indexed, threshold=55)
+        assert 0 < indexed.comparisons < brute.comparisons
+
+    def test_repeated_columns_count_once(self, records):
+        """A column named twice weighs once, as in ``SimilaritySearch.query``."""
+        records[1] = ProcessRecord(**{**records[1].__dict__, "strings_h": ""})
+        search = SimilaritySearch(records)
+        graph = similarity_graph(search, threshold=0, columns=("FI_H", "ST_H", "FI_H"))
+        assert graph == similarity_graph(search, threshold=0, columns=("FI_H", "ST_H"))
+        first, second = (instance.key for instance in search.instances[:2])
+        assert graph[first][second] == 94 / 2
+
+    def test_no_columns_is_refused(self, records):
+        with pytest.raises(ValueError, match="column"):
+            similarity_graph(SimilaritySearch(records), columns=())

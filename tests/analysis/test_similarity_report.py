@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import report
-from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
+from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
 from repro.util.errors import AnalysisError
@@ -27,6 +27,13 @@ def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
         strings_h=fuzzy_hash_text(content + "strings"),
         symbols_h=fuzzy_hash_text(content + "symbols"),
     )
+
+
+def _sparse(record: ProcessRecord) -> ProcessRecord:
+    """``record`` at another path with every hash but the file hash missing."""
+    return ProcessRecord(**{**record.__dict__, "executable": record.executable + ".sparse",
+                            "modules_h": "", "compilers_h": "", "objects_h": "",
+                            "strings_h": "", "symbols_h": ""})
 
 
 @pytest.fixture()
@@ -99,12 +106,16 @@ class TestQueries:
         ranked = search.query(unknown, columns=("FI_H",))
         assert set(ranked[0].scores) == {"FI_H"}
 
-    def test_compare_instances_handles_missing_hash(self, records):
-        search = SimilaritySearch(records)
-        empty = ExecutableInstance(executable="/p/x", label="icon",
-                                   hashes={column: "" for column in HASH_COLUMNS})
-        (scores,) = search.compare_instances_many(search.instances[0], [empty])
-        assert all(score == 0 for score in scores.values())
+    @pytest.mark.parametrize("on_path", [on_brute_force, on_index])
+    def test_pairwise_matrix_scores_a_missing_hash_0(self, records, on_path):
+        """An instance with only a file hash scores 0 against every other on
+        each of its missing columns, on both sides of the index threshold,
+        without a counted comparison."""
+        search = SimilaritySearch([records[0], _sparse(records[3])])
+        for column in HASH_COLUMNS[:3] + HASH_COLUMNS[4:]:
+            matrix = on_path(search.pairwise_average_matrix, column)
+            assert matrix == [[100, 0], [0, 100]]
+        assert search.comparisons == 0
 
     def test_pairwise_matrix_shape_and_diagonal(self, records):
         search = SimilaritySearch(records)
@@ -176,23 +187,15 @@ class TestCompareEngineAgainstReference:
         assert bit.comparisons == ref.comparisons
 
     def test_pairwise_matrix_identical_to_reference(self, records):
+        """The recognition graph's scores: every column, an instance with
+        missing hashes included, on both paths."""
+        records = [*records, _sparse(records[2])]
         for on_path in (on_index, on_brute_force):
             bit, ref = self._searches(records)
             for column in HASH_COLUMNS:
                 assert on_path(bit.pairwise_average_matrix, column) == \
                     on_path(ref.pairwise_average_matrix, column)
             assert bit.comparisons == ref.comparisons
-
-    def test_compare_instances_many_matches_scalar(self, records):
-        bit, ref = self._searches(records)
-        first = bit.instances[0]
-        others = bit.instances[1:] + [ExecutableInstance(
-            executable="/p/empty", label="empty",
-            hashes={column: "" for column in HASH_COLUMNS})]
-        batched = bit.compare_instances_many(first, others)
-        scalar = ref.compare_instances_many(first, others)
-        assert batched == scalar
-        assert bit.comparisons == ref.comparisons
 
     def test_query_counter_matches_scalar_path(self, records):
         bit, ref = self._searches(records)

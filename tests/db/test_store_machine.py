@@ -25,7 +25,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.db.store import WRITE_RETRY, MessageStore, ProcessRecord
+from repro.db.store import RETRY_ATTEMPTS, MessageStore, ProcessRecord
 from repro.db.tiered import build_tiered_store
 
 from oracles import tables
@@ -109,12 +109,12 @@ class StoreMachine(RuleBasedStateMachine):
         except sqlite3.OperationalError as error:
             message, failures = fault
             assert str(error) == message
-            assert message == _DISK_FULL or failures > WRITE_RETRY.attempts
+            assert message == _DISK_FULL or failures > RETRY_ATTEMPTS
             return
         finally:
             store.connection = connection
         assert fault is None or (fault[0] == _LOCKED
-                                 and fault[1] <= WRITE_RETRY.attempts)
+                                 and fault[1] <= RETRY_ATTEMPTS)
         for record in batch:
             self.model.setdefault(record.key, record)
 

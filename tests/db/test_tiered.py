@@ -27,7 +27,6 @@ from repro.ingest import IncrementalConsolidator, incremental
 from repro.transport.channel import InMemoryChannel
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
-from repro.util.retry import RetryPolicy
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
@@ -271,7 +270,7 @@ class TestGoldUnderDegradation:
 
     @pytest.mark.parametrize("error_rate, burst", [(0.1, 1), (0.1, 2),
                                                    (0.2, 1), (0.2, 2)])
-    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=8, base_delay=0.0))
+    @mock.patch("repro.db.store.RETRY_ATTEMPTS", 8)
     def test_retried_store_faults_keep_gold_equal_to_the_recompute(
             self, error_rate, burst):
         stream, user_names = _stream(7, 0.0)

@@ -21,7 +21,6 @@ from repro.faults import (
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import InfoType, Layer, UDPMessage
 from repro.util.errors import ReproError
-from repro.util.retry import RetryPolicy
 
 from oracles.wire import encode, rows
 
@@ -137,7 +136,7 @@ class TestStoreFaults:
         assert not is_transient_sqlite_error(
             sqlite3.OperationalError("database or disk is full"))
 
-    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=6, base_delay=0.0))
+    @mock.patch("repro.db.store.RETRY_ATTEMPTS", 6)
     def test_retry_absorbs_bursts_shorter_than_the_budget(self):
         # Kept gentle on purpose: each retry re-draws the error gate, so a
         # high rate can chain fresh bursts past any finite budget.
@@ -152,7 +151,7 @@ class TestStoreFaults:
         assert injector.transient_raised > 0     # and faults genuinely fired
         assert store.write_retries == injector.transient_raised
 
-    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=2, base_delay=0.0))
+    @mock.patch("repro.db.store.RETRY_ATTEMPTS", 2)
     def test_burst_longer_than_budget_propagates(self):
         plan = FaultPlan(seed=21, store=StoreFaultProfile(error_rate=1.0,
                                                           error_burst=10))
@@ -162,7 +161,7 @@ class TestStoreFaults:
         with pytest.raises(sqlite3.OperationalError, match="locked"):
             store.insert_rows(rows([_message()]))
 
-    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=8, base_delay=0.0))
+    @mock.patch("repro.db.store.RETRY_ATTEMPTS", 8)
     def test_disk_full_is_never_retried(self):
         plan = FaultPlan(seed=21, store=StoreFaultProfile(disk_full_after=0))
         store = MessageStore()
@@ -173,7 +172,7 @@ class TestStoreFaults:
         assert injector.disk_full_raised == 1
         assert store.write_retries == 0  # non-transient: not a single retry
 
-    @mock.patch("repro.db.store.WRITE_RETRY", RetryPolicy(attempts=4, base_delay=0.0))
+    @mock.patch("repro.db.store.RETRY_ATTEMPTS", 4)
     def test_injection_is_deterministic(self):
         def run() -> int:
             plan = FaultPlan(seed=33, store=StoreFaultProfile(error_rate=0.2))

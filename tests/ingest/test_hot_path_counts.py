@@ -138,31 +138,26 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
 
 
 def test_tier_hand_off_counts(stream, monkeypatch):
-    """What a flushed record pays to cross into gold, as counts: nothing is
-    read back after the attach, each record is folded exactly once, and no
-    flush of this stream -- every row of it new -- needs a refold."""
+    """What a flushed record pays to cross into gold, as counts: no
+    ``processes`` row is ever read back, each record is folded exactly once,
+    and no flush of this stream -- every row of it new -- needs a refold."""
     expected = _replay(stream)
 
-    flushes, loads, folds, finalized = [], [], [], []
+    flushes, statements, folds, finalized = [], [], [], []
+    store_init = MessageStore.__init__
     insert_if_absent = MessageStore.insert_processes_if_absent
-    load_processes = MessageStore.load_processes
-    load_since = MessageStore.load_processes_since
     fold = TableRollup.fold
     finalize = IncrementalConsolidator.finalize
+
+    def tracing_init(self, *args, **kwargs):
+        store_init(self, *args, **kwargs)
+        self.connection.set_trace_callback(statements.append)
 
     def counting_insert(self, records):
         records = list(records)
         written = insert_if_absent(self, records)
         flushes.append((len(records), written))
         return written
-
-    def counting_load(self):
-        loads.append(("load_processes", len(flushes)))
-        return load_processes(self)
-
-    def counting_load_since(self, rowid=0):
-        loads.append(("load_processes_since", len(flushes)))
-        return load_since(self, rowid)
 
     def counting_fold(self, record):
         folds.append(record)
@@ -173,9 +168,8 @@ def test_tier_hand_off_counts(stream, monkeypatch):
         return finalized
 
     with monkeypatch.context() as patch:
+        patch.setattr(MessageStore, "__init__", tracing_init)
         patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
-        patch.setattr(MessageStore, "load_processes", counting_load)
-        patch.setattr(MessageStore, "load_processes_since", counting_load_since)
         patch.setattr(TableRollup, "fold", counting_fold)
         patch.setattr(IncrementalConsolidator, "finalize", counting_finalize)
         spied = _replay(stream)
@@ -186,10 +180,11 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     assert len(flushes) > 1
     assert all(written == offered for offered, written in flushes)
 
-    # The table is read once, by the attach's refold before the first flush.
-    # ``finalize`` hands back the records it wrote -- the very objects gold
-    # folded -- instead of reading them back.
-    assert loads == [("load_processes", 0)]
+    # The attach's refold (of the empty table) and ``finalize`` each ask only
+    # for the highest rowid: ``finalize`` hands back the records it wrote --
+    # the very objects gold folded -- instead of reading them back.
+    reads = [sql for sql in statements if "FROM processes" in sql]
+    assert reads == ["SELECT MAX(id) FROM processes"] * 2
     assert sorted(record.key for record in folds) == sorted(
         record[:6] for record in expected[0])
     folded = {id(record) for record in folds}
@@ -256,19 +251,20 @@ def ordered_stream(synthetic_stream):
 
 def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     """Over a refresh loop, each finalized record is built once and handed
-    to the live analysis as that very object: no ``processes`` row is
-    selected after the first pull, and a pull with nothing new builds no
-    record and refolds no overlay."""
+    to the live analysis as that very object: no ``processes`` row is ever
+    selected, not by the first pull and not by ``finalize``, and a pull with
+    nothing new builds no record and refolds no overlay."""
     stream = ordered_stream
     expected = _refresh_loop(stream)
     assert expected[2] == 200
 
     builds, inserted, statements, overlays, pulls = [], [], [], [], []
-    peeking = []
+    peeking, finalizing = [], []
     build = incremental.build_process_record
     peek_open = incremental.IncrementalConsolidator._peek_open
+    finalize = incremental.IncrementalConsolidator.finalize
+    store_init = MessageStore.__init__
     insert_if_absent = MessageStore.insert_processes_if_absent
-    load_since = MessageStore.load_processes_since
     sync, commit = LiveAnalysis.sync, LiveAnalysis.commit
     table_init = TableRollup.__init__
 
@@ -288,11 +284,15 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
         inserted.extend(records)
         return insert_if_absent(self, records)
 
-    def counting_load_since(self, rowid=0):
-        delta = load_since(self, rowid)
-        if len(pulls) == 1:      # every statement after the first pull
-            self.connection.set_trace_callback(statements.append)
-        return delta
+    def tracing_init(self, *args, **kwargs):
+        store_init(self, *args, **kwargs)
+        self.connection.set_trace_callback(statements.append)
+
+    def tracing_finalize(self):
+        start = len(statements)
+        records = finalize(self)
+        finalizing.extend(statements[start:])
+        return records
 
     def counting_sync(self):
         before = len(builds), len(overlays)
@@ -312,8 +312,9 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(incremental, "build_process_record", counting_build)
         patch.setattr(incremental.IncrementalConsolidator, "_peek_open", counting_peek)
+        patch.setattr(incremental.IncrementalConsolidator, "finalize", tracing_finalize)
+        patch.setattr(MessageStore, "__init__", tracing_init)
         patch.setattr(MessageStore, "insert_processes_if_absent", counting_insert)
-        patch.setattr(MessageStore, "load_processes_since", counting_load_since)
         patch.setattr(LiveAnalysis, "sync", counting_sync)
         patch.setattr(LiveAnalysis, "commit", counting_commit)
         patch.setattr(TableRollup, "__init__", counting_table_init)
@@ -323,19 +324,17 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     # Each key is built once when it closes (a peek builds only open keys).
     closes = [key for key, peeked in builds if not peeked]
     assert len(closes) == len(set(closes)) == 200
-    # The first pull (cursor 0) reads the table; every later one commits
-    # exactly what was inserted since, as the very objects, in insert order.
+    # Every pull, the first (cursor 0) included, commits exactly what was
+    # inserted since, as the very objects, in insert order.
     records = [record for _before, _after, batch in pulls for record in batch]
-    first = len(pulls[0][2])
-    assert len(records) == len(inserted) == 200 and first
-    assert records[:first] == inserted[:first]
-    assert all(mine is theirs for mine, theirs in zip(records[first:], inserted[first:]))
-    # Nothing but the tail check reads ``processes`` after the first pull,
-    # and ``finalize`` only asks for the table's extent: no row is selected.
+    assert len(pulls[0][2]) and len(records) == len(inserted) == 200
+    assert all(mine is theirs for mine, theirs in zip(records, inserted))
+    # Nothing but the check of the highest rowid reads ``processes``: once
+    # for the attach's refold, once a pull, and once -- its only statement
+    # on the table -- for ``finalize``.  No row is selected.
     reads = [sql for sql in statements if "FROM processes" in sql]
-    rows = [sql for sql in reads if sql != "SELECT MAX(id) FROM processes"]
-    assert len(reads) == len(pulls)
-    assert rows == ["SELECT COUNT(*), MAX(id) FROM processes"]
+    assert reads == ["SELECT MAX(id) FROM processes"] * (len(pulls) + 2)
+    assert finalizing == ["SELECT MAX(id) FROM processes"]
     # The second and third pulls of a slice find nothing new: they build no
     # record and refold no overlay.
     empty = pulls[1:-1:3] + pulls[2:-1:3]

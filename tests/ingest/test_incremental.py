@@ -318,19 +318,17 @@ def _close(sink: IncrementalConsolidator, pid: int) -> None:
     _feed(sink, [*_system_burst(pid=pid), _procend(pid=pid)])
 
 
-def _finalize_counting_reads(sink: IncrementalConsolidator, monkeypatch):
-    """``sink.finalize()`` and how many times it read ``processes`` whole."""
-    reads = []
-    load_processes = MessageStore.load_processes
-
-    def counting_load(self):
-        reads.append(self)
-        return load_processes(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(MessageStore, "load_processes", counting_load)
+def _finalize_counting_reads(sink: IncrementalConsolidator):
+    """``sink.finalize()`` and how many statements it ran that select
+    ``processes`` rows (asking for the highest rowid selects none)."""
+    statements: list[str] = []
+    sink.store.connection.set_trace_callback(statements.append)
+    try:
         records = sink.finalize()
-    return records, len(reads)
+    finally:
+        sink.store.connection.set_trace_callback(None)
+    return records, sum("FROM processes" in sql and "MAX(id)" not in sql
+                        for sql in statements)
 
 
 def _read_back(store: MessageStore):
@@ -343,19 +341,20 @@ class TestFinalizeHandBack:
     full -- then returning exactly a plain read-back in key order."""
 
     @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 2)
-    def test_a_sole_writer_hands_back_what_it_wrote(self, monkeypatch):
+    def test_a_sole_writer_hands_back_what_it_wrote(self):
         store = MessageStore()
         sink = IncrementalConsolidator(store)
         for pid in (3, 1, 2):
             _close(sink, pid)
-        records, reads = _finalize_counting_reads(sink, monkeypatch)
+        records, reads = _finalize_counting_reads(sink)
         assert reads == 0
         assert records == _read_back(store) and [r.pid for r in records] == [1, 2, 3]
-        # Handed back once: asked again, it reads the table.
-        again, reads = _finalize_counting_reads(sink, monkeypatch)
-        assert (again, reads) == (records, 1)
+        # Asked again, it hands back the very same objects, reading nothing.
+        again, reads = _finalize_counting_reads(sink)
+        assert reads == 0
+        assert all(mine is theirs for mine, theirs in zip(again, records, strict=True))
 
-    def test_a_prepopulated_on_disk_store_is_read(self, tmp_path, monkeypatch):
+    def test_a_prepopulated_on_disk_store_is_read(self, tmp_path):
         path = str(tmp_path / "siren.db")
         with MessageStore(path) as earlier:
             first = IncrementalConsolidator(earlier)
@@ -364,12 +363,12 @@ class TestFinalizeHandBack:
         with MessageStore(path) as store:
             sink = IncrementalConsolidator(store)
             _close(sink, 2)
-            records, reads = _finalize_counting_reads(sink, monkeypatch)
+            records, reads = _finalize_counting_reads(sink)
             assert reads == 1
             assert records == _read_back(store) and [r.pid for r in records] == [1, 2]
 
     @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 1)
-    def test_a_second_connection_writing_mid_stream_is_read(self, tmp_path, monkeypatch):
+    def test_a_second_connection_writing_mid_stream_is_read(self, tmp_path):
         path = str(tmp_path / "siren.db")
         with MessageStore(path) as store:
             sink = IncrementalConsolidator(store)
@@ -379,19 +378,19 @@ class TestFinalizeHandBack:
                 _close(writer, 2)
                 writer.finalize()
             _close(sink, 3)
-            records, reads = _finalize_counting_reads(sink, monkeypatch)
+            records, reads = _finalize_counting_reads(sink)
             assert reads == 1
             assert records == _read_back(store) and [r.pid for r in records] == [1, 2, 3]
 
     @mock.patch.object(incremental, "FLUSH_BATCH_SIZE", 1)
-    def test_a_resurrected_key_whose_flush_is_ignored_is_read(self, monkeypatch):
+    def test_a_resurrected_key_whose_flush_is_ignored_is_read(self):
         store = MessageStore()
         sink = IncrementalConsolidator(store)
         _feed(sink, _system_burst())
         for _ in range(4):
             sink.advance_epoch()  # idle close + flush, then the dedup entry evicted
         _feed(sink, [_procend()])     # a content-free group the insert will ignore
-        records, reads = _finalize_counting_reads(sink, monkeypatch)
+        records, reads = _finalize_counting_reads(sink)
         assert reads == 1
         assert records == _read_back(store) and len(records) == 1
         assert records[0].executable == "/usr/bin/bash"

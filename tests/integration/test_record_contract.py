@@ -23,7 +23,6 @@ from repro.faults import FaultPlan, FaultyChannel, StoreFaultInjector, preset_pl
 from repro.faults.plan import StoreFaultProfile
 from repro.ingest import IncrementalConsolidator, incremental
 from repro.transport.channel import InMemoryChannel
-from repro.util.retry import RetryPolicy
 
 from oracles.ledger import FLAGGED, KEYS, VALUES
 
@@ -79,7 +78,7 @@ def test_the_campaign_owes_what_it_ran(recorded_campaign):
 
 @pytest.mark.parametrize("sizes", BATCH_SIZES, ids="batch{0[0]}-flush{0[1]}".format)
 @pytest.mark.parametrize("preset", [*LOSSLESS, "store-faults"])
-@mock.patch.object(store_module, "WRITE_RETRY", RetryPolicy(attempts=6, base_delay=0.0))
+@mock.patch.object(store_module, "RETRY_ATTEMPTS", 6)
 def test_lossless_replays_match_the_ledger_exactly(recorded_campaign, preset, sizes):
     plan = {**preset_plans(seed=7), "store-faults": FaultPlan(
         seed=7, store=StoreFaultProfile(error_rate=0.05, error_burst=2))}[preset]
