@@ -18,12 +18,14 @@ from repro.analysis.similarity import SimilaritySearch
 from repro.corpus.builder import CorpusBuilder
 from repro.corpus.packages import ICON
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import compare, fuzzy_hash, fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.hpcsim.cluster import Cluster
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.util.tables import TextTable
 from repro.workload import CampaignConfig, DeploymentCampaign
+
+_HASHER = FuzzyHasher()
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +41,12 @@ def icon_variants() -> list[bytes]:
 
 @pytest.fixture(scope="module")
 def icon_digests(icon_variants) -> list[str]:
-    return [fuzzy_hash(content) for content in icon_variants]
+    return [_HASHER.hash(content) for content in icon_variants]
 
 
 class TestHashingThroughput:
     def test_fuzzy_hashing_one_executable(self, benchmark, icon_variants):
-        digest = benchmark(fuzzy_hash, icon_variants[0])
+        digest = benchmark(_HASHER.hash, icon_variants[0])
         assert digest.count(":") == 2
 
     def test_sha256_one_executable(self, benchmark, icon_variants):
@@ -59,7 +61,7 @@ class TestComparisonScaling:
             total = 0
             for i in range(len(icon_digests)):
                 for j in range(i + 1, len(icon_digests)):
-                    total += compare(icon_digests[i], icon_digests[j])
+                    total += _HASHER.compare(icon_digests[i], icon_digests[j])
             return total
 
         total = benchmark(all_pairs)
@@ -83,7 +85,7 @@ class TestComparisonScaling:
         start = time.perf_counter()
         for i in range(len(icon_digests)):
             for j in range(i + 1, len(icon_digests)):
-                compare(icon_digests[i], icon_digests[j])
+                _HASHER.compare(icon_digests[i], icon_digests[j])
         fuzzy_time = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -110,7 +112,7 @@ class TestRecognitionAbility:
         mutated = bytes(mutated)
 
         assert hashlib.sha256(original).hexdigest() != hashlib.sha256(mutated).hexdigest()
-        assert compare(fuzzy_hash(original), fuzzy_hash(mutated)) >= 90
+        assert _HASHER.compare(_HASHER.hash(original), _HASHER.hash(mutated)) >= 90
 
     def test_variant_recognition_rate(self, icon_variants, icon_digests):
         """Most ICON variants recognise each other (score > 0) via the raw-file hash."""
@@ -119,15 +121,15 @@ class TestRecognitionAbility:
         for i in range(len(icon_digests)):
             for j in range(i + 1, len(icon_digests)):
                 pairs += 1
-                if compare(icon_digests[i], icon_digests[j]) > 0:
+                if _HASHER.compare(icon_digests[i], icon_digests[j]) > 0:
                     recognised += 1
         assert recognised / pairs > 0.5
 
     def test_unrelated_payloads_not_recognised(self):
         rng = SeededRNG(5)
-        a = fuzzy_hash(rng.bytes(16384))
-        b = fuzzy_hash(rng.bytes(16384))
-        assert compare(a, b) == 0
+        a = _HASHER.hash(rng.bytes(16384))
+        b = _HASHER.hash(rng.bytes(16384))
+        assert _HASHER.compare(a, b) == 0
 
     def test_signature_size_is_compact(self, icon_variants, icon_digests):
         """Fuzzy digests are tiny compared with the executables they summarise."""
@@ -219,12 +221,12 @@ class TestIndexedSimilarityScaling:
             records.append(ProcessRecord(
                 jobid="1", stepid="0", pid=build, hash="h", host="n", time=0, uid=1000,
                 executable=f"/proj/u/build_{build:04d}/{name}", category="user",
-                modules_h=fuzzy_hash_text(environment + "modules"),
-                compilers_h=fuzzy_hash_text(environment + "compilers"),
-                objects_h=fuzzy_hash_text(environment + "objects"),
-                file_h=fuzzy_hash_text(text + " file"),
-                strings_h=fuzzy_hash_text(text + " strings"),
-                symbols_h=fuzzy_hash_text(" ".join(content[:120 - build % 12]))))
+                modules_h=_HASHER.hash_text(environment + "modules"),
+                compilers_h=_HASHER.hash_text(environment + "compilers"),
+                objects_h=_HASHER.hash_text(environment + "objects"),
+                file_h=_HASHER.hash_text(text + " file"),
+                strings_h=_HASHER.hash_text(text + " strings"),
+                symbols_h=_HASHER.hash_text(" ".join(content[:120 - build % 12]))))
         return records
 
     @staticmethod

@@ -32,7 +32,7 @@ from repro.analysis.live import LiveAnalysis
 from repro.analysis.matrices import compiler_label_matrix, library_label_matrix
 from repro.analysis.pythonpkgs import PythonPackageRow, python_package_table
 from repro.analysis.similarity import SimilarityResult, SimilaritySearch
-from repro.analysis.simindex import DigestIndex, IndexStats, SimilarityIndex
+from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
@@ -58,7 +58,6 @@ __all__ = [
     "SimilaritySearch",
     "DigestIndex",
     "IndexStats",
-    "SimilarityIndex",
     "UserActivityRow",
     "SystemExecutableRow",
     "SharedObjectVariantRow",

@@ -31,12 +31,15 @@ records (``tests/analysis/test_live.py``):
   :class:`~repro.analysis.stats.TableRollup` views (its module docstring
   has the min-key argument); similarity pools are ordered the same way, by
   each instance's minimum process key.
-* **The index only accretes.**  :meth:`SimilarityIndex.add` assigns ids in
-  append order and posting lists only grow, so an index extended one delta
-  at a time equals one built over the full instance list; instances that
-  exist only in the open-group overlay are compared directly (the same
-  path ``SimilaritySearch.query`` takes for caller-supplied candidates),
-  which can only *add* comparisons, never change scores.
+* **The index only accretes.**  The search's per-column
+  :class:`~repro.analysis.simindex.DigestIndex` registers each instance
+  under its list position and its posting lists only grow, so an index
+  extended one delta at a time equals one built over the full instance
+  list.  Instances that exist only in the open-group overlay have no
+  position and are compared directly (the same path
+  ``SimilaritySearch.query`` takes for caller-supplied candidates), which
+  can only *add* comparisons, never change scores -- a malformed digest
+  among them scores 0, as the index's pruning would have.
 
 Tables 2/3/4/8 per refresh
 --------------------------

@@ -15,18 +15,20 @@ signature 7-gram with the baseline (per column, per block-size band) are ever
 handed to the expensive signature alignment; every other pair is assigned its
 provably-correct score of 0 without a comparison.  Below it the search
 compares every pair.  The results -- scores, ranking, and tie order -- are
-identical either way by construction; the choice is made from the instance
-count alone, reading the threshold at query time.
+identical either way by construction, malformed digests included: the
+comparer scores a digest that does not parse 0, and the index never returns
+it as a candidate.  The choice is made from the instance count alone,
+reading the threshold at query time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from repro.analysis import simindex
 from repro.analysis.labels import UNKNOWN_LABEL, derive_label
-from repro.analysis.simindex import IndexStats, SimilarityIndex
+from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.collector.classify import ExecutableCategory
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
@@ -123,12 +125,16 @@ class SimilaritySearch:
     #: Number of digest comparisons actually performed (cache lookups count;
     #: pairs pruned by the index or short-circuited on empty digests do not).
     comparisons: int = field(init=False, default=0)
-    _index: SimilarityIndex | None = field(init=False, default=None, repr=False)
+    #: One index per Table 7 column; ids are instance-list positions, and
+    #: the first ``_indexed`` instances are in it.
+    _indexes: dict[str, DigestIndex] = field(init=False, repr=False)
+    _indexed: int = field(init=False, default=0, repr=False)
     _positions: dict[tuple[str, ...], int] = field(init=False, default_factory=dict,
                                                    repr=False)
 
     def __post_init__(self) -> None:
         self.instances = []
+        self._indexes = {column: DigestIndex() for column in HASH_COLUMNS}
         # The search owns its record list: growing it must not grow the
         # caller's (a campaign result's ``records``) behind its back.
         records, self.records = self.records, []
@@ -188,8 +194,8 @@ class SimilaritySearch:
     # ------------------------------------------------------------------ #
     # index plumbing
     # ------------------------------------------------------------------ #
-    def _effective_index(self) -> SimilarityIndex | None:
-        """The candidate-pruning index, or ``None`` when brute force applies.
+    def _effective_index(self) -> dict[str, DigestIndex] | None:
+        """The per-column candidate-pruning indexes, or ``None`` when brute force applies.
 
         Brute force applies below
         :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances,
@@ -198,15 +204,16 @@ class SimilaritySearch:
         """
         if len(self.instances) < simindex.DEFAULT_INDEX_THRESHOLD:
             return None
-        if self._index is None:
-            self._index = SimilarityIndex([], columns=HASH_COLUMNS)
         # Instances added since the index was last consulted extend it in
         # place.  Ids are instance-list positions (what ``_positions`` maps a
         # key to), and the posting lists only accrete, so the grown index
         # equals a fresh build.
-        for position in range(len(self._index), len(self.instances)):
-            self._index.add(self.instances[position].hashes)
-        return self._index
+        for position in range(self._indexed, len(self.instances)):
+            hashes = self.instances[position].hashes
+            for column, index in self._indexes.items():
+                index.add(position, hashes.get(column, ""))
+        self._indexed = len(self.instances)
+        return self._indexes
 
     @property
     def indexed(self) -> bool:
@@ -214,9 +221,13 @@ class SimilaritySearch:
         return self._effective_index() is not None
 
     def index_stats(self) -> IndexStats | None:
-        """Aggregated index counters (``None`` while on the brute-force path)."""
-        index = self._effective_index()
-        return index.stats() if index is not None else None
+        """Index counters summed over the columns (``None`` while on the brute-force path)."""
+        indexes = self._effective_index()
+        if indexes is None:
+            return None
+        return IndexStats(**{counter.name: sum(getattr(index.stats, counter.name)
+                                               for index in indexes.values())
+                             for counter in fields(IndexStats)})
 
     def _compare_digest_batch(self, baseline: str, digests: list[str]) -> list[int]:
         """Counted digest comparisons of one baseline against many.
@@ -263,15 +274,12 @@ class SimilaritySearch:
         """
         pool = candidates if candidates is not None else self.labelled_instances()
         columns = tuple(dict.fromkeys(columns))
-        index = self._effective_index()
+        indexes = self._effective_index() or {}
         # Columns the index does not cover (anything outside HASH_COLUMNS)
         # simply miss from per_column and are compared directly, exactly as
         # the brute-force path would.
-        per_column: dict[str, set[int]] = {}
-        if index is not None:
-            per_column = index.candidates_by_column(
-                baseline.hashes, tuple(column for column in columns
-                                       if column in index.columns))
+        per_column = {column: indexes[column].candidates(baseline.hashes.get(column, ""))
+                      for column in columns if column in indexes}
         # One pass for the ids.  Caller-supplied instances outside the built
         # index (no id) are compared directly; indexed ones only where a
         # shared n-gram makes a non-zero score possible.
@@ -339,13 +347,12 @@ class SimilaritySearch:
         """
         size = len(self.instances)
         matrix = [[0] * size for _ in range(size)]
-        index = self._effective_index()
-        if index is not None and column not in index.columns:
-            index = None  # unindexed column: compare directly, as brute force does
+        # An unindexed column is compared directly, as brute force does.
+        index = (self._effective_index() or {}).get(column)
         digests = [instance.hashes.get(column, "") for instance in self.instances]
         for i in range(size):
             matrix[i][i] = 100
-            candidates = index.candidates(digests[i], column) if index is not None else None
+            candidates = index.candidates(digests[i]) if index is not None else None
             if candidates is None:
                 others = list(range(i + 1, size))
             else:

@@ -40,10 +40,9 @@ pairs without comparing them is *result-identical* to brute force -- see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hashing.compare_engine import NormalizedDigest, normalize_digest, normalize_parsed
-from repro.hashing.ssdeep import FuzzyHash
+from repro.hashing.compare_engine import NormalizedDigest, normalize_digest
 
 #: Below this many instances a linear scan beats building and probing the
 #: index for the Table 7 search, so searches fall back to brute force (which
@@ -65,16 +64,6 @@ class IndexStats:
     candidates_returned: int = 0
     pairs_pruned: int = 0
 
-    def merged_with(self, other: "IndexStats") -> "IndexStats":
-        return IndexStats(
-            digests=self.digests + other.digests,
-            grams=self.grams + other.grams,
-            exact_keys=self.exact_keys + other.exact_keys,
-            queries=self.queries + other.queries,
-            candidates_returned=self.candidates_returned + other.candidates_returned,
-            pairs_pruned=self.pairs_pruned + other.pairs_pruned,
-        )
-
 
 class DigestIndex:
     """Inverted 7-gram index over one collection of CTPH digests.
@@ -94,7 +83,7 @@ class DigestIndex:
 
     def __init__(self) -> None:
         # Distinct digest -> its number; number -> ids registered under it.
-        self._numbers: dict[FuzzyHash | str, int] = {}
+        self._numbers: dict[str, int] = {}
         self._members: list[set[int]] = []
         # band block size -> gram -> numbers of the digests carrying that gram.
         self._grams: dict[int, dict[str, list[int]]] = {}
@@ -110,16 +99,17 @@ class DigestIndex:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def add(self, digest_id: int, digest: FuzzyHash | str) -> bool:
+    def add(self, digest_id: int, digest: str) -> bool:
         """Index one digest under ``digest_id``.
 
-        Returns ``False`` (and indexes nothing) for empty/unparseable digests;
-        such digests always compare to 0, so leaving them out preserves the
-        no-false-negative guarantee.
+        Returns ``False`` (and indexes nothing) for a digest
+        :func:`~repro.hashing.compare_engine.normalize_digest` does not parse
+        (empty ones included); such digests always compare to 0, so leaving
+        them out preserves the no-false-negative guarantee.
         """
         number = self._numbers.get(digest)
         if number is None:
-            parsed = self._normalized(digest)
+            parsed = normalize_digest(digest)
             if parsed is None:
                 return False
             number = self._numbers[digest] = len(self._members)
@@ -148,10 +138,10 @@ class DigestIndex:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def candidates(self, digest: FuzzyHash | str) -> set[int]:
+    def candidates(self, digest: str) -> set[int]:
         """Ids of indexed digests that could score non-zero against ``digest``."""
         self.stats.queries += 1
-        parsed = self._normalized(digest)
+        parsed = normalize_digest(digest)
         if parsed is None:
             self.stats.pairs_pruned += self._size
             return set()
@@ -172,74 +162,7 @@ class DigestIndex:
     # helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _normalized(digest: FuzzyHash | str) -> NormalizedDigest | None:
-        if not digest:
-            return None
-        try:
-            if isinstance(digest, str):
-                return normalize_digest(digest)
-            return normalize_parsed(digest.block_size, digest.sig1, digest.sig2)
-        except ValueError:
-            return None
-
-    @staticmethod
     def _banded_grams(parsed: NormalizedDigest,
                       ) -> tuple[tuple[int, frozenset[str]], tuple[int, frozenset[str]]]:
         """The chunk part's grams under band ``b``, the double-chunk part's under ``2b``."""
         return (parsed.block_size, parsed.grams1), (parsed.block_size * 2, parsed.grams2)
-
-
-@dataclass
-class SimilarityIndex:
-    """Per-column :class:`DigestIndex` over a list of instance hash dicts.
-
-    ``hash_rows`` is one dict per instance mapping a column name (``MO_H`` ...
-    ``SY_H``) to its digest string; instance ids are list positions, so they
-    line up with whatever instance list the caller keeps.
-    """
-
-    hash_rows: list[dict[str, str]]
-    columns: tuple[str, ...]
-    _indexes: dict[str, DigestIndex] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._indexes = {column: DigestIndex() for column in self.columns}
-        rows, self.hash_rows = self.hash_rows, []
-        for hashes in rows:
-            self.add(hashes)
-
-    def __len__(self) -> int:
-        return len(self.hash_rows)
-
-    def add(self, hashes: dict[str, str]) -> int:
-        """Append one instance's hash dict to the index; returns its new id.
-
-        Ids keep being list positions, so an index grown one instance at a
-        time is indistinguishable from one built over the full list -- the
-        incremental path the live analysis layer uses instead of rebuilding
-        (each :class:`DigestIndex` only ever accretes posting-list entries,
-        so adding never invalidates earlier candidate sets).
-        """
-        digest_id = len(self.hash_rows)
-        self.hash_rows.append(hashes)
-        for column in self.columns:
-            self._indexes[column].add(digest_id, hashes.get(column, ""))
-        return digest_id
-
-    def candidates(self, digest: FuzzyHash | str, column: str) -> set[int]:
-        """Instance ids that could score non-zero on ``column`` against ``digest``."""
-        return self._indexes[column].candidates(digest)
-
-    def candidates_by_column(self, hashes: dict[str, str],
-                             columns: tuple[str, ...] | None = None) -> dict[str, set[int]]:
-        """Per-column candidate sets for a whole query instance."""
-        selected = columns if columns is not None else self.columns
-        return {column: self._indexes[column].candidates(hashes.get(column, ""))
-                for column in selected}
-
-    def stats(self) -> IndexStats:
-        """Aggregated counters across all column indexes."""
-        total = IndexStats()
-        for index in self._indexes.values():
-            total = total.merged_with(index.stats)
-        return total

@@ -123,9 +123,9 @@ class ArtifactHasher:
         except ELFError:
             symbols = None
         result = ExecutableHashes(
-            file_hash=str(self.hasher.hash(content)),
-            strings_hash=str(self.hasher.hash(strings)),
-            symbols_hash=None if symbols is None else str(self.hasher.hash(symbols)))
+            file_hash=self.hasher.hash(content),
+            strings_hash=self.hasher.hash(strings),
+            symbols_hash=None if symbols is None else self.hasher.hash(symbols))
         self.hashes_computed += 1
         self._exe_cache[path] = (version, result)
         self._exe_content_cache[ckey] = result
@@ -153,7 +153,7 @@ class ArtifactHasher:
             self._script_cache[path] = (version, cached)
             return cached
 
-        digest = str(self.hasher.hash(content))
+        digest = self.hasher.hash(content)
         self.hashes_computed += 1
         self._script_cache[path] = (version, digest)
         self._script_content_cache[ckey] = digest
@@ -176,7 +176,7 @@ class ArtifactHasher:
             self.cache_hits += 1
             self._list_cache.move_to_end(text)
             return cached
-        digest = str(self.hasher.hash_text(text))
+        digest = self.hasher.hash_text(text)
         self.hashes_computed += 1
         self._list_cache[text] = digest
         if len(self._list_cache) > LIST_CACHE_ENTRIES:

@@ -10,8 +10,11 @@ The paper relies on two hash families:
   of the executable path, used purely to disambiguate PID collisions in the
   database.
 
-Both are implemented here from scratch in pure Python (the target environment
-has neither ``libfuzzy`` nor ``xxHash`` bindings).  The CTPH implementation
+Both are implemented here from scratch (the target environment has neither
+``libfuzzy`` nor ``xxHash`` bindings): xxHash in pure Python, the CTPH
+hashing and comparison kernels on numpy.  A fuzzy hash is its
+``blocksize:sig1:sig2`` digest string throughout, parsed in one place,
+:func:`~repro.hashing.compare_engine.normalize_digest`.  The CTPH implementation
 follows the published spamsum/ssdeep algorithm (Kornblum 2006): a 7-byte
 rolling hash triggers piece boundaries, each piece is hashed with an FNV-style
 hash (constants in :mod:`repro.hashing.fnv`), and the signature is a base64
@@ -27,26 +30,16 @@ from repro.hashing.compare_engine import (
     lcs_length_many,
     normalize_digest,
 )
-from repro.hashing.ssdeep import (
-    FuzzyHash,
-    FuzzyHasher,
-    compare,
-    fuzzy_hash,
-    fuzzy_hash_text,
-)
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.hashing.xxhash import xxh64, xxh128_hex
 
 __all__ = [
-    "FuzzyHash",
     "FuzzyHasher",
     "CompareCache",
     "NormalizedDigest",
     "lcs_length",
     "lcs_length_many",
     "normalize_digest",
-    "fuzzy_hash",
-    "fuzzy_hash_text",
-    "compare",
     "xxh64",
     "xxh128_hex",
 ]

@@ -108,6 +108,9 @@ def signature_grams(signature: str) -> frozenset[str]:
     return frozenset(signature[i:i + NGRAM] for i in range(len(signature) - NGRAM + 1))
 
 
+#: Maximum length of a run of identical characters kept during comparison.
+MAX_SEQUENCE = 3
+
 #: Entries carry gram sets and mask dicts (kilobytes, not the compare LRU's
 #: tens of bytes), so the cap is sized for bounded residency: large enough
 #: that a campaign's unique digests mostly stay resident, small enough that
@@ -115,23 +118,50 @@ def signature_grams(signature: str) -> frozenset[str]:
 _NORMALIZE_CACHE_SIZE = 16384
 
 
-def normalize_parsed(block_size: int, sig1: str, sig2: str) -> NormalizedDigest:
-    """Normalise an already-parsed digest (e.g. a ``FuzzyHash``'s components).
+def eliminate_sequences(signature: str) -> str:
+    """Collapse runs of more than :data:`MAX_SEQUENCE` identical characters.
 
-    The component-level entry point matters for hand-constructed
-    ``FuzzyHash`` objects whose fields would not survive a str()+re-parse
-    round trip; scalar ``compare`` uses it so the engine and the scalar
-    oracle score the same signature strings.  Uncached -- object callers are
-    rare, and the hot paths all go through :func:`normalize_digest`.
+    This is the normalisation comparison applies to both signatures before
+    scoring them; anything that reasons about which digests *can* score
+    non-zero (notably the n-gram index in :mod:`repro.analysis.simindex`)
+    must apply the same normalisation.
     """
-    # Imported lazily: ssdeep imports this module for the kernel, and the
-    # normalise primitive lives there.
-    from repro.hashing.ssdeep import eliminate_sequences
+    if len(signature) <= MAX_SEQUENCE:
+        return signature
+    out: list[str] = list(signature[:MAX_SEQUENCE])
+    for index in range(MAX_SEQUENCE, len(signature)):
+        char = signature[index]
+        if not (
+            char == signature[index - 1]
+            and char == signature[index - 2]
+            and char == signature[index - 3]
+        ):
+            out.append(char)
+    return "".join(out)
 
+
+@lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
+def normalize_digest(digest: str) -> NormalizedDigest | None:
+    """Parse + normalise one ``blocksize:sig1:sig2`` digest, cached per string.
+
+    The one digest parser: the block size is 1 to 20 ASCII digits (an
+    unsigned long's width, as in libfuzzy) with a positive value, and the
+    signatures are what follows its colon, split at the next one.  Anything
+    else -- an empty digest, a truncated one with a single colon, a signed,
+    padded, zero or overlong block size -- is ``None``, and every comparison
+    scores a ``None`` side 0.  The cache is module-level and
+    content-addressed -- normalisation depends only on the digest string --
+    so every hasher and index shares it.
+    """
+    block, _, rest = digest.partition(":")
+    if not (block.isascii() and block.isdigit() and len(block) <= 20) \
+            or ":" not in rest or int(block) == 0:
+        return None
+    sig1, _, sig2 = rest.partition(":")
     s1 = eliminate_sequences(sig1)
     s2 = eliminate_sequences(sig2)
     return NormalizedDigest(
-        block_size=block_size,
+        block_size=int(block),
         s1=s1,
         s2=s2,
         grams1=signature_grams(s1),
@@ -139,21 +169,6 @@ def normalize_parsed(block_size: int, sig1: str, sig2: str) -> NormalizedDigest:
         masks1=signature_masks(s1),
         masks2=signature_masks(s2),
     )
-
-
-@lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
-def normalize_digest(digest: str) -> NormalizedDigest:
-    """Parse + normalise one digest string, cached per unique string.
-
-    Raises :class:`ValueError` for unparseable digests, exactly like
-    ``FuzzyHash.parse`` (errors are not cached).  The cache is module-level
-    and content-addressed -- normalisation depends only on the digest
-    string, never on hasher knobs, so every hasher instance shares it.
-    """
-    from repro.hashing.ssdeep import FuzzyHash
-
-    parsed = FuzzyHash.parse(digest)
-    return normalize_parsed(parsed.block_size, parsed.sig1, parsed.sig2)
 
 
 def normalize_cache_clear() -> None:
@@ -240,6 +255,10 @@ def default_cost_distance_many(s1: str, texts: list[str],
 # --------------------------------------------------------------------------- #
 # the shared compare LRU
 # --------------------------------------------------------------------------- #
+#: Digest pairs one hasher's compare LRU holds; read at every insert.
+COMPARE_CACHE_SIZE = 65536
+
+
 class CacheInfo(NamedTuple):
     """``functools.lru_cache``-shaped statistics of a :class:`CompareCache`."""
 
@@ -250,19 +269,17 @@ class CacheInfo(NamedTuple):
 
 
 class CompareCache:
-    """Explicit LRU over (digest, digest) -> score, shared by scalar and batch.
+    """Explicit LRU of :data:`COMPARE_CACHE_SIZE` (digest, digest) -> score pairs.
 
     Unlike the seed's ``lru_cache`` over a bound method, this holds no
     reference to its owning hasher (keys are digest-string pairs, values are
     int scores), so a dropped hasher is freed without waiting for a cycle
-    GC pass -- and batch scoring can :meth:`put` results directly, warming
-    the cache for later scalar lookups.
+    GC pass -- and batch scoring can :meth:`put` results directly.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_data")
+    __slots__ = ("hits", "misses", "_data")
 
-    def __init__(self, maxsize: int = 65536) -> None:
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._data: OrderedDict[tuple[str, str], int] = OrderedDict()
@@ -280,14 +297,14 @@ class CompareCache:
 
     def put(self, key: tuple[str, str], value: int) -> None:
         """Insert one scored pair, evicting the least recently used beyond capacity."""
-        if self.maxsize <= 0:
+        if COMPARE_CACHE_SIZE <= 0:
             return
         self._data[key] = value
         self._data.move_to_end(key)
-        if len(self._data) > self.maxsize:
+        if len(self._data) > COMPARE_CACHE_SIZE:
             self._data.popitem(last=False)
 
     def info(self) -> CacheInfo:
         """``lru_cache``-compatible statistics tuple."""
         return CacheInfo(hits=self.hits, misses=self.misses,
-                         maxsize=self.maxsize, currsize=len(self._data))
+                         maxsize=COMPARE_CACHE_SIZE, currsize=len(self._data))

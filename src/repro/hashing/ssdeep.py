@@ -2,7 +2,7 @@
 
 SIREN uses ``libfuzzy`` (the ssdeep library) to fuzzy-hash executables, their
 printable strings, their global ELF symbols, and the collected
-module/compiler/library lists.  This module is a from-scratch pure-Python
+module/compiler/library lists.  This module is a from-scratch
 implementation of the same algorithm (Kornblum, "Identifying almost identical
 files using context triggered piecewise hashing", 2006):
 
@@ -47,14 +47,11 @@ the scalar path described above is the test oracle in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hashing.compare_engine import (
     CompareCache,
     NormalizedDigest,
     default_cost_distance_many,
     normalize_digest,
-    normalize_parsed,
 )
 from repro.hashing.engine import fuzzy_digest
 from repro.hashing.rolling import ROLLING_WINDOW
@@ -63,45 +60,17 @@ from repro.hashing.rolling import ROLLING_WINDOW
 MIN_BLOCKSIZE = 3
 #: Maximum signature length (characters) for the primary signature.
 SPAMSUM_LENGTH = 64
-#: Maximum length of a run of identical characters kept during comparison.
-MAX_SEQUENCE = 3
-#: Digest pairs one hasher's compare LRU holds.
-COMPARE_CACHE_SIZE = 65536
-
-
-@dataclass(frozen=True)
-class FuzzyHash:
-    """A parsed fuzzy hash: block size plus the two signature strings."""
-
-    block_size: int
-    sig1: str
-    sig2: str
-
-    def __str__(self) -> str:
-        return f"{self.block_size}:{self.sig1}:{self.sig2}"
-
-    @classmethod
-    def parse(cls, digest: str) -> "FuzzyHash":
-        """Parse a ``blocksize:sig1:sig2`` digest string."""
-        parts = digest.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError(f"not a fuzzy hash: {digest!r}")
-        try:
-            block_size = int(parts[0])
-        except ValueError as exc:
-            raise ValueError(f"invalid block size in fuzzy hash: {digest!r}") from exc
-        if block_size <= 0:
-            raise ValueError(f"block size must be positive: {digest!r}")
-        return cls(block_size=block_size, sig1=parts[1], sig2=parts[2])
 
 
 class FuzzyHasher:
-    """ssdeep's CTPH hasher, with a compare LRU of :data:`COMPARE_CACHE_SIZE` digest pairs.
+    """ssdeep's CTPH hasher, with a compare LRU of digest pairs.
 
     It hashes as libfuzzy does -- block sizes from :data:`MIN_BLOCKSIZE` up,
-    :data:`SPAMSUM_LENGTH`-character signatures -- and scores a signature
-    pair only when the two share a 7-gram, the rule the n-gram index of
-    :mod:`repro.analysis.simindex` prunes by.
+    :data:`SPAMSUM_LENGTH`-character signatures -- into ``blocksize:sig1:sig2``
+    digest strings, and scores a signature pair only when the two share a
+    7-gram, the rule the n-gram index of :mod:`repro.analysis.simindex`
+    prunes by.  A digest :func:`~repro.hashing.compare_engine.normalize_digest`
+    cannot parse scores 0 against anything.
     """
 
     def __init__(self) -> None:
@@ -111,13 +80,13 @@ class FuzzyHasher:
         # holds only strings and scores -- never ``self`` -- so the hasher
         # is not pinned in a reference cycle (the seed's ``lru_cache`` over
         # the bound method was).
-        self._compare_cache = CompareCache(maxsize=COMPARE_CACHE_SIZE)
+        self._compare_cache = CompareCache()
 
     # ------------------------------------------------------------------ #
     # hashing
     # ------------------------------------------------------------------ #
-    def hash(self, data: bytes) -> FuzzyHash:
-        """Compute the fuzzy hash of ``data``.
+    def hash(self, data: bytes) -> str:
+        """The ``blocksize:sig1:sig2`` digest of ``data``.
 
         Runs on the one-shot engine (:func:`repro.hashing.engine.fuzzy_digest`):
         one scan of the payload however often the block size halves, no
@@ -127,38 +96,20 @@ class FuzzyHasher:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("FuzzyHasher.hash expects bytes-like input")
         block_size, sig1, sig2 = fuzzy_digest(bytes(data), MIN_BLOCKSIZE, SPAMSUM_LENGTH)
-        return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
+        return f"{block_size}:{sig1}:{sig2}"
 
-    def hash_text(self, text: str) -> FuzzyHash:
-        """Fuzzy-hash a text payload (UTF-8 encoded)."""
+    def hash_text(self, text: str) -> str:
+        """The digest of a text payload (UTF-8 encoded)."""
         return self.hash(text.encode("utf-8"))
-
-    def digest(self, data: bytes) -> str:
-        """Convenience: return the digest string directly."""
-        return str(self.hash(data))
 
     # ------------------------------------------------------------------ #
     # comparison
     # ------------------------------------------------------------------ #
-    def compare(self, first: FuzzyHash | str, second: FuzzyHash | str) -> int:
-        """Return the 0-100 similarity score between two fuzzy hashes."""
-        return self._compare_batch(self._normalize(first),
-                                   [self._normalize(second)])[0]
+    def compare(self, first: str, second: str) -> int:
+        """Return the 0-100 similarity score between two digests."""
+        return self._compare_batch(normalize_digest(first), [normalize_digest(second)])[0]
 
-    @staticmethod
-    def _normalize(digest: FuzzyHash | str) -> NormalizedDigest:
-        """Normalise a digest string (cached) or a ``FuzzyHash``'s components.
-
-        Objects go through the component-level path so hand-constructed
-        ``FuzzyHash`` values that would not survive a str()+re-parse round
-        trip still score identically to the scalar oracle.
-        """
-        if isinstance(digest, str):
-            return normalize_digest(digest)
-        return normalize_parsed(digest.block_size, digest.sig1, digest.sig2)
-
-    def compare_many(self, baseline: FuzzyHash | str,
-                     candidates: list) -> list[int]:
+    def compare_many(self, baseline: str, candidates: list[str]) -> list[int]:
         """Score ``baseline`` against a candidate batch; matches scalar compare.
 
         The batched hot path of similarity search, the pairwise matrices and
@@ -171,36 +122,21 @@ class FuzzyHasher:
         one 0-100 score per candidate, in order, byte-identical to
         ``[self.compare(baseline, c) for c in candidates]``.
         """
-        base = baseline if isinstance(baseline, str) else str(baseline)
-        # Dedup and cache-key by digest string, but score from the *source*
-        # value (component path for FuzzyHash objects, exactly like scalar
-        # compare), so object candidates whose signatures would not survive
-        # a str()+re-parse round trip still match the scalar loop.  String
-        # keying leaves one ambiguity: distinct objects sharing one digest
-        # string share one score.
-        keys: list[str] = []
-        unique: dict[str, FuzzyHash | str] = {}
-        for candidate in candidates:
-            key = candidate if isinstance(candidate, str) else str(candidate)
-            keys.append(key)
-            if key not in unique:
-                unique[key] = candidate
         scores: dict[str, int] = {}
         pending: list[str] = []
-        for key in unique:
-            cached = self._compare_cache.get(self._pair_key(base, key))
-            if cached is not None:
-                scores[key] = cached
+        for candidate in dict.fromkeys(candidates):
+            cached = self._compare_cache.get(self._pair_key(baseline, candidate))
+            if cached is None:
+                pending.append(candidate)
             else:
-                pending.append(key)
+                scores[candidate] = cached
         if pending:
-            computed = self._compare_batch(
-                self._normalize(baseline),
-                [self._normalize(unique[key]) for key in pending])
-            for key, score in zip(pending, computed):
-                self._compare_cache.put(self._pair_key(base, key), score)
-                scores[key] = score
-        return [scores[key] for key in keys]
+            computed = self._compare_batch(normalize_digest(baseline),
+                                           [normalize_digest(key) for key in pending])
+            for candidate, score in zip(pending, computed):
+                self._compare_cache.put(self._pair_key(baseline, candidate), score)
+                scores[candidate] = score
+        return [scores[candidate] for candidate in candidates]
 
     def compare_cache_info(self):
         """Hit/miss statistics of the shared compare LRU."""
@@ -212,8 +148,8 @@ class FuzzyHasher:
         return (a, b) if a <= b else (b, a)
 
     # -- bit-parallel kernel -------------------------------------------- #
-    def _compare_batch(self, na: NormalizedDigest,
-                       pending: list[NormalizedDigest]) -> list[int]:
+    def _compare_batch(self, na: NormalizedDigest | None,
+                       pending: list[NormalizedDigest | None]) -> list[int]:
         """Score one normalised baseline against many normalised candidates.
 
         Immediately decidable components (incompatible bands, empty or equal
@@ -223,9 +159,12 @@ class FuzzyHasher:
         signature it aligns against.  Each sweep also has one fixed scoring
         band: the baseline's block size for its chunk signature, double it
         for the double-chunk signature (exactly the bands the scalar oracle
-        passes for the corresponding alignments).
+        passes for the corresponding alignments).  A digest that did not
+        parse (``None``) scores 0 on either side.
         """
         results = [0] * len(pending)
+        if na is None:
+            return results
         # Alignments needing a distance, grouped by baseline signature:
         # (candidate position, candidate signature).
         queue1: list[tuple[int, str]] = []
@@ -233,6 +172,8 @@ class FuzzyHasher:
         band1 = na.block_size
         band2 = na.block_size * 2
         for position, nb in enumerate(pending):
+            if nb is None:
+                continue
             b1, b2 = na.block_size, nb.block_size
             if b1 != b2 and b1 != b2 * 2 and b2 != b1 * 2:
                 continue
@@ -307,44 +248,3 @@ class FuzzyHasher:
             cap = block_size // MIN_BLOCKSIZE * min(len1, len2)
             score = min(score, cap)
         return max(0, min(100, score))
-
-
-def eliminate_sequences(signature: str) -> str:
-    """Collapse runs of more than :data:`MAX_SEQUENCE` identical characters.
-
-    This is the normalisation :meth:`FuzzyHasher.compare` applies to both
-    signatures before scoring them; anything that reasons about which digests
-    *can* score non-zero (notably the n-gram index in
-    :mod:`repro.analysis.simindex`) must apply the same normalisation.
-    """
-    if len(signature) <= MAX_SEQUENCE:
-        return signature
-    out: list[str] = list(signature[:MAX_SEQUENCE])
-    for index in range(MAX_SEQUENCE, len(signature)):
-        char = signature[index]
-        if not (
-            char == signature[index - 1]
-            and char == signature[index - 2]
-            and char == signature[index - 3]
-        ):
-            out.append(char)
-    return "".join(out)
-
-
-# Module-level singleton mirroring libfuzzy's stateless API ------------------
-_DEFAULT_HASHER = FuzzyHasher()
-
-
-def fuzzy_hash(data: bytes) -> str:
-    """Fuzzy-hash a bytes payload with default parameters (digest string)."""
-    return _DEFAULT_HASHER.digest(data)
-
-
-def fuzzy_hash_text(text: str) -> str:
-    """Fuzzy-hash a text payload (UTF-8) with default parameters."""
-    return str(_DEFAULT_HASHER.hash_text(text))
-
-
-def compare(first: FuzzyHash | str, second: FuzzyHash | str) -> int:
-    """Compare two fuzzy hashes with default parameters (0-100)."""
-    return _DEFAULT_HASHER.compare(first, second)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,14 +27,16 @@ from repro.analysis.similarity import (
 )
 from repro.analysis.simindex import DigestIndex
 from repro.db.store import ProcessRecord
-from repro.hashing import ssdeep
-from repro.hashing.compare_engine import normalize_cache_clear
-from repro.hashing.ssdeep import FuzzyHash, fuzzy_hash_text
+from repro.hashing import compare_engine
+from repro.hashing.compare_engine import normalize_cache_clear, normalize_digest
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 
+from oracles.compare import malformed
 from oracles.search import index_threshold, on_brute_force, on_index
 
+_HASHER = FuzzyHasher()
 _FIELDS = ("modules_h", "compilers_h", "objects_h", "file_h", "strings_h", "symbols_h")
 
 
@@ -56,7 +57,7 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
     rng = SeededRNG(24)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     bases = [[rng.choice(words) for _ in range(160)] for _ in range(2)]
-    symbols = [fuzzy_hash_text(" ".join(rng.choice(words) for _ in range(120)))
+    symbols = [_HASHER.hash_text(" ".join(rng.choice(words) for _ in range(120)))
                for _ in range(12)]
     records = []
     for build in range(count):
@@ -69,10 +70,10 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
         name = "a.out" if build % 10 == 9 else ("icon", "lmp")[family]
         records.append(_record(
             f"/proj/u/build_{build:04d}/{name}",
-            (fuzzy_hash_text(environment + "modules"),
-             fuzzy_hash_text(environment + "compilers"),
-             fuzzy_hash_text(environment + "objects"),
-             fuzzy_hash_text(text + " file"), fuzzy_hash_text(text + " strings"),
+            (_HASHER.hash_text(environment + "modules"),
+             _HASHER.hash_text(environment + "compilers"),
+             _HASHER.hash_text(environment + "objects"),
+             _HASHER.hash_text(text + " file"), _HASHER.hash_text(text + " strings"),
              symbols[build % 12]),
             pid=build))
     return records
@@ -124,6 +125,7 @@ _POOL = (
     f"24:AAAAAAAA{_LONG[:12]}:qrstuvwx",         # a run the normalisation collapses
     "3:ABC:DE", "3:ABC:DE", "3:ABD:DE",          # gram-less: the exact-signature table
     "96:0123456789+/0123456789:zzzzzzzzz",       # shares nothing with anyone
+    *malformed(f"24:{_LONG}:{_LONG[:16]}"),      # parse to nothing: score 0 everywhere
 )
 _NAMES = ("a.out", "icon", "lmp", "prog")
 _instances = st.lists(
@@ -174,8 +176,10 @@ class TestRepeatedDigests:
         digest = f"24:{_LONG}:{_LONG[:16]}"
         for digest_id in (0, 1, 2):
             assert index.add(digest_id, digest)
-        assert index.add(3, FuzzyHash.parse(digest))     # an object is its own key
+        assert index.add(3, digest)
+        assert not index.add(4, digest[:12])        # truncated: never a candidate
         assert index.candidates(digest) == {0, 1, 2, 3}
+        assert index.candidates(digest[:12]) == set()
         assert (index.stats.digests, index.stats.exact_keys) == (4, 1)
         gramless = DigestIndex()
         gramless.add(0, "3:ABC:DE")
@@ -216,20 +220,13 @@ class TestWorkCounts:
         records = churn_like_records()
         distinct = {getattr(record, name) for record in records for name in _FIELDS}
         assert len(distinct) < len(records) * len(_FIELDS) // 2   # the shape that matters
-        parsed: Counter[str] = Counter()
         eliminated = []
         keys = []
         rows = []
-        real_parse = FuzzyHash.parse.__func__
-        real_eliminate = ssdeep.eliminate_sequences
+        real_eliminate = compare_engine.eliminate_sequences
         real_key = ExecutableInstance.__dict__["key"].func
 
-        def parse(cls, digest):
-            parsed[digest] += 1
-            return real_parse(cls, digest)
-
-        monkeypatch.setattr(FuzzyHash, "parse", classmethod(parse))
-        monkeypatch.setattr(ssdeep, "eliminate_sequences",
+        monkeypatch.setattr(compare_engine, "eliminate_sequences",
                             lambda signature: eliminated.append(1) or real_eliminate(signature))
         monkeypatch.setattr(ExecutableInstance.__dict__["key"], "func",
                             lambda instance: keys.append(1) or real_key(instance))
@@ -243,7 +240,11 @@ class TestWorkCounts:
         assert len(found) == 12 and len(rows) == 12 * 10
         # A second search in the same process normalises nothing again.
         SimilaritySearch(records).identify_unknown(top=10)
-        assert set(parsed) == distinct and set(parsed.values()) == {1}
+        parsed = normalize_digest.cache_info()
+        assert parsed.misses == parsed.currsize == len(distinct)
+        for digest in distinct:               # ... and what it parsed is these
+            normalize_digest(digest)
+        assert normalize_digest.cache_info().misses == len(distinct)
         assert len(eliminated) == 2 * len(distinct)
         # One key per instance object: each record's instance, twice over.
         assert len(keys) == 2 * len(records)

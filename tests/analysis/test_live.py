@@ -31,17 +31,20 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.analysis import simindex
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
-from repro.analysis.simindex import DigestIndex, SimilarityIndex
+from repro.analysis.simindex import DigestIndex
 from repro.analysis.stats import activity_totals
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles import tables
+from oracles.compare import malformed
 from oracles.search import index_threshold, on_brute_force
+
+_HASHER = FuzzyHasher()
 
 
 def _canonical(records: list[ProcessRecord]) -> list[ProcessRecord]:
@@ -94,13 +97,19 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
 def _user_hashes(content: str, environment: str) -> dict[str, str]:
     """The six Table 7 digests of a user executable's content in an environment."""
     return dict(
-        modules_h=fuzzy_hash_text(environment + " modules " * 30),
-        compilers_h=fuzzy_hash_text(environment + " compilers " * 30),
-        objects_h=fuzzy_hash_text(environment + " objects " * 30),
-        file_h=fuzzy_hash_text(content + " file"),
-        strings_h=fuzzy_hash_text(content + " strings"),
-        symbols_h=fuzzy_hash_text(content + " symbols"),
+        modules_h=_HASHER.hash_text(environment + " modules " * 30),
+        compilers_h=_HASHER.hash_text(environment + " compilers " * 30),
+        objects_h=_HASHER.hash_text(environment + " objects " * 30),
+        file_h=_HASHER.hash_text(content + " file"),
+        strings_h=_HASHER.hash_text(content + " strings"),
+        symbols_h=_HASHER.hash_text(content + " symbols"),
     )
+
+
+def _damaged(hashes: dict[str, str]) -> dict[str, str]:
+    """``hashes`` with each digest in a different one of its damaged forms:
+    a truncated datagram's, say, which no comparison can parse."""
+    return {name: malformed(digest)[n] for n, (name, digest) in enumerate(hashes.items())}
 
 
 def _record(pid: int, *, category: str, executable: str, jobid: str,
@@ -109,11 +118,13 @@ def _record(pid: int, *, category: str, executable: str, jobid: str,
     hashes = {}
     if category == "user":
         hashes = _user_hashes(content, environment)
+        if pid % 5 == 2:      # every fifth user executable's digests arrive damaged
+            hashes = _damaged(hashes)
     elif category == "system":
-        hashes = dict(objects_h=fuzzy_hash_text(environment + " objects " * 30),
+        hashes = dict(objects_h=_HASHER.hash_text(environment + " objects " * 30),
                       objects=f"/lib64/libc.so.6\n/lib64/libtinfo.so.{5 + pid % 3}")
     elif category == "python":
-        hashes = dict(script_h=fuzzy_hash_text(script) if script else "")
+        hashes = dict(script_h=_HASHER.hash_text(script) if script else "")
     return ProcessRecord(
         jobid=jobid, stepid="0", pid=pid, hash=f"{pid:032x}", host=f"n{pid % 3}",
         time=100 + pid, uid=uid, executable=executable, category=category,
@@ -121,7 +132,8 @@ def _record(pid: int, *, category: str, executable: str, jobid: str,
 
 
 def _synthetic_stream(seed: int = 5, count: int = 48) -> list[ProcessRecord]:
-    """A mixed-category stream with an UNKNOWN family, unique process keys."""
+    """A mixed-category stream with an UNKNOWN family, unique process keys,
+    and some user records whose digests do not parse (``_record``)."""
     rng = SeededRNG(seed)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     records = []
@@ -162,11 +174,16 @@ class TestSyntheticStreamEquivalence:
             committed.extend(chunk)
             _assert_views_equal(live, committed, live.user_names)
 
-    def test_open_group_overlay_matches_rebuild(self):
+    @pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["index", "brute-force"])
+    def test_open_group_overlay_matches_rebuild(self, monkeypatch, threshold):
+        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
         stream = _synthetic_stream(seed=9)
         live = LiveAnalysis({})
         committed = stream[:30]
         live.commit(committed)
+        # The first overlay instance has no index id and digests that do not
+        # parse: ``query`` compares it directly, and it scores 0 everywhere.
+        assert stream[30].category == "user" and stream[30].pid % 5 == 2
         for cut in (1, 4, 9):
             open_records = stream[30:30 + cut]
             live.refresh_open(open_records)
@@ -356,16 +373,18 @@ class TestIncrementalIndexAndSearchGrowth:
     def test_similarity_index_add_equals_batch_build(self):
         stream = [r for r in _synthetic_stream(seed=7) if r.category == "user"]
         rows = [SimilaritySearch([record]).instances[0].hashes for record in stream]
-        batch = SimilarityIndex(rows, columns=("FI_H", "MO_H"))
-        grown = SimilarityIndex([], columns=("FI_H", "MO_H"))
-        for row in rows:
-            grown.add(row)
-        assert len(grown) == len(batch)
-        for row in rows:
-            for column in ("FI_H", "MO_H"):
-                digest = row[column]
-                assert grown.candidates(digest, column) == \
-                    batch.candidates(digest, column)
+        with index_threshold(0):
+            batch = SimilaritySearch(stream)
+            assert batch.indexed
+            grown = SimilaritySearch([])
+            for record in stream:
+                grown.add_records([record])
+                assert grown.indexed
+        for column in ("FI_H", "MO_H"):
+            built, extended = batch._indexes[column], grown._indexes[column]
+            assert len(extended) == len(built)
+            for row in rows:
+                assert extended.candidates(row[column]) == built.candidates(row[column])
 
     def test_add_records_refreshes_a_built_index(self, monkeypatch):
         """Regression test for the staleness bug: the n-gram index used to be
@@ -400,14 +419,16 @@ _PATHS = ("/proj/a/a.out", "/proj/b/run", "/proj/c/tool", "/proj/a/icon",
 
 
 def _digest_sets() -> tuple[dict[str, str], ...]:
-    """Six digest sets: three contents (two of them near copies) x two environments."""
+    """Seven digest sets: three contents (two of them near copies) x two
+    environments, and the first of them damaged past parsing."""
     rng = SeededRNG(21)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     near = [rng.choice(words) for _ in range(120)]
     contents = (near, near[:100] + [rng.choice(words) for _ in range(20)],
                 [rng.choice(words) for _ in range(120)])
-    return tuple(_user_hashes(" ".join(content), environment)
+    sets = tuple(_user_hashes(" ".join(content), environment)
                  for content in contents for environment in ("env-0", "env-1"))
+    return (*sets, _damaged(sets[0]))
 
 
 _DIGESTS = _digest_sets()

@@ -13,9 +13,11 @@ from repro.analysis.recognition import (
 )
 from repro.analysis.similarity import SimilaritySearch, instance_from_record
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher
 
 from oracles.search import on_brute_force, on_index
+
+_HASHER = FuzzyHasher()
 
 
 def _record(executable: str, *, content_tag: str = "", content: str | None = None,
@@ -24,12 +26,12 @@ def _record(executable: str, *, content_tag: str = "", content: str | None = Non
     return ProcessRecord(
         jobid=jobid, stepid="0", pid=1, hash="h", host="n", time=time, uid=uid,
         executable=executable, category="user",
-        modules_h=fuzzy_hash_text(content + "modules"),
-        compilers_h=fuzzy_hash_text(content + "compilers"),
-        objects_h=fuzzy_hash_text(content + "objects"),
-        file_h=fuzzy_hash_text(content + "file"),
-        strings_h=fuzzy_hash_text(content + "strings"),
-        symbols_h=fuzzy_hash_text(content + "symbols"),
+        modules_h=_HASHER.hash_text(content + "modules"),
+        compilers_h=_HASHER.hash_text(content + "compilers"),
+        objects_h=_HASHER.hash_text(content + "objects"),
+        file_h=_HASHER.hash_text(content + "file"),
+        strings_h=_HASHER.hash_text(content + "strings"),
+        symbols_h=_HASHER.hash_text(content + "symbols"),
     )
 
 

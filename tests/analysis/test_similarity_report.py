@@ -5,11 +5,13 @@ import pytest
 from repro.analysis import report
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 
 from oracles.compare import compare_reference
 from oracles.search import on_brute_force, on_index
+
+_HASHER = FuzzyHasher()
 
 
 def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
@@ -20,12 +22,12 @@ def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
     return ProcessRecord(
         jobid="1", stepid="0", pid=1, hash="h", host="n", time=0, uid=uid,
         executable=executable, category=category,
-        modules_h=fuzzy_hash_text(environment + "modules"),
-        compilers_h=fuzzy_hash_text(environment + "compilers"),
-        objects_h=fuzzy_hash_text(environment + "objects"),
-        file_h=fuzzy_hash_text(content + "file"),
-        strings_h=fuzzy_hash_text(content + "strings"),
-        symbols_h=fuzzy_hash_text(content + "symbols"),
+        modules_h=_HASHER.hash_text(environment + "modules"),
+        compilers_h=_HASHER.hash_text(environment + "compilers"),
+        objects_h=_HASHER.hash_text(environment + "objects"),
+        file_h=_HASHER.hash_text(content + "file"),
+        strings_h=_HASHER.hash_text(content + "strings"),
+        symbols_h=_HASHER.hash_text(content + "symbols"),
     )
 
 

@@ -16,11 +16,12 @@ from repro.analysis import simindex
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.analysis.simindex import DigestIndex
 from repro.db.store import ProcessRecord
-from repro.hashing.ssdeep import compare, fuzzy_hash_text
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.rng import SeededRNG
 
 from oracles.search import on_brute_force, on_index
 
+_HASHER = FuzzyHasher()
 SIG = "ABCDEFGHIJKLMNOP"  # 16 chars -> plenty of 7-grams
 OTHER = "qrstuvwxyz012345"
 
@@ -38,7 +39,7 @@ class TestDigestIndexBanding:
         assert index.candidates(f"24:{SIG}:zzzzzzzz") == {0}
 
     def test_double_blocksize_chunk_meets_double_chunk(self):
-        # compare(48:..., 24:...) aligns the 48-digest's chunk part with the
+        # _HASHER.compare(48:..., 24:...) aligns the 48-digest's chunk part with the
         # 24-digest's double-chunk part; the index must band them together.
         index = _index(f"24:{OTHER}:{SIG}")
         assert index.candidates(f"48:{SIG}:zzzzzzzz") == {0}
@@ -50,16 +51,16 @@ class TestDigestIndexBanding:
     def test_incompatible_blocksizes_pruned_even_with_identical_signatures(self):
         index = _index(f"12:{SIG}:{SIG}")
         assert index.candidates(f"48:{SIG}:{SIG}") == set()
-        # ... which is sound because compare() also refuses the pair:
-        assert compare(f"48:{SIG}:{SIG}", f"12:{SIG}:{SIG}") == 0
+        # ... which is sound because _HASHER.compare() also refuses the pair:
+        assert _HASHER.compare(f"48:{SIG}:{SIG}", f"12:{SIG}:{SIG}") == 0
 
     def test_no_shared_gram_is_pruned(self):
         index = _index(f"24:{SIG}:{SIG}")
         assert index.candidates(f"24:{OTHER}:{OTHER}") == set()
-        assert compare(f"24:{OTHER}:{OTHER}", f"24:{SIG}:{SIG}") == 0
+        assert _HASHER.compare(f"24:{OTHER}:{OTHER}", f"24:{SIG}:{SIG}") == 0
 
     def test_sequence_elimination_applied_before_gramming(self):
-        # "AAAAAAAA..." collapses to "AAA..." on both sides of compare(); the
+        # "AAAAAAAA..." collapses to "AAA..." on both sides of _HASHER.compare(); the
         # index grams the collapsed form, so differing run lengths still meet.
         index = _index(f"24:AAAAAAAA{SIG}:{OTHER}")
         assert index.candidates(f"24:AAAA{SIG}:zzzzzzzz") == {0}
@@ -67,26 +68,26 @@ class TestDigestIndexBanding:
 
 class TestDigestIndexExactPath:
     def test_short_identical_signatures_are_candidates(self):
-        # Too short for any 7-gram, but compare() == 100 for identical
+        # Too short for any 7-gram, but _HASHER.compare() == 100 for identical
         # digests at the same block size -- the exact table must catch it.
         index = _index("3:ABC:DE")
         assert index.candidates("3:ABC:DE") == {0}
-        assert compare("3:ABC:DE", "3:ABC:DE") == 100
+        assert _HASHER.compare("3:ABC:DE", "3:ABC:DE") == 100
 
     def test_short_differing_signatures_pruned(self):
         index = _index("3:ABC:DE")
         assert index.candidates("3:ABD:DE") == set()
-        assert compare("3:ABD:DE", "3:ABC:DE") == 0
+        assert _HASHER.compare("3:ABD:DE", "3:ABC:DE") == 0
 
     def test_short_identical_signatures_different_blocksize_pruned(self):
         index = _index("3:ABC:DE")
         assert index.candidates("6:ABC:DE") == set()
-        assert compare("6:ABC:DE", "3:ABC:DE") == 0
+        assert _HASHER.compare("6:ABC:DE", "3:ABC:DE") == 0
 
     def test_empty_signature_never_matches(self):
         index = _index("3::")
         assert index.candidates("3::") == set()
-        assert compare("3::", "3::") == 0
+        assert _HASHER.compare("3::", "3::") == 0
 
 
 class TestDigestIndexInput:
@@ -125,7 +126,7 @@ class TestCompletenessProperty:
             candidates = index.candidates(query)
             for j, other in enumerate(pool):
                 if j not in candidates:
-                    assert compare(query, other) == 0, (query, other)
+                    assert _HASHER.compare(query, other) == 0, (query, other)
 
 
 def _record(executable: str, *, content: str, environment: str,
@@ -133,12 +134,12 @@ def _record(executable: str, *, content: str, environment: str,
     return ProcessRecord(
         jobid="1", stepid="0", pid=1, hash="h", host="n", time=0, uid=uid,
         executable=executable, category="user",
-        modules_h=fuzzy_hash_text(environment + " modules"),
-        compilers_h=fuzzy_hash_text(environment + " compilers"),
-        objects_h=fuzzy_hash_text(environment + " objects"),
-        file_h=fuzzy_hash_text(content + " file"),
-        strings_h=fuzzy_hash_text(content + " strings"),
-        symbols_h=fuzzy_hash_text(content + " symbols"),
+        modules_h=_HASHER.hash_text(environment + " modules"),
+        compilers_h=_HASHER.hash_text(environment + " compilers"),
+        objects_h=_HASHER.hash_text(environment + " objects"),
+        file_h=_HASHER.hash_text(content + " file"),
+        strings_h=_HASHER.hash_text(content + " strings"),
+        symbols_h=_HASHER.hash_text(content + " symbols"),
     )
 
 
@@ -258,7 +259,7 @@ class TestFallbacks:
         search = SimilaritySearch(tiny_records)
         external = ExecutableInstance(
             executable="/elsewhere/app", label="icon",
-            hashes={column: fuzzy_hash_text("first payload " * 40 + " file")
+            hashes={column: _HASHER.hash_text("first payload " * 40 + " file")
                     for column in HASH_COLUMNS})
         unknown = search.unknown_instances()[0]
         assert on_index(search.query, unknown, candidates=[external]) == \

@@ -14,7 +14,7 @@ from repro.db.store import MessageStore
 from repro.elf.reader import ELFFile
 from repro.elf.strings import strings_blob
 from repro.elf.symbols import nm_listing
-from repro.hashing.ssdeep import FuzzyHasher, compare
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.hpcsim.filesystem import VirtualFilesystem
 from repro.hpcsim.process import ProcessContext
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
@@ -27,6 +27,8 @@ from repro.util.rng import SeededRNG
 
 from oracles.consolidate import raw_messages, records_from_messages
 from oracles.ctph import ReferenceHasher
+
+_HASHER = FuzzyHasher()
 
 
 class TestArtifactHasher:
@@ -121,7 +123,7 @@ class TestArtifactHasher:
         r2 = manifest.find_executable("icon", "cray-r2", "alice").path
         h1 = hasher.executable_hashes(r1)
         h2 = hasher.executable_hashes(r2)
-        assert compare(h1.symbols_hash, h2.symbols_hash) >= 90
+        assert _HASHER.compare(h1.symbols_hash, h2.symbols_hash) >= 90
 
     def test_script_hash(self, app_cluster):
         cluster, _ = app_cluster
@@ -337,7 +339,7 @@ class TestNoPerBytePythonAtProcessStart:
         cluster.filesystem.add_file("/scratch/never-seen", image, executable=True)
         hasher = ArtifactHasher(cluster.filesystem)
         hashes = hasher.executable_hashes("/scratch/never-seen")
-        assert hashes.file_hash == str(ReferenceHasher().hash(image))
+        assert hashes.file_hash == ReferenceHasher().hash(image)
         assert (hasher.hashes_computed, hasher.content_cache_hits) == (1, 0)
 
     def _fifty_starts_and_ends(self, app_cluster):

@@ -8,8 +8,10 @@ from repro.corpus.packages import GROMACS, ICON, LAMMPS, PACKAGES
 from repro.corpus.python_env import PYTHON_INTERPRETERS, PYTHON_PACKAGES
 from repro.corpus.system_tools import SYSTEM_TOOLS
 from repro.elf.reader import ELFFile
-from repro.hashing.ssdeep import compare, fuzzy_hash
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import CorpusError
+
+_HASHER = FuzzyHasher()
 
 
 class TestBaseSystemInstall:
@@ -116,14 +118,14 @@ class TestPackageInstall:
 
     def test_patch_level_drives_similarity_decay(self, app_cluster):
         cluster, manifest = app_cluster
-        base = fuzzy_hash(cluster.filesystem.read(
+        base = _HASHER.hash(cluster.filesystem.read(
             manifest.find_executable("icon", "cray-r1", "alice").path))
-        near = fuzzy_hash(cluster.filesystem.read(
+        near = _HASHER.hash(cluster.filesystem.read(
             manifest.find_executable("icon", "cray-r2", "alice").path))
-        far = fuzzy_hash(cluster.filesystem.read(
+        far = _HASHER.hash(cluster.filesystem.read(
             manifest.find_executable("icon", "pre-proc", "alice").path))
-        assert compare(base, near) > compare(base, far)
-        assert compare(base, near) < 100
+        assert _HASHER.compare(base, near) > _HASHER.compare(base, far)
+        assert _HASHER.compare(base, near) < 100
 
     def test_required_modules_cover_non_default_keys(self, app_cluster):
         _, manifest = app_cluster

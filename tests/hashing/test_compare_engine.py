@@ -13,10 +13,10 @@ import gc
 import random
 import weakref
 
-import pytest
-
+from repro.hashing import compare_engine
 from repro.hashing.compare_engine import (
     CompareCache,
+    eliminate_sequences,
     lcs_length,
     lcs_length_many,
     normalize_digest,
@@ -24,12 +24,14 @@ from repro.hashing.compare_engine import (
     signature_masks,
 )
 from repro.hashing.engine import B64_ALPHABET
-from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
+from repro.hashing.ssdeep import FuzzyHasher
 
 from oracles.compare import (
     compare_reference,
     default_cost_distance,
     has_common_substring,
+    malformed,
+    parse_digest,
     weighted_edit_distance,
 )
 
@@ -51,9 +53,13 @@ def _random_digest(rng: random.Random, block_size: int | None = None,
                    max_len: int = 64) -> str:
     if block_size is None:
         block_size = 3 * (2 ** rng.randint(0, 6))
-    return str(FuzzyHash(block_size=block_size,
-                         sig1=_random_signature(rng, max_len),
-                         sig2=_random_signature(rng, max_len // 2)))
+    return (f"{block_size}:{_random_signature(rng, max_len)}"
+            f":{_random_signature(rng, max_len // 2)}")
+
+
+def _sometimes_malformed(rng: random.Random, digest: str) -> str:
+    """``digest``, or one tenth of the time a damaged form of it."""
+    return rng.choice(malformed(digest)) if rng.random() < 0.1 else digest
 
 
 def _lcs_reference(a: str, b: str) -> int:
@@ -156,18 +162,21 @@ class TestNormalizeDigest:
     def test_matches_parse_and_eliminate(self):
         digest = "96:aaaaaabcdefg:ZZZZZxy"
         normalized = normalize_digest(digest)
-        parsed = FuzzyHash.parse(digest)
-        assert normalized.block_size == 96
-        assert normalized.s1 == eliminate_sequences(parsed.sig1)
-        assert normalized.s2 == eliminate_sequences(parsed.sig2)
+        block_size, sig1, sig2 = parse_digest(digest)
+        assert normalized.block_size == block_size == 96
+        assert normalized.s1 == eliminate_sequences(sig1)
+        assert normalized.s2 == eliminate_sequences(sig2)
         assert normalized.grams1 == signature_grams(normalized.s1)
         assert normalized.masks2 == signature_masks(normalized.s2)
 
-    def test_rejects_garbage_like_parse(self):
-        with pytest.raises(ValueError):
-            normalize_digest("not a hash")
-        with pytest.raises(ValueError):
-            normalize_digest("0:abc:def")
+    def test_rejects_what_the_oracle_parser_rejects(self):
+        for digest in ["not a hash", "", "3:AB:C:D", "007:AB:C", "\u0663:AB:C",
+                       f"{'9' * 20}:AB:C", f"{'9' * 21}:AB:C", f"{'3' * 5000}:AB:C",
+                       *malformed("96:aaaaaabcdefg:ZZZZZxy")]:
+            assert (normalize_digest(digest) is None) == (parse_digest(digest) is None), \
+                digest
+        assert normalize_digest("not a hash") is None
+        assert normalize_digest("0:abc:def") is None
 
     def test_gram_sets_mirror_common_substring_gate(self):
         rng = random.Random(16)
@@ -190,8 +199,8 @@ class TestReferenceEquivalence:
             # Same band, double band, and incompatible bands all appear.
             other = block * rng.choice((1, 1, 2, 4)) if rng.random() < 0.8 \
                 else 3 * (2 ** rng.randint(0, 6))
-            a = _random_digest(rng, block)
-            b = _random_digest(rng, other)
+            a = _sometimes_malformed(rng, _random_digest(rng, block))
+            b = _sometimes_malformed(rng, _random_digest(rng, other))
             assert bit.compare(a, b) == compare_reference(a, b), (a, b)
 
     def test_related_payload_digests(self):
@@ -236,22 +245,23 @@ class TestReferenceEquivalence:
             for b in cases:
                 assert bit.compare(a, b) == compare_reference(a, b), (a, b)
 
-    def test_fuzzyhash_objects_score_from_components_not_reparse(self):
-        # Hand-constructed FuzzyHash objects may not survive a str()+re-parse
-        # round trip (a ':' inside sig1 shifts the split); engine and oracle
-        # must both score the object's actual components.
+    def test_a_colon_after_the_second_splits_nothing(self):
+        # A digest splits at its first two colons only: a further ':' belongs
+        # to sig2, in engine and oracle alike.
         bit = FuzzyHasher()
-        weird = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
-        plain = FuzzyHash(block_size=3, sig1="ABC:DEFGHIJ", sig2="KLMNOP")
-        assert bit.compare(weird, plain) == compare_reference(weird, plain) == 100
-        # compare_many honours its scalar-equivalence contract for objects too.
-        assert bit.compare_many(weird, [plain]) == [bit.compare(weird, plain)]
+        weird = "3:ABCDEFGHIJ:KLM:NOPQRST"
+        other = "3:ZYXWVUTSRQ:KLM:NOPQRSU"
+        assert normalize_digest(weird).s2 == "KLM:NOPQRST"
+        assert bit.compare(weird, weird) == compare_reference(weird, weird) == 100
+        assert bit.compare(weird, other) == compare_reference(weird, other)
+        assert bit.compare_many(weird, [other]) == [bit.compare(weird, other)]
 
-    def test_invalid_digest_raises_value_error_from_engine_and_oracle(self):
+    def test_invalid_digest_scores_0_in_engine_and_oracle(self):
         hasher = FuzzyHasher()
         for compare in (hasher.compare, compare_reference):
-            with pytest.raises(ValueError):
-                compare("garbage", "3:AB:C")
+            for garbage in ("garbage", "", *malformed("3:AB:C")):
+                assert compare(garbage, "3:AB:C") == compare("3:AB:C", garbage) == 0
+                assert compare(garbage, garbage) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -262,8 +272,10 @@ class TestCompareMany:
         rng = random.Random(19)
         hasher = FuzzyHasher()
         for _ in range(20):
-            baseline = _random_digest(rng, 3 * (2 ** rng.randint(0, 3)))
-            candidates = [_random_digest(rng, 3 * (2 ** rng.randint(0, 5)))
+            baseline = _sometimes_malformed(
+                rng, _random_digest(rng, 3 * (2 ** rng.randint(0, 3))))
+            candidates = [_sometimes_malformed(
+                rng, _random_digest(rng, 3 * (2 ** rng.randint(0, 5))))
                           for _ in range(rng.randint(0, 40))]
             # Repeat some candidates so the dedup/broadcast path runs.
             candidates += candidates[:len(candidates) // 3]
@@ -271,12 +283,15 @@ class TestCompareMany:
             assert hasher.compare_many(baseline, candidates) == \
                 [compare_reference(baseline, digest) for digest in candidates]
 
-    def test_accepts_fuzzyhash_objects(self):
+    def test_malformed_digests_score_0_on_either_side(self):
         hasher = FuzzyHasher()
-        baseline = FuzzyHash(3, "ABCDEFGHIJ", "ABCDE")
-        candidates = [FuzzyHash(3, "ABCDEFGHIJ", "ABCDE"), "6:ABCDEFGHIJ:ABCDE"]
+        baseline = "3:ABCDEFGHIJ:ABCDE"
+        candidates = [baseline, "6:ABCDEFGHIJ:ABCDE", *malformed(baseline), ""]
         assert hasher.compare_many(baseline, candidates) == \
-            [hasher.compare(baseline, candidate) for candidate in candidates]
+            [hasher.compare(baseline, candidate) for candidate in candidates] == \
+            [100, hasher.compare(baseline, candidates[1])] + [0] * (len(candidates) - 2)
+        for damaged in malformed(baseline):
+            assert hasher.compare_many(damaged, candidates) == [0] * len(candidates)
 
     def test_empty_batch(self):
         assert FuzzyHasher().compare_many("3:ABCDEFG:HIJ", []) == []
@@ -301,8 +316,9 @@ class TestCompareMany:
 # the compare LRU and knob lifecycle
 # --------------------------------------------------------------------------- #
 class TestCompareCacheLifecycle:
-    def test_lru_evicts_least_recently_used(self):
-        cache = CompareCache(maxsize=2)
+    def test_lru_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(compare_engine, "COMPARE_CACHE_SIZE", 2)
+        cache = CompareCache()
         cache.put(("a", "b"), 1)
         cache.put(("c", "d"), 2)
         assert cache.get(("a", "b")) == 1  # refresh ("a","b")
@@ -311,10 +327,11 @@ class TestCompareCacheLifecycle:
         assert cache.get(("a", "b")) == 1
         assert cache.get(("e", "f")) == 3
 
-    def test_zero_size_cache_stores_nothing(self):
-        cache = CompareCache(maxsize=0)
+    def test_zero_size_cache_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(compare_engine, "COMPARE_CACHE_SIZE", 0)
+        cache = CompareCache()
         cache.put(("a", "b"), 1)
-        assert cache.info().currsize == 0
+        assert cache.info() == (0, 0, 0, 0)
 
     def test_hasher_is_freed_without_a_gc_cycle_pass(self):
         # The seed wrapped a bound method in lru_cache, pinning the hasher in

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
 from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digest
-from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash, FuzzyHasher
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHasher
 from repro.util.rng import SeededRNG
 
 from oracles.ctph import ReferenceHasher, roll_sequence, sum_hash_bytes
@@ -74,22 +74,22 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name,payload", golden_corpus())
     def test_engine_matches_pinned_digest(self, name, payload, path):
         with mock.patch.multiple(engine_module, **PIECE_PATHS[path]):
-            assert str(FuzzyHasher().hash(payload)) == GOLDEN_DIGESTS[name]
+            assert FuzzyHasher().hash(payload) == GOLDEN_DIGESTS[name]
 
     @pytest.mark.parametrize("name,payload",
                              [case for case in golden_corpus()
                               if len(case[1]) <= 65536])
     def test_reference_still_matches_pinned_digest(self, name, payload):
         """The oracle itself must not drift (large payloads skipped for speed)."""
-        assert str(ReferenceHasher().hash(payload)) == GOLDEN_DIGESTS[name]
+        assert ReferenceHasher().hash(payload) == GOLDEN_DIGESTS[name]
 
     def test_corpus_has_all_golden_entries(self):
         assert {name for name, _ in golden_corpus()} == set(GOLDEN_DIGESTS)
 
 
-def digest_of(payload: bytes, min_block_size: int, signature_length: int) -> FuzzyHash:
+def digest_of(payload: bytes, min_block_size: int, signature_length: int) -> str:
     """The engine's digest of ``payload`` in one CTPH geometry."""
-    return FuzzyHash(*fuzzy_digest(payload, min_block_size, signature_length))
+    return "%d:%s:%s" % fuzzy_digest(payload, min_block_size, signature_length)
 
 
 class TestEngineEquivalence:
@@ -117,11 +117,11 @@ class TestEngineEquivalence:
         """Pins the multi-slice window/rebase arithmetic of the numpy scan
         (production _SCAN_SLICE is 4 MiB, far above test payload sizes)."""
         payloads = [SeededRNG(51).bytes(size) for size in (4095, 4096, 4097, 20000)]
-        expected = [str(FuzzyHasher().hash(p)) for p in payloads]
+        expected = [FuzzyHasher().hash(p) for p in payloads]
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 4096)
-        assert [str(FuzzyHasher().hash(p)) for p in payloads] == expected
+        assert [FuzzyHasher().hash(p) for p in payloads] == expected
         monkeypatch.setattr(engine_module, "_SCAN_SLICE", 7)  # degenerate slices
-        assert str(FuzzyHasher().hash(payloads[0])) == expected[0]
+        assert FuzzyHasher().hash(payloads[0]) == expected[0]
 
 
 #: Engine modes the equivalence property runs under: each piece-hash path,

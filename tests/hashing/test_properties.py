@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.compare_engine import normalize_digest
 from repro.hashing.rolling import ROLLING_WINDOW
-from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.hashing.xxhash import xxh64
 
 from oracles.compare import (
@@ -12,6 +13,8 @@ from oracles.compare import (
     damerau_levenshtein,
     default_cost_distance,
     levenshtein,
+    malformed,
+    parse_digest,
     weighted_edit_distance,
 )
 from oracles.ctph import roll_sequence
@@ -62,30 +65,40 @@ class TestCompareEngineProperties:
         alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
         max_size=64)
     block_sizes = st.sampled_from([3, 6, 12, 24, 48, 96, 192])
+    #: A well-formed digest, or one of its damaged forms (index into
+    #: ``malformed``; -1 keeps it whole).
+    damage = st.integers(-1, 5)
+
+    @staticmethod
+    def _digest(block: int, sig1: str, sig2: str, damage: int) -> str:
+        digest = f"{block}:{sig1}:{sig2}"
+        return digest if damage < 0 else malformed(digest)[damage]
 
     @given(short_text, short_text)
     @settings(max_examples=150, deadline=None)
     def test_lcs_reduction_equals_weighted_dp(self, a, b):
         assert default_cost_distance(a, b) == weighted_edit_distance(a, b)
 
-    @given(signatures, signatures, signatures, signatures, block_sizes, block_sizes)
+    @given(signatures, signatures, signatures, signatures, block_sizes, block_sizes,
+           damage, damage)
     @settings(max_examples=150, deadline=None)
     def test_engine_scores_byte_identical_to_reference(self, s1a, s1b, s2a, s2b,
-                                                       block1, block2):
+                                                       block1, block2, damage1, damage2):
         hasher = FuzzyHasher()
-        a = str(FuzzyHash(block_size=block1, sig1=s1a, sig2=s1b))
-        b = str(FuzzyHash(block_size=block2, sig1=s2a, sig2=s2b))
+        a = self._digest(block1, s1a, s1b, damage1)
+        b = self._digest(block2, s2a, s2b, damage2)
+        assert (normalize_digest(a) is None) == (parse_digest(a) is None)
         assert hasher.compare(a, b) == compare_reference(a, b)
 
-    @given(st.lists(st.tuples(signatures, signatures, block_sizes),
+    @given(st.lists(st.tuples(signatures, signatures, block_sizes, damage),
                     min_size=0, max_size=12),
-           signatures, signatures, block_sizes)
+           signatures, signatures, block_sizes, damage)
     @settings(max_examples=60, deadline=None)
-    def test_compare_many_equals_scalar_reference_loop(self, candidates, sig1, sig2, block):
+    def test_compare_many_equals_scalar_reference_loop(self, candidates, sig1, sig2, block,
+                                                       damage):
         hasher = FuzzyHasher()
-        baseline = str(FuzzyHash(block_size=block, sig1=sig1, sig2=sig2))
-        digests = [str(FuzzyHash(block_size=b, sig1=a, sig2=c))
-                   for a, c, b in candidates]
+        baseline = self._digest(block, sig1, sig2, damage)
+        digests = [self._digest(b, a, c, d) for a, c, b, d in candidates]
         assert hasher.compare_many(baseline, digests) == \
             [compare_reference(baseline, digest) for digest in digests]
 
@@ -111,14 +124,16 @@ class TestFuzzyHashProperties:
     @settings(max_examples=40, deadline=None)
     def test_self_similarity_of_nonempty_input(self, data):
         digest = _HASHER.hash(data)
-        if digest.sig1:  # empty input has an empty signature, which never matches
+        if parse_digest(digest)[1]:  # an empty signature never matches
             assert _HASHER.compare(digest, digest) == 100
 
     @given(payloads)
     @settings(max_examples=40, deadline=None)
     def test_digest_parses_back(self, data):
         digest = _HASHER.hash(data)
-        assert FuzzyHash.parse(str(digest)) == digest
+        block_size, sig1, sig2 = parse_digest(digest)
+        assert f"{block_size}:{sig1}:{sig2}" == digest
+        assert normalize_digest(digest).block_size == block_size
 
     @given(payloads, payloads)
     @settings(max_examples=40, deadline=None)
@@ -131,9 +146,9 @@ class TestFuzzyHashProperties:
     @given(payloads)
     @settings(max_examples=40, deadline=None)
     def test_signature_length_bounds(self, data):
-        digest = _HASHER.hash(data)
-        assert len(digest.sig1) <= 64
-        assert len(digest.sig2) <= 32
+        _, sig1, sig2 = parse_digest(_HASHER.hash(data))
+        assert len(sig1) <= 64
+        assert len(sig2) <= 32
 
 
 class TestXXHashProperties:

@@ -2,47 +2,47 @@
 
 import pytest
 
-from repro.hashing.ssdeep import (
-    MIN_BLOCKSIZE,
-    SPAMSUM_LENGTH,
-    FuzzyHash,
-    FuzzyHasher,
-    compare,
-    eliminate_sequences,
-    fuzzy_hash,
-    fuzzy_hash_text,
-)
+from repro.hashing.compare_engine import eliminate_sequences, normalize_digest
+from repro.hashing.engine import fuzzy_digest
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHasher
 from repro.util.rng import SeededRNG
 
 from oracles.ctph import ReferenceHasher
+
+_HASHER = FuzzyHasher()
 
 
 def _random_bytes(size: int, seed: int = 0) -> bytes:
     return SeededRNG(seed).bytes(size)
 
 
-class TestFuzzyHashParsing:
+def _block_size(digest: str) -> int:
+    return normalize_digest(digest).block_size
+
+
+class TestDigestParsing:
     def test_roundtrip(self):
-        digest = FuzzyHash(block_size=96, sig1="abc", sig2="de")
-        assert FuzzyHash.parse(str(digest)) == digest
+        parsed = normalize_digest("96:abc:de")
+        assert (parsed.block_size, parsed.s1, parsed.s2) == (96, "abc", "de")
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            FuzzyHash.parse("not a hash")
+        for digest in ("not a hash", "", "96:abcd", "96:", "96", ":abc:def"):
+            assert normalize_digest(digest) is None, digest
 
     def test_parse_rejects_bad_blocksize(self):
-        with pytest.raises(ValueError):
-            FuzzyHash.parse("zero:abc:def")
-        with pytest.raises(ValueError):
-            FuzzyHash.parse("0:abc:def")
+        for digest in ("zero:abc:def", "0:abc:def", "-3:abc:def", " 3:abc:def",
+                       "+3:abc:def", "3 :abc:def"):
+            assert normalize_digest(digest) is None, digest
 
     def test_format(self):
-        assert str(FuzzyHash(3, "AB", "C")) == "3:AB:C"
+        payload = _random_bytes(3000)
+        assert _HASHER.hash(payload) == \
+            "%d:%s:%s" % fuzzy_digest(payload, MIN_BLOCKSIZE, SPAMSUM_LENGTH)
 
 
 class TestHashing:
     def test_digest_format(self):
-        digest = fuzzy_hash(_random_bytes(5000))
+        digest = _HASHER.hash(_random_bytes(5000))
         block, sig1, sig2 = digest.split(":")
         assert int(block) >= MIN_BLOCKSIZE
         assert 1 <= len(sig1) <= SPAMSUM_LENGTH
@@ -50,27 +50,25 @@ class TestHashing:
 
     def test_deterministic(self):
         data = _random_bytes(4096, seed=3)
-        assert fuzzy_hash(data) == fuzzy_hash(data)
+        assert _HASHER.hash(data) == _HASHER.hash(data)
 
     def test_block_size_grows_with_input(self):
-        small = FuzzyHash.parse(fuzzy_hash(_random_bytes(500)))
-        large = FuzzyHash.parse(fuzzy_hash(_random_bytes(200_000)))
-        assert large.block_size > small.block_size
+        small = _block_size(_HASHER.hash(_random_bytes(500)))
+        large = _block_size(_HASHER.hash(_random_bytes(200_000)))
+        assert large > small
 
     def test_block_size_compatible_relation(self):
         hasher = ReferenceHasher()
         assert hasher.initial_block_size(0) == MIN_BLOCKSIZE
         assert hasher.initial_block_size(MIN_BLOCKSIZE * SPAMSUM_LENGTH + 1) == MIN_BLOCKSIZE * 2
         edge = SeededRNG(19).bytes(MIN_BLOCKSIZE * SPAMSUM_LENGTH + 1)
-        assert FuzzyHasher().hash(edge).block_size == MIN_BLOCKSIZE * 2
+        assert _block_size(FuzzyHasher().hash(edge)) == MIN_BLOCKSIZE * 2
 
     def test_empty_input(self):
-        digest = FuzzyHash.parse(fuzzy_hash(b""))
-        assert digest.block_size == MIN_BLOCKSIZE
-        assert digest.sig1 == "" and digest.sig2 == ""
+        assert _HASHER.hash(b"") == f"{MIN_BLOCKSIZE}::"
 
     def test_text_hashing_is_utf8(self):
-        assert fuzzy_hash_text("modules:a:b") == fuzzy_hash("modules:a:b".encode("utf-8"))
+        assert _HASHER.hash_text("modules:a:b") == _HASHER.hash("modules:a:b".encode("utf-8"))
 
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):
@@ -80,19 +78,19 @@ class TestHashing:
 class TestComparison:
     def test_identical_inputs_score_100(self):
         data = _random_bytes(8192, seed=5)
-        assert compare(fuzzy_hash(data), fuzzy_hash(data)) == 100
+        assert _HASHER.compare(_HASHER.hash(data), _HASHER.hash(data)) == 100
 
     def test_unrelated_inputs_score_0(self):
-        a = fuzzy_hash(_random_bytes(8192, seed=5))
-        b = fuzzy_hash(_random_bytes(8192, seed=6))
-        assert compare(a, b) == 0
+        a = _HASHER.hash(_random_bytes(8192, seed=5))
+        b = _HASHER.hash(_random_bytes(8192, seed=6))
+        assert _HASHER.compare(a, b) == 0
 
     def test_small_edit_scores_high(self):
         data = bytearray(_random_bytes(16384, seed=7))
         mutated = bytearray(data)
         for index in range(0, len(mutated), 2048):
             mutated[index] ^= 0xFF
-        score = compare(fuzzy_hash(bytes(data)), fuzzy_hash(bytes(mutated)))
+        score = _HASHER.compare(_HASHER.hash(bytes(data)), _HASHER.hash(bytes(mutated)))
         assert 60 <= score < 100
 
     def test_more_edits_lower_score(self):
@@ -103,34 +101,37 @@ class TestComparison:
             light[index] ^= 0xFF
         for index in range(0, len(data), 256):
             heavy[index] ^= 0xFF
-        base = fuzzy_hash(bytes(data))
-        assert compare(base, fuzzy_hash(bytes(light))) >= compare(base, fuzzy_hash(bytes(heavy)))
+        base = _HASHER.hash(bytes(data))
+        assert _HASHER.compare(base, _HASHER.hash(bytes(light))) >= \
+            _HASHER.compare(base, _HASHER.hash(bytes(heavy)))
 
     def test_prefix_insertion_still_matches(self):
         data = _random_bytes(12000, seed=9)
         shifted = _random_bytes(200, seed=10) + data
-        assert compare(fuzzy_hash(data), fuzzy_hash(shifted)) > 50
+        assert _HASHER.compare(_HASHER.hash(data), _HASHER.hash(shifted)) > 50
 
     def test_incompatible_block_sizes_score_0(self):
-        small = fuzzy_hash(_random_bytes(1000, seed=11))
-        huge = fuzzy_hash(_random_bytes(400_000, seed=11))
-        assert compare(small, huge) == 0
+        small = _HASHER.hash(_random_bytes(1000, seed=11))
+        huge = _HASHER.hash(_random_bytes(400_000, seed=11))
+        assert _HASHER.compare(small, huge) == 0
 
     def test_symmetry(self):
-        a = fuzzy_hash(_random_bytes(9000, seed=12))
-        b = fuzzy_hash(_random_bytes(9000, seed=13))
-        assert compare(a, b) == compare(b, a)
+        a = _HASHER.hash(_random_bytes(9000, seed=12))
+        b = _HASHER.hash(_random_bytes(9000, seed=13))
+        assert _HASHER.compare(a, b) == _HASHER.compare(b, a)
 
     def test_score_range(self):
-        a = fuzzy_hash(_random_bytes(5000, seed=14))
-        b = fuzzy_hash(_random_bytes(5000, seed=15))
-        assert 0 <= compare(a, b) <= 100
+        a = _HASHER.hash(_random_bytes(5000, seed=14))
+        b = _HASHER.hash(_random_bytes(5000, seed=15))
+        assert 0 <= _HASHER.compare(a, b) <= 100
 
-    def test_accepts_strings_and_objects(self):
-        data = _random_bytes(4000, seed=16)
-        digest = fuzzy_hash(data)
-        parsed = FuzzyHash.parse(digest)
-        assert compare(digest, parsed) == 100
+    def test_a_malformed_digest_scores_0(self):
+        digest = _HASHER.hash(_random_bytes(4000, seed=16))
+        assert _HASHER.compare(digest, digest) == 100
+        block, sig1, _ = digest.split(":")
+        for damaged in (f"{block}:{sig1}", f" {digest}", f"0:{sig1}:{sig1}", ""):
+            assert _HASHER.compare(digest, damaged) == _HASHER.compare(damaged, digest) == 0
+            assert _HASHER.compare(damaged, damaged) == 0
 
     def test_double_blocksize_comparison(self):
         """Hashes whose block sizes differ by exactly 2x are still comparable."""
@@ -138,8 +139,8 @@ class TestComparison:
         data = _random_bytes(3 * 64 * 128, seed=17)  # exercises a larger block size
         base = hasher.hash(data)
         extended = hasher.hash(data + _random_bytes(len(data), seed=18))
-        if base.block_size != extended.block_size:
-            assert extended.block_size in (base.block_size * 2, base.block_size // 2)
+        if _block_size(base) != _block_size(extended):
+            assert _block_size(extended) in (_block_size(base) * 2, _block_size(base) // 2)
             assert hasher.compare(base, extended) >= 0
 
 
@@ -149,12 +150,13 @@ class TestCachedCompare:
         a = hasher.hash(_random_bytes(4096, seed=1))
         b = hasher.hash(_random_bytes(4096, seed=2))
         assert hasher.compare_many(a, [b]) == [hasher.compare(a, b)]
-        assert hasher.compare_many(str(a), [str(b)]) == [hasher.compare(a, b)]
+        assert hasher.compare_many(a, [b, a, b]) == \
+            [hasher.compare(a, b), 100, hasher.compare(a, b)]
 
     def test_cache_hits_on_repeat_and_swapped_pairs(self):
         hasher = FuzzyHasher()
-        a = str(hasher.hash(_random_bytes(4096, seed=3)))
-        b = str(hasher.hash(_random_bytes(4096, seed=4)))
+        a = hasher.hash(_random_bytes(4096, seed=3))
+        b = hasher.hash(_random_bytes(4096, seed=4))
         first = hasher.compare_many(a, [b])
         info_after_first = hasher.compare_cache_info()
         # The pair key is order-normalised, so the swapped call hits too.
@@ -167,7 +169,7 @@ class TestCachedCompare:
     def test_caches_are_per_hasher_instance(self):
         first = FuzzyHasher()
         second = FuzzyHasher()
-        a = str(first.hash(_random_bytes(2048, seed=5)))
+        a = first.hash(_random_bytes(2048, seed=5))
         first.compare_many(a, [a])
         assert second.compare_cache_info().currsize == 0
 
@@ -191,9 +193,9 @@ class TestTextSimilarityUseCases:
                          ["sci_cray", "mpi_cray", "pmi", "fabric", "quadmath", "pthread",
                           "hdf5", "netcdf", "gfortran", "m", "c", "dl", "rt", "z"])
         variant = base.replace("hdf5", "hdf5_parallel")
-        assert compare(fuzzy_hash_text(base), fuzzy_hash_text(variant)) > 40
+        assert _HASHER.compare(_HASHER.hash_text(base), _HASHER.hash_text(variant)) > 40
 
     def test_disjoint_library_lists_score_low(self):
         a = "\n".join(f"/lib64/liba{i}.so" for i in range(20))
         b = "\n".join(f"/opt/rocm/librocm{i * 7}.so" for i in range(20))
-        assert compare(fuzzy_hash_text(a), fuzzy_hash_text(b)) < 30
+        assert _HASHER.compare(_HASHER.hash_text(a), _HASHER.hash_text(b)) < 30

@@ -2,9 +2,10 @@
 
 :meth:`repro.hashing.ssdeep.FuzzyHasher.compare` scores through the batched
 bit-parallel engine of :mod:`repro.hashing.compare_engine`.  This is the
-comparison as ssdeep states it, one pair at a time: parse both digests,
-collapse long runs, demand a common 7-gram, align the signatures with a
-weighted Damerau-Levenshtein DP and rescale the distance into 0-100.  The
+comparison as ssdeep states it, one pair at a time: parse both digests (with
+a parser of its own, to the engine's rule: a digest that does not parse
+scores 0), collapse long runs, demand a common 7-gram, align the signatures
+with a weighted Damerau-Levenshtein DP and rescale the distance into 0-100.  The
 rescaling and the small-block-size cap are the hasher's own ``_rescale`` and
 ``_apply_cap``, so the scoring arithmetic is written once.  The 7-gram gate is
 a parameter here, and only here: the engine always applies it, and a test
@@ -30,27 +31,52 @@ kernel reduction, which the tests pin to :func:`weighted_edit_distance`.
 
 from __future__ import annotations
 
-from repro.hashing.compare_engine import lcs_length, signature_masks
+import re
+
+from repro.hashing.compare_engine import eliminate_sequences, lcs_length, signature_masks
 from repro.hashing.rolling import ROLLING_WINDOW
-from repro.hashing.ssdeep import FuzzyHash, FuzzyHasher, eliminate_sequences
+from repro.hashing.ssdeep import FuzzyHasher
+
+#: ``blocksize:sig1:sig2``: 1 to 20 ASCII decimal digits, then two
+#: colon-separated signatures (the second may hold further colons).
+_DIGEST = re.compile(r"([0-9]{1,20}):([^:]*):(.*)", re.DOTALL)
 
 
-def compare_reference(first: FuzzyHash | str, second: FuzzyHash | str, *,
+def parse_digest(digest: str) -> tuple[int, str, str] | None:
+    """(block size, sig1, sig2), or ``None`` for a digest that does not parse
+    (no match, or a zero block size)."""
+    match = _DIGEST.fullmatch(digest)
+    if match is None or int(match[1]) == 0:
+        return None
+    return int(match[1]), match[2], match[3]
+
+
+def malformed(digest: str) -> list[str]:
+    """Damaged forms of a well-formed ``digest``, none of which parses: a
+    truncated prefix, a zero, non-digit or space-padded block size, and the
+    signatures run together behind a single colon."""
+    block, sig1, sig2 = digest.split(":", 2)
+    return [f"{block}:{sig1[:4]}", f"0:{sig1}:{sig2}", f"x{block}:{sig1}:{sig2}",
+            f" {block}:{sig1}:{sig2}", f"{block} :{sig1}:{sig2}", f"{block}:{sig1}{sig2}"]
+
+
+def compare_reference(first: str, second: str, *,
                       require_common_substring: bool = True) -> int:
     """``FuzzyHasher().compare(first, second)``, one pair at a time: parse,
     normalise and align (without the 7-gram gate when
     ``require_common_substring`` is false)."""
-    h1 = first if isinstance(first, FuzzyHash) else FuzzyHash.parse(first)
-    h2 = second if isinstance(second, FuzzyHash) else FuzzyHash.parse(second)
+    h1, h2 = parse_digest(first), parse_digest(second)
+    if h1 is None or h2 is None:
+        return 0
 
-    b1, b2 = h1.block_size, h2.block_size
+    (b1, sig1a, sig1b), (b2, sig2a, sig2b) = h1, h2
     if b1 != b2 and b1 != b2 * 2 and b2 != b1 * 2:
         return 0
 
-    s1a = eliminate_sequences(h1.sig1)
-    s1b = eliminate_sequences(h1.sig2)
-    s2a = eliminate_sequences(h2.sig1)
-    s2b = eliminate_sequences(h2.sig2)
+    s1a = eliminate_sequences(sig1a)
+    s1b = eliminate_sequences(sig1b)
+    s2a = eliminate_sequences(sig2a)
+    s2b = eliminate_sequences(sig2b)
 
     if b1 == b2 and s1a == s2a and s1b == s2b and s1a:
         return 100

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.hashing.engine import B64_ALPHABET
 from repro.hashing.fnv import FNV32_PRIME, SSDEEP_HASH_INIT
 from repro.hashing.rolling import ROLLING_WINDOW
-from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHash
+from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH
 
 _MASK32 = 0xFFFFFFFF
 
@@ -96,7 +96,7 @@ class ReferenceHasher:
             block_size *= 2
         return block_size
 
-    def hash(self, data: bytes) -> FuzzyHash:
+    def hash(self, data: bytes) -> str:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("FuzzyHasher.hash expects bytes-like input")
         data = bytes(data)
@@ -108,7 +108,7 @@ class ReferenceHasher:
             if block_size > self.min_block_size and len(sig1) < self.signature_length // 2:
                 block_size //= 2
             else:
-                return FuzzyHash(block_size=block_size, sig1=sig1, sig2=sig2)
+                return f"{block_size}:{sig1}:{sig2}"
 
     def _hash_at(self, data: bytes, block_size: int) -> tuple[str, str]:
         """Single pass producing the signatures at ``block_size`` and double it."""

@@ -117,7 +117,7 @@ class GroundTruthLedger:
 
     def _digest(self, data: bytes) -> str:
         if data not in self._digests:
-            self._digests[data] = str(ReferenceHasher().hash(data))
+            self._digests[data] = ReferenceHasher().hash(data)
         return self._digests[data]
 
     def violations(self, records: list[ProcessRecord], *, lossless: bool) -> list[str]:

@@ -33,6 +33,7 @@ from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles.consolidate import records_from_messages
+from oracles.search import on_brute_force, on_index
 
 PROFILES = DEFAULT_PROFILES[:4]
 
@@ -151,15 +152,30 @@ class TestRecordedPresetOutput:
         assert set(preset_plans()) == set(PRESET_PINS)
 
     @pytest.mark.parametrize("preset", list(PRESET_PINS))
-    @mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
     def test_preset_output_is_the_recorded_one(self, recorded_campaign, preset):
-        inner = InMemoryChannel()
-        faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
-        front = IncrementalConsolidator(MessageStore())
-        front.attach(inner)
-        for datagram in recorded_campaign.stream:
-            faulty.send(datagram)
-        faulty.flush()
-        records = front.finalize()
+        records, faulty, front = _replay(recorded_campaign, preset)
         assert (_sha(_record_list(records)), faulty.fault_counters(),
                 front.decode_errors, len(records)) == PRESET_PINS[preset]
+
+    @pytest.mark.parametrize("preset", list(PRESET_PINS))
+    def test_preset_report_renders_on_both_sides_of_the_index(self, recorded_campaign,
+                                                              preset):
+        """A damaged stream may make the report less complete, never crash it:
+        a digest a truncated datagram cut short scores 0 on both paths."""
+        records, _, _ = _replay(recorded_campaign, preset)
+        pipeline = AnalysisPipeline(records, recorded_campaign.result.user_names)
+        assert on_brute_force(pipeline.render_all) == on_index(pipeline.render_all)
+
+
+@mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
+def _replay(recorded_campaign, preset: str):
+    """The recorded stream through ``preset``'s faulty channel into a fresh
+    ingest front: (finalized records, the channel, the front)."""
+    inner = InMemoryChannel()
+    faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
+    front = IncrementalConsolidator(MessageStore())
+    front.attach(inner)
+    for datagram in recorded_campaign.stream:
+        faulty.send(datagram)
+    faulty.flush()
+    return front.finalize(), faulty, front
