@@ -7,14 +7,11 @@ modified executables.  These benches measure both on the synthetic corpus.
 """
 
 import hashlib
-import sys
 import time
-from unittest import mock
 
 import pytest
 
-from repro.analysis import simindex
-from repro.analysis.similarity import SimilaritySearch
+from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.corpus.builder import CorpusBuilder
 from repro.corpus.packages import ICON
 from repro.db.store import ProcessRecord
@@ -24,6 +21,8 @@ from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.util.tables import TextTable
 from repro.workload import CampaignConfig, DeploymentCampaign
+
+from oracles.search import reference_identify, reference_matrix
 
 _HASHER = FuzzyHasher()
 
@@ -138,30 +137,31 @@ class TestRecognitionAbility:
         assert total_digest < total_content / 100
 
 
-class TestIndexedSimilarityScaling:
-    """Brute-force vs n-gram-indexed similarity search across campaign scales.
+class TestGatedSimilarityScaling:
+    """The n-gram-gated similarity search against the all-pairs reference across scales.
 
     The paper's Table 7 search is all-pairs: every UNKNOWN baseline meets
     every known instance on six hash columns, and the pairwise ablation
-    matrix meets every instance pair.  The inverted 7-gram index
+    matrix meets every instance pair.  The inverted 7-gram gate
     (:mod:`repro.analysis.simindex`) only ever hands plausibly-similar pairs
-    to the signature alignment; this bench runs both paths over campaigns of
-    increasing scale, checks the outputs stay identical, and reports how many
-    digest comparisons the index avoided.
+    to the signature alignment; this bench runs the search and the all-pairs
+    reference (``tests/oracles/search.py``) over campaigns of increasing
+    scale, checks the outputs stay identical, and reports how many digest
+    comparisons the gate avoided.
     """
 
     #: Builds of the edit-compile-run row: campaigns stay near 32 instances
-    #: at every scale, below the measured crossover (``DEFAULT_INDEX_THRESHOLD``),
-    #: so the row the wall-clock gate runs on has to be grown separately.
+    #: at every scale, so the row the wall-clock assertion runs on has to be
+    #: grown separately.
     CHURN_BUILDS = 480
 
-    def test_indexed_search_prunes_comparisons_across_scales(self, bench_campaign,
-                                                             bench_scale_value):
+    def test_gated_search_prunes_comparisons_across_scales(self, bench_campaign,
+                                                           bench_scale_value):
         scales = sorted({0.0025, 0.005, 0.01, bench_scale_value})
         table = TextTable(
-            ["scale", "instances", "brute cmps", "indexed cmps", "pruned %",
-             "brute ms", "indexed ms"],
-            title="Similarity search: brute force vs n-gram index")
+            ["scale", "instances", "all pairs", "gated cmps", "pruned %",
+             "all-pairs ms", "gated ms"],
+            title="Similarity search: all-pairs reference vs n-gram gate")
         measured: list[tuple[float, int, int]] = []
 
         for scale in [*scales, None]:
@@ -173,36 +173,39 @@ class TestIndexedSimilarityScaling:
                 config = CampaignConfig(scale=scale, seed=2025, loss_rate=0.0002)
                 records = DeploymentCampaign(config=config).run().records
 
-            brute_ms = indexed_ms = float("inf")
-            for _ in range(3):  # best of three, each from a fresh search (cold index, cold LRU)
-                brute = SimilaritySearch(records)
-                indexed = SimilaritySearch(records)
-                brute_out, elapsed = self._run_search(brute, sys.maxsize)
-                brute_ms = min(brute_ms, elapsed)
-                indexed_out, elapsed = self._run_search(indexed, 0)
-                indexed_ms = min(indexed_ms, elapsed)
-                assert brute_out == indexed_out  # identical tables + matrix, every scale
+            gated_ms = float("inf")
+            for _ in range(3):  # best of three, each from a fresh search (cold LRU)
+                search = SimilaritySearch(records)
+                gated_out, elapsed = self._run_search(search)
+                gated_ms = min(gated_ms, elapsed)
+            start = time.perf_counter()
+            instances = search.instances
+            reference_out = (reference_identify(instances, top=10),
+                             reference_matrix(instances))
+            reference_ms = (time.perf_counter() - start) * 1000
+            assert gated_out == reference_out  # identical tables + matrix, every scale
 
-            pruned = 100.0 * (1 - indexed.comparisons / brute.comparisons) \
-                if brute.comparisons else 0.0
+            size = len(instances)
+            all_pairs = (len(search.unknown_instances()) * len(search.labelled_instances())
+                         * len(HASH_COLUMNS) + size * (size - 1) // 2)
+            pruned = 100.0 * (1 - search.comparisons / all_pairs) if all_pairs else 0.0
             table.add_row([f"{scale:g}" if scale is not None else "churn",
-                           len(brute.instances), brute.comparisons,
-                           indexed.comparisons, f"{pruned:.1f}",
-                           f"{brute_ms:.1f}", f"{indexed_ms:.1f}"])
+                           size, all_pairs, search.comparisons, f"{pruned:.1f}",
+                           f"{reference_ms:.1f}", f"{gated_ms:.1f}"])
             if scale is not None:
-                measured.append((scale, brute.comparisons, indexed.comparisons))
+                measured.append((scale, all_pairs, search.comparisons))
 
         print()
         print(table.render())
 
-        at_scale = [(b, i) for scale, b, i in measured if scale >= 0.01]
+        at_scale = [(a, g) for scale, a, g in measured if scale >= 0.01]
         assert at_scale, "bench must include at least one scale >= 0.01"
-        for brute_comparisons, indexed_comparisons in at_scale:
-            assert indexed_comparisons < brute_comparisons
-        # The largest row is the one the index exists for: fewer comparisons
+        for scale_pairs, gated_comparisons in at_scale:
+            assert gated_comparisons < scale_pairs
+        # The largest row is the one the gate exists for: fewer comparisons
         # *and* less time, or the pruning is not paying for its bookkeeping.
-        assert indexed.comparisons < brute.comparisons
-        assert indexed_ms <= brute_ms, (indexed_ms, brute_ms)
+        assert search.comparisons < all_pairs
+        assert gated_ms <= reference_ms, (gated_ms, reference_ms)
 
     @staticmethod
     def _churn_records(count: int) -> list[ProcessRecord]:
@@ -230,15 +233,12 @@ class TestIndexedSimilarityScaling:
         return records
 
     @staticmethod
-    def _run_search(search: SimilaritySearch, threshold: int) -> tuple[tuple, float]:
-        """Run Table 7 + the pairwise matrix with the index from ``threshold``
-        instances (0: always, ``sys.maxsize``: never); return (results, elapsed ms)."""
-        with mock.patch.object(simindex, "DEFAULT_INDEX_THRESHOLD", threshold):
-            start = time.perf_counter()
-            try:
-                searches = search.identify_unknown(top=10)
-            except AnalysisError:  # no UNKNOWN instance at tiny scales
-                searches = {}
-            matrix = search.pairwise_average_matrix()
-            elapsed_ms = (time.perf_counter() - start) * 1000
-        return (searches, matrix), elapsed_ms
+    def _run_search(search: SimilaritySearch) -> tuple[tuple, float]:
+        """Run Table 7 + the pairwise matrix; return (results, elapsed ms)."""
+        start = time.perf_counter()
+        try:
+            searches = search.identify_unknown(top=10)
+        except AnalysisError:  # no UNKNOWN instance at tiny scales
+            searches = {}
+        matrix = search.pairwise_average_matrix()
+        return (searches, matrix), (time.perf_counter() - start) * 1000

@@ -7,12 +7,11 @@ one perfect 100-score match and progressively lower scores for more distant
 variants.
 """
 
-import sys
-
-from repro.analysis import simindex
 from repro.analysis.report import render_similarity
 from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
 from repro.util.tables import TextTable
+
+from oracles.search import reference_identify
 
 
 def test_table7_similarity_search(benchmark, bench_pipeline):
@@ -41,47 +40,41 @@ def test_table7_similarity_search(benchmark, bench_pipeline):
     assert all(result.scores["SY_H"] >= 80 for result in tail)
 
 
-def test_table7_similarity_search_brute_force(benchmark, bench_pipeline, monkeypatch):
-    """Timing reference: the same search on the all-pairs brute-force path."""
-    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", sys.maxsize)
-    searches = benchmark(lambda: SimilaritySearch(
-        bench_pipeline.records).identify_unknown(top=10))
+def test_table7_all_pairs_reference(benchmark, bench_pipeline):
+    """Timing reference: Table 7 with every pair compared, one at a time."""
+    searches = benchmark(lambda: reference_identify(
+        SimilaritySearch(bench_pipeline.records).instances, top=10))
     assert searches
 
 
-def test_indexed_table7_is_byte_identical_with_fewer_comparisons(bench_campaign,
-                                                                 monkeypatch):
-    """The n-gram index must not change a single byte of Table 7's output.
+def test_gated_table7_is_the_all_pairs_one(bench_campaign):
+    """The n-gram gate must not change a single byte of Table 7's output.
 
-    Runs the search twice -- brute force and indexed (the search reads
-    ``DEFAULT_INDEX_THRESHOLD`` at query time; it is patched to
-    ``sys.maxsize`` for the first run and to 0 for the second, so the index
-    engages regardless of campaign scale) -- renders both result sets, and
-    checks the renderings are byte-identical while the indexed run performed
-    no more digest comparisons (strictly fewer at default scale).
+    Renders the search's answer and the all-pairs reference's (every pair
+    through ``FuzzyHasher.compare``), checks the renderings are
+    byte-identical, and prints the gate's counters: the search compares only
+    the (baseline, candidate) pairs the gate passes.
     """
-    brute = SimilaritySearch(bench_campaign.records)
-    indexed = SimilaritySearch(bench_campaign.records)
-
-    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", sys.maxsize)
-    brute_out = brute.identify_unknown(top=10)
-    monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
-    indexed_out = indexed.identify_unknown(top=10)
+    search = SimilaritySearch(bench_campaign.records)
+    gated = search.identify_unknown(top=10)
+    reference = reference_identify(search.instances, top=10)
 
     def rendered(searches) -> str:
         return "\n\n".join(
             render_similarity(results, title=f"Table 7 (baseline: {path})")
             for path, results in searches.items())
 
-    assert rendered(brute_out) == rendered(indexed_out)
-    assert brute_out == indexed_out
+    assert rendered(gated) == rendered(reference)
+    assert gated == reference
 
-    stats = indexed.index_stats()
-    table = TextTable(["path", "digest comparisons", "pairs pruned"],
-                      title="Table 7: brute force vs n-gram index")
-    table.add_row(["brute force", brute.comparisons, 0])
-    table.add_row(["indexed", indexed.comparisons,
-                   stats.pairs_pruned if stats is not None else 0])
+    stats = search.index_stats()
+    pairs = len(search.unknown_instances()) * len(search.labelled_instances()) \
+        * len(HASH_COLUMNS)
+    table = TextTable(["pairs", "compared", "pruned", "digests registered", "probes"],
+                      title="Table 7: the n-gram gate's counters")
+    table.add_row([pairs, search.comparisons, stats.pairs_pruned, stats.digests,
+                   stats.queries])
     print()
     print(table.render())
-    assert indexed.comparisons <= brute.comparisons
+    assert stats.candidates_returned + stats.pairs_pruned == pairs
+    assert search.comparisons == stats.candidates_returned < pairs

@@ -9,11 +9,17 @@ counts, the default keeps the harness laptop-friendly).
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import AnalysisPipeline
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
+
+# The similarity benches check the search against the all-pairs Table 7
+# reference of the test suite's oracles (``tests/oracles/search.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Default fraction of the paper's job counts executed by the benchmark campaign.
 DEFAULT_BENCH_SCALE = 0.01

@@ -24,7 +24,9 @@ import sys
 
 from repro.analysis import report
 from repro.analysis.libfilter import record_library_tags
+from repro.analysis.similarity import HASH_COLUMNS
 from repro.core import AnalysisPipeline
+from repro.hashing.ssdeep import FuzzyHasher
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 
@@ -47,10 +49,12 @@ def main(scale: float = 0.01) -> None:
     print(f"\n{unknown_rows[0].process_count} process(es) could not be labelled "
           f"from their file or path names.\n")
 
-    # Step 2: similarity search against all known instances (Table 7).  The
-    # search runs on the inverted n-gram index once the dataset is large
-    # enough for it to pay off; results equal the brute-force all-pairs path.
+    # Step 2: similarity search against all known instances (Table 7).  Each
+    # column's UNKNOWN digests go into an n-gram gate that passes only the
+    # pairs able to score above 0; the answers equal comparing every pair.
     search = pipeline.similarity_search()
+    hasher = FuzzyHasher()
+    labelled = search.labelled_instances()
     for unknown in search.unknown_instances():
         results = search.query(unknown, top=10)
         print(report.render_similarity(
@@ -58,15 +62,20 @@ def main(scale: float = 0.01) -> None:
         best = results[0]
         print(f"-> identified as {best.label} "
               f"(average similarity {best.average:.1f}, "
-              f"raw-file similarity {best.scores['FI_H']})\n")
-    pairs = len(search.unknown_instances()) * len(search.labelled_instances())
-    mode = "n-gram index" if search.indexed else "brute force (small dataset)"
-    print(f"Search mode: {mode} -- {search.comparisons} digest comparisons "
-          f"for {pairs} instance pairs x 6 hash columns.")
+              f"raw-file similarity {best.scores['FI_H']})")
+        # The check the gate must pass: every pair compared, one at a time.
+        every_pair = max(sum(hasher.compare(unknown.hashes[column], other.hashes[column])
+                             for column in HASH_COLUMNS) / len(HASH_COLUMNS)
+                         for other in labelled)
+        assert every_pair == best.average, (every_pair, best.average)
+        print(f"   (the best average over all {len(labelled)} known instances, "
+              f"compared pair by pair, is the same {every_pair:.1f})\n")
     stats = search.index_stats()
-    if stats is not None:
-        print(f"  index: {stats.digests} digests, {stats.grams} distinct 7-grams, "
-              f"{stats.pairs_pruned} candidate pairs pruned without comparison.\n")
+    print(f"n-gram gate: {search.comparisons} digest comparisons of "
+          f"{stats.candidates_returned + stats.pairs_pruned} (baseline, candidate) "
+          f"column pairs; {stats.pairs_pruned} pruned without comparison.")
+    print(f"  {stats.digests} baseline digests registered, {stats.queries} "
+          f"candidate digests probed.\n")
 
     # Step 3: verify the functionality via the loaded scientific libraries.
     unknown_records = [record for record in result.records

@@ -3,15 +3,14 @@
 The paper computes its evaluation once, after the campaign; the streaming
 ingest spine (PR 3) made the *records* live, but every mid-run peek still
 rebuilt the whole analysis layer from scratch -- ``AnalysisPipeline``
-regrouped all records, ``SimilaritySearch`` rebuilt its instance list and
-n-gram index, and the compare LRU started cold, making each observation
-O(campaign).  :class:`LiveAnalysis` replaces that with a consumer of record
-*deltas*: each pull folds only the newly finalized records into streaming
-accumulators (the Table 2/3/4/8 :class:`~repro.analysis.stats.TableRollup`,
-the similarity instance list, the inverted n-gram index) and overlays the
-handful of still-open process groups transiently, so a snapshot analysis
-costs O(new records + open groups + result size) instead of O(everything so
-far).
+regrouped all records, ``SimilaritySearch`` rebuilt its instance list,
+and the compare LRU started cold, making each observation O(campaign).
+:class:`LiveAnalysis` replaces that with a consumer of record *deltas*: each
+pull folds only the newly finalized records into streaming accumulators (the
+Table 2/3/4/8 :class:`~repro.analysis.stats.TableRollup` and the similarity
+instance list) and overlays the handful of still-open process groups
+transiently, so a snapshot analysis costs O(new records + open groups +
+result size) instead of O(everything so far).
 
 Equivalence argument
 --------------------
@@ -31,15 +30,12 @@ records (``tests/analysis/test_live.py``):
   :class:`~repro.analysis.stats.TableRollup` views (its module docstring
   has the min-key argument); similarity pools are ordered the same way, by
   each instance's minimum process key.
-* **The index only accretes.**  The search's per-column
-  :class:`~repro.analysis.simindex.DigestIndex` registers each instance
-  under its list position and its posting lists only grow, so an index
-  extended one delta at a time equals one built over the full instance
-  list.  Instances that exist only in the open-group overlay have no
-  position and are compared directly (the same path
-  ``SimilaritySearch.query`` takes for caller-supplied candidates), which
-  can only *add* comparisons, never change scores -- a malformed digest
-  among them scores 0, as the index's pruning would have.
+* **No query state outlives a query.**  The search keeps only its
+  instance list; each Table 7 answer builds its gate over the UNKNOWN
+  digests afresh and probes every distinct pool digest, committed and
+  overlay alike, so an instance list grown one delta at a time answers as
+  one built over the full list.  A malformed digest scores 0 on either
+  side, as comparing it would.
 
 Tables 2/3/4/8 per refresh
 --------------------------
@@ -57,8 +53,12 @@ them) and ``top``; the scoring rules are ssdeep's and fixed.  A refresh
 whose two inputs equal the last answer's costs O(instances) -- one key tuple
 compared -- and returns that answer again; ``process_count`` is not an
 input, so a commit that only bumps counts is served from memory too.
-Any other refresh re-runs the search: UNKNOWN x labelled x six columns of
-index probes and compare-LRU lookups.  One
+Any other refresh re-runs the search: per column one gate over the UNKNOWN
+digests, one probe per distinct labelled digest, and compare-LRU lookups for
+the pairs it passes.  So a refresh that changes the pool probes every
+distinct pool digest, however few instances the delta added; no benchmark
+workload builds a live pool where that cost shows (``docs/architecture.md``,
+"Growth, and the live trade").  One
 :class:`~repro.hashing.ssdeep.FuzzyHasher` lives for the whole analysis, so
 the LRU stays warm across snapshots and only pairs with a new instance are
 aligned afresh.
@@ -77,6 +77,7 @@ from repro.analysis.similarity import (
     SimilaritySearch,
     instance_from_record,
 )
+from repro.analysis.simindex import IndexStats
 from repro.analysis.stats import (
     PythonInterpreterRow,
     SharedObjectVariantRow,
@@ -285,7 +286,7 @@ class LiveAnalysis:
 
         While the pool's instance keys in pool order and ``top`` are what
         the last search saw, its answer is returned again as fresh dict and
-        list copies of the frozen rows, without an index probe or a
+        list copies of the frozen rows, without a gate probe or a
         compare-LRU lookup (the module docstring says why those two inputs
         suffice).  The rows are shared with every earlier caller; their
         ``scores`` are read-only.
@@ -297,13 +298,7 @@ class LiveAnalysis:
             self.identify_reused += 1
             answer = self._identified[1]
         else:
-            unknowns = [instance for instance in pool if instance.label == UNKNOWN_LABEL]
-            if not unknowns:
-                raise AnalysisError("no UNKNOWN instances to identify")
-            labelled = [instance for instance in pool if instance.label != UNKNOWN_LABEL]
-            answer = {unknown.executable: self._search.query(unknown, candidates=labelled,
-                                                             top=top)
-                      for unknown in unknowns}
+            answer = self._search.identify_unknown(top=top, instances=pool)
             self._identified = (inputs, answer)
         return {executable: list(rows) for executable, rows in answer.items()}
 
@@ -312,8 +307,8 @@ class LiveAnalysis:
 
         Committed instances come straight from the incrementally grown
         search; overlay records merge into them (bumping ``process_count``)
-        or append as transient instances the query compares directly -- the
-        index is never polluted with provisional digests.  Built once per
+        or append as transient instances -- the search's instance list never
+        holds provisional digests.  Built once per
         pulled state: ``commit`` and ``refresh_open`` drop it when they
         change what it is built from.
         """
@@ -354,8 +349,8 @@ class LiveAnalysis:
         """Digest comparisons across the analysis's lifetime, compare-LRU hits included."""
         return self._search.comparisons
 
-    def index_stats(self):
-        """Counters of the incrementally grown index (``None`` below threshold)."""
+    def index_stats(self) -> IndexStats:
+        """Counters of every gate the analysis's searches have built, summed."""
         return self._search.index_stats()
 
     def statistics(self) -> dict[str, int]:

@@ -49,9 +49,8 @@ def similarity_graph(
     instances when the average similarity over the distinct ``columns`` is
     at least ``threshold``, weighted by that average.  The scores are one
     :meth:`~repro.analysis.similarity.SimilaritySearch.pairwise_average_matrix`
-    per column, so from
-    :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances up
-    only the pairs sharing an n-gram are compared.
+    per column, so only the pairs sharing an n-gram are compared, each
+    distinct digest pair once.
     """
     if not 0 <= threshold <= 100:
         raise ValueError("threshold must be between 0 and 100")

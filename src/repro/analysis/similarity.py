@@ -8,25 +8,25 @@ every other known instance and ranks candidates by the average similarity.
 A perfect 100 across all columns means "effectively the same executable in the
 same environment"; decreasing scores trace version/compilation distance.
 
-From :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances up
-the search runs on top of the inverted n-gram index of
-:mod:`repro.analysis.simindex`: only instances sharing at least one
-signature 7-gram with the baseline (per column, per block-size band) are ever
-handed to the expensive signature alignment; every other pair is assigned its
-provably-correct score of 0 without a comparison.  Below it the search
-compares every pair.  The results -- scores, ranking, and tie order -- are
-identical either way by construction, malformed digests included: the
-comparer scores a digest that does not parse 0, and the index never returns
-it as a candidate.  The choice is made from the instance count alone,
-reading the threshold at query time.
+Every answer -- one query, the whole Table 7, a pairwise matrix -- is scored
+by one routine, per column: the baselines' distinct digests are registered in
+a throwaway :class:`~repro.analysis.simindex.DigestIndex` gate, each distinct
+pool digest probes it once, and each baseline digest's survivors are aligned
+in one :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` sweep.  Only
+pairs sharing a signature 7-gram in an aligned block-size band (or the exact
+signatures of a gram-less digest) are ever compared; every other pair is
+assigned its provably-correct score of 0.  The results -- scores, ranking,
+and tie order -- are those of comparing every pair, malformed digests
+included: the comparer scores a digest that does not parse 0, and the gate
+never passes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.analysis import simindex
 from repro.analysis.labels import UNKNOWN_LABEL, derive_label
 from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.collector.classify import ExecutableCategory
@@ -112,36 +112,30 @@ class SimilarityResult:
 class SimilaritySearch:
     """Index user-directory records into instances and run similarity queries.
 
-    Candidate pairs are pruned through the inverted n-gram index once the
-    instance count reaches
-    :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD`; below it
-    queries compare every pair.  Either way the results are identical; only
-    ``comparisons`` differs.
+    Every query prunes its candidate pairs through a gate over its own
+    baselines (see the module docstring); the results equal comparing every
+    pair, and ``comparisons`` counts only the pairs the gate passed.
     """
 
     records: list[ProcessRecord]
     hasher: FuzzyHasher = field(default_factory=FuzzyHasher)
     instances: list[ExecutableInstance] = field(init=False)
     #: Number of digest comparisons actually performed (cache lookups count;
-    #: pairs pruned by the index or short-circuited on empty digests do not).
+    #: pairs pruned by the gate, missing or malformed digests included, do not).
     comparisons: int = field(init=False, default=0)
-    #: One index per Table 7 column; ids are instance-list positions, and
-    #: the first ``_indexed`` instances are in it.
-    _indexes: dict[str, DigestIndex] = field(init=False, repr=False)
-    _indexed: int = field(init=False, default=0, repr=False)
+    _stats: IndexStats = field(init=False, default_factory=IndexStats, repr=False)
     _positions: dict[tuple[str, ...], int] = field(init=False, default_factory=dict,
                                                    repr=False)
 
     def __post_init__(self) -> None:
         self.instances = []
-        self._indexes = {column: DigestIndex() for column in HASH_COLUMNS}
         # The search owns its record list: growing it must not grow the
         # caller's (a campaign result's ``records``) behind its back.
         records, self.records = self.records, []
         self.add_records(records)
 
     # ------------------------------------------------------------------ #
-    # index construction
+    # instance list
     # ------------------------------------------------------------------ #
     def add_record(self, record: ProcessRecord) -> tuple[str, ...] | None:
         """Fold one record into the instance list (append or merge by key).
@@ -166,17 +160,14 @@ class SimilaritySearch:
         return key
 
     def add_records(self, new_records: list[ProcessRecord]) -> int:
-        """Append new records, updating instances and the index in place.
+        """Append new records, updating the instance list in place.
 
         The incremental-growth path: records are folded into the existing
         instance list (new keys append, repeated keys bump their instance's
-        ``process_count``), and a previously built n-gram index is *extended*
-        -- not rebuilt -- the next time it is consulted.  A search grown this
-        way is indistinguishable from a fresh one over the concatenated
-        record list (pinned by the live-analysis property tests); before this
-        path existed, mutating ``records`` after the first indexed query left
-        the cached index silently stale.  Returns how many instances the new
-        records created.
+        ``process_count``).  A search grown this way is indistinguishable
+        from a fresh one over the concatenated record list (pinned by the
+        live-analysis property tests): no query state outlives its query.
+        Returns how many instances the new records created.
         """
         before = len(self.instances)
         for record in new_records:
@@ -191,64 +182,90 @@ class SimilaritySearch:
         """Instances with a known derived label (the search candidates)."""
         return [instance for instance in self.instances if instance.label != UNKNOWN_LABEL]
 
+    def index_stats(self) -> IndexStats:
+        """The counters of every gate this search has built, summed (a copy)."""
+        return replace(self._stats)
+
     # ------------------------------------------------------------------ #
-    # index plumbing
+    # the scoring routine
     # ------------------------------------------------------------------ #
-    def _effective_index(self) -> dict[str, DigestIndex] | None:
-        """The per-column candidate-pruning indexes, or ``None`` when brute force applies.
+    def _score(self, baselines: list[str],
+               targets: list[str] | None = None) -> dict[str, dict[str, int]]:
+        """One column's surviving pairs: baseline digest -> target digest -> score.
 
-        Brute force applies below
-        :data:`~repro.analysis.simindex.DEFAULT_INDEX_THRESHOLD` instances,
-        where building the index costs more than the scan it saves.  The
-        threshold is read here, on every query, not stored.
+        The baselines' distinct digests are registered in a throwaway gate,
+        each distinct target digest probes it once, and each baseline
+        digest's survivors are scored in one ``compare_many`` sweep.  A pair
+        missing from the answer scores 0: the gate pruned it.  Without
+        ``targets`` the baselines are scored against each other, each
+        unordered pair once, under the digest registered first, and a digest
+        against itself only when two baselines carry it.
         """
-        if len(self.instances) < simindex.DEFAULT_INDEX_THRESHOLD:
-            return None
-        # Instances added since the index was last consulted extend it in
-        # place.  Ids are instance-list positions (what ``_positions`` maps a
-        # key to), and the posting lists only accrete, so the grown index
-        # equals a fresh build.
-        for position in range(self._indexed, len(self.instances)):
-            hashes = self.instances[position].hashes
-            for column, index in self._indexes.items():
-                index.add(position, hashes.get(column, ""))
-        self._indexed = len(self.instances)
-        return self._indexes
+        gate = DigestIndex(self._stats)
+        counts = Counter(baselines)
+        distinct = list(counts)
+        for digest_id, digest in enumerate(distinct):
+            gate.add(digest_id, digest)
+        survivors: dict[int, list[str]] = {}
+        for target_id, target in enumerate(distinct if targets is None
+                                           else dict.fromkeys(targets)):
+            mask = gate.candidates(target)
+            if targets is None:
+                mask &= (1 << target_id + (counts[target] > 1)) - 1
+            while mask:
+                low = mask & -mask
+                survivors.setdefault(low.bit_length() - 1, []).append(target)
+                mask ^= low
+        return {distinct[digest_id]: dict(zip(found, self.hasher.compare_many(
+            distinct[digest_id], found))) for digest_id, found in sorted(survivors.items())}
 
-    @property
-    def indexed(self) -> bool:
-        """Whether queries currently run through the n-gram index."""
-        return self._effective_index() is not None
+    def _count(self, passed: int, pairs: int) -> None:
+        """Book ``pairs`` (baseline, pool instance) pairs, ``passed`` of them compared."""
+        self.comparisons += passed
+        self._stats.candidates_returned += passed
+        self._stats.pairs_pruned += pairs - passed
 
-    def index_stats(self) -> IndexStats | None:
-        """Index counters summed over the columns (``None`` while on the brute-force path)."""
-        indexes = self._effective_index()
-        if indexes is None:
-            return None
-        return IndexStats(**{counter.name: sum(getattr(index.stats, counter.name)
-                                               for index in indexes.values())
-                             for counter in fields(IndexStats)})
+    def _rank(self, baselines: list[ExecutableInstance], pool: list[ExecutableInstance],
+              *, top: int | None, columns: tuple[str, ...]) -> list[list[SimilarityResult]]:
+        """Each baseline's ranked ``pool``, itself (by key) left out.
 
-    def _compare_digest_batch(self, baseline: str, digests: list[str]) -> list[int]:
-        """Counted digest comparisons of one baseline against many.
-
-        The batched hot path: non-empty pairs go through
-        :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` in one sweep
-        (deduplicated, LRU-fed); empty digests score their 0 without a
-        counted comparison and without touching the cache.
+        Pool positions are ranked by a stable sort on the averages, so ties
+        keep pool order, and only the ``top`` rows returned are built.
         """
-        scores = [0] * len(digests)
-        if not baseline:
-            return scores
-        present = [position for position, digest in enumerate(digests) if digest]
-        if not present:
-            return scores
-        self.comparisons += len(present)
-        batch = self.hasher.compare_many(
-            baseline, [digests[position] for position in present])
-        for position, score in zip(present, batch):
-            scores[position] = score
-        return scores
+        columns = tuple(dict.fromkeys(columns))
+        targets = [[candidate.hashes.get(column, "") for candidate in pool]
+                   for column in columns]
+        tables = [self._score([baseline.hashes.get(column, "") for baseline in baselines],
+                              column_targets)
+                  for column, column_targets in zip(columns, targets)]
+        positions_of: dict[tuple[str, ...], list[int]] = {}
+        for position, candidate in enumerate(pool):
+            positions_of.setdefault(candidate.key, []).append(position)
+        zeros = [0] * len(pool)
+        answers = []
+        for baseline in baselines:
+            skipped = positions_of.get(baseline.key, ())
+            kept = [position for position in range(len(pool)) if position not in skipped]
+            column_scores = []
+            passed = 0
+            for column, column_targets, table in zip(columns, targets, tables):
+                row = table.get(baseline.hashes.get(column, ""))
+                if row is None:
+                    column_scores.append(zeros)
+                    continue
+                column_scores.append(list(map(row.get, column_targets, zeros)))
+                passed += sum(map(row.__contains__, column_targets)) - sum(
+                    column_targets[position] in row for position in skipped)
+            self._count(passed, len(kept) * len(columns))
+            averages = ([sum(scores) / len(columns) for scores in zip(*column_scores)]
+                        if columns else [0.0] * len(pool))
+            ranked = sorted(kept, key=averages.__getitem__, reverse=True)[:top]
+            answers.append([SimilarityResult(
+                label=pool[position].label, executable=pool[position].executable,
+                scores=ReadOnlyDict({column: scores[position]
+                                     for column, scores in zip(columns, column_scores)}),
+                average=averages[position]) for position in ranked])
+        return answers
 
     # ------------------------------------------------------------------ #
     # queries
@@ -261,74 +278,33 @@ class SimilaritySearch:
         top: int | None = None,
         columns: tuple[str, ...] = HASH_COLUMNS,
     ) -> list[SimilarityResult]:
-        """Rank candidate instances by average similarity to ``baseline``.
+        """Rank ``candidates`` (default: the labelled instances) by average similarity.
 
-        With the index active, a column comparison is only performed when the
-        candidate shares an indexed n-gram with the baseline on that column;
-        all other scores are 0 by the index's pruning guarantee.  Each
-        column's surviving pairs are scored in one
-        :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` sweep.
-        Pool positions are ranked by a stable sort on the averages, on both
-        paths, so rankings (including ties, which keep pool order) are
-        identical; only the ``top`` rows returned are built.
+        A candidate with the baseline's key is left out; columns outside
+        :data:`HASH_COLUMNS` score 0.  Equal averages keep candidate order.
         """
         pool = candidates if candidates is not None else self.labelled_instances()
-        columns = tuple(dict.fromkeys(columns))
-        indexes = self._effective_index() or {}
-        # Columns the index does not cover (anything outside HASH_COLUMNS)
-        # simply miss from per_column and are compared directly, exactly as
-        # the brute-force path would.
-        per_column = {column: indexes[column].candidates(baseline.hashes.get(column, ""))
-                      for column in columns if column in indexes}
-        # One pass for the ids.  Caller-supplied instances outside the built
-        # index (no id) are compared directly; indexed ones only where a
-        # shared n-gram makes a non-zero score possible.
-        baseline_key = baseline.key
-        kept = [candidate for candidate in pool if candidate.key != baseline_key]
-        kept_ids = [self._positions.get(candidate.key) for candidate in kept]
-        column_scores: list[list[int]] = []
-        for column in columns:
-            bucket = per_column.get(column)
-            if bucket is None:
-                targets = range(len(kept))
-            else:  # the rest is pruned: 0 by the index's no-false-negative guarantee
-                targets = [position for position, candidate_id in enumerate(kept_ids)
-                           if candidate_id is None or candidate_id in bucket]
-            scores = [0] * len(kept)
-            batch = self._compare_digest_batch(
-                baseline.hashes.get(column, ""),
-                [kept[position].hashes.get(column, "") for position in targets])
-            for position, score in zip(targets, batch):
-                scores[position] = score
-            column_scores.append(scores)
-        # Rank positions, not results: a stable sort on the averages keeps
-        # pool order on ties, and only the rows returned are ever built.
-        averages = ([sum(row) / len(columns) for row in zip(*column_scores)]
-                    if columns else [0.0] * len(kept))
-        ranked = sorted(range(len(kept)), key=averages.__getitem__, reverse=True)[:top]
-        return [SimilarityResult(
-            label=kept[position].label, executable=kept[position].executable,
-            scores=ReadOnlyDict({column: scores[position]
-                                 for column, scores in zip(columns, column_scores)}),
-            average=averages[position]) for position in ranked]
+        return self._rank([baseline], pool, top=top, columns=columns)[0]
 
-    def identify_unknown(self, *, top: int = 10) -> dict[str, list[SimilarityResult]]:
+    def identify_unknown(self, *, top: int = 10,
+                         instances: list[ExecutableInstance] | None = None,
+                         ) -> dict[str, list[SimilarityResult]]:
         """Run the Table 7 search for every UNKNOWN instance.
 
         Returns a mapping of the unknown instance's executable path to its
-        ranked candidate list.  The candidate pool is materialised once and
-        shared across every baseline -- the instance list cannot change
-        between queries, so rebuilding it per UNKNOWN (as the seed did) only
-        re-filtered the same list.
+        ranked list of labelled candidates.  ``instances`` (default: this
+        search's) is the population both sides are drawn from; every
+        unknown is scored in the one pass of :meth:`_rank`, so each column
+        builds one gate over the unknowns' digests and probes each distinct
+        labelled digest once.
         """
-        unknowns = self.unknown_instances()
+        instances = self.instances if instances is None else instances
+        unknowns = [instance for instance in instances if instance.label == UNKNOWN_LABEL]
         if not unknowns:
             raise AnalysisError("no UNKNOWN instances to identify")
-        labelled = self.labelled_instances()
-        return {
-            unknown.executable: self.query(unknown, candidates=labelled, top=top)
-            for unknown in unknowns
-        }
+        labelled = [instance for instance in instances if instance.label != UNKNOWN_LABEL]
+        answers = self._rank(unknowns, labelled, top=top, columns=HASH_COLUMNS)
+        return {unknown.executable: rows for unknown, rows in zip(unknowns, answers)}
 
     # ------------------------------------------------------------------ #
     # pairwise matrix (the recognition graph and the scaling ablation bench)
@@ -336,30 +312,26 @@ class SimilaritySearch:
     def pairwise_average_matrix(self, column: str = "FI_H") -> list[list[int]]:
         """Full pairwise similarity matrix over instances for one hash column.
 
-        Indexed, only the pairs sharing an n-gram are aligned; the rest of the
-        ``O(N**2)`` matrix is filled with the 0 they would have scored.  Each
-        row's surviving pairs are scored in one
-        :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` sweep.
-        Missing digests go through the same batch helper every other path
-        uses, so they score their 0 without a counted comparison and without
-        planting placeholder pairs in the compare LRU -- the counter and
-        cache semantics match :meth:`query` exactly.
+        Only the pairs the gate passes are aligned, each distinct digest pair
+        once; the rest of the ``O(N**2)`` matrix keeps the 0 they would have
+        scored, and the diagonal is 100.
         """
-        size = len(self.instances)
-        matrix = [[0] * size for _ in range(size)]
-        # An unindexed column is compared directly, as brute force does.
-        index = (self._effective_index() or {}).get(column)
         digests = [instance.hashes.get(column, "") for instance in self.instances]
-        for i in range(size):
-            matrix[i][i] = 100
-            candidates = index.candidates(digests[i]) if index is not None else None
-            if candidates is None:
-                others = list(range(i + 1, size))
-            else:
-                others = [j for j in range(i + 1, size) if j in candidates]
-            batch = self._compare_digest_batch(digests[i],
-                                               [digests[j] for j in others])
-            for j, score in zip(others, batch):
-                matrix[i][j] = score
-                matrix[j][i] = score
+        size = len(digests)
+        matrix = [[0] * size for _ in range(size)]
+        members: dict[str, list[int]] = {}
+        for position, digest in enumerate(digests):
+            matrix[position][position] = 100
+            members.setdefault(digest, []).append(position)
+        passed = 0
+        for first, row in self._score(digests).items():
+            for second, score in row.items():
+                for i in members[first]:
+                    for j in members[second]:
+                        if i != j:
+                            matrix[i][j] = matrix[j][i] = score
+                passed += (len(members[first]) * (len(members[first]) - 1) // 2
+                           if first == second
+                           else len(members[first]) * len(members[second]))
+        self._count(passed, size * (size - 1) // 2)
         return matrix

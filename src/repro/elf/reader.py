@@ -170,12 +170,8 @@ class ELFFile:
             strtab: StringTable | None = None
             if 0 < section.sh_link < len(self.sections):
                 strtab = StringTable(self._section_bytes(self.sections[section.sh_link]))
-            symbols: list[Symbol] = []
-            for offset in range(0, len(payload) - SYM_SIZE + 1, SYM_SIZE):
-                symbol = Symbol.unpack(payload, offset)
-                name = strtab.get(symbol.st_name) if strtab is not None else ""
-                symbols.append(Symbol.unpack(payload, offset, name=name))
-            return symbols
+            return [Symbol.unpack(payload, offset, strtab)
+                    for offset in range(0, len(payload) - SYM_SIZE + 1, SYM_SIZE)]
         return []
 
     def symbols(self) -> list[Symbol]:

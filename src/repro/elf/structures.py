@@ -203,12 +203,13 @@ class Symbol:
         )
 
     @classmethod
-    def unpack(cls, data: bytes, offset: int = 0, name: str = "") -> "Symbol":
-        """Parse one symbol entry at ``offset``."""
+    def unpack(cls, data: bytes, offset: int = 0,
+               strings: StringTable | None = None) -> "Symbol":
+        """Parse one symbol entry at ``offset``, its name resolved in ``strings``."""
         if len(data) < offset + SYM_SIZE:
             raise ELFError("truncated symbol entry")
         fields = struct.unpack_from(_SYM_FMT, data, offset)
-        return cls(*fields, name=name)
+        return cls(*fields, name=strings.get(fields[0]) if strings is not None else "")
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,34 @@
 """Identification pays per distinct digest and per instance -- pinned.
 
-The index keys its posting lists by *distinct* digest and takes its
-normalisation from the comparer's cache; the query ranks positions and builds
-only the rows it returns.  These tests pin the three things that design could
-silently break: the results (against brute force, against a one-at-a-time
-grown index, and against digests recorded before the change), the work counts
-(one normalisation per distinct digest string, one key tuple per instance, at
-most ``top`` result rows per query), and the ownership of the record list.
+Each column of a search registers the baselines' *distinct* digests in a
+throwaway gate, probes it once per distinct pool digest, and takes its
+normalisation from the comparer's cache; the ranking builds only the rows it
+returns.  These tests pin the things that design could silently break: the
+results (against the all-pairs reference, against a search grown one record
+at a time, and against digests recorded before the change), the work counts
+(one registration per distinct baseline digest, one probe per distinct pool
+digest, one normalisation per distinct digest string, one key tuple per
+instance, at most ``top`` result rows per query), and the ownership of the
+record list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import similarity, simindex
+from repro.analysis import similarity
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
     SimilarityResult,
     SimilaritySearch,
 )
-from repro.analysis.simindex import DigestIndex
+from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.db.store import ProcessRecord
 from repro.hashing import compare_engine
 from repro.hashing.compare_engine import normalize_cache_clear, normalize_digest
@@ -34,7 +37,7 @@ from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 
 from oracles.compare import malformed
-from oracles.search import index_threshold, on_brute_force, on_index
+from oracles.search import reference_identify, reference_matrix, reference_query
 
 _HASHER = FuzzyHasher()
 _FIELDS = ("modules_h", "compilers_h", "objects_h", "file_h", "strings_h", "symbols_h")
@@ -79,14 +82,13 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
     return records
 
 
-def similarity_digest(records: list[ProcessRecord]) -> str:
-    """One digest over everything a search over ``records`` can answer."""
+def similarity_answers(records: list[ProcessRecord]) -> tuple[str, SimilaritySearch]:
+    """One digest over everything a search over ``records`` can answer, and the search."""
     search = SimilaritySearch(list(records))
     parts = [repr(search.identify_unknown(top=10))]
     parts += [repr(search.query(unknown)) for unknown in search.unknown_instances()]
     parts += [repr(search.pairwise_average_matrix(column)) for column in HASH_COLUMNS]
-    parts += [repr(search.comparisons), repr(search.index_stats())]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest(), search
 
 
 # --------------------------------------------------------------------------- #
@@ -105,23 +107,36 @@ def test_growing_a_search_leaves_the_callers_list_alone():
 # recorded output: the digests below were taken at the parent of this change
 # --------------------------------------------------------------------------- #
 class TestRecordedOutput:
-    def test_indexed_and_brute_force_output_is_the_recorded_one(self):
-        records = churn_like_records()
-        assert on_index(similarity_digest, records) == \
-            "6fbc99fd1c44864dffedbeb3535d0d787cc120de5eb44e973eff735891152d4f"
-        assert on_brute_force(similarity_digest, records) == \
-            "779c7df3f32d9adb57b20829184e1f5cd9c7cc89ec3bff4c377d2d4fa6ca5a55"
+    def test_the_answers_are_the_recorded_ones(self):
+        # Taken at the parent of the baseline-side gate, where the n-gram
+        # index and brute force gave this same digest.
+        digest, _ = similarity_answers(churn_like_records())
+        assert digest == "3d8de854082b60832aa58938d413172edc910585acaaba392637f743da97f372"
+
+    def test_the_counters_are_the_recorded_ones(self):
+        # ``comparisons`` is the pool-side n-gram index's count at the parent
+        # (the gate passes the same pairs).  The gate counters are new with
+        # it: identify_unknown registers 36 digests and probes 234, the 12
+        # queries 72 and 12 x 234, the six matrices 258 and 258; their
+        # 7,776 + 7,776 + 6 x 7,140 (baseline, pool instance) pairs are
+        # either passed to the comparer or pruned.
+        _, search = similarity_answers(churn_like_records())
+        assert search.comparisons == 21968
+        assert search.index_stats() == IndexStats(
+            digests=366, grams=24023, queries=3300,
+            candidates_returned=21968, pairs_pruned=36424)
 
 
 # --------------------------------------------------------------------------- #
-# repeated digests per column: indexed == brute force == grown one at a time
+# repeated digests per column: the search == the all-pairs reference == grown
 # --------------------------------------------------------------------------- #
 _LONG = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdef"
 _POOL = (
-    "",                                   # missing: never compared, never indexed
+    "",                                   # missing: never compared, never registered
     f"24:{_LONG}:{_LONG[:16]}",
     f"24:{_LONG[:20]}0123456789:{_LONG[:16]}",   # shares grams with the one above
     f"48:{_LONG[:16]}zz:{_LONG[8:24]}",          # meets the 24s through its chunk part
+    f"12:zzzzzzzz:{_LONG[:20]}",                 # meets the 24s through its double-chunk part
     f"24:AAAAAAAA{_LONG[:12]}:qrstuvwx",         # a run the normalisation collapses
     "3:ABC:DE", "3:ABC:DE", "3:ABD:DE",          # gram-less: the exact-signature table
     "96:0123456789+/0123456789:zzzzzzzzz",       # shares nothing with anyone
@@ -137,54 +152,48 @@ _instances = st.lists(
 class TestRepeatedDigests:
     @given(_instances)
     @settings(max_examples=120, deadline=None)
-    def test_indexed_equals_brute_force_and_a_grown_index(self, rows):
+    def test_the_search_and_a_grown_one_equal_the_all_pairs_reference(self, rows):
         records = [_record(f"/p/u/d{directory}/{name}", digests, pid=pid)
                    for pid, (directory, name, digests) in enumerate(rows)
                    if digests[3]]          # no FI_H, no instance
-        brute = SimilaritySearch(records)
-        indexed = SimilaritySearch(records)
+        search = SimilaritySearch(records)
         grown = SimilaritySearch([])
-        with index_threshold(0):
-            for record in records:
-                grown.add_records([record])
-                assert grown.indexed        # extends the index by this one instance
-        searches = ((brute, on_brute_force), (indexed, on_index), (grown, on_index))
-        assert [i.key for i in indexed.instances] == [i.key for i in grown.instances]
-        try:
-            expected = on_brute_force(brute.identify_unknown, top=10)
-        except AnalysisError:
-            for search in (indexed, grown):
+        for record in records:
+            grown.add_records([record])
+        instances = search.instances
+        assert [i.key for i in instances] == [i.key for i in grown.instances]
+        expected = reference_identify(instances, top=10)
+        if not expected:
+            for each in (search, grown):
                 with pytest.raises(AnalysisError):
-                    on_index(search.identify_unknown, top=10)
+                    each.identify_unknown(top=10)
         else:
-            assert on_index(indexed.identify_unknown, top=10) == expected
-            assert on_index(grown.identify_unknown, top=10) == expected
-        for position in range(len(brute.instances)):
-            answers = [on_path(search.query, search.instances[position],
-                               candidates=search.instances)
-                       for search, on_path in searches]
-            assert answers[0] == answers[1] == answers[2]
+            assert search.identify_unknown(top=10) == expected
+            assert grown.identify_unknown(top=10) == expected
+        for baseline in instances:
+            expected = reference_query(baseline, instances)
+            assert search.query(baseline, candidates=instances) == expected
+            assert grown.query(baseline, candidates=instances) == expected
         for column in HASH_COLUMNS:
-            matrices = [on_path(search.pairwise_average_matrix, column)
-                        for search, on_path in searches]
-            assert matrices[0] == matrices[1] == matrices[2]
-        assert indexed.comparisons == grown.comparisons <= brute.comparisons
-        assert on_index(indexed.index_stats) == on_index(grown.index_stats)
+            expected = reference_matrix(instances, column)
+            assert search.pairwise_average_matrix(column) == expected
+            assert grown.pairwise_average_matrix(column) == expected
+        assert search.comparisons == grown.comparisons
+        assert search.index_stats() == grown.index_stats()
 
     def test_every_id_registered_under_a_shared_digest_is_a_candidate(self):
-        index = DigestIndex()
+        gate = DigestIndex()
         digest = f"24:{_LONG}:{_LONG[:16]}"
-        for digest_id in (0, 1, 2):
-            assert index.add(digest_id, digest)
-        assert index.add(3, digest)
-        assert not index.add(4, digest[:12])        # truncated: never a candidate
-        assert index.candidates(digest) == {0, 1, 2, 3}
-        assert index.candidates(digest[:12]) == set()
-        assert (index.stats.digests, index.stats.exact_keys) == (4, 1)
+        for digest_id in (0, 1, 2, 3):
+            assert gate.add(digest_id, digest)
+        assert not gate.add(4, digest[:12])         # truncated: never a candidate
+        assert gate.candidates(digest) == 0b1111
+        assert gate.candidates(digest[:12]) == 0
+        assert (gate.stats.digests, gate.stats.queries) == (4, 2)
         gramless = DigestIndex()
         gramless.add(0, "3:ABC:DE")
         gramless.add(1, "3:ABC:DE")
-        assert gramless.candidates("3:ABC:DE") == {0, 1}
+        assert gramless.candidates("3:ABC:DE") == 0b11
 
     def test_ties_keep_pool_order_and_only_top_rows_are_built(self, monkeypatch):
         records = churn_like_records(10)
@@ -195,21 +204,19 @@ class TestRepeatedDigests:
         built = []
         monkeypatch.setattr(similarity, "SimilarityResult",
                             lambda **fields: built.append(1) or SimilarityResult(**fields))
-        for threshold in (0, sys.maxsize):
-            monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
-            search = SimilaritySearch(records + clones)
-            baseline = search.unknown_instances()[0]
-            pool = search.labelled_instances()
-            ranked = search.query(baseline, candidates=pool)
-            # Equal averages come out in the order the pool listed them.
-            for first, second in zip(ranked, ranked[1:]):
-                assert first.average >= second.average
-            twins = [twin.executable] + [clone.executable for clone in clones]
-            assert [row.executable for row in ranked if row.executable in twins] == twins
-            del built[:]
-            assert search.query(baseline, candidates=pool, top=3) == ranked[:3]
-            assert len(built) == 3
-            assert search.query(baseline, candidates=pool, top=0) == []
+        search = SimilaritySearch(records + clones)
+        baseline = search.unknown_instances()[0]
+        pool = search.labelled_instances()
+        ranked = search.query(baseline, candidates=pool)
+        # Equal averages come out in the order the pool listed them.
+        for first, second in zip(ranked, ranked[1:]):
+            assert first.average >= second.average
+        twins = [twin.executable] + [clone.executable for clone in clones]
+        assert [row.executable for row in ranked if row.executable in twins] == twins
+        del built[:]
+        assert search.query(baseline, candidates=pool, top=3) == ranked[:3]
+        assert len(built) == 3
+        assert search.query(baseline, candidates=pool, top=0) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -234,7 +241,6 @@ class TestWorkCounts:
                             lambda **fields: rows.append(1) or SimilarityResult(**fields))
         normalize_cache_clear()
 
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
         search = SimilaritySearch(records)
         found = search.identify_unknown(top=10)
         assert len(found) == 12 and len(rows) == 12 * 10
@@ -248,3 +254,31 @@ class TestWorkCounts:
         assert len(eliminated) == 2 * len(distinct)
         # One key per instance object: each record's instance, twice over.
         assert len(keys) == 2 * len(records)
+
+    def test_one_identify_registers_the_unknowns_and_probes_each_pool_digest_once(
+            self, monkeypatch):
+        records = churn_like_records()
+        registered: list[str] = []
+        probed: list[str] = []
+        add, candidates = DigestIndex.add, DigestIndex.candidates
+        monkeypatch.setattr(DigestIndex, "add", lambda gate, digest_id, digest:
+                            registered.append(digest) or add(gate, digest_id, digest))
+        monkeypatch.setattr(DigestIndex, "candidates", lambda gate, digest:
+                            probed.append(digest) or candidates(gate, digest))
+        search = SimilaritySearch(records)
+        search.identify_unknown(top=10)
+        unknowns, labelled = search.unknown_instances(), search.labelled_instances()
+        assert len(unknowns) == 12 and len(registered) <= 12 * len(HASH_COLUMNS)
+        assert Counter(registered) == Counter(
+            digest for column in HASH_COLUMNS
+            for digest in {unknown.hashes[column] for unknown in unknowns})
+        assert Counter(probed) == Counter(
+            digest for column in HASH_COLUMNS
+            for digest in {candidate.hashes[column] for candidate in labelled})
+        # The pairs compared are those the pool-side index passed at the parent.
+        assert search.comparisons == 2958
+        stats = search.index_stats()
+        assert (stats.digests, stats.queries) == (len(registered), len(probed))
+        assert stats.candidates_returned == search.comparisons
+        assert stats.candidates_returned + stats.pairs_pruned == \
+            len(unknowns) * len(labelled) * len(HASH_COLUMNS)

@@ -7,20 +7,18 @@ every similarity ranking produced by the incrementally maintained
 (``tests/oracles/tables.py``) and a fresh
 :class:`~repro.analysis.similarity.SimilaritySearch` compute over the same
 record set.  These tests stream synthetic record sequences (delivered out of
-canonical order, with open-group overlays, across the index threshold) and
-full campaigns (seeds x loss rates, batch and streaming ingest) and compare
-at each step.  Table 7 is answered from memory while its inputs hold, so a
-work-count test pins that an unchanged pool costs no comparison, and a
-hypothesis state machine checks the memoised answer after every step of
-random commits, peeks and ``top`` changes.  Brute force and the n-gram index
-are forced by patching the one threshold constant the search reads at query
-time (``oracles/search.py``).
+canonical order, with open-group overlays) and full campaigns (seeds x loss
+rates, batch and streaming ingest) and compare at each step.  Table 7 is
+answered from memory while its inputs hold, so a work-count test pins that
+an unchanged pool costs no comparison, and a hypothesis state machine checks
+the memoised answer after every step of random commits, peeks and ``top``
+changes.  Table 7 answers are also pinned to the all-pairs reference
+(``oracles/search.py``), which compares every pair the gate prunes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import sys
 from dataclasses import replace
 
 import pytest
@@ -28,7 +26,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.analysis import simindex
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex
@@ -42,7 +39,7 @@ from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles import tables
 from oracles.compare import malformed
-from oracles.search import index_threshold, on_brute_force
+from oracles.search import reference_identify, reference_query
 
 _HASHER = FuzzyHasher()
 
@@ -57,8 +54,7 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
                         user_names: dict[int, str]) -> None:
     """Every live view equals a fresh rebuild over ``records`` -- byte for byte.
 
-    The live and fresh searches run under the threshold in force; the brute
-    force one compares every pair whatever it is.
+    Table 7 also equals the all-pairs reference, which compares every pair.
     """
     reference = _canonical(records)
     table2 = tables.user_activity_table(reference, user_names)
@@ -76,7 +72,6 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
     fresh = SimilaritySearch(reference)
     assert [(i.key, i.label, i.process_count) for i in live.instances] == \
         [(i.key, i.label, i.process_count) for i in fresh.instances]
-    brute = SimilaritySearch(reference)
     try:
         expected = fresh.identify_unknown(top=10)
     except AnalysisError:
@@ -85,10 +80,10 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
             live.identify_unknown(top=10)
     if expected is not None:
         assert live.identify_unknown(top=10) == expected
-        # and both == brute force
-        assert on_brute_force(brute.identify_unknown, top=10) == expected
+        assert reference_identify(fresh.instances, top=10) == expected
     for baseline in fresh.instances[:3]:
-        assert live.query(baseline) == fresh.query(baseline)
+        assert live.query(baseline) == fresh.query(baseline) == \
+            reference_query(baseline, fresh.labelled_instances())
 
 
 # --------------------------------------------------------------------------- #
@@ -174,15 +169,14 @@ class TestSyntheticStreamEquivalence:
             committed.extend(chunk)
             _assert_views_equal(live, committed, live.user_names)
 
-    @pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["index", "brute-force"])
-    def test_open_group_overlay_matches_rebuild(self, monkeypatch, threshold):
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
+    def test_open_group_overlay_matches_rebuild(self):
         stream = _synthetic_stream(seed=9)
         live = LiveAnalysis({})
         committed = stream[:30]
         live.commit(committed)
-        # The first overlay instance has no index id and digests that do not
-        # parse: ``query`` compares it directly, and it scores 0 everywhere.
+        # The first overlay instance is not in the search's instance list and
+        # its digests do not parse: the gate passes none of its pairs, and it
+        # scores 0 everywhere.
         assert stream[30].category == "user" and stream[30].pid % 5 == 2
         for cut in (1, 4, 9):
             open_records = stream[30:30 + cut]
@@ -228,22 +222,20 @@ class TestSyntheticStreamEquivalence:
         live.refresh_open([])
         _assert_views_equal(live, stream[:34], {})
 
-    def test_index_growth_across_threshold_stays_equivalent(self, monkeypatch):
-        """add() growth crossing the index threshold: live answers stay identical
-        (brute force below the threshold, incrementally grown index above)."""
+    def test_growth_four_records_at_a_time_stays_equivalent(self):
+        """Each commit grows the pool: every answer is gated afresh over it
+        and stays identical to a rebuild and to the all-pairs reference."""
         stream = _synthetic_stream(seed=11, count=60)
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 6)
         live = LiveAnalysis({})
         committed: list[ProcessRecord] = []
-        crossed = False
+        probes = [live.index_stats().queries]
         for start in range(0, len(stream), 4):
             chunk = stream[start:start + 4]
             live.commit(chunk)
             committed.extend(chunk)
             _assert_views_equal(live, committed, {})
-            if live.index_stats() is not None:
-                crossed = True
-        assert crossed, "the stream never crossed the index threshold"
+            probes.append(live.index_stats().queries)
+        assert probes[-1] > probes[0], "no answer went through the gate"
 
     def test_commit_rejects_duplicate_keys_without_corrupting_state(self):
         stream = _synthetic_stream()
@@ -266,7 +258,6 @@ class TestSyntheticStreamEquivalence:
 
     def test_an_unchanged_pool_is_answered_without_a_comparison(self, monkeypatch):
         stream = _synthetic_stream(seed=11)
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 0)
         live = LiveAnalysis({})
         live.commit(stream[:30])
         live.refresh_open(stream[30:33])
@@ -284,10 +275,10 @@ class TestSyntheticStreamEquivalence:
             return info.hits, info.misses, probes[0]
 
         first = live.identify_unknown(top=10)
-        assert probes[0] > 0, "the index is not on the path"
+        assert probes[0] > 0, "the gate is not on the path"
         before = work()
         # An unchanged pool, an equal re-peek and a commit that only bumps a
-        # process_count are all answered without an index probe or LRU lookup.
+        # process_count are all answered without a gate probe or LRU lookup.
         assert live.identify_unknown(top=10) == first and work() == before
         live.refresh_open(list(stream[30:33]))
         assert live.identify_unknown(top=10) == first and work() == before
@@ -343,12 +334,10 @@ class TestSyntheticStreamEquivalence:
         assert repr(live.identify_unknown(top=10)) == pinned
         assert live.statistics()["identify_reused"] == 2
 
-    @pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["index", "brute-force"])
-    def test_an_instances_hashes_cannot_change_the_pool(self, monkeypatch, threshold):
+    def test_an_instances_hashes_cannot_change_the_pool(self):
         """An instance handed out by ``instances`` is the search's own: a
-        digest written through it would change the pool the index and the
-        Table 7 memo were built over.  Its ``hashes`` refuse every change."""
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", threshold)
+        digest written through it would change the pool the Table 7 memo was
+        built over.  Its ``hashes`` refuse every change."""
         stream = _synthetic_stream(seed=11)
         live = LiveAnalysis({})
         live.commit(stream[:33])
@@ -369,43 +358,39 @@ class TestSyntheticStreamEquivalence:
             SimilaritySearch(_canonical(stream[:33] + [novel])).identify_unknown(top=10)
 
 
-class TestIncrementalIndexAndSearchGrowth:
-    def test_similarity_index_add_equals_batch_build(self):
+class TestIncrementalSearchGrowth:
+    def test_a_search_grown_one_record_at_a_time_equals_a_batch_build(self):
         stream = [r for r in _synthetic_stream(seed=7) if r.category == "user"]
-        rows = [SimilaritySearch([record]).instances[0].hashes for record in stream]
-        with index_threshold(0):
-            batch = SimilaritySearch(stream)
-            assert batch.indexed
-            grown = SimilaritySearch([])
-            for record in stream:
-                grown.add_records([record])
-                assert grown.indexed
+        batch = SimilaritySearch(stream)
+        grown = SimilaritySearch([])
+        for record in stream:
+            grown.add_records([record])
+        assert [i.key for i in grown.instances] == [i.key for i in batch.instances]
+        for baseline in batch.instances:
+            assert grown.query(baseline, candidates=grown.instances) == \
+                batch.query(baseline, candidates=batch.instances)
         for column in ("FI_H", "MO_H"):
-            built, extended = batch._indexes[column], grown._indexes[column]
-            assert len(extended) == len(built)
-            for row in rows:
-                assert extended.candidates(row[column]) == built.candidates(row[column])
+            assert grown.pairwise_average_matrix(column) == \
+                batch.pairwise_average_matrix(column)
+        assert grown.index_stats() == batch.index_stats()
 
-    def test_add_records_refreshes_a_built_index(self, monkeypatch):
+    def test_add_records_after_a_query_is_seen_by_the_next(self):
         """Regression test for the staleness bug: the n-gram index used to be
         cached forever, so records added after the first indexed query were
-        invisible to every later query."""
+        invisible to every later query.  No query state outlives its query."""
         stream = [r for r in _synthetic_stream(seed=13, count=60)
                   if r.category == "user"]
         half = len(stream) // 2
-        monkeypatch.setattr(simindex, "DEFAULT_INDEX_THRESHOLD", 4)
         search = SimilaritySearch(stream[:half])
         baseline = search.unknown_instances()[0]
-        assert search.indexed
-        search.query(baseline)  # builds and uses the index
+        search.query(baseline)
         search.add_records(stream[half:])
         fresh = SimilaritySearch(stream)
         assert [(i.key, i.process_count) for i in search.instances] == \
             [(i.key, i.process_count) for i in fresh.instances]
         assert search.query(baseline) == fresh.query(baseline)
-        assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10)
-        assert search.identify_unknown(top=10) == \
-            on_brute_force(SimilaritySearch(stream).identify_unknown, top=10)
+        assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10) == \
+            reference_identify(fresh.instances, top=10)
 
 
 # --------------------------------------------------------------------------- #
@@ -448,9 +433,9 @@ def _table7(search, top: int):
 class Table7Machine(RuleBasedStateMachine):
     """Commits, open-group peeks and ``top`` changes in any order.
 
-    After every step the live Table 7 equals a fresh search and brute force
-    over the same records, or all three raise.  The live and fresh searches
-    use the index from four instances.
+    After every step the live Table 7 equals a fresh search and the
+    all-pairs reference over the same records, or there is no UNKNOWN
+    instance: the searches raise and the reference is empty.
     """
 
     def __init__(self) -> None:
@@ -510,13 +495,12 @@ class Table7Machine(RuleBasedStateMachine):
         self.top = top
 
     @invariant()
-    def table7_equals_a_fresh_search_and_brute_force(self):
+    def table7_equals_a_fresh_search_and_the_reference(self):
         records = _canonical(self.committed + self.overlay)
-        with index_threshold(4):
-            live = _table7(self.live, self.top)
-            fresh = _table7(SimilaritySearch(records), self.top)
-        brute = on_brute_force(_table7, SimilaritySearch(records), self.top)
-        assert live == fresh == brute
+        live = _table7(self.live, self.top)
+        fresh = _table7(SimilaritySearch(records), self.top)
+        reference = reference_identify(SimilaritySearch(records).instances, top=self.top)
+        assert live == fresh == (list(reference.items()) or AnalysisError)
 
 
 Table7Machine.TestCase.settings = settings(max_examples=100, stateful_step_count=20,

@@ -11,11 +11,11 @@ from repro.analysis.recognition import (
     recognize_repeated_executions,
     similarity_graph,
 )
-from repro.analysis.similarity import SimilaritySearch, instance_from_record
+from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch, instance_from_record
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 
-from oracles.search import on_brute_force, on_index
+from oracles.search import reference_matrix
 
 _HASHER = FuzzyHasher()
 
@@ -195,27 +195,34 @@ _RECORDED_EDGES = {
 }
 
 
-class TestGraphOnBothSidesOfTheIndexThreshold:
+class _AllPairsSearch(SimilaritySearch):
+    """A search whose matrices are the all-pairs reference's."""
+
+    def pairwise_average_matrix(self, column: str = "FI_H") -> list[list[int]]:
+        return reference_matrix(self.instances, column)
+
+
+class TestGraphOfTheRecordedCampaign:
     """The graph is the per-column matrices averaged: the same edges whether
-    the matrices compare every pair or prune through the n-gram index."""
+    the matrices prune through the n-gram gate or compare every pair."""
 
     @pytest.mark.parametrize("threshold", sorted(_RECORDED_EDGES))
-    @pytest.mark.parametrize("on_path", [on_brute_force, on_index])
-    def test_recorded_campaign_edges(self, recorded_campaign, threshold, on_path):
-        search = SimilaritySearch(recorded_campaign.result.records)
-        graph = on_path(similarity_graph, search, threshold=threshold)
+    @pytest.mark.parametrize("search_type", [SimilaritySearch, _AllPairsSearch],
+                             ids=["gated", "all-pairs"])
+    def test_recorded_campaign_edges(self, recorded_campaign, threshold, search_type):
+        search = search_type(recorded_campaign.result.records)
+        graph = similarity_graph(search, threshold=threshold)
         assert list(graph) == [instance.key for instance in search.instances]
         edges = sorted((node, neighbour, weight) for node, neighbours in graph.items()
                        for neighbour, weight in neighbours.items())
         assert (len(edges) // 2, hashlib.sha256(repr(edges).encode()).hexdigest()) == \
             _RECORDED_EDGES[threshold]
 
-    def test_the_index_prunes_comparisons(self, recorded_campaign):
-        records = recorded_campaign.result.records
-        brute, indexed = SimilaritySearch(records), SimilaritySearch(records)
-        on_brute_force(similarity_graph, brute, threshold=55)
-        on_index(similarity_graph, indexed, threshold=55)
-        assert 0 < indexed.comparisons < brute.comparisons
+    def test_the_gate_prunes_comparisons(self, recorded_campaign):
+        search = SimilaritySearch(recorded_campaign.result.records)
+        similarity_graph(search, threshold=55)
+        size = len(search.instances)
+        assert 0 < search.comparisons < size * (size - 1) // 2 * len(HASH_COLUMNS)
 
     def test_repeated_columns_count_once(self, records):
         """A column named twice weighs once, as in ``SimilaritySearch.query``."""

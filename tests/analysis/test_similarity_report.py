@@ -9,7 +9,7 @@ from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 
 from oracles.compare import compare_reference
-from oracles.search import on_brute_force, on_index
+from oracles.search import reference_matrix, reference_query
 
 _HASHER = FuzzyHasher()
 
@@ -108,14 +108,16 @@ class TestQueries:
         ranked = search.query(unknown, columns=("FI_H",))
         assert set(ranked[0].scores) == {"FI_H"}
 
-    @pytest.mark.parametrize("on_path", [on_brute_force, on_index])
-    def test_pairwise_matrix_scores_a_missing_hash_0(self, records, on_path):
+    @pytest.mark.parametrize("sparse_first", [False, True],
+                             ids=["sparse-second", "sparse-first"])
+    def test_pairwise_matrix_scores_a_missing_hash_0(self, records, sparse_first):
         """An instance with only a file hash scores 0 against every other on
-        each of its missing columns, on both sides of the index threshold,
+        each of its missing columns, whichever side of the pair it is on,
         without a counted comparison."""
-        search = SimilaritySearch([records[0], _sparse(records[3])])
+        pair = [records[0], _sparse(records[3])]
+        search = SimilaritySearch(pair[::-1] if sparse_first else pair)
         for column in HASH_COLUMNS[:3] + HASH_COLUMNS[4:]:
-            matrix = on_path(search.pairwise_average_matrix, column)
+            matrix = search.pairwise_average_matrix(column)
             assert matrix == [[100, 0], [0, 100]]
         assert search.comparisons == 0
 
@@ -145,7 +147,7 @@ class TestQueries:
         ]
         search = SimilaritySearch(sparse)
         assert search.comparisons == 0
-        matrix = on_brute_force(search.pairwise_average_matrix, "MO_H")
+        matrix = search.pairwise_average_matrix("MO_H")
         # Only the single pair with both digests present was compared ...
         assert search.comparisons == 1
         # ... it missed the (cold) cache exactly once, and no placeholder
@@ -156,6 +158,7 @@ class TestQueries:
         # and the scores are unchanged: missing pairs are 0, diagonal 100.
         assert matrix[2][3] == matrix[0][2] == 0
         assert all(matrix[i][i] == 100 for i in range(4))
+        assert matrix == reference_matrix(search.instances, "MO_H")
 
     def test_result_row_format(self, records):
         search = SimilaritySearch(records)
@@ -190,19 +193,19 @@ class TestCompareEngineAgainstReference:
 
     def test_pairwise_matrix_identical_to_reference(self, records):
         """The recognition graph's scores: every column, an instance with
-        missing hashes included, on both paths."""
+        missing hashes included."""
         records = [*records, _sparse(records[2])]
-        for on_path in (on_index, on_brute_force):
-            bit, ref = self._searches(records)
-            for column in HASH_COLUMNS:
-                assert on_path(bit.pairwise_average_matrix, column) == \
-                    on_path(ref.pairwise_average_matrix, column)
-            assert bit.comparisons == ref.comparisons
+        bit, ref = self._searches(records)
+        for column in HASH_COLUMNS:
+            assert bit.pairwise_average_matrix(column) == \
+                ref.pairwise_average_matrix(column)
+        assert bit.comparisons == ref.comparisons
 
     def test_query_counter_matches_scalar_path(self, records):
         bit, ref = self._searches(records)
         unknown = bit.unknown_instances()[0]
-        assert on_brute_force(bit.query, unknown) == on_brute_force(ref.query, unknown)
+        assert bit.query(unknown) == ref.query(unknown) == \
+            reference_query(unknown, bit.labelled_instances())
         assert bit.comparisons == ref.comparisons
         info = bit.hasher.compare_cache_info()
         # Every unique non-empty pair was scored once and cached.

@@ -1,33 +1,41 @@
-"""Tests for the inverted n-gram digest index and the index-assisted search.
+"""Tests for the inverted n-gram gate and the gated search.
 
-The load-bearing property is *no false negatives*: every pair the index
-prunes must be a pair ``FuzzyHasher.compare`` would have scored 0, so an
-index-assisted search that skips pruned pairs is result-identical to brute
-force.  The tests check that property three ways: on handcrafted digests
-exercising each banding/fallback path, on randomised synthetic records, and
-on real campaign data.
+The load-bearing property is *no false negatives*: every pair the gate
+prunes must be a pair ``FuzzyHasher.compare`` would have scored 0, so a
+search that skips pruned pairs is result-identical to comparing every pair.
+The tests check that property three ways: on handcrafted digests exercising
+each banding/fallback path, on randomised synthetic records, and on real
+campaign data -- the last two against the all-pairs reference of
+``oracles/search.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import simindex
-from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch
+from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
 from repro.analysis.simindex import DigestIndex
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.rng import SeededRNG
 
-from oracles.search import on_brute_force, on_index
+from oracles.search import reference_identify, reference_matrix, reference_query
 
 _HASHER = FuzzyHasher()
 SIG = "ABCDEFGHIJKLMNOP"  # 16 chars -> plenty of 7-grams
 OTHER = "qrstuvwxyz012345"
 
 
-def _index(*digests: str) -> DigestIndex:
-    index = DigestIndex()
+class _Index(DigestIndex):
+    """A gate whose ``candidates`` answers with the set of ids, not their bitmask."""
+
+    def candidates(self, digest: str) -> set[int]:  # type: ignore[override]
+        mask = super().candidates(digest)
+        return {digest_id for digest_id in range(mask.bit_length()) if mask >> digest_id & 1}
+
+
+def _index(*digests: str) -> _Index:
+    index = _Index()
     for digest_id, digest in enumerate(digests):
         index.add(digest_id, digest)
     return index
@@ -92,41 +100,54 @@ class TestDigestIndexExactPath:
 
 class TestDigestIndexInput:
     def test_empty_and_invalid_digests_not_indexed(self):
-        index = DigestIndex()
+        index = _Index()
         assert index.add(0, "") is False
         assert index.add(1, "not a digest") is False
         assert index.add(2, f"24:{SIG}:{OTHER}") is True
-        assert len(index) == 1
+        assert index.stats.digests == 1
+        assert index.candidates(f"24:{SIG}:{OTHER}") == {2}
 
     def test_invalid_query_returns_no_candidates(self):
         index = _index(f"24:{SIG}:{OTHER}")
         assert index.candidates("") == set()
         assert index.candidates("garbage") == set()
 
-    def test_stats_track_pruning(self):
+    def test_stats_count_registrations_and_probes(self):
         index = _index(f"24:{SIG}:{OTHER}", f"24:{OTHER}:{SIG}")
         index.candidates(f"24:{SIG}:zzzzzzzz")
         assert index.stats.digests == 2
+        assert index.stats.grams == 4 * (len(SIG) - 6)
         assert index.stats.queries == 1
-        assert index.stats.candidates_returned + index.stats.pairs_pruned == 2
+
+
+#: A handcrafted pool spanning bands and signature shapes.
+_POOL = [
+    f"3:{SIG}:{OTHER}", f"6:{SIG}:{OTHER}", f"12:{OTHER}:{SIG}",
+    f"24:{SIG}:{SIG}", f"48:{OTHER}:{OTHER}", f"96:{SIG}:{OTHER}",
+    "3:ABC:DE", "3:ABC:DE", "6:ABC:DE", "3::", f"24:AAAAAAAA{SIG}:zz",
+    f"12:AAAA{SIG}:zz", "", "24:truncated",
+]
 
 
 class TestCompletenessProperty:
     def test_every_pruned_pair_scores_zero(self):
         """Handcrafted pool spanning bands and signature shapes: the index may
         return false positives but never false negatives."""
-        pool = [
-            f"3:{SIG}:{OTHER}", f"6:{SIG}:{OTHER}", f"12:{OTHER}:{SIG}",
-            f"24:{SIG}:{SIG}", f"48:{OTHER}:{OTHER}", f"96:{SIG}:{OTHER}",
-            "3:ABC:DE", "3:ABC:DE", "6:ABC:DE", "3::", f"24:AAAAAAAA{SIG}:zz",
-            f"12:AAAA{SIG}:zz",
-        ]
-        index = _index(*pool)
-        for i, query in enumerate(pool):
+        index = _index(*_POOL)
+        for i, query in enumerate(_POOL):
             candidates = index.candidates(query)
-            for j, other in enumerate(pool):
+            for j, other in enumerate(_POOL):
                 if j not in candidates:
                     assert _HASHER.compare(query, other) == 0, (query, other)
+
+    def test_the_pass_condition_is_symmetric(self):
+        """The search registers baselines and probes with the pool: it passes a
+        pair exactly when registering the pool and probing with the baseline
+        would, so which side is registered cannot change an answer."""
+        for first in _POOL:
+            for second in _POOL:
+                assert _index(first).candidates(second) == \
+                    _index(second).candidates(first), (first, second)
 
 
 def _record(executable: str, *, content: str, environment: str,
@@ -163,104 +184,110 @@ def synthetic_records() -> list[ProcessRecord]:
     return records
 
 
-class TestIndexedSearchEquivalence:
-    """Property-style: indexed and brute-force searches are result-identical."""
+class TestGatedSearchEquivalence:
+    """Property-style: the gated search equals the all-pairs reference."""
 
     def test_synthetic_query_rankings_identical_for_every_baseline(self, synthetic_records):
         search = SimilaritySearch(synthetic_records)
-        assert on_index(lambda: search.indexed) and not on_brute_force(lambda: search.indexed)
-
-        def rankings():
-            return [search.query(instance, candidates=search.instances)
-                    for instance in search.instances]
-
-        assert on_brute_force(rankings) == on_index(rankings)
+        for instance in search.instances:
+            assert search.query(instance, candidates=search.instances) == \
+                reference_query(instance, search.instances)
 
     def test_synthetic_identify_unknown_identical(self, synthetic_records):
-        brute = SimilaritySearch(synthetic_records)
-        indexed = SimilaritySearch(synthetic_records)
-        assert on_brute_force(brute.identify_unknown, top=10) == \
-            on_index(indexed.identify_unknown, top=10)
-        assert indexed.comparisons <= brute.comparisons
+        search = SimilaritySearch(synthetic_records)
+        assert search.identify_unknown(top=10) == \
+            reference_identify(search.instances, top=10)
+        assert search.index_stats().candidates_returned == search.comparisons
 
     def test_campaign_identify_unknown_identical(self, campaign_records):
-        brute = SimilaritySearch(campaign_records)
-        indexed = SimilaritySearch(campaign_records)
-        assert on_brute_force(brute.identify_unknown, top=10) == \
-            on_index(indexed.identify_unknown, top=10)
-        assert indexed.comparisons < brute.comparisons
+        search = SimilaritySearch(campaign_records)
+        assert search.identify_unknown(top=10) == \
+            reference_identify(search.instances, top=10)
+        unknowns = len(search.unknown_instances())
+        labelled = len(search.labelled_instances())
+        assert search.comparisons < unknowns * labelled * len(HASH_COLUMNS)
 
     def test_campaign_pairwise_matrix_identical(self, campaign_records):
+        search = SimilaritySearch(campaign_records)
+        size = len(search.instances)
         for column in ("FI_H", "MO_H"):
-            brute = SimilaritySearch(campaign_records)
-            indexed = SimilaritySearch(campaign_records)
-            assert on_brute_force(brute.pairwise_average_matrix, column) == \
-                on_index(indexed.pairwise_average_matrix, column)
-            assert indexed.comparisons <= brute.comparisons
+            before = search.comparisons
+            assert search.pairwise_average_matrix(column) == \
+                reference_matrix(search.instances, column)
+            assert search.comparisons - before <= size * (size - 1) // 2
 
-    def test_unindexed_column_matches_brute_force(self, synthetic_records):
-        """Columns the index does not cover score 0 on both paths, not crash."""
+    def test_a_matrix_scores_each_distinct_pair_once(self, campaign_records):
+        """The matrix's baselines are its pool: each unordered pair of distinct
+        digests is aligned once, and a digest against itself only when two
+        instances carry it, so a fresh search's compare LRU never hits."""
+        search = SimilaritySearch(campaign_records)
+        for column in HASH_COLUMNS:
+            search.pairwise_average_matrix(column)
+        info = search.hasher.compare_cache_info()
+        assert info.hits == 0 and info.misses > 0
+
+    def test_unindexed_column_scores_zero(self, synthetic_records):
+        """Columns outside HASH_COLUMNS score 0, as comparing their missing digests would."""
         search = SimilaritySearch(synthetic_records)
         columns = ("FI_H", "NOT_A_COLUMN")
         unknown = search.unknown_instances()[0]
-        assert on_brute_force(search.query, unknown, columns=columns) == \
-            on_index(search.query, unknown, columns=columns)
-        assert on_brute_force(search.pairwise_average_matrix, "NOT_A_COLUMN") == \
-            on_index(search.pairwise_average_matrix, "NOT_A_COLUMN")
+        assert search.query(unknown, columns=columns) == \
+            reference_query(unknown, search.labelled_instances(), columns=columns)
+        assert search.pairwise_average_matrix("NOT_A_COLUMN") == \
+            reference_matrix(search.instances, "NOT_A_COLUMN")
 
     def test_campaign_query_with_column_subset_identical(self, campaign_records):
         search = SimilaritySearch(campaign_records)
-
-        def answers():
-            return [search.query(unknown, columns=("FI_H", "SY_H"))
-                    for unknown in search.unknown_instances()]
-
-        assert on_brute_force(answers) == on_index(answers)
+        for unknown in search.unknown_instances():
+            assert search.query(unknown, columns=("FI_H", "SY_H")) == \
+                reference_query(unknown, search.labelled_instances(),
+                                columns=("FI_H", "SY_H"))
 
     def test_index_stats_exposed(self, campaign_records):
-        indexed = SimilaritySearch(campaign_records)
-        on_index(indexed.identify_unknown, top=5)
-        stats = on_index(indexed.index_stats)
-        assert stats is not None
-        assert stats.digests > 0 and stats.grams > 0
+        search = SimilaritySearch(campaign_records)
+        search.identify_unknown(top=5)
+        stats = search.index_stats()
+        assert stats.digests > 0 and stats.grams > 0 and stats.queries > 0
         assert stats.pairs_pruned > 0
+        assert stats.candidates_returned + stats.pairs_pruned == \
+            len(search.unknown_instances()) * len(search.labelled_instances()) \
+            * len(HASH_COLUMNS)
+        stats.pairs_pruned = 0                   # a copy: the search's own is untouched
+        assert search.index_stats().pairs_pruned > 0
 
 
-class TestFallbacks:
+class TestSmallPools:
     @pytest.fixture()
     def tiny_records(self) -> list[ProcessRecord]:
         return [
-            _record("/p/u/one/app", content="first payload " * 40, environment="env-a " * 40),
-            _record("/p/u/two/app", content="second payload " * 40, environment="env-a " * 40),
+            _record("/p/u/one/icon", content="first payload " * 40, environment="env-a " * 40),
+            _record("/p/u/two/lmp", content="second payload " * 40, environment="env-a " * 40),
             _record("/p/u/three/a.out", content="first payload " * 40, environment="env-a " * 40),
         ]
 
-    def test_small_dataset_falls_back_to_brute_force(self, tiny_records):
-        search = SimilaritySearch(tiny_records)  # the shipped threshold
-        assert len(search.instances) < simindex.DEFAULT_INDEX_THRESHOLD
-        assert not search.indexed
-        assert search.index_stats() is None
-        # ... and still answers queries (via the brute-force path).
-        assert search.identify_unknown(top=2)
-
-    def test_forced_index_on_small_dataset_identical(self, tiny_records):
+    def test_a_three_instance_pool_is_gated_too(self, tiny_records):
         search = SimilaritySearch(tiny_records)
-        assert on_index(lambda: search.indexed)
-        assert on_brute_force(search.identify_unknown) == on_index(search.identify_unknown)
+        assert search.index_stats().queries == 0          # nothing asked yet
+        assert search.identify_unknown(top=2) == \
+            reference_identify(search.instances, top=2)
+        stats = search.index_stats()
+        # one unknown's six digests; MO/CO/OB shared by both labelled apps
+        assert (stats.digests, stats.queries) == (6, 3 + 3 * 2)
+        assert stats.candidates_returned + stats.pairs_pruned == 2 * len(HASH_COLUMNS)
 
-    def test_maxsize_threshold_disables_index(self, tiny_records):
+    def test_default_top_identical(self, tiny_records):
         search = SimilaritySearch(tiny_records)
-        assert not on_brute_force(lambda: search.indexed)
+        assert search.identify_unknown() == reference_identify(search.instances)
 
     def test_external_baseline_and_candidates_supported(self, tiny_records):
-        """Instances outside the built index are compared directly."""
-        from repro.analysis.similarity import ExecutableInstance
-
+        """Instances outside the search's list are gated like its own."""
         search = SimilaritySearch(tiny_records)
         external = ExecutableInstance(
             executable="/elsewhere/app", label="icon",
             hashes={column: _HASHER.hash_text("first payload " * 40 + " file")
                     for column in HASH_COLUMNS})
         unknown = search.unknown_instances()[0]
-        assert on_index(search.query, unknown, candidates=[external]) == \
-            on_brute_force(search.query, unknown, candidates=[external])
+        assert search.query(unknown, candidates=[external]) == \
+            reference_query(unknown, [external])
+        assert search.query(external, candidates=search.instances) == \
+            reference_query(external, search.instances)

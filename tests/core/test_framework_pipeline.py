@@ -12,7 +12,7 @@ from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 
-from oracles.search import on_brute_force
+from oracles.search import reference_identify
 from oracles.tables import user_activity_table
 from oracles.wire import burst
 
@@ -307,13 +307,12 @@ class TestFrameworkAnalysisFacade:
         labels = {row.label for row in pipeline.table5_user_applications()}
         assert {"icon", "UNKNOWN"} <= labels
 
-    def test_identify_unknown_equals_brute_force(self, deployed_framework):
+    def test_identify_unknown_equals_the_all_pairs_reference(self, deployed_framework):
         cluster, manifest, framework, _ = deployed_framework
         self._run_identification_job(cluster, manifest)
         records = framework.snapshot()
         identified = AnalysisPipeline(records, {}).table7_similarity_search(top=5)
-        brute = SimilaritySearch(records)
-        assert identified == on_brute_force(brute.identify_unknown, top=5)
+        assert identified == reference_identify(SimilaritySearch(records).instances, top=5)
         (results,) = identified.values()
         assert results[0].label == "icon"
         assert results[0].average == 100.0
@@ -381,7 +380,7 @@ class TestAnalysisPipeline:
     def test_similarity_search_accessor(self, pipeline):
         search = pipeline.similarity_search()
         assert search.unknown_instances()
-        assert search.index_stats() is None or search.indexed
+        assert search.index_stats().queries == 0       # a fresh search has asked nothing
 
     def test_answers_do_not_depend_on_record_order(self):
         """Regression test: the batch tables followed the order the records

@@ -5,6 +5,7 @@ import pytest
 from repro.elf.builder import ELFBuilder
 from repro.elf.constants import ET_DYN, ET_EXEC, STB_GLOBAL, STB_LOCAL, STT_OBJECT
 from repro.elf.reader import ELFFile, is_elf
+from repro.elf.structures import Symbol
 from repro.util.errors import ELFError
 
 
@@ -81,6 +82,16 @@ class TestReader:
         names = {symbol.name for symbol in ELFFile(rich_image).global_symbols()}
         assert "icon_run" in names and "icon_version_tag" in names
         assert "helper_static" not in names
+
+    def test_each_symbol_entry_is_unpacked_once(self, rich_image, monkeypatch):
+        unpacked = []
+        unpack = Symbol.unpack.__func__
+        monkeypatch.setattr(Symbol, "unpack", classmethod(
+            lambda cls, *args, **kwargs: unpacked.append(1) or unpack(cls, *args, **kwargs)))
+        symbols = ELFFile(rich_image).symbols()
+        assert len(unpacked) == len(symbols) > 0
+        assert {"icon_run", "icon_version_tag", "helper_static"} <= \
+            {symbol.name for symbol in symbols}
 
     def test_symbol_types(self, rich_image):
         symbols = {s.name: s for s in ELFFile(rich_image).global_symbols()}
