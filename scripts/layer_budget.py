@@ -17,8 +17,13 @@ After the budget comes each workload's per-refresh split, read from the
 document's ``per_layer`` p50s: the three sub-spans of a dashboard refresh
 (:data:`REFRESH_PARTS`) with their shares of the sum -- the figure the
 per-refresh arm of the perf gate reads -- and :data:`REFRESH_PULLS`, the
-delta pulls timed inside them, on a line of its own.  A figure a document
-lacks (an untraced run, a workload with no refresh) is left out.
+delta pulls timed inside them, on a line of its own.  Last comes each
+workload's per-identify split, also from ``per_layer``: the search build
+(:data:`IDENTIFY_BUILD`), the rest of an identification round
+(:data:`IDENTIFY` minus the build) and the build's share of the round --
+the figure the per-metric arm of the perf gate reads for ``identify_s``.  A
+figure a document lacks (an untraced run, a workload with no refresh) is
+left out.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ REFRESH_PARTS = ("analysis.live_sync_ms_p50", "analysis.live_views_ms_p50",
                  "db.gold_query_ms_p50")
 #: The delta pulls per refresh: timed inside the parts, so never added to them.
 REFRESH_PULLS = "ingest.snapshot_delta_ms_p50"
+#: One identification round as the clock read it, and the search build inside it.
+IDENTIFY = "clock.identify_s"
+IDENTIFY_BUILD = "analysis.search_build_s"
 
 
 def layer_self_times(document: dict) -> dict[str, dict[str, float]]:
@@ -148,6 +156,58 @@ def refresh_two(first: dict[str, dict[str, float]],
     return lines
 
 
+def identify_split(document: dict) -> dict[str, dict[str, float]]:
+    """``{workload: {figure: value}}``: the search ``build`` and the ``rest``
+    of the round in ms and the build's ``share`` of the round, each where
+    the document has what it takes."""
+    splits = {}
+    for name, workload in document["workloads"].items():
+        per_layer = workload.get("per_layer", {})
+        seconds = {key: per_layer[key]["value"] for key in (IDENTIFY, IDENTIFY_BUILD)
+                   if per_layer.get(key, {}).get("value") is not None}
+        figures = {}
+        if IDENTIFY_BUILD in seconds:
+            figures["build"] = seconds[IDENTIFY_BUILD] * 1e3
+        if len(seconds) == 2:
+            figures["rest"] = (seconds[IDENTIFY] - seconds[IDENTIFY_BUILD]) * 1e3
+            if seconds[IDENTIFY]:
+                figures["share"] = seconds[IDENTIFY_BUILD] / seconds[IDENTIFY]
+        if figures:
+            splits[name] = figures
+    return splits
+
+
+#: The per-identify rows: figure, label and format spec.
+_IDENTIFY_ROWS = (("build", f"{IDENTIFY_BUILD} (ms)", ".3f"),
+                  ("rest", f"{IDENTIFY} - build (ms)", ".3f"),
+                  ("share", "build share", ".1%"))
+
+
+def identify_one(splits: dict[str, dict[str, float]]) -> list[str]:
+    """The per-identify lines printed for one run."""
+    lines = []
+    for workload, figures in splits.items():
+        lines.append(f"== {workload}  (per identify round)")
+        lines += [f"   {label:<36}{figures[key]:>9{spec}}"
+                  for key, label, spec in _IDENTIFY_ROWS if key in figures]
+    return lines
+
+
+def identify_two(first: dict[str, dict[str, float]],
+                 second: dict[str, dict[str, float]]) -> list[str]:
+    """The per-identify lines printed for two runs, per workload both have."""
+    lines = []
+    for workload in first:
+        if workload not in second:
+            continue
+        a, b = first[workload], second[workload]
+        lines.append(f"== {workload}  (per identify round)")
+        lines.append(f"   {'figure':<36}{'A':>9}{'B':>9}{'B - A':>10}")
+        lines += [f"   {label:<36}{a[key]:>9{spec}}{b[key]:>9{spec}}{b[key] - a[key]:>+10{spec}}"
+                  for key, label, spec in _IDENTIFY_ROWS if key in a and key in b]
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print("usage: layer_budget.py RUN.json | layer_budget.py A.json B.json",
@@ -156,10 +216,12 @@ def main(argv: list[str]) -> int:
     documents = [json.loads(Path(path).read_text(encoding="utf-8")) for path in argv]
     runs = [layer_self_times(document) for document in documents]
     splits = [refresh_split(document) for document in documents]
+    identifies = [identify_split(document) for document in documents]
     if len(documents) == 1:
-        lines = report_one(*runs) + refresh_one(*splits)
+        lines = report_one(*runs) + refresh_one(*splits) + identify_one(*identifies)
     else:
-        lines = report_two(*runs) + refresh_two(*splits)
+        lines = (report_two(*runs) + refresh_two(*splits)
+                 + identify_two(*identifies))
     print("\n".join(lines))
     return 0
 

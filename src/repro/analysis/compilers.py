@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.stats import user_label
-from repro.collector.classify import ExecutableCategory
+from repro.analysis.stats import _USER, user_label
 from repro.corpus.toolchains import compiler_labels
 from repro.db.store import ProcessRecord
 
@@ -49,7 +48,7 @@ def compiler_combination_table(
     file_hashes: dict[tuple[str, ...], set[str]] = defaultdict(set)
 
     for record in records:
-        if record.category != ExecutableCategory.USER.value:
+        if record.category != _USER:
             continue
         combination = record_compiler_labels(record)
         if not combination:
@@ -84,7 +83,7 @@ def compilers_by_label(
     """Software label -> set of compiler labels used by its executables (Figure 4 input)."""
     result: dict[str, set[str]] = defaultdict(set)
     for record in records:
-        if record.category != ExecutableCategory.USER.value:
+        if record.category != _USER:
             continue
         label = label_of.get(record.executable)
         if label is None:

@@ -14,8 +14,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.stats import user_label
-from repro.collector.classify import ExecutableCategory
+from repro.analysis.stats import _USER, user_label
 from repro.db.store import ProcessRecord
 
 UNKNOWN_LABEL = "UNKNOWN"
@@ -64,7 +63,7 @@ def user_application_table(
     file_hashes: dict[str, set[str]] = defaultdict(set)
 
     for record in records:
-        if record.category != ExecutableCategory.USER.value:
+        if record.category != _USER:
             continue
         label = derive_label(record.executable)
         user = user_label(record, user_names)
@@ -95,5 +94,5 @@ def label_by_executable(records: list[ProcessRecord]) -> dict[str, str]:
     return {
         record.executable: derive_label(record.executable)
         for record in records
-        if record.category == ExecutableCategory.USER.value
+        if record.category == _USER
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.stats import user_label
+from repro.analysis.stats import _USER, user_label
 from repro.collector.classify import ExecutableCategory
 from repro.corpus.libraries import derive_library_tag
 from repro.db.store import ProcessRecord
@@ -83,7 +83,7 @@ def library_tags_by_label(
     """Software label -> set of derived library tags (Figure 5 input)."""
     result: dict[str, set[str]] = defaultdict(set)
     for record in records:
-        if record.category != ExecutableCategory.USER.value:
+        if record.category != _USER:
             continue
         label = label_of.get(record.executable)
         if label is None:

@@ -75,7 +75,7 @@ from repro.analysis.similarity import (
     ExecutableInstance,
     SimilarityResult,
     SimilaritySearch,
-    instance_from_record,
+    instance_key,
 )
 from repro.analysis.simindex import IndexStats
 from repro.analysis.stats import (
@@ -196,11 +196,11 @@ class LiveAnalysis:
         for record, key in zip(fresh, batch_keys):
             self._keys.add(key)
             self._tables.fold(record)
-            instance_key = self._search.add_record(record)
-            if instance_key is not None:
-                first = self._instance_first.get(instance_key)
+            joined = self._search.add_record(record)
+            if joined is not None:
+                first = self._instance_first.get(joined)
                 if first is None or key < first:
-                    self._instance_first[instance_key] = key
+                    self._instance_first[joined] = key
         if fresh:
             self._pool_cache = None
         return len(fresh)
@@ -314,29 +314,26 @@ class LiveAnalysis:
         """
         if self._pool_cache is not None:
             return self._pool_cache
-        overlay: dict[tuple[str, ...], tuple[ExecutableInstance, ProcessKey]] = {}
+        overlay: dict[tuple[str, ...], tuple[int, ProcessKey]] = {}
         for record in self._open:
-            instance = instance_from_record(record)
-            if instance is None:
+            joined = instance_key(record)
+            if joined is None:
                 continue
             key = record.key
-            existing = overlay.get(instance.key)
-            if existing is None:
-                overlay[instance.key] = (instance, key)
-            else:
-                merged = replace(existing[0], process_count=existing[0].process_count + 1)
-                overlay[instance.key] = (merged, min(existing[1], key))
+            existing = overlay.get(joined)
+            overlay[joined] = ((1, key) if existing is None
+                               else (existing[0] + 1, min(existing[1], key)))
         entries: list[tuple[ProcessKey, ExecutableInstance]] = []
         for instance in self._search.instances:
             first = self._instance_first[instance.key]
             overlaid = overlay.pop(instance.key, None)
             if overlaid is not None:
                 instance = replace(
-                    instance, process_count=instance.process_count + overlaid[0].process_count)
+                    instance, process_count=instance.process_count + overlaid[0])
                 first = min(first, overlaid[1])
             entries.append((first, instance))
-        for instance, first in overlay.values():
-            entries.append((first, instance))
+        for joined, (count, first) in overlay.items():
+            entries.append((first, ExecutableInstance.from_key(joined, count)))
         entries.sort(key=lambda entry: entry[0])
         self._pool_cache = [instance for _, instance in entries]
         return self._pool_cache

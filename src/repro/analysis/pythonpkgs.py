@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.stats import user_label
-from repro.collector.classify import ExecutableCategory
+from repro.analysis.stats import _PYTHON, user_label
 from repro.db.store import ProcessRecord
 
 
@@ -39,7 +38,7 @@ def python_package_table(
     scripts: dict[str, set[str]] = defaultdict(set)
 
     for record in records:
-        if record.category != ExecutableCategory.PYTHON.value or not record.python_packages:
+        if record.category != _PYTHON or not record.python_packages:
             continue
         user = user_label(record, user_names)
         for package in record.python_package_list:
@@ -94,7 +93,7 @@ def audit_python_packages(
     by_package = {row.package: row for row in rows}
     user_sets: dict[str, set[str]] = defaultdict(set)
     for record in records:
-        if record.category != ExecutableCategory.PYTHON.value:
+        if record.category != _PYTHON:
             continue
         user = user_label(record, user_names)
         for package in record.python_package_list:

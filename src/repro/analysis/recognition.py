@@ -26,7 +26,7 @@ from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
     SimilaritySearch,
-    instance_from_record,
+    instance_key,
 )
 from repro.db.store import ProcessRecord
 
@@ -206,10 +206,10 @@ def recognize_repeated_executions(
     first_seen: dict[str, int] = {}
     last_seen: dict[str, int] = {}
     for record in records:
-        instance = instance_from_record(record)
-        if instance is None:
+        key = instance_key(record)
+        if key is None:
             continue
-        label = label_of[instance.key]
+        label = label_of[key]
         jobs.setdefault(label, set())
         if record.jobid:
             jobs[label].add(record.jobid)

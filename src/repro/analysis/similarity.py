@@ -24,12 +24,13 @@ never passes it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.analysis.labels import UNKNOWN_LABEL, derive_label
 from repro.analysis.simindex import DigestIndex, IndexStats
-from repro.collector.classify import ExecutableCategory
+from repro.analysis.stats import _USER
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
@@ -38,36 +39,21 @@ from repro.util.readonly import ReadOnlyDict
 #: Column order of Table 7.
 HASH_COLUMNS: tuple[str, ...] = ("MO_H", "CO_H", "OB_H", "FI_H", "ST_H", "SY_H")
 
-_FIELD_OF_COLUMN: dict[str, str] = {
-    "MO_H": "modules_h",
-    "CO_H": "compilers_h",
-    "OB_H": "objects_h",
-    "FI_H": "file_h",
-    "ST_H": "strings_h",
-    "SY_H": "symbols_h",
-}
 
-_USER_CATEGORY = ExecutableCategory.USER.value
-
-
-def instance_from_record(record: ProcessRecord) -> "ExecutableInstance | None":
-    """The instance a record contributes to, or ``None`` if it contributes none.
+def instance_key(record: ProcessRecord) -> tuple[str, ...] | None:
+    """The key of the instance a record joins, or ``None`` if it joins none.
 
     Only user-directory records with a file hash form instances (the Table 7
-    population); the returned instance carries ``process_count=1`` -- callers
-    merge counts when several records share one key.  Its ``hashes`` are
-    read-only: the search hands its instances out, and a digest written
-    through one would change the pool its index was built over.
+    population).  The key is read straight from the record's fields: the
+    executable path, then its six digests in :data:`HASH_COLUMNS` order, a
+    missing one as ``""`` -- the :attr:`ExecutableInstance.key` of the
+    instance the record joins.
     """
-    if record.category != _USER_CATEGORY or not record.file_h:
+    if record.category != _USER or not record.file_h:
         return None
-    hashes = ReadOnlyDict({column: getattr(record, _FIELD_OF_COLUMN[column]) or ""
-                           for column in HASH_COLUMNS})
-    return ExecutableInstance(
-        executable=record.executable,
-        label=derive_label(record.executable),
-        hashes=hashes,
-    )
+    return (record.executable, record.modules_h or "", record.compilers_h or "",
+            record.objects_h or "", record.file_h, record.strings_h or "",
+            record.symbols_h or "")
 
 
 @dataclass(frozen=True)
@@ -78,6 +64,18 @@ class ExecutableInstance:
     label: str
     hashes: dict[str, str]
     process_count: int = 1
+
+    @classmethod
+    def from_key(cls, key: tuple[str, ...], process_count: int) -> "ExecutableInstance":
+        """The instance a key stands for, its label derived from the path.
+
+        Its ``hashes`` are read-only: the search hands its instances out,
+        and a digest written through one would change the pool it answers
+        over.
+        """
+        return cls(executable=key[0], label=derive_label(key[0]),
+                   hashes=ReadOnlyDict(zip(HASH_COLUMNS, key[1:])),
+                   process_count=process_count)
 
     @cached_property
     def key(self) -> tuple[str, ...]:
@@ -141,23 +139,10 @@ class SimilaritySearch:
         """Fold one record into the instance list (append or merge by key).
 
         Returns the key of the instance the record joined, ``None`` when it
-        contributes to none -- the live layer tracks each instance's first
-        process key by it, so a record's instance is derived once.
+        joins none -- the live layer tracks each instance's first process
+        key by it, so a record's key is read once.
         """
-        self.records.append(record)
-        instance = instance_from_record(record)
-        if instance is None:
-            return None
-        key = instance.key
-        position = self._positions.get(key)
-        if position is None:
-            self._positions[key] = len(self.instances)
-            self.instances.append(instance)
-        else:
-            existing = self.instances[position]
-            self.instances[position] = replace(
-                existing, process_count=existing.process_count + 1)
-        return key
+        return self._fold((record,))
 
     def add_records(self, new_records: list[ProcessRecord]) -> int:
         """Append new records, updating the instance list in place.
@@ -170,9 +155,44 @@ class SimilaritySearch:
         Returns how many instances the new records created.
         """
         before = len(self.instances)
-        for record in new_records:
-            self.add_record(record)
+        self._fold(new_records)
         return len(self.instances) - before
+
+    def _fold(self, records: Sequence[ProcessRecord]) -> tuple[str, ...] | None:
+        """The one fold of both adds; returns the key the last user record joined.
+
+        A record that is not a user process costs one string compare.  The
+        rest are counted per :func:`instance_key`, and the instances are
+        built after the pass: one :meth:`ExecutableInstance.from_key` per new
+        key, carrying its count, and one ``replace`` per existing instance the
+        batch grows.  A merging record builds nothing.
+        """
+        self.records.extend(records)
+        # Built by the first joining record, so that a one-record fold of a
+        # system process (``LiveAnalysis.commit``'s usual call) allocates nothing.
+        joined: dict[tuple[str, ...], int] | None = None
+        key = None
+        for record in records:
+            if record.category != _USER:
+                continue
+            key = instance_key(record)
+            if key is not None:
+                if joined is None:
+                    joined = {}
+                joined[key] = joined.get(key, 0) + 1
+        if joined is None:
+            return key
+        positions, instances = self._positions, self.instances
+        for grown, count in joined.items():
+            position = positions.get(grown)
+            if position is None:
+                positions[grown] = len(instances)
+                instances.append(ExecutableInstance.from_key(grown, count))
+            else:
+                existing = instances[position]
+                instances[position] = replace(
+                    existing, process_count=existing.process_count + count)
+        return key
 
     def unknown_instances(self) -> list[ExecutableInstance]:
         """Instances whose derived label is UNKNOWN (the search baselines)."""

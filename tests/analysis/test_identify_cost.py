@@ -7,15 +7,16 @@ returns.  These tests pin the things that design could silently break: the
 results (against the all-pairs reference, against a search grown one record
 at a time, and against digests recorded before the change), the work counts
 (one registration per distinct baseline digest, one probe per distinct pool
-digest, one normalisation per distinct digest string, one key tuple per
-instance, at most ``top`` result rows per query), and the ownership of the
-record list.
+digest, one normalisation per distinct digest string, one label and one
+instance per distinct instance key and none for a record outside Table 7, at
+most ``top`` result rows per query), and the ownership of the record list.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from repro.analysis.similarity import (
     ExecutableInstance,
     SimilarityResult,
     SimilaritySearch,
+    instance_key,
 )
 from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.db.store import ProcessRecord
@@ -35,6 +37,7 @@ from repro.hashing.compare_engine import normalize_cache_clear, normalize_digest
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
+from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.compare import malformed
 from oracles.search import reference_identify, reference_matrix, reference_query
@@ -43,10 +46,11 @@ _HASHER = FuzzyHasher()
 _FIELDS = ("modules_h", "compilers_h", "objects_h", "file_h", "strings_h", "symbols_h")
 
 
-def _record(executable: str, digests: tuple[str, ...], pid: int = 1) -> ProcessRecord:
+def _record(executable: str, digests: tuple[str, ...], pid: int = 1,
+            category: str = "user") -> ProcessRecord:
     return ProcessRecord(
         jobid="1", stepid="0", pid=pid, hash="h", host="n", time=0, uid=1000,
-        executable=executable, category="user", **dict(zip(_FIELDS, digests)))
+        executable=executable, category=category, **dict(zip(_FIELDS, digests)))
 
 
 def churn_like_records(count: int = 120) -> list[ProcessRecord]:
@@ -143,25 +147,37 @@ _POOL = (
     *malformed(f"24:{_LONG}:{_LONG[:16]}"),      # parse to nothing: score 0 everywhere
 )
 _NAMES = ("a.out", "icon", "lmp", "prog")
-_instances = st.lists(
-    st.tuples(st.integers(0, 5), st.sampled_from(_NAMES),
-              st.tuples(*[st.sampled_from(_POOL)] * 6)),
+_rows = st.lists(
+    st.tuples(st.sampled_from(("user", "user", "system", "python")), st.integers(0, 5),
+              st.sampled_from(_NAMES), st.tuples(*[st.sampled_from(_POOL)] * 6)),
     min_size=1, max_size=14)
 
 
+@st.composite
+def _streams(draw) -> list[ProcessRecord]:
+    """System, Python and user records, some without FI_H, some keys repeated."""
+    rows = draw(_rows)
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+    rows = draw(st.permutations(rows + [rows[index] for index in repeats]))
+    return [_record(f"/p/u/d{directory}/{name}", digests, pid=pid, category=category)
+            for pid, (category, directory, name, digests) in enumerate(rows)]
+
+
 class TestRepeatedDigests:
-    @given(_instances)
+    @given(_streams())
     @settings(max_examples=120, deadline=None)
-    def test_the_search_and_a_grown_one_equal_the_all_pairs_reference(self, rows):
-        records = [_record(f"/p/u/d{directory}/{name}", digests, pid=pid)
-                   for pid, (directory, name, digests) in enumerate(rows)
-                   if digests[3]]          # no FI_H, no instance
+    def test_the_search_and_a_grown_one_equal_the_all_pairs_reference(self, records):
         search = SimilaritySearch(records)
         grown = SimilaritySearch([])
-        for record in records:
-            grown.add_records([record])
+        joined = [grown.add_record(record) for record in records]
+        assert joined == [instance_key(record) for record in records]
+        counts = Counter(key for key in joined if key is not None)
         instances = search.instances
-        assert [i.key for i in instances] == [i.key for i in grown.instances]
+        for each in (search, grown):
+            assert [(i.key, i.process_count) for i in each.instances] == list(counts.items())
+            assert each.records == records
+        assert [(i.key, i.label, i.process_count) for i in instances] == \
+            [(i.key, i.label, i.process_count) for i in grown.instances]
         expected = reference_identify(instances, top=10)
         if not expected:
             for each in (search, grown):
@@ -220,23 +236,27 @@ class TestRepeatedDigests:
 
 
 # --------------------------------------------------------------------------- #
-# work counts on the 120-instance record set
+# work counts on the 120-instance record set and the benchmark's campaign
 # --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def benchmark_records() -> list[ProcessRecord]:
+    """The pipeline benchmark's campaign (scale 0, seed 2025): 4,768 records,
+    33 of them user processes forming 32 instances."""
+    config = CampaignConfig(scale=0.0, seed=2025, loss_rate=0.0, keep_raw_messages=False)
+    return DeploymentCampaign(config=config).run().records
+
+
 class TestWorkCounts:
-    def test_one_normalisation_per_distinct_digest_one_key_per_instance(self, monkeypatch):
+    def test_one_normalisation_per_distinct_digest(self, monkeypatch):
         records = churn_like_records()
         distinct = {getattr(record, name) for record in records for name in _FIELDS}
         assert len(distinct) < len(records) * len(_FIELDS) // 2   # the shape that matters
         eliminated = []
-        keys = []
         rows = []
         real_eliminate = compare_engine.eliminate_sequences
-        real_key = ExecutableInstance.__dict__["key"].func
 
         monkeypatch.setattr(compare_engine, "eliminate_sequences",
                             lambda signature: eliminated.append(1) or real_eliminate(signature))
-        monkeypatch.setattr(ExecutableInstance.__dict__["key"], "func",
-                            lambda instance: keys.append(1) or real_key(instance))
         monkeypatch.setattr(similarity, "SimilarityResult",
                             lambda **fields: rows.append(1) or SimilarityResult(**fields))
         normalize_cache_clear()
@@ -252,8 +272,37 @@ class TestWorkCounts:
             normalize_digest(digest)
         assert normalize_digest.cache_info().misses == len(distinct)
         assert len(eliminated) == 2 * len(distinct)
-        # One key per instance object: each record's instance, twice over.
-        assert len(keys) == 2 * len(records)
+
+    def test_one_label_and_one_instance_per_distinct_key(self, monkeypatch,
+                                                         benchmark_records):
+        records = benchmark_records
+        categories = Counter(record.category for record in records)
+        assert (len(records), categories["user"]) == (4768, 33)    # the shape that matters
+        labelled: list[str] = []
+        built: list[int] = []
+        real_label, real_init = similarity.derive_label, ExecutableInstance.__init__
+        monkeypatch.setattr(similarity, "derive_label",
+                            lambda path: labelled.append(path) or real_label(path))
+        monkeypatch.setattr(ExecutableInstance, "__init__", lambda instance, *args, **kwargs:
+                            built.append(1) or real_init(instance, *args, **kwargs))
+
+        search = SimilaritySearch(records)
+        keys = {instance_key(record) for record in records} - {None}
+        assert len(keys) == 32                                 # one record merges
+        assert len(search.instances) == len(labelled) == len(built) == len(keys)
+        assert sorted(labelled) == sorted(key[0] for key in keys)
+
+        # A system, a Python and a file-hash-less user record build nothing.
+        outsiders = [next(record for record in records if record.category == category)
+                     for category in ("system", "python")]
+        outsiders.append(replace(next(record for record in records
+                                      if record.category == "user"), file_h=None))
+        del labelled[:], built[:]
+        assert SimilaritySearch(outsiders).instances == []
+        before = list(search.instances)
+        assert [search.add_record(record) for record in outsiders] == [None] * 3
+        assert list(map(id, search.instances)) == list(map(id, before))
+        assert labelled == built == []
 
     def test_one_identify_registers_the_unknowns_and_probes_each_pool_digest_once(
             self, monkeypatch):

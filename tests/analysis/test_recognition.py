@@ -11,7 +11,7 @@ from repro.analysis.recognition import (
     recognize_repeated_executions,
     similarity_graph,
 )
-from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch, instance_from_record
+from repro.analysis.similarity import HASH_COLUMNS, SimilaritySearch, instance_key
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 
@@ -42,8 +42,7 @@ def _edge_count(graph) -> int:
 
 def _key(path: str, records: list[ProcessRecord]) -> tuple[str, ...]:
     """The instance key of the first record at ``path``."""
-    return next(instance_from_record(record).key
-                for record in records if record.executable == path)
+    return next(instance_key(record) for record in records if record.executable == path)
 
 
 def _payloads(name: str) -> tuple[str, str]:

@@ -146,3 +146,48 @@ def test_two_documents_print_both_refresh_splits(layer_budget, tmp_path, capsys)
     start = lines.index("== live-query  (per refresh, p50 ms; share of the parts' sum)")
     assert [line.split()[0] for line in lines[start + 2:]] == [
         "analysis.live_sync_ms_p50", "sum", "ingest.snapshot_delta_ms_p50"]
+
+
+def _with_identify(document: dict, build_s: float, identify_s: float) -> dict:
+    """``document`` with ``replay``'s per-identify figures (``live-query`` has neither)."""
+    document["workloads"]["replay"]["per_layer"].update({
+        "analysis.search_build_s": {"value": build_s, "unit": "s"},
+        "clock.identify_s": {"value": identify_s, "unit": "s"}})
+    return document
+
+
+def test_the_identify_split_keeps_the_figures_a_document_has(layer_budget):
+    both = _with_identify(_document(3.0), 0.002, 0.004)
+    assert layer_budget.identify_split(both) == {
+        "replay": {"build": 2.0, "rest": 2.0, "share": 0.5}}
+    build_only = _document(3.0)
+    build_only["workloads"]["replay"]["per_layer"]["analysis.search_build_s"] = {
+        "value": 0.001, "unit": "s"}
+    assert layer_budget.identify_split(build_only) == {"replay": {"build": 1.0}}
+    assert layer_budget.identify_split(_document(3.0)) == {}
+
+
+def test_one_document_prints_the_identify_split(layer_budget, tmp_path, capsys):
+    run = _write(tmp_path / "run.json", _with_identify(_document(3.0), 0.001, 0.004))
+    assert layer_budget.main([run]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("== replay  (per identify round)")
+    assert [line.split()[-1] for line in lines[start + 1:]] == ["1.000", "3.000", "25.0%"]
+    assert "== live-query  (per identify round)" not in lines
+
+
+def test_a_document_without_the_figures_prints_no_identify_split(layer_budget, tmp_path,
+                                                                 capsys):
+    assert layer_budget.main([_write(tmp_path / "run.json", _document(3.0))]) == 0
+    assert "per identify round" not in capsys.readouterr().out
+
+
+def test_two_documents_print_both_identify_splits(layer_budget, tmp_path, capsys):
+    first = _write(tmp_path / "a.json", _with_identify(_document(3.0), 0.002, 0.004))
+    second = _write(tmp_path / "b.json", _with_identify(_document(3.0), 0.001, 0.003))
+    assert layer_budget.main([first, second]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("== replay  (per identify round)")
+    assert [line.split()[-3:] for line in lines[start + 2:]] == [
+        ["2.000", "1.000", "-1.000"], ["2.000", "2.000", "+0.000"],
+        ["50.0%", "33.3%", "-16.7%"]]
