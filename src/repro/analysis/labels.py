@@ -56,7 +56,12 @@ def user_application_table(
     records: list[ProcessRecord],
     user_names: dict[int, str] | None = None,
 ) -> list[LabelRow]:
-    """Derived labels over user-directory processes, with per-label statistics."""
+    """Derived labels over user-directory processes, with per-label statistics.
+
+    Each distinct path is labelled once (:func:`derive_label` runs its rules
+    in turn), however many processes ran it.
+    """
+    label_of: dict[str, str] = {}
     users: dict[str, set[str]] = defaultdict(set)
     jobs: dict[str, set[str]] = defaultdict(set)
     processes: dict[str, int] = defaultdict(int)
@@ -65,7 +70,9 @@ def user_application_table(
     for record in records:
         if record.category != _USER:
             continue
-        label = derive_label(record.executable)
+        label = label_of.get(record.executable)
+        if label is None:
+            label = label_of[record.executable] = derive_label(record.executable)
         user = user_label(record, user_names)
         users[label].add(user)
         if record.jobid:
@@ -90,9 +97,8 @@ def user_application_table(
 
 
 def label_by_executable(records: list[ProcessRecord]) -> dict[str, str]:
-    """Map of executable path -> derived label over user-directory records."""
-    return {
-        record.executable: derive_label(record.executable)
-        for record in records
-        if record.category == _USER
-    }
+    """Map of executable path -> derived label over user-directory records,
+    each distinct path labelled once."""
+    paths = dict.fromkeys(record.executable for record in records
+                          if record.category == _USER)
+    return {path: derive_label(path) for path in paths}

@@ -43,16 +43,21 @@ A pull that commits nothing and hands back the same peek folds into neither
 accumulator (``refresh_open`` keeps an equal overlay), so each table view
 is answered from the rollup's memory: no row is built until a record
 commits or the peek changes (:mod:`repro.analysis.stats`, "Views from
-memory").  What is left of such a refresh is its pulls, one per view.
+memory").  What is left of such a refresh is its pulls, one per view, and
+an idle pull is nearly free: the consolidator hands back its last delta
+again, and :meth:`LiveAnalysis.sync` returns at once for a delta with no
+new record and the very peek its overlay came from.
 
 Table 7 per refresh
 -------------------
 A Table 7 answer is identified by two inputs: the pool's instance keys in
 pool order (path plus six digests: labels, scores and tie order follow from
 them) and ``top``; the scoring rules are ssdeep's and fixed.  A refresh
-whose two inputs equal the last answer's costs O(instances) -- one key tuple
-compared -- and returns that answer again; ``process_count`` is not an
-input, so a commit that only bumps counts is served from memory too.
+over the very pool object the last answer was served from, with the same
+``top``, returns that answer again at once; a rebuilt pool (a commit or a
+new peek) costs O(instances) -- one key tuple compared -- and, keys equal,
+returns it too: ``process_count`` is not an input, so a commit that only
+bumps counts is served from memory.
 Any other refresh re-runs the search: per column one gate over the UNKNOWN
 digests, one probe per distinct labelled digest, and compare-LRU lookups for
 the pairs it passes.  So a refresh that changes the pool probes every
@@ -66,6 +71,7 @@ aligned afresh.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -79,6 +85,7 @@ from repro.analysis.similarity import (
 )
 from repro.analysis.simindex import IndexStats
 from repro.analysis.stats import (
+    _USER,
     PythonInterpreterRow,
     SharedObjectVariantRow,
     SystemExecutableRow,
@@ -128,6 +135,9 @@ class LiveAnalysis:
     _source: DeltaSource | None = field(init=False, default=None, repr=False)
     _keys: set[ProcessKey] = field(init=False, default_factory=set, repr=False)
     _open: list[ProcessRecord] = field(init=False, default_factory=list, repr=False)
+    #: The peek ``_open`` was filtered from, as given (``None``: a commit
+    #: since may drop some of it).
+    _peek: Iterable[ProcessRecord] | None = field(init=False, default=None, repr=False)
     _tables: TableRollup = field(init=False, repr=False)
     _open_tables: TableRollup = field(init=False, repr=False)
     _instance_first: dict[tuple[str, ...], ProcessKey] = field(
@@ -136,8 +146,10 @@ class LiveAnalysis:
     #: The merged, ordered instance pool of the current state (``None``: stale).
     _pool_cache: list[ExecutableInstance] | None = field(init=False, default=None,
                                                          repr=False)
-    #: Table 7's last answer beside the inputs that determine it.
-    _identified: tuple[tuple, dict[str, list[SimilarityResult]]] | None = field(
+    #: Table 7's last answer: the pool it was computed from, that pool's
+    #: instance keys, ``top``, and the answer.
+    _identified: tuple[list[ExecutableInstance], tuple, int,
+                       dict[str, list[SimilarityResult]]] | None = field(
         init=False, default=None, repr=False)
     #: Table 7 answers served from memory, without a comparison.
     identify_reused: int = field(init=False, default=0)
@@ -158,11 +170,17 @@ class LiveAnalysis:
     def sync(self) -> int:
         """Pull the next delta from the bound source; returns records committed.
 
-        A no-op (returning 0) when no source is bound.
+        A no-op (returning 0) when no source is bound.  A delta with no new
+        record and the very peek the overlay was taken from changes nothing,
+        and returns at once.
         """
         if self._source is None:
             return 0
         delta = self._source.snapshot_delta(self.cursor)
+        if not delta.new_records and delta.open_records is self._peek:
+            self.cursor = delta.cursor
+            self.syncs += 1
+            return 0
         committed = self.commit(delta.new_records)
         # Only a fully committed delta advances the cursor: if commit raised,
         # the same records are re-pulled next time instead of being lost.
@@ -193,16 +211,20 @@ class LiveAnalysis:
                     " must deliver each finalized record exactly once")
             seen.add(key)
             batch_keys.append(key)
+        instance_first = self._instance_first
         for record, key in zip(fresh, batch_keys):
             self._keys.add(key)
             self._tables.fold(record)
-            joined = self._search.add_record(record)
-            if joined is not None:
-                first = self._instance_first.get(joined)
-                if first is None or key < first:
-                    self._instance_first[joined] = key
+            if record.category == _USER:
+                joined = instance_key(record)
+                if joined is not None:
+                    first = instance_first.get(joined)
+                    if first is None or key < first:
+                        instance_first[joined] = key
         if fresh:
+            self._search.add_records(fresh)
             self._pool_cache = None
+            self._peek = None
         return len(fresh)
 
     def refresh_open(self, open_records) -> None:
@@ -215,6 +237,7 @@ class LiveAnalysis:
         An overlay equal to the current one (a pull with nothing new hands
         back the very same peek) changes nothing and is not refolded.
         """
+        self._peek = open_records
         opened = [record for record in open_records
                   if record.key not in self._keys]
         if opened == self._open:
@@ -288,18 +311,23 @@ class LiveAnalysis:
         the last search saw, its answer is returned again as fresh dict and
         list copies of the frozen rows, without a gate probe or a
         compare-LRU lookup (the module docstring says why those two inputs
-        suffice).  The rows are shared with every earlier caller; their
-        ``scores`` are read-only.
+        suffice).  The keys are read only from a pool object other than the
+        one the answer was last served from.  The rows are shared with
+        every earlier caller; their ``scores`` are read-only.
         """
         self._pull()
         pool = self._pool()
-        inputs = (tuple(instance.key for instance in pool), top)
-        if self._identified is not None and self._identified[0] == inputs:
+        last = self._identified
+        if last is not None and last[0] is not pool:
+            keys = tuple(instance.key for instance in pool)
+            last = self._identified = ((pool, keys, last[2], last[3])
+                                       if keys == last[1] else None)
+        if last is not None and last[2] == top:
             self.identify_reused += 1
-            answer = self._identified[1]
+            answer = last[3]
         else:
             answer = self._search.identify_unknown(top=top, instances=pool)
-            self._identified = (inputs, answer)
+            self._identified = (pool, tuple(instance.key for instance in pool), top, answer)
         return {executable: list(rows) for executable, rows in answer.items()}
 
     def _pool(self) -> list[ExecutableInstance]:

@@ -135,16 +135,7 @@ class SimilaritySearch:
     # ------------------------------------------------------------------ #
     # instance list
     # ------------------------------------------------------------------ #
-    def add_record(self, record: ProcessRecord) -> tuple[str, ...] | None:
-        """Fold one record into the instance list (append or merge by key).
-
-        Returns the key of the instance the record joined, ``None`` when it
-        joins none -- the live layer tracks each instance's first process
-        key by it, so a record's key is read once.
-        """
-        return self._fold((record,))
-
-    def add_records(self, new_records: list[ProcessRecord]) -> int:
+    def add_records(self, new_records: Sequence[ProcessRecord]) -> int:
         """Append new records, updating the instance list in place.
 
         The incremental-growth path: records are folded into the existing
@@ -153,13 +144,6 @@ class SimilaritySearch:
         from a fresh one over the concatenated record list (pinned by the
         live-analysis property tests): no query state outlives its query.
         Returns how many instances the new records created.
-        """
-        before = len(self.instances)
-        self._fold(new_records)
-        return len(self.instances) - before
-
-    def _fold(self, records: Sequence[ProcessRecord]) -> tuple[str, ...] | None:
-        """The one fold of both adds; returns the key the last user record joined.
 
         A record that is not a user process costs one string compare.  The
         rest are counted per :func:`instance_key`, and the instances are
@@ -167,22 +151,15 @@ class SimilaritySearch:
         key, carrying its count, and one ``replace`` per existing instance the
         batch grows.  A merging record builds nothing.
         """
-        self.records.extend(records)
-        # Built by the first joining record, so that a one-record fold of a
-        # system process (``LiveAnalysis.commit``'s usual call) allocates nothing.
-        joined: dict[tuple[str, ...], int] | None = None
-        key = None
-        for record in records:
-            if record.category != _USER:
-                continue
-            key = instance_key(record)
-            if key is not None:
-                if joined is None:
-                    joined = {}
-                joined[key] = joined.get(key, 0) + 1
-        if joined is None:
-            return key
+        self.records.extend(new_records)
+        joined: dict[tuple[str, ...], int] = {}
+        for record in new_records:
+            if record.category == _USER:
+                key = instance_key(record)
+                if key is not None:
+                    joined[key] = joined.get(key, 0) + 1
         positions, instances = self._positions, self.instances
+        before = len(instances)
         for grown, count in joined.items():
             position = positions.get(grown)
             if position is None:
@@ -192,7 +169,7 @@ class SimilaritySearch:
                 existing = instances[position]
                 instances[position] = replace(
                     existing, process_count=existing.process_count + count)
-        return key
+        return len(instances) - before
 
     def unknown_instances(self) -> list[ExecutableInstance]:
         """Instances whose derived label is UNKNOWN (the search baselines)."""

@@ -314,13 +314,16 @@ class MessageStore:
         is answered with the very objects written past it, for one
         ``SELECT MAX(id)``.  A row another connection wrote, or one already
         there when this store opened, pushes the highest rowid past the
-        list, and every pull reads the rows past ``rowid``.
+        list, and every pull reads the rows past ``rowid``.  A ``:memory:``
+        database is private to its connection and opens empty, so neither
+        can happen there: while the list is whole, it is answered without a
+        statement.
         """
         written = self._written
-        if written is not None and 0 <= rowid <= len(written):
-            highest = self.connection.execute("SELECT MAX(id) FROM processes").fetchone()[0]
-            if (highest or 0) == len(written):
-                return written[rowid:], len(written)
+        if written is not None and 0 <= rowid <= len(written) and (
+                self.path == ":memory:" or (self.connection.execute(
+                    "SELECT MAX(id) FROM processes").fetchone()[0] or 0) == len(written)):
+            return written[rowid:], len(written)
         rows = self.connection.execute(
             f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
             (rowid,)).fetchall()

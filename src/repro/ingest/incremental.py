@@ -226,6 +226,9 @@ class IncrementalConsolidator:
     #: whenever an open process does (a message consumed, a record closed).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
         init=False, default=None)
+    #: The last delta that handed over no record, beside the same two
+    #: counters as they stood when it was pulled.
+    _idle: tuple[tuple[int, int], ProcessDelta] | None = field(init=False, default=None)
 
     def attach(self, channel: Channel) -> None:
         """Subscribe to a channel so every delivered datagram is ingested."""
@@ -422,13 +425,27 @@ class IncrementalConsolidator:
         Records finalized through the first-close-wins insert are immutable,
         which is what makes the rowid cursor a correct delta stream (see
         :meth:`MessageStore.load_processes_since`).
+
+        An idle pull -- nothing buffered, consumed or closed (so nothing
+        pending) since a pull that handed over no record, and nothing
+        written past its cursor -- is answered with that pull's delta
+        again: nothing is delivered, flushed, peeked or built, and only the
+        store is asked (for a ``:memory:`` store, without a statement).
         """
-        self._deliver()
-        self._flush()
-        open_records = self._peek_open()
+        idle = self._idle
+        if (idle is None or self._batch
+                or idle[0] != (self.messages_consumed, self.records_built)):
+            idle = None
+            self._deliver()
+            self._flush()
         new_records, cursor = self.store.load_processes_since(cursor)
-        return ProcessDelta(new_records=tuple(new_records),
-                            open_records=open_records, cursor=cursor)
+        if idle is not None and not new_records and idle[1].cursor == cursor:
+            return idle[1]
+        delta = ProcessDelta(new_records=tuple(new_records),
+                             open_records=self._peek_open(), cursor=cursor)
+        if not new_records:
+            self._idle = ((self.messages_consumed, self.records_built), delta)
+        return delta
 
     def finalize(self) -> list[ProcessRecord]:
         """End of stream: close every open process, return all records, in

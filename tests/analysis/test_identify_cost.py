@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import similarity
+from repro.analysis import labels, similarity
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -169,9 +169,9 @@ class TestRepeatedDigests:
     def test_the_search_and_a_grown_one_equal_the_all_pairs_reference(self, records):
         search = SimilaritySearch(records)
         grown = SimilaritySearch([])
-        joined = [grown.add_record(record) for record in records]
-        assert joined == [instance_key(record) for record in records]
-        counts = Counter(key for key in joined if key is not None)
+        for record in records:
+            grown.add_records([record])
+        counts = Counter(key for key in map(instance_key, records) if key is not None)
         instances = search.instances
         for each in (search, grown):
             assert [(i.key, i.process_count) for i in each.instances] == list(counts.items())
@@ -300,9 +300,28 @@ class TestWorkCounts:
         del labelled[:], built[:]
         assert SimilaritySearch(outsiders).instances == []
         before = list(search.instances)
-        assert [search.add_record(record) for record in outsiders] == [None] * 3
+        assert search.add_records(outsiders) == 0
         assert list(map(id, search.instances)) == list(map(id, before))
         assert labelled == built == []
+
+    def test_one_label_per_distinct_user_path(self, monkeypatch, benchmark_records):
+        """Table 5 and the label map of the matrices label each distinct user
+        path once, however many processes ran it; the rows are unchanged."""
+        records = benchmark_records
+        users = [record.executable for record in records if record.category == "user"]
+        paths = set(users)
+        assert (len(users), len(paths)) == (33, 31)     # paths ran more than once
+        expected = (labels.user_application_table(records, {}),
+                    labels.label_by_executable(records))
+        labelled: list[str] = []
+        real_label = labels.derive_label
+        monkeypatch.setattr(labels, "derive_label",
+                            lambda path: labelled.append(path) or real_label(path))
+        assert labels.user_application_table(records, {}) == expected[0]
+        assert sorted(labelled) == sorted(paths)
+        del labelled[:]
+        assert labels.label_by_executable(records) == expected[1]
+        assert sorted(labelled) == sorted(paths)
 
     def test_one_identify_registers_the_unknowns_and_probes_each_pool_digest_once(
             self, monkeypatch):

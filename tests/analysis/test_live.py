@@ -13,25 +13,30 @@ answered from memory while its inputs hold, so a work-count test pins that
 an unchanged pool costs no comparison, and a hypothesis state machine checks
 the memoised answer after every step of random commits, peeks and ``top``
 changes.  Table 7 answers are also pinned to the all-pairs reference
-(``oracles/search.py``), which compares every pair the gate prunes.
+(``oracles/search.py``), which compares every pair the gate prunes.  A
+count test pins that an idle refresh of a finished deployment issues no
+SQL statement, folds no record and builds none.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+import repro.ingest.incremental as incremental
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex
-from repro.analysis.stats import activity_totals
+from repro.analysis.stats import TableRollup, activity_totals
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
+from repro.ingest.incremental import ProcessDelta
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
@@ -197,6 +202,18 @@ class TestSyntheticStreamEquivalence:
         live.refresh_open([stream[4]])
         assert (live.table2_user_activity(), live.table3_system_executables()) == before
         _assert_views_equal(live, stream[:20], {})
+
+    def test_a_commit_drops_its_keys_from_an_unchanged_peek(self):
+        """A bound analysis that also commits by hand: the next pull hands
+        back the very peek it overlaid, but a key just committed leaves the
+        overlay, not counted twice."""
+        stream = _synthetic_stream(seed=3)
+        delta = ProcessDelta(new_records=(), open_records=tuple(stream[:4]), cursor=0)
+        live = LiveAnalysis({}).bind(SimpleNamespace(snapshot_delta=lambda cursor: delta))
+        _assert_views_equal(live, stream[:4], {})
+        live.commit(stream[1:3])
+        _assert_views_equal(live, stream[:4], {})
+        assert live.statistics()["open_records"] == 2
 
     def test_pool_is_built_once_per_pulled_state(self):
         stream = _synthetic_stream(seed=11)
@@ -601,3 +618,46 @@ class TestCampaignLiveEquivalence:
         assert len(delta.new_records) + len(delta.open_records) == len(result.records)
         assert activity_totals(live.table2_user_activity()).total_processes \
             == len(result.records) > 0
+
+
+class TestIdleRefresh:
+    def test_an_idle_refresh_issues_no_statement_and_rebuilds_nothing(self, monkeypatch):
+        """A dashboard polling a finished ``:memory:`` deployment: after one
+        refresh, each of its views pulls a delta with nothing new, and 30
+        more refreshes run no SQL statement, fold no record into a rollup,
+        build no record and serve every Table 7 answer from memory."""
+        config = CampaignConfig(scale=0.0, seed=2025, loss_rate=0.0,
+                                keep_raw_messages=False)
+        result = DeploymentCampaign(config=config).run()
+        assert result.store.path == ":memory:"
+        live = result.deployment.live_analysis()
+
+        def refresh():
+            views = (live.table2_user_activity(), live.table3_system_executables(),
+                     live.table4_shared_object_variants(),
+                     live.table8_python_interpreters(), live.unknown_instances())
+            return views, live.identify_unknown(top=10)
+
+        first = refresh()
+        assert first[0][-1], "the campaign has no UNKNOWN instance"
+        statements: list[str] = []
+        folds: list[ProcessRecord] = []
+        builds: list[tuple] = []
+        calls: list[str] = []
+        fold, build = TableRollup.fold, incremental.build_process_record
+        result.store.connection.set_trace_callback(statements.append)
+        monkeypatch.setattr(TableRollup, "fold", lambda rollup, record:
+                            folds.append(record) or fold(rollup, record))
+        monkeypatch.setattr(incremental, "build_process_record", lambda key, rows:
+                            builds.append(key) or build(key, rows))
+        # An idle pull neither peeks nor commits: the consolidator hands back
+        # its last delta, and the analysis returns at once.
+        for owner, name in ((incremental.IncrementalConsolidator, "_peek_open"),
+                            (LiveAnalysis, "commit"), (LiveAnalysis, "refresh_open")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+        reused, syncs = live.identify_reused, live.syncs
+        for _ in range(30):
+            assert refresh() == first
+        assert (statements, folds, builds, calls) == ([], [], [], [])
+        assert live.identify_reused == reused + 30
+        assert live.syncs == syncs + 30 * 6

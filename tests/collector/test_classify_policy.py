@@ -1,5 +1,7 @@
 """Tests for process classification and the Table 1 collection policy."""
 
+from unittest import mock
+
 import pytest
 
 from repro.collector.classify import (
@@ -9,8 +11,16 @@ from repro.collector.classify import (
     extract_script_path,
     is_python_interpreter,
 )
+from repro.collector.hooks import SirenCollector
 from repro.collector.policy import TABLE_1, should_collect_rank
 from repro.collector.records import InfoType, Layer
+from repro.corpus.builder import CorpusBuilder
+from repro.db.store import MessageStore
+from repro.hpcsim.cluster import Cluster
+from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
+from repro.ingest import IncrementalConsolidator
+from repro.transport.channel import InMemoryChannel
+from repro.transport.sender import UDPSender
 
 
 class TestClassification:
@@ -97,3 +107,55 @@ class TestTable1:
         assert not should_collect_rank("3")
         assert should_collect_rank("")      # outside a Slurm step
         assert should_collect_rank(None)
+
+
+#: Table 1 with every process category collected like a user executable.
+COLLECT_EVERYTHING = {category: TABLE_1[ExecutableCategory.USER]
+                      for category in ExecutableCategory}
+
+
+class TestTable1Ablation:
+    """What the selective policy saves on the wire: one job of 75 system
+    processes, sent under Table 1 and under a table that collects every
+    category like a user executable."""
+
+    @pytest.fixture(scope="class")
+    def environment(self):
+        cluster = Cluster()
+        manifest = CorpusBuilder(cluster).install_base_system()
+        cluster.add_user("bench")
+        return cluster, manifest
+
+    @staticmethod
+    def _datagrams(environment, table) -> tuple[int, int]:
+        """The job's datagrams under ``table``, and the raw rows ingest stored."""
+        cluster, manifest = environment
+        channel = InMemoryChannel()
+        datagrams: list[bytes] = []
+        channel.subscribe(datagrams.append)
+        store = MessageStore()
+        ingest = IncrementalConsolidator(store, persist_raw=True)
+        ingest.attach(channel)
+        collector = SirenCollector(cluster.filesystem, UDPSender(channel),
+                                   manifest.siren_library)
+        job = JobScript(name="system-heavy", modules=("siren",), steps=(StepSpec(processes=(
+            ProcessSpec(executable=manifest.tool("bash"), count=10),
+            ProcessSpec(executable=manifest.tool("mkdir"), count=30),
+            ProcessSpec(executable=manifest.tool("rm"), count=30),
+            ProcessSpec(executable=manifest.tool("cat"), count=5),
+        )),))
+        cluster.register_preload_hook(collector)
+        try:
+            with mock.patch.dict(TABLE_1, table):
+                cluster.run_job("bench", job)
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        ingest.finalize()
+        return len(datagrams), store.message_count()
+
+    def test_the_selective_policy_sends_fewer_datagrams(self, environment):
+        # Every process sends PROCINFO and PROCEND around its sections, each
+        # in one datagram: 75 x (2 + 3) under Table 1, 75 x (2 + 12) when
+        # every category is collected like a user executable.
+        assert self._datagrams(environment, {}) == (375, 375)
+        assert self._datagrams(environment, COLLECT_EVERYTHING) == (1050, 1050)

@@ -12,7 +12,10 @@ that failed to apply its delta pulls again) or 0.
 
 Every answer equals a plain SQL read of the rows past the cursor, and a
 read is served, with the very objects inserted, iff no write was partial
-and no other connection wrote a row.
+and no other connection wrote a row.  A served read of an on-disk store
+asks only for the highest rowid; a ``:memory:`` store, which no other
+connection can reach, runs its machine without that rule and serves
+without a statement.
 """
 
 import os
@@ -24,12 +27,13 @@ from itertools import count
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.db.store import PROCESS_FIELDS, MessageStore, ProcessRecord
 
 _SELECT_SINCE = (f"SELECT {', '.join(PROCESS_FIELDS)}, id FROM processes"
                  " WHERE id > ? ORDER BY id")
+_HIGHEST = "SELECT MAX(id) FROM processes"
 
 
 def _reference(store: MessageStore, rowid: int) -> tuple[list[ProcessRecord], int]:
@@ -62,12 +66,15 @@ class _FailingConnection:
         raise sqlite3.OperationalError("database or disk is full")
 
 
-class HandBackMachine(RuleBasedStateMachine):
+class _HandBack(RuleBasedStateMachine):
+    """The rules every store shares, over the store :meth:`_open` returns."""
+
     def __init__(self) -> None:
         super().__init__()
-        self.directory = tempfile.mkdtemp(prefix="siren-hand-back-")
-        self.path = os.path.join(self.directory, "siren.db")
-        self.store = MessageStore(self.path)
+        self.store = self._open()
+        #: the statements of the store read in progress
+        self.statements: list[str] = []
+        self.store.connection.set_trace_callback(self.statements.append)
         self.pids = count()
         self.present: list[int] = []      #: pids the table holds
         #: consumer -> the marks its pulls returned, oldest first
@@ -76,9 +83,21 @@ class HandBackMachine(RuleBasedStateMachine):
         #: connection's and written in full (``None`` after one was not)
         self.written: list[ProcessRecord] | None = []
 
-    def _check(self, records: list[ProcessRecord], served: list[ProcessRecord] | None):
-        """``records`` are ``served`` themselves, or (not served) all fresh."""
+    def _open(self) -> MessageStore:
+        raise NotImplementedError
+
+    def _read(self, read):
+        """``read()``, and the statements it ran on ``processes``."""
+        del self.statements[:]
+        answer = read()
+        return answer, [sql for sql in self.statements if "FROM processes" in sql]
+
+    def _check(self, records: list[ProcessRecord], served: list[ProcessRecord] | None,
+               reads: list[str]):
+        """``records`` are ``served`` themselves, read for at most the check
+        of the highest rowid, or (not served) all fresh."""
         if served is not None:
+            assert reads == self.served_reads
             assert len(records) == len(served)
             assert all(mine is theirs for mine, theirs in zip(records, served))
         else:
@@ -116,6 +135,48 @@ class HandBackMachine(RuleBasedStateMachine):
         finally:
             self.store.connection = connection
 
+    @rule(consumer=st.sampled_from(["a", "b"]),
+          cursor=st.sampled_from(["last", "stale", "zero"]))
+    def pull(self, consumer, cursor):
+        marks = self.marks[consumer]
+        rowid = {"last": marks[-1], "stale": marks[-2] if len(marks) > 1 else 0,
+                 "zero": 0}[cursor]
+        expected = _reference(self.store, rowid)
+        (records, mark), reads = self._read(lambda: self.store.load_processes_since(rowid))
+        assert (records, mark) == expected
+        self._check(records, None if self.written is None else self.written[rowid:], reads)
+        marks.append(mark)
+
+    @rule()
+    def load_all(self):
+        records, reads = self._read(self.store.load_processes)
+        assert records == _reference(self.store, 0)[0]
+        self._check(records, self.written, reads)
+
+    @invariant()
+    def every_consumer_is_answered_as_the_table(self):
+        for marks in self.marks.values():
+            rowid = marks[-1]
+            expected = _reference(self.store, rowid)
+            answer, reads = self._read(lambda: self.store.load_processes_since(rowid))
+            assert answer == expected
+            self._check(answer[0], None if self.written is None
+                        else self.written[rowid:], reads)
+
+    def teardown(self) -> None:
+        self.store.close()
+
+
+class HandBackMachine(_HandBack):
+    """An on-disk store, which a second connection may write."""
+
+    served_reads = [_HIGHEST]
+
+    def _open(self) -> MessageStore:
+        self.directory = tempfile.mkdtemp(prefix="siren-hand-back-")
+        self.path = os.path.join(self.directory, "siren.db")
+        return MessageStore(self.path)
+
     @rule()
     def another_connection_writes(self):
         pid = next(self.pids)
@@ -124,38 +185,30 @@ class HandBackMachine(RuleBasedStateMachine):
         self.present.append(pid)
         self.written = None
 
-    @rule(consumer=st.sampled_from(["a", "b"]),
-          cursor=st.sampled_from(["last", "stale", "zero"]))
-    def pull(self, consumer, cursor):
-        marks = self.marks[consumer]
-        rowid = {"last": marks[-1], "stale": marks[-2] if len(marks) > 1 else 0,
-                 "zero": 0}[cursor]
-        expected = _reference(self.store, rowid)
-        records, mark = self.store.load_processes_since(rowid)
-        assert (records, mark) == expected
-        self._check(records, None if self.written is None else self.written[rowid:])
-        marks.append(mark)
-
-    @rule()
-    def load_all(self):
-        records = self.store.load_processes()
-        assert records == _reference(self.store, 0)[0]
-        self._check(records, self.written)
-
     def teardown(self) -> None:
-        self.store.close()
+        super().teardown()
         shutil.rmtree(self.directory, ignore_errors=True)
+
+
+class PrivateHandBackMachine(_HandBack):
+    """A ``:memory:`` store: no other connection can reach its table."""
+
+    served_reads: list[str] = []
+
+    def _open(self) -> MessageStore:
+        return MessageStore()
 
 
 HandBackMachine.TestCase.settings = settings(max_examples=80, stateful_step_count=30,
                                              deadline=None)
 TestHandBackMachine = HandBackMachine.TestCase
+PrivateHandBackMachine.TestCase.settings = HandBackMachine.TestCase.settings
+TestPrivateHandBackMachine = PrivateHandBackMachine.TestCase
 
 
-def test_every_reader_is_served_from_memory():
+def _serve_every_reader(store: MessageStore) -> list[str]:
     """A returning reader, a second consumer and a stale cursor all get the
-    inserted objects back, and no statement selects a ``processes`` row."""
-    store = MessageStore()
+    inserted objects back; returns the statements they ran on ``processes``."""
     batches = [[_record(pid) for pid in range(low, low + 7)] for low in range(0, 700, 7)]
     store.insert_processes_if_absent(batches[0])
     first, mark = store.load_processes_since(0)
@@ -172,8 +225,19 @@ def test_every_reader_is_served_from_memory():
                               (second, inserted), (stale, inserted[4:])):
         assert len(records) == len(expected)
         assert all(mine is theirs for mine, theirs in zip(records, expected))
-    reads = [sql for sql in statements if "FROM processes" in sql]
-    assert reads == ["SELECT MAX(id) FROM processes"] * 3
+    return [sql for sql in statements if "FROM processes" in sql]
+
+
+def test_every_reader_is_served_from_memory():
+    """A ``:memory:`` store serves every reader without a statement."""
+    assert _serve_every_reader(MessageStore()) == []
+
+
+def test_every_reader_of_an_on_disk_store_asks_for_the_highest_rowid(tmp_path):
+    """An on-disk store, which another connection could write, checks the
+    highest rowid once a read, and selects no row."""
+    with MessageStore(str(tmp_path / "siren.db")) as store:
+        assert _serve_every_reader(store) == [_HIGHEST] * 3
 
 
 def test_a_row_written_by_another_connection_is_read_from_the_table(tmp_path):

@@ -19,6 +19,7 @@ counters and tables.
 import enum
 from collections import Counter
 from dataclasses import astuple, fields
+from itertools import count
 
 import pytest
 
@@ -32,6 +33,18 @@ from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
 from repro.ingest import IncrementalConsolidator
 from repro.transport.messages import UDPMessage
+
+
+def _on_disk(patch, directory, statements):
+    """Open every ``MessageStore`` as a fresh database file under
+    ``directory``, its statements traced into ``statements``."""
+    store_init, files = MessageStore.__init__, count()
+
+    def on_disk_init(self, _path=":memory:"):
+        store_init(self, str(directory / f"siren{next(files)}.db"))
+        self.connection.set_trace_callback(statements.append)
+
+    patch.setattr(MessageStore, "__init__", on_disk_init)
 
 
 def _replay(stream):
@@ -180,11 +193,11 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     assert len(flushes) > 1
     assert all(written == offered for offered, written in flushes)
 
-    # The attach's refold (of the empty table) and ``finalize`` each ask only
-    # for the highest rowid: ``finalize`` hands back the records it wrote --
-    # the very objects gold folded -- instead of reading them back.
-    reads = [sql for sql in statements if "FROM processes" in sql]
-    assert reads == ["SELECT MAX(id) FROM processes"] * 2
+    # The attach's refold (of the empty table) and ``finalize`` read nothing:
+    # ``finalize`` hands back the records it wrote -- the very objects gold
+    # folded -- and a ``:memory:`` table holds nothing else, so no statement
+    # reads ``processes``.
+    assert [sql for sql in statements if "FROM processes" in sql] == []
     assert sorted(record.key for record in folds) == sorted(
         record[:6] for record in expected[0])
     folded = {id(record) for record in folds}
@@ -192,6 +205,19 @@ def test_tier_hand_off_counts(stream, monkeypatch):
     assert expected[2] == {"silver_rows": built, "rollup_rebuilds": 0,
                            "rollup_records_applied": built,
                            "rollup_syncs": len(flushes)}
+
+
+def test_an_on_disk_hand_off_asks_only_for_the_highest_rowid(stream, monkeypatch,
+                                                             tmp_path):
+    """Another connection may write an on-disk table: the attach's refold and
+    ``finalize`` each check its highest rowid, and select no row."""
+    expected = _replay(stream)
+    statements: list[str] = []
+    with monkeypatch.context() as patch:
+        _on_disk(patch, tmp_path, statements)
+        assert _replay(stream) == expected
+    reads = [sql for sql in statements if "FROM processes" in sql]
+    assert reads == ["SELECT MAX(id) FROM processes"] * 2
 
 
 def test_gold_splits_each_objects_string_once(stream, monkeypatch):
@@ -329,17 +355,46 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     records = [record for _before, _after, batch in pulls for record in batch]
     assert len(pulls[0][2]) and len(records) == len(inserted) == 200
     assert all(mine is theirs for mine, theirs in zip(records, inserted))
-    # Nothing but the check of the highest rowid reads ``processes``: once
-    # for the attach's refold, once a pull, and once -- its only statement
-    # on the table -- for ``finalize``.  No row is selected.
-    reads = [sql for sql in statements if "FROM processes" in sql]
-    assert reads == ["SELECT MAX(id) FROM processes"] * (len(pulls) + 2)
-    assert finalizing == ["SELECT MAX(id) FROM processes"]
+    # No statement reads the ``:memory:`` table ``processes``: not the
+    # attach's refold, not a pull, not ``finalize``.
+    assert [sql for sql in statements if "FROM processes" in sql] == []
+    assert finalizing == []
     # The second and third pulls of a slice find nothing new: they build no
     # record and refold no overlay.
     empty = pulls[1:-1:3] + pulls[2:-1:3]
     assert len(empty) == 50
     assert all(not batch and before == after for before, after, batch in empty)
+
+
+def test_an_on_disk_refresh_loop_asks_only_for_the_highest_rowid(
+        ordered_stream, monkeypatch, tmp_path):
+    """On an on-disk store, which another connection may write, the attach's
+    refold, every pull and ``finalize`` each check the highest rowid once,
+    and no statement selects a row."""
+    expected = _refresh_loop(ordered_stream)
+    statements: list[str] = []
+    finalizing: list[str] = []
+    pulls = count()
+    sync, finalize = LiveAnalysis.sync, incremental.IncrementalConsolidator.finalize
+
+    def counting_sync(self):
+        next(pulls)
+        return sync(self)
+
+    def tracing_finalize(self):
+        start = len(statements)
+        records = finalize(self)
+        finalizing.extend(statements[start:])
+        return records
+
+    with monkeypatch.context() as patch:
+        _on_disk(patch, tmp_path, statements)
+        patch.setattr(LiveAnalysis, "sync", counting_sync)
+        patch.setattr(incremental.IncrementalConsolidator, "finalize", tracing_finalize)
+        assert _refresh_loop(ordered_stream) == expected
+    reads = [sql for sql in statements if "FROM processes" in sql]
+    assert reads == ["SELECT MAX(id) FROM processes"] * (next(pulls) + 2)
+    assert finalizing == ["SELECT MAX(id) FROM processes"]
 
 
 def test_one_build_and_one_procinfo_parse_per_record(ordered_stream, monkeypatch):

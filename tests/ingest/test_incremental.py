@@ -6,6 +6,7 @@ record contract (``tests/integration/test_record_contract.py``).
 """
 
 import sqlite3
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -311,6 +312,34 @@ class TestFlushAndSnapshot:
         delta_pids = {r.pid for r in first.new_records + second.new_records}
         assert delta_pids | {99} == snapshot_pids
         ingest.finalize()
+
+    def test_an_idle_pull_hands_back_its_last_delta(self):
+        """Nothing buffered, consumed, closed or written since a pull that
+        handed over no record: that very delta again, for its cursor; any
+        other cursor is answered as the store answers it."""
+        ingest = IncrementalConsolidator(MessageStore())
+        for pid in range(3):
+            ingest.handle_datagram(_datagram(pid))
+            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+        ingest.handle_datagram(_datagram(99))  # stays open (no PROCEND)
+        first = ingest.snapshot_delta()
+        idle = ingest.snapshot_delta(first.cursor)
+        assert (idle.new_records, idle.open_records) == ((), first.open_records)
+        assert ingest.snapshot_delta(first.cursor) is idle
+        assert ingest.snapshot_delta(0).new_records == first.new_records
+        assert ingest.snapshot_delta(first.cursor) is idle
+        assert ingest.snapshot_delta(first.cursor + 5).cursor == first.cursor + 5
+        assert ingest.snapshot_delta(first.cursor) == idle
+        # A datagram buffered since ends the idle spell ...
+        ingest.handle_datagram(_datagram(98))
+        buffered = ingest.snapshot_delta(first.cursor)
+        assert [record.pid for record in buffered.open_records] == [98]
+        idle = ingest.snapshot_delta(buffered.cursor)
+        assert ingest.snapshot_delta(buffered.cursor) is idle
+        # ... and so does a record another writer put in the store.
+        written = replace(first.new_records[0], pid=97)
+        ingest.store.insert_processes_if_absent([written])
+        assert ingest.snapshot_delta(buffered.cursor).new_records == (written,)
 
 
 def _close(sink: IncrementalConsolidator, pid: int) -> None:
