@@ -18,12 +18,15 @@ document's ``per_layer`` p50s: the three sub-spans of a dashboard refresh
 (:data:`REFRESH_PARTS`) with their shares of the sum -- the figure the
 per-refresh arm of the perf gate reads -- and :data:`REFRESH_PULLS`, the
 delta pulls timed inside them, on a line of its own.  Last comes each
-workload's per-identify split, also from ``per_layer``: the search build
-(:data:`IDENTIFY_BUILD`), the rest of an identification round
-(:data:`IDENTIFY` minus the build) and the build's share of the round --
-the figure the per-metric arm of the perf gate reads for ``identify_s``.  A
-figure a document lacks (an untraced run, a workload with no refresh) is
-left out.
+workload's per-identify split at the reference host speed, so that two runs
+on hosts of different speed split alike: the round is the end-to-end
+:data:`IDENTIFY` (an untraced median, already corrected for the host), the
+search build is the traced ``per_layer`` :data:`IDENTIFY_BUILD` divided by
+:data:`HOST_SLOWDOWN`, and the rest of the round is the one minus the
+other; the build's share of the round follows -- the figure the per-metric
+arm of the perf gate reads for ``identify_s``.  The build is still a traced
+figure, so it carries the tracing overhead.  A figure a document lacks (an
+untraced run, a workload with no refresh) is left out.
 """
 
 from __future__ import annotations
@@ -40,9 +43,12 @@ REFRESH_PARTS = ("analysis.live_sync_ms_p50", "analysis.live_views_ms_p50",
                  "db.gold_query_ms_p50")
 #: The delta pulls per refresh: timed inside the parts, so never added to them.
 REFRESH_PULLS = "ingest.snapshot_delta_ms_p50"
-#: One identification round as the clock read it, and the search build inside it.
-IDENTIFY = "clock.identify_s"
+#: One identification round at the reference host speed (an ``end_to_end``
+#: metric), the traced search build inside it as the clock read it (a
+#: ``per_layer`` metric), and how much slower than the reference the host was.
+IDENTIFY = "identify_s"
 IDENTIFY_BUILD = "analysis.search_build_s"
+HOST_SLOWDOWN = "trace.host_slowdown"
 
 
 def layer_self_times(document: dict) -> dict[str, dict[str, float]]:
@@ -158,27 +164,30 @@ def refresh_two(first: dict[str, dict[str, float]],
 
 def identify_split(document: dict) -> dict[str, dict[str, float]]:
     """``{workload: {figure: value}}``: the search ``build`` and the ``rest``
-    of the round in ms and the build's ``share`` of the round, each where
-    the document has what it takes."""
+    of the round in ms at the reference host speed and the build's ``share``
+    of the round, each where the document has what it takes."""
+    def value(metrics: dict, key: str) -> float | None:
+        return metrics.get(key, {}).get("value")
+
     splits = {}
     for name, workload in document["workloads"].items():
         per_layer = workload.get("per_layer", {})
-        seconds = {key: per_layer[key]["value"] for key in (IDENTIFY, IDENTIFY_BUILD)
-                   if per_layer.get(key, {}).get("value") is not None}
+        build, host = value(per_layer, IDENTIFY_BUILD), value(per_layer, HOST_SLOWDOWN)
+        round_s = value(workload.get("end_to_end", {}), IDENTIFY)
         figures = {}
-        if IDENTIFY_BUILD in seconds:
-            figures["build"] = seconds[IDENTIFY_BUILD] * 1e3
-        if len(seconds) == 2:
-            figures["rest"] = (seconds[IDENTIFY] - seconds[IDENTIFY_BUILD]) * 1e3
-            if seconds[IDENTIFY]:
-                figures["share"] = seconds[IDENTIFY_BUILD] / seconds[IDENTIFY]
+        if build is not None and host:
+            figures["build"] = build / host * 1e3
+            if round_s is not None:
+                figures["rest"] = round_s * 1e3 - figures["build"]
+                if round_s:
+                    figures["share"] = figures["build"] / (round_s * 1e3)
         if figures:
             splits[name] = figures
     return splits
 
 
 #: The per-identify rows: figure, label and format spec.
-_IDENTIFY_ROWS = (("build", f"{IDENTIFY_BUILD} (ms)", ".3f"),
+_IDENTIFY_ROWS = (("build", f"{IDENTIFY_BUILD} / host (ms)", ".3f"),
                   ("rest", f"{IDENTIFY} - build (ms)", ".3f"),
                   ("share", "build share", ".1%"))
 
@@ -187,7 +196,7 @@ def identify_one(splits: dict[str, dict[str, float]]) -> list[str]:
     """The per-identify lines printed for one run."""
     lines = []
     for workload, figures in splits.items():
-        lines.append(f"== {workload}  (per identify round)")
+        lines.append(f"== {workload}  (per identify round, at the reference host speed)")
         lines += [f"   {label:<36}{figures[key]:>9{spec}}"
                   for key, label, spec in _IDENTIFY_ROWS if key in figures]
     return lines
@@ -201,7 +210,7 @@ def identify_two(first: dict[str, dict[str, float]],
         if workload not in second:
             continue
         a, b = first[workload], second[workload]
-        lines.append(f"== {workload}  (per identify round)")
+        lines.append(f"== {workload}  (per identify round, at the reference host speed)")
         lines.append(f"   {'figure':<36}{'A':>9}{'B':>9}{'B - A':>10}")
         lines += [f"   {label:<36}{a[key]:>9{spec}}{b[key]:>9{spec}}{b[key] - a[key]:>+10{spec}}"
                   for key, label, spec in _IDENTIFY_ROWS if key in a and key in b]

@@ -287,14 +287,14 @@ class LiveAnalysis:
         return list(self._pool())
 
     def unknown_instances(self) -> list[ExecutableInstance]:
-        """Instances whose derived label is UNKNOWN (the search baselines)."""
-        return [instance for instance in self.instances
-                if instance.label == UNKNOWN_LABEL]
+        """Instances whose derived label is UNKNOWN (the search baselines), one pull."""
+        self._pull()
+        return [instance for instance in self._pool() if instance.label == UNKNOWN_LABEL]
 
     def labelled_instances(self) -> list[ExecutableInstance]:
-        """Instances with a known derived label (the search candidates)."""
-        return [instance for instance in self.instances
-                if instance.label != UNKNOWN_LABEL]
+        """Instances with a known derived label (the search candidates), one pull."""
+        self._pull()
+        return [instance for instance in self._pool() if instance.label != UNKNOWN_LABEL]
 
     def query(self, baseline: ExecutableInstance, *, top: int | None = None,
               columns: tuple[str, ...] = HASH_COLUMNS) -> list[SimilarityResult]:

@@ -9,11 +9,12 @@ A perfect 100 across all columns means "effectively the same executable in the
 same environment"; decreasing scores trace version/compilation distance.
 
 Every answer -- one query, the whole Table 7, a pairwise matrix -- is scored
-by one routine, per column: the baselines' distinct digests are registered in
-a throwaway :class:`~repro.analysis.simindex.DigestIndex` gate, each distinct
-pool digest probes it once, and each baseline digest's survivors are aligned
-in one :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_many` sweep.  Only
-pairs sharing a signature 7-gram in an aligned block-size band (or the exact
+the same way: per column, the baselines' distinct digests are registered in
+a throwaway :class:`~repro.analysis.simindex.DigestIndex` gate and each
+distinct pool digest probes it once; then the pairs every column's gate
+passed are scored in one :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_pairs`
+call -- compare-LRU hits first, the rest in one kernel sweep.  Only pairs
+sharing a signature 7-gram in an aligned block-size band (or the exact
 signatures of a gram-less digest) are ever compared; every other pair is
 assigned its provably-correct score of 0.  The results -- scores, ranking,
 and tie order -- are those of comparing every pair, malformed digests
@@ -27,6 +28,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as _np
 
 from repro.analysis.labels import UNKNOWN_LABEL, derive_label
 from repro.analysis.simindex import DigestIndex, IndexStats
@@ -56,6 +60,17 @@ def instance_key(record: ProcessRecord) -> tuple[str, ...] | None:
             record.symbols_h or "")
 
 
+class _Gated(NamedTuple):
+    """What one column's gate found: both sides' distinct digests, each
+    side's digest ids (positions among them) and the passed pairs."""
+
+    distinct: list[str]                #: the baselines' distinct digests
+    rows: list[int]                    #: each baseline's id
+    probes: list[str]                  #: the targets' distinct digests
+    cols: list[int]                    #: each target's id
+    passed: list[tuple[int, int]]      #: (baseline id, target id) pairs passed
+
+
 @dataclass(frozen=True)
 class ExecutableInstance:
     """One distinct (executable content, environment) combination."""
@@ -73,9 +88,11 @@ class ExecutableInstance:
         and a digest written through one would change the pool it answers
         over.
         """
-        return cls(executable=key[0], label=derive_label(key[0]),
-                   hashes=ReadOnlyDict(zip(HASH_COLUMNS, key[1:])),
-                   process_count=process_count)
+        instance = cls(executable=key[0], label=derive_label(key[0]),
+                       hashes=ReadOnlyDict(zip(HASH_COLUMNS, key[1:])),
+                       process_count=process_count)
+        instance.__dict__["key"] = key        # what :attr:`key` would build from it
+        return instance
 
     @cached_property
     def key(self) -> tuple[str, ...]:
@@ -186,35 +203,38 @@ class SimilaritySearch:
     # ------------------------------------------------------------------ #
     # the scoring routine
     # ------------------------------------------------------------------ #
-    def _score(self, baselines: list[str],
-               targets: list[str] | None = None) -> dict[str, dict[str, int]]:
-        """One column's surviving pairs: baseline digest -> target digest -> score.
+    def _gate(self, baselines: list[str], targets: list[str] | None = None) -> _Gated:
+        """One column's gate: who each side is, and the pairs it passes.
 
-        The baselines' distinct digests are registered in a throwaway gate,
-        each distinct target digest probes it once, and each baseline
-        digest's survivors are scored in one ``compare_many`` sweep.  A pair
-        missing from the answer scores 0: the gate pruned it.  Without
-        ``targets`` the baselines are scored against each other, each
-        unordered pair once, under the digest registered first, and a digest
-        against itself only when two baselines carry it.
+        The baselines' distinct digests are registered in a throwaway gate
+        and each distinct target digest probes it once.  A pair not passed
+        scores 0: the gate pruned it.  Without ``targets`` the baselines are
+        their own targets, each unordered pair passed at most once, under
+        the digest registered first, and a digest against itself only when
+        two baselines carry it.
         """
         gate = DigestIndex(self._stats)
-        counts = Counter(baselines)
-        distinct = list(counts)
+        ids: dict[str, int] = {}
+        rows = [ids.setdefault(digest, len(ids)) for digest in baselines]
+        distinct = list(ids)
         for digest_id, digest in enumerate(distinct):
             gate.add(digest_id, digest)
-        survivors: dict[int, list[str]] = {}
-        for target_id, target in enumerate(distinct if targets is None
-                                           else dict.fromkeys(targets)):
+        if targets is None:
+            probes, cols, repeated = distinct, rows, Counter(rows)
+        else:
+            found: dict[str, int] = {}
+            cols = [found.setdefault(digest, len(found)) for digest in targets]
+            probes = list(found)
+        passed = []
+        for target_id, target in enumerate(probes):
             mask = gate.candidates(target)
             if targets is None:
-                mask &= (1 << target_id + (counts[target] > 1)) - 1
+                mask &= (1 << target_id + (repeated[target_id] > 1)) - 1
             while mask:
                 low = mask & -mask
-                survivors.setdefault(low.bit_length() - 1, []).append(target)
+                passed.append((low.bit_length() - 1, target_id))
                 mask ^= low
-        return {distinct[digest_id]: dict(zip(found, self.hasher.compare_many(
-            distinct[digest_id], found))) for digest_id, found in sorted(survivors.items())}
+        return _Gated(distinct, rows, probes, cols, passed)
 
     def _count(self, passed: int, pairs: int) -> None:
         """Book ``pairs`` (baseline, pool instance) pairs, ``passed`` of them compared."""
@@ -226,42 +246,60 @@ class SimilaritySearch:
               *, top: int | None, columns: tuple[str, ...]) -> list[list[SimilarityResult]]:
         """Each baseline's ranked ``pool``, itself (by key) left out.
 
-        Pool positions are ranked by a stable sort on the averages, so ties
-        keep pool order, and only the ``top`` rows returned are built.
+        Every column's gate runs first, and the pairs all of them pass are
+        scored in one :meth:`~repro.hashing.ssdeep.FuzzyHasher.compare_pairs`
+        call.  The scores then become arrays indexed by (column, baseline,
+        pool position) -- one gather from a flat table of every column's
+        (distinct baseline, distinct target) scores -- their integer sum
+        over the columns, and a stable descending sort of it, so ties keep
+        pool order.  Only the ``top`` rows returned are built, holding
+        Python ints and floats.
         """
         columns = tuple(dict.fromkeys(columns))
-        targets = [[candidate.hashes.get(column, "") for candidate in pool]
-                   for column in columns]
-        tables = [self._score([baseline.hashes.get(column, "") for baseline in baselines],
-                              column_targets)
-                  for column, column_targets in zip(columns, targets)]
+        gates = [self._gate([baseline.hashes.get(column, "") for baseline in baselines],
+                            [candidate.hashes.get(column, "") for candidate in pool])
+                 for column in columns]
+        # Every column's (distinct baseline, distinct target) table, flat.
+        pairs: list[tuple[str, str]] = []
+        cells: list[int] = []
+        offsets = [0]
+        for gated in gates:
+            width = len(gated.probes)
+            pairs += [(gated.distinct[row], gated.probes[col]) for row, col in gated.passed]
+            cells += [offsets[-1] + row * width + col for row, col in gated.passed]
+            offsets.append(offsets[-1] + len(gated.distinct) * width)
+        scored = _np.zeros(offsets[-1], dtype=_np.intp)
+        scored[cells] = self.hasher.compare_pairs(pairs)
+        passed = _np.zeros(offsets[-1], dtype=bool)
+        passed[cells] = True
+        # The cell of each (column, baseline, pool position).
+        starts = _np.array([[offset + row * len(gated.probes) for row in gated.rows]
+                            for offset, gated in zip(offsets, gates)], dtype=_np.intp)
+        targets = _np.array([gated.cols for gated in gates], dtype=_np.intp)
+        at = starts.reshape(len(columns), len(baselines), 1) \
+            + targets.reshape(len(columns), 1, len(pool))
+        tables = scored[at]
         positions_of: dict[tuple[str, ...], list[int]] = {}
         for position, candidate in enumerate(pool):
             positions_of.setdefault(candidate.key, []).append(position)
-        zeros = [0] * len(pool)
+        itself = _np.zeros((len(baselines), len(pool)), dtype=bool)
+        for index, baseline in enumerate(baselines):
+            itself[index, positions_of.get(baseline.key, [])] = True
+        kept = len(pool) - itself.sum(axis=1)
+        self._count(int(passed[at].sum(axis=0)[~itself].sum()), int(kept.sum()) * len(columns))
+        sums = tables.sum(axis=0)
+        order = _np.argsort(_np.where(itself, 1, -sums), axis=1, kind="stable")
+        by_position = tables.transpose(1, 2, 0)
         answers = []
-        for baseline in baselines:
-            skipped = positions_of.get(baseline.key, ())
-            kept = [position for position in range(len(pool)) if position not in skipped]
-            column_scores = []
-            passed = 0
-            for column, column_targets, table in zip(columns, targets, tables):
-                row = table.get(baseline.hashes.get(column, ""))
-                if row is None:
-                    column_scores.append(zeros)
-                    continue
-                column_scores.append(list(map(row.get, column_targets, zeros)))
-                passed += sum(map(row.__contains__, column_targets)) - sum(
-                    column_targets[position] in row for position in skipped)
-            self._count(passed, len(kept) * len(columns))
-            averages = ([sum(scores) / len(columns) for scores in zip(*column_scores)]
-                        if columns else [0.0] * len(pool))
-            ranked = sorted(kept, key=averages.__getitem__, reverse=True)[:top]
+        for index, ranked in enumerate(order):
+            ranked = ranked[:kept[index]][:top]
             answers.append([SimilarityResult(
                 label=pool[position].label, executable=pool[position].executable,
-                scores=ReadOnlyDict({column: scores[position]
-                                     for column, scores in zip(columns, column_scores)}),
-                average=averages[position]) for position in ranked])
+                scores=ReadOnlyDict(zip(columns, row)),
+                average=total / len(columns) if columns else 0.0)
+                for position, row, total in zip(ranked.tolist(),
+                                                by_position[index, ranked].tolist(),
+                                                sums[index, ranked].tolist())])
         return answers
 
     # ------------------------------------------------------------------ #
@@ -309,9 +347,10 @@ class SimilaritySearch:
     def pairwise_average_matrix(self, column: str = "FI_H") -> list[list[int]]:
         """Full pairwise similarity matrix over instances for one hash column.
 
-        Only the pairs the gate passes are aligned, each distinct digest pair
-        once; the rest of the ``O(N**2)`` matrix keeps the 0 they would have
-        scored, and the diagonal is 100.
+        Only the pairs the gate passes are scored, each distinct digest pair
+        once and all in one ``compare_pairs`` call; the rest of the
+        ``O(N**2)`` matrix keeps the 0 they would have scored, and the
+        diagonal is 100.
         """
         digests = [instance.hashes.get(column, "") for instance in self.instances]
         size = len(digests)
@@ -320,15 +359,16 @@ class SimilaritySearch:
         for position, digest in enumerate(digests):
             matrix[position][position] = 100
             members.setdefault(digest, []).append(position)
+        gated = self._gate(digests)
+        pairs = [(gated.distinct[row], gated.distinct[col]) for row, col in gated.passed]
         passed = 0
-        for first, row in self._score(digests).items():
-            for second, score in row.items():
-                for i in members[first]:
-                    for j in members[second]:
-                        if i != j:
-                            matrix[i][j] = matrix[j][i] = score
-                passed += (len(members[first]) * (len(members[first]) - 1) // 2
-                           if first == second
-                           else len(members[first]) * len(members[second]))
+        for (first, second), score in zip(pairs, self.hasher.compare_pairs(pairs)):
+            for i in members[first]:
+                for j in members[second]:
+                    if i != j:
+                        matrix[i][j] = matrix[j][i] = score
+            passed += (len(members[first]) * (len(members[first]) - 1) // 2
+                       if first == second
+                       else len(members[first]) * len(members[second]))
         self._count(passed, size * (size - 1) // 2)
         return matrix

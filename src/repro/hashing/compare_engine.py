@@ -9,9 +9,8 @@ that last unvectorised hot path with three pieces:
 Normalization cache
     :func:`normalize_digest` parses a digest string once and caches
     everything the comparison needs per *unique digest* instead of per pair:
-    the block size, both run-length-normalised signatures, their 7-gram sets
-    (so the common-substring gate becomes one frozenset intersection), and
-    the per-character bitmasks the kernel consumes.
+    the block size, both run-length-normalised signatures and their 7-gram
+    sets (so the common-substring gate becomes one frozenset intersection).
 
 Bit-parallel LCS kernel
     With the scorer's fixed costs (insert/delete 1, substitute 2, transpose
@@ -27,17 +26,20 @@ Bit-parallel LCS kernel
     64 characters after normalisation, i.e. exactly one word.
     :func:`lcs_length` runs the recurrence on Python integers (any pattern
     length: a longer pattern just widens the int), and
-    :func:`lcs_length_many` vectorises the one-vs-many case with numpy:
-    a whole candidate batch advances one text column per ``uint64`` array
-    operation.
+    :func:`lcs_length_many` vectorises it with numpy over rows of
+    (pattern, text) alignments, each row with a pattern of its own: every
+    alignment a search round needs advances one text column per ``uint64``
+    array operation, in one call.
 
 Compare LRU
     :class:`CompareCache` is the explicit LRU behind
-    ``FuzzyHasher.compare_many``.  The seed implementation wrapped a bound
+    ``FuzzyHasher.compare_pairs``.  The seed implementation wrapped a bound
     method in ``functools.lru_cache``, which pinned the hasher inside a
     reference cycle (hasher -> cache -> bound method -> hasher) until a GC
     pass; this cache stores only digest strings and scores, so dropping the
-    hasher frees it immediately, and batch scoring can feed it directly.
+    hasher frees it immediately.  It is read and written a batch at a time:
+    one lookup for all of a call's pairs, one store of what the kernel
+    scored.
 
 The kernel is exact, not approximate: scores produced through this module
 are byte-identical to the scalar DP oracle in ``tests/oracles/compare.py``
@@ -48,6 +50,7 @@ The reduction above only holds for the scorer's 1/1/2/2 costs.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -60,10 +63,11 @@ from repro.hashing.rolling import ROLLING_WINDOW
 #: rolling window; the scalar oracle gates on the same length.
 NGRAM = ROLLING_WINDOW
 
-#: Below this many texts the scalar kernel (~11 us a 60-character text) is
-#: cheaper than the batch's column loop (~110 us however few the rows);
-#: host-measured, they cross at 10-11 texts for 32- and 60-character patterns.
-_MIN_BATCH = 10
+#: Below this many rows the scalar kernel (~9 us a 32-character row, ~16 us
+#: at 60) is cheaper than the batch's column loop (~90-150 us at 32 columns,
+#: ~150-250 us at 60, however few the rows); host-measured, they cross at
+#: 12-16 rows.
+_MIN_BATCH = 16
 
 #: ``numpy.bitwise_count`` arrived in numpy 2.0; older installs fall back to
 #: the scalar kernel, which needs no popcount ufunc.
@@ -77,11 +81,9 @@ _BITWISE_COUNT = getattr(_np, "bitwise_count", None)
 class NormalizedDigest:
     """Everything ``compare`` needs from one digest, computed once.
 
-    ``s1``/``s2`` are the run-length-normalised signatures, ``grams1`` /
+    ``s1``/``s2`` are the run-length-normalised signatures and ``grams1`` /
     ``grams2`` their 7-gram sets (the common-substring gate is a frozenset
-    intersection), and ``masks1``/``masks2`` the per-character bit masks of
-    each signature used as the kernel's pattern vectors (bit ``i`` of
-    ``masks[c]`` is set iff ``sig[i] == c``).
+    intersection).
     """
 
     block_size: int
@@ -89,12 +91,13 @@ class NormalizedDigest:
     s2: str
     grams1: frozenset[str]
     grams2: frozenset[str]
-    masks1: dict[str, int]
-    masks2: dict[str, int]
 
 
 def signature_masks(signature: str) -> dict[str, int]:
-    """Per-character match-bit masks of ``signature`` (the pattern vectors)."""
+    """Per-character match-bit masks of ``signature``: the scalar kernel's pattern vectors.
+
+    Bit ``i`` of ``masks[c]`` is set iff ``signature[i] == c``.
+    """
     masks: dict[str, int] = {}
     for position, char in enumerate(signature):
         masks[char] = masks.get(char, 0) | (1 << position)
@@ -111,10 +114,10 @@ def signature_grams(signature: str) -> frozenset[str]:
 #: Maximum length of a run of identical characters kept during comparison.
 MAX_SEQUENCE = 3
 
-#: Entries carry gram sets and mask dicts (kilobytes, not the compare LRU's
-#: tens of bytes), so the cap is sized for bounded residency: large enough
-#: that a campaign's unique digests mostly stay resident, small enough that
-#: worst-case memory stays in the tens of megabytes.
+#: Entries carry gram sets (kilobytes, not the compare LRU's tens of bytes),
+#: so the cap is sized for bounded residency: large enough that a campaign's
+#: unique digests mostly stay resident, small enough that worst-case memory
+#: stays in the tens of megabytes.
 _NORMALIZE_CACHE_SIZE = 16384
 
 
@@ -166,9 +169,14 @@ def normalize_digest(digest: str) -> NormalizedDigest | None:
         s2=s2,
         grams1=signature_grams(s1),
         grams2=signature_grams(s2),
-        masks1=signature_masks(s1),
-        masks2=signature_masks(s2),
     )
+
+
+#: :func:`signature_masks` per pattern the scalar kernel meets, so that many
+#: small calls over the same digests (single ``compare`` calls, a live
+#: refresh that adds an instance) build each pattern's vectors once.  Private:
+#: the dicts are shared, and only :func:`lcs_length_many` reads them.
+_pattern_masks = lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)(signature_masks)
 
 
 def normalize_cache_clear() -> None:
@@ -200,56 +208,68 @@ def lcs_length(masks: dict[str, int], m: int, text: str) -> int:
     return m - v.bit_count()
 
 
-def lcs_length_many(masks: dict[str, int], m: int, texts: list[str]) -> list[int]:
-    """One-vs-many :func:`lcs_length`: the whole batch advances per column.
+#: ``(1 << m) - 1`` for every pattern length a ``uint64`` row holds (0 to 64).
+_FULL = _np.array([(1 << m) - 1 for m in range(65)], dtype=_np.uint64)
+#: Bit ``i`` of a pattern's match mask: position ``i`` of a 64-character row.
+_BITS = _np.left_shift(_np.uint64(1), _np.arange(64, dtype=_np.uint64))
 
-    Candidates become rows of a byte matrix -- one ``encode`` of the batch,
-    a character's code its latin-1 byte, ragged lengths padded with NUL, whose
-    match mask is 0: a pad step leaves ``V`` unchanged, so padding is a
-    no-op; each of the at-most-``max_len`` column steps is
-    three ``uint64`` array operations over the entire batch.  Carries from
-    ``V + U`` propagate upward only, so bits at and above ``m`` never feed
-    back into the live low ``m`` bits and the mod-``2**64`` wrap is exact.
-    Falls back to the scalar kernel for patterns wider than one word, tiny
-    batches, numpy-free installs, a NUL in the pattern (pads would match it)
-    or a text outside latin-1 -- results are identical either way.
-    """
-    if (_BITWISE_COUNT is None or m == 0 or m > 64 or len(texts) < _MIN_BATCH
-            or "\0" in masks):
-        return [lcs_length(masks, m, text) for text in texts]
-    max_len = max(map(len, texts))
-    if max_len == 0:
-        return [0] * len(texts)
+
+def _byte_rows(strings: Sequence[str], width: int) -> _np.ndarray | None:
+    """``strings`` as a latin-1 byte matrix, each row NUL-padded to ``width``
+    (``None`` when a character falls outside latin-1)."""
     try:
-        codes = "".join([text.ljust(max_len, "\0") for text in texts]).encode("latin-1")
+        data = "".join([string.ljust(width, "\0") for string in strings]).encode("latin-1")
     except UnicodeEncodeError:
-        return [lcs_length(masks, m, text) for text in texts]
-    rows = _np.frombuffer(codes, dtype=_np.uint8).reshape(len(texts), max_len)
-    table = _np.zeros(256, dtype=_np.uint64)
-    for char, mask in masks.items():
-        if char < "\u0100":
-            table[ord(char)] = mask
-    full = _np.uint64((1 << m) - 1)
-    v = _np.full(len(texts), full, dtype=_np.uint64)
-    for p in table[rows.T]:       # one gather: a row of match masks per column step
+        return None
+    return _np.frombuffer(data, dtype=_np.uint8).reshape(len(strings), width)
+
+
+def lcs_length_many(patterns: Sequence[str], texts: Sequence[str]) -> _np.ndarray:
+    """Row-wise :func:`lcs_length`: row ``i`` is the LCS of ``patterns[i]`` and ``texts[i]``.
+
+    One call advances every row one text column per ``uint64`` array
+    operation, whatever pattern each row carries.  The distinct patterns
+    become a ``patterns x 256`` match-mask table (bit ``i`` of entry
+    ``[p, c]`` is set iff character ``i`` of pattern ``p`` has latin-1 code
+    ``c``), the texts a byte matrix -- one latin-1 ``encode``, ragged
+    lengths padded with NUL, whose match mask is 0: a pad step leaves ``V``
+    unchanged, so padding is a no-op -- and one gather by each row's
+    pattern turns both into a row of match masks per column step.  Each row
+    starts from its own full mask (``m`` ones), so patterns of any length
+    up to 64 share the sweep.  Carries from ``V + U`` propagate upward
+    only, so bits at and above a row's ``m`` never feed back into its live
+    low bits and the mod-``2**64`` wrap is exact.  Under :data:`_MIN_BATCH`
+    rows, without ``numpy.bitwise_count``, or with a pattern wider than one
+    word, a NUL in a pattern (pads would match it) or a character outside
+    latin-1 anywhere, every row runs the scalar kernel instead -- the
+    lengths are identical either way.
+    """
+    if not texts:
+        return _np.zeros(0, dtype=_np.intp)
+    distinct: dict[str, int] = {}
+    which = [distinct.setdefault(pattern, len(distinct)) for pattern in patterns]
+    codes = pattern_codes = None
+    if len(texts) >= _MIN_BATCH and _BITWISE_COUNT is not None \
+            and max(map(len, distinct)) <= 64 and not any("\0" in pattern for pattern in distinct):
+        codes = _byte_rows(texts, max(1, max(map(len, texts))))
+        pattern_codes = _byte_rows(list(distinct), 64)
+    if codes is None or pattern_codes is None:
+        masks = [_pattern_masks(pattern) for pattern in distinct]
+        return _np.array([lcs_length(masks[p], len(pattern), text) for p, pattern, text
+                          in zip(which, patterns, texts)], dtype=_np.intp)
+    lengths = _np.fromiter(map(len, distinct), dtype=_np.intp, count=len(distinct))
+    live = _np.arange(64) < lengths[:, None]
+    table = _np.zeros((len(distinct), 256), dtype=_np.uint64)
+    _np.bitwise_or.at(table, (_np.nonzero(live)[0], pattern_codes[live]),
+                      _np.broadcast_to(_BITS, live.shape)[live])
+    rows = _np.array(which, dtype=_np.intp)
+    m = lengths[rows]
+    full = _FULL[m]
+    v = full.copy()
+    for p in table[rows, codes.T]:       # one gather: a row of match masks per column step
         u = v & p
         v = (v + u) | (v - u)
-    return (m - _BITWISE_COUNT(v & full)).tolist()
-
-
-def default_cost_distance_many(s1: str, texts: list[str],
-                               masks1: dict[str, int] | None = None) -> list[int]:
-    """The scorer's weighted edit distance from ``s1`` to each text, via the kernel.
-
-    Equals the weighted Damerau-Levenshtein distance at the default 1/1/2/2
-    costs: substitutions and transpositions cost exactly a delete+insert
-    pair, so only the indel distance ``len(s1) + len(text) - 2*LCS`` remains.
-    """
-    if masks1 is None:
-        masks1 = signature_masks(s1)
-    m = len(s1)
-    return [m + len(text) - 2 * lcs for text, lcs
-            in zip(texts, lcs_length_many(masks1, m, texts))]
+    return m - _BITWISE_COUNT(v & full).astype(_np.intp)
 
 
 # --------------------------------------------------------------------------- #
@@ -274,7 +294,7 @@ class CompareCache:
     Unlike the seed's ``lru_cache`` over a bound method, this holds no
     reference to its owning hasher (keys are digest-string pairs, values are
     int scores), so a dropped hasher is freed without waiting for a cycle
-    GC pass -- and batch scoring can :meth:`put` results directly.
+    GC pass -- and batch scoring can :meth:`store` results directly.
     """
 
     __slots__ = ("hits", "misses", "_data")
@@ -284,25 +304,28 @@ class CompareCache:
         self.misses = 0
         self._data: OrderedDict[tuple[str, str], int] = OrderedDict()
 
-    def get(self, key: tuple[str, str]) -> int | None:
-        """The cached score for ``key``, or ``None`` (counted as hit/miss)."""
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+    def lookup(self, keys: Collection[tuple[str, str]]) -> dict[tuple[str, str], int]:
+        """The cached scores among distinct ``keys``, each counted as a hit or a miss."""
+        data = self._data
+        found = {key: data[key] for key in keys if key in data}
+        for key in found:
+            data.move_to_end(key)
+        self.hits += len(found)
+        self.misses += len(keys) - len(found)
+        return found
 
-    def put(self, key: tuple[str, str], value: int) -> None:
-        """Insert one scored pair, evicting the least recently used beyond capacity."""
+    def store(self, scored: dict[tuple[str, str], int]) -> None:
+        """Insert scored pairs as the most recently used, evicting beyond capacity."""
         if COMPARE_CACHE_SIZE <= 0:
             return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > COMPARE_CACHE_SIZE:
-            self._data.popitem(last=False)
+        data = self._data
+        before = len(data)
+        data.update(scored)
+        if len(data) - before < len(scored):      # some were cached: they are recent now
+            for key in scored:
+                data.move_to_end(key)
+        while len(data) > COMPARE_CACHE_SIZE:
+            data.popitem(last=False)
 
     def info(self) -> CacheInfo:
         """``lru_cache``-compatible statistics tuple."""

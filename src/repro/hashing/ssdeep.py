@@ -40,19 +40,23 @@ the naive loop described above is the test oracle in ``tests/oracles/ctph.py``,
 which the engine's digests are pinned against.  Production *comparison*
 likewise runs on the batched bit-parallel
 engine of :mod:`repro.hashing.compare_engine` (per-digest normalization
-cache + word-parallel LCS kernel, batched via :meth:`FuzzyHasher.compare_many`);
-the scalar path described above is the test oracle in
-``tests/oracles/compare.py``, which the engine's scores are pinned against.
+cache + word-parallel LCS kernel).  Its one pair scorer is
+:meth:`FuzzyHasher.compare_pairs`: a batch of digest pairs, in any order and
+against any number of baselines, is answered from the compare LRU where it
+can be and otherwise by one kernel call over every signature alignment the
+batch needs, rescaled and capped as arrays; ``compare`` and ``compare_many``
+are its one-pair and one-baseline cases.  The scalar path described above is
+the test oracle in ``tests/oracles/compare.py``, which the engine's scores
+are pinned against.
 """
 
 from __future__ import annotations
 
-from repro.hashing.compare_engine import (
-    CompareCache,
-    NormalizedDigest,
-    default_cost_distance_many,
-    normalize_digest,
-)
+from collections.abc import Sequence
+
+import numpy as _np
+
+from repro.hashing.compare_engine import CompareCache, lcs_length_many, normalize_digest
 from repro.hashing.engine import fuzzy_digest
 from repro.hashing.rolling import ROLLING_WINDOW
 
@@ -60,6 +64,8 @@ from repro.hashing.rolling import ROLLING_WINDOW
 MIN_BLOCKSIZE = 3
 #: Maximum signature length (characters) for the primary signature.
 SPAMSUM_LENGTH = 64
+#: Bands (block sizes) below this cap a score by the shorter signature's length.
+_CAP_BELOW = (99 + ROLLING_WINDOW) // ROLLING_WINDOW * MIN_BLOCKSIZE
 
 
 class FuzzyHasher:
@@ -107,144 +113,110 @@ class FuzzyHasher:
     # ------------------------------------------------------------------ #
     def compare(self, first: str, second: str) -> int:
         """Return the 0-100 similarity score between two digests."""
-        return self._compare_batch(normalize_digest(first), [normalize_digest(second)])[0]
+        return self._score_pairs([(first, second)])[0]
 
     def compare_many(self, baseline: str, candidates: list[str]) -> list[int]:
-        """Score ``baseline`` against a candidate batch; matches scalar compare.
+        """Score ``baseline`` against each candidate: :meth:`compare_pairs` of one baseline."""
+        return self.compare_pairs([(baseline, candidate) for candidate in candidates])
 
-        The batched hot path of similarity search, the pairwise matrices and
-        live analysis: the baseline is normalised once, repeated candidate
-        digests are deduplicated and every unique pair is scored exactly once
-        -- through the compare LRU first (a pair a previous sweep already
-        scored is a hit), then through the one-vs-many bit-parallel kernel,
-        which advances the whole remaining batch one signature column per
-        word operation.  Every scored pair is inserted into the LRU.  Returns
-        one 0-100 score per candidate, in order, byte-identical to
-        ``[self.compare(baseline, c) for c in candidates]``.
+    def compare_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[int]:
+        """Score digest pairs; matches scalar compare, one score per pair, in order.
+
+        The one pair scorer of similarity search, the pairwise matrices and
+        live analysis: repeated pairs (in either order) are scored once, the
+        compare LRU answers every pair a previous call scored, and the rest
+        are scored together -- all their signature alignments in one
+        multi-pattern kernel call.  Every pair scored is put into the LRU.
+        Byte-identical to ``[self.compare(a, b) for a, b in pairs]``.
         """
-        scores: dict[str, int] = {}
-        pending: list[str] = []
-        for candidate in dict.fromkeys(candidates):
-            cached = self._compare_cache.get(self._pair_key(baseline, candidate))
-            if cached is None:
-                pending.append(candidate)
-            else:
-                scores[candidate] = cached
-        if pending:
-            computed = self._compare_batch(normalize_digest(baseline),
-                                           [normalize_digest(key) for key in pending])
-            for candidate, score in zip(pending, computed):
-                self._compare_cache.put(self._pair_key(baseline, candidate), score)
-                scores[candidate] = score
-        return [scores[candidate] for candidate in candidates]
+        keys = [(a, b) if a <= b else (b, a) for a, b in pairs]
+        # One pair per key, as the caller ordered it: the first digests'
+        # signatures become the kernel's patterns, few when one side repeats.
+        unique = dict(zip(keys, pairs))
+        scores = self._compare_cache.lookup(unique)
+        pending = [key for key in unique if key not in scores]
+        scored = dict(zip(pending, self._score_pairs([unique[key] for key in pending])))
+        self._compare_cache.store(scored)
+        scores.update(scored)
+        return [scores[key] for key in keys]
 
     def compare_cache_info(self):
         """Hit/miss statistics of the shared compare LRU."""
         return self._compare_cache.info()
 
-    @staticmethod
-    def _pair_key(a: str, b: str) -> tuple[str, str]:
-        """Order-normalised LRU key (compare is symmetric)."""
-        return (a, b) if a <= b else (b, a)
+    # -- the pair scorer ------------------------------------------------- #
+    @classmethod
+    def _score_pairs(cls, pairs: Sequence[tuple[str, str]]) -> list[int]:
+        """Score digest pairs without the LRU: one kernel call for every alignment.
 
-    # -- bit-parallel kernel -------------------------------------------- #
-    def _compare_batch(self, na: NormalizedDigest | None,
-                       pending: list[NormalizedDigest | None]) -> list[int]:
-        """Score one normalised baseline against many normalised candidates.
-
-        Immediately decidable components (incompatible bands, empty or equal
-        signatures, no shared 7-gram) resolve inline; the rest queue into at
-        most two one-vs-many kernel sweeps -- one per baseline signature,
-        since that signature is the kernel's pattern whichever candidate
-        signature it aligns against.  Each sweep also has one fixed scoring
-        band: the baseline's block size for its chunk signature, double it
-        for the double-chunk signature (exactly the bands the scalar oracle
-        passes for the corresponding alignments).  A digest that did not
-        parse (``None``) scores 0 on either side.
+        Immediately decidable pairs (a side that does not parse, incompatible
+        block sizes, equal signatures at one block size) resolve inline.
+        Every other pair contributes the signature alignments ``compare``
+        scores -- both chunk parts and both double-chunk parts at one block
+        size, the one part pair of matching block size otherwise -- that
+        share a 7-gram (so neither signature is empty), each capped by its
+        band: the block size the aligned signatures were computed at.  All
+        alignments go to one :func:`~repro.hashing.compare_engine.lcs_length_many`
+        call with the first digest's signature as the pattern, their scores
+        are :meth:`_scores` of the resulting distances, and a pair scores the
+        best of its alignments.
         """
-        results = [0] * len(pending)
-        if na is None:
-            return results
-        # Alignments needing a distance, grouped by baseline signature:
-        # (candidate position, candidate signature).
-        queue1: list[tuple[int, str]] = []
-        queue2: list[tuple[int, str]] = []
-        band1 = na.block_size
-        band2 = na.block_size * 2
-        for position, nb in enumerate(pending):
-            if nb is None:
+        results = [0] * len(pairs)
+        alignments: list[tuple[int, str, str, int]] = []
+        for position, (first, second) in enumerate(pairs):
+            na, nb = normalize_digest(first), normalize_digest(second)
+            if na is None or nb is None:
                 continue
             b1, b2 = na.block_size, nb.block_size
-            if b1 != b2 and b1 != b2 * 2 and b2 != b1 * 2:
-                continue
-            if b1 == b2 and na.s1 == nb.s1 and na.s2 == nb.s2 and na.s1:
-                results[position] = 100
-                continue
             if b1 == b2:
-                self._queue_component(position, na.s1, nb.s1, na.grams1, nb.grams1,
-                                      band1, results, queue1)
-                self._queue_component(position, na.s2, nb.s2, na.grams2, nb.grams2,
-                                      band2, results, queue2)
-            elif b1 == b2 * 2:
-                self._queue_component(position, na.s1, nb.s2, na.grams1, nb.grams2,
-                                      band1, results, queue1)
-            else:
-                self._queue_component(position, na.s2, nb.s1, na.grams2, nb.grams1,
-                                      band2, results, queue2)
-        for pattern, masks, band, queue in ((na.s1, na.masks1, band1, queue1),
-                                            (na.s2, na.masks2, band2, queue2)):
-            if not queue:
-                continue
-            texts = [text for _, text in queue]
-            distances = default_cost_distance_many(pattern, texts, masks)
-            for (position, text), distance in zip(queue, distances):
-                score = self._rescale(distance, len(pattern), len(text))
-                if score is None:
+                if na.s1 == nb.s1 and na.s2 == nb.s2 and na.s1:
+                    results[position] = 100
                     continue
-                score = self._apply_cap(score, len(pattern), len(text), band)
-                if score > results[position]:
-                    results[position] = score
-        return results
-
-    def _queue_component(self, position: int, s1: str, s2: str,
-                         grams1: frozenset, grams2: frozenset, band: int,
-                         results: list[int], queue: list) -> None:
-        """Resolve one alignment inline or queue it for the batched kernel."""
-        if not s1 or not s2:
-            return
-        if not (grams1 & grams2):
-            return
-        if s1 == s2:
-            score = self._apply_cap(100, len(s1), len(s2), band)
-            if score > results[position]:
-                results[position] = score
-            return
-        queue.append((position, s2))
+                parts = ((na.s1, nb.s1, na.grams1, nb.grams1, b1),
+                         (na.s2, nb.s2, na.grams2, nb.grams2, b1 * 2))
+            elif b1 == b2 * 2:
+                parts = ((na.s1, nb.s2, na.grams1, nb.grams2, b1),)
+            elif b2 == b1 * 2:
+                parts = ((na.s2, nb.s1, na.grams2, nb.grams1, b2),)
+            else:
+                continue
+            for pattern, text, grams, other, band in parts:
+                if not grams.isdisjoint(other):
+                    alignments.append((position, pattern, text, cls._cap_unit(band)))
+        if not alignments:
+            return results
+        owners, patterns, texts, units = zip(*alignments)
+        m = _np.fromiter(map(len, patterns), dtype=_np.intp, count=len(patterns))
+        n = _np.fromiter(map(len, texts), dtype=_np.intp, count=len(texts))
+        best = _np.array(results, dtype=_np.intp)
+        _np.maximum.at(best, _np.array(owners, dtype=_np.intp),
+                       cls._scores(m + n - 2 * lcs_length_many(patterns, texts), m, n,
+                                   _np.array(units, dtype=_np.intp)))
+        return best.tolist()
 
     # -- shared scoring arithmetic -------------------------------------- #
     @staticmethod
-    def _rescale(distance: int, len1: int, len2: int) -> int | None:
-        """Edit distance -> raw 0-100 score; ``None`` when it rescales past 0.
+    def _cap_unit(band: int) -> int:
+        """How high a score in ``band`` may go per character of the shorter signature.
 
-        Mirrors ssdeep's ``score_strings()`` rescaling.  The kernel and the
-        scalar oracle (``tests/oracles/compare.py``) share this arithmetic,
-        so their scores cannot drift: any distance at or above
-        ``len1 + len2`` maps to ``None`` (score 0), which is also why the
-        oracle's bounded DP -- whose early-exit value is only a lower bound
-        once it exceeds ``len1 + len2 - 1`` -- yields the same score as the
-        kernel's exact distance.
+        Below the small-block threshold short inputs cannot claim
+        near-perfect scores: ``band // MIN_BLOCKSIZE`` a character.  At or
+        above it the unit is 100, which never binds.
         """
-        scaled = (distance * SPAMSUM_LENGTH) // (len1 + len2)
-        scaled = (100 * scaled) // SPAMSUM_LENGTH
-        if scaled >= 100:
-            return None
-        return 100 - scaled
+        return band // MIN_BLOCKSIZE if band < _CAP_BELOW else 100
 
     @staticmethod
-    def _apply_cap(score: int, len1: int, len2: int, block_size: int) -> int:
-        """Small-block-size cap: short inputs cannot claim near-perfect scores."""
-        threshold = (99 + ROLLING_WINDOW) // ROLLING_WINDOW * MIN_BLOCKSIZE
-        if block_size < threshold:
-            cap = block_size // MIN_BLOCKSIZE * min(len1, len2)
-            score = min(score, cap)
-        return max(0, min(100, score))
+    def _scores(distance, len1, len2, cap_unit):
+        """Edit distances -> 0-100 scores, elementwise over arrays (or ints).
+
+        ssdeep's ``score_strings()`` rescale, then the small-block cap of
+        :meth:`_cap_unit` per character of the shorter signature.  The
+        kernel and the scalar oracle (``tests/oracles/compare.py``) share
+        this arithmetic, so their scores cannot drift: any distance at or
+        above ``len1 + len2`` scores 0, which is also why the oracle's
+        bounded DP -- whose early-exit value is only a lower bound once it
+        exceeds ``len1 + len2 - 1`` -- yields the same score as the kernel's
+        exact distance.
+        """
+        scaled = (100 * ((distance * SPAMSUM_LENGTH) // (len1 + len2))) // SPAMSUM_LENGTH
+        return _np.minimum(_np.maximum(100 - scaled, 0), cap_unit * _np.minimum(len1, len2))

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import labels, similarity
+from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import (
     HASH_COLUMNS,
     ExecutableInstance,
@@ -32,14 +33,18 @@ from repro.analysis.similarity import (
 )
 from repro.analysis.simindex import DigestIndex, IndexStats
 from repro.db.store import ProcessRecord
-from repro.hashing import compare_engine
-from repro.hashing.compare_engine import normalize_cache_clear, normalize_digest
+from repro.hashing import compare_engine, ssdeep
+from repro.hashing.compare_engine import (
+    eliminate_sequences,
+    normalize_cache_clear,
+    normalize_digest,
+)
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 
-from oracles.compare import malformed
+from oracles.compare import has_common_substring, malformed, parse_digest
 from oracles.search import reference_identify, reference_matrix, reference_query
 
 _HASHER = FuzzyHasher()
@@ -350,3 +355,73 @@ class TestWorkCounts:
         assert stats.candidates_returned == search.comparisons
         assert stats.candidates_returned + stats.pairs_pruned == \
             len(unknowns) * len(labelled) * len(HASH_COLUMNS)
+
+    def test_one_identify_is_one_kernel_call_over_every_passed_alignment(self, monkeypatch):
+        records = churn_like_records()
+        calls = _spy_kernel(monkeypatch)
+        search = SimilaritySearch(records)
+        search.identify_unknown(top=10)
+        assert search.comparisons == 2958
+        unknowns, labelled = search.unknown_instances(), search.labelled_instances()
+        expected = Counter(
+            alignment for column in HASH_COLUMNS
+            for first in {unknown.hashes[column] for unknown in unknowns}
+            for second in {candidate.hashes[column] for candidate in labelled}
+            for alignment in _alignments(first, second))
+        assert len(calls) == 1 and Counter(calls[0]) == expected
+
+    def test_a_pool_grown_by_one_instance_aligns_only_its_pairs(self, monkeypatch):
+        """A live pool that gains one labelled instance: the LRU answers every
+        pair the last answer scored, and only the newcomer's pairs, in one
+        kernel call, are aligned afresh."""
+        records = churn_like_records()
+        newcomer = records[-2]
+        assert instance_key(newcomer) is not None and "a.out" not in newcomer.executable
+        live = LiveAnalysis()
+        live.commit(records[:-2] + records[-1:])
+        live.identify_unknown(top=10)
+        rebuilt = SimilaritySearch(records).identify_unknown(top=10)
+        before = live.hasher.compare_cache_info()
+        asked: list[tuple[str, str]] = []
+        compare_pairs = FuzzyHasher.compare_pairs
+        monkeypatch.setattr(FuzzyHasher, "compare_pairs", lambda hasher, pairs:
+                            asked.extend(pairs) or compare_pairs(hasher, pairs))
+        calls = _spy_kernel(monkeypatch)
+        live.commit([newcomer])
+        assert live.identify_unknown(top=10) == rebuilt
+        pool = SimilaritySearch(records[:-2] + records[-1:]).instances
+        seen = {digest for instance in pool for digest in instance.hashes.values()}
+        fresh = {pair for pair in asked if pair[1] not in seen}
+        assert fresh and {pair[1] for pair in fresh} <= set(instance_key(newcomer)[1:])
+        after = live.hasher.compare_cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == \
+            (len(set(asked) - fresh), len(fresh))
+        assert len(calls) == 1 and Counter(calls[0]) == Counter(
+            alignment for pair in fresh for alignment in _alignments(*pair))
+
+
+def _spy_kernel(monkeypatch) -> list[list[tuple[str, str]]]:
+    """Record the (pattern, text) rows of every multi-pattern kernel call."""
+    calls: list[list[tuple[str, str]]] = []
+    kernel = ssdeep.lcs_length_many
+    monkeypatch.setattr(ssdeep, "lcs_length_many", lambda patterns, texts:
+                        calls.append(list(zip(patterns, texts))) or kernel(patterns, texts))
+    return calls
+
+
+def _alignments(first: str, second: str) -> list[tuple[str, str]]:
+    """The (pattern, text) signature pairs ``compare(first, second)`` aligns:
+    those of matching block sizes that share a 7-gram, the first digest's
+    signature as the pattern.  Equal signatures at one block size score 100
+    without an alignment."""
+    a, b = parse_digest(first), parse_digest(second)
+    if a is None or b is None:
+        return []
+    (b1, *sigs1), (b2, *sigs2) = a, b
+    s1a, s2a = map(eliminate_sequences, sigs1)
+    s1b, s2b = map(eliminate_sequences, sigs2)
+    if b1 == b2 and (s1a, s2a) == (s1b, s2b) and s1a:
+        return []
+    aligned = {b1: [(s1a, s1b), (s2a, s2b)], b2 * 2: [(s1a, s2b)],
+               b1 * 2: [(s2a, s1b)]}.get(b2, [])
+    return [(s, t) for s, t in aligned if has_common_substring(s, t)]

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.ingest.incremental as incremental
+from repro.analysis.labels import UNKNOWN_LABEL
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex
@@ -408,6 +409,48 @@ class TestIncrementalSearchGrowth:
         assert search.query(baseline) == fresh.query(baseline)
         assert search.identify_unknown(top=10) == fresh.identify_unknown(top=10) == \
             reference_identify(fresh.instances, top=10)
+
+
+class _Feed:
+    """A delta source that hands each queued delta over once, then idles on
+    its peek (no new record, the same open tuple) until the next is queued."""
+
+    def __init__(self) -> None:
+        self.queued: ProcessDelta | None = None
+        self.idle = ProcessDelta(new_records=(), open_records=(), cursor=0)
+
+    def snapshot_delta(self, cursor: int = 0) -> ProcessDelta:
+        if self.queued is None:
+            return self.idle
+        delta, self.queued = self.queued, None
+        self.idle = ProcessDelta(new_records=(), open_records=delta.open_records,
+                                 cursor=delta.cursor)
+        return delta
+
+
+class TestLabelViews:
+    def test_each_label_view_pulls_once_and_filters_the_pool(self):
+        """``unknown_instances`` and ``labelled_instances`` each pull once,
+        then answer the current pool filtered by label: what filtering
+        ``instances`` gives, committed and overlaid instances alike."""
+        stream = _synthetic_stream(seed=11)
+        feed = _Feed()
+        live = LiveAnalysis({}).bind(feed)
+        slices = ((0, 20, 24), (20, 36, 39), (36, 48, 48))    # commit [start:stop], peek on
+        for step, (start, stop, peek) in enumerate(slices):
+            views = []
+            for view in (live.unknown_instances, live.labelled_instances):
+                feed.queued = ProcessDelta(new_records=tuple(stream[start:stop]),
+                                           open_records=tuple(stream[stop:peek]),
+                                           cursor=step + 1) if not views else None
+                syncs = live.syncs
+                views.append(view())
+                assert live.syncs == syncs + 1
+            pool = live.instances
+            unknown, labelled = views
+            assert unknown == [i for i in pool if i.label == UNKNOWN_LABEL] and unknown
+            assert labelled == [i for i in pool if i.label != UNKNOWN_LABEL] and labelled
+        assert live.statistics()["records_committed"] == len(stream)
 
 
 # --------------------------------------------------------------------------- #

@@ -174,9 +174,8 @@ class _ReferenceHasher(FuzzyHasher):
     def compare(self, first, second):
         return compare_reference(first, second)
 
-    def compare_many(self, baseline, candidates):
-        return [compare_reference(baseline, candidate)
-                for candidate in candidates]
+    def compare_pairs(self, pairs):
+        return [compare_reference(first, second) for first, second in pairs]
 
 
 class TestCompareEngineAgainstReference:

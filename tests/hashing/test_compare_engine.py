@@ -2,7 +2,7 @@
 
 The engine's claim is exactness, not approximation: every score produced
 by the engine -- scalar ``compare``, batched ``compare_many``, and the numpy
-one-vs-many kernel behind it -- must be
+multi-pattern kernel behind them -- must be
 byte-identical to the scalar oracle (``tests/oracles/compare.py``:
 re-parse, re-normalise, Python DP per pair).  These tests sweep random signatures
 and block-size bands, show that the engine applies the 7-gram gate the oracle
@@ -12,6 +12,11 @@ can switch off, and also pin the kernel itself against a textbook LCS DP.
 import gc
 import random
 import weakref
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashing import compare_engine
 from repro.hashing.compare_engine import (
@@ -102,24 +107,23 @@ class TestLcsKernel:
             texts = ["".join(rng.choice(B64_ALPHABET)
                              for _ in range(rng.randint(0, 70)))
                      for _ in range(rng.randint(1, 40))]
-            assert lcs_length_many(masks, len(pattern), texts) == \
+            assert lcs_length_many([pattern] * len(texts), texts).tolist() == \
                 [lcs_length(masks, len(pattern), text) for text in texts]
 
     def test_batch_with_empty_and_duplicate_texts(self):
         masks = signature_masks("ABCDEFAB")
         texts = ["", "ABCDEFAB", "FEDCBA", "ABCDEFAB", "", "xyz"]
-        assert lcs_length_many(masks, 8, texts) == \
+        assert lcs_length_many(["ABCDEFAB"] * len(texts), texts).tolist() == \
             [lcs_length(masks, 8, text) for text in texts]
 
     def test_full_word_pattern_wraps_exactly(self):
         # m == 64 exercises the mod-2**64 wrap of the numpy path.
         rng = random.Random(14)
         pattern = "".join(rng.choice(B64_ALPHABET) for _ in range(64))
-        masks = signature_masks(pattern)
         texts = [pattern, pattern[::-1], pattern[1:] + "A"] + [
             "".join(rng.choice(B64_ALPHABET) for _ in range(64))
             for _ in range(20)]
-        assert lcs_length_many(masks, 64, texts) == \
+        assert lcs_length_many([pattern] * len(texts), texts).tolist() == \
             [_lcs_reference(pattern, text) for text in texts]
 
     def test_ragged_batches_with_nul_and_non_latin1_characters(self):
@@ -134,13 +138,12 @@ class TestLcsKernel:
                 texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 64)))
                          for _ in range(rng.randint(10, 30))]
                 masks = signature_masks(pattern)
-                assert lcs_length_many(masks, m, texts) == \
+                assert lcs_length_many([pattern] * len(texts), texts).tolist() == \
                     [lcs_length(masks, m, text) for text in texts]
-        masks = signature_masks("ABCDEFGH")
         plain = ["ABCDEFGH", "HGFEDCBA", "", "ABxxGH"] * 3
         for odd in ("AB\0CD", "AB\u4e2dCD", "\u00e9ABCDEFGH"):
             texts = plain + [odd]
-            assert lcs_length_many(masks, 8, texts) == \
+            assert lcs_length_many(["ABCDEFGH"] * len(texts), texts).tolist() == \
                 [_lcs_reference("ABCDEFGH", text) for text in texts]
 
     def test_default_cost_distance_equals_weighted_dp(self):
@@ -156,6 +159,54 @@ class TestLcsKernel:
 
 
 # --------------------------------------------------------------------------- #
+# the multi-pattern call: every row its own pattern, one sweep (hypothesis)
+# --------------------------------------------------------------------------- #
+#: Per case: the pattern and text alphabets and a row every example carries.
+#: A NUL in a pattern and a character outside latin-1 send the whole call to
+#: the scalar kernel, as does a numpy without ``bitwise_count``.
+_KERNEL_CASES = {
+    "base64": (B64_ALPHABET, B64_ALPHABET, ("ABCDEFGH", "ABxxGH")),
+    "nul-in-a-pattern": (B64_ALPHABET + "\0", B64_ALPHABET + "\0", ("AB\0CDEFG", "AB\0CD")),
+    "non-latin-1-text": (B64_ALPHABET, B64_ALPHABET + "\u00e9\u4e2d",
+                         ("ABCDEFGH", "AB\u4e2dCD")),
+    "no-popcount": (B64_ALPHABET, B64_ALPHABET, ("ABCDEFGH", "HGFEDCBA")),
+}
+
+
+@st.composite
+def _kernel_rows(draw, pattern_chars: str, text_chars: str,
+                 forced: tuple[str, str]) -> list[tuple[str, str]]:
+    """Rows over a few patterns of 1 to 64 characters, one of exactly 64,
+    with texts of 0 to 64 characters and at least one empty text."""
+    patterns = draw(st.lists(st.text(pattern_chars, min_size=1, max_size=64),
+                             min_size=1, max_size=5))
+    patterns.append(draw(st.text(pattern_chars, min_size=64, max_size=64)))
+    rows = draw(st.lists(st.tuples(st.sampled_from(patterns),
+                                   st.text(text_chars, max_size=64)),
+                         min_size=compare_engine._MIN_BATCH, max_size=48))
+    return draw(st.permutations([*rows, (patterns[-1], ""), forced]))
+
+
+class TestMultiPatternKernel:
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_one_call_equals_per_row_lcs_length(self, case, data):
+        rows = data.draw(_kernel_rows(*_KERNEL_CASES[case]))
+        patterns, texts = [pattern for pattern, _ in rows], [text for _, text in rows]
+        expected = [lcs_length(signature_masks(pattern), len(pattern), text)
+                    for pattern, text in rows]
+        popcount = None if case == "no-popcount" else compare_engine._BITWISE_COUNT
+        with mock.patch.object(compare_engine, "_BITWISE_COUNT", popcount):
+            assert lcs_length_many(patterns, texts).tolist() == expected
+
+    def test_a_batch_under_the_crossover_and_an_empty_one(self):
+        rows = [("ABCDEFGH", "ABxxGH"), ("A" * 64, ""), ("Z", "ZZZ")]
+        assert lcs_length_many(*zip(*rows)).tolist() == [4, 0, 1]
+        assert lcs_length_many([], []).tolist() == []
+
+
+# --------------------------------------------------------------------------- #
 # the normalization cache
 # --------------------------------------------------------------------------- #
 class TestNormalizeDigest:
@@ -167,7 +218,6 @@ class TestNormalizeDigest:
         assert normalized.s1 == eliminate_sequences(sig1)
         assert normalized.s2 == eliminate_sequences(sig2)
         assert normalized.grams1 == signature_grams(normalized.s1)
-        assert normalized.masks2 == signature_masks(normalized.s2)
 
     def test_rejects_what_the_oracle_parser_rejects(self):
         for digest in ["not a hash", "", "3:AB:C:D", "007:AB:C", "\u0663:AB:C",
@@ -319,18 +369,19 @@ class TestCompareCacheLifecycle:
     def test_lru_evicts_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(compare_engine, "COMPARE_CACHE_SIZE", 2)
         cache = CompareCache()
-        cache.put(("a", "b"), 1)
-        cache.put(("c", "d"), 2)
-        assert cache.get(("a", "b")) == 1  # refresh ("a","b")
-        cache.put(("e", "f"), 3)           # evicts ("c","d")
-        assert cache.get(("c", "d")) is None
-        assert cache.get(("a", "b")) == 1
-        assert cache.get(("e", "f")) == 3
+        cache.store({("a", "b"): 1, ("c", "d"): 2})
+        assert cache.lookup([("a", "b")]) == {("a", "b"): 1}  # refresh ("a","b")
+        cache.store({("e", "f"): 3})                          # evicts ("c","d")
+        assert cache.lookup([("c", "d"), ("a", "b"), ("e", "f")]) == \
+            {("a", "b"): 1, ("e", "f"): 3}
+        cache.store({("a", "b"): 1, ("g", "h"): 4})  # re-storing refreshes: evicts ("e","f")
+        assert cache.lookup([("e", "f")]) == {}
+        assert cache.info() == (3, 2, 2, 2)
 
     def test_zero_size_cache_stores_nothing(self, monkeypatch):
         monkeypatch.setattr(compare_engine, "COMPARE_CACHE_SIZE", 0)
         cache = CompareCache()
-        cache.put(("a", "b"), 1)
+        cache.store({("a", "b"): 1})
         assert cache.info() == (0, 0, 0, 0)
 
     def test_hasher_is_freed_without_a_gc_cycle_pass(self):

@@ -6,8 +6,8 @@ comparison as ssdeep states it, one pair at a time: parse both digests (with
 a parser of its own, to the engine's rule: a digest that does not parse
 scores 0), collapse long runs, demand a common 7-gram, align the signatures
 with a weighted Damerau-Levenshtein DP and rescale the distance into 0-100.  The
-rescaling and the small-block-size cap are the hasher's own ``_rescale`` and
-``_apply_cap``, so the scoring arithmetic is written once.  The 7-gram gate is
+rescaling and the small-block-size cap are the hasher's own ``_scores`` and
+``_cap_unit``, so the scoring arithmetic is written once.  The 7-gram gate is
 a parameter here, and only here: the engine always applies it, and a test
 switches it off to show that it does.
 
@@ -98,18 +98,16 @@ def _score_strings(s1: str, s2: str, block_size: int, gate: bool) -> int:
     if gate and not has_common_substring(s1, s2, ROLLING_WINDOW):
         return 0
     if s1 == s2:
-        score = 100
+        distance = 0
     else:
         # Any distance >= len(s1) + len(s2) rescales to a score of 0, so
         # the alignment may stop early once that is certain; scores are
         # unchanged (tests pin new-vs-unbounded equality).
         distance = weighted_edit_distance(s1, s2, bound=len(s1) + len(s2) - 1)
-        score = FuzzyHasher._rescale(distance, len(s1), len(s2))
-        if score is None:
-            return 0
-    # For small block sizes, cap the score so short inputs cannot claim
-    # near-perfect similarity on the strength of a handful of pieces.
-    return FuzzyHasher._apply_cap(score, len(s1), len(s2), block_size)
+    # For small block sizes, the score is capped so short inputs cannot
+    # claim near-perfect similarity on the strength of a handful of pieces.
+    return int(FuzzyHasher._scores(distance, len(s1), len(s2),
+                                   FuzzyHasher._cap_unit(block_size)))
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -148,22 +148,32 @@ def test_two_documents_print_both_refresh_splits(layer_budget, tmp_path, capsys)
         "analysis.live_sync_ms_p50", "sum", "ingest.snapshot_delta_ms_p50"]
 
 
-def _with_identify(document: dict, build_s: float, identify_s: float) -> dict:
-    """``document`` with ``replay``'s per-identify figures (``live-query`` has neither)."""
-    document["workloads"]["replay"]["per_layer"].update({
+def _with_identify(document: dict, build_s: float, identify_s: float,
+                   host_slowdown: float = 1.0) -> dict:
+    """``document`` with ``replay``'s per-identify figures (``live-query`` has
+    none): the round at the reference host speed, the traced build and the
+    host slowdown as the clock read them."""
+    replay = document["workloads"]["replay"]
+    replay["end_to_end"] = {"identify_s": {"value": identify_s, "unit": "s"}}
+    replay["per_layer"].update({
         "analysis.search_build_s": {"value": build_s, "unit": "s"},
-        "clock.identify_s": {"value": identify_s, "unit": "s"}})
+        "trace.host_slowdown": {"value": host_slowdown, "unit": "ratio"}})
     return document
 
 
+_HEADER = "== replay  (per identify round, at the reference host speed)"
+
+
 def test_the_identify_split_keeps_the_figures_a_document_has(layer_budget):
-    both = _with_identify(_document(3.0), 0.002, 0.004)
+    both = _with_identify(_document(3.0), 0.004, 0.004, host_slowdown=2.0)
     assert layer_budget.identify_split(both) == {
         "replay": {"build": 2.0, "rest": 2.0, "share": 0.5}}
-    build_only = _document(3.0)
-    build_only["workloads"]["replay"]["per_layer"]["analysis.search_build_s"] = {
-        "value": 0.001, "unit": "s"}
+    build_only = _with_identify(_document(3.0), 0.001, 0.004)
+    del build_only["workloads"]["replay"]["end_to_end"]
     assert layer_budget.identify_split(build_only) == {"replay": {"build": 1.0}}
+    no_host = _with_identify(_document(3.0), 0.001, 0.004)
+    del no_host["workloads"]["replay"]["per_layer"]["trace.host_slowdown"]
+    assert layer_budget.identify_split(no_host) == {}
     assert layer_budget.identify_split(_document(3.0)) == {}
 
 
@@ -171,9 +181,9 @@ def test_one_document_prints_the_identify_split(layer_budget, tmp_path, capsys):
     run = _write(tmp_path / "run.json", _with_identify(_document(3.0), 0.001, 0.004))
     assert layer_budget.main([run]) == 0
     lines = capsys.readouterr().out.splitlines()
-    start = lines.index("== replay  (per identify round)")
+    start = lines.index(_HEADER)
     assert [line.split()[-1] for line in lines[start + 1:]] == ["1.000", "3.000", "25.0%"]
-    assert "== live-query  (per identify round)" not in lines
+    assert "== live-query  (per identify round, at the reference host speed)" not in lines
 
 
 def test_a_document_without_the_figures_prints_no_identify_split(layer_budget, tmp_path,
@@ -187,7 +197,25 @@ def test_two_documents_print_both_identify_splits(layer_budget, tmp_path, capsys
     second = _write(tmp_path / "b.json", _with_identify(_document(3.0), 0.001, 0.003))
     assert layer_budget.main([first, second]) == 0
     lines = capsys.readouterr().out.splitlines()
-    start = lines.index("== replay  (per identify round)")
+    start = lines.index(_HEADER)
     assert [line.split()[-3:] for line in lines[start + 2:]] == [
         ["2.000", "1.000", "-1.000"], ["2.000", "2.000", "+0.000"],
         ["50.0%", "33.3%", "-16.7%"]]
+
+
+def test_the_identify_split_does_not_depend_on_the_host(layer_budget, tmp_path, capsys):
+    """Two runs of the same code, one on a host twice as slow: every clock
+    figure doubles, the host-corrected round does not, and the split is the
+    same."""
+    split = []
+    for host_slowdown in (1.0, 2.0):
+        document = _with_identify(_document(3.0), 0.002 * host_slowdown, 0.005,
+                                  host_slowdown=host_slowdown)
+        document["workloads"]["replay"]["per_layer"]["clock.identify_s"] = {
+            "value": 0.005 * host_slowdown, "unit": "s"}
+        assert layer_budget.main([_write(tmp_path / "run.json", document)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(_HEADER)
+        split.append(lines[start:start + 4])
+    assert split[0] == split[1]
+    assert [line.split()[-1] for line in split[0][1:]] == ["2.000", "3.000", "40.0%"]
