@@ -21,8 +21,9 @@ comes back, or a counter that becomes a constructor argument, is a diff that
 the change has to commit.
 
 Physical line counts change on every edit, so they are not in the file.
-``--figures`` prints them with the config field counts and the constructor
-parameter counts:
+``--figures`` prints them, those of SIREN and of its substrate per package
+(:data:`LAYERS`), the config field counts and the constructor parameter
+counts:
 
     python scripts/surface.py            # rewrite docs/surface.txt
     python scripts/surface.py --figures  # the tracked figures, one per line
@@ -43,6 +44,21 @@ MANIFEST = REPO_ROOT / "docs" / "surface.txt"
 REGENERATE = "python scripts/surface.py"
 #: The trees whose physical lines ``--figures`` counts.
 LINE_COUNTED = ("src/repro", "tests", "benchmarks")
+#: Which side of the line each package is on.  SIREN is what the paper
+#: built; the substrate stands in for the supercomputer it ran on; the shared
+#: utilities and the top-level re-exports are exempt.  A module belongs to
+#: the longest entry it is or is in (:func:`package_of`), so ``repro.elf`` is
+#: SIREN (the reader, strings and symbols modules are the collector's
+#: ``libelf``) and ``repro.elf.builder`` the substrate.  The ``layers`` rule
+#: of ``tests/test_repo_invariants.py`` and ``--figures`` both read it.
+LAYERS = {
+    **dict.fromkeys(("repro.collector", "repro.transport", "repro.ingest", "repro.db",
+                     "repro.analysis", "repro.hashing", "repro.faults", "repro.core",
+                     "repro.elf"), "SIREN"),
+    **dict.fromkeys(("repro.hpcsim", "repro.corpus", "repro.workload", "repro.elf.builder"),
+                    "substrate"),
+    **dict.fromkeys(("repro", "repro.util"), "exempt"),
+}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -57,6 +73,14 @@ def parse_package(src: Path = SRC) -> dict[str, ast.Module]:
     """``{module name: parsed tree}`` of every file under ``src/repro``."""
     return {module: ast.parse(path.read_text(encoding="utf-8"))
             for module, path in module_paths(src).items()}
+
+
+def package_of(module: str) -> str:
+    """The longest entry of :data:`LAYERS` that ``module`` is or is in
+    (``""`` for a module outside the package)."""
+    parts = module.split(".")
+    return next((".".join(parts[:end]) for end in range(len(parts), 0, -1)
+                 if ".".join(parts[:end]) in LAYERS), "")
 
 
 def _public(name: str) -> bool:
@@ -202,13 +226,31 @@ def diff(committed: str, rendered: str) -> str:
     return "".join(lines) + f"\nThe surface changed; regenerate the manifest with: {REGENERATE}\n"
 
 
+def _layer_lines(root: Path) -> list[str]:
+    """Physical lines of ``src/repro`` per side of :data:`LAYERS`, with the
+    per-package counts under each total."""
+    per_package = dict.fromkeys(LAYERS, 0)
+    for module, path in module_paths(root / "src").items():
+        per_package[package_of(module)] += path.read_bytes().count(b"\n")
+    lines = []
+    for layer in dict.fromkeys(LAYERS.values()):
+        packages = [package for package in LAYERS if LAYERS[package] == layer]
+        lines.append(f"{layer} physical lines: "
+                     f"{sum(per_package[package] for package in packages)}")
+        lines += [f"{layer} {package} physical lines: {per_package[package]}"
+                  for package in packages]
+    return lines
+
+
 def figures(trees: dict[str, ast.Module], root: Path = REPO_ROOT) -> list[str]:
-    """Physical lines of :data:`LINE_COUNTED`, the field count of each
-    config class and the constructor parameter count of each class."""
+    """Physical lines of :data:`LINE_COUNTED` and of each side of
+    :data:`LAYERS`, the field count of each config class and the
+    constructor parameter count of each class."""
     newline = b"\n"
     lines = [f"{tree} physical lines: "
              f"{sum(path.read_bytes().count(newline) for path in (root / tree).rglob('*.py'))}"
              for tree in LINE_COUNTED]
+    lines += _layer_lines(root)
     classes = _classes(trees)
     counts = []
     for module, tree in trees.items():

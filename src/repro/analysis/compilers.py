@@ -1,9 +1,12 @@
 """Compiler-identification analysis of user applications (Table 6).
 
 Every user-directory executable carries the ``.comment`` producer strings of
-all toolchains that contributed objects.  Table 6 groups executables by their
-*combination* of toolchain labels and reports users, jobs, processes and
-distinct executables per combination.
+all toolchains that contributed objects.  :func:`provenance_label` reads one
+such string as a *family [provenance]* label (``GCC [SUSE]``, ``clang
+[Cray]`` ...) by rule, with no table of known producers, so a toolchain the
+analysis has never seen still gets a label.  Table 6 groups executables by
+their *combination* of toolchain labels and reports users, jobs, processes
+and distinct executables per combination.
 """
 
 from __future__ import annotations
@@ -12,8 +15,36 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.analysis.stats import _USER, user_label
-from repro.corpus.toolchains import compiler_labels
 from repro.db.store import ProcessRecord
+
+#: Vendors a GCC producer string may name, in the order they are tried.
+_GCC_VENDORS = ("SUSE", "Red Hat", "conda", "HPE", "AMD", "Cray")
+
+
+def provenance_label(comment: str) -> str:
+    """Read a raw ``.comment`` entry as its ``family [provenance]`` label.
+
+    Unknown producers are grouped under their leading token so that novel
+    toolchains still show up in reports (the paper highlights exactly this
+    ability to reveal "the emergence of novel toolchains").
+    """
+    lowered = comment.lower()
+    if lowered.startswith("gcc"):
+        vendor = next((vendor for vendor in _GCC_VENDORS if vendor.lower() in lowered), "")
+        return f"GCC [{vendor}]" if vendor else "GCC"
+    if "clang" in lowered:
+        vendor = "AMD" if "amd" in lowered else ("Cray" if "cray" in lowered else "")
+        return f"clang [{vendor}]" if vendor else "clang"
+    if "lld" in lowered:
+        return "LLD [AMD]" if "amd" in lowered else "LLD"
+    if lowered.startswith("rustc"):
+        return "rustc"
+    return comment.split()[0] if comment.split() else "unknown"
+
+
+def compiler_labels(comments: list[str]) -> list[str]:
+    """Distinct toolchain labels for a list of comment entries, in first-seen order."""
+    return list(dict.fromkeys(map(provenance_label, comments)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Derived and filtered shared objects of user applications (Figure 2).
 
-For every user-directory process, each loaded shared object path is mapped to
-its substring-derived tag (see :mod:`repro.corpus.libraries`), and per tag the
+For every user-directory process, each loaded shared object path is scanned
+for the paper's fixed, ordered list of informative substrings
+(:data:`LIBRARY_SUBSTRINGS`, Section 4.3); the matching substrings, joined
+with ``-``, become the library's tag (``libsci-cray``, ``rocfft-rocm-fft``
+...), and a path that matches none is dropped as uninformative.  Per tag the
 analysis counts unique users, jobs, processes and unique executables -- the
 four y-axes of Figure 2.
 """
@@ -13,8 +16,29 @@ from dataclasses import dataclass
 
 from repro.analysis.stats import _USER, user_label
 from repro.collector.classify import ExecutableCategory
-from repro.corpus.libraries import derive_library_tag
 from repro.db.store import ProcessRecord
+
+#: Substring list from the paper (Section 4.3), in presentation order.
+LIBRARY_SUBSTRINGS: tuple[str, ...] = (
+    "libsci", "pthread", "pmi", "netcdf", "hdf5", "fortran", "parallel", "python",
+    "fabric", "numa", "boost", "openacc", "amdgpu", "cuda", "drm", "rocsolver",
+    "rocsparse", "rocfft", "MIOpen", "rocm", "gromacs", "blas", "fft", "torch",
+    "quadmath", "craymath", "cray", "tykky", "climatedt", "amber", "spack", "yaml",
+    "java", "siren",
+)
+
+
+def derive_library_tag(path: str) -> str | None:
+    """Derive the filtered tag for one library path (``None`` if uninformative).
+
+    Matching is case-sensitive, exactly as the paper's substring list implies
+    (``MIOpen`` keeps its mixed case); matched substrings are joined with
+    ``-`` in the order they appear in :data:`LIBRARY_SUBSTRINGS`.
+    """
+    matched = [token for token in LIBRARY_SUBSTRINGS if token in path]
+    if not matched:
+        return None
+    return "-".join(matched)
 
 
 @dataclass(frozen=True)

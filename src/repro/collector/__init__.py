@@ -20,7 +20,7 @@ ranks.  Failures inside the collector never propagate into the hooked
 process.
 """
 
-from repro.collector.classify import ExecutableCategory, classify_process
+from repro.collector.classify import ExecutableCategory, classify_executable
 from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes
 from repro.collector.hooks import SirenCollector
 from repro.collector.policy import TABLE_1
@@ -34,5 +34,5 @@ __all__ = [
     "Layer",
     "SirenCollector",
     "TABLE_1",
-    "classify_process",
+    "classify_executable",
 ]

@@ -2,7 +2,7 @@
 
 Processes are divided by the origin of their executable:
 
-* ``SYSTEM``  -- executables under one of the system directories,
+* ``SYSTEM``  -- executables under one of the :data:`SYSTEM_DIRECTORIES`,
 * ``USER``    -- executables anywhere else (project/home/scratch paths),
 * ``PYTHON``  -- Python interpreters installed in a system directory (a
   Python interpreter installed in a user directory counts as USER).
@@ -16,7 +16,11 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from repro.hpcsim.filesystem import is_system_path
+#: Directories whose executables the paper classifies as "system" processes.
+SYSTEM_DIRECTORIES: tuple[str, ...] = (
+    "/etc/", "/dev/", "/usr/", "/bin/", "/boot/", "/lib/",
+    "/opt/", "/sbin/", "/sys/", "/proc/", "/var/",
+)
 
 #: Executable names that identify a Python interpreter (python, python3, python3.11, ...).
 _PYTHON_NAME = re.compile(r"^python(\d+(\.\d+)?)?$")
@@ -28,6 +32,11 @@ class ExecutableCategory(str, Enum):
     SYSTEM = "system"
     USER = "user"
     PYTHON = "python"
+
+
+def is_system_path(path: str) -> bool:
+    """True if ``path`` lives under one of the paper's system directories."""
+    return path.startswith(SYSTEM_DIRECTORIES)
 
 
 def is_python_interpreter(executable: str) -> bool:
@@ -43,12 +52,6 @@ def classify_executable(executable: str) -> ExecutableCategory:
             return ExecutableCategory.PYTHON
         return ExecutableCategory.SYSTEM
     return ExecutableCategory.USER
-
-
-def classify_process(executable: str, argv: tuple[str, ...] = ()) -> ExecutableCategory:
-    """Classify a process by its executable (argv reserved for future use)."""
-    del argv  # the paper classifies purely by executable origin
-    return classify_executable(executable)
 
 
 def extract_script_path(argv: tuple[str, ...]) -> str | None:

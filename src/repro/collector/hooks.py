@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.collector.classify import (
-    classify_process,
+    classify_executable,
     extract_script_path,
     is_python_interpreter,
 )
@@ -67,7 +67,7 @@ class SirenCollector:
         if not should_collect_rank(context.slurm_procid):
             self.processes_skipped += 1
             return
-        category = classify_process(context.executable, context.argv)
+        category = classify_executable(context.executable)
         sends = TABLE_1[category]
         sections: list[Section] = [(Layer.SELF, InfoType.PROCINFO, format_keyvalues({
             "pid": context.pid, "ppid": context.ppid, "uid": context.uid,

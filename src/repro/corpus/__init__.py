@@ -6,7 +6,7 @@ system tools (``bash``, ``srun``, ``mkdir`` ...), scientific applications
 interpreters and scripts.  None of that software is available here, so this
 subpackage defines a synthetic corpus with the same *structure*:
 
-* :mod:`repro.corpus.toolchains` -- compiler/toolchain definitions and the
+* :mod:`repro.corpus.toolchains` -- the compiler toolchains and the
   ``.comment`` identification strings they leave in binaries,
 * :mod:`repro.corpus.libraries` -- a catalog of shared libraries (Cray PE,
   ROCm, HDF5/NetCDF, spack/tykky stacks, ...) with install paths chosen so
@@ -22,11 +22,11 @@ subpackage defines a synthetic corpus with the same *structure*:
 """
 
 from repro.corpus.builder import CorpusBuilder, CorpusManifest, InstalledExecutable
-from repro.corpus.libraries import LIBRARY_CATALOG, LibrarySpec, derive_library_tag
+from repro.corpus.libraries import LIBRARY_CATALOG, LibrarySpec
 from repro.corpus.packages import PACKAGES, PackageSpec, VariantSpec
 from repro.corpus.python_env import PYTHON_INTERPRETERS, PYTHON_PACKAGES, PythonInterpreterSpec
 from repro.corpus.system_tools import SYSTEM_TOOLS, SystemToolSpec
-from repro.corpus.toolchains import TOOLCHAINS, Toolchain, provenance_label
+from repro.corpus.toolchains import TOOLCHAINS
 
 __all__ = [
     "CorpusBuilder",
@@ -34,7 +34,6 @@ __all__ = [
     "InstalledExecutable",
     "LIBRARY_CATALOG",
     "LibrarySpec",
-    "derive_library_tag",
     "PACKAGES",
     "PackageSpec",
     "VariantSpec",
@@ -44,6 +43,4 @@ __all__ = [
     "SYSTEM_TOOLS",
     "SystemToolSpec",
     "TOOLCHAINS",
-    "Toolchain",
-    "provenance_label",
 ]

@@ -1,47 +1,20 @@
-"""Shared-library catalog and the substring-derived library tags.
+"""Shared-library catalog of the simulated system.
 
 Figure 2 and Figure 5 of the paper analyse "derived and filtered" shared
 objects: each loaded library path is scanned for a fixed, ordered list of
-informative substrings (``libsci``, ``pthread``, ``pmi`` ... ``siren``) and
-the matching substrings, joined with ``-`` in catalog order, become the
-library's tag (``libsci-cray``, ``rocfft-rocm-fft``, ``hdf5-fortran-parallel-
-cray`` ...).  Libraries whose paths match no substring are dropped as
-uninformative.
+informative substrings, and the matches, joined with ``-``, become the
+library's tag (:func:`repro.analysis.libfilter.derive_library_tag`).
 
-This module defines
-
-* :data:`LIBRARY_SUBSTRINGS` -- the exact substring list from Section 4.3,
-* :func:`derive_library_tag` -- the tag derivation,
-* :data:`LIBRARY_CATALOG` -- every shared-library *instance* installed on the
-  simulated system (soname, directory, dependencies), with install paths
-  chosen so that the derived tags reproduce the paper's tag vocabulary.
+This module defines :data:`LIBRARY_CATALOG` -- every shared-library
+*instance* installed on the simulated system (soname, directory,
+dependencies), with install paths chosen so that the derived tags reproduce
+the paper's tag vocabulary (``libsci-cray``, ``rocfft-rocm-fft``,
+``hdf5-fortran-parallel-cray`` ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Substring list from the paper (Section 4.3), in presentation order.
-LIBRARY_SUBSTRINGS: tuple[str, ...] = (
-    "libsci", "pthread", "pmi", "netcdf", "hdf5", "fortran", "parallel", "python",
-    "fabric", "numa", "boost", "openacc", "amdgpu", "cuda", "drm", "rocsolver",
-    "rocsparse", "rocfft", "MIOpen", "rocm", "gromacs", "blas", "fft", "torch",
-    "quadmath", "craymath", "cray", "tykky", "climatedt", "amber", "spack", "yaml",
-    "java", "siren",
-)
-
-
-def derive_library_tag(path: str) -> str | None:
-    """Derive the filtered tag for one library path (``None`` if uninformative).
-
-    Matching is case-sensitive, exactly as the paper's substring list implies
-    (``MIOpen`` keeps its mixed case); matched substrings are joined with
-    ``-`` in the order they appear in :data:`LIBRARY_SUBSTRINGS`.
-    """
-    matched = [token for token in LIBRARY_SUBSTRINGS if token in path]
-    if not matched:
-        return None
-    return "-".join(matched)
 
 
 @dataclass(frozen=True)

@@ -1,63 +1,28 @@
-"""Compiler toolchains and their ``.comment`` identification strings.
+"""Compiler toolchains and the ``.comment`` identification strings they write.
 
 Compilers record a producer string in the ``.comment`` section of every
 object file they emit; a linked executable therefore carries one entry per
-distinct toolchain that contributed objects.  The paper's Table 6 and Figure 4
-group these strings into *family [provenance]* labels such as ``GCC [SUSE]``
-or ``clang [Cray]``.  This module defines the toolchains used by the synthetic
-corpus and the mapping from raw comment strings back to those labels.
+distinct toolchain that contributed objects.  This module defines the
+toolchains the synthetic corpus builds with: each is a *family [provenance]*
+label as the paper's Table 6 and Figure 4 print it (``GCC [SUSE]``, ``clang
+[Cray]`` ...) and the exact string it writes.  Reading the strings back into
+labels is the analysis's job (:mod:`repro.analysis.compilers`), by rule and
+without this table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Toolchain:
-    """One compiler toolchain."""
-
-    label: str            #: analysis label, e.g. ``"GCC [SUSE]"``
-    family: str            #: compiler family (GCC, clang, LLD, rustc)
-    provenance: str        #: distribution/vendor, e.g. ``"SUSE"``
-    comment: str           #: the exact ``.comment`` entry this toolchain writes
-    version: str
-
-
-#: The eight toolchains observed in the paper's deployment (Table 6 / Figure 4).
-TOOLCHAINS: dict[str, Toolchain] = {
-    "GCC [SUSE]": Toolchain(
-        label="GCC [SUSE]", family="GCC", provenance="SUSE",
-        comment="GCC: (SUSE Linux) 12.3.0", version="12.3.0",
-    ),
-    "GCC [Red Hat]": Toolchain(
-        label="GCC [Red Hat]", family="GCC", provenance="Red Hat",
-        comment="GCC: (GNU) 8.5.0 20210514 (Red Hat 8.5.0-18)", version="8.5.0",
-    ),
-    "GCC [conda]": Toolchain(
-        label="GCC [conda]", family="GCC", provenance="conda",
-        comment="GCC: (conda-forge gcc 12.3.0-3) 12.3.0", version="12.3.0",
-    ),
-    "GCC [HPE]": Toolchain(
-        label="GCC [HPE]", family="GCC", provenance="HPE",
-        comment="GCC: (HPE CPE) 12.2.0", version="12.2.0",
-    ),
-    "clang [Cray]": Toolchain(
-        label="clang [Cray]", family="clang", provenance="Cray",
-        comment="clang version 17.0.1 (Cray PE 24.03)", version="17.0.1",
-    ),
-    "clang [AMD]": Toolchain(
-        label="clang [AMD]", family="clang", provenance="AMD",
-        comment="AMD clang version 17.0.0 (roc-6.0.3 24012)", version="17.0.0",
-    ),
-    "LLD [AMD]": Toolchain(
-        label="LLD [AMD]", family="LLD", provenance="AMD",
-        comment="Linker: AMD LLD 17.0.0 (roc-6.0.3)", version="17.0.0",
-    ),
-    "rustc": Toolchain(
-        label="rustc", family="rustc", provenance="",
-        comment="rustc version 1.75.0 (82e1608df 2023-12-21)", version="1.75.0",
-    ),
+#: The eight toolchains observed in the paper's deployment (Table 6 / Figure 4):
+#: label -> the exact ``.comment`` entry the toolchain writes.
+TOOLCHAINS: dict[str, str] = {
+    "GCC [SUSE]": "GCC: (SUSE Linux) 12.3.0",
+    "GCC [Red Hat]": "GCC: (GNU) 8.5.0 20210514 (Red Hat 8.5.0-18)",
+    "GCC [conda]": "GCC: (conda-forge gcc 12.3.0-3) 12.3.0",
+    "GCC [HPE]": "GCC: (HPE CPE) 12.2.0",
+    "clang [Cray]": "clang version 17.0.1 (Cray PE 24.03)",
+    "clang [AMD]": "AMD clang version 17.0.0 (roc-6.0.3 24012)",
+    "LLD [AMD]": "Linker: AMD LLD 17.0.0 (roc-6.0.3)",
+    "rustc": "rustc version 1.75.0 (82e1608df 2023-12-21)",
 }
 
 #: Ordered list of labels, as displayed on the x-axis of Figure 4.
@@ -69,43 +34,4 @@ TOOLCHAIN_ORDER: tuple[str, ...] = (
 
 def comments_for(labels: list[str]) -> list[str]:
     """The ``.comment`` entries an executable built with these toolchains carries."""
-    return [TOOLCHAINS[label].comment for label in labels]
-
-
-def provenance_label(comment: str) -> str:
-    """Map a raw ``.comment`` entry back to its ``family [provenance]`` label.
-
-    Unknown producers are grouped under their leading token so that novel
-    toolchains still show up in reports (the paper highlights exactly this
-    ability to reveal "the emergence of novel toolchains").
-    """
-    for toolchain in TOOLCHAINS.values():
-        if comment == toolchain.comment:
-            return toolchain.label
-    lowered = comment.lower()
-    if lowered.startswith("gcc"):
-        return _labelled("GCC", comment)
-    if "clang" in lowered:
-        vendor = "AMD" if "amd" in lowered else ("Cray" if "cray" in lowered else "")
-        return f"clang [{vendor}]" if vendor else "clang"
-    if "lld" in lowered:
-        return "LLD [AMD]" if "amd" in lowered else "LLD"
-    if lowered.startswith("rustc"):
-        return "rustc"
-    return comment.split()[0] if comment.split() else "unknown"
-
-
-def _labelled(family: str, comment: str) -> str:
-    lowered = comment.lower()
-    for vendor in ("SUSE", "Red Hat", "conda", "HPE", "AMD", "Cray"):
-        if vendor.lower() in lowered:
-            return f"{family} [{vendor}]"
-    return family
-
-
-def compiler_labels(comments: list[str]) -> list[str]:
-    """Distinct toolchain labels for a list of comment entries, in first-seen order."""
-    seen: dict[str, None] = {}
-    for comment in comments:
-        seen.setdefault(provenance_label(comment), None)
-    return list(seen)
+    return [TOOLCHAINS[label] for label in labels]

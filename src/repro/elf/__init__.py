@@ -1,4 +1,4 @@
-"""Minimal ELF64 substrate: build and parse synthetic executables.
+"""Minimal ELF64 support: parse executables, and build synthetic ones.
 
 SIREN's collector uses ``libelf`` to pull three things out of every user
 executable: the compiler identification strings left in the ``.comment``
@@ -14,12 +14,14 @@ The reproduction environment has neither real HPC executables nor
   ``.dynamic`` (``DT_NEEDED`` entries), ``.dynsym``/``.symtab`` and string
   tables -- enough structure that a generic ELF parser recognises them and
   that fuzzy hashes of file/strings/symbols behave like they do for real
-  binaries (small source changes perturb a small part of the image).
+  binaries (small source changes perturb a small part of the image).  It is
+  the substrate's half, so this package does not re-export it.
 * :class:`~repro.elf.reader.ELFFile` parses those images (or any conforming
-  ELF64LE image) and exposes the extraction helpers the collector needs.
+  ELF64LE image) and exposes the extraction helpers the collector needs: with
+  :mod:`repro.elf.strings` and :mod:`repro.elf.symbols` it is the collector's
+  ``libelf``.
 """
 
-from repro.elf.builder import ELFBuilder
 from repro.elf.constants import (
     EM_X86_64,
     ET_DYN,
@@ -38,7 +40,6 @@ from repro.elf.reader import ELFFile, is_elf
 from repro.elf.structures import ELFHeader, SectionHeader, Symbol
 
 __all__ = [
-    "ELFBuilder",
     "ELFFile",
     "ELFHeader",
     "SectionHeader",

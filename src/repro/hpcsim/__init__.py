@@ -28,7 +28,7 @@ production substrate: a deterministic, in-memory simulation of
 
 from repro.hpcsim.cluster import Cluster
 from repro.hpcsim.dynlinker import DynamicLinker
-from repro.hpcsim.filesystem import FileMetadata, VirtualFile, VirtualFilesystem, is_system_path
+from repro.hpcsim.filesystem import FileMetadata, VirtualFile, VirtualFilesystem
 from repro.hpcsim.modules import Module, ModuleSystem
 from repro.hpcsim.process import ProcessContext, ProcessRuntime
 from repro.hpcsim.slurm import JobScript, ProcessSpec, SlurmJob, SlurmScheduler, StepSpec
@@ -40,7 +40,6 @@ __all__ = [
     "FileMetadata",
     "VirtualFile",
     "VirtualFilesystem",
-    "is_system_path",
     "Module",
     "ModuleSystem",
     "ProcessContext",

@@ -2,11 +2,10 @@
 
 SIREN collects executable file metadata (inode number, file size, permissions,
 owner UID/GID, and access/modification/change timestamps) and classifies
-processes by whether their executable lives under a *system directory*
-(``/usr/bin``, ``/lib`` ...) or a *user directory* (project/home/scratch
-paths).  The virtual filesystem provides those two facilities: files with full
-metadata, and the system-directory classification used by the collector's
-selective-collection policy (Table 1 of the paper).
+processes by the directory their executable lives in.  The virtual filesystem
+holds the files it reads: content with full metadata, at the system and user
+paths the corpus installs to.  Which directories count as *system* ones is
+SIREN's rule (:mod:`repro.collector.classify`), not the filesystem's.
 """
 
 from __future__ import annotations
@@ -14,17 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.util.errors import SimulationError
-
-#: Directories whose executables the paper classifies as "system" processes.
-SYSTEM_DIRECTORIES: tuple[str, ...] = (
-    "/etc/", "/dev/", "/usr/", "/bin/", "/boot/", "/lib/",
-    "/opt/", "/sbin/", "/sys/", "/proc/", "/var/",
-)
-
-
-def is_system_path(path: str) -> bool:
-    """True if ``path`` lives under one of the paper's system directories."""
-    return any(path.startswith(prefix) for prefix in SYSTEM_DIRECTORIES)
 
 
 def normalize_path(path: str) -> str:

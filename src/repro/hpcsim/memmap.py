@@ -1,11 +1,10 @@
 """``/proc/<pid>/maps`` simulation.
 
-SIREN parses ``/proc/self/maps`` for user executables and Python interpreters;
-for the latter the mapped extension modules are later post-processed into the
-list of imported Python packages (Figure 3 of the paper).  This module renders
-memory-map listings in the kernel's text format from the objects a process has
-loaded, so the collector can exercise the same parsing path it would on a real
-system.
+SIREN collects ``/proc/self/maps`` for user executables and Python
+interpreters; for the latter, ingest parses the mapped extension modules into
+the list of imported Python packages (Figure 3 of the paper).  This module
+renders memory-map listings in the kernel's text format from the objects a
+process has loaded, so SIREN reads the same text it would on a real system.
 """
 
 from __future__ import annotations
@@ -89,21 +88,3 @@ def render_memory_map(regions: list[MemoryRegion]) -> str:
     """Render a full maps listing (one region per line)."""
     return "\n".join(region.render() for region in regions)
 
-
-def parse_mapped_paths(maps_text: str) -> list[str]:
-    """Extract the distinct file paths from a maps listing, in first-seen order.
-
-    This is the post-processing step SIREN applies to the collected maps: the
-    pseudo-paths (``[stack]``, ``[heap]``, ``[vdso]``) and anonymous regions
-    are dropped, duplicates collapse.
-    """
-    seen: dict[str, None] = {}
-    for line in maps_text.splitlines():
-        parts = line.split(None, 5)
-        if len(parts) < 6:
-            continue
-        path = parts[5]
-        if path.startswith("["):
-            continue
-        seen.setdefault(path, None)
-    return list(seen)

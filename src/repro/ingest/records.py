@@ -28,9 +28,10 @@ Python packages from memory maps
 A Python process maps the native extension modules of every imported package
 (``_heapq.cpython-311-x86_64-linux-gnu.so`` from the stdlib's ``lib-dynload``
 directory, ``numpy/core/_multiarray_umath...so`` from ``site-packages``, ...).
-SIREN collects the memory map of interpreter processes, and
-:func:`extract_python_packages` turns the mapped paths into package names --
-the data behind Figure 3.
+SIREN collects the memory map of interpreter processes,
+:func:`parse_mapped_paths` reads the file paths out of it, and
+:func:`extract_python_packages` turns them into package names -- the data
+behind Figure 3.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.collector.classify import ExecutableCategory
 from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import PROCESS_FIELDS, ProcessKey, ProcessRecord
-from repro.hpcsim.memmap import parse_mapped_paths
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import MessageRow
 
@@ -235,6 +235,25 @@ def package_from_mapped_path(path: str) -> str | None:
         name = _stem(filename).lstrip("_")
         return name or None
     return None
+
+
+def parse_mapped_paths(maps_text: str) -> list[str]:
+    """Extract the distinct file paths from a maps listing, in first-seen order.
+
+    This is the post-processing step SIREN applies to the collected maps: the
+    pseudo-paths (``[stack]``, ``[heap]``, ``[vdso]``) and anonymous regions
+    are dropped, duplicates collapse.
+    """
+    seen: dict[str, None] = {}
+    for line in maps_text.splitlines():
+        parts = line.split(None, 5)
+        if len(parts) < 6:
+            continue
+        path = parts[5]
+        if path.startswith("["):
+            continue
+        seen.setdefault(path, None)
+    return list(seen)
 
 
 def extract_python_packages(maps_text: str) -> list[str]:

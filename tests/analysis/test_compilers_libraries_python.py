@@ -1,9 +1,24 @@
 """Tests for compiler combinations (Table 6), library tags (Figure 2), Python
 packages (Figure 3) and the usage matrices (Figures 4-5)."""
 
-from repro.analysis.compilers import compiler_combination_table, record_compiler_labels
+import inspect
+
+import pytest
+
+from repro.analysis import compilers
+from repro.analysis.compilers import (
+    compiler_combination_table,
+    compiler_labels,
+    provenance_label,
+    record_compiler_labels,
+)
 from repro.analysis.labels import user_application_table
-from repro.analysis.libfilter import library_usage_table, record_library_tags
+from repro.analysis.libfilter import (
+    LIBRARY_SUBSTRINGS,
+    derive_library_tag,
+    library_usage_table,
+    record_library_tags,
+)
 from repro.analysis.matrices import compiler_label_matrix, library_label_matrix
 from repro.analysis.pythonpkgs import audit_python_packages, python_package_table
 from repro.corpus.toolchains import TOOLCHAINS
@@ -11,9 +26,9 @@ from repro.db.store import ProcessRecord
 
 USERS = {1000: "user_1", 1001: "user_2"}
 
-_SUSE = TOOLCHAINS["GCC [SUSE]"].comment
-_CRAY = TOOLCHAINS["clang [Cray]"].comment
-_LLD = TOOLCHAINS["LLD [AMD]"].comment
+_SUSE = TOOLCHAINS["GCC [SUSE]"]
+_CRAY = TOOLCHAINS["clang [Cray]"]
+_LLD = TOOLCHAINS["LLD [AMD]"]
 
 
 def _record(executable: str, *, category: str = "user", uid: int | None = 1000,
@@ -24,6 +39,68 @@ def _record(executable: str, *, category: str = "user", uid: int | None = 1000,
                          uid=uid, executable=executable, category=category,
                          compilers=compilers, objects=objects, file_h=file_h,
                          python_packages=python_packages, script_h=script_h)
+
+
+class TestProvenanceLabels:
+    def test_comments_round_trip_to_labels(self):
+        """Every corpus toolchain's comment reads back as its corpus label,
+        from an analysis that holds neither the corpus's table nor its strings."""
+        assert TOOLCHAINS not in vars(compilers).values()
+        source = inspect.getsource(compilers)
+        for label, comment in TOOLCHAINS.items():
+            assert comment not in source
+            assert provenance_label(comment) == label
+
+    def test_unknown_gcc_flavour_still_grouped(self):
+        assert provenance_label("GCC: (Debian 12.2.0-14) 12.2.0").startswith("GCC")
+
+    def test_unknown_clang_vendor(self):
+        assert provenance_label("clang version 16.0.0 (AMD ROCm)") == "clang [AMD]"
+        assert provenance_label("clang version 16.0.0") == "clang"
+
+    def test_novel_toolchain_reported_by_leading_token(self):
+        assert provenance_label("ifx (IFORT) 2024.0") == "ifx"
+
+    def test_compiler_labels_deduplicate_in_order(self):
+        comments = [TOOLCHAINS["GCC [SUSE]"], TOOLCHAINS["clang [Cray]"],
+                    TOOLCHAINS["GCC [SUSE]"]]
+        assert compiler_labels(comments) == ["GCC [SUSE]", "clang [Cray]"]
+
+
+class TestLibraryTagDerivation:
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("/lib64/libpthread.so.0", "pthread"),
+            ("/opt/cray/pe/libsci/23.12/lib/libsci_cray.so.6", "libsci-cray"),
+            ("/opt/rocm-6.0.3/lib/librocfft.so.0", "rocfft-rocm-fft"),
+            ("/opt/rocm-6.0.3/lib/librocblas.so.4", "rocm-blas"),
+            ("/opt/rocm-6.0.3/lib/libMIOpen.so.1", "MIOpen-rocm"),
+            ("/opt/cray/pe/hdf5-parallel/1.12/lib/libhdf5_fortran_parallel.so.310",
+             "hdf5-fortran-parallel-cray"),
+            ("/usr/lib64/libdrm_amdgpu.so.1", "amdgpu-drm"),
+            ("/appl/local/siren/lib/siren.so", "siren"),
+            ("/project/project_465000300/climatedt/lib/libclimatedt_yaml.so.2",
+             "climatedt-yaml"),
+            ("/appl/spack/v0.21/opt/openblas-0.3.24/lib/libopenblas.so.0", "blas-spack"),
+            ("/lib64/libc.so.6", None),
+            ("/lib64/libtinfo.so.6", None),
+        ],
+    )
+    def test_known_paths(self, path, expected):
+        assert derive_library_tag(path) == expected
+
+    def test_tag_order_follows_substring_catalog(self):
+        tag = derive_library_tag("/opt/rocm/lib/librocfft.so")
+        parts = tag.split("-")
+        indices = [LIBRARY_SUBSTRINGS.index(part) for part in parts]
+        assert indices == sorted(indices)
+
+    def test_substring_list_matches_paper(self):
+        assert LIBRARY_SUBSTRINGS[0] == "libsci"
+        assert LIBRARY_SUBSTRINGS[-1] == "siren"
+        assert "MIOpen" in LIBRARY_SUBSTRINGS
+        assert len(LIBRARY_SUBSTRINGS) == 34
 
 
 class TestCompilerAnalysis:

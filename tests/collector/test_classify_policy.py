@@ -5,11 +5,12 @@ from unittest import mock
 import pytest
 
 from repro.collector.classify import (
+    SYSTEM_DIRECTORIES,
     ExecutableCategory,
     classify_executable,
-    classify_process,
     extract_script_path,
     is_python_interpreter,
+    is_system_path,
 )
 from repro.collector.hooks import SirenCollector
 from repro.collector.policy import TABLE_1, should_collect_rank
@@ -21,6 +22,21 @@ from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.transport.sender import UDPSender
+
+
+class TestSystemPathClassification:
+    @pytest.mark.parametrize("path", ["/usr/bin/bash", "/lib/libc.so", "/opt/cray/pe/x",
+                                      "/etc/passwd", "/var/log/messages", "/sbin/init"])
+    def test_system_paths(self, path):
+        assert is_system_path(path)
+
+    @pytest.mark.parametrize("path", ["/project/p/user/lmp", "/users/alice/a.out",
+                                      "/scratch/p/run/model.x", "/appl/local/tool"])
+    def test_user_paths(self, path):
+        assert not is_system_path(path)
+
+    def test_all_paper_directories_covered(self):
+        assert len(SYSTEM_DIRECTORIES) == 11
 
 
 class TestClassification:
@@ -48,10 +64,6 @@ class TestClassification:
         assert not is_python_interpreter("/usr/bin/python-config")
         assert not is_python_interpreter("/usr/bin/pythonista2")
         assert is_python_interpreter("/usr/bin/python3.6")
-
-    def test_classify_process_ignores_argv(self):
-        assert classify_process("/usr/bin/bash", ("/usr/bin/bash", "script.py")) \
-            is ExecutableCategory.SYSTEM
 
 
 class TestExtractScriptPath:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.collector.classify import is_system_path
 from repro.corpus.libraries import LIBRARY_BY_KEY
 from repro.corpus.packages import ICON, LAMMPS, PACKAGES, PACKAGES_BY_NAME
 from repro.corpus.python_env import (
@@ -14,7 +15,6 @@ from repro.corpus.python_env import (
 )
 from repro.corpus.system_tools import SYSTEM_TOOLS, SYSTEM_TOOLS_BY_NAME
 from repro.corpus.toolchains import TOOLCHAINS
-from repro.hpcsim.filesystem import is_system_path
 
 
 class TestPackageSpecs:

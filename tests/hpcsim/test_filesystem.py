@@ -2,28 +2,8 @@
 
 import pytest
 
-from repro.hpcsim.filesystem import (
-    SYSTEM_DIRECTORIES,
-    VirtualFilesystem,
-    is_system_path,
-    normalize_path,
-)
+from repro.hpcsim.filesystem import VirtualFilesystem, normalize_path
 from repro.util.errors import SimulationError
-
-
-class TestSystemPathClassification:
-    @pytest.mark.parametrize("path", ["/usr/bin/bash", "/lib/libc.so", "/opt/cray/pe/x",
-                                      "/etc/passwd", "/var/log/messages", "/sbin/init"])
-    def test_system_paths(self, path):
-        assert is_system_path(path)
-
-    @pytest.mark.parametrize("path", ["/project/p/user/lmp", "/users/alice/a.out",
-                                      "/scratch/p/run/model.x", "/appl/local/tool"])
-    def test_user_paths(self, path):
-        assert not is_system_path(path)
-
-    def test_all_paper_directories_covered(self):
-        assert len(SYSTEM_DIRECTORIES) == 11
 
 
 class TestNormalizePath:

@@ -1,11 +1,6 @@
 """Tests for the /proc/<pid>/maps simulation."""
 
-from repro.hpcsim.memmap import (
-    MemoryRegion,
-    build_memory_map,
-    parse_mapped_paths,
-    render_memory_map,
-)
+from repro.hpcsim.memmap import MemoryRegion, build_memory_map, render_memory_map
 
 
 class TestMemoryRegionRendering:
@@ -46,18 +41,3 @@ class TestBuildMemoryMap:
         regions = build_memory_map("/usr/bin/x", 4096, 1, [])
         assert regions[0].start == 0x400000
 
-
-class TestParseMappedPaths:
-    def test_extracts_unique_file_paths(self):
-        regions = build_memory_map("/usr/bin/x", 4096, 1,
-                                   [("/lib64/libc.so.6", 100, 2), ("/lib64/libm.so.6", 100, 3)])
-        paths = parse_mapped_paths(render_memory_map(regions))
-        assert paths == ["/usr/bin/x", "/lib64/libc.so.6", "/lib64/libm.so.6"]
-
-    def test_skips_pseudo_paths(self):
-        regions = build_memory_map("/usr/bin/x", 4096, 1, [])
-        paths = parse_mapped_paths(render_memory_map(regions))
-        assert all(not path.startswith("[") for path in paths)
-
-    def test_handles_garbage_lines(self):
-        assert parse_mapped_paths("not a maps line\n\n") == []

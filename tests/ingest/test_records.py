@@ -25,6 +25,7 @@ from repro.ingest.records import (
     expected_types_for,
     extract_python_packages,
     package_from_mapped_path,
+    parse_mapped_paths,
 )
 from repro.transport.chunking import reassemble_chunks
 from repro.transport.messages import UDPMessage
@@ -100,6 +101,22 @@ class TestReassembleShortcut:
             (*_KEY, *pair, index, chunk_total, content) for index, content in chunks.items()])
         reference = reassemble_chunks(chunks, max(chunk_total, 1))
         assert (record.modules, whole) == (reference.content, reference.complete)
+
+
+class TestParseMappedPaths:
+    def test_extracts_unique_file_paths(self):
+        regions = build_memory_map("/usr/bin/x", 4096, 1,
+                                   [("/lib64/libc.so.6", 100, 2), ("/lib64/libm.so.6", 100, 3)])
+        paths = parse_mapped_paths(render_memory_map(regions))
+        assert paths == ["/usr/bin/x", "/lib64/libc.so.6", "/lib64/libm.so.6"]
+
+    def test_skips_pseudo_paths(self):
+        regions = build_memory_map("/usr/bin/x", 4096, 1, [])
+        paths = parse_mapped_paths(render_memory_map(regions))
+        assert all(not path.startswith("[") for path in paths)
+
+    def test_handles_garbage_lines(self):
+        assert parse_mapped_paths("not a maps line\n\n") == []
 
 
 class TestPackageFromMappedPath:

@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import fields
 
-from repro.collector.classify import ExecutableCategory, classify_process, is_python_interpreter
+from repro.collector.classify import ExecutableCategory, classify_executable, is_python_interpreter
 from repro.collector.policy import TABLE_1, should_collect_rank
 from repro.collector.records import InfoType, Layer
 from repro.db.store import ProcessKey, ProcessRecord
@@ -68,7 +68,7 @@ class GroundTruthLedger:
         if not should_collect_rank(context.slurm_procid):
             return
         executable = context.executable
-        category = classify_process(executable, context.argv)
+        category = classify_executable(executable)
         sends = TABLE_1[category]
         content = self.filesystem.read(executable)
         elf = ELFFile(content) if is_elf(content) else None

@@ -13,7 +13,10 @@ tests and benchmarks none but what ``requirements-test.txt`` (CI's install
 list) names -- an undeclared ``networkx`` import once stopped CI's tier-1.
 ``reachable``: every public function, class and method of the package is
 named somewhere the system runs from -- the package, the examples, the
-benchmarks or the scripts -- not only in ``tests/``.
+benchmarks or the scripts -- not only in ``tests/``.  ``layers``: no SIREN
+module imports the substrate that stands in for the supercomputer, but
+through the edges :data:`CROSSINGS` names -- the analysis once labelled
+Table 6 with the corpus's own toolchain table.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import importlib.util
 import re
 import sys
 from collections import defaultdict
@@ -33,6 +37,9 @@ from repro.workload.campaign import CampaignConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
+_spec = importlib.util.spec_from_file_location("surface", REPO_ROOT / "scripts" / "surface.py")
+surface = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(surface)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +196,54 @@ def dependencies(tree: ast.Module, module: str) -> list[str]:
     return found
 
 
+# -------------------------------------------------------------------- layers #
+#: The SIREN -> substrate imports that are left, each for its reason.
+CROSSINGS = {
+    ("repro.core.framework", "repro.hpcsim.cluster"):
+        "the one adapter: deploy() hooks the collector onto a Cluster",
+    ("repro.collector.hooks", "repro.hpcsim.filesystem"):
+        "the collector reads executables through VirtualFilesystem until its process protocol",
+    ("repro.collector.hooks", "repro.hpcsim.process"):
+        "the hook takes a ProcessContext until the collector's process protocol",
+    ("repro.collector.fuzzy", "repro.hpcsim.filesystem"):
+        "ArtifactHasher's path tier keys on VirtualFile.version, which stat does not carry",
+}
+MODULES = frozenset(surface.module_paths(SRC))
+
+
+def _crossings(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """``(line, substrate module)`` of each import of the substrate by the
+    SIREN module ``module``; a name imported from a module is that module."""
+    if surface.LAYERS.get(surface.package_of(module)) != "SIREN":
+        return []
+    found = []
+    for node in ast.walk(tree):
+        targets = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [name if name in MODULES else node.module for name in
+                         (f"{node.module}.{alias.name}" for alias in node.names)]
+                   if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+        found += [(node.lineno, target) for target in dict.fromkeys(targets)
+                  if surface.LAYERS.get(surface.package_of(target)) == "substrate"]
+    return found
+
+
+def layers(tree: ast.Module, module: str) -> list[str]:
+    """Imports of a substrate module (:data:`surface.LAYERS`) by a SIREN
+    one, but for :data:`CROSSINGS`.  The substrate may import SIREN."""
+    return [f"{module}:{line} imports {target} (substrate)"
+            for line, target in _crossings(tree, module)
+            if (module, target) not in CROSSINGS]
+
+
+def stale_crossings(trees: dict[str, ast.Module]) -> list[str]:
+    """Entries of :data:`CROSSINGS` that no module still imports: the list
+    can only shrink."""
+    used = {(module, target) for module, tree in trees.items()
+            for _, target in _crossings(tree, module)}
+    return [f"{module} -> {target}" for module, target in CROSSINGS
+            if (module, target) not in used]
+
+
 # ----------------------------------------------------------------- reachable #
 #: Where a name counts as reached: the non-``__init__`` files under these
 #: roots.  An ``__init__`` only re-exports, and ``tests/`` is not the system.
@@ -317,7 +372,7 @@ def counter_drift(trees: dict[str, ast.Module]) -> list[str]:
 
 
 # --------------------------------------------------------------------- tests #
-@pytest.mark.parametrize("check", [determinism, concurrency, dependencies, reachable])
+@pytest.mark.parametrize("check", [determinism, concurrency, dependencies, layers, reachable])
 def test_shipped_tree_is_clean(trees, check):
     assert len(trees) >= 80
     assert [line for module, tree in trees.items() for line in check(tree, module)] == []
@@ -355,6 +410,16 @@ VIOLATIONS = {
     "worker import": (concurrency, "from concurrent.futures import ProcessPoolExecutor\n"),
     "undeclared dependency": (dependencies, "import os\nimport networkx as nx\n"),
     "test-only dependency": (dependencies, "def f():\n    from hypothesis import given\n"),
+    "analysis reads the corpus": (layers, ("repro.analysis.compilers", "from repro.db.store",
+                                           "from repro.corpus.toolchains import TOOLCHAINS\n"
+                                           "from repro.db.store")),
+    "collector reads the simulator": (layers, ("repro.collector.classify", "from enum import Enum\n",
+                                               "from enum import Enum\n\n"
+                                               "from repro.hpcsim import filesystem\n")),
+    "ingest reads the simulator": (layers, ("repro.ingest.records", "from repro.transport.chunking",
+                                            "import repro.hpcsim.memmap\n"
+                                            "from repro.transport.chunking")),
+    "SIREN builds executables": (layers, "from repro.elf import builder, reader\n"),
     "unreached method": (reachable, ("repro.util.tables", "    def add_row(",
                                      "    def never_called(self):\n        pass\n\n"
                                      "    def add_row(")),
@@ -398,6 +463,10 @@ def test_each_rule_fires_on_one_violation(trees, check, source):
      "repro.fixture"),
     (dependencies, "import pytest\nfrom hypothesis import given\nfrom oracles.wire import encode\n",
      "tests.transport.fixture"),
+    (layers, "from repro.elf.reader import ELFFile\n", "repro.hpcsim.dynlinker"),
+    (layers, "from repro.hpcsim.cluster import Cluster\n", "repro.core.framework"),
+    (layers, "from repro.workload import DeploymentCampaign\n", "repro"),
+    (layers, "from repro.elf import reader, structures\n", "repro.collector.fixture"),
     (reachable, "def build_tiered_store(kind):\n    return kind\n", "repro.db.tiered"),
     (reachable, "def audit_python_packages(records):\n    return records\n",
      "repro.analysis.pythonpkgs"),
@@ -411,11 +480,25 @@ def test_each_rule_fires_on_one_violation(trees, check, source):
     (reachable, "def orphan_helper():\n    pass\n", "tests.fixture"),
 ], ids=["seeded-and-monotonic", "out-of-scope-random", "counted-except",
         "out-of-scope-except", "cleared-cache", "read-only-table", "runtime-dependency",
-        "test-dependency", "reached-from-the-benchmark", "reached-from-an-example",
+        "test-dependency", "substrate-reads-siren", "allowed-crossing", "exempt-re-export",
+        "siren-half-of-elf", "reached-from-the-benchmark", "reached-from-an-example",
         "unreached-on-purpose", "reached-from-a-script", "reached-from-another-module",
         "reached-in-its-own-module", "private-name", "dunder-method", "outside-the-package"])
 def test_allowed_forms_pass(check, source, module):
     assert check(ast.parse(source), module) == []
+
+
+def test_every_module_is_on_one_side_of_the_line(trees):
+    assert {surface.package_of(module) for module in trees} == set(surface.LAYERS)
+    assert [module for module in trees
+            if surface.package_of(module) == "repro" and module != "repro"] == []
+
+
+def test_every_allowed_crossing_is_still_needed(trees):
+    assert stale_crossings(trees) == []
+    unhooked = _mutated(trees, "repro.core.framework",
+                        "from repro.hpcsim.cluster import Cluster\n", "")
+    assert stale_crossings(unhooked) == ["repro.core.framework -> repro.hpcsim.cluster"]
 
 
 def test_every_knob_is_read(trees):

@@ -10,19 +10,14 @@ the renderer writes for each kind of entry.
 from __future__ import annotations
 
 import ast
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from test_repo_invariants import _mutated, trees  # noqa: F401  (trees: the shipped-tree fixture)
+from test_repo_invariants import _mutated, surface, trees  # noqa: F401  (trees: a fixture)
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "surface.py"
-_spec = importlib.util.spec_from_file_location("surface", _SCRIPT)
-surface = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(surface)
+_SCRIPT = surface.__file__
 _COMMITTED = surface.MANIFEST.read_text(encoding="utf-8")
 
 
