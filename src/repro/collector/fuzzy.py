@@ -28,13 +28,23 @@ List hashes are memoised by content in an LRU of :data:`LIST_CACHE_ENTRIES`
 (the same module and library lists recur for thousands of processes), and
 the xxHash of the executable path that every datagram header carries in a
 memo of :data:`PATH_HASH_ENTRIES`.  Every tier is always on.
+
+A process start asks once: :meth:`ArtifactHasher.start_hashes` takes every
+list, the executable and the script the start needs a digest of, answers
+what it can from the tiers and hashes all the misses in one
+:meth:`~repro.hashing.ssdeep.FuzzyHasher.hash_many` batch, so a freshly
+built binary pays the engine's fixed cost once, not once per digest.
+``executable_hashes``, ``script_hash`` and ``list_hash`` are its one-item
+cases.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from typing import Any
 
 from repro.elf.reader import ELFFile, is_elf
 from repro.elf.strings import strings_blob
@@ -62,6 +72,43 @@ class ExecutableHashes:
     file_hash: str
     strings_hash: str
     symbols_hash: str | None
+
+
+@dataclass(frozen=True)
+class StartHashes:
+    """What :meth:`ArtifactHasher.start_hashes` answers, item by item.
+
+    An item is ``None`` when it was not asked for, and the exception it
+    raised when it could not be made; :func:`result_of` turns an item back
+    into its value or raises that exception.
+    """
+
+    lists: list[str | Exception]
+    executable: ExecutableHashes | Exception | None
+    script: str | Exception | None
+
+
+def result_of(item):
+    """The value of a :class:`StartHashes` item; raises the exception it failed with."""
+    if isinstance(item, Exception):
+        raise item
+    return item
+
+
+#: A cache step: yields the payloads it misses on once, receives their
+#: digests, and returns the item's answer.
+_Step = Generator[list[bytes], list[str], Any]
+
+
+def _advance(answers: list[Any], index: int, step: _Step, digests: list[str] | None):
+    """Run ``step`` to its payload request (returned) or its answer (kept)."""
+    try:
+        return step.send(digests)
+    except StopIteration as done:
+        answers[index] = done.value
+    except Exception as error:  # noqa: BLE001 - one item's failure is its answer
+        answers[index] = error
+    return None
 
 
 def _content_key(content: bytes) -> tuple[int, bytes]:
@@ -97,10 +144,57 @@ class ArtifactHasher:
     _path_hashes: dict[str, str] = field(init=False, default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    # executables
+    # one process start
     # ------------------------------------------------------------------ #
+    def start_hashes(self, lists: Sequence[str] = (), executable: str | None = None,
+                     script: str | None = None) -> StartHashes:
+        """Every digest one process start needs; whatever misses is hashed in one batch.
+
+        ``lists`` are collected lists' texts, ``executable`` and ``script``
+        paths (``None``: not needed).  Each item is looked up in the cache
+        tiers of its kind and counted once, in ``hashes_computed``,
+        ``cache_hits`` or ``content_cache_hits``; every payload the items
+        miss on goes to one :meth:`FuzzyHasher.hash_many` call.  An item that
+        fails -- its file cannot be read, say -- comes back as the exception
+        it raised, and the other items are still answered.
+        """
+        steps = [None if executable is None else self._executable_step(executable),
+                 None if script is None else self._script_step(script),
+                 *map(self._list_step, lists)]
+        answers: list[Any] = [None] * len(steps)
+        waiting: list[tuple[int, int, int]] = []    # (step, first payload, payloads)
+        payloads: list[bytes] = []
+        for index, step in enumerate(steps):
+            if step is not None and (wanted := _advance(answers, index, step, None)):
+                waiting.append((index, len(payloads), len(wanted)))
+                payloads.extend(wanted)
+        if waiting:
+            try:
+                digests = self.hasher.hash_many(payloads)
+            except Exception as error:  # noqa: BLE001 - each item's failure is its answer
+                for index, _, _ in waiting:
+                    answers[index] = error
+            else:
+                for index, first, count in waiting:
+                    _advance(answers, index, steps[index], digests[first:first + count])
+        executable_hashes, script_hash, *list_hashes = answers
+        return StartHashes(list_hashes, executable_hashes, script_hash)
+
     def executable_hashes(self, path: str) -> ExecutableHashes:
         """FILE_H / STRINGS_H / SYMBOLS_H for the executable at ``path``."""
+        return result_of(self.start_hashes(executable=path).executable)
+
+    def script_hash(self, path: str) -> str:
+        """Fuzzy hash of a (Python) script file."""
+        return result_of(self.start_hashes(script=path).script)
+
+    def list_hash(self, items: list[str] | str) -> str:
+        """Fuzzy hash of a collected list (modules, objects, compilers, maps)."""
+        text = items if isinstance(items, str) else "\n".join(items)
+        return result_of(self.start_hashes([text]).lists[0])
+
+    # -- the steps: each looks its item up, or asks for payloads ---------- #
+    def _executable_step(self, path: str) -> _Step:
         vfile = self.filesystem.get(path)
         version = vfile.version
         entry = self._exe_cache.get(path)
@@ -118,21 +212,18 @@ class ArtifactHasher:
 
         strings = strings_blob(content).encode("utf-8")
         try:
-            symbols: bytes | None = (nm_listing(ELFFile(content)).encode("utf-8")
-                                     if is_elf(content) else b"")
+            symbols = [nm_listing(ELFFile(content)).encode("utf-8") if is_elf(content) else b""]
         except ELFError:
-            symbols = None
-        result = ExecutableHashes(
-            file_hash=self.hasher.hash(content),
-            strings_hash=self.hasher.hash(strings),
-            symbols_hash=None if symbols is None else self.hasher.hash(symbols))
+            symbols = []                   # an unparseable symbol table: no SYMBOLS_H
+        file_hash, strings_hash, *symbols_hash = yield [content, strings, *symbols]
+        result = ExecutableHashes(file_hash=file_hash, strings_hash=strings_hash,
+                                  symbols_hash=symbols_hash[0] if symbols_hash else None)
         self.hashes_computed += 1
         self._exe_cache[path] = (version, result)
         self._exe_content_cache[ckey] = result
         return result
 
-    def script_hash(self, path: str) -> str:
-        """Fuzzy hash of a (Python) script file."""
+    def _script_step(self, path: str) -> _Step:
         vfile = self.filesystem.get(path)
         version = vfile.version
         entry = self._script_cache.get(path)
@@ -153,30 +244,24 @@ class ArtifactHasher:
             self._script_cache[path] = (version, cached)
             return cached
 
-        digest = self.hasher.hash(content)
+        (digest,) = yield [content]
         self.hashes_computed += 1
         self._script_cache[path] = (version, digest)
         self._script_content_cache[ckey] = digest
         return digest
 
-    # ------------------------------------------------------------------ #
-    # lists
-    # ------------------------------------------------------------------ #
-    def list_hash(self, items: list[str] | str) -> str:
-        """Fuzzy hash of a collected list (modules, objects, compilers, maps).
-
-        The same list contents recur for thousands of processes (every ``bash``
-        in the same environment loads the same objects), so results are
-        memoised by content in an LRU bounded at :data:`LIST_CACHE_ENTRIES`
-        entries -- once full, the least recently used entry is evicted.
-        """
-        text = items if isinstance(items, str) else "\n".join(items)
+    def _list_step(self, text: str) -> _Step:
+        # The same list contents recur for thousands of processes (every
+        # ``bash`` in the same environment loads the same objects), so
+        # results are memoised by content in an LRU bounded at
+        # LIST_CACHE_ENTRIES entries: once full, the least recently used
+        # entry is evicted.
         cached = self._list_cache.get(text)
         if cached is not None:
             self.cache_hits += 1
             self._list_cache.move_to_end(text)
             return cached
-        digest = self.hasher.hash_text(text)
+        (digest,) = yield [text.encode("utf-8")]
         self.hashes_computed += 1
         self._list_cache[text] = digest
         if len(self._list_cache) > LIST_CACHE_ENTRIES:

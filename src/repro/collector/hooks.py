@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.collector.classify import (
     classify_executable,
     extract_script_path,
     is_python_interpreter,
 )
-from repro.collector.fuzzy import ArtifactHasher
+from repro.collector.fuzzy import ArtifactHasher, ExecutableHashes, result_of
 from repro.collector.policy import TABLE_1, should_collect_rank
 from repro.collector.records import InfoType, Layer, format_keyvalues
 from repro.elf.reader import ELFFile, is_elf
@@ -63,32 +64,48 @@ class SirenCollector:
     # constructor
     # ------------------------------------------------------------------ #
     def on_process_start(self, context: ProcessContext) -> None:
-        """Collect and send every section Table 1 lists for this process."""
+        """Collect and send every section Table 1 lists for this process.
+
+        The collected lists are gathered first, so that one
+        :meth:`~repro.collector.fuzzy.ArtifactHasher.start_hashes` call
+        answers every digest the start needs -- each list's, the
+        executable's three and the input script's -- and hashes whatever
+        misses in one batch; the sections then go out in Table 1's order.
+        """
         if not should_collect_rank(context.slurm_procid):
             self.processes_skipped += 1
             return
-        category = classify_executable(context.executable)
+        path = context.executable
+        category = classify_executable(path)
         sends = TABLE_1[category]
         sections: list[Section] = [(Layer.SELF, InfoType.PROCINFO, format_keyvalues({
             "pid": context.pid, "ppid": context.ppid, "uid": context.uid,
-            "gid": context.gid, "exe": context.executable, "category": category.value,
+            "gid": context.gid, "exe": path, "category": category.value,
         }))]
-
         if InfoType.FILEMETA in sends:
             self._guard(sections, lambda: (
-                Layer.SELF, InfoType.FILEMETA, self._file_metadata(context.executable)))
-        self._list_sections(sections, sends, _OBJECTS,
-                            lambda: "\n".join(context.loaded_objects))
-        self._list_sections(sections, sends, _MODULES, lambda: context.loaded_modules)
-        if _COMPILERS[0] in sends or _COMPILERS[1] in sends:
-            self._guard(sections, lambda: self._compiler_sections(context, sends))
-        self._list_sections(sections, sends, _MAPS, context.maps_text)
-        if not _EXECUTABLE_HASHES.isdisjoint(sends):
-            self._guard(sections, lambda: self._executable_hash_sections(context, sends))
+                Layer.SELF, InfoType.FILEMETA, self._file_metadata(path)))
 
-        # Python input script (the SCRIPT layer) --------------------------- #
-        if is_python_interpreter(context.executable):
-            self._guard(sections, lambda: self._script_sections(context))
+        lists = self._collected_lists(context, sends)
+        script = (self._attempt(lambda: self._script_path(context))
+                  if is_python_interpreter(path) else None)
+        hashes = self.hasher.start_hashes(
+            [text for (_, hash_type), text in lists if hash_type in sends],
+            None if _EXECUTABLE_HASHES.isdisjoint(sends) else path,
+            script if InfoType.FILE_H in TABLE_1[Layer.SCRIPT] else None)
+
+        digests = iter(hashes.lists)
+        for (info_type, hash_type), text in lists:
+            if info_type in sends:
+                sections.append((Layer.SELF, info_type, text))
+            if hash_type in sends:
+                digest = next(digests)
+                self._guard(sections, lambda: (Layer.SELF, hash_type, result_of(digest)))
+        if hashes.executable is not None:
+            self._guard(sections, lambda: self._executable_hash_sections(
+                result_of(hashes.executable), sends))
+        if script is not None:
+            self._guard(sections, lambda: self._script_sections(script, hashes.script))
 
         self.sender.send(self._wire_header(context), sections)
         self.processes_collected += 1
@@ -114,51 +131,54 @@ class SirenCollector:
                            self.hasher.path_hash(context.executable),
                            context.hostname, context.start_time)
 
-    def _guard(self, sections: list[Section], producer) -> None:
-        """Run one collection section; on failure count it and move on."""
+    def _attempt(self, producer: Callable[[], Any]) -> Any:
+        """Run one collection step; on failure count it and return ``None``."""
         try:
-            result = producer()
+            return producer()
         except Exception:  # noqa: BLE001 - graceful degradation by design
             self.section_errors += 1
-            return
+            return None
+
+    def _guard(self, sections: list[Section], producer) -> None:
+        """Run one collection section; on failure count it and move on."""
+        result = self._attempt(producer)
         if isinstance(result, list):
             sections.extend(result)
-        else:
+        elif result is not None:
             sections.append(result)
 
-    def _list_sections(self, sections: list[Section], sends: tuple[InfoType, ...],
-                       pair: tuple[InfoType, InfoType], text: Callable[[], str]) -> None:
-        """A collected list and its fuzzy hash, each where ``sends`` lists it."""
-        info_type, hash_type = pair
-        if info_type not in sends and hash_type not in sends:
-            return
-        content = text()
-        if info_type in sends:
-            sections.append((Layer.SELF, info_type, content))
-        if hash_type in sends:
-            self._guard(sections, lambda: (
-                Layer.SELF, hash_type, self.hasher.list_hash(content)))
+    def _collected_lists(self, context: ProcessContext, sends: tuple[InfoType, ...]
+                         ) -> list[tuple[tuple[InfoType, InfoType], str]]:
+        """Each collected list whose section or hash ``sends`` lists, with its text.
+
+        The compiler list is the executable's ``.comment`` strings: there is
+        none for an image that is not ELF, and a lost section for one that
+        cannot be read or parsed.
+        """
+        lists = []
+        for pair, text in ((_OBJECTS, lambda: "\n".join(context.loaded_objects)),
+                           (_MODULES, lambda: context.loaded_modules),
+                           (_COMPILERS, lambda: self._comment_strings(context.executable)),
+                           (_MAPS, context.maps_text)):
+            if pair[0] in sends or pair[1] in sends:
+                content = self._attempt(text) if pair is _COMPILERS else text()
+                if content is not None:
+                    lists.append((pair, content))
+        return lists
 
     def _file_metadata(self, path: str) -> str:
         metadata = self.filesystem.stat(path)
         return format_keyvalues(metadata.as_dict())
 
-    def _compiler_sections(self, context: ProcessContext,
-                           sends: tuple[InfoType, ...]) -> list[Section]:
-        content = self.filesystem.read(context.executable)
+    def _comment_strings(self, path: str) -> str | None:
+        """The executable's ``.comment`` strings, ``;``-joined; ``None`` if not ELF."""
+        content = self.filesystem.read(path)
         if not is_elf(content):
-            return []
-        comments = ";".join(ELFFile(content).comment_strings())
-        sections: list[Section] = []
-        if InfoType.COMPILERS in sends:
-            sections.append((Layer.SELF, InfoType.COMPILERS, comments))
-        if InfoType.COMPILERS_H in sends:
-            sections.append((Layer.SELF, InfoType.COMPILERS_H, self.hasher.list_hash(comments)))
-        return sections
+            return None
+        return ";".join(ELFFile(content).comment_strings())
 
-    def _executable_hash_sections(self, context: ProcessContext,
+    def _executable_hash_sections(self, hashes: ExecutableHashes,
                                   sends: tuple[InfoType, ...]) -> list[Section]:
-        hashes = self.hasher.executable_hashes(context.executable)
         sections: list[Section] = []
         if InfoType.FILE_H in sends:
             sections.append((Layer.SELF, InfoType.FILE_H, hashes.file_hash))
@@ -172,18 +192,24 @@ class SirenCollector:
                 sections.append((Layer.SELF, InfoType.SYMBOLS_H, hashes.symbols_hash))
         return sections
 
-    def _script_sections(self, context: ProcessContext) -> list[Section]:
+    def _script_path(self, context: ProcessContext) -> str | None:
+        """The interpreter's input script, if it names a file this hook can open.
+
+        A relative argv word (``app -input run.in``) names no file this hook
+        can open: no script, not a failed section.
+        """
         script = context.python_script or extract_script_path(context.argv)
-        # A relative argv word (``app -input run.in``) names no file this
-        # hook can open: no script, not a failed section.
         if not script or not script.startswith("/") or not self.filesystem.exists(script):
-            return []
+            return None
+        return script
+
+    def _script_sections(self, script: str, digest: str | Exception | None) -> list[Section]:
+        """The SCRIPT layer; a script digest that failed loses the whole layer."""
         sends = TABLE_1[Layer.SCRIPT]
         sections: list[Section] = [
             (Layer.SCRIPT, InfoType.PROCINFO, format_keyvalues({"script": script}))]
         if InfoType.FILEMETA in sends:
             sections.append((Layer.SCRIPT, InfoType.FILEMETA, self._file_metadata(script)))
         if InfoType.FILE_H in sends:
-            sections.append((Layer.SCRIPT, InfoType.FILE_H,
-                             self.hasher.script_hash(script)))
+            sections.append((Layer.SCRIPT, InfoType.FILE_H, result_of(digest)))
         return sections

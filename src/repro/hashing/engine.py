@@ -1,4 +1,4 @@
-"""One-shot CTPH engine: one scan of the payload, one block-size decision.
+"""One-shot CTPH engine: one scan of a batch, one block-size decision per payload.
 
 Fuzzy-hashing an executable is the cold start of every freshly built binary,
 so this module computes ssdeep-style digests with as little per-call and
@@ -27,6 +27,10 @@ steps).  Three consequences drive the design:
 3. *The scan is chunk-parallel.*  A slice of the payload can be scanned
    given just the 6 bytes before it, so long payloads are walked in
    ``_SCAN_SLICE`` slices and temporaries stay bounded.
+4. *A batch is one stream.*  Payloads joined, each after the 6 zero bytes
+   the reference's window starts with, roll exactly as they roll alone, so
+   the digests a process start needs share one scan and one piece-hash
+   pass: the fixed cost of the numpy calls is paid once per batch.
 
 The scan builds ``h3`` by doubling (three shift-xors), adds ``h1 + h2`` in
 place, and tests divisibility by the odd part of ``min_bs`` by multiplying
@@ -39,15 +43,16 @@ piece hash mod 64, and ``(h * P) ^ byte`` mod 64 needs only ``h`` mod 64.
 bit *i* of the byte, xor a function of the state bits *below* i: the six bits
 are solved lowest first, each as a prefix parity over the whole payload that
 restarts at the piece boundaries (:func:`_hash_slice_numpy`).  Both
-signatures go through one kernel call, as two stacked rows.  Short payloads
-(under ``_KERNEL_MIN_BYTES``) take the scalar :func:`_piece_hashes` loop
-instead, one lookup in a 64 x 256 transition table per byte.
+signatures of every payload of a batch go through one kernel call, as two
+stacked rows over the stream.  Short batches (under ``_KERNEL_MIN_BYTES`` in
+all) take the scalar :func:`_piece_hashes` loop instead, one lookup in a
+64 x 256 transition table per byte.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,51 +69,101 @@ _SCAN_SLICE = 1 << 22
 _MASK32 = 0xFFFFFFFF
 
 
-def fuzzy_digest(data: bytes, min_block_size: int,
-                 signature_length: int) -> tuple[int, str, str]:
-    """``(block_size, sig1, sig2)`` of ``data``: one scan, one decision.
+def fuzzy_digests(payloads: Sequence[bytes], min_block_size: int,
+                  signature_length: int) -> list[tuple[int, str, str]]:
+    """``(block_size, sig1, sig2)`` of each payload: one scan, one piece-hash pass.
+
+    The batch is digested as one stream: every payload follows the
+    ``ROLLING_WINDOW - 1`` zero bytes the reference's rolling window starts
+    with, so each position rolls exactly the bytes it rolls when its payload
+    is hashed alone.  One trigger scan covers the stream, each payload's
+    block size is decided from its own window of the keys, and every
+    payload's two signatures are the two rows of one piece-hash pass: a row
+    ends a piece on the last zero byte before each payload (that piece is
+    dropped) and on the payload's last byte (its final piece).
 
     :class:`~repro.hashing.ssdeep.FuzzyHasher` passes ssdeep's geometry
     (:data:`~repro.hashing.ssdeep.MIN_BLOCKSIZE`,
     :data:`~repro.hashing.ssdeep.SPAMSUM_LENGTH`); the parameters stay so the
     tests can sweep other geometries against the per-byte oracle.
     """
-    length = len(data)
-    if not length:
-        return min_block_size, "", ""
-    # Smallest block size whose expected signature fits the budget, then
-    # halve while the primary signature would come out too short.  A level's
-    # signature is min(count, sl - 1) characters plus the final piece.
-    level = 0
-    block_size = min_block_size
-    while block_size * signature_length < length:
-        block_size *= 2
-        level += 1
-    cap1 = signature_length - 1
-    count, positions = _triggers(data, min_block_size)
-    while level > 0 and min(count(level), cap1) + 1 < signature_length // 2:
-        level -= 1
-        block_size //= 2
-    rows = (positions(level, cap1), positions(level + 1, signature_length // 2 - 1))
-    if length >= _KERNEL_MIN_BYTES:
-        hashes = _piece_hashes_numpy(data, rows)
+    if not any(payloads):
+        return [(min_block_size, "", "")] * len(payloads)
+    pad = bytes(ROLLING_WINDOW - 1)
+    stream = b"".join(chain.from_iterable((pad, data) for data in payloads))
+    keys, at_level = _trigger_keys(stream, min_block_size)
+    half = signature_length // 2
+    caps = (signature_length - 1, half - 1)
+    rows: tuple[list[int], list[int]] = ([], [])
+    plans: list[tuple[int, list[tuple[int, bool]]] | None] = []
+    start = len(pad)                       # the payload's first stream offset
+    for data in payloads:
+        length = len(data)
+        if not length:
+            plans.append(None)
+        else:
+            window = keys[start - len(pad):start - len(pad) + length]
+            # Smallest block size whose expected signature fits the budget,
+            # then halve while the primary signature would come out too
+            # short.  A level's signature is min(count, sl - 1) characters
+            # plus the final piece.
+            level = 0
+            block_size = min_block_size
+            while block_size * signature_length < length:
+                block_size *= 2
+                level += 1
+            while level > 0 and \
+                    min(int(np.count_nonzero(at_level(window, level))), caps[0]) + 1 < half:
+                level -= 1
+                block_size //= 2
+            last = start + length - 1
+            closes = []
+            for row, row_level, cap in zip(rows, (level, level + 1), caps):
+                ends = (np.flatnonzero(at_level(window, row_level))[:cap] + start).tolist()
+                # An end on the last byte leaves an empty final piece, whose
+                # hash is the initial state.
+                final = not ends or ends[-1] != last
+                row.append(start - 1)
+                row.extend(ends)
+                if final:
+                    row.append(last)
+                closes.append((len(ends), final))
+            plans.append((block_size, closes))
+        start += length + len(pad)
+    if sum(map(len, payloads)) >= _KERNEL_MIN_BYTES:
+        hashes = _piece_hashes_numpy(stream, rows)
     else:
-        hashes = [_piece_hashes(data, ends) for ends in rows]
-    sig1, sig2 = ("".join([B64_ALPHABET[h] for h in row]) for row in hashes)
-    return block_size, sig1, sig2
+        hashes = [_piece_hashes(stream, ends) for ends in rows]
+    pieces = [iter(row) for row in hashes]
+    digests: list[tuple[int, str, str]] = []
+    for plan in plans:
+        if plan is None:
+            digests.append((min_block_size, "", ""))
+            continue
+        block_size, closes = plan
+        sigs = []
+        for piece, (count, final) in zip(pieces, closes):
+            next(piece)                    # the zero bytes before the payload
+            chars = list(islice(piece, count + final))
+            if not final:
+                chars.append(_INIT6)
+            sigs.append("".join([B64_ALPHABET[h] for h in chars]))
+        digests.append((block_size, *sigs))
+    return digests
 
 
 # ---------------------------------------------------------------------- #
 # trigger scan
 # ---------------------------------------------------------------------- #
-def _triggers(data: bytes, min_bs: int) -> tuple[Callable[[int], int],
-                                                 Callable[[int, int], list[int]]]:
-    """``count(level)`` and ``positions(level, cap)`` of the trigger stream.
+def _trigger_keys(stream: bytes, min_bs: int) -> tuple[np.ndarray, Callable[[np.ndarray, int], np.ndarray]]:
+    """Trigger keys of ``stream`` past its first ``ROLLING_WINDOW - 1`` bytes,
+    and ``at_level(keys, level)``, true where a position triggers at ``level``.
 
     A trigger at level ``k`` is a piece boundary at block size
-    ``min_bs * 2**k``; positions are stream offsets of the boundary's last
-    byte, ascending, at most ``cap`` of them.  Every slice is scanned once
-    and the level queries are answered from the kept key arrays.
+    ``min_bs * 2**k``.  ``keys[i]`` belongs to stream position
+    ``i + ROLLING_WINDOW - 1``; the stream is scanned once, in slices of at
+    most ``_SCAN_SLICE`` positions, and the level queries are answered from
+    the keys.
 
     ``min_bs = odd * 2**s``.  A slice's key array holds, per position, a
     value that is at least ``2**(base + k) - 1`` iff the position triggers at
@@ -121,36 +176,23 @@ def _triggers(data: bytes, min_bs: int) -> tuple[Callable[[int], int],
         base += 1
     if odd > 1:
         base += 1
-    length = len(data)
-    view = memoryview(data)
+    view = memoryview(stream)
+    size = len(stream) - (ROLLING_WINDOW - 1)
     stride = _SCAN_SLICE
-    keys = []
-    for start in range(0, length, stride):
-        context = view[max(0, start - (ROLLING_WINDOW - 1)):start]
-        buf = b"".join((bytes(ROLLING_WINDOW - 1 - len(context)), context,
-                        view[start:start + stride]))
-        key = _scan_slice_numpy(buf, odd)
-        if length > stride:
-            key = _POPCOUNT8[key.view(np.uint8)].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
-        keys.append(key)
+    if size <= stride:
+        keys = _scan_slice_numpy(view, odd)
+    else:
+        keys = np.empty(size, dtype=np.uint8)
+        for start in range(0, size, stride):
+            key = _scan_slice_numpy(view[start:start + ROLLING_WINDOW - 1 + stride], odd)
+            keys[start:start + len(key)] = \
+                _POPCOUNT8[key.view(np.uint8)].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
 
-    def at_level(key, level: int):
+    def at_level(window, level: int):
         exponent = base + level
-        return key >= (exponent if key.dtype == np.uint8 else (1 << exponent) - 1)
+        return window >= (exponent if window.dtype == np.uint8 else (1 << exponent) - 1)
 
-    def count(level: int) -> int:
-        return sum(int(np.count_nonzero(at_level(key, level))) for key in keys)
-
-    def positions(level: int, cap: int) -> list[int]:
-        found: list[int] = []
-        for index, key in enumerate(keys):
-            if len(found) >= cap:
-                break
-            hits = np.flatnonzero(at_level(key, level))[:cap - len(found)]
-            found.extend((hits + index * stride).tolist())
-        return found
-
-    return count, positions
+    return keys, at_level
 
 
 def _scan_slice_numpy(buf: bytes, odd: int):
@@ -204,7 +246,7 @@ _POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.
 
 
 # ---------------------------------------------------------------------- #
-# piece hashing (runs once, for the two selected signatures only)
+# piece hashing (once per batch, for each payload's two selected signatures)
 # ---------------------------------------------------------------------- #
 #: A signature character keeps only the low six bits of the piece hash, and
 #: ``(h * P) ^ byte`` taken mod 64 depends only on ``h``, ``P`` and ``byte``
@@ -220,11 +262,11 @@ _SHIFTED_STATES = [state << 8 for state in range(64)]
 _TRANSITIONS = [_SHIFTED_STATES[(h * FNV32_PRIME ^ byte) & 63]
                 for h in range(64) for byte in range(256)]
 
-#: Payloads shorter than this take the scalar :func:`_piece_hashes` loop.
-#: The two-row kernel makes ~190 whole-array calls however short the input
-#: (~200 us); the loop costs ~27 ns per byte per signature.  Digests measure
-#: equal at 3.0-3.3 KiB for 63- and 15-piece signatures (docs/architecture.md,
-#: "Host-measured crossovers").
+#: Batches of fewer bytes than this in all take the scalar
+#: :func:`_piece_hashes` loop.  The two-row kernel makes ~190 whole-array
+#: calls however short the input (~200 us); the loop costs ~27 ns per byte
+#: per signature.  Whole batches measure equal at 3.0-3.5 KiB, one payload
+#: or several (docs/architecture.md, "Host-measured crossovers").
 _KERNEL_MIN_BYTES = 3072
 
 

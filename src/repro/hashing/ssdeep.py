@@ -35,7 +35,10 @@ identical to libfuzzy's output, which is irrelevant here because SIREN only
 ever compares SIREN-produced hashes with each other).
 
 Hashing runs on the one-shot engine in :mod:`repro.hashing.engine` (one
-trigger scan serves all candidate block sizes, so nothing is ever rescanned);
+trigger scan serves all candidate block sizes, so nothing is ever rescanned)
+and takes a batch: :meth:`FuzzyHasher.hash_many` digests any number of
+payloads in one scan and one piece-hash pass, and ``hash`` is its
+one-payload case;
 the naive loop described above is the test oracle in ``tests/oracles/ctph.py``,
 which the engine's digests are pinned against.  Production *comparison*
 likewise runs on the batched bit-parallel
@@ -57,7 +60,7 @@ from collections.abc import Sequence
 import numpy as _np
 
 from repro.hashing.compare_engine import CompareCache, lcs_length_many, normalize_digest
-from repro.hashing.engine import fuzzy_digest
+from repro.hashing.engine import fuzzy_digests
 from repro.hashing.rolling import ROLLING_WINDOW
 
 #: Minimum block size -- signatures at smaller block sizes carry no structure.
@@ -91,18 +94,24 @@ class FuzzyHasher:
     # ------------------------------------------------------------------ #
     # hashing
     # ------------------------------------------------------------------ #
-    def hash(self, data: bytes) -> str:
-        """The ``blocksize:sig1:sig2`` digest of ``data``.
+    def hash_many(self, payloads: Sequence[bytes]) -> list[str]:
+        """The ``blocksize:sig1:sig2`` digest of each payload, in order.
 
-        Runs on the one-shot engine (:func:`repro.hashing.engine.fuzzy_digest`):
-        one scan of the payload however often the block size halves, no
-        per-byte Python call above the kernel crossover, and digests
-        byte-identical to the per-byte reference (pinned by golden tests).
+        Runs on the one-shot engine (:func:`repro.hashing.engine.fuzzy_digests`):
+        one trigger scan of the whole batch however often a block size halves,
+        one piece-hash pass for every payload's two signatures, no per-byte
+        Python call once the batch passes the kernel crossover, and each
+        digest byte-identical to the per-byte reference's of its payload
+        alone (pinned by golden tests).
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("FuzzyHasher.hash expects bytes-like input")
-        block_size, sig1, sig2 = fuzzy_digest(bytes(data), MIN_BLOCKSIZE, SPAMSUM_LENGTH)
-        return f"{block_size}:{sig1}:{sig2}"
+        if not all(isinstance(data, (bytes, bytearray, memoryview)) for data in payloads):
+            raise TypeError("FuzzyHasher hashes bytes-like payloads only")
+        return [f"{block_size}:{sig1}:{sig2}" for block_size, sig1, sig2 in fuzzy_digests(
+            [bytes(data) for data in payloads], MIN_BLOCKSIZE, SPAMSUM_LENGTH)]
+
+    def hash(self, data: bytes) -> str:
+        """The digest of ``data``: :meth:`hash_many` of one payload."""
+        return self.hash_many([data])[0]
 
     def hash_text(self, text: str) -> str:
         """The digest of a text payload (UTF-8 encoded)."""

@@ -6,8 +6,7 @@ rows when a process image is replaced via ``exec()`` while keeping the same
 PID and timestamp.  Any deterministic, fast, well-distributed hash fills that
 role, so this module provides a spec-faithful XXH64 implementation and
 :func:`xxh128_hex`, a 128-bit value built from two independently seeded
-XXH64 lanes.  The substitution (XXH3 -> dual XXH64) is documented in
-DESIGN.md.
+XXH64 lanes in place of XXH3.
 
 Reference: https://github.com/Cyan4973/xxHash (algorithm specification).
 """
@@ -101,7 +100,7 @@ def xxh64(data: bytes, seed: int = 0) -> int:
 def xxh128_hex(data: bytes | str, seed: int = 0) -> str:
     """128-bit hex digest built from two independently seeded XXH64 lanes.
 
-    This stands in for ``XXH3_128bits`` (see DESIGN.md): SIREN only uses the
+    This stands in for ``XXH3_128bits`` (see the module docstring): SIREN only uses the
     value as an opaque identifier of the executable *path*, so collision
     resistance at the 2^-64 level per lane is more than sufficient.
     """

@@ -222,11 +222,15 @@ def package_from_mapped_path(path: str) -> str | None:
 
     * ``.../lib-dynload/_heapq.cpython-311-x86_64-linux-gnu.so`` -> ``heapq``
     * ``.../site-packages/numpy/core/_multiarray_umath...so``    -> ``numpy``
+    * ``.../site-packages/numpy.libs/libscipy_openblas64_-...so`` -> ``None``
+      (a manylinux wheel's vendored libraries, not an importable name)
     * anything else (the interpreter itself, libc, ...)           -> ``None``
     """
     if "/site-packages/" in path:
         tail = path.split("/site-packages/", 1)[1]
         first = tail.split("/", 1)[0]
+        if first.endswith(".libs"):
+            return None
         if first.endswith(".so"):
             return _stem(first).lstrip("_") or None
         return first or None

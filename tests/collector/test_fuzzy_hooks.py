@@ -41,22 +41,23 @@ class TestArtifactHasher:
         assert hashes.strings_hash.count(":") == 2
         assert hashes.symbols_hash.count(":") == 2
 
-    def test_executable_hashes_call_the_instance_hash_once_per_payload(self, app_cluster):
-        """FILE_H, STRINGS_H and SYMBOLS_H are three ``hasher.hash`` calls,
-        looked up on the instance at call time, so a wrapper installed there
-        sees every byte hashed."""
+    def test_executable_hashes_are_one_instance_hash_many_call(self, app_cluster):
+        """FILE_H, STRINGS_H and SYMBOLS_H are one ``hasher.hash_many`` call
+        of three payloads, looked up on the instance at call time, so a
+        wrapper installed there sees every byte hashed."""
         cluster, manifest = app_cluster
         hasher = ArtifactHasher(cluster.filesystem)
         path = manifest.find_executable("icon", "cray-r1", "alice").path
-        seen: list[int] = []
-        plain = hasher.hasher.hash
-        hasher.hasher.hash = lambda data: seen.append(len(data)) or plain(data)
+        seen: list[list[int]] = []
+        plain = hasher.hasher.hash_many
+        hasher.hasher.hash_many = lambda payloads: (
+            seen.append([len(data) for data in payloads]) or plain(payloads))
         hashes = hasher.executable_hashes(path)
-        assert len(seen) == 3
-        assert seen[0] == len(cluster.filesystem.read(path))
-        assert hashes.file_hash == str(plain(cluster.filesystem.read(path)))
+        assert len(seen) == 1 and len(seen[0]) == 3
+        assert seen[0][0] == len(cluster.filesystem.read(path))
+        assert hashes.file_hash == FuzzyHasher().hash(cluster.filesystem.read(path))
         hasher.executable_hashes(path)  # a cache hit hashes nothing
-        assert len(seen) == 3
+        assert len(seen) == 1
 
     def test_cache_hit_on_second_call(self, app_cluster):
         cluster, manifest = app_cluster
@@ -431,6 +432,40 @@ class TestNoPerBytePythonAtProcessStart:
             hasher.path_hash(f"/users/alice/bin/tool{index}")
         assert list(hasher._path_hashes) == [f"/users/alice/bin/tool{index}"
                                              for index in (2, 3, 4)]
+
+
+class TestOneBatchPerStart:
+    """Every digest a process start misses goes to one ``hash_many`` call,
+    and the counters still count items, not calls."""
+
+    def test_a_cold_user_start_is_one_batch_and_a_warm_one_none(self, app_cluster):
+        cluster, manifest = app_cluster
+        icon = manifest.find_executable("icon", "cray-r1", "alice")
+        collector = SirenCollector(cluster.filesystem, UDPSender(InMemoryChannel()),
+                                   manifest.siren_library)
+        hasher = collector.hasher
+        batches: list[list[int]] = []
+        hash_many = hasher.hasher.hash_many
+        hasher.hasher.hash_many = lambda payloads: (
+            batches.append([len(data) for data in payloads]) or hash_many(payloads))
+        script = JobScript(name="t", modules=("siren", *icon.required_modules), steps=(
+            StepSpec(processes=(ProcessSpec(executable=icon.path),)),))
+        counters = []
+        cluster.register_preload_hook(collector)
+        try:
+            for _ in range(2):
+                cluster.run_job("alice", script)
+                counters.append((hasher.hashes_computed, hasher.cache_hits,
+                                 hasher.content_cache_hits, len(batches)))
+        finally:
+            cluster.runtime.unregister_hook(manifest.siren_library)
+        # The executable's three payloads, its image first, and the four
+        # lists (objects, modules, compilers, maps).
+        assert len(batches) == 1 and len(batches[0]) == 3 + 4
+        assert batches[0][0] == len(cluster.filesystem.read(icon.path))
+        # Cold: five items computed.  Warm: five hits, nothing hashed.
+        assert counters == [(5, 0, 0, 1), (5, 5, 0, 1)]
+        assert collector.processes_collected == 2 and collector.section_errors == 0
 
 
 class TestCorruptExecutable:

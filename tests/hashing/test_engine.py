@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.hashing.engine as engine_module
-from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digest
+from repro.hashing.engine import _piece_hashes, _piece_hashes_numpy, fuzzy_digests
 from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHasher
 from repro.util.rng import SeededRNG
 
@@ -42,6 +42,14 @@ def golden_corpus() -> list[tuple[str, bytes]]:
     ]
 
 
+#: Executable-sized payloads of seeded bytes, one whole scan slice and four,
+#: parametrized by name so that their test ids are not their bytes.
+LARGE_PAYLOADS = {
+    "random-4mib": lambda: SeededRNG(19).bytes(4 << 20),
+    "random-16mib": lambda: SeededRNG(20).bytes(16 << 20),
+}
+
+
 #: Digests computed with the seed (reference) implementation -- frozen.
 GOLDEN_DIGESTS = {
     "empty": "3::",
@@ -57,6 +65,9 @@ GOLDEN_DIGESTS = {
     "random-193": "6:v5ttXFcFAlDZyOzRiB3lNrljrx/Nww9HH8Jf5:TcFA1ZyOzI7rljV+w98Jh",
     "random-64k": "1536:l2E6qzfwQuH7nPoaKPvROkxSxsmONUwdiUUsA/mUQqG:gEBEPPcYksjOCoiUUvu",
     "random-1mib-plus": "24576:idDK8igwCFVszei7diNTYA/qMUZ1RlPS8I/:iBigezeOdKTT/qMUZ13PSv/",
+    # computed with the per-byte oracle (tests/oracles/ctph.py), 5 s and 21 s
+    "random-4mib": "98304:dGJrP4Z2FhdK6/pC9Zs7zWwtXQ2VD5kwUpt3y8:MbIh6RWsPWkLVopR",
+    "random-16mib": "393216:xY2b2oMLECHEAkzn8By6CQ2dhXiG9HhQKx12ywQz:j2o8HUn8By6CQFshZ12ynz",
 }
 
 
@@ -83,13 +94,21 @@ class TestGoldenDigests:
         """The oracle itself must not drift (large payloads skipped for speed)."""
         assert ReferenceHasher().hash(payload) == GOLDEN_DIGESTS[name]
 
+    @pytest.mark.parametrize("path", PIECE_PATHS)
+    @pytest.mark.parametrize("name", LARGE_PAYLOADS)
+    def test_large_payload_matches_pinned_digest(self, name, path):
+        payload = LARGE_PAYLOADS[name]()
+        with mock.patch.multiple(engine_module, **PIECE_PATHS[path]):
+            assert FuzzyHasher().hash(payload) == GOLDEN_DIGESTS[name]
+
     def test_corpus_has_all_golden_entries(self):
-        assert {name for name, _ in golden_corpus()} == set(GOLDEN_DIGESTS)
+        assert {name for name, _ in golden_corpus()} | set(LARGE_PAYLOADS) == \
+            set(GOLDEN_DIGESTS)
 
 
 def digest_of(payload: bytes, min_block_size: int, signature_length: int) -> str:
     """The engine's digest of ``payload`` in one CTPH geometry."""
-    return "%d:%s:%s" % fuzzy_digest(payload, min_block_size, signature_length)
+    return "%d:%s:%s" % fuzzy_digests([payload], min_block_size, signature_length)[0]
 
 
 class TestEngineEquivalence:
@@ -242,6 +261,35 @@ class TestPieceHashKernel:
         monkeypatch.undo()
         assert digest == ReferenceHasher().hash(payload)
 
+    def test_one_kernel_call_hashes_a_whole_batch(self, monkeypatch):
+        """Count guard: a batch is one kernel call of two rows -- every
+        payload's primary and secondary signature -- however many payloads."""
+        kernel_calls = []
+        kernel = engine_module._hash_slice_numpy
+        monkeypatch.setattr(engine_module, "_hash_slice_numpy",
+                            lambda *args: kernel_calls.append(args[1]) or kernel(*args))
+        batch = [SeededRNG(74 + index).bytes(size)
+                 for index, size in enumerate((37_900, 4_600, 0, 3_800, 800, 5))]
+        digests = FuzzyHasher().hash_many(batch)
+        assert len(kernel_calls) == 1 and len(kernel_calls[0]) == 2
+        monkeypatch.undo()
+        assert digests == [ReferenceHasher().hash(payload) for payload in batch]
+
+    @pytest.mark.parametrize("last", [1071, 1072])
+    def test_the_crossover_reads_the_batch_total(self, monkeypatch, last):
+        """Three payloads under the crossover each take the kernel once
+        their total reaches it."""
+        calls = []
+        kernel = engine_module._hash_slice_numpy
+        monkeypatch.setattr(engine_module, "_hash_slice_numpy",
+                            lambda *args: calls.append(args) or kernel(*args))
+        batch = [SeededRNG(75).bytes(1000), SeededRNG(76).bytes(1000), SeededRNG(77).bytes(last)]
+        assert sum(map(len, batch)) - engine_module._KERNEL_MIN_BYTES == last - 1072
+        digests = FuzzyHasher().hash_many(batch)
+        assert len(calls) == (last == 1072)
+        monkeypatch.undo()
+        assert digests == [ReferenceHasher().hash(payload) for payload in batch]
+
     def test_short_payload_takes_the_table_loop(self, monkeypatch):
         calls = []
         monkeypatch.setattr(engine_module, "_hash_slice_numpy",
@@ -262,18 +310,71 @@ class TestTriggerLevels:
     def test_counts_and_positions_equal_the_rolling_hash(self, slice_bytes, payload, min_bs):
         rolling = roll_sequence(payload)
         with mock.patch.object(engine_module, "_SCAN_SLICE", slice_bytes):
-            count, positions = engine_module._triggers(payload, min_bs)
-            for level in range(6):
-                block = min_bs << level
-                expected = [index for index, value in enumerate(rolling)
-                            if value % block == block - 1]
-                assert count(level) == len(expected)
-                assert positions(level, 63) == expected[:63]
-                assert positions(level, 5) == expected[:5]
+            keys, at_level = engine_module._trigger_keys(bytes(6) + payload, min_bs)
+        assert len(keys) == len(payload)
+        for level in range(6):
+            block = min_bs << level
+            expected = [index for index, value in enumerate(rolling)
+                        if value % block == block - 1]
+            assert np.flatnonzero(at_level(keys, level)).tolist() == expected
+
+
+#: Payloads a batch is drawn from: empty, shorter than the rolling window,
+#: repetitive (halving block sizes) and random, up to a few KiB.
+_PAYLOADS = st.one_of(st.binary(max_size=6), st.binary(max_size=2500),
+                      st.builds(lambda unit, count: unit * count,
+                                st.binary(min_size=1, max_size=4), st.integers(0, 1500)))
+
+
+class TestBatchEqualsOracle:
+    """``hash_many`` is the one engine entry: each digest of a batch equals
+    the per-byte oracle's digest of that payload alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.lists(_PAYLOADS, max_size=6))
+    @example(batch=[])
+    @example(batch=[b""])
+    @example(batch=[b"", b"SIREN", b"", b"\x00" * 6, b""])
+    @example(batch=[SeededRNG(91).bytes(1000), b"", SeededRNG(92).bytes(2071)])  # 3071 bytes
+    @example(batch=[SeededRNG(91).bytes(1000), b"", SeededRNG(92).bytes(2072)])  # 3072 bytes
+    @example(batch=[bytes([7, 7, 7, 250]) * 600, b"ab" * 900, SeededRNG(93).bytes(7)])
+    @example(batch=[SeededRNG(94).bytes(2500), SeededRNG(95).bytes(2500)])
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_hash_many_equals_oracle(self, mode, batch):
+        with mock.patch.multiple(engine_module, **ENGINE_MODES[mode]):
+            digests = FuzzyHasher().hash_many(batch)
+        assert digests == [ReferenceHasher().hash(payload) for payload in batch]
+
+    def test_a_joined_batch_crosses_the_scan_slice(self, monkeypatch):
+        """Payloads each shorter than the slice whose stream is several
+        slices long, with slice edges inside payloads and inside the zero
+        bytes between them."""
+        batch = [SeededRNG(96 + size).bytes(size) for size in (500, 7, 0, 509, 1030, 3)]
+        expected = [ReferenceHasher().hash(payload) for payload in batch]
+        monkeypatch.setattr(engine_module, "_SCAN_SLICE", 512)
+        assert FuzzyHasher().hash_many(batch) == expected
 
 
 class TestOneHashPath:
-    """Every payload goes through ``FuzzyHasher.hash``, one call each."""
+    """Every payload goes through ``FuzzyHasher.hash_many``; ``hash`` is its
+    one-payload case."""
+
+    def test_hash_is_hash_many_of_one(self, monkeypatch):
+        calls = []
+        hasher = FuzzyHasher()
+        hash_many = hasher.hash_many
+        monkeypatch.setattr(hasher, "hash_many",
+                            lambda payloads: calls.append(payloads) or hash_many(payloads))
+        payload = SeededRNG(43).bytes(900)
+        assert hasher.hash(payload) == ReferenceHasher().hash(payload)
+        assert calls == [[payload]]
+
+    def test_an_empty_batch_has_no_digests(self):
+        assert FuzzyHasher().hash_many([]) == []
+
+    def test_rejects_a_batch_with_one_non_bytes_payload(self):
+        with pytest.raises(TypeError):
+            FuzzyHasher().hash_many([b"fine", "not bytes"])  # type: ignore[list-item]
 
     @pytest.mark.parametrize("size", [0, 17, 333, 1000, 20000])
     def test_hash_matches_reference(self, size):

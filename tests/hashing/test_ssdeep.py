@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hashing.compare_engine import eliminate_sequences, normalize_digest
-from repro.hashing.engine import fuzzy_digest
+from repro.hashing.engine import fuzzy_digests
 from repro.hashing.ssdeep import MIN_BLOCKSIZE, SPAMSUM_LENGTH, FuzzyHasher
 from repro.util.rng import SeededRNG
 
@@ -37,7 +37,7 @@ class TestDigestParsing:
     def test_format(self):
         payload = _random_bytes(3000)
         assert _HASHER.hash(payload) == \
-            "%d:%s:%s" % fuzzy_digest(payload, MIN_BLOCKSIZE, SPAMSUM_LENGTH)
+            "%d:%s:%s" % fuzzy_digests([payload], MIN_BLOCKSIZE, SPAMSUM_LENGTH)[0]
 
 
 class TestHashing:

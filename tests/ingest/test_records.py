@@ -132,6 +132,19 @@ class TestPackageFromMappedPath:
         path = "/usr/lib64/python3.11/site-packages/_yaml.cpython-311.so"
         assert package_from_mapped_path(path) == "yaml"
 
+    def test_auditwheel_vendored_libraries_are_no_package(self):
+        """A manylinux wheel vendors its shared libraries in ``<name>.libs``
+        beside the package: a directory of libraries, not an importable name."""
+        line = ("7f1d2c000000-7f1d2e1a2000 r-xp 00000000 fd:01 4718610"
+                "                    /usr/lib64/python3.11/site-packages/numpy.libs/"
+                "libscipy_openblas64_-ff651d7f.so")
+        path = line.split(None, 5)[5].strip()
+        assert parse_mapped_paths(line + "\n") == [path]
+        assert package_from_mapped_path(path) is None
+        numpy = "/usr/lib64/python3.11/site-packages/numpy/_core/_multiarray_umath.so"
+        assert extract_python_packages(f"{line}\n{line.rsplit(' ', 1)[0]} {numpy}\n") == \
+            ["numpy"]
+
     def test_unrelated_path(self):
         assert package_from_mapped_path("/lib64/libc.so.6") is None
         assert package_from_mapped_path("/usr/bin/python3.10") is None

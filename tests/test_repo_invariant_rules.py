@@ -13,7 +13,7 @@ import ast
 import pytest
 
 from test_repo_invariants import (_mutated, concurrency, counter_drift, counter_keys,
-                                  determinism, knob_reads)
+                                  dependencies, determinism, knob_reads, layers)
 from test_repo_invariants import trees  # noqa: F401  (the shipped-tree fixture)
 
 
@@ -177,3 +177,35 @@ def test_a_registration_nothing_emits_is_stale(trees):
     assert counter_drift(without) == [
         f"unemitted '{key}'" for key in sorted(
             ["silver_rows", "rollup_syncs", "rollup_records_applied", "rollup_rebuilds"])]
+
+
+# ---------------------------------------------------------- relative imports #
+@pytest.mark.parametrize("check, source, module, finding", [
+    (layers, "from ..hpcsim import filesystem\n", "repro.collector.fixture",
+     "repro.collector.fixture:1 imports repro.hpcsim.filesystem (substrate)"),
+    (layers, "from .. import corpus\n", "repro.analysis.fixture",
+     "repro.analysis.fixture:1 imports repro.corpus (substrate)"),
+    (dependencies, "from . import networkx\n", "repro.fixture",
+     "repro.fixture:1 imports repro.networkx (no such module)"),
+    (dependencies, "from .networkx import Graph\n", "repro.analysis.fixture",
+     "repro.analysis.fixture:1 imports repro.analysis.networkx (no such module)"),
+], ids=["layers-parent-package", "layers-grandparent", "dependencies-name",
+        "dependencies-module"])
+def test_a_relative_import_is_checked_as_what_it_resolves_to(check, source, module, finding):
+    assert check(ast.parse(source), module) == [finding]
+
+
+@pytest.mark.parametrize("check, source, module", [
+    (layers, "from ..elf import reader\n", "repro.collector.fixture"),
+    (layers, "from . import filesystem\n", "repro.hpcsim.fixture"),
+    (dependencies, "from .ssdeep import FuzzyHasher\nfrom . import engine\n",
+     "repro.hashing.fixture"),
+    (dependencies, "from . import FuzzyHasher\n", "repro.hashing.fixture"),
+    (dependencies, "from . import ssdeep\n", "repro.hashing"),
+    (dependencies, "from . import ROOT, trace\n", "benchmarks.pipeline.fixture"),
+    (dependencies, "from . import WORKLOADS\n", "benchmarks.pipeline.__init__"),
+], ids=["layers-siren-half-of-elf", "layers-within-the-substrate", "dependencies-modules",
+        "dependencies-init-binding", "dependencies-from-a-package-init",
+        "dependencies-benchmark-package", "dependencies-benchmark-init"])
+def test_a_relative_import_of_the_repository_passes(check, source, module):
+    assert check(ast.parse(source), module) == []

@@ -180,16 +180,68 @@ FIRST_PARTY = frozenset({"repro", "benchmarks"}
                         | {path.stem for path in (REPO_ROOT / "tests").iterdir()})
 
 
+def _source_of(module: str) -> Path | None:
+    """The file of a module of the repository (``src/`` first), or ``None``."""
+    for root in (SRC, REPO_ROOT):
+        base = root.joinpath(*module.split("."))
+        for path in (base.with_suffix(".py"), base / "__init__.py"):
+            if path.is_file():
+                return path
+    return None
+
+
+def _from_module(node: ast.ImportFrom, module: str) -> str:
+    """The absolute module a ``from`` import reads: a relative one resolved
+    against the package of ``module`` (which may be a fixture, no file)."""
+    if not node.level:
+        return node.module or ""
+    name = module.removesuffix(".__init__")
+    source = _source_of(name)
+    package = (name if source is not None and source.name == "__init__.py"
+               else name.rpartition(".")[0]).split(".")
+    return ".".join(filter(None, (".".join(package[:len(package) + 1 - node.level]),
+                                  node.module)))
+
+
+@functools.cache
+def _bound_names(package: str) -> frozenset[str]:
+    """The names a package offers a ``from . import``: its submodules and
+    what its ``__init__`` binds at top level."""
+    source = _source_of(package)
+    if source is None or source.name != "__init__.py":
+        return frozenset()
+    names = {path.stem for path in source.parent.glob("*.py")}
+    names |= {path.name for path in source.parent.iterdir() if (path / "__init__.py").exists()}
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return frozenset(names)
+
+
 def dependencies(tree: ast.Module, module: str) -> list[str]:
     """Imports, anywhere in the module, of a top-level name that is neither
     the standard library, the repository's own nor declared: ``numpy`` for
-    the package, ``requirements-test.txt`` for everything else."""
+    the package, ``requirements-test.txt`` for everything else.  A relative
+    import is the repository's own only where it resolves to something
+    there: a module, or a name its package's ``__init__`` binds."""
     allowed = RUNTIME_DEPENDENCIES if _in(module, ("repro",)) else TEST_DEPENDENCIES
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = _from_module(node, module)
+            missing = ([f"{base}.{alias.name}" for alias in node.names
+                        if alias.name not in _bound_names(base)]
+                       if node.module is None else [] if _source_of(base) else [base])
+            found += [f"{module}:{node.lineno} imports {name} (no such module)"
+                      for name in missing]
+            continue
         names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
-                 and node.level == 0 else [])
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
         found += [f"{module}:{node.lineno} imports {top}" for top in
                   (name.partition(".")[0] for name in names)
                   if top not in sys.stdlib_module_names | FIRST_PARTY | allowed]
@@ -213,15 +265,17 @@ MODULES = frozenset(surface.module_paths(SRC))
 
 def _crossings(tree: ast.Module, module: str) -> list[tuple[int, str]]:
     """``(line, substrate module)`` of each import of the substrate by the
-    SIREN module ``module``; a name imported from a module is that module."""
+    SIREN module ``module``; a name imported from a module is that module,
+    and a relative import is resolved against ``module``'s package."""
     if surface.LAYERS.get(surface.package_of(module)) != "SIREN":
         return []
     found = []
     for node in ast.walk(tree):
+        source = _from_module(node, module) if isinstance(node, ast.ImportFrom) else ""
         targets = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                   else [name if name in MODULES else node.module for name in
-                         (f"{node.module}.{alias.name}" for alias in node.names)]
-                   if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+                   else [name if name in MODULES else source for name in
+                         (f"{source}.{alias.name}" for alias in node.names)]
+                   if isinstance(node, ast.ImportFrom) else [])
         found += [(node.lineno, target) for target in dict.fromkeys(targets)
                   if surface.LAYERS.get(surface.package_of(target)) == "substrate"]
     return found
