@@ -8,6 +8,8 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   ``benchmarks/...``, ...) must exist,
 * every ``python <file>`` command shown in fenced shell blocks must point at
   an existing script,
+* every ``(docs/architecture.md, "Title")`` pointer must name a heading of
+  that file (a heading's trailing parenthesis may be left out),
 * every ``BENCH_*.json`` mentioned (the README benchmark table keys its
   claims to committed benchmark reports) must exist at the repo root, and
 * every fenced Python code block must at least compile, and its
@@ -21,6 +23,10 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   ``repro`` module: a renamed method or a dropped field is caught.  A class
   ``repro`` does not define (``Path.exists``) is not checked.
 
+The docstrings, comments and string literals of ``src/repro`` are read too:
+every ``docs/...`` or ``tests/...`` path they name must exist, and every
+section pointer in them must name a heading, as above.
+
 Run from anywhere; exits non-zero listing every stale reference:
 
     python scripts/check_docs.py
@@ -28,11 +34,13 @@ Run from anywhere; exits non-zero listing every stale reference:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
 import sys
+import tokenize
 from functools import cache
 from pathlib import Path
 
@@ -40,6 +48,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Documentation files under check.
 DOC_FILES = ("README.md", "docs/architecture.md")
+
+#: The package whose docstrings and comments point into the docs and tests.
+SOURCE_DIR = "src/repro"
 
 #: Benchmark reports that must be committed at the repo root whether or not
 #: a doc currently cites them (the docs-mention check alone would go quiet
@@ -58,6 +69,8 @@ _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
 _DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 _CLASS_ATTR = re.compile(r"`([A-Z]\w*(?:\.\w+)+)(?:\([^`]*\))?`")
 _SELF_ASSIGNMENT = re.compile(r"\bself\.(\w+)\s*(?::[^=\n]+)?=[^=]")
+_SOURCE_PATH = re.compile(r"(?<![\w./-])((?:docs|tests)/[\w./-]*\w)")
+_SECTION_POINTER = re.compile(r"(docs/[\w./-]+\.md),\s*\"([^\"]+)\"")
 _IMPORT_LINE = re.compile(r"^(?:from\s+(repro[\w.]*)\s+import\s+([\w, ]+)|import\s+(repro[\w.]*))",
                           re.MULTILINE)
 
@@ -87,6 +100,8 @@ def check_file(doc_path: Path) -> list[str]:
         for match in pattern.finditer(text):
             if not _exists(match.group(1)):
                 errors.append(f"{rel}: missing path -> {match.group(1)}")
+
+    errors.extend(_dangling_pointers(" ".join(text.replace("`", "").split()), rel))
 
     for name in sorted({m.group(1) for m in _BENCH_REF.finditer(text)}):
         if not _exists(name):
@@ -188,6 +203,55 @@ def _instance_attributes(obj: object) -> set[str]:
     return names
 
 
+def check_source(source_path: Path) -> list[str]:
+    """Return one error string per stale path or section pointer that a
+    docstring, comment or string literal of ``source_path`` holds."""
+    try:
+        rel = source_path.relative_to(REPO_ROOT)
+    except ValueError:  # e.g. a temporary file under test
+        rel = source_path
+    errors: list[str] = []
+    for text in _prose(source_path):
+        errors.extend(f"{rel}: missing path -> {path}"
+                      for path in _SOURCE_PATH.findall(text) if not _exists(path))
+        errors.extend(_dangling_pointers(text, rel))
+    return errors
+
+
+def _dangling_pointers(text: str, rel: Path) -> list[str]:
+    """One error per ``(docs/….md, "Title")`` pointer in ``text`` whose file
+    has no such heading."""
+    return [f"{rel}: no such heading -> {doc}, \"{title}\""
+            for doc, title in _SECTION_POINTER.findall(text)
+            if _exists(doc) and title not in _headings(doc)]
+
+
+def _prose(source_path: Path) -> list[str]:
+    """Each string literal of a Python file (an f-string's literal parts
+    joined), then all of its comments as one text, whitespace collapsed and
+    backticks dropped: a pointer may wrap lines or split a literal."""
+    source = source_path.read_text(encoding="utf-8")
+    texts = [node.value for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    with source_path.open("rb") as handle:
+        texts.append(" ".join(token.string.lstrip("#:") for token in
+                              tokenize.tokenize(handle.readline)
+                              if token.type == tokenize.COMMENT))
+    return [" ".join(text.replace("`", "").split()) for text in texts]
+
+
+@cache
+def _headings(doc: str) -> frozenset[str]:
+    """The headings of a Markdown file, each also without its trailing
+    parenthesis (``The streaming ingest spine (`repro.ingest`)``)."""
+    titles = set()
+    for line in (REPO_ROOT / doc).read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            title = line.lstrip("#").strip().replace("`", "")
+            titles.update((title, re.sub(r"\s*\([^)]*\)$", "", title)))
+    return frozenset(titles)
+
+
 def main() -> int:
     errors: list[str] = []
     for doc in DOC_FILES:
@@ -196,6 +260,9 @@ def main() -> int:
             errors.append(f"missing documentation file: {doc}")
             continue
         errors.extend(check_file(path))
+    sources = sorted((REPO_ROOT / SOURCE_DIR).rglob("*.py"))
+    for source in sources:
+        errors.extend(check_source(source))
     for name in REQUIRED_BENCH_REPORTS:
         if not _exists(name):
             errors.append(f"required benchmark report not committed -> {name}")
@@ -204,7 +271,8 @@ def main() -> int:
         for error in errors:
             print(f"  - {error}")
         return 1
-    print(f"documentation check passed ({len(DOC_FILES)} file(s))")
+    print(f"documentation check passed ({len(DOC_FILES)} file(s), "
+          f"{len(sources)} source file(s))")
     return 0
 
 

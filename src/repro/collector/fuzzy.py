@@ -147,7 +147,7 @@ class ArtifactHasher:
     # one process start
     # ------------------------------------------------------------------ #
     def start_hashes(self, lists: Sequence[str] = (), executable: str | None = None,
-                     script: str | None = None) -> StartHashes:
+                     script: str | None = None, image: ELFFile | None = None) -> StartHashes:
         """Every digest one process start needs; whatever misses is hashed in one batch.
 
         ``lists`` are collected lists' texts, ``executable`` and ``script``
@@ -156,9 +156,11 @@ class ArtifactHasher:
         ``cache_hits`` or ``content_cache_hits``; every payload the items
         miss on goes to one :meth:`FuzzyHasher.hash_many` call.  An item that
         fails -- its file cannot be read, say -- comes back as the exception
-        it raised, and the other items are still answered.
+        it raised, and the other items are still answered.  ``image`` is the
+        caller's ELF parse of the executable, if it made one: a miss reads
+        the symbol table from it instead of parsing the image again.
         """
-        steps = [None if executable is None else self._executable_step(executable),
+        steps = [None if executable is None else self._executable_step(executable, image),
                  None if script is None else self._script_step(script),
                  *map(self._list_step, lists)]
         answers: list[Any] = [None] * len(steps)
@@ -194,7 +196,7 @@ class ArtifactHasher:
         return result_of(self.start_hashes([text]).lists[0])
 
     # -- the steps: each looks its item up, or asks for payloads ---------- #
-    def _executable_step(self, path: str) -> _Step:
+    def _executable_step(self, path: str, image: ELFFile | None) -> _Step:
         vfile = self.filesystem.get(path)
         version = vfile.version
         entry = self._exe_cache.get(path)
@@ -212,7 +214,9 @@ class ArtifactHasher:
 
         strings = strings_blob(content).encode("utf-8")
         try:
-            symbols = [nm_listing(ELFFile(content)).encode("utf-8") if is_elf(content) else b""]
+            if image is None or image.data is not content:
+                image = ELFFile(content) if is_elf(content) else None
+            symbols = [b"" if image is None else nm_listing(image).encode("utf-8")]
         except ELFError:
             symbols = []                   # an unparseable symbol table: no SYMBOLS_H
         file_hash, strings_hash, *symbols_hash = yield [content, strings, *symbols]

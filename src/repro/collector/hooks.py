@@ -86,13 +86,17 @@ class SirenCollector:
             self._guard(sections, lambda: (
                 Layer.SELF, InfoType.FILEMETA, self._file_metadata(path)))
 
-        lists = self._collected_lists(context, sends)
+        # One parse of the image serves its .comment strings and, on a hash
+        # miss, its symbol table.
+        image = (self._attempt(lambda: self._image(path))
+                 if any(kind in sends for kind in _COMPILERS) else None)
+        lists = self._collected_lists(context, sends, image)
         script = (self._attempt(lambda: self._script_path(context))
                   if is_python_interpreter(path) else None)
         hashes = self.hasher.start_hashes(
             [text for (_, hash_type), text in lists if hash_type in sends],
             None if _EXECUTABLE_HASHES.isdisjoint(sends) else path,
-            script if InfoType.FILE_H in TABLE_1[Layer.SCRIPT] else None)
+            script if InfoType.FILE_H in TABLE_1[Layer.SCRIPT] else None, image)
 
         digests = iter(hashes.lists)
         for (info_type, hash_type), text in lists:
@@ -147,18 +151,20 @@ class SirenCollector:
         elif result is not None:
             sections.append(result)
 
-    def _collected_lists(self, context: ProcessContext, sends: tuple[InfoType, ...]
+    def _collected_lists(self, context: ProcessContext, sends: tuple[InfoType, ...],
+                         image: ELFFile | None
                          ) -> list[tuple[tuple[InfoType, InfoType], str]]:
         """Each collected list whose section or hash ``sends`` lists, with its text.
 
-        The compiler list is the executable's ``.comment`` strings: there is
-        none for an image that is not ELF, and a lost section for one that
-        cannot be read or parsed.
+        The compiler list is the ``.comment`` strings of ``image``, the
+        executable's parse: there is none for an image that is not ELF, and
+        a lost section for one that cannot be read or parsed.
         """
         lists = []
         for pair, text in ((_OBJECTS, lambda: "\n".join(context.loaded_objects)),
                            (_MODULES, lambda: context.loaded_modules),
-                           (_COMPILERS, lambda: self._comment_strings(context.executable)),
+                           (_COMPILERS, lambda: None if image is None
+                            else ";".join(image.comment_strings())),
                            (_MAPS, context.maps_text)):
             if pair[0] in sends or pair[1] in sends:
                 content = self._attempt(text) if pair is _COMPILERS else text()
@@ -170,12 +176,10 @@ class SirenCollector:
         metadata = self.filesystem.stat(path)
         return format_keyvalues(metadata.as_dict())
 
-    def _comment_strings(self, path: str) -> str | None:
-        """The executable's ``.comment`` strings, ``;``-joined; ``None`` if not ELF."""
+    def _image(self, path: str) -> ELFFile | None:
+        """The executable parsed as ELF; ``None`` if it is not ELF."""
         content = self.filesystem.read(path)
-        if not is_elf(content):
-            return None
-        return ";".join(ELFFile(content).comment_strings())
+        return ELFFile(content) if is_elf(content) else None
 
     def _executable_hash_sections(self, hashes: ExecutableHashes,
                                   sends: tuple[InfoType, ...]) -> list[Section]:

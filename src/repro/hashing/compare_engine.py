@@ -69,11 +69,6 @@ NGRAM = ROLLING_WINDOW
 #: 12-16 rows.
 _MIN_BATCH = 16
 
-#: ``numpy.bitwise_count`` arrived in numpy 2.0; older installs fall back to
-#: the scalar kernel, which needs no popcount ufunc.
-_BITWISE_COUNT = getattr(_np, "bitwise_count", None)
-
-
 # --------------------------------------------------------------------------- #
 # per-digest normalization cache
 # --------------------------------------------------------------------------- #
@@ -239,18 +234,17 @@ def lcs_length_many(patterns: Sequence[str], texts: Sequence[str]) -> _np.ndarra
     up to 64 share the sweep.  Carries from ``V + U`` propagate upward
     only, so bits at and above a row's ``m`` never feed back into its live
     low bits and the mod-``2**64`` wrap is exact.  Under :data:`_MIN_BATCH`
-    rows, without ``numpy.bitwise_count``, or with a pattern wider than one
-    word, a NUL in a pattern (pads would match it) or a character outside
-    latin-1 anywhere, every row runs the scalar kernel instead -- the
-    lengths are identical either way.
+    rows, or with a pattern wider than one word, a NUL in a pattern (pads
+    would match it) or a character outside latin-1 anywhere, every row runs
+    the scalar kernel instead -- the lengths are identical either way.
     """
     if not texts:
         return _np.zeros(0, dtype=_np.intp)
     distinct: dict[str, int] = {}
     which = [distinct.setdefault(pattern, len(distinct)) for pattern in patterns]
     codes = pattern_codes = None
-    if len(texts) >= _MIN_BATCH and _BITWISE_COUNT is not None \
-            and max(map(len, distinct)) <= 64 and not any("\0" in pattern for pattern in distinct):
+    if len(texts) >= _MIN_BATCH and max(map(len, distinct)) <= 64 \
+            and not any("\0" in pattern for pattern in distinct):
         codes = _byte_rows(texts, max(1, max(map(len, texts))))
         pattern_codes = _byte_rows(list(distinct), 64)
     if codes is None or pattern_codes is None:
@@ -269,7 +263,7 @@ def lcs_length_many(patterns: Sequence[str], texts: Sequence[str]) -> _np.ndarra
     for p in table[rows, codes.T]:       # one gather: a row of match masks per column step
         u = v & p
         v = (v + u) | (v - u)
-    return m - _BITWISE_COUNT(v & full).astype(_np.intp)
+    return m - _np.bitwise_count(v & full).astype(_np.intp)
 
 
 # --------------------------------------------------------------------------- #

@@ -185,8 +185,7 @@ def _trigger_keys(stream: bytes, min_bs: int) -> tuple[np.ndarray, Callable[[np.
         keys = np.empty(size, dtype=np.uint8)
         for start in range(0, size, stride):
             key = _scan_slice_numpy(view[start:start + ROLLING_WINDOW - 1 + stride], odd)
-            keys[start:start + len(key)] = \
-                _POPCOUNT8[key.view(np.uint8)].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
+            np.bitwise_count(key, out=keys[start:start + len(key)])
 
     def at_level(window, level: int):
         exponent = base + level
@@ -239,10 +238,6 @@ def _scan_slice_numpy(buf: bytes, odd: int):
     key ^= rolling
     key *= divisible
     return key
-
-
-#: Bits set per byte value (the multi-slice key reduction).
-_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------- #

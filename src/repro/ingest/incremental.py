@@ -222,6 +222,10 @@ class IncrementalConsolidator:
     _closed: set[ProcessKey] = field(init=False, default_factory=set)
     _closed_fifo: deque = field(init=False, default_factory=deque)  # (close_epoch, key)
     _pending: list[ProcessRecord] = field(init=False, default_factory=list)
+    #: Every string, uid and gid put into a record this epoch, to itself:
+    #: records built in one epoch share one object per equal value
+    #: (:func:`~repro.ingest.records.build_process_record`'s ``values``).
+    _values: dict = field(init=False, default_factory=dict)
     #: :meth:`_peek_open`'s last answer, beside the two counters that change
     #: whenever an open process does (a message consumed, a record closed).
     _peeked: tuple[tuple[int, int], tuple[ProcessRecord, ...]] | None = field(
@@ -314,7 +318,7 @@ class IncrementalConsolidator:
                 process.last_epoch = epoch
                 if row[7] == _PROCEND:
                     process.ended = True
-                    record, whole = build_process_record(key, process.rows)
+                    record, whole = build_process_record(key, process.rows, self._values)
                     if whole and not record.incomplete:
                         self._close(key, record, reason="procend")
         finally:
@@ -334,8 +338,11 @@ class IncrementalConsolidator:
         their ``PROCEND`` but are missing content (lost datagrams -- one
         epoch of grace covers reordering transports) or have been idle for
         :data:`IDLE_EPOCHS` whole epochs (the ``PROCEND`` itself was lost).
+        Each tick also starts an empty value table, so it never holds more
+        than one epoch's values.
         """
         self._epoch += 1
+        self._values.clear()
         while self._closed_fifo and self._epoch - self._closed_fifo[0][0] >= IDLE_EPOCHS:
             _, evicted = self._closed_fifo.popleft()
             self._closed.discard(evicted)
@@ -346,7 +353,8 @@ class IncrementalConsolidator:
             or self._epoch - open_process.last_epoch >= IDLE_EPOCHS
         ]
         for key, open_process in stale:
-            self._close(key, build_process_record(key, open_process.rows)[0], reason="idle")
+            self._close(key, build_process_record(key, open_process.rows, self._values)[0],
+                        reason="idle")
         return len(stale)
 
     def _close(self, key: ProcessKey, record: ProcessRecord, *, reason: str) -> None:
@@ -391,7 +399,7 @@ class IncrementalConsolidator:
         state = (self.messages_consumed, self.records_built)
         if self._peeked is None or self._peeked[0] != state:
             self._peeked = (state, tuple(
-                build_process_record(key, open_process.rows)[0]
+                build_process_record(key, open_process.rows, self._values)[0]
                 for key, open_process in sorted(self._open.items())))
         return self._peeked[1]
 
@@ -457,9 +465,10 @@ class IncrementalConsolidator:
         """
         self._deliver()
         for key in sorted(self._open):
-            self._close(key, build_process_record(key, self._open[key].rows)[0],
+            self._close(key, build_process_record(key, self._open[key].rows, self._values)[0],
                         reason="final")
         self._flush()
+        self._values.clear()
         return _in_key_order(self.store.load_processes())
 
     @property

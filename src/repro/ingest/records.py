@@ -127,8 +127,8 @@ _UID, _GID, _PPID, _EXECUTABLE, _CATEGORY, _MAPS, _SCRIPT_PATH, _PACKAGES, _INCO
         "python_packages", "incomplete"))
 
 
-def build_process_record(key: ProcessKey,
-                         rows: Iterable[MessageRow]) -> tuple[ProcessRecord, bool]:
+def build_process_record(key: ProcessKey, rows: Iterable[MessageRow],
+                         values: dict | None = None) -> tuple[ProcessRecord, bool]:
     """Assemble one :class:`ProcessRecord` from the raw rows filed under one
     key, and say whether every ``(LAYER, TYPE)`` pair among them is whole.
 
@@ -144,11 +144,22 @@ def build_process_record(key: ProcessKey,
     outside that range is not one of them.  The flag covers every pair
     filed, read into the record or not (``PROCEND``), so a process may close
     on ``PROCEND`` iff the flag is set and the record is not incomplete.
-    Pure: ``rows`` is not mutated, so a live snapshot may build from an open
+    ``rows`` is not mutated, so a live snapshot may build from an open
     process's rows and the close build again later.
+
+    ``values`` is the caller's table of the values already put into records:
+    every string put into this one, and its ``uid`` and ``gid``, go through
+    its ``setdefault``, so records built with one table hold one object per
+    distinct value of those fields; a ``str`` never equals an ``int``, so
+    one table serves both.  The process's own ``pid``, ``ppid`` and start
+    ``time`` rarely repeat and are not worth a lookup.  A caller without a
+    table gets a private one.
     """
+    share = (values if values is not None else {}).setdefault
+    jobid, stepid, pid, path_hash, host, time = key
     record = _EMPTY_ROW.copy()
-    record[:6] = key
+    record[:6] = (share(jobid, jobid), share(stepid, stepid), pid,
+                  share(path_hash, path_hash), share(host, host), time)
     slots = _SLOTS
     filed: dict[GroupKey, int] = {}     # every pair seen, to its slot
     parts: dict[GroupKey, list] = {}    # the chunked or repeated: [total, {index: content}]
@@ -168,12 +179,13 @@ def build_process_record(key: ProcessKey,
                 part[0] = total
         else:
             slot = filed[pair] = slots.get(pair, _UNREAD)
-            record[slot] = content
+            record[slot] = share(content, content)
     complete = whole = True
     for pair, (total, chunks) in parts.items():
         reassembled = reassemble_chunks(chunks, total)
         slot = filed[pair]
-        record[slot] = reassembled.content
+        content = reassembled.content
+        record[slot] = share(content, content)
         if not reassembled.complete:
             whole = False
             if slot != _UNREAD:
@@ -183,17 +195,19 @@ def build_process_record(key: ProcessKey,
     del record[_PROCINFO:]
     procinfo = parse_keyvalues(info) if info else {}
     category = procinfo.get("category", "")
-    record[_UID] = _to_int(procinfo.get("uid"))
-    record[_GID] = _to_int(procinfo.get("gid"))
+    uid, gid = _to_int(procinfo.get("uid")), _to_int(procinfo.get("gid"))
+    executable = procinfo.get("exe", "")
+    record[_UID], record[_GID] = share(uid, uid), share(gid, gid)
     record[_PPID] = _to_int(procinfo.get("ppid"))
-    record[_EXECUTABLE] = procinfo.get("exe", "")
-    record[_CATEGORY] = category
+    record[_EXECUTABLE] = share(executable, executable)
+    record[_CATEGORY] = share(category, category)
     script_path = parse_keyvalues(script).get("script", "") if script else ""
-    record[_SCRIPT_PATH] = script_path
+    record[_SCRIPT_PATH] = share(script_path, script_path)
     # Imported Python packages from the memory map
     maps = record[_MAPS]
     if maps and (category == _PYTHON or script_path):
-        record[_PACKAGES] = ",".join(extract_python_packages(maps))
+        packages = ",".join(extract_python_packages(maps))
+        record[_PACKAGES] = share(packages, packages)
     if not (complete and all(map(filed.__contains__, expected_keys_for(category)))):
         record[_INCOMPLETE] = 1
     return ProcessRecord(*record), whole

@@ -691,8 +691,8 @@ class TestIdleRefresh:
         result.store.connection.set_trace_callback(statements.append)
         monkeypatch.setattr(TableRollup, "fold", lambda rollup, record:
                             folds.append(record) or fold(rollup, record))
-        monkeypatch.setattr(incremental, "build_process_record", lambda key, rows:
-                            builds.append(key) or build(key, rows))
+        monkeypatch.setattr(incremental, "build_process_record", lambda key, rows, values:
+                            builds.append(key) or build(key, rows, values))
         # An idle pull neither peeks nor commits: the consolidator hands back
         # its last delta, and the analysis returns at once.
         for owner, name in ((incremental.IncrementalConsolidator, "_peek_open"),

@@ -468,6 +468,38 @@ class TestOneBatchPerStart:
         assert collector.processes_collected == 2 and collector.section_errors == 0
 
 
+class TestOneParsePerStart:
+    def test_a_cold_user_start_parses_the_image_once(self, app_cluster, monkeypatch):
+        """The ``.comment`` strings and the symbol table come from one
+        ``ELFFile``, and every section equals its digest computed alone."""
+        cluster, manifest = app_cluster
+        path = manifest.find_executable("icon", "cray-r1", "alice").path
+        image = cluster.filesystem.read(path)
+        datagrams: list[bytes] = []
+        channel = InMemoryChannel()
+        channel.subscribe(datagrams.append)
+        collector = SirenCollector(cluster.filesystem, UDPSender(channel),
+                                   manifest.siren_library)
+        parses = []
+        post_init = ELFFile.__post_init__
+        monkeypatch.setattr(ELFFile, "__post_init__",
+                            lambda self: parses.append(self) or post_init(self))
+        collector.on_process_start(ProcessContext(
+            pid=3000, ppid=1, uid=1000, gid=1000, executable=path, argv=(path,),
+            environment={"SLURM_JOB_ID": "79", "SLURM_STEP_ID": "0"},
+            hostname="nid000001", start_time=1_733_000_300))
+        monkeypatch.undo()
+        assert len(parses) == 1 and collector.hasher.hashes_computed >= 1
+        sent = {message.info_type: message.content
+                for message in map(UDPMessage.decode, datagrams)}
+        plain = FuzzyHasher()
+        assert sent[InfoType.COMPILERS] == ";".join(ELFFile(image).comment_strings())
+        assert sent[InfoType.FILE_H] == plain.hash(image)
+        assert sent[InfoType.STRINGS_H] == plain.hash(strings_blob(image).encode())
+        assert sent[InfoType.SYMBOLS_H] == plain.hash(nm_listing(ELFFile(image)).encode())
+        assert collector.section_errors == 0
+
+
 class TestCorruptExecutable:
     """An image with the ELF magic but a truncated section header table:
     FILE_H and STRINGS_H need no ELF parse, so only SYMBOLS_H may be lost."""

@@ -92,9 +92,9 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
     builds = []
     build = incremental.build_process_record
 
-    def counting_build(key, rows):
+    def counting_build(key, rows, values):
         builds.append(list(rows))
-        return build(key, rows)
+        return build(key, rows, values)
 
     reassembled = []
     reassemble_chunks = record_builder.reassemble_chunks
@@ -294,9 +294,9 @@ def test_refresh_loop_reads_nothing_back(ordered_stream, monkeypatch):
     sync, commit = LiveAnalysis.sync, LiveAnalysis.commit
     table_init = TableRollup.__init__
 
-    def counting_build(key, rows):
+    def counting_build(key, rows, values):
         builds.append((key, bool(peeking)))
-        return build(key, rows)
+        return build(key, rows, values)
 
     def counting_peek(self):
         peeking.append(True)
@@ -411,9 +411,9 @@ def test_one_build_and_one_procinfo_parse_per_record(ordered_stream, monkeypatch
     build = incremental.build_process_record
     parse_keyvalues = record_builder.parse_keyvalues
 
-    def counting_build(key, rows):
+    def counting_build(key, rows, values):
         builds.append(key)
-        return build(key, rows)
+        return build(key, rows, values)
 
     def counting_parse(content):
         parsed.append(content)

@@ -5,7 +5,9 @@ batch size and snapshot cadence, is checked against the launch ledger by the
 record contract (``tests/integration/test_record_contract.py``).
 """
 
+import gc
 import sqlite3
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -14,7 +16,7 @@ import pytest
 from repro.collector.classify import ExecutableCategory
 from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, format_keyvalues
-from repro.db.store import MessageStore
+from repro.db.store import MessageStore, process_row
 from repro.ingest import IncrementalConsolidator
 from repro.ingest import incremental
 from repro.transport.channel import InMemoryChannel
@@ -585,3 +587,55 @@ class TestStoreWriteFailures:
         assert ingest.late_messages == 0
         assert records == recorded_campaign.ledger.records()
 
+
+class TestEpochValueTable:
+    """Records built in one epoch share one object per distinct string, uid
+    and gid, and what a replay retains per record stays under the measured
+    bound."""
+
+    def test_records_closed_in_one_epoch_share_equal_values(self, recorded_campaign,
+                                                            monkeypatch):
+        closed: dict[int, list] = {}
+        close = IncrementalConsolidator._close
+
+        def spying_close(self, key, record, *, reason):
+            closed.setdefault(self._epoch, []).append(record)
+            close(self, key, record, reason=reason)
+
+        monkeypatch.setattr(IncrementalConsolidator, "_close", spying_close)
+        ingest = IncrementalConsolidator(MessageStore())
+        for datagram in recorded_campaign.stream:
+            ingest.handle_datagram(datagram)
+        records = ingest.finalize()
+        assert records == recorded_campaign.ledger.records()
+        assert sum(map(len, closed.values())) == len(records)
+        assert max(map(len, closed.values())) > 1
+        for epoch, built in closed.items():
+            first: dict = {}
+            for record in built:
+                strings = [value for value in process_row(record) if isinstance(value, str)]
+                for value in (*strings, record.uid, record.gid):
+                    assert first.setdefault(value, value) is value, (epoch, value)
+        assert not ingest._values     # nothing outlives the epoch that built it
+
+    def test_the_retained_heap_per_record_is_bounded(self, recorded_campaign):
+        """The heap a replay retains after ``finalize()``, per record.
+
+        On this stream it is 787 B a record, about 350 B of them the record
+        object itself; it was 1,437 B while every record kept its own copy of
+        every value.  The bound sits between the two."""
+        stream = recorded_campaign.stream
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ingest = IncrementalConsolidator(MessageStore())
+            for datagram in stream:
+                ingest.handle_datagram(datagram)
+            records = ingest.finalize()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(recorded_campaign.ledger.records())
+        assert retained / len(records) < 1_000

@@ -123,8 +123,8 @@ def _rebuilt(change):
     """Ingest with every record it builds passed through ``change``."""
     build = incremental.build_process_record
 
-    def mutant(key, rows):
-        record, whole = build(key, rows)
+    def mutant(key, rows, values):
+        record, whole = build(key, rows, values)
         return change(record), whole
     return mock.patch.object(incremental, "build_process_record", mutant)
 

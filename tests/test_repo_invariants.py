@@ -166,10 +166,11 @@ def concurrency(tree: ast.Module, module: str) -> list[str]:
 
 # -------------------------------------------------------------- dependencies #
 def _declared(requirements: Path) -> frozenset[str]:
-    """The import names of the distributions a requirements file lists."""
+    """The import names of the distributions a requirements file lists, each
+    without its version specifier (``numpy>=2.0`` is ``numpy``)."""
     return frozenset(name.replace("-", "_").lower() for line in
                      requirements.read_text(encoding="utf-8").splitlines()
-                     if (name := line.partition("#")[0].strip()))
+                     if (name := re.split(r"[<>=!~;\[\s]", line.partition("#")[0].strip())[0]))
 
 
 RUNTIME_DEPENDENCIES = frozenset({"numpy"})

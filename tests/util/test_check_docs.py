@@ -32,10 +32,11 @@ def test_checker_detects_stale_references(check_docs, tmp_path):
     bad = tmp_path / "bad.md"
     bad.write_text(
         "[dead](missing.md) and `examples/does_not_exist.py`\n"
+        '(docs/architecture.md, "No such section")\n'
         "```python\nfrom repro import NotARealName\n```\n",
         encoding="utf-8")
     errors = check_docs.check_file(bad)
-    assert len(errors) == 3
+    assert len(errors) == 4
 
 
 def test_checker_resolves_backticked_dotted_names(check_docs, tmp_path):
@@ -61,3 +62,30 @@ def test_checker_resolves_bare_class_attributes(check_docs, tmp_path):
 
 def test_main_exit_status(check_docs):
     assert check_docs.main() == 0
+
+
+def test_checker_reads_source_docstrings_and_comments(check_docs, tmp_path):
+    """A ``docs/`` or ``tests/`` path a docstring, comment or literal names
+    must exist, and a section pointer must name a heading of its file, even
+    when it wraps a line or an f-string splits it."""
+    passing = tmp_path / "passing.py"
+    passing.write_text(
+        '"""Pinned by ``tests/util/test_check_docs.py`` (``docs/architecture.md``,\n'
+        '"The streaming\n'
+        'ingest spine")."""\n'
+        '# see (docs/architecture.md, "Parallelism: measured and removed")\n'
+        'WHERE = f"{1} (docs/architecture.md, \\"One ingest " "path\\")"\n'
+        'DATA = "/users/alice/tests/run.in"\n',
+        encoding="utf-8")
+    assert check_docs.check_source(passing) == []
+    firing = tmp_path / "firing.py"
+    firing.write_text(
+        '"""Pinned by ``tests/util/test_gone.py``."""\n'
+        '#: measured in (docs/architecture.md,\n'
+        '#: "No such section").\n'
+        'WHERE = f"{1} (docs/architecture.md, \\"Gone " "too\\")"\n',
+        encoding="utf-8")
+    assert check_docs.check_source(firing) == [
+        f"{firing}: missing path -> tests/util/test_gone.py",
+        f'{firing}: no such heading -> docs/architecture.md, "Gone too"',
+        f'{firing}: no such heading -> docs/architecture.md, "No such section"']
