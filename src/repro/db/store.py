@@ -69,9 +69,13 @@ def is_transient_sqlite_error(error: sqlite3.OperationalError) -> bool:
 ProcessKey = tuple[str, str, int, str, str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessRecord:
-    """One consolidated per-process record (the unit of all analyses)."""
+    """One consolidated per-process record (the unit of all analyses).
+
+    Slotted: a record carries no ``__dict__``; copy one with
+    :func:`dataclasses.replace`.
+    """
 
     jobid: str
     stepid: str

@@ -2,11 +2,12 @@
 
 The paper's server side is one UDP receiver feeding one consolidation step;
 :class:`IncrementalConsolidator` is both.  Its
-:meth:`~IncrementalConsolidator.handle_datagram` is the only place a
-datagram is decoded for ingest: it counts what arrives, keeps the raw bytes
-of what does not decode in a bounded ring (:class:`DatagramQuarantine`) so
-corruption on a production link leaves a forensic trail instead of only a
-counter, and buffers the rest in batches.  Each batch is written to the raw
+:meth:`~IncrementalConsolidator.handle_datagram` decodes each datagram with
+the format's one decoder (:func:`~repro.transport.messages.decode_row`): it
+counts what arrives, keeps the raw bytes of what does not decode in a
+bounded ring (:class:`DatagramQuarantine`) so corruption on a production
+link leaves a forensic trail instead of only a counter, and buffers the rest
+in batches.  Each batch is written to the raw
 ``messages`` table first when ``persist_raw`` is set (the paper's raw
 store), then consumed **as it arrives**: an open process per key holds its
 raw rows in a list (filing a datagram is one lookup and one append), a
@@ -61,16 +62,12 @@ from dataclasses import dataclass, field
 
 from repro.collector.records import InfoType
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord, process_key
-from repro.ingest.records import GROUP_KEYS, build_process_record
+from repro.ingest.records import build_process_record
 from repro.transport.channel import Channel
-from repro.transport.messages import PROTOCOL_TAG, SEPARATOR, MessageRow, UDPMessage
+from repro.transport.messages import MessageRow, decode_row
 from repro.util.errors import TransportError
 
 _PROCEND = InfoType.PROCEND.value
-#: Every ``(LAYER, TYPE)`` wire pair that decodes, to itself as
-#: ``GROUP_KEYS`` holds it.  One lookup validates a datagram's pair and swaps
-#: its two fresh strings for these, whose hashes are computed once.
-_WIRE_KINDS = {key: key for key in GROUP_KEYS.values()}
 #: Undecodable datagrams the ingest object keeps for forensics.
 QUARANTINE_CAPACITY = 256
 #: Accepted messages are buffered and delivered -- raw-persisted, then filed
@@ -245,42 +242,22 @@ class IncrementalConsolidator:
         """Decode one datagram into a raw row and buffer it for delivery;
         ``False`` if it did not decode.
 
-        Accepts exactly what :meth:`UDPMessage.decode` accepts, decoding
-        straight into the ``messages`` row shape: one ``split``, the same four
-        ``int()`` fields, one lookup of the ``(LAYER, TYPE)`` wire pair.
-        Undecodable datagrams are counted and quarantined, with their raw
-        bytes and :meth:`UDPMessage.decode`'s own failure reason -- never
-        raised.
+        :func:`~repro.transport.messages.decode_row` is called once per
+        datagram.  One it refuses is counted and quarantined, with its raw
+        bytes and the decoder's error text as the reason -- never raised.
         """
         try:
-            (tag, jobid, stepid, pid, path_hash, host, time, layer, info_type,
-             chunk_index, chunk_total, content) = datagram.decode("utf-8").split(SEPARATOR, 11)
-            layer, info_type = _WIRE_KINDS[layer, info_type]
-            row = (jobid, stepid, int(pid), path_hash, host, int(time), layer, info_type,
-                   int(chunk_index), int(chunk_total), content)
-        except (ValueError, KeyError):  # bad UTF-8, a field short, an unknown kind, not an int
-            return self._reject(datagram)
-        if tag != PROTOCOL_TAG:
-            return self._reject(datagram)
+            row = decode_row(datagram)
+        except TransportError as error:
+            self.decode_errors += 1
+            self.quarantine.capture(datagram, str(error))
+            return False
         self.messages_received += 1
         batch = self._batch
         batch.append(row)
         if len(batch) >= BATCH_SIZE:
             self._deliver()
         return True
-
-    def _reject(self, datagram: bytes) -> bool:
-        """Count and quarantine a datagram that did not decode.
-
-        The reason kept is :meth:`UDPMessage.decode`'s error text: the format
-        words it, so the quarantine reads the same whichever decoder refused.
-        """
-        self.decode_errors += 1
-        try:
-            UDPMessage.decode(datagram)
-        except TransportError as error:
-            self.quarantine.capture(datagram, str(error))
-        return False
 
     def _deliver(self) -> None:
         """Raw-persist (``persist_raw``), then file, the buffered messages,

@@ -45,7 +45,7 @@ from repro.collector.policy import TABLE_1
 from repro.collector.records import InfoType, Layer, parse_keyvalues
 from repro.db.store import PROCESS_FIELDS, ProcessKey, ProcessRecord
 from repro.transport.chunking import reassemble_chunks
-from repro.transport.messages import MessageRow
+from repro.transport.messages import GROUP_KEYS, GroupKey, MessageRow
 
 #: What every Table 1 scope sends: all that a record whose category the table
 #: does not list is owed besides its PROCINFO.
@@ -66,14 +66,6 @@ def expected_types_for(category: str) -> tuple[InfoType, ...]:
     return _EXPECTED_TYPES.get(category, _EXPECTED_TYPES[""])
 
 
-GroupKey = tuple[str, str]
-
-#: The ``(LAYER, TYPE)`` wire values a message's group is filed under, by
-#: member pair.  Built once: ``.value`` is a Python-level property, too dear
-#: to evaluate per datagram.
-GROUP_KEYS: dict[tuple[Layer, InfoType], GroupKey] = {
-    (layer, info_type): (layer.value, info_type.value)
-    for layer in Layer for info_type in InfoType}
 PROCINFO_KEY = GROUP_KEYS[Layer.SELF, InfoType.PROCINFO]
 
 _EXPECTED_KEYS: dict[str, tuple[GroupKey, ...]] = {

@@ -15,13 +15,17 @@ The transport here mirrors that design with three interchangeable channels:
 * :class:`~repro.transport.channel.SocketChannel` -- real UDP datagrams over
   the loopback interface, for end-to-end realism.
 
-The receiving end -- decode, count, quarantine -- is the ingest object's
+The wire format, both ends of it, lives in :mod:`repro.transport.messages`
+alone: :func:`~repro.transport.messages.wire_header` and
+:data:`~repro.transport.messages.SECTION_KINDS` frame a datagram, and
+:func:`~repro.transport.messages.decode_row` is the one decoder.  The
+receiving end -- decode, count, quarantine -- is the ingest object's
 :meth:`~repro.ingest.incremental.IncrementalConsolidator.handle_datagram`.
 """
 
 from repro.transport.channel import Channel, InMemoryChannel, LossyChannel, SocketChannel
 from repro.transport.chunking import reassemble_chunks, split_content
-from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
+from repro.transport.messages import MAX_DATAGRAM_SIZE
 from repro.transport.sender import UDPSender
 
 __all__ = [
@@ -30,7 +34,6 @@ __all__ = [
     "LossyChannel",
     "SocketChannel",
     "UDPSender",
-    "UDPMessage",
     "MAX_DATAGRAM_SIZE",
     "split_content",
     "reassemble_chunks",

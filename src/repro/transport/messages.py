@@ -14,14 +14,13 @@ Datagrams are serialised as UTF-8 text with unit-separator (0x1F) delimited
 fields, preceded by a short protocol tag, and must fit in
 :data:`MAX_DATAGRAM_SIZE` bytes.
 
-:class:`UDPMessage` is the format's definition and its error path: its
-:meth:`~UDPMessage.decode` accepts exactly the datagrams ingest accepts and
-words the reason a datagram is refused.  Neither end of the hot path builds
-one.  The sender frames a process once (:func:`wire_header`) and looks each
-section's ``LAYER``/``TYPE`` bytes up in :data:`SECTION_KINDS`; the receiver
+This module is the only code that knows the format.  The sender frames a
+process once (:func:`wire_header`) and looks each section's ``LAYER``/``TYPE``
+bytes up in :data:`SECTION_KINDS`; the receiver
 (:meth:`repro.ingest.incremental.IncrementalConsolidator.handle_datagram`)
-splits a datagram straight into a :data:`MessageRow`, and asks ``decode`` only
-why one it refused is malformed.
+turns every datagram into a :data:`MessageRow` with :func:`decode_row`, the one
+decoder, whose error text is the reason a refused datagram is quarantined
+under.
 """
 
 from __future__ import annotations
@@ -50,22 +49,25 @@ _FIELD_COUNT = 12
 #: ``LAYER`` and ``TYPE`` as their wire values, the chunk counters, the content.
 MessageRow = tuple[str, str, int, str, str, int, str, str, int, int, str]
 
-#: Wire value -> member.  ``decode`` calls ``Layer(...)`` / ``InfoType(...)``
-#: only for a value missing here, so an unknown one still fails with the
-#: enum's own message (the quarantine reason).
-_LAYERS = {member.value: member for member in Layer}
-_INFO_TYPES = {member.value: member for member in InfoType}
-
 #: One section of a process's burst, as the collector hands it to the sender.
 Section = tuple[Layer, InfoType, str]
 
-#: The same tables the other way, for the sender: ``(layer, type)`` -> the
-#: wire bytes between a process's header and a datagram's chunk counters.
+GroupKey = tuple[str, str]
+
+#: The ``(LAYER, TYPE)`` wire values of every member pair, built once:
+#: ``.value`` is a Python-level property, too dear to evaluate per datagram.
+#: :func:`decode_row` returns these very tuples, so a row's pair is also the
+#: key ingest files a message's group under, its hash computed once.
+GROUP_KEYS: dict[tuple[Layer, InfoType], GroupKey] = {
+    (layer, info_type): (layer.value, info_type.value)
+    for layer in Layer for info_type in InfoType}
+_KINDS = {key: key for key in GROUP_KEYS.values()}
+
+#: The same pairs as the sender writes them: ``(layer, type)`` -> the wire
+#: bytes between a process's header and a datagram's chunk counters.
 SECTION_KINDS: dict[tuple[Layer, InfoType], bytes] = {
-    (layer, info_type):
-        f"{SEPARATOR}{layer.value}{SEPARATOR}{info_type.value}{SEPARATOR}".encode("utf-8")
-    for layer in Layer for info_type in InfoType
-}
+    members: f"{SEPARATOR}{layer}{SEPARATOR}{info_type}{SEPARATOR}".encode("utf-8")
+    for members, (layer, info_type) in GROUP_KEYS.items()}
 
 
 def wire_header(jobid: str, stepid: str, pid: int, path_hash: str,
@@ -75,14 +77,42 @@ def wire_header(jobid: str, stepid: str, pid: int, path_hash: str,
                            host, str(time))).encode("utf-8")
 
 
+def decode_row(datagram: bytes) -> MessageRow:
+    """Parse one datagram into its raw ``messages`` row.
+
+    Raises :class:`~repro.util.errors.TransportError` for anything else, its
+    text the reason: the bytes are not UTF-8, not twelve fields under the
+    protocol tag, or the first field of pid, time, ``LAYER``, ``TYPE``,
+    chunk index and chunk total (wire order) that does not read.
+    """
+    try:
+        fields = datagram.decode("utf-8").split(SEPARATOR, _FIELD_COUNT - 1)
+    except UnicodeDecodeError as exc:
+        raise TransportError("datagram is not valid UTF-8") from exc
+    if len(fields) != _FIELD_COUNT or fields[0] != PROTOCOL_TAG:
+        raise TransportError("datagram does not carry a SIREN message")
+    _, jobid, stepid, pid, path_hash, host, time, layer, info_type, index, total, content = fields
+    try:
+        pid, time = int(pid), int(time)
+        # a pair missing from the table has an unknown LAYER or TYPE, and the
+        # enum call raises with its own message
+        layer, info_type = _KINDS.get((layer, info_type)) or (Layer(layer), InfoType(info_type))
+        return (jobid, stepid, pid, path_hash, host, time, layer, info_type,
+                int(index), int(total), content)
+    except ValueError as exc:
+        raise TransportError(f"malformed SIREN datagram: {exc}") from exc
+
+
 @dataclass(unsafe_hash=True)
 class UDPMessage:
-    """One SIREN datagram (or one chunk of a chunked message).
+    """One SIREN datagram (or one chunk of a chunked message), field by field.
 
-    A value: hashable, compared by field, never mutated once built.  Not
-    ``frozen=True``, because a frozen ``__init__`` assigns through
-    ``object.__setattr__`` and that was more than half of :meth:`decode`
-    (timed per datagram as ``transport.decode_us_per_msg``).
+    A value: hashable, compared by field, never mutated once built (not
+    ``frozen=True``: a frozen ``__init__`` assigns through
+    ``object.__setattr__``, and :meth:`decode` is timed per datagram as
+    ``transport.decode_us_per_msg``).  Neither end of the hot path builds
+    one; :meth:`decode` is :func:`decode_row` with ``LAYER`` and ``TYPE``
+    read back into their members.
     """
 
     jobid: str
@@ -100,26 +130,5 @@ class UDPMessage:
     @classmethod
     def decode(cls, datagram: bytes) -> "UDPMessage":
         """Parse datagram bytes back into a message."""
-        try:
-            text = datagram.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TransportError("datagram is not valid UTF-8") from exc
-        fields = text.split(SEPARATOR, _FIELD_COUNT - 1)
-        if len(fields) != _FIELD_COUNT or fields[0] != PROTOCOL_TAG:
-            raise TransportError("datagram does not carry a SIREN message")
-        try:
-            return cls(
-                jobid=fields[1],
-                stepid=fields[2],
-                pid=int(fields[3]),
-                path_hash=fields[4],
-                host=fields[5],
-                time=int(fields[6]),
-                layer=_LAYERS.get(fields[7]) or Layer(fields[7]),
-                info_type=_INFO_TYPES.get(fields[8]) or InfoType(fields[8]),
-                chunk_index=int(fields[9]),
-                chunk_total=int(fields[10]),
-                content=fields[11],
-            )
-        except ValueError as exc:
-            raise TransportError(f"malformed SIREN datagram: {exc}") from exc
+        row = decode_row(datagram)
+        return cls(*row[:6], Layer(row[6]), InfoType(row[7]), row[10], row[8], row[9])

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 from repro.transport.channel import Channel
 from repro.transport.chunking import split_content
-from repro.transport.messages import MAX_DATAGRAM_SIZE, SECTION_KINDS, Section
+from repro.transport.messages import MAX_DATAGRAM_SIZE, SECTION_KINDS, SEPARATOR, Section
 
-_SEPARATOR = b"\x1f"
+_SEPARATOR = SEPARATOR.encode("utf-8")
 #: The CHUNK and CHUNKS fields a datagram's tail opens with ...
-_COUNTERS = b"%d\x1f%d\x1f"
+_COUNTERS = b"%d" + _SEPARATOR + b"%d" + _SEPARATOR
 #: ... and those of a content that fits one datagram.
 _UNCHUNKED = _COUNTERS % (0, 1)
 #: Datagram bytes kept free beyond header and kind: the ``0␟1␟`` counters

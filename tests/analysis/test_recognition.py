@@ -1,6 +1,7 @@
 """Tests for similarity clustering and repeated-execution recognition."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -225,7 +226,7 @@ class TestGraphOfTheRecordedCampaign:
 
     def test_repeated_columns_count_once(self, records):
         """A column named twice weighs once, as in ``SimilaritySearch.query``."""
-        records[1] = ProcessRecord(**{**records[1].__dict__, "strings_h": ""})
+        records[1] = replace(records[1], strings_h="")
         search = SimilaritySearch(records)
         graph = similarity_graph(search, threshold=0, columns=("FI_H", "ST_H", "FI_H"))
         assert graph == similarity_graph(search, threshold=0, columns=("FI_H", "ST_H"))

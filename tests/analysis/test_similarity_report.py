@@ -1,5 +1,7 @@
 """Tests for the similarity search (Table 7) and report rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import report
@@ -33,9 +35,8 @@ def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
 
 def _sparse(record: ProcessRecord) -> ProcessRecord:
     """``record`` at another path with every hash but the file hash missing."""
-    return ProcessRecord(**{**record.__dict__, "executable": record.executable + ".sparse",
-                            "modules_h": "", "compilers_h": "", "objects_h": "",
-                            "strings_h": "", "symbols_h": ""})
+    return replace(record, executable=record.executable + ".sparse", modules_h="",
+                   compilers_h="", objects_h="", strings_h="", symbols_h="")
 
 
 @pytest.fixture()
@@ -142,8 +143,8 @@ class TestQueries:
         sparse = [
             records[0],
             records[1],
-            ProcessRecord(**{**records[2].__dict__, "modules_h": ""}),
-            ProcessRecord(**{**records[3].__dict__, "modules_h": ""}),
+            replace(records[2], modules_h=""),
+            replace(records[3], modules_h=""),
         ]
         search = SimilaritySearch(sparse)
         assert search.comparisons == 0

@@ -4,7 +4,8 @@ A 200-process stream (chunked contents, a lossy wire, so some processes
 miss chunks) is replayed twice through the ingest object
 (``IncrementalConsolidator``) over a store
 with gold rollups attached: once untouched, once under spies.  The spies
-fail the test if the hot path regrows a ``UDPMessage``, an enum call or a
+fail the test if the hot path decodes a datagram other than once through
+``decode_row``, or regrows a ``UDPMessage``, an enum call or a
 ``.value`` per datagram, a chunk accumulator (a ``reassemble_chunks`` call)
 for an unchunked message, a record build per process beyond its close and
 each ``PROCEND`` check that found content missing, a second PROCINFO parse
@@ -96,6 +97,13 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         builds.append(list(rows))
         return build(key, rows, values)
 
+    decoded = []
+    decode_row = incremental.decode_row
+
+    def counting_decode(datagram):
+        decoded.append(datagram)
+        return decode_row(datagram)
+
     reassembled = []
     reassemble_chunks = record_builder.reassemble_chunks
 
@@ -104,20 +112,22 @@ def test_spied_replay_counts_and_output(stream, monkeypatch):
         return reassemble_chunks(chunks, expected_total)
 
     with monkeypatch.context() as patch:
-        # the format's error path: valid datagrams must never reach it
+        # ``UDPMessage`` and the enum calls: valid datagrams must never reach them
         patch.setattr(UDPMessage, "__init__", counting_init)
         patch.setattr(messages, "Layer", forbidden)
         patch.setattr(messages, "InfoType", forbidden)
         patch.setattr(enum.property, "__get__", counting_get)
+        patch.setattr(incremental, "decode_row", counting_decode)
         patch.setattr(incremental, "build_process_record", counting_build)
         patch.setattr(record_builder, "reassemble_chunks", counting_reassemble)
         spied = _replay(stream)
 
     assert spied == expected
 
-    # A datagram is split straight into a raw row: no message object, and no
-    # `.name` / `.value` of any enum member, anywhere from the datagram to
-    # the gold fold.
+    # A datagram is decoded once, by the format's one decoder, straight into
+    # a raw row: no message object, and no `.name` / `.value` of any enum
+    # member, anywhere from the datagram to the gold fold.
+    assert decoded == stream
     assert messages_built == []
     assert value_reads == []
 

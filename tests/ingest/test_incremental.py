@@ -20,7 +20,8 @@ from repro.db.store import MessageStore, process_row
 from repro.ingest import IncrementalConsolidator
 from repro.ingest import incremental
 from repro.transport.channel import InMemoryChannel
-from repro.transport.messages import UDPMessage, wire_header
+from repro.transport import messages
+from repro.transport.messages import UDPMessage, decode_row, wire_header
 from repro.transport.sender import UDPSender
 
 from oracles.wire import burst, encode, row
@@ -512,15 +513,28 @@ class TestDatagramPath:
 
 
 class TestQuarantine:
-    @pytest.mark.parametrize("shape", list(_malformed_datagrams()))
-    def test_malformed_datagram_is_counted_quarantined_and_dropped(self, shape):
-        datagram = _malformed_datagrams()[shape]
+    @pytest.mark.parametrize("shape", [*_malformed_datagrams(), "every shape in turn"])
+    def test_malformed_datagram_is_counted_quarantined_and_dropped(self, shape, monkeypatch):
+        malformed = _malformed_datagrams()
+        datagrams = [malformed[shape]] if shape in malformed else list(malformed.values())
+        decoded = []
+
+        def counting_decode(datagram):
+            decoded.append(datagram)
+            return decode_row(datagram)
+
+        # ingest's own call, and any decode behind it (``UDPMessage.decode`` too)
+        monkeypatch.setattr(incremental, "decode_row", counting_decode)
+        monkeypatch.setattr(messages, "decode_row", counting_decode)
         store = MessageStore()
         ingest = IncrementalConsolidator(store, persist_raw=True)
-        ingest.handle_datagram(datagram)
+        for datagram in datagrams:
+            assert ingest.handle_datagram(datagram) is False
         assert ingest.finalize() == []
-        assert (ingest.decode_errors, ingest.messages_received) == (1, 0)
-        assert [entry.datagram for entry in ingest.quarantine.entries()] == [datagram]
+        assert (ingest.decode_errors, ingest.messages_received) == (len(datagrams), 0)
+        assert [entry.datagram for entry in ingest.quarantine.entries()] == datagrams
+        # one decode a datagram: none again once it is refused
+        assert decoded == datagrams
         assert store.message_count() == 0
 
     def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from repro.collector.records import InfoType, Layer, format_keyvalues, parse_keyvalues
 from repro.transport.channel import InMemoryChannel
 from repro.transport.chunking import reassemble_chunks, split_content
-from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage
+from repro.transport.messages import MAX_DATAGRAM_SIZE, UDPMessage, decode_row
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
 
@@ -119,8 +119,9 @@ MALFORMED = {
 
 
 class TestDecodePins:
-    """``decode`` looks LAYER and TYPE up in two dicts; what it returns and
-    what it says when it refuses are those of the enum-call decode."""
+    """``UDPMessage.decode`` returns the enum members themselves, and
+    ``decode_row`` refuses each malformed class with the parent commit's
+    words, checking fields in wire order."""
 
     @pytest.mark.parametrize("layer", list(Layer))
     @pytest.mark.parametrize("info_type", list(InfoType))
@@ -138,7 +139,7 @@ class TestDecodePins:
     def test_reason_strings_are_the_parent_commits(self, name):
         datagram, reason = MALFORMED[name]
         with pytest.raises(TransportError) as caught:
-            UDPMessage.decode(datagram)
+            decode_row(datagram)
         assert str(caught.value) == reason
 
     def test_quarantine_keeps_the_same_reasons(self):
