@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-One scaled deployment campaign is executed per benchmark session and shared by
-every table/figure benchmark; the scale can be overridden with the
+One scaled deployment campaign is executed per benchmark session, for the
+similarity bench's largest scale; the scale can be overridden with the
 ``REPRO_BENCH_SCALE`` environment variable (1.0 reproduces the paper's job
-counts, the default keeps the harness laptop-friendly).
+counts, the default keeps the harness laptop-friendly).  The paper's tables
+and figures are checked in the tier-1 suite (``tests/integration/``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import AnalysisPipeline
 from repro.workload import CampaignConfig, CampaignResult, DeploymentCampaign
 
-# The similarity benches check the search against the all-pairs Table 7
+# The similarity bench checks the search against the all-pairs Table 7
 # reference of the test suite's oracles (``tests/oracles/search.py``).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
@@ -38,12 +38,6 @@ def bench_scale_fixture() -> float:
 
 @pytest.fixture(scope="session")
 def bench_campaign() -> CampaignResult:
-    """The deployment campaign all table/figure benchmarks analyse."""
+    """The benchmark campaign, analysed by the similarity bench."""
     config = CampaignConfig(scale=bench_scale(), seed=2025, loss_rate=0.0002)
     return DeploymentCampaign(config=config).run()
-
-
-@pytest.fixture(scope="session")
-def bench_pipeline(bench_campaign: CampaignResult) -> AnalysisPipeline:
-    """Analysis pipeline over the benchmark campaign."""
-    return AnalysisPipeline(bench_campaign.records, bench_campaign.user_names)

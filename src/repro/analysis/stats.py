@@ -94,17 +94,6 @@ class UserActivityRow:
         return self.system_processes + self.user_processes + self.python_processes
 
 
-def activity_totals(rows: list[UserActivityRow]) -> UserActivityRow:
-    """The "Total" row of Table 2."""
-    return UserActivityRow(
-        user="Total",
-        job_count=sum(row.job_count for row in rows),
-        system_processes=sum(row.system_processes for row in rows),
-        user_processes=sum(row.user_processes for row in rows),
-        python_processes=sum(row.python_processes for row in rows),
-    )
-
-
 @dataclass(frozen=True)
 class SystemExecutableRow:
     """One row of Table 3: one system-directory executable."""

@@ -34,7 +34,7 @@ from repro.analysis.labels import UNKNOWN_LABEL
 from repro.analysis.live import LiveAnalysis
 from repro.analysis.similarity import SimilaritySearch
 from repro.analysis.simindex import DigestIndex
-from repro.analysis.stats import TableRollup, activity_totals
+from repro.analysis.stats import TableRollup
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.ingest.incremental import ProcessDelta
@@ -659,7 +659,7 @@ class TestCampaignLiveEquivalence:
         result = campaign.run()
         delta = campaign.deployment.snapshot_delta()
         assert len(delta.new_records) + len(delta.open_records) == len(result.records)
-        assert activity_totals(live.table2_user_activity()).total_processes \
+        assert tables.activity_totals(live.table2_user_activity()).total_processes \
             == len(result.records) > 0
 
 

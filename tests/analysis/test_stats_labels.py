@@ -11,11 +11,10 @@ from repro.analysis.labels import (
     label_by_executable,
     user_application_table,
 )
-from repro.analysis.stats import activity_totals
 from repro.core import AnalysisPipeline
 from repro.db.store import ProcessRecord
 
-from oracles.tables import system_executable_count
+from oracles.tables import activity_totals, system_executable_count
 
 
 def _record(executable: str, category: str, *, uid: int = 1000, jobid: str = "1",

@@ -6,14 +6,13 @@ from operator import attrgetter
 import pytest
 
 from repro.analysis.similarity import SimilaritySearch
-from repro.analysis.stats import activity_totals
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.search import reference_identify
-from oracles.tables import user_activity_table
+from oracles.tables import activity_totals, user_activity_table
 from oracles.wire import burst
 
 

@@ -9,6 +9,8 @@ from repro.analysis.libfilter import derive_library_tag
 from repro.corpus.libraries import LIBRARY_BY_KEY, LIBRARY_CATALOG, library_path
 from repro.corpus.toolchains import TOOLCHAIN_ORDER, TOOLCHAINS, comments_for
 
+from oracles.truth import UNTAGGED_LIBRARIES
+
 
 class TestToolchains:
     def test_all_eight_paper_toolchains_present(self):
@@ -31,14 +33,11 @@ class TestLibraryCatalog:
         assert len(paths) == len(set(paths))
 
     def test_tagged_keys_match_their_derived_tag(self):
-        """Catalog keys of tagged libraries equal the tag their path derives to."""
-        untagged_ok = {"libc", "libm", "libdl", "librt", "libstdc++", "libgcc_s", "ld-linux",
-                       "libz", "libtinfo-default", "libtinfo-spack", "libtinfo-sw",
-                       "libreadline", "liblua", "libselinux", "libacl", "libpcre", "libcap",
-                       "libcrypto", "libexpat", "libffi", "libmunge", "libslurm"}
+        """Catalog keys of tagged libraries equal the tag their path derives
+        to: the truth oracle's Figure 2 and 5 rows are keyed by them."""
         for spec in LIBRARY_CATALOG:
             tag = derive_library_tag(spec.path)
-            if spec.key in untagged_ok:
+            if spec.key in UNTAGGED_LIBRARIES:
                 continue
             assert tag == spec.key, f"{spec.key} derives to {tag}"
 

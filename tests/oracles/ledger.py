@@ -14,6 +14,7 @@ collector, artifact hasher, sender, channel, ingest or store.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import fields
 
@@ -37,6 +38,26 @@ KEYS, VALUES, FLAGGED = "keys", "values", "losses flagged"
 _CONTENT = tuple(f.name for f in fields(ProcessRecord))[6:-1]
 
 
+def watch_launches(cluster: Cluster, record: Callable[[ProcessContext], None]) -> None:
+    """Wrap ``cluster.runtime.run_process`` so that every launch from now on
+    hands its :class:`ProcessContext` to ``record`` once it has run."""
+    run_process = cluster.runtime.run_process
+
+    def run_and_record(**launch) -> ProcessContext:
+        context = run_process(**launch)
+        record(context)
+        return context
+
+    cluster.runtime.run_process = run_and_record
+
+
+def hooked(context: ProcessContext, library_path: str) -> bool:
+    """SIREN's hook ran in the process: it is dynamic and preloaded ``siren.so``
+    (the runtime's rule, restated)."""
+    link = context.link_result
+    return not link.static and library_path in link.preloaded
+
+
 class GroundTruthLedger:
     """Every launch on ``cluster`` from now on, and the records SIREN owes."""
 
@@ -46,14 +67,7 @@ class GroundTruthLedger:
         #: collected process key -> the record ingest owes for it
         self.expected: dict[ProcessKey, ProcessRecord] = {}
         self._digests: dict[bytes, str] = {}
-        run_process = cluster.runtime.run_process
-
-        def run_and_record(**launch) -> ProcessContext:
-            context = run_process(**launch)
-            self._record(context)
-            return context
-
-        cluster.runtime.run_process = run_and_record
+        watch_launches(cluster, self._record)
 
     def records(self) -> list[ProcessRecord]:
         """The owed records, in process-key order (ingest's output order)."""
@@ -61,8 +75,7 @@ class GroundTruthLedger:
 
     def _record(self, context: ProcessContext) -> None:
         self.launches += 1
-        link = context.link_result
-        if link.static or self.library_path not in link.preloaded:
+        if not hooked(context, self.library_path):
             return
         self.hooked += 1
         if not should_collect_rank(context.slurm_procid):

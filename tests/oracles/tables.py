@@ -6,6 +6,8 @@ paper states them -- group, count, sort -- over a list of records; over the
 key-sorted records they render exactly the rollup's rows (``==``, so row and
 tie order too).  The rollup, gold and live equality suites compare against
 this file.  It shares only the row types and ``user_label`` with the library.
+:func:`activity_totals` sums Table 2 into its "Total" row, which the library
+never prints.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def user_activity_table(
     rows.sort(key=lambda row: (row.job_count, row.system_processes,
                                row.user_processes, row.python_processes), reverse=True)
     return rows
+
+
+def activity_totals(rows: list[UserActivityRow]) -> UserActivityRow:
+    """The "Total" row of Table 2."""
+    return UserActivityRow(
+        user="Total",
+        job_count=sum(row.job_count for row in rows),
+        system_processes=sum(row.system_processes for row in rows),
+        user_processes=sum(row.user_processes for row in rows),
+        python_processes=sum(row.python_processes for row in rows),
+    )
 
 
 def system_executable_table(

@@ -54,6 +54,33 @@ CAMPAIGN_PINS = {
                  "49a16b59fcd7c484828a12f859b96b95376faebfbd9865ff1c51e187712a71aa"),
 }
 
+_TABLE7 = "Table 7 (baseline: /scratch/project_465000000/user_8/run_tmp/{})"
+
+#: ``render_all()`` of a lossless run, by section title: the first 16 hex
+#: digits of each section's SHA-256 ...
+_LOSSLESS_SECTIONS = {
+    "Table 2": "e89fad76093b6de7", "Table 3": "8c0090ee51129584",
+    "Table 4": "fc05e8d19e3c9509", "Table 5": "c8bea3d581d79207",
+    "Table 6": "07462f74faf3d620", "Table 8": "cdc15af425bd2b45",
+    "Figure 2": "0737a78e87c18689", "Figure 3": "8876e739cf3300fb",
+    "Figure 4 (compilers x labels)": "b7f403bb42c95cc0",
+    "Figure 5 (libraries x labels)": "4ac4d619a13723af",
+    _TABLE7.format("exp_042/a.out"): "0d54ce11d410ec52",
+    _TABLE7.format("exp_043/model.x"): "8e083c9bd303e55a",
+}
+
+#: ... and per config: taken later than ``CAMPAIGN_PINS``, from the very
+#: reports it pins whole, so that a change says which table moved.
+SECTION_PINS = {
+    (0.0, 17): _LOSSLESS_SECTIONS,
+    (0.0, 99): _LOSSLESS_SECTIONS,
+    (0.01, 17): {**_LOSSLESS_SECTIONS, "Table 2": "d5cd16b95c3dec01",
+                 "Table 3": "c76d9d4048259fea", "Table 4": "16abc91ef573ed5c",
+                 "Figure 2": "d46273da53e40ffe"},
+    (0.01, 99): {**_LOSSLESS_SECTIONS, "Table 2": "f7aaeb0ae13c96fe",
+                 "Table 3": "cd58f66313ab56df"},
+}
+
 #: every preset replays the same 2,635-datagram stream: the recorded
 #: campaign's (``tests/conftest.py``)
 _SENT = 2_635
@@ -99,23 +126,33 @@ def _record_list(records) -> list[tuple]:
             for r in records]
 
 
+def _section_digests(report: str) -> dict[str, str]:
+    """``{title: the first 16 hex digits of its SHA-256}`` of each section of
+    a ``render_all()`` report (sections are separated by a blank line)."""
+    return {section.split("\n", 1)[0]: _sha(section)[:16]
+            for section in report.split("\n\n")}
+
+
 @functools.cache
 def _campaign_digests(loss_rate: float, seed: int,
-                      keep_raw_messages: bool) -> tuple[str | None, ...]:
+                      keep_raw_messages: bool) -> tuple[object, ...]:
     """The three pinned digests of one scale-0.0 campaign (run once per
     config), then the record-list digest of the post-pass oracle over the raw
-    ``messages`` table (``None`` when raw messages were not kept)."""
+    ``messages`` table (``None`` when raw messages were not kept), then the
+    report's :func:`_section_digests`."""
     config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
                             keep_raw_messages=keep_raw_messages, rollups=True)
     result = DeploymentCampaign(config=config, profiles=PROFILES).run()
     tiered = result.tiered
     gold = [tiered.user_activity(), tiered.system_executables(),
             tiered.shared_object_variants("bash"), tiered.python_interpreters()]
+    report = AnalysisPipeline(result.records, result.user_names).render_all()
     return (_sha(_record_list(result.records)),
-            _sha(AnalysisPipeline(result.records, result.user_names).render_all()),
+            _sha(report),
             _sha(gold),
             _sha(_record_list(records_from_messages(result.store)))
-            if keep_raw_messages else None)
+            if keep_raw_messages else None,
+            _section_digests(report))
 
 
 @pytest.mark.parametrize("loss_rate, seed", list(CAMPAIGN_PINS))
@@ -134,6 +171,12 @@ class TestRecordedCampaignOutput:
     def test_rendered_analysis(self, loss_rate, seed, keep_raw):
         assert _campaign_digests(loss_rate, seed, keep_raw)[1] == \
             CAMPAIGN_PINS[loss_rate, seed][1]
+
+    @_KEEP_RAW
+    def test_each_rendered_section(self, loss_rate, seed, keep_raw):
+        """Beside the whole report's pin: a change says which table moved."""
+        assert _campaign_digests(loss_rate, seed, keep_raw)[4] == \
+            SECTION_PINS[loss_rate, seed]
 
     @_KEEP_RAW
     def test_gold_tables(self, loss_rate, seed, keep_raw):
