@@ -56,7 +56,6 @@ SOURCE_DIR = "src/repro"
 #: a doc currently cites them (the docs-mention check alone would go quiet
 #: if a report's README table row were deleted along with the report).
 REQUIRED_BENCH_REPORTS = (
-    "BENCH_faults.json",
     "BENCH_store.json",
 )
 

@@ -7,8 +7,6 @@ package supplies the reproducible chaos that proves it does:
 * :mod:`repro.faults.plan` -- :class:`FaultPlan`, a frozen description of
   every injected fault (channel drop/duplicate/reorder/corrupt/truncate/
   jitter, store transient-error/disk-full) plus one master seed;
-  :func:`preset_plans` names the degradation-curve presets the fault bench
-  sweeps;
 * :mod:`repro.faults.channel` -- :class:`FaultyChannel`, a channel decorator
   running every datagram through the seeded fault pipeline;
 * :mod:`repro.faults.store` -- :class:`StoreFaultInjector`, raising seeded
@@ -25,7 +23,6 @@ from repro.faults.plan import (
     ChannelFaultProfile,
     FaultPlan,
     StoreFaultProfile,
-    preset_plans,
 )
 from repro.faults.store import StoreFaultInjector
 
@@ -35,5 +32,4 @@ __all__ = [
     "FaultyChannel",
     "StoreFaultInjector",
     "StoreFaultProfile",
-    "preset_plans",
 ]

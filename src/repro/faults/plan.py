@@ -115,24 +115,3 @@ class FaultPlan:
         """The store injection stream."""
         return SeededRNG(derive_seed(self.seed, "faults", "store"))
 
-
-def preset_plans(seed: int = 7) -> dict[str, FaultPlan]:
-    """The named degradation-curve presets swept by ``bench_udp_loss``.
-
-    Keyed by preset name; every preset derives its injection streams from
-    ``seed`` so the whole sweep is reproducible end to end.
-    """
-    channel = lambda **kw: FaultPlan(seed=seed, channel=ChannelFaultProfile(**kw))
-    return {
-        "baseline": FaultPlan(seed=seed),
-        "loss-1pct": channel(drop_rate=0.01),
-        "loss-5pct": channel(drop_rate=0.05),
-        "loss-20pct": channel(drop_rate=0.20),
-        "dup-10pct": channel(duplicate_rate=0.10),
-        "reorder-5pct": channel(reorder_rate=0.05, reorder_depth=3),
-        "corrupt-5pct": channel(corrupt_rate=0.05),
-        "truncate-5pct": channel(truncate_rate=0.05),
-        "jitter-10pct": channel(jitter_rate=0.10, jitter_depth=8),
-        "mixed-hostile": channel(drop_rate=0.05, duplicate_rate=0.05,
-                                 corrupt_rate=0.02, truncate_rate=0.02),
-    }

@@ -21,16 +21,14 @@ from hypothesis import strategies as st
 
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore, build_tiered_store
-from repro.faults import FaultyChannel, StoreFaultInjector, preset_plans
-from repro.faults.plan import FaultPlan, StoreFaultProfile
-from repro.ingest import IncrementalConsolidator, incremental
-from repro.transport.channel import InMemoryChannel
+from repro.faults import FaultPlan, StoreFaultInjector, StoreFaultProfile
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles import tables
+from oracles.conservation import preset_plans, replay
 
 _USERS = {1000 + i: f"user_{i}" for i in range(6)}
 _OBJECT_SETS = (
@@ -238,16 +236,7 @@ def _replay(stream, user_names, store: MessageStore,
     """``stream`` into ``store`` with gold attached, through ``plan``'s
     channel faults when given."""
     store.attach_tiered(TieredStore(user_names))
-    front = IncrementalConsolidator(store)
-    inner = InMemoryChannel()
-    front.attach(inner)
-    sender = inner if plan is None else FaultyChannel(plan=plan, inner=inner)
-    with mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8):
-        for datagram in stream:
-            sender.send(datagram)
-        if plan is not None:
-            sender.flush()
-        front.finalize()
+    replay(stream, plan or FaultPlan(), store)
 
 
 class TestGoldUnderDegradation:

@@ -9,6 +9,8 @@ import pytest
 from repro.faults import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.workload import CampaignConfig, DeploymentCampaign
 
+from oracles.conservation import check_invariants
+
 pytestmark = pytest.mark.chaos
 
 #: The seed of every fault plan here.
@@ -29,7 +31,7 @@ class TestCampaignUnderChaos:
 
         assert result.records                      # the campaign produced output
         assert result.fault_counters["dropped"] > 0
-        assert result.quarantined <= result.decode_errors
+        assert check_invariants(result) == []
         assert result.store_fault_injector is not None
         if result.store_fault_injector.transient_raised:
             assert result.store.write_retries >= 1
@@ -41,6 +43,7 @@ class TestCampaignUnderChaos:
             config = CampaignConfig(scale=0.005, seed=CHAOS_SEED, loss_rate=0.0,
                                     fault_plan=plan)
             result = DeploymentCampaign(config=config).run()
+            assert check_invariants(result) == []
             return result.records, result.fault_counters
 
         assert run() == run()

@@ -16,12 +16,12 @@ from repro.faults import (
     FaultyChannel,
     StoreFaultInjector,
     StoreFaultProfile,
-    preset_plans,
 )
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import InfoType, Layer, UDPMessage
 from repro.util.errors import ReproError
 
+from oracles.conservation import check_channel, preset_plans
 from oracles.wire import encode, rows
 
 
@@ -86,9 +86,8 @@ class TestFaultyChannel:
             drop_rate=0.1, duplicate_rate=0.1))
         datagrams = _datagrams(1000)
         channel, delivered = _run_channel(plan, datagrams)
-        assert len(delivered) == (channel.datagrams_sent
-                                  - channel.datagrams_dropped
-                                  + channel.duplicated)
+        assert check_channel(channel) == []
+        assert len(delivered) == channel.inner.datagrams_sent
         assert 0.05 < channel.observed_loss_rate < 0.2
 
     def test_order_preserving_profiles_preserve_order(self):

@@ -6,10 +6,11 @@ import pytest
 
 from repro.collector.classify import ExecutableCategory
 from repro.core import AnalysisPipeline
-from repro.faults.plan import preset_plans
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES, PROFILES_BY_NAME
+
+from oracles.conservation import check_invariants, preset_plans
 
 
 #: (seed, stream SHA-256, bytes on the wire) of the lossless scale-0.0 campaign.
@@ -59,7 +60,7 @@ class TestCampaignExecution:
         assert categories == {c.value for c in ExecutableCategory}
 
     def test_udp_loss_produces_small_incomplete_fraction(self, campaign_result):
-        assert campaign_result.channel.datagrams_dropped >= 0
+        assert check_invariants(campaign_result) == []
         assert campaign_result.incomplete_fraction < 0.02
 
     def test_unknown_icon_instance_present(self, campaign_result):
@@ -214,7 +215,9 @@ class TestProfiling:
         config = CampaignConfig(scale=0.0, seed=5, loss_rate=0.02,
                                 fault_plan=preset_plans()["mixed-hostile"])
         campaign = DeploymentCampaign(config=config, profiles=self.PROFILES)
-        stats = campaign.run().statistics()
+        result = campaign.run()
+        assert check_invariants(result) == []
+        stats = result.statistics()
         deployment = campaign.deployment.statistics()
         lossy = campaign.deployment.lossy_channel
         assert stats["datagrams_dropped"] == lossy.datagrams_dropped > 0

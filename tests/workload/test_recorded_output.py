@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from unittest import mock
 
 import pytest
 
 from repro.core import AnalysisPipeline
-from repro.db.store import MessageStore
-from repro.faults import FaultyChannel, preset_plans
-from repro.ingest import IncrementalConsolidator, incremental
-from repro.transport.channel import InMemoryChannel
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
+from oracles.conservation import preset_plans, replay
 from oracles.consolidate import records_from_messages
 from oracles.search import reference_identify
 
@@ -196,31 +192,17 @@ class TestRecordedPresetOutput:
 
     @pytest.mark.parametrize("preset", list(PRESET_PINS))
     def test_preset_output_is_the_recorded_one(self, recorded_campaign, preset):
-        records, faulty, front = _replay(recorded_campaign, preset)
-        assert (_sha(_record_list(records)), faulty.fault_counters(),
-                front.decode_errors, len(records)) == PRESET_PINS[preset]
+        run = replay(recorded_campaign.stream, preset_plans(seed=7)[preset])
+        assert (_sha(_record_list(run.records)), run.channel.fault_counters(),
+                run.ingest.decode_errors, len(run.records)) == PRESET_PINS[preset]
 
     @pytest.mark.parametrize("preset", list(PRESET_PINS))
     def test_preset_report_renders_with_the_all_pairs_table7(self, recorded_campaign,
                                                              preset):
         """A damaged stream may make the report less complete, never crash it:
         a digest a truncated datagram cut short scores 0, as comparing it would."""
-        records, _, _ = _replay(recorded_campaign, preset)
+        records = replay(recorded_campaign.stream, preset_plans(seed=7)[preset]).records
         pipeline = AnalysisPipeline(records, recorded_campaign.result.user_names)
         assert "Table 7" in pipeline.render_all()
         assert pipeline.table7_similarity_search() == \
             reference_identify(pipeline.similarity_search().instances)
-
-
-@mock.patch.multiple(incremental, BATCH_SIZE=16, FLUSH_BATCH_SIZE=8)
-def _replay(recorded_campaign, preset: str):
-    """The recorded stream through ``preset``'s faulty channel into a fresh
-    ingest front: (finalized records, the channel, the front)."""
-    inner = InMemoryChannel()
-    faulty = FaultyChannel(plan=preset_plans(seed=7)[preset], inner=inner)
-    front = IncrementalConsolidator(MessageStore())
-    front.attach(inner)
-    for datagram in recorded_campaign.stream:
-        faulty.send(datagram)
-    faulty.flush()
-    return front.finalize(), faulty, front
