@@ -83,7 +83,7 @@ def run_jobs(cluster: Cluster, manifest) -> None:
 def main() -> None:
     cluster, _corpus, manifest = build_cluster()
 
-    framework = SirenFramework(SirenConfig(loss_rate=0.0))
+    framework = SirenFramework(SirenConfig())
     framework.deploy(cluster, siren_library_path=manifest.siren_library)
 
     run_jobs(cluster, manifest)

@@ -53,8 +53,8 @@ LINE_COUNTED = ("src/repro", "tests", "benchmarks")
 #: of ``tests/test_repo_invariants.py`` and ``--figures`` both read it.
 LAYERS = {
     **dict.fromkeys(("repro.collector", "repro.transport", "repro.ingest", "repro.db",
-                     "repro.analysis", "repro.hashing", "repro.faults", "repro.core",
-                     "repro.elf"), "SIREN"),
+                     "repro.analysis", "repro.hashing", "repro.core", "repro.elf"),
+                    "SIREN"),
     **dict.fromkeys(("repro.hpcsim", "repro.corpus", "repro.workload", "repro.elf.builder"),
                     "substrate"),
     **dict.fromkeys(("repro", "repro.util"), "exempt"),

@@ -4,11 +4,12 @@ The package is organised as the paper's system plus every substrate it needs:
 
 * :mod:`repro.hashing`   -- SSDeep-style fuzzy hashing (CTPH) and xxHash,
 * :mod:`repro.elf`       -- ELF64 builder/parser (strings, symbols, .comment, DT_NEEDED),
-* :mod:`repro.hpcsim`    -- simulated HPC system (filesystem, modules, ld.so, Slurm),
+* :mod:`repro.hpcsim`    -- simulated HPC system (filesystem, modules, ld.so, Slurm,
+  network and store faults),
 * :mod:`repro.corpus`    -- synthetic software corpus (system tools, scientific packages,
   Python environments, toolchains, shared libraries),
 * :mod:`repro.collector` -- the SIREN ``LD_PRELOAD`` collector (the core contribution),
-* :mod:`repro.transport` -- chunked UDP-style messaging with loss simulation,
+* :mod:`repro.transport` -- chunked UDP-style messaging over in-memory or socket channels,
 * :mod:`repro.db`        -- SQLite storage,
 * :mod:`repro.ingest`    -- streaming ingest (one object decodes and consolidates datagrams)
   and the per-process record builder,

@@ -2,15 +2,18 @@
 
 SIREN is one fixed chain -- collector -> UDP sender -> channel -> ingest
 (decode + consolidation) -> store -> analysis.  :class:`SirenFramework` builds that chain
-from a :class:`~repro.core.config.SirenConfig` (memory or socket transport,
-optional faults and gold rollups -- see the config for what each knob
-means), hooks it onto a simulated cluster (registering the ``LD_PRELOAD``
-hook), and owns its lifecycle: drain, snapshot, delta, finalize, close.
+from a :class:`~repro.core.config.SirenConfig` (optional gold rollups -- see
+the config for what each knob means) around the channel it is handed: an
+in-memory one by default, a
+:class:`~repro.transport.channel.SocketChannel` for real UDP, or whatever
+network a caller built.  It hooks the chain onto a simulated cluster
+(registering the ``LD_PRELOAD`` hook) and owns its lifecycle: drain,
+snapshot, delta, finalize, close.
 Messages are consolidated into per-process records while they arrive, so
 every snapshot and analysis works mid-deployment.
-:class:`~repro.workload.campaign.DeploymentCampaign` builds the cluster,
-runs the jobs and holds one of these; the per-datagram and per-process
-paths never pass through this class.
+:class:`~repro.workload.campaign.DeploymentCampaign` builds the cluster and
+its simulated network, runs the jobs and holds one of these; the
+per-datagram and per-process paths never pass through this class.
 """
 
 from __future__ import annotations
@@ -23,20 +26,15 @@ from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
-from repro.faults.channel import FaultyChannel
-from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
 from repro.ingest.incremental import IncrementalConsolidator, ProcessDelta
-from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
+from repro.transport.channel import Channel, InMemoryChannel, SocketChannel
 from repro.transport.sender import UDPSender
 from repro.util.errors import CollectionError
-from repro.util.rng import SeededRNG
-
-DeploymentChannel = LossyChannel | InMemoryChannel | SocketChannel | FaultyChannel
 
 
 def _no_drain() -> int:
-    """:attr:`SirenFramework.drain` of a memory transport (nothing queues)."""
+    """:attr:`SirenFramework.drain` of a channel that delivers as it sends."""
     return 0
 
 
@@ -51,51 +49,35 @@ class SirenFramework:
 
     config: SirenConfig = field(default_factory=SirenConfig)
     user_names: dict[int, str] | None = None
+    #: what the sender sends through; a loopback ``SocketChannel`` is
+    #: drained on every snapshot, delta and finalize and released by
+    #: :meth:`close`
+    channel: Channel = field(default_factory=InMemoryChannel)
     store: MessageStore = field(init=False)
-    store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     #: the gold rollups (``rollups=True``), kept in step with every
     #: consolidated-record write to ``store``
     tiered: TieredStore | None = field(init=False, default=None)
-    #: what the sender sends through; a fault plan's decorator *is* the
-    #: channel (subscriptions delegate to the channel it wraps)
-    channel: DeploymentChannel = field(init=False)
-    #: the loss-decision channel underneath, when ``loss_rate > 0``
-    lossy_channel: LossyChannel | None = field(init=False, default=None)
     ingest: IncrementalConsolidator = field(init=False)
     sender: UDPSender = field(init=False)
     collector: SirenCollector | None = field(init=False, default=None)
     cluster: Cluster | None = field(init=False, default=None)
     #: pull queued loopback datagrams into the ingest path; bound once so a
-    #: per-job call never re-checks the transport
+    #: per-job call never re-checks the channel
     drain: Callable[[], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         config = self.config
         config.validate()
-        plan = config.fault_plan
-        if config.transport == "socket":
-            socket_channel = SocketChannel()
-            self.channel, self.drain = socket_channel, socket_channel.drain
-        else:
-            self.drain = _no_drain
-            if config.loss_rate > 0:
-                self.channel = self.lossy_channel = LossyChannel(
-                    loss_rate=config.loss_rate, rng=SeededRNG(config.seed))
-            else:
-                self.channel = InMemoryChannel()
-        if plan is not None and plan.channel.active:
-            self.channel = FaultyChannel(plan=plan, inner=self.channel)
+        channel = self.channel
+        self.drain = channel.drain if isinstance(channel, SocketChannel) else _no_drain
         self.store = MessageStore(config.store_path)
-        if plan is not None and plan.store.active:
-            self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
         if config.rollups:
             self.tiered = TieredStore(self.user_names)
             self.store.attach_tiered(self.tiered)
         self.ingest = IncrementalConsolidator(
             self.store, persist_raw=config.keep_raw_messages)
-        self.ingest.attach(self.channel)
-        self.sender = UDPSender(self.channel,
-                                max_datagram_size=config.max_datagram_size)
+        self.ingest.attach(channel)
+        self.sender = UDPSender(channel, max_datagram_size=config.max_datagram_size)
 
     # ------------------------------------------------------------------ #
     # deployment
@@ -160,14 +142,11 @@ class SirenFramework:
         """End of stream: persist every record, including still-open groups
         (e.g. processes whose ``PROCEND`` datagram was lost)."""
         self.drain()
-        if isinstance(self.channel, FaultyChannel):
-            # The injected network finally delivers whatever reordering or
-            # jitter was still holding back.
-            self.channel.flush()
         return self.ingest.finalize()
 
     def statistics(self) -> dict[str, float]:
-        """Operational counters of the deployment."""
+        """Operational counters of the deployment: what SIREN itself counts
+        (the network's drops and faults are its owner's to report)."""
         ingest_stats = self.ingest.statistics()
         stats: dict[str, float] = {
             "datagrams_sent": self.sender.datagrams_sent,
@@ -181,13 +160,6 @@ class SirenFramework:
                      "peak_open_processes"):
             stats[f"ingest_{name}"] = ingest_stats[name]
         stats["store_write_retries"] = self.store.write_retries
-        lossy = self.lossy_channel
-        if lossy is not None:
-            stats["datagrams_dropped"] = lossy.datagrams_dropped
-            stats["observed_loss_rate"] = lossy.observed_loss_rate
-        if isinstance(self.channel, FaultyChannel):
-            for name, value in self.channel.fault_counters().items():
-                stats[f"fault_{name}"] = value
         if self.collector is not None:
             stats["processes_collected"] = self.collector.processes_collected
             stats["processes_skipped"] = self.collector.processes_skipped

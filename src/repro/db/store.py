@@ -11,8 +11,9 @@ with jittered exponential backoff, so a WAL store shared with concurrent
 readers survives lock contention instead of aborting consolidation; the
 budget is :data:`RETRY_ATTEMPTS` retries on the :func:`retry_delay`
 schedule, and non-transient errors (disk full, corrupt database) still fail
-fast.  The ``fault_injector`` hook lets the chaos layer (:mod:`repro.faults`)
-inject deterministic store faults without patching SQLite itself.
+fast.  The ``fault_injector`` hook lets the simulated faults
+(:mod:`repro.hpcsim.faults`) inject deterministic store faults without
+patching SQLite itself.
 """
 
 from __future__ import annotations
@@ -163,9 +164,10 @@ class MessageStore:
         self.path = path
         #: Transient write failures retried so far (visible in statistics).
         self.write_retries = 0
-        #: Chaos hook (:mod:`repro.faults`): called with the operation name
-        #: before every write transaction; an :class:`sqlite3.OperationalError`
-        #: it raises goes through exactly the retry path a real one would.
+        #: Chaos hook (:mod:`repro.hpcsim.faults`): called with the operation
+        #: name before every write transaction; an
+        #: :class:`sqlite3.OperationalError` it raises goes through exactly
+        #: the retry path a real one would.
         self.fault_injector: Callable[[str], None] | None = None
         self._sleep = time.sleep          # injectable for tests
         self._retry_rng = random.Random(0xC0FFEE)  # jitter only; not output-visible

@@ -23,7 +23,9 @@ production substrate: a deterministic, in-memory simulation of
   corresponding ``SLURM_*`` environment variables (:mod:`repro.hpcsim.slurm`),
 * tied together by a **cluster** facade that runs job scripts and invokes any
   registered pre-load hooks at process start and exit
-  (:mod:`repro.hpcsim.cluster`).
+  (:mod:`repro.hpcsim.cluster`),
+* and the seeded faults of the **network** SIREN's datagrams cross and of
+  the host its store writes on (:mod:`repro.hpcsim.faults`).
 """
 
 from repro.hpcsim.cluster import Cluster

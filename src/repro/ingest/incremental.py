@@ -455,7 +455,9 @@ class IncrementalConsolidator:
 
     @property
     def quarantined(self) -> int:
-        """Undecodable datagrams held in the quarantine ring."""
+        """The quarantine ring's length: the undecodable datagrams still
+        held, capped at :data:`QUARANTINE_CAPACITY`
+        (:attr:`DatagramQuarantine.quarantined` counts every capture)."""
         return len(self.quarantine)
 
     def statistics(self) -> dict[str, int]:

@@ -1,13 +1,14 @@
-"""Datagram channels: perfect, lossy, and real-socket loopback.
+"""Datagram channels: perfect in-memory delivery and real-socket loopback.
 
 A channel accepts encoded datagrams from the sender and delivers them to
 subscribed callbacks (the receiver).  The abstraction lets the same collector
 and receiver code run over
 
-* an in-memory queue (fast, deterministic -- the default for campaigns),
-* a lossy in-memory queue (drops a configurable fraction of datagrams, with a
-  deterministic RNG, reproducing UDP loss), or
+* an in-memory queue (fast, deterministic -- the default for a deployment), or
 * genuine UDP sockets on the loopback interface.
+
+A lossy or hostile link is not SIREN's: the simulated network wraps one of
+these in :class:`~repro.hpcsim.faults.FaultyChannel`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import socket
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.util.errors import TransportError
-from repro.util.rng import SeededRNG
 
 DatagramCallback = Callable[[bytes], None]
 
@@ -55,51 +54,13 @@ class InMemoryChannel:
         return True
 
 
-@dataclass
-class LossyChannel:
-    """In-memory delivery that independently drops each datagram with ``loss_rate``."""
-
-    loss_rate: float = 0.0002
-    rng: SeededRNG = field(default_factory=lambda: SeededRNG(7))
-    datagrams_sent: int = field(init=False, default=0)
-    datagrams_dropped: int = field(init=False, default=0)
-    bytes_sent: int = field(init=False, default=0)
-    _subscribers: list[DatagramCallback] = field(init=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise TransportError("loss_rate must be in [0, 1]")
-
-    def subscribe(self, callback: DatagramCallback) -> None:
-        """Register a delivery callback."""
-        self._subscribers.append(callback)
-
-    def send(self, datagram: bytes) -> bool:
-        """Deliver the datagram unless the loss draw drops it."""
-        self.datagrams_sent += 1
-        self.bytes_sent += len(datagram)
-        if self.rng.random() < self.loss_rate:
-            self.datagrams_dropped += 1
-            return False
-        for callback in self._subscribers:
-            callback(datagram)
-        return True
-
-    @property
-    def observed_loss_rate(self) -> float:
-        """Fraction of datagrams actually dropped so far."""
-        if self.datagrams_sent == 0:
-            return 0.0
-        return self.datagrams_dropped / self.datagrams_sent
-
-
 class SocketChannel:
     """Real UDP datagrams over the loopback interface.
 
     ``send`` transmits a datagram to the bound receiver socket; ``drain``
     pulls everything currently queued in the kernel buffer and hands it to the
     subscribers.  This channel exists to prove the message format survives a
-    real socket round trip; campaigns default to the in-memory channels.
+    real socket round trip; deployments default to the in-memory channel.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,

@@ -5,7 +5,7 @@ Counters are surfaced from several places --
 :meth:`~repro.workload.campaign.CampaignResult.statistics`,
 :meth:`~repro.core.framework.SirenFramework.statistics`,
 :meth:`~repro.analysis.live.LiveAnalysis.statistics` and
-:meth:`~repro.faults.channel.FaultyChannel.fault_counters` -- and the result
+:meth:`~repro.hpcsim.faults.FaultyChannel.fault_counters` -- and the result
 views *nest* one emitter's keys inside another's (``ingest_<key>``,
 ``fault_<key>``).  A renamed key silently drops out of every view that
 copies it and quietly breaks every test or report that reads it.
@@ -34,7 +34,8 @@ COUNTERS: dict[str, str] = {
     "peak_open_processes": "high-water mark of simultaneously open processes",
     "messages_received": "datagrams that decoded into messages",
     "decode_errors": "undecodable datagrams dropped by the ingest path",
-    "quarantined": "undecodable datagrams captured in the forensic ring",
+    "quarantined": "the forensic ring's length, capped at QUARANTINE_CAPACITY "
+                   "(DatagramQuarantine.quarantined counts every capture)",
     # --- campaign results (CampaignResult.statistics) ------------------- #
     "jobs_run": "jobs submitted through the scheduler",
     "processes_run": "processes launched by those jobs",
@@ -52,10 +53,10 @@ COUNTERS: dict[str, str] = {
     "messages_sent": "logical messages the sender emitted",
     "datagrams_sent": "datagrams the sender handed to the channel",
     "send_errors": "channel errors swallowed by the fire-and-forget sender",
-    "datagrams_dropped": "datagrams dropped by the lossy channel",
+    "datagrams_dropped": "datagrams the campaign network's loss stage dropped",
+    "observed_loss_rate": "dropped / sent at the campaign network's loss stage",
     # --- framework deployments (SirenFramework.statistics) -------------- #
     "store_write_retries": "store write transactions retried on lock/busy",
-    "observed_loss_rate": "dropped / sent on the lossy channel",
     # --- live analysis (LiveAnalysis.statistics) ------------------------ #
     "records_committed": "records folded into the live accumulators",
     "open_records": "transient open-group records in the current overlay",
@@ -83,7 +84,7 @@ COUNTERS: dict[str, str] = {
 #: and fault counter sets under these prefixes).
 COUNTER_PREFIXES: dict[str, str] = {
     "ingest_": "IncrementalConsolidator.statistics() folded into a result view",
-    "fault_": "FaultyChannel.fault_counters() folded into framework statistics",
+    "fault_": "FaultyChannel.fault_counters() folded into campaign statistics",
 }
 
 

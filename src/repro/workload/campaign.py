@@ -4,8 +4,12 @@
 
 1. build a cluster and install the corpus (libraries, system tools, Python,
    ``siren.so``, per-user scientific packages),
-2. deploy SIREN (a :class:`~repro.core.framework.SirenFramework`: message
-   store, channel, ingest object, sender, collector hook),
+2. build the simulated network from the config (lossless, a drop-only
+   :class:`~repro.hpcsim.faults.FaultyChannel` at ``loss_rate``, wrapped in
+   the fault plan's channel faults) -- or take the channel it is handed --
+   and deploy SIREN through it (a
+   :class:`~repro.core.framework.SirenFramework`: message store, ingest
+   object, sender, collector hook), arming the plan's store faults,
 3. execute the scaled campaign: every user profile submits its jobs through
    the Slurm-like scheduler on one serial driver, each process is hooked and
    collected, and its UDP messages are consolidated into a per-process
@@ -13,7 +17,7 @@
 
 The result object carries everything the analysis layer and the benchmark
 harness need: the records, the store, the anonymised user mapping, the corpus
-manifest, and the transport/collection counters.  Campaigns can also be
+manifest, and the network/transport/collection counters.  Campaigns can also be
 observed mid-run, from the ``on_job`` callback, through the deployment the
 campaign holds (``campaign.deployment.snapshot()``, whose records feed
 :class:`~repro.core.pipeline.AnalysisPipeline`) or through
@@ -29,15 +33,16 @@ from typing import Callable
 from repro.analysis.live import LiveAnalysis
 from repro.collector.hooks import SirenCollector
 from repro.core.config import SirenConfig
-from repro.core.framework import DeploymentChannel, SirenFramework
+from repro.core.framework import SirenFramework
 from repro.corpus.builder import CorpusBuilder, CorpusManifest
 from repro.corpus.packages import PACKAGES_BY_NAME
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore
-from repro.faults.channel import FaultyChannel
-from repro.faults.store import StoreFaultInjector
 from repro.hpcsim.cluster import Cluster
+from repro.hpcsim.faults import (ChannelFaultProfile, FaultPlan, FaultyChannel,
+                                 StoreFaultInjector)
 from repro.ingest.incremental import IncrementalConsolidator
+from repro.transport.channel import Channel, InMemoryChannel
 from repro.util.errors import CollectionError
 from repro.util.rng import SeededRNG
 from repro.workload.profiles import (
@@ -85,20 +90,36 @@ def iter_profile_jobs(config: CampaignConfig, profile: UserProfile,
 
 @dataclass(frozen=True)
 class CampaignConfig(SirenConfig):
-    """A deployment's knobs plus what the job driver needs on top.
+    """A deployment's knobs plus what the job driver and its simulated
+    network need on top.
+
+    ``loss_rate`` is the probability that the network drops each datagram
+    (0 keeps it lossless).  ``seed`` is the one campaign seed: the corpus,
+    the job plan and every profile's loss stream are forked from it.
+    ``fault_plan`` arms deterministic faults
+    (:class:`~repro.hpcsim.faults.FaultPlan`): its channel faults wrap the
+    network, its store faults hook the store's write paths; ``None``
+    injects nothing.
 
     Every job template of every user runs at least once, whatever the
     ``scale``, so the rare-but-load-bearing cases (the UNKNOWN icon runs,
     the GROMACS sharing) are present even at very small scales.
     """
 
+    loss_rate: float = 0.0002
+    seed: int = 42
+    fault_plan: FaultPlan | None = None
     scale: float = 0.01            #: fraction of the paper's job counts to run
     min_jobs_per_user: int = 1     #: floor on the jobs each user submits
 
     def validate(self) -> None:
-        """:meth:`SirenConfig.validate`, plus a finite, non-negative ``scale``
-        and a non-negative ``min_jobs_per_user``."""
+        """:meth:`SirenConfig.validate`, plus a ``loss_rate`` in [0, 1], a
+        finite, non-negative ``scale`` and a non-negative
+        ``min_jobs_per_user``."""
         super().validate()
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise CollectionError(
+                f"loss_rate must be in [0, 1], got {self.loss_rate!r}")
         if not 0.0 <= self.scale < math.inf:  # also refuses nan
             raise CollectionError(
                 f"scale must be a finite number >= 0, got {self.scale!r}")
@@ -123,14 +144,20 @@ class CampaignResult:
     manifest: CorpusManifest
     cluster: Cluster
     collector: SirenCollector
-    channel: DeploymentChannel
+    channel: Channel           #: what the sender sent through
     jobs_run: int
     processes_run: int
     #: the deployment the campaign ran (its counters underlie :meth:`statistics`)
     deployment: SirenFramework
     ingest: IncrementalConsolidator | None = None  #: the ingest object (counters)
     decode_errors: int = 0     #: undecodable datagrams dropped by the ingest path
-    quarantined: int = 0       #: of those, raw bytes captured in the forensic ring
+    #: the forensic ring's length: of those, the raw datagrams still held,
+    #: capped at ``QUARANTINE_CAPACITY``
+    #: (:attr:`~repro.ingest.incremental.DatagramQuarantine.quarantined`
+    #: counts every capture)
+    quarantined: int = 0
+    #: the network's drop-only loss stage (``loss_rate > 0`` runs only)
+    lossy_channel: FaultyChannel | None = None
     #: what the injected channel faults did (``fault_plan`` runs only)
     fault_counters: dict[str, int] | None = None
     #: the store-fault hook, when the plan armed one (its counters say how
@@ -149,8 +176,8 @@ class CampaignResult:
 
     def statistics(self) -> dict[str, int | float]:
         """The deployment's counters (:meth:`SirenFramework.statistics`) plus
-        the campaign's own: its size, and the cache-effectiveness counters of
-        the collection-side hashing (the
+        the campaign's own: its size, its network's drops and faults, and the
+        cache-effectiveness counters of the collection-side hashing (the
         :class:`~repro.collector.fuzzy.ArtifactHasher` path and content
         caches, the signature compare LRU), which tell "cache working" from
         "cache bypassed".
@@ -159,7 +186,7 @@ class CampaignResult:
         compare_info = hasher.hasher.compare_cache_info()
         hits = hasher.cache_hits + hasher.content_cache_hits
         lookups = hits + hasher.hashes_computed
-        return {
+        stats: dict[str, int | float] = {
             **self.deployment.statistics(),
             "jobs_run": self.jobs_run,
             "processes_run": self.processes_run,
@@ -173,6 +200,13 @@ class CampaignResult:
             "compare_cache_misses": compare_info.misses,
             "messages_sent": self.collector.sender.messages_sent,
         }
+        lossy = self.lossy_channel
+        if lossy is not None:
+            stats["datagrams_dropped"] = lossy.datagrams_dropped
+            stats["observed_loss_rate"] = lossy.observed_loss_rate
+        for name, value in (self.fault_counters or {}).items():
+            stats[f"fault_{name}"] = value
+        return stats
 
 
 @dataclass
@@ -185,14 +219,22 @@ class DeploymentCampaign:
     #: hook point for mid-run ``deployment.snapshot()`` calls and progress
     #: reporting.
     on_job: Callable[[int], None] | None = None
+    #: what the sender sends through.  Handed one (a loopback
+    #: ``SocketChannel``), the campaign uses it as it is and refuses a
+    #: ``loss_rate`` or channel faults it could not apply; otherwise
+    #: :meth:`prepare` builds the simulated network from the config.
+    channel: Channel | None = None
     cluster: Cluster = field(init=False)
     manifest: CorpusManifest = field(init=False)
     deployment: SirenFramework = field(init=False, repr=False)
     collector: SirenCollector = field(init=False)
     store: MessageStore = field(init=False)
-    channel: DeploymentChannel = field(init=False)
     ingest: IncrementalConsolidator = field(init=False)
     tiered: TieredStore | None = field(init=False, default=None)
+    #: the network's drop-only loss stage (``loss_rate > 0``)
+    lossy_channel: FaultyChannel | None = field(init=False, default=None)
+    #: the plan's channel faults, wrapped around the loss stage
+    faulty_channel: FaultyChannel | None = field(init=False, default=None)
     store_fault_injector: StoreFaultInjector | None = field(init=False, default=None)
     scenario_builder: ScenarioBuilder = field(init=False)
     rng: SeededRNG = field(init=False)
@@ -206,6 +248,8 @@ class DeploymentCampaign:
         if self._prepared:
             return
         self.config.validate()  # before the corpus is built, not after
+        if self.channel is not None:
+            self._refuse_simulated_faults()
         self._prepare_deployment()
         self._prepared = True
 
@@ -221,19 +265,50 @@ class DeploymentCampaign:
             for package_name in packages_used_by(profile):
                 corpus.install_package(PACKAGES_BY_NAME[package_name], user)
 
+        if self.channel is None:
+            self.channel = self._build_network()
         # Users are registered above, so the gold user dimension can bake in
         # the anonymised labels.
         deployment = self.deployment = SirenFramework(
-            self.config, user_names=self._user_names())
+            self.config, user_names=self._user_names(), channel=self.channel)
         self.store = deployment.store
-        self.channel = deployment.channel
-        self.store_fault_injector = deployment.store_fault_injector
+        plan = self.config.fault_plan
+        if plan is not None and plan.store.active:
+            self.store_fault_injector = StoreFaultInjector(plan).install(self.store)
         self.ingest = deployment.ingest
         self.tiered = deployment.tiered
         self.collector = deployment.deploy(
             self.cluster, siren_library_path=self.manifest.siren_library)
         self.scenario_builder = ScenarioBuilder(self.cluster, self.manifest,
                                                 rng=self.rng.fork("scenarios"))
+
+    def _refuse_simulated_faults(self) -> None:
+        """A handed channel is a real link: its losses are its own, and the
+        campaign cannot apply simulated ones to it."""
+        config = self.config
+        if config.loss_rate > 0:
+            raise CollectionError(
+                f"loss_rate={config.loss_rate!r} needs the simulated network, but "
+                "the campaign was handed a channel; use loss_rate=0.0")
+        if config.fault_plan is not None and config.fault_plan.channel.active:
+            raise CollectionError(
+                "fault_plan's channel faults need the simulated network, but the "
+                "campaign was handed a channel (store faults alone still apply)")
+
+    def _build_network(self) -> Channel:
+        """Lossless in-memory delivery, behind a drop-only loss stage when
+        ``loss_rate > 0``, behind the plan's channel faults when it has any.
+        :meth:`_run_jobs` gives each profile its own loss stream."""
+        config = self.config
+        network: Channel = InMemoryChannel()
+        if config.loss_rate > 0:
+            network = self.lossy_channel = FaultyChannel(
+                FaultPlan(channel=ChannelFaultProfile(drop_rate=config.loss_rate)),
+                network)
+        plan = config.fault_plan
+        if plan is not None and plan.channel.active:
+            network = self.faulty_channel = FaultyChannel(plan, network)
+        return network
 
     def _user_names(self) -> dict[int, str]:
         """Profiles already carry anonymised names (user_1 ... user_12), so
@@ -247,13 +322,16 @@ class DeploymentCampaign:
         """Execute the campaign and return the consolidated result."""
         self.prepare()
         deployment = self.deployment
+        faulty = self.faulty_channel
         try:
             jobs_run = self._run_jobs()
+            if faulty is not None:
+                # The network finally delivers whatever reordering or jitter
+                # was still holding back.
+                faulty.flush()
             records = deployment.finalize()
         finally:
             self.close()  # loopback sockets; caches stay warm
-        fault_counters = (self.channel.fault_counters()
-                          if isinstance(self.channel, FaultyChannel) else None)
         return CampaignResult(
             config=self.config,
             records=records,
@@ -262,14 +340,15 @@ class DeploymentCampaign:
             manifest=self.manifest,
             cluster=self.cluster,
             collector=self.collector,
-            channel=self.channel,
+            channel=deployment.channel,
             jobs_run=jobs_run,
             processes_run=self.cluster.processes_run,
             deployment=deployment,
             ingest=self.ingest,
             decode_errors=self.ingest.decode_errors,
             quarantined=self.ingest.quarantined,
-            fault_counters=fault_counters,
+            lossy_channel=self.lossy_channel,
+            fault_counters=faulty.fault_counters() if faulty is not None else None,
             store_fault_injector=self.store_fault_injector,
             tiered=self.tiered,
         )
@@ -296,7 +375,7 @@ class DeploymentCampaign:
     def _run_jobs(self) -> int:
         """Submit every profile's jobs through the scheduler; returns the count."""
         cluster = self.cluster
-        lossy = self.deployment.lossy_channel
+        lossy = self.lossy_channel
         on_job = self.on_job
         drain = self.deployment.drain
         jobs_run = 0

@@ -20,7 +20,8 @@ from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
 from repro.corpus.builder import CorpusBuilder, CorpusManifest
 from repro.corpus.packages import ICON, LAMMPS
 from repro.hpcsim.cluster import Cluster
-from repro.transport.channel import InMemoryChannel, LossyChannel
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan, FaultyChannel
+from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import Section, wire_header
 from repro.transport.sender import UDPSender
 from repro.util.rng import SeededRNG
@@ -101,7 +102,7 @@ def app_cluster() -> tuple[Cluster, CorpusManifest]:
 def deployed_framework(app_cluster) -> tuple[Cluster, CorpusManifest, SirenFramework, SirenCollector]:
     """A SIREN framework deployed (fresh per test) on the shared app cluster."""
     cluster, manifest = app_cluster
-    framework = SirenFramework(SirenConfig(loss_rate=0.0))
+    framework = SirenFramework(SirenConfig())
     collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
     yield cluster, manifest, framework, collector
     cluster.runtime.unregister_hook(manifest.siren_library)
@@ -167,7 +168,8 @@ def synthetic_stream():
     """Factory: the datagrams a :class:`SyntheticWorkload` sends through a
     seeded (possibly lossy) channel, collected as it emits, and the workload."""
     def build(loss_rate: float = 0.0, seed: int = 1) -> tuple[SyntheticWorkload, list[bytes]]:
-        channel = (LossyChannel(loss_rate=loss_rate, rng=SeededRNG(seed)) if loss_rate > 0
+        channel = (FaultyChannel(FaultPlan(channel=ChannelFaultProfile(drop_rate=loss_rate)),
+                                 rng=SeededRNG(seed)) if loss_rate > 0
                    else InMemoryChannel())
         datagrams: list[bytes] = []
         channel.subscribe(datagrams.append)

@@ -7,8 +7,11 @@ import pytest
 
 from repro.analysis.similarity import SimilaritySearch
 from repro.core import AnalysisPipeline, SirenConfig, SirenFramework
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan, FaultyChannel
 from repro.hpcsim.slurm import JobScript, ProcessSpec, StepSpec
+from repro.transport.channel import InMemoryChannel, SocketChannel
 from repro.util.errors import CollectionError
+from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.search import reference_identify
@@ -19,7 +22,7 @@ from oracles.wire import burst
 class TestSirenFramework:
     def test_deploy_and_collect(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             icon = manifest.find_executable("icon", "cray-r1", "alice")
@@ -39,7 +42,7 @@ class TestSirenFramework:
 
     def test_double_deploy_rejected(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             with pytest.raises(CollectionError):
@@ -58,7 +61,7 @@ class TestSirenFramework:
         names = {user.uid: f"label-{user.username}" for user in cluster.users.all()}
         rows = {}
         for given in (names, None):
-            framework = SirenFramework(SirenConfig(loss_rate=0.0, rollups=True),
+            framework = SirenFramework(SirenConfig(rollups=True),
                                        user_names=given)
             framework.deploy(cluster, siren_library_path=manifest.siren_library)
             try:
@@ -74,7 +77,7 @@ class TestSirenFramework:
     def test_live_analysis_labels_users_as_gold_does(self, app_cluster):
         cluster, manifest = app_cluster
         names = {user.uid: f"label-{user.username}" for user in cluster.users.all()}
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, rollups=True),
+        framework = SirenFramework(SirenConfig(rollups=True),
                                    user_names=names)
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
@@ -87,7 +90,9 @@ class TestSirenFramework:
 
     def test_lossy_channel_statistics(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.5, seed=1))
+        link = FaultyChannel(FaultPlan(channel=ChannelFaultProfile(drop_rate=0.5)),
+                             rng=SeededRNG(1))
+        framework = SirenFramework(channel=link)
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             script = JobScript(name="t", modules=("siren",), steps=(StepSpec(processes=(
@@ -95,9 +100,12 @@ class TestSirenFramework:
             cluster.run_job("alice", script)
         finally:
             cluster.runtime.unregister_hook(manifest.siren_library)
+        assert link.datagrams_dropped > 0
+        assert 0.3 < link.observed_loss_rate < 0.7
+        # The drops are the network's: SIREN counts only what it sent.
         stats = framework.statistics()
-        assert stats["datagrams_dropped"] > 0
-        assert 0.3 < stats["observed_loss_rate"] < 0.7
+        assert stats["datagrams_sent"] == link.datagrams_sent
+        assert "datagrams_dropped" not in stats
 
 
 class TestStreamingFramework:
@@ -111,7 +119,7 @@ class TestStreamingFramework:
 
     def test_streaming_snapshot_and_statistics(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             self._run_job(cluster, manifest)
@@ -132,7 +140,7 @@ class TestStreamingFramework:
         """consolidate() must flush pending records to the processes table
         even when fewer than flush_batch_size have been finalized."""
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             self._run_job(cluster, manifest)
@@ -151,7 +159,7 @@ class TestStreamingFramework:
         what the configuration asked for.
         """
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0, keep_raw_messages=keep_raw))
+        framework = SirenFramework(SirenConfig(keep_raw_messages=keep_raw))
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             self._run_job(cluster, manifest)
@@ -164,7 +172,7 @@ class TestStreamingFramework:
         from repro.collector.records import InfoType, Layer
         from repro.transport.messages import UDPMessage
 
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.sender.send(*burst(UDPMessage(
             jobid="9", stepid="0", pid=1, path_hash="a" * 32, host="n1", time=5,
             layer=Layer.SELF, info_type=InfoType.PROCINFO,
@@ -181,21 +189,16 @@ class TestStreamingFramework:
         with pytest.raises(CollectionError):
             SirenFramework(SirenConfig(ingest_mode="sideways"))
 
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(CollectionError):
-            SirenFramework(SirenConfig(transport="carrier-pigeon"))
-
     def test_socket_transport_end_to_end(self, app_cluster):
         """Framework deployments over real loopback UDP match the memory channel.
 
-        Regression test: ``SirenConfig`` had no ``transport`` knob at all --
-        only campaigns could exercise the socket path.
+        Regression test: only campaigns could exercise the socket path; a
+        framework sends through whatever channel it is handed.
         """
         cluster, manifest = app_cluster
         results = {}
-        for transport in ("memory", "socket"):
-            framework = SirenFramework(SirenConfig(
-                loss_rate=0.0, transport=transport, keep_raw_messages=False))
+        for transport, channel in (("memory", InMemoryChannel()), ("socket", SocketChannel())):
+            framework = SirenFramework(SirenConfig(keep_raw_messages=False), channel=channel)
             framework.deploy(cluster, siren_library_path=manifest.siren_library)
             try:
                 self._run_job(cluster, manifest)
@@ -245,7 +248,7 @@ class TestFrameworkLiveAnalysis:
 
     def test_live_analysis_tracks_the_stream(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         live = framework.live_analysis()
         try:
@@ -267,7 +270,7 @@ class TestFrameworkLiveAnalysis:
 
     def test_snapshot_delta_is_disjoint_and_complete(self, app_cluster):
         cluster, manifest = app_cluster
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         try:
             icon = manifest.find_executable("icon", "cray-r1", "alice")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.db.store import MessageStore, ProcessRecord
 from repro.db.tiered import TieredStore, build_tiered_store
-from repro.faults import FaultPlan, StoreFaultInjector, StoreFaultProfile
+from repro.hpcsim.faults import FaultPlan, StoreFaultInjector, StoreFaultProfile
 from repro.util.counters import assert_registered_counters
 from repro.util.errors import StoreError
 from repro.workload import CampaignConfig, DeploymentCampaign

@@ -6,7 +6,7 @@ records must be is the record contract's (``tests/integration/test_record_contra
 
 import pytest
 
-from repro.faults import ChannelFaultProfile, FaultPlan, StoreFaultProfile
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan, StoreFaultProfile
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.conservation import check_invariants

@@ -11,7 +11,7 @@ the launch ledger under every preset.
 
 import pytest
 
-from repro.faults import ChannelFaultProfile, FaultPlan
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan
 from repro.ingest.incremental import QUARANTINE_CAPACITY
 
 from oracles.conservation import STORM, check_invariants, preset_plans, replay

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from repro.db.store import MessageStore, is_transient_sqlite_error
-from repro.faults import (
+from repro.hpcsim.faults import (
     ChannelFaultProfile,
     FaultPlan,
     FaultyChannel,
@@ -20,6 +20,7 @@ from repro.faults import (
 from repro.transport.channel import InMemoryChannel
 from repro.transport.messages import InfoType, Layer, UDPMessage
 from repro.util.errors import ReproError
+from repro.util.rng import SeededRNG
 
 from oracles.conservation import check_channel, preset_plans
 from oracles.wire import encode, rows
@@ -126,6 +127,63 @@ class TestFaultyChannel:
 def _message(pid: int = 1) -> UDPMessage:
     return UDPMessage(jobid="1", stepid="0", pid=pid, path_hash="h", host="n1", time=1,
                       layer=Layer.SELF, info_type=InfoType.PROCINFO, content="x")
+
+
+def _link(loss_rate: float, rng: SeededRNG | None = None) -> FaultyChannel:
+    """The network's loss stage: a drop-only faulty channel."""
+    return FaultyChannel(FaultPlan(channel=ChannelFaultProfile(drop_rate=loss_rate)),
+                         rng=rng)
+
+
+class TestDropOnlyLink:
+    def test_zero_loss_delivers_everything(self):
+        channel = _link(0.0)
+        seen: list[bytes] = []
+        channel.subscribe(seen.append)
+        for index in range(100):
+            channel.send(bytes([index]))
+        assert len(seen) == 100
+        assert channel.observed_loss_rate == 0.0
+
+    def test_full_loss_drops_everything(self):
+        channel = _link(1.0)
+        seen: list[bytes] = []
+        channel.subscribe(seen.append)
+        for index in range(50):
+            assert not channel.send(bytes([index]))
+        assert seen == []
+        assert channel.datagrams_dropped == 50
+
+    def test_loss_rate_approximate(self):
+        channel = _link(0.2, SeededRNG(3))
+        for _ in range(5000):
+            channel.send(b"x")
+        assert 0.15 < channel.observed_loss_rate < 0.25
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_one_draw_per_datagram_drops_below_the_rate(self, seed):
+        """Each datagram costs one ``rng.random()`` draw and is dropped below
+        the rate, on whatever stream :attr:`rng` holds (the campaign swaps it
+        per profile)."""
+        channel = _link(0.3)
+        for stream in (seed, seed + 1):
+            channel.rng, draws = SeededRNG(stream), SeededRNG(stream)
+            assert [channel.send(b"x") for _ in range(200)] == \
+                [draws.random() >= 0.3 for _ in range(200)]
+        assert channel.datagrams_dropped == 400 - channel.inner.datagrams_sent
+
+    def test_deterministic_given_the_plan_seed(self):
+        """Handed no ``rng``, the link draws from ``plan.channel_rng()``, so
+        links built from equal plans drop the same datagrams."""
+        plan = FaultPlan(seed=11, channel=ChannelFaultProfile(drop_rate=0.3))
+        first, second = FaultyChannel(plan), FaultyChannel(plan)
+        pattern = [first.send(b"x") for _ in range(200)]
+        assert pattern == [second.send(b"x") for _ in range(200)]
+        assert any(pattern) and not all(pattern)
+
+    def test_invalid_loss_rate(self):
+        with pytest.raises(ReproError):
+            _link(1.5)
 
 
 class TestStoreFaults:

@@ -30,7 +30,7 @@ class TestQuickstartFlow:
 
     def test_full_flow(self):
         cluster, manifest, user = _standard_setup()
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
 
         icon = manifest.find_executable("icon", "cray-r1", "erin")
@@ -57,7 +57,7 @@ class TestQuickstartFlow:
 
     def test_python_workflow(self):
         cluster, manifest, user = _standard_setup()
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
 
         script_path = f"{user.home}/scripts/postproc.py"
@@ -110,7 +110,7 @@ class TestRealSocketDeployment:
 class TestOptInBehaviour:
     def test_jobs_without_siren_module_are_invisible(self):
         cluster, manifest, user = _standard_setup()
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         icon = manifest.find_executable("icon", "cray-r1", "erin")
         script = JobScript(name="no-opt-in", modules=tuple(icon.required_modules),
@@ -120,7 +120,7 @@ class TestOptInBehaviour:
 
     def test_statically_linked_tools_are_invisible(self):
         cluster, manifest, user = _standard_setup()
-        framework = SirenFramework(SirenConfig(loss_rate=0.0))
+        framework = SirenFramework(SirenConfig())
         framework.deploy(cluster, siren_library_path=manifest.siren_library)
         script = JobScript(name="static", modules=("siren",),
                            steps=(StepSpec(processes=(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.db import store as store_module
 from repro.db.store import MessageStore
-from repro.faults import FaultPlan, FaultyChannel, StoreFaultInjector, StoreFaultProfile
+from repro.hpcsim.faults import FaultPlan, FaultyChannel, StoreFaultInjector, StoreFaultProfile
 from repro.ingest import DatagramQuarantine, IncrementalConsolidator, incremental
 
 from oracles.conservation import (CHANNEL, FLAGGING, LAWS, QUARANTINE, STORM,

@@ -6,7 +6,7 @@ already keeps -- a :class:`~repro.workload.CampaignResult`, or a
 
 1. channel: sent + duplicated = delivered + dropped + still held.  A run is
    checked once flushed, when nothing is held
-   (:meth:`~repro.faults.FaultyChannel.flush` returns what was).  Delivered
+   (:meth:`~repro.hpcsim.faults.FaultyChannel.flush` returns what was).  Delivered
    is the inner channel's own count of what it handed its subscribers;
 2. ingest: delivered = received + decode errors, and after ``finalize``
    consumed = received (a late duplicate is consumed and dropped);
@@ -31,7 +31,7 @@ from unittest import mock
 
 from repro.collector.records import InfoType
 from repro.db.store import MessageStore, ProcessKey, ProcessRecord
-from repro.faults import ChannelFaultProfile, FaultPlan, FaultyChannel
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan, FaultyChannel
 from repro.ingest import IncrementalConsolidator, incremental
 from repro.transport.channel import Channel, InMemoryChannel
 from repro.transport.messages import decode_row

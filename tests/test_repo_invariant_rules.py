@@ -35,7 +35,7 @@ def test_every_entropy_and_wall_clock_read_fires(source):
 
 
 @pytest.mark.parametrize("module", ["repro.hpcsim.fixture", "repro.workload.fixture",
-                                    "repro.faults.fixture", "repro.transport.fixture",
+                                    "repro.hpcsim.faults", "repro.transport.fixture",
                                     "repro.transport"])
 def test_every_one_seed_package_is_in_scope(module):
     assert len(determinism(ast.parse("import random\nx = random.random()\n"), module)) == 1
@@ -58,8 +58,8 @@ def test_seeded_generators_and_duration_clocks_pass(source):
 
 def test_a_determinism_finding_names_module_line_and_call():
     source = "import time\n\n\nx = time.time()\n"
-    assert determinism(ast.parse(source), "repro.faults.fixture") == [
-        "repro.faults.fixture:4 calls time.time()"]
+    assert determinism(ast.parse(source), "repro.hpcsim.faults") == [
+        "repro.hpcsim.faults:4 calls time.time()"]
 
 
 # --------------------------------------------------------------- concurrency #

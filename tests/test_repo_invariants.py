@@ -71,7 +71,7 @@ def _last(node: ast.expr) -> str:
 
 
 # --------------------------------------------------------------- determinism #
-DETERMINISTIC = ("repro.hpcsim", "repro.workload", "repro.faults", "repro.transport")
+DETERMINISTIC = ("repro.hpcsim", "repro.workload", "repro.transport")
 ENTROPY_OR_WALL_CLOCK = frozenset({
     "uuid.uuid1", "uuid.uuid4", "os.urandom", "time.time", "time.time_ns",
     "datetime.now", "datetime.utcnow", "date.today"})
@@ -429,7 +429,7 @@ def counter_drift(trees: dict[str, ast.Module]) -> list[str]:
 # --------------------------------------------------------------------- tests #
 @pytest.mark.parametrize("check", [determinism, concurrency, dependencies, layers, reachable])
 def test_shipped_tree_is_clean(trees, check):
-    assert len(trees) >= 80
+    assert len(trees) >= 75
     assert [line for module, tree in trees.items() for line in check(tree, module)] == []
 
 
@@ -569,7 +569,7 @@ def test_every_knob_is_read(trees):
     (None, "", "", []),
     ("repro.db.tiered", '"rollup_syncs":', '"rollup_sync":',
      ["undeclared 'rollup_sync'", "unemitted 'rollup_syncs'"]),
-    ("repro.core.framework", 'f"fault_{name}"', 'f"faults_{name}"',
+    ("repro.workload.campaign", 'f"fault_{name}"', 'f"faults_{name}"',
      ["undeclared 'faults_*'", "unemitted 'fault_*'"]),
 ], ids=["shipped", "renamed-tiered-store-key", "undeclared-fstring-prefix"])
 def test_emitted_counters_are_the_declared_ones(trees, module, old, new, drift):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.collector.records import InfoType, Layer
-from repro.transport.channel import InMemoryChannel, LossyChannel, SocketChannel
+from repro.transport.channel import InMemoryChannel, SocketChannel
 from repro.transport.messages import UDPMessage, wire_header
 from repro.transport.sender import UDPSender
 from repro.util.errors import TransportError
@@ -29,43 +29,6 @@ class TestInMemoryChannel:
         assert seen == [b"datagram", b"datagram"]
         assert channel.datagrams_sent == 1
         assert channel.bytes_sent == len(b"datagram")
-
-
-class TestLossyChannel:
-    def test_zero_loss_delivers_everything(self):
-        channel = LossyChannel(loss_rate=0.0)
-        seen: list[bytes] = []
-        channel.subscribe(seen.append)
-        for index in range(100):
-            channel.send(bytes([index]))
-        assert len(seen) == 100
-        assert channel.observed_loss_rate == 0.0
-
-    def test_full_loss_drops_everything(self):
-        channel = LossyChannel(loss_rate=1.0)
-        seen: list[bytes] = []
-        channel.subscribe(seen.append)
-        for index in range(50):
-            assert not channel.send(bytes([index]))
-        assert seen == []
-        assert channel.datagrams_dropped == 50
-
-    def test_loss_rate_approximate(self):
-        channel = LossyChannel(loss_rate=0.2, rng=SeededRNG(3))
-        for _ in range(5000):
-            channel.send(b"x")
-        assert 0.15 < channel.observed_loss_rate < 0.25
-
-    def test_deterministic_given_seed(self):
-        a = LossyChannel(loss_rate=0.3, rng=SeededRNG(11))
-        b = LossyChannel(loss_rate=0.3, rng=SeededRNG(11))
-        pattern_a = [a.send(b"x") for _ in range(200)]
-        pattern_b = [b.send(b"x") for _ in range(200)]
-        assert pattern_a == pattern_b
-
-    def test_invalid_loss_rate(self):
-        with pytest.raises(TransportError):
-            LossyChannel(loss_rate=1.5)
 
 
 class TestUDPSender:

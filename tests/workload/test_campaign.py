@@ -6,6 +6,8 @@ import pytest
 
 from repro.collector.classify import ExecutableCategory
 from repro.core import AnalysisPipeline
+from repro.hpcsim.faults import ChannelFaultProfile, FaultPlan, StoreFaultProfile
+from repro.transport.channel import SocketChannel
 from repro.util.errors import CollectionError
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES, PROFILES_BY_NAME
@@ -126,11 +128,10 @@ class TestStreamingIngest:
     #: campaign fixture already exercises all 12 users.
     PROFILES = DEFAULT_PROFILES[:4]
 
-    def _run(self, *, loss_rate: float, transport: str = "memory", seed: int = 17,
-             **overrides):
-        config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate,
-                                transport=transport, **overrides)
-        return DeploymentCampaign(config=config, profiles=self.PROFILES).run()
+    def _run(self, *, loss_rate: float, channel=None, seed: int = 17, **overrides):
+        config = CampaignConfig(scale=0.0, seed=seed, loss_rate=loss_rate, **overrides)
+        return DeploymentCampaign(config=config, profiles=self.PROFILES,
+                                  channel=channel).run()
 
     def test_streaming_keeps_raw_messages_when_asked(self):
         streaming = self._run(loss_rate=0.0, keep_raw_messages=True)
@@ -162,7 +163,7 @@ class TestStreamingIngest:
     def test_socket_transport_end_to_end(self):
         """Sender -> real loopback UDP -> receiver == the in-memory channel."""
         memory = self._run(loss_rate=0.0, seed=9)
-        socketed = self._run(loss_rate=0.0, seed=9, transport="socket",
+        socketed = self._run(loss_rate=0.0, seed=9, channel=SocketChannel(),
                              keep_raw_messages=False)
         assert _record_list(socketed.records) == _record_list(memory.records)
         assert socketed.ingest.decode_errors == 0
@@ -172,9 +173,32 @@ class TestStreamingIngest:
         with pytest.raises(CollectionError):
             DeploymentCampaign(CampaignConfig(ingest_mode="firehose")).prepare()
 
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(CollectionError):
-            DeploymentCampaign(CampaignConfig(transport="carrier-pigeon")).prepare()
+    @pytest.mark.parametrize("knob, value", [
+        ("loss_rate", 0.01),
+        ("fault_plan", FaultPlan(channel=ChannelFaultProfile(duplicate_rate=0.1))),
+    ], ids=["loss_rate", "fault_plan"])
+    def test_a_handed_channel_refuses_simulated_network_faults(self, knob, value):
+        """Regression: a socket deployment ignored ``loss_rate`` in silence;
+        a knob the campaign cannot apply to a real link is refused, before
+        the corpus is built."""
+        config = CampaignConfig(scale=0.0, **{"loss_rate": 0.0, knob: value})
+        with SocketChannel() as channel:
+            campaign = DeploymentCampaign(config, profiles=self.PROFILES, channel=channel)
+            with pytest.raises(CollectionError, match=knob):
+                campaign.prepare()
+        assert not hasattr(campaign, "cluster")
+
+    def test_a_handed_channel_keeps_store_faults(self):
+        plan = FaultPlan(seed=3, store=StoreFaultProfile(error_rate=0.5))
+        config = CampaignConfig(scale=0.0, seed=9, loss_rate=0.0, fault_plan=plan)
+        campaign = DeploymentCampaign(config, profiles=self.PROFILES[:1],
+                                      channel=SocketChannel())
+        result = campaign.run()
+        assert result.channel is campaign.channel
+        assert campaign.store.fault_injector is result.store_fault_injector
+        assert result.store_fault_injector.transient_raised == \
+            result.store.write_retries > 0
+        assert result.incomplete_fraction == 0.0
 
 
 class TestHashingKnobs:
@@ -219,10 +243,14 @@ class TestProfiling:
         assert check_invariants(result) == []
         stats = result.statistics()
         deployment = campaign.deployment.statistics()
-        lossy = campaign.deployment.lossy_channel
+        lossy = campaign.lossy_channel
         assert stats["datagrams_dropped"] == lossy.datagrams_dropped > 0
+        assert stats["fault_dropped"] == campaign.faulty_channel.datagrams_dropped
         assert stats["fault_dropped"] != lossy.datagrams_dropped
         assert {key: stats[key] for key in deployment} == deployment
+        # The network's counters are the campaign's to report, not SIREN's.
+        assert not {"datagrams_dropped", "observed_loss_rate"} & set(deployment)
+        assert not [key for key in deployment if key.startswith("fault_")]
 
     def test_statistics_expose_cache_effectiveness(self, result):
         stats = result.statistics()
