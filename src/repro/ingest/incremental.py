@@ -26,8 +26,10 @@ not incomplete -- every content type its category expects arrived whole,
 the category read from the whole PROCINFO, never from one chunk of it --
 and every other pair filed (``PROCEND`` itself) has all of its announced
 chunks too.  The record just built is the one written.  A process that
-fails the check stays open for one more epoch (the grace a reordering
-transport needs) and is built again when that closes it.
+fails the check stays open until the idle rule closes it, :data:`IDLE_EPOCHS`
+epochs after its last message: one whole epoch of grace, in which content a
+reordering transport displaced past the ``PROCEND`` still lands in it.  It is
+built again when it closes.
 
 Equivalence with a post-pass
 ----------------------------
@@ -157,7 +159,6 @@ class _OpenProcess:
 
     rows: list[MessageRow] = field(default_factory=list)
     last_epoch: int = 0
-    ended: bool = False     #: PROCEND seen -- nothing more is coming (ordered transport)
 
 
 def _in_key_order(records: list[ProcessRecord]) -> list[ProcessRecord]:
@@ -294,7 +295,6 @@ class IncrementalConsolidator:
                 process.rows.append(row)
                 process.last_epoch = epoch
                 if row[7] == _PROCEND:
-                    process.ended = True
                     record, whole = build_process_record(key, process.rows, self._values)
                     if whole and not record.incomplete:
                         self._close(key, record, reason="procend")
@@ -311,24 +311,20 @@ class IncrementalConsolidator:
         """Advance the idle clock and close stale processes; returns how many
         closed.
 
-        Ticked after every delivered batch.  Closes processes that either saw
-        their ``PROCEND`` but are missing content (lost datagrams -- one
-        epoch of grace covers reordering transports) or have been idle for
-        :data:`IDLE_EPOCHS` whole epochs (the ``PROCEND`` itself was lost).
-        Each tick also starts an empty value table, so it never holds more
-        than one epoch's values.
+        Ticked after every delivered batch.  Closes processes untouched for
+        :data:`IDLE_EPOCHS` epochs: their ``PROCEND`` was lost, or it
+        arrived but content is missing.  The latter gets one whole epoch of
+        grace past the batch its ``PROCEND`` came in, so a reordering
+        transport's late content still joins it.  Each tick also starts an
+        empty value table, so it never holds more than one epoch's values.
         """
         self._epoch += 1
         self._values.clear()
         while self._closed_fifo and self._epoch - self._closed_fifo[0][0] >= IDLE_EPOCHS:
             _, evicted = self._closed_fifo.popleft()
             self._closed.discard(evicted)
-        stale = [
-            (key, open_process)
-            for key, open_process in self._open.items()
-            if (open_process.ended and self._epoch - open_process.last_epoch >= 1)
-            or self._epoch - open_process.last_epoch >= IDLE_EPOCHS
-        ]
+        stale = [(key, open_process) for key, open_process in self._open.items()
+                 if self._epoch - open_process.last_epoch >= IDLE_EPOCHS]
         for key, open_process in stale:
             self._close(key, build_process_record(key, open_process.rows, self._values)[0],
                         reason="idle")

@@ -97,6 +97,10 @@ def decode_row(datagram: bytes) -> MessageRow:
         # a pair missing from the table has an unknown LAYER or TYPE, and the
         # enum call raises with its own message
         layer, info_type = _KINDS.get((layer, info_type)) or (Layer(layer), InfoType(info_type))
+        # an unchunked datagram's counters, as the sender spells them, are
+        # read by comparison; any other spelling goes through int()
+        if index == "0" and total == "1":
+            return (jobid, stepid, pid, path_hash, host, time, layer, info_type, 0, 1, content)
         return (jobid, stepid, pid, path_hash, host, time, layer, info_type,
                 int(index), int(total), content)
     except ValueError as exc:

@@ -50,6 +50,13 @@ def _procend(pid: int = 10) -> UDPMessage:
     return _msg(InfoType.PROCEND, "end_time=105|exit_code=0", pid=pid)
 
 
+def _send_whole(ingest: IncrementalConsolidator, pid: int) -> None:
+    """One whole system process through ``handle_datagram``: it closes on its
+    ``PROCEND``, whatever the idle clock reads."""
+    for message in (*_system_burst(pid), _procend(pid)):
+        ingest.handle_datagram(encode(message))
+
+
 def _feed(sink: IncrementalConsolidator, messages: list[UDPMessage]) -> None:
     """Hand messages straight to the filing and closing rules: delivered as
     one batch, without the epoch tick that ends a delivery."""
@@ -99,13 +106,15 @@ class TestFinalizationRules:
         assert record.incomplete == 0
 
     def test_procend_without_expected_types_waits_for_idle(self):
-        """A PROCEND over an incomplete group closes one epoch later, not at once."""
+        """A PROCEND over an incomplete group waits for the idle rule: one
+        whole epoch of grace past the batch it arrived in."""
         sink = IncrementalConsolidator(MessageStore())
         burst = _system_burst()
         _feed(sink, burst[:-1])  # its last section lost on the wire
         _feed(sink, [_procend()])
         assert sink.open_processes == 1  # grace for reordering transports
-        sink.advance_epoch()
+        assert sink.advance_epoch() == 0     # the batch of its PROCEND ends
+        assert sink.advance_epoch() == 1     # a whole epoch without content
         assert sink.open_processes == 0
         assert sink.idle_closed == 1
         assert sink.finalize()[0].incomplete == 1
@@ -293,18 +302,17 @@ class TestFlushAndSnapshot:
     @mock.patch.object(incremental, "IDLE_EPOCHS", 4)
     def test_snapshot_delta_streams_each_record_once(self):
         # Every pull delivers the batch, i.e. ticks the idle clock: four
-        # idle epochs keep pid 99 open through both.
+        # idle epochs keep pid 99 open through both.  Pids 0-5 are whole and
+        # close on their PROCEND.
         ingest = IncrementalConsolidator(MessageStore())
         for pid in range(4):
-            ingest.handle_datagram(_datagram(pid))
-            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+            _send_whole(ingest, pid)
         ingest.handle_datagram(_datagram(99))  # stays open (no PROCEND)
         first = ingest.snapshot_delta()
         assert sorted(r.pid for r in first.new_records) == [0, 1, 2, 3]
         assert [r.pid for r in first.open_records] == [99]
         for pid in range(4, 6):
-            ingest.handle_datagram(_datagram(pid))
-            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+            _send_whole(ingest, pid)
         second = ingest.snapshot_delta(first.cursor)
         # only the newly finalized records; the open peek is re-served
         assert sorted(r.pid for r in second.new_records) == [4, 5]
@@ -322,8 +330,7 @@ class TestFlushAndSnapshot:
         other cursor is answered as the store answers it."""
         ingest = IncrementalConsolidator(MessageStore())
         for pid in range(3):
-            ingest.handle_datagram(_datagram(pid))
-            ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
+            _send_whole(ingest, pid)
         ingest.handle_datagram(_datagram(99))  # stays open (no PROCEND)
         first = ingest.snapshot_delta()
         idle = ingest.snapshot_delta(first.cursor)

@@ -8,9 +8,15 @@ receiver's handler and kill the ingest loop.  Hypothesis drives arbitrary,
 truncated, bit-flipped and structurally mutated datagrams at it.  Ingest
 calls it once per datagram and quarantines a refusal under its error text
 (``tests/transport/test_messages_chunking.py`` pins those reasons).
+``decode_row`` reads an unchunked datagram's chunk counters by comparison;
+:class:`TestChunkCounters` holds every other spelling to what ``int()`` reads
+and every bad one to ``int()``'s error text.
 """
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.transport.messages import GROUP_KEYS, InfoType, Layer, MessageRow, UDPMessage, decode_row
@@ -81,6 +87,17 @@ hostile_datagrams = st.one_of(
     st.builds(lambda message, cut: encode(message)[:cut], messages,
               st.integers(min_value=0, max_value=300)),
 )
+
+
+#: Messages as the sender writes most of them: one unchunked datagram, its
+#: counters ``0`` and ``1``, which ``decode_row`` reads by comparison.
+unchunked = messages.map(lambda message: replace(message, chunk_index=0, chunk_total=1))
+
+#: Counter spellings ``int()`` reads that the sender never writes, and the two
+#: it does: each must decode as ``int()`` reads it, shortcut or not.
+counter_spellings = st.sampled_from(["00", "+0", " 1", "1_0", "\u0660", "0", "1"])
+
+_INDEX, _TOTAL = 9, 10    # the chunk counters' places among the wire fields
 
 
 def _decode_or_transport_error(datagram: bytes) -> MessageRow | None:
@@ -160,3 +177,35 @@ class TestDecodeTotality:
                 [str, str, int, str, str, int, str, str, int, int, str]
             (layer, info_type), = [key for key in GROUP_KEYS.values() if key == decoded[6:8]]
             assert decoded[6] is layer and decoded[7] is info_type
+
+
+class TestChunkCounters:
+    @given(unchunked | messages, st.sampled_from([_INDEX, _TOTAL]), counter_spellings)
+    @settings(max_examples=200, deadline=None)
+    def test_a_counter_decodes_as_int_reads_it(self, message, where, spelling):
+        """A counter spelled as the sender never spells it decodes to the row
+        of its canonical datagram, the counter as ``int()`` reads it."""
+        counter = "chunk_index" if where == _INDEX else "chunk_total"
+        canonical = replace(message, **{counter: int(spelling)})
+        assert decode_row(_field_replaced(message, where, spelling)) == row(canonical)
+        assert decode_row(encode(canonical)) == row(canonical)
+
+    @given(unchunked, st.sampled_from([_INDEX, _TOTAL]),
+           st.sampled_from(["", "+", "x", "1.0", "nan", "0x1", "1 1", "\u00bd"])
+           | st.text(alphabet=st.characters(exclude_characters="\x1f",
+                                            exclude_categories=("Cs",)), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_a_bad_counter_beside_a_canonical_one_keeps_its_error_text(
+            self, message, where, counter):
+        """A bad index before a total of ``1``, or a bad total after an index
+        of ``0``, is refused with ``int()``'s own words, as before the
+        unchunked counters were read by comparison."""
+        try:
+            int(counter)
+        except ValueError as error:
+            reason = f"malformed SIREN datagram: {error}"
+        else:
+            assume(False)
+        with pytest.raises(TransportError) as refused:
+            decode_row(_field_replaced(message, where, counter))
+        assert str(refused.value) == reason

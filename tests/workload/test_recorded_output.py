@@ -100,8 +100,7 @@ PRESET_PINS = {
     "loss-20pct": ("b81faa2ec40c1f7f7a2de3c62726fe3fa6027d5cde806b3fb06b6564a29664bd",
                    _counters(dropped=512), 0, 485),
     "dup-10pct": (_LOSSLESS, _counters(duplicated=268), 0, 485),
-    "reorder-5pct": ("36d2cf43b448297b576da1aad6f43b715135ef3fb75695a69f499692b987c80d",
-                     _counters(reordered=126), 0, 485),
+    "reorder-5pct": (_LOSSLESS, _counters(reordered=126), 0, 485),
     "corrupt-5pct": ("3e085c950dfe236f5dbe126d6d2b14a1934f3a49def99b42cd53bdbaa4b0e380",
                      _counters(corrupted=122), 65, 520),
     "truncate-5pct": ("e14d6c13870aa7ff2516368bab9cd3a7ad64877d2bea57a7bfdfbfbccb8cc2d7",
