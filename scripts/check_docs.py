@@ -10,8 +10,6 @@ Keeps ``README.md`` and ``docs/*.md`` honest without any third-party tools:
   an existing script,
 * every ``(docs/architecture.md, "Title")`` pointer must name a heading of
   that file (a heading's trailing parenthesis may be left out),
-* every ``BENCH_*.json`` mentioned (the README benchmark table keys its
-  claims to committed benchmark reports) must exist at the repo root, and
 * every fenced Python code block must at least compile, and its
   ``import``/``from`` lines against the local ``repro`` package must resolve
   (so the README quickstart cannot silently rot), and
@@ -52,15 +50,7 @@ DOC_FILES = ("README.md", "docs/architecture.md")
 #: The package whose docstrings and comments point into the docs and tests.
 SOURCE_DIR = "src/repro"
 
-#: Benchmark reports that must be committed at the repo root whether or not
-#: a doc currently cites them (the docs-mention check alone would go quiet
-#: if a report's README table row were deleted along with the report).
-REQUIRED_BENCH_REPORTS = (
-    "BENCH_store.json",
-)
-
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
-_BENCH_REF = re.compile(r"`?(BENCH_\w+\.json)`?")
 _BACKTICK_PATH = re.compile(
     r"`((?:src|docs|examples|benchmarks|tests|scripts)/[\w./-]*)`")
 _PYTHON_CMD = re.compile(r"python\s+((?:examples|scripts|benchmarks)/[\w./-]+\.py)")
@@ -101,10 +91,6 @@ def check_file(doc_path: Path) -> list[str]:
                 errors.append(f"{rel}: missing path -> {match.group(1)}")
 
     errors.extend(_dangling_pointers(" ".join(text.replace("`", "").split()), rel))
-
-    for name in sorted({m.group(1) for m in _BENCH_REF.finditer(text)}):
-        if not _exists(name):
-            errors.append(f"{rel}: benchmark report not committed -> {name}")
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
@@ -262,9 +248,6 @@ def main() -> int:
     sources = sorted((REPO_ROOT / SOURCE_DIR).rglob("*.py"))
     for source in sources:
         errors.extend(check_source(source))
-    for name in REQUIRED_BENCH_REPORTS:
-        if not _exists(name):
-            errors.append(f"required benchmark report not committed -> {name}")
     if errors:
         print(f"documentation check FAILED ({len(errors)} problem(s)):")
         for error in errors:

@@ -342,7 +342,7 @@ class SimilaritySearch:
         return {unknown.executable: rows for unknown, rows in zip(unknowns, answers)}
 
     # ------------------------------------------------------------------ #
-    # pairwise matrix (the recognition graph and the scaling ablation bench)
+    # pairwise matrix (the recognition graph and the pipeline's analysis.matrix_s)
     # ------------------------------------------------------------------ #
     def pairwise_average_matrix(self, column: str = "FI_H") -> list[list[int]]:
         """Full pairwise similarity matrix over instances for one hash column.

@@ -23,7 +23,7 @@ import sqlite3
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.db.schema import MESSAGES_SCHEMA, PROCESSES_SCHEMA
 
@@ -231,11 +231,6 @@ class MessageStore:
         ))
         return len(rows)
 
-    def message_count(self) -> int:
-        """Total number of raw messages stored."""
-        cursor = self.connection.execute("SELECT COUNT(*) FROM messages")
-        return int(cursor.fetchone()[0])
-
     # ------------------------------------------------------------------ #
     # consolidated processes
     # ------------------------------------------------------------------ #
@@ -323,7 +318,8 @@ class MessageStore:
         list, and every pull reads the rows past ``rowid``.  A ``:memory:``
         database is private to its connection and opens empty, so neither
         can happen there: while the list is whole, it is answered without a
-        statement.
+        statement.  Records read from SQL share one object per distinct
+        value, as records built in one ingest epoch do.
         """
         written = self._written
         if written is not None and 0 <= rowid <= len(written) and (
@@ -333,7 +329,10 @@ class MessageStore:
         rows = self.connection.execute(
             f"SELECT {_PROCESS_COLUMNS}, id FROM processes WHERE id > ? ORDER BY id",
             (rowid,)).fetchall()
-        return [ProcessRecord(*row[:-1]) for row in rows], (rows[-1][-1] if rows else rowid)
+        values: dict[Any, Any] = {}
+        share = values.setdefault
+        return ([ProcessRecord(*map(share, row[:-1], row[:-1])) for row in rows],
+                rows[-1][-1] if rows else rowid)
 
     def close(self) -> None:
         """Close the underlying connection."""

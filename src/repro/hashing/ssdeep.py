@@ -113,10 +113,6 @@ class FuzzyHasher:
         """The digest of ``data``: :meth:`hash_many` of one payload."""
         return self.hash_many([data])[0]
 
-    def hash_text(self, text: str) -> str:
-        """The digest of a text payload (UTF-8 encoded)."""
-        return self.hash(text.encode("utf-8"))
-
     # ------------------------------------------------------------------ #
     # comparison
     # ------------------------------------------------------------------ #

@@ -315,12 +315,15 @@ class StoreFaultInjector:
             self.disk_full_raised += 1
             raise sqlite3.OperationalError("database or disk is full")
         if self._burst_left > 0:
+            # The retry attempts that follow a burst's first failure carry
+            # the rest of it; the attempt after its last failure draws
+            # nothing, so bursts never chain past ``error_burst`` in a row.
             self._burst_left -= 1
-            self.transient_raised += 1
-            raise sqlite3.OperationalError("database is locked")
-        if profile.error_rate > 0 and self._rng.random() < profile.error_rate:
-            # First failure of a burst: the remaining burst_left failures hit
-            # the retry attempts that follow, exercising the backoff loop.
-            self._burst_left = profile.error_burst - 1
-            self.transient_raised += 1
-            raise sqlite3.OperationalError("database is locked")
+            if self._burst_left == 0:
+                return
+        elif profile.error_rate > 0 and self._rng.random() < profile.error_rate:
+            self._burst_left = profile.error_burst
+        else:
+            return
+        self.transient_raised += 1
+        raise sqlite3.OperationalError("database is locked")

@@ -106,10 +106,6 @@ class ProcessRuntime:
             raise SimulationError(f"hook already registered for {hook.library_path}")
         self._hooks.append(hook)
 
-    def unregister_hook(self, library_path: str) -> None:
-        """Remove a previously registered hook."""
-        self._hooks = [hook for hook in self._hooks if hook.library_path != library_path]
-
     def allocate_pid(self) -> int:
         """Allocate the next PID (monotonically increasing, wraps at 4 M)."""
         pid = self._next_pid

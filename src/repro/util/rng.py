@@ -87,12 +87,6 @@ class SeededRNG:
         """Uniform float in ``[0, 1)``."""
         return self._py.random()
 
-    def choice(self, items: Sequence[T]) -> T:
-        """Pick one element uniformly."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return self._py.choice(items)
-
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Pick one element with the given relative weights."""
         if len(items) != len(weights):

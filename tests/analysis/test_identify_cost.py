@@ -15,6 +15,7 @@ most ``top`` result rows per query), and the ownership of the record list.
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -41,7 +42,6 @@ from repro.hashing.compare_engine import (
 )
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.util.errors import AnalysisError
-from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 
 from oracles.compare import has_common_substring, malformed, parse_digest
@@ -66,10 +66,10 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
     ``FI_H``/``ST_H`` differ per build -- so most index adds meet a digest
     the column has already seen.
     """
-    rng = SeededRNG(24)
+    rng = random.Random(24)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     bases = [[rng.choice(words) for _ in range(160)] for _ in range(2)]
-    symbols = [_HASHER.hash_text(" ".join(rng.choice(words) for _ in range(120)))
+    symbols = [_HASHER.hash(" ".join(rng.choice(words) for _ in range(120)).encode())
                for _ in range(12)]
     records = []
     for build in range(count):
@@ -82,10 +82,10 @@ def churn_like_records(count: int = 120) -> list[ProcessRecord]:
         name = "a.out" if build % 10 == 9 else ("icon", "lmp")[family]
         records.append(_record(
             f"/proj/u/build_{build:04d}/{name}",
-            (_HASHER.hash_text(environment + "modules"),
-             _HASHER.hash_text(environment + "compilers"),
-             _HASHER.hash_text(environment + "objects"),
-             _HASHER.hash_text(text + " file"), _HASHER.hash_text(text + " strings"),
+            (_HASHER.hash((environment + "modules").encode()),
+             _HASHER.hash((environment + "compilers").encode()),
+             _HASHER.hash((environment + "objects").encode()),
+             _HASHER.hash((text + " file").encode()), _HASHER.hash((text + " strings").encode()),
              symbols[build % 12]),
             pid=build))
     return records

@@ -21,6 +21,7 @@ SQL statement, folds no record and builds none.
 from __future__ import annotations
 
 import contextlib
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -39,12 +40,12 @@ from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
 from repro.ingest.incremental import ProcessDelta
 from repro.util.errors import AnalysisError
-from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 from repro.workload.profiles import DEFAULT_PROFILES
 
 from oracles import tables
 from oracles.compare import malformed
+from oracles.consolidate import raw_messages
 from oracles.search import reference_identify, reference_query
 
 _HASHER = FuzzyHasher()
@@ -98,12 +99,12 @@ def _assert_views_equal(live: LiveAnalysis, records: list[ProcessRecord],
 def _user_hashes(content: str, environment: str) -> dict[str, str]:
     """The six Table 7 digests of a user executable's content in an environment."""
     return dict(
-        modules_h=_HASHER.hash_text(environment + " modules " * 30),
-        compilers_h=_HASHER.hash_text(environment + " compilers " * 30),
-        objects_h=_HASHER.hash_text(environment + " objects " * 30),
-        file_h=_HASHER.hash_text(content + " file"),
-        strings_h=_HASHER.hash_text(content + " strings"),
-        symbols_h=_HASHER.hash_text(content + " symbols"),
+        modules_h=_HASHER.hash((environment + " modules " * 30).encode()),
+        compilers_h=_HASHER.hash((environment + " compilers " * 30).encode()),
+        objects_h=_HASHER.hash((environment + " objects " * 30).encode()),
+        file_h=_HASHER.hash((content + " file").encode()),
+        strings_h=_HASHER.hash((content + " strings").encode()),
+        symbols_h=_HASHER.hash((content + " symbols").encode()),
     )
 
 
@@ -122,10 +123,10 @@ def _record(pid: int, *, category: str, executable: str, jobid: str,
         if pid % 5 == 2:      # every fifth user executable's digests arrive damaged
             hashes = _damaged(hashes)
     elif category == "system":
-        hashes = dict(objects_h=_HASHER.hash_text(environment + " objects " * 30),
+        hashes = dict(objects_h=_HASHER.hash((environment + " objects " * 30).encode()),
                       objects=f"/lib64/libc.so.6\n/lib64/libtinfo.so.{5 + pid % 3}")
     elif category == "python":
-        hashes = dict(script_h=_HASHER.hash_text(script) if script else "")
+        hashes = dict(script_h=_HASHER.hash(script.encode()) if script else "")
     return ProcessRecord(
         jobid=jobid, stepid="0", pid=pid, hash=f"{pid:032x}", host=f"n{pid % 3}",
         time=100 + pid, uid=uid, executable=executable, category=category,
@@ -135,7 +136,7 @@ def _record(pid: int, *, category: str, executable: str, jobid: str,
 def _synthetic_stream(seed: int = 5, count: int = 48) -> list[ProcessRecord]:
     """A mixed-category stream with an UNKNOWN family, unique process keys,
     and some user records whose digests do not parse (``_record``)."""
-    rng = SeededRNG(seed)
+    rng = random.Random(seed)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     records = []
     for pid in range(count):
@@ -466,7 +467,7 @@ _PATHS = ("/proj/a/a.out", "/proj/b/run", "/proj/c/tool", "/proj/a/icon",
 def _digest_sets() -> tuple[dict[str, str], ...]:
     """Seven digest sets: three contents (two of them near copies) x two
     environments, and the first of them damaged past parsing."""
-    rng = SeededRNG(21)
+    rng = random.Random(21)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     near = [rng.choice(words) for _ in range(120)]
     contents = (near, near[:100] + [rng.choice(words) for _ in range(20)],
@@ -648,7 +649,7 @@ class TestCampaignLiveEquivalence:
         result = campaign.run()
         assert checks[0] == result.jobs_run > 0
         assert failures == []
-        assert result.store.message_count() > 0
+        assert len(raw_messages(result.store)) > 0
 
     def test_default_campaign_serves_live_views_and_deltas(self):
         """Regression guard: a default campaign used to refuse live analysis

@@ -27,12 +27,12 @@ def _record(executable: str, *, content_tag: str = "", content: str | None = Non
     return ProcessRecord(
         jobid=jobid, stepid="0", pid=1, hash="h", host="n", time=time, uid=uid,
         executable=executable, category="user",
-        modules_h=_HASHER.hash_text(content + "modules"),
-        compilers_h=_HASHER.hash_text(content + "compilers"),
-        objects_h=_HASHER.hash_text(content + "objects"),
-        file_h=_HASHER.hash_text(content + "file"),
-        strings_h=_HASHER.hash_text(content + "strings"),
-        symbols_h=_HASHER.hash_text(content + "symbols"),
+        modules_h=_HASHER.hash((content + "modules").encode()),
+        compilers_h=_HASHER.hash((content + "compilers").encode()),
+        objects_h=_HASHER.hash((content + "objects").encode()),
+        file_h=_HASHER.hash((content + "file").encode()),
+        strings_h=_HASHER.hash((content + "strings").encode()),
+        symbols_h=_HASHER.hash((content + "symbols").encode()),
     )
 
 

@@ -24,12 +24,12 @@ def _record(executable: str, *, content_tag: str, env_tag: str = "env-a",
     return ProcessRecord(
         jobid="1", stepid="0", pid=1, hash="h", host="n", time=0, uid=uid,
         executable=executable, category=category,
-        modules_h=_HASHER.hash_text(environment + "modules"),
-        compilers_h=_HASHER.hash_text(environment + "compilers"),
-        objects_h=_HASHER.hash_text(environment + "objects"),
-        file_h=_HASHER.hash_text(content + "file"),
-        strings_h=_HASHER.hash_text(content + "strings"),
-        symbols_h=_HASHER.hash_text(content + "symbols"),
+        modules_h=_HASHER.hash((environment + "modules").encode()),
+        compilers_h=_HASHER.hash((environment + "compilers").encode()),
+        objects_h=_HASHER.hash((environment + "objects").encode()),
+        file_h=_HASHER.hash((content + "file").encode()),
+        strings_h=_HASHER.hash((content + "strings").encode()),
+        symbols_h=_HASHER.hash((content + "symbols").encode()),
     )
 
 

@@ -11,13 +11,14 @@ campaign data -- the last two against the all-pairs reference of
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis.similarity import HASH_COLUMNS, ExecutableInstance, SimilaritySearch
 from repro.analysis.simindex import DigestIndex
 from repro.db.store import ProcessRecord
 from repro.hashing.ssdeep import FuzzyHasher
-from repro.util.rng import SeededRNG
 
 from oracles.search import reference_identify, reference_matrix, reference_query
 
@@ -155,19 +156,19 @@ def _record(executable: str, *, content: str, environment: str,
     return ProcessRecord(
         jobid="1", stepid="0", pid=1, hash="h", host="n", time=0, uid=uid,
         executable=executable, category="user",
-        modules_h=_HASHER.hash_text(environment + " modules"),
-        compilers_h=_HASHER.hash_text(environment + " compilers"),
-        objects_h=_HASHER.hash_text(environment + " objects"),
-        file_h=_HASHER.hash_text(content + " file"),
-        strings_h=_HASHER.hash_text(content + " strings"),
-        symbols_h=_HASHER.hash_text(content + " symbols"),
+        modules_h=_HASHER.hash((environment + " modules").encode()),
+        compilers_h=_HASHER.hash((environment + " compilers").encode()),
+        objects_h=_HASHER.hash((environment + " objects").encode()),
+        file_h=_HASHER.hash((content + " file").encode()),
+        strings_h=_HASHER.hash((content + " strings").encode()),
+        symbols_h=_HASHER.hash((content + " symbols").encode()),
     )
 
 
 @pytest.fixture(scope="module")
 def synthetic_records() -> list[ProcessRecord]:
     """~30 instances from seeded content families with random mutations."""
-    rng = SeededRNG(42)
+    rng = random.Random(42)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     records: list[ProcessRecord] = []
     for family in range(6):
@@ -284,7 +285,7 @@ class TestSmallPools:
         search = SimilaritySearch(tiny_records)
         external = ExecutableInstance(
             executable="/elsewhere/app", label="icon",
-            hashes={column: _HASHER.hash_text("first payload " * 40 + " file")
+            hashes={column: _HASHER.hash(("first payload " * 40 + " file").encode())
                     for column in HASH_COLUMNS})
         unknown = search.unknown_instances()[0]
         assert search.query(unknown, candidates=[external]) == \

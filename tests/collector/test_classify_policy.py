@@ -23,6 +23,8 @@ from repro.ingest import IncrementalConsolidator
 from repro.transport.channel import InMemoryChannel
 from repro.transport.sender import UDPSender
 
+from oracles.consolidate import raw_messages
+
 
 class TestSystemPathClassification:
     @pytest.mark.parametrize("path", ["/usr/bin/bash", "/lib/libc.so", "/opt/cray/pe/x",
@@ -156,14 +158,12 @@ class TestTable1Ablation:
             ProcessSpec(executable=manifest.tool("rm"), count=30),
             ProcessSpec(executable=manifest.tool("cat"), count=5),
         )),))
-        cluster.register_preload_hook(collector)
-        try:
-            with mock.patch.dict(TABLE_1, table):
-                cluster.run_job("bench", job)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
+        with mock.patch.object(cluster.runtime, "_hooks", []), \
+                mock.patch.dict(TABLE_1, table):
+            cluster.register_preload_hook(collector)
+            cluster.run_job("bench", job)
         ingest.finalize()
-        return len(datagrams), store.message_count()
+        return len(datagrams), len(raw_messages(store))
 
     def test_the_selective_policy_sends_fewer_datagrams(self, environment):
         # Every process sends PROCINFO and PROCEND around its sections, each

@@ -451,14 +451,12 @@ class TestOneBatchPerStart:
         script = JobScript(name="t", modules=("siren", *icon.required_modules), steps=(
             StepSpec(processes=(ProcessSpec(executable=icon.path),)),))
         counters = []
-        cluster.register_preload_hook(collector)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            cluster.register_preload_hook(collector)
             for _ in range(2):
                 cluster.run_job("alice", script)
                 counters.append((hasher.hashes_computed, hasher.cache_hits,
                                  hasher.content_cache_hits, len(batches)))
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         # The executable's three payloads, its image first, and the four
         # lists (objects, modules, compilers, maps).
         assert len(batches) == 1 and len(batches[0]) == 3 + 4
@@ -567,17 +565,15 @@ def _run_one(cluster, manifest, executable, *, ranks=1, modules=("siren",), argv
     ingest = IncrementalConsolidator(store, persist_raw=True)
     ingest.attach(channel)
     collector = SirenCollector(cluster.filesystem, UDPSender(channel), manifest.siren_library)
-    cluster.register_preload_hook(collector)
-    try:
-        script = JobScript(name="t", modules=tuple(modules), steps=(
-            StepSpec(processes=(ProcessSpec(executable=executable, ranks=ranks,
-                                            argv=argv or (executable,),
-                                            python_script=python_script,
-                                            imported_packages=imported_packages,
-                                            mapped_files=mapped_files),)),))
+    script = JobScript(name="t", modules=tuple(modules), steps=(
+        StepSpec(processes=(ProcessSpec(executable=executable, ranks=ranks,
+                                        argv=argv or (executable,),
+                                        python_script=python_script,
+                                        imported_packages=imported_packages,
+                                        mapped_files=mapped_files),)),))
+    with mock.patch.object(cluster.runtime, "_hooks", []):
+        cluster.register_preload_hook(collector)
         cluster.run_job("alice", script)
-    finally:
-        cluster.runtime.unregister_hook(manifest.siren_library)
     ingest.snapshot()  # persists the last raw batch
     return collector, store
 
@@ -618,7 +614,7 @@ class TestSirenCollector:
         cluster, manifest = app_cluster
         collector, store = _run_one(cluster, manifest, manifest.tool("bash"), modules=())
         assert collector.processes_collected == 0
-        assert store.message_count() == 0
+        assert len(raw_messages(store)) == 0
 
     def test_python_interpreter_script_layer(self, app_cluster):
         cluster, manifest = app_cluster

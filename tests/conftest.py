@@ -10,7 +10,9 @@ replay a :class:`SyntheticWorkload`'s hand-written bursts.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from unittest import mock
 
 import pytest
 
@@ -71,12 +73,6 @@ def recorded_campaign() -> RecordedCampaign:
     return RecordedCampaign(campaign.run(), stream, ledger)
 
 
-@pytest.fixture()
-def rng() -> SeededRNG:
-    """A fresh deterministic RNG."""
-    return SeededRNG(1234)
-
-
 @pytest.fixture(scope="module")
 def base_cluster() -> tuple[Cluster, CorpusManifest]:
     """A cluster with the base corpus (libraries, tools, Python, siren) installed."""
@@ -103,9 +99,9 @@ def deployed_framework(app_cluster) -> tuple[Cluster, CorpusManifest, SirenFrame
     """A SIREN framework deployed (fresh per test) on the shared app cluster."""
     cluster, manifest = app_cluster
     framework = SirenFramework(SirenConfig())
-    collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
-    yield cluster, manifest, framework, collector
-    cluster.runtime.unregister_hook(manifest.siren_library)
+    with mock.patch.object(cluster.runtime, "_hooks", []):
+        collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
+        yield cluster, manifest, framework, collector
 
 
 @dataclass
@@ -113,7 +109,7 @@ class SyntheticWorkload:
     """Emits realistic process message bursts over a channel."""
 
     sender: UDPSender
-    rng: SeededRNG
+    rng: random.Random
     _running: list[tuple[bytes, list[Section]]] = field(default_factory=list)  # pending PROCENDs
 
     def emit_process(self, pid: int, *, time: int = 100) -> None:
@@ -175,6 +171,6 @@ def synthetic_stream():
         channel.subscribe(datagrams.append)
         # Small datagram budget so OBJECTS/MAPS/COMPILERS genuinely chunk.
         sender = UDPSender(channel, max_datagram_size=300)
-        return SyntheticWorkload(sender=sender, rng=SeededRNG(seed * 31 + 7)), datagrams
+        return SyntheticWorkload(sender=sender, rng=random.Random(seed * 31 + 7)), datagrams
 
     return build

@@ -2,6 +2,7 @@
 
 import random
 from operator import attrgetter
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.util.errors import CollectionError
 from repro.util.rng import SeededRNG
 from repro.workload import CampaignConfig, DeploymentCampaign
 
+from oracles.consolidate import raw_messages
 from oracles.search import reference_identify
 from oracles.tables import activity_totals, user_activity_table
 from oracles.wire import burst
@@ -23,16 +25,14 @@ class TestSirenFramework:
     def test_deploy_and_collect(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            collector = framework.deploy(cluster, siren_library_path=manifest.siren_library)
             icon = manifest.find_executable("icon", "cray-r1", "alice")
             script = JobScript(name="t", modules=("siren", *icon.required_modules),
                                steps=(StepSpec(processes=(
                                    ProcessSpec(executable=icon.path),
                                    ProcessSpec(executable=manifest.tool("bash")),)),))
             cluster.run_job("alice", script)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         records = framework.snapshot()
         assert len(records) == 2
         stats = framework.statistics()
@@ -43,12 +43,10 @@ class TestSirenFramework:
     def test_double_deploy_rejected(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             with pytest.raises(CollectionError):
                 framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
 
     def _run_job(self, cluster, manifest) -> None:
         icon = manifest.find_executable("icon", "cray-r1", "alice")
@@ -63,11 +61,9 @@ class TestSirenFramework:
         for given in (names, None):
             framework = SirenFramework(SirenConfig(rollups=True),
                                        user_names=given)
-            framework.deploy(cluster, siren_library_path=manifest.siren_library)
-            try:
+            with mock.patch.object(cluster.runtime, "_hooks", []):
+                framework.deploy(cluster, siren_library_path=manifest.siren_library)
                 self._run_job(cluster, manifest)
-            finally:
-                cluster.runtime.unregister_hook(manifest.siren_library)
             records = framework.finalize()
             rows[given is None] = framework.tiered.user_activity()
             assert rows[given is None] == user_activity_table(records, given)
@@ -79,11 +75,9 @@ class TestSirenFramework:
         names = {user.uid: f"label-{user.username}" for user in cluster.users.all()}
         framework = SirenFramework(SirenConfig(rollups=True),
                                    user_names=names)
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         live = framework.live_analysis().table2_user_activity()
         assert live == framework.tiered.user_activity()
         assert [row.user for row in live] == ["label-alice"]
@@ -93,13 +87,11 @@ class TestSirenFramework:
         link = FaultyChannel(FaultPlan(channel=ChannelFaultProfile(drop_rate=0.5)),
                              rng=SeededRNG(1))
         framework = SirenFramework(channel=link)
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             script = JobScript(name="t", modules=("siren",), steps=(StepSpec(processes=(
                 ProcessSpec(executable=manifest.tool("bash"), count=20),)),))
             cluster.run_job("alice", script)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         assert link.datagrams_dropped > 0
         assert 0.3 < link.observed_loss_rate < 0.7
         # The drops are the network's: SIREN counts only what it sent.
@@ -120,15 +112,13 @@ class TestStreamingFramework:
     def test_streaming_snapshot_and_statistics(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             self._run_job(cluster, manifest)
             snapshot = framework.snapshot()
             assert len(snapshot) == 2
             # Snapshots are non-destructive: collection continues afterwards.
             self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         assert len(framework.snapshot()) == 4
         stats = framework.statistics()
         assert stats["messages_received"] > 0
@@ -141,11 +131,9 @@ class TestStreamingFramework:
         even when fewer than flush_batch_size have been finalized."""
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         records = framework.snapshot()
         assert framework.store.process_count() == len(records) == 2
 
@@ -160,13 +148,11 @@ class TestStreamingFramework:
         """
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig(keep_raw_messages=keep_raw))
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             self._run_job(cluster, manifest)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         assert len(framework.finalize()) == 2
-        assert (framework.store.message_count() > 0) is keep_raw
+        assert (len(raw_messages(framework.store)) > 0) is keep_raw
 
     def test_finalize_persists_groups_whose_procend_was_lost(self):
         from repro.collector.records import InfoType, Layer
@@ -199,11 +185,9 @@ class TestStreamingFramework:
         results = {}
         for transport, channel in (("memory", InMemoryChannel()), ("socket", SocketChannel())):
             framework = SirenFramework(SirenConfig(keep_raw_messages=False), channel=channel)
-            framework.deploy(cluster, siren_library_path=manifest.siren_library)
-            try:
+            with mock.patch.object(cluster.runtime, "_hooks", []):
+                framework.deploy(cluster, siren_library_path=manifest.siren_library)
                 self._run_job(cluster, manifest)
-            finally:
-                cluster.runtime.unregister_hook(manifest.siren_library)
             try:
                 results[transport] = sorted(
                     (r.executable, r.category, r.file_h, r.objects, r.incomplete)
@@ -227,16 +211,14 @@ class TestFrameworkLiveAnalysis:
         ``consolidate()`` returns mid-run is the key set ``finalize()`` keeps."""
         cluster, manifest = app_cluster
         framework = SirenFramework()
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             icon = manifest.find_executable("icon", "cray-r1", "alice")
             cluster.run_job("alice", JobScript(
                 name="t", modules=("siren", *icon.required_modules),
                 steps=(StepSpec(processes=(
                     ProcessSpec(executable=icon.path),
                     ProcessSpec(executable=manifest.tool("bash"), count=3),)),)))
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         keys = lambda records: {record.key for record in records}
         mid_run = framework.snapshot()
         delta = framework.snapshot_delta()
@@ -249,9 +231,9 @@ class TestFrameworkLiveAnalysis:
     def test_live_analysis_tracks_the_stream(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        live = framework.live_analysis()
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
+            live = framework.live_analysis()
             icon = manifest.find_executable("icon", "cray-r1", "alice")
             script = JobScript(name="t", modules=("siren", *icon.required_modules),
                                steps=(StepSpec(processes=(
@@ -263,16 +245,14 @@ class TestFrameworkLiveAnalysis:
             cluster.run_job("alice", script)
             second = activity_totals(live.table2_user_activity())
             assert second.total_processes == 4
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         # Each view pulled only the delta, never the whole record set again.
         assert live.statistics()["records_committed"] == 4
 
     def test_snapshot_delta_is_disjoint_and_complete(self, app_cluster):
         cluster, manifest = app_cluster
         framework = SirenFramework(SirenConfig())
-        framework.deploy(cluster, siren_library_path=manifest.siren_library)
-        try:
+        with mock.patch.object(cluster.runtime, "_hooks", []):
+            framework.deploy(cluster, siren_library_path=manifest.siren_library)
             icon = manifest.find_executable("icon", "cray-r1", "alice")
             script = JobScript(name="t", modules=("siren", *icon.required_modules),
                                steps=(StepSpec(processes=(
@@ -281,8 +261,6 @@ class TestFrameworkLiveAnalysis:
             first = framework.snapshot_delta()
             cluster.run_job("alice", script)
             second = framework.snapshot_delta(first.cursor)
-        finally:
-            cluster.runtime.unregister_hook(manifest.siren_library)
         keys = lambda records: {(r.jobid, r.stepid, r.pid, r.hash, r.host, r.time)
                                 for r in records}
         assert len(first.new_records) == len(second.new_records) == 1

@@ -1,9 +1,10 @@
 """Tests for the SQLite message store and process records."""
 
 from repro.collector.records import InfoType, Layer
-from repro.db.store import MessageStore, ProcessRecord
+from repro.db.store import PROCESS_FIELDS, MessageStore, ProcessRecord
 from repro.transport.messages import UDPMessage
 
+from oracles.consolidate import raw_messages
 from oracles.wire import rows
 
 
@@ -17,12 +18,12 @@ class TestMessageStorage:
     def test_insert_and_count(self):
         store = MessageStore()
         store.insert_rows(rows([_message()]))
-        assert store.message_count() == 1
+        assert len(raw_messages(store)) == 1
 
     def test_insert_rows_returns_the_count(self):
         store = MessageStore()
         assert store.insert_rows(rows([_message(pid=i) for i in range(10)])) == 10
-        assert store.message_count() == 10
+        assert len(raw_messages(store)) == 10
 
     def test_file_backed_store(self, tmp_path):
         path = str(tmp_path / "siren.db")
@@ -30,13 +31,13 @@ class TestMessageStorage:
         store.insert_rows(rows([_message()]))
         store.close()
         reopened = MessageStore(path)
-        assert reopened.message_count() == 1
+        assert len(raw_messages(reopened)) == 1
         reopened.close()
 
     def test_context_manager(self):
         with MessageStore() as store:
             store.insert_rows(rows([_message()]))
-            assert store.message_count() == 1
+            assert len(raw_messages(store)) == 1
 
     def test_in_memory_store_trades_durability_for_speed(self):
         store = MessageStore()
@@ -95,6 +96,27 @@ class TestProcessRecords:
         assert new_cursor > cursor
         # the cursor stream partitions exactly the full record set
         assert {r.pid for r in first + delta} == {r.pid for r in store.load_processes()}
+
+    def test_records_read_back_share_equal_values(self, tmp_path):
+        """A store reopened on disk reads its records from SQL: each distinct
+        string value is one object, however many records hold it."""
+        path = str(tmp_path / "siren.db")
+        with MessageStore(path) as store:
+            store.insert_processes_if_absent([
+                ProcessRecord(jobid=f"j{pid % 3}", stepid="0", pid=pid, hash="f" * 32,
+                              host=f"nid{pid % 2:06d}", time=100 + pid, uid=1000,
+                              executable=("/usr/bin/bash", "/project/p/u/icon")[pid % 2],
+                              category=("system", "user")[pid % 2],
+                              objects="/lib64/libc.so.6\n/lib64/libm.so.6",
+                              modules="siren/0.1:cce/17.0.1")
+                for pid in range(40)])
+        with MessageStore(path) as reopened:
+            records = reopened.load_processes()
+        assert len(records) == 40
+        for name in PROCESS_FIELDS:
+            values = [getattr(record, name) for record in records]
+            if isinstance(values[0], str):
+                assert len({id(value) for value in values}) == len(set(values)), name
 
     def test_list_properties(self):
         record = self._record()

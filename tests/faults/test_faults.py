@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from repro.db.store import MessageStore, is_transient_sqlite_error
+from repro.db.store import RETRY_ATTEMPTS, MessageStore, is_transient_sqlite_error
 from repro.hpcsim.faults import (
     ChannelFaultProfile,
     FaultPlan,
@@ -23,6 +23,7 @@ from repro.util.errors import ReproError
 from repro.util.rng import SeededRNG
 
 from oracles.conservation import check_channel, preset_plans
+from oracles.consolidate import raw_messages
 from oracles.wire import encode, rows
 
 
@@ -195,8 +196,6 @@ class TestStoreFaults:
 
     @mock.patch("repro.db.store.RETRY_ATTEMPTS", 6)
     def test_retry_absorbs_bursts_shorter_than_the_budget(self):
-        # Kept gentle on purpose: each retry re-draws the error gate, so a
-        # high rate can chain fresh bursts past any finite budget.
         plan = FaultPlan(seed=21, store=StoreFaultProfile(error_rate=0.1,
                                                           error_burst=2))
         store = MessageStore()
@@ -204,9 +203,23 @@ class TestStoreFaults:
         injector = StoreFaultInjector(plan).install(store)
         for pid in range(50):
             store.insert_rows(rows([_message(pid)]))
-        assert store.message_count() == 50       # every write eventually landed
+        assert len(raw_messages(store)) == 50       # every write eventually landed
         assert injector.transient_raised > 0     # and faults genuinely fired
         assert store.write_retries == injector.transient_raised
+
+    @pytest.mark.parametrize("burst", range(1, RETRY_ATTEMPTS + 1))
+    def test_a_burst_within_the_budget_never_chains_into_the_next(self, burst):
+        """Even when every write draws a burst, the attempt after a burst's
+        last failure lands: ``error_burst`` failures in a row, never more."""
+        plan = FaultPlan(seed=7, store=StoreFaultProfile(error_rate=1.0,
+                                                         error_burst=burst))
+        store = MessageStore()
+        store._sleep = lambda _: None
+        injector = StoreFaultInjector(plan).install(store)
+        for pid in range(20):
+            store.insert_rows(rows([_message(pid)]))
+        assert len(raw_messages(store)) == 20
+        assert injector.transient_raised == store.write_retries == 20 * burst
 
     @mock.patch("repro.db.store.RETRY_ATTEMPTS", 2)
     def test_burst_longer_than_budget_propagates(self):

@@ -67,9 +67,6 @@ class TestHashing:
     def test_empty_input(self):
         assert _HASHER.hash(b"") == f"{MIN_BLOCKSIZE}::"
 
-    def test_text_hashing_is_utf8(self):
-        assert _HASHER.hash_text("modules:a:b") == _HASHER.hash("modules:a:b".encode("utf-8"))
-
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):
             FuzzyHasher().hash("a string")  # type: ignore[arg-type]
@@ -193,9 +190,9 @@ class TestTextSimilarityUseCases:
                          ["sci_cray", "mpi_cray", "pmi", "fabric", "quadmath", "pthread",
                           "hdf5", "netcdf", "gfortran", "m", "c", "dl", "rt", "z"])
         variant = base.replace("hdf5", "hdf5_parallel")
-        assert _HASHER.compare(_HASHER.hash_text(base), _HASHER.hash_text(variant)) > 40
+        assert _HASHER.compare(_HASHER.hash(base.encode()), _HASHER.hash(variant.encode())) > 40
 
     def test_disjoint_library_lists_score_low(self):
         a = "\n".join(f"/lib64/liba{i}.so" for i in range(20))
         b = "\n".join(f"/opt/rocm/librocm{i * 7}.so" for i in range(20))
-        assert _HASHER.compare(_HASHER.hash_text(a), _HASHER.hash_text(b)) < 30
+        assert _HASHER.compare(_HASHER.hash(a.encode()), _HASHER.hash(b.encode())) < 30

@@ -100,16 +100,6 @@ class TestProcessRuntime:
         with pytest.raises(SimulationError):
             runtime.register_hook(RecordingHook("/appl/siren/siren.so"))
 
-    def test_unregister_hook(self, runtime_env):
-        _, runtime = runtime_env
-        hook = RecordingHook("/appl/siren/siren.so")
-        runtime.register_hook(hook)
-        runtime.unregister_hook("/appl/siren/siren.so")
-        runtime.run_process(executable="/usr/bin/tool",
-                            environment={"LD_PRELOAD": "/appl/siren/siren.so"},
-                            uid=1, gid=1, hostname="n1")
-        assert hook.started == []
-
     def test_missing_executable_raises(self, runtime_env):
         _, runtime = runtime_env
         with pytest.raises(SimulationError):

@@ -24,6 +24,7 @@ from repro.transport import messages
 from repro.transport.messages import UDPMessage, decode_row, wire_header
 from repro.transport.sender import UDPSender
 
+from oracles.consolidate import raw_messages
 from oracles.wire import burst, encode, row
 
 
@@ -478,7 +479,7 @@ class TestDatagramPath:
         ingest.finalize()
         assert (ingest.decode_errors, ingest.messages_received,
                 ingest.messages_consumed) == (2, 1, 1)
-        assert store.message_count() == 1
+        assert len(raw_messages(store)) == 1
 
     @pytest.mark.parametrize("persist_raw", [False, True])
     @mock.patch.object(incremental, "BATCH_SIZE", 4)
@@ -489,10 +490,10 @@ class TestDatagramPath:
             ingest.handle_datagram(_datagram(pid))
             ingest.handle_datagram(_datagram(pid, InfoType.PROCEND))
         # one full batch delivered, two messages still buffered
-        assert store.message_count() == (4 if persist_raw else 0)
+        assert len(raw_messages(store)) == (4 if persist_raw else 0)
         assert ingest.messages_consumed == 4
         ingest.finalize()
-        assert store.message_count() == (6 if persist_raw else 0)
+        assert len(raw_messages(store)) == (6 if persist_raw else 0)
         assert (ingest.messages_consumed, store.process_count()) == (6, 3)
 
     def test_an_attached_channel_reaches_the_raw_table(self):
@@ -502,7 +503,7 @@ class TestDatagramPath:
         ingest.attach(channel)
         UDPSender(channel).send(*burst(_msg(InfoType.OBJECTS, "payload")))
         ingest.snapshot()
-        assert store.message_count() == ingest.messages_received == 1
+        assert len(raw_messages(store)) == ingest.messages_received == 1
 
     @mock.patch.object(incremental, "BATCH_SIZE", 4)
     def test_statistics_cover_decode_and_consolidation(self):
@@ -542,7 +543,7 @@ class TestQuarantine:
         assert [entry.datagram for entry in ingest.quarantine.entries()] == datagrams
         # one decode a datagram: none again once it is refused
         assert decoded == datagrams
-        assert store.message_count() == 0
+        assert len(raw_messages(store)) == 0
 
     def test_quarantine_keeps_the_newest_evidence_and_counts_it_all(self, monkeypatch):
         monkeypatch.setattr(incremental, "QUARANTINE_CAPACITY", 2)
@@ -603,7 +604,7 @@ class TestStoreWriteFailures:
                 failures += 1
         records = ingest.finalize()
         assert failures == 1
-        assert store.message_count() == ingest.messages_received == len(stream)
+        assert len(raw_messages(store)) == ingest.messages_received == len(stream)
         assert ingest.messages_consumed == ingest.messages_received
         assert ingest.late_messages == 0
         assert records == recorded_campaign.ledger.records()

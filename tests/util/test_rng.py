@@ -43,10 +43,6 @@ class TestSeededRNG:
         child = parent.fork("x")
         assert child.seed != parent.seed
 
-    def test_choice_from_empty_raises(self):
-        with pytest.raises(ValueError):
-            SeededRNG(1).choice([])
-
     def test_weighted_choice_length_mismatch(self):
         with pytest.raises(ValueError):
             SeededRNG(1).weighted_choice(["a", "b"], [1.0])
@@ -67,10 +63,6 @@ class TestSeededRNG:
     def test_random_in_unit_interval(self):
         rng = SeededRNG(4)
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
-
-    def test_choice_returns_a_member(self):
-        rng = SeededRNG(4)
-        assert all(rng.choice("abc") in "abc" for _ in range(20))
 
     def test_numpy_generator_is_seeded(self):
         assert SeededRNG(8).numpy().integers(0, 10 ** 6, size=5).tolist() == \
